@@ -9,8 +9,7 @@
 //! * **serial vs parallel fast** — the serial mode evaluates whole streams
 //!   one node at a time; `Threads(n)` runs the work-stealing scheduler,
 //!   which splits heavy node evaluations at fiber boundaries into
-//!   stealable tasks (the pipelined per-node engine remains available via
-//!   `FastBackend::pipelined`). The scheduler clamps its worker count to
+//!   stealable tasks. The scheduler clamps its worker count to
 //!   the host's available parallelism, so on a single-core CI runner the
 //!   `threads*` entries degenerate to the serial path plus negligible
 //!   dispatch overhead — which is exactly what `bench_gate`'s intra-run
@@ -50,13 +49,6 @@ fn bench_parallelism(c: &mut Criterion, group_name: &str, plan: &Plan, inputs: &
         });
     }
     group.finish();
-    // Surface the bounded-channel spill counter next to the timings. The
-    // work-stealing engine has no channels, so the counter now tracks the
-    // pipelined engine at planner-derived depths — held at zero by the
-    // max-fiber-length stream estimate (`threads4_spills` in older
-    // baselines measured the same thing when `threads` still pipelined).
-    let spills = FastBackend::pipelined(4).run(plan, inputs).expect("fast run").spills;
-    criterion::record_metric(group_name, "pipelined4_spills", spills as f64);
     // A directly-computed speedup next to the raw timings: serial vs the
     // 4-worker stealing scheduler, recorded as serial/threads4 (>= 1.0
     // means parallel at least breaks even). The vendored criterion exposes
@@ -103,7 +95,7 @@ fn bench_spmm(c: &mut Criterion) {
     bench_pair(c, "exec_spmm_gustavson", &plan, &inputs);
 
     // Larger operands for the parallelism comparison (no cycle run here, so
-    // the streams can be long enough for pipelining to amortize).
+    // the streams can be long enough for splitting to amortize).
     let b = synth::random_matrix_sparsity(500, 400, 0.95, 45);
     let m = synth::random_matrix_sparsity(400, 500, 0.95, 46);
     let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &m, TensorFormat::dcsr());

@@ -185,7 +185,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut regressions = 0u32;
+    // Every gate that tripped, by name; the exit status and the final line
+    // both come from this list.
+    let mut tripped: Vec<String> = Vec::new();
     let mut gated = 0u32;
     // Walk the union of kernels (baseline order first, then kernels only
     // the current run knows) so new benchmarks and counters are visible
@@ -211,7 +213,7 @@ fn main() -> ExitCode {
                     if is_gated {
                         gated += 1;
                         if ratio > THRESHOLD {
-                            regressions += 1;
+                            tripped.push(format!("{kernel}/{backend} vs baseline"));
                         }
                     }
                 }
@@ -219,7 +221,7 @@ fn main() -> ExitCode {
                     println!("{kernel:<28} {backend:<16} {base_ns:>12.0}ns {:>14} {:>8}", "missing", "-");
                     if GATED.contains(&backend.as_str()) {
                         eprintln!("bench_gate: gated benchmark {kernel}/{backend} missing from current run");
-                        regressions += 1;
+                        tripped.push(format!("{kernel}/{backend} missing"));
                     }
                 }
                 (None, Some(&cur_ns)) => {
@@ -254,12 +256,12 @@ fn main() -> ExitCode {
                             "bench_gate: tracing overhead: `{metric}` is {ratio:.2}x of the \
                              untraced serial run (bound {bound:.2}x)"
                         );
-                        regressions += 1;
+                        tripped.push(format!("exec_overhead/{metric}"));
                     }
                 }
                 _ => {
                     eprintln!("bench_gate: exec_overhead group is missing the `{metric}` metric");
-                    regressions += 1;
+                    tripped.push(format!("exec_overhead/{metric} missing"));
                 }
             }
         }
@@ -272,7 +274,7 @@ fn main() -> ExitCode {
     for group_name in PARALLEL_GROUPS {
         let Some(group) = current.get(*group_name) else {
             eprintln!("bench_gate: parallel group {group_name} missing from current run");
-            regressions += 1;
+            tripped.push(format!("{group_name} missing"));
             continue;
         };
         match group.get("parallel_speedup") {
@@ -293,12 +295,12 @@ fn main() -> ExitCode {
                         "bench_gate: {group_name}: `threads4` runs at {ratio:.2}x of the serial run \
                          (bound {PARALLEL_THRESHOLD:.2}x) — the work-stealing scheduler lost to serial"
                     );
-                    regressions += 1;
+                    tripped.push(format!("{group_name}/parallel_speedup"));
                 }
             }
             _ => {
                 eprintln!("bench_gate: {group_name} is missing the `parallel_speedup` metric");
-                regressions += 1;
+                tripped.push(format!("{group_name}/parallel_speedup missing"));
             }
         }
     }
@@ -323,12 +325,12 @@ fn main() -> ExitCode {
                         "bench_gate: throughput: warm rounds run at {ratio:.2}x of the cold round \
                          (bound {WARM_THRESHOLD:.2}x) — the resident plan cache lost to fresh compiles"
                     );
-                    regressions += 1;
+                    tripped.push("throughput/warm_speedup".to_string());
                 }
             }
             _ => {
                 eprintln!("bench_gate: throughput group is missing the `warm_speedup` metric");
-                regressions += 1;
+                tripped.push("throughput/warm_speedup missing".to_string());
             }
         }
         match throughput.get("warm_hit_rate") {
@@ -350,12 +352,12 @@ fn main() -> ExitCode {
                         100.0 * rate,
                         100.0 * WARM_HIT_RATE_FLOOR
                     );
-                    regressions += 1;
+                    tripped.push("throughput/warm_hit_rate".to_string());
                 }
             }
             None => {
                 eprintln!("bench_gate: throughput group is missing the `warm_hit_rate` metric");
-                regressions += 1;
+                tripped.push("throughput/warm_hit_rate missing".to_string());
             }
         }
         match throughput.get("telemetry_overhead") {
@@ -372,22 +374,22 @@ fn main() -> ExitCode {
                          metrics-disabled service (bound {TELEMETRY_THRESHOLD:.2}x) — query-span \
                          telemetry is no longer cheap"
                     );
-                    regressions += 1;
+                    tripped.push("throughput/telemetry_overhead".to_string());
                 }
             }
             _ => {
                 eprintln!("bench_gate: throughput group is missing the `telemetry_overhead` metric");
-                regressions += 1;
+                tripped.push("throughput/telemetry_overhead missing".to_string());
             }
         }
     } else {
         eprintln!("bench_gate: throughput group missing from current run");
-        regressions += 1;
+        tripped.push("throughput missing".to_string());
     }
 
-    println!("\n{gated} gated benchmarks (fast-serial), threshold {THRESHOLD}x, {regressions} regression(s)");
-    if regressions > 0 {
-        eprintln!("bench_gate: fast-serial regressed more than {THRESHOLD}x against the baseline");
+    println!("\n{gated} gated measurements, {} gate(s) tripped", tripped.len());
+    if !tripped.is_empty() {
+        eprintln!("bench_gate: failed gate(s): {}", tripped.join(", "));
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -1,34 +1,28 @@
 //! `samlint`: rustc-style static diagnostics for SAM graphs.
 //!
-//! Runs the `sam-verify` analyses — stream-type/protocol checking, graph
-//! lints, and (optionally) the bounded-channel deadlock classifier — over
-//! catalog kernels and Custard-compiled Table 1 expressions, printing each
-//! diagnostic in rustc style and exiting nonzero when any *error* fires
-//! (warnings report but do not fail, mirroring the compiler).
+//! Runs the `sam-verify` analyses — stream-type/protocol checking and graph
+//! lints — over catalog kernels and Custard-compiled Table 1 expressions,
+//! printing each diagnostic in rustc style and exiting nonzero when any
+//! *error* fires (warnings report but do not fail, mirroring the compiler).
 //!
 //! ```text
 //! samlint spmv SpMV            # one catalog kernel, one compiled expression
 //! samlint --all                # the whole catalog + all twelve expressions
-//! samlint --all --deadlock 64:2
 //! samlint --list
 //! ```
 //!
 //! Named cases with standard operands (`samprof`'s kernel set and the
 //! Table 1 expressions) verify *bound* — formats, ranks and scalars against
 //! real tensors; the rest of the hand-written catalog verifies
-//! structurally. `--deadlock LEN:DEPTH` additionally classifies every bound
-//! case at a `LEN`-token x `DEPTH`-chunk channel budget.
+//! structurally.
 
 use sam_bench::{graph_catalog, kernel_case, table1_case, table1_case_names, PROFILE_KERNELS};
 use sam_core::graph::SamGraph;
 use sam_exec::Inputs;
-use sam_verify::{deadlock, verify, verify_bound, Bindings, ChannelBudget, Report};
+use sam_verify::{verify, verify_bound, Bindings, Report};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: samlint <kernel|expression>... [--deadlock LEN:DEPTH]\n       \
-         samlint --all [--deadlock LEN:DEPTH]\n       samlint --list"
-    );
+    eprintln!("usage: samlint <kernel|expression>...\n       samlint --all\n       samlint --list");
     std::process::exit(2);
 }
 
@@ -38,17 +32,9 @@ struct CaseReport {
     report: Report,
 }
 
-fn lint_bound(name: &str, graph: &SamGraph, inputs: &Inputs, budget: Option<ChannelBudget>) -> CaseReport {
+fn lint_bound(name: &str, graph: &SamGraph, inputs: &Inputs) -> CaseReport {
     let bindings: Bindings<'_> = inputs.iter().collect();
-    let mut report = verify_bound(graph, &bindings);
-    if let Some(budget) = budget {
-        if !report.has_errors() {
-            for d in deadlock::analyze(graph, &bindings, budget).diagnostics {
-                report.push(d);
-            }
-        }
-    }
-    CaseReport { name: name.to_string(), report }
+    CaseReport { name: name.to_string(), report: verify_bound(graph, &bindings) }
 }
 
 fn lint_structural(name: &str, graph: &SamGraph) -> CaseReport {
@@ -57,12 +43,12 @@ fn lint_structural(name: &str, graph: &SamGraph) -> CaseReport {
 
 /// Resolves one command-line name: a profiled kernel (bound), a Table 1
 /// expression (bound), or any other catalog graph (structural).
-fn lint_named(name: &str, budget: Option<ChannelBudget>) -> Option<CaseReport> {
+fn lint_named(name: &str) -> Option<CaseReport> {
     if let Some((graph, inputs)) = kernel_case(name) {
-        return Some(lint_bound(name, &graph, &inputs, budget));
+        return Some(lint_bound(name, &graph, &inputs));
     }
     if let Some((graph, inputs)) = table1_case(name, 64) {
-        return Some(lint_bound(name, &graph, &inputs, budget));
+        return Some(lint_bound(name, &graph, &inputs));
     }
     graph_catalog()
         .into_iter()
@@ -70,19 +56,12 @@ fn lint_named(name: &str, budget: Option<ChannelBudget>) -> Option<CaseReport> {
         .map(|(n, graph)| lint_structural(n, &graph))
 }
 
-fn parse_budget(arg: &str) -> Option<ChannelBudget> {
-    let (len, depth) = arg.split_once(':')?;
-    Some(ChannelBudget { chunk_len: len.parse().ok()?, depth: depth.parse().ok()? })
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut names: Vec<String> = Vec::new();
     let mut all = false;
-    let mut budget: Option<ChannelBudget> = None;
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in &args {
         match arg.as_str() {
             "--list" => {
                 println!("kernels (bound):     {}", PROFILE_KERNELS.join(", "));
@@ -94,10 +73,6 @@ fn main() {
                 return;
             }
             "--all" => all = true,
-            "--deadlock" => match it.next().and_then(|a| parse_budget(a)) {
-                Some(b) => budget = Some(b),
-                None => usage(),
-            },
             other if other.starts_with('-') => usage(),
             other => names.push(other.to_string()),
         }
@@ -113,15 +88,15 @@ fn main() {
         }
         for name in PROFILE_KERNELS {
             let (graph, inputs) = kernel_case(name).expect("profiled kernel");
-            cases.push(lint_bound(name, &graph, &inputs, budget));
+            cases.push(lint_bound(name, &graph, &inputs));
         }
         for name in table1_case_names() {
             let (graph, inputs) = table1_case(name, 64).expect("table1 expression");
-            cases.push(lint_bound(name, &graph, &inputs, budget));
+            cases.push(lint_bound(name, &graph, &inputs));
         }
     }
     for name in &names {
-        match lint_named(name, budget) {
+        match lint_named(name) {
             Some(case) => cases.push(case),
             None => {
                 eprintln!("unknown kernel or expression `{name}`; `samlint --list` shows all names");

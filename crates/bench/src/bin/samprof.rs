@@ -2,8 +2,8 @@
 //!
 //! Runs the chosen graph under a [`CountersSink`] (or a [`ChromeTraceSink`]
 //! when `--trace` is given), prints the run's headline numbers and the
-//! ranked per-node stall/token table, and names the node on the critical
-//! path — the serial bottleneck the parallel backend is waiting on.
+//! ranked per-node time/token table, and names the node on the critical
+//! path — the longest-running node of the run.
 //!
 //! ```text
 //! samprof spmv_skew --backend threads4 --trace skew.json
@@ -16,9 +16,9 @@
 //!   parse);
 //! * `--trace <path>` also writes a Chrome `trace_event` JSON timeline
 //!   (load it at `ui.perfetto.dev` or `chrome://tracing`);
-//! * `--save-json` merges `samprof_<name>` headline metrics (`blocked_ns`,
-//!   `spills`, `tokens`) into the workspace `BENCH_exec.json` so the
-//!   benchmark trajectory carries them;
+//! * `--save-json` merges the `samprof_<name>` headline metric (`tokens`)
+//!   into the workspace `BENCH_exec.json` so the benchmark trajectory
+//!   carries it;
 //! * `--serve [--rounds N]` profiles the query *lifecycle* instead of one
 //!   execution: it runs the Table 1 workload through a resident
 //!   `sam-serve` service for N rounds and prints the per-stage breakdown
@@ -135,30 +135,23 @@ fn report(name: &str, backend: &dyn Executor, run: &Execution, profile: &ExecPro
     println!("samprof: `{name}` on the `{}` backend", run.backend);
     let cycles = run.cycles.map_or("-".to_string(), |c| c.to_string());
     println!(
-        "tokens={} spills={} cycles={} elapsed={:.2?} ({} nodes, {} channels)",
+        "tokens={} cycles={} elapsed={:.2?} ({} nodes, {} channels)",
         run.tokens,
-        run.spills,
         cycles,
         run.elapsed,
         profile.nodes.len(),
-        profile.channels.len(),
+        run.channels,
     );
-    println!(
-        "critical path {:.1}us, total blocked {:.1}us\n",
-        profile.critical_path_ns() as f64 / 1e3,
-        profile.total_blocked_ns() as f64 / 1e3,
-    );
+    println!("critical path {:.1}us\n", profile.critical_path_ns() as f64 / 1e3);
     print!("{}", profile.stall_table());
-    // The critical-path node — the longest-lived, busy or blocked — is the
-    // stage the rest of the pipeline is waiting on.
+    // The critical-path node: the longest-lived one.
     if let Some(top) = profile.nodes.iter().max_by_key(|n| (n.wall_ns(), n.tokens.total())) {
         println!(
-            "\nbottleneck: n{}:{} ({} tokens, busy {:.1}us, blocked {:.1}us)",
+            "\nbottleneck: n{}:{} ({} tokens, busy {:.1}us)",
             top.index,
             top.label,
             top.tokens.total(),
             top.busy_ns as f64 / 1e3,
-            top.blocked_ns as f64 / 1e3,
         );
     }
     let _ = backend;
@@ -252,13 +245,8 @@ fn main() {
 
     if save_json {
         let group = format!("samprof_{}", name.replace(|c: char| !c.is_ascii_alphanumeric(), "_"));
-        let metrics: Vec<(&str, f64)> = vec![
-            ("blocked_ns", profile.total_blocked_ns() as f64),
-            ("spills", run.spills as f64),
-            ("tokens", run.tokens as f64),
-        ];
         let path = workspace_root().join("BENCH_exec.json");
-        match merge_json_group(&path, &group, &metrics) {
+        match merge_json_group(&path, &group, &[("tokens", run.tokens as f64)]) {
             Ok(()) => println!("\nmerged `{group}` metrics into {}", path.display()),
             Err(e) => {
                 eprintln!("failed to update {}: {e}", path.display());

@@ -267,7 +267,7 @@ pub fn table1_case_names() -> Vec<&'static str> {
 }
 
 /// Catalog kernels [`kernel_case`] accepts — operands big enough that
-/// stall attribution is meaningful but small enough for the cycle backend.
+/// per-node timing is meaningful but small enough for the cycle backend.
 /// The `_skew` variants pit a dense matrix row against a very sparse
 /// vector, so one scanner dominates the run — the case coordinate skipping
 /// (`spmv_skip`) erases. Shared by `samprof` and `samlint`.

@@ -1,7 +1,7 @@
 //! The global sharded plan cache and the [`Planner`] entry point.
 //!
 //! Planning a graph ([`Plan::build`]) walks the whole topology, validates
-//! every port and estimates every stream — cheap next to a cold custard
+//! every port and traces every tensor binding — cheap next to a cold custard
 //! compile, but pure waste when the same `(expression, formats, shapes)`
 //! workload executes thousands of times against a resident operand corpus.
 //! This module promotes the per-shape plan cache the tiled backend grew in
@@ -10,12 +10,11 @@
 //!
 //! * [`PlanKey`] captures **everything** a [`Plan`] reads from its inputs —
 //!   the graph's name and a structural fingerprint of its nodes and edges,
-//!   and per bound tensor the name, format, shape, the per-level fiber
-//!   statistics behind the planner's stream-size estimates, and the value
-//!   of single-element tensors (the planner resolves `ConstVal` scalars at
-//!   plan time). Equal keys therefore mean *bit-identical* plans: a cache
-//!   hit returns an execution indistinguishable from a fresh compile, down
-//!   to channel-depth and spill behavior.
+//!   and per bound tensor the name, format, shape, per-level fiber
+//!   statistics, and the value of single-element tensors (the planner
+//!   resolves `ConstVal` scalars at plan time). Equal keys therefore mean
+//!   *bit-identical* plans: a cache hit returns an execution
+//!   indistinguishable from a fresh compile.
 //! * [`PlanCache`] is the sharded LRU map. [`PlanCache::global`] is the
 //!   process-wide instance the default execution path uses; services that
 //!   want isolated counters (or a different capacity) construct their own.
@@ -68,9 +67,8 @@ struct BindingKey {
     /// The storage format, via its `Display` (level kinds + mode order).
     format: String,
     shape: Vec<usize>,
-    /// Per storage level: `(fiber count, longest fiber)` — exactly the
-    /// statistics the planner's stream-size estimates read, so two inputs
-    /// with equal keys plan to equal channel depths. Empty under
+    /// Per storage level: `(fiber count, longest fiber)`, so tensors of
+    /// one shape but different occupancy key apart. Empty under
     /// [`KeyDetail::ShapeClass`].
     level_stats: Vec<(usize, usize)>,
     /// Value bits of a single-element tensor: the planner bakes `ConstVal`
@@ -82,16 +80,14 @@ struct BindingKey {
 /// How much of the bound inputs a [`PlanKey`] captures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyDetail {
-    /// Formats, shapes, per-level fiber statistics and scalar values: equal
-    /// keys produce bit-identical plans, including the stream-size
-    /// estimates. The default for whole-tensor execution.
+    /// Formats, shapes, per-level fiber statistics and scalar values. The
+    /// default for whole-tensor execution.
     Exact,
     /// Formats, shapes and scalar values only: tensors of one shape class
-    /// share a plan even when their occupancy differs. Results are still
-    /// bit-identical; only the planner's channel-depth *estimates* may be
-    /// stale. The tiled backend uses this so interior tiles keep sharing
-    /// one plan per shape class (its inner runs are serial and never
-    /// consult the estimates).
+    /// share a plan even when their occupancy differs (a plan reads nothing
+    /// else from its inputs, so results are still bit-identical). The tiled
+    /// backend uses this so interior tiles keep sharing one plan per shape
+    /// class.
     ShapeClass,
 }
 
@@ -430,8 +426,7 @@ mod tests {
     #[test]
     fn exact_keys_distinguish_occupancy_shape_class_keys_do_not() {
         // Same shapes and formats, different fiber occupancy: the exact key
-        // sees it (stream-size estimates depend on it), the shape-class key
-        // deliberately does not.
+        // sees it, the shape-class key deliberately does not.
         let graph = graphs::vec_elem_mul(true);
         let sparse = vec_inputs(4, 11);
         let dense = vec_inputs(40, 11);

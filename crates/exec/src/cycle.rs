@@ -294,7 +294,6 @@ impl Executor for CycleBackend {
             blocks: report.blocks,
             channels: report.channels,
             tokens: report.total_tokens,
-            spills: 0,
             memory: None,
             elapsed: start.elapsed(),
             profile: trace.snapshot(),

@@ -19,14 +19,8 @@
 //!   node. Requested workers are clamped to the host's available
 //!   parallelism; with one effective worker the run degenerates to exactly
 //!   the serial walk.
-//! * [`FastBackend::pipelined`]`(n)` — the older pipelined engine: every
-//!   planned node becomes a work unit on a pool of `n` scoped worker
-//!   threads, communicating over the bounded chunked channels of
-//!   [`sam_streams::chunked`]. Kept as the only mode exercising the
-//!   chunked-channel transport (spills, backpressure attribution) end to
-//!   end; [`FastBackend::with_chunk_config`] selects it implicitly.
 //!
-//! All modes share the per-primitive transfer functions and the output
+//! Both modes share the per-primitive transfer functions and the output
 //! assembly, so they produce bit-identical tensors from the same
 //! [`Plan`] — as does the cycle backend.
 //!
@@ -55,21 +49,11 @@ use crate::node::{
 use crate::plan::Plan;
 use crate::{assemble_output, Execution, Executor, Parallelism};
 use sam_sim::SimToken;
-use sam_streams::chunked::ChunkConfig;
 use sam_trace::{NullSink, TokenCounts, TraceSink};
 use std::collections::HashMap;
 use std::time::Instant;
 
 type Stream = Vec<SimToken>;
-
-/// Which parallel engine a `Threads(n)` setting drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// Work-stealing data parallelism within nodes (the default).
-    Stealing,
-    /// One worker per node, pipelined over bounded chunked channels.
-    Pipelined,
-}
 
 /// Minimum input-stream length (tokens) before the work-stealing engine
 /// splits a node's evaluation. Below this, segment setup and merge would
@@ -81,13 +65,6 @@ const DEFAULT_SPLIT_THRESHOLD: usize = 8192;
 #[derive(Debug, Clone, Copy)]
 pub struct FastBackend {
     parallelism: Parallelism,
-    engine: Engine,
-    chunk: ChunkConfig,
-    /// When true (the default), the pipelined engine sizes every channel's
-    /// depth from the planner's stream-size estimates
-    /// ([`Plan::channel_depth`]); [`FastBackend::with_chunk_config`]
-    /// switches to the given fixed config instead.
-    planned_depths: bool,
     /// Work-stealing engine: minimum stream length before splitting.
     split_threshold: usize,
     /// Work-stealing engine: skip the available-parallelism clamp, so the
@@ -102,21 +79,14 @@ impl Default for FastBackend {
 }
 
 impl FastBackend {
-    fn base(parallelism: Parallelism, engine: Engine) -> Self {
-        FastBackend {
-            parallelism,
-            engine,
-            chunk: ChunkConfig::default(),
-            planned_depths: true,
-            split_threshold: DEFAULT_SPLIT_THRESHOLD,
-            force_split: false,
-        }
+    fn base(parallelism: Parallelism) -> Self {
+        FastBackend { parallelism, split_threshold: DEFAULT_SPLIT_THRESHOLD, force_split: false }
     }
 
     /// The single-threaded backend (also [`Default`]): whole streams per
     /// node, no synchronization.
     pub fn serial() -> Self {
-        FastBackend::base(Parallelism::Serial, Engine::Stealing)
+        FastBackend::base(Parallelism::Serial)
     }
 
     /// The work-stealing parallel backend: nodes still evaluate in
@@ -124,44 +94,16 @@ impl FastBackend {
     /// into stealable segments across up to `threads` workers (clamped to
     /// at least 1, and at runtime to the host's available parallelism).
     pub fn threads(threads: usize) -> Self {
-        FastBackend::base(Parallelism::Threads(threads.max(1)), Engine::Stealing)
+        FastBackend::base(Parallelism::Threads(threads.max(1)))
     }
 
-    /// The pipelined parallel backend: one work unit per planned node on
-    /// `threads` worker threads over bounded chunked channels. Channel
-    /// depths come from the planner's per-stream size estimates; use
-    /// [`FastBackend::with_chunk_config`] for a fixed sizing.
-    pub fn pipelined(threads: usize) -> Self {
-        FastBackend::base(Parallelism::Threads(threads.max(1)), Engine::Pipelined)
-    }
-
-    /// A backend with an explicit [`Parallelism`] setting (work-stealing
-    /// engine for `Threads`). `Threads(0)` is clamped to `Threads(1)`.
+    /// A backend with an explicit [`Parallelism`] setting. `Threads(0)` is
+    /// clamped to `Threads(1)`.
     pub fn with_parallelism(parallelism: Parallelism) -> Self {
         match parallelism {
             Parallelism::Serial => FastBackend::serial(),
             Parallelism::Threads(n) => FastBackend::threads(n),
         }
-    }
-
-    /// Overrides the chunked-channel sizing and selects the pipelined
-    /// engine (serial mode ignores it), disabling the planner-derived
-    /// per-channel depths. Small depths force the spill escape path; the
-    /// equivalence suite uses this to prove results are unaffected, and
-    /// `Execution::spills` makes the escapes observable.
-    pub fn with_chunk_config(mut self, chunk: ChunkConfig) -> Self {
-        self.chunk = chunk;
-        self.engine = Engine::Pipelined;
-        self.planned_depths = false;
-        self
-    }
-
-    /// Overrides only the chunk length of the pipelined engine's planned
-    /// per-channel depths (unlike [`FastBackend::with_chunk_config`], which
-    /// also pins the depth).
-    pub fn with_chunk_len(mut self, chunk_len: usize) -> Self {
-        self.chunk = ChunkConfig { chunk_len: chunk_len.max(1), ..self.chunk };
-        self
     }
 
     /// Lowers the work-stealing engine's split threshold to `threshold`
@@ -171,7 +113,6 @@ impl FastBackend {
     /// deterministically; the default configuration only splits when real
     /// parallelism is available.
     pub fn with_split_threshold(mut self, threshold: usize) -> Self {
-        self.engine = Engine::Stealing;
         self.split_threshold = threshold.max(1);
         self.force_split = true;
         self
@@ -200,24 +141,15 @@ impl Executor for FastBackend {
         inputs: &Inputs,
         trace: &dyn TraceSink,
     ) -> Result<Execution, ExecError> {
-        match (self.parallelism, self.engine) {
-            (Parallelism::Serial, _) => run_serial(self.name(), plan, inputs, trace),
-            (Parallelism::Threads(n), Engine::Stealing) => crate::parallel::run_stealing(
+        match self.parallelism {
+            Parallelism::Serial => run_serial(self.name(), plan, inputs, trace),
+            Parallelism::Threads(n) => crate::parallel::run_stealing(
                 self.name(),
                 plan,
                 inputs,
                 n,
                 self.split_threshold,
                 self.force_split,
-                trace,
-            ),
-            (Parallelism::Threads(n), Engine::Pipelined) => crate::pipeline::run_pipelined(
-                self.name(),
-                plan,
-                inputs,
-                n,
-                self.chunk,
-                self.planned_depths,
                 trace,
             ),
         }
@@ -322,8 +254,8 @@ pub(crate) fn run_serial(
             trace.record_tokens(node, counts);
         }
     }
-    // Report the planned channel count, like the parallel mode, so the
-    // metric is comparable across Parallelism settings.
+    // Report the planned channel count, like the work-stealing driver, so
+    // the metric is comparable across Parallelism settings.
     let channels = plan.channels().len();
     let output = assemble_output(plan, levels, &vals)?;
 
@@ -335,7 +267,6 @@ pub(crate) fn run_serial(
         blocks: nodes.len(),
         channels,
         tokens,
-        spills: 0,
         memory: None,
         elapsed: start.elapsed(),
         profile: trace.snapshot(),

@@ -5,6 +5,8 @@
 //! the `sam_core::graphs` kernel catalog, or compiled from tensor index
 //! notation by `custard::lower_exec`.
 //!
+//! [`SamGraph`]: sam_core::graph::SamGraph
+//!
 //! The crate has two halves:
 //!
 //! * a **planner** ([`Plan`]) that topologically orders the graph, resolves
@@ -15,11 +17,12 @@
 //!   [`CycleBackend`] instantiates `sam-primitives` blocks into the
 //!   `sam-sim` simulator for cycle-approximate runs, [`FastBackend`]
 //!   evaluates the same plan functionally — serially over whole streams,
-//!   or pipelined across worker threads over chunked streams when given a
-//!   [`Parallelism::Threads`] setting (the "fast concrete executor next to
-//!   the instrumented machine" pattern) — and [`TiledBackend`] runs the
-//!   plan tile by tile under a finite-memory budget, recording measured
-//!   DRAM/LLB counters (the paper's Section 6.4 machine).
+//!   or with long streams split at fiber boundaries across a work-stealing
+//!   pool when given a [`Parallelism::Threads`] setting (the "fast concrete
+//!   executor next to the instrumented machine" pattern) — and
+//!   [`TiledBackend`] runs the plan tile by tile under a finite-memory
+//!   budget, recording measured DRAM/LLB counters (the paper's Section 6.4
+//!   machine).
 //!
 //! Execution goes through one door, [`ExecRequest`]: a graph, its bound
 //! inputs, and [`ExecOptions`] (backend by [`BackendSpec`], optional trace
@@ -102,9 +105,9 @@
 //! # Tracing a run
 //!
 //! Every backend also exposes [`Executor::run_traced`], which drives a
-//! [`TraceSink`] (from `sam-trace`) with per-node token counts, wall and
-//! blocked time, per-channel stall stats and timeline spans, and surfaces
-//! the rollup as [`Execution::profile`]:
+//! [`TraceSink`] (from `sam-trace`) with per-node token counts and wall
+//! time, per-worker scheduler counters and timeline spans, and surfaces the
+//! rollup as [`Execution::profile`]:
 //!
 //! ```
 //! use sam_core::graphs;
@@ -133,7 +136,6 @@ pub mod error;
 pub mod fast;
 mod node;
 mod parallel;
-mod pipeline;
 pub mod plan;
 pub mod request;
 pub mod spec;
@@ -146,20 +148,17 @@ pub use cache::{KeyDetail, PlanCache, PlanCacheStats, PlanKey, Planner};
 pub use cycle::CycleBackend;
 pub use error::{ExecError, PlanError};
 pub use fast::FastBackend;
-pub use plan::{
-    ChannelSpec, Plan, PortRef, SkipSpec, DEFAULT_MAX_CYCLES, MAX_CHANNEL_DEPTH, MIN_CHANNEL_DEPTH,
-};
+pub use plan::{ChannelSpec, Plan, PortRef, SkipSpec, DEFAULT_MAX_CYCLES};
 pub use request::{ExecOptions, ExecRequest};
 pub use sam_memory::MemoryCounters;
 pub use sam_trace::{
-    ChannelProfile, ChromeTraceSink, CountersSink, ExecProfile, HistogramSnapshot, MetricsRegistry,
-    NodeProfile, NullSink, QuerySpan, Stage, TokenCounts, TraceSink, WorkerProfile,
+    ChromeTraceSink, CountersSink, ExecProfile, HistogramSnapshot, MetricsRegistry, NodeProfile, NullSink,
+    QuerySpan, Stage, TokenCounts, TraceSink, WorkerProfile,
 };
 pub use spec::{BackendSpec, ParseBackendError};
 pub use steal::{StealPool, WorkerStats};
 pub use tiled::TiledBackend;
 
-use sam_core::graph::SamGraph;
 use sam_primitives::EmptyFiberPolicy;
 use sam_tensor::level::{CompressedLevel, Level};
 use sam_tensor::{Tensor, TensorFormat};
@@ -181,24 +180,20 @@ pub struct Execution {
     /// Number of primitive instances executed (including planned forks on
     /// the cycle backend).
     pub blocks: usize,
-    /// Number of streams/channels materialized. The fast backend reports
-    /// the planned channel count (identical across `Parallelism` settings);
-    /// the cycle backend reports simulator channels, including fork lanes.
+    /// Number of point-to-point streams in the run. The fast and tiled
+    /// backends report the planned channel count ([`Plan::channels`],
+    /// identical across `Parallelism` settings); the cycle backend reports
+    /// simulator channels, including fork lanes.
     pub channels: usize,
     /// Total tokens that flowed through the graph.
     pub tokens: u64,
-    /// Spill-past-depth escapes taken by the bounded chunked channels
-    /// (parallel fast backend only; zero elsewhere). Each count is one chunk
-    /// pushed past a channel's configured depth — the observable cost of the
-    /// bounded-Kahn deadlock escape.
-    pub spills: u64,
     /// Measured finite-memory counters ([`TiledBackend`] only): DRAM bytes
     /// moved, LLB occupancy high-water mark, tiles skipped/executed and LLB
     /// capacity spills.
     pub memory: Option<MemoryCounters>,
     /// Wall-clock execution time.
     pub elapsed: Duration,
-    /// Per-node and per-channel observability rollup. Populated only by
+    /// Per-node and per-worker observability rollup. Populated only by
     /// [`Executor::run_traced`] with a sink that accumulates one (e.g.
     /// [`CountersSink`] or [`ChromeTraceSink`]); `None` on untraced runs.
     pub profile: Option<ExecProfile>,
@@ -208,11 +203,10 @@ pub struct Execution {
 ///
 /// The default is [`Parallelism::Serial`]. [`FastBackend::threads`] selects
 /// work-stealing *data* parallelism (nodes still evaluate in topological
-/// order; long input streams split at fiber boundaries across the pool),
-/// [`FastBackend::pipelined`] selects the one-worker-per-node pipelined
-/// mode, and [`TiledBackend::with_parallelism`] spreads independent tile
-/// tuples over the pool. The cycle backend models hardware that is parallel
-/// by construction, so the knob does not apply to it.
+/// order; long input streams split at fiber boundaries across the pool)
+/// and [`TiledBackend::with_parallelism`] spreads independent tile tuples
+/// over the same pool. The cycle backend models hardware that is parallel by
+/// construction, so the knob does not apply to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// One work item at a time, in canonical order, whole streams per node.
@@ -244,7 +238,7 @@ pub trait Executor {
     fn run(&self, plan: &Plan, inputs: &Inputs) -> Result<Execution, ExecError>;
 
     /// Executes the plan while driving `trace` with per-node and
-    /// per-channel instrumentation (see the `sam-trace` crate). Sinks whose
+    /// per-worker instrumentation (see the `sam-trace` crate). Sinks whose
     /// [`TraceSink::enabled`] returns `false` (the [`NullSink`]) skip all
     /// instrumentation work, making this exactly [`Executor::run`]. The
     /// default implementation ignores the sink entirely; every shipped
@@ -262,21 +256,6 @@ pub trait Executor {
         let _ = trace;
         self.run(plan, inputs)
     }
-}
-
-/// Plans `graph` over `inputs` and runs it on `backend` in one call.
-///
-/// Deprecated shim over the [`ExecRequest`] door (which additionally plans
-/// through the global [`PlanCache`], selects backends by [`BackendSpec`],
-/// and carries tracing and memory options).
-///
-/// # Errors
-///
-/// Returns any planning or execution error; see [`Plan::build`] and
-/// [`Executor::run`].
-#[deprecated(note = "use ExecRequest::new(graph, inputs).executor(backend).run()")]
-pub fn execute(graph: &SamGraph, inputs: &Inputs, backend: &dyn Executor) -> Result<Execution, ExecError> {
-    ExecRequest::new(graph, inputs).executor(backend).run()
 }
 
 /// The accumulation policy the executor assigns to a reducer of the given

@@ -1,19 +1,19 @@
 //! Per-primitive transfer functions, written once against pull/push stream
-//! abstractions so both fast-backend execution modes share them.
+//! abstractions so both fast-backend drivers share them.
 //!
 //! Every function here consumes its input streams strictly left to right
 //! (with at most one token of lookahead) and appends to its output streams
 //! strictly in order. That discipline is what lets the same code run two
 //! ways:
 //!
-//! * **serial** — a [`Source`] over a finished `Vec<SimToken>` and a plain
-//!   `Vec<SimToken>` as the [`Sink`]: the node evaluates whole streams in
-//!   one call, exactly like the original single-threaded fast backend, and
-//! * **parallel** — a [`Source`]/[`Sink`] over the bounded chunked channels
-//!   of `sam_streams::chunked`: the node runs on its own thread, consuming
-//!   chunks as producers emit them and streaming chunks to consumers, so
-//!   independent scan chains and the two sides of every merge make progress
-//!   concurrently.
+//! * **whole streams** — a [`SliceSource`] over a finished `Vec<SimToken>`
+//!   and a plain `Vec<SimToken>` as the [`Sink`]: the node evaluates its
+//!   entire input in one call (the serial driver, and every unsplit node
+//!   of the work-stealing driver), and
+//! * **segments** — the `split` module's `SegSource` over one
+//!   fiber-aligned slice of each input: the work-stealing driver evaluates
+//!   a long node as independent stealable segments and concatenates their
+//!   outputs.
 //!
 //! The transfer functions themselves mirror the `sam-primitives` block
 //! semantics token for token (see the paper definitions cited on each), so
@@ -58,7 +58,7 @@ pub(crate) trait Sink {
     fn push(&mut self, t: SimToken);
 }
 
-/// A [`Source`] over a finished, fully materialized stream (serial mode).
+/// A [`Source`] over a finished, fully materialized stream.
 pub(crate) struct SliceSource<'a> {
     tokens: &'a [SimToken],
     pos: usize,

@@ -1,18 +1,16 @@
 //! The work-stealing parallel fast-backend driver: data parallelism
 //! *within* nodes, not one thread per node.
 //!
-//! The pipelined driver (`pipeline` module) assigns one worker per planned
-//! node, which bottlenecks on the fattest node and pays channel
-//! synchronization on every chunk — `Threads(4)` lost to serial on every
-//! catalog kernel. This driver keeps the serial driver's shape — nodes
-//! evaluate one at a time in topological order into materialized
-//! streams — and parallelizes the expensive step: a node whose input
-//! streams are long enough is *split at fiber boundaries* into independent
-//! segments ([`crate::split`]), evaluated as stealable tasks on a
-//! [`StealPool`], and concatenated. Segment sizes follow an adaptive ramp
-//! (small early, large late) so workers start immediately and per-task
-//! overhead amortizes; idle workers steal the oldest (largest-remaining)
-//! segments from their peers.
+//! One worker per planned node would bottleneck on the fattest node and
+//! pay channel synchronization on every hand-off. This driver instead
+//! keeps the serial driver's shape — nodes evaluate one at a time in
+//! topological order into materialized streams — and parallelizes the
+//! expensive step: a node whose input streams are long enough is *split at
+//! fiber boundaries* into independent segments ([`crate::split`]),
+//! evaluated as stealable tasks on a [`StealPool`], and concatenated.
+//! Segment sizes follow an adaptive ramp (small early, large late) so
+//! workers start immediately and per-task overhead amortizes; idle workers
+//! steal the oldest (largest-remaining) segments from their peers.
 //!
 //! Two properties keep this exactly serial-equivalent:
 //!
@@ -43,7 +41,7 @@ use crate::{assemble_output, Execution};
 use sam_core::graph::NodeId;
 use sam_sim::SimToken;
 use sam_streams::Token;
-use sam_trace::{ChannelProfile, TokenCounts, TraceSink, WorkerProfile};
+use sam_trace::{TokenCounts, TraceSink, WorkerProfile};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
@@ -224,32 +222,6 @@ pub(crate) fn run_stealing(
             }
             trace.record_tokens(node, counts);
         }
-        // The planned channel topology, with the same labels and fusion
-        // filtering the pipelined driver materializes — zero stall stats,
-        // since this driver never blocks on channels.
-        let fused_of: HashMap<usize, usize> =
-            plan.skip_specs().iter().map(|s| (s.scanner.0, s.intersecter.0)).collect();
-        for spec in plan.channels() {
-            if matches!(nodes[spec.from.node.0], sam_core::graph::NodeKind::Intersecter { .. })
-                && spec.from.port >= 3
-            {
-                continue;
-            }
-            if fused_of.contains_key(&spec.from.node.0) {
-                continue;
-            }
-            let consumer = fused_of.get(&spec.to.0).copied().unwrap_or(spec.to.0);
-            trace.record_channel(ChannelProfile {
-                label: format!(
-                    "n{}:{}.out{} -> n{}",
-                    spec.from.node.0,
-                    plan.node_label(spec.from.node),
-                    spec.from.port,
-                    consumer,
-                ),
-                ..Default::default()
-            });
-        }
         match &pool {
             Some(pool) => {
                 for (w, s) in pool.stats().into_iter().enumerate() {
@@ -290,7 +262,6 @@ pub(crate) fn run_stealing(
         blocks: n,
         channels: plan.channels().len(),
         tokens,
-        spills: 0,
         memory: None,
         elapsed: start.elapsed(),
         profile: trace.snapshot(),

@@ -56,8 +56,8 @@ pub struct SkipSpec {
 /// The planner emits exactly one channel per (producer port, consumer
 /// port) pair; an output port with several consumers appears in several
 /// channels — that is the planner's fork, which the cycle backend
-/// materializes as a `Fork` block and the parallel fast backend as one
-/// sender per consumer.
+/// materializes as a `Fork` block and the fast backend as several readers
+/// of one materialized stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelSpec {
     /// The producing endpoint.
@@ -104,16 +104,6 @@ pub(crate) enum FiberSplit {
 /// Default cycle budget used by the cycle-approximate backend.
 pub const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
 
-/// Smallest per-channel chunk depth [`Plan::channel_depth`] hands out.
-pub const MIN_CHANNEL_DEPTH: usize = 2;
-
-/// Largest per-channel chunk depth [`Plan::channel_depth`] hands out. The
-/// cap bounds *allocated* capacity, not resident memory: chunked queues
-/// grow lazily, so a deep channel over a short stream stays small. It must
-/// be large enough that the planner's (upper-bound) stream estimates fit,
-/// or producers running ahead of unclaimed consumers spill.
-pub const MAX_CHANNEL_DEPTH: usize = 8192;
-
 /// An executable plan for one graph over one set of input bindings.
 ///
 /// The plan owns a clone of the graph, so it stays valid independently of
@@ -141,9 +131,6 @@ pub struct Plan {
     /// Per node: resolved constant of a `ConstVal` source (the literal, or
     /// the bound single-value tensor's value).
     const_vals: Vec<Option<f64>>,
-    /// Per node and output port: estimated stream length in tokens (an
-    /// upper-bound-flavored heuristic from the bound tensors' level sizes).
-    stream_sizes: Vec<Vec<u64>>,
     level_writers: Vec<NodeId>,
     vals_writer: NodeId,
     output_name: String,
@@ -553,61 +540,6 @@ impl Plan {
         level_writers.sort_unstable();
         let output_shape = level_writers.iter().map(|w| writer_dims[w.0]).collect();
 
-        // Phase 6: stream-size estimates, walked in topological order. The
-        // estimates are upper bounds at every node kind (scanners multiply
-        // by the *longest* fiber of the level they read; merges take the
-        // min/sum of their operands), so a channel sized from them never
-        // spills while its consumer is attached. They exist to size bounded
-        // channels, not to be exact.
-        const EST_CAP: u64 = 1 << 40;
-        let mut stream_sizes: Vec<Vec<u64>> =
-            nodes.iter().map(|k| vec![0u64; k.output_ports().len()]).collect();
-        for &id in &order {
-            let ins: Vec<u64> = node_inputs[id.0]
-                .iter()
-                .map(|s| s.map(|src| stream_sizes[src.node.0][src.port]).unwrap_or(0))
-                .collect();
-            let outs: Vec<u64> = match &nodes[id.0] {
-                NodeKind::Root { .. } => vec![2],
-                NodeKind::LevelScanner { tensor, .. } => {
-                    let level = inputs.get(tensor).expect("validated binding").level(scan_levels[id.0]);
-                    // Worst case, every input ref lands on the longest
-                    // fiber; the mean underestimates badly on skewed levels
-                    // (the SpMM/MTTKRP spill regressions).
-                    let longest = if level.is_dense() {
-                        level.dimension() as u64
-                    } else {
-                        (0..level.num_fibers()).map(|f| level.fiber_len(f) as u64).max().unwrap_or(0)
-                    };
-                    let est = ins[0].saturating_mul(longest + 1).min(EST_CAP);
-                    vec![est; 2]
-                }
-                NodeKind::Repeater { .. } => vec![ins[0]],
-                NodeKind::Intersecter { .. } => {
-                    let m = ins[0].min(ins[1]);
-                    vec![m, m, m, 1, 1]
-                }
-                NodeKind::Unioner { .. } => {
-                    let s = ins[0].saturating_add(ins[1]).min(EST_CAP);
-                    vec![s; 3]
-                }
-                NodeKind::Locator { .. } => vec![ins[0]; 3],
-                NodeKind::Array { .. } | NodeKind::ConstVal { .. } => vec![ins[0]],
-                NodeKind::Alu { .. } => vec![ins[0].max(ins[1])],
-                NodeKind::Reducer { order } => match order {
-                    0 => vec![ins[0]],
-                    1 => vec![ins[0]; 2],
-                    _ => vec![ins[1].max(ins[0]); 3],
-                },
-                NodeKind::CoordDropper { .. } => vec![ins[0], ins[1]],
-                NodeKind::LevelWriter { .. } => Vec::new(),
-                NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                    unreachable!("rejected in phase 1")
-                }
-            };
-            stream_sizes[id.0] = outs;
-        }
-
         Ok(Plan {
             graph: graph.clone(),
             order,
@@ -619,7 +551,6 @@ impl Plan {
             writer_dims,
             alu_ops,
             const_vals,
-            stream_sizes,
             level_writers,
             vals_writer,
             output_name,
@@ -671,25 +602,6 @@ impl Plan {
     /// The validated coordinate-skip feedback lanes (paper Section 4.2).
     pub fn skip_specs(&self) -> &[SkipSpec] {
         &self.skip_specs
-    }
-
-    /// Estimated stream length (in tokens) of the given producer port — a
-    /// planning-time heuristic derived from the bound tensors' level sizes,
-    /// used to size bounded channels.
-    pub fn stream_size_estimate(&self, p: PortRef) -> u64 {
-        self.stream_sizes[p.node.0].get(p.port).copied().unwrap_or(0)
-    }
-
-    /// The chunk depth a bounded channel for `spec` should get so the whole
-    /// estimated stream fits in flight: `ceil(estimate / chunk_len) + 2`
-    /// chunks of slack, clamped to
-    /// [`MIN_CHANNEL_DEPTH`]..=[`MAX_CHANNEL_DEPTH`]. Short streams get
-    /// shallow cheap channels; long streams get enough depth that a
-    /// producer running ahead of an unclaimed consumer does not spill.
-    pub fn channel_depth(&self, spec: &ChannelSpec, chunk_len: usize) -> usize {
-        let est = self.stream_size_estimate(spec.from);
-        let chunks = est.div_ceil(chunk_len.max(1) as u64) as usize;
-        (chunks + 2).clamp(MIN_CHANNEL_DEPTH, MAX_CHANNEL_DEPTH)
     }
 
     /// How (and whether) a node's evaluation may be split into independent

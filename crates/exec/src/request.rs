@@ -1,15 +1,13 @@
 //! The one execution entry point: [`ExecRequest`].
 //!
-//! Before this module, callers picked among three doors — the `execute()`
-//! free function, [`Executor::run`], and [`Executor::run_traced`] — and
-//! each spelled planning, tracing and backend choice differently. An
-//! [`ExecRequest`] bundles `{ graph, inputs, options }` and runs them
+//! An [`ExecRequest`] bundles `{ graph, inputs, options }` and runs them
 //! through a single path: resolve a plan (pre-planned via
 //! [`ExecRequest::planned`], or through the request's [`Planner`] and its
-//! cache), build or borrow
-//! the backend, then run traced or untraced. The service, samprof, the
-//! benches and the equivalence suites all go through this door; the
-//! [`Executor`] trait remains as the backend-facing SPI underneath it.
+//! cache), build or borrow the backend, then run traced or untraced. The
+//! service, samprof, the benches and the equivalence suites all go through
+//! this door; the [`Executor`] trait ([`Executor::run`] /
+//! [`Executor::run_traced`]) remains as the backend-facing SPI underneath
+//! it.
 //!
 //! ```
 //! use sam_core::graphs;
@@ -107,8 +105,8 @@ impl<'a> ExecRequest<'a> {
     }
 
     /// Runs on this exact executor instance instead of building one from
-    /// the spec — for custom-configured backends
-    /// (`FastBackend::pipelined`, chunk/split tuning, tile-size overrides).
+    /// the spec — for custom-configured backends (split-threshold tuning,
+    /// tile-size overrides).
     pub fn executor(mut self, executor: &'a dyn Executor) -> Self {
         self.options.executor = Some(executor);
         self
@@ -238,10 +236,10 @@ mod tests {
     #[test]
     fn explicit_executors_override_the_spec() {
         let (graph, inputs) = vec_inputs();
-        let pipelined = FastBackend::pipelined(2);
+        let threads = FastBackend::threads(2);
         let run = ExecRequest::new(&graph, &inputs)
             .backend(BackendSpec::Cycle) // ignored: explicit executor wins
-            .executor(&pipelined)
+            .executor(&threads)
             .run()
             .unwrap();
         assert_eq!(run.backend, "fast-threads");

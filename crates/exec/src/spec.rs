@@ -1,12 +1,11 @@
 //! One spelling for backend construction: [`BackendSpec`].
 //!
-//! Before this module, every consumer of the executor spelled backends
-//! differently — `FastBackend::threads(n)` vs `pipelined(n)` vs
-//! `TiledBackend::with_parallelism`, `samprof --backend threads4` vs the
-//! equivalence suites' string labels. `BackendSpec` is the one value that
-//! parses from and displays as the stable labels (`cycle`, `fast-serial`,
-//! `fast-threads:N`, `tiled`), builds the matching [`Executor`], and is
-//! `Copy`/`Hash` so services can key per-query routing on it.
+//! `BackendSpec` is the one value that parses from and displays as the
+//! stable labels (`cycle`, `fast-serial`, `fast-threads:N`, `tiled`),
+//! builds the matching [`Executor`], and is `Copy`/`Hash` so services can
+//! key per-query routing on it — instead of every consumer spelling
+//! `FastBackend::threads(n)`, `TiledBackend::with_parallelism` and
+//! `samprof --backend threads4` differently.
 //!
 //! ```
 //! use sam_exec::BackendSpec;

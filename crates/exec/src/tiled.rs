@@ -53,7 +53,7 @@ use crate::{Execution, Executor, FastBackend, Parallelism};
 use sam_memory::{MemoryConfig, MemoryCounters};
 use sam_tensor::{CooTensor, Tensor};
 use sam_tiles::{KernelTiling, LlbModel, TileGrid, TileMerger, TupleSpace};
-use sam_trace::{ChannelProfile, ExecProfile, NullSink, TokenCounts, TraceSink, WorkerProfile};
+use sam_trace::{ExecProfile, NullSink, TokenCounts, TraceSink, WorkerProfile};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -425,7 +425,6 @@ impl Executor for TiledBackend {
             blocks: graph.len(),
             channels: plan.channels().len(),
             tokens,
-            spills: 0,
             memory: Some(counters),
             elapsed: start.elapsed(),
             profile: trace.snapshot(),
@@ -456,12 +455,6 @@ impl TraceSink for TileSink<'_> {
     }
     fn record_node_wall(&self, node: usize, ns: u64) {
         self.inner.record_node_wall(node, ns);
-    }
-    fn record_node_blocked(&self, node: usize, ns: u64) {
-        self.inner.record_node_blocked(node, ns);
-    }
-    fn record_channel(&self, channel: ChannelProfile) {
-        self.inner.record_channel(channel);
     }
     fn record_span(&self, _track: &str, _name: &str, _start_ns: u64, _dur_ns: u64) {}
     fn snapshot(&self) -> Option<ExecProfile> {

@@ -293,36 +293,3 @@ fn skip_fusion_reduces_materialized_tokens_on_skewed_inputs() {
         plain.tokens
     );
 }
-
-/// The chunked-channel spill path: depth 1 with tiny chunks forces the
-/// bounded channels to spill constantly; results must not change.
-#[test]
-fn depth_one_chunk_config_forces_spills_without_changing_results() {
-    use sam_streams::chunked::ChunkConfig;
-
-    let m = synth::random_matrix_sparsity(40, 30, 0.8, 421);
-    let n = synth::random_matrix_sparsity(30, 35, 0.8, 422);
-    let inputs = Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &n, TensorFormat::dcsr());
-    let graph = graphs::spmm(SpmmDataflow::LinearCombination);
-
-    let mut env = Environment::new();
-    for (name, tensor) in inputs.iter() {
-        env.insert(name, tensor.to_dense());
-    }
-    env.bind_dims(&table1::spmm(), &[]);
-    let expect = env.evaluate(&table1::spmm()).unwrap();
-
-    let serial = ExecRequest::new(&graph, &inputs).executor(&FastBackend::serial()).run().unwrap();
-    let spilly = ChunkConfig { chunk_len: 4, depth: 1 };
-    for threads in [2, 4, 8] {
-        let backend = FastBackend::threads(threads).with_chunk_config(spilly);
-        let run = ExecRequest::new(&graph, &inputs)
-            .executor(&backend)
-            .run()
-            .unwrap_or_else(|e| panic!("Threads({threads}) depth-1 run failed: {e}"));
-        let out = run.output.expect("tensor output");
-        assert!(out.to_dense().approx_eq(&expect), "Threads({threads}) depth-1 diverged from reference");
-        assert_eq!(out, serial.output.clone().expect("tensor output"));
-        assert_eq!(run.vals, serial.vals);
-    }
-}

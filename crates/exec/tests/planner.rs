@@ -307,20 +307,6 @@ fn execute_convenience_runs_both_backends() {
     assert_eq!(fast.backend, "fast-serial");
 }
 
-/// The deprecated `execute` shim must keep producing exactly what the
-/// request door produces, so pre-door callers migrate on their own clock.
-#[test]
-#[allow(deprecated)]
-fn the_deprecated_execute_shim_matches_the_request_door() {
-    let graph = graphs::vec_elem_mul(true);
-    let inputs = vec_inputs(64);
-    let shim = sam_exec::execute(&graph, &inputs, &FastBackend::serial()).unwrap();
-    let door = ExecRequest::new(&graph, &inputs).executor(&FastBackend::serial()).run().unwrap();
-    assert_eq!(shim.output, door.output);
-    assert_eq!(shim.vals, door.vals);
-    assert_eq!(shim.backend, door.backend);
-}
-
 #[test]
 fn errors_format_usefully() {
     let err = PlanError::UnknownTensor { name: "Q".into() };

@@ -246,21 +246,3 @@ fn worker_counters_are_consistent_with_wall_time() {
         assert!(serial.workers.is_empty());
     }
 }
-
-/// The threaded backend attributes channel stalls: profiles include
-/// per-channel records and the skew kernel's serial bottleneck shows up as
-/// blocked time somewhere in the graph.
-#[test]
-fn threaded_profiles_report_channels() {
-    let m = synth::random_matrix_sparsity(60, 80, 0.4, 313);
-    let sv = synth::random_vector(80, 20, 314);
-    let inputs = Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("c", &sv, TensorFormat::sparse_vec());
-    let graph = graphs::spmv_coiteration();
-    let plan = Plan::build(&graph, &inputs).unwrap();
-    let (_, profile) = profiled(&FastBackend::threads(4), &plan, &inputs);
-    assert!(!profile.channels.is_empty(), "threaded runs record every chunked channel");
-    assert!(profile.channels.iter().all(|c| c.label.contains("->")), "channel labels name both ends");
-    // Serial runs have no channels at all.
-    let (_, serial) = profiled(&FastBackend::serial(), &plan, &inputs);
-    assert!(serial.channels.is_empty());
-}

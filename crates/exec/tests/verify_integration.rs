@@ -1,15 +1,11 @@
 //! The static verifier wired into the planning path: every graph the
 //! planner rejects is rejected by `sam-verify` first with more specific
-//! diagnostics, and the deadlock classifier's verdicts line up with the
-//! spills the pipelined backend actually observes.
+//! diagnostics.
 
 use sam_core::graph::{NodeId, NodeKind, SamGraph, StreamKind};
 use sam_core::graphs;
-use sam_core::kernels::spmm::SpmmDataflow;
-use sam_exec::{ExecRequest, FastBackend, Inputs, Plan, PlanCache, PlanError, Planner};
-use sam_streams::chunked::ChunkConfig;
+use sam_exec::{Inputs, Plan, PlanCache, PlanError, Planner};
 use sam_tensor::{synth, TensorFormat};
-use sam_verify::{deadlock, Bindings, ChannelBudget, Rule};
 
 fn vec_inputs() -> Inputs {
     let b = synth::random_vector(64, 20, 1);
@@ -98,56 +94,4 @@ fn verifier_rejection_reaches_the_cache_path() {
 fn clean_graphs_pass_the_gate() {
     let plan = Planner::uncached().plan(&graphs::vec_elem_mul(true), &vec_inputs()).unwrap();
     assert!(!plan.order().is_empty());
-}
-
-/// Cross-validation of the static deadlock classifier against the
-/// pipelined backend's observed spill escapes. With one thread per node
-/// every consumer is claimed, so any spill that still happens is
-/// *structural* — a producer running ahead of a reconvergent branch that
-/// stages tokens — exactly the shape `deadlock::analyze` classifies. The
-/// classifier must flag every budget the backend spills at, and must stay
-/// silent at planner-scale budgets, which run spill-free.
-#[test]
-fn deadlock_classifier_matches_observed_spills() {
-    let n = 64;
-    let graph = graphs::spmm(SpmmDataflow::LinearCombination);
-    let b = synth::random_matrix_nnz(n, n, n * n / 2, 31);
-    let c = synth::random_matrix_nnz(n, n, n * n / 2, 32);
-    let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-    let bt = sam_tensor::Tensor::from_coo("B", &b, TensorFormat::dcsr());
-    let ct = sam_tensor::Tensor::from_coo("C", &c, TensorFormat::dcsr());
-    let bindings = Bindings::new().bind("B", &bt).bind("C", &ct);
-
-    let serial = ExecRequest::new(&graph, &inputs).executor(&FastBackend::serial()).run().unwrap();
-
-    let tiny = ChunkConfig { chunk_len: 4, depth: 1 };
-    let threads = graph.len(); // every node claimed: spills are structural
-    let spilly = FastBackend::threads(threads).with_chunk_config(tiny);
-    let run = ExecRequest::new(&graph, &inputs).executor(&spilly).run().unwrap();
-    assert_eq!(run.output, serial.output, "the spill escape must not change results");
-
-    let verdict =
-        deadlock::analyze(&graph, &bindings, ChannelBudget { chunk_len: tiny.chunk_len, depth: tiny.depth });
-    if run.spills > 0 {
-        assert!(
-            verdict.diagnostics.iter().any(|d| d.rule == Rule::BoundedDeadlock),
-            "backend spilled {} times at a 4-token budget but the classifier calls the \
-             topology safe",
-            run.spills
-        );
-    }
-    // This workload is known to stress the budget — the cross-check above
-    // must not pass vacuously.
-    assert!(run.spills > 0, "expected the 4-token budget to force structural spills");
-
-    // Planner-derived depths size every channel for its estimated stream:
-    // no spills observed, no deadlock flagged at that scale.
-    let planned = ExecRequest::new(&graph, &inputs).executor(&FastBackend::pipelined(4)).run().unwrap();
-    assert_eq!(planned.spills, 0, "planned depths must hold the estimated streams");
-    let generous = deadlock::analyze(&graph, &bindings, ChannelBudget { chunk_len: 1024, depth: 8192 });
-    assert!(
-        generous.diagnostics.is_empty(),
-        "classifier must not flag budgets the planner would choose:\n{}",
-        generous.render()
-    );
 }

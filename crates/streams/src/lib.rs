@@ -15,12 +15,9 @@
 //! * [`Stream`] — an owned, finished stream with constructors from and
 //!   conversions to nested lists ([`Nested`]),
 //! * [`TokenStats`] — per-kind token counting used by the Figure 14
-//!   experiment,
+//!   experiment, and
 //! * [`analysis`] — the level-based vs. point-based encoding comparison of
-//!   paper Section 3.8, and
-//! * [`chunked`] — bounded chunked channels that move streams between
-//!   concurrent operators in segments instead of whole `Vec`s (the
-//!   transport behind `sam-exec`'s parallel fast backend).
+//!   paper Section 3.8.
 //!
 //! # Example
 //!
@@ -45,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod chunked;
 pub mod fiber;
 pub mod nested;
 pub mod stats;

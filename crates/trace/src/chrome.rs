@@ -1,7 +1,7 @@
 //! Chrome `trace_event` JSON export.
 
 use crate::counts::TokenCounts;
-use crate::profile::{ChannelProfile, ExecProfile};
+use crate::profile::ExecProfile;
 use crate::sink::{CountersSink, TraceSink};
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -163,14 +163,6 @@ impl TraceSink for ChromeTraceSink {
 
     fn record_node_wall(&self, node: usize, ns: u64) {
         self.counters.record_node_wall(node, ns);
-    }
-
-    fn record_node_blocked(&self, node: usize, ns: u64) {
-        self.counters.record_node_blocked(node, ns);
-    }
-
-    fn record_channel(&self, channel: ChannelProfile) {
-        self.counters.record_channel(channel);
     }
 
     fn record_worker(&self, worker: crate::profile::WorkerProfile) {

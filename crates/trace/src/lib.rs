@@ -3,8 +3,9 @@
 //! The observability layer of the SAM reproduction. The execution engine
 //! (`sam-exec`) reduces a whole run to a handful of aggregate scalars —
 //! enough for the paper's tables, not enough to say *which node* dominates
-//! the critical path or *which channel* backpressures. This crate provides
-//! the measurement surface that answers those questions on every backend:
+//! the run or how evenly the work-stealing pool was loaded. This crate
+//! provides the measurement surface that answers those questions on every
+//! backend:
 //!
 //! * [`TraceSink`] — the hook trait the backends drive. It is designed to be
 //!   zero-cost when disabled: every backend checks [`TraceSink::enabled`]
@@ -13,8 +14,8 @@
 //! * [`TokenCounts`] — per-node token counts split by token type
 //!   (value/coordinate/reference/bitvector data plus stop/empty/done control
 //!   and skip-lane traffic).
-//! * [`CountersSink`] — accumulates per-node counts, invocations, wall and
-//!   blocked time, and per-channel stall stats, and rolls them up into an
+//! * [`CountersSink`] — accumulates per-node counts, invocations and wall
+//!   time plus per-worker scheduler counters, and rolls them up into an
 //!   [`ExecProfile`].
 //! * [`ChromeTraceSink`] — everything `CountersSink` does, plus a timeline
 //!   of spans exported as Chrome `trace_event` JSON (loadable in
@@ -22,8 +23,8 @@
 //!   per worker thread on the parallel fast backend, per simulated block on
 //!   the cycle backend, per tile tuple on the tiled backend.
 //! * [`ExecProfile`] — the rollup surfaced as `Execution::profile`:
-//!   per-node and per-channel breakdowns, a critical-path estimate, and a
-//!   ranked stall table ([`ExecProfile::stall_table`]) — the `samprof`
+//!   per-node and per-worker breakdowns, a critical-path estimate, and a
+//!   ranked per-node table ([`ExecProfile::stall_table`]) — the `samprof`
 //!   binary in `sam-bench` is a thin shell around it.
 //!
 //! Above the single-execution layer, the crate also carries the
@@ -35,12 +36,6 @@
 //! * [`QuerySpan`] / [`Stage`] — per-query lifecycle attribution
 //!   (queue → compile → plan → batch → execute → resolve) with single-line
 //!   JSON serialization for JSONL event logs.
-//!
-//! Stall *attribution* comes from the bounded chunked channels in
-//! `sam_streams::chunked`: each instrumented channel records how long its
-//! producer was blocked on send and its consumer blocked on receive, plus
-//! an occupancy high-water mark, so a slow node shows up both as blocked
-//! time on its own row and as blocked-send time on its upstream channels.
 
 #![warn(missing_docs)]
 
@@ -54,6 +49,6 @@ mod span;
 pub use chrome::ChromeTraceSink;
 pub use counts::TokenCounts;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
-pub use profile::{ChannelProfile, ExecProfile, NodeProfile, WorkerProfile};
+pub use profile::{ExecProfile, NodeProfile, WorkerProfile};
 pub use sink::{CountersSink, NullSink, TraceSink};
 pub use span::{QuerySpan, Stage};

@@ -1,4 +1,4 @@
-//! The execution profile: per-node and per-channel rollups.
+//! The execution profile: per-node and per-worker rollups.
 
 use crate::counts::TokenCounts;
 use std::fmt::Write as _;
@@ -16,34 +16,17 @@ pub struct NodeProfile {
     /// backend, otherwise one per run; the cycle backend reports simulated
     /// block count instead of invocations and leaves this at zero).
     pub invocations: u64,
-    /// Wall time spent actually computing, nanoseconds.
+    /// Wall time spent computing, nanoseconds. No backend blocks a node
+    /// on its streams (they are materialized whole), so this is also the
+    /// node's total live time.
     pub busy_ns: u64,
-    /// Wall time attributed to waiting on channels (blocked on send to a
-    /// full downstream channel or on receive from an empty upstream one),
-    /// nanoseconds.
-    pub blocked_ns: u64,
 }
 
 impl NodeProfile {
-    /// Total wall time the node was live (busy + blocked), nanoseconds.
+    /// Total wall time the node was live, nanoseconds.
     pub fn wall_ns(&self) -> u64 {
-        self.busy_ns + self.blocked_ns
+        self.busy_ns
     }
-}
-
-/// Per-channel stall measurements for one execution.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChannelProfile {
-    /// The channel's label: `producer.out{port} -> consumer`.
-    pub label: String,
-    /// Time the producer spent blocked in send, nanoseconds.
-    pub blocked_send_ns: u64,
-    /// Time the consumer spent blocked in receive, nanoseconds.
-    pub blocked_recv_ns: u64,
-    /// High-water mark of queued chunks.
-    pub occupancy_peak: u64,
-    /// Chunks pushed past the configured depth (the deadlock escape).
-    pub spills: u64,
 }
 
 /// Per-worker scheduler counters for one execution of the work-stealing
@@ -68,12 +51,12 @@ pub struct WorkerProfile {
 ///
 /// let profile = ExecProfile {
 ///     nodes: vec![
-///         NodeProfile { index: 0, label: "scan B0".into(), busy_ns: 10, blocked_ns: 90, ..Default::default() },
-///         NodeProfile { index: 1, label: "reduce".into(), busy_ns: 70, blocked_ns: 5, ..Default::default() },
+///         NodeProfile { index: 0, label: "scan B0".into(), busy_ns: 100, ..Default::default() },
+///         NodeProfile { index: 1, label: "reduce".into(), busy_ns: 70, ..Default::default() },
 ///     ],
 ///     ..Default::default()
 /// };
-/// // The critical path is the longest-lived node, busy or blocked.
+/// // The critical path is the longest-lived node.
 /// assert_eq!(profile.critical_path_ns(), 100);
 /// assert_eq!(profile.ranked_nodes()[0].label, "scan B0");
 /// ```
@@ -81,18 +64,15 @@ pub struct WorkerProfile {
 pub struct ExecProfile {
     /// Per-node breakdown, in planned-graph node order.
     pub nodes: Vec<NodeProfile>,
-    /// Per-channel stall breakdown (empty on backends that materialize
-    /// whole streams instead of using bounded channels).
-    pub channels: Vec<ChannelProfile>,
     /// Per-worker scheduler counters (empty on backends without a
     /// work-stealing pool, and on runs where the pool never spun up).
     pub workers: Vec<WorkerProfile>,
 }
 
 impl ExecProfile {
-    /// Critical-path estimate: the maximum over nodes of busy + blocked
-    /// time. On the pipelined parallel backend every node is live for
-    /// roughly the whole run, so the slowest node *is* the run.
+    /// Critical-path estimate: the wall time of the longest-lived node.
+    /// The fast backends evaluate nodes one after another, so this names
+    /// the node worth optimizing rather than a bound on the run.
     pub fn critical_path_ns(&self) -> u64 {
         self.nodes.iter().map(NodeProfile::wall_ns).max().unwrap_or(0)
     }
@@ -102,29 +82,17 @@ impl ExecProfile {
         self.nodes.iter().map(|n| n.tokens.total()).sum()
     }
 
-    /// Total blocked time over every node, nanoseconds.
-    pub fn total_blocked_ns(&self) -> u64 {
-        self.nodes.iter().map(|n| n.blocked_ns).sum()
-    }
-
-    /// Total spill events over every channel.
-    pub fn total_spills(&self) -> u64 {
-        self.channels.iter().map(|c| c.spills).sum()
-    }
-
-    /// Nodes ranked most-stalled first (blocked time, then busy time, then
-    /// token volume as tie-breakers) — the order the `samprof` table uses.
+    /// Nodes ranked busiest first (token volume as the tie-breaker) — the
+    /// order the `samprof` table uses.
     pub fn ranked_nodes(&self) -> Vec<&NodeProfile> {
         let mut nodes: Vec<&NodeProfile> = self.nodes.iter().collect();
-        nodes.sort_by(|a, b| {
-            (b.blocked_ns, b.busy_ns, b.tokens.total()).cmp(&(a.blocked_ns, a.busy_ns, a.tokens.total()))
-        });
+        nodes.sort_by_key(|n| std::cmp::Reverse((n.busy_ns, n.tokens.total())));
         nodes
     }
 
-    /// Renders the ranked per-node stall/token table plus, when channel
-    /// stats exist, the per-channel stall table — the body of `samprof`'s
-    /// report.
+    /// Renders the ranked per-node time/token table plus, when worker
+    /// counters exist, the per-worker scheduler table — the body of
+    /// `samprof`'s report.
     pub fn stall_table(&self) -> String {
         let mut out = String::new();
         let label_w = self
@@ -136,14 +104,14 @@ impl ExecProfile {
             .unwrap_or(4);
         let _ = writeln!(
             out,
-            "{:<label_w$} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>7} {:>12} {:>12}",
-            "node", "tokens", "val", "crd", "ref", "stop", "skip", "invocs", "busy_us", "blocked_us",
+            "{:<label_w$} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>7} {:>12}",
+            "node", "tokens", "val", "crd", "ref", "stop", "skip", "invocs", "busy_us",
         );
         for n in self.ranked_nodes() {
             let label = format!("n{}:{}", n.index, n.label);
             let _ = writeln!(
                 out,
-                "{:<label_w$} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>7} {:>12.1} {:>12.1}",
+                "{:<label_w$} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>7} {:>12.1}",
                 label,
                 n.tokens.total(),
                 n.tokens.val,
@@ -153,37 +121,7 @@ impl ExecProfile {
                 n.tokens.skip,
                 n.invocations,
                 n.busy_ns as f64 / 1e3,
-                n.blocked_ns as f64 / 1e3,
             );
-        }
-        if !self.channels.is_empty() {
-            let chan_w = self
-                .channels
-                .iter()
-                .map(|c| c.label.len())
-                .chain(std::iter::once("channel".len()))
-                .max()
-                .unwrap_or(7);
-            let _ = writeln!(
-                out,
-                "\n{:<chan_w$} {:>14} {:>14} {:>9} {:>7}",
-                "channel", "blk_send_us", "blk_recv_us", "peak", "spills",
-            );
-            let mut channels: Vec<&ChannelProfile> = self.channels.iter().collect();
-            channels.sort_by(|a, b| {
-                (b.blocked_send_ns + b.blocked_recv_ns).cmp(&(a.blocked_send_ns + a.blocked_recv_ns))
-            });
-            for c in channels {
-                let _ = writeln!(
-                    out,
-                    "{:<chan_w$} {:>14.1} {:>14.1} {:>9} {:>7}",
-                    c.label,
-                    c.blocked_send_ns as f64 / 1e3,
-                    c.blocked_recv_ns as f64 / 1e3,
-                    c.occupancy_peak,
-                    c.spills,
-                );
-            }
         }
         if !self.workers.is_empty() {
             let _ = writeln!(out, "\n{:<8} {:>8} {:>8} {:>12}", "worker", "tasks", "steals", "busy_us");
@@ -211,55 +149,41 @@ impl ExecProfile {
 mod tests {
     use super::*;
 
-    fn node(index: usize, label: &str, busy: u64, blocked: u64, crd: u64) -> NodeProfile {
+    fn node(index: usize, label: &str, busy: u64, crd: u64) -> NodeProfile {
         NodeProfile {
             index,
             label: label.to_string(),
             tokens: TokenCounts { crd, ..TokenCounts::default() },
             invocations: 1,
             busy_ns: busy,
-            blocked_ns: blocked,
         }
     }
 
     #[test]
     fn critical_path_is_max_node_wall_time() {
-        let p =
-            ExecProfile { nodes: vec![node(0, "a", 5, 10, 2), node(1, "b", 40, 1, 3)], ..Default::default() };
+        let p = ExecProfile { nodes: vec![node(0, "a", 15, 2), node(1, "b", 41, 3)], ..Default::default() };
         assert_eq!(p.critical_path_ns(), 41);
-        assert_eq!(p.total_blocked_ns(), 11);
         assert_eq!(p.total_tokens(), 5);
     }
 
     #[test]
-    fn ranking_puts_most_blocked_first() {
-        let p = ExecProfile {
-            nodes: vec![node(0, "busy", 100, 0, 1), node(1, "stalled", 1, 100, 1)],
-            ..Default::default()
-        };
+    fn ranking_puts_busiest_first() {
+        let p =
+            ExecProfile { nodes: vec![node(0, "idle", 1, 1), node(1, "busy", 100, 1)], ..Default::default() };
         let ranked = p.ranked_nodes();
-        assert_eq!(ranked[0].label, "stalled");
-        assert_eq!(ranked[1].label, "busy");
+        assert_eq!(ranked[0].label, "busy");
+        assert_eq!(ranked[1].label, "idle");
     }
 
     #[test]
-    fn stall_table_lists_every_node_and_channel() {
+    fn stall_table_lists_every_node_and_worker() {
         let p = ExecProfile {
-            nodes: vec![node(3, "intersect(j: B,C)", 10, 20, 7)],
-            channels: vec![ChannelProfile {
-                label: "n0:scan B0.out0 -> n3".into(),
-                blocked_send_ns: 1500,
-                blocked_recv_ns: 0,
-                occupancy_peak: 4,
-                spills: 2,
-            }],
+            nodes: vec![node(3, "intersect(j: B,C)", 10, 7)],
             workers: vec![WorkerProfile { index: 0, tasks: 7, steals: 2, busy_ns: 12_000 }],
         };
         let table = p.stall_table();
         assert!(table.contains("n3:intersect(j: B,C)"));
-        assert!(table.contains("n0:scan B0.out0 -> n3"));
-        assert!(table.contains("blocked_us"));
-        assert!(table.contains("spills"));
+        assert!(table.contains("busy_us"));
         assert!(table.contains("steals"));
         assert!(table.contains("w0"));
     }

@@ -1,7 +1,7 @@
 //! The trace sink trait and its counter-accumulating implementations.
 
 use crate::counts::TokenCounts;
-use crate::profile::{ChannelProfile, ExecProfile, NodeProfile, WorkerProfile};
+use crate::profile::{ExecProfile, NodeProfile, WorkerProfile};
 use std::sync::Mutex;
 
 /// The hook surface the execution backends drive while running a plan.
@@ -11,9 +11,9 @@ use std::sync::Mutex;
 /// accumulating sinks use interior mutability.
 ///
 /// Backends are expected to consult [`TraceSink::enabled`] once up front and
-/// skip *all* instrumentation work — timestamping, token classification,
-/// channel stats — when it returns `false`, which is what makes tracing
-/// zero-cost for the [`NullSink`].
+/// skip *all* instrumentation work — timestamping, token classification —
+/// when it returns `false`, which is what makes tracing zero-cost for the
+/// [`NullSink`].
 pub trait TraceSink: Sync {
     /// Whether the sink wants data at all. The default is `true`; only
     /// no-op sinks should override this.
@@ -32,16 +32,8 @@ pub trait TraceSink: Sync {
     /// backend).
     fn record_invocations(&self, _node: usize, _n: u64) {}
 
-    /// Accumulates wall time a node spent executing, nanoseconds. Backends
-    /// report *total live* time here; blocked time reported through
-    /// [`TraceSink::record_node_blocked`] is subtracted to obtain busy time.
+    /// Accumulates wall time a node spent executing, nanoseconds.
     fn record_node_wall(&self, _node: usize, _ns: u64) {}
-
-    /// Accumulates wall time a node spent blocked on channels, nanoseconds.
-    fn record_node_blocked(&self, _node: usize, _ns: u64) {}
-
-    /// Records the final stall stats of one channel.
-    fn record_channel(&self, _channel: ChannelProfile) {}
 
     /// Records the final scheduler counters of one worker (work-stealing
     /// backends only).
@@ -77,13 +69,11 @@ struct NodeAcc {
     tokens: TokenCounts,
     invocations: u64,
     wall_ns: u64,
-    blocked_ns: u64,
 }
 
 #[derive(Default)]
 struct Acc {
     nodes: Vec<NodeAcc>,
-    channels: Vec<ChannelProfile>,
     workers: Vec<WorkerProfile>,
 }
 
@@ -106,11 +96,9 @@ impl Acc {
                     label: n.label.clone(),
                     tokens: n.tokens,
                     invocations: n.invocations,
-                    busy_ns: n.wall_ns.saturating_sub(n.blocked_ns),
-                    blocked_ns: n.blocked_ns,
+                    busy_ns: n.wall_ns,
                 })
                 .collect(),
-            channels: self.channels.clone(),
             workers: {
                 let mut workers = self.workers.clone();
                 workers.sort_by_key(|w| w.index);
@@ -120,8 +108,8 @@ impl Acc {
     }
 }
 
-/// Accumulates per-node token counts, invocations, wall/blocked time and
-/// per-channel stall stats behind a mutex, and rolls them up into an
+/// Accumulates per-node token counts, invocations and wall time plus
+/// per-worker scheduler counters behind a mutex, and rolls them up into an
 /// [`ExecProfile`].
 ///
 /// ```
@@ -179,16 +167,6 @@ impl TraceSink for CountersSink {
         acc.node(node).wall_ns += ns;
     }
 
-    fn record_node_blocked(&self, node: usize, ns: u64) {
-        let mut acc = self.acc.lock().expect("trace accumulator");
-        acc.node(node).blocked_ns += ns;
-    }
-
-    fn record_channel(&self, channel: ChannelProfile) {
-        let mut acc = self.acc.lock().expect("trace accumulator");
-        acc.channels.push(channel);
-    }
-
     fn record_worker(&self, worker: WorkerProfile) {
         let mut acc = self.acc.lock().expect("trace accumulator");
         acc.workers.push(worker);
@@ -219,36 +197,16 @@ mod tests {
         sink.record_tokens(1, TokenCounts { val: 2, ..Default::default() });
         sink.record_tokens(1, TokenCounts { val: 3, stop: 1, ..Default::default() });
         sink.record_invocations(1, 2);
-        sink.record_node_wall(1, 100);
-        sink.record_node_blocked(1, 30);
+        sink.record_node_wall(1, 70);
+        sink.record_node_wall(1, 30);
         let p = sink.profile();
         assert_eq!(p.nodes.len(), 2);
         assert_eq!(p.nodes[1].tokens.val, 5);
         assert_eq!(p.nodes[1].tokens.stop, 1);
         assert_eq!(p.nodes[1].invocations, 2);
-        assert_eq!(p.nodes[1].busy_ns, 70);
-        assert_eq!(p.nodes[1].blocked_ns, 30);
+        assert_eq!(p.nodes[1].busy_ns, 100);
         // Node 0 was never defined but still appears, unlabeled.
         assert_eq!(p.nodes[0].label, "");
-    }
-
-    #[test]
-    fn blocked_never_exceeds_wall() {
-        let sink = CountersSink::new();
-        sink.record_node_wall(0, 10);
-        sink.record_node_blocked(0, 25);
-        let p = sink.profile();
-        assert_eq!(p.nodes[0].busy_ns, 0);
-        assert_eq!(p.nodes[0].blocked_ns, 25);
-    }
-
-    #[test]
-    fn channels_pass_through() {
-        let sink = CountersSink::new();
-        sink.record_channel(ChannelProfile { label: "a -> b".into(), spills: 3, ..Default::default() });
-        let p = sink.snapshot().unwrap();
-        assert_eq!(p.channels.len(), 1);
-        assert_eq!(p.total_spills(), 3);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The shared dataflow framework: port resolution, topology, and abstract
 //! stream-type inference over a [`SamGraph`].
 //!
-//! One [`Analysis`] run feeds all three verifier passes (protocol
-//! checking, lints, deadlock analysis) *and* the execution planner's rank
-//! validation, which consults [`Analysis::ref_annotation`] instead of
-//! re-tracing reference streams itself.
+//! One [`Analysis`] run feeds both verifier passes (protocol checking,
+//! lints) *and* the execution planner's rank validation, which consults
+//! [`Analysis::ref_annotation`] instead of re-tracing reference streams
+//! itself.
 //!
 //! The framework mirrors the planner's resolution semantics exactly
 //! (`sam_exec::Plan::build` phases 2–5) but never stops at the first
@@ -113,8 +113,6 @@ pub struct Analysis {
     pub report: Report,
     pub(crate) node_inputs: Vec<Vec<Option<PortRef>>>,
     pub(crate) consumers: Vec<Vec<Vec<(usize, usize)>>>,
-    /// Kahn order over the data edges; empty when the graph has a cycle.
-    pub(crate) order: Vec<usize>,
     pub(crate) types: Vec<Vec<StreamType>>,
     pub(crate) skip_lanes: Vec<SkipLane>,
     pub(crate) acyclic: bool,
@@ -132,7 +130,6 @@ impl Analysis {
             report: a.report,
             node_inputs: a.node_inputs,
             consumers: a.consumers,
-            order: a.order,
             types: a.types,
             skip_lanes: a.skip_lanes,
             acyclic: a.acyclic,

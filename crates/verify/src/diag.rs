@@ -85,9 +85,6 @@ pub enum Rule {
     /// Lint: an intersection of levels with skewed formats has no skip
     /// lanes even though the compiler's heuristic would wire them.
     MissingSkipEdge,
-    /// A reconvergent fork–join can deadlock at the analyzed channel
-    /// budget without the spill escape.
-    BoundedDeadlock,
 }
 
 impl Rule {
@@ -116,18 +113,15 @@ impl Rule {
             Rule::UnusedOutput => "unused-output",
             Rule::ForkShouldBroadcast => "fork-should-broadcast",
             Rule::MissingSkipEdge => "missing-skip-edge",
-            Rule::BoundedDeadlock => "bounded-deadlock",
         }
     }
 
     /// The severity this rule always fires at.
     pub fn severity(&self) -> Severity {
         match self {
-            Rule::DeadNode
-            | Rule::UnusedOutput
-            | Rule::ForkShouldBroadcast
-            | Rule::MissingSkipEdge
-            | Rule::BoundedDeadlock => Severity::Warning,
+            Rule::DeadNode | Rule::UnusedOutput | Rule::ForkShouldBroadcast | Rule::MissingSkipEdge => {
+                Severity::Warning
+            }
             _ => Severity::Error,
         }
     }
@@ -247,9 +241,7 @@ impl Report {
         out
     }
 
-    /// Appends a diagnostic — tools merging several analyses' findings
-    /// (e.g. `samlint` folding deadlock verdicts into the verify report)
-    /// push through this.
+    /// Appends a diagnostic; every analysis pass reports through this.
     pub fn push(&mut self, d: Diagnostic) {
         self.diagnostics.push(d);
     }

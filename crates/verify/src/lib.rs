@@ -7,7 +7,7 @@
 //! transition structure, reporting typed [`Diagnostic`]s instead of the
 //! planner's first-error-wins rejections or a backend's mid-run panic.
 //!
-//! Three analyses share one dataflow framework ([`Analysis`]):
+//! Two analyses share one dataflow framework ([`Analysis`]):
 //!
 //! 1. **Stream-type inference + protocol checking** ([`verify`] /
 //!    [`verify_bound`]) — propagates an abstract stream type (crd/ref/val
@@ -18,10 +18,7 @@
 //!    `sam_exec::Plan::build` rejects fails verification with a more
 //!    specific diagnostic, and the planner's rank check *delegates* to
 //!    [`Analysis::ref_annotation`].
-//! 2. **Channel-topology deadlock analysis** ([`deadlock::analyze`]) —
-//!    classifies which graphs can deadlock at a given bounded-channel
-//!    budget without the pipelined backend's spill escape.
-//! 3. **Graph lints** — dead nodes, discarded value streams, forks that
+//! 2. **Graph lints** — dead nodes, discarded value streams, forks that
 //!    should be broadcasts, and missing skip edges where the compiler's
 //!    format heuristic (`LowerOptions::skip_edges`) would fire.
 //!
@@ -32,12 +29,10 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod deadlock;
 pub mod diag;
 pub mod lints;
 
 pub use analysis::{Analysis, Bindings, StreamType};
-pub use deadlock::ChannelBudget;
 pub use diag::{Diagnostic, Report, Rule, Severity};
 
 use sam_core::graph::SamGraph;
@@ -100,7 +95,6 @@ mod tests {
             Rule::UnusedOutput,
             Rule::ForkShouldBroadcast,
             Rule::MissingSkipEdge,
-            Rule::BoundedDeadlock,
         ];
         let ids: std::collections::HashSet<&str> = rules.iter().map(|r| r.id()).collect();
         assert_eq!(ids.len(), rules.len());

@@ -6,7 +6,7 @@ use sam_core::graph::{NodeId, NodeKind, SamGraph, StreamKind};
 use sam_core::graphs;
 use sam_core::kernels::spmm::SpmmDataflow;
 use sam_tensor::{Tensor, TensorFormat};
-use sam_verify::{deadlock, verify, verify_bound, Bindings, ChannelBudget, Rule, Severity};
+use sam_verify::{verify, verify_bound, Bindings, Rule};
 
 /// A minimal valid identity kernel built by hand so each fixture can
 /// rewire it: `x(i) = b(i)` over a compressed vector.
@@ -314,35 +314,6 @@ fn missing_skip_edge_fires_once() {
     // The skip-wired twin of the same shape is clean.
     let skipped = graphs::vec_elem_mul_with_skip(true);
     assert_eq!(verify(&skipped).count(Rule::MissingSkipEdge), 0);
-}
-
-#[test]
-fn bounded_deadlock_flags_tiny_budgets_and_clears_planned_ones() {
-    // SpMM linear combination: the row scanner diverges into the repeat
-    // branch (staging) and the intersection branch; a long row stream
-    // cannot fit a depth-1 channel.
-    let g = graphs::spmm(SpmmDataflow::LinearCombination);
-    let n = 64;
-    let b = sam_tensor::synth::random_matrix_nnz(n, n, n * n / 2, 7);
-    let c = sam_tensor::synth::random_matrix_nnz(n, n, n * n / 2, 8);
-    let bt = Tensor::from_coo("B", &b, TensorFormat::dcsr());
-    let ct = Tensor::from_coo("C", &c, TensorFormat::dcsr());
-    let bindings = Bindings::new().bind("B", &bt).bind("C", &ct);
-
-    let tiny = deadlock::analyze(&g, &bindings, ChannelBudget { chunk_len: 4, depth: 1 });
-    assert!(
-        tiny.diagnostics.iter().any(|d| d.rule == Rule::BoundedDeadlock),
-        "a 4-token budget must be classified deadlock-capable"
-    );
-    assert!(tiny.diagnostics.iter().all(|d| d.severity == Severity::Warning));
-
-    let generous = deadlock::analyze(&g, &bindings, ChannelBudget { chunk_len: 1024, depth: 8192 });
-    assert_eq!(
-        generous.diagnostics.len(),
-        0,
-        "planner-scale budgets hold the estimated streams:\n{}",
-        generous.render()
-    );
 }
 
 #[test]
