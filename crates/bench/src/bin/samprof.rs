@@ -16,25 +16,20 @@
 //!   parse);
 //! * `--trace <path>` also writes a Chrome `trace_event` JSON timeline
 //!   (load it at `ui.perfetto.dev` or `chrome://tracing`);
-//! * `--save-json` merges the `samprof_<name>` headline metric (`tokens`)
-//!   into the workspace `BENCH_exec.json` so the benchmark trajectory
-//!   carries it;
 //! * `--serve [--rounds N]` profiles the query *lifecycle* instead of one
 //!   execution: it runs the Table 1 workload through a resident
 //!   `sam-serve` service for N rounds and prints the per-stage breakdown
 //!   (queue / compile / plan / batch / execute / resolve) with p50/p90/p99
 //!   and max per stage, from the service telemetry.
 
-use sam_bench::{
-    kernel_case, merge_json_group, table1_case, table1_case_names, workspace_root, PROFILE_KERNELS,
-};
+use sam_bench::{kernel_case, table1_case, table1_case_names, PROFILE_KERNELS};
 use sam_exec::{BackendSpec, ChromeTraceSink, CountersSink, ExecProfile, Execution, Executor, Plan};
 use sam_memory::MemoryConfig;
 
 /// Builds the profiled backend from a [`BackendSpec`] label (stable labels
 /// plus the historical `threadsN` spellings, all parsed by `sam-exec`).
-/// `tiled` keeps samprof's historical 64-wide tiles so saved metrics stay
-/// comparable across runs.
+/// `tiled` uses 64-wide tiles: several profiled kernels have 128-wide
+/// operands, which the default 128-wide tile would cover in one tile.
 fn build_backend(arg: &str) -> Result<Box<dyn Executor>, sam_exec::ParseBackendError> {
     let spec: BackendSpec = arg.parse()?;
     Ok(spec.build_with_memory(Some(MemoryConfig { tile: 64, ..MemoryConfig::default() })))
@@ -43,7 +38,7 @@ fn build_backend(arg: &str) -> Result<Box<dyn Executor>, sam_exec::ParseBackendE
 fn usage() -> ! {
     eprintln!(
         "usage: samprof <kernel|expression> [--backend cycle|fast-serial|fast-threads:N|tiled] \
-         [--trace out.json] [--save-json]\n       samprof --serve [--rounds N]\n       samprof --list"
+         [--trace out.json]\n       samprof --serve [--rounds N]\n       samprof --list"
     );
     std::process::exit(2);
 }
@@ -162,7 +157,6 @@ fn main() {
     let mut name: Option<String> = None;
     let mut backend_arg = "fast-threads:4".to_string();
     let mut trace_path: Option<String> = None;
-    let mut save_json = false;
     let mut serve = false;
     let mut rounds = 10usize;
     let mut it = args.iter();
@@ -175,7 +169,6 @@ fn main() {
             }
             "--backend" => backend_arg = it.next().cloned().unwrap_or_else(|| usage()),
             "--trace" => trace_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--save-json" => save_json = true,
             "--serve" => serve = true,
             "--rounds" => {
                 rounds = it.next().and_then(|n| n.parse().ok()).unwrap_or_else(|| usage());
@@ -242,16 +235,4 @@ fn main() {
     };
     let profile = run.profile.clone().expect("traced runs attach a profile");
     report(&name, backend.as_ref(), &run, &profile);
-
-    if save_json {
-        let group = format!("samprof_{}", name.replace(|c: char| !c.is_ascii_alphanumeric(), "_"));
-        let path = workspace_root().join("BENCH_exec.json");
-        match merge_json_group(&path, &group, &[("tokens", run.tokens as f64)]) {
-            Ok(()) => println!("\nmerged `{group}` metrics into {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to update {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
 }

@@ -1,18 +1,19 @@
 //! # sam-bench
 //!
 //! The experiment harness: every table and figure of the paper's evaluation
-//! (Section 6) is regenerated by a function in this crate and printed by the
-//! matching binary in `src/bin/`.
+//! (Section 6) is regenerated by a function in this crate and printed by
+//! `samrepro <target>`. Host wall-clock performance is not measured here;
+//! that is `sambench/` at the repository root.
 //!
-//! | Artifact | Function | Binary |
-//! |----------|----------|--------|
+//! | Artifact | Function | `samrepro` target |
+//! |----------|----------|-------------------|
 //! | Table 1  | [`table1_report`] | `table1` |
 //! | Table 2  | [`table2_report`] | `table2` |
 //! | Figure 11 | [`figure11_report`] | `fig11` |
 //! | Figure 12 | [`figure12_report`] | `fig12` |
 //! | Figure 13 | [`figure13_report`] | `fig13` |
 //! | Figure 14 | [`figure14_report`] | `fig14` |
-//! | Figure 15 | [`figure15_report`] | `fig15` |
+//! | Figure 15 | [`figure15_report`], [`figure15_measured_report`], [`figure15_skipping_study`] | `fig15` |
 //! | Section 3.8 stream analysis | [`stream_analysis_report`] | `stream_analysis` |
 //! | Executor cross-check | [`executor_report`] | `table1` |
 //! | Figure 13 via the executor | [`figure13_exec_report`] | `fig13` |
@@ -36,83 +37,9 @@ use sam_tensor::suitesparse::table3_catalog;
 use sam_tensor::synth;
 use sam_tensor::{CooTensor, Tensor, TensorFormat};
 
-/// Walks up from the current directory to the workspace root (the first
-/// ancestor holding a `Cargo.lock`) — where the benchmark trajectory
-/// `BENCH_exec.json` and its baseline live, regardless of which package
-/// cargo launched a binary from.
-pub fn workspace_root() -> std::path::PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from("."));
-    loop {
-        if dir.join("Cargo.lock").is_file() {
-            return dir;
-        }
-        if !dir.pop() {
-            return std::path::PathBuf::from(".");
-        }
-    }
-}
-
 /// A single-value tensor standing in for a zero-index scalar operand.
 fn scalar_operand(value: f64) -> CooTensor {
     CooTensor::from_entries(vec![1], vec![(vec![0], value)]).expect("scalar operand")
-}
-
-/// Removes an existing `"group": { ... }` object (group objects in the
-/// trajectory schema never nest) so re-merging replaces rather than
-/// duplicates it.
-fn strip_group(text: &str, group: &str) -> String {
-    let needle = format!("{group:?}:");
-    let Some(start) = text.find(&needle) else { return text.to_string() };
-    let line_start = text[..start].rfind('\n').map(|i| i + 1).unwrap_or(0);
-    let Some(close) = text[start..].find('}') else { return text.to_string() };
-    let mut end = start + close + 1;
-    for pat in [",", "\n"] {
-        if text[end..].starts_with(pat) {
-            end += pat.len();
-        }
-    }
-    format!("{}{}", &text[..line_start], &text[end..])
-}
-
-/// Merges one `"group": { name: value, ... }` object into the two-level
-/// JSON trajectory at `path`, creating the file if needed and replacing
-/// any previous copy of the group. The format is the vendored criterion's
-/// `--save-json` schema, so `bench_gate` parses the counters (reporting,
-/// not gating, metrics absent from the baseline). Both `fig15 --smoke` and
-/// `samprof --save-json` merge their headline metrics through this.
-///
-/// # Errors
-///
-/// Propagates the underlying filesystem write error.
-pub fn merge_json_group(path: &std::path::Path, group: &str, metrics: &[(&str, f64)]) -> std::io::Result<()> {
-    let mut body = format!("  {group:?}: {{\n");
-    for (i, (name, value)) in metrics.iter().enumerate() {
-        let sep = if i + 1 == metrics.len() { "" } else { "," };
-        // Full `Display` precision, matching the vendored criterion's
-        // `--save-json` writer: fixed one-decimal formatting quantizes
-        // ratio-valued metrics before the gate can compare them.
-        body.push_str(&format!("    {name:?}: {value}{sep}\n"));
-    }
-    body.push_str("  }\n");
-    let text = match std::fs::read_to_string(path) {
-        Ok(existing) => {
-            let existing = strip_group(&existing, group);
-            match existing.rfind('}') {
-                // Splice the group in before the final brace, after the
-                // last existing group's closing brace.
-                Some(end) => {
-                    let head = existing[..end].trim_end();
-                    // Stripping the previously-last group can leave the
-                    // prior group's trailing comma behind.
-                    let glue = if head.ends_with('{') || head.ends_with(',') { "\n" } else { ",\n" };
-                    format!("{head}{glue}{body}}}\n")
-                }
-                None => format!("{{\n{body}}}\n"),
-            }
-        }
-        Err(_) => format!("{{\n{body}}}\n"),
-    };
-    std::fs::write(path, text)
 }
 
 /// Table 1: SAM primitive counts for the twelve paper expressions, produced
@@ -279,7 +206,7 @@ pub const PROFILE_KERNELS: &[&str] =
 pub fn kernel_case(name: &str) -> Option<(SamGraph, Inputs)> {
     use sam_core::graphs;
     // The skew pair: an 80%-dense 400x2000 matrix co-iterated against a
-    // 12-nonzero vector (the exec_backends `skip_skew` operands).
+    // 12-nonzero vector.
     let skew = || {
         let m = synth::random_matrix_sparsity(400, 2000, 0.2, 58);
         let sv = synth::random_vector(2000, 12, 59);
@@ -568,8 +495,8 @@ pub fn figure13_report(dim: usize) -> String {
 /// Figure 14: token-kind breakdown of the outer and inner coordinate streams
 /// of the matrix identity expression over the Table 3 matrix catalog.
 ///
-/// `max_nnz` bounds the instantiated matrix size so tests stay fast; the
-/// `fig14` binary uses `usize::MAX` to cover the full catalog.
+/// `max_nnz` bounds the instantiated matrix size so tests stay fast;
+/// `samrepro fig14` uses `usize::MAX` to cover the full catalog.
 pub fn figure14_report(max_nnz: usize) -> String {
     let mut out = String::new();
     out.push_str("Figure 14: identity-expression stream composition (fractions of channel slots)\n");
@@ -659,8 +586,8 @@ pub fn figure15_measured_report(dims: &[usize], nnz_list: &[usize], config: &Mem
 }
 
 /// [`figure15_measured_report`] over an already-measured sweep, so callers
-/// that also need the raw points (the `fig15 --smoke` cycle-ratio gate) run
-/// the tiled executor once.
+/// that also need the raw points (this crate's cycle-ratio test) run the
+/// tiled executor once.
 pub fn figure15_measured_table(points: &[sam_memory::ModelComparison], config: &MemoryConfig) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -704,8 +631,8 @@ pub fn figure15_measured_table(points: &[sam_memory::ModelComparison], config: &
 /// The sparse-tile-skipping ablation: one Figure 15 configuration executed
 /// with and without ExTensor-style skipping, under an LLB deliberately
 /// smaller than the operand working set so needless tile fetches cost real
-/// DRAM traffic. Returns the report plus both counter sets (the `fig15`
-/// binary merges them into the benchmark trajectory JSON).
+/// DRAM traffic. Returns the report plus both counter sets (skipping, then
+/// not).
 pub fn figure15_skipping_study(
     dim: usize,
     nnz: usize,
@@ -819,10 +746,24 @@ mod tests {
 
     #[test]
     fn figure15_measured_runs_and_skipping_pays() {
-        let config = MemoryConfig { tile: 16, llb_bytes: 2048, ..MemoryConfig::default() };
-        let report = figure15_measured_report(&[64, 96], &[200], &config);
-        assert_eq!(report.lines().count(), 2 + 2);
+        // Small dimensions with a tile and LLB scaled to match (about two
+        // seconds in a debug build).
+        let config = MemoryConfig { tile: 32, llb_bytes: 16 * 1024, ..MemoryConfig::default() };
+        let points = figure15_measured_points(&[256, 512, 768], &[2000], &config);
+        let report = figure15_measured_table(&points, &config);
+        assert_eq!(report.lines().count(), 2 + 3);
         assert!(report.contains("dram (meas)"));
+        // The analytic compute-cycle model must track the measured machine
+        // within a sane band at every point (the pre-refit term undercounted
+        // ~20x at these sizes).
+        for cmp in &points {
+            assert!(
+                (0.25..=4.0).contains(&cmp.cycle_ratio),
+                "measured/analytic cycle ratio {:.2} at dim={} escapes [0.25, 4]",
+                cmp.cycle_ratio,
+                cmp.analytic.dim
+            );
+        }
 
         let study_config = MemoryConfig { tile: 16, llb_bytes: 512, ..MemoryConfig::default() };
         let (study, skip, noskip) = figure15_skipping_study(96, 60, &study_config);

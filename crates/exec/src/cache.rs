@@ -10,10 +10,11 @@
 //!
 //! * [`PlanKey`] captures **everything** a [`Plan`] reads from its inputs —
 //!   the graph's name and a structural fingerprint of its nodes and edges,
-//!   and per bound tensor the name, format, shape, per-level fiber
-//!   statistics, and the value of single-element tensors (the planner
-//!   resolves `ConstVal` scalars at plan time). Equal keys therefore mean
-//!   *bit-identical* plans: a cache hit returns an execution
+//!   and per bound tensor the name, format, shape, and the value of
+//!   single-element tensors (the planner resolves `ConstVal` scalars at
+//!   plan time). A plan reads nothing else — not occupancy, not fiber
+//!   lengths — so tensors of one shape class share a plan, and equal keys
+//!   mean *bit-identical* plans: a cache hit returns an execution
 //!   indistinguishable from a fresh compile.
 //! * [`PlanCache`] is the sharded LRU map. [`PlanCache::global`] is the
 //!   process-wide instance the default execution path uses; services that
@@ -67,28 +68,10 @@ struct BindingKey {
     /// The storage format, via its `Display` (level kinds + mode order).
     format: String,
     shape: Vec<usize>,
-    /// Per storage level: `(fiber count, longest fiber)`, so tensors of
-    /// one shape but different occupancy key apart. Empty under
-    /// [`KeyDetail::ShapeClass`].
-    level_stats: Vec<(usize, usize)>,
     /// Value bits of a single-element tensor: the planner bakes `ConstVal`
     /// scalars (alpha/beta) into the plan, so the value is part of the
-    /// plan's identity under every detail level.
+    /// plan's identity.
     scalar_bits: Option<u64>,
-}
-
-/// How much of the bound inputs a [`PlanKey`] captures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeyDetail {
-    /// Formats, shapes, per-level fiber statistics and scalar values. The
-    /// default for whole-tensor execution.
-    Exact,
-    /// Formats, shapes and scalar values only: tensors of one shape class
-    /// share a plan even when their occupancy differs (a plan reads nothing
-    /// else from its inputs, so results are still bit-identical). The tiled
-    /// backend uses this so interior tiles keep sharing one plan per shape
-    /// class.
-    ShapeClass,
 }
 
 /// The cache key: everything a [`Plan`] depends on.
@@ -105,9 +88,8 @@ pub struct PlanKey {
 }
 
 impl PlanKey {
-    /// Builds the key for planning `graph` over `inputs` at the given
-    /// detail level.
-    pub fn new(graph: &SamGraph, inputs: &Inputs, detail: KeyDetail) -> PlanKey {
+    /// Builds the key for planning `graph` over `inputs`.
+    pub fn new(graph: &SamGraph, inputs: &Inputs) -> PlanKey {
         let mut h = DefaultHasher::new();
         for node in graph.nodes() {
             node.hash(&mut h);
@@ -118,29 +100,16 @@ impl PlanKey {
         let bindings = inputs
             .iter()
             .map(|(name, t)| {
-                let level_stats = match detail {
-                    KeyDetail::ShapeClass => Vec::new(),
-                    KeyDetail::Exact => (0..t.format().order())
-                        .map(|l| {
-                            let level = t.level(l);
-                            let longest = if level.is_dense() {
-                                level.dimension()
-                            } else {
-                                (0..level.num_fibers()).map(|f| level.fiber_len(f)).max().unwrap_or(0)
-                            };
-                            (level.num_fibers(), longest)
-                        })
-                        .collect(),
-                };
+                // The planner's own scalar test: one stored value, every
+                // dimension 1.
                 let scalar_bits = match t.vals() {
-                    [v] if t.shape() == [1] => Some(v.to_bits()),
+                    [v] if t.shape().iter().all(|&d| d == 1) => Some(v.to_bits()),
                     _ => None,
                 };
                 BindingKey {
                     name: name.to_string(),
                     format: t.format().to_string(),
                     shape: t.shape().to_vec(),
-                    level_stats,
                     scalar_bits,
                 }
             })
@@ -245,31 +214,15 @@ impl PlanCache {
         GLOBAL.get_or_init(|| PlanCache::new(GLOBAL_CAPACITY))
     }
 
-    /// Returns the cached plan for `graph` over `inputs` (exact keying),
-    /// planning and inserting on a miss.
+    /// Returns the cached plan for `graph` over `inputs`, planning and
+    /// inserting on a miss.
     ///
     /// # Errors
     ///
     /// Propagates [`PlanError`] from [`Plan::build`]; failures are never
     /// cached.
     pub fn get_or_plan(&self, graph: &SamGraph, inputs: &Inputs) -> Result<Arc<Plan>, PlanError> {
-        self.get_or_plan_detailed(graph, inputs, KeyDetail::Exact)
-    }
-
-    /// [`PlanCache::get_or_plan`] with an explicit [`KeyDetail`] — the
-    /// tiled backend passes [`KeyDetail::ShapeClass`] so interior tiles
-    /// share one plan per shape class.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from [`Plan::build`].
-    pub fn get_or_plan_detailed(
-        &self,
-        graph: &SamGraph,
-        inputs: &Inputs,
-        detail: KeyDetail,
-    ) -> Result<Arc<Plan>, PlanError> {
-        let key = PlanKey::new(graph, inputs, detail);
+        let key = PlanKey::new(graph, inputs);
         let shard = &self.shards[key.shard(self.shards.len())];
         {
             let mut s = shard.lock().expect("plan cache shard");
@@ -394,9 +347,10 @@ fn build_verified(graph: &SamGraph, inputs: &Inputs) -> Result<Plan, PlanError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecRequest;
     use sam_core::build::GraphBuilder;
     use sam_core::graphs;
-    use sam_tensor::{synth, TensorFormat};
+    use sam_tensor::{synth, CooTensor, TensorFormat};
 
     fn spmv_inputs(nnz: usize, seed: u64) -> Inputs {
         let b = synth::random_matrix_sparsity(30, 20, 0.9, seed);
@@ -424,21 +378,24 @@ mod tests {
     }
 
     #[test]
-    fn exact_keys_distinguish_occupancy_shape_class_keys_do_not() {
-        // Same shapes and formats, different fiber occupancy: the exact key
-        // sees it, the shape-class key deliberately does not.
+    fn occupancy_does_not_split_the_key_and_the_shared_plan_is_exact() {
+        // Same shapes and formats, different fiber occupancy: a plan reads
+        // neither, so both inputs share one plan — and running either input
+        // on it is indistinguishable from planning that input afresh.
         let graph = graphs::vec_elem_mul(true);
+        let cache = Arc::new(PlanCache::new(16));
         let sparse = vec_inputs(4, 11);
         let dense = vec_inputs(40, 11);
-        let cache = PlanCache::new(16);
-        let a = cache.get_or_plan(&graph, &sparse).unwrap();
-        let b = cache.get_or_plan(&graph, &dense).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b), "exact keys must see the occupancy difference");
-
-        let shape_cache = PlanCache::new(16);
-        let a = shape_cache.get_or_plan_detailed(&graph, &sparse, KeyDetail::ShapeClass).unwrap();
-        let b = shape_cache.get_or_plan_detailed(&graph, &dense, KeyDetail::ShapeClass).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "shape-class keys share one plan per shape");
+        let shared = cache.get_or_plan(&graph, &sparse).unwrap();
+        assert!(Arc::ptr_eq(&shared, &cache.get_or_plan(&graph, &dense).unwrap()));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+        for inputs in [&sparse, &dense] {
+            let on_shared = ExecRequest::new(&graph, inputs).planned(Arc::clone(&shared)).run().unwrap();
+            let fresh = ExecRequest::new(&graph, inputs).uncached().run().unwrap();
+            assert_eq!(on_shared.output, fresh.output);
+            assert_eq!(on_shared.vals, fresh.vals);
+            assert_eq!(on_shared.tokens, fresh.tokens);
+        }
     }
 
     #[test]
@@ -457,13 +414,22 @@ mod tests {
         let graph = g.finish();
 
         let b = synth::random_vector(16, 5, 21);
-        let two = Inputs::new().coo("b", &b, TensorFormat::sparse_vec()).scalar("alpha", 2.0);
-        let three = Inputs::new().coo("b", &b, TensorFormat::sparse_vec()).scalar("alpha", 3.0);
-        let cache = PlanCache::new(16);
-        let p2 = cache.get_or_plan_detailed(&graph, &two, KeyDetail::ShapeClass).unwrap();
-        let p3 = cache.get_or_plan_detailed(&graph, &three, KeyDetail::ShapeClass).unwrap();
-        assert!(!Arc::ptr_eq(&p2, &p3));
-        assert_eq!(cache.stats().misses, 2);
+        // Every shape the planner accepts as a scalar: `[1]` and `[1, 1]`.
+        for order in [1, 2] {
+            let alpha = |value: f64| {
+                let coo = CooTensor::from_entries(vec![1; order], vec![(vec![0; order], value)]).unwrap();
+                Inputs::new().coo("b", &b, TensorFormat::sparse_vec()).coo(
+                    "alpha",
+                    &coo,
+                    TensorFormat::dense(order),
+                )
+            };
+            let cache = PlanCache::new(16);
+            let p2 = cache.get_or_plan(&graph, &alpha(2.0)).unwrap();
+            let p3 = cache.get_or_plan(&graph, &alpha(3.0)).unwrap();
+            assert!(!Arc::ptr_eq(&p2, &p3));
+            assert_eq!(cache.stats().misses, 2);
+        }
     }
 
     #[test]
@@ -516,7 +482,12 @@ mod tests {
         cache.get_or_plan(&graph, &inputs).unwrap(); // miss (outside window)
         let before = cache.stats();
         cache.get_or_plan(&graph, &inputs).unwrap(); // hit
-        cache.get_or_plan(&graph, &spmv_inputs(3, 72)).unwrap(); // miss
+
+        // A miss needs a different *shape*; different occupancy would hit.
+        let b = synth::random_matrix_sparsity(31, 20, 0.9, 72);
+        let c = synth::random_vector(20, 9, 73);
+        let taller = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("c", &c, TensorFormat::dense_vec());
+        cache.get_or_plan(&graph, &taller).unwrap();
         let delta = cache.stats().delta_since(&before);
         assert_eq!((delta.hits, delta.misses, delta.evictions), (1, 1, 0));
         assert_eq!(delta.entries, 2, "entries reports current residency, not a diff");

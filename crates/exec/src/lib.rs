@@ -144,7 +144,7 @@ pub mod steal;
 pub mod tiled;
 
 pub use bind::Inputs;
-pub use cache::{KeyDetail, PlanCache, PlanCacheStats, PlanKey, Planner};
+pub use cache::{PlanCache, PlanCacheStats, PlanKey, Planner};
 pub use cycle::CycleBackend;
 pub use error::{ExecError, PlanError};
 pub use fast::FastBackend;

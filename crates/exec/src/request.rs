@@ -119,7 +119,7 @@ impl<'a> ExecRequest<'a> {
         self
     }
 
-    /// Drives `trace` with per-node and per-channel instrumentation during
+    /// Drives `trace` with per-node and per-worker instrumentation during
     /// the run (the old `run_traced` door).
     pub fn traced(mut self, trace: &'a dyn TraceSink) -> Self {
         self.options.trace = Some(trace);

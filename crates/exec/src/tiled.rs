@@ -11,7 +11,7 @@
 //! tile access sequence drives an LRU model of the last-level buffer, so
 //! the run reports *measured* counters ([`MemoryCounters`]) — DRAM bytes
 //! moved, LLB occupancy high-water mark, tiles skipped and capacity
-//! spills — which `sam-bench`'s `fig15` lines up against the closed-form
+//! spills — which `samrepro fig15` lines up against the closed-form
 //! `sam_memory` model.
 //!
 //! The tile schedule is structure-preserving (see `sam_tiles::schedule`):
@@ -45,7 +45,7 @@
 //! ```
 
 use crate::bind::Inputs;
-use crate::cache::{KeyDetail, PlanCache};
+use crate::cache::PlanCache;
 use crate::error::ExecError;
 use crate::plan::Plan;
 use crate::steal::StealPool;
@@ -191,11 +191,8 @@ impl Executor for TiledBackend {
         let inner = FastBackend::serial();
         // Interior tiles share one shape class (and thus one plan); edge
         // tiles get their own cached plans. Tile plans live in the global
-        // sharded cache under shape-class keys, so the shape classes of one
-        // run are still planned exactly once — and stay warm across runs.
-        // (Inner tile runs are serial, so the shape-class key's blindness to
-        // fiber occupancy is safe: serial evaluation never consults the
-        // planner's stream-size estimates.)
+        // sharded cache, whose key ignores occupancy, so the shape classes
+        // of one run are planned exactly once — and stay warm across runs.
         let plan_cache = PlanCache::global();
         let mut empty_cache: HashMap<(usize, Vec<usize>), Arc<Tensor>> = HashMap::new();
 
@@ -365,8 +362,7 @@ impl Executor for TiledBackend {
                         tile_inputs = tile_inputs.shared(tile);
                     }
 
-                    let tile_plan =
-                        plan_cache.get_or_plan_detailed(graph, &tile_inputs, KeyDetail::ShapeClass)?;
+                    let tile_plan = plan_cache.get_or_plan(graph, &tile_inputs)?;
                     jobs.push(TupleJob { tuple: tuple.clone(), inputs: tile_inputs, plan: tile_plan });
                     if jobs.len() >= batch_cap {
                         flush(&mut jobs)?;

@@ -152,8 +152,9 @@ pub fn model_tiled_spmm(dim: usize, nnz: usize, config: &MemoryConfig) -> TiledS
     // ones.
     let fetched_tile_pairs = (grid as f64).powi(3) * p_nonempty * p_nonempty;
     // Per fetched pair, fit against the measured `MemoryCounters`/token
-    // counts of `fig15 --smoke` (the old `2*nnz + 8` term undercounted the
-    // dataflow ~200x because it ignored rescans and control tokens):
+    // counts of the 256–768 sweep `sam-bench`'s Figure 15 test runs (the
+    // old `2*nnz + 8` term undercounted the dataflow ~200x because it
+    // ignored rescans and control tokens):
     //  * every occupied row of the B tile rescans the C tile's k-level
     //    fiber through the repeat/scan/intersect trio (~3 tokens per fiber
     //    entry per row) — the dominant quadratic rescan term;

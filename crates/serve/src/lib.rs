@@ -17,8 +17,8 @@
 //!   queries and fans the batch over a work-stealing executor pool.
 //!   Per-query backend selection by [`sam_exec::BackendSpec`].
 //! * [`table1_workload`] — the mixed twelve-kernel Table 1 workload
-//!   (integer-valued, bit-exact across backends) that the throughput
-//!   bench and the equivalence tests share.
+//!   (integer-valued, bit-exact across backends) that `samprof --serve`
+//!   and the equivalence tests share.
 //! * Service telemetry — every query carries a lifecycle span
 //!   (queue → compile → plan → batch → execute → resolve) feeding
 //!   latency histograms and cache/batch/qps gauges, exposed as a typed

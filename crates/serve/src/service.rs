@@ -144,7 +144,7 @@ impl Query {
     }
 
     /// Traces this query's execution: the resolved [`Execution::profile`]
-    /// carries the per-node/per-channel `ExecProfile`, exactly as a
+    /// carries the per-node/per-worker `ExecProfile`, exactly as a
     /// one-shot `run_traced` would — at the cost of instrumenting that one
     /// execution.
     pub fn traced(mut self) -> Query {

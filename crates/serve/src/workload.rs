@@ -6,8 +6,8 @@
 //! `B_mv`, `B_mm`, … — so the corpus is one flat namespace) and the twelve
 //! matching [`Query`] values. Operand values are integers, so every
 //! partial sum is exact and service results can be compared bit-for-bit
-//! against one-shot execution on any backend. The throughput bench and
-//! the service equivalence tests both iterate exactly this workload.
+//! against one-shot execution on any backend. `samprof --serve` and the
+//! service equivalence tests both iterate exactly this workload.
 
 use crate::service::Query;
 use crate::store::TensorStore;

@@ -8,6 +8,7 @@
 use sam_exec::BackendSpec;
 use sam_serve::{table1_workload, Query, Service, ServiceConfig, TelemetryConfig, TensorStore};
 use sam_trace::Stage;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -128,13 +129,45 @@ fn prometheus_rendering_matches_the_snapshot() {
     assert!(text.contains(&format!("sam_serve_plan_misses {}\n", snap.plans.misses)));
     assert!(text.contains("sam_serve_worker_busy_ns{worker=\"0\"}"));
 
-    // Every HELP/TYPE pair precedes its samples; bucket series are
-    // cumulative and end at +Inf with the family count.
+    // The exposition grammar: every line is a `# HELP`/`# TYPE` comment or
+    // a `name{labels} value` sample, and every sample follows the `# TYPE`
+    // of its family. Bucket series are cumulative and end at +Inf.
+    let mut families: HashMap<&str, &str> = HashMap::new();
     let mut last_bucket: Option<u64> = None;
     for line in text.lines() {
         assert!(!line.is_empty());
+        if let Some(comment) = line.strip_prefix("# ") {
+            let mut words = comment.splitn(3, ' ');
+            let (kind, name, rest) = (words.next(), words.next().expect("family name"), words.next());
+            match kind {
+                Some("HELP") => {}
+                Some("TYPE") => {
+                    let ty = rest.expect("family type");
+                    assert!(matches!(ty, "counter" | "gauge" | "histogram"), "unknown type: {line}");
+                    families.insert(name, ty);
+                }
+                _ => panic!("unknown comment: {line}"),
+            }
+            continue;
+        }
+        let (series, value) = line.rsplit_once(' ').expect("sample is `series value`");
+        assert!(value == "+Inf" || value.parse::<f64>().is_ok(), "malformed sample value: {line}");
+        let name = match series.split_once('{') {
+            Some((name, labels)) => {
+                assert!(labels.ends_with('}') && !labels[..labels.len() - 1].contains('}'), "{line}");
+                name
+            }
+            None => series,
+        };
+        assert!(
+            name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_' || c == ':')
+                && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
+            "malformed metric name: {line}"
+        );
+        let base = ["_bucket", "_sum", "_count"].iter().find_map(|s| name.strip_suffix(s)).unwrap_or(name);
+        assert!(families.contains_key(name) || families.contains_key(base), "sample before its TYPE: {line}");
         if line.contains("_bucket{") {
-            let value: u64 = line.rsplit(' ').next().unwrap().parse().expect("bucket sample");
+            let value: u64 = value.parse().expect("bucket sample");
             if line.contains("le=\"+Inf\"") {
                 last_bucket = None;
             } else {
@@ -145,6 +178,8 @@ fn prometheus_rendering_matches_the_snapshot() {
             }
         }
     }
+    assert_eq!(families.get("sam_serve_query_latency_ns"), Some(&"histogram"));
+    assert_eq!(families.get("sam_serve_queries_total"), Some(&"counter"));
 }
 
 /// A zero slow-query threshold captures every query as a JSONL event, in
@@ -171,16 +206,31 @@ fn slow_query_events_capture_spans_as_jsonl() {
     }
     let events = service.recent_events();
     assert_eq!(events.len(), queries.len(), "a zero threshold captures every query");
-    for event in &events {
+    // Each event is one JSON object whose `stages_ns` holds exactly the six
+    // stages, in pipeline order, summing to `total_ns`.
+    let check = |event: &str| {
         assert!(event.starts_with('{') && event.ends_with('}'), "not a JSON object: {event}");
         assert!(!event.contains('\n'), "JSONL events are single-line");
-        assert!(event.contains("\"stages_ns\":{\"queue\":"), "span stages missing: {event}");
         assert!(event.contains("\"error\":null"));
-    }
+        let after = |key: &str| event.split_once(key).unwrap_or_else(|| panic!("no {key}: {event}")).1;
+        let (total, _) = after("\"total_ns\":").split_once(',').expect("total_ns value");
+        let (stages, _) = after("\"stages_ns\":{").split_once('}').expect("stages_ns object");
+        let stages: Vec<(&str, u64)> = stages
+            .split(',')
+            .map(|kv| {
+                let (k, v) = kv.split_once(':').expect("stage entry");
+                (k.trim_matches('"'), v.parse().expect("stage nanoseconds"))
+            })
+            .collect();
+        assert!(stages.iter().map(|(k, _)| *k).eq(Stage::ALL.iter().map(|s| s.name())), "{event}");
+        assert_eq!(total.parse::<u64>().expect("total_ns"), stages.iter().map(|(_, v)| v).sum::<u64>());
+    };
+    events.iter().for_each(|e| check(e));
     assert_eq!(service.metrics_snapshot().slow_queries, queries.len() as u64);
     drop(service);
     let written = std::fs::read_to_string(&path).expect("event log file");
     assert_eq!(written.lines().count(), queries.len());
+    written.lines().for_each(check);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -10,7 +10,7 @@
 //! * [`sim`] — the cycle-approximate simulator,
 //! * [`core`] — the SAM graph IR, graph builder, kernel graph catalog,
 //!   wiring helpers and hand-scheduled kernel library,
-//! * [`trace`] — the observability layer (trace sinks, per-node/per-channel
+//! * [`trace`] — the observability layer (trace sinks, per-node/per-worker
 //!   profiles, Chrome trace export),
 //! * [`exec`] — the graph-driven execution engine (the `ExecRequest` entry
 //!   point, planner and plan cache, plus the cycle-approximate, fast
