@@ -135,7 +135,7 @@ impl Executor for CycleBackend {
                 NodeKind::Intersecter { .. } => {
                     // Lower planned skip lanes onto the block's skip outputs
                     // (ports 3 and 4), which feed the operands' scanners.
-                    let lanes = plan.skip_scanners(id);
+                    let lanes = plan.fused_operands(id).map(|lane| lane.filter(|f| f.gallop));
                     sim.add_block(Box::new(
                         Intersecter::new(
                             label,

@@ -148,7 +148,7 @@ pub use cache::{PlanCache, PlanCacheStats, PlanKey, Planner};
 pub use cycle::CycleBackend;
 pub use error::{ExecError, PlanError};
 pub use fast::FastBackend;
-pub use plan::{ChannelSpec, Plan, PortRef, SkipSpec, DEFAULT_MAX_CYCLES};
+pub use plan::{ChannelSpec, FusedScan, Plan, PortRef, SkipSpec, DEFAULT_MAX_CYCLES};
 pub use request::{ExecOptions, ExecRequest};
 pub use sam_memory::MemoryCounters;
 pub use sam_trace::{

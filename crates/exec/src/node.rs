@@ -6,14 +6,21 @@
 //! strictly in order. That discipline is what lets the same code run two
 //! ways:
 //!
-//! * **whole streams** — a [`SliceSource`] over a finished `Vec<SimToken>`
+//! * **whole streams** — a [`SliceSource`] over a stored `Vec<SimToken>`
 //!   and a plain `Vec<SimToken>` as the [`Sink`]: the node evaluates its
-//!   entire input in one call (the serial driver, and every unsplit node
-//!   of the work-stealing driver), and
+//!   entire input in one call (every unsplit node of the one walk in the
+//!   `parallel` module), and
 //! * **segments** — the `split` module's `SegSource` over one
-//!   fiber-aligned slice of each input: the work-stealing driver evaluates
-//!   a long node as independent stealable segments and concatenates their
-//!   outputs.
+//!   fiber-aligned slice of each input: with a worker pool, the walk
+//!   evaluates a long node as independent stealable segments and
+//!   concatenates their outputs.
+//!
+//! A level scanner has one definition, [`GallopScan`], and two uses: an
+//! intersecter pulls `(crd, ref)` pairs from it directly when the planner
+//! fused the scanner into that operand ([`crate::plan::FusedScan`] — the
+//! scanner's streams are then never stored, only tallied), and
+//! `run_scanner` drains it into two sinks for every scanner somebody else
+//! reads too.
 //!
 //! The transfer functions themselves mirror the `sam-primitives` block
 //! semantics token for token (see the paper definitions cited on each), so
@@ -30,6 +37,7 @@ use sam_sim::payload::{tok, Payload};
 use sam_sim::SimToken;
 use sam_streams::Token;
 use sam_tensor::level::{CompressedLevel, Level};
+use sam_trace::TokenCounts;
 use std::collections::BTreeMap;
 
 /// A pull-based token stream: the reading half of a node's input.
@@ -58,7 +66,7 @@ pub(crate) trait Sink {
     fn push(&mut self, t: SimToken);
 }
 
-/// A [`Source`] over a finished, fully materialized stream.
+/// A [`Source`] over a finished, stored stream.
 pub(crate) struct SliceSource<'a> {
     tokens: &'a [SimToken],
     pos: usize,
@@ -109,13 +117,12 @@ pub(crate) struct NodeJob<'a> {
 }
 
 /// The storage level a scanner (or locator) node reads, resolved from the
-/// plan's tensor binding — shared by the fused skip paths of both fast
-/// execution modes.
+/// plan's tensor binding — what a fused scanner's [`GallopScan`] walks.
 pub(crate) fn scanner_level<'a>(plan: &Plan, inputs: &'a Inputs, id: NodeId) -> &'a Level {
     let (NodeKind::LevelScanner { tensor, .. } | NodeKind::Locator { tensor, .. }) =
         &plan.graph().nodes()[id.0]
     else {
-        unreachable!("skip targets are scanners")
+        unreachable!("only scanners and locators read a storage level")
     };
     inputs.get(tensor).expect("validated binding").level(plan.scan_level(id))
 }
@@ -134,8 +141,8 @@ impl<'a> NodeJob<'a> {
             writer_dim: 0,
         };
         match kind {
-            NodeKind::LevelScanner { tensor, .. } | NodeKind::Locator { tensor, .. } => {
-                job.level = Some(inputs.get(tensor).expect("validated binding").level(plan.scan_level(id)));
+            NodeKind::LevelScanner { .. } | NodeKind::Locator { .. } => {
+                job.level = Some(scanner_level(plan, inputs, id));
             }
             NodeKind::Array { tensor } => {
                 job.vals = Some(inputs.get(tensor).expect("validated binding").vals());
@@ -172,14 +179,14 @@ pub(crate) fn eval_node<S: Source, K: Sink>(
             run_repeater(crd_in, ref_in, &mut outs[0], label)?;
         }
         NodeKind::Intersecter { .. } => {
-            // Skip lanes, when planned, are run through the fused
-            // `run_intersect` path by the backends, not through here; the
-            // trailing skip output ports stay silent in the fast backend.
+            // Operands with a fused scanner are run through `run_intersect`
+            // by the walk itself, not through here; the trailing skip output
+            // ports stay silent in the fast backend.
             let [c0, c1, r0, r1] = srcs else { unreachable!("intersecter has four inputs") };
             let [oc, o0, o1, ..] = outs else { unreachable!("intersecter has five outputs") };
             run_intersect(
-                IntersectOperand::Streams { crd: c0, rf: r0 },
-                IntersectOperand::Streams { crd: c1, rf: r1 },
+                &mut IntersectOperand::Streams { crd: c0, rf: r0 },
+                &mut IntersectOperand::Streams { crd: c1, rf: r1 },
                 oc,
                 o0,
                 o1,
@@ -250,45 +257,13 @@ fn fetch_pair<S: Source>(crd: &mut S, rf: &mut S) -> Option<(SimToken, SimToken)
     Some((c, r))
 }
 
-/// Emits the stop that trails a scanned fiber, upgrading it when the input
-/// stream closes outer fibers at the same point (one-token lookahead).
-fn trailing_stop<S: Source, K: Sink>(input: &mut S, crd: &mut K, rf: &mut K) {
-    match input.peek() {
-        Some(Token::Stop(n)) => {
-            input.next();
-            crd.push(tok::stop(n + 1));
-            rf.push(tok::stop(n + 1));
-        }
-        _ => {
-            crd.push(tok::stop(0));
-            rf.push(tok::stop(0));
-        }
-    }
-}
-
-/// Level scanner transfer function (Definition 3.1, stop rule of
-/// Section 3.3).
+/// Level scanner transfer function: drains the one scanner definition,
+/// [`GallopScan`], into the node's two output streams.
 fn run_scanner<S: Source, K: Sink>(level: &Level, input: &mut S, crd: &mut K, rf: &mut K) {
-    while let Some(t) = input.next() {
-        match t {
-            Token::Val(p) => {
-                for e in level.fiber(p.expect_ref() as usize) {
-                    crd.push(tok::crd(e.coord));
-                    rf.push(tok::rf(e.child as u32));
-                }
-                trailing_stop(input, crd, rf);
-            }
-            Token::Empty => trailing_stop(input, crd, rf),
-            Token::Stop(n) => {
-                crd.push(tok::stop(n + 1));
-                rf.push(tok::stop(n + 1));
-            }
-            Token::Done => {
-                crd.push(tok::done());
-                rf.push(tok::done());
-                break;
-            }
-        }
+    let mut scan = GallopScan::new(level, input);
+    while let Some((c, r)) = scan.next_pair() {
+        crd.push(c);
+        rf.push(r);
     }
 }
 
@@ -363,26 +338,37 @@ enum GallopState {
     Finished,
 }
 
-/// A level scanner fused into its downstream intersecter (the fast
-/// backend's lowering of a Section 4.2 skip lane).
+/// The level scanner (Definition 3.1, stop rule of Section 3.3) as a lazy
+/// producer of `(crd, ref)` token pairs.
 ///
-/// Produces exactly the `(crd, ref)` token pairs [`run_scanner`] would
-/// materialize, but lazily — and [`GallopScan::skip_to`] gallops the
-/// in-flight fiber cursor past every coordinate below a skip target without
-/// generating tokens for them. Dense levels jump in O(1), compressed levels
-/// binary-search, so a skewed intersection costs the short side's length
-/// (times a logarithm), not the long side's.
+/// Fused into an intersecter operand it is pulled pair by pair and nothing
+/// is stored; it tallies what it emits so the tokens are still counted
+/// where they are produced. When the operand has a Section 4.2 skip lane,
+/// [`GallopScan::skip_to`] gallops the in-flight fiber cursor past every
+/// coordinate below a skip target without generating tokens for them. Dense
+/// levels jump in O(1), compressed levels binary-search, so a skewed
+/// intersection costs the short side's length (times a logarithm), not the
+/// long side's. Without a skip lane nobody calls `skip_to` and every
+/// coordinate is visited.
 pub(crate) struct GallopScan<'a, S: Source> {
     level: &'a Level,
     input: S,
     state: GallopState,
+    /// Tokens emitted so far on both output streams, by class.
+    emitted: TokenCounts,
 }
 
 impl<'a, S: Source> GallopScan<'a, S> {
-    /// A fused scanner over `level`, pulling fiber references from `input`
-    /// (the stream that fed the standalone scanner node).
+    /// A scanner over `level`, pulling fiber references from `input` (the
+    /// scanner node's reference input stream).
     pub(crate) fn new(level: &'a Level, input: S) -> Self {
-        GallopScan { level, input, state: GallopState::Idle }
+        GallopScan { level, input, state: GallopState::Idle, emitted: TokenCounts::default() }
+    }
+
+    /// The tokens emitted so far on both output streams, by class — exactly
+    /// what classifying the two stored streams would have counted.
+    pub(crate) fn emitted(&self) -> TokenCounts {
+        self.emitted
     }
 
     /// Gallops the current fiber's cursor to the first entry whose
@@ -406,14 +392,17 @@ impl<'a, S: Source> GallopScan<'a, S> {
                         } else {
                             GallopState::Emitting { fiber, pos: pos + 1, len }
                         };
+                        self.emitted.crd += 1;
+                        self.emitted.refs += 1;
                         return Some((tok::crd(e.coord), tok::rf(e.child as u32)));
                     }
                     self.state = GallopState::NeedStop;
                 }
                 GallopState::NeedStop => {
                     self.state = GallopState::Idle;
+                    self.emitted.stop += 2;
                     // One-token lookahead upgrades the trailing stop when the
-                    // input closes outer fibers here (same as trailing_stop).
+                    // input closes outer fibers at the same point.
                     if let Some(Token::Stop(n)) = self.input.peek() {
                         self.input.next();
                         return Some((tok::stop(n + 1), tok::stop(n + 1)));
@@ -431,9 +420,13 @@ impl<'a, S: Source> GallopScan<'a, S> {
                         };
                     }
                     Token::Empty => self.state = GallopState::NeedStop,
-                    Token::Stop(n) => return Some((tok::stop(n + 1), tok::stop(n + 1))),
+                    Token::Stop(n) => {
+                        self.emitted.stop += 2;
+                        return Some((tok::stop(n + 1), tok::stop(n + 1)));
+                    }
                     Token::Done => {
                         self.state = GallopState::Finished;
+                        self.emitted.done += 2;
                         return Some((tok::done(), tok::done()));
                     }
                 },
@@ -443,42 +436,57 @@ impl<'a, S: Source> GallopScan<'a, S> {
     }
 }
 
-/// One operand of an intersecter: either finished crd/ref streams (no skip
-/// lane planned — fetching steps token by token) or a fused [`GallopScan`]
-/// that honors skip requests.
+/// One operand of an intersecter: either stored crd/ref streams (somebody
+/// else reads them too, so the scanner ran standalone) or the operand's
+/// scanner itself, fused.
 pub(crate) enum IntersectOperand<'a, S: Source> {
-    /// Plain streams; [`IntersectOperand::skip_to`] is a no-op.
+    /// Stored streams; fetching steps token by token.
     Streams {
         /// The operand's coordinate stream.
         crd: S,
         /// The operand's reference stream.
         rf: S,
     },
-    /// A fused, skip-enabled scanner.
-    Scan(GallopScan<'a, S>),
+    /// A fused scanner; `gallop` says whether the operand has a skip lane,
+    /// i.e. whether [`IntersectOperand::skip_to`] may move its cursor.
+    Scan {
+        /// The scanner, pulled pair by pair.
+        scan: GallopScan<'a, S>,
+        /// Whether skip requests are honored.
+        gallop: bool,
+    },
 }
 
 impl<S: Source> IntersectOperand<'_, S> {
     fn fetch(&mut self) -> Option<(SimToken, SimToken)> {
         match self {
             IntersectOperand::Streams { crd, rf } => fetch_pair(crd, rf),
-            IntersectOperand::Scan(scan) => scan.next_pair(),
+            IntersectOperand::Scan { scan, .. } => scan.next_pair(),
         }
     }
 
     fn skip_to(&mut self, target: u32) {
-        if let IntersectOperand::Scan(scan) = self {
+        if let IntersectOperand::Scan { scan, gallop: true } = self {
             scan.skip_to(target);
+        }
+    }
+
+    /// What a fused scanner emitted; `None` for stored streams, whose
+    /// tokens were counted when their producer ran.
+    pub(crate) fn emitted(&self) -> Option<TokenCounts> {
+        match self {
+            IntersectOperand::Streams { .. } => None,
+            IntersectOperand::Scan { scan, .. } => Some(scan.emitted()),
         }
     }
 }
 
 /// Intersecter transfer function (Definition 3.2): two-finger merge, with
-/// gallop-on-mismatch when an operand is a fused skip-enabled scanner
+/// gallop-on-mismatch when an operand is a fused scanner with a skip lane
 /// (Section 4.2).
 pub(crate) fn run_intersect<S: Source, K: Sink>(
-    mut a: IntersectOperand<'_, S>,
-    mut b: IntersectOperand<'_, S>,
+    a: &mut IntersectOperand<'_, S>,
+    b: &mut IntersectOperand<'_, S>,
     oc: &mut K,
     o0: &mut K,
     o1: &mut K,
@@ -499,8 +507,8 @@ pub(crate) fn run_intersect<S: Source, K: Sink>(
                     tb = b.fetch().ok_or_else(|| misaligned(label))?;
                 } else if ca < cb {
                     // The trailing side gallops straight to the coordinate
-                    // the leading side is waiting at (a no-op for plain
-                    // stream operands).
+                    // the leading side is waiting at (a no-op for operands
+                    // without a skip lane).
                     a.skip_to(cb);
                     ta = a.fetch().ok_or_else(|| misaligned(label))?;
                 } else {

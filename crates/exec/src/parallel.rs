@@ -1,10 +1,28 @@
-//! The work-stealing parallel fast-backend driver: data parallelism
-//! *within* nodes, not one thread per node.
+//! The one walk of the fast backend: nodes evaluate one at a time in
+//! topological order, a stream is stored only if somebody re-reads it, and
+//! — given a worker pool — long nodes run as stealable segments.
 //!
-//! One worker per planned node would bottleneck on the fattest node and
-//! pay channel synchronization on every hand-off. This driver instead
-//! keeps the serial driver's shape — nodes evaluate one at a time in
-//! topological order into materialized streams — and parallelizes the
+//! **Stored only if re-read.** A level scanner whose two streams feed one
+//! operand of one intersecter and nothing else ([`crate::plan::FusedScan`])
+//! is never evaluated: the intersecter pulls `(crd, ref)` pairs straight
+//! from a [`GallopScan`] over the storage level. With a skip lane the scan
+//! gallops on mismatch; without one it visits every coordinate. Tokens are
+//! counted *where they are produced*: a stored stream by its length when its
+//! producer finishes, a fused scanner by the tally its `GallopScan` keeps,
+//! credited to the scanner's node id — so `Execution::tokens` and the
+//! per-node `TokenCounts` are what they would be had every stream been
+//! stored. (A galloping scanner reports no tokens: the ones it skipped were
+//! never produced.) A fused scanner's time is part of its intersecter's.
+//!
+//! **Released at the last reader.** The driver owns a table of
+//! `Arc<Stream>` (`StreamTable`), hands tasks clones, and drops its handle
+//! the moment the last data reader of a stream has run; ports nobody reads
+//! are dropped as soon as they are counted. Peak memory is the live set,
+//! not the sum of all streams.
+//!
+//! **Data parallelism within nodes.** One worker per planned node would
+//! bottleneck on the fattest node and pay channel synchronization on every
+//! hand-off. With [`Parallelism::Threads`] the walk instead parallelizes the
 //! expensive step: a node whose input streams are long enough is *split at
 //! fiber boundaries* into independent segments ([`crate::split`]),
 //! evaluated as stealable tasks on a [`StealPool`], and concatenated.
@@ -12,38 +30,37 @@
 //! workers start immediately and per-task overhead amortizes; idle workers
 //! steal the oldest (largest-remaining) segments from their peers.
 //!
-//! Two properties keep this exactly serial-equivalent:
+//! Two properties keep a split run exactly serial-equivalent:
 //!
 //! * Cut legality is per operator kind ([`Plan::fiber_split`]); cuts land
 //!   only where the transfer function's state provably resets, so
 //!   concatenated segment outputs are bit-identical to one serial pass.
 //! * The merge step re-checks the contract (every segment consumed its
 //!   input exactly, synthesized dones came back out) and falls back to
-//!   inline serial evaluation of that node on any anomaly — so errors
-//!   (misaligned streams, bad references) reproduce the serial behavior.
+//!   inline evaluation of that node on any anomaly — so errors (misaligned
+//!   streams, bad references) reproduce the serial behavior.
 //!
-//! On hosts without real parallelism the driver is adaptive: requested
-//! workers are clamped to [`std::thread::available_parallelism`], and with
-//! one effective worker no pool is spun up and no streams are split — the
-//! run *is* the serial run, rather than a slower simulation of
-//! parallelism. Tests force splitting on any host through
-//! [`crate::FastBackend::with_split_threshold`].
+//! [`Parallelism::Serial`] is this walk with no pool. So is `Threads(n)` on
+//! a host without real parallelism: requested workers are clamped to
+//! [`std::thread::available_parallelism`], and with one effective worker no
+//! pool is spun up and no streams are split. Tests force splitting on any
+//! host through [`crate::FastBackend::with_split_threshold`].
 
 use crate::bind::Inputs;
 use crate::error::ExecError;
 use crate::node::{
     eval_node, run_intersect, scanner_level, GallopScan, IntersectOperand, NodeJob, SliceSource, WriterOutput,
 };
-use crate::plan::Plan;
+use crate::plan::{FusedScan, Plan, PortRef};
 use crate::split::{plan_cuts, SegSource, SplitPlan};
-use crate::steal::StealPool;
-use crate::{assemble_output, Execution};
-use sam_core::graph::NodeId;
+use crate::steal::{StealPool, WorkerStats};
+use crate::{assemble_output, Execution, Parallelism};
+use sam_core::graph::{NodeId, NodeKind};
 use sam_sim::SimToken;
 use sam_streams::Token;
 use sam_trace::{TokenCounts, TraceSink, WorkerProfile};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
@@ -56,17 +73,94 @@ struct SegOutcome {
     consumed: bool,
 }
 
-/// Work-stealing evaluation of `plan` using up to `threads` workers.
+/// One output port's stored stream and how many of its data readers have
+/// yet to run.
+struct Slot {
+    stream: Option<Arc<Stream>>,
+    readers: usize,
+}
+
+/// The driver-owned table of stored streams, per node and output port. The
+/// driving thread is the only writer; pool tasks get `Arc` clones, so the
+/// driver can drop its handle mid-run.
+struct StreamTable {
+    slots: Vec<Vec<Slot>>,
+}
+
+impl StreamTable {
+    /// An empty table sized for `plan`, with every port's data readers
+    /// counted from [`Plan::consumers_of`]. An intersecter's skip ports (3
+    /// and 4) stay silent in the fast backend, so the scanners' skip inputs
+    /// they feed are not readers.
+    fn new(plan: &Plan) -> Self {
+        let slots = plan
+            .graph()
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(node, kind)| {
+                let skip_from = if matches!(kind, NodeKind::Intersecter { .. }) { 3 } else { usize::MAX };
+                plan.consumers_of(NodeId(node))
+                    .iter()
+                    .enumerate()
+                    .map(|(port, consumers)| Slot {
+                        stream: None,
+                        readers: if port < skip_from { consumers.len() } else { 0 },
+                    })
+                    .collect()
+            })
+            .collect();
+        StreamTable { slots }
+    }
+
+    /// Takes ownership of `node`'s freshly produced streams, keeping the
+    /// ports somebody will read and dropping the rest at once.
+    fn store(&mut self, node: NodeId, outs: Vec<Stream>) {
+        for (slot, stream) in self.slots[node.0].iter_mut().zip(outs) {
+            if slot.readers > 0 {
+                slot.stream = Some(Arc::new(stream));
+            }
+        }
+    }
+
+    /// The stored stream behind `p`. Topological order guarantees the
+    /// producer ran; the reader count guarantees it is still held.
+    fn get(&self, p: PortRef) -> &Arc<Stream> {
+        self.slots[p.node.0][p.port].stream.as_ref().expect("stream stored until its last reader has run")
+    }
+
+    /// Records that one data reader of `p` has run; the last one frees it.
+    fn release(&mut self, p: PortRef) {
+        let slot = &mut self.slots[p.node.0][p.port];
+        slot.readers -= 1;
+        if slot.readers == 0 {
+            slot.stream = None;
+        }
+    }
+}
+
+/// Classifies one node's freshly produced streams.
+fn classify(outs: &[Stream]) -> TokenCounts {
+    let mut counts = TokenCounts::default();
+    for token in outs.iter().flatten() {
+        counts.record(token);
+    }
+    counts
+}
+
+/// Evaluates `plan` over `inputs`: the one walk behind both
+/// [`Parallelism`] settings of the fast backend.
 ///
 /// `split_threshold` is the minimum input-stream length (tokens) before a
-/// node's evaluation is split; `force_split` additionally skips the
-/// available-parallelism clamp so the splitting seams run (and are tested)
-/// even on single-core hosts.
+/// node's evaluation is split across the pool; `force_split` additionally
+/// skips the available-parallelism clamp so the splitting seams run (and
+/// are tested) even on single-core hosts. Neither matters to
+/// [`Parallelism::Serial`], which never has a pool.
 pub(crate) fn run_stealing(
     backend: &'static str,
     plan: &Plan,
     inputs: &Inputs,
-    threads: usize,
+    parallelism: Parallelism,
     split_threshold: usize,
     force_split: bool,
     trace: &dyn TraceSink,
@@ -74,20 +168,17 @@ pub(crate) fn run_stealing(
     let start = Instant::now();
     let tracing = trace.enabled();
     let nodes = plan.graph().nodes();
-    let n = nodes.len();
-    let requested = threads.max(1);
-    let hardware = thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-    let workers = if force_split { requested } else { requested.min(hardware) };
-    if workers == 1 && !force_split && !tracing {
-        // The clamp left one worker and nobody is watching the profile: a
-        // single-worker unsplit evaluation computes exactly what the serial
-        // driver computes, so delegate and pay zero scheduling overhead.
-        // This makes the bench gate's `parallel ≤ serial` invariant
-        // structural on single-core hosts instead of statistical. The
-        // traced path stays on the stealing driver so worker spans and
-        // counters still appear wherever a profile was requested.
-        return crate::fast::run_serial(backend, plan, inputs, trace);
-    }
+    let workers = match parallelism {
+        Parallelism::Serial => 1,
+        Parallelism::Threads(requested) if force_split => requested.max(1),
+        Parallelism::Threads(requested) => {
+            let hardware = thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
+            requested.clamp(1, hardware)
+        }
+    };
+    // A serial run has no workers to report; its spans sit on one track.
+    let threaded = parallelism != Parallelism::Serial;
+    let track = if threaded { "worker-0" } else { "serial" };
     let split_threshold = split_threshold.max(1);
     // ~3 segments per worker: enough imbalance slack for stealing to
     // matter, few enough that per-segment overhead stays negligible.
@@ -99,13 +190,13 @@ pub(crate) fn run_stealing(
         }
     }
 
-    // Every node's materialized output streams. Set once by the driving
-    // thread (in topological order, so producers are set before any
-    // consumer reads them) and read by pool tasks as shared `'env` slices.
-    let cells: Vec<OnceLock<Vec<Stream>>> = (0..n).map(|_| OnceLock::new()).collect();
     let pool = (workers > 1).then(|| StealPool::new(workers, tracing));
+    let mut streams = StreamTable::new(plan);
+    let mut tokens = 0u64;
     // Inline (unsplit) node evaluations run on the driving thread; fold
-    // them into worker 0's counters so the profile covers all work.
+    // them into worker 0's counters so the profile covers all work. Split
+    // nodes are not added here: the pool already timed every task of the
+    // batch, worker 0's included.
     let mut main_tasks = 0u64;
     let mut main_busy_ns = 0u64;
     let mut level_results: HashMap<usize, sam_tensor::level::CompressedLevel> = HashMap::new();
@@ -119,60 +210,62 @@ pub(crate) fn run_stealing(
         }
         let result = (|| -> Result<(), ExecError> {
             for &id in plan.order() {
-                let n_outs = nodes[id.0].output_ports().len();
-                if plan.is_skip_target(id) {
-                    // Fused into the downstream intersecter; streams stay
-                    // empty (validation guarantees nobody else reads them).
-                    let _ = cells[id.0].set(vec![Stream::new(); n_outs]);
+                if plan.fused_scan(id).is_some() {
+                    // Pulled by its intersecter; nothing to evaluate or store.
                     continue;
                 }
-                let node_start = Instant::now();
-                let label = plan.node_label(id);
-                let lanes = plan.skip_scanners(id);
+                let n_outs = plan.consumers_of(id).len();
+                let node_start = tracing.then(Instant::now);
+                let lanes = plan.fused_operands(id);
+                let mut inline = true;
                 let outs: Vec<Stream> = if lanes.iter().any(Option::is_some) {
                     let mut outs = vec![Stream::new(); n_outs];
-                    let operand = |o: usize| -> IntersectOperand<'_, SliceSource<'_>> {
-                        let src = |p: crate::plan::PortRef| {
-                            SliceSource::new(&cells[p.node.0].get().expect("topo order")[p.port])
-                        };
-                        match lanes[o] {
-                            Some(scanner) => {
-                                let input = src(plan.inputs_of(scanner)[0].expect("scanner ref input"));
-                                IntersectOperand::Scan(GallopScan::new(
-                                    scanner_level(plan, inputs, scanner),
-                                    input,
-                                ))
-                            }
-                            None => IntersectOperand::Streams {
-                                crd: src(plan.inputs_of(id)[o].expect("bound crd port")),
-                                rf: src(plan.inputs_of(id)[2 + o].expect("bound ref port")),
-                            },
-                        }
+                    let src = |p: Option<PortRef>| SliceSource::new(streams.get(p.expect("bound data port")));
+                    let operand = |o: usize| match lanes[o] {
+                        Some(f) => IntersectOperand::Scan {
+                            scan: GallopScan::new(
+                                scanner_level(plan, inputs, f.scanner),
+                                src(plan.inputs_of(f.scanner)[0]),
+                            ),
+                            gallop: f.gallop,
+                        },
+                        None => IntersectOperand::Streams {
+                            crd: src(plan.inputs_of(id)[o]),
+                            rf: src(plan.inputs_of(id)[2 + o]),
+                        },
                     };
-                    let (a, b) = (operand(0), operand(1));
+                    let (mut a, mut b) = (operand(0), operand(1));
                     let [oc, o0, o1, ..] = &mut outs[..] else {
                         unreachable!("intersecter has five outputs")
                     };
-                    run_intersect(a, b, oc, o0, o1, &label)?;
-                    main_tasks += 1;
+                    run_intersect(&mut a, &mut b, oc, o0, o1, &plan.node_label(id))?;
+                    for (lane, operand) in lanes.iter().zip([&a, &b]) {
+                        // Counted where produced, credited to the scanner.
+                        // A galloping scanner keeps reporting nothing.
+                        if let (Some(FusedScan { scanner, gallop: false, .. }), Some(counts)) =
+                            (lane, operand.emitted())
+                        {
+                            tokens += counts.total();
+                            if tracing {
+                                trace.record_tokens(scanner.0, counts);
+                            }
+                        }
+                    }
                     outs
                 } else {
-                    let ins: Vec<&[SimToken]> = plan
-                        .inputs_of(id)
-                        .iter()
-                        .flatten()
-                        .map(|p| cells[p.node.0].get().expect("topo order")[p.port].as_slice())
-                        .collect();
+                    let ins: Vec<Arc<Stream>> =
+                        plan.inputs_of(id).iter().flatten().map(|&p| Arc::clone(streams.get(p))).collect();
                     let longest = ins.iter().map(|s| s.len()).max().unwrap_or(0);
                     let split = pool.as_ref().filter(|_| longest >= split_threshold).and_then(|pool| {
-                        let kind = plan.fiber_split(id);
-                        let sp = plan_cuts(kind, &ins, segments_target)?;
+                        let slices: Vec<&[SimToken]> = ins.iter().map(|s| s.as_slice()).collect();
+                        let sp = plan_cuts(plan.fiber_split(id), &slices, segments_target)?;
                         Some((pool, Arc::new(sp)))
                     });
                     match split {
-                        Some((pool, sp)) => run_split_node(
-                            plan, inputs, id, &label, &ins, n_outs, pool, &sp, trace, tracing, start,
-                        )?,
+                        Some((pool, sp)) => {
+                            inline = false;
+                            run_split_node(plan, inputs, id, &ins, n_outs, pool, &sp, trace, tracing, start)?
+                        }
                         None => {
                             let job = NodeJob::build(plan, inputs, id);
                             let mut srcs: Vec<SliceSource<'_>> =
@@ -185,20 +278,33 @@ pub(crate) fn run_stealing(
                                 Some(WriterOutput::Vals(vals)) => vals_result = Some(vals),
                                 None => {}
                             }
-                            main_tasks += 1;
                             outs
                         }
                     }
                 };
-                if tracing {
+                if let Some(node_start) = node_start {
                     let elapsed_ns = node_start.elapsed().as_nanos() as u64;
                     let start_ns = (node_start - start).as_nanos() as u64;
-                    main_busy_ns += elapsed_ns;
+                    if inline {
+                        main_tasks += 1;
+                        main_busy_ns += elapsed_ns;
+                    }
                     trace.record_invocations(id.0, 1);
                     trace.record_node_wall(id.0, elapsed_ns);
-                    trace.record_span("worker-0", &label, start_ns, elapsed_ns);
+                    trace.record_span(track, &plan.node_label(id), start_ns, elapsed_ns);
+                    trace.record_tokens(id.0, classify(&outs));
                 }
-                let _ = cells[id.0].set(outs);
+                tokens += outs.iter().map(|s| s.len() as u64).sum::<u64>();
+                streams.store(id, outs);
+                // This node was one reader of each of its inputs; an operand
+                // with a fused scanner read the scanner's input in its place
+                // (the scanner's own streams were never stored).
+                for &p in plan.inputs_of(id).iter().flatten() {
+                    streams.release(p);
+                }
+                for lane in lanes.iter().flatten() {
+                    streams.release(plan.inputs_of(lane.scanner)[0].expect("bound data port"));
+                }
             }
             Ok(())
         })();
@@ -209,38 +315,16 @@ pub(crate) fn run_stealing(
     });
     outcome?;
 
-    if tracing {
-        // Classify every node's materialized streams — identical to the
-        // serial driver, so per-node counts are scheduling-independent.
-        for (node, cell) in cells.iter().enumerate() {
-            let outs = cell.get().expect("all nodes evaluated");
-            let mut counts = TokenCounts::default();
-            for stream in outs {
-                for token in stream {
-                    counts.record(token);
-                }
-            }
-            trace.record_tokens(node, counts);
-        }
-        match &pool {
-            Some(pool) => {
-                for (w, s) in pool.stats().into_iter().enumerate() {
-                    let (tasks, busy_ns) = if w == 0 {
-                        (s.tasks + main_tasks, s.busy_ns + main_busy_ns)
-                    } else {
-                        (s.tasks, s.busy_ns)
-                    };
-                    trace.record_worker(WorkerProfile { index: w, tasks, steals: s.steals, busy_ns });
-                }
-            }
-            None => {
-                trace.record_worker(WorkerProfile {
-                    index: 0,
-                    tasks: main_tasks,
-                    steals: 0,
-                    busy_ns: main_busy_ns,
-                });
-            }
+    if tracing && threaded {
+        let stats = pool.as_ref().map_or_else(|| vec![WorkerStats::default()], StealPool::stats);
+        for (index, s) in stats.into_iter().enumerate() {
+            let (main_tasks, main_busy_ns) = if index == 0 { (main_tasks, main_busy_ns) } else { (0, 0) };
+            trace.record_worker(WorkerProfile {
+                index,
+                tasks: s.tasks + main_tasks,
+                steals: s.steals,
+                busy_ns: s.busy_ns + main_busy_ns,
+            });
         }
     }
 
@@ -251,7 +335,6 @@ pub(crate) fn run_stealing(
         .collect::<Result<_, _>>()?;
     let vals =
         vals_result.ok_or(ExecError::IncompleteOutput { label: plan.node_label(plan.vals_writer()) })?;
-    let tokens: u64 = cells.iter().filter_map(OnceLock::get).flatten().map(|s| s.len() as u64).sum();
     let output = assemble_output(plan, levels, &vals)?;
 
     Ok(Execution {
@@ -259,7 +342,9 @@ pub(crate) fn run_stealing(
         output,
         vals,
         cycles: None,
-        blocks: n,
+        blocks: nodes.len(),
+        // The planned channel count, so the metric is comparable across
+        // Parallelism settings.
         channels: plan.channels().len(),
         tokens,
         memory: None,
@@ -270,14 +355,14 @@ pub(crate) fn run_stealing(
 
 /// Evaluates one node split into segments on the pool, merging the segment
 /// outputs back into whole streams. Falls back to inline serial evaluation
-/// when any segment reports an anomaly.
+/// when any segment reports an anomaly. Every task holds its own handles on
+/// the input streams, so none of them borrows from the driver's table.
 #[allow(clippy::too_many_arguments)]
 fn run_split_node<'env>(
     plan: &'env Plan,
     inputs: &'env Inputs,
     id: NodeId,
-    label: &str,
-    ins: &[&'env [SimToken]],
+    ins: &[Arc<Stream>],
     n_outs: usize,
     pool: &StealPool<'env>,
     sp: &Arc<SplitPlan>,
@@ -292,8 +377,7 @@ fn run_split_node<'env>(
         .map(|s| {
             let slots = Arc::clone(&slots);
             let sp = Arc::clone(sp);
-            let ins: Vec<&'env [SimToken]> = ins.to_vec();
-            let label = label.to_string();
+            let ins: Vec<Arc<Stream>> = ins.to_vec();
             Box::new(move |w: usize| {
                 let job = NodeJob::build(plan, inputs, id);
                 let mut srcs: Vec<SegSource<'_>> = ins
@@ -311,6 +395,7 @@ fn run_split_node<'env>(
                 if let Some(seg_start) = seg_start {
                     let elapsed_ns = seg_start.elapsed().as_nanos() as u64;
                     let start_ns = (seg_start - start).as_nanos() as u64;
+                    let label = plan.node_label(id);
                     trace.record_span(&format!("worker-{w}"), &format!("{label}[{s}]"), start_ns, elapsed_ns);
                 }
                 *slots[s].lock().expect("segment slot") =
@@ -362,5 +447,52 @@ fn run_split_node<'env>(
             eval_node(&job, &mut srcs, &mut outs)?;
             Ok(outs)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sam_sim::payload::tok;
+    use sam_tensor::{synth, TensorFormat};
+
+    #[test]
+    fn a_stream_with_two_readers_survives_until_the_second_has_run() {
+        // SpMV forks B's row coordinates to a repeater and to the writer;
+        // the row scanner's references have one reader, the column scanner.
+        let graph = sam_core::graphs::spmv();
+        let inputs = Inputs::new()
+            .coo("B", &synth::random_matrix_sparsity(10, 8, 0.8, 3), TensorFormat::dcsr())
+            .coo("c", &synth::random_vector(8, 8, 4), TensorFormat::dense_vec());
+        let plan = Plan::build(&graph, &inputs).unwrap();
+        let scanner = *plan
+            .order()
+            .iter()
+            .find(|id| matches!(graph.nodes()[id.0], NodeKind::LevelScanner { .. }))
+            .expect("spmv scans B");
+        let (crd, rf) = (PortRef { node: scanner, port: 0 }, PortRef { node: scanner, port: 1 });
+        assert_eq!(plan.consumers_of(scanner)[0].len(), 2);
+
+        let mut streams = StreamTable::new(&plan);
+        streams.store(scanner, vec![vec![tok::crd(1), tok::done()], vec![tok::rf(0), tok::done()]]);
+        streams.release(rf);
+        assert!(streams.slots[scanner.0][1].stream.is_none(), "sole reader ran: freed");
+        streams.release(crd);
+        assert_eq!(streams.get(crd).len(), 2, "one of two readers ran: still stored");
+        streams.release(crd);
+        assert!(streams.slots[scanner.0][0].stream.is_none(), "last reader ran: freed");
+
+        // A port nobody reads is never stored: an intersecter's silent skip
+        // ports feed only skip inputs, which are not readers.
+        let skip = sam_core::graphs::spmv_with_skip();
+        let inputs = Inputs::new()
+            .coo("B", &synth::random_matrix_sparsity(10, 8, 0.8, 3), TensorFormat::dcsr())
+            .coo("c", &synth::random_vector(8, 3, 4), TensorFormat::sparse_vec());
+        let plan = Plan::build(&skip, &inputs).unwrap();
+        let isect = plan.skip_specs()[0].intersecter;
+        let mut streams = StreamTable::new(&plan);
+        streams.store(isect, vec![vec![tok::done()]; 5]);
+        assert!(streams.slots[isect.0][3].stream.is_none() && streams.slots[isect.0][4].stream.is_none());
+        assert!(streams.slots[isect.0][1].stream.is_some());
     }
 }

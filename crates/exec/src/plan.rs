@@ -12,7 +12,10 @@
 //!    the labels of the stuck nodes.
 //! 4. **Fan-out planning** — output ports feeding several consumers are
 //!    recorded so backends can insert stream forks (the `Fork` block that
-//!    hand-wired kernels place manually).
+//!    hand-wired kernels place manually). Skip feedback lanes are validated
+//!    here, and every level scanner whose two streams feed one operand of
+//!    one intersecter and nothing else is recorded as a [`FusedScan`]: the
+//!    fast backend stores a stream only if somebody re-reads it.
 //! 5. **Tensor binding** — reference streams are traced from the roots so
 //!    every scanner/locator knows which storage level of which bound tensor
 //!    it reads, output dimensions are inferred per index variable, and the
@@ -51,13 +54,37 @@ pub struct SkipSpec {
     pub scanner: NodeId,
 }
 
+/// A level scanner the fast backend never evaluates standalone: its
+/// coordinate port and its reference port each have exactly one consumer,
+/// and both consumers are the same operand of one intersecter. Nobody else
+/// can observe the scanner's streams, so the intersecter pulls `(crd, ref)`
+/// pairs straight from the storage level and the streams are never stored.
+///
+/// Every validated [`SkipSpec`] target passes this test by construction and
+/// is fused with `gallop: true`; every other scanner that passes it is fused
+/// with `gallop: false`, which visits (and counts) every coordinate exactly
+/// as the standalone scanner would.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FusedScan {
+    /// The fused level scanner.
+    pub scanner: NodeId,
+    /// The intersecter that pulls from it.
+    pub intersecter: NodeId,
+    /// Which operand (0 or 1) of the intersecter the scanner feeds.
+    pub operand: usize,
+    /// Whether a skip lane lets the intersecter gallop the scanner past
+    /// coordinates it cannot match (Section 4.2). Galloped-over tokens are
+    /// never produced, so a galloping scanner reports no tokens.
+    pub gallop: bool,
+}
+
 /// One planned point-to-point stream channel.
 ///
 /// The planner emits exactly one channel per (producer port, consumer
 /// port) pair; an output port with several consumers appears in several
 /// channels — that is the planner's fork, which the cycle backend
 /// materializes as a `Fork` block and the fast backend as several readers
-/// of one materialized stream.
+/// of one stored stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelSpec {
     /// The producing endpoint.
@@ -76,7 +103,8 @@ pub struct ChannelSpec {
 /// outputs reproduces the serial output bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FiberSplit {
-    /// Never split: state spans fiber boundaries, or streams are skip-fused.
+    /// Never split: state spans fiber boundaries, or an operand is a fused
+    /// scanner whose streams are never stored.
     No,
     /// Single-input elementwise (array loads, constant sources): cut at any
     /// position.
@@ -122,6 +150,9 @@ pub struct Plan {
     channels: Vec<ChannelSpec>,
     /// Validated coordinate-skip feedback lanes.
     skip_specs: Vec<SkipSpec>,
+    /// Per node: the fusion of a level scanner into the intersecter operand
+    /// it feeds, `None` for every node the fast backend evaluates itself.
+    fused: Vec<Option<FusedScan>>,
     /// Per node: storage level read by scanners and locators.
     scan_levels: Vec<usize>,
     /// Per node: output dimension of level writers.
@@ -291,6 +322,7 @@ impl Plan {
         // the pair into one galloping work unit (and keeps the cycle
         // backend's skip channels free of fork ambiguity).
         let mut skip_specs: Vec<SkipSpec> = Vec::new();
+        let mut gallops = vec![false; n];
         for e in &skip_edges {
             let bad =
                 |reason: &str| PlanError::BadSkipEdge { edge: e.label.clone(), reason: reason.to_string() };
@@ -332,7 +364,39 @@ impl Plan {
             }
             consumers[e.from.0][3 + operand].push((scanner, 1));
             skip_specs.push(SkipSpec { intersecter: e.from, operand, scanner });
+            gallops[scanner.0] = true;
         }
+
+        // Phase 4c: scanner fusion. The structural test phase 4b applies to
+        // skip targets, applied to every level scanner: both output ports
+        // have one consumer, and the two consumers are the crd and ref
+        // inputs of one operand of one intersecter.
+        let fused: Vec<Option<FusedScan>> = (0..n)
+            .map(|s| {
+                if !matches!(nodes[s], NodeKind::LevelScanner { .. }) {
+                    return None;
+                }
+                let ([(crd_to, operand)], [(ref_to, ref_slot)]) =
+                    (&consumers[s][0][..], &consumers[s][1][..])
+                else {
+                    return None;
+                };
+                let fusable = crd_to == ref_to
+                    && matches!(nodes[crd_to.0], NodeKind::Intersecter { .. })
+                    && *operand < 2
+                    && *ref_slot == 2 + operand;
+                fusable.then_some(FusedScan {
+                    scanner: NodeId(s),
+                    intersecter: *crd_to,
+                    operand: *operand,
+                    gallop: gallops[s],
+                })
+            })
+            .collect();
+        debug_assert!(
+            skip_specs.iter().all(|s| fused[s.scanner.0].is_some_and(|f| f.gallop)),
+            "every validated skip target is fusable"
+        );
 
         let channels: Vec<ChannelSpec> = consumers
             .iter()
@@ -547,6 +611,7 @@ impl Plan {
             consumers,
             channels,
             skip_specs,
+            fused,
             scan_levels,
             writer_dims,
             alu_ops,
@@ -610,9 +675,9 @@ impl Plan {
     /// `split` module; [`FiberSplit::No`] covers operators whose state
     /// spans fiber boundaries (order-2 reducers flush only at `Done`,
     /// coordinate droppers buffer across their merge) and every node
-    /// involved in skip fusion, whose streams are never materialized.
+    /// involved in scanner fusion, whose streams are never stored.
     pub(crate) fn fiber_split(&self, node: NodeId) -> FiberSplit {
-        if self.is_skip_target(node) || self.skip_scanners(node).iter().any(Option::is_some) {
+        if self.fused_scan(node).is_some() || self.fused_operands(node).iter().any(Option::is_some) {
             return FiberSplit::No;
         }
         match &self.graph.nodes()[node.0] {
@@ -630,22 +695,22 @@ impl Plan {
         }
     }
 
-    /// For an intersecter: the skip-target scanner of each operand, when a
-    /// skip lane is wired. `[None, None]` for any other node.
-    pub fn skip_scanners(&self, node: NodeId) -> [Option<NodeId>; 2] {
-        let mut lanes = [None, None];
-        for s in &self.skip_specs {
-            if s.intersecter == node {
-                lanes[s.operand] = Some(s.scanner);
-            }
-        }
-        lanes
+    /// The fusion of `node` into the intersecter it feeds, when `node` is a
+    /// level scanner that passes the structural test (see [`FusedScan`]).
+    /// The fast backend skips such a node; a skip target is one with
+    /// `gallop` set.
+    pub fn fused_scan(&self, node: NodeId) -> Option<FusedScan> {
+        self.fused[node.0]
     }
 
-    /// Whether `node` is a skip-target scanner — one the fast backend fuses
-    /// into its downstream intersecter instead of evaluating standalone.
-    pub fn is_skip_target(&self, node: NodeId) -> bool {
-        self.skip_specs.iter().any(|s| s.scanner == node)
+    /// For an intersecter: the scanner fused into each operand, if any.
+    /// `[None, None]` for any other node. The cycle backend lowers the
+    /// `gallop` ones onto the block's skip channels.
+    pub fn fused_operands(&self, node: NodeId) -> [Option<FusedScan>; 2] {
+        [0, 1].map(|operand| {
+            let crd = self.node_inputs[node.0].get(operand).copied().flatten()?;
+            self.fused[crd.node.0].filter(|f| f.intersecter == node && f.operand == operand)
+        })
     }
 
     /// The storage level a scanner or locator reads.

@@ -1,6 +1,6 @@
 //! Fiber-boundary stream splitting for the work-stealing fast backend.
 //!
-//! Given a node's fully materialized input streams and its
+//! Given a node's stored input streams and its
 //! [`FiberSplit`](crate::plan::FiberSplit) legality class, this module
 //! plans a set of *cuts* — per-input token indices — that partition the
 //! streams into segments the node's transfer function can evaluate
@@ -52,7 +52,7 @@ use sam_sim::SimToken;
 use sam_streams::fiber;
 use sam_streams::Token;
 
-/// A [`Source`] over one segment of a materialized stream, optionally
+/// A [`Source`] over one segment of a stored stream, optionally
 /// ending in a synthetic done token.
 pub(crate) struct SegSource<'a> {
     tokens: &'a [SimToken],

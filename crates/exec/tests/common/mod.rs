@@ -1,0 +1,57 @@
+//! Shared by the suites that check scanner fusion is invisible to the
+//! per-node statistics.
+
+use sam_core::graph::SamGraph;
+use sam_exec::{
+    CountersSink, CycleBackend, ExecError, Executor, FastBackend, FusedScan, Inputs, Plan, TiledBackend,
+    TokenCounts,
+};
+
+/// Per-node token counts of one traced run, indexed by node.
+fn node_counts(backend: &dyn Executor, plan: &Plan, inputs: &Inputs) -> Result<Vec<TokenCounts>, ExecError> {
+    let sink = CountersSink::new();
+    let profile = backend.run_traced(plan, inputs, &sink)?.profile.expect("traced runs attach a profile");
+    let mut counts = vec![TokenCounts::default(); plan.graph().len()];
+    for node in &profile.nodes {
+        counts[node.index] = node.tokens;
+    }
+    Ok(counts)
+}
+
+/// Every scanner fused without a skip lane is tallied, not stored — and the
+/// tally must be what the cycle backend, which runs the scanner as its own
+/// block over real channels, counts for the same node. Checked on the
+/// serial walk, under forced splitting, and through the tiled backend with
+/// one tile covering every operand (more tiles would repeat the control
+/// tokens per tile). Returns how many scanners were checked.
+pub fn assert_fused_scanner_counts_match_cycle(name: &str, graph: &SamGraph, inputs: &Inputs) -> usize {
+    let plan = Plan::build(graph, inputs).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let fused: Vec<FusedScan> =
+        plan.order().iter().filter_map(|&id| plan.fused_scan(id)).filter(|f| !f.gallop).collect();
+    let cycle = node_counts(&CycleBackend::default(), &plan, inputs)
+        .unwrap_or_else(|e| panic!("{name}: cycle run failed: {e}"));
+    let backends: [(&str, &dyn Executor); 3] = [
+        ("fast-serial", &FastBackend::serial()),
+        ("fast-threads, forced split", &FastBackend::threads(4).with_split_threshold(1)),
+        ("tiled, one tile", &TiledBackend::with_tile(1 << 20)),
+    ];
+    for (what, backend) in backends {
+        let counts = match node_counts(backend, &plan, inputs) {
+            Ok(counts) => counts,
+            // Not every graph has a tile schedule.
+            Err(ExecError::TilingUnsupported { .. }) => continue,
+            Err(e) => panic!("{name}: {what} failed: {e}"),
+        };
+        for f in &fused {
+            assert!(cycle[f.scanner.0].total() > 0, "{name}: the cycle backend saw n{} idle", f.scanner.0);
+            assert_eq!(
+                counts[f.scanner.0],
+                cycle[f.scanner.0],
+                "{name}: fused scanner n{} ({}) on {what} disagrees with the cycle backend",
+                f.scanner.0,
+                plan.node_label(f.scanner)
+            );
+        }
+    }
+    fused.len()
+}

@@ -7,7 +7,7 @@
 use sam_core::graph::SamGraph;
 use sam_core::graphs;
 use sam_core::kernels::spmm::SpmmDataflow;
-use sam_exec::{CycleBackend, ExecRequest, FastBackend, Inputs};
+use sam_exec::{CycleBackend, ExecRequest, Executor, FastBackend, Inputs, Plan, TiledBackend};
 use sam_tensor::expr::{table1, Assignment};
 use sam_tensor::reference::Environment;
 use sam_tensor::{synth, TensorFormat};
@@ -183,6 +183,69 @@ fn parallel_errors_match_serial_errors() {
     };
     assert_eq!(serial_label, parallel_label);
     assert!(serial_label.contains("reduce"), "error should name the reducer, was `{serial_label}`");
+}
+
+/// Inputs that push a fused scanner through its corner states — no stored
+/// entries at all, empty fibers between full ones, a `Dense` level — give
+/// the same output and raw values on all four backends, and one token
+/// total on the three that share the walk.
+#[test]
+fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
+    use custard::{lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
+    use sam_tensor::CooTensor;
+
+    let m = synth::random_matrix_sparsity(24, 18, 0.85, 303);
+    let sv = synth::random_vector(18, 6, 305);
+    // CSR keeps every row, so most of this matrix's column fibers are empty.
+    let hollow = synth::random_matrix_nnz(40, 18, 9, 306);
+    let csr = Formats::new().set("B", TensorFormat::csr());
+    let spmv = parse("x(i) = B(i,j) * c(j)").unwrap();
+    let compiled = lower_exec(&ConcreteIndexNotation::new(spmv, &Schedule::new(), csr)).unwrap();
+    let vb = synth::random_vector(64, 64, 307);
+    let vc = synth::random_vector(64, 20, 308);
+
+    let cases: Vec<(&str, SamGraph, Inputs)> = vec![
+        (
+            "an operand with zero stored entries",
+            graphs::spmv_coiteration(),
+            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo(
+                "c",
+                &CooTensor::new(vec![18]),
+                TensorFormat::sparse_vec(),
+            ),
+        ),
+        (
+            "empty fibers",
+            compiled.graph,
+            Inputs::new().coo("B", &hollow, TensorFormat::csr()).coo("c", &sv, TensorFormat::sparse_vec()),
+        ),
+        (
+            "a dense level",
+            graphs::vec_elem_mul(false),
+            Inputs::new().coo("b", &vb, TensorFormat::dense_vec()).coo("c", &vc, TensorFormat::dense_vec()),
+        ),
+    ];
+    for (what, graph, inputs) in cases {
+        let plan = Plan::build(&graph, &inputs).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let fused = plan.order().iter().filter_map(|&id| plan.fused_scan(id)).filter(|f| !f.gallop).count();
+        assert_eq!(fused, 2, "{what}: both operands of the intersection should be fused scanners");
+        let cycle = CycleBackend::default().run(&plan, &inputs).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let backends: [&dyn Executor; 3] = [
+            &FastBackend::serial(),
+            &FastBackend::threads(3).with_split_threshold(1),
+            &TiledBackend::with_tile(1 << 20),
+        ];
+        let mut tokens = None;
+        for backend in backends {
+            let run = backend
+                .run(&plan, &inputs)
+                .unwrap_or_else(|e| panic!("{what}: `{}` failed: {e}", backend.name()));
+            assert_eq!(run.output, cycle.output, "{what}: `{}` output diverged", backend.name());
+            assert_eq!(run.vals, cycle.vals, "{what}: `{}` raw values diverged", backend.name());
+            // One tile covers every operand, so the tiled run is one walk.
+            assert_eq!(*tokens.get_or_insert(run.tokens), run.tokens, "{what}: `{}` tokens", backend.name());
+        }
+    }
 }
 
 /// The skip-enabled twins of the catalog kernels: `(skip-free graph,

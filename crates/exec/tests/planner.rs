@@ -1,7 +1,7 @@
-//! Planner validation: channel allocation, fork insertion, cycle detection
-//! and binding errors.
+//! Planner validation: channel allocation, fork insertion, scanner fusion,
+//! cycle detection and binding errors.
 
-use sam_core::build::GraphBuilder;
+use sam_core::build::{GraphBuilder, Port};
 use sam_core::graph::{NodeKind, PortKind, SamGraph, StreamKind};
 use sam_core::graphs;
 use sam_exec::{CycleBackend, ExecRequest, FastBackend, Inputs, Plan, PlanError};
@@ -219,12 +219,105 @@ fn skip_lanes_are_planned_for_skip_graphs() {
     let plan = Plan::build(&graph, &inputs).unwrap();
     assert_eq!(plan.skip_specs().len(), 2);
     for spec in plan.skip_specs() {
-        assert!(plan.is_skip_target(spec.scanner));
-        assert_eq!(plan.skip_scanners(spec.intersecter)[spec.operand], Some(spec.scanner));
+        let fused = plan.fused_scan(spec.scanner).expect("a skip target is fused");
+        assert!(fused.gallop);
+        assert_eq!((fused.intersecter, fused.operand), (spec.intersecter, spec.operand));
+        assert_eq!(plan.fused_operands(spec.intersecter)[spec.operand], Some(fused));
     }
     // The skip lanes ride in the channel topology (one channel per edge,
     // feedback included).
     assert_eq!(plan.channels().len(), graph.edges().len());
+}
+
+/// `x(i) = b(i) <merge> c(i)` with the scanners and the merge exposed, so
+/// each fusion case can rewire one thing. Returns the graph builder, the
+/// two scanners' `(crd, ref)` ports and nothing else wired.
+fn two_scanners() -> (GraphBuilder, [(Port, Port); 2]) {
+    let mut g = GraphBuilder::new("fusion case");
+    let rb = g.root("b");
+    let rc = g.root("c");
+    let b = g.scan("b", 'i', true, rb);
+    let c = g.scan("c", 'i', true, rc);
+    (g, [b, c])
+}
+
+/// Finishes a fusion case: value arrays, a multiply and the writers behind
+/// the merge's outputs.
+fn finish_merge(mut g: GraphBuilder, crd: Port, refs: [Port; 2]) -> SamGraph {
+    let bv = g.array("b", refs[0]);
+    let cv = g.array("c", refs[1]);
+    let prod = g.alu("mul", bv, cv);
+    g.write_level("x", 'i', crd);
+    g.write_vals("x", prod);
+    g.finish()
+}
+
+#[test]
+fn scanners_feeding_one_intersecter_operand_are_fused_without_galloping() {
+    let (mut g, [b, c]) = two_scanners();
+    let (crd, refs) = g.intersect('i', [b.0, c.0], [b.1, c.1]);
+    let plan = Plan::build(&finish_merge(g, crd, refs), &vec_inputs(64)).unwrap();
+    let lanes = plan.fused_operands(crd.node);
+    for (operand, scanner) in [b.0.node, c.0.node].into_iter().enumerate() {
+        let fused = plan.fused_scan(scanner).expect("both operands are fusable");
+        assert_eq!((fused.scanner, fused.intersecter, fused.operand), (scanner, crd.node, operand));
+        assert!(!fused.gallop, "no skip lane, no galloping");
+        assert_eq!(lanes[operand], Some(fused));
+    }
+    assert!(plan.skip_specs().is_empty());
+    // Only scanners are ever fused, and only intersecters have fused operands.
+    assert_eq!(plan.order().iter().filter(|&&id| plan.fused_scan(id).is_some()).count(), 2);
+    assert_eq!(plan.fused_operands(b.0.node), [None, None]);
+}
+
+#[test]
+fn a_forked_coordinate_port_is_not_fused() {
+    // A second writer taps b's coordinates: the stream has two readers and
+    // must be stored. c's scanner is untouched and still fuses.
+    let (mut g, [b, c]) = two_scanners();
+    let (crd, refs) = g.intersect('i', [b.0, c.0], [b.1, c.1]);
+    g.write_level("y", 'i', b.0);
+    let graph = finish_merge(g, crd, refs);
+    let inputs = vec_inputs(64);
+    let plan = Plan::build(&graph, &inputs).unwrap();
+    assert_eq!(plan.fused_scan(b.0.node), None);
+    let fused_c = plan.fused_scan(c.0.node).expect("c still feeds only the intersecter");
+    assert_eq!(plan.fused_operands(crd.node), [None, Some(fused_c)]);
+    // One stored operand beside one fused operand computes the same thing.
+    let mixed = ExecRequest::new(&graph, &inputs).run().unwrap();
+    let cycle = ExecRequest::new(&graph, &inputs).executor(&CycleBackend::default()).run().unwrap();
+    assert_eq!(mixed.output, cycle.output);
+    assert_eq!(mixed.vals, cycle.vals);
+}
+
+#[test]
+fn coordinates_and_references_from_different_scanners_are_not_fused() {
+    // Operand 0 takes its coordinates from one scan of b and its references
+    // from a second one: neither scanner feeds the operand alone. Their
+    // other ports dangle, which the walk drops as soon as they are counted.
+    let (mut g, [b, c]) = two_scanners();
+    let rb2 = g.root("b");
+    let b2 = g.scan("b", 'i', true, rb2);
+    let (crd, refs) = g.intersect('i', [b.0, c.0], [b2.1, c.1]);
+    let graph = finish_merge(g, crd, refs);
+    let inputs = vec_inputs(64);
+    let plan = Plan::build(&graph, &inputs).unwrap();
+    assert_eq!(plan.fused_scan(b.0.node), None);
+    assert_eq!(plan.fused_scan(b2.0.node), None);
+    assert!(plan.fused_operands(crd.node)[0].is_none() && plan.fused_operands(crd.node)[1].is_some());
+    let split = ExecRequest::new(&graph, &inputs).run().unwrap();
+    let whole = ExecRequest::new(&graphs::vec_elem_mul(true), &inputs).run().unwrap();
+    assert_eq!(split.output, whole.output);
+}
+
+#[test]
+fn a_unioner_is_not_fused() {
+    let (mut g, [b, c]) = two_scanners();
+    let (crd, refs) = g.union('i', [b.0, c.0], [b.1, c.1]);
+    let plan = Plan::build(&finish_merge(g, crd, refs), &vec_inputs(64)).unwrap();
+    assert_eq!(plan.fused_scan(b.0.node), None);
+    assert_eq!(plan.fused_scan(c.0.node), None);
+    assert_eq!(plan.fused_operands(crd.node), [None, None]);
 }
 
 #[test]

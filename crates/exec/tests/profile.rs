@@ -1,8 +1,11 @@
 //! Observability invariants: per-node token counts from [`CountersSink`]
 //! are bit-identical between the serial and threaded fast backends for
 //! every kernel in the catalog, per-node totals add up to
-//! [`Execution::tokens`] on all four backends, and traces carry the
-//! human-readable node labels the builder attached.
+//! [`Execution::tokens`] on all four backends, scanners fused into their
+//! intersecter report the counts the cycle backend measures for them, and
+//! traces carry the human-readable node labels the builder attached.
+
+mod common;
 
 use sam_core::graph::SamGraph;
 use sam_core::graphs;
@@ -28,6 +31,10 @@ fn catalog() -> Vec<(SamGraph, Inputs)> {
         (
             graphs::vec_elem_mul(true),
             Inputs::new().coo("b", &vb, TensorFormat::sparse_vec()).coo("c", &vc, TensorFormat::sparse_vec()),
+        ),
+        (
+            graphs::vec_elem_mul(false),
+            Inputs::new().coo("b", &vb, TensorFormat::dense_vec()).coo("c", &vc, TensorFormat::dense_vec()),
         ),
         (graphs::identity(), Inputs::new().coo("B", &m, TensorFormat::dcsr())),
         (
@@ -128,6 +135,19 @@ fn profile_totals_match_execution_tokens() {
     }
 }
 
+/// Fusion is invisible to the statistics: every catalog kernel's fused
+/// scanners report, on every fast configuration, what the cycle backend
+/// counts for the same node. (`residual`, `mat_trans_mul` and `plus3` are
+/// covered as compiled twins in `table1_compiled.rs`.)
+#[test]
+fn fused_scanner_counts_match_the_cycle_backend() {
+    let mut checked = 0;
+    for (graph, inputs) in catalog() {
+        checked += common::assert_fused_scanner_counts_match_cycle(&graph.name, &graph, &inputs);
+    }
+    assert!(checked >= 10, "the catalog fuses scanners in most kernels, only {checked} were checked");
+}
+
 /// The tiled backend accumulates per-node counts across tile tuples; the
 /// grand total still equals its aggregate token count.
 #[test]
@@ -215,6 +235,16 @@ fn worker_counters_are_consistent_with_wall_time() {
         let profile = run.profile.expect("traced runs attach a profile");
         assert_eq!(profile.workers.len(), 4, "{}", graph.name);
         let elapsed_ns = run.elapsed.as_nanos() as u64;
+        // Worker 0 is the driving thread: its pool tasks and its inline
+        // nodes are disjoint intervals inside the run, so no slack — a
+        // split node's batch time counted on top of its tasks would exceed.
+        assert!(
+            profile.workers[0].busy_ns <= elapsed_ns,
+            "{}: worker 0 busy {}ns exceeds wall {}ns",
+            graph.name,
+            profile.workers[0].busy_ns,
+            elapsed_ns
+        );
         // Generous slack for timer granularity on coarse clocks.
         let ceiling = elapsed_ns + 10_000_000;
         let mut total_tasks = 0u64;
@@ -232,8 +262,8 @@ fn worker_counters_are_consistent_with_wall_time() {
         }
         assert_eq!(profile.total_steals(), profile.workers.iter().map(|w| w.steals).sum::<u64>());
         // Every node evaluation runs somewhere: the pool accounts for at
-        // least one task per planned node (skip targets are folded into
-        // their consumers, splits add more).
+        // least one task per planned node (fused scanners are folded into
+        // their intersecters and report no invocation, splits add more).
         assert!(
             total_tasks >= profile.nodes.iter().filter(|n| n.invocations > 0).count() as u64,
             "{}: {} tasks for {} active nodes",

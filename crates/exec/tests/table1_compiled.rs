@@ -6,6 +6,8 @@
 //! twin where one exists. Operands are integer-valued so every partial sum
 //! is exact and "agree" can mean equality, not tolerance.
 
+mod common;
+
 use custard::{parse, ConcreteIndexNotation, Formats, Schedule};
 use sam_core::graph::SamGraph;
 use sam_core::graphs;
@@ -170,6 +172,7 @@ fn table1_cases() -> Vec<Case> {
 
 #[test]
 fn every_table1_expression_compiles_and_runs_on_every_backend() {
+    let mut fused_scanners = 0;
     for case in table1_cases() {
         let assignment = parse(case.text).unwrap_or_else(|e| panic!("{}: parse failed: {e}", case.name));
         let schedule = match case.order {
@@ -273,7 +276,12 @@ fn every_table1_expression_compiles_and_runs_on_every_backend() {
             );
             assert_eq!(twin_run.vals, serial.vals, "{}: twin raw values diverged", case.name);
         }
+
+        // Scanners the fast backend fuses into their intersecter are
+        // tallied, not stored; the tally is what the cycle backend counts.
+        fused_scanners += common::assert_fused_scanner_counts_match_cycle(case.name, &kernel.graph, &inputs);
     }
+    assert!(fused_scanners >= 10, "compiled intersections fuse their scanners, only {fused_scanners} did");
 }
 
 /// The compiled lowering emits Section 4.2 skip edges exactly where the

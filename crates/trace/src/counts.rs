@@ -52,8 +52,8 @@ pub struct TokenCounts {
 impl TokenCounts {
     /// Records one token by its type.
     ///
-    /// Inlined because the serial backend classifies every materialized
-    /// token through this in one post-run pass; an out-of-line call per
+    /// Inlined because the fast backend classifies every stored token
+    /// through this as its producer finishes; an out-of-line call per
     /// token is the difference between ~3% and ~13% tracing overhead.
     #[inline]
     pub fn record(&mut self, token: &SimToken) {

@@ -17,8 +17,10 @@ pub struct NodeProfile {
     /// block count instead of invocations and leaves this at zero).
     pub invocations: u64,
     /// Wall time spent computing, nanoseconds. No backend blocks a node
-    /// on its streams (they are materialized whole), so this is also the
-    /// node's total live time.
+    /// on its streams (a stored stream is complete before its reader
+    /// starts), so this is also the node's total live time. A level
+    /// scanner the fast backend fused into its intersecter reports zero:
+    /// its work is part of the intersecter's.
     pub busy_ns: u64,
 }
 
