@@ -7,17 +7,18 @@
 //!
 //! ```text
 //! samlint spmv SpMV            # one catalog kernel, one compiled expression
-//! samlint --all                # the whole catalog + all twelve expressions
+//! samlint --all                # 39 cases: 21 catalog graphs, 9 kernels, 9 expressions
 //! samlint --list
 //! ```
 //!
 //! Named cases with standard operands (`samprof`'s kernel set and the
 //! Table 1 expressions) verify *bound* — formats, ranks and scalars against
-//! real tensors; the rest of the hand-written catalog verifies
+//! real tensors; every graph of `sam_core::graphs::catalog()` verifies
 //! structurally.
 
-use sam_bench::{graph_catalog, kernel_case, table1_case, table1_case_names, PROFILE_KERNELS};
+use sam_bench::{kernel_case, table1_case, table1_case_names, PROFILE_KERNELS};
 use sam_core::graph::SamGraph;
+use sam_core::graphs;
 use sam_exec::Inputs;
 use sam_verify::{verify, verify_bound, Bindings, Report};
 
@@ -50,7 +51,7 @@ fn lint_named(name: &str) -> Option<CaseReport> {
     if let Some((graph, inputs)) = table1_case(name, 64) {
         return Some(lint_bound(name, &graph, &inputs));
     }
-    graph_catalog()
+    graphs::catalog()
         .into_iter()
         .find(|(n, _)| n.eq_ignore_ascii_case(name))
         .map(|(n, graph)| lint_structural(n, &graph))
@@ -68,7 +69,7 @@ fn main() {
                 println!("expressions (bound): {}", table1_case_names().join(", "));
                 println!(
                     "catalog (structural): {}",
-                    graph_catalog().iter().map(|(n, _)| *n).collect::<Vec<_>>().join(", ")
+                    graphs::catalog().iter().map(|(n, _)| *n).collect::<Vec<_>>().join(", ")
                 );
                 return;
             }
@@ -83,7 +84,7 @@ fn main() {
 
     let mut cases: Vec<CaseReport> = Vec::new();
     if all {
-        for (name, graph) in graph_catalog() {
+        for (name, graph) in graphs::catalog() {
             cases.push(lint_structural(name, &graph));
         }
         for name in PROFILE_KERNELS {

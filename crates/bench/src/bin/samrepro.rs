@@ -6,9 +6,8 @@
 //!   backends;
 //! * `table2` — the primitive-removal ablation;
 //! * `fig11` / `fig12` — fused vs unfused SDDMM, SpM*SpM dataflow orders;
-//! * `fig13` — the vector multiply study with the hand-scheduled kernels,
-//!   then the coordinate and dense configurations replayed through the
-//!   `sam-exec` graph pipeline;
+//! * `fig13` — the vector multiply study across the six storage and
+//!   acceleration configurations;
 //! * `fig14` — stream token composition over the Table 3 catalog;
 //! * `fig15` — the finite-memory ExTensor study: the closed-form model of
 //!   `sam-memory` next to a *measured* sweep on the tiled backend at two
@@ -60,11 +59,7 @@ fn main() {
         ["table2"] => print!("{}", sam_bench::table2_report()),
         ["fig11"] => print!("{}", sam_bench::figure11_report(1)),
         ["fig12"] => print!("{}", sam_bench::figure12_report(1)),
-        ["fig13"] => {
-            print!("{}", sam_bench::figure13_report(2000));
-            println!();
-            print!("{}", sam_bench::figure13_exec_report(2000));
-        }
+        ["fig13"] => print!("{}", sam_bench::figure13_report(2000)),
         ["fig14"] => print!("{}", sam_bench::figure14_report(usize::MAX)),
         ["fig15"] => fig15(false),
         ["fig15", "--full"] => fig15(true),

@@ -1,20 +1,180 @@
 //! The paper's kernels expressed once as executable [`SamGraph`]s.
 //!
 //! Each function builds the dataflow graph of one evaluation kernel
-//! (Figures 11–14) through [`crate::build::GraphBuilder`]. The graphs carry
-//! explicit port wiring, so `sam-exec` can plan and run them on either the
-//! cycle-approximate or the fast functional backend — the same graph, two
-//! execution contexts. Stream fan-out is implicit: connecting one output
-//! port to several consumers makes the `sam-exec` planner insert the fork
-//! that [`crate::wiring::Fork`] provides in hand-wired kernels.
+//! (Figures 11–14, Table 1) through [`crate::build::GraphBuilder`]. The
+//! graphs carry explicit port wiring, so `sam-exec` can plan and run them on
+//! any backend — the same graph, cycle-approximate, fast, threaded or tiled.
+//! Stream fan-out is implicit: connecting one output port to several
+//! consumers makes the `sam-exec` planner insert the fork the cycle backend
+//! needs.
 //!
-//! The hand-scheduled kernels in [`crate::kernels`] remain the
-//! micro-architecturally tuned variants (coordinate skipping, bitvector
-//! lanes); these graphs are their portable, compiler-facing counterparts.
+//! The enums at the top are the legends of Figures 11–13: plain data naming
+//! which graph (and which operand storage) a figure column stands for.
+//! [`catalog`] lists every graph once, for the sweeps that walk them all.
 
 use crate::build::{GraphBuilder, Port};
 use crate::graph::SamGraph;
-use crate::kernels::spmm::SpmmDataflow;
+use sam_tensor::TensorFormat;
+
+/// The SpM*SpM dataflow (index-variable iteration order), the three classes
+/// of the paper's Figure 12.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SpmmDataflow {
+    /// `i -> j -> k`: inner product, as built by SIGMA-style accelerators.
+    InnerProduct,
+    /// `i -> k -> j`: linear combination of rows (Gustavson, paper Figure 4).
+    LinearCombination,
+    /// `k -> i -> j`: outer product (OuterSPACE, paper Figure 16).
+    OuterProduct,
+}
+
+impl SpmmDataflow {
+    /// Human-readable name used in the Figure 12 output.
+    pub fn label(&self) -> &'static str {
+        match self {
+            SpmmDataflow::InnerProduct => "inner product",
+            SpmmDataflow::LinearCombination => "linear combination of rows",
+            SpmmDataflow::OuterProduct => "outer product",
+        }
+    }
+
+    /// Maps each of the six `ijk` permutations of Figure 12 to its dataflow
+    /// class and whether the computation runs on transposed operands
+    /// (`X^T = C^T B^T`).
+    pub fn from_order(order: &str) -> Option<(SpmmDataflow, bool)> {
+        match order {
+            "ijk" => Some((SpmmDataflow::InnerProduct, false)),
+            "jik" => Some((SpmmDataflow::InnerProduct, true)),
+            "ikj" => Some((SpmmDataflow::LinearCombination, false)),
+            "jki" => Some((SpmmDataflow::LinearCombination, true)),
+            "kij" => Some((SpmmDataflow::OuterProduct, false)),
+            "kji" => Some((SpmmDataflow::OuterProduct, true)),
+            _ => None,
+        }
+    }
+
+    /// The storage formats `(B, C)` the [`spmm`] graph of this dataflow
+    /// scans: an operand iterated by columns first is stored DCSC.
+    pub fn operand_formats(&self) -> (TensorFormat, TensorFormat) {
+        match self {
+            SpmmDataflow::InnerProduct => (TensorFormat::dcsr(), TensorFormat::dcsc()),
+            SpmmDataflow::LinearCombination => (TensorFormat::dcsr(), TensorFormat::dcsr()),
+            SpmmDataflow::OuterProduct => (TensorFormat::dcsc(), TensorFormat::dcsr()),
+        }
+    }
+}
+
+/// The SDDMM algorithm variant (the Figure 11 legend).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SddmmVariant {
+    /// Fused, the dense factors' outer dimensions co-iterated against `B`
+    /// ([`sddmm_coiteration`]).
+    FusedCoiteration,
+    /// Fused, `B`'s coordinates located into the dense factors
+    /// ([`sddmm_locating`]).
+    FusedLocating,
+    /// Unfused: the dense product `T = C * D^T` ([`spmm`], inner product)
+    /// is materialized first and then sampled by `B`
+    /// ([`mat_elem_mul_locating`]) — the factorized form the paper argues
+    /// against.
+    Unfused,
+}
+
+impl SddmmVariant {
+    /// The label used in the Figure 11 plot.
+    pub fn label(&self) -> &'static str {
+        match self {
+            SddmmVariant::FusedCoiteration => "Fused coiteration",
+            SddmmVariant::FusedLocating => "Fused locating",
+            SddmmVariant::Unfused => "Unfused",
+        }
+    }
+}
+
+/// The vector storage / acceleration configuration (the Figure 13 legend).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum VecFormat {
+    /// One uncompressed (dense) level: [`vec_elem_mul`]`(false)`.
+    Dense,
+    /// One compressed coordinate level: [`vec_elem_mul`]`(true)`.
+    Crd,
+    /// One compressed coordinate level with coordinate skipping:
+    /// [`vec_elem_mul_with_skip`]`(true)`.
+    CrdSkip,
+    /// Two compressed coordinate levels, the vector reshaped into
+    /// `[split, chunk]`: [`mat_elem_mul`].
+    CrdSplit {
+        /// Number of chunks the dimension is divided into.
+        split: usize,
+    },
+    /// One pseudo-dense bitvector level. The monolithic bitvector blocks
+    /// have no IR node yet, so this configuration has no graph.
+    Bv {
+        /// Bits per bitvector word.
+        width: u8,
+    },
+    /// Two bitvector levels (a bit-tree); no graph, like [`VecFormat::Bv`].
+    BvSplit {
+        /// Bits per bitvector word.
+        width: u8,
+    },
+}
+
+impl VecFormat {
+    /// The label used in the Figure 13 plots.
+    pub fn label(&self) -> &'static str {
+        match self {
+            VecFormat::Dense => "Dense",
+            VecFormat::Crd => "Crd",
+            VecFormat::CrdSkip => "Crd w/ skip",
+            VecFormat::CrdSplit { .. } => "Crd w/ split",
+            VecFormat::Bv { .. } => "BV",
+            VecFormat::BvSplit { .. } => "BV w/ split",
+        }
+    }
+
+    /// The six configurations studied in Figure 13, with the paper's
+    /// parameters (split factor 64, 64-bit words).
+    pub fn figure13_set() -> Vec<VecFormat> {
+        vec![
+            VecFormat::Crd,
+            VecFormat::Dense,
+            VecFormat::CrdSkip,
+            VecFormat::CrdSplit { split: 64 },
+            VecFormat::BvSplit { width: 64 },
+            VecFormat::Bv { width: 64 },
+        ]
+    }
+}
+
+/// Every graph of this module by display name — the list `samlint --all`,
+/// the verifier sweep and `sam_bench::graph_catalog` walk.
+pub fn catalog() -> Vec<(&'static str, SamGraph)> {
+    use SpmmDataflow as D;
+    vec![
+        ("vec_elem_mul(dense)", vec_elem_mul(false)),
+        ("vec_elem_mul(compressed)", vec_elem_mul(true)),
+        ("vec_elem_mul_with_skip(dense)", vec_elem_mul_with_skip(false)),
+        ("vec_elem_mul_with_skip(compressed)", vec_elem_mul_with_skip(true)),
+        ("mat_elem_mul", mat_elem_mul()),
+        ("mat_elem_mul_locating", mat_elem_mul_locating()),
+        ("identity", identity()),
+        ("spmv", spmv()),
+        ("spmv_coiteration", spmv_coiteration()),
+        ("spmv_with_skip", spmv_with_skip()),
+        ("spmm(linear-combination)", spmm(D::LinearCombination)),
+        ("spmm(inner-product)", spmm(D::InnerProduct)),
+        ("spmm(outer-product)", spmm(D::OuterProduct)),
+        ("spmm_with_skip", spmm_with_skip(D::LinearCombination)),
+        ("mttkrp", mttkrp()),
+        ("residual", residual()),
+        ("mat_trans_mul", mat_trans_mul()),
+        ("plus3", plus3()),
+        ("sddmm_coiteration", sddmm_coiteration()),
+        ("sddmm_with_skip", sddmm_with_skip()),
+        ("sddmm_locating", sddmm_locating()),
+    ]
+}
 
 /// Adds an intersecter with or without the Section 4.2 coordinate-skip
 /// feedback edges, so each kernel builder exists once and its skip-enabled
@@ -62,6 +222,53 @@ fn vec_elem_mul_inner(compressed: bool, skip: bool) -> SamGraph {
     g.finish()
 }
 
+/// Element-wise matrix multiplication `X(i,j) = B(i,j) * C(i,j)` over two
+/// CSF operands, co-iterated level by level; a coordinate dropper removes
+/// outer coordinates whose inner intersection came up empty. On a vector
+/// reshaped into `[split, chunk]` this is Figure 13's `Crd w/ split`
+/// configuration: whole chunks with no overlap are skipped at the outer level.
+pub fn mat_elem_mul() -> SamGraph {
+    let mut g = GraphBuilder::new("X(i,j) = B(i,j) * C(i,j)");
+    let rb = g.root("B");
+    let rc = g.root("C");
+    let (bi_crd, bi_ref) = g.scan("B", 'i', true, rb);
+    let (ci_crd, ci_ref) = g.scan("C", 'i', true, rc);
+    let (i_crd, i_refs) = g.intersect('i', [bi_crd, ci_crd], [bi_ref, ci_ref]);
+    let (bj_crd, bj_ref) = g.scan("B", 'j', true, i_refs[0]);
+    let (cj_crd, cj_ref) = g.scan("C", 'j', true, i_refs[1]);
+    let (j_crd, j_refs) = g.intersect('j', [bj_crd, cj_crd], [bj_ref, cj_ref]);
+    let b_vals = g.array("B", j_refs[0]);
+    let c_vals = g.array("C", j_refs[1]);
+    let prod = g.alu("mul", b_vals, c_vals);
+    let (xi_out, xj_out) = g.crd_drop('i', i_crd, j_crd);
+    g.write_level("X", 'i', xi_out);
+    g.write_level("X", 'j', xj_out);
+    g.write_vals("X", prod);
+    g.finish()
+}
+
+/// Element-wise sampling `X(i,j) = B(i,j) * T(i,j)` with `B` DCSR and `T`
+/// dense: `B` drives iteration and each of its coordinates is located into
+/// `T` (Section 4.2). The second phase of Figure 11's unfused SDDMM.
+pub fn mat_elem_mul_locating() -> SamGraph {
+    let mut g = GraphBuilder::new("X(i,j) = B(i,j) * T(i,j)");
+    let rb = g.root("B");
+    let (bi_crd, bi_ref) = g.scan("B", 'i', true, rb);
+    let rt = g.root("T");
+    let t_per_i = g.repeat("T", 'i', bi_crd, rt);
+    let (_ti_crd, _ti_pass, ti_ref) = g.locate("T", 'i', bi_crd, t_per_i);
+    let (bj_crd, bj_ref) = g.scan("B", 'j', true, bi_ref);
+    let ti_per_j = g.repeat("T", 'j', bj_crd, ti_ref);
+    let (_tj_crd, _tj_pass, tj_ref) = g.locate("T", 'j', bj_crd, ti_per_j);
+    let b_vals = g.array("B", bj_ref);
+    let t_vals = g.array("T", tj_ref);
+    let prod = g.alu("mul", b_vals, t_vals);
+    g.write_level("X", 'i', bi_crd);
+    g.write_level("X", 'j', bj_crd);
+    g.write_vals("X", prod);
+    g.finish()
+}
+
 /// The matrix identity `X(i,j) = B(i,j)` of the Figure 14 stream study.
 pub fn identity() -> SamGraph {
     let mut g = GraphBuilder::new("X(i,j) = B(i,j)");
@@ -76,8 +283,8 @@ pub fn identity() -> SamGraph {
 }
 
 /// Sparse matrix-vector multiplication `x(i) = sum_j B(i,j) * c(j)` with `B`
-/// DCSR and `c` dense, using the Section 4.2 iterate-locate optimization
-/// exactly like the hand kernel.
+/// DCSR and `c` dense, using the Section 4.2 iterate-locate optimization:
+/// each of `B`'s column coordinates is located into the dense vector.
 pub fn spmv() -> SamGraph {
     let mut g = GraphBuilder::new("x(i) = B(i,j) * c(j)");
     let rb = g.root("B");
@@ -134,9 +341,8 @@ fn spmv_coiteration_inner(skip: bool) -> SamGraph {
 }
 
 /// SpM*SpM `X(i,j) = sum_k B(i,k) * C(k,j)` in one of the three Figure 12
-/// dataflow classes. Operand formats follow the hand kernels: `B` is DCSR
-/// (DCSC for the outer-product dataflow), `C` is DCSR (DCSC for the
-/// inner-product dataflow).
+/// dataflow classes. Bind `B` and `C` in the formats
+/// [`SpmmDataflow::operand_formats`] returns.
 pub fn spmm(dataflow: SpmmDataflow) -> SamGraph {
     match dataflow {
         SpmmDataflow::LinearCombination => spmm_gustavson(false),
@@ -408,21 +614,53 @@ fn sddmm_coiteration_inner(skip: bool) -> SamGraph {
     // Broadcast C's row fiber reference over the surviving j coordinates.
     let c_per_j = g.repeat("C", 'j', j_crd, i_refs[1]);
 
-    // Inner product over k, then scale by B's values.
-    let (ck_crd, ck_ref) = g.scan("C", 'k', false, c_per_j);
-    let (dk_crd, dk_ref) = g.scan("D", 'k', false, j_refs[1]);
+    sddmm_tail(&mut g, c_per_j, j_refs[1], j_refs[0], i_crd, j_crd);
+    g.finish()
+}
+
+/// Fused SDDMM with `B`'s coordinates *located* into the dense factors
+/// (Figure 11's fused locating variant, Section 4.2): no scanner walks the
+/// dense `i` and `j` dimensions, so the cost tracks `B`'s nonzeros. Operand
+/// formats as in [`sddmm_coiteration`].
+pub fn sddmm_locating() -> SamGraph {
+    let mut g = GraphBuilder::new("X(i,j) = B(i,j) * C(i,k) * D(j,k) [locate]");
+    let rb = g.root("B");
+    let (bi_crd, bi_ref) = g.scan("B", 'i', true, rb);
+    let (bj_crd, bj_ref) = g.scan("B", 'j', true, bi_ref);
+
+    // Locate each B row coordinate into C's dense i level, then broadcast
+    // that fiber reference over the row's column coordinates.
+    let rc = g.root("C");
+    let c_per_i = g.repeat("C", 'i', bi_crd, rc);
+    let (_ci_crd, _ci_pass, ci_ref) = g.locate("C", 'i', bi_crd, c_per_i);
+    let c_per_j = g.repeat("C", 'j', bj_crd, ci_ref);
+
+    // Locate each B column coordinate into D's dense j level.
+    let rd = g.root("D");
+    let d_per_i = g.repeat("D", 'i', bi_crd, rd);
+    let d_per_j = g.repeat("D", 'j', bj_crd, d_per_i);
+    let (_dj_crd, _dj_pass, dj_ref) = g.locate("D", 'j', bj_crd, d_per_j);
+
+    sddmm_tail(&mut g, c_per_j, dj_ref, bj_ref, bi_crd, bj_crd);
+    g.finish()
+}
+
+/// The tail both fused SDDMM graphs share: given per-(i,j) fiber references
+/// into `C`'s and `D`'s `k` levels, take the inner product over `k`, scale
+/// it by `B`'s value and write the result.
+fn sddmm_tail(g: &mut GraphBuilder, c_kfiber: Port, d_kfiber: Port, b_val_ref: Port, xi: Port, xj: Port) {
+    let (ck_crd, ck_ref) = g.scan("C", 'k', false, c_kfiber);
+    let (dk_crd, dk_ref) = g.scan("D", 'k', false, d_kfiber);
     let (_k_crd, k_refs) = g.intersect('k', [ck_crd, dk_crd], [ck_ref, dk_ref]);
     let c_vals = g.array("C", k_refs[0]);
     let d_vals = g.array("D", k_refs[1]);
     let prod_cd = g.alu("mul", c_vals, d_vals);
     let s = g.reduce_scalar(prod_cd);
-    let b_vals = g.array("B", j_refs[0]);
+    let b_vals = g.array("B", b_val_ref);
     let x_vals = g.alu("mul", b_vals, s);
-
-    g.write_level("X", 'i', i_crd);
-    g.write_level("X", 'j', j_crd);
+    g.write_level("X", 'i', xi);
+    g.write_level("X", 'j', xj);
     g.write_vals("X", x_vals);
-    g.finish()
 }
 
 #[cfg(test)]
@@ -432,24 +670,9 @@ mod tests {
 
     #[test]
     fn graphs_are_fully_port_wired() {
-        for graph in [
-            vec_elem_mul(true),
-            vec_elem_mul_with_skip(true),
-            identity(),
-            spmv(),
-            spmv_coiteration(),
-            spmv_with_skip(),
-            spmm(SpmmDataflow::LinearCombination),
-            spmm(SpmmDataflow::InnerProduct),
-            spmm(SpmmDataflow::OuterProduct),
-            spmm_with_skip(SpmmDataflow::LinearCombination),
-            sddmm_coiteration(),
-            sddmm_with_skip(),
-            mttkrp(),
-            residual(),
-            mat_trans_mul(),
-            plus3(),
-        ] {
+        let graphs = catalog();
+        assert_eq!(graphs.len(), 21);
+        for (_, graph) in graphs {
             assert!(!graph.is_empty());
             for e in graph.edges() {
                 assert!(e.src_port.is_some() && e.dst_port.is_some(), "{}: unported edge", graph.name);
@@ -459,6 +682,13 @@ mod tests {
                 assert!(ins[e.dst_port.unwrap()].accepts(e.kind), "{}: bad dst", graph.name);
             }
         }
+    }
+
+    #[test]
+    fn order_mapping() {
+        assert_eq!(SpmmDataflow::from_order("ikj"), Some((SpmmDataflow::LinearCombination, false)));
+        assert_eq!(SpmmDataflow::from_order("kji"), Some((SpmmDataflow::OuterProduct, true)));
+        assert_eq!(SpmmDataflow::from_order("zzz"), None);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! # sam-core
 //!
-//! The SAM graph intermediate representation and the kernel library.
+//! The SAM graph intermediate representation: the IR, its builder and the
+//! catalog of paper kernels written in it. Nothing here executes a graph;
+//! `sam-exec` binds one to a backend.
 //!
 //! * [`graph`] — the [`SamGraph`] IR: typed nodes for every
 //!   SAM primitive, edges carrying stream kinds, primitive counting
@@ -10,25 +12,15 @@
 //! * [`build`] — [`GraphBuilder`]: ergonomic
 //!   construction of *executable* graphs whose edges carry explicit port
 //!   annotations, the form `sam-exec` plans and runs.
-//! * [`graphs`] — the paper's kernels (Figures 11–14) expressed once as
-//!   executable graphs, runnable on either `sam-exec` backend.
-//! * [`wiring`] — helpers that instantiate primitives into a `sam-sim`
-//!   [`Simulator`](sam_sim::Simulator), plus the stream fork used when one
-//!   output feeds several consumers.
-//! * [`kernels`] — hand-scheduled, runnable dataflow graphs for the paper's
-//!   kernels: element-wise vector multiply in the six Figure 13
-//!   configurations, SpMV, SpM*SpM in the inner-product / linear-combination
-//!   (Gustavson) / outer-product dataflows (Figure 12), SDDMM fused and
-//!   unfused (Figure 11), and matrix identity (Figure 14). Every kernel
-//!   returns its result tensor and the simulated cycle count and is checked
-//!   against the dense reference evaluator.
+//! * [`graphs`] — the paper's kernels (Figures 11–14 and Table 1), each
+//!   expressed once as an executable graph and runnable on every `sam-exec`
+//!   backend, plus the plain-data legends of the figures that pick among
+//!   them ([`graphs::SpmmDataflow`], [`graphs::SddmmVariant`],
+//!   [`graphs::VecFormat`]).
 
 pub mod build;
 pub mod graph;
 pub mod graphs;
-pub mod kernels;
-pub mod wiring;
 
 pub use build::GraphBuilder;
 pub use graph::{NodeKind, PortKind, PrimitiveCounts, SamGraph, StreamKind};
-pub use kernels::KernelResult;

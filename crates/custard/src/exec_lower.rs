@@ -6,7 +6,8 @@
 //! graphs cannot run. [`lower_exec`] is the executable counterpart: it
 //! emits, through `sam_core::build::GraphBuilder`, a graph whose reference
 //! streams thread through every merger and repeater exactly like the
-//! hand-wired kernels, ready for `sam-exec` to plan and run on any backend.
+//! hand-written `sam_core::graphs` catalog, ready for `sam-exec` to plan and
+//! run on any backend.
 //!
 //! The supported fragment is nearly the full parseable language: products,
 //! sums and mixed additive/multiplicative expressions of tensor accesses

@@ -6,10 +6,9 @@ use crate::error::ExecError;
 use crate::plan::{Plan, DEFAULT_MAX_CYCLES};
 use crate::{assemble_output, reducer_policy, Execution, Executor};
 use sam_core::graph::NodeKind;
-use sam_core::wiring::Fork;
 use sam_primitives::writer::{level_sink, val_sink, LevelWriterSink, ValWriterSink};
 use sam_primitives::{
-    root_stream, Alu, ConstVal, CoordDropper, Intersecter, LevelScanner, LevelWriter, Locator, Reducer,
+    root_stream, Alu, ConstVal, CoordDropper, Fork, Intersecter, LevelScanner, LevelWriter, Locator, Reducer,
     Repeater, Unioner, ValArray, ValWriter,
 };
 use sam_sim::{ChannelId, Simulator};

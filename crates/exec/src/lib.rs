@@ -10,8 +10,8 @@
 //! The crate has two halves:
 //!
 //! * a **planner** ([`Plan`]) that topologically orders the graph, resolves
-//!   every edge to producer/consumer ports, plans the stream forks that
-//!   hand-wired kernels insert manually, binds tensor inputs by name and
+//!   every edge to producer/consumer ports, plans the stream forks a
+//!   simulator needs wherever one port feeds several consumers, binds tensor inputs by name and
 //!   validates the whole configuration up front, and
 //! * three **backends** behind one [`Executor`] trait:
 //!   [`CycleBackend`] instantiates `sam-primitives` blocks into the
@@ -86,7 +86,7 @@
 //!
 //! ```
 //! use sam_core::graphs;
-//! use sam_core::kernels::spmm::SpmmDataflow;
+//! use sam_core::graphs::SpmmDataflow;
 //! use sam_exec::{BackendSpec, ExecRequest, Executor, FastBackend, Inputs, Parallelism};
 //! use sam_tensor::{synth, TensorFormat};
 //!
@@ -298,7 +298,7 @@ pub(crate) fn assemble_output(
 mod tests {
     use super::*;
     use sam_core::graphs;
-    use sam_core::kernels::spmm::SpmmDataflow;
+    use sam_core::graphs::SpmmDataflow;
     use sam_tensor::reference::Environment;
     use sam_tensor::{expr::table1, synth, TensorFormat};
 

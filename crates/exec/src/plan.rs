@@ -11,8 +11,8 @@
 //! 3. **Topological ordering** — Kahn's algorithm; cycles are reported with
 //!    the labels of the stuck nodes.
 //! 4. **Fan-out planning** — output ports feeding several consumers are
-//!    recorded so backends can insert stream forks (the `Fork` block that
-//!    hand-wired kernels place manually). Skip feedback lanes are validated
+//!    recorded so backends can insert stream forks (the `Fork` block of
+//!    `sam-primitives`). Skip feedback lanes are validated
 //!    here, and every level scanner whose two streams feed one operand of
 //!    one intersecter and nothing else is recorded as a [`FusedScan`]: the
 //!    fast backend stores a stream only if somebody re-reads it.

@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use sam_core::graphs;
-//! use sam_core::kernels::spmm::SpmmDataflow;
+//! use sam_core::graphs::SpmmDataflow;
 //! use sam_exec::{ExecRequest, Inputs, TiledBackend};
 //! use sam_tensor::{synth, CooTensor, TensorFormat};
 //!
@@ -490,7 +490,7 @@ mod tests {
         let b = int_coo(&synth::random_matrix_nnz(64, 64, 60, 51));
         let c = int_coo(&synth::random_matrix_nnz(64, 64, 60, 52));
         let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-        let graph = graphs::spmm(sam_core::kernels::spmm::SpmmDataflow::LinearCombination);
+        let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
         // An LLB far smaller than the working set: executing needless tile
         // tuples now costs real refetch traffic, which skipping avoids.
         let config = MemoryConfig { tile: 8, llb_bytes: 256, ..MemoryConfig::default() };
@@ -516,7 +516,7 @@ mod tests {
         let b = int_coo(&synth::random_matrix_sparsity(48, 48, 0.7, 53));
         let c = int_coo(&synth::random_matrix_sparsity(48, 48, 0.7, 54));
         let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-        let graph = graphs::spmm(sam_core::kernels::spmm::SpmmDataflow::LinearCombination);
+        let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
         let tiny = MemoryConfig { tile: 8, llb_bytes: 256, ..MemoryConfig::default() };
         let big = MemoryConfig { tile: 8, ..MemoryConfig::default() };
         let run = |backend: &TiledBackend| {
@@ -537,7 +537,7 @@ mod tests {
         let b = int_coo(&synth::random_matrix_nnz(64, 64, 60, 51));
         let c = int_coo(&synth::random_matrix_nnz(64, 64, 60, 52));
         let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-        let graph = graphs::spmm(sam_core::kernels::spmm::SpmmDataflow::LinearCombination);
+        let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
         // A small LLB keeps the access sequence order-sensitive (real
         // evictions), so this also checks the canonical-order replay.
         let config = MemoryConfig { tile: 8, llb_bytes: 4096, ..MemoryConfig::default() };
@@ -561,7 +561,7 @@ mod tests {
         let b = int_coo(&synth::random_matrix_nnz(48, 48, 50, 61));
         let c = int_coo(&synth::random_matrix_nnz(48, 48, 50, 62));
         let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-        let graph = graphs::spmm(sam_core::kernels::spmm::SpmmDataflow::LinearCombination);
+        let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
         let plan = Plan::build(&graph, &inputs).unwrap();
         let profiled = |backend: &TiledBackend| {
             let sink = CountersSink::new();

@@ -1,6 +1,6 @@
 //! The compile → IR → execute pipeline: Custard-compiled expressions run
 //! through `sam-exec` on both backends and match the dense reference
-//! evaluator — the gap the executor closes over the hand-wired kernels.
+//! evaluator, with no graph written by hand.
 
 use custard::{lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
 use sam_exec::{CycleBackend, ExecRequest, Executor, FastBackend, Inputs};
@@ -44,7 +44,7 @@ fn compiled_spmv_executes_on_both_backends() {
     let b = synth::random_matrix_sparsity(25, 18, 0.9, 21);
     let c = synth::random_vector(18, 12, 22);
     check("x(i) = B(i,j) * c(j)", &Schedule::new(), Formats::new(), &[("B", &b), ("c", &c)]);
-    // Dense vector storage, as in the hand kernel.
+    // Dense vector storage, as `graphs::spmv` binds it.
     let dense_c = Formats::new().set("c", TensorFormat::dense_vec());
     check("x(i) = B(i,j) * c(j)", &Schedule::new(), dense_c, &[("B", &b), ("c", &c)]);
 }

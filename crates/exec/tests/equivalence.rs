@@ -5,10 +5,9 @@
 //! the dense reference evaluator.
 
 use sam_core::graph::SamGraph;
-use sam_core::graphs;
-use sam_core::kernels::spmm::SpmmDataflow;
+use sam_core::graphs::{self, SpmmDataflow};
 use sam_exec::{CycleBackend, ExecRequest, Executor, FastBackend, Inputs, Plan, TiledBackend};
-use sam_tensor::expr::{table1, Assignment};
+use sam_tensor::expr::{table1, Assignment, Expr};
 use sam_tensor::reference::Environment;
 use sam_tensor::{synth, TensorFormat};
 
@@ -25,12 +24,34 @@ fn catalog() -> Vec<(SamGraph, Inputs, Assignment)> {
     let b3 = synth::random_tensor3([14, 8, 9], 160, 308);
     let fc = synth::random_matrix_sparsity(10, 8, 0.55, 309);
     let fd = synth::random_matrix_sparsity(10, 9, 0.55, 310);
+    let m2 = synth::random_matrix_sparsity(24, 18, 0.7, 313);
+    let dense_t = synth::dense_matrix(24, 18, 314);
+    let spmm = |dataflow: SpmmDataflow| {
+        let (fb, fc) = dataflow.operand_formats();
+        (graphs::spmm(dataflow), Inputs::new().coo("B", &m, fb).coo("C", &n, fc), table1::spmm())
+    };
+    let sddmm_inputs = Inputs::new()
+        .coo("B", &m, TensorFormat::dcsr())
+        .coo("C", &dense_c, TensorFormat::dense(2))
+        .coo("D", &dense_d, TensorFormat::dense(2));
+    let elem_mul =
+        |rhs: &str| Assignment::new("X", "ij", Expr::access("B", "ij").mul(Expr::access(rhs, "ij")));
 
     vec![
         (
             graphs::vec_elem_mul(true),
             Inputs::new().coo("b", &vb, TensorFormat::sparse_vec()).coo("c", &vc, TensorFormat::sparse_vec()),
             table1::vec_elem_mul(),
+        ),
+        (
+            graphs::mat_elem_mul(),
+            Inputs::new().coo("B", &m, TensorFormat::csf(2)).coo("C", &m2, TensorFormat::csf(2)),
+            elem_mul("C"),
+        ),
+        (
+            graphs::mat_elem_mul_locating(),
+            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("T", &dense_t, TensorFormat::dense(2)),
+            elem_mul("T"),
         ),
         (graphs::identity(), Inputs::new().coo("B", &m, TensorFormat::dcsr()), table1::identity()),
         (
@@ -46,30 +67,11 @@ fn catalog() -> Vec<(SamGraph, Inputs, Assignment)> {
             Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("c", &sv, TensorFormat::sparse_vec()),
             table1::spmv(),
         ),
-        (
-            graphs::spmm(SpmmDataflow::LinearCombination),
-            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &n, TensorFormat::dcsr()),
-            table1::spmm(),
-        ),
-        (
-            graphs::spmm(SpmmDataflow::InnerProduct),
-            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &n, TensorFormat::dcsc()),
-            table1::spmm(),
-        ),
-        (
-            graphs::spmm(SpmmDataflow::OuterProduct),
-            Inputs::new().coo("B", &m, TensorFormat::dcsc()).coo("C", &n, TensorFormat::dcsr()),
-            table1::spmm(),
-        ),
-        (
-            graphs::sddmm_coiteration(),
-            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &dense_c, TensorFormat::dense(2)).coo(
-                "D",
-                &dense_d,
-                TensorFormat::dense(2),
-            ),
-            table1::sddmm(),
-        ),
+        spmm(SpmmDataflow::LinearCombination),
+        spmm(SpmmDataflow::InnerProduct),
+        spmm(SpmmDataflow::OuterProduct),
+        (graphs::sddmm_coiteration(), sddmm_inputs.clone(), table1::sddmm()),
+        (graphs::sddmm_locating(), sddmm_inputs, table1::sddmm()),
         (
             graphs::mttkrp(),
             // The factor matrices iterate k (resp. l) before j, so they are
@@ -119,8 +121,13 @@ fn every_kernel_agrees_across_backends_and_thread_counts() {
             graph.name
         );
 
-        for threads in [2, 4] {
-            let backend = FastBackend::threads(threads);
+        // Host-sized splitting at two thread counts, then every node forced
+        // to split so the seams run whatever the host's core count.
+        for (threads, backend) in [
+            (2, FastBackend::threads(2)),
+            (4, FastBackend::threads(4)),
+            (4, FastBackend::threads(4).with_split_threshold(1)),
+        ] {
             let parallel = ExecRequest::new(&graph, &inputs)
                 .executor(&backend)
                 .run()
@@ -260,6 +267,14 @@ fn skip_twins() -> Vec<(SamGraph, SamGraph, Inputs)> {
     let sv = synth::random_vector(18, 3, 405);
     let dense_c = synth::dense_matrix(24, 6, 406);
     let dense_d = synth::dense_matrix(18, 6, 407);
+    let spmm = |dataflow: SpmmDataflow| {
+        let (fb, fc) = dataflow.operand_formats();
+        (
+            graphs::spmm(dataflow),
+            graphs::spmm_with_skip(dataflow),
+            Inputs::new().coo("B", &m, fb).coo("C", &n, fc),
+        )
+    };
 
     vec![
         (
@@ -272,21 +287,9 @@ fn skip_twins() -> Vec<(SamGraph, SamGraph, Inputs)> {
             graphs::spmv_with_skip(),
             Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("c", &sv, TensorFormat::sparse_vec()),
         ),
-        (
-            graphs::spmm(SpmmDataflow::LinearCombination),
-            graphs::spmm_with_skip(SpmmDataflow::LinearCombination),
-            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &n, TensorFormat::dcsr()),
-        ),
-        (
-            graphs::spmm(SpmmDataflow::InnerProduct),
-            graphs::spmm_with_skip(SpmmDataflow::InnerProduct),
-            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &n, TensorFormat::dcsc()),
-        ),
-        (
-            graphs::spmm(SpmmDataflow::OuterProduct),
-            graphs::spmm_with_skip(SpmmDataflow::OuterProduct),
-            Inputs::new().coo("B", &m, TensorFormat::dcsc()).coo("C", &n, TensorFormat::dcsr()),
-        ),
+        spmm(SpmmDataflow::LinearCombination),
+        spmm(SpmmDataflow::InnerProduct),
+        spmm(SpmmDataflow::OuterProduct),
         (
             graphs::sddmm_coiteration(),
             graphs::sddmm_with_skip(),

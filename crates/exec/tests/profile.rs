@@ -8,8 +8,7 @@
 mod common;
 
 use sam_core::graph::SamGraph;
-use sam_core::graphs;
-use sam_core::kernels::spmm::SpmmDataflow;
+use sam_core::graphs::{self, SpmmDataflow};
 use sam_exec::{CountersSink, CycleBackend, ExecProfile, Executor, FastBackend, Inputs, Plan, TiledBackend};
 use sam_tensor::{synth, CooTensor, TensorFormat};
 
@@ -26,6 +25,16 @@ fn catalog() -> Vec<(SamGraph, Inputs)> {
     let b3 = synth::random_tensor3([14, 8, 9], 160, 308);
     let fc = synth::random_matrix_sparsity(10, 8, 0.55, 309);
     let fd = synth::random_matrix_sparsity(10, 9, 0.55, 310);
+    let m2 = synth::random_matrix_sparsity(24, 18, 0.7, 313);
+    let dense_t = synth::dense_matrix(24, 18, 314);
+    let spmm = |dataflow: SpmmDataflow| {
+        let (fb, fc) = dataflow.operand_formats();
+        (graphs::spmm(dataflow), Inputs::new().coo("B", &m, fb).coo("C", &n, fc))
+    };
+    let sddmm_inputs = Inputs::new()
+        .coo("B", &m, TensorFormat::dcsr())
+        .coo("C", &dense_c, TensorFormat::dense(2))
+        .coo("D", &dense_d, TensorFormat::dense(2));
 
     vec![
         (
@@ -49,25 +58,18 @@ fn catalog() -> Vec<(SamGraph, Inputs)> {
             graphs::spmv_with_skip(),
             Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("c", &sv, TensorFormat::sparse_vec()),
         ),
+        spmm(SpmmDataflow::LinearCombination),
+        spmm(SpmmDataflow::InnerProduct),
+        spmm(SpmmDataflow::OuterProduct),
+        (graphs::sddmm_coiteration(), sddmm_inputs.clone()),
+        (graphs::sddmm_locating(), sddmm_inputs),
         (
-            graphs::spmm(SpmmDataflow::LinearCombination),
-            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &n, TensorFormat::dcsr()),
+            graphs::mat_elem_mul(),
+            Inputs::new().coo("B", &m, TensorFormat::csf(2)).coo("C", &m2, TensorFormat::csf(2)),
         ),
         (
-            graphs::spmm(SpmmDataflow::InnerProduct),
-            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &n, TensorFormat::dcsc()),
-        ),
-        (
-            graphs::spmm(SpmmDataflow::OuterProduct),
-            Inputs::new().coo("B", &m, TensorFormat::dcsc()).coo("C", &n, TensorFormat::dcsr()),
-        ),
-        (
-            graphs::sddmm_coiteration(),
-            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &dense_c, TensorFormat::dense(2)).coo(
-                "D",
-                &dense_d,
-                TensorFormat::dense(2),
-            ),
+            graphs::mat_elem_mul_locating(),
+            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("T", &dense_t, TensorFormat::dense(2)),
         ),
         (
             graphs::mttkrp(),

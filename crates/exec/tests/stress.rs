@@ -8,7 +8,7 @@
 
 use sam_core::graph::SamGraph;
 use sam_core::graphs;
-use sam_core::kernels::spmm::SpmmDataflow;
+use sam_core::graphs::SpmmDataflow;
 use sam_exec::{ExecRequest, Executor, FastBackend, Inputs, Parallelism, TiledBackend};
 use sam_tensor::{synth, CooTensor, TensorFormat};
 use std::sync::mpsc;

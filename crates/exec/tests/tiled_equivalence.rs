@@ -10,10 +10,9 @@
 //! compares against validated ground truth.
 
 use sam_core::graph::SamGraph;
-use sam_core::graphs;
-use sam_core::kernels::spmm::SpmmDataflow;
+use sam_core::graphs::{self, SpmmDataflow};
 use sam_exec::{ExecRequest, FastBackend, Inputs, TiledBackend};
-use sam_tensor::expr::{table1, Assignment};
+use sam_tensor::expr::{table1, Assignment, Expr};
 use sam_tensor::reference::Environment;
 use sam_tensor::{synth, CooTensor, LevelFormat, TensorFormat};
 
@@ -49,6 +48,18 @@ fn catalog() -> Vec<(SamGraph, Inputs, Assignment)> {
     let fc = int_matrix(10, 8, 0.55, 510);
     let fd = int_matrix(10, 9, 0.55, 511);
     let bv_fmt = TensorFormat::new(vec![LevelFormat::bitvector()]);
+    let m2 = int_matrix(24, 18, 0.7, 512);
+    let dense_t = int_coo(&synth::dense_matrix(24, 18, 513));
+    let spmm = |dataflow: SpmmDataflow| {
+        let (fb, fc) = dataflow.operand_formats();
+        (graphs::spmm(dataflow), Inputs::new().coo("B", &m, fb).coo("C", &n, fc), table1::spmm())
+    };
+    let sddmm_inputs = Inputs::new()
+        .coo("B", &m, TensorFormat::dcsr())
+        .coo("C", &dense_c, TensorFormat::dense(2))
+        .coo("D", &dense_d, TensorFormat::dense(2));
+    let elem_mul =
+        |rhs: &str| Assignment::new("X", "ij", Expr::access("B", "ij").mul(Expr::access(rhs, "ij")));
 
     vec![
         (
@@ -86,29 +97,20 @@ fn catalog() -> Vec<(SamGraph, Inputs, Assignment)> {
             Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("c", &sv, TensorFormat::sparse_vec()),
             table1::spmv(),
         ),
+        spmm(SpmmDataflow::LinearCombination),
+        spmm(SpmmDataflow::InnerProduct),
+        spmm(SpmmDataflow::OuterProduct),
+        (graphs::sddmm_coiteration(), sddmm_inputs.clone(), table1::sddmm()),
+        (graphs::sddmm_locating(), sddmm_inputs, table1::sddmm()),
         (
-            graphs::spmm(SpmmDataflow::LinearCombination),
-            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &n, TensorFormat::dcsr()),
-            table1::spmm(),
+            graphs::mat_elem_mul(),
+            Inputs::new().coo("B", &m, TensorFormat::csf(2)).coo("C", &m2, TensorFormat::csf(2)),
+            elem_mul("C"),
         ),
         (
-            graphs::spmm(SpmmDataflow::InnerProduct),
-            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &n, TensorFormat::dcsc()),
-            table1::spmm(),
-        ),
-        (
-            graphs::spmm(SpmmDataflow::OuterProduct),
-            Inputs::new().coo("B", &m, TensorFormat::dcsc()).coo("C", &n, TensorFormat::dcsr()),
-            table1::spmm(),
-        ),
-        (
-            graphs::sddmm_coiteration(),
-            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("C", &dense_c, TensorFormat::dense(2)).coo(
-                "D",
-                &dense_d,
-                TensorFormat::dense(2),
-            ),
-            table1::sddmm(),
+            graphs::mat_elem_mul_locating(),
+            Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("T", &dense_t, TensorFormat::dense(2)),
+            elem_mul("T"),
         ),
         (
             graphs::mttkrp(),

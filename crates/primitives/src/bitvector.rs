@@ -6,11 +6,19 @@
 //! bitvector converter, a word-wise intersecter, and vectorized value units
 //! for the element-wise vector-multiply study of Figure 13 (flat bitvector
 //! and two-level bit-tree variants).
+//!
+//! The vectorized value units are monolithic blocks the graph IR cannot name
+//! yet, so Figure 13's two bitvector configurations are the one place a
+//! simulator is still wired by hand: [`bitvector_vec_mul`] and
+//! [`bit_tree_vec_mul`]. Every other paper kernel is a `sam_core::graphs`
+//! graph run through `sam-exec`.
 
+use crate::source::root_stream;
 use sam_sim::payload::{tok, Payload};
-use sam_sim::{Block, BlockStatus, ChannelId, Context};
+use sam_sim::{Block, BlockStatus, ChannelId, Context, SimulationError, Simulator};
 use sam_streams::{BitVec, Token};
-use sam_tensor::level::BitvectorLevel;
+use sam_tensor::level::{BitvectorLevel, Level};
+use sam_tensor::{CooTensor, LevelFormat, Tensor, TensorFormat};
 use std::sync::{Arc, Mutex};
 
 /// Scans a [`BitvectorLevel`], emitting one bitvector word per cycle plus a
@@ -487,10 +495,80 @@ impl LocateFiber0 for BitvectorLevel {
     }
 }
 
+/// Cycle budget of the hand-wired Figure 13 runs; a vector multiply is
+/// bounded by its word count, so this only ever trips on a wiring bug.
+const MAX_CYCLES: u64 = 200_000_000;
+
+/// A vector stored as one bitvector level of `width`-bit words, plus its
+/// values, in the shared form the blocks take.
+fn bitvector_operand(name: &str, coo: &CooTensor, width: u8) -> (Arc<BitvectorLevel>, Arc<Vec<f64>>) {
+    let format = TensorFormat::new(vec![LevelFormat::Bitvector { word_width: width }]);
+    let tensor = Tensor::from_coo(name, coo, format);
+    let Level::Bitvector(level) = tensor.level(0) else { unreachable!("built with a bitvector format") };
+    (Arc::new(level.clone()), Arc::new(tensor.vals().to_vec()))
+}
+
+/// Reads a finished run's `(coordinate, value)` sink back as a sparse vector.
+fn result_vector(sink: &BitResultSink, dim: usize) -> Tensor {
+    let entries = sink.lock().expect("poisoned sink").iter().map(|&(c, v)| (vec![c], v)).collect();
+    let coo =
+        CooTensor::from_entries(vec![dim], entries).expect("products lie inside the operands' dimension");
+    Tensor::from_coo("x", &coo, TensorFormat::sparse_vec())
+}
+
+/// Figure 13's `BV` configuration of `x(i) = b(i) * c(i)`: both vectors are
+/// scanned one `width`-bit word per cycle, intersected word-wise, and every
+/// lane of a surviving word is multiplied in parallel. Returns the result
+/// vector and the simulated cycle count.
+///
+/// # Errors
+///
+/// Propagates the simulator's error if the run does not quiesce.
+pub fn bitvector_vec_mul(b: &CooTensor, c: &CooTensor, width: u8) -> Result<(Tensor, u64), SimulationError> {
+    let (lb, vb) = bitvector_operand("b", b, width);
+    let (lc, vc) = bitvector_operand("c", c, width);
+    let mut sim = Simulator::new();
+    let [rb, rc, b_bits, b_refs, c_bits, c_refs, inter, pairs] =
+        ["b_root", "c_root", "b_bits", "b_refs", "c_bits", "c_refs", "intersected", "pairs"]
+            .map(|name| sim.add_channel(name));
+    sim.preload(rb, root_stream());
+    sim.preload(rc, root_stream());
+    let sink = bit_result_sink();
+    sim.add_block(Box::new(BitvectorScanner::new("b_scan", lb.clone(), rb, b_bits, b_refs)));
+    sim.add_block(Box::new(BitvectorScanner::new("c_scan", lc.clone(), rc, c_bits, c_refs)));
+    sim.add_block(Box::new(BitvectorIntersecter::new(
+        "bv_int",
+        [b_bits, c_bits],
+        [b_refs, c_refs],
+        inter,
+        pairs,
+    )));
+    sim.add_block(Box::new(BitvectorVecMul::new("bv_mul", lb, lc, vb, vc, inter, sink.clone())));
+    let report = sim.run(MAX_CYCLES)?;
+    Ok((result_vector(&sink, b.shape()[0]), report.cycles))
+}
+
+/// Figure 13's `BV w/ split` configuration: the same multiply on a two-level
+/// bit-tree, one [`BitTreeVecMul`] block walking both operands. Returns the
+/// result vector and the simulated cycle count.
+///
+/// # Errors
+///
+/// Propagates the simulator's error if the run does not quiesce.
+pub fn bit_tree_vec_mul(b: &CooTensor, c: &CooTensor, width: u8) -> Result<(Tensor, u64), SimulationError> {
+    let (lb, vb) = bitvector_operand("b", b, width);
+    let (lc, vc) = bitvector_operand("c", c, width);
+    let sink = bit_result_sink();
+    let mut sim = Simulator::new();
+    let progress = sim.add_channel("progress");
+    sim.add_block(Box::new(BitTreeVecMul::new("bt_mul", lb, lc, vb, vc, progress, sink.clone())));
+    let report = sim.run(MAX_CYCLES)?;
+    Ok((result_vector(&sink, b.shape()[0]), report.cycles))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sam_sim::Simulator;
 
     fn bv_level(coords: &[u32], dim: usize) -> Arc<BitvectorLevel> {
         Arc::new(BitvectorLevel::from_fibers(dim, 64, &[coords.to_vec()]))
@@ -585,5 +663,33 @@ mod tests {
         assert_eq!(sink.lock().unwrap().len(), 40);
         // 32 inner words exist but only ~2 overlap the block; plus one outer word.
         assert!(report.cycles < 10, "cycles = {}", report.cycles);
+    }
+
+    #[test]
+    fn vector_multiply_runs_agree_with_the_dense_product() {
+        let dim = 256;
+        let b = sam_tensor::synth::random_vector(dim, 50, 1);
+        let c = sam_tensor::synth::random_vector(dim, 60, 2);
+        let (db, dc) = (b.to_dense(), c.to_dense());
+        for (what, run) in
+            [("BV", bitvector_vec_mul(&b, &c, 64)), ("BV w/ split", bit_tree_vec_mul(&b, &c, 64))]
+        {
+            let (x, cycles) = run.unwrap();
+            assert!(cycles > 0, "{what}");
+            let x = x.to_dense();
+            for i in 0..dim {
+                assert!((x.at(&[i as u32]) - db[i] * dc[i]).abs() < 1e-9, "{what} disagreed at {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn bitvector_cycles_are_word_bound() {
+        let dim = 2048;
+        let b = sam_tensor::synth::random_vector(dim, 400, 1);
+        let c = sam_tensor::synth::random_vector(dim, 400, 2);
+        let (_, cycles) = bitvector_vec_mul(&b, &c, 64).unwrap();
+        // 32 words plus pipeline overhead.
+        assert!(cycles < 200, "cycles = {cycles}");
     }
 }

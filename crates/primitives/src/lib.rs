@@ -13,7 +13,8 @@
 //! * [`Alu`] — streaming arithmetic (Definition 3.6),
 //! * [`Reducer`] — scalar/vector/matrix accumulation (Definition 3.7),
 //! * [`LevelWriter`] / [`ValWriter`] — tensor construction (Definition 3.8),
-//! * [`CoordDropper`] — result cleanup (Definition 3.9).
+//! * [`CoordDropper`] — result cleanup (Definition 3.9),
+//! * [`Fork`] — the stream fan-out paper figures draw implicitly.
 //!
 //! Optimization blocks (Section 4):
 //!
@@ -28,6 +29,7 @@ pub mod array;
 pub mod bitvector;
 pub mod compute;
 pub mod dropper;
+pub mod fork;
 pub mod merge;
 pub mod repeat;
 pub mod scanner;
@@ -40,6 +42,7 @@ pub use bitvector::{
 };
 pub use compute::{Alu, AluOp, ConstVal, EmptyFiberPolicy, Reducer};
 pub use dropper::CoordDropper;
+pub use fork::Fork;
 pub use merge::{Intersecter, Parallelizer, Serializer, Unioner};
 pub use repeat::Repeater;
 pub use scanner::LevelScanner;

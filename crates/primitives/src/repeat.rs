@@ -14,6 +14,13 @@ use sam_streams::Token;
 /// are redundant with the coordinate stream's higher-level stops and are
 /// absorbed.
 ///
+/// The two inputs arrive at unrelated times, so the block pairs them by
+/// counting *fibers* on both sides rather than by what happens to be at the
+/// head of each channel: every reference owns one coordinate fiber, and a
+/// reference-stream stop that does not directly follow a reference is an
+/// empty fiber upstream, which the coordinate stream answers with a stop of
+/// its own and no reference.
+///
 /// ```text
 ///  in_crd:  D, S0, 9, 8, 6, 2, 0      (the vector b in Figure 6)
 ///  in_ref:  D, 0                       (the scalar c's root reference)
@@ -25,7 +32,15 @@ pub struct Repeater {
     in_crd: ChannelId,
     in_ref: ChannelId,
     out_ref: ChannelId,
-    current: Option<SimToken>,
+    /// The reference being repeated and the fiber it belongs to.
+    current: Option<(SimToken, u64)>,
+    /// Fibers accounted for on the reference stream so far.
+    ref_fibers: u64,
+    /// Fibers closed on the coordinate stream so far.
+    crd_fibers: u64,
+    /// Whether the last reference-stream token was a reference, whose
+    /// trailing stop the coordinate stream has merged into its own.
+    ref_open: bool,
     in_ref_done: bool,
     done: bool,
 }
@@ -39,6 +54,9 @@ impl Repeater {
             in_ref,
             out_ref,
             current: None,
+            ref_fibers: 0,
+            crd_fibers: 0,
+            ref_open: false,
             in_ref_done: false,
             done: false,
         }
@@ -60,19 +78,26 @@ impl Block for Repeater {
         // Fetch the next reference to repeat when none is held.
         if self.current.is_none() && !self.in_ref_done {
             if let Some(t) = ctx.peek(self.in_ref).cloned() {
+                ctx.pop(self.in_ref);
                 match t {
                     Token::Val(_) | Token::Empty => {
-                        ctx.pop(self.in_ref);
-                        self.current = Some(t);
+                        // A reference whose (empty) fiber the coordinate
+                        // stream already closed has nothing to repeat over.
+                        if self.ref_fibers >= self.crd_fibers {
+                            self.current = Some((t, self.ref_fibers));
+                        }
+                        self.ref_fibers += 1;
+                        self.ref_open = true;
                     }
                     Token::Stop(_) => {
-                        // Redundant with the coordinate stream's hierarchy.
-                        ctx.pop(self.in_ref);
+                        // Redundant with the coordinate stream's hierarchy;
+                        // on its own it stands for a fiber with no reference.
+                        if !self.ref_open {
+                            self.ref_fibers += 1;
+                        }
+                        self.ref_open = false;
                     }
-                    Token::Done => {
-                        ctx.pop(self.in_ref);
-                        self.in_ref_done = true;
-                    }
+                    Token::Done => self.in_ref_done = true,
                 }
             }
         }
@@ -82,7 +107,7 @@ impl Block for Repeater {
         };
         match head {
             Token::Val(_) => {
-                let Some(current) = self.current else {
+                let Some((current, _)) = self.current else {
                     // Wait for the reference to arrive.
                     return BlockStatus::Busy;
                 };
@@ -99,8 +124,12 @@ impl Block for Repeater {
             Token::Stop(n) => {
                 ctx.pop(self.in_crd);
                 ctx.push(self.out_ref, tok::stop(n));
-                // The next fiber repeats the next reference.
-                self.current = None;
+                // The next fiber repeats the next reference. One fetched
+                // ahead, while this stop was still in flight, stays.
+                if self.current.is_some_and(|(_, fiber)| fiber <= self.crd_fibers) {
+                    self.current = None;
+                }
+                self.crd_fibers += 1;
                 BlockStatus::Busy
             }
             Token::Done => {
@@ -210,5 +239,68 @@ mod tests {
         sim.run(100).unwrap();
         let empties = sim.history(out).iter().filter(|t| t.is_empty_token()).count();
         assert_eq!(empties, 2);
+    }
+
+    /// Pushes one token every `gap` cycles: a producer slower than the
+    /// repeater's other input.
+    struct Slow {
+        out: ChannelId,
+        tokens: std::collections::VecDeque<SimToken>,
+        gap: u32,
+        wait: u32,
+    }
+
+    impl Block for Slow {
+        fn name(&self) -> &str {
+            "slow"
+        }
+
+        fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
+            if self.wait > 0 {
+                self.wait -= 1;
+                return BlockStatus::Busy;
+            }
+            self.wait = self.gap;
+            match self.tokens.pop_front() {
+                Some(t) => {
+                    ctx.push(self.out, t);
+                    if self.tokens.is_empty() {
+                        BlockStatus::Done
+                    } else {
+                        BlockStatus::Busy
+                    }
+                }
+                None => BlockStatus::Done,
+            }
+        }
+    }
+
+    /// An empty fiber upstream shows as a lone stop on both inputs. However
+    /// far either input runs ahead of the other, the reference after it
+    /// belongs to the fiber after it.
+    #[test]
+    fn references_stay_paired_when_one_input_lags() {
+        let crd = vec![
+            tok::crd(24),
+            tok::stop(1),
+            tok::stop(1),
+            tok::crd(4),
+            tok::crd(23),
+            tok::stop(2),
+            tok::done(),
+        ];
+        let rf = vec![tok::rf(6), tok::stop(0), tok::stop(0), tok::rf(8), tok::stop(1), tok::done()];
+        for (crd_gap, ref_gap) in [(0, 0), (3, 0), (0, 3)] {
+            let mut sim = Simulator::new();
+            let c = sim.add_channel("crd");
+            let r = sim.add_channel("ref");
+            let out = sim.add_channel("out");
+            sim.record(out);
+            sim.add_block(Box::new(Repeater::new("rep", c, r, out)));
+            sim.add_block(Box::new(Slow { out: c, tokens: crd.clone().into(), gap: crd_gap, wait: 0 }));
+            sim.add_block(Box::new(Slow { out: r, tokens: rf.clone().into(), gap: ref_gap, wait: 0 }));
+            sim.run(200).unwrap();
+            assert_eq!(to_paper(sim.history(out)), "D, S2, 8, 8, S1, S1, 6", "gaps {crd_gap}/{ref_gap}");
+        }
     }
 }

@@ -107,10 +107,8 @@ pub fn snap_targets(targets: &[usize], legal: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Crd;
-
-    fn v(c: u32) -> Token<Crd> {
-        Token::Val(Crd(c))
+    fn v(c: u32) -> Token<u32> {
+        Token::Val(c)
     }
 
     #[test]
@@ -141,7 +139,7 @@ mod tests {
 
     #[test]
     fn scanner_safety_rejects_empty_then_stop() {
-        let s: Vec<Token<Crd>> = vec![Token::Empty, Token::Stop(0), Token::Done];
+        let s: Vec<Token<u32>> = vec![Token::Empty, Token::Stop(0), Token::Done];
         assert!(!scanner_cut_is_safe(&s, 1));
         assert!(scanner_cut_is_safe(&s, 2));
     }

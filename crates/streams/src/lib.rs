@@ -11,9 +11,9 @@
 //! This crate defines:
 //!
 //! * [`Token`] — the token algebra shared by every stream type,
-//! * the payload newtypes [`Crd`], [`Ref`], [`Val`] and [`BitVec`],
-//! * [`Stream`] — an owned, finished stream with constructors from and
-//!   conversions to nested lists ([`Nested`]),
+//! * [`BitVec`] — the bitvector stream payload of Section 4.3,
+//! * [`fiber`] — fiber-boundary analysis for cutting a finished token
+//!   stream into independently evaluable segments,
 //! * [`TokenStats`] — per-kind token counting used by the Figure 14
 //!   experiment, and
 //! * [`analysis`] — the level-based vs. point-based encoding comparison of
@@ -22,35 +22,24 @@
 //! # Example
 //!
 //! ```
-//! use sam_streams::{Stream, Token};
+//! use sam_streams::{fiber, Token};
 //!
 //! // The coordinate stream for the two fibers (1,) and (0, 2):
-//! let s: Stream<u32> = Stream::from_nested(&vec![vec![1u32], vec![0, 2]].into());
-//! assert_eq!(
-//!     s.tokens(),
-//!     &[
-//!         Token::Val(1),
-//!         Token::Stop(0),
-//!         Token::Val(0),
-//!         Token::Val(2),
-//!         Token::Stop(1),
-//!         Token::Done,
-//!     ]
-//! );
+//! let s: Vec<Token<u32>> =
+//!     vec![Token::Val(1), Token::Stop(0), Token::Val(0), Token::Val(2), Token::Stop(1), Token::Done];
+//! assert_eq!(s.iter().filter(|t| t.is_control()).count(), 3);
+//! // It can be cut after either stop token.
+//! assert_eq!(fiber::after_stop_positions(&s), vec![2, 5]);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod analysis;
 pub mod fiber;
-pub mod nested;
 pub mod stats;
-pub mod stream;
 pub mod token;
 pub mod types;
 
-pub use nested::Nested;
 pub use stats::{TokenKind, TokenStats};
-pub use stream::Stream;
 pub use token::Token;
-pub use types::{BitVec, Crd, Ref, Val};
+pub use types::BitVec;

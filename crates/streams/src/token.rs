@@ -18,10 +18,10 @@ use std::fmt;
 /// * [`Token::Done`] terminates the stream.
 ///
 /// ```
-/// use sam_streams::{Token, Crd};
-/// let t: Token<Crd> = Token::Stop(1);
+/// use sam_streams::Token;
+/// let t: Token<u32> = Token::Stop(1);
 /// assert!(t.is_control());
-/// assert_eq!(Token::Val(Crd(2)).value(), Some(Crd(2)));
+/// assert_eq!(Token::Val(2u32).value(), Some(2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Token<T> {
@@ -93,10 +93,10 @@ impl<T> Token<T> {
     /// Maps the payload type while preserving control tokens.
     ///
     /// ```
-    /// use sam_streams::{Token, Crd, Ref};
-    /// let t = Token::Val(Crd(3)).map(|c: Crd| Ref(c.0));
-    /// assert_eq!(t, Token::Val(Ref(3)));
-    /// assert_eq!(Token::<Crd>::Stop(2).map(|c| Ref(c.0)), Token::Stop(2));
+    /// use sam_streams::Token;
+    /// let t = Token::Val(3u32).map(f64::from);
+    /// assert_eq!(t, Token::Val(3.0));
+    /// assert_eq!(Token::<u32>::Stop(2).map(f64::from), Token::Stop(2));
     /// ```
     pub fn map<U, F: FnOnce(T) -> U>(self, f: F) -> Token<U> {
         match self {
@@ -146,55 +146,54 @@ impl<T: fmt::Display> fmt::Display for Token<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{Crd, Val};
 
     #[test]
     fn classification() {
-        let v: Token<Crd> = Token::Val(Crd(1));
+        let v: Token<u32> = Token::Val(1u32);
         assert!(!v.is_control());
-        assert!(Token::<Crd>::Stop(0).is_control());
-        assert!(Token::<Crd>::Empty.is_control());
-        assert!(Token::<Crd>::Done.is_control());
-        assert!(Token::<Crd>::Done.is_done());
-        assert!(Token::<Crd>::Stop(3).is_stop());
-        assert!(Token::<Crd>::Empty.is_empty_token());
-        assert_eq!(Token::<Crd>::Stop(3).stop_level(), Some(3));
+        assert!(Token::<u32>::Stop(0).is_control());
+        assert!(Token::<u32>::Empty.is_control());
+        assert!(Token::<u32>::Done.is_control());
+        assert!(Token::<u32>::Done.is_done());
+        assert!(Token::<u32>::Stop(3).is_stop());
+        assert!(Token::<u32>::Empty.is_empty_token());
+        assert_eq!(Token::<u32>::Stop(3).stop_level(), Some(3));
         assert_eq!(v.stop_level(), None);
     }
 
     #[test]
     fn value_extraction() {
-        assert_eq!(Token::Val(Val(2.5)).value(), Some(Val(2.5)));
-        assert_eq!(Token::<Val>::Done.value(), None);
-        assert_eq!(Token::Val(Crd(4)).value_ref(), Some(&Crd(4)));
+        assert_eq!(Token::Val(2.5).value(), Some(2.5));
+        assert_eq!(Token::<f64>::Done.value(), None);
+        assert_eq!(Token::Val(4u32).value_ref(), Some(&4u32));
     }
 
     #[test]
     fn kinds() {
-        assert_eq!(Token::Val(Crd(0)).kind(), TokenKind::NonControl);
-        assert_eq!(Token::<Crd>::Stop(0).kind(), TokenKind::Stop);
-        assert_eq!(Token::<Crd>::Empty.kind(), TokenKind::Empty);
-        assert_eq!(Token::<Crd>::Done.kind(), TokenKind::Done);
+        assert_eq!(Token::Val(0u32).kind(), TokenKind::NonControl);
+        assert_eq!(Token::<u32>::Stop(0).kind(), TokenKind::Stop);
+        assert_eq!(Token::<u32>::Empty.kind(), TokenKind::Empty);
+        assert_eq!(Token::<u32>::Done.kind(), TokenKind::Done);
     }
 
     #[test]
     fn bump_stop_only_touches_stops() {
-        assert_eq!(Token::<Crd>::Stop(0).bump_stop(), Token::Stop(1));
-        assert_eq!(Token::Val(Crd(1)).bump_stop(), Token::Val(Crd(1)));
-        assert_eq!(Token::<Crd>::Done.bump_stop(), Token::Done);
+        assert_eq!(Token::<u32>::Stop(0).bump_stop(), Token::Stop(1));
+        assert_eq!(Token::Val(1u32).bump_stop(), Token::Val(1u32));
+        assert_eq!(Token::<u32>::Done.bump_stop(), Token::Done);
     }
 
     #[test]
     fn display_matches_paper_notation() {
-        assert_eq!(format!("{}", Token::Val(Crd(7))), "7");
-        assert_eq!(format!("{}", Token::<Crd>::Stop(1)), "S1");
-        assert_eq!(format!("{}", Token::<Crd>::Empty), "N");
-        assert_eq!(format!("{}", Token::<Crd>::Done), "D");
+        assert_eq!(format!("{}", Token::Val(7u32)), "7");
+        assert_eq!(format!("{}", Token::<u32>::Stop(1)), "S1");
+        assert_eq!(format!("{}", Token::<u32>::Empty), "N");
+        assert_eq!(format!("{}", Token::<u32>::Done), "D");
     }
 
     #[test]
     #[should_panic(expected = "as_control")]
     fn as_control_rejects_data() {
-        let _: Token<Val> = Token::Val(Crd(1)).as_control();
+        let _: Token<f64> = Token::Val(1u32).as_control();
     }
 }

@@ -1,148 +1,13 @@
-//! Payload newtypes carried by SAM streams.
+//! The bitvector stream payload.
 //!
 //! SAM distinguishes three stream types (paper Section 3.2): coordinate
-//! streams (`crd`), reference streams (`ref`) and value streams (`vals`).
-//! Section 4.3 adds bitvector streams as an alternative compression protocol.
-//! Each payload gets its own newtype so graphs cannot accidentally wire a
-//! value stream into a port expecting coordinates.
+//! streams (`crd`), reference streams (`ref`) and value streams (`vals`);
+//! the executors carry those as plain `u32` / `f64` payloads of
+//! [`Token`](crate::Token). Section 4.3 adds bitvector streams as an
+//! alternative compression protocol, whose payload is [`BitVec`].
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// A tensor coordinate along one dimension (paper Figure 1).
-///
-/// Coordinates are non-negative and bounded by the dimension size of the
-/// level they belong to.
-///
-/// ```
-/// use sam_streams::Crd;
-/// let c = Crd(3);
-/// assert_eq!(c.index(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-pub struct Crd(pub u32);
-
-impl Crd {
-    /// The coordinate as a usable array index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl From<u32> for Crd {
-    fn from(v: u32) -> Self {
-        Crd(v)
-    }
-}
-
-impl From<usize> for Crd {
-    fn from(v: usize) -> Self {
-        Crd(v as u32)
-    }
-}
-
-impl fmt::Display for Crd {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// A reference to the location of a fiber (or value) in memory
-/// (paper Section 3.2).
-///
-/// References returned by a level scanner are positions into the next level's
-/// arrays; the reference stream emitted by the final level scanner indexes
-/// the values array.
-///
-/// ```
-/// use sam_streams::Ref;
-/// assert_eq!(Ref(7).index(), 7);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-pub struct Ref(pub u32);
-
-impl Ref {
-    /// The reference as a usable array index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl From<u32> for Ref {
-    fn from(v: u32) -> Self {
-        Ref(v)
-    }
-}
-
-impl From<usize> for Ref {
-    fn from(v: usize) -> Self {
-        Ref(v as u32)
-    }
-}
-
-impl fmt::Display for Ref {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// A scalar tensor value transmitted on a value stream.
-///
-/// Values use `f64` arithmetic; equality in tests uses an epsilon via
-/// [`Val::approx_eq`].
-///
-/// ```
-/// use sam_streams::Val;
-/// assert!(Val(1.0).approx_eq(Val(1.0 + 1e-12)));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-pub struct Val(pub f64);
-
-impl Val {
-    /// Numerically tolerant equality used by functional-correctness checks.
-    pub fn approx_eq(self, other: Val) -> bool {
-        let scale = self.0.abs().max(other.0.abs()).max(1.0);
-        (self.0 - other.0).abs() <= 1e-9 * scale
-    }
-
-    /// True when the value is exactly zero (used by coordinate droppers).
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
-    }
-}
-
-impl From<f64> for Val {
-    fn from(v: f64) -> Self {
-        Val(v)
-    }
-}
-
-impl std::ops::Add for Val {
-    type Output = Val;
-    fn add(self, rhs: Val) -> Val {
-        Val(self.0 + rhs.0)
-    }
-}
-
-impl std::ops::Sub for Val {
-    type Output = Val;
-    fn sub(self, rhs: Val) -> Val {
-        Val(self.0 - rhs.0)
-    }
-}
-
-impl std::ops::Mul for Val {
-    type Output = Val;
-    fn mul(self, rhs: Val) -> Val {
-        Val(self.0 * rhs.0)
-    }
-}
-
-impl fmt::Display for Val {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// A bitvector token covering `width` coordinates starting at coordinate
 /// `base` (paper Section 4.3).
@@ -249,29 +114,6 @@ impl fmt::Display for BitVec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crd_and_ref_roundtrip() {
-        assert_eq!(Crd::from(5u32).index(), 5);
-        assert_eq!(Ref::from(9usize).index(), 9);
-        assert_eq!(format!("{}", Crd(3)), "3");
-        assert_eq!(format!("{}", Ref(4)), "4");
-    }
-
-    #[test]
-    fn val_arithmetic() {
-        assert_eq!(Val(2.0) + Val(3.0), Val(5.0));
-        assert_eq!(Val(2.0) * Val(3.0), Val(6.0));
-        assert_eq!(Val(2.0) - Val(3.0), Val(-1.0));
-        assert!(Val(0.0).is_zero());
-        assert!(!Val(0.5).is_zero());
-    }
-
-    #[test]
-    fn val_approx_eq_scales() {
-        assert!(Val(1e12).approx_eq(Val(1e12 + 1e-3)));
-        assert!(!Val(1.0).approx_eq(Val(1.1)));
-    }
 
     #[test]
     fn bitvec_from_coords_and_queries() {

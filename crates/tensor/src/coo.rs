@@ -155,6 +155,24 @@ impl CooTensor {
         mode_order.iter().map(|&m| self.shape[m]).collect()
     }
 
+    /// The same tensor with its modes reordered: mode `mode_order[d]` becomes
+    /// mode `d` (`permuted(&[1, 0])` is the matrix transpose). Entries come
+    /// out [`canonicalized`](Self::canonicalized).
+    ///
+    /// ```
+    /// use sam_tensor::CooTensor;
+    /// let t = CooTensor::from_entries(vec![2, 3], vec![(vec![0, 2], 5.0)]).unwrap();
+    /// let tt = t.permuted(&[1, 0]);
+    /// assert_eq!((tt.shape(), tt.entries()), (&[3, 2][..], &[(vec![2, 0], 5.0)][..]));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mode_order` is not a permutation of `0..order`.
+    pub fn permuted(&self, mode_order: &[usize]) -> CooTensor {
+        CooTensor { entries: self.canonicalized(mode_order), shape: self.permuted_shape(mode_order) }
+    }
+
     /// Builds a COO tensor from a dense row-major array, keeping only
     /// nonzeros.
     ///

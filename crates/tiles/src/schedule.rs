@@ -528,7 +528,7 @@ impl TupleSpace {
 mod tests {
     use super::*;
     use sam_core::graphs;
-    use sam_core::kernels::spmm::SpmmDataflow;
+    use sam_core::graphs::SpmmDataflow;
     use sam_tensor::{synth, TensorFormat};
 
     fn bind(pairs: Vec<(&str, Tensor)>) -> BTreeMap<String, Tensor> {

@@ -4,7 +4,6 @@
 use sam_core::build::GraphBuilder;
 use sam_core::graph::{NodeId, NodeKind, SamGraph, StreamKind};
 use sam_core::graphs;
-use sam_core::kernels::spmm::SpmmDataflow;
 use sam_tensor::{Tensor, TensorFormat};
 use sam_verify::{verify, verify_bound, Bindings, Rule};
 
@@ -318,33 +317,19 @@ fn missing_skip_edge_fires_once() {
 
 #[test]
 fn catalog_sweep_is_error_free_and_warning_free_except_documented() {
-    let cases: Vec<(&str, SamGraph)> = vec![
-        ("vec_elem_mul(dense)", graphs::vec_elem_mul(false)),
-        ("vec_elem_mul(compressed)", graphs::vec_elem_mul(true)),
-        ("vec_elem_mul_with_skip(dense)", graphs::vec_elem_mul_with_skip(false)),
-        ("vec_elem_mul_with_skip(compressed)", graphs::vec_elem_mul_with_skip(true)),
-        ("identity", graphs::identity()),
-        ("spmv", graphs::spmv()),
-        ("spmv_coiteration", graphs::spmv_coiteration()),
-        ("spmv_with_skip", graphs::spmv_with_skip()),
-        ("spmm(linear-combination)", graphs::spmm(SpmmDataflow::LinearCombination)),
-        ("spmm(inner-product)", graphs::spmm(SpmmDataflow::InnerProduct)),
-        ("spmm(outer-product)", graphs::spmm(SpmmDataflow::OuterProduct)),
-        ("spmm_with_skip", graphs::spmm_with_skip(SpmmDataflow::LinearCombination)),
-        ("mttkrp", graphs::mttkrp()),
-        ("residual", graphs::residual()),
-        ("mat_trans_mul", graphs::mat_trans_mul()),
-        ("plus3", graphs::plus3()),
-        ("sddmm_coiteration", graphs::sddmm_coiteration()),
-        ("sddmm_with_skip", graphs::sddmm_with_skip()),
-    ];
-    for (name, g) in cases {
+    for (name, g) in graphs::catalog() {
         let report = verify(&g);
         assert!(!report.has_errors(), "{name} must verify error-free:\n{}", report.render());
         if name == "sddmm_coiteration" {
             // The deliberate non-skip twin of sddmm_with_skip: the lint
             // correctly reports both skewed-density intersections.
             assert_eq!(report.count(Rule::MissingSkipEdge), 2, "{name}:\n{}", report.render());
+            assert_eq!(report.diagnostics.len(), 2, "{name}:\n{}", report.render());
+        } else if name == "sddmm_locating" {
+            // Each of B's two scanners feeds its coordinates to four
+            // consumers (two repeaters, a locator, a writer): the 4-way
+            // forks Figure 11's fused locating variant is drawn with.
+            assert_eq!(report.count(Rule::ForkShouldBroadcast), 2, "{name}:\n{}", report.render());
             assert_eq!(report.diagnostics.len(), 2, "{name}:\n{}", report.render());
         } else {
             assert!(report.diagnostics.is_empty(), "{name} must be lint-clean:\n{}", report.render());

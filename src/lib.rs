@@ -4,12 +4,12 @@
 //! re-exports the workspace crates so examples and downstream users can pull
 //! everything from one place:
 //!
-//! * [`streams`] — tokens, streams and stream statistics,
+//! * [`streams`] — the token algebra, fiber-boundary analysis and stream
+//!   statistics,
 //! * [`tensor`] — fibertrees, formats, synthetic data and the dense oracle,
 //! * [`primitives`] — the SAM dataflow blocks,
 //! * [`sim`] — the cycle-approximate simulator,
-//! * [`core`] — the SAM graph IR, graph builder, kernel graph catalog,
-//!   wiring helpers and hand-scheduled kernel library,
+//! * [`core`] — the SAM graph IR, graph builder and kernel graph catalog,
 //! * [`trace`] — the observability layer (trace sinks, per-node/per-worker
 //!   profiles, Chrome trace export),
 //! * [`exec`] — the graph-driven execution engine (the `ExecRequest` entry

@@ -1,4 +1,4 @@
-//! Randomized property tests over the core data structures and kernels.
+//! Randomized property tests over the tensor storage and the executors.
 //!
 //! The original proptest-based harness is reproduced with a deterministic
 //! seeded generator (the build environment has no registry access for the
@@ -6,34 +6,14 @@
 //! failures are reproducible by seed.
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sam::core::kernels::vecmul::{vec_elem_mul, VecFormat};
+use sam::core::graphs;
 use sam::custard::{lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
 use sam::exec::{CycleBackend, ExecRequest, Executor, FastBackend, Inputs, Parallelism, TiledBackend};
-use sam::streams::{Nested, Stream};
+use sam::primitives::bitvector::bitvector_vec_mul;
 use sam::tensor::{CooTensor, Tensor, TensorFormat};
 use std::collections::BTreeMap;
 
 const CASES: u64 = 32;
-
-/// Stream encoding of nested lists round-trips for arbitrary two-level
-/// structures, including empty fibers.
-#[test]
-fn stream_nested_roundtrip() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let num_fibers = 1 + rng.gen_range(0usize..5);
-        let fibers: Vec<Vec<u32>> = (0..num_fibers)
-            .map(|_| {
-                let len = rng.gen_range(0usize..6);
-                (0..len).map(|_| rng.gen_range(0u32..64)).collect()
-            })
-            .collect();
-        let nested: Nested<u32> = fibers.clone().into();
-        let stream = Stream::from_nested(&nested);
-        assert!(stream.is_finished(), "seed {seed}");
-        assert_eq!(stream.to_nested(), nested, "seed {seed}");
-    }
-}
 
 /// Fibertree construction preserves every nonzero for any format, and
 /// lookups agree with the staged COO data.
@@ -82,11 +62,28 @@ fn vecmul_matches_direct_product() {
         };
         let cb = to_coo(&b);
         let cc = to_coo(&c);
-        for fmt in [VecFormat::Crd, VecFormat::Dense, VecFormat::CrdSkip, VecFormat::Bv { width: 64 }] {
-            let out = vec_elem_mul(&cb, &cc, dim as usize, fmt).output.to_dense();
+        let on_cycle_backend = |graph, storage: TensorFormat| {
+            let inputs = Inputs::new().coo("b", &cb, storage.clone()).coo("c", &cc, storage);
+            ExecRequest::new(&graph, &inputs)
+                .executor(&CycleBackend::default())
+                .run()
+                .unwrap()
+                .output
+                .unwrap()
+        };
+        for (fmt, out) in [
+            ("Crd", on_cycle_backend(graphs::vec_elem_mul(true), TensorFormat::sparse_vec())),
+            ("Dense", on_cycle_backend(graphs::vec_elem_mul(false), TensorFormat::dense_vec())),
+            (
+                "Crd w/ skip",
+                on_cycle_backend(graphs::vec_elem_mul_with_skip(true), TensorFormat::sparse_vec()),
+            ),
+            ("BV", bitvector_vec_mul(&cb, &cc, 64).unwrap().0),
+        ] {
+            let out = out.to_dense();
             for i in 0..dim {
                 let expect = b.get(&i).copied().unwrap_or(0.0) * c.get(&i).copied().unwrap_or(0.0);
-                assert!((out.at(&[i]) - expect).abs() < 1e-9, "seed {seed} fmt {} at {i}", fmt.label());
+                assert!((out.at(&[i]) - expect).abs() < 1e-9, "seed {seed} fmt {fmt} at {i}");
             }
         }
     }
