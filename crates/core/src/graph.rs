@@ -443,6 +443,18 @@ impl SamGraph {
         &self.edges
     }
 
+    /// The node kinds, editable in place (the node set itself is fixed, so
+    /// labels stay aligned). With [`SamGraph::edges_mut`], what a graph
+    /// mutator perturbs; nothing is validated until the graph is planned.
+    pub fn nodes_mut(&mut self) -> &mut [NodeKind] {
+        &mut self.nodes
+    }
+
+    /// The edge list, editable in place: drop, duplicate or rewire edges.
+    pub fn edges_mut(&mut self) -> &mut Vec<Edge> {
+        &mut self.edges
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()

@@ -1,7 +1,7 @@
 //! The global sharded plan cache and the [`Planner`] entry point.
 //!
-//! Planning a graph ([`Plan::build`]) walks the whole topology, validates
-//! every port and traces every tensor binding — cheap next to a cold custard
+//! Planning a graph ([`Plan::build`]) runs the static analysis over the whole
+//! topology and every tensor binding — cheap next to a cold custard
 //! compile, but pure waste when the same `(expression, formats, shapes)`
 //! workload executes thousands of times against a resident operand corpus.
 //! This module promotes the per-shape plan cache the tiled backend grew in
@@ -239,7 +239,7 @@ impl PlanCache {
         // identical plan — far cheaper than serializing every planner run
         // behind the shard.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(build_verified(graph, inputs)?);
+        let plan = Arc::new(Plan::build(graph, inputs)?);
         let mut s = shard.lock().expect("plan cache shard");
         s.tick += 1;
         let tick = s.tick;
@@ -284,7 +284,8 @@ impl PlanCache {
 /// The single planning entry point: turns `(graph, inputs)` into an
 /// [`Arc<Plan>`], through a [`PlanCache`] or not. Both the one-shot
 /// [`crate::ExecRequest`] path and the `sam-serve` service plan through
-/// this, so there is exactly one place plans come from.
+/// this; cached or not, every plan is one [`Plan::build`], so every door
+/// accepts the same graphs and rejects with the same diagnostics.
 #[derive(Debug, Clone, Default)]
 pub struct Planner {
     cache: Option<Arc<PlanCache>>,
@@ -317,31 +318,9 @@ impl Planner {
         match (&self.cache, self.use_global) {
             (Some(cache), _) => cache.get_or_plan(graph, inputs),
             (None, true) => PlanCache::global().get_or_plan(graph, inputs),
-            (None, false) => Ok(Arc::new(build_verified(graph, inputs)?)),
+            (None, false) => Ok(Arc::new(Plan::build(graph, inputs)?)),
         }
     }
-}
-
-/// Runs the static verifier over `(graph, inputs)` and only then plans.
-///
-/// A verifier rejection surfaces as [`PlanError::Rejected`] carrying every
-/// error diagnostic; the planner's own validation then runs as a backstop
-/// whose findings must be a strict subset of the verifier's — a graph the
-/// planner rejects after a clean verification is a verifier bug, asserted
-/// in debug builds.
-fn build_verified(graph: &SamGraph, inputs: &Inputs) -> Result<Plan, PlanError> {
-    let bindings: sam_verify::Bindings<'_> = inputs.iter().collect();
-    let report = sam_verify::verify_bound(graph, &bindings);
-    if report.has_errors() {
-        return Err(PlanError::Rejected { diagnostics: report.errors().cloned().collect() });
-    }
-    let plan = Plan::build(graph, inputs);
-    debug_assert!(
-        plan.is_ok(),
-        "planner rejected a graph the static verifier accepted: {}",
-        plan.as_ref().err().map(ToString::to_string).unwrap_or_default()
-    );
-    plan
 }
 
 #[cfg(test)]

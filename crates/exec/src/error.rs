@@ -5,204 +5,30 @@ use std::fmt;
 
 /// An error found while planning a graph for execution.
 ///
-/// Planning validates the graph structurally (acyclicity, port wiring) and
-/// against the bound tensors (names, formats, dimensions) before any backend
-/// runs, so execution failures surface as typed errors instead of mid-run
-/// panics or deadlocks.
+/// Planning validates the graph structurally (acyclicity, port wiring, skip
+/// lanes) and against the bound tensors (names, formats, ranks, dimensions)
+/// before any backend runs, so execution failures surface as typed errors
+/// instead of mid-run panics or deadlocks. The validation is `sam-verify`'s
+/// bound analysis, so the error vocabulary is its [`sam_verify::Rule`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// The graph contains a primitive the executor cannot run.
-    UnsupportedNode {
-        /// Index of the offending node within the graph.
-        node: usize,
-        /// Label of the offending node.
-        label: String,
-        /// The unsupported primitive kind (the label sans per-node detail).
-        kind: String,
-    },
-    /// A coordinate-skip feedback edge is wired incorrectly.
-    BadSkipEdge {
-        /// Label of the offending edge.
-        edge: String,
-        /// Why the wiring is invalid.
-        reason: String,
-    },
-    /// The graph is not a DAG.
-    Cycle {
-        /// Labels of the nodes involved in (or downstream of) the cycle.
-        stuck: Vec<String>,
-    },
-    /// An input port of a node has no incoming edge.
-    UnboundInput {
-        /// Label of the consumer node.
-        label: String,
-        /// The unbound input-port index.
-        port: usize,
-    },
-    /// A node received more inputs than its signature accepts, or an edge's
-    /// stream kind fits no remaining port.
-    ExtraInput {
-        /// Label of the consumer node.
-        label: String,
-        /// Label of the offending edge.
-        edge: String,
-    },
-    /// Two edges claim the same input port.
-    DuplicateInput {
-        /// Label of the consumer node.
-        label: String,
-        /// The contested input-port index.
-        port: usize,
-    },
-    /// An edge names an out-of-range or kind-incompatible port.
-    BadPort {
-        /// Label of the edge.
-        edge: String,
-    },
-    /// An unported edge could not be attributed to a unique output port.
-    AmbiguousPort {
-        /// Label of the producer node.
-        label: String,
-    },
-    /// A node references a tensor that was not bound.
-    UnknownTensor {
-        /// The tensor name.
-        name: String,
-    },
-    /// A reference stream reaching a scanner or locator belongs to a
-    /// different tensor than the node declares.
-    TensorMismatch {
-        /// Label of the consumer node.
-        label: String,
-        /// Tensor the node declares.
-        expected: String,
-        /// Tensor the incoming reference stream iterates.
-        found: String,
-    },
-    /// A scanner or locator sits deeper than the bound tensor has levels.
-    LevelOutOfRange {
-        /// The tensor name.
-        tensor: String,
-        /// The storage level the node would read.
-        level: usize,
-    },
-    /// A scanner's compressed/dense annotation contradicts the bound level.
-    FormatMismatch {
-        /// The tensor name.
-        tensor: String,
-        /// The storage level with the contradiction.
-        level: usize,
-    },
-    /// The graph does not consume all of a bound tensor's storage levels:
-    /// a value array reads references that stop `consumed` levels deep into
-    /// a tensor with `levels` levels (e.g. a matrix bound where the kernel
-    /// iterates a vector).
-    RankMismatch {
-        /// The tensor name.
-        tensor: String,
-        /// How many levels the reference stream reaching the value array
-        /// has traversed.
-        consumed: usize,
-        /// How many storage levels the bound tensor actually has.
-        levels: usize,
-    },
-    /// An ALU names an operation the executor does not know.
-    UnknownAluOp {
-        /// The operation mnemonic.
-        op: String,
-    },
-    /// A `ConstVal` source names a tensor that is not a single-value scalar
-    /// (one stored value, every dimension 1 — see `Inputs::scalar`).
-    NotScalar {
-        /// The tensor name.
-        tensor: String,
-        /// How many values the bound tensor actually holds.
-        vals: usize,
-        /// The bound tensor's per-level dimensions.
-        dims: Vec<usize>,
-    },
-    /// The graph has no values writer, so it produces no output.
-    MissingValsWriter,
-    /// The graph has several values writers.
-    MultipleValsWriters,
-    /// No scanner iterates the index variable of a level writer, so its
-    /// dimension cannot be inferred.
-    UnknownDimension {
-        /// The index variable.
-        index: char,
-    },
-    /// The static verifier (`sam-verify`) rejected the graph before
-    /// planning. Carries every error-severity diagnostic, not just the
-    /// first — strictly more specific than the planner's own
-    /// first-error-wins validation, which this subsumes on the
-    /// [`crate::Planner`] path.
+    /// The static analysis (`sam-verify`) found the graph unexecutable.
+    /// Carries every error-severity diagnostic, not just the first; each
+    /// names its rule and, where there is one, the offending node and port.
     Rejected {
-        /// The verifier's error diagnostics, in graph order.
+        /// The error diagnostics, in discovery order.
         diagnostics: Vec<sam_verify::Diagnostic>,
     },
 }
 
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanError::UnsupportedNode { node, label, kind } => {
-                write!(f, "node n{node} (`{label}`) is not executable: `{kind}` is unsupported")
-            }
-            PlanError::BadSkipEdge { edge, reason } => {
-                write!(f, "skip edge `{edge}` is wired incorrectly: {reason}")
-            }
-            PlanError::Cycle { stuck } => write!(f, "graph contains a cycle through: {}", stuck.join(", ")),
-            PlanError::UnboundInput { label, port } => {
-                write!(f, "input port {port} of `{label}` has no incoming stream")
-            }
-            PlanError::ExtraInput { label, edge } => {
-                write!(f, "edge `{edge}` does not fit any free input port of `{label}`")
-            }
-            PlanError::DuplicateInput { label, port } => {
-                write!(f, "input port {port} of `{label}` is driven by more than one stream")
-            }
-            PlanError::BadPort { edge } => write!(f, "edge `{edge}` names an invalid port"),
-            PlanError::AmbiguousPort { label } => {
-                write!(f, "outputs of `{label}` cannot be attributed to unique ports; wire explicit ports")
-            }
-            PlanError::UnknownTensor { name } => write!(f, "tensor `{name}` is not bound"),
-            PlanError::TensorMismatch { label, expected, found } => {
-                write!(f, "`{label}` expects tensor `{expected}` but receives a `{found}` reference stream")
-            }
-            PlanError::LevelOutOfRange { tensor, level } => {
-                write!(f, "tensor `{tensor}` has no storage level {level}")
-            }
-            PlanError::FormatMismatch { tensor, level } => {
-                write!(f, "scanner annotation disagrees with level {level} of tensor `{tensor}`")
-            }
-            PlanError::RankMismatch { tensor, consumed, levels } => {
-                write!(
-                    f,
-                    "tensor `{tensor}` has {levels} storage level(s) but the graph consumes only \
-                     {consumed} before reading values"
-                )
-            }
-            PlanError::UnknownAluOp { op } => write!(f, "unknown ALU operation `{op}`"),
-            PlanError::NotScalar { tensor, vals, dims } => {
-                write!(
-                    f,
-                    "constant source `{tensor}` must bind a single-value scalar \
-                     (one stored value, every dimension 1); found {vals} value(s) over dimensions {dims:?}"
-                )
-            }
-            PlanError::MissingValsWriter => write!(f, "graph has no values writer"),
-            PlanError::MultipleValsWriters => write!(f, "graph has more than one values writer"),
-            PlanError::UnknownDimension { index } => {
-                write!(f, "no scanner iterates `{index}`, so the output dimension is unknown")
-            }
-            PlanError::Rejected { diagnostics } => {
-                write!(f, "graph failed static verification ({} error(s))", diagnostics.len())?;
-                for d in diagnostics {
-                    write!(f, "\n{d}")?;
-                }
-                Ok(())
-            }
+        let PlanError::Rejected { diagnostics } = self;
+        write!(f, "graph failed static verification ({} error(s))", diagnostics.len())?;
+        for d in diagnostics {
+            write!(f, "\n{d}")?;
         }
+        Ok(())
     }
 }
 

@@ -9,10 +9,12 @@
 //!
 //! The crate has two halves:
 //!
-//! * a **planner** ([`Plan`]) that topologically orders the graph, resolves
-//!   every edge to producer/consumer ports, plans the stream forks a
-//!   simulator needs wherever one port feeds several consumers, binds tensor inputs by name and
-//!   validates the whole configuration up front, and
+//! * a **planner** ([`Plan`]) built from one run of `sam-verify`'s analysis,
+//!   which resolves every edge to producer/consumer ports, topologically
+//!   orders the graph and validates the whole configuration against the
+//!   bound tensors up front; the planner adds the stream forks a simulator
+//!   needs wherever one port feeds several consumers, scanner fusion and
+//!   the per-node tensor bindings, and
 //! * three **backends** behind one [`Executor`] trait:
 //!   [`CycleBackend`] instantiates `sam-primitives` blocks into the
 //!   `sam-sim` simulator for cycle-approximate runs, [`FastBackend`]

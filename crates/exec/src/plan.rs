@@ -1,69 +1,43 @@
 //! The planner: turns an arbitrary [`SamGraph`] plus bound tensors into an
 //! executable [`Plan`].
 //!
-//! Planning performs, in order:
+//! All validation and all resolution is `sam-verify`'s: [`Plan::build`] runs
+//! one bound [`Analysis`] — support check, port resolution, topological
+//! order, skip-lane validation, reference trace, every binding rule — and
+//! rejects on any error diagnostic. A clean analysis *is* the plan's
+//! topology; on top of it the planner derives only what execution needs and
+//! the analysis does not know:
 //!
-//! 1. **Support check** — every node must be an executable primitive.
-//! 2. **Port resolution** — each edge is attributed to one output port of
-//!    its producer and one input port of its consumer. Explicitly wired
-//!    edges (built via `sam_core::build::GraphBuilder`) are validated;
-//!    unported edges are inferred from stream kinds where unambiguous.
-//! 3. **Topological ordering** — Kahn's algorithm; cycles are reported with
-//!    the labels of the stuck nodes.
-//! 4. **Fan-out planning** — output ports feeding several consumers are
-//!    recorded so backends can insert stream forks (the `Fork` block of
-//!    `sam-primitives`). Skip feedback lanes are validated
-//!    here, and every level scanner whose two streams feed one operand of
-//!    one intersecter and nothing else is recorded as a [`FusedScan`]: the
-//!    fast backend stores a stream only if somebody re-reads it.
-//! 5. **Tensor binding** — reference streams are traced from the roots so
-//!    every scanner/locator knows which storage level of which bound tensor
-//!    it reads, output dimensions are inferred per index variable, and the
-//!    output writers are collected.
+//! * **Scanner fusion** — every level scanner private to one operand of one
+//!   intersecter ([`Analysis::private_scanner`]) is recorded as a
+//!   [`FusedScan`]: the fast backend stores a stream only if somebody
+//!   re-reads it.
+//! * **Channels** — the fan-out tables flattened to one [`ChannelSpec`] per
+//!   consumer port, so backends can insert stream forks (the `Fork` block of
+//!   `sam-primitives`).
+//! * **Tensor binding** — which storage level each scanner/locator reads
+//!   (the depth of the reference stream feeding it), each level writer's
+//!   output dimension, parsed ALU operations, resolved constants, and the
+//!   output writers.
 
 use crate::bind::Inputs;
 use crate::error::PlanError;
-use sam_core::graph::{Edge, NodeId, NodeKind, PortKind, SamGraph, StreamKind};
+use sam_core::graph::{NodeId, NodeKind, SamGraph};
 use sam_primitives::AluOp;
-use std::collections::HashMap;
-
-/// A producer endpoint: output port `port` of node `node`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PortRef {
-    /// The producing node.
-    pub node: NodeId,
-    /// The output-port index.
-    pub port: usize,
-}
-
-/// One validated coordinate-skip feedback lane (paper Section 4.2): the
-/// intersecter sends the coordinate it is waiting for on `operand` back to
-/// `scanner`, which gallops past everything smaller.
-///
-/// Validation guarantees the scanner feeds exactly that operand's crd/ref
-/// inputs and nothing else, so the fast backend may fuse the pair into one
-/// galloping work unit while the cycle backend lowers the lane onto the
-/// `sam-primitives` skip channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SkipSpec {
-    /// The intersecter emitting skip targets.
-    pub intersecter: NodeId,
-    /// Which operand (0 or 1) of the intersecter the lane serves.
-    pub operand: usize,
-    /// The level scanner that receives the skip targets.
-    pub scanner: NodeId,
-}
+use sam_verify::{Analysis, StreamType};
+pub use sam_verify::{PortRef, SkipLane as SkipSpec};
 
 /// A level scanner the fast backend never evaluates standalone: its
 /// coordinate port and its reference port each have exactly one consumer,
-/// and both consumers are the same operand of one intersecter. Nobody else
-/// can observe the scanner's streams, so the intersecter pulls `(crd, ref)`
-/// pairs straight from the storage level and the streams are never stored.
+/// and both consumers are the same operand of one intersecter
+/// ([`Analysis::private_scanner`]). Nobody else can observe the scanner's
+/// streams, so the intersecter pulls `(crd, ref)` pairs straight from the
+/// storage level and the streams are never stored.
 ///
-/// Every validated [`SkipSpec`] target passes this test by construction and
-/// is fused with `gallop: true`; every other scanner that passes it is fused
-/// with `gallop: false`, which visits (and counts) every coordinate exactly
-/// as the standalone scanner would.
+/// Every validated [`SkipSpec`] target passed the same test and is fused
+/// with `gallop: true`; every other private scanner is fused with
+/// `gallop: false`, which visits (and counts) every coordinate exactly as
+/// the standalone scanner would.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusedScan {
     /// The fused level scanner.
@@ -140,16 +114,11 @@ pub const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
 #[derive(Debug, Clone)]
 pub struct Plan {
     graph: SamGraph,
-    order: Vec<NodeId>,
-    /// Per node: the producer endpoint feeding each input port. Optional
-    /// skip ports may stay `None`; every other port is guaranteed bound.
-    node_inputs: Vec<Vec<Option<PortRef>>>,
-    /// Per node and output port: `(consumer node, consumer input port)`.
-    consumers: Vec<Vec<Vec<(NodeId, usize)>>>,
+    /// The clean analysis the plan was derived from: topological order,
+    /// per-port producers and consumers, validated skip lanes, stream types.
+    analysis: Analysis,
     /// The flattened channel topology (one entry per consumer port).
     channels: Vec<ChannelSpec>,
-    /// Validated coordinate-skip feedback lanes.
-    skip_specs: Vec<SkipSpec>,
     /// Per node: the fusion of a level scanner into the intersecter operand
     /// it feeds, `None` for every node the fast backend evaluates itself.
     fused: Vec<Option<FusedScan>>,
@@ -173,238 +142,39 @@ impl Plan {
     ///
     /// # Errors
     ///
-    /// Returns a [`PlanError`] describing the first structural or binding
-    /// problem found; see the module docs for the validation phases.
+    /// Returns [`PlanError::Rejected`] carrying every error diagnostic of
+    /// the bound analysis when there is one.
     pub fn build(graph: &SamGraph, inputs: &Inputs) -> Result<Plan, PlanError> {
+        let bindings: sam_verify::Bindings<'_> = inputs.iter().collect();
+        let analysis = Analysis::run(graph, Some(&bindings));
+        if analysis.report.has_errors() {
+            return Err(PlanError::Rejected { diagnostics: analysis.report.errors().cloned().collect() });
+        }
+        // From here on the analysis is clean, which guarantees what the
+        // derivations below read: every mandatory port is bound, every
+        // scanner and locator is fed a typed reference stream of its own
+        // bound tensor, every written index variable has a size, every ALU
+        // names a known operation, every named constant binds a scalar, and
+        // there is exactly one values writer.
         let n = graph.len();
         let nodes = graph.nodes();
 
-        // Phase 1: support check.
-        for (node, kind) in nodes.iter().enumerate() {
-            let unsupported = match kind {
-                NodeKind::Parallelizer => Some("Parallelizer"),
-                NodeKind::Serializer => Some("Serializer"),
-                NodeKind::BitvectorConverter => Some("BitvectorConverter"),
-                _ => None,
-            };
-            if let Some(name) = unsupported {
-                return Err(PlanError::UnsupportedNode {
-                    node,
-                    label: graph.node_label(NodeId(node)),
-                    kind: name.to_string(),
-                });
-            }
-        }
-
-        // Skip edges are feedback wiring, not dataflow: they are excluded
-        // from port binding, topological ordering (the whitelisted cycle)
-        // and fan-out planning, then validated separately in phase 4b.
-        let data_edges: Vec<&Edge> = graph.edges().iter().filter(|e| e.kind != StreamKind::Skip).collect();
-        let skip_edges: Vec<&Edge> = graph.edges().iter().filter(|e| e.kind == StreamKind::Skip).collect();
-
-        // Phase 2a: attribute each data edge to a producer output port.
-        let mut src_ports: Vec<usize> = Vec::with_capacity(data_edges.len());
-        {
-            // Track, per producer, which inferred ports were already handed out.
-            let mut next_inferred: HashMap<(usize, usize), usize> = HashMap::new();
-            for e in &data_edges {
-                let outs = nodes[e.from.0].output_ports();
-                let port = match e.src_port {
-                    Some(p) => {
-                        if p >= outs.len() || !outs[p].accepts(e.kind) {
-                            return Err(PlanError::BadPort { edge: e.label.clone() });
-                        }
-                        p
-                    }
-                    None => {
-                        let candidates: Vec<usize> =
-                            (0..outs.len()).filter(|&p| outs[p].accepts(e.kind)).collect();
-                        match candidates.len() {
-                            0 => return Err(PlanError::BadPort { edge: e.label.clone() }),
-                            1 => candidates[0],
-                            _ => {
-                                // Several ports carry this kind: deal them out in
-                                // edge order (matching sibling-edge conventions),
-                                // wrapping back to the first for pure fan-out.
-                                let unported = graph
-                                    .edges()
-                                    .iter()
-                                    .filter(|o| o.from == e.from && o.kind == e.kind && o.src_port.is_none())
-                                    .count();
-                                if unported > candidates.len() {
-                                    return Err(PlanError::AmbiguousPort { label: graph.node_label(e.from) });
-                                }
-                                let key = (e.from.0, candidates[0]);
-                                let idx = next_inferred.entry(key).or_insert(0);
-                                let port = candidates[*idx % candidates.len()];
-                                *idx += 1;
-                                port
-                            }
-                        }
-                    }
-                };
-                src_ports.push(port);
-            }
-        }
-
-        // Phase 2b: bind each data edge to a consumer input port.
-        let mut node_inputs: Vec<Vec<Option<PortRef>>> =
-            nodes.iter().map(|k| vec![None; k.input_ports().len()]).collect();
-        let mut dst_slots: Vec<usize> = Vec::with_capacity(data_edges.len());
-        for (idx, e) in data_edges.iter().enumerate() {
-            let ins = nodes[e.to.0].input_ports();
-            let label = graph.node_label(e.to);
-            let slot = match e.dst_port {
-                Some(p) => {
-                    if p >= ins.len() || !ins[p].accepts(e.kind) {
-                        return Err(PlanError::BadPort { edge: e.label.clone() });
-                    }
-                    if node_inputs[e.to.0][p].is_some() {
-                        return Err(PlanError::DuplicateInput { label, port: p });
-                    }
-                    p
-                }
-                None => (0..ins.len())
-                    .find(|&p| ins[p].accepts(e.kind) && node_inputs[e.to.0][p].is_none())
-                    .ok_or(PlanError::ExtraInput { label, edge: e.label.clone() })?,
-            };
-            node_inputs[e.to.0][slot] = Some(PortRef { node: e.from, port: src_ports[idx] });
-            dst_slots.push(slot);
-        }
-        // Unbound inputs are an error everywhere except the optional skip
-        // ports, which stay `None` when no skip edge targets them.
-        for (i, slots) in node_inputs.iter().enumerate() {
-            let ins = nodes[i].input_ports();
-            for (p, s) in slots.iter().enumerate() {
-                if s.is_none() && ins[p] != PortKind::Skip {
-                    return Err(PlanError::UnboundInput { label: graph.node_label(NodeId(i)), port: p });
+        let mut fused: Vec<Option<FusedScan>> = vec![None; n];
+        for intersecter in (0..n).map(NodeId) {
+            for operand in 0..2 {
+                if let Some(scanner) = analysis.private_scanner(graph, intersecter, operand) {
+                    let gallop = analysis.skip_lanes().iter().any(|lane| lane.scanner == scanner);
+                    fused[scanner.0] = Some(FusedScan { scanner, intersecter, operand, gallop });
                 }
             }
         }
 
-        // Phase 3: topological order (Kahn) over the data edges; the skip
-        // feedback edges are the one legal kind of cycle.
-        let mut indegree = vec![0usize; n];
-        for e in &data_edges {
-            indegree[e.to.0] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut order: Vec<NodeId> = Vec::with_capacity(n);
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            order.push(NodeId(u));
-            for e in data_edges.iter().filter(|e| e.from.0 == u) {
-                indegree[e.to.0] -= 1;
-                if indegree[e.to.0] == 0 {
-                    queue.push(e.to.0);
-                }
-            }
-        }
-        if order.len() != n {
-            let stuck = (0..n).filter(|&i| indegree[i] > 0).map(|i| graph.node_label(NodeId(i))).collect();
-            return Err(PlanError::Cycle { stuck });
-        }
-
-        // Phase 4: fan-out per output port, and the channel topology the
-        // backends materialize (forks become one channel per consumer).
-        let mut consumers: Vec<Vec<Vec<(NodeId, usize)>>> =
-            nodes.iter().map(|k| vec![Vec::new(); k.output_ports().len()]).collect();
-        for (idx, e) in data_edges.iter().enumerate() {
-            consumers[e.from.0][src_ports[idx]].push((e.to, dst_slots[idx]));
-        }
-
-        // Phase 4b: validate the coordinate-skip feedback lanes. A lane must
-        // run from an intersecter back to the level scanner that feeds one
-        // of its coordinate operands, and that scanner's outputs must feed
-        // only the intersecter — which is what lets the fast backend fuse
-        // the pair into one galloping work unit (and keeps the cycle
-        // backend's skip channels free of fork ambiguity).
-        let mut skip_specs: Vec<SkipSpec> = Vec::new();
-        let mut gallops = vec![false; n];
-        for e in &skip_edges {
-            let bad =
-                |reason: &str| PlanError::BadSkipEdge { edge: e.label.clone(), reason: reason.to_string() };
-            if !matches!(nodes[e.from.0], NodeKind::Intersecter { .. }) {
-                return Err(bad("source must be an intersecter"));
-            }
-            if !matches!(nodes[e.to.0], NodeKind::LevelScanner { .. }) {
-                return Err(bad("target must be a level scanner"));
-            }
-            if e.dst_port.is_some_and(|p| p != 1) {
-                return Err(bad("target port must be the scanner's skip input (port 1)"));
-            }
-            let scanner = e.to;
-            let feeds = |slot: usize| node_inputs[e.from.0][slot].map(|p| (p.node, p.port));
-            let operand = match e.src_port {
-                Some(3) => 0,
-                Some(4) => 1,
-                Some(_) => return Err(bad("source port must be a skip lane (port 3 or 4)")),
-                None => match (feeds(0), feeds(1)) {
-                    (Some((s, 0)), _) if s == scanner => 0,
-                    (_, Some((s, 0))) if s == scanner => 1,
-                    _ => return Err(bad("target scanner feeds neither coordinate operand")),
-                },
-            };
-            if feeds(operand) != Some((scanner, 0)) {
-                return Err(bad("lane must target the scanner feeding that operand's coordinates"));
-            }
-            if feeds(2 + operand) != Some((scanner, 1)) {
-                return Err(bad("the operand's reference stream must come from the same scanner"));
-            }
-            if consumers[scanner.0][0].len() != 1 || consumers[scanner.0][1].len() != 1 {
-                return Err(bad("a skip-target scanner's outputs must feed only the intersecter"));
-            }
-            if skip_specs
-                .iter()
-                .any(|s| (s.intersecter == e.from && s.operand == operand) || s.scanner == scanner)
-            {
-                return Err(bad("duplicate skip lane"));
-            }
-            consumers[e.from.0][3 + operand].push((scanner, 1));
-            skip_specs.push(SkipSpec { intersecter: e.from, operand, scanner });
-            gallops[scanner.0] = true;
-        }
-
-        // Phase 4c: scanner fusion. The structural test phase 4b applies to
-        // skip targets, applied to every level scanner: both output ports
-        // have one consumer, and the two consumers are the crd and ref
-        // inputs of one operand of one intersecter.
-        let fused: Vec<Option<FusedScan>> = (0..n)
-            .map(|s| {
-                if !matches!(nodes[s], NodeKind::LevelScanner { .. }) {
-                    return None;
-                }
-                let ([(crd_to, operand)], [(ref_to, ref_slot)]) =
-                    (&consumers[s][0][..], &consumers[s][1][..])
-                else {
-                    return None;
-                };
-                let fusable = crd_to == ref_to
-                    && matches!(nodes[crd_to.0], NodeKind::Intersecter { .. })
-                    && *operand < 2
-                    && *ref_slot == 2 + operand;
-                fusable.then_some(FusedScan {
-                    scanner: NodeId(s),
-                    intersecter: *crd_to,
-                    operand: *operand,
-                    gallop: gallops[s],
-                })
-            })
-            .collect();
-        debug_assert!(
-            skip_specs.iter().all(|s| fused[s.scanner.0].is_some_and(|f| f.gallop)),
-            "every validated skip target is fusable"
-        );
-
-        let channels: Vec<ChannelSpec> = consumers
-            .iter()
-            .enumerate()
-            .flat_map(|(node, ports)| {
-                ports.iter().enumerate().flat_map(move |(port, conns)| {
+        let channels: Vec<ChannelSpec> = (0..n)
+            .map(NodeId)
+            .flat_map(|node| {
+                analysis.consumers_of(node).iter().enumerate().flat_map(move |(port, conns)| {
                     conns.iter().map(move |&(to, to_port)| ChannelSpec {
-                        from: PortRef { node: NodeId(node), port },
+                        from: PortRef { node, port },
                         to,
                         to_port,
                     })
@@ -412,193 +182,52 @@ impl Plan {
             })
             .collect();
 
-        // Phase 5: tensor binding along reference streams.
         let mut scan_levels = vec![0usize; n];
         let mut writer_dims = vec![0usize; n];
         let mut alu_ops: Vec<Option<AluOp>> = vec![None; n];
         let mut const_vals: Vec<Option<f64>> = vec![None; n];
-        let mut ref_ann: HashMap<(usize, usize), (String, usize)> = HashMap::new();
-        let mut dims: HashMap<char, usize> = HashMap::new();
         let mut level_writers = Vec::new();
-        let mut vals_writer: Option<NodeId> = None;
+        let mut vals_writer = None;
         let mut output_name = String::new();
-
-        // The rank validation at value arrays delegates to the static
-        // verifier's stream-type inference — one implementation of the
-        // tensor/depth trace instead of two drifting apart. The planner's
-        // own `ref_ann` stays authoritative for scanner depths (it also
-        // feeds the stream-size estimates below).
-        let verify_bindings: sam_verify::Bindings<'_> = inputs.iter().collect();
-        let verifier = sam_verify::Analysis::run(graph, Some(&verify_bindings));
-
-        let lookup_ref = |ref_ann: &HashMap<(usize, usize), (String, usize)>,
-                          p: &PortRef,
-                          label: String,
-                          expected: &str|
-         -> Result<(String, usize), PlanError> {
-            match ref_ann.get(&(p.node.0, p.port)) {
-                Some(ann) => Ok(ann.clone()),
-                None => Err(PlanError::TensorMismatch {
-                    label,
-                    expected: expected.to_string(),
-                    found: "<untracked>".to_string(),
-                }),
-            }
-        };
-
-        for &id in &order {
-            let kind = &nodes[id.0];
-            match kind {
-                NodeKind::Root { tensor } => {
-                    if inputs.get(tensor).is_none() {
-                        return Err(PlanError::UnknownTensor { name: tensor.clone() });
-                    }
-                    ref_ann.insert((id.0, 0), (tensor.clone(), 0));
-                }
-                NodeKind::LevelScanner { tensor, index, compressed } => {
-                    let src = &node_inputs[id.0][0].expect("bound data port");
-                    let (t, depth) = lookup_ref(&ref_ann, src, graph.node_label(id), tensor)?;
-                    if &t != tensor {
-                        return Err(PlanError::TensorMismatch {
-                            label: graph.node_label(id),
-                            expected: tensor.clone(),
-                            found: t,
-                        });
-                    }
-                    let bound =
-                        inputs.get(tensor).ok_or(PlanError::UnknownTensor { name: tensor.clone() })?;
-                    if depth >= bound.levels().len() {
-                        return Err(PlanError::LevelOutOfRange { tensor: tensor.clone(), level: depth });
-                    }
-                    let level = bound.level(depth);
-                    if level.is_dense() == *compressed {
-                        return Err(PlanError::FormatMismatch { tensor: tensor.clone(), level: depth });
-                    }
-                    scan_levels[id.0] = depth;
-                    dims.entry(*index).or_insert_with(|| level.dimension());
-                    ref_ann.insert((id.0, 1), (tensor.clone(), depth + 1));
-                }
-                NodeKind::Locator { tensor, index } => {
-                    let src = &node_inputs[id.0][1].expect("bound data port");
-                    let (t, depth) = lookup_ref(&ref_ann, src, graph.node_label(id), tensor)?;
-                    if &t != tensor {
-                        return Err(PlanError::TensorMismatch {
-                            label: graph.node_label(id),
-                            expected: tensor.clone(),
-                            found: t,
-                        });
-                    }
-                    let bound =
-                        inputs.get(tensor).ok_or(PlanError::UnknownTensor { name: tensor.clone() })?;
-                    if depth >= bound.levels().len() {
-                        return Err(PlanError::LevelOutOfRange { tensor: tensor.clone(), level: depth });
-                    }
-                    scan_levels[id.0] = depth;
-                    dims.entry(*index).or_insert_with(|| bound.level(depth).dimension());
-                    ref_ann.insert((id.0, 1), (tensor.clone(), depth));
-                    ref_ann.insert((id.0, 2), (tensor.clone(), depth + 1));
-                }
-                NodeKind::Repeater { .. } => {
-                    let src = &node_inputs[id.0][1].expect("bound data port");
-                    if let Some(ann) = ref_ann.get(&(src.node.0, src.port)).cloned() {
-                        ref_ann.insert((id.0, 0), ann);
-                    }
-                }
-                NodeKind::Intersecter { .. } | NodeKind::Unioner { .. } => {
-                    for (slot, port) in [(2usize, 1usize), (3, 2)] {
-                        let src = &node_inputs[id.0][slot].expect("bound data port");
-                        if let Some(ann) = ref_ann.get(&(src.node.0, src.port)).cloned() {
-                            ref_ann.insert((id.0, port), ann);
-                        }
-                    }
-                }
-                NodeKind::Array { tensor } => {
-                    let Some(bound) = inputs.get(tensor) else {
-                        return Err(PlanError::UnknownTensor { name: tensor.clone() });
-                    };
-                    // Rank validation: a value array reads references into
-                    // the values, which only exist below the *last* storage
-                    // level. A traced reference stream of another tensor is
-                    // a wiring bug; one that stops short of the last level
-                    // means the graph never consumed the tensor's deeper
-                    // levels (e.g. a matrix bound to a vector kernel) and
-                    // would silently read wrong positions. Untracked
-                    // streams (e.g. routed through a coordinate dropper)
-                    // stay permissive and fail at execution if wrong. The
-                    // trace itself is the verifier's.
-                    let src = &node_inputs[id.0][0].expect("bound data port");
-                    debug_assert_eq!(
-                        verifier.ref_annotation(src.node.0, src.port),
-                        ref_ann.get(&(src.node.0, src.port)).map(|(t, d)| (t.as_str(), *d)),
-                        "verifier and planner disagree on the reference trace into `{}`",
-                        graph.node_label(id)
-                    );
-                    if let Some((t, depth)) = verifier.ref_annotation(src.node.0, src.port) {
-                        if t != tensor {
-                            return Err(PlanError::TensorMismatch {
-                                label: graph.node_label(id),
-                                expected: tensor.clone(),
-                                found: t.to_string(),
-                            });
-                        }
-                        if depth != bound.levels().len() {
-                            return Err(PlanError::RankMismatch {
-                                tensor: tensor.clone(),
-                                consumed: depth,
-                                levels: bound.levels().len(),
-                            });
-                        }
-                    }
-                }
+        // The storage level a scanner or locator reads is the depth of the
+        // reference stream arriving on `slot`.
+        let depth_into =
+            |id: NodeId, slot: usize| match analysis.stream_type(analysis.inputs_of(id)[slot]?)? {
+                StreamType::Ref { depth, .. } => Some(*depth),
+                _ => None,
+            };
+        for &id in analysis.order() {
+            match &nodes[id.0] {
+                NodeKind::LevelScanner { .. } => scan_levels[id.0] = depth_into(id, 0).unwrap_or_default(),
+                NodeKind::Locator { .. } => scan_levels[id.0] = depth_into(id, 1).unwrap_or_default(),
                 NodeKind::Alu { op } => {
-                    alu_ops[id.0] = Some(match op.as_str() {
-                        "add" => AluOp::Add,
-                        "sub" => AluOp::Sub,
-                        "mul" => AluOp::Mul,
-                        other => return Err(PlanError::UnknownAluOp { op: other.to_string() }),
-                    });
+                    alu_ops[id.0] = match op.as_str() {
+                        "add" => Some(AluOp::Add),
+                        "sub" => Some(AluOp::Sub),
+                        "mul" => Some(AluOp::Mul),
+                        _ => None,
+                    };
                 }
                 NodeKind::ConstVal { tensor, bits } => {
-                    const_vals[id.0] = Some(if tensor.is_empty() {
-                        f64::from_bits(*bits)
+                    const_vals[id.0] = if tensor.is_empty() {
+                        Some(f64::from_bits(*bits))
                     } else {
-                        // A zero-index access: the bound tensor must be a
-                        // genuine scalar — one stored value AND every
-                        // dimension 1 (see `Inputs::scalar`). A higher-rank
-                        // tensor that happens to hold a single nonzero is a
-                        // misbinding, not a scalar.
-                        let bound =
-                            inputs.get(tensor).ok_or(PlanError::UnknownTensor { name: tensor.clone() })?;
-                        if bound.vals().len() != 1 || bound.levels().iter().any(|l| l.dimension() > 1) {
-                            return Err(PlanError::NotScalar {
-                                tensor: tensor.clone(),
-                                vals: bound.vals().len(),
-                                dims: bound.levels().iter().map(|l| l.dimension()).collect(),
-                            });
-                        }
-                        bound.vals()[0]
-                    });
+                        inputs.get(tensor).and_then(|bound| bound.vals().first().copied())
+                    };
                 }
                 NodeKind::LevelWriter { tensor, index, vals } => {
                     output_name = tensor.clone();
                     if *vals {
-                        if vals_writer.is_some() {
-                            return Err(PlanError::MultipleValsWriters);
-                        }
                         vals_writer = Some(id);
                     } else {
-                        let dim = *dims.get(index).ok_or(PlanError::UnknownDimension { index: *index })?;
-                        writer_dims[id.0] = dim;
+                        writer_dims[id.0] = analysis.dimension(*index).unwrap_or_default();
                         level_writers.push(id);
                     }
                 }
-                NodeKind::Reducer { .. } | NodeKind::CoordDropper { .. } => {}
-                NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                    unreachable!("rejected in phase 1")
-                }
+                _ => {}
             }
         }
-        let vals_writer = vals_writer.ok_or(PlanError::MissingValsWriter)?;
+        let vals_writer = vals_writer.expect("a clean analysis has exactly one values writer");
         // Writers are visited in dependency order above; the output levels
         // must follow graph declaration order (outermost first).
         level_writers.sort_unstable();
@@ -606,11 +235,8 @@ impl Plan {
 
         Ok(Plan {
             graph: graph.clone(),
-            order,
-            node_inputs,
-            consumers,
+            analysis,
             channels,
-            skip_specs,
             fused,
             scan_levels,
             writer_dims,
@@ -637,23 +263,24 @@ impl Plan {
 
     /// Nodes in topological order.
     pub fn order(&self) -> &[NodeId] {
-        &self.order
+        self.analysis.order()
     }
 
     /// The producer endpoints feeding each input port of `node`. Every
     /// entry is `Some` except optional skip ports left unwired.
     pub fn inputs_of(&self, node: NodeId) -> &[Option<PortRef>] {
-        &self.node_inputs[node.0]
+        self.analysis.inputs_of(node)
     }
 
     /// The consumers of each output port of `node`.
     pub fn consumers_of(&self, node: NodeId) -> &[Vec<(NodeId, usize)>] {
-        &self.consumers[node.0]
+        self.analysis.consumers_of(node)
     }
 
     /// Total number of planned stream forks (ports with fan-out above one).
     pub fn fork_count(&self) -> usize {
-        self.consumers.iter().flatten().filter(|c| c.len() > 1).count()
+        let ports = (0..self.graph.len()).flat_map(|node| self.consumers_of(NodeId(node)));
+        ports.filter(|consumers| consumers.len() > 1).count()
     }
 
     /// The planned channel topology: one [`ChannelSpec`] per (producer
@@ -666,7 +293,7 @@ impl Plan {
 
     /// The validated coordinate-skip feedback lanes (paper Section 4.2).
     pub fn skip_specs(&self) -> &[SkipSpec] {
-        &self.skip_specs
+        self.analysis.skip_lanes()
     }
 
     /// How (and whether) a node's evaluation may be split into independent
@@ -708,7 +335,7 @@ impl Plan {
     /// `gallop` ones onto the block's skip channels.
     pub fn fused_operands(&self, node: NodeId) -> [Option<FusedScan>; 2] {
         [0, 1].map(|operand| {
-            let crd = self.node_inputs[node.0].get(operand).copied().flatten()?;
+            let crd = self.inputs_of(node).get(operand).copied().flatten()?;
             self.fused[crd.node.0].filter(|f| f.intersecter == node && f.operand == operand)
         })
     }

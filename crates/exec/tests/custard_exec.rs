@@ -3,7 +3,7 @@
 //! evaluator, with no graph written by hand.
 
 use custard::{lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
-use sam_exec::{CycleBackend, ExecRequest, Executor, FastBackend, Inputs};
+use sam_exec::{BackendSpec, CycleBackend, ExecError, ExecRequest, Executor, FastBackend, Inputs, PlanError};
 use sam_tensor::reference::Environment;
 use sam_tensor::{synth, CooTensor, Tensor, TensorFormat};
 
@@ -193,4 +193,36 @@ fn compiled_higher_order_contractions_execute() {
         Formats::new(),
         &[("B", &b), ("C", &cm), ("D", &dm)],
     );
+}
+
+/// An index variable bound at two sizes is a typed rejection on every
+/// backend. `c` holds coordinate 12, beyond the dimension 8 that `b` gives
+/// `i`: before the `dimension-mismatch` rule this planned, and the level
+/// writer's `coordinate exceeds dimension` assertion panicked mid-run.
+#[test]
+fn an_index_variable_bound_at_two_sizes_is_rejected_on_every_backend() {
+    let assignment = parse("x(i) = b(i) + c(i)").unwrap();
+    let cin = ConcreteIndexNotation::new(assignment, &Schedule::new(), Formats::new());
+    let kernel = lower_exec(&cin).unwrap();
+    let b = CooTensor::from_entries(vec![8], vec![(vec![1], 1.0), (vec![5], 2.0)]).unwrap();
+    let c = CooTensor::from_entries(vec![16], vec![(vec![5], 3.0), (vec![12], 4.0)]).unwrap();
+    let mut inputs = Inputs::new();
+    for (name, coo) in [("b", &b), ("c", &c)] {
+        let format = &kernel.formats.iter().find(|(n, _)| n == name).expect("operand in formats").1;
+        inputs = inputs.coo(name, coo, format.clone());
+    }
+    for spec in [BackendSpec::Cycle, BackendSpec::FastSerial, BackendSpec::FastThreads(2), BackendSpec::Tiled]
+    {
+        match ExecRequest::new(&kernel.graph, &inputs).backend(spec).uncached().run() {
+            Err(ExecError::Plan(PlanError::Rejected { diagnostics })) => {
+                assert_eq!(diagnostics.len(), 1, "{spec}: {diagnostics:?}");
+                let d = &diagnostics[0];
+                assert_eq!(d.rule, sam_verify::Rule::DimensionMismatch, "{spec}: {d}");
+                for named in ["`b`", "`c`", "dimension 8", "dimension 16"] {
+                    assert!(d.message.contains(named), "{spec}: `{named}` missing from: {d}");
+                }
+            }
+            other => panic!("{spec}: expected a dimension-mismatch rejection, got {other:?}"),
+        }
+    }
 }

@@ -1,16 +1,28 @@
 //! Planner validation: channel allocation, fork insertion, scanner fusion,
-//! cycle detection and binding errors.
+//! and the `sam-verify` rule (with its node / port anchor) each class of
+//! broken graph or binding is rejected under.
 
 use sam_core::build::{GraphBuilder, Port};
 use sam_core::graph::{NodeKind, PortKind, SamGraph, StreamKind};
 use sam_core::graphs;
 use sam_exec::{CycleBackend, ExecRequest, FastBackend, Inputs, Plan, PlanError};
 use sam_tensor::{synth, TensorFormat};
+use sam_verify::{Diagnostic, Rule};
 
 fn vec_inputs(dim: usize) -> Inputs {
     let b = synth::random_vector(dim, dim / 4, 1);
     let c = synth::random_vector(dim, dim / 4, 2);
     Inputs::new().coo("b", &b, TensorFormat::sparse_vec()).coo("c", &c, TensorFormat::sparse_vec())
+}
+
+/// The first diagnostic of the rejection that planning `graph` over `inputs`
+/// must end in, checked to fire under `rule`.
+fn rejected(graph: &SamGraph, inputs: &Inputs, rule: Rule) -> Diagnostic {
+    let PlanError::Rejected { diagnostics } =
+        Plan::build(graph, inputs).err().unwrap_or_else(|| panic!("expected a `{rule}` rejection"));
+    let first = diagnostics.into_iter().next().expect("a rejection carries its diagnostics");
+    assert_eq!(first.rule, rule, "rejected under the wrong rule: {first}");
+    first
 }
 
 #[test]
@@ -85,14 +97,9 @@ fn rank_mismatch_is_reported() {
     let b = synth::random_matrix_sparsity(16, 8, 0.8, 5);
     let c = synth::random_vector(16, 4, 2);
     let inputs = Inputs::new().coo("b", &b, TensorFormat::dcsr()).coo("c", &c, TensorFormat::sparse_vec());
-    match Plan::build(&graph, &inputs) {
-        Err(PlanError::RankMismatch { tensor, consumed, levels }) => {
-            assert_eq!(tensor, "b");
-            assert_eq!(consumed, 1);
-            assert_eq!(levels, 2);
-        }
-        other => panic!("expected rank-mismatch error, got {other:?}"),
-    }
+    let d = rejected(&graph, &inputs, Rule::RankMismatch);
+    assert_eq!(d.label.as_deref(), Some("array b vals"));
+    assert!(d.message.contains("`b` after consuming 1 of its 2 storage levels"), "message was: {d}");
 }
 
 #[test]
@@ -105,29 +112,28 @@ fn array_fed_by_another_tensors_refs_is_reported() {
     let v = g.array("c", rf);
     g.write_level("x", 'i', crd);
     g.write_vals("x", v);
-    match Plan::build(&g.finish(), &vec_inputs(16)) {
-        Err(PlanError::TensorMismatch { expected, found, .. }) => {
-            assert_eq!(expected, "c");
-            assert_eq!(found, "b");
-        }
-        other => panic!("expected tensor-mismatch error, got {other:?}"),
-    }
+    let d = rejected(&g.finish(), &vec_inputs(16), Rule::TensorMismatch);
+    assert!(d.message.contains("values of `c`") && d.message.contains("iterates `b`"), "message was: {d}");
 }
 
-#[test]
-fn cycle_detection() {
+/// Two ALUs feeding each other.
+fn cyclic() -> SamGraph {
     let mut graph = SamGraph::new("cyclic");
     let a = graph.add_node(NodeKind::Alu { op: "add".into() });
-    let b = graph.add_node(NodeKind::Alu { op: "add".into() });
+    let b = graph.add_node(NodeKind::Alu { op: "sub".into() });
     graph.add_edge_on(a, 0, b, 0, StreamKind::Val, "a->b");
     graph.add_edge_on(b, 0, a, 0, StreamKind::Val, "b->a");
     // Close both remaining ALU inputs so cycle detection is what trips.
     graph.add_edge_on(a, 0, b, 1, StreamKind::Val, "a->b2");
     graph.add_edge_on(b, 0, a, 1, StreamKind::Val, "b->a2");
-    match Plan::build(&graph, &Inputs::new()) {
-        Err(PlanError::Cycle { stuck }) => assert_eq!(stuck.len(), 2),
-        other => panic!("expected cycle error, got {other:?}"),
-    }
+    graph
+}
+
+#[test]
+fn cycle_detection() {
+    let d = rejected(&cyclic(), &Inputs::new(), Rule::DataCycle);
+    // Both stuck nodes are named, and nothing else.
+    assert!(d.message.ends_with("through: alu add, alu sub"), "message was: {d}");
 }
 
 #[test]
@@ -147,13 +153,9 @@ fn unbound_input_is_reported() {
     let wl = graph.add_node(NodeKind::LevelWriter { tensor: "x".into(), index: 'i', vals: false });
     graph.add_edge_on(crd.node, crd.port, wl, 0, StreamKind::Crd, "crd");
     let inputs = vec_inputs(16);
-    match Plan::build(&graph, &inputs) {
-        Err(PlanError::UnboundInput { label, port }) => {
-            assert!(label.contains("alu"), "label was {label}");
-            assert_eq!(port, 1);
-        }
-        other => panic!("expected unbound-input error, got {other:?}"),
-    }
+    let d = rejected(&graph, &inputs, Rule::DanglingInput);
+    assert_eq!((d.node, d.port), (Some(alu_node.0), Some(1)));
+    assert!(d.label.is_some_and(|label| label.contains("alu")));
 }
 
 #[test]
@@ -161,10 +163,8 @@ fn unknown_tensor_is_reported() {
     let graph = graphs::vec_elem_mul(true);
     let b = synth::random_vector(16, 4, 1);
     let inputs = Inputs::new().coo("b", &b, TensorFormat::sparse_vec());
-    match Plan::build(&graph, &inputs) {
-        Err(PlanError::UnknownTensor { name }) => assert_eq!(name, "c"),
-        other => panic!("expected unknown-tensor error, got {other:?}"),
-    }
+    let d = rejected(&graph, &inputs, Rule::UnknownTensor);
+    assert!(d.message.contains("tensor `c`"), "message was: {d}");
 }
 
 #[test]
@@ -175,13 +175,8 @@ fn format_mismatch_is_reported() {
     let c = synth::random_vector(16, 4, 2);
     let inputs =
         Inputs::new().coo("b", &b, TensorFormat::dense_vec()).coo("c", &c, TensorFormat::sparse_vec());
-    match Plan::build(&graph, &inputs) {
-        Err(PlanError::FormatMismatch { tensor, level }) => {
-            assert_eq!(tensor, "b");
-            assert_eq!(level, 0);
-        }
-        other => panic!("expected format-mismatch error, got {other:?}"),
-    }
+    let d = rejected(&graph, &inputs, Rule::FormatMismatch);
+    assert!(d.message.contains("level 0 of the bound `b`"), "message was: {d}");
 }
 
 #[test]
@@ -190,10 +185,7 @@ fn missing_vals_writer_is_reported() {
     let rb = g.root("b");
     let (crd, _rf) = g.scan("b", 'i', true, rb);
     g.write_level("x", 'i', crd);
-    match Plan::build(&g.finish(), &vec_inputs(16)) {
-        Err(PlanError::MissingValsWriter) => {}
-        other => panic!("expected missing-vals-writer error, got {other:?}"),
-    }
+    rejected(&g.finish(), &vec_inputs(16), Rule::MissingValsWriter);
 }
 
 #[test]
@@ -201,15 +193,11 @@ fn unsupported_node_is_reported_with_node_and_kind() {
     let mut graph = SamGraph::new("unsupported");
     graph.add_node(NodeKind::Root { tensor: "b".into() });
     graph.add_node(NodeKind::Serializer);
-    match Plan::build(&graph, &Inputs::new()) {
-        Err(ref err @ PlanError::UnsupportedNode { node, ref kind, .. }) => {
-            assert_eq!(node, 1, "must name the offending node, not just the kind");
-            assert_eq!(kind, "Serializer");
-            let msg = err.to_string();
-            assert!(msg.contains("n1") && msg.contains("Serializer"), "unhelpful message: {msg}");
-        }
-        other => panic!("expected unsupported-node error, got {other:?}"),
-    }
+    let d = rejected(&graph, &Inputs::new(), Rule::NotYetLowerable);
+    assert_eq!(d.node, Some(1), "must name the offending node, not just the kind");
+    assert!(d.message.contains("`Serializer`"), "message was: {d}");
+    let msg = Plan::build(&graph, &Inputs::new()).unwrap_err().to_string();
+    assert!(msg.contains("node 1") && msg.contains("Serializer"), "unhelpful message: {msg}");
 }
 
 #[test]
@@ -337,12 +325,9 @@ fn skip_edge_to_the_wrong_scanner_is_rejected() {
     g.write_vals("x", prod);
     let mut graph = g.finish();
     graph.add_edge_on(i_crd.node, 3, c_crd.node, 1, StreamKind::Skip, "crossed");
-    match Plan::build(&graph, &vec_inputs(16)) {
-        Err(PlanError::BadSkipEdge { reason, .. }) => {
-            assert!(reason.contains("scanner feeding"), "reason was: {reason}");
-        }
-        other => panic!("expected bad-skip-edge error, got {other:?}"),
-    }
+    let d = rejected(&graph, &vec_inputs(16), Rule::IllegalSkipEdge);
+    assert_eq!(d.node, Some(i_crd.node.0));
+    assert!(d.message.contains("skip edge `crossed`") && d.message.contains("scanner feeding"), "{d}");
 }
 
 #[test]
@@ -356,12 +341,8 @@ fn skip_edge_from_a_non_intersecter_is_rejected() {
     let mut graph = g.finish();
     // Root -> scanner skip port: roots are not intersecters.
     graph.add_edge_on(sam_core::graph::NodeId(0), 0, crd.node, 1, StreamKind::Skip, "bogus");
-    match Plan::build(&graph, &vec_inputs(16)) {
-        Err(PlanError::BadSkipEdge { reason, .. }) => {
-            assert!(reason.contains("intersecter"), "reason was: {reason}");
-        }
-        other => panic!("expected bad-skip-edge error, got {other:?}"),
-    }
+    let d = rejected(&graph, &vec_inputs(16), Rule::IllegalSkipEdge);
+    assert!(d.message.contains("source must be an intersecter"), "message was: {d}");
 }
 
 #[test]
@@ -381,12 +362,8 @@ fn skip_target_with_extra_consumers_is_rejected() {
     g.write_level("x", 'i', i_crd);
     g.write_level("y", 'i', b_crd);
     g.write_vals("x", prod);
-    match Plan::build(&g.finish(), &vec_inputs(16)) {
-        Err(PlanError::BadSkipEdge { reason, .. }) => {
-            assert!(reason.contains("only the intersecter"), "reason was: {reason}");
-        }
-        other => panic!("expected bad-skip-edge error, got {other:?}"),
-    }
+    let d = rejected(&g.finish(), &vec_inputs(16), Rule::IllegalSkipEdge);
+    assert!(d.message.contains("only the intersecter"), "message was: {d}");
 }
 
 #[test]
@@ -402,10 +379,19 @@ fn execute_convenience_runs_both_backends() {
 
 #[test]
 fn errors_format_usefully() {
-    let err = PlanError::UnknownTensor { name: "Q".into() };
-    assert!(err.to_string().contains("`Q`"));
-    let err = PlanError::Cycle { stuck: vec!["a".into(), "b".into()] };
-    assert!(err.to_string().contains("a, b"));
-    let err = sam_exec::ExecError::from(PlanError::MissingValsWriter);
-    assert!(err.to_string().contains("planning failed"));
+    // A count header, then every diagnostic rustc-style: rule id, the
+    // graph's own names, and the node it is anchored to.
+    let b = synth::random_vector(16, 4, 1);
+    let lone = Inputs::new().coo("b", &b, TensorFormat::sparse_vec());
+    let msg = Plan::build(&graphs::vec_elem_mul(true), &lone).unwrap_err().to_string();
+    assert!(msg.starts_with("graph failed static verification (1 error(s))\n"), "{msg}");
+    assert!(
+        msg.contains("error[unknown-tensor]") && msg.contains("`c`") && msg.contains("--> node"),
+        "{msg}"
+    );
+    // The cyclic graph also lacks a values writer: both findings print.
+    let err = Plan::build(&cyclic(), &Inputs::new()).unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains("alu add, alu sub") && msg.contains("error[missing-vals-writer]"), "{msg}");
+    assert!(sam_exec::ExecError::from(err).to_string().contains("planning failed"));
 }

@@ -1,11 +1,11 @@
-//! The static verifier wired into the planning path: every graph the
-//! planner rejects is rejected by `sam-verify` first with more specific
-//! diagnostics.
+//! The static analysis is the planning path: every planning door rejects a
+//! broken graph or binding with the same `sam-verify` diagnostics.
 
 use sam_core::graph::{NodeId, NodeKind, SamGraph, StreamKind};
 use sam_core::graphs;
 use sam_exec::{Inputs, Plan, PlanCache, PlanError, Planner};
-use sam_tensor::{synth, TensorFormat};
+use sam_tensor::{synth, CooTensor, LevelFormat, TensorFormat};
+use std::collections::BTreeMap;
 
 fn vec_inputs() -> Inputs {
     let b = synth::random_vector(64, 20, 1);
@@ -14,7 +14,7 @@ fn vec_inputs() -> Inputs {
 }
 
 /// Broken `(graph, inputs)` pairs covering structural and binding-level
-/// defect classes the planner rejects.
+/// defect classes planning rejects.
 fn broken_cases() -> Vec<(&'static str, SamGraph, Inputs)> {
     // Structural: an unsupported primitive appended to a valid kernel.
     let mut unsupported = graphs::vec_elem_mul(true);
@@ -30,7 +30,8 @@ fn broken_cases() -> Vec<(&'static str, SamGraph, Inputs)> {
     dangling.add_edge_on(NodeId(1), 0, NodeId(2), 0, StreamKind::Crd, "i crd");
 
     // Binding-level: an unbound tensor, a dense vector under a compressed
-    // scanner, and a matrix bound to a single-level vector kernel.
+    // scanner, a matrix bound to a single-level vector kernel, and two
+    // vectors of different lengths under one index variable.
     let missing = Inputs::new().coo("b", &synth::random_vector(64, 20, 3), TensorFormat::sparse_vec());
     let dense = Inputs::new().coo("b", &synth::random_vector(64, 20, 4), TensorFormat::dense_vec()).coo(
         "c",
@@ -38,8 +39,13 @@ fn broken_cases() -> Vec<(&'static str, SamGraph, Inputs)> {
         TensorFormat::dense_vec(),
     );
     let matrix = Inputs::new()
-        .coo("b", &synth::random_matrix_sparsity(16, 16, 0.5, 6), TensorFormat::dcsr())
+        .coo("b", &synth::random_matrix_sparsity(64, 16, 0.5, 6), TensorFormat::dcsr())
         .coo("c", &synth::random_vector(64, 22, 7), TensorFormat::sparse_vec());
+    let uneven = Inputs::new().coo("b", &synth::random_vector(64, 20, 8), TensorFormat::sparse_vec()).coo(
+        "c",
+        &synth::random_vector(32, 12, 9),
+        TensorFormat::sparse_vec(),
+    );
 
     vec![
         ("unsupported-node", unsupported, vec_inputs()),
@@ -47,32 +53,31 @@ fn broken_cases() -> Vec<(&'static str, SamGraph, Inputs)> {
         ("unknown-tensor", graphs::vec_elem_mul(true), missing),
         ("format-mismatch", graphs::vec_elem_mul(true), dense),
         ("rank-mismatch", graphs::vec_elem_mul(true), matrix),
+        ("dimension-mismatch", graphs::vec_elem_mul(true), uneven),
     ]
 }
 
-/// Every planner rejection is preceded by a verifier rejection on the
-/// `Planner` path, and the verifier's diagnostics carry more than the
-/// planner's single first-error (rule id, node anchor, full list).
+/// There is one analysis behind every planning door, so `Plan::build`, the
+/// uncached `Planner` and the plan cache reject each case with the same
+/// diagnostics — the ones `verify_bound` reports, led by the rule the case
+/// is named after.
 #[test]
-fn planner_rejections_are_a_strict_subset_of_verifier_findings() {
+fn every_planning_door_returns_the_same_rejection() {
     for (name, graph, inputs) in broken_cases() {
-        let direct = Plan::build(&graph, &inputs);
-        assert!(direct.is_err(), "{name}: the planner itself must reject this case");
+        let direct = Plan::build(&graph, &inputs).err().unwrap_or_else(|| panic!("{name}: must be rejected"));
+        assert_eq!(Planner::uncached().plan(&graph, &inputs).err().as_ref(), Some(&direct), "{name}");
+        assert_eq!(PlanCache::new(8).get_or_plan(&graph, &inputs).err().as_ref(), Some(&direct), "{name}");
 
-        match Planner::uncached().plan(&graph, &inputs) {
-            Err(PlanError::Rejected { diagnostics }) => {
-                assert!(!diagnostics.is_empty(), "{name}: rejection must carry diagnostics");
-                for d in &diagnostics {
-                    assert!(!d.rule.id().is_empty(), "{name}: every diagnostic names its rule");
-                }
-            }
-            other => panic!("{name}: expected PlanError::Rejected, got {other:?}"),
-        }
+        let bindings: sam_verify::Bindings<'_> = inputs.iter().collect();
+        let report = sam_verify::verify_bound(&graph, &bindings);
+        let PlanError::Rejected { diagnostics } = direct;
+        assert_eq!(diagnostics, report.errors().cloned().collect::<Vec<_>>(), "{name}");
+        let expected = if name == "unsupported-node" { "not-yet-lowerable" } else { name };
+        assert_eq!(diagnostics[0].rule.id(), expected, "{name}: {}", diagnostics[0]);
     }
 }
 
-/// The verifier also gates the cached planning path, and rejections are
-/// never cached.
+/// Rejections reach the cached planning path too, and are never cached.
 #[test]
 fn verifier_rejection_reaches_the_cache_path() {
     let (_, graph, inputs) = broken_cases().remove(0);
@@ -85,13 +90,119 @@ fn verifier_rejection_reaches_the_cache_path() {
     }
     let stats = cache.stats();
     assert_eq!(stats.entries, 0, "failed plans must not be cached");
-    assert_eq!(stats.misses, 2, "both lookups re-verified");
+    assert_eq!(stats.misses, 2, "both lookups re-analysed");
 }
 
-/// Graphs every backend runs cleanly still plan cleanly through the
-/// verifier gate (no false positives on the catalog path).
+/// Graphs every backend runs cleanly still plan cleanly (no false
+/// positives on the catalog path).
 #[test]
 fn clean_graphs_pass_the_gate() {
     let plan = Planner::uncached().plan(&graphs::vec_elem_mul(true), &vec_inputs()).unwrap();
     assert!(!plan.order().is_empty());
+}
+
+/// Binds every tensor `graph` names to a small operand whose rank and level
+/// formats are the ones the graph's own scanners and locators declare (every
+/// dimension 6; locators get dense levels), and every named constant to a
+/// scalar — so any catalog graph plans clean without an operand table to keep
+/// in step with the catalog.
+fn bind_operands(graph: &SamGraph) -> Inputs {
+    let analysis = sam_verify::Analysis::run(graph, None);
+    let mut formats: BTreeMap<&str, BTreeMap<usize, LevelFormat>> = BTreeMap::new();
+    let mut inputs = Inputs::new();
+    for (i, kind) in graph.nodes().iter().enumerate() {
+        let (tensor, slot, format) = match kind {
+            NodeKind::LevelScanner { tensor, compressed: true, .. } => (tensor, 0, LevelFormat::Compressed),
+            NodeKind::LevelScanner { tensor, .. } => (tensor, 0, LevelFormat::Dense),
+            NodeKind::Locator { tensor, .. } => (tensor, 1, LevelFormat::Dense),
+            NodeKind::ConstVal { tensor, .. } if !tensor.is_empty() => {
+                inputs = inputs.scalar(tensor, 2.0);
+                continue;
+            }
+            _ => continue,
+        };
+        let src = analysis.inputs_of(NodeId(i))[slot].expect("catalog graphs are fully wired");
+        let Some(sam_verify::StreamType::Ref { depth, .. }) = analysis.stream_type(src) else {
+            panic!("catalog reference streams are traced");
+        };
+        formats.entry(tensor).or_default().insert(*depth, format);
+    }
+    for (tensor, levels) in formats {
+        let rank = levels.len();
+        let entries = (0..4u32).map(|k| (vec![k; rank], f64::from(k + 1))).collect();
+        let coo = CooTensor::from_entries(vec![6; rank], entries).expect("points lie inside the shape");
+        inputs = inputs.coo(tensor, &coo, TensorFormat::new(levels.into_values().collect()));
+    }
+    inputs
+}
+
+/// Every deterministic single edit of `graph`, named: drop an edge, duplicate
+/// it, clear either of its ports, retarget it to every other input port of
+/// its consumer, and flip a scanner's format annotation.
+fn single_edits(graph: &SamGraph) -> Vec<(String, SamGraph)> {
+    let mut mutants = Vec::new();
+    let mut edit = |what: String, apply: &dyn Fn(&mut SamGraph)| {
+        let mut mutant = graph.clone();
+        apply(&mut mutant);
+        mutants.push((what, mutant));
+    };
+    for (i, e) in graph.edges().iter().enumerate() {
+        let at = format!("edge {i} `{}`", e.label);
+        edit(format!("drop {at}"), &|g| drop(g.edges_mut().remove(i)));
+        edit(format!("duplicate {at}"), &|g| g.edges_mut().push(e.clone()));
+        if e.src_port.is_some() {
+            edit(format!("clear src_port of {at}"), &|g| g.edges_mut()[i].src_port = None);
+        }
+        if e.dst_port.is_some() {
+            edit(format!("clear dst_port of {at}"), &|g| g.edges_mut()[i].dst_port = None);
+        }
+        for port in 0..graph.nodes()[e.to.0].input_ports().len() {
+            if e.dst_port != Some(port) {
+                edit(format!("retarget {at} to input {port}"), &|g| g.edges_mut()[i].dst_port = Some(port));
+            }
+        }
+    }
+    for (i, kind) in graph.nodes().iter().enumerate() {
+        if matches!(kind, NodeKind::LevelScanner { .. }) {
+            edit(format!("flip the format of n{i} `{}`", kind.label()), &|g| {
+                if let NodeKind::LevelScanner { compressed, .. } = &mut g.nodes_mut()[i] {
+                    *compressed = !*compressed;
+                }
+            });
+        }
+    }
+    mutants
+}
+
+/// Planning is total: on every single edit of every catalog graph,
+/// `Plan::build` neither panics nor disagrees with the verifier — it plans
+/// exactly the mutants `verify_bound` finds error-free and rejects the rest
+/// with exactly the verifier's errors. Plan-level only; no mutant is run.
+#[test]
+fn planning_is_total_on_mutated_catalog_graphs() {
+    let (mut planned, mut rejected) = (0, 0);
+    for (name, graph) in graphs::catalog() {
+        let inputs = bind_operands(&graph);
+        Plan::build(&graph, &inputs).unwrap_or_else(|e| panic!("{name}: the unmutated graph must plan: {e}"));
+        let bindings: sam_verify::Bindings<'_> = inputs.iter().collect();
+        for (what, mutant) in single_edits(&graph) {
+            let errors: Vec<_> = sam_verify::verify_bound(&mutant, &bindings).errors().cloned().collect();
+            let plan = std::panic::catch_unwind(|| Plan::build(&mutant, &inputs))
+                .unwrap_or_else(|_| panic!("{name}, {what}: planning panicked"));
+            match plan {
+                Ok(_) => {
+                    assert!(errors.is_empty(), "{name}, {what}: planned despite {}", errors[0]);
+                    planned += 1;
+                }
+                Err(PlanError::Rejected { diagnostics }) => {
+                    assert!(!diagnostics.is_empty(), "{name}, {what}: an empty rejection");
+                    assert_eq!(diagnostics, errors, "{name}, {what}");
+                    rejected += 1;
+                }
+            }
+        }
+    }
+    // Most edits break a graph; port inference and format-blind locators
+    // absorb the rest. Both sides of the property must be exercised.
+    assert!(planned > 100 && rejected > 1000, "{planned} mutants planned, {rejected} rejected");
 }

@@ -210,10 +210,9 @@ pub enum ServeError {
         /// The parser's or lowering's message.
         message: String,
     },
-    /// The static verifier (`sam-verify`) rejected the compiled graph
-    /// against the bound tensors before planning — a wiring or binding
-    /// defect, reported with every diagnostic rather than the planner's
-    /// first error.
+    /// Planning rejected the compiled graph against the bound tensors — a
+    /// wiring or binding defect, reported with every `sam-verify` error
+    /// diagnostic.
     Rejected {
         /// The offending expression text.
         expression: String,
@@ -488,11 +487,9 @@ impl Shared {
         // to this query.
         let plans_before = span.is_some().then(|| self.plans.stats());
         let plan = Planner::with_cache(Arc::clone(&self.plans)).plan(&kernel.graph, &inputs).map_err(
-            |e| match e {
-                PlanError::Rejected { diagnostics } => {
-                    ServeError::Rejected { expression: query.expression.clone(), diagnostics }
-                }
-                other => ServeError::Exec(ExecError::from(other)),
+            |PlanError::Rejected { diagnostics }| ServeError::Rejected {
+                expression: query.expression.clone(),
+                diagnostics,
             },
         )?;
         if let (Some(span), Some(started)) = (span, plan_started) {

@@ -10,6 +10,7 @@
 use custard::{ConcreteIndexNotation, Formats, Schedule};
 use sam_exec::{BackendSpec, ExecRequest, Execution, Inputs};
 use sam_serve::{table1_workload, Query, Service, ServiceConfig, TensorStore};
+use sam_tensor::CooTensor;
 use std::sync::Arc;
 
 /// Runs `query` the one-shot way: compile with custard, bind the same
@@ -171,4 +172,30 @@ fn errors_resolve_handles_and_leave_the_service_healthy() {
     let run = service.submit(w.query.clone()).wait().unwrap();
     assert_identical(w.name, &run, &one_shot(&store, &w.query));
     assert_eq!(service.stats().failed, 3);
+}
+
+/// Stored operands that give one index variable two sizes (`c` holds
+/// coordinate 12, beyond the dimension 8 `b` gives `i`) resolve to a typed
+/// rejection on every backend — it used to plan and panic a pool worker.
+#[test]
+fn operands_disagreeing_on_a_dimension_are_rejected_not_run() {
+    let mut store = TensorStore::new();
+    store.insert("b", CooTensor::from_entries(vec![8], vec![(vec![1], 1.0), (vec![5], 2.0)]).unwrap());
+    store.insert("c", CooTensor::from_entries(vec![16], vec![(vec![5], 3.0), (vec![12], 4.0)]).unwrap());
+    let service = Service::new(Arc::new(store));
+    for spec in BackendSpec::all() {
+        let query = Query::new("x(i) = b(i) + c(i)").operand("b").operand("c").backend(spec);
+        match service.submit(query).wait() {
+            Err(sam_serve::ServeError::Rejected { diagnostics, .. }) => {
+                assert_eq!(
+                    diagnostics[0].rule,
+                    sam_verify::Rule::DimensionMismatch,
+                    "{spec}: {}",
+                    diagnostics[0]
+                );
+            }
+            other => panic!("{spec}: expected a dimension-mismatch rejection, got {other:?}"),
+        }
+    }
+    assert_eq!(service.stats().failed, 4);
 }

@@ -1,17 +1,16 @@
 //! The shared dataflow framework: port resolution, topology, and abstract
 //! stream-type inference over a [`SamGraph`].
 //!
-//! One [`Analysis`] run feeds both verifier passes (protocol checking,
-//! lints) *and* the execution planner's rank validation, which consults
-//! [`Analysis::ref_annotation`] instead of re-tracing reference streams
-//! itself.
+//! One [`Analysis`] run is the only place a graph is resolved: the verifier
+//! passes (protocol checking, lints) read its tables, and the execution
+//! planner (`sam_exec::Plan::build`) runs it once, rejects on any error
+//! diagnostic, and otherwise keeps the analysis as the plan's topology.
 //!
-//! The framework mirrors the planner's resolution semantics exactly
-//! (`sam_exec::Plan::build` phases 2–5) but never stops at the first
-//! problem: every finding becomes a [`Diagnostic`] and inference continues
-//! on the unaffected parts of the graph. Streams downstream of a reported
-//! defect are marked [`StreamType::Tainted`] so one wiring bug does not
-//! cascade into a page of secondary diagnostics.
+//! The framework never stops at the first problem: every finding becomes a
+//! [`Diagnostic`] and inference continues on the unaffected parts of the
+//! graph. Streams downstream of a reported defect are marked
+//! [`StreamType::Tainted`] so one wiring bug does not cascade into a page of
+//! secondary diagnostics.
 
 use crate::diag::{Diagnostic, Report, Rule};
 use sam_core::graph::{Edge, NodeId, NodeKind, PortKind, SamGraph, StreamKind};
@@ -76,33 +75,38 @@ pub enum StreamType {
     /// A value stream.
     Val,
     /// Legitimately untracked (e.g. a stream routed through a coordinate
-    /// dropper's passthrough port) — consumers stay permissive, exactly
-    /// like the planner.
+    /// dropper's passthrough port) — value arrays stay permissive about it.
     Unknown,
     /// Unknown because an upstream diagnostic already fired; consumers
     /// stay silent instead of re-reporting the same defect.
     Tainted,
 }
 
-/// A producer endpoint (output `port` of node `node`), in plain indices so
-/// the type is independent of the executor crate.
+/// A producer endpoint: output port `port` of node `node`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PortRef {
     /// The producing node.
-    pub node: usize,
+    pub node: NodeId,
     /// The output-port index.
     pub port: usize,
 }
 
-/// One validated coordinate-skip feedback lane.
+/// One validated coordinate-skip feedback lane (paper Section 4.2): the
+/// intersecter sends the coordinate it is waiting for on `operand` back to
+/// `scanner`, which gallops past everything smaller.
+///
+/// Validation guarantees `scanner` is that operand's
+/// [`Analysis::private_scanner`], so the fast backend may fuse the pair into
+/// one galloping work unit while the cycle backend lowers the lane onto the
+/// `sam-primitives` skip channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkipLane {
     /// The intersecter emitting skip targets.
-    pub intersecter: usize,
-    /// Which operand (0 or 1) the lane serves.
+    pub intersecter: NodeId,
+    /// Which operand (0 or 1) of the intersecter the lane serves.
     pub operand: usize,
-    /// The level scanner receiving the targets.
-    pub scanner: usize,
+    /// The level scanner that receives the skip targets.
+    pub scanner: NodeId,
 }
 
 /// The result of one framework run: the resolved topology, the inferred
@@ -111,45 +115,34 @@ pub struct SkipLane {
 pub struct Analysis {
     /// All findings from the structural and typing passes.
     pub report: Report,
-    pub(crate) node_inputs: Vec<Vec<Option<PortRef>>>,
-    pub(crate) consumers: Vec<Vec<Vec<(usize, usize)>>>,
-    pub(crate) types: Vec<Vec<StreamType>>,
-    pub(crate) skip_lanes: Vec<SkipLane>,
-    pub(crate) acyclic: bool,
+    node_inputs: Vec<Vec<Option<PortRef>>>,
+    consumers: Vec<Vec<Vec<(NodeId, usize)>>>,
+    /// Kahn order over the data edges; empty when they form a cycle.
+    order: Vec<NodeId>,
+    types: Vec<Vec<StreamType>>,
+    skip_lanes: Vec<SkipLane>,
+    acyclic: bool,
+    /// Per index variable a scanner or locator introduces: the tensor and
+    /// dimension of the first bound level iterating it (`None` without
+    /// bindings, or when that level failed to resolve).
+    dims: HashMap<char, Option<(String, usize)>>,
 }
 
 impl Analysis {
     /// Runs the framework over `graph`; `bindings` enables the
     /// binding-level rules (unknown tensors, rank, level formats,
-    /// scalar-ness) on top of the purely structural ones.
+    /// dimensions, scalar-ness) on top of the purely structural ones.
     pub fn run(graph: &SamGraph, bindings: Option<&Bindings<'_>>) -> Analysis {
         let mut a = Analyzer::new(graph, bindings);
         a.structural();
         a.infer_types();
-        Analysis {
-            report: a.report,
-            node_inputs: a.node_inputs,
-            consumers: a.consumers,
-            types: a.types,
-            skip_lanes: a.skip_lanes,
-            acyclic: a.acyclic,
-        }
+        a.out
     }
 
     /// The inferred stream type of the given producer port, if the node
     /// and port exist.
-    pub fn stream_type(&self, node: usize, port: usize) -> Option<&StreamType> {
-        self.types.get(node).and_then(|p| p.get(port))
-    }
-
-    /// The `(tensor, depth)` annotation of a reference stream — the
-    /// verifier-computed result the planner's rank validation delegates
-    /// to. `None` for non-reference or untracked streams.
-    pub fn ref_annotation(&self, node: usize, port: usize) -> Option<(&str, usize)> {
-        match self.stream_type(node, port)? {
-            StreamType::Ref { tensor, depth } => Some((tensor.as_str(), *depth)),
-            _ => None,
-        }
+    pub fn stream_type(&self, src: PortRef) -> Option<&StreamType> {
+        self.types.get(src.node.0).and_then(|p| p.get(src.port))
     }
 
     /// Whether the data edges form a DAG.
@@ -157,21 +150,56 @@ impl Analysis {
         self.acyclic
     }
 
+    /// The nodes in topological order over the data edges (skip feedback
+    /// lanes are the one legal kind of cycle); empty when cyclic.
+    pub fn order(&self) -> &[NodeId] {
+        &self.order
+    }
+
     /// The validated skip lanes.
     pub fn skip_lanes(&self) -> &[SkipLane] {
         &self.skip_lanes
     }
 
-    /// The data consumers of each output port of `node` (skip lanes
-    /// included on the intersecter's skip ports, mirroring the planner).
-    pub fn consumers_of(&self, node: usize) -> &[Vec<(usize, usize)>] {
-        &self.consumers[node]
+    /// The consumers `(node, input port)` of each output port of `node`; a
+    /// validated skip lane appears on the intersecter's skip port.
+    pub fn consumers_of(&self, node: NodeId) -> &[Vec<(NodeId, usize)>] {
+        &self.consumers[node.0]
     }
 
     /// The producer feeding each input port of `node` (`None` for unwired
     /// optional skip ports or ports whose edge failed to resolve).
-    pub fn inputs_of(&self, node: usize) -> &[Option<PortRef>] {
-        &self.node_inputs[node]
+    pub fn inputs_of(&self, node: NodeId) -> &[Option<PortRef>] {
+        &self.node_inputs[node.0]
+    }
+
+    /// The dimension of index variable `index`: that of the first bound
+    /// level a scanner or locator iterates it over. `None` when nothing
+    /// introduces the variable or the analysis ran without bindings.
+    pub fn dimension(&self, index: char) -> Option<usize> {
+        self.dims.get(&index)?.as_ref().map(|(_, dim)| *dim)
+    }
+
+    /// The level scanner private to `operand` (0 or 1) of `intersecter`: its
+    /// coordinate and reference ports each have exactly one consumer, and
+    /// those are the operand's crd and ref inputs. Nobody else can observe
+    /// such a scanner's streams, which is what makes a skip lane to it legal
+    /// (Section 4.2) and lets a backend fuse it into the intersecter.
+    pub fn private_scanner(&self, graph: &SamGraph, intersecter: NodeId, operand: usize) -> Option<NodeId> {
+        if !matches!(graph.nodes()[intersecter.0], NodeKind::Intersecter { .. }) || operand > 1 {
+            return None;
+        }
+        let scanner = self.inputs_of(intersecter)[operand]?.node;
+        let private = matches!(graph.nodes()[scanner.0], NodeKind::LevelScanner { .. })
+            && self.fed_by(intersecter, operand, scanner, 0)
+            && self.fed_by(intersecter, 2 + operand, scanner, 1)
+            && self.consumers_of(scanner).iter().all(|c| c.len() == 1);
+        private.then_some(scanner)
+    }
+
+    /// Whether input `slot` of `node` is fed by output `port` of `from`.
+    fn fed_by(&self, node: NodeId, slot: usize, from: NodeId, port: usize) -> bool {
+        self.node_inputs[node.0][slot] == Some(PortRef { node: from, port })
     }
 }
 
@@ -179,13 +207,7 @@ impl Analysis {
 struct Analyzer<'g, 'b> {
     graph: &'g SamGraph,
     bindings: Option<&'b Bindings<'b>>,
-    report: Report,
-    node_inputs: Vec<Vec<Option<PortRef>>>,
-    consumers: Vec<Vec<Vec<(usize, usize)>>>,
-    order: Vec<usize>,
-    types: Vec<Vec<StreamType>>,
-    skip_lanes: Vec<SkipLane>,
-    acyclic: bool,
+    out: Analysis,
     /// Nodes with a dropped or mis-resolved incoming edge: exempt from the
     /// dangling-input check so one bad edge yields one diagnostic.
     poisoned: Vec<bool>,
@@ -200,13 +222,16 @@ impl<'g, 'b> Analyzer<'g, 'b> {
         Analyzer {
             graph,
             bindings,
-            report: Report::default(),
-            node_inputs: nodes.iter().map(|k| vec![None; k.input_ports().len()]).collect(),
-            consumers: nodes.iter().map(|k| vec![Vec::new(); k.output_ports().len()]).collect(),
-            order: Vec::new(),
-            types: nodes.iter().map(|k| vec![StreamType::Unknown; k.output_ports().len()]).collect(),
-            skip_lanes: Vec::new(),
-            acyclic: true,
+            out: Analysis {
+                report: Report::default(),
+                node_inputs: nodes.iter().map(|k| vec![None; k.input_ports().len()]).collect(),
+                consumers: nodes.iter().map(|k| vec![Vec::new(); k.output_ports().len()]).collect(),
+                order: Vec::new(),
+                types: nodes.iter().map(|k| vec![StreamType::Unknown; k.output_ports().len()]).collect(),
+                skip_lanes: Vec::new(),
+                acyclic: true,
+                dims: HashMap::new(),
+            },
             poisoned: vec![false; graph.len()],
             unknown_reported: HashSet::new(),
         }
@@ -214,20 +239,20 @@ impl<'g, 'b> Analyzer<'g, 'b> {
 
     fn diag(&mut self, rule: Rule, node: usize, message: String) {
         let label = self.graph.node_label(NodeId(node));
-        self.report.push(Diagnostic::new(rule, message).at(node, label));
+        self.out.report.push(Diagnostic::new(rule, message).at(node, label));
     }
 
     fn diag_port(&mut self, rule: Rule, node: usize, port: usize, message: String) {
         let label = self.graph.node_label(NodeId(node));
-        self.report.push(Diagnostic::new(rule, message).at(node, label).on_port(port));
+        self.out.report.push(Diagnostic::new(rule, message).at(node, label).on_port(port));
     }
 
     fn label(&self, node: usize) -> String {
         self.graph.node_label(NodeId(node))
     }
 
-    /// Phases 1–4 of the planner, diagnostically: support check, port
-    /// resolution, cycle detection, fan-out, skip-lane validation.
+    /// Support check, port resolution, fan-out, topological order and
+    /// skip-lane validation.
     fn structural(&mut self) {
         let nodes = self.graph.nodes();
 
@@ -244,10 +269,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                 self.diag(
                     Rule::NotYetLowerable,
                     node,
-                    format!(
-                        "`{name}` is not yet lowerable: no execution backend implements it \
-                         (see ROADMAP \"IR coverage\")"
-                    ),
+                    format!("`{name}` is not yet lowerable: no execution backend implements it yet"),
                 );
             }
         }
@@ -257,10 +279,11 @@ impl<'g, 'b> Analyzer<'g, 'b> {
         let skip_edges: Vec<&Edge> =
             self.graph.edges().iter().filter(|e| e.kind == StreamKind::Skip).collect();
 
-        // Source-port attribution, mirroring the planner's inference: an
-        // explicit port must exist and carry the kind; unported edges bind
-        // to the unique compatible port, or are dealt out in edge order
-        // when several ports carry the kind.
+        // Source-port attribution: an explicit port must exist and carry
+        // the kind; unported edges bind to the unique compatible port, or
+        // are dealt out in edge order (matching sibling-edge conventions,
+        // wrapping back to the first for pure fan-out) when several ports
+        // carry the kind.
         let mut src_ports: Vec<Option<usize>> = Vec::with_capacity(data_edges.len());
         let mut ambiguous_reported: HashSet<(usize, StreamKind)> = HashSet::new();
         let mut next_inferred: HashMap<(usize, usize), usize> = HashMap::new();
@@ -371,7 +394,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                         self.poisoned[e.to.0] = true;
                         continue;
                     }
-                    if self.node_inputs[e.to.0][p].is_some() {
+                    if self.out.node_inputs[e.to.0][p].is_some() {
                         self.diag_port(
                             Rule::DuplicateInput,
                             e.to.0,
@@ -389,7 +412,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                 }
                 None => {
                     match (0..ins.len())
-                        .find(|&p| ins[p].accepts(e.kind) && self.node_inputs[e.to.0][p].is_none())
+                        .find(|&p| ins[p].accepts(e.kind) && self.out.node_inputs[e.to.0][p].is_none())
                     {
                         Some(p) => p,
                         None => {
@@ -408,8 +431,8 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                     }
                 }
             };
-            self.node_inputs[e.to.0][slot] = Some(PortRef { node: e.from.0, port: src_port });
-            self.consumers[e.from.0][src_port].push((e.to.0, slot));
+            self.out.node_inputs[e.to.0][slot] = Some(PortRef { node: e.from, port: src_port });
+            self.out.consumers[e.from.0][src_port].push((e.to, slot));
         }
 
         // Dangling mandatory inputs (skip ports are optional; nodes with a
@@ -419,7 +442,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                 continue;
             }
             for (p, kind) in node.input_ports().iter().enumerate() {
-                if self.node_inputs[i][p].is_none() && *kind != PortKind::Skip {
+                if self.out.node_inputs[i][p].is_none() && *kind != PortKind::Skip {
                     self.diag_port(
                         Rule::DanglingInput,
                         i,
@@ -437,30 +460,31 @@ impl<'g, 'b> Analyzer<'g, 'b> {
         for e in &data_edges {
             indegree[e.to.0] += 1;
         }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut queue: Vec<NodeId> = (0..n).filter(|&i| indegree[i] == 0).map(NodeId).collect();
         let mut head = 0;
         while head < queue.len() {
             let u = queue[head];
             head += 1;
-            for e in data_edges.iter().filter(|e| e.from.0 == u) {
+            for e in data_edges.iter().filter(|e| e.from == u) {
                 indegree[e.to.0] -= 1;
                 if indegree[e.to.0] == 0 {
-                    queue.push(e.to.0);
+                    queue.push(e.to);
                 }
             }
         }
         if queue.len() != n {
             let stuck: Vec<String> = (0..n).filter(|&i| indegree[i] > 0).map(|i| self.label(i)).collect();
-            self.acyclic = false;
-            self.report.push(Diagnostic::new(
+            self.out.acyclic = false;
+            self.out.report.push(Diagnostic::new(
                 Rule::DataCycle,
                 format!("the data edges form a cycle through: {}", stuck.join(", ")),
             ));
         } else {
-            self.order = queue;
+            self.out.order = queue;
         }
 
-        // Skip-lane validation (planner phase 4b, same reason strings).
+        // Skip lanes are feedback wiring, not dataflow: excluded from port
+        // binding and ordering above, validated on the resolved topology.
         for e in &skip_edges {
             if let Err(reason) = self.check_skip_lane(e) {
                 self.diag(Rule::IllegalSkipEdge, e.from.0, format!("skip edge `{}`: {reason}", e.label));
@@ -468,56 +492,57 @@ impl<'g, 'b> Analyzer<'g, 'b> {
         }
     }
 
-    /// Validates one skip feedback lane against the Section 4.2 contract;
-    /// on success records it in `skip_lanes` and `consumers`.
-    fn check_skip_lane(&mut self, e: &Edge) -> Result<(), String> {
+    /// Validates one skip feedback lane against the Section 4.2 contract:
+    /// it must run from an intersecter back to the private scanner of one of
+    /// its operands. On success records it in `skip_lanes` and `consumers`.
+    fn check_skip_lane(&mut self, e: &Edge) -> Result<(), &'static str> {
         let nodes = self.graph.nodes();
         if !matches!(nodes[e.from.0], NodeKind::Intersecter { .. }) {
-            return Err("source must be an intersecter".into());
+            return Err("source must be an intersecter");
         }
         if !matches!(nodes[e.to.0], NodeKind::LevelScanner { .. }) {
-            return Err("target must be a level scanner".into());
+            return Err("target must be a level scanner");
         }
         if e.dst_port.is_some_and(|p| p != 1) {
-            return Err("target port must be the scanner's skip input (port 1)".into());
+            return Err("target port must be the scanner's skip input (port 1)");
         }
-        let scanner = e.to.0;
-        let feeds = |slot: usize| self.node_inputs[e.from.0][slot].map(|p| (p.node, p.port));
+        let scanner = e.to;
+        let feeds = |slot: usize, port: usize| self.out.fed_by(e.from, slot, scanner, port);
         let operand = match e.src_port {
             Some(3) => 0,
             Some(4) => 1,
-            Some(_) => return Err("source port must be a skip lane (port 3 or 4)".into()),
-            None => match (feeds(0), feeds(1)) {
-                (Some((s, 0)), _) if s == scanner => 0,
-                (_, Some((s, 0))) if s == scanner => 1,
-                _ => return Err("target scanner feeds neither coordinate operand".into()),
-            },
+            Some(_) => return Err("source port must be a skip lane (port 3 or 4)"),
+            None if feeds(0, 0) => 0,
+            None if feeds(1, 0) => 1,
+            None => return Err("target scanner feeds neither coordinate operand"),
         };
-        if feeds(operand) != Some((scanner, 0)) {
-            return Err("lane must target the scanner feeding that operand's coordinates".into());
-        }
-        if feeds(2 + operand) != Some((scanner, 1)) {
-            return Err("the operand's reference stream must come from the same scanner".into());
-        }
-        if self.consumers[scanner][0].len() != 1 || self.consumers[scanner][1].len() != 1 {
-            return Err("a skip-target scanner's outputs must feed only the intersecter".into());
+        if self.out.private_scanner(self.graph, e.from, operand) != Some(scanner) {
+            // Name the clause of the predicate that failed.
+            return Err(if !feeds(operand, 0) {
+                "lane must target the scanner feeding that operand's coordinates"
+            } else if !feeds(2 + operand, 1) {
+                "the operand's reference stream must come from the same scanner"
+            } else {
+                "a skip-target scanner's outputs must feed only the intersecter"
+            });
         }
         if self
+            .out
             .skip_lanes
             .iter()
-            .any(|s| (s.intersecter == e.from.0 && s.operand == operand) || s.scanner == scanner)
+            .any(|s| (s.intersecter == e.from && s.operand == operand) || s.scanner == scanner)
         {
-            return Err("duplicate skip lane".into());
+            return Err("duplicate skip lane");
         }
-        self.consumers[e.from.0][3 + operand].push((scanner, 1));
-        self.skip_lanes.push(SkipLane { intersecter: e.from.0, operand, scanner });
+        self.out.consumers[e.from.0][3 + operand].push((scanner, 1));
+        self.out.skip_lanes.push(SkipLane { intersecter: e.from, operand, scanner });
         Ok(())
     }
 
     /// The type flowing into `slot` of `node` (`Unknown` when unbound).
     fn in_type(&self, node: usize, slot: usize) -> StreamType {
-        match self.node_inputs[node][slot] {
-            Some(src) => self.types[src.node][src.port].clone(),
+        match self.out.node_inputs[node][slot] {
+            Some(src) => self.out.types[src.node.0][src.port].clone(),
             None => StreamType::Unknown,
         }
     }
@@ -533,10 +558,10 @@ impl<'g, 'b> Analyzer<'g, 'b> {
         }
     }
 
-    /// Stream-type inference in topological order (planner phase 5 as a
-    /// typing pass), plus the writer-set rules, which need no order.
+    /// Stream-type inference in topological order, plus the writer-set
+    /// rules, which need no order.
     fn infer_types(&mut self) {
-        let nodes = self.graph.nodes().to_vec();
+        let nodes = self.graph.nodes();
 
         // Writer-set rules are order-free: count the values writers even
         // when a cycle blocks inference.
@@ -547,7 +572,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
             .map(|(i, _)| i)
             .collect();
         if vals_writers.is_empty() {
-            self.report.push(Diagnostic::new(
+            self.out.report.push(Diagnostic::new(
                 Rule::MissingValsWriter,
                 "the graph writes no values stream, so it computes nothing".to_string(),
             ));
@@ -560,15 +585,12 @@ impl<'g, 'b> Analyzer<'g, 'b> {
             );
         }
 
-        if !self.acyclic {
+        if !self.out.acyclic {
             return;
         }
 
-        // Index variables introduced so far, in the same (topological)
-        // order the planner records dimensions in.
-        let mut dims: HashSet<char> = HashSet::new();
-
-        for id in self.order.clone() {
+        let order = std::mem::take(&mut self.out.order);
+        for &NodeId(id) in &order {
             match &nodes[id] {
                 NodeKind::Root { tensor } => {
                     if let Some(b) = self.bindings {
@@ -576,33 +598,31 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                             self.unknown_tensor(id, tensor);
                         }
                     }
-                    self.types[id][0] = StreamType::Ref { tensor: tensor.clone(), depth: 0 };
+                    self.out.types[id][0] = StreamType::Ref { tensor: tensor.clone(), depth: 0 };
                 }
                 NodeKind::LevelScanner { tensor, index, compressed } => {
-                    dims.insert(*index);
-                    self.types[id][0] = StreamType::Crd { index: Some(*index) };
-                    self.types[id][1] = self.descend_ref(id, 0, tensor, Some(*compressed));
+                    self.out.types[id][0] = StreamType::Crd { index: Some(*index) };
+                    self.out.types[id][1] = self.descend_ref(id, 0, tensor, *index, Some(*compressed));
                 }
                 NodeKind::Locator { tensor, index } => {
-                    dims.insert(*index);
-                    self.types[id][0] = StreamType::Crd { index: Some(*index) };
-                    let down = self.descend_ref(id, 1, tensor, None);
-                    self.types[id][1] = match &down {
+                    self.out.types[id][0] = StreamType::Crd { index: Some(*index) };
+                    let down = self.descend_ref(id, 1, tensor, *index, None);
+                    self.out.types[id][1] = match &down {
                         // The passthrough ref stays at the parent depth.
                         StreamType::Ref { tensor, depth } => {
                             StreamType::Ref { tensor: tensor.clone(), depth: depth - 1 }
                         }
                         other => other.clone(),
                     };
-                    self.types[id][2] = down;
+                    self.out.types[id][2] = down;
                 }
                 NodeKind::Repeater { .. } => {
-                    self.types[id][0] = self.in_type(id, 1);
+                    self.out.types[id][0] = self.in_type(id, 1);
                 }
                 NodeKind::Intersecter { index } | NodeKind::Unioner { index } => {
-                    self.types[id][0] = StreamType::Crd { index: Some(*index) };
-                    self.types[id][1] = self.in_type(id, 2);
-                    self.types[id][2] = self.in_type(id, 3);
+                    self.out.types[id][0] = StreamType::Crd { index: Some(*index) };
+                    self.out.types[id][1] = self.in_type(id, 2);
+                    self.out.types[id][2] = self.in_type(id, 3);
                     // Intersecter skip outputs (ports 3, 4) stay Unknown.
                 }
                 NodeKind::Array { tensor } => {
@@ -616,7 +636,14 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                         },
                         None => None,
                     };
-                    // Untracked streams stay permissive, like the planner.
+                    // A value array reads references into the values, which
+                    // only exist below the *last* storage level. A traced
+                    // stream of another tensor is a wiring bug; one that
+                    // stops short of the last level means the graph never
+                    // consumed the tensor's deeper levels (a matrix bound to
+                    // a vector kernel) and would silently read wrong
+                    // positions. Untracked streams stay permissive and fail
+                    // at execution if wrong.
                     if let StreamType::Ref { tensor: t, depth } = self.in_type(id, 0) {
                         if &t != tensor {
                             self.diag(
@@ -644,13 +671,17 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                             }
                         }
                     }
-                    self.types[id][0] = StreamType::Val;
+                    self.out.types[id][0] = StreamType::Val;
                 }
                 NodeKind::ConstVal { tensor, .. } => {
                     if !tensor.is_empty() {
                         if let Some(b) = self.bindings {
                             match b.get(tensor) {
                                 None => self.unknown_tensor(id, tensor),
+                                // A genuine scalar holds one stored value
+                                // AND has every dimension 1 (see
+                                // `Inputs::scalar`); a higher-rank tensor
+                                // with a single nonzero is a misbinding.
                                 Some(bound) => {
                                     if bound.vals().len() != 1
                                         || bound.levels().iter().any(|l| l.dimension() > 1)
@@ -675,7 +706,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                             }
                         }
                     }
-                    self.types[id][0] = StreamType::Val;
+                    self.out.types[id][0] = StreamType::Val;
                 }
                 NodeKind::Alu { op } => {
                     if !matches!(op.as_str(), "add" | "sub" | "mul") {
@@ -685,29 +716,29 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                             format!("`{}` names unknown ALU operation `{op}`", self.label(id)),
                         );
                     }
-                    self.types[id][0] = StreamType::Val;
+                    self.out.types[id][0] = StreamType::Val;
                 }
                 NodeKind::Reducer { order } => {
                     match order {
-                        0 => self.types[id][0] = StreamType::Val,
+                        0 => self.out.types[id][0] = StreamType::Val,
                         1 => {
-                            self.types[id][0] = StreamType::Crd { index: None };
-                            self.types[id][1] = StreamType::Val;
+                            self.out.types[id][0] = StreamType::Crd { index: None };
+                            self.out.types[id][1] = StreamType::Val;
                         }
                         _ => {
-                            self.types[id][0] = StreamType::Crd { index: None };
-                            self.types[id][1] = StreamType::Crd { index: None };
-                            self.types[id][2] = StreamType::Val;
+                            self.out.types[id][0] = StreamType::Crd { index: None };
+                            self.out.types[id][1] = StreamType::Crd { index: None };
+                            self.out.types[id][2] = StreamType::Val;
                         }
                     };
                 }
                 NodeKind::CoordDropper { index } => {
-                    self.types[id][0] = StreamType::Crd { index: Some(*index) };
+                    self.out.types[id][0] = StreamType::Crd { index: Some(*index) };
                     // The inner passthrough is legitimately untracked.
-                    self.types[id][1] = StreamType::Unknown;
+                    self.out.types[id][1] = StreamType::Unknown;
                 }
                 NodeKind::LevelWriter { index, vals, .. } => {
-                    if !vals && !dims.contains(index) {
+                    if !vals && !self.out.dims.contains_key(index) {
                         self.diag(
                             Rule::UnknownDimension,
                             id,
@@ -720,21 +751,32 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                     }
                 }
                 NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                    for t in &mut self.types[id] {
+                    for t in &mut self.out.types[id] {
                         *t = StreamType::Tainted;
                     }
                 }
             }
         }
+        self.out.order = order;
     }
 
     /// Shared scanner/locator reference descent: checks the incoming ref
-    /// stream against the declared tensor and the bound storage, records
-    /// nothing on taint, and returns the child-level reference type.
+    /// stream against the declared tensor and the bound storage, records the
+    /// dimension the level gives `index`, and returns the child-level
+    /// reference type (`Tainted` after a finding that invalidates it).
     ///
     /// `compressed` is the scanner's format annotation (`None` for
-    /// locators, which the planner does not format-check).
-    fn descend_ref(&mut self, id: usize, slot: usize, tensor: &str, compressed: Option<bool>) -> StreamType {
+    /// locators, which read either format).
+    fn descend_ref(
+        &mut self,
+        id: usize,
+        slot: usize,
+        tensor: &str,
+        index: char,
+        compressed: Option<bool>,
+    ) -> StreamType {
+        // The variable is introduced even when its size cannot be resolved.
+        self.out.dims.entry(index).or_insert(None);
         match self.in_type(id, slot) {
             StreamType::Ref { tensor: t, depth } => {
                 if t != tensor {
@@ -767,6 +809,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                                 );
                                 return StreamType::Tainted;
                             }
+                            self.bind_dim(id, index, tensor, bound.level(depth).dimension());
                             if let Some(compressed) = compressed {
                                 if bound.level(depth).is_dense() == compressed {
                                     self.diag(
@@ -789,7 +832,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
             }
             StreamType::Tainted => StreamType::Tainted,
             // Crd/Val cannot arrive here (port kinds); Unknown is a
-            // genuinely untracked reference, which the planner rejects.
+            // genuinely untracked reference, which no backend can bind.
             _ => {
                 self.diag(
                     Rule::TensorMismatch,
@@ -797,6 +840,26 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                     format!("`{}` iterates `{tensor}` but its reference stream is untracked", self.label(id)),
                 );
                 StreamType::Tainted
+            }
+        }
+    }
+
+    /// Fixes the size of `index` the first time a bound level iterates it.
+    /// A later level of another size would send the backends coordinates
+    /// beyond a dimension they allocated for, so it is an error.
+    fn bind_dim(&mut self, id: usize, index: char, tensor: &str, dim: usize) {
+        match self.out.dims.get(&index) {
+            Some(Some((first, size))) if *size != dim => {
+                let message = format!(
+                    "`{}` iterates `{index}` over a level of `{tensor}` with dimension {dim}, but \
+                     `{first}` already fixed `{index}` at dimension {size}",
+                    self.label(id)
+                );
+                self.diag(Rule::DimensionMismatch, id, message);
+            }
+            Some(Some(_)) => {}
+            _ => {
+                self.out.dims.insert(index, Some((tensor.to_string(), dim)));
             }
         }
     }

@@ -5,8 +5,9 @@ use std::fmt;
 
 /// How bad a finding is.
 ///
-/// Errors are graphs the planner would (or should) reject; warnings are
-/// legal graphs with a structure the lints consider suspicious.
+/// Errors are graphs no backend can execute correctly, which
+/// `sam_exec::Plan::build` therefore rejects; warnings are legal graphs with
+/// a structure the lints consider suspicious.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Suspicious but executable.
@@ -26,9 +27,9 @@ impl fmt::Display for Severity {
 
 /// Every rule the verifier can fire, with a stable kebab-case id.
 ///
-/// The error rules are a strict superset of the planner's validation (each
-/// `sam_exec::PlanError` structural/binding class maps onto one rule);
-/// the warning rules are the graph lints. See ARCHITECTURE.md for the full
+/// The error rules are the planner's whole validation (a
+/// `sam_exec::PlanError::Rejected` carries the diagnostics that fired); the
+/// warning rules are the graph lints. See ARCHITECTURE.md for the full
 /// table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
@@ -63,6 +64,8 @@ pub enum Rule {
     /// A value array's reference stream stops short of (or overshoots) the
     /// bound tensor's rank.
     RankMismatch,
+    /// Two bound levels iterate one index variable at different sizes.
+    DimensionMismatch,
     /// A non-scalar tensor is collapsed into a zero-index constant access —
     /// a whole stream squeezed through a scalar port.
     ScalarIntoStream,
@@ -104,6 +107,7 @@ impl Rule {
             Rule::LevelOutOfRange => "level-out-of-range",
             Rule::FormatMismatch => "format-mismatch",
             Rule::RankMismatch => "rank-mismatch",
+            Rule::DimensionMismatch => "dimension-mismatch",
             Rule::ScalarIntoStream => "scalar-into-stream",
             Rule::UnknownAluOp => "unknown-alu-op",
             Rule::MissingValsWriter => "missing-vals-writer",

@@ -4,27 +4,28 @@
 //! *before* planning. The SAM paper (Sec. 4) defines streams as a typed
 //! protocol — rank, token grammar, skip-lane contract — and this crate
 //! checks that protocol by cheap abstract interpretation over the graph's
-//! transition structure, reporting typed [`Diagnostic`]s instead of the
-//! planner's first-error-wins rejections or a backend's mid-run panic.
+//! transition structure, reporting every finding as a typed [`Diagnostic`]
+//! instead of a backend's mid-run panic.
 //!
-//! Two analyses share one dataflow framework ([`Analysis`]):
+//! Two analyses share one dataflow framework ([`Analysis`]), which is also
+//! the whole of the execution planner's validation — `sam_exec::Plan::build`
+//! runs it once, rejects on any error diagnostic and derives the plan from
+//! its tables:
 //!
 //! 1. **Stream-type inference + protocol checking** ([`verify`] /
 //!    [`verify_bound`]) — propagates an abstract stream type (crd/ref/val
 //!    kind, tensor, storage depth, index variable) along every edge and
 //!    reports rank mismatches, dangling/duplicated ports, illegal skip
-//!    lanes, scalar-into-stream errors, and `ConstVal` misuse. The error
-//!    rules are a strict superset of the planner's validation: every graph
-//!    `sam_exec::Plan::build` rejects fails verification with a more
-//!    specific diagnostic, and the planner's rank check *delegates* to
-//!    [`Analysis::ref_annotation`].
+//!    lanes, disagreeing dimensions, scalar-into-stream errors, and
+//!    `ConstVal` misuse.
 //! 2. **Graph lints** — dead nodes, discarded value streams, forks that
 //!    should be broadcasts, and missing skip edges where the compiler's
 //!    format heuristic (`LowerOptions::skip_edges`) would fire.
 //!
 //! The `samlint` binary (in `sam-bench`) fronts all of this on the command
-//! line; `custard::lower_exec`, the executor's `Planner`, and
-//! `sam_serve::Service::submit` run it implicitly.
+//! line; `custard::lower_exec` asserts its output verifies structurally
+//! (debug builds), and every planning door (`Plan::build`, the executor's
+//! `Planner`, `sam_serve::Service`) runs the bound analysis.
 
 #![warn(missing_docs)]
 
@@ -32,7 +33,7 @@ pub mod analysis;
 pub mod diag;
 pub mod lints;
 
-pub use analysis::{Analysis, Bindings, StreamType};
+pub use analysis::{Analysis, Bindings, PortRef, SkipLane, StreamType};
 pub use diag::{Diagnostic, Report, Rule, Severity};
 
 use sam_core::graph::SamGraph;
@@ -86,6 +87,7 @@ mod tests {
             Rule::LevelOutOfRange,
             Rule::FormatMismatch,
             Rule::RankMismatch,
+            Rule::DimensionMismatch,
             Rule::ScalarIntoStream,
             Rule::UnknownAluOp,
             Rule::MissingValsWriter,

@@ -3,7 +3,7 @@
 //!
 //! [`Severity::Warning`]: crate::Severity
 
-use crate::analysis::{Analysis, StreamType};
+use crate::analysis::{Analysis, PortRef, StreamType};
 use crate::diag::{Diagnostic, Report, Rule};
 use sam_core::graph::{NodeId, NodeKind, SamGraph};
 
@@ -25,15 +25,15 @@ pub fn run(graph: &SamGraph, analysis: &Analysis, report: &mut Report) {
     // Backward reachability from the writers: a node none of whose streams
     // contribute to any writer is dead weight.
     let mut live = vec![false; n];
-    let mut stack: Vec<usize> =
-        (0..n).filter(|&i| matches!(nodes[i], NodeKind::LevelWriter { .. })).collect();
-    for &w in &stack {
-        live[w] = true;
+    let mut stack: Vec<NodeId> =
+        (0..n).filter(|&i| matches!(nodes[i], NodeKind::LevelWriter { .. })).map(NodeId).collect();
+    for w in &stack {
+        live[w.0] = true;
     }
     while let Some(u) = stack.pop() {
         for src in analysis.inputs_of(u).iter().flatten() {
-            if !live[src.node] {
-                live[src.node] = true;
+            if !live[src.node.0] {
+                live[src.node.0] = true;
                 stack.push(src.node);
             }
         }
@@ -57,10 +57,10 @@ pub fn run(graph: &SamGraph, analysis: &Analysis, report: &mut Report) {
         if !live[i] {
             continue;
         }
-        for (port, conns) in analysis.consumers_of(i).iter().enumerate() {
+        for (port, conns) in analysis.consumers_of(NodeId(i)).iter().enumerate() {
             // A live node discarding a computed value stream.
             if conns.is_empty()
-                && analysis.stream_type(i, port) == Some(&StreamType::Val)
+                && analysis.stream_type(PortRef { node: NodeId(i), port }) == Some(&StreamType::Val)
                 && !matches!(
                     nodes[i],
                     NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter
@@ -103,32 +103,22 @@ pub fn run(graph: &SamGraph, analysis: &Analysis, report: &mut Report) {
     // operands come straight from scanners of skewed density (one dense,
     // one compressed) gallops in O(1) on the dense side — but only if the
     // Section 4.2 feedback lanes are wired.
-    for i in 0..n {
-        if !matches!(nodes[i], NodeKind::Intersecter { .. }) {
+    for i in (0..n).map(NodeId) {
+        if !matches!(nodes[i.0], NodeKind::Intersecter { .. }) {
             continue;
         }
         if analysis.skip_lanes().iter().any(|l| l.intersecter == i) {
             continue;
         }
-        let scanner_of = |slot: usize, port: usize| {
-            analysis.inputs_of(i)[slot].filter(|src| src.port == port).and_then(|src| {
-                match &nodes[src.node] {
-                    NodeKind::LevelScanner { compressed, .. } => Some((src.node, *compressed)),
-                    _ => None,
-                }
-            })
-        };
-        let (Some((s0, c0)), Some((s1, c1))) = (scanner_of(0, 0), scanner_of(1, 0)) else {
+        // The heuristic fires only when the lanes would be legal (each
+        // operand has a private scanner), and only on skewed density.
+        let (Some(s0), Some(s1)) =
+            (analysis.private_scanner(graph, i, 0), analysis.private_scanner(graph, i, 1))
+        else {
             continue;
         };
-        // The heuristic fires on skewed density only, and only when the
-        // lanes would be legal: refs from the same scanners, and each
-        // scanner private to this intersecter.
-        let refs_match =
-            scanner_of(2, 1).map(|(s, _)| s) == Some(s0) && scanner_of(3, 1).map(|(s, _)| s) == Some(s1);
-        let private =
-            |s: usize| analysis.consumers_of(s)[0].len() == 1 && analysis.consumers_of(s)[1].len() == 1;
-        if c0 != c1 && refs_match && private(s0) && private(s1) {
+        let compressed = |s: NodeId| matches!(nodes[s.0], NodeKind::LevelScanner { compressed: true, .. });
+        if compressed(s0) != compressed(s1) {
             report.push(
                 Diagnostic::new(
                     Rule::MissingSkipEdge,
@@ -136,10 +126,10 @@ pub fn run(graph: &SamGraph, analysis: &Analysis, report: &mut Report) {
                         "`{}` intersects a compressed level with a dense one but has no \
                          coordinate-skip lanes; the format heuristic (`LowerOptions::skip_edges`) \
                          would wire them and enable galloping",
-                        graph.node_label(NodeId(i))
+                        graph.node_label(i)
                     ),
                 )
-                .at(i, graph.node_label(NodeId(i))),
+                .at(i.0, graph.node_label(i)),
             );
         }
     }

@@ -200,6 +200,22 @@ fn rank_mismatch_fires_once() {
 }
 
 #[test]
+fn dimension_mismatch_fires_once() {
+    // `x(i) = b(i) * c(i)` over a 16-long `b` and an 8-long `c`: the second
+    // scanner of `i` disagrees with the first, once.
+    let graph = graphs::vec_elem_mul(true);
+    let b = sparse_vec("b", &[(1, 2.0), (12, 3.0)]);
+    let c = Tensor::from_coo(
+        "c",
+        &sam_tensor::CooTensor::from_entries(vec![8], vec![(vec![1], 5.0)]).unwrap(),
+        TensorFormat::sparse_vec(),
+    );
+    fires_once_bound(&graph, &Bindings::new().bind("b", &b).bind("c", &c), Rule::DimensionMismatch);
+    // Sizes are a binding-level fact: structurally the graph is clean.
+    assert!(verify(&graph).diagnostics.is_empty());
+}
+
+#[test]
 fn scalar_into_stream_fires_once() {
     // A two-element vector collapsed into a zero-index constant access.
     let mut g = base_nodes();
