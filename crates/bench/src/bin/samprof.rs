@@ -108,13 +108,7 @@ fn serve_mode(rounds: usize) {
         "\ncompile cache {} hits / {} misses; plan cache {} hits / {} misses / {} evictions",
         snap.compile_hits, snap.compile_misses, snap.plans.hits, snap.plans.misses, snap.plans.evictions
     );
-    println!(
-        "batches {}, mean batch size {:.2}, same-plan rate {:.1}%, lane depth high-water {}",
-        snap.batches,
-        snap.batch_size.mean(),
-        100.0 * snap.same_plan_rate,
-        snap.lane_depth_high_water
-    );
+    println!("queue depth high-water {}", snap.lane_depth_high_water);
     let busiest = snap.workers.iter().map(|w| w.utilization).fold(0.0f64, f64::max);
     println!(
         "window qps {:.0}, {} workers (busiest {:.0}% utilized), store built {} tensors in {:.1}us",

@@ -35,7 +35,6 @@ use sam_primitives::bitvector::{bit_tree_vec_mul, bitvector_vec_mul};
 use sam_streams::analysis::{
     break_even_nnz_per_row, compare_encodings, MatrixShapeStats, WORST_CASE_CONTROL_FRACTION,
 };
-use sam_streams::TokenStats;
 use sam_tensor::expr::table1;
 use sam_tensor::reference::Environment;
 use sam_tensor::suitesparse::table3_catalog;
@@ -515,16 +514,16 @@ pub fn figure13_report(dim: usize) -> String {
     out
 }
 
-/// The slot mix of the outer (`i`) and inner (`j`) scanner coordinate
-/// streams of the matrix identity over `b`, idle slots included, plus the
-/// run they were read from — the quantities Figure 14 plots.
+/// The tokens on the outer (`i`) and inner (`j`) scanner coordinate streams
+/// of the matrix identity over `b`, plus the run they were read from — the
+/// quantities Figure 14 plots.
 ///
 /// A traced cycle run counts every token each node emitted. `graphs::identity`
 /// has no forks, and a scanner's coordinate and reference outputs carry the
 /// same control tokens (Definition 3.1), so the coordinate stream is the
 /// node's `crd` tokens plus half its control tokens; every other cycle of
-/// the run the channel was idle.
-fn identity_stream_stats(b: &CooTensor) -> (Execution, TokenStats, TokenStats) {
+/// the run the channel was idle ([`idle_slots`]).
+fn identity_stream_stats(b: &CooTensor) -> (Execution, TokenCounts, TokenCounts) {
     let graph = graphs::identity();
     let inputs = Inputs::new().coo("B", b, TensorFormat::dcsr());
     let sink = CountersSink::new();
@@ -533,7 +532,6 @@ fn identity_stream_stats(b: &CooTensor) -> (Execution, TokenStats, TokenStats) {
         .traced(&sink)
         .run()
         .expect("traced cycle run");
-    let cycles = cycles_of(&run);
     let profile = run.profile.as_ref().expect("traced runs attach a profile");
     let crd_stream = |index: char| {
         let scanner = graph
@@ -542,11 +540,16 @@ fn identity_stream_stats(b: &CooTensor) -> (Execution, TokenStats, TokenStats) {
             .position(|n| matches!(n, NodeKind::LevelScanner { index: i, .. } if *i == index))
             .expect("the identity graph scans both levels");
         let TokenCounts { crd, stop, empty, done, .. } = profile.nodes[scanner].tokens;
-        let (stop, empty, done) = (stop / 2, empty / 2, done / 2);
-        TokenStats { non_control: crd, stop, empty, done, idle: cycles - (crd + stop + empty + done) }
+        TokenCounts { crd, stop: stop / 2, empty: empty / 2, done: done / 2, ..TokenCounts::default() }
     };
     let (outer, inner) = (crd_stream('i'), crd_stream('j'));
     (run, outer, inner)
+}
+
+/// The cycles of `run` during which a channel that carried `stream` carried
+/// nothing: a channel moves at most one token a cycle.
+fn idle_slots(run: &Execution, stream: &TokenCounts) -> u64 {
+    cycles_of(run) - stream.total()
 }
 
 /// Figure 14: token-kind breakdown of the outer and inner coordinate streams
@@ -565,20 +568,20 @@ pub fn figure14_report(max_nnz: usize) -> String {
         if info.nnz > max_nnz {
             continue;
         }
-        let (_, o, i) = identity_stream_stats(&info.instantiate(71));
-        let frac = |n: u64, total: u64| n as f64 / total.max(1) as f64;
+        let (run, o, i) = identity_stream_stats(&info.instantiate(71));
+        let frac = |slots: u64| slots as f64 / cycles_of(&run).max(1) as f64;
         out.push_str(&format!(
             "{:<14} {:>9} | {:>8.3} {:>8.3} {:>8.3} {:>8.3} | {:>8.3} {:>8.3} {:>8.3} {:>8.3}\n",
             info.name,
             info.nnz,
-            frac(o.idle, o.total()),
-            frac(o.done, o.total()),
-            frac(o.stop, o.total()),
-            frac(o.non_control, o.total()),
-            frac(i.idle, i.total()),
-            frac(i.done, i.total()),
-            frac(i.stop, i.total()),
-            frac(i.non_control, i.total()),
+            frac(idle_slots(&run, &o)),
+            frac(o.done),
+            frac(o.stop),
+            frac(o.crd),
+            frac(idle_slots(&run, &i)),
+            frac(i.done),
+            frac(i.stop),
+            frac(i.crd),
         ));
     }
     out
@@ -881,12 +884,11 @@ mod tests {
         // and sits idle while the inner level streams its coordinates.
         let b = synth::random_matrix_sparsity(50, 50, 0.9, 22);
         let (run, outer, inner) = identity_stream_stats(&b);
-        let idle_frac = outer.idle as f64 / outer.total() as f64;
+        let idle_frac = idle_slots(&run, &outer) as f64 / cycles_of(&run) as f64;
         assert!(idle_frac > 0.4, "idle fraction {idle_frac}");
-        assert_eq!(outer.total(), cycles_of(&run));
         // The inner stream's control overhead is dominated by stop tokens.
         assert!(inner.stop >= inner.done);
-        assert_eq!(inner.non_control as usize, run.output.unwrap().nnz());
+        assert_eq!(inner.crd as usize, run.output.unwrap().nnz());
     }
 
     #[test]

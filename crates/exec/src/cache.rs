@@ -19,9 +19,10 @@
 //! * [`PlanCache`] is the sharded LRU map. [`PlanCache::global`] is the
 //!   process-wide instance the default execution path uses; services that
 //!   want isolated counters (or a different capacity) construct their own.
-//! * [`Planner`] is the single planning entry point shared by the old
-//!   one-shot path and the `sam-serve` service: it produces `Arc<Plan>`s,
-//!   through a cache or not.
+//! * [`Planner`] is the one-shot path's planning entry point: it produces
+//!   `Arc<Plan>`s, through a cache or not. The `sam-serve` service reads
+//!   its own cache through [`PlanCache::lookup`], which also reports the
+//!   hit.
 //!
 //! ```
 //! use sam_core::graphs;
@@ -49,7 +50,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// How many independent shards a [`PlanCache`] splits its map across.
 /// Submissions from many service workers hash to different shards, so the
@@ -164,9 +165,9 @@ impl PlanCacheStats {
     /// The counter movement since `earlier` — a per-window rate for a
     /// cache whose lifetime counters keep running. The counters are
     /// process-lifetime aggregates shared by every user of the cache, so a
-    /// service that wants "hits this second" or "did *my* lookup hit"
-    /// snapshots before and after and diffs, instead of racing other users
-    /// for an absolute read. Saturating, so a [`PlanCache::clear`] between
+    /// caller that wants "hits this second" snapshots before and after and
+    /// diffs, instead of racing other users for an absolute read (whether
+    /// *one* lookup hit is [`PlanCache::lookup`]'s answer). Saturating, so a [`PlanCache::clear`] between
     /// snapshots yields zeros rather than wrapping; `entries` stays the
     /// current residency (it is a level, not a flow).
     pub fn delta_since(&self, earlier: &PlanCacheStats) -> PlanCacheStats {
@@ -214,6 +215,13 @@ impl PlanCache {
         GLOBAL.get_or_init(|| PlanCache::new(GLOBAL_CAPACITY))
     }
 
+    /// Locks shard `i`. The map is only touched after [`Plan::build`] has
+    /// returned, so a planner panic leaves the shard valid: a poisoned guard
+    /// is recovered, not propagated to every later lookup.
+    fn lock_shard(&self, i: usize) -> MutexGuard<'_, Shard> {
+        self.shards[i].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Returns the cached plan for `graph` over `inputs`, planning and
     /// inserting on a miss.
     ///
@@ -222,27 +230,31 @@ impl PlanCache {
     /// Propagates [`PlanError`] from [`Plan::build`]; failures are never
     /// cached.
     pub fn get_or_plan(&self, graph: &SamGraph, inputs: &Inputs) -> Result<Arc<Plan>, PlanError> {
+        self.lookup(graph, inputs).map(|(plan, _hit)| plan)
+    }
+
+    /// [`PlanCache::get_or_plan`] that also says whether the cache already
+    /// held the plan (`true`) or this call planned it (`false`).
+    ///
+    /// A miss plans inside the shard lock, so however many callers race on
+    /// one key, one of them plans and counts the miss and the rest hit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PlanError`] from [`Plan::build`]; failures are never
+    /// cached.
+    pub fn lookup(&self, graph: &SamGraph, inputs: &Inputs) -> Result<(Arc<Plan>, bool), PlanError> {
         let key = PlanKey::new(graph, inputs);
-        let shard = &self.shards[key.shard(self.shards.len())];
-        {
-            let mut s = shard.lock().expect("plan cache shard");
-            s.tick += 1;
-            let tick = s.tick;
-            if let Some(e) = s.map.get_mut(&key) {
-                e.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&e.plan));
-            }
-        }
-        // Plan outside the shard lock: concurrent misses on the same key
-        // may both plan, but the loser's insert just overwrites with an
-        // identical plan — far cheaper than serializing every planner run
-        // behind the shard.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(Plan::build(graph, inputs)?);
-        let mut s = shard.lock().expect("plan cache shard");
+        let mut s = self.lock_shard(key.shard(self.shards.len()));
         s.tick += 1;
         let tick = s.tick;
+        if let Some(e) = s.map.get_mut(&key) {
+            e.last_used = tick;
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((Arc::clone(&e.plan), true));
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let plan = Arc::new(Plan::build(graph, inputs)?);
         s.map.insert(key, Entry { plan: Arc::clone(&plan), last_used: tick });
         while s.map.len() > self.per_shard_capacity {
             let oldest = s
@@ -254,7 +266,7 @@ impl PlanCache {
             s.map.remove(&oldest);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(plan)
+        Ok((plan, false))
     }
 
     /// Current counters.
@@ -263,15 +275,15 @@ impl PlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().expect("plan cache shard").map.len()).sum(),
+            entries: (0..self.shards.len()).map(|i| self.lock_shard(i).map.len()).sum(),
         }
     }
 
     /// Drops every cached plan and zeroes the counters (cold-start
     /// measurement support; the resident plans' `Arc`s stay valid).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock().expect("plan cache shard");
+        for i in 0..self.shards.len() {
+            let mut s = self.lock_shard(i);
             s.map.clear();
             s.tick = 0;
         }
@@ -281,11 +293,11 @@ impl PlanCache {
     }
 }
 
-/// The single planning entry point: turns `(graph, inputs)` into an
-/// [`Arc<Plan>`], through a [`PlanCache`] or not. Both the one-shot
-/// [`crate::ExecRequest`] path and the `sam-serve` service plan through
-/// this; cached or not, every plan is one [`Plan::build`], so every door
-/// accepts the same graphs and rejects with the same diagnostics.
+/// The planning entry point of the one-shot [`crate::ExecRequest`] path:
+/// turns `(graph, inputs)` into an [`Arc<Plan>`], through a [`PlanCache`]
+/// or not. Cached or not — and through `sam-serve`'s own
+/// [`PlanCache::lookup`] too — every plan is one [`Plan::build`], so every
+/// door accepts the same graphs and rejects with the same diagnostics.
 #[derive(Debug, Clone, Default)]
 pub struct Planner {
     cache: Option<Arc<PlanCache>>,
@@ -451,6 +463,29 @@ mod tests {
         assert!(stats.entries <= SHARDS);
         // Evicted keys re-plan and still work.
         cache.get_or_plan(&graph, &inputs_for(10)).unwrap();
+    }
+
+    #[test]
+    fn racing_misses_on_one_key_plan_once() {
+        let cache = PlanCache::new(16);
+        let graph = graphs::spmv();
+        let inputs = spmv_inputs(12, 81);
+        let barrier = std::sync::Barrier::new(8);
+        let plans: Vec<(Arc<Plan>, bool)> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.lookup(&graph, &inputs).unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().expect("racer")).collect()
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 7, 1));
+        assert_eq!(plans.iter().filter(|(_, hit)| !hit).count(), 1, "exactly one racer planned");
+        assert!(plans.iter().all(|(plan, _)| Arc::ptr_eq(plan, &plans[0].0)));
     }
 
     #[test]

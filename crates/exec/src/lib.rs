@@ -142,7 +142,7 @@ pub mod plan;
 pub mod request;
 pub mod spec;
 mod split;
-pub mod steal;
+mod steal;
 pub mod tiled;
 
 pub use bind::Inputs;
@@ -158,7 +158,6 @@ pub use sam_trace::{
     QuerySpan, Stage, TokenCounts, TraceSink, WorkerProfile,
 };
 pub use spec::{BackendSpec, ParseBackendError};
-pub use steal::{StealPool, WorkerStats};
 pub use tiled::TiledBackend;
 
 use sam_primitives::EmptyFiberPolicy;

@@ -9,6 +9,10 @@
 //! the adaptive ramp the largest-remaining — work), which is the classic
 //! Chase–Lev policy expressed with locks instead of lock-free deques.
 //!
+//! The module is private: its two users are the fast backend's splitting
+//! driver (`parallel.rs`) and the tiled backend's tile fan-out
+//! (`tiled.rs`), both in this crate.
+//!
 //! The driving thread participates: [`StealPool::run_batch`] enqueues a
 //! batch round-robin, then the caller runs tasks as worker 0 until the
 //! batch drains. Workers spawned onto [`StealPool::worker_loop`] (from a

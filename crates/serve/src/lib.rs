@@ -10,18 +10,21 @@
 //!   Table 3 matrices come straight from the `sam_tensor` catalog), with
 //!   per-tensor format metadata and lazy, shared per-format
 //!   materialization.
-//! * [`Service`] — async batched submission: [`Service::submit`] enqueues
-//!   a [`Query`] onto bounded lanes and returns a [`QueryHandle`]; a
-//!   coordinator compiles (compile cache), binds, plans (a sharded
-//!   [`sam_exec::PlanCache`] of the service's own), batches same-plan
-//!   queries and fans the batch over a work-stealing executor pool.
-//!   Per-query backend selection by [`sam_exec::BackendSpec`].
+//! * [`Service`] — async submission: [`Service::submit`] pushes a
+//!   [`Query`] onto one bounded queue and returns a [`QueryHandle`]; each
+//!   of N identical workers pops the oldest query and compiles (compile
+//!   cache), binds, plans (a sharded [`sam_exec::PlanCache`] of the
+//!   service's own), executes and resolves it. A full queue blocks
+//!   `submit`, a panicking query fails only itself, and dropping the
+//!   service drains the queue first. Per-query backend selection by
+//!   [`sam_exec::BackendSpec`].
 //! * [`table1_workload`] — the mixed twelve-kernel Table 1 workload
 //!   (integer-valued, bit-exact across backends) that `samprof --serve`
 //!   and the equivalence tests share.
 //! * Service telemetry — every query carries a lifecycle span
-//!   (queue → compile → plan → batch → execute → resolve) feeding
-//!   latency histograms and cache/batch/qps gauges, exposed as a typed
+//!   (queue → compile → plan → batch → execute → resolve; `batch` is a
+//!   constant 0 since the workers stopped batching) feeding latency
+//!   histograms and cache/queue/qps gauges, exposed as a typed
 //!   [`Service::metrics_snapshot`], Prometheus text via
 //!   [`Service::render_prometheus`], and JSONL slow-query events
 //!   ([`TelemetryConfig::slow_query`]); per-query `ExecProfile`s survive
@@ -49,6 +52,6 @@ pub mod store;
 pub mod workload;
 
 pub use metrics::{MetricsSnapshot, TelemetryConfig, WorkerTelemetry};
-pub use service::{Query, QueryHandle, ServeError, Service, ServiceConfig, ServiceStats, TraceMode};
+pub use service::{Query, QueryHandle, ServeError, Service, ServiceConfig, ServiceStats};
 pub use store::{MaterializeStats, TensorStore};
 pub use workload::{table1_workload, WorkloadQuery};

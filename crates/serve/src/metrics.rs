@@ -6,8 +6,8 @@
 //! instance (crate-private): every resolved query contributes a
 //! [`sam_trace::QuerySpan`] whose six stage durations feed per-stage
 //! histograms, a total-latency histogram, and a per-backend execute
-//! histogram; batch formation feeds a batch-size histogram; submission
-//! keeps a lane-depth high-water gauge; completions feed a rolling-window
+//! histogram; submission keeps a queue-depth high-water gauge; each worker
+//! counts its own tasks and busy time; completions feed a rolling-window
 //! qps estimate. Everything rides the lock-free primitives in
 //! [`sam_trace::metrics`], so the per-query cost is a handful of relaxed
 //! atomic adds — and with [`TelemetryConfig::enabled`] off, the service
@@ -19,7 +19,7 @@
 //! when the query opted into tracing) onto an in-memory ring and, when
 //! [`TelemetryConfig::event_log`] is set, a JSONL file.
 
-use sam_exec::{PlanCacheStats, WorkerStats};
+use sam_exec::PlanCacheStats;
 use sam_trace::{
     Counter, ExecProfile, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, QuerySpan, Stage,
 };
@@ -68,15 +68,13 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// One pool worker's activity, with utilization relative to service
+/// One worker thread's activity, with utilization relative to service
 /// uptime.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerTelemetry {
-    /// Tasks this worker executed.
+    /// Queries this worker carried from pickup to resolution.
     pub tasks: u64,
-    /// Tasks this worker stole from another worker's queue.
-    pub steals: u64,
-    /// Wall nanoseconds spent executing tasks.
+    /// Wall nanoseconds spent on them (compile, plan, execute, resolve).
     pub busy_ns: u64,
     /// `busy_ns` over service uptime, in `[0, 1]`.
     pub utilization: f64,
@@ -94,10 +92,6 @@ pub struct MetricsSnapshot {
     pub completed: u64,
     /// Queries that resolved to an error.
     pub failed: u64,
-    /// Coordinator drain cycles that dispatched at least one query.
-    pub batches: u64,
-    /// Queries that rode in a same-plan group of two or more.
-    pub batched_same_plan: u64,
     /// Compile-cache hits.
     pub compile_hits: u64,
     /// Compile-cache misses.
@@ -110,21 +104,24 @@ pub struct MetricsSnapshot {
     pub stages: Vec<HistogramSnapshot>,
     /// End-to-end (submit → resolve) latency distribution, nanoseconds.
     pub latency: HistogramSnapshot,
-    /// Executed batch-group sizes (one observation per same-plan group).
+    /// Constant since PR 18: one observation of 1 per finished query. A
+    /// worker runs one query at a time; the field stays because the
+    /// benchmark reads it.
     pub batch_size: HistogramSnapshot,
     /// Execute-stage latency split by backend label.
     pub execute_by_backend: Vec<(String, HistogramSnapshot)>,
-    /// Deepest any submission lane has been.
+    /// Deepest the submission queue has been. The name dates from the
+    /// hashed lanes PR 18 replaced with one queue; the benchmark reads it.
     pub lane_depth_high_water: u64,
     /// Completions per second over the trailing
     /// [`TelemetryConfig::qps_window`].
     pub window_qps: f64,
-    /// Fraction of finished queries that shared a same-plan group of two
-    /// or more.
+    /// Constant 0 since PR 18: queries are not grouped by plan. The field
+    /// stays because the benchmark reads it.
     pub same_plan_rate: f64,
     /// The operand store's materialization counters.
     pub store: MaterializeStats,
-    /// Per-worker pool activity (worker 0 is the coordinator).
+    /// Per-worker activity, indexed by worker.
     pub workers: Vec<WorkerTelemetry>,
     /// Time since the service started.
     pub uptime: Duration,
@@ -151,19 +148,18 @@ pub(crate) struct Telemetry {
     pub(crate) submitted: Arc<Counter>,
     pub(crate) completed: Arc<Counter>,
     pub(crate) failed: Arc<Counter>,
-    pub(crate) batches: Arc<Counter>,
-    pub(crate) batched_same_plan: Arc<Counter>,
     pub(crate) compile_hits: Arc<Counter>,
     pub(crate) compile_misses: Arc<Counter>,
     slow_queries: Arc<Counter>,
     // Timing surfaces: recorded only when `config.enabled`.
     stages: Vec<Arc<Histogram>>,
     latency: Arc<Histogram>,
-    batch_size: Arc<Histogram>,
     execute_by_backend: Mutex<HashMap<String, Arc<Histogram>>>,
-    lane_depth: Arc<Gauge>,
+    queue_depth: Arc<Gauge>,
     window_qps: Arc<Gauge>,
-    // Synced from the plan cache / store / pool at exposition time.
+    /// `(tasks, busy_ns)` per worker, each bumped by that worker only.
+    workers: Vec<(Arc<Counter>, Arc<Counter>)>,
+    // Synced from the plan cache / store at exposition time.
     plan_gauges: [Arc<Gauge>; 4],
     store_gauges: [Arc<Gauge>; 3],
     completions: Mutex<VecDeque<Instant>>,
@@ -172,7 +168,7 @@ pub(crate) struct Telemetry {
 }
 
 impl Telemetry {
-    pub(crate) fn new(config: TelemetryConfig) -> Telemetry {
+    pub(crate) fn new(config: TelemetryConfig, workers: usize) -> Telemetry {
         let registry = MetricsRegistry::new();
         let counter = |name: &str, help: &str| registry.counter(name, help);
         let gauge = |name: &str, help: &str| registry.gauge(name, help);
@@ -195,21 +191,26 @@ impl Telemetry {
             submitted: counter("sam_serve_queries_total", "Queries accepted by submit"),
             completed: counter("sam_serve_completed_total", "Queries finished successfully"),
             failed: counter("sam_serve_failed_total", "Queries resolved to an error"),
-            batches: counter("sam_serve_batches_total", "Drain cycles that dispatched queries"),
-            batched_same_plan: counter(
-                "sam_serve_batched_same_plan_total",
-                "Queries that rode in a same-plan group of two or more",
-            ),
             compile_hits: counter("sam_serve_compile_hits_total", "Compile-cache hits"),
             compile_misses: counter("sam_serve_compile_misses_total", "Compile-cache misses"),
             slow_queries: counter("sam_serve_slow_queries_total", "Queries over the slow threshold"),
             stages,
             latency: registry
                 .histogram("sam_serve_query_latency_ns", "End-to-end query latency, nanoseconds"),
-            batch_size: registry.histogram("sam_serve_batch_size", "Executed same-plan batch group sizes"),
             execute_by_backend: Mutex::new(HashMap::new()),
-            lane_depth: gauge("sam_serve_lane_depth_high_water", "Deepest any submission lane has been"),
+            queue_depth: gauge("sam_serve_lane_depth_high_water", "Deepest the submission queue has been"),
             window_qps: gauge("sam_serve_window_qps", "Completions per second, rolling window"),
+            workers: (0..workers)
+                .map(|w| {
+                    let id = w.to_string();
+                    let per_worker =
+                        |name: &str, help: &str| registry.counter_with(name, help, "worker", &id);
+                    (
+                        per_worker("sam_serve_worker_tasks", "Queries carried per worker"),
+                        per_worker("sam_serve_worker_busy_ns", "Busy nanoseconds per worker"),
+                    )
+                })
+                .collect(),
             plan_gauges: [
                 gauge("sam_serve_plan_hits", "Service plan-cache hits"),
                 gauge("sam_serve_plan_misses", "Service plan-cache misses"),
@@ -234,17 +235,20 @@ impl Telemetry {
         self.config.enabled.then(Instant::now)
     }
 
-    /// Lane depth after a submit, for the high-water gauge.
-    pub(crate) fn record_lane_depth(&self, depth: usize) {
+    /// Queue depth after a submit, for the high-water gauge.
+    pub(crate) fn record_queue_depth(&self, depth: usize) {
         if self.config.enabled {
-            self.lane_depth.record_max(depth as u64);
+            self.queue_depth.record_max(depth as u64);
         }
     }
 
-    /// One executed same-plan group of `size` queries.
-    pub(crate) fn record_batch(&self, size: usize) {
-        if self.config.enabled {
-            self.batch_size.record(size as u64);
+    /// One query `worker` picked up at `started` (`None`: timing is off)
+    /// and has finished.
+    pub(crate) fn record_task(&self, worker: usize, started: Option<Instant>) {
+        let (tasks, busy_ns) = &self.workers[worker];
+        tasks.inc();
+        if let Some(started) = started {
+            busy_ns.add(started.elapsed().as_nanos() as u64);
         }
     }
 
@@ -335,9 +339,9 @@ impl Telemetry {
         }
     }
 
-    /// Copies the cache/store/pool state into the synced gauges, so both
+    /// Copies the cache/store state into the synced gauges, so both
     /// exposition surfaces agree with the typed snapshot.
-    fn sync(&self, plans: &PlanCacheStats, store: &MaterializeStats, workers: &[WorkerStats]) {
+    fn sync(&self, plans: &PlanCacheStats, store: &MaterializeStats) {
         self.plan_gauges[0].set(plans.hits);
         self.plan_gauges[1].set(plans.misses);
         self.plan_gauges[2].set(plans.evictions);
@@ -346,40 +350,18 @@ impl Telemetry {
         self.store_gauges[1].set(store.hits);
         self.store_gauges[2].set(store.build_ns);
         self.window_qps.set(self.qps().round() as u64);
-        for (w, stats) in workers.iter().enumerate() {
-            let id = w.to_string();
-            self.registry
-                .gauge_with("sam_serve_worker_tasks", "Tasks executed per pool worker", "worker", &id)
-                .set(stats.tasks);
-            self.registry
-                .gauge_with("sam_serve_worker_steals", "Tasks stolen per pool worker", "worker", &id)
-                .set(stats.steals);
-            self.registry
-                .gauge_with("sam_serve_worker_busy_ns", "Busy nanoseconds per pool worker", "worker", &id)
-                .set(stats.busy_ns);
-        }
     }
 
     /// Renders the registry as Prometheus text exposition, after syncing
-    /// the cache/store/pool gauges.
-    pub(crate) fn render(
-        &self,
-        plans: &PlanCacheStats,
-        store: &MaterializeStats,
-        workers: &[WorkerStats],
-    ) -> String {
-        self.sync(plans, store, workers);
+    /// the cache/store gauges.
+    pub(crate) fn render(&self, plans: &PlanCacheStats, store: &MaterializeStats) -> String {
+        self.sync(plans, store);
         self.registry.render_prometheus()
     }
 
     /// Builds the typed [`MetricsSnapshot`].
-    pub(crate) fn snapshot(
-        &self,
-        plans: PlanCacheStats,
-        store: MaterializeStats,
-        workers: &[WorkerStats],
-    ) -> MetricsSnapshot {
-        self.sync(&plans, &store, workers);
+    pub(crate) fn snapshot(&self, plans: PlanCacheStats, store: MaterializeStats) -> MetricsSnapshot {
+        self.sync(&plans, &store);
         let uptime = self.started.elapsed();
         let uptime_ns = uptime.as_nanos().max(1) as f64;
         let finished = self.completed.get() + self.failed.get();
@@ -387,15 +369,19 @@ impl Telemetry {
             submitted: self.submitted.get(),
             completed: self.completed.get(),
             failed: self.failed.get(),
-            batches: self.batches.get(),
-            batched_same_plan: self.batched_same_plan.get(),
             compile_hits: self.compile_hits.get(),
             compile_misses: self.compile_misses.get(),
             slow_queries: self.slow_queries.get(),
             plans,
             stages: self.stages.iter().map(|h| h.snapshot()).collect(),
             latency: self.latency.snapshot(),
-            batch_size: self.batch_size.snapshot(),
+            batch_size: HistogramSnapshot {
+                count: finished,
+                sum: finished,
+                max: finished.min(1),
+                min: finished.min(1),
+                buckets: if finished == 0 { Vec::new() } else { vec![(1, finished)] },
+            },
             execute_by_backend: {
                 let map = self.execute_by_backend.lock().expect("telemetry backends");
                 let mut v: Vec<(String, HistogramSnapshot)> =
@@ -403,21 +389,20 @@ impl Telemetry {
                 v.sort_by(|a, b| a.0.cmp(&b.0));
                 v
             },
-            lane_depth_high_water: self.lane_depth.get(),
+            lane_depth_high_water: self.queue_depth.get(),
             window_qps: self.qps(),
-            same_plan_rate: if finished == 0 {
-                0.0
-            } else {
-                self.batched_same_plan.get() as f64 / finished as f64
-            },
+            same_plan_rate: 0.0,
             store,
-            workers: workers
+            workers: self
+                .workers
                 .iter()
-                .map(|w| WorkerTelemetry {
-                    tasks: w.tasks,
-                    steals: w.steals,
-                    busy_ns: w.busy_ns,
-                    utilization: (w.busy_ns as f64 / uptime_ns).clamp(0.0, 1.0),
+                .map(|(tasks, busy_ns)| {
+                    let busy_ns = busy_ns.get();
+                    WorkerTelemetry {
+                        tasks: tasks.get(),
+                        busy_ns,
+                        utilization: (busy_ns as f64 / uptime_ns).clamp(0.0, 1.0),
+                    }
                 })
                 .collect(),
             uptime,

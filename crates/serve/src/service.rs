@@ -8,46 +8,46 @@
 //!   custard once, and a **plan cache** (a [`PlanCache`] of its own, so a
 //!   service's hit/miss counters are not entangled with the process-wide
 //!   cache) so each workload shape plans once;
-//! * the submission machinery: [`Service::submit`] enqueues a [`Query`]
-//!   onto one of a fixed set of **bounded MPSC lanes** (same-expression
-//!   queries hash to the same lane) and returns a [`QueryHandle`]
-//!   immediately. A coordinator thread drains every lane on each doorbell
-//!   ring, prepares the drained queries (compile → bind from the store →
-//!   plan), **batches same-plan queries together**, and dispatches the
-//!   batch over a work-stealing pool of executor workers
-//!   ([`sam_exec::steal::StealPool`] — the same pool the parallel
-//!   backends use; the coordinator participates as worker 0).
+//! * the submission machinery: one bounded FIFO queue and
+//!   [`ServiceConfig::workers`] identical worker threads.
+//!   [`Service::submit`] pushes a [`Query`] and returns a [`QueryHandle`]
+//!   immediately (blocking only while the queue is full — backpressure);
+//!   each worker pops the oldest query and carries it the whole way:
+//!   compile → bind from the store → plan → execute → resolve the handle.
+//!   No thread waits for another's query, so a slow query delays only the
+//!   queries behind it that find every other worker busy too.
 //!
 //! Every query executes through the [`sam_exec::ExecRequest`] door with
 //! its plan pre-resolved, on the backend its [`Query::backend`] selected —
 //! so a service run is bit-identical to a one-shot request for the same
 //! query, and the plan-cache hit path provably changes nothing but speed.
-//! Failures (unknown tensors, compile errors, execution errors) surface
-//! through [`QueryHandle::wait`], never as panics in the service threads.
+//! Failures (unknown tensors, compile errors, execution errors, even a
+//! panic inside one execution) surface through [`QueryHandle::wait`];
+//! the worker that met them keeps serving. Dropping the service finishes
+//! everything already queued, then joins the workers.
 
 use crate::metrics::{MetricsSnapshot, Telemetry, TelemetryConfig};
 use crate::store::TensorStore;
 use custard::{ConcreteIndexNotation, ExecutableKernel, Formats, Schedule};
-use sam_exec::steal::{StealPool, Task};
 use sam_exec::{
     BackendSpec, ExecError, ExecRequest, Execution, Inputs, Plan, PlanCache, PlanCacheStats, PlanError,
-    Planner,
 };
 use sam_memory::MemoryConfig;
 use sam_tensor::TensorFormat;
 use sam_trace::{CountersSink, QuerySpan, Stage, TraceSink};
-use std::collections::hash_map::DefaultHasher;
+use std::any::Any;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Whether (and how) one query's execution is traced — the service-path
 /// equivalent of [`ExecRequest::traced`].
 #[derive(Clone, Default)]
-pub enum TraceMode {
+enum TraceMode {
     /// No per-execution instrumentation (the default).
     #[default]
     Off,
@@ -187,11 +187,6 @@ impl Query {
     pub fn scalar_bindings(&self) -> &[(String, f64)] {
         &self.scalars
     }
-
-    /// How this query's execution is traced.
-    pub fn trace_mode(&self) -> &TraceMode {
-        &self.traced
-    }
 }
 
 /// Why a submitted query failed. Delivered through [`QueryHandle::wait`].
@@ -221,6 +216,12 @@ pub enum ServeError {
     },
     /// Planning or execution failed.
     Exec(ExecError),
+    /// The query's compilation, planning or execution panicked. The panic
+    /// was contained: only this query is lost.
+    Panicked {
+        /// The panic payload, when it was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -238,6 +239,7 @@ impl fmt::Display for ServeError {
                 Ok(())
             }
             ServeError::Exec(e) => write!(f, "execution failed: {e}"),
+            ServeError::Panicked { message } => write!(f, "the query panicked: {message}"),
         }
     }
 }
@@ -250,8 +252,14 @@ impl From<ExecError> for ServeError {
     }
 }
 
-#[derive(Default)]
+/// What a [`QueryHandle`] and the worker running its query share. The
+/// query lives here, not in the queued job, so it is freed with the handle
+/// — on the submitter's side, by the thread that allocated it. Freed by a
+/// worker instead, every query sends a dozen small blocks back to another
+/// thread's malloc arena, and two workers contending on those arena locks
+/// cost `serve-warm-zipf` up to 1.6x in round time (`bench/PR18_compare.txt`).
 struct HandleState {
+    query: Query,
     slot: Mutex<Option<Result<Execution, ServeError>>>,
     done: Condvar,
 }
@@ -260,6 +268,10 @@ impl HandleState {
     fn resolve(&self, result: Result<Execution, ServeError>) {
         *self.slot.lock().expect("handle slot") = Some(result);
         self.done.notify_all();
+    }
+
+    fn is_done(&self) -> bool {
+        self.slot.lock().expect("handle slot").is_some()
     }
 }
 
@@ -272,12 +284,6 @@ pub struct QueryHandle {
 impl fmt::Debug for HandleState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HandleState").field("done", &self.is_done()).finish()
-    }
-}
-
-impl HandleState {
-    fn is_done(&self) -> bool {
-        self.slot.lock().expect("handle slot").is_some()
     }
 }
 
@@ -303,14 +309,11 @@ impl QueryHandle {
 /// Sizing knobs for a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Executor-pool participants (the coordinator counts as one; clamped
-    /// to at least 1).
+    /// Worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Number of submission lanes.
-    pub lanes: usize,
-    /// Bounded depth of each lane; [`Service::submit`] blocks (applying
-    /// backpressure) when its lane is full.
-    pub lane_capacity: usize,
+    /// Bounded depth of the submission queue; [`Service::submit`] blocks
+    /// (applying backpressure) while it is full. Clamped to at least 1.
+    pub queue_capacity: usize,
     /// Capacity of the service's plan cache.
     pub plan_capacity: usize,
     /// Lifecycle telemetry knobs (see [`TelemetryConfig`]).
@@ -321,8 +324,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 4,
-            lanes: 4,
-            lane_capacity: 64,
+            queue_capacity: 256,
             plan_capacity: 1024,
             telemetry: TelemetryConfig::default(),
         }
@@ -338,10 +340,6 @@ pub struct ServiceStats {
     pub completed: u64,
     /// Queries that resolved to a [`ServeError`].
     pub failed: u64,
-    /// Coordinator drain cycles that dispatched at least one query.
-    pub batches: u64,
-    /// Queries that rode in a same-plan group of two or more.
-    pub batched_same_plan: u64,
     /// Compile-cache hits (expression already lowered).
     pub compile_hits: u64,
     /// Compile-cache misses (expression lowered now).
@@ -351,20 +349,15 @@ pub struct ServiceStats {
 }
 
 struct Job {
-    query: Query,
     state: Arc<HandleState>,
     /// When [`Service::submit`] enqueued the query (telemetry on only).
     enqueued: Option<Instant>,
 }
 
-struct Lane {
-    queue: Mutex<VecDeque<Job>>,
-    not_full: Condvar,
-}
-
 #[derive(Default)]
-struct Door {
-    rung: bool,
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Set by [`Service`]'s `Drop`: workers exit once `jobs` is empty.
     closed: bool,
 }
 
@@ -372,51 +365,48 @@ struct Door {
 /// what `lower_exec` produces.
 type CompileKey = (String, Option<String>, String);
 
-/// A prepared query: compiled, bound and planned, ready to execute.
-struct Ready {
-    kernel: Arc<ExecutableKernel>,
-    plan: Arc<Plan>,
-    inputs: Inputs,
-    backend: BackendSpec,
-    memory: Option<MemoryConfig>,
-    state: Arc<HandleState>,
-    traced: TraceMode,
-    /// The query's lifecycle span so far (telemetry on only).
-    span: Option<QuerySpan>,
-    /// When preparation finished — the batch stage starts here.
-    prepared: Option<Instant>,
-}
-
 struct Shared {
     store: Arc<TensorStore>,
-    lanes: Vec<Lane>,
-    lane_capacity: usize,
-    door: Mutex<Door>,
-    bell: Condvar,
+    queue: Mutex<Queue>,
+    queue_capacity: usize,
+    not_empty: Condvar,
+    not_full: Condvar,
     kernels: Mutex<HashMap<CompileKey, Arc<ExecutableKernel>>>,
-    plans: Arc<PlanCache>,
-    pool: StealPool<'static>,
-    telemetry: Arc<Telemetry>,
+    plans: PlanCache,
+    telemetry: Telemetry,
+}
+
+/// The string a panic carried, for [`ServeError::Panicked`].
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => (*s).to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "non-string panic payload".to_string(),
+    }
 }
 
 impl Shared {
-    fn ring(&self) {
-        self.door.lock().expect("doorbell").rung = true;
-        self.bell.notify_one();
+    /// Locks the queue. Every update under this lock is one push, one pop
+    /// or one flag store, so the queue is valid at every step and a
+    /// poisoned guard is recovered.
+    fn lock_queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Takes everything currently enqueued, releasing backpressured
-    /// submitters.
-    fn drain(&self) -> Vec<Job> {
-        let mut jobs = Vec::new();
-        for lane in &self.lanes {
-            let drained = std::mem::take(&mut *lane.queue.lock().expect("lane"));
-            if !drained.is_empty() {
-                lane.not_full.notify_all();
-                jobs.extend(drained);
+    /// Blocks until a job is queued and takes the oldest; `None` once the
+    /// queue is closed and empty.
+    fn next_job(&self) -> Option<Job> {
+        let mut queue = self.lock_queue();
+        loop {
+            if let Some(job) = queue.jobs.pop_front() {
+                self.not_full.notify_one();
+                return Some(job);
             }
+            if queue.closed {
+                return None;
+            }
+            queue = self.not_empty.wait(queue).unwrap_or_else(PoisonError::into_inner);
         }
-        jobs
     }
 
     /// Lowers the query's expression, through the compile cache. The
@@ -425,10 +415,17 @@ impl Shared {
         let mut sig: Vec<String> = query.formats.iter().map(|(n, f)| format!("{n}={f}")).collect();
         sig.sort();
         let key: CompileKey = (query.expression.clone(), query.order.clone(), sig.join(";"));
-        if let Some(kernel) = self.kernels.lock().expect("kernels").get(&key) {
-            self.telemetry.compile_hits.inc();
-            return Ok((Arc::clone(kernel), true));
-        }
+        // Lowering under the lock makes a miss one per key however many
+        // workers race on it. The map is only touched after the lowering
+        // has returned, so a poisoned guard (a lowering panic) is recovered.
+        let mut kernels = self.kernels.lock().unwrap_or_else(PoisonError::into_inner);
+        let slot = match kernels.entry(key) {
+            Entry::Occupied(e) => {
+                self.telemetry.compile_hits.inc();
+                return Ok((Arc::clone(e.get()), true));
+            }
+            Entry::Vacant(slot) => slot,
+        };
         self.telemetry.compile_misses.inc();
         let compile_err =
             |message: String| ServeError::Compile { expression: query.expression.clone(), message };
@@ -443,9 +440,7 @@ impl Shared {
         }
         let cin = ConcreteIndexNotation::new(assignment, &schedule, formats);
         let kernel = Arc::new(custard::lower_exec(&cin).map_err(|e| compile_err(e.to_string()))?);
-        // A concurrent miss may have inserted already; either kernel is
-        // identical, keep the first.
-        Ok((Arc::clone(self.kernels.lock().expect("kernels").entry(key).or_insert(kernel)), false))
+        Ok((Arc::clone(slot.insert(kernel)), false))
     }
 
     /// Compile, bind from the store, and plan — everything short of
@@ -482,37 +477,58 @@ impl Shared {
         for (name, value) in &query.scalars {
             inputs = inputs.scalar(name, *value);
         }
-        // Only the coordinator plans against the service's private cache,
-        // so a stats delta around this one call attributes the hit or miss
-        // to this query.
-        let plans_before = span.is_some().then(|| self.plans.stats());
-        let plan = Planner::with_cache(Arc::clone(&self.plans)).plan(&kernel.graph, &inputs).map_err(
-            |PlanError::Rejected { diagnostics }| ServeError::Rejected {
-                expression: query.expression.clone(),
-                diagnostics,
-            },
-        )?;
+        let (plan, plan_hit) =
+            self.plans.lookup(&kernel.graph, &inputs).map_err(|PlanError::Rejected { diagnostics }| {
+                ServeError::Rejected { expression: query.expression.clone(), diagnostics }
+            })?;
         if let (Some(span), Some(started)) = (span, plan_started) {
             span.record(Stage::Plan, started.elapsed());
-            if let Some(before) = plans_before {
-                span.plan_hit = self.plans.stats().delta_since(&before).hits > 0;
-            }
+            span.plan_hit = plan_hit;
         }
         Ok((kernel, plan, inputs))
     }
 
-    /// Prepares a drained batch, groups same-plan queries, and runs the
-    /// whole batch over the pool (the calling coordinator participates as
-    /// worker 0).
-    fn run_jobs(&self, jobs: Vec<Job>) {
-        // One clock read attributes queue wait for the whole drain.
-        let drained_at = self.telemetry.now();
-        let mut groups: HashMap<(usize, BackendSpec), Vec<Ready>> = HashMap::new();
-        for job in jobs {
-            let mut span = drained_at.map(|now| {
+    /// One query, start to finish: prepare, then execute through the
+    /// [`ExecRequest`] door on the planned graph.
+    fn run(&self, query: &Query, mut span: Option<&mut QuerySpan>) -> Result<Execution, ServeError> {
+        let (kernel, plan, inputs) = self.prepare(query, span.as_deref_mut())?;
+        let execute_started = span.is_some().then(Instant::now);
+        // Any trace sink must outlive the request borrowing it.
+        let profile_sink;
+        let trace: Option<&dyn TraceSink> = match &query.traced {
+            TraceMode::Off => None,
+            TraceMode::Profile => {
+                profile_sink = CountersSink::new();
+                Some(&profile_sink)
+            }
+            TraceMode::Sink(sink) => Some(sink.as_ref()),
+        };
+        let mut request = ExecRequest::new(&kernel.graph, &inputs).backend(query.backend).planned(plan);
+        if let Some(memory) = query.memory {
+            request = request.memory(memory);
+        }
+        if let Some(trace) = trace {
+            request = request.traced(trace);
+        }
+        let result = request.run();
+        if let (Some(span), Some(started)) = (span, execute_started) {
+            span.record(Stage::Execute, started.elapsed());
+        }
+        Ok(result?)
+    }
+
+    /// The body of every worker thread: take the oldest queued job, run it
+    /// with panics contained, publish its span, resolve its handle; exit
+    /// when the queue is closed and empty.
+    fn work(&self, worker: usize) {
+        while let Some(job) = self.next_job() {
+            let query = &job.state.query;
+            let started = self.telemetry.now();
+            let mut span = started.map(|now| {
                 let mut span = QuerySpan {
-                    expression: job.query.expression.clone(),
-                    backend: job.query.backend.to_string(),
+                    expression: query.expression.clone(),
+                    backend: query.backend.to_string(),
+                    batch_size: 1,
                     ..QuerySpan::default()
                 };
                 if let Some(enqueued) = job.enqueued {
@@ -520,139 +536,31 @@ impl Shared {
                 }
                 span
             });
-            match self.prepare(&job.query, span.as_mut()) {
-                Ok((kernel, plan, inputs)) => {
-                    let group = (Arc::as_ptr(&plan) as usize, job.query.backend);
-                    groups.entry(group).or_default().push(Ready {
-                        kernel,
-                        plan,
-                        inputs,
-                        backend: job.query.backend,
-                        memory: job.query.memory,
-                        state: job.state,
-                        traced: job.query.traced,
-                        span,
-                        prepared: self.telemetry.now(),
-                    });
-                }
-                Err(e) => {
-                    self.telemetry.failed.inc();
-                    if let Some(mut span) = span {
+            // A span half-filled by an unwound query holds only the stage
+            // times recorded before the panic, which is what it should say.
+            let result = catch_unwind(AssertUnwindSafe(|| self.run(query, span.as_mut())))
+                .unwrap_or_else(|payload| Err(ServeError::Panicked { message: panic_message(&*payload) }));
+            let resolve_started = self.telemetry.now();
+            let counter = if result.is_ok() { &self.telemetry.completed } else { &self.telemetry.failed };
+            counter.inc();
+            // Publish the span BEFORE waking the handle, so a waiter that
+            // snapshots right after `wait()` returns is guaranteed to see
+            // this query in the histograms. The resolve stage therefore
+            // covers the result bookkeeping, not the condvar notify itself.
+            if let (Some(span), Some(resolve_started)) = (span.as_mut(), resolve_started) {
+                let profile = match &result {
+                    Ok(run) => run.profile.as_ref(),
+                    Err(e) => {
                         span.error = Some(e.to_string());
-                        self.telemetry.observe_span(&span, None);
+                        None
                     }
-                    job.state.resolve(Err(e));
-                }
+                };
+                span.record(Stage::Resolve, resolve_started.elapsed());
+                self.telemetry.observe_span(span, profile);
             }
+            self.telemetry.record_task(worker, started);
+            job.state.resolve(result);
         }
-        if groups.is_empty() {
-            return;
-        }
-        // One task per same-plan chunk: chunks share the plan Arc and are
-        // sized so a large group still spreads across the whole pool.
-        let workers = self.pool.workers();
-        let mut tasks: Vec<Task<'static>> = Vec::new();
-        for (_, mut group) in groups {
-            if group.len() > 1 {
-                self.telemetry.batched_same_plan.add(group.len() as u64);
-            }
-            self.telemetry.record_batch(group.len());
-            let group_len = group.len() as u64;
-            for ready in &mut group {
-                if let Some(span) = ready.span.as_mut() {
-                    span.batch_size = group_len;
-                }
-            }
-            let chunk_len = group.len().div_ceil(workers).max(1);
-            let mut group = group.into_iter().peekable();
-            while group.peek().is_some() {
-                let chunk: Vec<Ready> = group.by_ref().take(chunk_len).collect();
-                let telemetry = Arc::clone(&self.telemetry);
-                tasks.push(Box::new(move |_w| {
-                    for mut ready in chunk {
-                        let task_started = telemetry.now();
-                        if let (Some(span), Some(started), Some(prepared)) =
-                            (ready.span.as_mut(), task_started, ready.prepared)
-                        {
-                            span.record(Stage::Batch, started.saturating_duration_since(prepared));
-                        }
-                        // Any trace sink must outlive the request borrowing it.
-                        let profile_sink;
-                        let trace: Option<&dyn TraceSink> = match &ready.traced {
-                            TraceMode::Off => None,
-                            TraceMode::Profile => {
-                                profile_sink = CountersSink::new();
-                                Some(&profile_sink)
-                            }
-                            TraceMode::Sink(sink) => Some(sink.as_ref()),
-                        };
-                        let mut request = ExecRequest::new(&ready.kernel.graph, &ready.inputs)
-                            .backend(ready.backend)
-                            .planned(Arc::clone(&ready.plan));
-                        if let Some(memory) = ready.memory {
-                            request = request.memory(memory);
-                        }
-                        if let Some(trace) = trace {
-                            request = request.traced(trace);
-                        }
-                        let result = request.run();
-                        let resolve_started = telemetry.now();
-                        if let (Some(span), Some(started), Some(ended)) =
-                            (ready.span.as_mut(), task_started, resolve_started)
-                        {
-                            span.record(Stage::Execute, ended.saturating_duration_since(started));
-                        }
-                        let counter = if result.is_ok() { &telemetry.completed } else { &telemetry.failed };
-                        counter.inc();
-                        // Publish the span BEFORE waking the handle, so a
-                        // waiter that snapshots right after `wait()` returns
-                        // is guaranteed to see this query in the histograms.
-                        // The resolve stage therefore covers the result
-                        // bookkeeping, not the condvar notify itself.
-                        if let (Some(span), Some(started)) = (ready.span.as_mut(), resolve_started) {
-                            let profile = match &result {
-                                Ok(run) => run.profile.clone(),
-                                Err(e) => {
-                                    span.error = Some(e.to_string());
-                                    None
-                                }
-                            };
-                            span.record(Stage::Resolve, started.elapsed());
-                            telemetry.observe_span(span, profile.as_ref());
-                        }
-                        ready.state.resolve(result.map_err(ServeError::from));
-                    }
-                }));
-            }
-        }
-        self.telemetry.batches.inc();
-        self.pool.run_batch(tasks);
-    }
-
-    /// The coordinator thread: sleep on the doorbell, drain, dispatch;
-    /// on close, drain what is left, then stop the pool.
-    fn coordinate(&self) {
-        loop {
-            let closed = {
-                let mut door = self.door.lock().expect("doorbell");
-                while !door.rung && !door.closed {
-                    door = self.bell.wait(door).expect("doorbell");
-                }
-                door.rung = false;
-                door.closed
-            };
-            loop {
-                let jobs = self.drain();
-                if jobs.is_empty() {
-                    break;
-                }
-                self.run_jobs(jobs);
-            }
-            if closed {
-                break;
-            }
-        }
-        self.pool.shutdown();
     }
 }
 
@@ -677,60 +585,50 @@ impl Service {
 
     /// A service over `store`, sized by `config`.
     pub fn with_config(store: Arc<TensorStore>, config: ServiceConfig) -> Service {
-        let telemetry = Arc::new(Telemetry::new(config.telemetry.clone()));
+        let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             store,
-            lanes: (0..config.lanes.max(1))
-                .map(|_| Lane { queue: Mutex::new(VecDeque::new()), not_full: Condvar::new() })
-                .collect(),
-            lane_capacity: config.lane_capacity.max(1),
-            door: Mutex::new(Door::default()),
-            bell: Condvar::new(),
+            queue: Mutex::new(Queue::default()),
+            queue_capacity: config.queue_capacity.max(1),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
             kernels: Mutex::new(HashMap::new()),
-            plans: Arc::new(PlanCache::new(config.plan_capacity)),
-            // Pool timing rides the telemetry switch: worker busy_ns feeds
-            // the utilization gauges.
-            pool: StealPool::new(config.workers, telemetry.config.enabled),
-            telemetry,
+            plans: PlanCache::new(config.plan_capacity),
+            telemetry: Telemetry::new(config.telemetry, workers),
         });
-        let mut threads = Vec::new();
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || shared.coordinate()));
-        }
-        for w in 1..shared.pool.workers() {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || shared.pool.worker_loop(w)));
-        }
+        let threads = (0..workers)
+            .map(|worker| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || shared.work(worker))
+            })
+            .collect();
         Service { shared, threads }
     }
 
-    /// Enqueues `query` and returns immediately. The query is compiled
-    /// (compile cache), bound against the store, planned (plan cache),
-    /// batched with same-plan queries and executed on its selected
-    /// backend; the outcome — success or any error along that path —
-    /// arrives through the returned handle's [`QueryHandle::wait`].
+    /// Enqueues `query` and returns immediately. A worker compiles it
+    /// (compile cache), binds it against the store, plans it (plan cache)
+    /// and executes it on its selected backend; the outcome — success or
+    /// any error along that path — arrives through the returned handle's
+    /// [`QueryHandle::wait`].
     ///
-    /// Submission is bounded: when the query's lane is full, `submit`
-    /// blocks until the coordinator drains it.
+    /// Submission is bounded: while the queue holds
+    /// [`ServiceConfig::queue_capacity`] queries, `submit` blocks until a
+    /// worker takes one.
     pub fn submit(&self, query: Query) -> QueryHandle {
-        let state = Arc::new(HandleState::default());
+        let state = Arc::new(HandleState { query, slot: Mutex::new(None), done: Condvar::new() });
         let handle = QueryHandle { state: Arc::clone(&state) };
-        let mut hasher = DefaultHasher::new();
-        query.expression.hash(&mut hasher);
-        let lane = &self.shared.lanes[(hasher.finish() as usize) % self.shared.lanes.len()];
         let enqueued = self.shared.telemetry.now();
         let depth = {
-            let mut queue = lane.queue.lock().expect("lane");
-            while queue.len() >= self.shared.lane_capacity {
-                queue = lane.not_full.wait(queue).expect("lane");
+            let mut queue = self.shared.lock_queue();
+            while queue.jobs.len() >= self.shared.queue_capacity {
+                queue = self.shared.not_full.wait(queue).unwrap_or_else(PoisonError::into_inner);
             }
-            queue.push_back(Job { query, state, enqueued });
-            queue.len()
+            queue.jobs.push_back(Job { state, enqueued });
+            queue.jobs.len()
         };
-        self.shared.telemetry.record_lane_depth(depth);
+        self.shared.not_empty.notify_one();
+        self.shared.telemetry.record_queue_depth(depth);
         self.shared.telemetry.submitted.inc();
-        self.shared.ring();
         handle
     }
 
@@ -751,8 +649,6 @@ impl Service {
             submitted: t.submitted.get(),
             completed: t.completed.get(),
             failed: t.failed.get(),
-            batches: t.batches.get(),
-            batched_same_plan: t.batched_same_plan.get(),
             compile_hits: t.compile_hits.get(),
             compile_misses: t.compile_misses.get(),
             plans: self.shared.plans.stats(),
@@ -760,25 +656,17 @@ impl Service {
     }
 
     /// A typed point-in-time view of the full telemetry surface: lifecycle
-    /// counters, per-stage and per-backend latency histograms, batch-size
-    /// distribution, plan/compile/store cache behavior, lane-depth
-    /// high-water, rolling-window qps and per-worker utilization.
+    /// counters, per-stage and per-backend latency histograms,
+    /// plan/compile/store cache behavior, queue-depth high-water,
+    /// rolling-window qps and per-worker utilization.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.shared.telemetry.snapshot(
-            self.shared.plans.stats(),
-            self.shared.store.materialize_stats(),
-            &self.shared.pool.stats(),
-        )
+        self.shared.telemetry.snapshot(self.shared.plans.stats(), self.shared.store.materialize_stats())
     }
 
     /// The same metrics in the Prometheus text exposition format, ready to
     /// serve from a `/metrics` endpoint or dump next to a bench artifact.
     pub fn render_prometheus(&self) -> String {
-        self.shared.telemetry.render(
-            &self.shared.plans.stats(),
-            &self.shared.store.materialize_stats(),
-            &self.shared.pool.stats(),
-        )
+        self.shared.telemetry.render(&self.shared.plans.stats(), &self.shared.store.materialize_stats())
     }
 
     /// The retained slow-query JSONL events (oldest first). Empty unless
@@ -790,10 +678,10 @@ impl Service {
 
 impl Drop for Service {
     /// Stops accepting work, finishes everything already enqueued, and
-    /// joins the coordinator and worker threads.
+    /// joins the worker threads.
     fn drop(&mut self) {
-        self.shared.door.lock().expect("doorbell").closed = true;
-        self.shared.bell.notify_all();
+        self.shared.lock_queue().closed = true;
+        self.shared.not_empty.notify_all();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }

@@ -82,13 +82,14 @@ fn counters_and_histograms_match_resolved_handles_under_concurrency() {
     assert!(snap.lane_depth_high_water >= 1);
     assert!(snap.uptime > Duration::ZERO);
     let busy: u64 = snap.workers.iter().map(|w| w.busy_ns).sum();
-    assert!(busy > 0, "pool timing must be on when telemetry is enabled");
+    assert!(busy > 0, "worker timing must be on when telemetry is enabled");
+    assert_eq!(snap.workers.iter().map(|w| w.tasks).sum::<u64>(), total, "one task per query");
 }
 
 /// A one-entry plan cache forced to evict shows the misses and evictions
-/// in the snapshot — and the batch-size histogram sees every group.
+/// in the snapshot.
 #[test]
-fn forced_eviction_and_batching_show_up_in_the_snapshot() {
+fn forced_eviction_shows_up_in_the_snapshot() {
     let (store, queries) = table1_workload(22);
     let service = Service::with_config(
         Arc::clone(&store),
@@ -103,10 +104,8 @@ fn forced_eviction_and_batching_show_up_in_the_snapshot() {
     let snap = service.metrics_snapshot();
     assert!(snap.plans.misses >= queries.len() as u64, "evicted shapes re-plan: {:?}", snap.plans);
     assert!(snap.plans.evictions > 0, "a one-entry cache under twelve shapes must evict");
-    // Every executed query rode in exactly one group, so the group sizes
-    // sum to the completions; and each drain dispatched at least one group.
-    assert_eq!(snap.batch_size.sum, snap.completed);
-    assert!(snap.batch_size.count >= snap.batches);
+    // Every query was carried by exactly one worker.
+    assert_eq!(snap.workers.iter().map(|w| w.tasks).sum::<u64>(), snap.completed);
 }
 
 /// Prometheus text exposition: well-formed families, cumulative buckets,
@@ -127,7 +126,10 @@ fn prometheus_rendering_matches_the_snapshot() {
     assert!(text.contains("# TYPE sam_serve_query_latency_ns histogram\n"));
     assert!(text.contains("sam_serve_stage_ns_bucket{stage=\"queue\",le=\"+Inf\"}"));
     assert!(text.contains(&format!("sam_serve_plan_misses {}\n", snap.plans.misses)));
-    assert!(text.contains("sam_serve_worker_busy_ns{worker=\"0\"}"));
+    for (w, worker) in snap.workers.iter().enumerate() {
+        assert!(text.contains(&format!("sam_serve_worker_tasks{{worker=\"{w}\"}} {}\n", worker.tasks)));
+        assert!(text.contains(&format!("sam_serve_worker_busy_ns{{worker=\"{w}\"}} {}\n", worker.busy_ns)));
+    }
 
     // The exposition grammar: every line is a `# HELP`/`# TYPE` comment or
     // a `name{labels} value` sample, and every sample follows the `# TYPE`
@@ -180,6 +182,9 @@ fn prometheus_rendering_matches_the_snapshot() {
     }
     assert_eq!(families.get("sam_serve_query_latency_ns"), Some(&"histogram"));
     assert_eq!(families.get("sam_serve_queries_total"), Some(&"counter"));
+    assert_eq!(families.get("sam_serve_worker_tasks"), Some(&"counter"));
+    assert_eq!(families.get("sam_serve_worker_busy_ns"), Some(&"counter"));
+    assert_eq!(families.get("sam_serve_lane_depth_high_water"), Some(&"gauge"));
 }
 
 /// A zero slow-query threshold captures every query as a JSONL event, in

@@ -1,7 +1,6 @@
 //! Channels: the simulator's model of SAM streams on wires.
 
 use crate::payload::SimToken;
-use sam_streams::TokenStats;
 use std::collections::VecDeque;
 
 /// Identifier of a channel within a [`crate::Simulator`].
@@ -10,15 +9,14 @@ pub struct ChannelId(pub usize);
 
 /// A single-producer single-consumer token queue connecting two blocks.
 ///
-/// Channels record how many tokens of each kind they have carried; combined
-/// with the number of elapsed cycles this yields the idle/stop/done/data
-/// breakdown of Figure 14.
+/// A channel counts the tokens it has carried and, once
+/// [`Channel::record`] is called, keeps every one of them in order.
 #[derive(Debug, Clone)]
 pub struct Channel {
     name: String,
     queue: VecDeque<SimToken>,
     capacity: Option<usize>,
-    stats: TokenStats,
+    history: Option<Vec<SimToken>>,
     total_pushed: u64,
     done_seen: bool,
 }
@@ -30,7 +28,7 @@ impl Channel {
             name: name.into(),
             queue: VecDeque::new(),
             capacity: None,
-            stats: TokenStats::default(),
+            history: None,
             total_pushed: 0,
             done_seen: false,
         }
@@ -64,7 +62,9 @@ impl Channel {
     /// [`Channel::can_push`] first.
     pub fn push(&mut self, token: SimToken) {
         assert!(self.can_push(), "push into full channel `{}`", self.name);
-        self.stats.record(token.kind());
+        if let Some(history) = &mut self.history {
+            history.push(token);
+        }
         self.total_pushed += 1;
         if token.is_done() {
             self.done_seen = true;
@@ -107,19 +107,16 @@ impl Channel {
         self.total_pushed
     }
 
-    /// Token statistics of everything pushed so far. Idle slots are not
-    /// recorded here; [`Channel::stats_with_idle`] folds them in.
-    pub fn stats(&self) -> TokenStats {
-        self.stats
+    /// Starts keeping every token pushed from now on (see
+    /// [`Channel::history`]).
+    pub fn record(&mut self) {
+        self.history = Some(Vec::new());
     }
 
-    /// Statistics including idle slots for a run of `cycles` cycles: a cycle
-    /// during which no token was pushed counts as idle, matching the
-    /// Figure 14 accounting.
-    pub fn stats_with_idle(&self, cycles: u64) -> TokenStats {
-        let mut s = self.stats;
-        s.idle = cycles.saturating_sub(self.total_pushed);
-        s
+    /// Every token pushed since [`Channel::record`], oldest first; `None`
+    /// when the channel is not recording.
+    pub fn history(&self) -> Option<&[SimToken]> {
+        self.history.as_deref()
     }
 }
 
@@ -131,6 +128,8 @@ mod tests {
     #[test]
     fn push_pop_and_stats() {
         let mut c = Channel::new("crd");
+        assert_eq!(c.history(), None);
+        c.record();
         c.push(tok::crd(1));
         c.push(tok::stop(0));
         c.push(tok::done());
@@ -139,21 +138,8 @@ mod tests {
         assert_eq!(c.pop(), Some(tok::crd(1)));
         assert_eq!(c.peek(), Some(&tok::stop(0)));
         assert_eq!(c.peek_nth(1), Some(&tok::done()));
-        let stats = c.stats();
-        assert_eq!(stats.non_control, 1);
-        assert_eq!(stats.stop, 1);
-        assert_eq!(stats.done, 1);
         assert_eq!(c.total_pushed(), 3);
-    }
-
-    #[test]
-    fn idle_accounting() {
-        let mut c = Channel::new("x");
-        c.push(tok::crd(0));
-        c.push(tok::done());
-        let s = c.stats_with_idle(10);
-        assert_eq!(s.idle, 8);
-        assert_eq!(s.total(), 10);
+        assert_eq!(c.history(), Some(&[tok::crd(1), tok::stop(0), tok::done()][..]), "pops keep the log");
     }
 
     #[test]

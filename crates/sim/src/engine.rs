@@ -2,7 +2,6 @@
 
 use crate::channel::{Channel, ChannelId};
 use crate::payload::SimToken;
-use sam_streams::TokenStats;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -170,7 +169,6 @@ pub struct SimReport {
 #[derive(Default)]
 pub struct Simulator {
     channels: Vec<Channel>,
-    histories: Vec<Option<Vec<SimToken>>>,
     blocks: Vec<(Box<dyn Block>, bool)>,
     cycles: u64,
 }
@@ -194,20 +192,18 @@ impl Simulator {
     /// Adds an unbounded channel and returns its id.
     pub fn add_channel(&mut self, name: impl Into<String>) -> ChannelId {
         self.channels.push(Channel::new(name));
-        self.histories.push(None);
         ChannelId(self.channels.len() - 1)
     }
 
     /// Adds a bounded channel with the given capacity.
     pub fn add_bounded_channel(&mut self, name: impl Into<String>, capacity: usize) -> ChannelId {
         self.channels.push(Channel::bounded(name, capacity));
-        self.histories.push(None);
         ChannelId(self.channels.len() - 1)
     }
 
     /// Enables full token recording on a channel (see [`Simulator::history`]).
     pub fn record(&mut self, id: ChannelId) {
-        self.histories[id.0] = Some(Vec::new());
+        self.channels[id.0].record();
     }
 
     /// Adds a block to the schedule.
@@ -219,9 +215,6 @@ impl Simulator {
     /// root reference streams and for testing blocks in isolation).
     pub fn preload<I: IntoIterator<Item = SimToken>>(&mut self, id: ChannelId, tokens: I) {
         for t in tokens {
-            if self.histories[id.0].is_some() {
-                self.histories[id.0].as_mut().expect("recording").push(t);
-            }
             self.channels[id.0].push(t);
         }
     }
@@ -252,15 +245,8 @@ impl Simulator {
     ///
     /// Panics if [`Simulator::record`] was not called for the channel.
     pub fn history(&self, id: ChannelId) -> &[SimToken] {
-        self.histories[id.0]
-            .as_deref()
-            .unwrap_or_else(|| panic!("channel `{}` was not recorded", self.channels[id.0].name()))
-    }
-
-    /// Token statistics of a channel including idle slots for the elapsed
-    /// cycle count.
-    pub fn channel_stats(&self, id: ChannelId) -> TokenStats {
-        self.channels[id.0].stats_with_idle(self.cycles)
+        let channel = &self.channels[id.0];
+        channel.history().unwrap_or_else(|| panic!("channel `{}` was not recorded", channel.name()))
     }
 
     /// Runs until every block reports done.
@@ -287,24 +273,9 @@ impl Simulator {
                 if *done {
                     continue;
                 }
-                let recorded_before: Vec<u64> = self.channels.iter().map(Channel::total_pushed).collect();
                 let mut ctx = Context::new(&mut self.channels, cycle);
                 let status = block.tick(&mut ctx);
                 progress += ctx.ops;
-                // Append newly pushed tokens to recorded histories.
-                for (idx, history) in self.histories.iter_mut().enumerate() {
-                    if let Some(hist) = history {
-                        let new_total = self.channels[idx].total_pushed();
-                        let before = recorded_before[idx];
-                        if new_total > before {
-                            let n_new = (new_total - before) as usize;
-                            let len = self.channels[idx].len();
-                            for k in (len - n_new)..len {
-                                hist.push(*self.channels[idx].peek_nth(k).expect("just pushed"));
-                            }
-                        }
-                    }
-                }
                 if status == BlockStatus::Done {
                     *done = true;
                     transitions += 1;
@@ -426,20 +397,6 @@ mod tests {
         sim.preload(a, (0..1000).map(tok::crd));
         let err = sim.run(10).unwrap_err();
         assert_eq!(err, SimulationError::CycleLimit { limit: 10 });
-    }
-
-    #[test]
-    fn channel_stats_include_idle() {
-        let mut sim = Simulator::new();
-        let a = sim.add_channel("a");
-        let b = sim.add_channel("b");
-        sim.add_block(Box::new(Forward { input: a, output: b, done: false }));
-        sim.preload(a, [tok::crd(0), tok::done()]);
-        sim.run(100).unwrap();
-        let stats = sim.channel_stats(b);
-        assert_eq!(stats.non_control, 1);
-        assert_eq!(stats.done, 1);
-        assert_eq!(stats.total(), sim.cycles());
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! unbounded by default (the paper's infinite-queue assumption); bounded
 //! channels can be requested to study finite hardware.
 //!
-//! Per-channel token statistics ([`sam_streams::TokenStats`]) are collected
-//! for the Figure 14 stream-composition study; idle slots are cycles during
-//! which a channel carried no token.
+//! A channel counts the tokens it carries ([`Channel::total_pushed`]) and,
+//! on request, logs them ([`Simulator::record`] / [`Simulator::history`]).
+//! Per-kind token statistics are not kept here: the Figure 14
+//! stream-composition study reads `sam_trace::TokenCounts` off a traced
+//! cycle-backend run, and a channel's idle slots are the run's cycles minus
+//! the tokens it carried.
 
 pub mod channel;
 pub mod engine;

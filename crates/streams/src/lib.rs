@@ -13,11 +13,12 @@
 //! * [`Token`] — the token algebra shared by every stream type,
 //! * [`BitVec`] — the bitvector stream payload of Section 4.3,
 //! * [`fiber`] — fiber-boundary analysis for cutting a finished token
-//!   stream into independently evaluable segments,
-//! * [`TokenStats`] — per-kind token counting used by the Figure 14
-//!   experiment, and
+//!   stream into independently evaluable segments, and
 //! * [`analysis`] — the level-based vs. point-based encoding comparison of
 //!   paper Section 3.8.
+//!
+//! Counting tokens by kind is not done here: `sam_trace::TokenCounts` is the
+//! one taxonomy, filled by every backend on a traced run.
 //!
 //! # Example
 //!
@@ -36,10 +37,8 @@
 
 pub mod analysis;
 pub mod fiber;
-pub mod stats;
 pub mod token;
 pub mod types;
 
-pub use stats::{TokenKind, TokenStats};
 pub use token::Token;
 pub use types::BitVec;

@@ -1,6 +1,5 @@
 //! The SAM token algebra.
 
-use crate::stats::TokenKind;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -80,16 +79,6 @@ impl<T> Token<T> {
         }
     }
 
-    /// The statistics category of this token (Figure 14 breakdown).
-    pub fn kind(&self) -> TokenKind {
-        match self {
-            Token::Val(_) => TokenKind::NonControl,
-            Token::Stop(_) => TokenKind::Stop,
-            Token::Empty => TokenKind::Empty,
-            Token::Done => TokenKind::Done,
-        }
-    }
-
     /// Maps the payload type while preserving control tokens.
     ///
     /// ```
@@ -166,14 +155,6 @@ mod tests {
         assert_eq!(Token::Val(2.5).value(), Some(2.5));
         assert_eq!(Token::<f64>::Done.value(), None);
         assert_eq!(Token::Val(4u32).value_ref(), Some(&4u32));
-    }
-
-    #[test]
-    fn kinds() {
-        assert_eq!(Token::Val(0u32).kind(), TokenKind::NonControl);
-        assert_eq!(Token::<u32>::Stop(0).kind(), TokenKind::Stop);
-        assert_eq!(Token::<u32>::Empty.kind(), TokenKind::Empty);
-        assert_eq!(Token::<u32>::Done.kind(), TokenKind::Done);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! [`QuerySpan`] attributes cost *around* it — the stages a query passes
 //! through between `submit` and resolution in a long-lived service:
 //!
-//! 1. [`Stage::Queue`] — enqueue to coordinator drain (queue wait),
+//! 1. [`Stage::Queue`] — enqueue to worker pickup (queue wait),
 //! 2. [`Stage::Compile`] — expression → kernel (compile-cache hit or miss),
 //! 3. [`Stage::Plan`] — kernel → executable plan (plan-cache hit or miss),
-//! 4. [`Stage::Batch`] — prepared to task start (batch formation wait),
+//! 4. [`Stage::Batch`] — always 0 since PR 18 (see the variant),
 //! 5. [`Stage::Execute`] — backend run,
 //! 6. [`Stage::Resolve`] — run end to handle resolution.
 //!
@@ -21,13 +21,15 @@ use std::time::Duration;
 /// The lifecycle stages of a served query, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Waiting in a submission lane for the coordinator to drain it.
+    /// Waiting in the submission queue for a worker to pick the query up.
     Queue,
     /// Compiling the expression to an executable kernel.
     Compile,
     /// Planning the kernel graph (plan-cache lookup or fresh plan).
     Plan,
-    /// Waiting between preparation and task start while a batch forms.
+    /// Constant 0 since PR 18: the worker that prepares a query executes
+    /// it at once, so nothing waits for a batch to form. The stage stays
+    /// because the benchmark iterates [`Stage::ALL`] by name.
     Batch,
     /// Running on the backend.
     Execute,
@@ -78,7 +80,8 @@ pub struct QuerySpan {
     pub compile_hit: bool,
     /// Whether the plan cache already held this kernel's plan.
     pub plan_hit: bool,
-    /// How many queries shared this query's executed batch (≥ 1).
+    /// How many queries shared this query's executed batch: 1 for every
+    /// executed query since PR 18 (one worker, one query).
     pub batch_size: u64,
     /// The execution error, if the query failed.
     pub error: Option<String>,
