@@ -134,7 +134,7 @@ impl Executor for CycleBackend {
                 NodeKind::Intersecter { .. } => {
                     // Lower planned skip lanes onto the block's skip outputs
                     // (ports 3 and 4), which feed the operands' scanners.
-                    let lanes = plan.fused_operands(id).map(|lane| lane.filter(|f| f.gallop));
+                    let lanes = plan.fused_operands(id).map(|lane| lane.filter(|f| f.skip_lane));
                     sim.add_block(Box::new(
                         Intersecter::new(
                             label,

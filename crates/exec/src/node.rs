@@ -342,19 +342,24 @@ enum GallopState {
 /// producer of `(crd, ref)` token pairs.
 ///
 /// Fused into an intersecter operand it is pulled pair by pair and nothing
-/// is stored; it tallies what it emits so the tokens are still counted
-/// where they are produced. When the operand has a Section 4.2 skip lane,
-/// [`GallopScan::skip_to`] gallops the in-flight fiber cursor past every
-/// coordinate below a skip target without generating tokens for them. Dense
-/// levels jump in O(1), compressed levels binary-search, so a skewed
+/// is stored. The intersecter never walks the coordinates it cannot match:
+/// [`GallopScan::skip_to`] gallops the in-flight fiber cursor to a target
+/// coordinate and [`GallopScan::skip_rest`] jumps it to the fiber's end.
+/// Dense levels jump in O(1), compressed levels binary-search, so a skewed
 /// intersection costs the short side's length (times a logarithm), not the
-/// long side's. Without a skip lane nobody calls `skip_to` and every
-/// coordinate is visited.
+/// long side's.
+///
+/// How the host walks is not what the SAM graph moves. A standalone scanner
+/// would have emitted one coordinate and one reference token for every
+/// entry, so the tally counts a cursor jump of `to - pos` entries as
+/// `to - pos` tokens of each: `emitted` is always exactly what classifying
+/// the two drained streams would have counted, whether or not anybody
+/// materialized the tokens.
 pub(crate) struct GallopScan<'a, S: Source> {
     level: &'a Level,
     input: S,
     state: GallopState,
-    /// Tokens emitted so far on both output streams, by class.
+    /// Tokens emitted or skipped so far on both output streams, by class.
     emitted: TokenCounts,
 }
 
@@ -365,8 +370,9 @@ impl<'a, S: Source> GallopScan<'a, S> {
         GallopScan { level, input, state: GallopState::Idle, emitted: TokenCounts::default() }
     }
 
-    /// The tokens emitted so far on both output streams, by class — exactly
-    /// what classifying the two stored streams would have counted.
+    /// The tokens a standalone scanner would have emitted so far on both
+    /// output streams, by class — exactly what classifying the two stored
+    /// streams would have counted, skipped entries included.
     pub(crate) fn emitted(&self) -> TokenCounts {
         self.emitted
     }
@@ -375,8 +381,28 @@ impl<'a, S: Source> GallopScan<'a, S> {
     /// coordinate is at least `target`. Requests outside a fiber are stale
     /// (the fiber already ended) and ignored, like the cycle-level block.
     fn skip_to(&mut self, target: u32) {
-        if let GallopState::Emitting { fiber, pos, .. } = &mut self.state {
-            *pos = self.level.gallop_from(*fiber, *pos, target);
+        if let GallopState::Emitting { fiber, pos, .. } = self.state {
+            self.jump_to(self.level.gallop_from(fiber, pos, target));
+        }
+    }
+
+    /// Jumps the current fiber's cursor to the fiber's end, so the next
+    /// pair is the fiber's stop. A no-op outside a fiber.
+    fn skip_rest(&mut self) {
+        if let GallopState::Emitting { len, .. } = self.state {
+            self.jump_to(len);
+        }
+    }
+
+    /// Moves the in-flight fiber's cursor forward to `to`, counting the
+    /// entries jumped over as the coordinate and reference tokens a
+    /// standalone scanner would have emitted for them.
+    fn jump_to(&mut self, to: usize) {
+        if let GallopState::Emitting { pos, .. } = &mut self.state {
+            let skipped = (to - *pos) as u64;
+            self.emitted.crd += skipped;
+            self.emitted.refs += skipped;
+            *pos = to;
         }
     }
 
@@ -438,7 +464,8 @@ impl<'a, S: Source> GallopScan<'a, S> {
 
 /// One operand of an intersecter: either stored crd/ref streams (somebody
 /// else reads them too, so the scanner ran standalone) or the operand's
-/// scanner itself, fused.
+/// scanner itself, fused. Only a fused scanner has a cursor to move, so the
+/// two skips are no-ops on stored streams, which step token by token.
 pub(crate) enum IntersectOperand<'a, S: Source> {
     /// Stored streams; fetching steps token by token.
     Streams {
@@ -447,43 +474,50 @@ pub(crate) enum IntersectOperand<'a, S: Source> {
         /// The operand's reference stream.
         rf: S,
     },
-    /// A fused scanner; `gallop` says whether the operand has a skip lane,
-    /// i.e. whether [`IntersectOperand::skip_to`] may move its cursor.
-    Scan {
-        /// The scanner, pulled pair by pair.
-        scan: GallopScan<'a, S>,
-        /// Whether skip requests are honored.
-        gallop: bool,
-    },
+    /// A fused scanner, pulled pair by pair and skipped forward on request.
+    Scan(GallopScan<'a, S>),
 }
 
 impl<S: Source> IntersectOperand<'_, S> {
     fn fetch(&mut self) -> Option<(SimToken, SimToken)> {
         match self {
             IntersectOperand::Streams { crd, rf } => fetch_pair(crd, rf),
-            IntersectOperand::Scan { scan, .. } => scan.next_pair(),
+            IntersectOperand::Scan(scan) => scan.next_pair(),
         }
     }
 
+    /// Skips to the first coordinate of the in-flight fiber at or past
+    /// `target`.
     fn skip_to(&mut self, target: u32) {
-        if let IntersectOperand::Scan { scan, gallop: true } = self {
+        if let IntersectOperand::Scan(scan) = self {
             scan.skip_to(target);
         }
     }
 
-    /// What a fused scanner emitted; `None` for stored streams, whose
-    /// tokens were counted when their producer ran.
+    /// Skips what is left of the in-flight fiber.
+    fn skip_rest(&mut self) {
+        if let IntersectOperand::Scan(scan) = self {
+            scan.skip_rest();
+        }
+    }
+
+    /// What a fused scanner emitted or skipped; `None` for stored streams,
+    /// whose tokens were counted when their producer ran.
     pub(crate) fn emitted(&self) -> Option<TokenCounts> {
         match self {
             IntersectOperand::Streams { .. } => None,
-            IntersectOperand::Scan { scan, .. } => Some(scan.emitted()),
+            IntersectOperand::Scan(scan) => Some(scan.emitted()),
         }
     }
 }
 
-/// Intersecter transfer function (Definition 3.2): two-finger merge, with
-/// gallop-on-mismatch when an operand is a fused scanner with a skip lane
-/// (Section 4.2).
+/// Intersecter transfer function (Definition 3.2): a two-finger merge that
+/// walks the short side. On a mismatch the trailing operand skips to the
+/// leading one's coordinate, and once one operand's fiber has ended the
+/// other skips the rest of its own — neither can match anything on the way.
+/// Whether the graph wires a Section 4.2 skip lane does not matter here: a
+/// fused scanner tallies what it skipped, so the streams and every count
+/// are those of the plain merge over stored streams.
 pub(crate) fn run_intersect<S: Source, K: Sink>(
     a: &mut IntersectOperand<'_, S>,
     b: &mut IntersectOperand<'_, S>,
@@ -507,8 +541,7 @@ pub(crate) fn run_intersect<S: Source, K: Sink>(
                     tb = b.fetch().ok_or_else(|| misaligned(label))?;
                 } else if ca < cb {
                     // The trailing side gallops straight to the coordinate
-                    // the leading side is waiting at (a no-op for operands
-                    // without a skip lane).
+                    // the leading side is waiting at.
                     a.skip_to(cb);
                     ta = a.fetch().ok_or_else(|| misaligned(label))?;
                 } else {
@@ -516,10 +549,19 @@ pub(crate) fn run_intersect<S: Source, K: Sink>(
                     tb = b.fetch().ok_or_else(|| misaligned(label))?;
                 }
             }
-            (Token::Val(_), _) | (Token::Empty, _) => {
+            // The other side's fiber is over: the tail of this one is dead.
+            (Token::Val(_), Token::Stop(_) | Token::Done) => {
+                a.skip_rest();
                 ta = a.fetch().ok_or_else(|| misaligned(label))?;
             }
-            (_, Token::Val(_)) | (_, Token::Empty) => {
+            (Token::Stop(_) | Token::Done, Token::Val(_)) => {
+                b.skip_rest();
+                tb = b.fetch().ok_or_else(|| misaligned(label))?;
+            }
+            (Token::Val(_) | Token::Empty, _) => {
+                ta = a.fetch().ok_or_else(|| misaligned(label))?;
+            }
+            (_, Token::Empty) => {
                 tb = b.fetch().ok_or_else(|| misaligned(label))?;
             }
             (Token::Stop(na), Token::Stop(nb)) => {
@@ -1065,4 +1107,219 @@ fn run_val_writer<S: Source>(input: &mut S) -> Vec<f64> {
         }
     }
     vals
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use sam_tensor::level::{BitvectorLevel, DenseLevel};
+
+    const DIM: u32 = 2000;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Format {
+        Compressed,
+        Dense,
+        Bitvector,
+    }
+
+    /// A level of `format` holding `fibers`. A dense level stores every
+    /// coordinate of every fiber whatever `fibers` lists.
+    fn level_of(format: Format, word_width: u8, fibers: &[Vec<u32>]) -> Level {
+        match format {
+            Format::Compressed => {
+                let mut level = CompressedLevel::builder(DIM as usize);
+                for fiber in fibers {
+                    fiber.iter().for_each(|&c| level.push_coord(c));
+                    level.end_fiber();
+                }
+                Level::Compressed(level.finish())
+            }
+            Format::Dense => Level::Dense(DenseLevel::new(DIM as usize, fibers.len())),
+            Format::Bitvector => {
+                Level::Bitvector(BitvectorLevel::from_fibers(DIM as usize, word_width, fibers))
+            }
+        }
+    }
+
+    /// `n` distinct coordinates of `lo..hi` in increasing order (all of them
+    /// when the range is shorter), by selection sampling.
+    fn sample(rng: &mut StdRng, lo: u32, hi: u32, n: usize) -> Vec<u32> {
+        let mut need = n.min((hi - lo) as usize);
+        let mut picked = Vec::with_capacity(need);
+        for c in lo..hi {
+            if rng.gen_range(0..(hi - c) as usize) < need {
+                picked.push(c);
+                need -= 1;
+            }
+        }
+        picked
+    }
+
+    /// One pair of fibers the intersecter will merge: a short side of 1–8
+    /// coordinates against a long side `skew` times that, placed so the
+    /// short side ends before, at or after the long side's last coordinate,
+    /// or in a disjoint range; either side may be empty instead.
+    fn fiber_pair(rng: &mut StdRng, empty_bias: f64) -> [Vec<u32>; 2] {
+        let short_n = rng.gen_range(1usize..9);
+        let long_n = short_n * [1, 2, 10, 100, 2000][rng.gen_range(0usize..5)];
+        let half = DIM / 2;
+        let (mut short, mut long) = match rng.gen_range(0u32..5) {
+            0 => (sample(rng, 0, DIM, short_n), sample(rng, 0, DIM, long_n)),
+            1 => (sample(rng, 0, half, short_n), sample(rng, half, DIM, long_n)),
+            2 => (sample(rng, half, DIM, short_n), sample(rng, 0, half, long_n)),
+            3 => (sample(rng, 0, half, short_n), sample(rng, 0, DIM, long_n)),
+            _ => {
+                // Both sides end on the same, matching, coordinate.
+                let (mut s, mut l) = (sample(rng, 0, half, short_n), sample(rng, 0, half, long_n));
+                let last = rng.gen_range(half..DIM);
+                s.push(last);
+                l.push(last);
+                (s, l)
+            }
+        };
+        if rng.gen::<f64>() < empty_bias {
+            short.clear();
+        }
+        if rng.gen::<f64>() < empty_bias / 2.0 {
+            long.clear();
+        }
+        if rng.gen::<f64>() < 0.5 {
+            [short, long]
+        } else {
+            [long, short]
+        }
+    }
+
+    /// Both operands of one random intersection: a level each, and the
+    /// two-level reference streams that drive their scanners through the
+    /// same fiber pairs in the same nesting.
+    struct Case {
+        levels: [Level; 2],
+        refs: [Vec<SimToken>; 2],
+    }
+
+    fn case(rng: &mut StdRng, formats: [Format; 2]) -> Case {
+        let empty_bias = [0.0, 0.15, 0.6][rng.gen_range(0usize..3)];
+        // The reference streams' shape: outer fibers of inner fibers of
+        // slots, each slot one fiber pair. Either list may be empty.
+        let shape: Vec<Vec<usize>> = (0..rng.gen_range(0usize..4))
+            .map(|_| (0..rng.gen_range(0usize..4)).map(|_| rng.gen_range(0usize..4)).collect())
+            .collect();
+        let slots: usize = shape.iter().flatten().sum();
+        let mut fibers = [Vec::with_capacity(slots), Vec::with_capacity(slots)];
+        for _ in 0..slots {
+            let [a, b] = fiber_pair(rng, empty_bias);
+            fibers[0].push(a);
+            fibers[1].push(b);
+        }
+        // Now and then one operand is an entirely empty level.
+        if rng.gen::<f64>() < 0.1 {
+            fibers[rng.gen_range(0usize..2)].iter_mut().for_each(Vec::clear);
+        }
+        // Each operand stores its fibers in its own order.
+        let orders = [0, 1].map(|_| {
+            let mut order: Vec<usize> = (0..slots).collect();
+            order.shuffle(rng);
+            order
+        });
+        let word_width = [8, 64][rng.gen_range(0usize..2)];
+        let levels = [0, 1].map(|o| {
+            let mut stored = vec![Vec::new(); slots];
+            for (slot, &at) in orders[o].iter().enumerate() {
+                stored[at].clone_from(&fibers[o][slot]);
+            }
+            level_of(formats[o], word_width, &stored)
+        });
+        let mut refs = [Vec::new(), Vec::new()];
+        let mut slot = 0;
+        for outer in &shape {
+            for (i, &inner) in outer.iter().enumerate() {
+                for _ in 0..inner {
+                    // An upstream unioner hands one side an empty token
+                    // where only the other side has the fiber.
+                    let absent = if rng.gen::<f64>() < 0.05 { rng.gen_range(0usize..2) } else { 2 };
+                    for o in 0..2 {
+                        refs[o].push(if o == absent {
+                            tok::empty()
+                        } else {
+                            tok::rf(orders[o][slot] as u32)
+                        });
+                    }
+                    slot += 1;
+                }
+                let level = u8::from(i + 1 == outer.len());
+                refs.iter_mut().for_each(|r| r.push(tok::stop(level)));
+            }
+            if outer.is_empty() {
+                refs.iter_mut().for_each(|r| r.push(tok::stop(1)));
+            }
+        }
+        refs.iter_mut().for_each(|r| r.push(tok::done()));
+        Case { levels, refs }
+    }
+
+    /// The `(crd, ref)` streams a standalone scanner stores.
+    fn stored(level: &Level, refs: &[SimToken]) -> [Vec<SimToken>; 2] {
+        let (mut crd, mut rf) = (Vec::new(), Vec::new());
+        run_scanner(level, &mut SliceSource::new(refs), &mut crd, &mut rf);
+        [crd, rf]
+    }
+
+    type Operand<'a> = IntersectOperand<'a, SliceSource<'a>>;
+
+    fn streams(stored: &[Vec<SimToken>; 2]) -> Operand<'_> {
+        IntersectOperand::Streams { crd: SliceSource::new(&stored[0]), rf: SliceSource::new(&stored[1]) }
+    }
+
+    fn scan<'a>(level: &'a Level, refs: &'a [SimToken]) -> Operand<'a> {
+        IntersectOperand::Scan(GallopScan::new(level, SliceSource::new(refs)))
+    }
+
+    fn intersect<'a>(a: &mut Operand<'a>, b: &mut Operand<'a>) -> Result<[Vec<SimToken>; 3], ExecError> {
+        let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
+        run_intersect(a, b, &mut oc, &mut o0, &mut o1, "intersect")?;
+        Ok([oc, o0, o1])
+    }
+
+    /// A fused scanner's tally is what the driver would have counted for
+    /// the standalone scanner's stored streams, class by class.
+    fn assert_tally(operand: &Operand<'_>, stored: &[Vec<SimToken>; 2], what: &str) {
+        let mut want = TokenCounts::default();
+        stored.iter().flatten().for_each(|t| want.record(t));
+        assert_eq!(operand.emitted(), Some(want), "{what}: tally");
+    }
+
+    #[test]
+    fn the_galloped_walk_equals_the_stored_stream_walk_token_for_token() -> Result<(), ExecError> {
+        let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut matched = 0;
+        for fa in formats {
+            for fb in formats {
+                for round in 0..40 {
+                    let what = format!("{fa:?} x {fb:?}, round {round}");
+                    let Case { levels: [la, lb], refs: [ra, rb] } = case(&mut rng, [fa, fb]);
+                    let (sa, sb) = (stored(&la, &ra), stored(&lb, &rb));
+                    let want = intersect(&mut streams(&sa), &mut streams(&sb))?;
+                    matched += want[0].iter().filter(|t| matches!(t, Token::Val(_))).count();
+
+                    let (mut a, mut b) = (scan(&la, &ra), scan(&lb, &rb));
+                    assert_eq!(intersect(&mut a, &mut b)?, want, "{what}: both fused");
+                    assert_tally(&a, &sa, &what);
+                    assert_tally(&b, &sb, &what);
+
+                    let (mut a, mut b) = (scan(&la, &ra), streams(&sb));
+                    assert_eq!(intersect(&mut a, &mut b)?, want, "{what}: fused against stored");
+                    assert_tally(&a, &sa, &what);
+                    assert_eq!(b.emitted(), None, "{what}: stored streams are counted by their producer");
+                }
+            }
+        }
+        assert!(matched > 1000, "the generator must produce intersections that match: {matched}");
+        Ok(())
+    }
 }

@@ -5,14 +5,19 @@
 //! **Stored only if re-read.** A level scanner whose two streams feed one
 //! operand of one intersecter and nothing else ([`crate::plan::FusedScan`])
 //! is never evaluated: the intersecter pulls `(crd, ref)` pairs straight
-//! from a [`GallopScan`] over the storage level. With a skip lane the scan
-//! gallops on mismatch; without one it visits every coordinate. Tokens are
-//! counted *where they are produced*: a stored stream by its length when its
-//! producer finishes, a fused scanner by the tally its `GallopScan` keeps,
-//! credited to the scanner's node id — so `Execution::tokens` and the
-//! per-node `TokenCounts` are what they would be had every stream been
-//! stored. (A galloping scanner reports no tokens: the ones it skipped were
-//! never produced.) A fused scanner's time is part of its intersecter's.
+//! from a [`GallopScan`] over the storage level, gallops it on every
+//! mismatch and jumps the tail of its fiber once the other operand's has
+//! ended, so the walk costs the short side. Tokens are counted *where they
+//! are produced or skipped*: a stored stream by its length when its
+//! producer finishes, a fused scanner by the tally its `GallopScan` keeps —
+//! a cursor jump over `n` entries is `n` coordinate and `n` reference
+//! tokens — credited to the scanner's node id, so `Execution::tokens` and
+//! the per-node `TokenCounts` are what they would be had every stream been
+//! stored: they count what the SAM graph moves, not what the host touched.
+//! (The exception is a scanner with a Section 4.2 skip lane, which reports
+//! nothing: how many tokens the lane saves the cycle-level scanner depends
+//! on when the skip requests arrive.) A fused scanner's time is part of its
+//! intersecter's.
 //!
 //! **Released at the last reader.** The driver owns a table of
 //! `Arc<Stream>` (`StreamTable`), hands tasks clones, and drops its handle
@@ -202,116 +207,108 @@ pub(crate) fn run_stealing(
     let mut level_results: HashMap<usize, sam_tensor::level::CompressedLevel> = HashMap::new();
     let mut vals_result: Option<Vec<f64>> = None;
 
-    let outcome = thread::scope(|scope| {
+    let outcome = thread::scope(|scope| -> Result<(), ExecError> {
+        // Taken before the first spawn: however this closure is left, the
+        // workers are told to exit and the scope can join them.
+        let _shutdown = pool.as_ref().map(StealPool::shutdown_on_drop);
         if let Some(pool) = &pool {
             for w in 1..pool.workers() {
                 scope.spawn(move || pool.worker_loop(w));
             }
         }
-        let result = (|| -> Result<(), ExecError> {
-            for &id in plan.order() {
-                if plan.fused_scan(id).is_some() {
-                    // Pulled by its intersecter; nothing to evaluate or store.
-                    continue;
-                }
-                let n_outs = plan.consumers_of(id).len();
-                let node_start = tracing.then(Instant::now);
-                let lanes = plan.fused_operands(id);
-                let mut inline = true;
-                let outs: Vec<Stream> = if lanes.iter().any(Option::is_some) {
-                    let mut outs = vec![Stream::new(); n_outs];
-                    let src = |p: Option<PortRef>| SliceSource::new(streams.get(p.expect("bound data port")));
-                    let operand = |o: usize| match lanes[o] {
-                        Some(f) => IntersectOperand::Scan {
-                            scan: GallopScan::new(
-                                scanner_level(plan, inputs, f.scanner),
-                                src(plan.inputs_of(f.scanner)[0]),
-                            ),
-                            gallop: f.gallop,
-                        },
-                        None => IntersectOperand::Streams {
-                            crd: src(plan.inputs_of(id)[o]),
-                            rf: src(plan.inputs_of(id)[2 + o]),
-                        },
-                    };
-                    let (mut a, mut b) = (operand(0), operand(1));
-                    let [oc, o0, o1, ..] = &mut outs[..] else {
-                        unreachable!("intersecter has five outputs")
-                    };
-                    run_intersect(&mut a, &mut b, oc, o0, o1, &plan.node_label(id))?;
-                    for (lane, operand) in lanes.iter().zip([&a, &b]) {
-                        // Counted where produced, credited to the scanner.
-                        // A galloping scanner keeps reporting nothing.
-                        if let (Some(FusedScan { scanner, gallop: false, .. }), Some(counts)) =
-                            (lane, operand.emitted())
-                        {
-                            tokens += counts.total();
-                            if tracing {
-                                trace.record_tokens(scanner.0, counts);
-                            }
-                        }
-                    }
-                    outs
-                } else {
-                    let ins: Vec<Arc<Stream>> =
-                        plan.inputs_of(id).iter().flatten().map(|&p| Arc::clone(streams.get(p))).collect();
-                    let longest = ins.iter().map(|s| s.len()).max().unwrap_or(0);
-                    let split = pool.as_ref().filter(|_| longest >= split_threshold).and_then(|pool| {
-                        let slices: Vec<&[SimToken]> = ins.iter().map(|s| s.as_slice()).collect();
-                        let sp = plan_cuts(plan.fiber_split(id), &slices, segments_target)?;
-                        Some((pool, Arc::new(sp)))
-                    });
-                    match split {
-                        Some((pool, sp)) => {
-                            inline = false;
-                            run_split_node(plan, inputs, id, &ins, n_outs, pool, &sp, trace, tracing, start)?
-                        }
-                        None => {
-                            let job = NodeJob::build(plan, inputs, id);
-                            let mut srcs: Vec<SliceSource<'_>> =
-                                ins.iter().map(|s| SliceSource::new(s)).collect();
-                            let mut outs = vec![Stream::new(); n_outs];
-                            match eval_node(&job, &mut srcs, &mut outs)? {
-                                Some(WriterOutput::Level(level)) => {
-                                    level_results.insert(id.0, level);
-                                }
-                                Some(WriterOutput::Vals(vals)) => vals_result = Some(vals),
-                                None => {}
-                            }
-                            outs
-                        }
-                    }
-                };
-                if let Some(node_start) = node_start {
-                    let elapsed_ns = node_start.elapsed().as_nanos() as u64;
-                    let start_ns = (node_start - start).as_nanos() as u64;
-                    if inline {
-                        main_tasks += 1;
-                        main_busy_ns += elapsed_ns;
-                    }
-                    trace.record_invocations(id.0, 1);
-                    trace.record_node_wall(id.0, elapsed_ns);
-                    trace.record_span(track, &plan.node_label(id), start_ns, elapsed_ns);
-                    trace.record_tokens(id.0, classify(&outs));
-                }
-                tokens += outs.iter().map(|s| s.len() as u64).sum::<u64>();
-                streams.store(id, outs);
-                // This node was one reader of each of its inputs; an operand
-                // with a fused scanner read the scanner's input in its place
-                // (the scanner's own streams were never stored).
-                for &p in plan.inputs_of(id).iter().flatten() {
-                    streams.release(p);
-                }
-                for lane in lanes.iter().flatten() {
-                    streams.release(plan.inputs_of(lane.scanner)[0].expect("bound data port"));
-                }
+        for &id in plan.order() {
+            if plan.fused_scan(id).is_some() {
+                // Pulled by its intersecter; nothing to evaluate or store.
+                continue;
             }
-            Ok(())
-        })();
-        if let Some(pool) = &pool {
-            pool.shutdown();
+            let n_outs = plan.consumers_of(id).len();
+            let node_start = tracing.then(Instant::now);
+            let lanes = plan.fused_operands(id);
+            let mut inline = true;
+            let outs: Vec<Stream> = if lanes.iter().any(Option::is_some) {
+                let mut outs = vec![Stream::new(); n_outs];
+                let src = |p: Option<PortRef>| SliceSource::new(streams.get(p.expect("bound data port")));
+                let operand = |o: usize| match lanes[o] {
+                    Some(f) => IntersectOperand::Scan(GallopScan::new(
+                        scanner_level(plan, inputs, f.scanner),
+                        src(plan.inputs_of(f.scanner)[0]),
+                    )),
+                    None => IntersectOperand::Streams {
+                        crd: src(plan.inputs_of(id)[o]),
+                        rf: src(plan.inputs_of(id)[2 + o]),
+                    },
+                };
+                let (mut a, mut b) = (operand(0), operand(1));
+                let [oc, o0, o1, ..] = &mut outs[..] else { unreachable!("intersecter has five outputs") };
+                run_intersect(&mut a, &mut b, oc, o0, o1, &plan.node_label(id))?;
+                for (lane, operand) in lanes.iter().zip([&a, &b]) {
+                    // Counted where produced or skipped, credited to the
+                    // scanner. A lane scanner keeps reporting nothing.
+                    if let (Some(FusedScan { scanner, skip_lane: false, .. }), Some(counts)) =
+                        (lane, operand.emitted())
+                    {
+                        tokens += counts.total();
+                        if tracing {
+                            trace.record_tokens(scanner.0, counts);
+                        }
+                    }
+                }
+                outs
+            } else {
+                let ins: Vec<Arc<Stream>> =
+                    plan.inputs_of(id).iter().flatten().map(|&p| Arc::clone(streams.get(p))).collect();
+                let longest = ins.iter().map(|s| s.len()).max().unwrap_or(0);
+                let split = pool.as_ref().filter(|_| longest >= split_threshold).and_then(|pool| {
+                    let slices: Vec<&[SimToken]> = ins.iter().map(|s| s.as_slice()).collect();
+                    let sp = plan_cuts(plan.fiber_split(id), &slices, segments_target)?;
+                    Some((pool, Arc::new(sp)))
+                });
+                match split {
+                    Some((pool, sp)) => {
+                        inline = false;
+                        run_split_node(plan, inputs, id, &ins, n_outs, pool, &sp, trace, tracing, start)?
+                    }
+                    None => {
+                        let job = NodeJob::build(plan, inputs, id);
+                        let mut srcs: Vec<SliceSource<'_>> =
+                            ins.iter().map(|s| SliceSource::new(s)).collect();
+                        let mut outs = vec![Stream::new(); n_outs];
+                        match eval_node(&job, &mut srcs, &mut outs)? {
+                            Some(WriterOutput::Level(level)) => {
+                                level_results.insert(id.0, level);
+                            }
+                            Some(WriterOutput::Vals(vals)) => vals_result = Some(vals),
+                            None => {}
+                        }
+                        outs
+                    }
+                }
+            };
+            if let Some(node_start) = node_start {
+                let elapsed_ns = node_start.elapsed().as_nanos() as u64;
+                let start_ns = (node_start - start).as_nanos() as u64;
+                if inline {
+                    main_tasks += 1;
+                    main_busy_ns += elapsed_ns;
+                }
+                trace.record_invocations(id.0, 1);
+                trace.record_node_wall(id.0, elapsed_ns);
+                trace.record_span(track, &plan.node_label(id), start_ns, elapsed_ns);
+                trace.record_tokens(id.0, classify(&outs));
+            }
+            tokens += outs.iter().map(|s| s.len() as u64).sum::<u64>();
+            streams.store(id, outs);
+            // This node was one reader of each of its inputs; an operand
+            // with a fused scanner read the scanner's input in its place
+            // (the scanner's own streams were never stored).
+            for &p in plan.inputs_of(id).iter().flatten() {
+                streams.release(p);
+            }
+            for lane in lanes.iter().flatten() {
+                streams.release(plan.inputs_of(lane.scanner)[0].expect("bound data port"));
+            }
         }
-        result
+        Ok(())
     });
     outcome?;
 

@@ -34,10 +34,15 @@ pub use sam_verify::{PortRef, SkipLane as SkipSpec};
 /// streams, so the intersecter pulls `(crd, ref)` pairs straight from the
 /// storage level and the streams are never stored.
 ///
-/// Every validated [`SkipSpec`] target passed the same test and is fused
-/// with `gallop: true`; every other private scanner is fused with
-/// `gallop: false`, which visits (and counts) every coordinate exactly as
-/// the standalone scanner would.
+/// The fast backend walks every fused scanner the same way — galloped on
+/// mismatch, tail jumped — so `skip_lane` does not change what the host
+/// does. It says only that the graph wires a Section 4.2 lane to this
+/// scanner (every validated [`SkipSpec`] target passed the same structural
+/// test), which decides two things: the cycle backend lowers the lane onto
+/// the block's skip channels, and the fast backend reports no tokens for
+/// the scanner, because how many the lane saves depends on cycle-level
+/// timing. Every other fused scanner reports exactly what the standalone
+/// scanner would have emitted, skipped coordinates included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusedScan {
     /// The fused level scanner.
@@ -46,10 +51,9 @@ pub struct FusedScan {
     pub intersecter: NodeId,
     /// Which operand (0 or 1) of the intersecter the scanner feeds.
     pub operand: usize,
-    /// Whether a skip lane lets the intersecter gallop the scanner past
-    /// coordinates it cannot match (Section 4.2). Galloped-over tokens are
-    /// never produced, so a galloping scanner reports no tokens.
-    pub gallop: bool,
+    /// Whether the graph wires a skip lane (Section 4.2) from the
+    /// intersecter back to this scanner.
+    pub skip_lane: bool,
 }
 
 /// One planned point-to-point stream channel.
@@ -163,8 +167,8 @@ impl Plan {
         for intersecter in (0..n).map(NodeId) {
             for operand in 0..2 {
                 if let Some(scanner) = analysis.private_scanner(graph, intersecter, operand) {
-                    let gallop = analysis.skip_lanes().iter().any(|lane| lane.scanner == scanner);
-                    fused[scanner.0] = Some(FusedScan { scanner, intersecter, operand, gallop });
+                    let skip_lane = analysis.skip_lanes().iter().any(|lane| lane.scanner == scanner);
+                    fused[scanner.0] = Some(FusedScan { scanner, intersecter, operand, skip_lane });
                 }
             }
         }
@@ -325,14 +329,14 @@ impl Plan {
     /// The fusion of `node` into the intersecter it feeds, when `node` is a
     /// level scanner that passes the structural test (see [`FusedScan`]).
     /// The fast backend skips such a node; a skip target is one with
-    /// `gallop` set.
+    /// `skip_lane` set.
     pub fn fused_scan(&self, node: NodeId) -> Option<FusedScan> {
         self.fused[node.0]
     }
 
     /// For an intersecter: the scanner fused into each operand, if any.
     /// `[None, None]` for any other node. The cycle backend lowers the
-    /// `gallop` ones onto the block's skip channels.
+    /// `skip_lane` ones onto the block's skip channels.
     pub fn fused_operands(&self, node: NodeId) -> [Option<FusedScan>; 2] {
         [0, 1].map(|operand| {
             let crd = self.inputs_of(node).get(operand).copied().flatten()?;

@@ -16,10 +16,13 @@
 //! The driving thread participates: [`StealPool::run_batch`] enqueues a
 //! batch round-robin, then the caller runs tasks as worker 0 until the
 //! batch drains. Workers spawned onto [`StealPool::worker_loop`] (from a
-//! [`std::thread::scope`]) sleep on a condvar between batches and exit on
-//! [`StealPool::shutdown`]. Task panics decrement the batch counter from a
-//! drop guard, so the driver always wakes; the scope then re-raises the
-//! panic.
+//! [`std::thread::scope`]) sleep on a condvar between batches and exit when
+//! the driver drops its [`ShutdownGuard`]. Both halves of that are drop
+//! guards so a panic cannot strand anybody: a task that unwinds still
+//! decrements the batch counter, so the driver always wakes, and a driver
+//! that unwinds out of the scope's closure still shuts the pool down, so
+//! the scope can join the workers and re-raise the panic instead of
+//! waiting on them forever.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -73,6 +76,22 @@ impl Drop for PendingGuard<'_, '_> {
         if st.pending == 0 {
             self.pool.done_cv.notify_all();
         }
+    }
+}
+
+/// Shuts the pool down when dropped. The driver takes one at the top of the
+/// [`std::thread::scope`] closure that spawned the workers; leaving the
+/// closure — by returning or by unwinding — then releases them.
+pub struct ShutdownGuard<'p, 'env> {
+    pool: &'p StealPool<'env>,
+}
+
+impl Drop for ShutdownGuard<'_, '_> {
+    fn drop(&mut self) {
+        // This may run during an unwind, where a second panic would abort:
+        // recover a poisoned guard (setting the flag is valid in any state).
+        self.pool.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).shutdown = true;
+        self.pool.work_cv.notify_all();
     }
 }
 
@@ -172,8 +191,8 @@ impl<'env> StealPool<'env> {
         }
     }
 
-    /// The body of a spawned worker thread: execute and steal until
-    /// [`StealPool::shutdown`].
+    /// The body of a spawned worker thread: execute and steal until the
+    /// pool's [`ShutdownGuard`] drops.
     pub fn worker_loop(&self, w: usize) {
         loop {
             let taken = {
@@ -195,10 +214,10 @@ impl<'env> StealPool<'env> {
         }
     }
 
-    /// Wakes every worker and tells it to exit once the queues drain.
-    pub fn shutdown(&self) {
-        self.state.lock().expect("pool state").shutdown = true;
-        self.work_cv.notify_all();
+    /// A guard whose drop wakes every worker and tells it to exit once the
+    /// queues drain.
+    pub fn shutdown_on_drop(&self) -> ShutdownGuard<'_, 'env> {
+        ShutdownGuard { pool: self }
     }
 
     /// Snapshot of every worker's counters.
@@ -217,6 +236,7 @@ mod tests {
         let hits = AtomicU64::new(0);
         let pool = StealPool::new(workers, true);
         let stats = thread::scope(|scope| {
+            let _shutdown = pool.shutdown_on_drop();
             for w in 1..pool.workers() {
                 let pool = &pool;
                 scope.spawn(move || pool.worker_loop(w));
@@ -230,7 +250,6 @@ mod tests {
                 })
                 .collect();
             pool.run_batch(batch);
-            pool.shutdown();
             pool.stats()
         });
         (hits.load(Ordering::Relaxed), stats)
@@ -256,6 +275,7 @@ mod tests {
         let count = AtomicU64::new(0);
         let pool = StealPool::new(3, false);
         thread::scope(|scope| {
+            let _shutdown = pool.shutdown_on_drop();
             for w in 1..pool.workers() {
                 let pool = &pool;
                 scope.spawn(move || pool.worker_loop(w));
@@ -271,7 +291,6 @@ mod tests {
                     .collect();
                 pool.run_batch(batch);
             }
-            pool.shutdown();
         });
         assert_eq!(count.load(Ordering::Relaxed), 80);
     }
@@ -281,6 +300,7 @@ mod tests {
         let bad = AtomicU64::new(0);
         let pool = StealPool::new(4, false);
         thread::scope(|scope| {
+            let _shutdown = pool.shutdown_on_drop();
             for w in 1..pool.workers() {
                 let pool = &pool;
                 scope.spawn(move || pool.worker_loop(w));
@@ -296,7 +316,6 @@ mod tests {
                 })
                 .collect();
             pool.run_batch(batch);
-            pool.shutdown();
         });
         assert_eq!(bad.load(Ordering::Relaxed), 0);
     }

@@ -229,7 +229,10 @@ impl Executor for TiledBackend {
         let inner_ref = &inner;
         let tile_sink_ref = &tile_sink;
 
-        let swept = thread::scope(|scope| {
+        let swept = thread::scope(|scope| -> Result<(), ExecError> {
+            // Taken before the first spawn: however this closure is left,
+            // the workers are told to exit and the scope can join them.
+            let _shutdown = pool.as_ref().map(StealPool::shutdown_on_drop);
             if let Some(pool) = &pool {
                 for w in 1..pool.workers() {
                     scope.spawn(move || pool.worker_loop(w));
@@ -299,81 +302,75 @@ impl Executor for TiledBackend {
                 Ok(())
             };
 
-            let result = (|| -> Result<(), ExecError> {
-                let mut jobs: Vec<TupleJob> = Vec::with_capacity(batch_cap);
-                let mut tuple = vec![0usize; space.dims().len()];
-                let mut keys: Vec<Vec<u32>> = vec![Vec::new(); tiling.tensors.len()];
-                let mut missing: Vec<bool> = vec![false; tiling.tensors.len()];
-                for flat in 0..space.total() {
-                    space.tuple_at(flat, &mut tuple);
-                    counters.tiles_visited += 1;
+            let mut jobs: Vec<TupleJob> = Vec::with_capacity(batch_cap);
+            let mut tuple = vec![0usize; space.dims().len()];
+            let mut keys: Vec<Vec<u32>> = vec![Vec::new(); tiling.tensors.len()];
+            let mut missing: Vec<bool> = vec![false; tiling.tensors.len()];
+            for flat in 0..space.total() {
+                space.tuple_at(flat, &mut tuple);
+                counters.tiles_visited += 1;
 
-                    for ti in 0..tiling.tensors.len() {
-                        tiling.tile_key_into(ti, &tuple, &mut keys[ti]);
-                        missing[ti] = grids[ti].get(&keys[ti]).is_none();
-                    }
-                    let skip = if self.skipping
-                        && tiling
-                            .tensors
-                            .iter()
-                            .enumerate()
-                            .any(|(ti, tt)| missing[ti] && tiling.skip_tensors.contains(&tt.name))
-                    {
-                        // A structurally required operand tile is empty: the
-                        // tuple provably contributes no output entries.
-                        true
-                    } else {
-                        // With every operand tile empty nothing can flow at
-                        // all; always safe, and it keeps the skip-free
-                        // baseline from executing pure-vacuum tuples.
-                        missing.iter().all(|&m| m)
-                    };
-                    if skip {
-                        counters.tiles_skipped += 1;
-                        continue;
-                    }
+                for ti in 0..tiling.tensors.len() {
+                    tiling.tile_key_into(ti, &tuple, &mut keys[ti]);
+                    missing[ti] = grids[ti].get(&keys[ti]).is_none();
+                }
+                let skip = if self.skipping
+                    && tiling
+                        .tensors
+                        .iter()
+                        .enumerate()
+                        .any(|(ti, tt)| missing[ti] && tiling.skip_tensors.contains(&tt.name))
+                {
+                    // A structurally required operand tile is empty: the
+                    // tuple provably contributes no output entries.
+                    true
+                } else {
+                    // With every operand tile empty nothing can flow at
+                    // all; always safe, and it keeps the skip-free
+                    // baseline from executing pure-vacuum tuples.
+                    missing.iter().all(|&m| m)
+                };
+                if skip {
+                    counters.tiles_skipped += 1;
+                    continue;
+                }
 
-                    counters.tiles_executed += 1;
-                    // Fetch the operand tiles through the modelled LLB.
-                    for (ti, key) in keys.iter().enumerate() {
-                        let bytes = grids[ti].stored_entries(key) * bytes_per_entry;
-                        if bytes > 0 {
-                            llb.access((tiling.tensors[ti].name.clone(), key.clone()), bytes);
-                        }
-                    }
-
-                    // Bind the tile operands (materializing empty tiles for
-                    // operands outside the skip set). Tiles are shared into
-                    // the input set — a refcount bump per tuple, not a deep
-                    // copy.
-                    let mut tile_inputs = base_inputs.clone();
-                    for (ti, key) in keys.iter().enumerate() {
-                        let tile: Arc<Tensor> = match grids[ti].get_shared(key) {
-                            Some(t) => Arc::clone(t),
-                            None => {
-                                let windows = grids[ti].windows(key);
-                                let shape: Vec<usize> =
-                                    windows.iter().map(|&(lo, hi)| (hi - lo) as usize).collect();
-                                Arc::clone(empty_cache.entry((ti, shape)).or_insert_with(|| {
-                                    Arc::new(empty_tile(&tiling.tensors[ti].name, inputs, &windows))
-                                }))
-                            }
-                        };
-                        tile_inputs = tile_inputs.shared(tile);
-                    }
-
-                    let tile_plan = plan_cache.get_or_plan(graph, &tile_inputs)?;
-                    jobs.push(TupleJob { tuple: tuple.clone(), inputs: tile_inputs, plan: tile_plan });
-                    if jobs.len() >= batch_cap {
-                        flush(&mut jobs)?;
+                counters.tiles_executed += 1;
+                // Fetch the operand tiles through the modelled LLB.
+                for (ti, key) in keys.iter().enumerate() {
+                    let bytes = grids[ti].stored_entries(key) * bytes_per_entry;
+                    if bytes > 0 {
+                        llb.access((tiling.tensors[ti].name.clone(), key.clone()), bytes);
                     }
                 }
-                flush(&mut jobs)
-            })();
-            if let Some(pool) = &pool {
-                pool.shutdown();
+
+                // Bind the tile operands (materializing empty tiles for
+                // operands outside the skip set). Tiles are shared into
+                // the input set — a refcount bump per tuple, not a deep
+                // copy.
+                let mut tile_inputs = base_inputs.clone();
+                for (ti, key) in keys.iter().enumerate() {
+                    let tile: Arc<Tensor> = match grids[ti].get_shared(key) {
+                        Some(t) => Arc::clone(t),
+                        None => {
+                            let windows = grids[ti].windows(key);
+                            let shape: Vec<usize> =
+                                windows.iter().map(|&(lo, hi)| (hi - lo) as usize).collect();
+                            Arc::clone(empty_cache.entry((ti, shape)).or_insert_with(|| {
+                                Arc::new(empty_tile(&tiling.tensors[ti].name, inputs, &windows))
+                            }))
+                        }
+                    };
+                    tile_inputs = tile_inputs.shared(tile);
+                }
+
+                let tile_plan = plan_cache.get_or_plan(graph, &tile_inputs)?;
+                jobs.push(TupleJob { tuple: tuple.clone(), inputs: tile_inputs, plan: tile_plan });
+                if jobs.len() >= batch_cap {
+                    flush(&mut jobs)?;
+                }
             }
-            result
+            flush(&mut jobs)
         });
         swept?;
         if tracing {

@@ -27,7 +27,7 @@ fn node_counts(backend: &dyn Executor, plan: &Plan, inputs: &Inputs) -> Result<V
 pub fn assert_fused_scanner_counts_match_cycle(name: &str, graph: &SamGraph, inputs: &Inputs) -> usize {
     let plan = Plan::build(graph, inputs).unwrap_or_else(|e| panic!("{name}: {e}"));
     let fused: Vec<FusedScan> =
-        plan.order().iter().filter_map(|&id| plan.fused_scan(id)).filter(|f| !f.gallop).collect();
+        plan.order().iter().filter_map(|&id| plan.fused_scan(id)).filter(|f| !f.skip_lane).collect();
     let cycle = node_counts(&CycleBackend::default(), &plan, inputs)
         .unwrap_or_else(|e| panic!("{name}: cycle run failed: {e}"));
     let backends: [(&str, &dyn Executor); 3] = [

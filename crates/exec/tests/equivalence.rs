@@ -4,6 +4,8 @@
 //! every result is bit-identical to the serial run and numerically equal to
 //! the dense reference evaluator.
 
+mod common;
+
 use sam_core::graph::SamGraph;
 use sam_core::graphs::{self, SpmmDataflow};
 use sam_exec::{CycleBackend, ExecRequest, Executor, FastBackend, Inputs, Plan, TiledBackend};
@@ -193,23 +195,56 @@ fn parallel_errors_match_serial_errors() {
 }
 
 /// Inputs that push a fused scanner through its corner states — no stored
-/// entries at all, empty fibers between full ones, a `Dense` level — give
-/// the same output and raw values on all four backends, and one token
-/// total on the three that share the walk.
+/// entries at all, empty fibers between full ones, a `Dense` level, and
+/// operands skewed enough that the walk gallops and jumps tails — give the
+/// same output and raw values on all four backends, one token total on the
+/// three that share the walk, and for every fused scanner the per-class
+/// token counts the cycle backend's standalone scanner block reports.
 #[test]
 fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
     use custard::{lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
+    use sam_core::graph::NodeKind;
     use sam_tensor::CooTensor;
 
+    let compile = |text: &str, formats: Formats| {
+        lower_exec(&ConcreteIndexNotation::new(parse(text).unwrap(), &Schedule::new(), formats)).unwrap()
+    };
     let m = synth::random_matrix_sparsity(24, 18, 0.85, 303);
     let sv = synth::random_vector(18, 6, 305);
     // CSR keeps every row, so most of this matrix's column fibers are empty.
     let hollow = synth::random_matrix_nnz(40, 18, 9, 306);
-    let csr = Formats::new().set("B", TensorFormat::csr());
-    let spmv = parse("x(i) = B(i,j) * c(j)").unwrap();
-    let compiled = lower_exec(&ConcreteIndexNotation::new(spmv, &Schedule::new(), csr)).unwrap();
+    let spmv = compile("x(i) = B(i,j) * c(j)", Formats::new().set("B", TensorFormat::csr())).graph;
     let vb = synth::random_vector(64, 64, 307);
     let vc = synth::random_vector(64, 20, 308);
+    // SpMV's shape in the benchmark: four nonzeros a row, all in the lower
+    // half of the columns, against a 2000-vector.
+    let rows = CooTensor::from_entries(
+        vec![12, 2000],
+        (0..12u32)
+            .flat_map(|i| (0..4u32).map(move |k| (vec![i, (i * 37 + k * 251) % 1000], f64::from(k + 1))))
+            .collect(),
+    )
+    .unwrap();
+    let full = synth::random_vector(2000, 2000, 309);
+    let above = CooTensor::from_entries(
+        vec![2000],
+        (1000..2000u32).map(|j| (vec![j], f64::from(j % 5 + 1))).collect(),
+    )
+    .unwrap();
+    // MTTKRP with one factor ten times denser than the other: the tensor's
+    // fibers are the short side against `C` and the long side against `D`.
+    let mttkrp = compile("X(i,j) = B(i,k,l) * C(j,k) * D(j,l)", Formats::new());
+    let mttkrp_inputs = [
+        ("B", synth::random_tensor3([4, 40, 40], 120, 310)),
+        ("C", synth::random_matrix_sparsity(5, 40, 0.1, 311)),
+        ("D", synth::random_matrix_sparsity(5, 40, 0.91, 312)),
+    ]
+    .iter()
+    .fold(Inputs::new(), |inputs, (name, coo)| {
+        let (_, format) =
+            mttkrp.formats.iter().find(|(n, _)| n == name).expect("a derived format per operand");
+        inputs.coo(name, coo, format.clone())
+    });
 
     let cases: Vec<(&str, SamGraph, Inputs)> = vec![
         (
@@ -223,7 +258,7 @@ fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
         ),
         (
             "empty fibers",
-            compiled.graph,
+            spmv.clone(),
             Inputs::new().coo("B", &hollow, TensorFormat::csr()).coo("c", &sv, TensorFormat::sparse_vec()),
         ),
         (
@@ -231,11 +266,25 @@ fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
             graphs::vec_elem_mul(false),
             Inputs::new().coo("b", &vb, TensorFormat::dense_vec()).coo("c", &vc, TensorFormat::dense_vec()),
         ),
+        (
+            "short rows against a fully populated vector",
+            spmv.clone(),
+            Inputs::new().coo("B", &rows, TensorFormat::csr()).coo("c", &full, TensorFormat::sparse_vec()),
+        ),
+        (
+            "a vector above every matrix column: the first probe gallops off the row's end",
+            spmv,
+            Inputs::new().coo("B", &rows, TensorFormat::csr()).coo("c", &above, TensorFormat::sparse_vec()),
+        ),
+        ("both operands galloping alternately at two nested levels", mttkrp.graph, mttkrp_inputs),
     ];
     for (what, graph, inputs) in cases {
         let plan = Plan::build(&graph, &inputs).unwrap_or_else(|e| panic!("{what}: {e}"));
-        let fused = plan.order().iter().filter_map(|&id| plan.fused_scan(id)).filter(|f| !f.gallop).count();
-        assert_eq!(fused, 2, "{what}: both operands of the intersection should be fused scanners");
+        let intersecters = plan
+            .order()
+            .iter()
+            .filter(|id| matches!(graph.nodes()[id.0], NodeKind::Intersecter { .. }))
+            .count();
         let cycle = CycleBackend::default().run(&plan, &inputs).unwrap_or_else(|e| panic!("{what}: {e}"));
         let backends: [&dyn Executor; 3] = [
             &FastBackend::serial(),
@@ -252,6 +301,13 @@ fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
             // One tile covers every operand, so the tiled run is one walk.
             assert_eq!(*tokens.get_or_insert(run.tokens), run.tokens, "{what}: `{}` tokens", backend.name());
         }
+        let fused = common::assert_fused_scanner_counts_match_cycle(what, &graph, &inputs);
+        assert!(intersecters > 0, "{what}: the case must intersect something");
+        assert_eq!(
+            fused,
+            2 * intersecters,
+            "{what}: every operand of every intersecter should be a plain-fused scanner"
+        );
     }
 }
 

@@ -208,7 +208,7 @@ fn skip_lanes_are_planned_for_skip_graphs() {
     assert_eq!(plan.skip_specs().len(), 2);
     for spec in plan.skip_specs() {
         let fused = plan.fused_scan(spec.scanner).expect("a skip target is fused");
-        assert!(fused.gallop);
+        assert!(fused.skip_lane);
         assert_eq!((fused.intersecter, fused.operand), (spec.intersecter, spec.operand));
         assert_eq!(plan.fused_operands(spec.intersecter)[spec.operand], Some(fused));
     }
@@ -241,7 +241,7 @@ fn finish_merge(mut g: GraphBuilder, crd: Port, refs: [Port; 2]) -> SamGraph {
 }
 
 #[test]
-fn scanners_feeding_one_intersecter_operand_are_fused_without_galloping() {
+fn scanners_feeding_one_intersecter_operand_are_fused_without_a_skip_lane() {
     let (mut g, [b, c]) = two_scanners();
     let (crd, refs) = g.intersect('i', [b.0, c.0], [b.1, c.1]);
     let plan = Plan::build(&finish_merge(g, crd, refs), &vec_inputs(64)).unwrap();
@@ -249,7 +249,7 @@ fn scanners_feeding_one_intersecter_operand_are_fused_without_galloping() {
     for (operand, scanner) in [b.0.node, c.0.node].into_iter().enumerate() {
         let fused = plan.fused_scan(scanner).expect("both operands are fusable");
         assert_eq!((fused.scanner, fused.intersecter, fused.operand), (scanner, crd.node, operand));
-        assert!(!fused.gallop, "no skip lane, no galloping");
+        assert!(!fused.skip_lane, "the graph wires no lane to this scanner");
         assert_eq!(lanes[operand], Some(fused));
     }
     assert!(plan.skip_specs().is_empty());

@@ -9,8 +9,10 @@
 use sam_core::graph::SamGraph;
 use sam_core::graphs;
 use sam_core::graphs::SpmmDataflow;
-use sam_exec::{ExecRequest, Executor, FastBackend, Inputs, Parallelism, TiledBackend};
+use sam_exec::{ExecRequest, Executor, FastBackend, Inputs, Parallelism, TiledBackend, TraceSink};
 use sam_tensor::{synth, CooTensor, TensorFormat};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
@@ -160,4 +162,64 @@ fn oversubscribed_adversarial_configs_finish_and_agree() {
             panic!("stress sweep exceeded the 300s watchdog: scheduler deadlock or livelock")
         }
     }
+}
+
+/// A sink that wants data and fails, once, when it is first handed a
+/// node's wall time — one panic injected into whichever thread reports
+/// first: the driving thread of the stealing walk, any participant of the
+/// tile sweep. Every other thread of the pool stays healthy, and parked.
+#[derive(Default)]
+struct PanicOnceSink {
+    fired: AtomicBool,
+}
+
+impl TraceSink for PanicOnceSink {
+    fn record_node_wall(&self, _node: usize, _ns: u64) {
+        assert!(self.fired.swap(true, Ordering::Relaxed), "injected: the trace sink failed");
+    }
+}
+
+/// Runs SpM*SpM traced with a [`PanicOnceSink`] on `backend` and returns
+/// the message of the panic the run raised. The run happens on a spawned
+/// thread; if nothing comes back within the watchdog, the pool's workers
+/// were never released and the scope that spawned them is still waiting to
+/// join them.
+fn injected_panic_of(backend: impl Executor + Send + 'static) -> String {
+    // Entry 5 is linear-combination SpM*SpM: both pool users take it.
+    let (graph, inputs) = catalog().swap_remove(5);
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let sink = PanicOnceSink::default();
+        let run = ExecRequest::new(&graph, &inputs).executor(&backend).traced(&sink);
+        tx.send(catch_unwind(AssertUnwindSafe(|| run.run().map(|r| r.tokens)))).ok();
+    });
+    match rx.recv_timeout(Duration::from_secs(20)) {
+        Ok(Err(payload)) => match payload.downcast::<&'static str>() {
+            Ok(message) => message.to_string(),
+            Err(payload) => *payload.downcast::<String>().unwrap_or_default(),
+        },
+        Ok(Ok(run)) => panic!("the injected panic was swallowed: the run returned {run:?}"),
+        Err(_) => panic!("the run neither returned nor unwound within 20s: pool workers still parked"),
+    }
+}
+
+/// A panic on the driving thread must propagate, not hang: leaving the
+/// scope's closure by unwinding still has to shut the pool down, or the
+/// scope joins workers parked on the pool's condvar forever.
+#[test]
+fn a_panic_on_the_driving_thread_propagates_instead_of_hanging() {
+    let message = injected_panic_of(FastBackend::threads(3).with_split_threshold(1));
+    assert!(message.contains("injected"), "the driver's own panic is re-raised: {message}");
+}
+
+/// The same hole through the tile sweep. Whichever participant reports
+/// first dies: the driver unwinds with the injected panic itself, or finds
+/// the slot a dead worker never filled and unwinds on that.
+#[test]
+fn a_panic_inside_a_parallel_tile_sweep_propagates_instead_of_hanging() {
+    let message = injected_panic_of(TiledBackend::with_tile(4).with_parallelism(Parallelism::Threads(3)));
+    assert!(
+        message.contains("injected") || message.contains("tile task ran"),
+        "the driver's own panic is re-raised: {message}"
+    );
 }
