@@ -390,8 +390,8 @@ impl Executor for TiledBackend {
         let (output, vals) = if plan.level_writers().is_empty() {
             (None, vec![scalar_sum])
         } else {
-            llb.write_through(merger.len() as u64 * bytes_per_entry);
             let (tensor, vals) = merger.finish(plan.output_name(), plan.output_shape().to_vec());
+            llb.write_through(vals.len() as u64 * bytes_per_entry);
             (Some(tensor), vals)
         };
 

@@ -213,3 +213,50 @@ fn random_sparse_matrices_stay_bit_identical_under_random_tilings() {
         );
     }
 }
+
+/// Compiles `text` with `B` = 4 x 4, `(0,1) = 1`, `(2,2) = 3`, stored
+/// `(Compressed, Dense)` — rows 0 and 2 with every column of them, explicit
+/// zeros included — against an all-2.0 `other` operand, and checks that
+/// 2 x 2 tiles, swept serially and on three workers, reproduce the untiled
+/// run bit for bit. A tile has to be the window of what its parent *stores*:
+/// one rebuilt from the window's nonzeros drops row 0 from the tiles right
+/// of column 1 and row 2 from those left of column 2.
+fn check_explicit_zero_tiles(text: &str, other: &str, other_shape: Vec<usize>, expect: &[f64]) {
+    use custard::{lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
+    use sam_exec::Parallelism;
+
+    let b = CooTensor::from_entries(vec![4, 4], vec![(vec![0, 1], 1.0), (vec![2, 2], 3.0)]).unwrap();
+    let twos = CooTensor::from_dense(other_shape.clone(), &vec![2.0; other_shape.iter().product()]);
+    let formats =
+        Formats::new().set("B", TensorFormat::new(vec![LevelFormat::Compressed, LevelFormat::Dense]));
+    let cin = ConcreteIndexNotation::new(parse(text).unwrap(), &Schedule::new(), formats);
+    let kernel = lower_exec(&cin).unwrap();
+    let mut inputs = Inputs::new();
+    for (name, coo) in [("B", &b), (other, &twos)] {
+        let format = &kernel.formats.iter().find(|(n, _)| n == name).expect("operand in formats").1;
+        inputs = inputs.coo(name, coo, format.clone());
+    }
+
+    let untiled = ExecRequest::new(&kernel.graph, &inputs).executor(&FastBackend::serial()).run().unwrap();
+    assert_eq!(untiled.vals, expect, "`{text}`: untiled");
+    for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
+        let tiled = ExecRequest::new(&kernel.graph, &inputs)
+            .executor(&TiledBackend::with_tile(2).with_parallelism(parallelism))
+            .run()
+            .unwrap_or_else(|e| panic!("`{text}` tiled {parallelism:?}: {e}"));
+        assert_eq!(tiled.output, untiled.output, "`{text}` tiled {parallelism:?}");
+        let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tiled.vals), bits(&untiled.vals), "`{text}` tiled {parallelism:?}");
+    }
+}
+
+#[test]
+fn tiles_keep_explicit_zeros_elementwise() {
+    let expect = [0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 6.0, 0.0];
+    check_explicit_zero_tiles("X(i,j) = B(i,j) * C(i,j)", "C", vec![4, 4], &expect);
+}
+
+#[test]
+fn tiles_keep_explicit_zeros_under_a_reduction() {
+    check_explicit_zero_tiles("x(i) = B(i,j) * c(j)", "c", vec![4], &[2.0, 6.0]);
+}

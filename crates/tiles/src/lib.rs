@@ -16,8 +16,9 @@
 //!
 //! * [`extract`] — slices tiles out of any level hierarchy (dense,
 //!   compressed, bitvector) through the positional slicing APIs of
-//!   [`sam_tensor::level::Level`], and catalogs a tensor's nonempty tiles
-//!   in a [`TileGrid`];
+//!   [`sam_tensor::level::Level`], straight into the tile's level arrays —
+//!   a tile is the window of what its parent stores, explicit zeros
+//!   included — and catalogs a tensor's nonempty tiles in a [`TileGrid`];
 //! * [`schedule`] — derives a [`KernelTiling`] from a graph: which index
 //!   variables are safe to tile, how each bound tensor's storage levels map
 //!   onto them, and which tensors' empty tiles license skipping a whole
@@ -25,10 +26,10 @@
 //! * [`llb`] — an LRU model of the last-level buffer that turns the tile
 //!   access sequence into measured DRAM traffic, occupancy high-water marks
 //!   and capacity-spill counts;
-//! * [`merge`] — the tile-merge reducer: accumulates per-tile partial
-//!   outputs (offset back into global coordinates) and rebuilds the
-//!   canonical CSF output, bit-identical to an untiled run on exactly
-//!   summed values.
+//! * [`merge`] — the tile-merge reducer: logs per-tile partial outputs
+//!   (offset back into global coordinates), sorts the log once, stably, and
+//!   rebuilds the canonical CSF output, bit-identical to an untiled run on
+//!   exactly summed values.
 
 #![warn(missing_docs)]
 

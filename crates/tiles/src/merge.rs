@@ -3,26 +3,33 @@
 //!
 //! Each executed tile yields a small output tensor in local (rebased)
 //! coordinates. [`TileMerger::absorb`] offsets those back into the global
-//! coordinate space and *adds* colliding values — tiles along contraction
+//! coordinate space and appends them to a flat log; [`TileMerger::finish`]
+//! sorts the log once and *adds* colliding values — tiles along contraction
 //! variables produce partial sums for the same output point, tiles along
-//! output variables land in disjoint windows. Explicit zeros are kept (a
-//! stored entry with value `0.0` stays a stored entry), so the rebuilt
-//! output is structurally identical to what an untiled run writes.
+//! output variables land in disjoint windows. The sort is stable, so the
+//! partial sums of one point associate in the order their tiles were
+//! absorbed. Explicit zeros are kept (a stored entry with value `0.0` stays
+//! a stored entry), so the rebuilt output is structurally identical to what
+//! an untiled run writes.
 //!
 //! [`TileMerger::finish`] rebuilds the canonical CSF form the executor's
 //! output assembly produces: level 0 holds one fiber of all outermost
 //! coordinates, and every deeper level holds one fiber per parent entry.
 
-use sam_tensor::level::{CompressedLevel, Level};
+use sam_tensor::level::{CompressedLevel, CompressedLevelBuilder, Level};
 use sam_tensor::{Tensor, TensorFormat};
-use std::collections::BTreeMap;
 
 use crate::extract::for_each_stored;
 
-/// Accumulates tile outputs keyed by global output coordinates.
+/// Logs tile outputs by global output coordinates, in arrival order.
 #[derive(Debug, Clone, Default)]
 pub struct TileMerger {
-    acc: BTreeMap<Vec<u32>, f64>,
+    /// Levels per absorbed tile (zero until the first one).
+    order: usize,
+    /// `order` global coordinates per logged entry.
+    coords: Vec<u32>,
+    /// One value per logged entry.
+    vals: Vec<f64>,
 }
 
 impl TileMerger {
@@ -35,59 +42,65 @@ impl TileMerger {
     /// tile's window, one per output level (the tile's storage order equals
     /// its logical order — executor outputs are CSF with identity mode
     /// order). Stored entries are visited including explicit zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile's order differs from `offsets.len()` or from the
+    /// tiles absorbed before it.
     pub fn absorb(&mut self, tile_output: &Tensor, offsets: &[u32]) {
         assert_eq!(offsets.len(), tile_output.order(), "one offset per output level");
+        if self.vals.is_empty() {
+            self.order = offsets.len();
+        }
+        assert_eq!(offsets.len(), self.order, "the tiles of one merge share one order");
         for_each_stored(tile_output, |point, v| {
-            let global: Vec<u32> = point.iter().zip(offsets).map(|(&c, &o)| c + o).collect();
-            *self.acc.entry(global).or_insert(0.0) += v;
+            self.coords.extend(point.iter().zip(offsets).map(|(&c, &o)| c + o));
+            self.vals.push(v);
         });
-    }
-
-    /// Number of accumulated output entries.
-    pub fn len(&self) -> usize {
-        self.acc.len()
-    }
-
-    /// True when nothing has been absorbed.
-    pub fn is_empty(&self) -> bool {
-        self.acc.is_empty()
     }
 
     /// Rebuilds the merged output as a canonical CSF tensor of `shape`
     /// (plus the flat values array, in storage order) — the same form the
     /// untiled executor assembles, so equal runs compare bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shape` is empty or its length differs from the order of
+    /// the absorbed tiles.
     pub fn finish(self, name: &str, shape: Vec<usize>) -> (Tensor, Vec<f64>) {
         let order = shape.len();
         assert!(order > 0, "merged outputs need at least one level");
-        let keys: Vec<&Vec<u32>> = self.acc.keys().collect();
-        let mut levels: Vec<Level> = Vec::with_capacity(order);
-        for d in 0..order {
-            let mut builder = CompressedLevel::builder(shape[d]);
-            // Entries at level d are the distinct prefixes of length d+1;
-            // fibers close when the length-d prefix changes.
-            let mut prev: Option<&[u32]> = None;
-            for key in &keys {
-                if let Some(p) = prev {
-                    if p[..d] != key[..d] {
-                        builder.end_fiber();
-                    }
-                    if p[..=d] == key[..=d] {
-                        prev = Some(key);
-                        continue;
-                    }
-                }
-                builder.push_coord(key[d]);
-                prev = Some(key);
+        assert!(self.vals.is_empty() || self.order == order, "the merged tiles have the output's order");
+        let point = |i: usize| &self.coords[i * order..][..order];
+        // Stable: the entries of one point stay in arrival order.
+        let mut sorted: Vec<usize> = (0..self.vals.len()).collect();
+        sorted.sort_by(|&a, &b| point(a).cmp(point(b)));
+
+        let mut builders: Vec<CompressedLevelBuilder> =
+            shape.iter().map(|&dim| CompressedLevel::builder(dim)).collect();
+        let mut vals: Vec<f64> = Vec::new();
+        let mut prev: Option<&[u32]> = None;
+        for same_point in sorted.chunk_by(|&a, &b| point(a) == point(b)) {
+            let p = point(same_point[0]);
+            // The point leaves its predecessor's path at level `split`: the
+            // fibers below that level close, and it is a new entry from
+            // there down.
+            let split = prev.map_or(0, |q| p.iter().zip(q).take_while(|(a, b)| a == b).count());
+            if prev.is_some() {
+                builders[split + 1..].iter_mut().for_each(CompressedLevelBuilder::end_fiber);
             }
-            // The root level always holds exactly one fiber (possibly
-            // empty); deeper levels hold one fiber per parent entry.
-            if d == 0 || !keys.is_empty() {
-                builder.end_fiber();
+            for (builder, &c) in builders[split..].iter_mut().zip(&p[split..]) {
+                builder.push_coord(c);
             }
-            levels.push(Level::Compressed(builder.finish()));
+            vals.push(same_point.iter().fold(0.0, |sum, &i| sum + self.vals[i]));
+            prev = Some(p);
         }
-        let vals: Vec<f64> = self.acc.values().copied().collect();
-        let tensor = Tensor::from_parts(name, shape.clone(), TensorFormat::csf(order), levels, vals.clone());
+        // The root level always holds exactly one fiber (possibly empty);
+        // deeper levels hold one fiber per parent entry.
+        let closing = if prev.is_some() { order } else { 1 };
+        builders[..closing].iter_mut().for_each(CompressedLevelBuilder::end_fiber);
+        let levels = builders.into_iter().map(|b| Level::Compressed(b.finish())).collect();
+        let tensor = Tensor::from_parts(name, shape, TensorFormat::csf(order), levels, vals.clone());
         (tensor, vals)
     }
 }
@@ -95,7 +108,10 @@ impl TileMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use sam_tensor::CooTensor;
+    use std::collections::BTreeMap;
 
     fn tile(name: &str, shape: Vec<usize>, entries: Vec<(Vec<u32>, f64)>) -> Tensor {
         let coo = CooTensor::from_entries(shape.clone(), entries).unwrap();
@@ -107,7 +123,6 @@ mod tests {
         let mut m = TileMerger::new();
         m.absorb(&tile("X", vec![2, 2], vec![(vec![0, 1], 1.0), (vec![1, 0], 2.0)]), &[0, 0]);
         m.absorb(&tile("X", vec![2, 2], vec![(vec![0, 0], 3.0)]), &[2, 2]);
-        assert_eq!(m.len(), 3);
         let (out, vals) = m.finish("X", vec![4, 4]);
         assert_eq!(vals, vec![1.0, 2.0, 3.0]);
         assert_eq!(out.get(&[0, 1]), 1.0);
@@ -137,11 +152,96 @@ mod tests {
         let mut m = TileMerger::new();
         m.absorb(&tile("x", vec![2], vec![(vec![0], 2.0)]), &[0]);
         m.absorb(&tile("x", vec![2], vec![(vec![0], -2.0)]), &[0]);
-        assert_eq!(m.len(), 1);
         let (out, vals) = m.finish("x", vec![2]);
         assert_eq!(vals, vec![0.0]);
         let Level::Compressed(l0) = out.level(0) else { panic!("compressed") };
         assert_eq!(l0.crd, vec![0], "a zero-valued sum keeps its coordinate");
+    }
+
+    /// The keyed accumulator [`TileMerger`] replaced, kept as its reference.
+    fn merge_via_map(tiles: &[(Tensor, Vec<u32>)]) -> (Vec<Vec<u32>>, Vec<f64>) {
+        let mut acc: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
+        for (tile, offsets) in tiles {
+            for_each_stored(tile, |point, v| {
+                let global: Vec<u32> = point.iter().zip(offsets).map(|(&c, &o)| c + o).collect();
+                *acc.entry(global).or_insert(0.0) += v;
+            });
+        }
+        acc.into_iter().unzip()
+    }
+
+    #[test]
+    fn random_colliding_tiles_match_the_keyed_accumulator_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x3e26e);
+        for case in 0..60 {
+            let order = 1 + case % 3;
+            // Tiles of 3 coordinates a level at one of two origins a level:
+            // most points are hit by several tiles.
+            let tiles: Vec<(Tensor, Vec<u32>)> = (0..rng.gen_range(1usize..9))
+                .map(|_| {
+                    let entries = (0..rng.gen_range(0usize..12))
+                        .map(|_| {
+                            let point = (0..order).map(|_| rng.gen_range(0u32..3)).collect();
+                            // Magnitudes far apart: another association rounds differently.
+                            let magnitude = 10f64.powi(rng.gen_range(0u32..17) as i32 - 8);
+                            (point, (rng.gen::<f64>() - 0.5) * magnitude)
+                        })
+                        .collect();
+                    let offsets = (0..order).map(|_| 2 * rng.gen_range(0u32..2)).collect();
+                    (tile("X", vec![3; order], entries), offsets)
+                })
+                .collect();
+            let mut m = TileMerger::new();
+            for (tile, offsets) in &tiles {
+                m.absorb(tile, offsets);
+            }
+            let (out, vals) = m.finish("X", vec![5; order]);
+            let (points, expect) = merge_via_map(&tiles);
+            let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&vals), bits(&expect), "case {case}");
+            assert_eq!(bits(out.vals()), bits(&expect), "case {case}");
+            let mut stored = Vec::new();
+            for_each_stored(&out, |point, _| stored.push(point.to_vec()));
+            assert_eq!(stored, points, "case {case}");
+            for d in 1..order {
+                assert_eq!(out.level(d).num_fibers(), out.level(d - 1).num_children(), "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn partial_sums_associate_in_arrival_order() {
+        let mut m = TileMerger::new();
+        for v in [1e16, 1.0, -1e16] {
+            m.absorb(&tile("x", vec![2], vec![(vec![1], v)]), &[0]);
+        }
+        // (1e16 + 1.0) - 1e16 in arrival order; a sum that cancels the large
+        // pair first gives 1.0.
+        assert_eq!(m.finish("x", vec![2]).1, vec![0.0]);
+    }
+
+    #[test]
+    fn a_lone_negative_zero_comes_out_positive() {
+        let negative_zero = Tensor::from_parts(
+            "x",
+            vec![2],
+            TensorFormat::csf(1),
+            tile("x", vec![2], vec![(vec![1], 1.0)]).levels().to_vec(),
+            vec![-0.0],
+        );
+        let mut m = TileMerger::new();
+        m.absorb(&negative_zero, &[0]);
+        let (_, vals) = m.finish("x", vec![2]);
+        // Every point's sum starts from +0.0, as the keyed accumulator's did.
+        assert_eq!(vals[0].to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "the tiles of one merge share one order")]
+    fn mixed_order_tiles_are_rejected_cleanly() {
+        let mut m = TileMerger::new();
+        m.absorb(&tile("X", vec![2, 2], vec![(vec![0, 1], 1.0)]), &[0, 0]);
+        m.absorb(&tile("x", vec![2], vec![(vec![1], 1.0)]), &[0]);
     }
 
     #[test]
