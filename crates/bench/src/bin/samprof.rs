@@ -6,14 +6,12 @@
 //! path — the longest-running node of the run.
 //!
 //! ```text
-//! samprof spmv_skew --backend threads4 --trace skew.json
+//! samprof spmv_skew --backend cycle --trace skew.json
 //! samprof SpM*SpM --backend cycle
 //! samprof --list
 //! ```
 //!
-//! * `--backend cycle|fast-serial|fast-threads:N|tiled` (default
-//!   `fast-threads:4`; the historical `serial`/`threadsN` spellings still
-//!   parse);
+//! * `--backend cycle|fast-serial|tiled` (default `fast-serial`);
 //! * `--trace <path>` also writes a Chrome `trace_event` JSON timeline
 //!   (load it at `ui.perfetto.dev` or `chrome://tracing`);
 //! * `--serve [--rounds N]` profiles the query *lifecycle* instead of one
@@ -26,8 +24,7 @@ use sam_bench::{kernel_case, table1_case, table1_case_names, PROFILE_KERNELS};
 use sam_exec::{BackendSpec, ChromeTraceSink, CountersSink, ExecProfile, Execution, Executor, Plan};
 use sam_memory::MemoryConfig;
 
-/// Builds the profiled backend from a [`BackendSpec`] label (stable labels
-/// plus the historical `threadsN` spellings, all parsed by `sam-exec`).
+/// Builds the profiled backend from a [`BackendSpec`] label.
 /// `tiled` uses 64-wide tiles: several profiled kernels have 128-wide
 /// operands, which the default 128-wide tile would cover in one tile.
 fn build_backend(arg: &str) -> Result<Box<dyn Executor>, sam_exec::ParseBackendError> {
@@ -37,7 +34,7 @@ fn build_backend(arg: &str) -> Result<Box<dyn Executor>, sam_exec::ParseBackendE
 
 fn usage() -> ! {
     eprintln!(
-        "usage: samprof <kernel|expression> [--backend cycle|fast-serial|fast-threads:N|tiled] \
+        "usage: samprof <kernel|expression> [--backend cycle|fast-serial|tiled] \
          [--trace out.json]\n       samprof --serve [--rounds N]\n       samprof --list"
     );
     std::process::exit(2);
@@ -149,7 +146,7 @@ fn report(name: &str, backend: &dyn Executor, run: &Execution, profile: &ExecPro
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut name: Option<String> = None;
-    let mut backend_arg = "fast-threads:4".to_string();
+    let mut backend_arg = "fast-serial".to_string();
     let mut trace_path: Option<String> = None;
     let mut serve = false;
     let mut rounds = 10usize;

@@ -12,7 +12,7 @@ use sam_primitives::{
     Repeater, Unioner, ValArray, ValWriter,
 };
 use sam_sim::{ChannelId, Simulator};
-use sam_trace::{NullSink, TokenCounts, TraceSink};
+use sam_trace::{TokenCounts, TraceSink};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -39,10 +39,6 @@ impl CycleBackend {
 impl Executor for CycleBackend {
     fn name(&self) -> &'static str {
         "cycle"
-    }
-
-    fn run(&self, plan: &Plan, inputs: &Inputs) -> Result<Execution, ExecError> {
-        self.run_traced(plan, inputs, &NullSink)
     }
 
     fn run_traced(

@@ -1,33 +1,33 @@
 //! The fast functional backend: evaluates the planned graph without
-//! per-cycle simulation, serially or in parallel.
+//! per-cycle simulation, one node at a time on the calling thread.
 //!
 //! Where the cycle-approximate backend ticks every block once per simulated
 //! cycle, this backend applies each node's *transfer function* (the
 //! crate-internal `node` module) directly to its token streams, in one walk
-//! over the plan's topological order (the crate-internal `parallel`
-//! module). The walk stores a stream only if somebody re-reads it: a level
-//! scanner whose streams feed one operand of one intersecter and nothing
-//! else ([`FusedScan`](crate::FusedScan)) is pulled pair by pair by that
-//! intersecter and only tallied, and every stored stream is freed the
-//! moment its last reader has run. [`Parallelism`] selects how the walk is
-//! scheduled:
+//! over the plan's topological order. No scheduler, no channels, no
+//! synchronization.
 //!
-//! * [`Parallelism::Serial`] — every node evaluates whole on the calling
-//!   thread. No scheduler, no channels, no synchronization: peak
-//!   single-thread throughput.
-//! * [`Parallelism::Threads`]`(n)` — the *work-stealing* engine: the same
-//!   walk, but a node with long input streams is split at fiber boundaries
-//!   into independent segments that run as stealable tasks on up to `n`
-//!   workers. The unit of parallelism is data, not graph structure, so the
-//!   speedup scales with stream length instead of being capped by the
-//!   fattest node. Requested workers are clamped to the host's available
-//!   parallelism; with one effective worker the run is exactly the serial
-//!   walk.
+//! **Stored only if re-read.** A level scanner whose two streams feed one
+//! operand of one intersecter and nothing else ([`FusedScan`]) is never
+//! evaluated: the intersecter pulls `(crd, ref)` pairs straight from a
+//! `GallopScan` over the storage level, gallops it on every mismatch and
+//! jumps the tail of its fiber once the other operand's has ended, so the
+//! walk costs the short side. Tokens are counted *where they are produced
+//! or skipped*: a stored stream by its length when its producer finishes, a
+//! fused scanner by the tally its `GallopScan` keeps — a cursor jump over
+//! `n` entries is `n` coordinate and `n` reference tokens — credited to the
+//! scanner's node id, so `Execution::tokens` and the per-node
+//! [`TokenCounts`] are what they would be had every stream been stored:
+//! they count what the SAM graph moves, not what the host touched — the
+//! same ones the cycle backend produces. (The exception is a scanner with a
+//! Section 4.2 skip lane, which reports nothing: how many tokens the lane
+//! saves the cycle-level scanner depends on when the skip requests arrive.)
+//! A fused scanner's time is part of its intersecter's.
 //!
-//! Both modes are one piece of code over the same per-primitive transfer
-//! functions and output assembly, so they produce bit-identical tensors,
-//! token totals and per-node token counts from the same [`Plan`] — the
-//! same ones the cycle backend produces.
+//! **Released at the last reader.** The walk owns a table of stored streams
+//! (`StreamTable`) and drops each one the moment its last data reader has
+//! run; ports nobody reads are dropped as soon as they are counted. Peak
+//! memory is the live set, not the sum of all streams.
 //!
 //! ```
 //! use sam_core::graphs;
@@ -40,96 +40,108 @@
 //! let inputs = Inputs::new()
 //!     .coo("B", &b, TensorFormat::dcsr())
 //!     .coo("c", &c, TensorFormat::dense_vec());
-//! let serial = ExecRequest::new(&graph, &inputs).run().unwrap();
-//! let parallel =
-//!     ExecRequest::new(&graph, &inputs).backend(BackendSpec::FastThreads(4)).run().unwrap();
-//! assert_eq!(serial.output.unwrap(), parallel.output.unwrap());
+//! let fast = ExecRequest::new(&graph, &inputs).run().unwrap();
+//! let cycle = ExecRequest::new(&graph, &inputs).backend(BackendSpec::Cycle).run().unwrap();
+//! assert_eq!(fast.backend, "fast-serial");
+//! assert_eq!(fast.output.unwrap(), cycle.output.unwrap());
 //! ```
 
 use crate::bind::Inputs;
 use crate::error::ExecError;
-use crate::plan::Plan;
-use crate::{Execution, Executor, Parallelism};
-use sam_trace::{NullSink, TraceSink};
+use crate::node::{
+    eval_node, run_intersect, scanner_level, GallopScan, IntersectOperand, NodeJob, SliceSource, WriterOutput,
+};
+use crate::plan::{FusedScan, Plan, PortRef};
+use crate::{assemble_output, Execution, Executor};
+use sam_core::graph::{NodeId, NodeKind};
+use sam_sim::SimToken;
+use sam_trace::{TokenCounts, TraceSink};
+use std::collections::HashMap;
+use std::time::Instant;
 
-/// Minimum input-stream length (tokens) before the work-stealing engine
-/// splits a node's evaluation. Below this, segment setup and merge would
-/// cost more than the parallelism buys.
-const DEFAULT_SPLIT_THRESHOLD: usize = 8192;
+type Stream = Vec<SimToken>;
 
-/// Runs plans functionally, without per-cycle simulation; serial by
-/// default, parallel with [`FastBackend::threads`].
-#[derive(Debug, Clone, Copy)]
-pub struct FastBackend {
-    parallelism: Parallelism,
-    /// Work-stealing engine: minimum stream length before splitting.
-    split_threshold: usize,
-    /// Work-stealing engine: skip the available-parallelism clamp, so the
-    /// splitting machinery runs even on single-core hosts (testing).
-    force_split: bool,
+/// One output port's stored stream and how many of its data readers have
+/// yet to run.
+struct Slot {
+    stream: Option<Stream>,
+    readers: usize,
 }
 
-impl Default for FastBackend {
-    fn default() -> Self {
-        FastBackend::serial()
-    }
+/// The table of stored streams, per node and output port.
+struct StreamTable {
+    slots: Vec<Vec<Slot>>,
 }
 
-impl FastBackend {
-    fn base(parallelism: Parallelism) -> Self {
-        FastBackend { parallelism, split_threshold: DEFAULT_SPLIT_THRESHOLD, force_split: false }
+impl StreamTable {
+    /// An empty table sized for `plan`, with every port's data readers
+    /// counted from [`Plan::consumers_of`]. An intersecter's skip ports (3
+    /// and 4) stay silent in the fast backend, so the scanners' skip inputs
+    /// they feed are not readers.
+    fn new(plan: &Plan) -> Self {
+        let slots = plan
+            .graph()
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(node, kind)| {
+                let skip_from = if matches!(kind, NodeKind::Intersecter { .. }) { 3 } else { usize::MAX };
+                plan.consumers_of(NodeId(node))
+                    .iter()
+                    .enumerate()
+                    .map(|(port, consumers)| Slot {
+                        stream: None,
+                        readers: if port < skip_from { consumers.len() } else { 0 },
+                    })
+                    .collect()
+            })
+            .collect();
+        StreamTable { slots }
     }
 
-    /// The single-threaded backend (also [`Default`]): every node evaluates
-    /// whole on the calling thread, no synchronization.
-    pub fn serial() -> Self {
-        FastBackend::base(Parallelism::Serial)
-    }
-
-    /// The work-stealing parallel backend: nodes still evaluate in
-    /// topological order, but long streams are split at fiber boundaries
-    /// into stealable segments across up to `threads` workers (clamped to
-    /// at least 1, and at runtime to the host's available parallelism).
-    pub fn threads(threads: usize) -> Self {
-        FastBackend::base(Parallelism::Threads(threads.max(1)))
-    }
-
-    /// A backend with an explicit [`Parallelism`] setting. `Threads(0)` is
-    /// clamped to `Threads(1)`.
-    pub fn with_parallelism(parallelism: Parallelism) -> Self {
-        match parallelism {
-            Parallelism::Serial => FastBackend::serial(),
-            Parallelism::Threads(n) => FastBackend::threads(n),
+    /// Takes ownership of `node`'s freshly produced streams, keeping the
+    /// ports somebody will read and dropping the rest at once.
+    fn store(&mut self, node: NodeId, outs: Vec<Stream>) {
+        for (slot, stream) in self.slots[node.0].iter_mut().zip(outs) {
+            if slot.readers > 0 {
+                slot.stream = Some(stream);
+            }
         }
     }
 
-    /// Lowers the work-stealing engine's split threshold to `threshold`
-    /// tokens and disables the available-parallelism clamp, so `Threads(n)`
-    /// splits streams across `n` workers even on hosts that report fewer
-    /// cores. Intended for tests that must exercise the splitting seams
-    /// deterministically; the default configuration only splits when real
-    /// parallelism is available.
-    pub fn with_split_threshold(mut self, threshold: usize) -> Self {
-        self.split_threshold = threshold.max(1);
-        self.force_split = true;
-        self
+    /// The stored stream behind `p`. Topological order guarantees the
+    /// producer ran; the reader count guarantees it is still held.
+    fn get(&self, p: PortRef) -> &Stream {
+        self.slots[p.node.0][p.port].stream.as_ref().expect("stream stored until its last reader has run")
+    }
+
+    /// Records that one data reader of `p` has run; the last one frees it.
+    fn release(&mut self, p: PortRef) {
+        let slot = &mut self.slots[p.node.0][p.port];
+        slot.readers -= 1;
+        if slot.readers == 0 {
+            slot.stream = None;
+        }
     }
 }
+
+/// Classifies one node's freshly produced streams.
+fn classify(outs: &[Stream]) -> TokenCounts {
+    let mut counts = TokenCounts::default();
+    for token in outs.iter().flatten() {
+        counts.record(token);
+    }
+    counts
+}
+
+/// Runs plans functionally, without per-cycle simulation: every node
+/// evaluates whole, in topological order, on the calling thread.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FastBackend;
 
 impl Executor for FastBackend {
     fn name(&self) -> &'static str {
-        match self.parallelism {
-            Parallelism::Serial => "fast-serial",
-            Parallelism::Threads(_) => "fast-threads",
-        }
-    }
-
-    fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    fn run(&self, plan: &Plan, inputs: &Inputs) -> Result<Execution, ExecError> {
-        self.run_traced(plan, inputs, &NullSink)
+        "fast-serial"
     }
 
     fn run_traced(
@@ -138,14 +150,156 @@ impl Executor for FastBackend {
         inputs: &Inputs,
         trace: &dyn TraceSink,
     ) -> Result<Execution, ExecError> {
-        crate::parallel::run_stealing(
-            self.name(),
-            plan,
-            inputs,
-            self.parallelism,
-            self.split_threshold,
-            self.force_split,
-            trace,
-        )
+        let start = Instant::now();
+        let tracing = trace.enabled();
+        if tracing {
+            for &id in plan.order() {
+                trace.define_node(id.0, &plan.node_label(id));
+            }
+        }
+
+        let mut streams = StreamTable::new(plan);
+        let mut tokens = 0u64;
+        let mut level_results: HashMap<usize, sam_tensor::level::CompressedLevel> = HashMap::new();
+        let mut vals_result: Option<Vec<f64>> = None;
+
+        for &id in plan.order() {
+            if plan.fused_scan(id).is_some() {
+                // Pulled by its intersecter; nothing to evaluate or store.
+                continue;
+            }
+            let node_start = tracing.then(Instant::now);
+            let mut outs = vec![Stream::new(); plan.consumers_of(id).len()];
+            let src = |p: Option<PortRef>| SliceSource::new(streams.get(p.expect("bound data port")));
+            let lanes = plan.fused_operands(id);
+            if lanes.iter().any(Option::is_some) {
+                let operand = |o: usize| match lanes[o] {
+                    Some(f) => IntersectOperand::Scan(GallopScan::new(
+                        scanner_level(plan, inputs, f.scanner),
+                        src(plan.inputs_of(f.scanner)[0]),
+                    )),
+                    None => IntersectOperand::Streams {
+                        crd: src(plan.inputs_of(id)[o]),
+                        rf: src(plan.inputs_of(id)[2 + o]),
+                    },
+                };
+                let (mut a, mut b) = (operand(0), operand(1));
+                let [oc, o0, o1, ..] = &mut outs[..] else { unreachable!("intersecter has five outputs") };
+                run_intersect(&mut a, &mut b, oc, o0, o1, &plan.node_label(id))?;
+                for (lane, operand) in lanes.iter().zip([&a, &b]) {
+                    // Counted where produced or skipped, credited to the
+                    // scanner. A lane scanner keeps reporting nothing.
+                    if let (Some(FusedScan { scanner, skip_lane: false, .. }), Some(counts)) =
+                        (lane, operand.emitted())
+                    {
+                        tokens += counts.total();
+                        if tracing {
+                            trace.record_tokens(scanner.0, counts);
+                        }
+                    }
+                }
+            } else {
+                let job = NodeJob::build(plan, inputs, id);
+                let mut srcs: Vec<SliceSource<'_>> =
+                    plan.inputs_of(id).iter().flatten().map(|&p| SliceSource::new(streams.get(p))).collect();
+                match eval_node(&job, &mut srcs, &mut outs)? {
+                    Some(WriterOutput::Level(level)) => {
+                        level_results.insert(id.0, level);
+                    }
+                    Some(WriterOutput::Vals(vals)) => vals_result = Some(vals),
+                    None => {}
+                }
+            }
+            if let Some(node_start) = node_start {
+                let elapsed_ns = node_start.elapsed().as_nanos() as u64;
+                let start_ns = (node_start - start).as_nanos() as u64;
+                trace.record_invocations(id.0, 1);
+                trace.record_node_wall(id.0, elapsed_ns);
+                trace.record_span("serial", &plan.node_label(id), start_ns, elapsed_ns);
+                trace.record_tokens(id.0, classify(&outs));
+            }
+            tokens += outs.iter().map(|s| s.len() as u64).sum::<u64>();
+            streams.store(id, outs);
+            // This node was one reader of each of its inputs; an operand
+            // with a fused scanner read the scanner's input in its place
+            // (the scanner's own streams were never stored).
+            for &p in plan.inputs_of(id).iter().flatten() {
+                streams.release(p);
+            }
+            for lane in lanes.iter().flatten() {
+                streams.release(plan.inputs_of(lane.scanner)[0].expect("bound data port"));
+            }
+        }
+
+        let levels: Vec<_> = plan
+            .level_writers()
+            .iter()
+            .map(|w| {
+                level_results.remove(&w.0).ok_or(ExecError::IncompleteOutput { label: plan.node_label(*w) })
+            })
+            .collect::<Result<_, _>>()?;
+        let vals =
+            vals_result.ok_or(ExecError::IncompleteOutput { label: plan.node_label(plan.vals_writer()) })?;
+        let output = assemble_output(plan, levels, &vals)?;
+
+        Ok(Execution {
+            backend: self.name(),
+            output,
+            vals,
+            cycles: None,
+            blocks: plan.graph().len(),
+            channels: plan.channels().len(),
+            tokens,
+            memory: None,
+            elapsed: start.elapsed(),
+            profile: trace.snapshot(),
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sam_sim::payload::tok;
+    use sam_tensor::{synth, TensorFormat};
+
+    #[test]
+    fn a_stream_with_two_readers_survives_until_the_second_has_run() {
+        // SpMV forks B's row coordinates to a repeater and to the writer;
+        // the row scanner's references have one reader, the column scanner.
+        let graph = sam_core::graphs::spmv();
+        let inputs = Inputs::new()
+            .coo("B", &synth::random_matrix_sparsity(10, 8, 0.8, 3), TensorFormat::dcsr())
+            .coo("c", &synth::random_vector(8, 8, 4), TensorFormat::dense_vec());
+        let plan = Plan::build(&graph, &inputs).unwrap();
+        let scanner = *plan
+            .order()
+            .iter()
+            .find(|id| matches!(graph.nodes()[id.0], NodeKind::LevelScanner { .. }))
+            .expect("spmv scans B");
+        let (crd, rf) = (PortRef { node: scanner, port: 0 }, PortRef { node: scanner, port: 1 });
+        assert_eq!(plan.consumers_of(scanner)[0].len(), 2);
+
+        let mut streams = StreamTable::new(&plan);
+        streams.store(scanner, vec![vec![tok::crd(1), tok::done()], vec![tok::rf(0), tok::done()]]);
+        streams.release(rf);
+        assert!(streams.slots[scanner.0][1].stream.is_none(), "sole reader ran: freed");
+        streams.release(crd);
+        assert_eq!(streams.get(crd).len(), 2, "one of two readers ran: still stored");
+        streams.release(crd);
+        assert!(streams.slots[scanner.0][0].stream.is_none(), "last reader ran: freed");
+
+        // A port nobody reads is never stored: an intersecter's silent skip
+        // ports feed only skip inputs, which are not readers.
+        let skip = sam_core::graphs::spmv_with_skip();
+        let inputs = Inputs::new()
+            .coo("B", &synth::random_matrix_sparsity(10, 8, 0.8, 3), TensorFormat::dcsr())
+            .coo("c", &synth::random_vector(8, 3, 4), TensorFormat::sparse_vec());
+        let plan = Plan::build(&skip, &inputs).unwrap();
+        let isect = plan.skip_specs()[0].intersecter;
+        let mut streams = StreamTable::new(&plan);
+        streams.store(isect, vec![vec![tok::done()]; 5]);
+        assert!(streams.slots[isect.0][3].stream.is_none() && streams.slots[isect.0][4].stream.is_none());
+        assert!(streams.slots[isect.0][1].stream.is_some());
     }
 }

@@ -18,10 +18,9 @@
 //! * three **backends** behind one [`Executor`] trait:
 //!   [`CycleBackend`] instantiates `sam-primitives` blocks into the
 //!   `sam-sim` simulator for cycle-approximate runs, [`FastBackend`]
-//!   evaluates the same plan functionally — serially over whole streams,
-//!   or with long streams split at fiber boundaries across a work-stealing
-//!   pool when given a [`Parallelism::Threads`] setting (the "fast concrete
-//!   executor next to the instrumented machine" pattern) — and
+//!   evaluates the same plan functionally, one node at a time over whole
+//!   streams on the calling thread (the "fast concrete executor next to
+//!   the instrumented machine" pattern), and
 //!   [`TiledBackend`] runs the plan tile by tile under a finite-memory
 //!   budget, recording measured DRAM/LLB counters (the paper's Section 6.4
 //!   machine).
@@ -30,7 +29,8 @@
 //! inputs, and [`ExecOptions`] (backend by [`BackendSpec`], optional trace
 //! sink, memory budget, pre-built plan). Requests plan through the global
 //! [`PlanCache`] by default, so repeated executions of one workload shape
-//! pay for planning once.
+//! pay for planning once. A query runs on one thread; what runs in
+//! parallel is whole queries, on `sam-serve`'s workers.
 //!
 //! # Running a kernel on both backends
 //!
@@ -80,36 +80,15 @@
 //! // The value array and the ALU's second input ride on planned forks.
 //! assert!(plan.fork_count() > 0);
 //! assert!(!plan.channels().is_empty());
-//! let run = FastBackend::serial().run(&plan, &inputs).unwrap();
+//! let run = FastBackend.run(&plan, &inputs).unwrap();
 //! assert_eq!(run.vals.len(), b.entries().len());
-//! ```
-//!
-//! # Parallel execution
-//!
-//! ```
-//! use sam_core::graphs;
-//! use sam_core::graphs::SpmmDataflow;
-//! use sam_exec::{BackendSpec, ExecRequest, Executor, FastBackend, Inputs, Parallelism};
-//! use sam_tensor::{synth, TensorFormat};
-//!
-//! let graph = graphs::spmm(SpmmDataflow::LinearCombination);
-//! let b = synth::random_matrix_sparsity(40, 30, 0.9, 5);
-//! let c = synth::random_matrix_sparsity(30, 20, 0.9, 6);
-//! let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-//! let serial = ExecRequest::new(&graph, &inputs).run().unwrap();
-//! let parallel =
-//!     ExecRequest::new(&graph, &inputs).backend(BackendSpec::FastThreads(4)).run().unwrap();
-//! assert_eq!(serial.output.unwrap(), parallel.output.unwrap());
-//! assert_eq!(parallel.backend, "fast-threads");
-//! assert!(matches!(FastBackend::threads(4).parallelism(), Parallelism::Threads(4)));
 //! ```
 //!
 //! # Tracing a run
 //!
-//! Every backend also exposes [`Executor::run_traced`], which drives a
-//! [`TraceSink`] (from `sam-trace`) with per-node token counts and wall
-//! time, per-worker scheduler counters and timeline spans, and surfaces the
-//! rollup as [`Execution::profile`]:
+//! Every backend implements [`Executor::run_traced`], which drives a
+//! [`TraceSink`] (from `sam-trace`) with per-node token counts, wall time
+//! and timeline spans, and surfaces the rollup as [`Execution::profile`]:
 //!
 //! ```
 //! use sam_core::graphs;
@@ -122,7 +101,7 @@
 //! let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("c", &c, TensorFormat::dense_vec());
 //! let plan = Plan::build(&graph, &inputs).unwrap();
 //! let sink = CountersSink::new();
-//! let run = FastBackend::serial().run_traced(&plan, &inputs, &sink).unwrap();
+//! let run = FastBackend.run_traced(&plan, &inputs, &sink).unwrap();
 //! let profile = run.profile.unwrap();
 //! // Every token the run counted is attributed to exactly one node.
 //! assert_eq!(profile.total_tokens(), run.tokens);
@@ -137,12 +116,9 @@ pub mod cycle;
 pub mod error;
 pub mod fast;
 mod node;
-mod parallel;
 pub mod plan;
 pub mod request;
 pub mod spec;
-mod split;
-mod steal;
 pub mod tiled;
 
 pub use bind::Inputs;
@@ -168,8 +144,7 @@ use std::time::Duration;
 /// The outcome of executing a planned graph on one backend.
 #[derive(Debug, Clone)]
 pub struct Execution {
-    /// Which backend ran: `"cycle"`, `"fast-serial"`, `"fast-threads"` or
-    /// `"tiled"`.
+    /// Which backend ran: `"cycle"`, `"fast-serial"` or `"tiled"`.
     pub backend: &'static str,
     /// The assembled output tensor (absent for graphs with no level
     /// writers, e.g. full reductions to a scalar).
@@ -182,9 +157,8 @@ pub struct Execution {
     /// the cycle backend).
     pub blocks: usize,
     /// Number of point-to-point streams in the run. The fast and tiled
-    /// backends report the planned channel count ([`Plan::channels`],
-    /// identical across `Parallelism` settings); the cycle backend reports
-    /// simulator channels, including fork lanes.
+    /// backends report the planned channel count ([`Plan::channels`]); the
+    /// cycle backend reports simulator channels, including fork lanes.
     pub channels: usize,
     /// Total tokens that flowed through the graph.
     pub tokens: u64,
@@ -194,28 +168,10 @@ pub struct Execution {
     pub memory: Option<MemoryCounters>,
     /// Wall-clock execution time.
     pub elapsed: Duration,
-    /// Per-node and per-worker observability rollup. Populated only by
+    /// Per-node observability rollup. Populated only by
     /// [`Executor::run_traced`] with a sink that accumulates one (e.g.
     /// [`CountersSink`] or [`ChromeTraceSink`]); `None` on untraced runs.
     pub profile: Option<ExecProfile>,
-}
-
-/// How a backend schedules the planned work.
-///
-/// The default is [`Parallelism::Serial`]. [`FastBackend::threads`] selects
-/// work-stealing *data* parallelism (nodes still evaluate in topological
-/// order; long input streams split at fiber boundaries across the pool)
-/// and [`TiledBackend::with_parallelism`] spreads independent tile tuples
-/// over the same pool. The cycle backend models hardware that is parallel by
-/// construction, so the knob does not apply to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// One work item at a time, in canonical order, whole streams per node.
-    #[default]
-    Serial,
-    /// A work-stealing pool of this many workers (clamped to at least 1;
-    /// the driving thread participates as worker 0).
-    Threads(usize),
 }
 
 /// A backend that can run a [`Plan`].
@@ -223,40 +179,28 @@ pub trait Executor {
     /// Short backend name used in reports.
     fn name(&self) -> &'static str;
 
-    /// How this backend schedules node evaluation. Defaults to
-    /// [`Parallelism::Serial`].
-    fn parallelism(&self) -> Parallelism {
-        Parallelism::Serial
-    }
-
-    /// Executes the plan over the bound inputs.
+    /// Executes the plan over the bound inputs, untraced: exactly
+    /// [`Executor::run_traced`] with the [`NullSink`].
     ///
     /// # Errors
     ///
     /// Returns an [`ExecError`] when the run fails (simulator deadlock,
     /// cycle limit, misaligned streams, out-of-bounds references, or an
     /// incomplete output).
-    fn run(&self, plan: &Plan, inputs: &Inputs) -> Result<Execution, ExecError>;
+    fn run(&self, plan: &Plan, inputs: &Inputs) -> Result<Execution, ExecError> {
+        self.run_traced(plan, inputs, &NullSink)
+    }
 
-    /// Executes the plan while driving `trace` with per-node and
-    /// per-worker instrumentation (see the `sam-trace` crate). Sinks whose
+    /// Executes the plan while driving `trace` with per-node
+    /// instrumentation (see the `sam-trace` crate). Sinks whose
     /// [`TraceSink::enabled`] returns `false` (the [`NullSink`]) skip all
-    /// instrumentation work, making this exactly [`Executor::run`]. The
-    /// default implementation ignores the sink entirely; every shipped
-    /// backend overrides it.
+    /// instrumentation work.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`Executor::run`].
-    fn run_traced(
-        &self,
-        plan: &Plan,
-        inputs: &Inputs,
-        trace: &dyn TraceSink,
-    ) -> Result<Execution, ExecError> {
-        let _ = trace;
-        self.run(plan, inputs)
-    }
+    fn run_traced(&self, plan: &Plan, inputs: &Inputs, trace: &dyn TraceSink)
+        -> Result<Execution, ExecError>;
 }
 
 /// The accumulation policy the executor assigns to a reducer of the given
@@ -340,7 +284,7 @@ mod tests {
         env.insert("c", Tensor::from_coo("c", &c, TensorFormat::dense_vec()).to_dense());
         env.bind_dims(&table1::spmv(), &[]);
         let expect = env.evaluate(&table1::spmv()).unwrap();
-        for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend::default()] {
+        for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend] {
             let run = ExecRequest::new(&graph, &inputs).executor(backend).run().unwrap();
             assert!(run.output.unwrap().to_dense().approx_eq(&expect), "{} backend diverged", backend.name());
         }
@@ -397,7 +341,7 @@ mod tests {
         let mut env = dense_env(&[("B", &b), ("C", &c), ("D", &d)]);
         env.bind_dims(&table1::sddmm(), &[]);
         let expect = env.evaluate(&table1::sddmm()).unwrap();
-        for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend::default()] {
+        for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend] {
             let run = ExecRequest::new(&graph, &inputs).executor(backend).run().unwrap();
             assert!(run.output.unwrap().to_dense().approx_eq(&expect), "{} backend diverged", backend.name());
         }

@@ -1,19 +1,13 @@
 //! Per-primitive transfer functions, written once against pull/push stream
-//! abstractions so both fast-backend drivers share them.
+//! abstractions.
 //!
 //! Every function here consumes its input streams strictly left to right
 //! (with at most one token of lookahead) and appends to its output streams
-//! strictly in order. That discipline is what lets the same code run two
-//! ways:
-//!
-//! * **whole streams** — a [`SliceSource`] over a stored `Vec<SimToken>`
-//!   and a plain `Vec<SimToken>` as the [`Sink`]: the node evaluates its
-//!   entire input in one call (every unsplit node of the one walk in the
-//!   `parallel` module), and
-//! * **segments** — the `split` module's `SegSource` over one
-//!   fiber-aligned slice of each input: with a worker pool, the walk
-//!   evaluates a long node as independent stealable segments and
-//!   concatenates their outputs.
+//! strictly in order. The fast backend's walk (`crate::fast`) drives them
+//! over whole streams: a [`SliceSource`] over a stored `Vec<SimToken>` as
+//! the [`Source`] and a plain `Vec<SimToken>` as the [`Sink`], one call per
+//! node. The two traits stay generic so a clocked channel can implement
+//! them too (ROADMAP item 3(b)).
 //!
 //! A level scanner has one definition, [`GallopScan`], and two uses: an
 //! intersecter pulls `(crd, ref)` pairs from it directly when the planner
@@ -24,8 +18,8 @@
 //!
 //! The transfer functions themselves mirror the `sam-primitives` block
 //! semantics token for token (see the paper definitions cited on each), so
-//! the cycle backend, the serial fast backend and the parallel fast backend
-//! all compute identical streams from the same [`Plan`](crate::Plan).
+//! the cycle backend and the fast backend compute identical streams from
+//! the same [`Plan`](crate::Plan).
 
 use crate::bind::Inputs;
 use crate::error::ExecError;

@@ -73,40 +73,6 @@ pub struct ChannelSpec {
     pub to_port: usize,
 }
 
-/// The fiber-split legality class of a node, computed by
-/// [`Plan::fiber_split`]: which rule the work-stealing backend may use to
-/// cut the node's input streams into independently evaluable segments.
-/// Every rule cuts at fiber boundaries (or finer, where the transfer
-/// function is genuinely elementwise) such that concatenating the segment
-/// outputs reproduces the serial output bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FiberSplit {
-    /// Never split: state spans fiber boundaries, or an operand is a fused
-    /// scanner whose streams are never stored.
-    No,
-    /// Single-input elementwise (array loads, constant sources): cut at any
-    /// position.
-    Elementwise,
-    /// Multi-input lockstep elementwise (ALUs, locators): cut every input
-    /// at one common position.
-    Lockstep,
-    /// Level scanner: cut anywhere except between a data/empty token and
-    /// the stop token it would merge with.
-    Scanner,
-    /// Repeater: cut the repeat-signal input after a stop; the matching
-    /// ref-input cut follows from simulating the repeater's consumption.
-    Repeater,
-    /// Order-0 reducer: the accumulator resets at every stop; cut right
-    /// after any stop.
-    AfterStop,
-    /// Order-1 reducer: cut both inputs right after a stop pair that
-    /// flushes the accumulator.
-    AfterStopPair,
-    /// Intersect/union: stops pair up 1:1 by ordinal across operands; cut
-    /// each operand right after its k-th stop.
-    StopOrdinal,
-}
-
 /// Default cycle budget used by the cycle-approximate backend.
 pub const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
 
@@ -298,32 +264,6 @@ impl Plan {
     /// The validated coordinate-skip feedback lanes (paper Section 4.2).
     pub fn skip_specs(&self) -> &[SkipSpec] {
         self.analysis.skip_lanes()
-    }
-
-    /// How (and whether) a node's evaluation may be split into independent
-    /// segments at fiber boundaries for the work-stealing backend. The
-    /// variant names the per-kind cut legality rule implemented in the
-    /// `split` module; [`FiberSplit::No`] covers operators whose state
-    /// spans fiber boundaries (order-2 reducers flush only at `Done`,
-    /// coordinate droppers buffer across their merge) and every node
-    /// involved in scanner fusion, whose streams are never stored.
-    pub(crate) fn fiber_split(&self, node: NodeId) -> FiberSplit {
-        if self.fused_scan(node).is_some() || self.fused_operands(node).iter().any(Option::is_some) {
-            return FiberSplit::No;
-        }
-        match &self.graph.nodes()[node.0] {
-            NodeKind::LevelScanner { .. } => FiberSplit::Scanner,
-            NodeKind::Repeater { .. } => FiberSplit::Repeater,
-            NodeKind::Intersecter { .. } | NodeKind::Unioner { .. } => FiberSplit::StopOrdinal,
-            NodeKind::Alu { .. } | NodeKind::Locator { .. } => FiberSplit::Lockstep,
-            NodeKind::Array { .. } | NodeKind::ConstVal { .. } => FiberSplit::Elementwise,
-            NodeKind::Reducer { order } => match order {
-                0 => FiberSplit::AfterStop,
-                1 => FiberSplit::AfterStopPair,
-                _ => FiberSplit::No,
-            },
-            _ => FiberSplit::No,
-        }
     }
 
     /// The fusion of `node` into the intersecter it feeds, when `node` is a

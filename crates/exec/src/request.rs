@@ -105,8 +105,8 @@ impl<'a> ExecRequest<'a> {
     }
 
     /// Runs on this exact executor instance instead of building one from
-    /// the spec — for custom-configured backends (split-threshold tuning,
-    /// tile-size overrides).
+    /// the spec — for custom-configured backends (cycle budgets, tile-size
+    /// overrides).
     pub fn executor(mut self, executor: &'a dyn Executor) -> Self {
         self.options.executor = Some(executor);
         self
@@ -119,8 +119,8 @@ impl<'a> ExecRequest<'a> {
         self
     }
 
-    /// Drives `trace` with per-node and per-worker instrumentation during
-    /// the run (the old `run_traced` door).
+    /// Drives `trace` with per-node instrumentation during the run (the
+    /// old `run_traced` door).
     pub fn traced(mut self, trace: &'a dyn TraceSink) -> Self {
         self.options.trace = Some(trace);
         self
@@ -187,7 +187,7 @@ impl<'a> ExecRequest<'a> {
 mod tests {
     use super::*;
     use crate::cache::PlanCache;
-    use crate::{CountersSink, FastBackend};
+    use crate::{CountersSink, CycleBackend};
     use sam_core::graphs;
     use sam_tensor::{synth, TensorFormat};
 
@@ -236,13 +236,13 @@ mod tests {
     #[test]
     fn explicit_executors_override_the_spec() {
         let (graph, inputs) = vec_inputs();
-        let threads = FastBackend::threads(2);
+        let cycle = CycleBackend::default();
         let run = ExecRequest::new(&graph, &inputs)
-            .backend(BackendSpec::Cycle) // ignored: explicit executor wins
-            .executor(&threads)
+            .backend(BackendSpec::Tiled) // ignored: explicit executor wins
+            .executor(&cycle)
             .run()
             .unwrap();
-        assert_eq!(run.backend, "fast-threads");
-        assert!(run.cycles.is_none());
+        assert_eq!(run.backend, "cycle");
+        assert!(run.memory.is_none());
     }
 }

@@ -1,22 +1,18 @@
 //! One spelling for backend construction: [`BackendSpec`].
 //!
 //! `BackendSpec` is the one value that parses from and displays as the
-//! stable labels (`cycle`, `fast-serial`, `fast-threads:N`, `tiled`),
-//! builds the matching [`Executor`], and is `Copy`/`Hash` so services can
-//! key per-query routing on it — instead of every consumer spelling
-//! `FastBackend::threads(n)`, `TiledBackend::with_parallelism` and
-//! `samprof --backend threads4` differently.
+//! stable labels (`cycle`, `fast-serial`, `tiled`), builds the matching
+//! [`Executor`], and is `Copy`/`Hash` so services can key per-query routing
+//! on it.
 //!
 //! ```
 //! use sam_exec::BackendSpec;
 //!
-//! let spec: BackendSpec = "fast-threads:4".parse().unwrap();
-//! assert_eq!(spec, BackendSpec::FastThreads(4));
-//! assert_eq!(spec.to_string(), "fast-threads:4");
+//! let spec: BackendSpec = "tiled".parse().unwrap();
+//! assert_eq!(spec, BackendSpec::Tiled);
+//! assert_eq!(spec.to_string(), "tiled");
 //! // The label matches what `Execution::backend` reports for its runs.
-//! assert_eq!(spec.label(), "fast-threads");
-//! let backend = spec.build();
-//! assert_eq!(backend.name(), "fast-threads");
+//! assert_eq!(spec.build().name(), spec.label());
 //! ```
 
 use crate::{CycleBackend, Executor, FastBackend, TiledBackend};
@@ -31,12 +27,9 @@ use std::str::FromStr;
 pub enum BackendSpec {
     /// The cycle-approximate simulator backend (`cycle`).
     Cycle,
-    /// The serial fast functional backend (`fast-serial`, the default).
+    /// The fast functional backend (`fast-serial`, the default).
     #[default]
     FastSerial,
-    /// The work-stealing parallel fast backend with this many workers
-    /// (`fast-threads:N`).
-    FastThreads(usize),
     /// The finite-memory tiled backend (`tiled`); its [`MemoryConfig`]
     /// comes from [`BackendSpec::build_with_memory`] or defaults.
     Tiled,
@@ -51,36 +44,35 @@ pub struct ParseBackendError {
 
 impl fmt::Display for ParseBackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown backend `{}` (expected cycle, fast-serial, fast-threads:N or tiled)", self.label)
+        write!(f, "unknown backend `{}` (expected cycle, fast-serial or tiled)", self.label)
     }
 }
 
 impl std::error::Error for ParseBackendError {}
 
 impl BackendSpec {
-    /// Worker count used when a threads label omits the `:N` suffix.
-    pub const DEFAULT_THREADS: usize = 4;
+    /// Frozen for `sambench`, which only a `[benchmark]` PR may edit and
+    /// which still calls this as the constructor of a variant that no
+    /// longer exists (ROADMAP item 1(e) deletes both): a query runs on one
+    /// thread, so any worker count is [`BackendSpec::FastSerial`].
+    #[doc(hidden)]
+    #[allow(non_snake_case)]
+    pub fn FastThreads(_workers: usize) -> BackendSpec {
+        BackendSpec::FastSerial
+    }
 
-    /// The canonical backend set, one spec per stable label (threads at
-    /// [`BackendSpec::DEFAULT_THREADS`]) — what equivalence-style sweeps
-    /// iterate.
-    pub fn all() -> [BackendSpec; 4] {
-        [
-            BackendSpec::Cycle,
-            BackendSpec::FastSerial,
-            BackendSpec::FastThreads(Self::DEFAULT_THREADS),
-            BackendSpec::Tiled,
-        ]
+    /// The canonical backend set, one spec per stable label — what
+    /// equivalence-style sweeps iterate.
+    pub fn all() -> [BackendSpec; 3] {
+        [BackendSpec::Cycle, BackendSpec::FastSerial, BackendSpec::Tiled]
     }
 
     /// The stable backend label, exactly as [`crate::Execution::backend`]
-    /// reports it for runs of this backend (worker counts are a
-    /// construction parameter, not part of the label).
+    /// reports it for runs of this backend.
     pub fn label(&self) -> &'static str {
         match self {
             BackendSpec::Cycle => "cycle",
             BackendSpec::FastSerial => "fast-serial",
-            BackendSpec::FastThreads(_) => "fast-threads",
             BackendSpec::Tiled => "tiled",
         }
     }
@@ -97,8 +89,7 @@ impl BackendSpec {
     pub fn build_with_memory(&self, memory: Option<MemoryConfig>) -> Box<dyn Executor> {
         match self {
             BackendSpec::Cycle => Box::new(CycleBackend::default()),
-            BackendSpec::FastSerial => Box::new(FastBackend::serial()),
-            BackendSpec::FastThreads(n) => Box::new(FastBackend::threads(*n)),
+            BackendSpec::FastSerial => Box::new(FastBackend),
             BackendSpec::Tiled => match memory {
                 Some(config) => Box::new(TiledBackend::new(config)),
                 None => Box::new(TiledBackend::default()),
@@ -109,42 +100,19 @@ impl BackendSpec {
 
 impl fmt::Display for BackendSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendSpec::FastThreads(n) => write!(f, "fast-threads:{n}"),
-            other => f.write_str(other.label()),
-        }
+        f.write_str(self.label())
     }
 }
 
 impl FromStr for BackendSpec {
     type Err = ParseBackendError;
 
-    /// Parses the stable labels `cycle`, `fast-serial`, `fast-threads:N`
-    /// and `tiled`, plus the historical `samprof` spellings (`serial`,
-    /// `threads`, `threadsN`, `fast-threads`) so existing invocations keep
-    /// working.
+    /// Parses exactly the stable labels `cycle`, `fast-serial` and `tiled`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let threads = |n: &str| -> Option<BackendSpec> {
-            if n.is_empty() {
-                return Some(BackendSpec::FastThreads(Self::DEFAULT_THREADS));
-            }
-            n.parse::<usize>().ok().map(|n| BackendSpec::FastThreads(n.max(1)))
-        };
-        let spec = match s {
-            "cycle" => Some(BackendSpec::Cycle),
-            "fast-serial" | "serial" => Some(BackendSpec::FastSerial),
-            "tiled" => Some(BackendSpec::Tiled),
-            _ => {
-                if let Some(n) = s.strip_prefix("fast-threads") {
-                    threads(n.strip_prefix(':').unwrap_or(n))
-                } else if let Some(n) = s.strip_prefix("threads") {
-                    threads(n.strip_prefix(':').unwrap_or(n))
-                } else {
-                    None
-                }
-            }
-        };
-        spec.ok_or_else(|| ParseBackendError { label: s.to_string() })
+        BackendSpec::all()
+            .into_iter()
+            .find(|spec| spec.label() == s)
+            .ok_or_else(|| ParseBackendError { label: s.to_string() })
     }
 }
 
@@ -160,22 +128,8 @@ mod tests {
             assert_eq!(parsed, spec, "label `{text}` must round-trip");
             assert_eq!(spec.build().name(), spec.label());
         }
-    }
-
-    #[test]
-    fn historical_spellings_still_parse() {
-        assert_eq!("serial".parse::<BackendSpec>().unwrap(), BackendSpec::FastSerial);
-        assert_eq!("threads4".parse::<BackendSpec>().unwrap(), BackendSpec::FastThreads(4));
-        assert_eq!("threads:2".parse::<BackendSpec>().unwrap(), BackendSpec::FastThreads(2));
-        assert_eq!(
-            "threads".parse::<BackendSpec>().unwrap(),
-            BackendSpec::FastThreads(BackendSpec::DEFAULT_THREADS)
-        );
-        assert_eq!(
-            "fast-threads".parse::<BackendSpec>().unwrap(),
-            BackendSpec::FastThreads(BackendSpec::DEFAULT_THREADS)
-        );
-        assert_eq!("fast-threads:8".parse::<BackendSpec>().unwrap(), BackendSpec::FastThreads(8));
+        // The frozen constructor is not a fourth spec.
+        assert_eq!(BackendSpec::FastThreads(2), BackendSpec::FastSerial);
     }
 
     #[test]
@@ -183,11 +137,10 @@ mod tests {
         let err = "warp-drive".parse::<BackendSpec>().unwrap_err();
         assert_eq!(err.label, "warp-drive");
         assert!(err.to_string().contains("warp-drive"));
-        assert!("threadsx".parse::<BackendSpec>().is_err());
-    }
-
-    #[test]
-    fn zero_threads_clamps_to_one() {
-        assert_eq!("fast-threads:0".parse::<BackendSpec>().unwrap(), BackendSpec::FastThreads(1));
+        // The thread-count labels and the old `samprof` spellings went with
+        // the work-stealing backend they selected.
+        for gone in ["fast-threads:4", "fast-threads", "threads4", "threads", "serial", "threadsx"] {
+            assert_eq!(gone.parse::<BackendSpec>(), Err(ParseBackendError { label: gone.to_string() }));
+        }
     }
 }

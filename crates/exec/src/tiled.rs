@@ -6,17 +6,17 @@
 //! [`MemoryConfig`] budget: operands are cut into `tile x tile` sub-tensors
 //! by `sam-tiles`, a tile schedule enumerates the tile tuples of the
 //! kernel's iteration space with ExTensor-style sparse tile skipping, each
-//! surviving tuple runs the ordinary serial fast executor over its tile
-//! operands, and a tile-merge reducer accumulates the partial outputs. The
-//! tile access sequence drives an LRU model of the last-level buffer, so
-//! the run reports *measured* counters ([`MemoryCounters`]) — DRAM bytes
-//! moved, LLB occupancy high-water mark, tiles skipped and capacity
-//! spills — which `samrepro fig15` lines up against the closed-form
-//! `sam_memory` model.
+//! surviving tuple runs the ordinary fast executor over its tile operands,
+//! one tuple at a time, and a tile-merge reducer accumulates the partial
+//! outputs. The tile access sequence drives an LRU model of the last-level
+//! buffer, so the run reports *measured* counters ([`MemoryCounters`]) —
+//! DRAM bytes moved, LLB occupancy high-water mark, tiles skipped and
+//! capacity spills — which `samrepro fig15` lines up against the
+//! closed-form `sam_memory` model.
 //!
 //! The tile schedule is structure-preserving (see `sam_tiles::schedule`):
 //! on inputs whose partial sums are exact (e.g. integer-valued data), a
-//! tiled run is bit-identical to an untiled serial run, at any tile size.
+//! tiled run is bit-identical to an untiled run, at any tile size.
 //!
 //! ```
 //! use sam_core::graphs;
@@ -48,15 +48,13 @@ use crate::bind::Inputs;
 use crate::cache::PlanCache;
 use crate::error::ExecError;
 use crate::plan::Plan;
-use crate::steal::StealPool;
-use crate::{Execution, Executor, FastBackend, Parallelism};
+use crate::{Execution, Executor, FastBackend};
 use sam_memory::{MemoryConfig, MemoryCounters};
 use sam_tensor::{CooTensor, Tensor};
 use sam_tiles::{KernelTiling, LlbModel, TileGrid, TileMerger, TupleSpace};
-use sam_trace::{ExecProfile, NullSink, TokenCounts, TraceSink, WorkerProfile};
+use sam_trace::{ExecProfile, TokenCounts, TraceSink};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Executes plans tile by tile under a finite-memory budget, recording
@@ -65,7 +63,6 @@ use std::time::Instant;
 pub struct TiledBackend {
     config: MemoryConfig,
     skipping: bool,
-    parallelism: Parallelism,
 }
 
 impl Default for TiledBackend {
@@ -78,7 +75,7 @@ impl TiledBackend {
     /// A backend over the given hardware parameters (tile size, LLB
     /// capacity, DRAM bandwidth, bytes per stored entry).
     pub fn new(config: MemoryConfig) -> Self {
-        TiledBackend { config, skipping: true, parallelism: Parallelism::Serial }
+        TiledBackend { config, skipping: true }
     }
 
     /// The paper's default configuration with the tile size overridden —
@@ -96,56 +93,15 @@ impl TiledBackend {
         self
     }
 
-    /// Runs independent tile tuples in parallel on a work-stealing pool
-    /// (see `crate::steal`). Tile tuples are embarrassingly parallel: each
-    /// executes the serial fast executor over its own tile operands, and
-    /// the driving thread replays the order-sensitive bookkeeping — LLB
-    /// accesses, partial-output merges and float accumulation — in
-    /// canonical tuple order, so the output, the measured memory counters
-    /// and the per-node token counts are bit-identical to a
-    /// [`Parallelism::Serial`] run.
-    ///
-    /// The requested worker count is used verbatim (no clamp to
-    /// [`std::thread::available_parallelism`]): tuples are coarse enough
-    /// that oversubscription costs little, and the parallel seams stay
-    /// exercised on single-core hosts.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
     /// The hardware parameters this backend executes under.
     pub fn config(&self) -> &MemoryConfig {
         &self.config
     }
 }
 
-/// One executable tile tuple, bound and planned by the driving thread,
-/// awaiting its inner run.
-struct TupleJob {
-    tuple: Vec<usize>,
-    inputs: Inputs,
-    plan: Arc<Plan>,
-}
-
-/// What one inner tile run produced: the result plus the optional
-/// `(start_ns, dur_ns)` span, replayed on the driving thread.
-type TupleRun = (Result<Execution, ExecError>, Option<(u64, u64)>);
-
-/// A [`TupleRun`] reunited with its tuple for canonical-order merging.
-type TupleOutcome = (Vec<usize>, Result<Execution, ExecError>, Option<(u64, u64)>);
-
 impl Executor for TiledBackend {
     fn name(&self) -> &'static str {
         "tiled"
-    }
-
-    fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    fn run(&self, plan: &Plan, inputs: &Inputs) -> Result<Execution, ExecError> {
-        self.run_traced(plan, inputs, &NullSink)
     }
 
     fn run_traced(
@@ -188,7 +144,6 @@ impl Executor for TiledBackend {
         let mut merger = TileMerger::new();
         let mut scalar_sum = 0.0f64;
         let mut tokens = 0u64;
-        let inner = FastBackend::serial();
         // Interior tiles share one shape class (and thus one plan); edge
         // tiles get their own cached plans. Tile plans live in the global
         // sharded cache, whose key ignores occupancy, so the shape classes
@@ -211,178 +166,85 @@ impl Executor for TiledBackend {
         // key/emptiness buffers are reused across tuples: large sweeps
         // visit millions.
         let space = TupleSpace::new(tiling.tuple_space());
-        let workers = match self.parallelism {
-            Parallelism::Serial => 1,
-            Parallelism::Threads(n) => n.max(1),
-        };
-        // Tuples run in batches. The driving thread makes the skip
-        // decisions, models the LLB accesses, and binds/plans the tile
-        // operands in canonical tuple order; the batch's inner runs then
-        // execute (on the work-stealing pool when parallel); finally the
-        // partial outputs merge back — again in canonical order, because
-        // `TileMerger` accumulation and the float sums it feeds are
-        // order-sensitive. The LLB access sequence never interleaves with
-        // inner runs (runs touch only tile streams), so batching leaves
-        // the measured memory counters bit-identical to serial.
-        let batch_cap = if workers > 1 { workers * 4 } else { 1 };
-        let pool = (workers > 1).then(|| StealPool::new(workers, tracing));
-        let inner_ref = &inner;
-        let tile_sink_ref = &tile_sink;
+        let mut tuple = vec![0usize; space.dims().len()];
+        let mut keys: Vec<Vec<u32>> = vec![Vec::new(); tiling.tensors.len()];
+        let mut missing: Vec<bool> = vec![false; tiling.tensors.len()];
+        for flat in 0..space.total() {
+            space.tuple_at(flat, &mut tuple);
+            counters.tiles_visited += 1;
 
-        let swept = thread::scope(|scope| -> Result<(), ExecError> {
-            // Taken before the first spawn: however this closure is left,
-            // the workers are told to exit and the scope can join them.
-            let _shutdown = pool.as_ref().map(StealPool::shutdown_on_drop);
-            if let Some(pool) = &pool {
-                for w in 1..pool.workers() {
-                    scope.spawn(move || pool.worker_loop(w));
-                }
+            for ti in 0..tiling.tensors.len() {
+                tiling.tile_key_into(ti, &tuple, &mut keys[ti]);
+                missing[ti] = grids[ti].get(&keys[ti]).is_none();
             }
-
-            // Runs a batch of bound tuples and merges their partials in
-            // canonical order. Any tuple's error surfaces in that order
-            // too, matching what a serial sweep would report first.
-            let mut flush = |jobs: &mut Vec<TupleJob>| -> Result<(), ExecError> {
-                let outcomes: Vec<TupleOutcome> = match &pool {
-                    Some(pool) => {
-                        let slots: Arc<Vec<Mutex<Option<TupleRun>>>> =
-                            Arc::new((0..jobs.len()).map(|_| Mutex::new(None)).collect());
-                        let mut tuples = Vec::with_capacity(jobs.len());
-                        let mut tasks: Vec<Box<dyn FnOnce(usize) + Send + '_>> =
-                            Vec::with_capacity(jobs.len());
-                        for (i, job) in jobs.drain(..).enumerate() {
-                            tuples.push(job.tuple);
-                            let slots = Arc::clone(&slots);
-                            tasks.push(Box::new(move |_w| {
-                                let t0 = Instant::now();
-                                let res = inner_ref.run_traced(&job.plan, &job.inputs, tile_sink_ref);
-                                let span = tracing.then(|| {
-                                    ((t0 - start).as_nanos() as u64, t0.elapsed().as_nanos() as u64)
-                                });
-                                *slots[i].lock().expect("tile slot") = Some((res, span));
-                            }));
-                        }
-                        pool.run_batch(tasks);
-                        tuples
-                            .into_iter()
-                            .zip(slots.iter())
-                            .map(|(tuple, slot)| {
-                                let (res, span) =
-                                    slot.lock().expect("tile slot").take().expect("tile task ran");
-                                (tuple, res, span)
-                            })
-                            .collect()
-                    }
-                    None => jobs
-                        .drain(..)
-                        .map(|job| {
-                            let t0 = Instant::now();
-                            let res = inner_ref.run_traced(&job.plan, &job.inputs, tile_sink_ref);
-                            let span = tracing
-                                .then(|| ((t0 - start).as_nanos() as u64, t0.elapsed().as_nanos() as u64));
-                            (job.tuple, res, span)
-                        })
-                        .collect(),
-                };
-                for (tuple, res, span) in outcomes {
-                    let run = res?;
-                    if let Some((at, dur)) = span {
-                        trace.record_span("tiles", &format!("tile{tuple:?}"), at, dur);
-                    }
-                    tokens += run.tokens;
-                    match run.output {
-                        Some(out) => {
-                            let offsets: Vec<u32> =
-                                writer_vars.iter().map(|&vi| tiling.var_window(vi, tuple[vi]).0).collect();
-                            merger.absorb(&out, &offsets);
-                        }
-                        None => scalar_sum += run.vals.iter().sum::<f64>(),
-                    }
-                }
-                Ok(())
+            let skip = if self.skipping
+                && tiling
+                    .tensors
+                    .iter()
+                    .enumerate()
+                    .any(|(ti, tt)| missing[ti] && tiling.skip_tensors.contains(&tt.name))
+            {
+                // A structurally required operand tile is empty: the
+                // tuple provably contributes no output entries.
+                true
+            } else {
+                // With every operand tile empty nothing can flow at
+                // all; always safe, and it keeps the skip-free
+                // baseline from executing pure-vacuum tuples.
+                missing.iter().all(|&m| m)
             };
+            if skip {
+                counters.tiles_skipped += 1;
+                continue;
+            }
 
-            let mut jobs: Vec<TupleJob> = Vec::with_capacity(batch_cap);
-            let mut tuple = vec![0usize; space.dims().len()];
-            let mut keys: Vec<Vec<u32>> = vec![Vec::new(); tiling.tensors.len()];
-            let mut missing: Vec<bool> = vec![false; tiling.tensors.len()];
-            for flat in 0..space.total() {
-                space.tuple_at(flat, &mut tuple);
-                counters.tiles_visited += 1;
-
-                for ti in 0..tiling.tensors.len() {
-                    tiling.tile_key_into(ti, &tuple, &mut keys[ti]);
-                    missing[ti] = grids[ti].get(&keys[ti]).is_none();
-                }
-                let skip = if self.skipping
-                    && tiling
-                        .tensors
-                        .iter()
-                        .enumerate()
-                        .any(|(ti, tt)| missing[ti] && tiling.skip_tensors.contains(&tt.name))
-                {
-                    // A structurally required operand tile is empty: the
-                    // tuple provably contributes no output entries.
-                    true
-                } else {
-                    // With every operand tile empty nothing can flow at
-                    // all; always safe, and it keeps the skip-free
-                    // baseline from executing pure-vacuum tuples.
-                    missing.iter().all(|&m| m)
-                };
-                if skip {
-                    counters.tiles_skipped += 1;
-                    continue;
-                }
-
-                counters.tiles_executed += 1;
-                // Fetch the operand tiles through the modelled LLB.
-                for (ti, key) in keys.iter().enumerate() {
-                    let bytes = grids[ti].stored_entries(key) * bytes_per_entry;
-                    if bytes > 0 {
-                        llb.access((tiling.tensors[ti].name.clone(), key.clone()), bytes);
-                    }
-                }
-
-                // Bind the tile operands (materializing empty tiles for
-                // operands outside the skip set). Tiles are shared into
-                // the input set — a refcount bump per tuple, not a deep
-                // copy.
-                let mut tile_inputs = base_inputs.clone();
-                for (ti, key) in keys.iter().enumerate() {
-                    let tile: Arc<Tensor> = match grids[ti].get_shared(key) {
-                        Some(t) => Arc::clone(t),
-                        None => {
-                            let windows = grids[ti].windows(key);
-                            let shape: Vec<usize> =
-                                windows.iter().map(|&(lo, hi)| (hi - lo) as usize).collect();
-                            Arc::clone(empty_cache.entry((ti, shape)).or_insert_with(|| {
-                                Arc::new(empty_tile(&tiling.tensors[ti].name, inputs, &windows))
-                            }))
-                        }
-                    };
-                    tile_inputs = tile_inputs.shared(tile);
-                }
-
-                let tile_plan = plan_cache.get_or_plan(graph, &tile_inputs)?;
-                jobs.push(TupleJob { tuple: tuple.clone(), inputs: tile_inputs, plan: tile_plan });
-                if jobs.len() >= batch_cap {
-                    flush(&mut jobs)?;
+            counters.tiles_executed += 1;
+            // Fetch the operand tiles through the modelled LLB.
+            for (ti, key) in keys.iter().enumerate() {
+                let bytes = grids[ti].stored_entries(key) * bytes_per_entry;
+                if bytes > 0 {
+                    llb.access((tiling.tensors[ti].name.clone(), key.clone()), bytes);
                 }
             }
-            flush(&mut jobs)
-        });
-        swept?;
-        if tracing {
-            if let Some(pool) = &pool {
-                for (i, s) in pool.stats().iter().enumerate() {
-                    trace.record_worker(WorkerProfile {
-                        index: i,
-                        tasks: s.tasks,
-                        steals: s.steals,
-                        busy_ns: s.busy_ns,
-                    });
+
+            // Bind the tile operands (materializing empty tiles for
+            // operands outside the skip set). Tiles are shared into
+            // the input set — a refcount bump per tuple, not a deep
+            // copy.
+            let mut tile_inputs = base_inputs.clone();
+            for (ti, key) in keys.iter().enumerate() {
+                let tile: Arc<Tensor> = match grids[ti].get_shared(key) {
+                    Some(t) => Arc::clone(t),
+                    None => {
+                        let windows = grids[ti].windows(key);
+                        let shape: Vec<usize> = windows.iter().map(|&(lo, hi)| (hi - lo) as usize).collect();
+                        Arc::clone(empty_cache.entry((ti, shape)).or_insert_with(|| {
+                            Arc::new(empty_tile(&tiling.tensors[ti].name, inputs, &windows))
+                        }))
+                    }
+                };
+                tile_inputs = tile_inputs.shared(tile);
+            }
+
+            // Run the tuple and absorb its partial output. `TileMerger`
+            // accumulation and the float sums it feeds are order-sensitive:
+            // canonical tuple order is what keeps a tiled run bit-identical
+            // to an untiled one.
+            let tile_plan = plan_cache.get_or_plan(graph, &tile_inputs)?;
+            let tile_start = tracing.then(Instant::now);
+            let run = FastBackend.run_traced(&tile_plan, &tile_inputs, &tile_sink)?;
+            if let Some(t0) = tile_start {
+                let (at, dur) = ((t0 - start).as_nanos() as u64, t0.elapsed().as_nanos() as u64);
+                trace.record_span("tiles", &format!("tile{tuple:?}"), at, dur);
+            }
+            tokens += run.tokens;
+            match run.output {
+                Some(out) => {
+                    let offsets: Vec<u32> =
+                        writer_vars.iter().map(|&vi| tiling.var_window(vi, tuple[vi]).0).collect();
+                    merger.absorb(&out, &offsets);
                 }
+                None => scalar_sum += run.vals.iter().sum::<f64>(),
             }
         }
 
@@ -530,63 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_tuples_match_the_serial_sweep_bit_for_bit() {
-        let b = int_coo(&synth::random_matrix_nnz(64, 64, 60, 51));
-        let c = int_coo(&synth::random_matrix_nnz(64, 64, 60, 52));
-        let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-        let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
-        // A small LLB keeps the access sequence order-sensitive (real
-        // evictions), so this also checks the canonical-order replay.
-        let config = MemoryConfig { tile: 8, llb_bytes: 4096, ..MemoryConfig::default() };
-        let run = |backend: &TiledBackend| {
-            crate::ExecRequest::new(&graph, &inputs).executor(backend).run().unwrap()
-        };
-        let serial = run(&TiledBackend::new(config));
-        for threads in [2, 4] {
-            let par = run(&TiledBackend::new(config).with_parallelism(crate::Parallelism::Threads(threads)));
-            assert_eq!(par.output, serial.output, "threads={threads}");
-            assert_eq!(par.vals, serial.vals, "threads={threads}");
-            assert_eq!(par.tokens, serial.tokens, "threads={threads}");
-            assert_eq!(par.cycles, serial.cycles, "threads={threads}");
-            assert_eq!(par.memory, serial.memory, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_tiled_profile_reports_workers_and_identical_counts() {
-        use crate::CountersSink;
-        let b = int_coo(&synth::random_matrix_nnz(48, 48, 50, 61));
-        let c = int_coo(&synth::random_matrix_nnz(48, 48, 50, 62));
-        let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-        let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
-        let plan = Plan::build(&graph, &inputs).unwrap();
-        let profiled = |backend: &TiledBackend| {
-            let sink = CountersSink::new();
-            backend.run_traced(&plan, &inputs, &sink).unwrap().profile.unwrap()
-        };
-        let serial = profiled(&TiledBackend::with_tile(8));
-        let par = profiled(&TiledBackend::with_tile(8).with_parallelism(crate::Parallelism::Threads(3)));
-        // Per-node token counts accumulate across tuples on both paths.
-        for (s, p) in serial.nodes.iter().zip(par.nodes.iter()) {
-            assert_eq!(s.label, p.label);
-            assert_eq!(s.tokens, p.tokens, "node {}", s.label);
-        }
-        assert!(serial.workers.is_empty(), "serial tiled runs report no workers");
-        assert_eq!(par.workers.len(), 3);
-        let tasks: u64 = par.workers.iter().map(|w| w.tasks).sum();
-        // Every executed tuple became exactly one pool task.
-        let mem = TiledBackend::with_tile(8)
-            .with_parallelism(crate::Parallelism::Threads(3))
-            .run(&plan, &inputs)
-            .unwrap()
-            .memory
-            .unwrap();
-        assert_eq!(tasks, mem.tiles_executed, "one pool task per executed tuple");
-        let steals: u64 = par.workers.iter().map(|w| w.steals).sum();
-        assert!(steals <= tasks);
-    }
-
-    #[test]
     fn unported_graphs_are_rejected_cleanly() {
         use sam_core::graph::{NodeKind, SamGraph, StreamKind};
         // A vector copy x(i) = b(i), wired without explicit ports: the
@@ -606,7 +411,7 @@ mod tests {
         let b = synth::random_vector(8, 3, 55);
         let inputs = Inputs::new().coo("b", &b, TensorFormat::sparse_vec());
         let plan = Plan::build(&g, &inputs).expect("planner infers unported edges");
-        assert!(FastBackend::serial().run(&plan, &inputs).is_ok());
+        assert!(FastBackend.run(&plan, &inputs).is_ok());
         let err = TiledBackend::with_tile(4).run(&plan, &inputs);
         assert!(matches!(err, Err(ExecError::TilingUnsupported { .. })), "{err:?}");
     }

@@ -21,20 +21,17 @@ fn node_counts(backend: &dyn Executor, plan: &Plan, inputs: &Inputs) -> Result<V
 /// Every scanner fused without a skip lane is tallied, not stored — and the
 /// tally must be what the cycle backend, which runs the scanner as its own
 /// block over real channels, counts for the same node. Checked on the
-/// serial walk, under forced splitting, and through the tiled backend with
-/// one tile covering every operand (more tiles would repeat the control
-/// tokens per tile). Returns how many scanners were checked.
+/// fast backend's walk and through the tiled backend with one tile covering
+/// every operand (more tiles would repeat the control tokens per tile).
+/// Returns how many scanners were checked.
 pub fn assert_fused_scanner_counts_match_cycle(name: &str, graph: &SamGraph, inputs: &Inputs) -> usize {
     let plan = Plan::build(graph, inputs).unwrap_or_else(|e| panic!("{name}: {e}"));
     let fused: Vec<FusedScan> =
         plan.order().iter().filter_map(|&id| plan.fused_scan(id)).filter(|f| !f.skip_lane).collect();
     let cycle = node_counts(&CycleBackend::default(), &plan, inputs)
         .unwrap_or_else(|e| panic!("{name}: cycle run failed: {e}"));
-    let backends: [(&str, &dyn Executor); 3] = [
-        ("fast-serial", &FastBackend::serial()),
-        ("fast-threads, forced split", &FastBackend::threads(4).with_split_threshold(1)),
-        ("tiled, one tile", &TiledBackend::with_tile(1 << 20)),
-    ];
+    let backends: [(&str, &dyn Executor); 2] =
+        [("fast-serial", &FastBackend), ("tiled, one tile", &TiledBackend::with_tile(1 << 20))];
     for (what, backend) in backends {
         let counts = match node_counts(backend, &plan, inputs) {
             Ok(counts) => counts,

@@ -25,7 +25,7 @@ fn check(text: &str, schedule: &Schedule, formats: Formats, operands: &[(&str, &
     env.bind_dims(&assignment, &[]);
     let expect = env.evaluate(&assignment).expect("reference evaluation");
 
-    for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend::default()] {
+    for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend] {
         let run = ExecRequest::new(&kernel.graph, &inputs)
             .executor(backend)
             .run()
@@ -121,7 +121,7 @@ fn right_nested_subtraction_associates_correctly() {
     }
     env.bind_dims(&assignment, &[]);
     let expect = env.evaluate(&assignment).unwrap();
-    for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend::default()] {
+    for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend] {
         let run = ExecRequest::new(&kernel.graph, &inputs).executor(backend).run().unwrap();
         assert!(
             run.output.unwrap().to_dense().approx_eq(&expect),
@@ -153,9 +153,7 @@ fn subtraction_through_a_union_zero_fills_the_correct_side() {
     let inputs =
         Inputs::new().coo("b", &b, kernel.formats[0].1.clone()).coo("c", &c, kernel.formats[1].1.clone());
 
-    for backend in
-        [&CycleBackend::default() as &dyn Executor, &FastBackend::serial(), &FastBackend::threads(4)]
-    {
+    for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend] {
         let run = ExecRequest::new(&kernel.graph, &inputs).executor(backend).run().unwrap();
         let dense = run.output.expect("tensor output").to_dense();
         for i in 0..dim as u32 {
@@ -211,8 +209,7 @@ fn an_index_variable_bound_at_two_sizes_is_rejected_on_every_backend() {
         let format = &kernel.formats.iter().find(|(n, _)| n == name).expect("operand in formats").1;
         inputs = inputs.coo(name, coo, format.clone());
     }
-    for spec in [BackendSpec::Cycle, BackendSpec::FastSerial, BackendSpec::FastThreads(2), BackendSpec::Tiled]
-    {
+    for spec in BackendSpec::all() {
         match ExecRequest::new(&kernel.graph, &inputs).backend(spec).uncached().run() {
             Err(ExecError::Plan(PlanError::Rejected { diagnostics })) => {
                 assert_eq!(diagnostics.len(), 1, "{spec}: {diagnostics:?}");

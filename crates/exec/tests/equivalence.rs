@@ -1,8 +1,7 @@
-//! Cross-backend, cross-parallelism equivalence: every kernel graph in the
-//! `sam_core::graphs` catalog is executed by the cycle backend, the serial
-//! fast backend and the parallel fast backend at two thread counts, and
-//! every result is bit-identical to the serial run and numerically equal to
-//! the dense reference evaluator.
+//! Cross-backend equivalence: every kernel graph in the `sam_core::graphs`
+//! catalog is executed by the cycle backend and the fast backend, and the
+//! results are bit-identical to each other and numerically equal to the
+//! dense reference evaluator.
 
 mod common;
 
@@ -89,7 +88,7 @@ fn catalog() -> Vec<(SamGraph, Inputs, Assignment)> {
 }
 
 #[test]
-fn every_kernel_agrees_across_backends_and_thread_counts() {
+fn every_kernel_agrees_across_backends() {
     for (graph, inputs, assignment) in catalog() {
         // Dense reference over the same operands.
         let mut env = Environment::new();
@@ -100,7 +99,7 @@ fn every_kernel_agrees_across_backends_and_thread_counts() {
         let expect = env.evaluate(&assignment).unwrap();
 
         let serial = ExecRequest::new(&graph, &inputs)
-            .executor(&FastBackend::serial())
+            .executor(&FastBackend)
             .run()
             .unwrap_or_else(|e| panic!("{}: serial fast run failed: {e}", graph.name));
         assert_eq!(serial.backend, "fast-serial");
@@ -122,44 +121,14 @@ fn every_kernel_agrees_across_backends_and_thread_counts() {
             "{}: cycle and fast backends disagree",
             graph.name
         );
-
-        // Host-sized splitting at two thread counts, then every node forced
-        // to split so the seams run whatever the host's core count.
-        for (threads, backend) in [
-            (2, FastBackend::threads(2)),
-            (4, FastBackend::threads(4)),
-            (4, FastBackend::threads(4).with_split_threshold(1)),
-        ] {
-            let parallel = ExecRequest::new(&graph, &inputs)
-                .executor(&backend)
-                .run()
-                .unwrap_or_else(|e| panic!("{}: Threads({threads}) run failed: {e}", graph.name));
-            assert_eq!(parallel.backend, "fast-threads");
-            assert_eq!(
-                parallel.output.expect("tensor output"),
-                serial_out,
-                "{}: Threads({threads}) diverged from serial",
-                graph.name
-            );
-            assert_eq!(
-                parallel.vals, serial.vals,
-                "{}: Threads({threads}) produced different raw values",
-                graph.name
-            );
-            assert_eq!(
-                parallel.tokens, serial.tokens,
-                "{}: Threads({threads}) moved a different token count",
-                graph.name
-            );
-        }
     }
 }
 
-/// Parallel execution propagates the root-cause error, not a downstream
-/// symptom: structurally misaligned streams must surface as the observing
-/// node's own error on every parallelism level.
+/// Execution reports the root-cause error, not a downstream symptom:
+/// structurally misaligned streams surface as the observing node's own
+/// error.
 #[test]
-fn parallel_errors_match_serial_errors() {
+fn misaligned_streams_fail_as_the_observing_node() {
     use sam_core::build::GraphBuilder;
     use sam_exec::ExecError;
 
@@ -182,23 +151,18 @@ fn parallel_errors_match_serial_errors() {
     let c = synth::random_vector(64, 2, 312);
     let inputs =
         Inputs::new().coo("b", &b, TensorFormat::sparse_vec()).coo("c", &c, TensorFormat::sparse_vec());
-    let serial = ExecRequest::new(&graph, &inputs).executor(&FastBackend::serial()).run();
-    let parallel = ExecRequest::new(&graph, &inputs).executor(&FastBackend::threads(3)).run();
-    let Err(ExecError::Misaligned { label: serial_label }) = serial else {
-        panic!("serial run should fail on the misaligned reducer streams, got {serial:?}");
+    let run = ExecRequest::new(&graph, &inputs).executor(&FastBackend).run();
+    let Err(ExecError::Misaligned { label }) = run else {
+        panic!("the run should fail on the misaligned reducer streams, got {run:?}");
     };
-    let Err(ExecError::Misaligned { label: parallel_label }) = parallel else {
-        panic!("parallel run should fail on the misaligned reducer streams, got {parallel:?}");
-    };
-    assert_eq!(serial_label, parallel_label);
-    assert!(serial_label.contains("reduce"), "error should name the reducer, was `{serial_label}`");
+    assert!(label.contains("reduce"), "error should name the reducer, was `{label}`");
 }
 
 /// Inputs that push a fused scanner through its corner states — no stored
 /// entries at all, empty fibers between full ones, a `Dense` level, and
 /// operands skewed enough that the walk gallops and jumps tails — give the
-/// same output and raw values on all four backends, one token total on the
-/// three that share the walk, and for every fused scanner the per-class
+/// same output and raw values on all three backends, one token total on the
+/// two that share the walk, and for every fused scanner the per-class
 /// token counts the cycle backend's standalone scanner block reports.
 #[test]
 fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
@@ -286,11 +250,7 @@ fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
             .filter(|id| matches!(graph.nodes()[id.0], NodeKind::Intersecter { .. }))
             .count();
         let cycle = CycleBackend::default().run(&plan, &inputs).unwrap_or_else(|e| panic!("{what}: {e}"));
-        let backends: [&dyn Executor; 3] = [
-            &FastBackend::serial(),
-            &FastBackend::threads(3).with_split_threshold(1),
-            &TiledBackend::with_tile(1 << 20),
-        ];
+        let backends: [&dyn Executor; 2] = [&FastBackend, &TiledBackend::with_tile(1 << 20)];
         let mut tokens = None;
         for backend in backends {
             let run = backend
@@ -359,23 +319,19 @@ fn skip_twins() -> Vec<(SamGraph, SamGraph, Inputs)> {
 }
 
 /// The acceptance gate for coordinate skipping: every skip graph computes
-/// exactly what its skip-free twin computes, on the cycle backend, the
-/// serial fast backend and the parallel fast backend.
+/// exactly what its skip-free twin computes, on the cycle backend and the
+/// fast backend.
 #[test]
 fn skip_graphs_match_their_skip_free_twins_on_every_backend() {
     for (plain, with_skip, inputs) in skip_twins() {
         let reference = ExecRequest::new(&plain, &inputs)
-            .executor(&FastBackend::serial())
+            .executor(&FastBackend)
             .run()
             .unwrap_or_else(|e| panic!("{}: skip-free serial run failed: {e}", plain.name));
         let expect = reference.output.expect("tensor output");
 
         for (what, run) in [
-            ("fast-serial", ExecRequest::new(&with_skip, &inputs).executor(&FastBackend::serial()).run()),
-            (
-                "fast-Threads(4)",
-                ExecRequest::new(&with_skip, &inputs).executor(&FastBackend::threads(4)).run(),
-            ),
+            ("fast-serial", ExecRequest::new(&with_skip, &inputs).executor(&FastBackend).run()),
             ("cycle", ExecRequest::new(&with_skip, &inputs).executor(&CycleBackend::default()).run()),
         ] {
             let run = run.unwrap_or_else(|e| panic!("{}: {what} skip run failed: {e}", with_skip.name));
@@ -398,12 +354,9 @@ fn skip_fusion_reduces_materialized_tokens_on_skewed_inputs() {
     let vc = synth::random_vector(20_000, 40, 412);
     let inputs =
         Inputs::new().coo("b", &vb, TensorFormat::sparse_vec()).coo("c", &vc, TensorFormat::sparse_vec());
-    let plain = ExecRequest::new(&graphs::vec_elem_mul(true), &inputs)
-        .executor(&FastBackend::serial())
-        .run()
-        .unwrap();
+    let plain = ExecRequest::new(&graphs::vec_elem_mul(true), &inputs).executor(&FastBackend).run().unwrap();
     let skip = ExecRequest::new(&graphs::vec_elem_mul_with_skip(true), &inputs)
-        .executor(&FastBackend::serial())
+        .executor(&FastBackend)
         .run()
         .unwrap();
     assert_eq!(plain.output.unwrap(), skip.output.unwrap());

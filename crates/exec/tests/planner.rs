@@ -371,7 +371,7 @@ fn execute_convenience_runs_both_backends() {
     let graph = graphs::vec_elem_mul(true);
     let inputs = vec_inputs(64);
     let cycle = ExecRequest::new(&graph, &inputs).executor(&CycleBackend::default()).run().unwrap();
-    let fast = ExecRequest::new(&graph, &inputs).executor(&FastBackend::default()).run().unwrap();
+    let fast = ExecRequest::new(&graph, &inputs).executor(&FastBackend).run().unwrap();
     assert_eq!(cycle.output.unwrap(), fast.output.unwrap());
     assert_eq!(cycle.backend, "cycle");
     assert_eq!(fast.backend, "fast-serial");

@@ -1,6 +1,6 @@
 //! The compile-to-machine completeness gate: every Table 1 expression
 //! string that `custard` parses must lower through `lower_exec`, run on the
-//! cycle backend, the serial fast backend, `Threads(4)` and the tiled
+//! cycle backend, the fast backend and the tiled
 //! finite-memory backend, and agree *exactly* with the dense reference
 //! evaluator — and bit-identically with its `sam_core::graphs` hand-wired
 //! twin where one exists. Operands are integer-valued so every partial sum
@@ -222,7 +222,7 @@ fn every_table1_expression_compiles_and_runs_on_every_backend() {
         );
 
         let serial = ExecRequest::new(&kernel.graph, &inputs)
-            .executor(&FastBackend::serial())
+            .executor(&FastBackend)
             .run()
             .unwrap_or_else(|e| panic!("{}: fast-serial failed: {e}", case.name));
         match &serial.output {
@@ -235,15 +235,13 @@ fn every_table1_expression_compiles_and_runs_on_every_backend() {
             None => assert_eq!(serial.vals, expect.data(), "{}: scalar result diverged", case.name),
         }
 
-        // Cycle and Threads(4) must be bit-identical to serial.
-        for (what, run) in [
-            ("cycle", ExecRequest::new(&kernel.graph, &inputs).executor(&CycleBackend::default()).run()),
-            ("Threads(4)", ExecRequest::new(&kernel.graph, &inputs).executor(&FastBackend::threads(4)).run()),
-        ] {
-            let run = run.unwrap_or_else(|e| panic!("{}: {what} failed: {e}", case.name));
-            assert_eq!(run.output, serial.output, "{}: {what} diverged from serial", case.name);
-            assert_eq!(run.vals, serial.vals, "{}: {what} raw values diverged", case.name);
-        }
+        // The cycle backend must be bit-identical to the fast one.
+        let cycle = ExecRequest::new(&kernel.graph, &inputs)
+            .executor(&CycleBackend::default())
+            .run()
+            .unwrap_or_else(|e| panic!("{}: cycle failed: {e}", case.name));
+        assert_eq!(cycle.output, serial.output, "{}: cycle diverged from fast-serial", case.name);
+        assert_eq!(cycle.vals, serial.vals, "{}: cycle raw values diverged", case.name);
 
         // The tiled finite-memory backend agrees with the dense reference
         // at a tile size that actually cuts these operands.
@@ -266,7 +264,7 @@ fn every_table1_expression_compiles_and_runs_on_every_backend() {
         // the compiled graph reproduces it bit for bit.
         if let Some(twin) = &case.twin {
             let twin_run = ExecRequest::new(twin, &inputs)
-                .executor(&FastBackend::serial())
+                .executor(&FastBackend)
                 .run()
                 .unwrap_or_else(|e| panic!("{}: catalog twin failed: {e}", case.name));
             assert_eq!(
@@ -308,8 +306,8 @@ fn compiled_skip_edges_reduce_tokens_on_sparse_by_dense() {
     let inputs = Inputs::new()
         .coo("B", &b, skip.formats.iter().find(|(n, _)| n == "B").unwrap().1.clone())
         .coo("c", &c, TensorFormat::dense_vec());
-    let with_skip = ExecRequest::new(&skip.graph, &inputs).executor(&FastBackend::serial()).run().unwrap();
-    let without = ExecRequest::new(&plain.graph, &inputs).executor(&FastBackend::serial()).run().unwrap();
+    let with_skip = ExecRequest::new(&skip.graph, &inputs).executor(&FastBackend).run().unwrap();
+    let without = ExecRequest::new(&plain.graph, &inputs).executor(&FastBackend).run().unwrap();
     assert_eq!(with_skip.output, without.output, "skip lowering changed the result");
     assert!(
         with_skip.tokens * 4 < without.tokens,

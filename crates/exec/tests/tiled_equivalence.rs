@@ -135,7 +135,7 @@ fn every_supported_kernel_is_bit_identical_across_tile_sizes() {
         env.bind_dims(&assignment, &[]);
         let expect = env.evaluate(&assignment).unwrap();
         let untiled = ExecRequest::new(&graph, &inputs)
-            .executor(&FastBackend::serial())
+            .executor(&FastBackend)
             .run()
             .unwrap_or_else(|e| panic!("{}: untiled run failed: {e}", graph.name));
         let untiled_out = untiled.output.expect("tensor output");
@@ -199,7 +199,7 @@ fn random_sparse_matrices_stay_bit_identical_under_random_tilings() {
         env.bind_dims(&table1::spmm(), &[]);
         let expect = env.evaluate(&table1::spmm()).unwrap();
 
-        let untiled = ExecRequest::new(&graph, &inputs).executor(&FastBackend::serial()).run().unwrap();
+        let untiled = ExecRequest::new(&graph, &inputs).executor(&FastBackend).run().unwrap();
         let tiled = ExecRequest::new(&graph, &inputs)
             .executor(&TiledBackend::with_tile(tile))
             .run()
@@ -217,13 +217,12 @@ fn random_sparse_matrices_stay_bit_identical_under_random_tilings() {
 /// Compiles `text` with `B` = 4 x 4, `(0,1) = 1`, `(2,2) = 3`, stored
 /// `(Compressed, Dense)` — rows 0 and 2 with every column of them, explicit
 /// zeros included — against an all-2.0 `other` operand, and checks that
-/// 2 x 2 tiles, swept serially and on three workers, reproduce the untiled
-/// run bit for bit. A tile has to be the window of what its parent *stores*:
-/// one rebuilt from the window's nonzeros drops row 0 from the tiles right
-/// of column 1 and row 2 from those left of column 2.
+/// 2 x 2 tiles reproduce the untiled run bit for bit. A tile has to be the
+/// window of what its parent *stores*: one rebuilt from the window's
+/// nonzeros drops row 0 from the tiles right of column 1 and row 2 from
+/// those left of column 2.
 fn check_explicit_zero_tiles(text: &str, other: &str, other_shape: Vec<usize>, expect: &[f64]) {
     use custard::{lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
-    use sam_exec::Parallelism;
 
     let b = CooTensor::from_entries(vec![4, 4], vec![(vec![0, 1], 1.0), (vec![2, 2], 3.0)]).unwrap();
     let twos = CooTensor::from_dense(other_shape.clone(), &vec![2.0; other_shape.iter().product()]);
@@ -237,17 +236,15 @@ fn check_explicit_zero_tiles(text: &str, other: &str, other_shape: Vec<usize>, e
         inputs = inputs.coo(name, coo, format.clone());
     }
 
-    let untiled = ExecRequest::new(&kernel.graph, &inputs).executor(&FastBackend::serial()).run().unwrap();
+    let untiled = ExecRequest::new(&kernel.graph, &inputs).executor(&FastBackend).run().unwrap();
     assert_eq!(untiled.vals, expect, "`{text}`: untiled");
-    for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
-        let tiled = ExecRequest::new(&kernel.graph, &inputs)
-            .executor(&TiledBackend::with_tile(2).with_parallelism(parallelism))
-            .run()
-            .unwrap_or_else(|e| panic!("`{text}` tiled {parallelism:?}: {e}"));
-        assert_eq!(tiled.output, untiled.output, "`{text}` tiled {parallelism:?}");
-        let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&tiled.vals), bits(&untiled.vals), "`{text}` tiled {parallelism:?}");
-    }
+    let tiled = ExecRequest::new(&kernel.graph, &inputs)
+        .executor(&TiledBackend::with_tile(2))
+        .run()
+        .unwrap_or_else(|e| panic!("`{text}` tiled: {e}"));
+    assert_eq!(tiled.output, untiled.output, "`{text}` tiled");
+    let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&tiled.vals), bits(&untiled.vals), "`{text}` tiled");
 }
 
 #[test]

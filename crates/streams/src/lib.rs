@@ -11,9 +11,7 @@
 //! This crate defines:
 //!
 //! * [`Token`] — the token algebra shared by every stream type,
-//! * [`BitVec`] — the bitvector stream payload of Section 4.3,
-//! * [`fiber`] — fiber-boundary analysis for cutting a finished token
-//!   stream into independently evaluable segments, and
+//! * [`BitVec`] — the bitvector stream payload of Section 4.3, and
 //! * [`analysis`] — the level-based vs. point-based encoding comparison of
 //!   paper Section 3.8.
 //!
@@ -23,20 +21,17 @@
 //! # Example
 //!
 //! ```
-//! use sam_streams::{fiber, Token};
+//! use sam_streams::Token;
 //!
 //! // The coordinate stream for the two fibers (1,) and (0, 2):
 //! let s: Vec<Token<u32>> =
 //!     vec![Token::Val(1), Token::Stop(0), Token::Val(0), Token::Val(2), Token::Stop(1), Token::Done];
 //! assert_eq!(s.iter().filter(|t| t.is_control()).count(), 3);
-//! // It can be cut after either stop token.
-//! assert_eq!(fiber::after_stop_positions(&s), vec![2, 5]);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod fiber;
 pub mod token;
 pub mod types;
 

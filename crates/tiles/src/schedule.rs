@@ -476,11 +476,9 @@ impl KernelTiling {
 /// A row-major flat enumeration of a tile tuple space.
 ///
 /// [`KernelTiling::tuple_space`] gives the grid size per traced variable;
-/// this wraps it so an executor can address tuples by a single flat index —
-/// which is what lets a parallel tiled backend hand out tuple *ranges* as
-/// work items without materializing the (possibly enormous) tuple list.
-/// Flat order matches the serial backend's odometer: the last variable
-/// varies fastest.
+/// this wraps it so an executor can address tuples by a single flat index
+/// without materializing the (possibly enormous) tuple list. Flat order is
+/// the odometer's: the last variable varies fastest.
 #[derive(Debug, Clone)]
 pub struct TupleSpace {
     dims: Vec<usize>,

@@ -54,15 +54,15 @@ fn json_escape(s: &str) -> String {
 ///
 /// Each distinct `track` passed to [`TraceSink::record_span`] becomes one
 /// timeline row (a Chrome thread with a `thread_name` metadata event): the
-/// parallel fast backend uses one track per worker thread, the cycle
-/// backend one per simulated block, the tiled backend one per inner node
+/// fast backend puts every node on one `serial` track, the cycle backend
+/// uses one track per simulated block, the tiled backend one `tiles` track
 /// with a span per tile tuple.
 ///
 /// ```
 /// use sam_trace::{ChromeTraceSink, TraceSink};
 ///
 /// let sink = ChromeTraceSink::new();
-/// sink.record_span("worker-0", "scan B0", 0, 1500);
+/// sink.record_span("serial", "scan B0", 0, 1500);
 /// let json = sink.to_json();
 /// assert!(json.contains("\"traceEvents\""));
 /// assert!(json.contains("scan B0"));
@@ -165,10 +165,6 @@ impl TraceSink for ChromeTraceSink {
         self.counters.record_node_wall(node, ns);
     }
 
-    fn record_worker(&self, worker: crate::profile::WorkerProfile) {
-        self.counters.record_worker(worker);
-    }
-
     fn record_span(&self, track: &str, name: &str, start_ns: u64, dur_ns: u64) {
         let mut timeline = self.timeline.lock().expect("trace timeline");
         let track = timeline.track_id(track);
@@ -187,15 +183,15 @@ mod tests {
     #[test]
     fn tracks_are_deduplicated_and_named() {
         let sink = ChromeTraceSink::new();
-        sink.record_span("worker-0", "a", 0, 10);
-        sink.record_span("worker-1", "b", 5, 10);
-        sink.record_span("worker-0", "c", 12, 3);
+        sink.record_span("serial", "a", 0, 10);
+        sink.record_span("tiles", "b", 5, 10);
+        sink.record_span("serial", "c", 12, 3);
         assert_eq!(sink.span_count(), 3);
         let json = sink.to_json();
         // Two thread_name metadata events, not three.
         assert_eq!(json.matches("thread_name").count(), 2);
-        assert!(json.contains("worker-0"));
-        assert!(json.contains("worker-1"));
+        assert!(json.contains("serial"));
+        assert!(json.contains("tiles"));
     }
 
     #[test]
@@ -216,7 +212,7 @@ mod tests {
         let sink = ChromeTraceSink::new();
         sink.define_node(0, "scan");
         sink.record_tokens(0, TokenCounts { crd: 4, ..Default::default() });
-        sink.record_span("worker-0", "scan", 0, 100);
+        sink.record_span("serial", "scan", 0, 100);
         let p = sink.snapshot().unwrap();
         assert_eq!(p.nodes[0].tokens.crd, 4);
         assert_eq!(p.nodes[0].label, "scan");

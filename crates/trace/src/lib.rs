@@ -3,9 +3,8 @@
 //! The observability layer of the SAM reproduction. The execution engine
 //! (`sam-exec`) reduces a whole run to a handful of aggregate scalars —
 //! enough for the paper's tables, not enough to say *which node* dominates
-//! the run or how evenly the work-stealing pool was loaded. This crate
-//! provides the measurement surface that answers those questions on every
-//! backend:
+//! the run. This crate provides the measurement surface that answers that
+//! question on every backend:
 //!
 //! * [`TraceSink`] — the hook trait the backends drive. It is designed to be
 //!   zero-cost when disabled: every backend checks [`TraceSink::enabled`]
@@ -15,15 +14,15 @@
 //!   (value/coordinate/reference/bitvector data plus stop/empty/done control
 //!   and skip-lane traffic).
 //! * [`CountersSink`] — accumulates per-node counts, invocations and wall
-//!   time plus per-worker scheduler counters, and rolls them up into an
-//!   [`ExecProfile`].
+//!   time, and rolls them up into an [`ExecProfile`].
 //! * [`ChromeTraceSink`] — everything `CountersSink` does, plus a timeline
 //!   of spans exported as Chrome `trace_event` JSON (loadable in
-//!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)): one track
-//!   per worker thread on the parallel fast backend, per simulated block on
-//!   the cycle backend, per tile tuple on the tiled backend.
+//!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)): one
+//!   `serial` track on the fast backend, one track per simulated block on
+//!   the cycle backend, one `tiles` track of tile tuples on the tiled
+//!   backend.
 //! * [`ExecProfile`] — the rollup surfaced as `Execution::profile`:
-//!   per-node and per-worker breakdowns, a critical-path estimate, and a
+//!   a per-node breakdown, a critical-path estimate, and a
 //!   ranked per-node table ([`ExecProfile::stall_table`]) — the `samprof`
 //!   binary in `sam-bench` is a thin shell around it.
 //!

@@ -1,4 +1,4 @@
-//! The execution profile: per-node and per-worker rollups.
+//! The execution profile: the per-node rollup.
 
 use crate::counts::TokenCounts;
 use std::fmt::Write as _;
@@ -31,9 +31,10 @@ impl NodeProfile {
     }
 }
 
-/// Per-worker scheduler counters for one execution of the work-stealing
-/// backend: how many tasks the worker ran, how many of those it stole from
-/// another worker's queue, and how long it spent executing them.
+/// Frozen for `sambench`, which only a `[benchmark]` PR may edit and which
+/// still reads these fields off [`ExecProfile::workers`]: the per-worker
+/// counters of the work-stealing backend deleted in PR 21. Nothing
+/// constructs one (ROADMAP item 1(e) deletes the struct).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerProfile {
     /// The worker's index (0 is the driving thread).
@@ -66,8 +67,7 @@ pub struct WorkerProfile {
 pub struct ExecProfile {
     /// Per-node breakdown, in planned-graph node order.
     pub nodes: Vec<NodeProfile>,
-    /// Per-worker scheduler counters (empty on backends without a
-    /// work-stealing pool, and on runs where the pool never spun up).
+    /// Always empty: frozen with [`WorkerProfile`] so `sambench` compiles.
     pub workers: Vec<WorkerProfile>,
 }
 
@@ -92,8 +92,7 @@ impl ExecProfile {
         nodes
     }
 
-    /// Renders the ranked per-node time/token table plus, when worker
-    /// counters exist, the per-worker scheduler table — the body of
+    /// Renders the ranked per-node time/token table — the body of
     /// `samprof`'s report.
     pub fn stall_table(&self) -> String {
         let mut out = String::new();
@@ -125,25 +124,7 @@ impl ExecProfile {
                 n.busy_ns as f64 / 1e3,
             );
         }
-        if !self.workers.is_empty() {
-            let _ = writeln!(out, "\n{:<8} {:>8} {:>8} {:>12}", "worker", "tasks", "steals", "busy_us");
-            for w in &self.workers {
-                let _ = writeln!(
-                    out,
-                    "{:<8} {:>8} {:>8} {:>12.1}",
-                    format!("w{}", w.index),
-                    w.tasks,
-                    w.steals,
-                    w.busy_ns as f64 / 1e3,
-                );
-            }
-        }
         out
-    }
-
-    /// Total tasks stolen across every worker.
-    pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
     }
 }
 
@@ -178,16 +159,11 @@ mod tests {
     }
 
     #[test]
-    fn stall_table_lists_every_node_and_worker() {
-        let p = ExecProfile {
-            nodes: vec![node(3, "intersect(j: B,C)", 10, 7)],
-            workers: vec![WorkerProfile { index: 0, tasks: 7, steals: 2, busy_ns: 12_000 }],
-        };
+    fn stall_table_lists_every_node() {
+        let p = ExecProfile { nodes: vec![node(3, "intersect(j: B,C)", 10, 7)], ..Default::default() };
         let table = p.stall_table();
         assert!(table.contains("n3:intersect(j: B,C)"));
         assert!(table.contains("busy_us"));
-        assert!(table.contains("steals"));
-        assert!(table.contains("w0"));
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The trace sink trait and its counter-accumulating implementations.
 
 use crate::counts::TokenCounts;
-use crate::profile::{ExecProfile, NodeProfile, WorkerProfile};
+use crate::profile::{ExecProfile, NodeProfile};
 use std::sync::Mutex;
 
 /// The hook surface the execution backends drive while running a plan.
 ///
-/// Implementations must be [`Sync`]: the parallel fast backend shares one
-/// sink across all of its worker threads. Every hook takes `&self`, so
-/// accumulating sinks use interior mutability.
+/// Implementations must be [`Sync`]: a service worker drives a sink its
+/// submitter still holds. Every hook takes `&self`, so accumulating sinks
+/// use interior mutability.
 ///
 /// Backends are expected to consult [`TraceSink::enabled`] once up front and
 /// skip *all* instrumentation work — timestamping, token classification —
@@ -35,12 +35,8 @@ pub trait TraceSink: Sync {
     /// Accumulates wall time a node spent executing, nanoseconds.
     fn record_node_wall(&self, _node: usize, _ns: u64) {}
 
-    /// Records the final scheduler counters of one worker (work-stealing
-    /// backends only).
-    fn record_worker(&self, _worker: WorkerProfile) {}
-
-    /// Records one timeline span on a named track (a worker thread, a
-    /// simulated block, a tile tuple). Timestamps are nanoseconds relative
+    /// Records one timeline span on a named track (the serial walk, a
+    /// simulated block, the tile sweep). Timestamps are nanoseconds relative
     /// to the start of the run.
     fn record_span(&self, _track: &str, _name: &str, _start_ns: u64, _dur_ns: u64) {}
 
@@ -74,7 +70,6 @@ struct NodeAcc {
 #[derive(Default)]
 struct Acc {
     nodes: Vec<NodeAcc>,
-    workers: Vec<WorkerProfile>,
 }
 
 impl Acc {
@@ -99,18 +94,13 @@ impl Acc {
                     busy_ns: n.wall_ns,
                 })
                 .collect(),
-            workers: {
-                let mut workers = self.workers.clone();
-                workers.sort_by_key(|w| w.index);
-                workers
-            },
+            workers: Vec::new(),
         }
     }
 }
 
-/// Accumulates per-node token counts, invocations and wall time plus
-/// per-worker scheduler counters behind a mutex, and rolls them up into an
-/// [`ExecProfile`].
+/// Accumulates per-node token counts, invocations and wall time behind a
+/// mutex, and rolls them up into an [`ExecProfile`].
 ///
 /// ```
 /// use sam_trace::{CountersSink, TokenCounts, TraceSink};
@@ -167,11 +157,6 @@ impl TraceSink for CountersSink {
         acc.node(node).wall_ns += ns;
     }
 
-    fn record_worker(&self, worker: WorkerProfile) {
-        let mut acc = self.acc.lock().expect("trace accumulator");
-        acc.workers.push(worker);
-    }
-
     fn snapshot(&self) -> Option<ExecProfile> {
         Some(self.profile())
     }
@@ -207,17 +192,5 @@ mod tests {
         assert_eq!(p.nodes[1].busy_ns, 100);
         // Node 0 was never defined but still appears, unlabeled.
         assert_eq!(p.nodes[0].label, "");
-    }
-
-    #[test]
-    fn workers_sort_by_index() {
-        let sink = CountersSink::new();
-        sink.record_worker(WorkerProfile { index: 2, tasks: 3, steals: 1, busy_ns: 50 });
-        sink.record_worker(WorkerProfile { index: 0, tasks: 5, steals: 0, busy_ns: 90 });
-        let p = sink.profile();
-        assert_eq!(p.workers.len(), 2);
-        assert_eq!(p.workers[0].index, 0);
-        assert_eq!(p.workers[1].index, 2);
-        assert_eq!(p.total_steals(), 1);
     }
 }

@@ -72,7 +72,7 @@ impl std::fmt::Display for Stage {
 pub struct QuerySpan {
     /// The query expression as submitted.
     pub expression: String,
-    /// The backend label the query executed on (e.g. `fast-threads:4`).
+    /// The backend label the query executed on (e.g. `fast-serial`).
     pub backend: String,
     /// Nanoseconds spent in each stage, indexed by [`Stage::index`].
     pub stages_ns: [u64; 6],

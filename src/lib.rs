@@ -4,19 +4,18 @@
 //! re-exports the workspace crates so examples and downstream users can pull
 //! everything from one place:
 //!
-//! * [`streams`] — the token algebra, fiber-boundary analysis and stream
-//!   statistics,
+//! * [`streams`] — the token algebra and stream statistics,
 //! * [`tensor`] — fibertrees, formats, synthetic data and the dense oracle,
 //! * [`primitives`] — the SAM dataflow blocks,
 //! * [`sim`] — the cycle-approximate simulator,
 //! * [`core`] — the SAM graph IR, graph builder and kernel graph catalog,
-//! * [`trace`] — the observability layer (trace sinks, per-node/per-worker
-//!   profiles, Chrome trace export),
+//! * [`trace`] — the observability layer (trace sinks, per-node profiles,
+//!   Chrome trace export),
 //! * [`exec`] — the graph-driven execution engine (the `ExecRequest` entry
 //!   point, planner and plan cache, plus the cycle-approximate, fast
 //!   functional and finite-memory tiled backends),
-//! * [`serve`] — the resident tensor service (operand corpus, async
-//!   batched query submission, per-query backend routing),
+//! * [`serve`] — the resident tensor service (operand corpus, async query
+//!   submission, per-query backend routing),
 //! * [`memory`] — the analytic finite-memory / tiling model,
 //! * [`tiles`] — the tiling subsystem (tile extraction, schedules with
 //!   sparse tile skipping, LLB cache model, tile-merge reduction),
