@@ -140,6 +140,17 @@ fn report(name: &str, backend: &dyn Executor, run: &Execution, profile: &ExecPro
             top.busy_ns as f64 / 1e3,
         );
     }
+    // On the cycle backend `invocs` is ticks, and a block is not ticked
+    // while it is stalled on a channel.
+    if let (Some(cycles), Some(top)) = (run.cycles, profile.nodes.iter().max_by_key(|n| n.invocations)) {
+        println!(
+            "busiest block: n{}:{} ticked in {} of {cycles} cycles, stalled for the other {:.0} %",
+            top.index,
+            top.label,
+            top.invocations,
+            100.0 - 100.0 * top.invocations as f64 / cycles.max(1) as f64,
+        );
+    }
     let _ = backend;
 }
 

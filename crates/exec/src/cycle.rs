@@ -104,10 +104,14 @@ impl Executor for CycleBackend {
         }
 
         // Pass 2: instantiate one block per node over the allocated channels.
+        // A node's block, by its index in the simulator; a root preloads its
+        // stream and has none.
+        let mut node_block: Vec<Option<usize>> = vec![None; nodes.len()];
         for &id in plan.order() {
             let kind = &nodes[id.0];
             let label = format!("n{}:{}", id.0, plan.node_label(id));
             let slot = |s: usize| input_ch[&(id.0, s)];
+            let next_block = sim.num_blocks();
             match kind {
                 NodeKind::Root { .. } => {
                     sim.preload(out_ch[id.0][0], root_stream());
@@ -235,6 +239,7 @@ impl Executor for CycleBackend {
                     unreachable!("rejected during planning")
                 }
             }
+            node_block[id.0] = (sim.num_blocks() > next_block).then_some(next_block);
         }
 
         let report = sim.run(self.max_cycles)?;
@@ -255,10 +260,16 @@ impl Executor for CycleBackend {
             }
             for &id in plan.order() {
                 trace.record_tokens(id.0, counts[id.0]);
-                trace.record_invocations(id.0, 1);
-                // The simulator ticks every block each cycle; spans are
-                // coarse (one per block spanning the run, 1 cycle = 1 ns).
-                trace.record_span("cycle", &plan.node_label(id), 0, report.cycles);
+                // The simulator ticks a block only while it is not stalled on
+                // a channel, so its ticks against the run's cycles are its
+                // time busy against its time waited. Ticks are cycles, not
+                // nanoseconds: they stay out of `record_node_wall`. One span
+                // per block, start of run to the cycle it reported done
+                // (1 cycle = 1 ns): the latest end is the long pole.
+                let Some(block) = node_block[id.0] else { continue };
+                trace.record_invocations(id.0, sim.block_ticks(block));
+                let done = sim.block_done_cycle(block).unwrap_or(report.cycles);
+                trace.record_span("cycle", &plan.node_label(id), 0, done);
             }
         }
 

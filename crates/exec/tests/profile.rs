@@ -145,6 +145,26 @@ fn tiled_profile_totals_match_execution_tokens() {
     assert!(profile.nodes.iter().any(|n| n.invocations > 1), "tiled runs accumulate invocations");
 }
 
+/// On the cycle backend a node's invocations are the ticks the simulator
+/// ran its block: never more than the run's cycles, and fewer for every
+/// block that spent part of the run stalled on a channel.
+#[test]
+fn cycle_profile_reports_ticks_not_runs() {
+    let m = synth::random_matrix_sparsity(24, 18, 0.85, 303);
+    let sv = synth::random_vector(18, 18, 305);
+    let inputs = Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("c", &sv, TensorFormat::dense_vec());
+    let plan = Plan::build(&graphs::spmv(), &inputs).unwrap();
+    let sink = CountersSink::new();
+    let run = CycleBackend::default().run_traced(&plan, &inputs, &sink).unwrap();
+    let cycles = run.cycles.expect("the cycle backend reports cycles");
+    let profile = run.profile.expect("traced runs attach a profile");
+    assert!(profile.nodes.iter().all(|n| n.invocations <= cycles), "a block ticks at most once a cycle");
+    assert!(profile.nodes.iter().any(|n| n.invocations < cycles), "no block of spmv ever stalled");
+    assert!(profile.nodes.iter().any(|n| n.invocations > 1), "ticks, not one invocation per run");
+    // Ticks are cycles: they are not reported as wall time.
+    assert!(profile.nodes.iter().all(|n| n.busy_ns == 0));
+}
+
 /// Traces carry the builder's human-readable labels: a merge shows up as
 /// `intersect(j: B,c)`, not a bare `intersect(j)` — on every backend.
 #[test]

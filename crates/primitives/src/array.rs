@@ -38,10 +38,10 @@ impl Block for ValArray {
             return BlockStatus::Done;
         }
         if !ctx.can_push(self.out_val) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         let Some(t) = ctx.peek(self.in_ref).cloned() else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         ctx.pop(self.in_ref);
         match t {
@@ -130,10 +130,10 @@ impl Block for Locator {
             && ctx.can_push(self.out_ref_pass)
             && ctx.can_push(self.out_ref_located))
         {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         let (Some(c), Some(r)) = (ctx.peek(self.in_crd).cloned(), ctx.peek(self.in_ref).cloned()) else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         match (c, r) {
             (Token::Val(pc), Token::Val(pr)) => {

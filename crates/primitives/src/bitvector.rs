@@ -57,7 +57,7 @@ impl Block for BitvectorScanner {
             return BlockStatus::Done;
         }
         if !(ctx.can_push(self.out_bits) && ctx.can_push(self.out_ref)) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         if let Some((fiber, word_idx, rank)) = self.current {
             let words = self.level.fiber_words(fiber);
@@ -79,7 +79,7 @@ impl Block for BitvectorScanner {
             return BlockStatus::Busy;
         }
         let Some(t) = ctx.peek(self.in_ref).cloned() else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         ctx.pop(self.in_ref);
         match t {
@@ -157,14 +157,14 @@ impl Block for BitvectorConverter {
             return BlockStatus::Done;
         }
         if !ctx.can_push(self.out_bits) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         if let Some(t) = self.pending.pop_front() {
             ctx.push(self.out_bits, t);
             return if self.done && self.pending.is_empty() { BlockStatus::Done } else { BlockStatus::Busy };
         }
         let Some(t) = ctx.peek(self.in_crd).cloned() else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         ctx.pop(self.in_crd);
         match t {
@@ -239,11 +239,11 @@ impl Block for BitvectorIntersecter {
             return BlockStatus::Done;
         }
         if !(ctx.can_push(self.out_bits) && ctx.can_push(self.out_pairs)) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         let (Some(a), Some(b)) = (ctx.peek(self.in_bits[0]).cloned(), ctx.peek(self.in_bits[1]).cloned())
         else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         match (a, b) {
             (Token::Val(pa), Token::Val(pb)) => {
@@ -336,7 +336,7 @@ impl Block for BitvectorVecMul {
             return BlockStatus::Done;
         }
         let Some(t) = ctx.peek(self.in_bits).cloned() else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         ctx.pop(self.in_bits);
         match t {
@@ -422,7 +422,7 @@ impl Block for BitTreeVecMul {
             return BlockStatus::Done;
         }
         if !ctx.can_push(self.out_progress) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         match &mut self.work_list {
             None => {

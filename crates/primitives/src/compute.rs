@@ -57,11 +57,11 @@ impl Block for Alu {
             return BlockStatus::Done;
         }
         if !ctx.can_push(self.out_val) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         let (Some(a), Some(b)) = (ctx.peek(self.in_val[0]).cloned(), ctx.peek(self.in_val[1]).cloned())
         else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         match (a, b) {
             (Token::Val(pa), Token::Val(pb)) => {
@@ -141,10 +141,10 @@ impl Block for ConstVal {
             return BlockStatus::Done;
         }
         if !ctx.can_push(self.output) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         let Some(t) = ctx.pop(self.input) else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         match t {
             Token::Val(_) => {
@@ -357,9 +357,11 @@ impl Block for Reducer {
             return BlockStatus::Done;
         }
         if !ctx.can_push(self.out_val) || self.out_crd.iter().any(|c| !ctx.can_push(*c)) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
-        // Drain pending emissions first, one per cycle.
+        // Drain pending emissions first, one per cycle. (Neither return
+        // below is a stall: the first follows a push, the second waits on
+        // no channel.)
         if self.flush_pending(ctx) {
             if self.pending.is_empty() && self.done {
                 return BlockStatus::Done;
@@ -381,7 +383,7 @@ impl Block for Reducer {
 impl Reducer {
     fn tick_scalar(&mut self, ctx: &mut Context) -> BlockStatus {
         let Some(t) = ctx.peek(self.in_val).cloned() else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         ctx.pop(self.in_val);
         match t {
@@ -412,7 +414,7 @@ impl Reducer {
 
     fn tick_vector(&mut self, ctx: &mut Context) -> BlockStatus {
         let (Some(c), Some(v)) = (ctx.peek(self.in_crd[0]).cloned(), ctx.peek(self.in_val).cloned()) else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         match (c, v) {
             (Token::Val(pc), Token::Val(pv)) => {
@@ -461,13 +463,15 @@ impl Reducer {
                 self.current_outer = Some(p.expect_crd());
             }
         }
+        // (A tick that fetched the outer coordinate above has popped, so
+        // neither wait below is a stall.)
         let (Some(c), Some(v)) = (ctx.peek(self.in_crd[1]).cloned(), ctx.peek(self.in_val).cloned()) else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         match (c, v) {
             (Token::Val(pc), Token::Val(pv)) => {
                 let Some(outer) = self.current_outer else {
-                    return BlockStatus::Busy;
+                    return ctx.stall();
                 };
                 ctx.pop(self.in_crd[1]);
                 ctx.pop(self.in_val);

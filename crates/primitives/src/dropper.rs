@@ -111,16 +111,18 @@ impl Block for CoordDropper {
         if self.done {
             return BlockStatus::Done;
         }
+        // Draining pushes, so a tick that drained anything is not a stall.
         let drained = self.drain_pending(ctx);
         if self.finishing {
             if self.pending_inner.is_empty() && self.pending_outer.is_empty() {
                 self.done = true;
                 return BlockStatus::Done;
             }
+            // Waits on no input; only its own queues move.
             return BlockStatus::Busy;
         }
         let Some(t) = ctx.peek(self.in_inner).cloned() else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         match t {
             Token::Val(p) => {
@@ -141,7 +143,7 @@ impl Block for CoordDropper {
                 // The end of an inner fiber: consume the owning outer
                 // coordinate and decide whether to keep the fiber.
                 let Some(outer) = ctx.peek(self.in_outer_crd).cloned() else {
-                    return BlockStatus::Busy;
+                    return ctx.stall();
                 };
                 ctx.pop(self.in_inner);
                 match outer {

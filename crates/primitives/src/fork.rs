@@ -33,10 +33,10 @@ impl Block for Fork {
             return BlockStatus::Done;
         }
         if self.outputs.iter().any(|o| !ctx.can_push(*o)) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         let Some(t) = ctx.peek(self.input).cloned() else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         ctx.pop(self.input);
         for &o in &self.outputs {

@@ -86,11 +86,11 @@ impl Block for Intersecter {
             return BlockStatus::Done;
         }
         if !(ctx.can_push(self.out_crd) && ctx.can_push(self.out_ref[0]) && ctx.can_push(self.out_ref[1])) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         let (Some(a), Some(b)) = (ctx.peek(self.in_crd[0]).cloned(), ctx.peek(self.in_crd[1]).cloned())
         else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         match (a, b) {
             (Token::Val(pa), Token::Val(pb)) => {
@@ -214,11 +214,11 @@ impl Block for Unioner {
             return BlockStatus::Done;
         }
         if !(ctx.can_push(self.out_crd) && ctx.can_push(self.out_ref[0]) && ctx.can_push(self.out_ref[1])) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         let (Some(a), Some(b)) = (ctx.peek(self.in_crd[0]).cloned(), ctx.peek(self.in_crd[1]).cloned())
         else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         match (a, b) {
             (Token::Val(pa), Token::Val(pb)) => {
@@ -332,10 +332,10 @@ impl Block for Parallelizer {
         }
         let lane = self.outputs[self.current];
         if !ctx.can_push(lane) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         let Some(t) = ctx.peek(self.input).cloned() else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         match t {
             Token::Done => {
@@ -403,7 +403,7 @@ impl Block for Serializer {
             return BlockStatus::Done;
         }
         if !ctx.can_push(self.output) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         if self.finished.iter().all(|f| *f) {
             ctx.push(self.output, tok::done());
@@ -411,12 +411,13 @@ impl Block for Serializer {
             return BlockStatus::Done;
         }
         if self.finished[self.current] {
+            // Touches no channel but moves `current`: not a stall.
             self.current = (self.current + 1) % self.inputs.len();
             return BlockStatus::Busy;
         }
         let lane = self.inputs[self.current];
         let Some(t) = ctx.peek(lane).cloned() else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         match t {
             Token::Done => {

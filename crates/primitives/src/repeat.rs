@@ -73,7 +73,7 @@ impl Block for Repeater {
             return BlockStatus::Done;
         }
         if !ctx.can_push(self.out_ref) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         // Fetch the next reference to repeat when none is held.
         if self.current.is_none() && !self.in_ref_done {
@@ -101,15 +101,16 @@ impl Block for Repeater {
                 }
             }
         }
-        // Drive the output from the coordinate stream.
+        // Drive the output from the coordinate stream. (A tick that fetched
+        // a reference above has popped, so it is not a stall.)
         let Some(head) = ctx.peek(self.in_crd).cloned() else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         match head {
             Token::Val(_) => {
                 let Some((current, _)) = self.current else {
                     // Wait for the reference to arrive.
-                    return BlockStatus::Busy;
+                    return ctx.stall();
                 };
                 ctx.pop(self.in_crd);
                 ctx.push(self.out_ref, current);

@@ -167,7 +167,7 @@ impl Block for LevelScanner {
             return BlockStatus::Done;
         }
         if !(ctx.can_push(self.out_crd) && ctx.can_push(self.out_ref)) {
-            return BlockStatus::Busy;
+            return ctx.stall();
         }
         self.apply_skips(ctx);
         let state = std::mem::replace(&mut self.state, ScanState::Idle);
@@ -189,9 +189,11 @@ impl Block for LevelScanner {
             ScanState::NeedStop => {
                 match ctx.peek(self.in_ref) {
                     None => {
-                        // Stall until the lookahead token is available.
+                        // Stall until the lookahead token is available
+                        // (the state is put back as it was; a tick that
+                        // dropped stale skip requests is not a stall).
                         self.state = ScanState::NeedStop;
-                        BlockStatus::Busy
+                        ctx.stall()
                     }
                     Some(Token::Val(_)) | Some(Token::Empty) | Some(Token::Done) => {
                         // Another fiber (or the end of the stream) follows:
@@ -211,7 +213,7 @@ impl Block for LevelScanner {
             }
             ScanState::Idle => {
                 let Some(head) = ctx.peek(self.in_ref).cloned() else {
-                    return BlockStatus::Busy;
+                    return ctx.stall();
                 };
                 match head {
                     Token::Val(p) => {

@@ -56,7 +56,7 @@ impl Block for LevelWriter {
             return BlockStatus::Done;
         }
         let Some(t) = ctx.peek(self.in_crd).cloned() else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         ctx.pop(self.in_crd);
         match t {
@@ -115,7 +115,7 @@ impl Block for ValWriter {
             return BlockStatus::Done;
         }
         let Some(t) = ctx.peek(self.in_val).cloned() else {
-            return BlockStatus::Busy;
+            return ctx.stall();
         };
         ctx.pop(self.in_val);
         match t {

@@ -18,7 +18,11 @@ pub struct Channel {
     capacity: Option<usize>,
     history: Option<Vec<SimToken>>,
     total_pushed: u64,
-    done_seen: bool,
+    /// The blocks at the two ends, each learned the first time it touches
+    /// the channel through a [`crate::Context`]: whom the engine wakes when
+    /// the queue changes.
+    reader: Option<usize>,
+    writer: Option<usize>,
 }
 
 impl Channel {
@@ -30,7 +34,8 @@ impl Channel {
             capacity: None,
             history: None,
             total_pushed: 0,
-            done_seen: false,
+            reader: None,
+            writer: None,
         }
     }
 
@@ -66,9 +71,6 @@ impl Channel {
             history.push(token);
         }
         self.total_pushed += 1;
-        if token.is_done() {
-            self.done_seen = true;
-        }
         self.queue.push_back(token);
     }
 
@@ -97,11 +99,6 @@ impl Channel {
         self.queue.is_empty()
     }
 
-    /// Whether a done token has been pushed into this channel.
-    pub fn done_seen(&self) -> bool {
-        self.done_seen
-    }
-
     /// Total number of tokens ever pushed.
     pub fn total_pushed(&self) -> u64 {
         self.total_pushed
@@ -117,6 +114,29 @@ impl Channel {
     /// when the channel is not recording.
     pub fn history(&self) -> Option<&[SimToken]> {
         self.history.as_deref()
+    }
+
+    /// Stamps `block` as the one that examines and consumes this channel.
+    pub(crate) fn attach_reader(&mut self, block: usize) {
+        debug_assert!(self.reader.is_none_or(|r| r == block), "channel `{}` has two readers", self.name);
+        self.reader = Some(block);
+    }
+
+    /// Stamps `block` as the one that fills this channel.
+    pub(crate) fn attach_writer(&mut self, block: usize) {
+        debug_assert!(self.writer.is_none_or(|w| w == block), "channel `{}` has two writers", self.name);
+        self.writer = Some(block);
+    }
+
+    /// The block a push can unblock.
+    pub(crate) fn reader(&self) -> Option<usize> {
+        self.reader
+    }
+
+    /// The block a pop can unblock: none on an unbounded channel, whose
+    /// [`Channel::can_push`] never refused it.
+    pub(crate) fn blocked_writer(&self) -> Option<usize> {
+        self.capacity.and(self.writer)
     }
 }
 
@@ -134,7 +154,6 @@ mod tests {
         c.push(tok::stop(0));
         c.push(tok::done());
         assert_eq!(c.len(), 3);
-        assert!(c.done_seen());
         assert_eq!(c.pop(), Some(tok::crd(1)));
         assert_eq!(c.peek(), Some(&tok::stop(0)));
         assert_eq!(c.peek_nth(1), Some(&tok::done()));
@@ -165,6 +184,5 @@ mod tests {
         let c = Channel::new("e");
         assert!(c.is_empty());
         assert_eq!(c.name(), "e");
-        assert!(!c.done_seen());
     }
 }

@@ -12,9 +12,12 @@ pub struct NodeProfile {
     pub label: String,
     /// Tokens the node emitted, split by token type.
     pub tokens: TokenCounts,
-    /// How many times the node was executed (tile tuples on the tiled
-    /// backend, otherwise one per run; the cycle backend reports simulated
-    /// block count instead of invocations and leaves this at zero).
+    /// How many times the node was executed: tile tuples on the tiled
+    /// backend, one per run on the fast backend, and on the cycle backend
+    /// the ticks the simulator ran the node's block — a block is not ticked
+    /// while it is stalled on a channel, so ticks over the run's cycles is
+    /// the share of the run the node was not waiting (a root has no block
+    /// and reports zero).
     pub invocations: u64,
     /// Wall time spent computing, nanoseconds. No backend blocks a node
     /// on its streams (a stored stream is complete before its reader
