@@ -117,7 +117,7 @@ fn serve_mode(rounds: usize) {
     );
 }
 
-fn report(name: &str, backend: &dyn Executor, run: &Execution, profile: &ExecProfile) {
+fn report(name: &str, run: &Execution, profile: &ExecProfile) {
     println!("samprof: `{name}` on the `{}` backend", run.backend);
     let cycles = run.cycles.map_or("-".to_string(), |c| c.to_string());
     println!(
@@ -140,9 +140,11 @@ fn report(name: &str, backend: &dyn Executor, run: &Execution, profile: &ExecPro
             top.busy_ns as f64 / 1e3,
         );
     }
-    // On the cycle backend `invocs` is ticks, and a block is not ticked
-    // while it is stalled on a channel.
-    if let (Some(cycles), Some(top)) = (run.cycles, profile.nodes.iter().max_by_key(|n| n.invocations)) {
+    // On the cycle backend, and only there (the tiled backend's `cycles`
+    // are a model and its `invocs` inner runs), `invocs` is ticks, and a
+    // block is not ticked while it is stalled on a channel.
+    let simulated = run.cycles.filter(|_| run.backend == "cycle");
+    if let (Some(cycles), Some(top)) = (simulated, profile.nodes.iter().max_by_key(|n| n.invocations)) {
         println!(
             "busiest block: n{}:{} ticked in {} of {cycles} cycles, stalled for the other {:.0} %",
             top.index,
@@ -151,7 +153,6 @@ fn report(name: &str, backend: &dyn Executor, run: &Execution, profile: &ExecPro
             100.0 - 100.0 * top.invocations as f64 / cycles.max(1) as f64,
         );
     }
-    let _ = backend;
 }
 
 fn main() {
@@ -236,5 +237,5 @@ fn main() {
         }
     };
     let profile = run.profile.clone().expect("traced runs attach a profile");
-    report(&name, backend.as_ref(), &run, &profile);
+    report(&name, &run, &profile);
 }

@@ -280,10 +280,9 @@ mod tests {
         g.write_vals("x", v);
         let graph = g.finish();
         assert_eq!(graph.len(), 5);
-        assert!(graph.edges().iter().all(|e| e.src_port.is_some() && e.dst_port.is_some()));
         // The scanner's ref output (port 1) feeds the array's input port 0.
-        let e = graph.edges().iter().find(|e| e.kind == StreamKind::Ref && e.src_port == Some(1)).unwrap();
-        assert_eq!(e.dst_port, Some(0));
+        let e = graph.edges().iter().find(|e| e.kind == StreamKind::Ref && e.src_port == 1).unwrap();
+        assert_eq!(e.dst_port, 0);
     }
 
     #[test]
@@ -319,8 +318,8 @@ mod tests {
         for e in graph.edges() {
             let outs = graph.nodes()[e.from.0].output_ports();
             let ins = graph.nodes()[e.to.0].input_ports();
-            assert!(outs[e.src_port.unwrap()].accepts(e.kind), "source port kind");
-            assert!(ins[e.dst_port.unwrap()].accepts(e.kind), "dest port kind");
+            assert!(outs[e.src_port].accepts(e.kind), "source port kind");
+            assert!(ins[e.dst_port].accepts(e.kind), "dest port kind");
         }
     }
 }

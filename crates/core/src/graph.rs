@@ -150,65 +150,58 @@ impl NodeKind {
     /// The input-port signature of this primitive, in port order. This is the
     /// contract `sam-exec` plans against; see each primitive's definition in
     /// the paper for the port semantics.
-    pub fn input_ports(&self) -> Vec<PortKind> {
+    pub fn input_ports(&self) -> &'static [PortKind] {
         match self {
-            NodeKind::Root { .. } => vec![],
+            NodeKind::Root { .. } => &[],
             // The trailing skip port is the Section 4.2 coordinate-skip
             // feedback input; it is optional and usually unwired.
-            NodeKind::LevelScanner { .. } => vec![PortKind::Ref, PortKind::Skip],
-            NodeKind::Repeater { .. } => vec![PortKind::Crd, PortKind::Ref],
+            NodeKind::LevelScanner { .. } => &[PortKind::Ref, PortKind::Skip],
+            NodeKind::Repeater { .. } => &[PortKind::Crd, PortKind::Ref],
             NodeKind::Intersecter { .. } | NodeKind::Unioner { .. } => {
-                vec![PortKind::Crd, PortKind::Crd, PortKind::Ref, PortKind::Ref]
+                &[PortKind::Crd, PortKind::Crd, PortKind::Ref, PortKind::Ref]
             }
-            NodeKind::Locator { .. } => vec![PortKind::Crd, PortKind::Ref],
-            NodeKind::Array { .. } => vec![PortKind::Ref],
+            NodeKind::Locator { .. } => &[PortKind::Crd, PortKind::Ref],
+            NodeKind::Array { .. } => &[PortKind::Ref],
             // The shape stream: the value stream of the sibling operand the
             // constant combines with (usually a planned fork of it).
-            NodeKind::ConstVal { .. } => vec![PortKind::Val],
-            NodeKind::Alu { .. } => vec![PortKind::Val, PortKind::Val],
+            NodeKind::ConstVal { .. } => &[PortKind::Val],
+            NodeKind::Alu { .. } => &[PortKind::Val, PortKind::Val],
             NodeKind::Reducer { order } => match order {
-                0 => vec![PortKind::Val],
-                1 => vec![PortKind::Crd, PortKind::Val],
-                _ => vec![PortKind::Crd, PortKind::Crd, PortKind::Val],
+                0 => &[PortKind::Val],
+                1 => &[PortKind::Crd, PortKind::Val],
+                _ => &[PortKind::Crd, PortKind::Crd, PortKind::Val],
             },
-            NodeKind::CoordDropper { .. } => vec![PortKind::Crd, PortKind::Any],
-            NodeKind::LevelWriter { vals, .. } => {
-                vec![if *vals { PortKind::Val } else { PortKind::Crd }]
-            }
-            NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                vec![PortKind::Any]
-            }
+            NodeKind::CoordDropper { .. } => &[PortKind::Crd, PortKind::Any],
+            NodeKind::LevelWriter { vals: true, .. } => &[PortKind::Val],
+            NodeKind::LevelWriter { .. } => &[PortKind::Crd],
+            NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => &[PortKind::Any],
         }
     }
 
     /// The output-port signature of this primitive, in port order.
-    pub fn output_ports(&self) -> Vec<PortKind> {
+    pub fn output_ports(&self) -> &'static [PortKind] {
         match self {
-            NodeKind::Root { .. } => vec![PortKind::Ref],
-            NodeKind::LevelScanner { .. } => vec![PortKind::Crd, PortKind::Ref],
-            NodeKind::Repeater { .. } => vec![PortKind::Ref],
+            NodeKind::Root { .. } => &[PortKind::Ref],
+            NodeKind::LevelScanner { .. } => &[PortKind::Crd, PortKind::Ref],
+            NodeKind::Repeater { .. } => &[PortKind::Ref],
             // Ports 3 and 4 are the optional coordinate-skip feedback lanes
             // towards operand 0's and operand 1's scanners (Section 4.2).
             NodeKind::Intersecter { .. } => {
-                vec![PortKind::Crd, PortKind::Ref, PortKind::Ref, PortKind::Skip, PortKind::Skip]
+                &[PortKind::Crd, PortKind::Ref, PortKind::Ref, PortKind::Skip, PortKind::Skip]
             }
-            NodeKind::Unioner { .. } => {
-                vec![PortKind::Crd, PortKind::Ref, PortKind::Ref]
-            }
-            NodeKind::Locator { .. } => vec![PortKind::Crd, PortKind::Ref, PortKind::Ref],
-            NodeKind::Array { .. } => vec![PortKind::Val],
-            NodeKind::ConstVal { .. } => vec![PortKind::Val],
-            NodeKind::Alu { .. } => vec![PortKind::Val],
+            NodeKind::Unioner { .. } => &[PortKind::Crd, PortKind::Ref, PortKind::Ref],
+            NodeKind::Locator { .. } => &[PortKind::Crd, PortKind::Ref, PortKind::Ref],
+            NodeKind::Array { .. } => &[PortKind::Val],
+            NodeKind::ConstVal { .. } => &[PortKind::Val],
+            NodeKind::Alu { .. } => &[PortKind::Val],
             NodeKind::Reducer { order } => match order {
-                0 => vec![PortKind::Val],
-                1 => vec![PortKind::Crd, PortKind::Val],
-                _ => vec![PortKind::Crd, PortKind::Crd, PortKind::Val],
+                0 => &[PortKind::Val],
+                1 => &[PortKind::Crd, PortKind::Val],
+                _ => &[PortKind::Crd, PortKind::Crd, PortKind::Val],
             },
-            NodeKind::CoordDropper { .. } => vec![PortKind::Crd, PortKind::Any],
-            NodeKind::LevelWriter { .. } => vec![],
-            NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                vec![PortKind::Any]
-            }
+            NodeKind::CoordDropper { .. } => &[PortKind::Crd, PortKind::Any],
+            NodeKind::LevelWriter { .. } => &[],
+            NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => &[PortKind::Any],
         }
     }
 }
@@ -270,13 +263,10 @@ pub struct NodeId(pub usize);
 
 /// One edge: a stream from a producer node to a consumer node.
 ///
-/// Edges may optionally name the *ports* they attach to: `src_port` is the
-/// index into the producer's [`NodeKind::output_ports`] and `dst_port` the
-/// index into the consumer's [`NodeKind::input_ports`]. Graphs built through
-/// [`crate::build::GraphBuilder`] (and `custard::lower_exec`) always carry
-/// explicit ports, which is what makes them executable by `sam-exec`;
-/// schematic graphs (the original `custard::lower`) leave them `None` and
-/// can still be counted, ablated and DOT-printed.
+/// Every edge names the *ports* it attaches to: `src_port` is the index into
+/// the producer's [`NodeKind::output_ports`] and `dst_port` the index into
+/// the consumer's [`NodeKind::input_ports`]. Whether the named ports exist
+/// and carry the edge's kind is checked when the graph is planned.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Edge {
     /// Producing node.
@@ -287,10 +277,10 @@ pub struct Edge {
     pub kind: StreamKind,
     /// Short label (e.g. which port).
     pub label: String,
-    /// Output-port index on the producer, when explicitly wired.
-    pub src_port: Option<usize>,
-    /// Input-port index on the consumer, when explicitly wired.
-    pub dst_port: Option<usize>,
+    /// Output-port index on the producer.
+    pub src_port: usize,
+    /// Input-port index on the consumer.
+    pub dst_port: usize,
 }
 
 /// Primitive counts in the Table 1 column order.
@@ -407,13 +397,8 @@ impl SamGraph {
         }
     }
 
-    /// Adds an edge without port annotations (schematic graphs).
-    pub fn add_edge(&mut self, from: NodeId, to: NodeId, kind: StreamKind, label: impl Into<String>) {
-        self.edges.push(Edge { from, to, kind, label: label.into(), src_port: None, dst_port: None });
-    }
-
-    /// Adds an edge wired to explicit producer and consumer ports, as
-    /// required for execution by `sam-exec`.
+    /// Adds an edge from output port `src_port` of `from` to input port
+    /// `dst_port` of `to`.
     pub fn add_edge_on(
         &mut self,
         from: NodeId,
@@ -423,14 +408,7 @@ impl SamGraph {
         kind: StreamKind,
         label: impl Into<String>,
     ) {
-        self.edges.push(Edge {
-            from,
-            to,
-            kind,
-            label: label.into(),
-            src_port: Some(src_port),
-            dst_port: Some(dst_port),
-        });
+        self.edges.push(Edge { from, to, kind, label: label.into(), src_port, dst_port });
     }
 
     /// The nodes in insertion order.
@@ -537,16 +515,16 @@ mod tests {
         let mul = g.add_node(NodeKind::Alu { op: "mul".into() });
         let wx = g.add_node(NodeKind::LevelWriter { tensor: "x".into(), index: 'i', vals: false });
         let wv = g.add_node(NodeKind::LevelWriter { tensor: "x".into(), index: 'v', vals: true });
-        g.add_edge(rb, sb, StreamKind::Ref, "root");
-        g.add_edge(rc, sc, StreamKind::Ref, "root");
-        g.add_edge(sb, int, StreamKind::Crd, "crd");
-        g.add_edge(sc, int, StreamKind::Crd, "crd");
-        g.add_edge(int, ab, StreamKind::Ref, "ref b");
-        g.add_edge(int, ac, StreamKind::Ref, "ref c");
-        g.add_edge(ab, mul, StreamKind::Val, "vals");
-        g.add_edge(ac, mul, StreamKind::Val, "vals");
-        g.add_edge(int, wx, StreamKind::Crd, "xi");
-        g.add_edge(mul, wv, StreamKind::Val, "xvals");
+        g.add_edge_on(rb, 0, sb, 0, StreamKind::Ref, "root");
+        g.add_edge_on(rc, 0, sc, 0, StreamKind::Ref, "root");
+        g.add_edge_on(sb, 0, int, 0, StreamKind::Crd, "crd");
+        g.add_edge_on(sc, 0, int, 1, StreamKind::Crd, "crd");
+        g.add_edge_on(int, 1, ab, 0, StreamKind::Ref, "ref b");
+        g.add_edge_on(int, 2, ac, 0, StreamKind::Ref, "ref c");
+        g.add_edge_on(ab, 0, mul, 0, StreamKind::Val, "vals");
+        g.add_edge_on(ac, 0, mul, 1, StreamKind::Val, "vals");
+        g.add_edge_on(int, 0, wx, 0, StreamKind::Crd, "xi");
+        g.add_edge_on(mul, 0, wv, 0, StreamKind::Val, "xvals");
         g
     }
 

@@ -675,11 +675,10 @@ mod tests {
         for (_, graph) in graphs {
             assert!(!graph.is_empty());
             for e in graph.edges() {
-                assert!(e.src_port.is_some() && e.dst_port.is_some(), "{}: unported edge", graph.name);
                 let outs = graph.nodes()[e.from.0].output_ports();
                 let ins = graph.nodes()[e.to.0].input_ports();
-                assert!(outs[e.src_port.unwrap()].accepts(e.kind), "{}: bad src", graph.name);
-                assert!(ins[e.dst_port.unwrap()].accepts(e.kind), "{}: bad dst", graph.name);
+                assert!(outs[e.src_port].accepts(e.kind), "{}: bad src", graph.name);
+                assert!(ins[e.dst_port].accepts(e.kind), "{}: bad dst", graph.name);
             }
         }
     }
@@ -738,8 +737,8 @@ mod tests {
             for e in with_skip.edges().iter().filter(|e| e.kind == StreamKind::Skip) {
                 assert!(matches!(with_skip.nodes()[e.from.0], NodeKind::Intersecter { .. }));
                 assert!(matches!(with_skip.nodes()[e.to.0], NodeKind::LevelScanner { .. }));
-                assert!(e.src_port == Some(3) || e.src_port == Some(4));
-                assert_eq!(e.dst_port, Some(1));
+                assert!(e.src_port == 3 || e.src_port == 4);
+                assert_eq!(e.dst_port, 1);
             }
         }
     }

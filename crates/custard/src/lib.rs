@@ -11,13 +11,15 @@
 //! 2. [`Schedule`] (the `reorder` directive) and [`Formats`] fix the
 //!    dataflow order and per-tensor level formats, producing
 //!    [`ConcreteIndexNotation`],
-//! 3. [`lower()`] builds the SAM graph: tensor paths, level scanners,
-//!    repeaters, intersecters/unioners, the compute tree (ALUs and reducers)
-//!    and the output construction (coordinate droppers and level writers).
+//! 3. [`lower_exec`] builds the SAM graph that runs: tensor paths, level
+//!    scanners, repeaters, intersecters/unioners, the compute tree (ALUs and
+//!    reducers) and the level writers, every stream wired port to port
+//!    (a [`SamGraph`](sam_core::SamGraph) any `sam-exec` backend executes and
+//!    [`SamGraph::to_dot`](sam_core::SamGraph::to_dot) prints).
 //!
-//! The resulting [`SamGraph`](sam_core::SamGraph) is used to report the
-//! Table 1 primitive composition, to run the Table 2 ablation, and to emit
-//! Graphviz DOT.
+//! [`lower()`] is the schematic: the node multiset Figure 10 places for an
+//! expression, unwired. It is what the Table 1 primitive composition and the
+//! Table 2 ablation count.
 
 pub mod ablation;
 pub mod cin;

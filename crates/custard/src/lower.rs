@@ -1,7 +1,9 @@
-//! Lowering concrete index notation to SAM dataflow graphs
-//! (paper Section 5, Figure 10).
+//! The schematic lowering: which SAM primitives concrete index notation
+//! needs (paper Section 5, Figure 10), as an unwired node multiset.
 //!
-//! The lowering follows the paper's three phases:
+//! [`lower()`] places the nodes of the paper's three phases and no edges —
+//! it is what Table 1 and the Table 2 ablation count. The graph that runs,
+//! with every stream wired port to port, is [`crate::lower_exec`]'s.
 //!
 //! 1. **Tensor iteration and merging** — for every index variable in a
 //!    tensor's path a level scanner is placed; index variables absent from a
@@ -15,7 +17,7 @@
 //!    values writer.
 
 use crate::cin::ConcreteIndexNotation;
-use sam_core::graph::{NodeId, NodeKind, SamGraph, StreamKind};
+use sam_core::graph::{NodeKind, SamGraph};
 use sam_tensor::expr::{Expr, IndexVar};
 use sam_tensor::LevelFormat;
 
@@ -81,7 +83,10 @@ fn additive_terms_with(expr: &Expr, var: IndexVar) -> usize {
     }
 }
 
-/// Lowers concrete index notation to a SAM graph.
+/// Lowers concrete index notation to the node multiset of its SAM graph:
+/// the primitives Figure 10 places, unwired. Count them with
+/// [`SamGraph::primitive_counts`]; the graph that runs is
+/// [`crate::lower_exec`]'s.
 ///
 /// ```
 /// use custard::{parse, lower, Schedule, Formats, ConcreteIndexNotation};
@@ -100,18 +105,12 @@ pub fn lower(cin: &ConcreteIndexNotation) -> SamGraph {
     let reduction_vars = assignment.reduction_vars();
 
     // Phase 1: tensor iteration and merging.
-    let mut roots: Vec<NodeId> = Vec::new();
-    let mut last_node: Vec<NodeId> = Vec::new();
     for path in &paths {
-        let root = graph.add_node(NodeKind::Root { tensor: path.name.clone() });
-        roots.push(root);
-        last_node.push(root);
+        graph.add_node(NodeKind::Root { tensor: path.name.clone() });
     }
-    let mut last_merge_per_var: Vec<(IndexVar, NodeId)> = Vec::new();
-    for (&var, position) in cin.loop_order.iter().zip(0..) {
-        let _ = position;
+    for &var in &cin.loop_order {
         // Scanners and repeaters per tensor path.
-        let mut producers: Vec<(usize, NodeId)> = Vec::new();
+        let mut producers = 0;
         for (ordinal, path) in paths.iter().enumerate() {
             if path.indices.contains(&var) {
                 let compressed = cin
@@ -122,113 +121,52 @@ pub fn lower(cin: &ConcreteIndexNotation) -> SamGraph {
                         !matches!(f.levels().get(level), Some(LevelFormat::Dense))
                     })
                     .unwrap_or(true);
-                let scan = graph.add_node(NodeKind::LevelScanner {
-                    tensor: path.name.clone(),
-                    index: var,
-                    compressed,
-                });
-                graph.add_edge(last_node[ordinal], scan, StreamKind::Ref, format!("{} ref", path.name));
-                last_node[ordinal] = scan;
-                producers.push((ordinal, scan));
+                graph.add_node(NodeKind::LevelScanner { tensor: path.name.clone(), index: var, compressed });
+                producers += 1;
             } else {
                 let broadcast_needed = assignment.target_indices.contains(&var)
                     || (reduction_vars.contains(&var)
                         && access_under_reduction(&assignment.rhs, ordinal, var));
                 if broadcast_needed {
-                    let rep = graph.add_node(NodeKind::Repeater { tensor: path.name.clone(), index: var });
-                    graph.add_edge(last_node[ordinal], rep, StreamKind::Ref, format!("{} ref", path.name));
-                    last_node[ordinal] = rep;
+                    graph.add_node(NodeKind::Repeater { tensor: path.name.clone(), index: var });
                 }
             }
         }
         // Merging: m producers need m-1 binary mergers.
-        if producers.len() > 1 {
-            let union = if merge_is_union(&assignment.rhs) {
-                true
+        let union = merge_is_union(&assignment.rhs)
+            || (assignment.rhs.has_additive_op() && additive_terms_with(&assignment.rhs, var) > 1);
+        for _ in 1..producers {
+            graph.add_node(if union {
+                NodeKind::Unioner { index: var }
             } else {
-                assignment.rhs.has_additive_op() && additive_terms_with(&assignment.rhs, var) > 1
-            };
-            let mut merged = producers[0].1;
-            for other in &producers[1..] {
-                let node = if union {
-                    graph.add_node(NodeKind::Unioner { index: var })
-                } else {
-                    graph.add_node(NodeKind::Intersecter { index: var })
-                };
-                graph.add_edge(merged, node, StreamKind::Crd, format!("{var} crd"));
-                graph.add_edge(other.1, node, StreamKind::Crd, format!("{var} crd"));
-                merged = node;
-            }
-            last_merge_per_var.push((var, merged));
-        } else if let Some(&(_, scan)) = producers.first() {
-            last_merge_per_var.push((var, scan));
+                NodeKind::Intersecter { index: var }
+            });
         }
     }
 
-    // Phase 2: computation (value arrays, ALUs, reducers).
-    let mut arrays = Vec::new();
-    for (ordinal, path) in paths.iter().enumerate() {
-        let arr = graph.add_node(NodeKind::Array { tensor: path.name.clone() });
-        graph.add_edge(last_node[ordinal], arr, StreamKind::Ref, "val ref");
-        arrays.push(arr);
+    // Phase 2: computation (value arrays, one ALU per binary operator in
+    // evaluation order, one reducer per reduced variable).
+    for path in &paths {
+        graph.add_node(NodeKind::Array { tensor: path.name.clone() });
     }
-    let mut compute_tail = arrays.first().copied();
-    let add_alu = |graph: &mut SamGraph, op: &str, tail: &mut Option<NodeId>, rhs: NodeId| {
-        let alu = graph.add_node(NodeKind::Alu { op: op.to_string() });
-        if let Some(prev) = *tail {
-            graph.add_edge(prev, alu, StreamKind::Val, "val");
-        }
-        graph.add_edge(rhs, alu, StreamKind::Val, "val");
-        *tail = Some(alu);
-    };
-    // One ALU per binary operator, chained in evaluation order.
-    let mut op_stack = Vec::new();
-    collect_ops(&assignment.rhs, &mut op_stack);
-    for (idx, op) in op_stack.iter().enumerate() {
-        let rhs_array = arrays.get(idx + 1).copied().unwrap_or_else(|| arrays[arrays.len() - 1]);
-        add_alu(&mut graph, op, &mut compute_tail, rhs_array);
+    let mut ops = Vec::new();
+    collect_ops(&assignment.rhs, &mut ops);
+    for op in ops {
+        graph.add_node(NodeKind::Alu { op: op.to_string() });
     }
-    for &var in reduction_vars.iter() {
-        let red = graph.add_node(NodeKind::Reducer {
-            order: usize::from(var == *reduction_vars.first().expect("nonempty")),
-        });
-        if let Some(prev) = compute_tail {
-            graph.add_edge(prev, red, StreamKind::Val, "val");
-        }
-        compute_tail = Some(red);
+    for (nth, _) in reduction_vars.iter().enumerate() {
+        graph.add_node(NodeKind::Reducer { order: usize::from(nth == 0) });
     }
 
     // Phase 3: output construction.
     let multiplicative = assignment.rhs.has_multiplicative_op();
-    let mut previous_writer: Option<NodeId> = None;
     for &var in &assignment.target_indices {
-        let source = last_merge_per_var.iter().find(|(v, _)| *v == var).map(|(_, n)| *n);
-        let mut crd_source = source;
         if multiplicative {
-            let drop = graph.add_node(NodeKind::CoordDropper { index: var });
-            if let Some(src) = source {
-                graph.add_edge(src, drop, StreamKind::Crd, format!("{var} crd"));
-            }
-            crd_source = Some(drop);
+            graph.add_node(NodeKind::CoordDropper { index: var });
         }
-        let writer = graph.add_node(NodeKind::LevelWriter {
-            tensor: assignment.target.clone(),
-            index: var,
-            vals: false,
-        });
-        if let Some(src) = crd_source {
-            graph.add_edge(src, writer, StreamKind::Crd, format!("{var} crd"));
-        }
-        previous_writer = Some(writer);
+        graph.add_node(NodeKind::LevelWriter { tensor: assignment.target.clone(), index: var, vals: false });
     }
-    let vals_writer =
-        graph.add_node(NodeKind::LevelWriter { tensor: assignment.target.clone(), index: 'v', vals: true });
-    if let Some(tail) = compute_tail {
-        graph.add_edge(tail, vals_writer, StreamKind::Val, "vals");
-    }
-    if let Some(w) = previous_writer {
-        let _ = w;
-    }
+    graph.add_node(NodeKind::LevelWriter { tensor: assignment.target.clone(), index: 'v', vals: true });
     graph
 }
 

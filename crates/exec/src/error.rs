@@ -59,13 +59,6 @@ pub enum ExecError {
         /// Label of the writer.
         label: String,
     },
-    /// The tiled backend cannot derive a structure-preserving tile schedule
-    /// for this graph (unported edges, untraceable streams, conflicting
-    /// dimensions).
-    TilingUnsupported {
-        /// Why the schedule analysis gave up.
-        reason: String,
-    },
 }
 
 impl fmt::Display for ExecError {
@@ -81,9 +74,6 @@ impl fmt::Display for ExecError {
             }
             ExecError::IncompleteOutput { label } => {
                 write!(f, "writer `{label}` did not finish")
-            }
-            ExecError::TilingUnsupported { reason } => {
-                write!(f, "tiled execution unsupported: {reason}")
             }
         }
     }

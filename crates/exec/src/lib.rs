@@ -118,6 +118,7 @@ pub mod fast;
 mod node;
 pub mod plan;
 pub mod request;
+mod schedule;
 pub mod spec;
 pub mod tiled;
 

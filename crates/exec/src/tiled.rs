@@ -14,7 +14,8 @@
 //! capacity spills — which `samrepro fig15` lines up against the
 //! closed-form `sam_memory` model.
 //!
-//! The tile schedule is structure-preserving (see `sam_tiles::schedule`):
+//! The tile schedule is derived from the plan (the crate-private `schedule`
+//! module) and is structure-preserving:
 //! on inputs whose partial sums are exact (e.g. integer-valued data), a
 //! tiled run is bit-identical to an untiled run, at any tile size.
 //!
@@ -48,10 +49,11 @@ use crate::bind::Inputs;
 use crate::cache::PlanCache;
 use crate::error::ExecError;
 use crate::plan::Plan;
+use crate::schedule::tile_schedule;
 use crate::{Execution, Executor, FastBackend};
 use sam_memory::{MemoryConfig, MemoryCounters};
 use sam_tensor::{CooTensor, Tensor};
-use sam_tiles::{KernelTiling, LlbModel, TileGrid, TileMerger, TupleSpace};
+use sam_tiles::{LlbModel, TileGrid, TileMerger, TupleSpace};
 use sam_trace::{ExecProfile, TokenCounts, TraceSink};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -116,17 +118,19 @@ impl Executor for TiledBackend {
         // across tuples) but their spans are replaced by one per tile tuple.
         let tile_sink = TileSink { inner: trace };
         let graph = plan.graph();
-        let tiling = KernelTiling::from_graph(graph, |n| inputs.get(n), self.config.tile)
-            .map_err(|e| ExecError::TilingUnsupported { reason: e.to_string() })?;
+        let tiling = tile_schedule(plan, inputs, self.config.tile);
 
-        // Cut every bound tensor into its tile grid.
-        let mut grids: Vec<TileGrid> = Vec::with_capacity(tiling.tensors.len());
-        for (ti, tt) in tiling.tensors.iter().enumerate() {
-            let tensor = inputs
-                .get(&tt.name)
-                .ok_or_else(|| ExecError::TilingUnsupported { reason: format!("`{}` unbound", tt.name) })?;
-            grids.push(TileGrid::build(tensor, tiling.level_tile_sizes(ti, tensor)));
-        }
+        // Cut every tensor the schedule windows into its tile grid (it names
+        // only tensors it found bound, so `grids` stays index-aligned).
+        let grids: Vec<TileGrid> = tiling
+            .tensors
+            .iter()
+            .enumerate()
+            .filter_map(|(ti, tt)| {
+                let tensor = inputs.get(&tt.name)?;
+                Some(TileGrid::build(tensor, tiling.level_tile_sizes(ti, tensor)))
+            })
+            .collect();
 
         // Bindings the schedule does not tile (the single-value scalars
         // behind `ConstVal` sources) ride into every tile's input set
@@ -151,16 +155,11 @@ impl Executor for TiledBackend {
         let plan_cache = PlanCache::global();
         let mut empty_cache: HashMap<(usize, Vec<usize>), Arc<Tensor>> = HashMap::new();
 
-        // Offsets of the output writers' variables, refreshed per tuple.
-        let writer_vars: Vec<usize> = tiling
-            .output_vars
-            .iter()
-            .map(|&v| {
-                tiling
-                    .var_index(v)
-                    .ok_or(ExecError::TilingUnsupported { reason: format!("output index `{v}` untraced") })
-            })
-            .collect::<Result<_, _>>()?;
+        // Offsets of the output writers' variables, refreshed per tuple. A
+        // plan gives every written variable a scanner or locator that
+        // introduces it (`unknown-dimension`), so each one is traced.
+        let writer_vars: Vec<usize> =
+            tiling.output_vars.iter().filter_map(|&v| tiling.var_index(v)).collect();
 
         // Flat enumeration of the variable tile tuple space. The
         // key/emptiness buffers are reused across tuples: large sweeps
@@ -389,30 +388,5 @@ mod tests {
         assert_eq!(bm.spill_events, 0, "the paper-sized LLB holds this working set");
         assert!(sm.dram_bytes > bm.dram_bytes, "spilling refetches tiles");
         assert!(bm.llb_peak_bytes <= big.llb_bytes as u64);
-    }
-
-    #[test]
-    fn unported_graphs_are_rejected_cleanly() {
-        use sam_core::graph::{NodeKind, SamGraph, StreamKind};
-        // A vector copy x(i) = b(i), wired without explicit ports: the
-        // planner infers the wiring, but the tile-schedule analysis needs
-        // explicit ports and must reject it with a typed error.
-        let mut g = SamGraph::new("x(i) = b(i) [unported]");
-        let root = g.add_node(NodeKind::Root { tensor: "b".into() });
-        let scan = g.add_node(NodeKind::LevelScanner { tensor: "b".into(), index: 'i', compressed: true });
-        let arr = g.add_node(NodeKind::Array { tensor: "b".into() });
-        let wl = g.add_node(NodeKind::LevelWriter { tensor: "x".into(), index: 'i', vals: false });
-        let wv = g.add_node(NodeKind::LevelWriter { tensor: "x".into(), index: 'v', vals: true });
-        g.add_edge(root, scan, StreamKind::Ref, "b root");
-        g.add_edge(scan, wl, StreamKind::Crd, "b crd");
-        g.add_edge(scan, arr, StreamKind::Ref, "b ref");
-        g.add_edge(arr, wv, StreamKind::Val, "b vals");
-
-        let b = synth::random_vector(8, 3, 55);
-        let inputs = Inputs::new().coo("b", &b, TensorFormat::sparse_vec());
-        let plan = Plan::build(&g, &inputs).expect("planner infers unported edges");
-        assert!(FastBackend.run(&plan, &inputs).is_ok());
-        let err = TiledBackend::with_tile(4).run(&plan, &inputs);
-        assert!(matches!(err, Err(ExecError::TilingUnsupported { .. })), "{err:?}");
     }
 }

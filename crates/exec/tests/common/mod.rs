@@ -33,12 +33,8 @@ pub fn assert_fused_scanner_counts_match_cycle(name: &str, graph: &SamGraph, inp
     let backends: [(&str, &dyn Executor); 2] =
         [("fast-serial", &FastBackend), ("tiled, one tile", &TiledBackend::with_tile(1 << 20))];
     for (what, backend) in backends {
-        let counts = match node_counts(backend, &plan, inputs) {
-            Ok(counts) => counts,
-            // Not every graph has a tile schedule.
-            Err(ExecError::TilingUnsupported { .. }) => continue,
-            Err(e) => panic!("{name}: {what} failed: {e}"),
-        };
+        let counts =
+            node_counts(backend, &plan, inputs).unwrap_or_else(|e| panic!("{name}: {what} failed: {e}"));
         for f in &fused {
             assert!(cycle[f.scanner.0].total() > 0, "{name}: the cycle backend saw n{} idle", f.scanner.0);
             assert_eq!(

@@ -37,9 +37,6 @@ impl Block for ValArray {
         if self.done {
             return BlockStatus::Done;
         }
-        if !ctx.can_push(self.out_val) {
-            return ctx.stall();
-        }
         let Some(t) = ctx.peek(self.in_ref).cloned() else {
             return ctx.stall();
         };
@@ -125,12 +122,6 @@ impl Block for Locator {
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
         if self.done {
             return BlockStatus::Done;
-        }
-        if !(ctx.can_push(self.out_crd)
-            && ctx.can_push(self.out_ref_pass)
-            && ctx.can_push(self.out_ref_located))
-        {
-            return ctx.stall();
         }
         let (Some(c), Some(r)) = (ctx.peek(self.in_crd).cloned(), ctx.peek(self.in_ref).cloned()) else {
             return ctx.stall();

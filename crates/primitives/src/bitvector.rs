@@ -56,9 +56,6 @@ impl Block for BitvectorScanner {
         if self.done {
             return BlockStatus::Done;
         }
-        if !(ctx.can_push(self.out_bits) && ctx.can_push(self.out_ref)) {
-            return ctx.stall();
-        }
         if let Some((fiber, word_idx, rank)) = self.current {
             let words = self.level.fiber_words(fiber);
             if word_idx < words.len() {
@@ -156,9 +153,6 @@ impl Block for BitvectorConverter {
         if self.done && self.pending.is_empty() {
             return BlockStatus::Done;
         }
-        if !ctx.can_push(self.out_bits) {
-            return ctx.stall();
-        }
         if let Some(t) = self.pending.pop_front() {
             ctx.push(self.out_bits, t);
             return if self.done && self.pending.is_empty() { BlockStatus::Done } else { BlockStatus::Busy };
@@ -237,9 +231,6 @@ impl Block for BitvectorIntersecter {
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
         if self.done {
             return BlockStatus::Done;
-        }
-        if !(ctx.can_push(self.out_bits) && ctx.can_push(self.out_pairs)) {
-            return ctx.stall();
         }
         let (Some(a), Some(b)) = (ctx.peek(self.in_bits[0]).cloned(), ctx.peek(self.in_bits[1]).cloned())
         else {
@@ -420,9 +411,6 @@ impl Block for BitTreeVecMul {
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
         if self.done {
             return BlockStatus::Done;
-        }
-        if !ctx.can_push(self.out_progress) {
-            return ctx.stall();
         }
         match &mut self.work_list {
             None => {

@@ -56,9 +56,6 @@ impl Block for Alu {
         if self.done {
             return BlockStatus::Done;
         }
-        if !ctx.can_push(self.out_val) {
-            return ctx.stall();
-        }
         let (Some(a), Some(b)) = (ctx.peek(self.in_val[0]).cloned(), ctx.peek(self.in_val[1]).cloned())
         else {
             return ctx.stall();
@@ -139,9 +136,6 @@ impl Block for ConstVal {
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
         if self.done {
             return BlockStatus::Done;
-        }
-        if !ctx.can_push(self.output) {
-            return ctx.stall();
         }
         let Some(t) = ctx.pop(self.input) else {
             return ctx.stall();
@@ -355,9 +349,6 @@ impl Block for Reducer {
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
         if self.done && self.pending.is_empty() {
             return BlockStatus::Done;
-        }
-        if !ctx.can_push(self.out_val) || self.out_crd.iter().any(|c| !ctx.can_push(*c)) {
-            return ctx.stall();
         }
         // Drain pending emissions first, one per cycle. (Neither return
         // below is a stall: the first follows a push, the second waits on

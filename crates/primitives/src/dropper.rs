@@ -74,29 +74,25 @@ impl CoordDropper {
     /// trailing stop until it can no longer be upgraded.
     fn drain_pending(&mut self, ctx: &mut Context) -> bool {
         let mut emitted = false;
-        if ctx.can_push(self.out_inner) {
-            let emit_ok = match self.pending_inner.front() {
-                Some(Token::Stop(_)) => self.pending_inner.len() > 1 || self.finishing,
-                Some(_) => true,
-                None => false,
-            };
-            if emit_ok {
-                let t = self.pending_inner.pop_front().expect("nonempty");
-                ctx.push(self.out_inner, t);
-                emitted = true;
-            }
+        let emit_ok = match self.pending_inner.front() {
+            Some(Token::Stop(_)) => self.pending_inner.len() > 1 || self.finishing,
+            Some(_) => true,
+            None => false,
+        };
+        if emit_ok {
+            let t = self.pending_inner.pop_front().expect("nonempty");
+            ctx.push(self.out_inner, t);
+            emitted = true;
         }
-        if ctx.can_push(self.out_outer_crd) {
-            let emit_ok = match self.pending_outer.front() {
-                Some(Token::Stop(_)) => self.pending_outer.len() > 1 || self.finishing,
-                Some(_) => true,
-                None => false,
-            };
-            if emit_ok {
-                let t = self.pending_outer.pop_front().expect("nonempty");
-                ctx.push(self.out_outer_crd, t);
-                emitted = true;
-            }
+        let emit_ok = match self.pending_outer.front() {
+            Some(Token::Stop(_)) => self.pending_outer.len() > 1 || self.finishing,
+            Some(_) => true,
+            None => false,
+        };
+        if emit_ok {
+            let t = self.pending_outer.pop_front().expect("nonempty");
+            ctx.push(self.out_outer_crd, t);
+            emitted = true;
         }
         emitted
     }

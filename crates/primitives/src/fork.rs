@@ -32,9 +32,6 @@ impl Block for Fork {
         if self.done {
             return BlockStatus::Done;
         }
-        if self.outputs.iter().any(|o| !ctx.can_push(*o)) {
-            return ctx.stall();
-        }
         let Some(t) = ctx.peek(self.input).cloned() else {
             return ctx.stall();
         };

@@ -85,9 +85,6 @@ impl Block for Intersecter {
         if self.done {
             return BlockStatus::Done;
         }
-        if !(ctx.can_push(self.out_crd) && ctx.can_push(self.out_ref[0]) && ctx.can_push(self.out_ref[1])) {
-            return ctx.stall();
-        }
         let (Some(a), Some(b)) = (ctx.peek(self.in_crd[0]).cloned(), ctx.peek(self.in_crd[1]).cloned())
         else {
             return ctx.stall();
@@ -213,9 +210,6 @@ impl Block for Unioner {
         if self.done {
             return BlockStatus::Done;
         }
-        if !(ctx.can_push(self.out_crd) && ctx.can_push(self.out_ref[0]) && ctx.can_push(self.out_ref[1])) {
-            return ctx.stall();
-        }
         let (Some(a), Some(b)) = (ctx.peek(self.in_crd[0]).cloned(), ctx.peek(self.in_crd[1]).cloned())
         else {
             return ctx.stall();
@@ -331,9 +325,6 @@ impl Block for Parallelizer {
             return BlockStatus::Done;
         }
         let lane = self.outputs[self.current];
-        if !ctx.can_push(lane) {
-            return ctx.stall();
-        }
         let Some(t) = ctx.peek(self.input).cloned() else {
             return ctx.stall();
         };
@@ -401,9 +392,6 @@ impl Block for Serializer {
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
         if self.done {
             return BlockStatus::Done;
-        }
-        if !ctx.can_push(self.output) {
-            return ctx.stall();
         }
         if self.finished.iter().all(|f| *f) {
             ctx.push(self.output, tok::done());

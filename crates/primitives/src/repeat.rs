@@ -72,9 +72,6 @@ impl Block for Repeater {
         if self.done {
             return BlockStatus::Done;
         }
-        if !ctx.can_push(self.out_ref) {
-            return ctx.stall();
-        }
         // Fetch the next reference to repeat when none is held.
         if self.current.is_none() && !self.in_ref_done {
             if let Some(t) = ctx.peek(self.in_ref).cloned() {

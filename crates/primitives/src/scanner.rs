@@ -166,9 +166,6 @@ impl Block for LevelScanner {
         if self.done {
             return BlockStatus::Done;
         }
-        if !(ctx.can_push(self.out_crd) && ctx.can_push(self.out_ref)) {
-            return ctx.stall();
-        }
         self.apply_skips(ctx);
         let state = std::mem::replace(&mut self.state, ScanState::Idle);
         match state {

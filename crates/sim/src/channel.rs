@@ -7,7 +7,8 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChannelId(pub usize);
 
-/// A single-producer single-consumer token queue connecting two blocks.
+/// A single-producer single-consumer, unbounded token queue connecting two
+/// blocks.
 ///
 /// A channel counts the tokens it has carried and, once
 /// [`Channel::record`] is called, keeps every one of them in order.
@@ -15,35 +16,18 @@ pub struct ChannelId(pub usize);
 pub struct Channel {
     name: String,
     queue: VecDeque<SimToken>,
-    capacity: Option<usize>,
     history: Option<Vec<SimToken>>,
     total_pushed: u64,
-    /// The blocks at the two ends, each learned the first time it touches
+    /// The block at the consuming end, learned the first time it looks at
     /// the channel through a [`crate::Context`]: whom the engine wakes when
-    /// the queue changes.
+    /// a token is pushed.
     reader: Option<usize>,
-    writer: Option<usize>,
 }
 
 impl Channel {
-    /// Creates an unbounded channel.
+    /// Creates an empty channel.
     pub fn new(name: impl Into<String>) -> Self {
-        Channel {
-            name: name.into(),
-            queue: VecDeque::new(),
-            capacity: None,
-            history: None,
-            total_pushed: 0,
-            reader: None,
-            writer: None,
-        }
-    }
-
-    /// Creates a bounded channel holding at most `capacity` queued tokens.
-    pub fn bounded(name: impl Into<String>, capacity: usize) -> Self {
-        let mut c = Channel::new(name);
-        c.capacity = Some(capacity);
-        c
+        Channel { name: name.into(), queue: VecDeque::new(), history: None, total_pushed: 0, reader: None }
     }
 
     /// The channel's diagnostic name.
@@ -51,22 +35,8 @@ impl Channel {
         &self.name
     }
 
-    /// Whether another token can currently be pushed.
-    pub fn can_push(&self) -> bool {
-        match self.capacity {
-            Some(cap) => self.queue.len() < cap,
-            None => true,
-        }
-    }
-
     /// Pushes a token.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a bounded channel is full; blocks must check
-    /// [`Channel::can_push`] first.
     pub fn push(&mut self, token: SimToken) {
-        assert!(self.can_push(), "push into full channel `{}`", self.name);
         if let Some(history) = &mut self.history {
             history.push(token);
         }
@@ -122,21 +92,9 @@ impl Channel {
         self.reader = Some(block);
     }
 
-    /// Stamps `block` as the one that fills this channel.
-    pub(crate) fn attach_writer(&mut self, block: usize) {
-        debug_assert!(self.writer.is_none_or(|w| w == block), "channel `{}` has two writers", self.name);
-        self.writer = Some(block);
-    }
-
     /// The block a push can unblock.
     pub(crate) fn reader(&self) -> Option<usize> {
         self.reader
-    }
-
-    /// The block a pop can unblock: none on an unbounded channel, whose
-    /// [`Channel::can_push`] never refused it.
-    pub(crate) fn blocked_writer(&self) -> Option<usize> {
-        self.capacity.and(self.writer)
     }
 }
 
@@ -159,24 +117,6 @@ mod tests {
         assert_eq!(c.peek_nth(1), Some(&tok::done()));
         assert_eq!(c.total_pushed(), 3);
         assert_eq!(c.history(), Some(&[tok::crd(1), tok::stop(0), tok::done()][..]), "pops keep the log");
-    }
-
-    #[test]
-    fn bounded_capacity() {
-        let mut c = Channel::bounded("b", 1);
-        assert!(c.can_push());
-        c.push(tok::crd(0));
-        assert!(!c.can_push());
-        c.pop();
-        assert!(c.can_push());
-    }
-
-    #[test]
-    #[should_panic(expected = "full channel")]
-    fn overfull_push_panics() {
-        let mut c = Channel::bounded("b", 1);
-        c.push(tok::crd(0));
-        c.push(tok::crd(1));
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub enum BlockStatus {
 ///
 /// A block is ticked every cycle while it reports [`BlockStatus::Busy`],
 /// sleeps after [`BlockStatus::Stalled`] until a channel it examined in that
-/// tick is pushed into (or, for a bounded channel it could not push into,
-/// popped from), and is never ticked again after [`BlockStatus::Done`].
+/// tick is pushed into, and is never ticked again after
+/// [`BlockStatus::Done`].
 /// During a tick it should consume at most one token per input port and
 /// produce at most one token per output port (the paper's fully pipelined
 /// model); blocks that need to emit bursts spread them over several cycles.
@@ -48,9 +48,9 @@ pub trait Block: Send {
 
 /// The per-cycle view a block gets of its channels.
 ///
-/// Every access stamps the ticking block on the channel as its reader
-/// (`peek`, `peek_nth`, `pop`) or its writer (`can_push`, `push`), which is
-/// how a channel learns whom to wake when it changes.
+/// Every look at a channel (`peek`, `peek_nth`, `pop`) stamps the ticking
+/// block on it as its reader, which is how a channel learns whom to wake
+/// when a token is pushed.
 pub struct Context<'a> {
     channels: &'a mut [Channel],
     /// The engine's ready set, one bit per block.
@@ -93,36 +93,20 @@ impl Context<'_> {
         channel.peek_nth(n)
     }
 
-    /// Consumes the next token of a channel; from a bounded channel this
-    /// wakes the writer.
+    /// Consumes the next token of a channel.
     pub fn pop(&mut self, id: ChannelId) -> Option<SimToken> {
         let channel = &mut self.channels[id.0];
         channel.attach_reader(self.block);
         let t = channel.pop();
         if t.is_some() {
             self.ops += 1;
-            if let Some(writer) = channel.blocked_writer() {
-                wake(self.ready, writer);
-            }
         }
         t
     }
 
-    /// Whether a channel can accept another token this cycle.
-    pub fn can_push(&mut self, id: ChannelId) -> bool {
-        let channel = &mut self.channels[id.0];
-        channel.attach_writer(self.block);
-        channel.can_push()
-    }
-
     /// Pushes a token into a channel and wakes its reader.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the channel is a full bounded channel.
     pub fn push(&mut self, id: ChannelId, token: SimToken) {
         let channel = &mut self.channels[id.0];
-        channel.attach_writer(self.block);
         channel.push(token);
         if let Some(reader) = channel.reader() {
             wake(self.ready, reader);
@@ -146,7 +130,7 @@ impl Context<'_> {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SimulationError {
     /// The graph stopped making progress before every block finished —
-    /// usually a wiring bug or an unsatisfiable bounded-channel cycle.
+    /// usually a wiring bug.
     Deadlock {
         /// Cycle at which progress stopped.
         cycle: u64,
@@ -248,15 +232,9 @@ impl Simulator {
         Simulator::default()
     }
 
-    /// Adds an unbounded channel and returns its id.
+    /// Adds a channel and returns its id.
     pub fn add_channel(&mut self, name: impl Into<String>) -> ChannelId {
         self.channels.push(Channel::new(name));
-        ChannelId(self.channels.len() - 1)
-    }
-
-    /// Adds a bounded channel with the given capacity.
-    pub fn add_bounded_channel(&mut self, name: impl Into<String>, capacity: usize) -> ChannelId {
-        self.channels.push(Channel::bounded(name, capacity));
         ChannelId(self.channels.len() - 1)
     }
 
@@ -438,7 +416,7 @@ mod tests {
     use crate::payload::tok;
 
     /// Forwards tokens from input to output, one per cycle; sleeps while
-    /// the input is empty or the output full.
+    /// the input is empty.
     struct Forward {
         input: ChannelId,
         output: ChannelId,
@@ -458,9 +436,6 @@ mod tests {
         fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
             if self.done {
                 return BlockStatus::Done;
-            }
-            if !ctx.can_push(self.output) {
-                return ctx.stall();
             }
             let Some(t) = ctx.pop(self.input) else {
                 return ctx.stall();
@@ -503,26 +478,6 @@ mod tests {
             }
             ctx.push(self.output, tok::done());
             BlockStatus::Done
-        }
-    }
-
-    /// Pops a token every third cycle and is otherwise idle; always `Busy`,
-    /// as a block whose tick reads the cycle number must be.
-    struct SlowSink {
-        input: ChannelId,
-    }
-    impl Block for SlowSink {
-        fn name(&self) -> &str {
-            "slow sink"
-        }
-        fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-            if ctx.cycle % 3 != 2 {
-                return BlockStatus::Busy;
-            }
-            match ctx.pop(self.input) {
-                Some(t) if t.is_done() => BlockStatus::Done,
-                _ => BlockStatus::Busy,
-            }
         }
     }
 
@@ -617,41 +572,6 @@ mod tests {
         sim.preload(a, (0..1000).map(tok::crd));
         let err = sim.run(10).unwrap_err();
         assert_eq!(err, SimulationError::CycleLimit { limit: 10 });
-    }
-
-    #[test]
-    fn bounded_channel_applies_backpressure() {
-        let mut sim = Simulator::new();
-        let a = sim.add_channel("a");
-        let b = sim.add_bounded_channel("b", 1);
-        let c = sim.add_channel("c");
-        sim.record(c);
-        sim.add_block(Forward::boxed(a, b));
-        sim.add_block(Forward::boxed(b, c));
-        sim.preload(a, [tok::crd(0), tok::crd(1), tok::crd(2), tok::done()]);
-        let report = sim.run(100).unwrap();
-        assert_eq!(sim.history(c).len(), 4);
-        assert_eq!(report.cycles, 4);
-    }
-
-    /// A producer asleep on a full bounded channel is woken by the pop that
-    /// makes room — here by a later block, so it pushes in the next cycle.
-    #[test]
-    fn a_pop_from_a_bounded_channel_wakes_its_stalled_writer() {
-        let mut sim = Simulator::new();
-        let a = sim.add_channel("a");
-        let b = sim.add_bounded_channel("b", 1);
-        sim.add_block(Forward::boxed(a, b));
-        sim.add_block(Box::new(SlowSink { input: b }));
-        sim.preload(a, [tok::crd(0), tok::crd(1), tok::crd(2), tok::done()]);
-        // Pushes in cycles 0, 3, 6, 9; pops in cycles 2, 5, 8, 11.
-        assert_eq!(sim.run(100).map(|report| report.cycles), Ok(12));
-        assert_eq!(sim.block_done_cycle(0), Some(10));
-        // The producer runs the cycle of each push and the one after it,
-        // where it finds `b` full and goes to sleep: 7 ticks, not 10.
-        assert_eq!(sim.block_ticks(0), 7);
-        // A block that only ever says `Busy` is ticked every cycle.
-        assert_eq!(sim.block_ticks(1), 12);
     }
 
     #[test]

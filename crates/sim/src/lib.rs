@@ -12,8 +12,7 @@
 //! channel and changed nothing — is left out of the schedule until a
 //! channel it examined in that tick changes; since such a tick would repeat
 //! the same nothing, cycle counts are those of ticking every block every
-//! cycle. Channels are unbounded by default (the paper's infinite-queue
-//! assumption); bounded channels can be requested to study finite hardware.
+//! cycle. Channels are unbounded (the paper's infinite-queue assumption).
 //!
 //! A channel counts the tokens it carries ([`Channel::total_pushed`]) and,
 //! on request, logs them ([`Simulator::record`] / [`Simulator::history`]).

@@ -7,9 +7,9 @@
 //! with ExTensor-style *sparse tile skipping*, and merging the per-tile
 //! partial outputs back into one result.
 //!
-//! The crate is executor-agnostic — it knows fibertrees
-//! ([`sam_tensor::Tensor`]) and graphs ([`sam_core::graph::SamGraph`]) but
-//! not how either is evaluated. The `TiledBackend` of `sam-exec` composes
+//! The crate is tile mechanics: it knows fibertrees
+//! ([`sam_tensor::Tensor`]) and names no graph type. The `TiledBackend` of
+//! `sam-exec` derives a kernel's tile schedule from its plan and composes
 //! these pieces with the fast functional executor to produce *measured*
 //! finite-memory counters ([`sam_memory::MemoryCounters`]), the
 //! experimental twin of the closed-form `sam_memory` model:
@@ -19,10 +19,10 @@
 //!   [`sam_tensor::level::Level`], straight into the tile's level arrays —
 //!   a tile is the window of what its parent stores, explicit zeros
 //!   included — and catalogs a tensor's nonempty tiles in a [`TileGrid`];
-//! * [`schedule`] — derives a [`KernelTiling`] from a graph: which index
-//!   variables are safe to tile, how each bound tensor's storage levels map
-//!   onto them, and which tensors' empty tiles license skipping a whole
-//!   tile tuple;
+//! * [`schedule`] — a [`KernelTiling`] (which index variables are tiled,
+//!   how each bound tensor's storage levels map onto them, which tensors'
+//!   empty tiles license skipping a whole tile tuple) and the arithmetic on
+//!   it: grid sizes, coordinate windows, tile keys, the flat [`TupleSpace`];
 //! * [`llb`] — an LRU model of the last-level buffer that turns the tile
 //!   access sequence into measured DRAM traffic, occupancy high-water marks
 //!   and capacity-spill counts;
@@ -41,4 +41,4 @@ pub mod schedule;
 pub use extract::{for_each_stored, tile_of, TileGrid};
 pub use llb::LlbModel;
 pub use merge::TileMerger;
-pub use schedule::{KernelTiling, TensorTiling, TiledVar, TilingError, TupleSpace};
+pub use schedule::{KernelTiling, TensorTiling, TiledVar, TupleSpace};

@@ -279,160 +279,61 @@ impl<'g, 'b> Analyzer<'g, 'b> {
         let skip_edges: Vec<&Edge> =
             self.graph.edges().iter().filter(|e| e.kind == StreamKind::Skip).collect();
 
-        // Source-port attribution: an explicit port must exist and carry
-        // the kind; unported edges bind to the unique compatible port, or
-        // are dealt out in edge order (matching sibling-edge conventions,
-        // wrapping back to the first for pure fan-out) when several ports
-        // carry the kind.
-        let mut src_ports: Vec<Option<usize>> = Vec::with_capacity(data_edges.len());
-        let mut ambiguous_reported: HashSet<(usize, StreamKind)> = HashSet::new();
-        let mut next_inferred: HashMap<(usize, usize), usize> = HashMap::new();
+        // Port binding: both named ports must exist and carry the kind, and
+        // an input port takes one edge.
         for e in &data_edges {
             let outs = nodes[e.from.0].output_ports();
-            let port = match e.src_port {
-                Some(p) => {
-                    if p >= outs.len() || !outs[p].accepts(e.kind) {
-                        self.diag_port(
-                            Rule::PortKindMismatch,
-                            e.from.0,
-                            p,
-                            format!(
-                                "edge `{}` names output port {p} of `{}`, which {}",
-                                e.label,
-                                self.label(e.from.0),
-                                if p >= outs.len() {
-                                    "does not exist".to_string()
-                                } else {
-                                    format!("cannot carry a {:?} stream", e.kind)
-                                }
-                            ),
-                        );
-                        None
-                    } else {
-                        Some(p)
-                    }
-                }
-                None => {
-                    let candidates: Vec<usize> =
-                        (0..outs.len()).filter(|&p| outs[p].accepts(e.kind)).collect();
-                    match candidates.len() {
-                        0 => {
-                            self.diag(
-                                Rule::PortKindMismatch,
-                                e.from.0,
-                                format!(
-                                    "edge `{}`: `{}` has no output port carrying a {:?} stream",
-                                    e.label,
-                                    self.label(e.from.0),
-                                    e.kind
-                                ),
-                            );
-                            None
-                        }
-                        1 => Some(candidates[0]),
-                        _ => {
-                            let unported = self
-                                .graph
-                                .edges()
-                                .iter()
-                                .filter(|o| o.from == e.from && o.kind == e.kind && o.src_port.is_none())
-                                .count();
-                            if unported > candidates.len() {
-                                if ambiguous_reported.insert((e.from.0, e.kind)) {
-                                    self.diag(
-                                        Rule::AmbiguousPort,
-                                        e.from.0,
-                                        format!(
-                                            "{unported} unported {:?} edges leave `{}`, which has only \
-                                             {} such ports — wire them explicitly",
-                                            e.kind,
-                                            self.label(e.from.0),
-                                            candidates.len()
-                                        ),
-                                    );
-                                }
-                                None
-                            } else {
-                                let key = (e.from.0, candidates[0]);
-                                let idx = next_inferred.entry(key).or_insert(0);
-                                let port = candidates[*idx % candidates.len()];
-                                *idx += 1;
-                                Some(port)
-                            }
-                        }
-                    }
-                }
-            };
-            if port.is_none() {
-                self.poisoned[e.to.0] = true;
-            }
-            src_ports.push(port);
-        }
-
-        // Destination binding.
-        for (idx, e) in data_edges.iter().enumerate() {
-            let Some(src_port) = src_ports[idx] else { continue };
             let ins = nodes[e.to.0].input_ports();
-            let slot = match e.dst_port {
-                Some(p) => {
-                    if p >= ins.len() || !ins[p].accepts(e.kind) {
-                        self.diag_port(
-                            Rule::PortKindMismatch,
-                            e.to.0,
-                            p,
-                            format!(
-                                "edge `{}` names input port {p} of `{}`, which {}",
-                                e.label,
-                                self.label(e.to.0),
-                                if p >= ins.len() {
-                                    "does not exist".to_string()
-                                } else {
-                                    format!("cannot accept a {:?} stream", e.kind)
-                                }
-                            ),
-                        );
-                        self.poisoned[e.to.0] = true;
-                        continue;
-                    }
-                    if self.out.node_inputs[e.to.0][p].is_some() {
-                        self.diag_port(
-                            Rule::DuplicateInput,
-                            e.to.0,
-                            p,
-                            format!(
-                                "two edges claim input port {p} of `{}` (second: `{}`)",
-                                self.label(e.to.0),
-                                e.label
-                            ),
-                        );
-                        self.poisoned[e.to.0] = true;
-                        continue;
-                    }
-                    p
-                }
-                None => {
-                    match (0..ins.len())
-                        .find(|&p| ins[p].accepts(e.kind) && self.out.node_inputs[e.to.0][p].is_none())
-                    {
-                        Some(p) => p,
-                        None => {
-                            self.diag(
-                                Rule::ExtraInput,
-                                e.to.0,
-                                format!(
-                                    "edge `{}` fits no remaining input port of `{}`",
-                                    e.label,
-                                    self.label(e.to.0)
-                                ),
-                            );
-                            self.poisoned[e.to.0] = true;
-                            continue;
+            let (sp, dp) = (e.src_port, e.dst_port);
+            if sp >= outs.len() || !outs[sp].accepts(e.kind) {
+                self.diag_port(
+                    Rule::PortKindMismatch,
+                    e.from.0,
+                    sp,
+                    format!(
+                        "edge `{}` names output port {sp} of `{}`, which {}",
+                        e.label,
+                        self.label(e.from.0),
+                        if sp >= outs.len() {
+                            "does not exist".to_string()
+                        } else {
+                            format!("cannot carry a {:?} stream", e.kind)
                         }
-                    }
-                }
-            };
-            self.out.node_inputs[e.to.0][slot] = Some(PortRef { node: e.from, port: src_port });
-            self.out.consumers[e.from.0][src_port].push((e.to, slot));
+                    ),
+                );
+            } else if dp >= ins.len() || !ins[dp].accepts(e.kind) {
+                self.diag_port(
+                    Rule::PortKindMismatch,
+                    e.to.0,
+                    dp,
+                    format!(
+                        "edge `{}` names input port {dp} of `{}`, which {}",
+                        e.label,
+                        self.label(e.to.0),
+                        if dp >= ins.len() {
+                            "does not exist".to_string()
+                        } else {
+                            format!("cannot accept a {:?} stream", e.kind)
+                        }
+                    ),
+                );
+            } else if self.out.node_inputs[e.to.0][dp].is_some() {
+                self.diag_port(
+                    Rule::DuplicateInput,
+                    e.to.0,
+                    dp,
+                    format!(
+                        "two edges claim input port {dp} of `{}` (second: `{}`)",
+                        self.label(e.to.0),
+                        e.label
+                    ),
+                );
+            } else {
+                self.out.node_inputs[e.to.0][dp] = Some(PortRef { node: e.from, port: sp });
+                self.out.consumers[e.from.0][sp].push((e.to, dp));
+                continue;
+            }
+            self.poisoned[e.to.0] = true;
         }
 
         // Dangling mandatory inputs (skip ports are optional; nodes with a
@@ -503,18 +404,15 @@ impl<'g, 'b> Analyzer<'g, 'b> {
         if !matches!(nodes[e.to.0], NodeKind::LevelScanner { .. }) {
             return Err("target must be a level scanner");
         }
-        if e.dst_port.is_some_and(|p| p != 1) {
+        if e.dst_port != 1 {
             return Err("target port must be the scanner's skip input (port 1)");
         }
         let scanner = e.to;
         let feeds = |slot: usize, port: usize| self.out.fed_by(e.from, slot, scanner, port);
         let operand = match e.src_port {
-            Some(3) => 0,
-            Some(4) => 1,
-            Some(_) => return Err("source port must be a skip lane (port 3 or 4)"),
-            None if feeds(0, 0) => 0,
-            None if feeds(1, 0) => 1,
-            None => return Err("target scanner feeds neither coordinate operand"),
+            3 => 0,
+            4 => 1,
+            _ => return Err("source port must be a skip lane (port 3 or 4)"),
         };
         if self.out.private_scanner(self.graph, e.from, operand) != Some(scanner) {
             // Name the clause of the predicate that failed.

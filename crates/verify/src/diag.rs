@@ -40,10 +40,6 @@ pub enum Rule {
     /// An edge names an out-of-range port or one that cannot carry its
     /// stream kind.
     PortKindMismatch,
-    /// An unported edge could not be attributed to a unique output port.
-    AmbiguousPort,
-    /// A node received more inputs than its signature accepts.
-    ExtraInput,
     /// Two edges claim the same input port.
     DuplicateInput,
     /// A mandatory input port has no incoming edge.
@@ -96,8 +92,6 @@ impl Rule {
         match self {
             Rule::NotYetLowerable => "not-yet-lowerable",
             Rule::PortKindMismatch => "port-kind-mismatch",
-            Rule::AmbiguousPort => "ambiguous-port",
-            Rule::ExtraInput => "extra-input",
             Rule::DuplicateInput => "duplicate-input",
             Rule::DanglingInput => "dangling-input",
             Rule::DataCycle => "data-cycle",

@@ -76,8 +76,6 @@ mod tests {
         let rules = [
             Rule::NotYetLowerable,
             Rule::PortKindMismatch,
-            Rule::AmbiguousPort,
-            Rule::ExtraInput,
             Rule::DuplicateInput,
             Rule::DanglingInput,
             Rule::DataCycle,

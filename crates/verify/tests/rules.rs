@@ -85,28 +85,6 @@ fn port_kind_mismatch_fires_once() {
 }
 
 #[test]
-fn ambiguous_port_fires_once() {
-    // Three unported Ref edges leave a locator, which has only two Ref
-    // output ports.
-    let mut g = base();
-    let loc = g.add_node(NodeKind::Locator { tensor: "b".into(), index: 'j' });
-    g.add_edge_on(NodeId(1), 0, loc, 0, StreamKind::Crd, "crd");
-    g.add_edge_on(NodeId(0), 0, loc, 1, StreamKind::Ref, "ref");
-    for n in 0..3 {
-        let arr = g.add_node(NodeKind::Array { tensor: "b".into() });
-        g.add_edge(loc, arr, StreamKind::Ref, format!("r{n}"));
-    }
-    fires_once(&g, Rule::AmbiguousPort);
-}
-
-#[test]
-fn extra_input_fires_once() {
-    let mut g = base();
-    g.add_edge(NodeId(0), NodeId(2), StreamKind::Ref, "stray ref");
-    fires_once(&g, Rule::ExtraInput);
-}
-
-#[test]
 fn duplicate_input_fires_once() {
     let mut g = base();
     g.add_edge_on(NodeId(0), 0, NodeId(2), 0, StreamKind::Ref, "second claim");
@@ -139,7 +117,7 @@ fn data_cycle_fires_once() {
 #[test]
 fn illegal_skip_edge_fires_once() {
     let mut g = base();
-    g.add_edge(NodeId(2), NodeId(1), StreamKind::Skip, "bogus lane");
+    g.add_edge_on(NodeId(2), 3, NodeId(1), 1, StreamKind::Skip, "bogus lane");
     fires_once(&g, Rule::IllegalSkipEdge);
 }
 

@@ -12,7 +12,7 @@ fn main() {
     let assignment = parse(text).expect("valid tensor index notation");
     let cin = ConcreteIndexNotation::new(assignment.clone(), &Schedule::new().reorder("ikj"), Formats::new());
 
-    // The schematic graph: primitive counts and DOT export (Table 1 view).
+    // The schematic: the unwired node multiset Table 1 counts.
     let schematic = lower(&cin);
     println!("expression : {}", cin.assignment);
     println!("loop order : {}", cin.order_string());

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sam::core::graphs;
 use sam::custard::{lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
-use sam::exec::{CycleBackend, ExecError, ExecRequest, FastBackend, Inputs, TiledBackend};
+use sam::exec::{CycleBackend, ExecRequest, FastBackend, Inputs, TiledBackend};
 use sam::primitives::bitvector::bitvector_vec_mul;
 use sam::tensor::{CooTensor, Tensor, TensorFormat};
 use std::collections::BTreeMap;
@@ -230,20 +230,15 @@ fn fuzzed_expressions_are_bit_identical_across_backends() {
         assert_eq!(cycle.output, serial.output, "seed {seed}: `{text}` output on cycle");
         assert_eq!(cycle.vals, serial.vals, "seed {seed}: `{text}` vals on cycle");
 
-        // The tiled sweep runs where tiling supports the lowered graph and
-        // must then agree with the untiled run.
-        match ExecRequest::new(&kernel.graph, &inputs).executor(&TiledBackend::with_tile(4)).run() {
-            Ok(tiled) => {
-                assert_eq!(tiled.output, serial.output, "seed {seed}: `{text}` tiled output");
-                assert_eq!(tiled.vals, serial.vals, "seed {seed}: `{text}` tiled vals");
-                tiled_ok += 1;
-            }
-            Err(ExecError::TilingUnsupported { .. }) => {}
-            Err(e) => panic!("seed {seed}: `{text}` tiled run failed: {e}"),
-        }
+        // Every graph that plans has a tile schedule, and the tiled sweep
+        // must agree with the untiled run.
+        let tiled = ExecRequest::new(&kernel.graph, &inputs)
+            .executor(&TiledBackend::with_tile(4))
+            .run()
+            .unwrap_or_else(|e| panic!("seed {seed}: `{text}` tiled run failed: {e}"));
+        assert_eq!(tiled.output, serial.output, "seed {seed}: `{text}` tiled output");
+        assert_eq!(tiled.vals, serial.vals, "seed {seed}: `{text}` tiled vals");
+        tiled_ok += 1;
     }
-    assert!(
-        tiled_ok * 2 >= FUZZ_CASES,
-        "tiled backend rejected too many fuzz cases ({tiled_ok}/{FUZZ_CASES} succeeded)"
-    );
+    assert_eq!(tiled_ok, FUZZ_CASES, "every fuzz case runs tiled");
 }
