@@ -21,15 +21,18 @@
 //!   and max per stage, from the service telemetry.
 
 use sam_bench::{kernel_case, table1_case, table1_case_names, PROFILE_KERNELS};
-use sam_exec::{BackendSpec, ChromeTraceSink, CountersSink, ExecProfile, Execution, Executor, Plan};
-use sam_memory::MemoryConfig;
+use sam_exec::{
+    BackendSpec, ChromeTraceSink, CountersSink, ExecProfile, Execution, Executor, Plan, TiledBackend,
+};
 
 /// Builds the profiled backend from a [`BackendSpec`] label.
 /// `tiled` uses 64-wide tiles: several profiled kernels have 128-wide
 /// operands, which the default 128-wide tile would cover in one tile.
 fn build_backend(arg: &str) -> Result<Box<dyn Executor>, sam_exec::ParseBackendError> {
-    let spec: BackendSpec = arg.parse()?;
-    Ok(spec.build_with_memory(Some(MemoryConfig { tile: 64, ..MemoryConfig::default() })))
+    Ok(match arg.parse()? {
+        BackendSpec::Tiled => Box::new(TiledBackend::with_tile(64)),
+        spec => spec.build(),
+    })
 }
 
 fn usage() -> ! {

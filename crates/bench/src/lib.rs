@@ -345,7 +345,7 @@ pub fn table2_report() -> String {
 /// Runs one catalog graph over its operands on the cycle backend: the one
 /// door every simulated figure goes through.
 fn run_cycle(graph: &SamGraph, inputs: &Inputs) -> Execution {
-    ExecRequest::new(graph, inputs).executor(&CycleBackend::default()).run().expect("cycle run")
+    ExecRequest::new(graph, inputs).executor(&CycleBackend).run().expect("cycle run")
 }
 
 fn cycles_of(run: &Execution) -> u64 {
@@ -527,7 +527,7 @@ fn identity_stream_stats(b: &CooTensor) -> (Execution, TokenCounts, TokenCounts)
     let inputs = Inputs::new().coo("B", b, TensorFormat::dcsr());
     let sink = CountersSink::new();
     let run = ExecRequest::new(&graph, &inputs)
-        .executor(&CycleBackend::default())
+        .executor(&CycleBackend)
         .traced(&sink)
         .run()
         .expect("traced cycle run");

@@ -13,7 +13,9 @@
 //! zero-index scalar accesses, and nested sum reductions. What still
 //! returns a typed [`LowerExecError`]: terms with no indexed access to
 //! drive iteration (`b(i) + 2`), a tensor read twice (bindings are by
-//! name), sums with an operand that is dense (broadcast) at a co-iterated
+//! name), an index variable repeated within the target or within one
+//! access (`x(i,i)`, `B(i,i)`: a diagonal is not a storage level), sums
+//! with an operand that is dense (broadcast) at a co-iterated
 //! variable (`b(i) * (c(i) + d(j))` at `i` — the union would have to
 //! enumerate the whole dimension), and reduction structures with no
 //! streaming reducer assignment (several non-innermost reduction
@@ -48,11 +50,10 @@
 //!    that variable's final merged coordinate stream, plus the values
 //!    writer.
 //!
-//! When [`LowerOptions::skip_edges`] is set (the default), binary
-//! intersections whose two operands' level formats differ in density (one
-//! dense, one compressed) are emitted with the Section 4.2 coordinate-skip
-//! feedback edges, so compiled sparse-×-dense kernels get the executor's
-//! galloping fusion without hand wiring.
+//! Binary intersections whose two operands' level formats differ in density
+//! (one dense, one compressed) are emitted with the Section 4.2
+//! coordinate-skip feedback edges: the dense side can gallop in O(1), so the
+//! sparse side drives and skipped coordinates are never streamed.
 
 use crate::cin::ConcreteIndexNotation;
 use crate::lower::access_under_reduction;
@@ -70,6 +71,15 @@ pub enum LowerExecError {
     DuplicateAccess {
         /// The tensor read twice.
         tensor: String,
+    },
+    /// The target or one access names an index variable more than once
+    /// (`x(i,i)`, `B(i,i)`): a diagonal has no storage level to scan or
+    /// write.
+    RepeatedIndex {
+        /// The tensor indexed by a repeated variable.
+        tensor: String,
+        /// The index variable.
+        index: IndexVar,
     },
     /// A term carries no indexed tensor access, so nothing drives its
     /// iteration space (a bare literal sum operand, a reduction over
@@ -119,6 +129,9 @@ impl fmt::Display for LowerExecError {
             LowerExecError::DuplicateAccess { tensor } => {
                 write!(f, "tensor `{tensor}` is read more than once")
             }
+            LowerExecError::RepeatedIndex { tensor, index } => {
+                write!(f, "`{tensor}` is indexed by `{index}` more than once")
+            }
             LowerExecError::ConstantTerm => {
                 write!(f, "a term contains no indexed tensor access to drive iteration")
             }
@@ -146,22 +159,6 @@ impl fmt::Display for LowerExecError {
 }
 
 impl std::error::Error for LowerExecError {}
-
-/// Knobs of the executable lowering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LowerOptions {
-    /// Emit Section 4.2 coordinate-skip feedback edges on binary
-    /// intersections whose operands' level formats differ in density (one
-    /// dense, one compressed): the dense side can gallop in O(1), so the
-    /// sparse side drives and skipped coordinates are never streamed.
-    pub skip_edges: bool,
-}
-
-impl Default for LowerOptions {
-    fn default() -> Self {
-        LowerOptions { skip_edges: true }
-    }
-}
 
 /// An executable graph plus the storage format each operand must be bound
 /// with (levels ordered by the dataflow's iteration order).
@@ -227,7 +224,6 @@ fn merge_for_var(
     var: IndexVar,
     producers: &BTreeMap<usize, ScanProducer>,
     next: &mut usize,
-    skip_edges: bool,
     broadcasts: &dyn Fn(usize, IndexVar) -> bool,
 ) -> Result<Option<Merged>, LowerExecError> {
     match expr {
@@ -244,13 +240,13 @@ fn merge_for_var(
         Expr::Mul(a, b) | Expr::Add(a, b) | Expr::Sub(a, b) => {
             let union = !matches!(expr, Expr::Mul(..));
             let a_start = *next;
-            let ma = merge_for_var(g, a, var, producers, next, skip_edges, broadcasts)?;
+            let ma = merge_for_var(g, a, var, producers, next, broadcasts)?;
             let b_start = *next;
-            let mb = merge_for_var(g, b, var, producers, next, skip_edges, broadcasts)?;
+            let mb = merge_for_var(g, b, var, producers, next, broadcasts)?;
             let b_end = *next;
             let dense_addend = |range: std::ops::Range<usize>| range.clone().any(|o| broadcasts(o, var));
             match (ma, mb) {
-                (Some(a), Some(b)) => Ok(Some(combine(g, var, a, b, union, skip_edges))),
+                (Some(a), Some(b)) => Ok(Some(combine(g, var, a, b, union))),
                 (Some(m), None) => {
                     if union && dense_addend(b_start..b_end) {
                         return Err(LowerExecError::BroadcastAddend { index: var });
@@ -266,20 +262,19 @@ fn merge_for_var(
                 (None, None) => Ok(None),
             }
         }
-        Expr::Reduce { body, .. } => merge_for_var(g, body, var, producers, next, skip_edges, broadcasts),
+        Expr::Reduce { body, .. } => merge_for_var(g, body, var, producers, next, broadcasts),
     }
 }
 
 /// Combines two merged sides with one primary binary merger plus one
 /// realignment merger per reference stream beyond the first on each side.
-fn combine(g: &mut GraphBuilder, var: IndexVar, a: Merged, b: Merged, union: bool, skip: bool) -> Merged {
+fn combine(g: &mut GraphBuilder, var: IndexVar, a: Merged, b: Merged, union: bool) -> Merged {
     // The Section 4.2 skip heuristic: a plain binary intersection of two
     // raw scanner outputs whose levels differ in density. Realignment
     // mergers would fan the scanner outputs out past the intersecter, which
     // the planner's skip validation (rightly) rejects, so chains stay plain.
     let single = a.refs.len() == 1 && b.refs.len() == 1;
     let use_skip = !union
-        && skip
         && single
         && match (a.scan_fmt, b.scan_fmt) {
             (Some(fa), Some(fb)) => (fa == LevelFormat::Dense) != (fb == LevelFormat::Dense),
@@ -487,8 +482,7 @@ fn build_compute(
     }
 }
 
-/// Lowers concrete index notation to an executable SAM graph with the
-/// default [`LowerOptions`].
+/// Lowers concrete index notation to an executable SAM graph.
 ///
 /// ```
 /// use custard::{lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
@@ -503,24 +497,18 @@ fn build_compute(
 /// Returns a [`LowerExecError`] when the expression falls outside the
 /// executable fragment; see the module docs.
 pub fn lower_exec(cin: &ConcreteIndexNotation) -> Result<ExecutableKernel, LowerExecError> {
-    lower_exec_with(cin, LowerOptions::default())
-}
-
-/// [`lower_exec`] with explicit [`LowerOptions`] (e.g. to ablate the
-/// skip-edge heuristic).
-///
-/// # Errors
-///
-/// Returns a [`LowerExecError`] when the expression falls outside the
-/// executable fragment; see the module docs.
-pub fn lower_exec_with(
-    cin: &ConcreteIndexNotation,
-    opts: LowerOptions,
-) -> Result<ExecutableKernel, LowerExecError> {
     let assignment = &cin.assignment;
     let rhs = &assignment.rhs;
 
     let accesses = rhs.accesses();
+    // Before any format is derived: a repeated variable would make a mode
+    // order that is no permutation, or silently drop a storage level.
+    let target = (assignment.target.as_str(), assignment.target_indices.as_slice());
+    for (tensor, indices) in std::iter::once(target).chain(accesses.iter().copied()) {
+        if let Some((_, &index)) = indices.iter().enumerate().find(|&(i, v)| indices[..i].contains(v)) {
+            return Err(LowerExecError::RepeatedIndex { tensor: tensor.to_string(), index });
+        }
+    }
     {
         let mut seen = BTreeSet::new();
         for (name, _) in &accesses {
@@ -609,9 +597,8 @@ pub fn lower_exec_with(
             // that a union could not enumerate.
             let n_producers = producers.len();
             let mut next = 0;
-            let merged =
-                merge_for_var(&mut g, rhs, var, &producers, &mut next, opts.skip_edges, &broadcasts)?
-                    .expect("producers are nonempty");
+            let merged = merge_for_var(&mut g, rhs, var, &producers, &mut next, &broadcasts)?
+                .expect("producers are nonempty");
             if merged.refs.len() != n_producers {
                 return Err(LowerExecError::MergeRefMismatch {
                     index: var,
@@ -815,16 +802,15 @@ mod tests {
         }
 
         // Both compressed: no skew, no skip edges.
-        let cin = ConcreteIndexNotation::new(a.clone(), &Schedule::new(), Formats::new());
+        let cin = ConcreteIndexNotation::new(a, &Schedule::new(), Formats::new());
         assert_eq!(count(&lower_exec(&cin).unwrap().graph), 0);
 
-        // The knob disables emission outright.
-        let dense_c = Formats::new().set("c", TensorFormat::dense_vec());
-        let cin = ConcreteIndexNotation::new(a, &Schedule::new(), dense_c);
-        let plain = lower_exec_with(&cin, LowerOptions { skip_edges: false }).unwrap();
-        assert_eq!(count(&plain.graph), 0);
-        // Skip edges are pure feedback wiring: same primitive structure.
-        assert_eq!(plain.graph.primitive_counts(), skipped.graph.primitive_counts());
+        // Skip edges are pure feedback wiring: the graph without them is
+        // still a legal one (what the ablations run).
+        let mut plain = skipped.graph.clone();
+        plain.edges_mut().retain(|e| e.kind != StreamKind::Skip);
+        assert_eq!(plain.edges().len() + 2, skipped.graph.edges().len());
+        assert!(!sam_verify::verify(&plain).has_errors(), "{}", sam_verify::verify(&plain).render());
     }
 
     #[test]
@@ -861,6 +847,17 @@ mod tests {
         // A bare literal as a sum operand has no iteration space.
         assert_eq!(lower_text("x(i) = b(i) + 2", None).unwrap_err(), LowerExecError::ConstantTerm);
         assert_eq!(lower_text("x(i) = 3", None).unwrap_err(), LowerExecError::ConstantTerm);
+        // A repeated index variable, in the target or in one access, has no
+        // storage level: rejected before any format is derived.
+        for (text, tensor, index) in
+            [("x(i,i) = b(i)", "x", 'i'), ("X(j,j) = B(i,j,k) * c(k)", "X", 'j'), ("x(i) = B(i,i)", "B", 'i')]
+        {
+            assert_eq!(
+                lower_text(text, None).unwrap_err(),
+                LowerExecError::RepeatedIndex { tensor: tensor.into(), index },
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -29,6 +29,6 @@ pub mod parser;
 
 pub use ablation::{ablation_study, AblationRow, ExpressionCorpus};
 pub use cin::{ConcreteIndexNotation, Formats, Schedule};
-pub use exec_lower::{lower_exec, lower_exec_with, ExecutableKernel, LowerExecError, LowerOptions};
+pub use exec_lower::{lower_exec, ExecutableKernel, LowerExecError};
 pub use lower::lower;
 pub use parser::{parse, ParseError};

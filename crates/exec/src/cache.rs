@@ -1,4 +1,4 @@
-//! The global sharded plan cache and the [`Planner`] entry point.
+//! The global sharded plan cache.
 //!
 //! Planning a graph ([`Plan::build`]) runs the static analysis over the whole
 //! topology and every tensor binding — cheap next to a cold custard
@@ -19,10 +19,10 @@
 //! * [`PlanCache`] is the sharded LRU map. [`PlanCache::global`] is the
 //!   process-wide instance the default execution path uses; services that
 //!   want isolated counters (or a different capacity) construct their own.
-//! * [`Planner`] is the one-shot path's planning entry point: it produces
-//!   `Arc<Plan>`s, through a cache or not. The `sam-serve` service reads
-//!   its own cache through [`PlanCache::lookup`], which also reports the
-//!   hit.
+//!   The `sam-serve` service reads its own through [`PlanCache::lookup`],
+//!   which also reports the hit. Cached or not, every plan is one
+//!   [`Plan::build`], so every door accepts the same graphs and rejects
+//!   with the same diagnostics.
 //!
 //! ```
 //! use sam_core::graphs;
@@ -290,48 +290,6 @@ impl PlanCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
-    }
-}
-
-/// The planning entry point of the one-shot [`crate::ExecRequest`] path:
-/// turns `(graph, inputs)` into an [`Arc<Plan>`], through a [`PlanCache`]
-/// or not. Cached or not — and through `sam-serve`'s own
-/// [`PlanCache::lookup`] too — every plan is one [`Plan::build`], so every
-/// door accepts the same graphs and rejects with the same diagnostics.
-#[derive(Debug, Clone, Default)]
-pub struct Planner {
-    cache: Option<Arc<PlanCache>>,
-    use_global: bool,
-}
-
-impl Planner {
-    /// A planner over the process-wide [`PlanCache::global`].
-    pub fn cached() -> Planner {
-        Planner { cache: None, use_global: true }
-    }
-
-    /// A planner over a specific cache (a service's own, say).
-    pub fn with_cache(cache: Arc<PlanCache>) -> Planner {
-        Planner { cache: Some(cache), use_global: false }
-    }
-
-    /// A planner that always re-plans (the pre-cache behavior; also
-    /// [`Default`]).
-    pub fn uncached() -> Planner {
-        Planner { cache: None, use_global: false }
-    }
-
-    /// Plans `graph` over `inputs`, consulting this planner's cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from [`Plan::build`].
-    pub fn plan(&self, graph: &SamGraph, inputs: &Inputs) -> Result<Arc<Plan>, PlanError> {
-        match (&self.cache, self.use_global) {
-            (Some(cache), _) => cache.get_or_plan(graph, inputs),
-            (None, true) => PlanCache::global().get_or_plan(graph, inputs),
-            (None, false) => Ok(Arc::new(Plan::build(graph, inputs)?)),
-        }
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::bind::Inputs;
 use crate::error::ExecError;
 use crate::plan::{Plan, DEFAULT_MAX_CYCLES};
-use crate::{assemble_output, reducer_policy, Execution, Executor};
+use crate::{assemble_output, Execution, Executor};
 use sam_core::graph::NodeKind;
 use sam_primitives::writer::{level_sink, val_sink, LevelWriterSink, ValWriterSink};
 use sam_primitives::{
@@ -17,24 +17,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Runs plans on the cycle-approximate simulator, reporting cycle counts.
-#[derive(Debug, Clone, Copy)]
-pub struct CycleBackend {
-    max_cycles: u64,
-}
-
-impl Default for CycleBackend {
-    fn default() -> Self {
-        CycleBackend { max_cycles: DEFAULT_MAX_CYCLES }
-    }
-}
-
-impl CycleBackend {
-    /// A backend with an explicit cycle budget.
-    pub fn with_max_cycles(max_cycles: u64) -> Self {
-        CycleBackend { max_cycles }
-    }
-}
+/// Runs plans on the cycle-approximate simulator, reporting cycle counts;
+/// a run that has not finished after [`DEFAULT_MAX_CYCLES`] is an error.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CycleBackend;
 
 impl Executor for CycleBackend {
     fn name(&self) -> &'static str {
@@ -193,19 +179,15 @@ impl Executor for CycleBackend {
                     )));
                 }
                 NodeKind::Reducer { order } => {
-                    let policy = reducer_policy(*order);
                     let block = match order {
-                        0 => Reducer::scalar(label, slot(0), out_ch[id.0][0], policy),
-                        1 => {
-                            Reducer::vector(label, slot(0), slot(1), out_ch[id.0][0], out_ch[id.0][1], policy)
-                        }
+                        0 => Reducer::scalar(label, slot(0), out_ch[id.0][0]),
+                        1 => Reducer::vector(label, slot(0), slot(1), out_ch[id.0][0], out_ch[id.0][1]),
                         _ => Reducer::matrix(
                             label,
                             [slot(0), slot(1)],
                             slot(2),
                             [out_ch[id.0][0], out_ch[id.0][1]],
                             out_ch[id.0][2],
-                            policy,
                         ),
                     };
                     sim.add_block(Box::new(block));
@@ -242,7 +224,7 @@ impl Executor for CycleBackend {
             node_block[id.0] = (sim.num_blocks() > next_block).then_some(next_block);
         }
 
-        let report = sim.run(self.max_cycles)?;
+        let report = sim.run(DEFAULT_MAX_CYCLES)?;
 
         if tracing {
             // Classify every recorded channel's full history back to the node

@@ -26,8 +26,8 @@
 //!   machine).
 //!
 //! Execution goes through one door, [`ExecRequest`]: a graph, its bound
-//! inputs, and [`ExecOptions`] (backend by [`BackendSpec`], optional trace
-//! sink, memory budget, pre-built plan). Requests plan through the global
+//! inputs, and how to run them (backend by [`BackendSpec`] or by instance,
+//! optional trace sink, pre-built plan). Requests plan through the global
 //! [`PlanCache`] by default, so repeated executions of one workload shape
 //! pay for planning once. A query runs on one thread; what runs in
 //! parallel is whole queries, on `sam-serve`'s workers.
@@ -123,12 +123,12 @@ pub mod spec;
 pub mod tiled;
 
 pub use bind::Inputs;
-pub use cache::{PlanCache, PlanCacheStats, PlanKey, Planner};
+pub use cache::{PlanCache, PlanCacheStats, PlanKey};
 pub use cycle::CycleBackend;
 pub use error::{ExecError, PlanError};
 pub use fast::FastBackend;
 pub use plan::{ChannelSpec, FusedScan, Plan, PortRef, SkipSpec, DEFAULT_MAX_CYCLES};
-pub use request::{ExecOptions, ExecRequest};
+pub use request::ExecRequest;
 pub use sam_memory::MemoryCounters;
 pub use sam_trace::{
     ChromeTraceSink, CountersSink, ExecProfile, HistogramSnapshot, MetricsRegistry, NodeProfile, NullSink,
@@ -137,7 +137,6 @@ pub use sam_trace::{
 pub use spec::{BackendSpec, ParseBackendError};
 pub use tiled::TiledBackend;
 
-use sam_primitives::EmptyFiberPolicy;
 use sam_tensor::level::{CompressedLevel, Level};
 use sam_tensor::{Tensor, TensorFormat};
 use std::time::Duration;
@@ -202,18 +201,6 @@ pub trait Executor {
     /// Same failure modes as [`Executor::run`].
     fn run_traced(&self, plan: &Plan, inputs: &Inputs, trace: &dyn TraceSink)
         -> Result<Execution, ExecError>;
-}
-
-/// The accumulation policy the executor assigns to a reducer of the given
-/// order: scalar reducers emit explicit zeros so their value streams stay
-/// aligned with the outer coordinate streams feeding the writers; vector
-/// and matrix reducers emit only accumulated coordinates.
-pub(crate) fn reducer_policy(order: usize) -> EmptyFiberPolicy {
-    if order == 0 {
-        EmptyFiberPolicy::ExplicitZero
-    } else {
-        EmptyFiberPolicy::Drop
-    }
 }
 
 /// Assembles the output tensor from the written levels and values. Both
@@ -285,7 +272,7 @@ mod tests {
         env.insert("c", Tensor::from_coo("c", &c, TensorFormat::dense_vec()).to_dense());
         env.bind_dims(&table1::spmv(), &[]);
         let expect = env.evaluate(&table1::spmv()).unwrap();
-        for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend] {
+        for backend in [&CycleBackend as &dyn Executor, &FastBackend] {
             let run = ExecRequest::new(&graph, &inputs).executor(backend).run().unwrap();
             assert!(run.output.unwrap().to_dense().approx_eq(&expect), "{} backend diverged", backend.name());
         }
@@ -342,7 +329,7 @@ mod tests {
         let mut env = dense_env(&[("B", &b), ("C", &c), ("D", &d)]);
         env.bind_dims(&table1::sddmm(), &[]);
         let expect = env.evaluate(&table1::sddmm()).unwrap();
-        for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend] {
+        for backend in [&CycleBackend as &dyn Executor, &FastBackend] {
             let run = ExecRequest::new(&graph, &inputs).executor(backend).run().unwrap();
             assert!(run.output.unwrap().to_dense().approx_eq(&expect), "{} backend diverged", backend.name());
         }

@@ -1,13 +1,11 @@
-//! Per-primitive transfer functions, written once against pull/push stream
-//! abstractions.
+//! Per-primitive transfer functions over whole stored streams.
 //!
 //! Every function here consumes its input streams strictly left to right
 //! (with at most one token of lookahead) and appends to its output streams
-//! strictly in order. The fast backend's walk (`crate::fast`) drives them
-//! over whole streams: a [`SliceSource`] over a stored `Vec<SimToken>` as
-//! the [`Source`] and a plain `Vec<SimToken>` as the [`Sink`], one call per
-//! node. The two traits stay generic so a clocked channel can implement
-//! them too (ROADMAP item 3(b)).
+//! strictly in order. The fast backend's walk (`crate::fast`) drives them,
+//! one call per node: an input is a [`SliceSource`], a cursor over a
+//! finished `Vec<SimToken>` whose `None` means the stream ended, and an
+//! output is a plain `Vec<SimToken>`.
 //!
 //! A level scanner has one definition, [`GallopScan`], and two uses: an
 //! intersecter pulls `(crd, ref)` pairs from it directly when the planner
@@ -24,9 +22,8 @@
 use crate::bind::Inputs;
 use crate::error::ExecError;
 use crate::plan::Plan;
-use crate::reducer_policy;
 use sam_core::graph::{NodeId, NodeKind};
-use sam_primitives::{root_stream, AluOp, EmptyFiberPolicy};
+use sam_primitives::{root_stream, AluOp};
 use sam_sim::payload::{tok, Payload};
 use sam_sim::SimToken;
 use sam_streams::Token;
@@ -34,33 +31,9 @@ use sam_tensor::level::{CompressedLevel, Level};
 use sam_trace::TokenCounts;
 use std::collections::BTreeMap;
 
-/// A pull-based token stream: the reading half of a node's input.
-pub(crate) trait Source {
-    /// The next token, or `None` when the stream ends (producer finished or
-    /// failed without a done token).
-    fn next(&mut self) -> Option<SimToken>;
-
-    /// The next token without consuming it.
-    fn peek(&mut self) -> Option<SimToken>;
-}
-
-impl<S: Source + ?Sized> Source for &mut S {
-    fn next(&mut self) -> Option<SimToken> {
-        (**self).next()
-    }
-
-    fn peek(&mut self) -> Option<SimToken> {
-        (**self).peek()
-    }
-}
-
-/// A push-based token stream: the writing half of a node's output.
-pub(crate) trait Sink {
-    /// Appends one token to the stream.
-    fn push(&mut self, t: SimToken);
-}
-
-/// A [`Source`] over a finished, stored stream.
+/// A cursor over a finished, stored stream: the reading half of a node's
+/// input.
+#[derive(Clone)]
 pub(crate) struct SliceSource<'a> {
     tokens: &'a [SimToken],
     pos: usize,
@@ -70,23 +43,18 @@ impl<'a> SliceSource<'a> {
     pub(crate) fn new(tokens: &'a [SimToken]) -> Self {
         SliceSource { tokens, pos: 0 }
     }
-}
 
-impl Source for SliceSource<'_> {
+    /// The next token, or `None` when the stream ends (producer finished or
+    /// failed without a done token).
     fn next(&mut self) -> Option<SimToken> {
         let t = self.tokens.get(self.pos).copied();
         self.pos += 1;
         t
     }
 
-    fn peek(&mut self) -> Option<SimToken> {
+    /// The next token without consuming it.
+    fn peek(&self) -> Option<SimToken> {
         self.tokens.get(self.pos).copied()
-    }
-}
-
-impl Sink for Vec<SimToken> {
-    fn push(&mut self, t: SimToken) {
-        Vec::push(self, t);
     }
 }
 
@@ -152,10 +120,10 @@ impl<'a> NodeJob<'a> {
 
 /// Runs one node over its input sources, pushing to its output sinks.
 /// Writers return their collected output instead of streaming.
-pub(crate) fn eval_node<S: Source, K: Sink>(
+pub(crate) fn eval_node(
     job: &NodeJob<'_>,
-    srcs: &mut [S],
-    outs: &mut [K],
+    srcs: &mut [SliceSource<'_>],
+    outs: &mut [Vec<SimToken>],
 ) -> Result<Option<WriterOutput>, ExecError> {
     let label = job.label.as_str();
     match job.kind {
@@ -166,7 +134,7 @@ pub(crate) fn eval_node<S: Source, K: Sink>(
         }
         NodeKind::LevelScanner { .. } => {
             let [crd, rf] = outs else { unreachable!("scanner has two outputs") };
-            run_scanner(job.level.expect("scanner level"), &mut srcs[0], crd, rf);
+            run_scanner(job.level.expect("scanner level"), srcs[0].clone(), crd, rf);
         }
         NodeKind::Repeater { .. } => {
             let [crd_in, ref_in] = srcs else { unreachable!("repeater has two inputs") };
@@ -179,8 +147,8 @@ pub(crate) fn eval_node<S: Source, K: Sink>(
             let [c0, c1, r0, r1] = srcs else { unreachable!("intersecter has four inputs") };
             let [oc, o0, o1, ..] = outs else { unreachable!("intersecter has five outputs") };
             run_intersect(
-                &mut IntersectOperand::Streams { crd: c0, rf: r0 },
-                &mut IntersectOperand::Streams { crd: c1, rf: r1 },
+                &mut IntersectOperand::Streams { crd: c0.clone(), rf: r0.clone() },
+                &mut IntersectOperand::Streams { crd: c1.clone(), rf: r1.clone() },
                 oc,
                 o0,
                 o1,
@@ -208,7 +176,7 @@ pub(crate) fn eval_node<S: Source, K: Sink>(
             run_alu(job.alu.expect("validated ALU"), a, b, &mut outs[0], label)?;
         }
         NodeKind::Reducer { order } => match order {
-            0 => run_reduce_scalar(&mut srcs[0], reducer_policy(0), &mut outs[0]),
+            0 => run_reduce_scalar(&mut srcs[0], &mut outs[0]),
             1 => {
                 let [crd, val] = srcs else { unreachable!("vector reducer has two inputs") };
                 let [oc, ov] = outs else { unreachable!("vector reducer has two outputs") };
@@ -245,7 +213,7 @@ fn misaligned(label: &str) -> ExecError {
 
 /// Reads the crd/ref token pair at one position of a merged operand; the
 /// two streams of an operand always advance in lockstep.
-fn fetch_pair<S: Source>(crd: &mut S, rf: &mut S) -> Option<(SimToken, SimToken)> {
+fn fetch_pair(crd: &mut SliceSource<'_>, rf: &mut SliceSource<'_>) -> Option<(SimToken, SimToken)> {
     let c = crd.next()?;
     let r = rf.next()?;
     Some((c, r))
@@ -253,7 +221,7 @@ fn fetch_pair<S: Source>(crd: &mut S, rf: &mut S) -> Option<(SimToken, SimToken)
 
 /// Level scanner transfer function: drains the one scanner definition,
 /// [`GallopScan`], into the node's two output streams.
-fn run_scanner<S: Source, K: Sink>(level: &Level, input: &mut S, crd: &mut K, rf: &mut K) {
+fn run_scanner(level: &Level, input: SliceSource<'_>, crd: &mut Vec<SimToken>, rf: &mut Vec<SimToken>) {
     let mut scan = GallopScan::new(level, input);
     while let Some((c, r)) = scan.next_pair() {
         crd.push(c);
@@ -270,10 +238,10 @@ fn run_scanner<S: Source, K: Sink>(level: &Level, input: &mut S, crd: &mut K, rf
 /// stream's own fiber, consuming its (single, hierarchical) stop token.
 /// Walking that correspondence reproduces the cycle-level block's output
 /// without emulating its tick timing.
-fn run_repeater<S: Source, K: Sink>(
-    crd_in: &mut S,
-    ref_in: &mut S,
-    out: &mut K,
+fn run_repeater(
+    crd_in: &mut SliceSource<'_>,
+    ref_in: &mut SliceSource<'_>,
+    out: &mut Vec<SimToken>,
     label: &str,
 ) -> Result<(), ExecError> {
     let mut current: Option<SimToken> = None;
@@ -349,18 +317,18 @@ enum GallopState {
 /// `to - pos` tokens of each: `emitted` is always exactly what classifying
 /// the two drained streams would have counted, whether or not anybody
 /// materialized the tokens.
-pub(crate) struct GallopScan<'a, S: Source> {
+pub(crate) struct GallopScan<'a> {
     level: &'a Level,
-    input: S,
+    input: SliceSource<'a>,
     state: GallopState,
     /// Tokens emitted or skipped so far on both output streams, by class.
     emitted: TokenCounts,
 }
 
-impl<'a, S: Source> GallopScan<'a, S> {
+impl<'a> GallopScan<'a> {
     /// A scanner over `level`, pulling fiber references from `input` (the
     /// scanner node's reference input stream).
-    pub(crate) fn new(level: &'a Level, input: S) -> Self {
+    pub(crate) fn new(level: &'a Level, input: SliceSource<'a>) -> Self {
         GallopScan { level, input, state: GallopState::Idle, emitted: TokenCounts::default() }
     }
 
@@ -460,19 +428,19 @@ impl<'a, S: Source> GallopScan<'a, S> {
 /// else reads them too, so the scanner ran standalone) or the operand's
 /// scanner itself, fused. Only a fused scanner has a cursor to move, so the
 /// two skips are no-ops on stored streams, which step token by token.
-pub(crate) enum IntersectOperand<'a, S: Source> {
+pub(crate) enum IntersectOperand<'a> {
     /// Stored streams; fetching steps token by token.
     Streams {
         /// The operand's coordinate stream.
-        crd: S,
+        crd: SliceSource<'a>,
         /// The operand's reference stream.
-        rf: S,
+        rf: SliceSource<'a>,
     },
     /// A fused scanner, pulled pair by pair and skipped forward on request.
-    Scan(GallopScan<'a, S>),
+    Scan(GallopScan<'a>),
 }
 
-impl<S: Source> IntersectOperand<'_, S> {
+impl IntersectOperand<'_> {
     fn fetch(&mut self) -> Option<(SimToken, SimToken)> {
         match self {
             IntersectOperand::Streams { crd, rf } => fetch_pair(crd, rf),
@@ -512,12 +480,12 @@ impl<S: Source> IntersectOperand<'_, S> {
 /// Whether the graph wires a Section 4.2 skip lane does not matter here: a
 /// fused scanner tallies what it skipped, so the streams and every count
 /// are those of the plain merge over stored streams.
-pub(crate) fn run_intersect<S: Source, K: Sink>(
-    a: &mut IntersectOperand<'_, S>,
-    b: &mut IntersectOperand<'_, S>,
-    oc: &mut K,
-    o0: &mut K,
-    o1: &mut K,
+pub(crate) fn run_intersect(
+    a: &mut IntersectOperand<'_>,
+    b: &mut IntersectOperand<'_>,
+    oc: &mut Vec<SimToken>,
+    o0: &mut Vec<SimToken>,
+    o1: &mut Vec<SimToken>,
     label: &str,
 ) -> Result<(), ExecError> {
     let mut ta = a.fetch().ok_or_else(|| misaligned(label))?;
@@ -585,14 +553,14 @@ pub(crate) fn run_intersect<S: Source, K: Sink>(
 
 /// Unioner transfer function (Definition 3.3).
 #[allow(clippy::too_many_arguments)]
-fn run_union<S: Source, K: Sink>(
-    c0: &mut S,
-    c1: &mut S,
-    r0: &mut S,
-    r1: &mut S,
-    oc: &mut K,
-    o0: &mut K,
-    o1: &mut K,
+fn run_union(
+    c0: &mut SliceSource<'_>,
+    c1: &mut SliceSource<'_>,
+    r0: &mut SliceSource<'_>,
+    r1: &mut SliceSource<'_>,
+    oc: &mut Vec<SimToken>,
+    o0: &mut Vec<SimToken>,
+    o1: &mut Vec<SimToken>,
     label: &str,
 ) -> Result<(), ExecError> {
     let mut a = fetch_pair(c0, r0).ok_or_else(|| misaligned(label))?;
@@ -665,13 +633,13 @@ fn run_union<S: Source, K: Sink>(
 
 /// Locator transfer function (Definition 4.1).
 #[allow(clippy::too_many_arguments)]
-fn run_locator<S: Source, K: Sink>(
+fn run_locator(
     level: &Level,
-    crd: &mut S,
-    rf: &mut S,
-    oc: &mut K,
-    pass: &mut K,
-    located: &mut K,
+    crd: &mut SliceSource<'_>,
+    rf: &mut SliceSource<'_>,
+    oc: &mut Vec<SimToken>,
+    pass: &mut Vec<SimToken>,
+    located: &mut Vec<SimToken>,
     label: &str,
 ) -> Result<(), ExecError> {
     loop {
@@ -719,10 +687,10 @@ fn run_locator<S: Source, K: Sink>(
 }
 
 /// Array-in-load-mode transfer function (Definition 3.5).
-fn run_array<S: Source, K: Sink>(
+fn run_array(
     vals: &[f64],
-    input: &mut S,
-    out: &mut K,
+    input: &mut SliceSource<'_>,
+    out: &mut Vec<SimToken>,
     label: &str,
 ) -> Result<(), ExecError> {
     while let Some(t) = input.next() {
@@ -747,7 +715,7 @@ fn run_array<S: Source, K: Sink>(
 
 /// Constant-source transfer function: one scalar per data token of the
 /// shape stream, empty and control tokens mirrored through.
-fn run_const<S: Source, K: Sink>(value: f64, input: &mut S, out: &mut K) {
+fn run_const(value: f64, input: &mut SliceSource<'_>, out: &mut Vec<SimToken>) {
     while let Some(t) = input.next() {
         match t {
             Token::Val(_) => out.push(tok::val(value)),
@@ -762,11 +730,11 @@ fn run_const<S: Source, K: Sink>(value: f64, input: &mut S, out: &mut K) {
 }
 
 /// ALU transfer function (Definition 3.6): empty tokens read as zero.
-fn run_alu<S: Source, K: Sink>(
+fn run_alu(
     op: AluOp,
-    a: &mut S,
-    b: &mut S,
-    out: &mut K,
+    a: &mut SliceSource<'_>,
+    b: &mut SliceSource<'_>,
+    out: &mut Vec<SimToken>,
     label: &str,
 ) -> Result<(), ExecError> {
     let apply = |x: f64, y: f64| match op {
@@ -794,23 +762,18 @@ fn run_alu<S: Source, K: Sink>(
     Ok(())
 }
 
-/// Scalar reducer transfer function (Definition 3.7, order 0).
-fn run_reduce_scalar<S: Source, K: Sink>(input: &mut S, policy: EmptyFiberPolicy, out: &mut K) {
+/// Scalar reducer transfer function (Definition 3.7, order 0). An empty
+/// fiber sums to an explicit zero, so the value stream stays aligned with
+/// the outer coordinate streams feeding the writers.
+fn run_reduce_scalar(input: &mut SliceSource<'_>, out: &mut Vec<SimToken>) {
     let mut acc = 0.0;
-    let mut has_data = false;
     while let Some(t) = input.next() {
         match t {
-            Token::Val(p) => {
-                acc += p.expect_val();
-                has_data = true;
-            }
+            Token::Val(p) => acc += p.expect_val(),
             Token::Empty => {}
             Token::Stop(n) => {
-                if has_data || policy == EmptyFiberPolicy::ExplicitZero {
-                    out.push(tok::val(acc));
-                }
+                out.push(tok::val(acc));
                 acc = 0.0;
-                has_data = false;
                 if n > 0 {
                     out.push(tok::stop(n - 1));
                 }
@@ -824,15 +787,18 @@ fn run_reduce_scalar<S: Source, K: Sink>(input: &mut S, policy: EmptyFiberPolicy
 }
 
 /// Vector reducer transfer function (Definition 3.7, order 1 / Figure 7).
-fn run_reduce_vector<S: Source, K: Sink>(
-    crd: &mut S,
-    val: &mut S,
-    oc: &mut K,
-    ov: &mut K,
+fn run_reduce_vector(
+    crd: &mut SliceSource<'_>,
+    val: &mut SliceSource<'_>,
+    oc: &mut Vec<SimToken>,
+    ov: &mut Vec<SimToken>,
     label: &str,
 ) -> Result<(), ExecError> {
     let mut acc: BTreeMap<u32, f64> = BTreeMap::new();
-    let flush = |acc: &mut BTreeMap<u32, f64>, closing: Option<u8>, oc: &mut K, ov: &mut K| {
+    let flush = |acc: &mut BTreeMap<u32, f64>,
+                 closing: Option<u8>,
+                 oc: &mut Vec<SimToken>,
+                 ov: &mut Vec<SimToken>| {
         for (c, v) in std::mem::take(acc) {
             oc.push(tok::crd(c));
             ov.push(tok::val(v));
@@ -873,13 +839,13 @@ fn run_reduce_vector<S: Source, K: Sink>(
 
 /// Matrix reducer transfer function (Definition 3.7, order 2).
 #[allow(clippy::too_many_arguments)]
-fn run_reduce_matrix<S: Source, K: Sink>(
-    outer: &mut S,
-    inner: &mut S,
-    val: &mut S,
-    oo: &mut K,
-    oi: &mut K,
-    ov: &mut K,
+fn run_reduce_matrix(
+    outer: &mut SliceSource<'_>,
+    inner: &mut SliceSource<'_>,
+    val: &mut SliceSource<'_>,
+    oo: &mut Vec<SimToken>,
+    oi: &mut Vec<SimToken>,
+    ov: &mut Vec<SimToken>,
     label: &str,
 ) -> Result<(), ExecError> {
     let mut acc: BTreeMap<(u32, u32), f64> = BTreeMap::new();
@@ -925,12 +891,12 @@ fn run_reduce_matrix<S: Source, K: Sink>(
 }
 
 /// Emits the accumulated matrix exactly like the cycle-level reducer block.
-fn flush_matrix<K: Sink>(
+fn flush_matrix(
     acc: &mut BTreeMap<(u32, u32), f64>,
     closing_stop: Option<u8>,
-    oo: &mut K,
-    oi: &mut K,
-    ov: &mut K,
+    oo: &mut Vec<SimToken>,
+    oi: &mut Vec<SimToken>,
+    ov: &mut Vec<SimToken>,
 ) {
     let mut by_outer: BTreeMap<u32, Vec<(u32, f64)>> = BTreeMap::new();
     for ((o, i), v) in std::mem::take(acc) {
@@ -963,13 +929,13 @@ fn flush_matrix<K: Sink>(
 
 /// A sink adapter merging consecutive stop tokens by keeping the higher
 /// level (the Figure 8 upgrade rule the dropper outputs follow).
-struct MergeSink<'a, K: Sink> {
-    inner: &'a mut K,
+struct MergeSink<'a> {
+    inner: &'a mut Vec<SimToken>,
     pending: Option<SimToken>,
 }
 
-impl<'a, K: Sink> MergeSink<'a, K> {
-    fn new(inner: &'a mut K) -> Self {
+impl<'a> MergeSink<'a> {
+    fn new(inner: &'a mut Vec<SimToken>) -> Self {
         MergeSink { inner, pending: None }
     }
 
@@ -992,11 +958,11 @@ impl<'a, K: Sink> MergeSink<'a, K> {
 }
 
 /// Coordinate dropper transfer function (Definition 3.9, Figure 8).
-fn run_dropper<S: Source, K: Sink>(
-    outer: &mut S,
-    inner: &mut S,
-    out_outer: &mut K,
-    out_inner: &mut K,
+fn run_dropper(
+    outer: &mut SliceSource<'_>,
+    inner: &mut SliceSource<'_>,
+    out_outer: &mut Vec<SimToken>,
+    out_inner: &mut Vec<SimToken>,
     label: &str,
 ) -> Result<(), ExecError> {
     let mut mo = MergeSink::new(out_outer);
@@ -1072,7 +1038,7 @@ fn run_dropper<S: Source, K: Sink>(
 }
 
 /// Level-writer transfer function (Definition 3.8).
-fn run_level_writer<S: Source>(dim: usize, input: &mut S) -> CompressedLevel {
+fn run_level_writer(dim: usize, input: &mut SliceSource<'_>) -> CompressedLevel {
     let mut coords: Vec<u32> = Vec::new();
     let mut seg: Vec<usize> = vec![0];
     while let Some(t) = input.next() {
@@ -1090,7 +1056,7 @@ fn run_level_writer<S: Source>(dim: usize, input: &mut S) -> CompressedLevel {
 }
 
 /// Values-writer transfer function: empty tokens store explicit zeros.
-fn run_val_writer<S: Source>(input: &mut S) -> Vec<f64> {
+fn run_val_writer(input: &mut SliceSource<'_>) -> Vec<f64> {
     let mut vals = Vec::new();
     while let Some(t) = input.next() {
         match t {
@@ -1259,21 +1225,22 @@ mod tests {
     /// The `(crd, ref)` streams a standalone scanner stores.
     fn stored(level: &Level, refs: &[SimToken]) -> [Vec<SimToken>; 2] {
         let (mut crd, mut rf) = (Vec::new(), Vec::new());
-        run_scanner(level, &mut SliceSource::new(refs), &mut crd, &mut rf);
+        run_scanner(level, SliceSource::new(refs), &mut crd, &mut rf);
         [crd, rf]
     }
 
-    type Operand<'a> = IntersectOperand<'a, SliceSource<'a>>;
-
-    fn streams(stored: &[Vec<SimToken>; 2]) -> Operand<'_> {
+    fn streams(stored: &[Vec<SimToken>; 2]) -> IntersectOperand<'_> {
         IntersectOperand::Streams { crd: SliceSource::new(&stored[0]), rf: SliceSource::new(&stored[1]) }
     }
 
-    fn scan<'a>(level: &'a Level, refs: &'a [SimToken]) -> Operand<'a> {
+    fn scan<'a>(level: &'a Level, refs: &'a [SimToken]) -> IntersectOperand<'a> {
         IntersectOperand::Scan(GallopScan::new(level, SliceSource::new(refs)))
     }
 
-    fn intersect<'a>(a: &mut Operand<'a>, b: &mut Operand<'a>) -> Result<[Vec<SimToken>; 3], ExecError> {
+    fn intersect<'a>(
+        a: &mut IntersectOperand<'a>,
+        b: &mut IntersectOperand<'a>,
+    ) -> Result<[Vec<SimToken>; 3], ExecError> {
         let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
         run_intersect(a, b, &mut oc, &mut o0, &mut o1, "intersect")?;
         Ok([oc, o0, o1])
@@ -1281,7 +1248,7 @@ mod tests {
 
     /// A fused scanner's tally is what the driver would have counted for
     /// the standalone scanner's stored streams, class by class.
-    fn assert_tally(operand: &Operand<'_>, stored: &[Vec<SimToken>; 2], what: &str) {
+    fn assert_tally(operand: &IntersectOperand<'_>, stored: &[Vec<SimToken>; 2], what: &str) {
         let mut want = TokenCounts::default();
         stored.iter().flatten().for_each(|t| want.record(t));
         assert_eq!(operand.emitted(), Some(want), "{what}: tally");

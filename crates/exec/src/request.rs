@@ -1,13 +1,14 @@
 //! The one execution entry point: [`ExecRequest`].
 //!
-//! An [`ExecRequest`] bundles `{ graph, inputs, options }` and runs them
-//! through a single path: resolve a plan (pre-planned via
-//! [`ExecRequest::planned`], or through the request's [`Planner`] and its
-//! cache), build or borrow the backend, then run traced or untraced. The
-//! service, samprof, the benches and the equivalence suites all go through
-//! this door; the [`Executor`] trait ([`Executor::run`] /
-//! [`Executor::run_traced`]) remains as the backend-facing SPI underneath
-//! it.
+//! An [`ExecRequest`] is a graph, its bound inputs, and five choices about
+//! how to run them: which backend ([`ExecRequest::backend`] by label, or
+//! [`ExecRequest::executor`] for an instance the caller configured), a plan
+//! the caller already holds ([`ExecRequest::planned`]), a trace sink
+//! ([`ExecRequest::traced`]) and whether planning may use the process-wide
+//! [`PlanCache`] ([`ExecRequest::uncached`]). The service, samprof, the
+//! benches and the equivalence suites all go through this door; the
+//! [`Executor`] trait ([`Executor::run`] / [`Executor::run_traced`]) remains
+//! as the backend-facing SPI underneath it.
 //!
 //! ```
 //! use sam_core::graphs;
@@ -27,137 +28,104 @@
 //! assert_eq!(serial.output.unwrap(), cycle.output.unwrap());
 //! ```
 
-use crate::cache::Planner;
+use crate::cache::PlanCache;
 use crate::error::ExecError;
 use crate::plan::Plan;
 use crate::spec::BackendSpec;
 use crate::{Execution, Executor, Inputs};
 use sam_core::graph::SamGraph;
-use sam_memory::MemoryConfig;
 use sam_trace::TraceSink;
 use std::sync::Arc;
 
-/// Everything about *how* to run a graph, separate from *what* to run.
-///
-/// The defaults mirror the old one-shot path: fast-serial backend, no
-/// trace sink, default memory budget, planning through the process-wide
-/// plan cache ([`Planner::cached`]).
-pub struct ExecOptions<'a> {
+/// One executable unit of work: a graph, its bound inputs, and how to run
+/// them. The defaults are the fast-serial backend, no trace sink, and
+/// planning through [`PlanCache::global`]. See the module docs.
+pub struct ExecRequest<'a> {
+    graph: &'a SamGraph,
+    inputs: &'a Inputs,
     backend: BackendSpec,
     executor: Option<&'a dyn Executor>,
     planned: Option<Arc<Plan>>,
     trace: Option<&'a dyn TraceSink>,
-    memory: Option<MemoryConfig>,
-    planner: Planner,
+    uncached: bool,
 }
 
-impl Default for ExecOptions<'_> {
-    fn default() -> Self {
-        ExecOptions {
-            backend: BackendSpec::default(),
-            executor: None,
-            planned: None,
-            trace: None,
-            memory: None,
-            planner: Planner::cached(),
-        }
-    }
-}
-
-impl std::fmt::Debug for ExecOptions<'_> {
+impl std::fmt::Debug for ExecRequest<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecOptions")
+        f.debug_struct("ExecRequest")
+            .field("graph", &self.graph.name)
             .field("backend", &self.backend)
             .field("executor", &self.executor.map(|e| e.name()))
             .field("planned", &self.planned.is_some())
             .field("traced", &self.trace.is_some())
-            .field("memory", &self.memory)
+            .field("uncached", &self.uncached)
             .finish()
     }
 }
 
-/// One executable unit of work: a graph, its bound inputs, and the
-/// [`ExecOptions`] describing how to run them. See the module docs.
-#[derive(Debug)]
-pub struct ExecRequest<'a> {
-    graph: &'a SamGraph,
-    inputs: &'a Inputs,
-    options: ExecOptions<'a>,
-}
-
 impl<'a> ExecRequest<'a> {
-    /// A request over `graph` and `inputs` with default [`ExecOptions`].
+    /// A request over `graph` and `inputs` with the defaults.
     pub fn new(graph: &'a SamGraph, inputs: &'a Inputs) -> ExecRequest<'a> {
-        ExecRequest { graph, inputs, options: ExecOptions::default() }
-    }
-
-    /// Replaces the whole option bundle.
-    pub fn options(mut self, options: ExecOptions<'a>) -> Self {
-        self.options = options;
-        self
+        ExecRequest {
+            graph,
+            inputs,
+            backend: BackendSpec::default(),
+            executor: None,
+            planned: None,
+            trace: None,
+            uncached: false,
+        }
     }
 
     /// Selects the backend by [`BackendSpec`] (default:
     /// [`BackendSpec::FastSerial`]).
     pub fn backend(mut self, spec: BackendSpec) -> Self {
-        self.options.backend = spec;
+        self.backend = spec;
         self
     }
 
     /// Runs on this exact executor instance instead of building one from
-    /// the spec — for custom-configured backends (cycle budgets, tile-size
-    /// overrides).
+    /// the spec — for custom-configured backends (a tiled backend with its
+    /// own memory budget).
     pub fn executor(mut self, executor: &'a dyn Executor) -> Self {
-        self.options.executor = Some(executor);
+        self.executor = Some(executor);
         self
     }
 
     /// Uses this pre-built plan instead of planning — the service's batched
     /// path, where one cached plan serves many queries.
     pub fn planned(mut self, plan: Arc<Plan>) -> Self {
-        self.options.planned = Some(plan);
+        self.planned = Some(plan);
         self
     }
 
-    /// Drives `trace` with per-node instrumentation during the run (the
-    /// old `run_traced` door).
+    /// Drives `trace` with per-node instrumentation during the run.
     pub fn traced(mut self, trace: &'a dyn TraceSink) -> Self {
-        self.options.trace = Some(trace);
+        self.trace = Some(trace);
         self
     }
 
-    /// Overrides the finite-memory budget of a [`BackendSpec::Tiled`]
-    /// backend built by this request (ignored for the other backends and
-    /// for explicit [`ExecRequest::executor`] instances).
-    pub fn memory(mut self, memory: MemoryConfig) -> Self {
-        self.options.memory = Some(memory);
-        self
-    }
-
-    /// Plans through this [`Planner`] instead of the process-wide cache —
-    /// a service's own cache, say.
-    pub fn planner(mut self, planner: Planner) -> Self {
-        self.options.planner = planner;
-        self
-    }
-
-    /// Bypasses plan caching entirely (the pre-cache behavior; cold-start
+    /// Plans afresh instead of through the process-wide cache (cold-start
     /// measurement support).
-    pub fn uncached(self) -> Self {
-        self.planner(Planner::uncached())
+    pub fn uncached(mut self) -> Self {
+        self.uncached = true;
+        self
     }
 
-    /// Resolves the plan this request would run — from
-    /// [`ExecRequest::planned`] if set, otherwise through the planner.
+    /// Resolves the plan this request would run — the one given to
+    /// [`ExecRequest::planned`] if any, otherwise one [`Plan::build`],
+    /// looked up in [`PlanCache::global`] first unless
+    /// [`ExecRequest::uncached`].
     ///
     /// # Errors
     ///
     /// Returns the planning failure as an [`ExecError::Plan`].
     pub fn plan(&self) -> Result<Arc<Plan>, ExecError> {
-        match &self.options.planned {
-            Some(plan) => Ok(Arc::clone(plan)),
-            None => Ok(self.options.planner.plan(self.graph, self.inputs)?),
-        }
+        Ok(match &self.planned {
+            Some(plan) => Arc::clone(plan),
+            None if self.uncached => Arc::new(Plan::build(self.graph, self.inputs)?),
+            None => PlanCache::global().get_or_plan(self.graph, self.inputs)?,
+        })
     }
 
     /// Plans (or reuses the provided plan) and executes.
@@ -169,14 +137,14 @@ impl<'a> ExecRequest<'a> {
     pub fn run(self) -> Result<Execution, ExecError> {
         let plan = self.plan()?;
         let built;
-        let executor: &dyn Executor = match self.options.executor {
+        let executor: &dyn Executor = match self.executor {
             Some(executor) => executor,
             None => {
-                built = self.options.backend.build_with_memory(self.options.memory);
+                built = self.backend.build();
                 built.as_ref()
             }
         };
-        match self.options.trace {
+        match self.trace {
             Some(trace) => executor.run_traced(&plan, self.inputs, trace),
             None => executor.run(&plan, self.inputs),
         }
@@ -186,7 +154,6 @@ impl<'a> ExecRequest<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::PlanCache;
     use crate::{CountersSink, CycleBackend};
     use sam_core::graphs;
     use sam_tensor::{synth, TensorFormat};
@@ -212,16 +179,18 @@ mod tests {
     }
 
     #[test]
-    fn planned_requests_skip_planning_and_match() {
+    fn planned_requests_skip_planning_and_match() -> Result<(), ExecError> {
         let (graph, inputs) = vec_inputs();
-        let cache = Arc::new(PlanCache::new(8));
-        let planner = Planner::with_cache(Arc::clone(&cache));
-        let fresh = ExecRequest::new(&graph, &inputs).uncached().run().unwrap();
-        let plan = ExecRequest::new(&graph, &inputs).planner(planner.clone()).plan().unwrap();
-        let cached = ExecRequest::new(&graph, &inputs).planned(plan).run().unwrap();
+        let cache = PlanCache::new(8);
+        let fresh = ExecRequest::new(&graph, &inputs).uncached().run()?;
+        let plan = cache.get_or_plan(&graph, &inputs)?;
+        let request = ExecRequest::new(&graph, &inputs).planned(Arc::clone(&plan));
+        assert!(Arc::ptr_eq(&request.plan()?, &plan), "a planned request plans nothing");
+        let cached = request.run()?;
         assert_eq!(fresh.output, cached.output);
         assert_eq!(fresh.vals, cached.vals);
         assert_eq!(cache.stats().misses, 1);
+        Ok(())
     }
 
     #[test]
@@ -236,7 +205,7 @@ mod tests {
     #[test]
     fn explicit_executors_override_the_spec() {
         let (graph, inputs) = vec_inputs();
-        let cycle = CycleBackend::default();
+        let cycle = CycleBackend;
         let run = ExecRequest::new(&graph, &inputs)
             .backend(BackendSpec::Tiled) // ignored: explicit executor wins
             .executor(&cycle)

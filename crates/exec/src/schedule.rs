@@ -100,8 +100,8 @@ pub(crate) fn tile_schedule(plan: &Plan, inputs: &Inputs, tile: usize) -> Kernel
         req[id.0].fill(r);
     }
 
-    // Contraction variables are tileable with Drop-policy accumulation
-    // (vector/matrix reducers); with a scalar reducer only the
+    // Contraction variables are tileable under a vector or matrix reducer,
+    // which emits only accumulated coordinates; with a scalar reducer only the
     // single-writer, dropper-free shape preserves the explicit-zero
     // structure (see the module docs). A union alongside any reducer
     // means an additive term sits *outside* the contraction (residual,
@@ -259,7 +259,9 @@ mod tests {
         assert_eq!(t.tensors[0].name, "B");
         assert_eq!(t.tensors[0].level_vars, vec![Some('k'), Some('i')]);
         // Tile 3 along k, tile 2 along i.
-        assert_eq!(t.tile_key(0, &[3, 2, 0]), vec![3, 2]);
+        let mut key = Vec::new();
+        t.tile_key_into(0, &[3, 2, 0], &mut key);
+        assert_eq!(key, vec![3, 2]);
         Ok(())
     }
 }

@@ -16,7 +16,6 @@
 //! ```
 
 use crate::{CycleBackend, Executor, FastBackend, TiledBackend};
-use sam_memory::MemoryConfig;
 use std::fmt;
 use std::str::FromStr;
 
@@ -30,8 +29,9 @@ pub enum BackendSpec {
     /// The fast functional backend (`fast-serial`, the default).
     #[default]
     FastSerial,
-    /// The finite-memory tiled backend (`tiled`); its [`MemoryConfig`]
-    /// comes from [`BackendSpec::build_with_memory`] or defaults.
+    /// The finite-memory tiled backend (`tiled`) at the default
+    /// `MemoryConfig`; hand [`crate::ExecRequest::executor`] a
+    /// [`TiledBackend`] for any other budget.
     Tiled,
 }
 
@@ -80,20 +80,10 @@ impl BackendSpec {
     /// Builds the executor this spec names, with default hardware
     /// parameters for the tiled backend.
     pub fn build(&self) -> Box<dyn Executor> {
-        self.build_with_memory(None)
-    }
-
-    /// Builds the executor this spec names; `memory` overrides the tiled
-    /// backend's finite-memory budget (ignored by the other backends, which
-    /// model no memory hierarchy).
-    pub fn build_with_memory(&self, memory: Option<MemoryConfig>) -> Box<dyn Executor> {
         match self {
-            BackendSpec::Cycle => Box::new(CycleBackend::default()),
+            BackendSpec::Cycle => Box::new(CycleBackend),
             BackendSpec::FastSerial => Box::new(FastBackend),
-            BackendSpec::Tiled => match memory {
-                Some(config) => Box::new(TiledBackend::new(config)),
-                None => Box::new(TiledBackend::default()),
-            },
+            BackendSpec::Tiled => Box::new(TiledBackend::default()),
         }
     }
 }

@@ -53,7 +53,7 @@ use crate::schedule::tile_schedule;
 use crate::{Execution, Executor, FastBackend};
 use sam_memory::{MemoryConfig, MemoryCounters};
 use sam_tensor::{CooTensor, Tensor};
-use sam_tiles::{LlbModel, TileGrid, TileMerger, TupleSpace};
+use sam_tiles::{LlbModel, TileGrid, TileMerger};
 use sam_trace::{ExecProfile, TokenCounts, TraceSink};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -93,11 +93,6 @@ impl TiledBackend {
     pub fn with_skipping(mut self, on: bool) -> Self {
         self.skipping = on;
         self
-    }
-
-    /// The hardware parameters this backend executes under.
-    pub fn config(&self) -> &MemoryConfig {
-        &self.config
     }
 }
 
@@ -161,15 +156,23 @@ impl Executor for TiledBackend {
         let writer_vars: Vec<usize> =
             tiling.output_vars.iter().filter_map(|&v| tiling.var_index(v)).collect();
 
-        // Flat enumeration of the variable tile tuple space. The
-        // key/emptiness buffers are reused across tuples: large sweeps
-        // visit millions.
-        let space = TupleSpace::new(tiling.tuple_space());
-        let mut tuple = vec![0usize; space.dims().len()];
+        // Row-major enumeration of the variable tile tuple space. The
+        // tuple and the key/emptiness buffers are reused across tuples:
+        // large sweeps visit millions.
+        let grid = tiling.tuple_space();
+        let mut tuple = vec![0usize; grid.len()];
         let mut keys: Vec<Vec<u32>> = vec![Vec::new(); tiling.tensors.len()];
         let mut missing: Vec<bool> = vec![false; tiling.tensors.len()];
-        for flat in 0..space.total() {
-            space.tuple_at(flat, &mut tuple);
+        for n in 0..grid.iter().product::<usize>() {
+            if n > 0 {
+                // Odometer step: the last variable varies fastest.
+                let mut d = grid.len() - 1;
+                while tuple[d] + 1 == grid[d] {
+                    tuple[d] = 0;
+                    d -= 1;
+                }
+                tuple[d] += 1;
+            }
             counters.tiles_visited += 1;
 
             for ti in 0..tiling.tensors.len() {

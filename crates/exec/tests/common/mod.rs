@@ -28,8 +28,8 @@ pub fn assert_fused_scanner_counts_match_cycle(name: &str, graph: &SamGraph, inp
     let plan = Plan::build(graph, inputs).unwrap_or_else(|e| panic!("{name}: {e}"));
     let fused: Vec<FusedScan> =
         plan.order().iter().filter_map(|&id| plan.fused_scan(id)).filter(|f| !f.skip_lane).collect();
-    let cycle = node_counts(&CycleBackend::default(), &plan, inputs)
-        .unwrap_or_else(|e| panic!("{name}: cycle run failed: {e}"));
+    let cycle =
+        node_counts(&CycleBackend, &plan, inputs).unwrap_or_else(|e| panic!("{name}: cycle run failed: {e}"));
     let backends: [(&str, &dyn Executor); 2] =
         [("fast-serial", &FastBackend), ("tiled, one tile", &TiledBackend::with_tile(1 << 20))];
     for (what, backend) in backends {

@@ -25,7 +25,7 @@ fn check(text: &str, schedule: &Schedule, formats: Formats, operands: &[(&str, &
     env.bind_dims(&assignment, &[]);
     let expect = env.evaluate(&assignment).expect("reference evaluation");
 
-    for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend] {
+    for backend in [&CycleBackend as &dyn Executor, &FastBackend] {
         let run = ExecRequest::new(&kernel.graph, &inputs)
             .executor(backend)
             .run()
@@ -121,7 +121,7 @@ fn right_nested_subtraction_associates_correctly() {
     }
     env.bind_dims(&assignment, &[]);
     let expect = env.evaluate(&assignment).unwrap();
-    for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend] {
+    for backend in [&CycleBackend as &dyn Executor, &FastBackend] {
         let run = ExecRequest::new(&kernel.graph, &inputs).executor(backend).run().unwrap();
         assert!(
             run.output.unwrap().to_dense().approx_eq(&expect),
@@ -153,7 +153,7 @@ fn subtraction_through_a_union_zero_fills_the_correct_side() {
     let inputs =
         Inputs::new().coo("b", &b, kernel.formats[0].1.clone()).coo("c", &c, kernel.formats[1].1.clone());
 
-    for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend] {
+    for backend in [&CycleBackend as &dyn Executor, &FastBackend] {
         let run = ExecRequest::new(&kernel.graph, &inputs).executor(backend).run().unwrap();
         let dense = run.output.expect("tensor output").to_dense();
         for i in 0..dim as u32 {

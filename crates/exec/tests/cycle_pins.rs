@@ -23,7 +23,7 @@ type Pin = (&'static str, SamGraph, Inputs, u64, usize, u64);
 fn assert_pinned(pins: Vec<Pin>) {
     let mut drift = Vec::new();
     for (name, graph, inputs, cycles, blocks, tokens) in pins {
-        let run = ExecRequest::new(&graph, &inputs).executor(&CycleBackend::default()).run().unwrap();
+        let run = ExecRequest::new(&graph, &inputs).executor(&CycleBackend).run().unwrap();
         if (run.cycles, run.blocks, run.tokens) != (Some(cycles), blocks, tokens) {
             drift.push(format!(
                 "{name}: pinned {cycles} / {blocks} / {tokens}, ran {:?} / {} / {}",
@@ -65,7 +65,7 @@ fn paper_kernel_cycles_are_pinned() {
     let (inner_b, inner_c) = SpmmDataflow::InnerProduct.operand_formats();
     let product_inputs = Inputs::new().coo("B", &sc, inner_b).coo("C", &sd.permuted(&[1, 0]), inner_c);
     let product = ExecRequest::new(&graphs::spmm(SpmmDataflow::InnerProduct), &product_inputs)
-        .executor(&CycleBackend::default())
+        .executor(&CycleBackend)
         .run()
         .unwrap();
     let t = product.output.unwrap().to_coo();

@@ -111,7 +111,7 @@ fn every_kernel_agrees_across_backends() {
         );
 
         let cycle = ExecRequest::new(&graph, &inputs)
-            .executor(&CycleBackend::default())
+            .executor(&CycleBackend)
             .run()
             .unwrap_or_else(|e| panic!("{}: cycle run failed: {e}", graph.name));
         assert_eq!(cycle.backend, "cycle");
@@ -249,7 +249,7 @@ fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
             .iter()
             .filter(|id| matches!(graph.nodes()[id.0], NodeKind::Intersecter { .. }))
             .count();
-        let cycle = CycleBackend::default().run(&plan, &inputs).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let cycle = CycleBackend.run(&plan, &inputs).unwrap_or_else(|e| panic!("{what}: {e}"));
         let backends: [&dyn Executor; 2] = [&FastBackend, &TiledBackend::with_tile(1 << 20)];
         let mut tokens = None;
         for backend in backends {
@@ -332,7 +332,7 @@ fn skip_graphs_match_their_skip_free_twins_on_every_backend() {
 
         for (what, run) in [
             ("fast-serial", ExecRequest::new(&with_skip, &inputs).executor(&FastBackend).run()),
-            ("cycle", ExecRequest::new(&with_skip, &inputs).executor(&CycleBackend::default()).run()),
+            ("cycle", ExecRequest::new(&with_skip, &inputs).executor(&CycleBackend).run()),
         ] {
             let run = run.unwrap_or_else(|e| panic!("{}: {what} skip run failed: {e}", with_skip.name));
             assert_eq!(

@@ -1,4 +1,4 @@
-//! Planner validation: channel allocation, fork insertion, scanner fusion,
+//! Planning validation: channel allocation, fork insertion, scanner fusion,
 //! and the `sam-verify` rule (with its node / port anchor) each class of
 //! broken graph or binding is rejected under.
 
@@ -55,7 +55,7 @@ fn planned_forks_materialize_as_cycle_backend_blocks() {
     let c = synth::random_vector(8, 8, 4);
     let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("c", &c, TensorFormat::dense_vec());
     let plan = Plan::build(&graph, &inputs).unwrap();
-    let run = sam_exec::Executor::run(&CycleBackend::default(), &plan, &inputs).unwrap();
+    let run = sam_exec::Executor::run(&CycleBackend, &plan, &inputs).unwrap();
     // Simulated blocks = primitive nodes (minus the preloaded roots, which
     // are channels, not blocks) plus one Fork block per fanned-out port.
     let roots = graph.nodes().iter().filter(|n| matches!(n, NodeKind::Root { .. })).count();
@@ -273,7 +273,7 @@ fn a_forked_coordinate_port_is_not_fused() {
     assert_eq!(plan.fused_operands(crd.node), [None, Some(fused_c)]);
     // One stored operand beside one fused operand computes the same thing.
     let mixed = ExecRequest::new(&graph, &inputs).run().unwrap();
-    let cycle = ExecRequest::new(&graph, &inputs).executor(&CycleBackend::default()).run().unwrap();
+    let cycle = ExecRequest::new(&graph, &inputs).executor(&CycleBackend).run().unwrap();
     assert_eq!(mixed.output, cycle.output);
     assert_eq!(mixed.vals, cycle.vals);
 }
@@ -370,7 +370,7 @@ fn skip_target_with_extra_consumers_is_rejected() {
 fn execute_convenience_runs_both_backends() {
     let graph = graphs::vec_elem_mul(true);
     let inputs = vec_inputs(64);
-    let cycle = ExecRequest::new(&graph, &inputs).executor(&CycleBackend::default()).run().unwrap();
+    let cycle = ExecRequest::new(&graph, &inputs).executor(&CycleBackend).run().unwrap();
     let fast = ExecRequest::new(&graph, &inputs).executor(&FastBackend).run().unwrap();
     assert_eq!(cycle.output.unwrap(), fast.output.unwrap());
     assert_eq!(cycle.backend, "cycle");

@@ -93,7 +93,7 @@ fn profiled(backend: &dyn Executor, plan: &Plan, inputs: &Inputs) -> (u64, ExecP
 /// cycle backends, for every catalog kernel.
 #[test]
 fn profile_totals_match_execution_tokens() {
-    let backends: [&dyn Executor; 2] = [&FastBackend, &CycleBackend::default()];
+    let backends: [&dyn Executor; 2] = [&FastBackend, &CycleBackend];
     for (graph, inputs) in catalog() {
         let plan = Plan::build(&graph, &inputs).unwrap_or_else(|e| panic!("{}: {e}", graph.name));
         for backend in backends {
@@ -155,7 +155,7 @@ fn cycle_profile_reports_ticks_not_runs() {
     let inputs = Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("c", &sv, TensorFormat::dense_vec());
     let plan = Plan::build(&graphs::spmv(), &inputs).unwrap();
     let sink = CountersSink::new();
-    let run = CycleBackend::default().run_traced(&plan, &inputs, &sink).unwrap();
+    let run = CycleBackend.run_traced(&plan, &inputs, &sink).unwrap();
     let cycles = run.cycles.expect("the cycle backend reports cycles");
     let profile = run.profile.expect("traced runs attach a profile");
     assert!(profile.nodes.iter().all(|n| n.invocations <= cycles), "a block ticks at most once a cycle");
@@ -174,7 +174,7 @@ fn traces_carry_enriched_node_labels() {
     let inputs = Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("c", &sv, TensorFormat::sparse_vec());
     let graph = graphs::spmv_coiteration();
     let plan = Plan::build(&graph, &inputs).unwrap();
-    let backends: [&dyn Executor; 2] = [&FastBackend, &CycleBackend::default()];
+    let backends: [&dyn Executor; 2] = [&FastBackend, &CycleBackend];
     for backend in backends {
         let (_, profile) = profiled(backend, &plan, &inputs);
         assert!(

@@ -237,7 +237,7 @@ fn every_table1_expression_compiles_and_runs_on_every_backend() {
 
         // The cycle backend must be bit-identical to the fast one.
         let cycle = ExecRequest::new(&kernel.graph, &inputs)
-            .executor(&CycleBackend::default())
+            .executor(&CycleBackend)
             .run()
             .unwrap_or_else(|e| panic!("{}: cycle failed: {e}", case.name));
         assert_eq!(cycle.output, serial.output, "{}: cycle diverged from fast-serial", case.name);
@@ -284,20 +284,19 @@ fn every_table1_expression_compiles_and_runs_on_every_backend() {
 
 /// The compiled lowering emits Section 4.2 skip edges exactly where the
 /// format heuristic says so, and they pay: the skip lowering moves fewer
-/// tokens than the ablated (`skip_edges: false`) lowering on skewed
+/// tokens than the same graph with its skip edges stripped on skewed
 /// sparse-x-dense inputs while computing the identical result.
 #[test]
 fn compiled_skip_edges_reduce_tokens_on_sparse_by_dense() {
-    use custard::{lower_exec_with, LowerOptions};
     use sam_core::graph::StreamKind;
 
     let a = parse("x(i) = B(i,j) * c(j)").unwrap();
     let formats = Formats::new().set("c", TensorFormat::dense_vec());
     let cin = ConcreteIndexNotation::new(a, &Schedule::new(), formats);
     let skip = custard::lower_exec(&cin).unwrap();
-    let plain = lower_exec_with(&cin, LowerOptions { skip_edges: false }).unwrap();
     assert!(skip.graph.edges().iter().any(|e| e.kind == StreamKind::Skip));
-    assert!(plain.graph.edges().iter().all(|e| e.kind != StreamKind::Skip));
+    let mut plain = skip.graph.clone();
+    plain.edges_mut().retain(|e| e.kind != StreamKind::Skip);
 
     // Hypersparse rows against a dense vector: galloping skips almost all
     // of the dense scan.
@@ -307,7 +306,7 @@ fn compiled_skip_edges_reduce_tokens_on_sparse_by_dense() {
         .coo("B", &b, skip.formats.iter().find(|(n, _)| n == "B").unwrap().1.clone())
         .coo("c", &c, TensorFormat::dense_vec());
     let with_skip = ExecRequest::new(&skip.graph, &inputs).executor(&FastBackend).run().unwrap();
-    let without = ExecRequest::new(&plain.graph, &inputs).executor(&FastBackend).run().unwrap();
+    let without = ExecRequest::new(&plain, &inputs).executor(&FastBackend).run().unwrap();
     assert_eq!(with_skip.output, without.output, "skip lowering changed the result");
     assert!(
         with_skip.tokens * 4 < without.tokens,

@@ -3,7 +3,7 @@
 
 use sam_core::graph::{NodeId, NodeKind, SamGraph, StreamKind};
 use sam_core::graphs;
-use sam_exec::{Inputs, Plan, PlanCache, PlanError, Planner};
+use sam_exec::{ExecError, ExecRequest, Inputs, Plan, PlanCache, PlanError};
 use sam_tensor::{synth, CooTensor, LevelFormat, TensorFormat};
 use std::collections::BTreeMap;
 
@@ -57,15 +57,16 @@ fn broken_cases() -> Vec<(&'static str, SamGraph, Inputs)> {
     ]
 }
 
-/// There is one analysis behind every planning door, so `Plan::build`, the
-/// uncached `Planner` and the plan cache reject each case with the same
+/// There is one analysis behind every planning door, so `Plan::build`, an
+/// uncached `ExecRequest` and the plan cache reject each case with the same
 /// diagnostics — the ones `verify_bound` reports, led by the rule the case
 /// is named after.
 #[test]
 fn every_planning_door_returns_the_same_rejection() {
     for (name, graph, inputs) in broken_cases() {
         let direct = Plan::build(&graph, &inputs).err().unwrap_or_else(|| panic!("{name}: must be rejected"));
-        assert_eq!(Planner::uncached().plan(&graph, &inputs).err().as_ref(), Some(&direct), "{name}");
+        let through_the_door = ExecRequest::new(&graph, &inputs).uncached().plan().err();
+        assert_eq!(through_the_door, Some(ExecError::Plan(direct.clone())), "{name}");
         assert_eq!(PlanCache::new(8).get_or_plan(&graph, &inputs).err().as_ref(), Some(&direct), "{name}");
 
         let bindings: sam_verify::Bindings<'_> = inputs.iter().collect();
@@ -97,7 +98,7 @@ fn verifier_rejection_reaches_the_cache_path() {
 /// positives on the catalog path).
 #[test]
 fn clean_graphs_pass_the_gate() {
-    let plan = Planner::uncached().plan(&graphs::vec_elem_mul(true), &vec_inputs()).unwrap();
+    let plan = ExecRequest::new(&graphs::vec_elem_mul(true), &vec_inputs()).uncached().plan().unwrap();
     assert!(!plan.order().is_empty());
 }
 

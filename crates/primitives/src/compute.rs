@@ -162,23 +162,11 @@ impl Block for ConstVal {
     }
 }
 
-/// How a reducer treats reductions over empty fibers (Definition 3.7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EmptyFiberPolicy {
-    /// Emit nothing for an empty reduction; downstream coordinate droppers
-    /// remove the corresponding outer coordinates (the configuration assumed
-    /// by Table 1, note a).
-    #[default]
-    Drop,
-    /// Emit an explicit zero value, keeping the output aligned with the outer
-    /// coordinate streams so droppers become optional.
-    ExplicitZero,
-}
-
 /// A reducer of configurable accumulation order (Definition 3.7).
 ///
 /// * order 0 (scalar): sums each innermost fiber of its value stream into a
-///   single value,
+///   single value — an explicit zero for an empty fiber, so the output stays
+///   aligned with the outer coordinate streams,
 /// * order 1 (vector): accumulates `(coordinate, value)` pairs across inner
 ///   fibers and emits a deduplicated, sorted fiber whenever a stop of level
 ///   ≥ 1 closes the accumulation (Figure 7),
@@ -189,14 +177,12 @@ pub enum EmptyFiberPolicy {
 pub struct Reducer {
     name: String,
     order: usize,
-    policy: EmptyFiberPolicy,
     in_crd: Vec<ChannelId>,
     in_val: ChannelId,
     out_crd: Vec<ChannelId>,
     out_val: ChannelId,
     // Scalar state.
     acc: f64,
-    has_data: bool,
     // Vector state.
     vec_acc: BTreeMap<u32, f64>,
     // Matrix state.
@@ -209,13 +195,8 @@ pub struct Reducer {
 
 impl Reducer {
     /// Creates a scalar reducer (order 0).
-    pub fn scalar(
-        name: impl Into<String>,
-        in_val: ChannelId,
-        out_val: ChannelId,
-        policy: EmptyFiberPolicy,
-    ) -> Self {
-        Self::new(name, 0, policy, vec![], in_val, vec![], out_val)
+    pub fn scalar(name: impl Into<String>, in_val: ChannelId, out_val: ChannelId) -> Self {
+        Self::new(name, 0, vec![], in_val, vec![], out_val)
     }
 
     /// Creates a vector reducer (order 1).
@@ -225,9 +206,8 @@ impl Reducer {
         in_val: ChannelId,
         out_crd: ChannelId,
         out_val: ChannelId,
-        policy: EmptyFiberPolicy,
     ) -> Self {
-        Self::new(name, 1, policy, vec![in_crd], in_val, vec![out_crd], out_val)
+        Self::new(name, 1, vec![in_crd], in_val, vec![out_crd], out_val)
     }
 
     /// Creates a matrix reducer (order 2). The first coordinate channel is
@@ -239,15 +219,13 @@ impl Reducer {
         in_val: ChannelId,
         out_crd: [ChannelId; 2],
         out_val: ChannelId,
-        policy: EmptyFiberPolicy,
     ) -> Self {
-        Self::new(name, 2, policy, in_crd.to_vec(), in_val, out_crd.to_vec(), out_val)
+        Self::new(name, 2, in_crd.to_vec(), in_val, out_crd.to_vec(), out_val)
     }
 
     fn new(
         name: impl Into<String>,
         order: usize,
-        policy: EmptyFiberPolicy,
         in_crd: Vec<ChannelId>,
         in_val: ChannelId,
         out_crd: Vec<ChannelId>,
@@ -257,13 +235,11 @@ impl Reducer {
         Reducer {
             name: name.into(),
             order,
-            policy,
             in_crd,
             in_val,
             out_crd,
             out_val,
             acc: 0.0,
-            has_data: false,
             vec_acc: BTreeMap::new(),
             mat_acc: BTreeMap::new(),
             current_outer: None,
@@ -292,10 +268,6 @@ impl Reducer {
 
     fn flush_vector(&mut self, closing_stop: Option<u8>) {
         let acc = std::mem::take(&mut self.vec_acc);
-        if acc.is_empty() && self.policy == EmptyFiberPolicy::ExplicitZero {
-            // Nothing accumulated and nothing to attach a coordinate to:
-            // fall through to emitting just the boundary.
-        }
         for (c, v) in acc {
             self.queue(vec![tok::crd(c)], tok::val(v));
         }
@@ -380,16 +352,12 @@ impl Reducer {
         match t {
             Token::Val(p) => {
                 self.acc += p.expect_val();
-                self.has_data = true;
                 BlockStatus::Busy
             }
             Token::Empty => BlockStatus::Busy,
             Token::Stop(n) => {
-                if self.has_data || self.policy == EmptyFiberPolicy::ExplicitZero {
-                    ctx.push(self.out_val, tok::val(self.acc));
-                }
+                ctx.push(self.out_val, tok::val(self.acc));
                 self.acc = 0.0;
-                self.has_data = false;
                 if n > 0 {
                     self.queue(vec![], tok::stop(n - 1));
                 }
@@ -557,7 +525,7 @@ mod tests {
         let input = sim.add_channel("in");
         let out = sim.add_channel("out");
         sim.record(out);
-        sim.add_block(Box::new(Reducer::scalar("red", input, out, EmptyFiberPolicy::Drop)));
+        sim.add_block(Box::new(Reducer::scalar("red", input, out)));
         sim.preload(
             input,
             vec![
@@ -580,18 +548,15 @@ mod tests {
 
     #[test]
     fn scalar_reducer_policy_on_empty_fiber() {
-        for (policy, expected) in
-            [(EmptyFiberPolicy::Drop, vec![3.0]), (EmptyFiberPolicy::ExplicitZero, vec![3.0, 0.0])]
-        {
-            let mut sim = Simulator::new();
-            let input = sim.add_channel("in");
-            let out = sim.add_channel("out");
-            sim.record(out);
-            sim.add_block(Box::new(Reducer::scalar("red", input, out, policy)));
-            sim.preload(input, vec![tok::val(1.0), tok::val(2.0), tok::stop(0), tok::stop(1), tok::done()]);
-            sim.run(100).unwrap();
-            assert_eq!(vals(sim.history(out)), expected, "policy {policy:?}");
-        }
+        // ((1, 2), ()) reduces to (3, 0): the empty fiber is an explicit zero.
+        let mut sim = Simulator::new();
+        let input = sim.add_channel("in");
+        let out = sim.add_channel("out");
+        sim.record(out);
+        sim.add_block(Box::new(Reducer::scalar("red", input, out)));
+        sim.preload(input, vec![tok::val(1.0), tok::val(2.0), tok::stop(0), tok::stop(1), tok::done()]);
+        sim.run(100).unwrap();
+        assert_eq!(vals(sim.history(out)), vec![3.0, 0.0]);
     }
 
     #[test]
@@ -604,14 +569,7 @@ mod tests {
         let out_val = sim.add_channel("out_val");
         sim.record(out_crd);
         sim.record(out_val);
-        sim.add_block(Box::new(Reducer::vector(
-            "red",
-            in_crd,
-            in_val,
-            out_crd,
-            out_val,
-            EmptyFiberPolicy::Drop,
-        )));
+        sim.add_block(Box::new(Reducer::vector("red", in_crd, in_val, out_crd, out_val)));
         sim.preload(
             in_crd,
             vec![
@@ -656,14 +614,7 @@ mod tests {
         let out_val = sim.add_channel("out_val");
         sim.record(out_crd);
         sim.record(out_val);
-        sim.add_block(Box::new(Reducer::vector(
-            "red",
-            in_crd,
-            in_val,
-            out_crd,
-            out_val,
-            EmptyFiberPolicy::Drop,
-        )));
+        sim.add_block(Box::new(Reducer::vector("red", in_crd, in_val, out_crd, out_val)));
         sim.preload(
             in_crd,
             vec![
@@ -706,14 +657,7 @@ mod tests {
         sim.record(out_i);
         sim.record(out_j);
         sim.record(out_val);
-        sim.add_block(Box::new(Reducer::matrix(
-            "red",
-            [in_i, in_j],
-            in_val,
-            [out_i, out_j],
-            out_val,
-            EmptyFiberPolicy::Drop,
-        )));
+        sim.add_block(Box::new(Reducer::matrix("red", [in_i, in_j], in_val, [out_i, out_j], out_val)));
         // k=0 contributes (i=1, j=2) -> 3.0; k=1 contributes (1,2) -> 4.0 and (1,3) -> 5.0.
         sim.preload(in_i, vec![tok::crd(1), tok::stop(0), tok::crd(1), tok::stop(1), tok::done()]);
         sim.preload(

@@ -40,7 +40,7 @@ pub use array::{Locator, ValArray};
 pub use bitvector::{
     BitTreeVecMul, BitvectorConverter, BitvectorIntersecter, BitvectorScanner, BitvectorVecMul,
 };
-pub use compute::{Alu, AluOp, ConstVal, EmptyFiberPolicy, Reducer};
+pub use compute::{Alu, AluOp, ConstVal, Reducer};
 pub use dropper::CoordDropper;
 pub use fork::Fork;
 pub use merge::{Intersecter, Parallelizer, Serializer, Unioner};

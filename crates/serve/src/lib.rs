@@ -6,8 +6,7 @@
 //!
 //! Three pieces (each with detailed module docs):
 //!
-//! * [`TensorStore`] — the named operand corpus, loaded once (SuiteSparse
-//!   Table 3 matrices come straight from the `sam_tensor` catalog), with
+//! * [`TensorStore`] — the named operand corpus, loaded once, with
 //!   per-tensor format metadata and lazy, shared per-format
 //!   materialization.
 //! * [`Service`] — async submission: [`Service::submit`] pushes a
@@ -41,7 +40,7 @@
 //!     let run = handle.wait().unwrap_or_else(|e| panic!("{name}: {e}"));
 //!     assert_eq!(run.backend, "fast-serial");
 //! }
-//! assert_eq!(service.stats().completed, 12);
+//! assert_eq!(service.metrics_snapshot().completed, 12);
 //! ```
 
 #![warn(missing_docs)]
@@ -52,6 +51,6 @@ pub mod store;
 pub mod workload;
 
 pub use metrics::{MetricsSnapshot, TelemetryConfig, WorkerTelemetry};
-pub use service::{Query, QueryHandle, ServeError, Service, ServiceConfig, ServiceStats};
+pub use service::{Query, QueryHandle, ServeError, Service, ServiceConfig};
 pub use store::{MaterializeStats, TensorStore};
 pub use workload::{table1_workload, WorkloadQuery};

@@ -41,7 +41,7 @@ const MAX_WINDOW_SAMPLES: usize = 65_536;
 pub struct TelemetryConfig {
     /// Whether lifecycle timing is collected at all. Off, the service
     /// takes no clock reads and records no histograms, spans or events;
-    /// the plain lifecycle counters ([`crate::ServiceStats`]) stay live.
+    /// the plain lifecycle counters of [`MetricsSnapshot`] stay live.
     pub enabled: bool,
     /// Queries whose end-to-end latency meets this threshold emit a JSONL
     /// event with the full span. `None` disables event capture;

@@ -32,7 +32,6 @@ use custard::{ConcreteIndexNotation, ExecutableKernel, Formats, Schedule};
 use sam_exec::{
     BackendSpec, ExecError, ExecRequest, Execution, Inputs, Plan, PlanCache, PlanCacheStats, PlanError,
 };
-use sam_memory::MemoryConfig;
 use sam_tensor::TensorFormat;
 use sam_trace::{CountersSink, QuerySpan, Stage, TraceSink};
 use std::any::Any;
@@ -80,7 +79,6 @@ pub struct Query {
     bindings: Vec<(String, String)>,
     scalars: Vec<(String, f64)>,
     backend: BackendSpec,
-    memory: Option<MemoryConfig>,
     traced: TraceMode,
 }
 
@@ -95,7 +93,6 @@ impl Query {
             bindings: Vec::new(),
             scalars: Vec::new(),
             backend: BackendSpec::default(),
-            memory: None,
             traced: TraceMode::Off,
         }
     }
@@ -134,12 +131,6 @@ impl Query {
     /// Selects the backend this query runs on (default: fast-serial).
     pub fn backend(mut self, spec: BackendSpec) -> Query {
         self.backend = spec;
-        self
-    }
-
-    /// Overrides the finite-memory budget for a tiled-backend query.
-    pub fn memory(mut self, memory: MemoryConfig) -> Query {
-        self.memory = Some(memory);
         self
     }
 
@@ -331,23 +322,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// A snapshot of a service's counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServiceStats {
-    /// Queries accepted by [`Service::submit`].
-    pub submitted: u64,
-    /// Queries that finished successfully.
-    pub completed: u64,
-    /// Queries that resolved to a [`ServeError`].
-    pub failed: u64,
-    /// Compile-cache hits (expression already lowered).
-    pub compile_hits: u64,
-    /// Compile-cache misses (expression lowered now).
-    pub compile_misses: u64,
-    /// The service's plan-cache counters.
-    pub plans: PlanCacheStats,
-}
-
 struct Job {
     state: Arc<HandleState>,
     /// When [`Service::submit`] enqueued the query (telemetry on only).
@@ -431,7 +405,21 @@ impl Shared {
             |message: String| ServeError::Compile { expression: query.expression.clone(), message };
         let assignment = custard::parse(&query.expression).map_err(|e| compile_err(e.to_string()))?;
         let schedule = match &query.order {
-            Some(order) => Schedule::new().reorder(order),
+            Some(order) => {
+                // `ConcreteIndexNotation::new` asserts this; a query's
+                // order is outside input, so it is checked, not asserted.
+                let mut asked: Vec<char> = order.chars().collect();
+                let mut vars = assignment.all_index_vars();
+                asked.sort_unstable();
+                vars.sort_unstable();
+                if asked != vars {
+                    let vars: String = vars.into_iter().collect();
+                    return Err(compile_err(format!(
+                        "order `{order}` is not a permutation of the index variables `{vars}`"
+                    )));
+                }
+                Schedule::new().reorder(order)
+            }
             None => Schedule::new(),
         };
         let mut formats = Formats::new();
@@ -468,6 +456,20 @@ impl Shared {
                         message: format!("binding `{operand}` is not an operand of this expression"),
                     },
                 )?;
+            // `Tensor::from_coo` asserts the orders agree; a binding is
+            // outside input, so it is checked before the store builds.
+            if let Some(coo) = self.store.coo(stored).filter(|coo| coo.order() != format.order()) {
+                let n = format.order();
+                return Err(ServeError::Compile {
+                    expression: query.expression.clone(),
+                    message: format!(
+                        "binding `{operand}`: stored tensor `{stored}` has order {}, the operand is indexed \
+                         by {n} variable{}",
+                        coo.order(),
+                        if n == 1 { "" } else { "s" }
+                    ),
+                });
+            }
             let tensor = self
                 .store
                 .materialize(stored, operand, &format)
@@ -504,9 +506,6 @@ impl Shared {
             TraceMode::Sink(sink) => Some(sink.as_ref()),
         };
         let mut request = ExecRequest::new(&kernel.graph, &inputs).backend(query.backend).planned(plan);
-        if let Some(memory) = query.memory {
-            request = request.memory(memory);
-        }
         if let Some(trace) = trace {
             request = request.traced(trace);
         }
@@ -573,7 +572,10 @@ pub struct Service {
 
 impl fmt::Debug for Service {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Service").field("stats", &self.stats()).finish()
+        f.debug_struct("Service")
+            .field("workers", &self.threads.len())
+            .field("plans", &self.plan_stats())
+            .finish()
     }
 }
 
@@ -640,19 +642,6 @@ impl Service {
     /// This service's plan-cache counters.
     pub fn plan_stats(&self) -> PlanCacheStats {
         self.shared.plans.stats()
-    }
-
-    /// A snapshot of every service counter.
-    pub fn stats(&self) -> ServiceStats {
-        let t = &self.shared.telemetry;
-        ServiceStats {
-            submitted: t.submitted.get(),
-            completed: t.completed.get(),
-            failed: t.failed.get(),
-            compile_hits: t.compile_hits.get(),
-            compile_misses: t.compile_misses.get(),
-            plans: self.shared.plans.stats(),
-        }
     }
 
     /// A typed point-in-time view of the full telemetry surface: lifecycle

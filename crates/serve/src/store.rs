@@ -5,14 +5,13 @@
 //! storage format as per-tensor metadata) and materializes [`Tensor`]s
 //! lazily — building the level structure for one `(stored tensor, bound
 //! name, format)` combination exactly once, behind an [`Arc`] that every
-//! subsequent query shares. Table 3 matrices load straight from the
-//! `sam_tensor::suitesparse` catalog.
+//! subsequent query shares.
 
-use sam_tensor::{suitesparse, CooTensor, Tensor, TensorFormat};
+use sam_tensor::{CooTensor, Tensor, TensorFormat};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Counters over [`TensorStore::materialize`]: how often level structures
@@ -62,19 +61,6 @@ impl TensorStore {
         self
     }
 
-    /// Loads a Table 3 SuiteSparse matrix from the `sam_tensor` catalog
-    /// under its catalog name, deterministically instantiated from `seed`.
-    /// Returns `false` when the catalog has no such matrix.
-    pub fn load_table3(&mut self, name: &str, seed: u64) -> bool {
-        match suitesparse::find(name) {
-            Some(info) => {
-                self.insert(name, info.instantiate(seed));
-                true
-            }
-            None => false,
-        }
-    }
-
     /// The raw COO operand stored under `name`.
     pub fn coo(&self, name: &str) -> Option<&Arc<CooTensor>> {
         self.coos.get(name)
@@ -100,19 +86,15 @@ impl TensorStore {
         self.coos.is_empty()
     }
 
-    /// Number of distinct `(stored, bound, format)` tensors materialized
-    /// so far.
-    pub fn materialized_count(&self) -> usize {
-        self.materialized.lock().expect("store cache").len()
-    }
-
     /// The stored operand `stored`, materialized as a [`Tensor`] named
     /// `bound` in `format` — built once per combination, shared ever after.
     /// Returns `None` when `stored` is not in the corpus.
     pub fn materialize(&self, stored: &str, bound: &str, format: &TensorFormat) -> Option<Arc<Tensor>> {
         let coo = self.coos.get(stored)?;
         let key = (stored.to_string(), bound.to_string(), format.to_string());
-        let mut cache = self.materialized.lock().expect("store cache");
+        // The map is only inserted into after the build has returned, so a
+        // build that panicked left it valid: a poisoned guard is recovered.
+        let mut cache = self.materialized.lock().unwrap_or_else(PoisonError::into_inner);
         Some(match cache.entry(key) {
             Entry::Occupied(e) => {
                 self.build_hits.fetch_add(1, Ordering::Relaxed);
@@ -150,12 +132,11 @@ mod tests {
         let a = store.materialize("B", "B", &TensorFormat::dcsr()).unwrap();
         let b = store.materialize("B", "B", &TensorFormat::dcsr()).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(store.materialized_count(), 1);
+        assert_eq!(store.materialize_stats().builds, 1);
         let c = store.materialize("B", "B", &TensorFormat::csr()).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
         let d = store.materialize("B", "B2", &TensorFormat::dcsr()).unwrap();
         assert_eq!(d.name(), "B2", "bound name is baked into the tensor");
-        assert_eq!(store.materialized_count(), 3);
         assert!(store.materialize("missing", "m", &TensorFormat::dcsr()).is_none());
         let stats = store.materialize_stats();
         assert_eq!((stats.builds, stats.hits), (3, 1));
@@ -165,8 +146,8 @@ mod tests {
     #[test]
     fn table3_matrices_load_from_the_catalog() {
         let mut store = TensorStore::new();
-        assert!(store.load_table3("relat3", 7));
-        assert!(!store.load_table3("not-a-matrix", 7));
+        store.insert("relat3", sam_tensor::suitesparse::find("relat3").unwrap().instantiate(7));
+        assert!(store.coo("not-a-matrix").is_none());
         let coo = store.coo("relat3").unwrap();
         assert_eq!(coo.shape(), &[8, 5]);
         assert_eq!(store.len(), 1);

@@ -1,6 +1,6 @@
-//! Service fault injection: a stuck query, a panicking query, a full queue
-//! and a shutdown under load must each leave every handle resolved and the
-//! counters balanced.
+//! Service fault injection: a stuck query, a panicking query, a full queue,
+//! a shutdown under load and a binding of the wrong rank must each leave
+//! every handle resolved and the counters balanced.
 //!
 //! The injection seam is [`Query::traced_with`]: every backend asks the
 //! sink `enabled()` before it runs anything, so a sink that blocks or
@@ -80,6 +80,7 @@ fn service(config: ServiceConfig) -> Service {
     let mut store = TensorStore::new();
     store.insert("b", sam_tensor::synth::random_vector(64, 20, 1));
     store.insert("c", sam_tensor::synth::random_vector(64, 24, 2));
+    store.insert("M", sam_tensor::synth::random_matrix_sparsity(8, 8, 0.5, 3));
     Service::with_config(Arc::new(store), config)
 }
 
@@ -209,4 +210,25 @@ fn dropping_a_loaded_service_resolves_every_handle() {
     for handle in handles {
         handle.wait().expect("query");
     }
+}
+
+/// (e) A binding whose stored tensor has the wrong rank is a typed compile
+/// error, not a panic inside the store's lock: operands nobody has
+/// materialized yet still materialize afterwards.
+#[test]
+fn a_rank_mismatched_binding_is_rejected_and_the_store_survives() {
+    let service = service(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+
+    match service.submit(Query::new("x(i) = b(i)").bind("b", "M")).wait() {
+        Err(ServeError::Compile { message, .. }) => assert_eq!(
+            message,
+            "binding `b`: stored tensor `M` has order 2, the operand is indexed by 1 variable"
+        ),
+        other => panic!("expected a compile error, got {other:?}"),
+    }
+
+    service.submit(query()).wait().expect("a query over operands not yet materialized");
+    let snap = service.metrics_snapshot();
+    assert_eq!((snap.submitted, snap.completed, snap.failed), (2, 1, 1));
+    assert_eq!(snap.store.builds, 2, "b and c were built after the rejection");
 }

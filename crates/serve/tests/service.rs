@@ -66,7 +66,7 @@ fn plan_cache_hits_are_bit_identical_to_fresh_compiles() {
     let warm_stats = service.plan_stats();
     assert_eq!(warm_stats.misses, cold_stats.misses, "the warm round must not re-plan");
     assert_eq!(warm_stats.hits, 12, "the warm round is all plan-cache hits");
-    assert_eq!(service.stats().compile_hits, 12, "the warm round is all compile-cache hits");
+    assert_eq!(service.metrics_snapshot().compile_hits, 12, "the warm round is all compile-cache hits");
 
     for ((w, cold), warm) in queries.iter().zip(&cold).zip(&warm) {
         assert_identical(w.name, warm, cold);
@@ -137,7 +137,7 @@ fn concurrent_submissions_from_eight_threads_match_one_shot_exactly() {
         }
     });
 
-    let stats = service.stats();
+    let stats = service.metrics_snapshot();
     assert_eq!(stats.submitted, 8 * 12);
     assert_eq!(stats.completed, 8 * 12, "no query may fail (failed={})", stats.failed);
     // 96 submissions over 12 shapes: at most the first encounter of each
@@ -166,11 +166,22 @@ fn errors_resolve_handles_and_leave_the_service_healthy() {
     let err = service.submit(unused).wait().unwrap_err();
     assert!(matches!(err, sam_serve::ServeError::Compile { .. }), "{err}");
 
-    // The service still executes real work after all three failures.
+    // Expression-shaped input that used to unwind inside the compiler: an
+    // order that is no permutation of the statement's variables, and an
+    // index variable repeated in the target or in one access.
+    let bad_order = Query::new("x(i) = B_mv(i,j) * c_mv(j)").order("i").operand("B_mv").operand("c_mv");
+    let diagonal_target = Query::new("x(i,i) = c_mv(i)").operand("c_mv");
+    let diagonal_access = Query::new("x(i) = B_mv(i,i)").operand("B_mv");
+    for query in [bad_order, diagonal_target, diagonal_access] {
+        let err = service.submit(query).wait().unwrap_err();
+        assert!(matches!(err, sam_serve::ServeError::Compile { .. }), "{err}");
+    }
+
+    // The service still executes real work after all six failures.
     let w = &queries[0];
     let run = service.submit(w.query.clone()).wait().unwrap();
     assert_identical(w.name, &run, &one_shot(&store, &w.query));
-    assert_eq!(service.stats().failed, 3);
+    assert_eq!(service.metrics_snapshot().failed, 6);
 }
 
 /// Stored operands that give one index variable two sizes (`c` holds
@@ -196,5 +207,5 @@ fn operands_disagreeing_on_a_dimension_are_rejected_not_run() {
             other => panic!("{spec}: expected a dimension-mismatch rejection, got {other:?}"),
         }
     }
-    assert_eq!(service.stats().failed, BackendSpec::all().len() as u64);
+    assert_eq!(service.metrics_snapshot().failed, BackendSpec::all().len() as u64);
 }

@@ -261,11 +261,6 @@ impl Simulator {
         self.blocks.len()
     }
 
-    /// Number of channels added so far.
-    pub fn num_channels(&self) -> usize {
-        self.channels.len()
-    }
-
     /// Cycles elapsed in the last [`Simulator::run`].
     pub fn cycles(&self) -> u64 {
         self.cycles

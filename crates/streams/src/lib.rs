@@ -26,7 +26,7 @@
 //! // The coordinate stream for the two fibers (1,) and (0, 2):
 //! let s: Vec<Token<u32>> =
 //!     vec![Token::Val(1), Token::Stop(0), Token::Val(0), Token::Val(2), Token::Stop(1), Token::Done];
-//! assert_eq!(s.iter().filter(|t| t.is_control()).count(), 3);
+//! assert_eq!(s.iter().filter(|t| t.value().is_none()).count(), 3);
 //! ```
 
 #![warn(missing_docs)]

@@ -19,7 +19,7 @@ use std::fmt;
 /// ```
 /// use sam_streams::Token;
 /// let t: Token<u32> = Token::Stop(1);
-/// assert!(t.is_control());
+/// assert_eq!(t.stop_level(), Some(1));
 /// assert_eq!(Token::Val(2u32).value(), Some(2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -35,11 +35,6 @@ pub enum Token<T> {
 }
 
 impl<T> Token<T> {
-    /// True for stop, empty and done tokens; false for data tokens.
-    pub fn is_control(&self) -> bool {
-        !matches!(self, Token::Val(_))
-    }
-
     /// True only for [`Token::Done`].
     pub fn is_done(&self) -> bool {
         matches!(self, Token::Done)
@@ -139,10 +134,6 @@ mod tests {
     #[test]
     fn classification() {
         let v: Token<u32> = Token::Val(1u32);
-        assert!(!v.is_control());
-        assert!(Token::<u32>::Stop(0).is_control());
-        assert!(Token::<u32>::Empty.is_control());
-        assert!(Token::<u32>::Done.is_control());
         assert!(Token::<u32>::Done.is_done());
         assert!(Token::<u32>::Stop(3).is_stop());
         assert!(Token::<u32>::Empty.is_empty_token());

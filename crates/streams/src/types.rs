@@ -21,7 +21,7 @@ use std::fmt;
 /// use sam_streams::BitVec;
 /// let bv = BitVec::from_coords(0, 4, [0u32, 2u32]);
 /// assert_eq!(bv.popcount(), 2);
-/// assert!(bv.is_set(0) && !bv.is_set(1) && bv.is_set(2));
+/// assert_eq!(bv.iter_coords().collect::<Vec<_>>(), vec![0, 2]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct BitVec {
@@ -57,15 +57,6 @@ impl BitVec {
     /// Number of occupied coordinates in this token.
     pub fn popcount(&self) -> u32 {
         self.bits.count_ones()
-    }
-
-    /// Whether coordinate `crd` is occupied. Coordinates outside the window
-    /// are reported as unoccupied.
-    pub fn is_set(&self, crd: u32) -> bool {
-        if crd < self.base || crd >= self.base + self.width as u32 {
-            return false;
-        }
-        (self.bits >> (crd - self.base)) & 1 == 1
     }
 
     /// Iterator over the occupied coordinates, in increasing order.
@@ -119,11 +110,6 @@ mod tests {
     fn bitvec_from_coords_and_queries() {
         let bv = BitVec::from_coords(4, 8, [4u32, 6, 11, 20]);
         assert_eq!(bv.popcount(), 3);
-        assert!(bv.is_set(4));
-        assert!(bv.is_set(6));
-        assert!(bv.is_set(11));
-        assert!(!bv.is_set(5));
-        assert!(!bv.is_set(20));
         assert_eq!(bv.iter_coords().collect::<Vec<_>>(), vec![4, 6, 11]);
     }
 

@@ -121,16 +121,6 @@ impl DenseTensor {
             (a - b).abs() <= 1e-9 * scale
         })
     }
-
-    /// The largest absolute element-wise difference to another tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the shapes differ.
-    pub fn max_abs_diff(&self, other: &DenseTensor) -> f64 {
-        assert_eq!(self.shape, other.shape, "shape mismatch");
-        self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
-    }
 }
 
 impl fmt::Display for DenseTensor {
@@ -167,7 +157,6 @@ mod tests {
         assert!(a.approx_eq(&b));
         let c = DenseTensor::from_data(vec![2], vec![1.0, 3.0]);
         assert!(!a.approx_eq(&c));
-        assert!((a.max_abs_diff(&c) - 1.0).abs() < 1e-12);
         let d = DenseTensor::zeros(vec![3]);
         assert!(!a.approx_eq(&d));
     }

@@ -58,7 +58,7 @@ impl fmt::Display for LevelFormat {
 /// use sam_tensor::TensorFormat;
 /// let dcsr = TensorFormat::dcsr();
 /// assert_eq!(dcsr.order(), 2);
-/// assert!(dcsr.is_fully_compressed());
+/// assert_eq!(dcsr.mode_order(), &[0, 1]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TensorFormat {
@@ -153,25 +153,6 @@ impl TensorFormat {
     pub fn mode_order(&self) -> &[usize] {
         &self.mode_order
     }
-
-    /// Replaces the mode order, returning a new format.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mode_order` is not a permutation of `0..order`.
-    pub fn reordered(&self, mode_order: Vec<usize>) -> Self {
-        TensorFormat::with_mode_order(self.levels.clone(), mode_order)
-    }
-
-    /// True when every level is compressed.
-    pub fn is_fully_compressed(&self) -> bool {
-        self.levels.iter().all(|l| matches!(l, LevelFormat::Compressed))
-    }
-
-    /// True when every level is dense.
-    pub fn is_fully_dense(&self) -> bool {
-        self.levels.iter().all(|l| matches!(l, LevelFormat::Dense))
-    }
 }
 
 impl fmt::Display for TensorFormat {
@@ -202,8 +183,8 @@ mod tests {
     fn named_formats() {
         assert_eq!(TensorFormat::csr().levels(), &[LevelFormat::Dense, LevelFormat::Compressed]);
         assert_eq!(TensorFormat::csc().mode_order(), &[1, 0]);
-        assert!(TensorFormat::dcsr().is_fully_compressed());
-        assert!(TensorFormat::dense(3).is_fully_dense());
+        assert_eq!(TensorFormat::dcsr().levels(), &[LevelFormat::Compressed; 2]);
+        assert_eq!(TensorFormat::dense(3).levels(), &[LevelFormat::Dense; 3]);
         assert_eq!(TensorFormat::csf(3).order(), 3);
         assert_eq!(TensorFormat::sparse_vec().order(), 1);
         assert_eq!(TensorFormat::dense_vec().level(0), LevelFormat::Dense);
@@ -211,7 +192,7 @@ mod tests {
 
     #[test]
     fn reordering() {
-        let f = TensorFormat::dcsr().reordered(vec![1, 0]);
+        let f = TensorFormat::with_mode_order(TensorFormat::dcsr().levels().to_vec(), vec![1, 0]);
         assert_eq!(f, TensorFormat::dcsc());
     }
 

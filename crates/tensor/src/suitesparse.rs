@@ -41,11 +41,6 @@ pub enum SizeClass {
 }
 
 impl MatrixInfo {
-    /// Density as a percentage (matches the Table 3 "Density (%)" column).
-    pub fn density_percent(&self) -> f64 {
-        100.0 * self.nnz as f64 / (self.rows as f64 * self.cols as f64)
-    }
-
     /// Instantiates the catalog entry as a seeded random matrix with the same
     /// dimensions and nonzero count.
     pub fn instantiate(&self, seed: u64) -> CooTensor {
@@ -193,13 +188,14 @@ mod tests {
 
     #[test]
     fn densities_match_table3() {
-        // Spot-check the densities the paper reports.
-        let relat3 = find("relat3").unwrap();
-        assert!((relat3.density_percent() - 60.0).abs() < 0.5);
-        let rail = find("rail507").unwrap();
-        assert!((rail.density_percent() - 1.3).abs() < 0.1);
-        let g32 = find("G32").unwrap();
-        assert!((g32.density_percent() - 0.2).abs() < 0.05);
+        // Spot-check the Table 3 "Density (%)" column.
+        let density = |name: &str| {
+            let m = find(name).unwrap();
+            100.0 * m.nnz as f64 / (m.rows as f64 * m.cols as f64)
+        };
+        assert!((density("relat3") - 60.0).abs() < 0.5);
+        assert!((density("rail507") - 1.3).abs() < 0.1);
+        assert!((density("G32") - 0.2).abs() < 0.05);
     }
 
     #[test]

@@ -104,16 +104,6 @@ impl Tensor {
         self.vals.iter().filter(|v| **v != 0.0).count()
     }
 
-    /// Dimension size of the given *storage* level.
-    pub fn storage_dim(&self, level: usize) -> usize {
-        self.shape[self.format.mode_order()[level]]
-    }
-
-    /// The root fiber reference that starts iteration of this tensor.
-    pub fn root_ref(&self) -> usize {
-        0
-    }
-
     /// Enumerates stored nonzero points in logical mode order.
     pub fn points(&self) -> Vec<(Vec<u32>, f64)> {
         let mut out = Vec::new();
@@ -264,9 +254,9 @@ mod tests {
     fn nnz_and_storage_dim() {
         let t = figure1_tensor(TensorFormat::csc());
         assert_eq!(t.nnz(), 5);
-        assert_eq!(t.storage_dim(0), 4);
+        // CSC stores the columns at level 0.
+        assert_eq!(t.level(0).dimension(), 4);
         assert_eq!(t.order(), 2);
-        assert_eq!(t.root_ref(), 0);
         assert!(t.to_string().contains("nnz=5"));
     }
 

@@ -22,7 +22,7 @@
 //! * [`schedule`] — a [`KernelTiling`] (which index variables are tiled,
 //!   how each bound tensor's storage levels map onto them, which tensors'
 //!   empty tiles license skipping a whole tile tuple) and the arithmetic on
-//!   it: grid sizes, coordinate windows, tile keys, the flat [`TupleSpace`];
+//!   it: grid sizes, coordinate windows, tile keys;
 //! * [`llb`] — an LRU model of the last-level buffer that turns the tile
 //!   access sequence into measured DRAM traffic, occupancy high-water marks
 //!   and capacity-spill counts;
@@ -41,4 +41,4 @@ pub mod schedule;
 pub use extract::{for_each_stored, tile_of, TileGrid};
 pub use llb::LlbModel;
 pub use merge::TileMerger;
-pub use schedule::{KernelTiling, TensorTiling, TiledVar, TupleSpace};
+pub use schedule::{KernelTiling, TensorTiling, TiledVar};

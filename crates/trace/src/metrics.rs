@@ -337,14 +337,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers (or retrieves) a gauge labeled `{key="value"}`.
-    pub fn gauge_with(&self, name: &str, help: &str, key: &str, value: &str) -> Arc<Gauge> {
-        match self.register(name, help, Some((key, value)), Metric::Gauge(Arc::new(Gauge::new()))) {
-            Metric::Gauge(g) => g,
-            _ => panic!("metric `{name}` already registered with a different kind"),
-        }
-    }
-
     /// Registers (or retrieves) an unlabeled histogram.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
         match self.register(name, help, None, Metric::Histogram(Arc::new(Histogram::new()))) {
@@ -500,7 +492,7 @@ mod tests {
     fn prometheus_rendering_is_well_formed() {
         let r = MetricsRegistry::new();
         r.counter("queries_total", "Total queries").add(7);
-        r.gauge_with("depth", "Lane depth", "lane", "0").set(3);
+        r.counter_with("tasks", "Worker tasks", "worker", "0").add(3);
         let h = r.histogram("wait_ns", "Queue wait");
         h.record(10);
         h.record(2000);
@@ -508,7 +500,7 @@ mod tests {
         assert!(text.contains("# HELP queries_total Total queries\n"));
         assert!(text.contains("# TYPE queries_total counter\n"));
         assert!(text.contains("queries_total 7\n"));
-        assert!(text.contains("depth{lane=\"0\"} 3\n"));
+        assert!(text.contains("tasks{worker=\"0\"} 3\n"));
         assert!(text.contains("# TYPE wait_ns histogram\n"));
         assert!(text.contains("wait_ns_bucket{le=\"+Inf\"} 2\n"));
         assert!(text.contains("wait_ns_sum 2010\n"));

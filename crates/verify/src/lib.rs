@@ -19,13 +19,13 @@
 //!    lanes, disagreeing dimensions, scalar-into-stream errors, and
 //!    `ConstVal` misuse.
 //! 2. **Graph lints** — dead nodes, discarded value streams, forks that
-//!    should be broadcasts, and missing skip edges where the compiler's
-//!    format heuristic (`LowerOptions::skip_edges`) would fire.
+//!    should be broadcasts, and missing skip edges where `custard::lower_exec`
+//!    would have wired them (its density-skew heuristic).
 //!
 //! The `samlint` binary (in `sam-bench`) fronts all of this on the command
 //! line; `custard::lower_exec` asserts its output verifies structurally
-//! (debug builds), and every planning door (`Plan::build`, the executor's
-//! `Planner`, `sam_serve::Service`) runs the bound analysis.
+//! (debug builds), and every planning door (`Plan::build`, `ExecRequest`,
+//! the plan cache, `sam_serve::Service`) runs the bound analysis.
 
 #![warn(missing_docs)]
 

@@ -98,11 +98,10 @@ pub fn run(graph: &SamGraph, analysis: &Analysis, report: &mut Report) {
         }
     }
 
-    // Missing skip edges, mirroring the compiler's heuristic
-    // (`LowerOptions::skip_edges`): a binary intersection whose two
-    // operands come straight from scanners of skewed density (one dense,
-    // one compressed) gallops in O(1) on the dense side — but only if the
-    // Section 4.2 feedback lanes are wired.
+    // Missing skip edges, mirroring the heuristic in `custard::lower_exec`:
+    // a binary intersection whose two operands come straight from scanners
+    // of skewed density (one dense, one compressed) gallops in O(1) on the
+    // dense side — but only if the Section 4.2 feedback lanes are wired.
     for i in (0..n).map(NodeId) {
         if !matches!(nodes[i.0], NodeKind::Intersecter { .. }) {
             continue;
@@ -124,8 +123,8 @@ pub fn run(graph: &SamGraph, analysis: &Analysis, report: &mut Report) {
                     Rule::MissingSkipEdge,
                     format!(
                         "`{}` intersects a compressed level with a dense one but has no \
-                         coordinate-skip lanes; the format heuristic (`LowerOptions::skip_edges`) \
-                         would wire them and enable galloping",
+                         coordinate-skip lanes; `custard::lower_exec` would wire them and \
+                         enable galloping",
                         graph.node_label(i)
                     ),
                 )

@@ -289,7 +289,7 @@ fn fork_should_broadcast_fires_once() {
 #[test]
 fn missing_skip_edge_fires_once() {
     // A compressed × dense intersection without skip lanes — exactly the
-    // shape `LowerOptions::skip_edges` would rewrite.
+    // shape `custard::lower_exec` wires skip lanes onto.
     let mut g = GraphBuilder::new("x(i) = b(i) * c(i)");
     let rb = g.root("b");
     let rc = g.root("c");

@@ -11,10 +11,7 @@ fn main() {
     let run = |flow: SpmmDataflow| -> Execution {
         let (b_format, c_format) = flow.operand_formats();
         let inputs = Inputs::new().coo("B", &b, b_format).coo("C", &c, c_format);
-        ExecRequest::new(&graphs::spmm(flow), &inputs)
-            .executor(&CycleBackend::default())
-            .run()
-            .expect("cycle run")
+        ExecRequest::new(&graphs::spmm(flow), &inputs).executor(&CycleBackend).run().expect("cycle run")
     };
     let outer = run(SpmmDataflow::OuterProduct);
     let rows = run(SpmmDataflow::LinearCombination);

@@ -17,8 +17,7 @@ fn main() {
     let graph = graphs::vec_elem_mul(true);
     let inputs =
         Inputs::new().coo("b", &b, TensorFormat::sparse_vec()).coo("c", &c, TensorFormat::sparse_vec());
-    let result =
-        ExecRequest::new(&graph, &inputs).executor(&CycleBackend::default()).run().expect("cycle run");
+    let result = ExecRequest::new(&graph, &inputs).executor(&CycleBackend).run().expect("cycle run");
     let output = result.output.expect("tensor output");
     println!("x(i) = b(i) * c(i) over {dim}-element vectors");
     println!("  simulated blocks : {}", result.blocks);

@@ -6,7 +6,7 @@ use sam::exec::{CycleBackend, ExecRequest, Execution, Inputs};
 use sam::tensor::{synth, TensorFormat};
 
 fn run(graph: &SamGraph, inputs: &Inputs) -> Execution {
-    ExecRequest::new(graph, inputs).executor(&CycleBackend::default()).run().expect("cycle run")
+    ExecRequest::new(graph, inputs).executor(&CycleBackend).run().expect("cycle run")
 }
 
 fn cycles(run: &Execution) -> u64 {

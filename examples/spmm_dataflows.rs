@@ -14,10 +14,8 @@ fn main() {
         // the storage formats it needs.
         let (b_format, c_format) = flow.operand_formats();
         let inputs = Inputs::new().coo("B", &b, b_format).coo("C", &c, c_format);
-        let r = ExecRequest::new(&graphs::spmm(flow), &inputs)
-            .executor(&CycleBackend::default())
-            .run()
-            .expect("cycle run");
+        let r =
+            ExecRequest::new(&graphs::spmm(flow), &inputs).executor(&CycleBackend).run().expect("cycle run");
         println!(
             "  {:<28} {:>10} cycles ({} result nonzeros)",
             flow.label(),

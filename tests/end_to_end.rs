@@ -14,7 +14,7 @@ use sam::tensor::reference::Environment;
 use sam::tensor::{synth, CooTensor, Tensor, TensorFormat};
 
 fn run_cycle(graph: &SamGraph, inputs: &Inputs) -> Execution {
-    ExecRequest::new(graph, inputs).executor(&CycleBackend::default()).run().unwrap()
+    ExecRequest::new(graph, inputs).executor(&CycleBackend).run().unwrap()
 }
 
 fn spmv_inputs(b: &CooTensor, c: &CooTensor) -> Inputs {
@@ -169,7 +169,7 @@ fn every_kernel_graph_agrees_across_backends_and_reference() {
         let expect = env.evaluate(&assignment).unwrap();
 
         let cycle = ExecRequest::new(&graph, &inputs)
-            .executor(&CycleBackend::default())
+            .executor(&CycleBackend)
             .run()
             .unwrap_or_else(|e| panic!("{}: cycle backend failed: {e}", graph.name));
         let fast = ExecRequest::new(&graph, &inputs)
@@ -208,7 +208,7 @@ fn compiled_spmv_agrees_with_hand_kernel() {
         let coo = if name == "B" { &b } else { &c };
         inputs = inputs.coo(name, coo, fmt.clone());
     }
-    for backend in [&CycleBackend::default() as &dyn Executor, &FastBackend] {
+    for backend in [&CycleBackend as &dyn Executor, &FastBackend] {
         let run = ExecRequest::new(&kernel.graph, &inputs).executor(backend).run().unwrap();
         assert!(
             run.output.unwrap().to_dense().approx_eq(&hand),
@@ -226,7 +226,7 @@ fn fast_backend_is_leaner_than_cycle_backend() {
     let c = synth::random_matrix_sparsity(25, 30, 0.9, 221);
     let graph = graphs::spmm(SpmmDataflow::LinearCombination);
     let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-    let cycle = ExecRequest::new(&graph, &inputs).executor(&CycleBackend::default()).run().unwrap();
+    let cycle = ExecRequest::new(&graph, &inputs).executor(&CycleBackend).run().unwrap();
     let fast = ExecRequest::new(&graph, &inputs).executor(&FastBackend).run().unwrap();
     assert_eq!(cycle.output.unwrap(), fast.output.unwrap());
     assert!(fast.tokens <= cycle.tokens, "fast={} cycle={}", fast.tokens, cycle.tokens);

@@ -64,12 +64,7 @@ fn vecmul_matches_direct_product() {
         let cc = to_coo(&c);
         let on_cycle_backend = |graph, storage: TensorFormat| {
             let inputs = Inputs::new().coo("b", &cb, storage.clone()).coo("c", &cc, storage);
-            ExecRequest::new(&graph, &inputs)
-                .executor(&CycleBackend::default())
-                .run()
-                .unwrap()
-                .output
-                .unwrap()
+            ExecRequest::new(&graph, &inputs).executor(&CycleBackend).run().unwrap().output.unwrap()
         };
         for (fmt, out) in [
             ("Crd", on_cycle_backend(graphs::vec_elem_mul(true), TensorFormat::sparse_vec())),
@@ -224,7 +219,7 @@ fn fuzzed_expressions_are_bit_identical_across_backends() {
             .unwrap_or_else(|e| panic!("seed {seed}: `{text}` fast-serial failed: {e}"));
 
         let cycle = ExecRequest::new(&kernel.graph, &inputs)
-            .executor(&CycleBackend::default())
+            .executor(&CycleBackend)
             .run()
             .unwrap_or_else(|e| panic!("seed {seed}: `{text}` on cycle failed: {e}"));
         assert_eq!(cycle.output, serial.output, "seed {seed}: `{text}` output on cycle");
