@@ -31,4 +31,4 @@ pub use ablation::{ablation_study, AblationRow, ExpressionCorpus};
 pub use cin::{ConcreteIndexNotation, Formats, Schedule};
 pub use exec_lower::{lower_exec, ExecutableKernel, LowerExecError};
 pub use lower::lower;
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, ParseErrorKind, MAX_NESTING, MAX_OPERANDS};

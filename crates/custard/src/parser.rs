@@ -13,13 +13,41 @@
 //! wrapped in an explicit `Reduce` node at the top of the right-hand side,
 //! matching Einsum semantics; additive terms that do not mention a reduction
 //! variable stay outside the reduction (e.g. the residual expression).
+//!
+//! An expression string is outside input (a service query carries one), and
+//! the parser, the left-deep tree it builds and every pass over that tree
+//! recurse once per parenthesis and once per operand. So both are bounded
+//! ([`MAX_NESTING`], [`MAX_OPERANDS`]) far above any Table 1 expression
+//! (three operands, one level), and a literal must be a finite number.
 
 use sam_tensor::expr::{Assignment, Expr, IndexVar};
 use std::fmt;
 
+/// The deepest parenthesis nesting [`parse`] accepts.
+pub const MAX_NESTING: usize = 64;
+
+/// The most operands (tensor accesses and literals) a right-hand side may
+/// have.
+pub const MAX_OPERANDS: usize = 256;
+
+/// What kind of input a [`ParseError`] rejects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The text is not a statement of the grammar.
+    Syntax,
+    /// Parentheses nest deeper than [`MAX_NESTING`].
+    TooDeep,
+    /// The right-hand side has more than [`MAX_OPERANDS`] operands.
+    TooManyOperands,
+    /// A numeric literal is not a finite `f64` (it overflows to infinity).
+    NonFiniteLiteral,
+}
+
 /// An error produced while parsing tensor index notation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
+    /// What kind of input was rejected.
+    pub kind: ParseErrorKind,
     /// Human-readable description.
     pub message: String,
     /// Byte offset in the input where the error was detected.
@@ -37,15 +65,35 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Parentheses open around the current position.
+    depth: usize,
+    /// Operands of the right-hand side parsed so far.
+    operands: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        Parser { input: input.as_bytes(), pos: 0 }
+        Parser { input: input.as_bytes(), pos: 0, depth: 0, operands: 0 }
     }
 
     fn error<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError { message: message.into(), position: self.pos })
+        self.error_of(ParseErrorKind::Syntax, message)
+    }
+
+    fn error_of<T>(&self, kind: ParseErrorKind, message: impl Into<String>) -> Result<T, ParseError> {
+        Err(ParseError { kind, message: message.into(), position: self.pos })
+    }
+
+    /// Counts one more operand, rejecting the one past [`MAX_OPERANDS`].
+    fn operand(&mut self) -> Result<(), ParseError> {
+        self.operands += 1;
+        if self.operands > MAX_OPERANDS {
+            return self.error_of(
+                ParseErrorKind::TooManyOperands,
+                format!("more than {MAX_OPERANDS} operands in one expression"),
+            );
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -112,12 +160,21 @@ impl<'a> Parser<'a> {
     fn factor(&mut self) -> Result<Expr, ParseError> {
         match self.peek() {
             Some(b'(') => {
+                if self.depth == MAX_NESTING {
+                    return self.error_of(
+                        ParseErrorKind::TooDeep,
+                        format!("parentheses nest deeper than {MAX_NESTING} levels"),
+                    );
+                }
                 self.expect(b'(')?;
+                self.depth += 1;
                 let e = self.expr()?;
                 self.expect(b')')?;
+                self.depth -= 1;
                 Ok(e)
             }
             Some(c) if c.is_ascii_digit() => {
+                self.operand()?;
                 let start = self.pos;
                 while self.pos < self.input.len()
                     && (self.input[self.pos].is_ascii_digit() || self.input[self.pos] == b'.')
@@ -126,11 +183,17 @@ impl<'a> Parser<'a> {
                 }
                 let text = std::str::from_utf8(&self.input[start..self.pos]).expect("ascii");
                 match text.parse::<f64>() {
-                    Ok(v) => Ok(Expr::Literal(v)),
+                    Ok(v) if v.is_finite() => Ok(Expr::Literal(v)),
+                    Ok(_) => Err(ParseError {
+                        kind: ParseErrorKind::NonFiniteLiteral,
+                        message: format!("numeric literal `{text}` is not a finite number"),
+                        position: start,
+                    }),
                     Err(_) => self.error(format!("bad numeric literal `{text}`")),
                 }
             }
             Some(_) => {
+                self.operand()?;
                 let (name, indices) = self.access()?;
                 Ok(Expr::Access { tensor: name, indices })
             }
@@ -204,7 +267,9 @@ fn apply_reductions(expr: Expr, reduction_vars: &[IndexVar]) -> Expr {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] describing the first offending token.
+/// Returns a [`ParseError`] describing the first offending token: a
+/// [`ParseErrorKind::Syntax`] error, or one of the bounds in the module
+/// docs.
 ///
 /// ```
 /// let a = custard::parse("x(i) = B(i,j) * c(j)").unwrap();
@@ -266,6 +331,23 @@ mod tests {
         assert!(parse("x(i) = b(i) extra").is_err());
         let err = parse("x(i) = $").unwrap_err();
         assert!(err.to_string().contains("parse error"));
+        assert_eq!(err.kind, ParseErrorKind::Syntax);
+    }
+
+    #[test]
+    fn bounds_hold_exactly_at_their_constants() {
+        let nested = |depth: usize| format!("x(i) = {}b(i){}", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse(&nested(MAX_NESTING)).is_ok());
+        let err = parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!((err.kind, err.position), (ParseErrorKind::TooDeep, 7 + MAX_NESTING));
+
+        let sum = |n: usize| format!("x(i) = {}", vec!["b(i)"; n].join(" + "));
+        assert!(parse(&sum(MAX_OPERANDS)).is_ok());
+        assert_eq!(parse(&sum(MAX_OPERANDS + 1)).unwrap_err().kind, ParseErrorKind::TooManyOperands);
+
+        assert!(parse(&format!("x(i) = {} * b(i)", "9".repeat(308))).is_ok());
+        let err = parse(&format!("x(i) = {} * b(i)", "9".repeat(309))).unwrap_err();
+        assert_eq!((err.kind, err.position), (ParseErrorKind::NonFiniteLiteral, 7));
     }
 
     #[test]

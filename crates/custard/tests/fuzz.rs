@@ -99,3 +99,43 @@ fn no_mutant_of_a_table1_expression_unwinds_the_front_end() {
     );
     assert!(lowered > 0, "no mutant lowered");
 }
+
+/// The stack a `sam-serve` worker parses on: `std::thread::spawn`'s
+/// default, set explicitly so `RUST_MIN_STACK` cannot enlarge it.
+const WORKER_STACK: usize = 2 << 20;
+
+/// Deep nesting, long operand chains and huge literals — the shapes the
+/// mutants never reach — are typed parse errors, and the largest
+/// expressions the bounds admit go through the whole front end, on a
+/// worker-sized stack. Before the bounds, 3,000-deep parentheses or a
+/// 30,000-operand sum overflowed that stack, which aborts the process.
+#[test]
+fn hostile_shapes_are_typed_errors_on_a_worker_sized_stack() {
+    use custard::{ParseErrorKind, MAX_NESTING, MAX_OPERANDS};
+
+    let nested = |depth: usize| format!("x(i) = {}b(i){}", "(".repeat(depth), ")".repeat(depth));
+    let chain = |n: usize, op: &str| format!("x(i) = {}", vec!["b(i)"; n].join(op));
+    let rejected = [
+        (nested(3_000), ParseErrorKind::TooDeep),
+        (nested(MAX_NESTING + 1), ParseErrorKind::TooDeep),
+        (chain(30_000, " + "), ParseErrorKind::TooManyOperands),
+        (chain(30_000, " * "), ParseErrorKind::TooManyOperands),
+        (chain(30_000, "-"), ParseErrorKind::TooManyOperands),
+        (chain(MAX_OPERANDS + 1, "*"), ParseErrorKind::TooManyOperands),
+        (format!("x(i) = {} * b(i)", "9".repeat(400)), ParseErrorKind::NonFiniteLiteral),
+    ];
+    let admitted = [nested(MAX_NESTING), chain(MAX_OPERANDS, " + "), chain(MAX_OPERANDS, " * ")];
+    let worker = std::thread::Builder::new().stack_size(WORKER_STACK).spawn(move || {
+        for (text, kind) in &rejected {
+            let err = parse(text).expect_err("rejected shape parsed");
+            assert_eq!(err.kind, *kind, "{}…: {err}", &text[..text.len().min(40)]);
+        }
+        for text in &admitted {
+            let assignment = parse(text).unwrap_or_else(|e| panic!("{}…: {e}", &text[..40]));
+            let cin = ConcreteIndexNotation::new(assignment, &Schedule::new(), Formats::new());
+            lower(&cin);
+            let _ = lower_exec(&cin);
+        }
+    });
+    worker.expect("spawn").join().expect("the front end stays within a worker's stack");
+}

@@ -9,10 +9,15 @@
 //!
 //! **Stored only if re-read.** A level scanner whose two streams feed one
 //! operand of one intersecter and nothing else ([`FusedScan`]) is never
-//! evaluated: the intersecter pulls `(crd, ref)` pairs straight from a
-//! `GallopScan` over the storage level, gallops it on every mismatch and
-//! jumps the tail of its fiber once the other operand's has ended, so the
-//! walk costs the short side. Tokens are counted *where they are produced
+//! evaluated: the intersecter reads a `GallopScan` over the storage level
+//! instead. When both operands are fused over `Compressed` or `Dense`
+//! levels it merges a whole fiber pair at a time, straight over the
+//! levels' coordinate arrays, and pushes tokens only for the matches;
+//! otherwise (a stored operand, a `Bitvector` level) it pulls one
+//! `(crd, ref)` pair at a time. Either way the trailing side gallops on
+//! every mismatch and the tail of a fiber is jumped once the other
+//! operand's has ended, so the walk costs the short side. Tokens are
+//! counted *where they are produced
 //! or skipped*: a stored stream by its length when its producer finishes, a
 //! fused scanner by the tally its `GallopScan` keeps — a cursor jump over
 //! `n` entries is `n` coordinate and `n` reference tokens — credited to the
@@ -28,6 +33,11 @@
 //! (`StreamTable`) and drops each one the moment its last data reader has
 //! run; ports nobody reads are dropped as soon as they are counted. Peak
 //! memory is the live set, not the sum of all streams.
+//!
+//! **Named once, on failure.** A transfer function reports a fault without
+//! naming its node; the walk attaches [`Plan::node_label`] when it turns
+//! the fault into an [`ExecError`], so every error spells a node the same
+//! way and an untraced run that succeeds formats no label at all.
 //!
 //! ```
 //! use sam_core::graphs;
@@ -185,7 +195,7 @@ impl Executor for FastBackend {
                 };
                 let (mut a, mut b) = (operand(0), operand(1));
                 let [oc, o0, o1, ..] = &mut outs[..] else { unreachable!("intersecter has five outputs") };
-                run_intersect(&mut a, &mut b, oc, o0, o1, &plan.node_label(id))?;
+                run_intersect(&mut a, &mut b, oc, o0, o1).map_err(|f| f.at(plan.node_label(id)))?;
                 for (lane, operand) in lanes.iter().zip([&a, &b]) {
                     // Counted where produced or skipped, credited to the
                     // scanner. A lane scanner keeps reporting nothing.
@@ -202,7 +212,7 @@ impl Executor for FastBackend {
                 let job = NodeJob::build(plan, inputs, id);
                 let mut srcs: Vec<SliceSource<'_>> =
                     plan.inputs_of(id).iter().flatten().map(|&p| SliceSource::new(streams.get(p))).collect();
-                match eval_node(&job, &mut srcs, &mut outs)? {
+                match eval_node(&job, &mut srcs, &mut outs).map_err(|f| f.at(plan.node_label(id)))? {
                     Some(WriterOutput::Level(level)) => {
                         level_results.insert(id.0, level);
                     }

@@ -14,10 +14,18 @@
 //! `run_scanner` drains it into two sinks for every scanner somebody else
 //! reads too.
 //!
+//! An intersecter whose operands are both fused scanners over `Compressed`
+//! or `Dense` levels merges a whole fiber pair at a time, straight over
+//! the levels' storage (a [`FiberView`] per side), and pushes tokens only
+//! for the matches; every other operand pair — a stored stream, a
+//! `Bitvector` level — walks one `(crd, ref)` pair at a time.
+//!
 //! The transfer functions themselves mirror the `sam-primitives` block
 //! semantics token for token (see the paper definitions cited on each), so
 //! the cycle backend and the fast backend compute identical streams from
-//! the same [`Plan`](crate::Plan).
+//! the same [`Plan`](crate::Plan). They report a [`Fault`] without naming
+//! the node; the walk names it when it turns the fault into an
+//! [`ExecError`].
 
 use crate::bind::Inputs;
 use crate::error::ExecError;
@@ -27,9 +35,30 @@ use sam_primitives::{root_stream, AluOp};
 use sam_sim::payload::{tok, Payload};
 use sam_sim::SimToken;
 use sam_streams::Token;
-use sam_tensor::level::{CompressedLevel, Level};
+use sam_tensor::level::{CompressedLevel, DenseLevel, Level};
 use sam_trace::TokenCounts;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+
+/// What a transfer function found wrong with its input streams. It does not
+/// name the node: the walk does, once, when it converts the fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fault {
+    /// The input streams are structurally misaligned.
+    Misaligned,
+    /// A value-array reference left the bounds of the values.
+    RefOutOfBounds(usize),
+}
+
+impl Fault {
+    /// The error of node `label` observing this fault.
+    pub(crate) fn at(self, label: String) -> ExecError {
+        match self {
+            Fault::Misaligned => ExecError::Misaligned { label },
+            Fault::RefOutOfBounds(reference) => ExecError::RefOutOfBounds { label, reference },
+        }
+    }
+}
 
 /// A cursor over a finished, stored stream: the reading half of a node's
 /// input.
@@ -70,7 +99,6 @@ pub(crate) enum WriterOutput {
 /// tensor level / values / ALU op / writer dimension from the plan.
 pub(crate) struct NodeJob<'a> {
     pub(crate) kind: &'a NodeKind,
-    pub(crate) label: String,
     level: Option<&'a Level>,
     vals: Option<&'a [f64]>,
     alu: Option<AluOp>,
@@ -93,15 +121,7 @@ impl<'a> NodeJob<'a> {
     /// Resolves the plan- and input-side context of `id` for evaluation.
     pub(crate) fn build(plan: &'a Plan, inputs: &'a Inputs, id: NodeId) -> NodeJob<'a> {
         let kind = &plan.graph().nodes()[id.0];
-        let mut job = NodeJob {
-            kind,
-            label: kind.label(),
-            level: None,
-            vals: None,
-            alu: None,
-            constant: None,
-            writer_dim: 0,
-        };
+        let mut job = NodeJob { kind, level: None, vals: None, alu: None, constant: None, writer_dim: 0 };
         match kind {
             NodeKind::LevelScanner { .. } | NodeKind::Locator { .. } => {
                 job.level = Some(scanner_level(plan, inputs, id));
@@ -124,8 +144,7 @@ pub(crate) fn eval_node(
     job: &NodeJob<'_>,
     srcs: &mut [SliceSource<'_>],
     outs: &mut [Vec<SimToken>],
-) -> Result<Option<WriterOutput>, ExecError> {
-    let label = job.label.as_str();
+) -> Result<Option<WriterOutput>, Fault> {
     match job.kind {
         NodeKind::Root { .. } => {
             for t in root_stream() {
@@ -138,7 +157,7 @@ pub(crate) fn eval_node(
         }
         NodeKind::Repeater { .. } => {
             let [crd_in, ref_in] = srcs else { unreachable!("repeater has two inputs") };
-            run_repeater(crd_in, ref_in, &mut outs[0], label)?;
+            run_repeater(crd_in, ref_in, &mut outs[0])?;
         }
         NodeKind::Intersecter { .. } => {
             // Operands with a fused scanner are run through `run_intersect`
@@ -152,46 +171,45 @@ pub(crate) fn eval_node(
                 oc,
                 o0,
                 o1,
-                label,
             )?;
         }
         NodeKind::Unioner { .. } => {
             let [c0, c1, r0, r1] = srcs else { unreachable!("unioner has four inputs") };
             let [oc, o0, o1] = outs else { unreachable!("unioner has three outputs") };
-            run_union(c0, c1, r0, r1, oc, o0, o1, label)?;
+            run_union(c0, c1, r0, r1, oc, o0, o1)?;
         }
         NodeKind::Locator { .. } => {
             let [crd, rf] = srcs else { unreachable!("locator has two inputs") };
             let [oc, pass, located] = outs else { unreachable!("locator has three outputs") };
-            run_locator(job.level.expect("locator level"), crd, rf, oc, pass, located, label)?;
+            run_locator(job.level.expect("locator level"), crd, rf, oc, pass, located)?;
         }
         NodeKind::Array { .. } => {
-            run_array(job.vals.expect("array values"), &mut srcs[0], &mut outs[0], label)?;
+            run_array(job.vals.expect("array values"), &mut srcs[0], &mut outs[0])?;
         }
         NodeKind::ConstVal { .. } => {
             run_const(job.constant.expect("validated constant"), &mut srcs[0], &mut outs[0]);
         }
         NodeKind::Alu { .. } => {
             let [a, b] = srcs else { unreachable!("ALU has two inputs") };
-            run_alu(job.alu.expect("validated ALU"), a, b, &mut outs[0], label)?;
+            run_alu(job.alu.expect("validated ALU"), a, b, &mut outs[0])?;
         }
         NodeKind::Reducer { order } => match order {
             0 => run_reduce_scalar(&mut srcs[0], &mut outs[0]),
             1 => {
                 let [crd, val] = srcs else { unreachable!("vector reducer has two inputs") };
                 let [oc, ov] = outs else { unreachable!("vector reducer has two outputs") };
-                run_reduce_vector(crd, val, oc, ov, label)?;
+                run_reduce_vector(crd, val, oc, ov)?;
             }
             _ => {
                 let [outer, inner, val] = srcs else { unreachable!("matrix reducer has three inputs") };
                 let [oo, oi, ov] = outs else { unreachable!("matrix reducer has three outputs") };
-                run_reduce_matrix(outer, inner, val, oo, oi, ov, label)?;
+                run_reduce_matrix(outer, inner, val, oo, oi, ov)?;
             }
         },
         NodeKind::CoordDropper { .. } => {
             let [outer, inner] = srcs else { unreachable!("dropper has two inputs") };
             let [oo, oi] = outs else { unreachable!("dropper has two outputs") };
-            run_dropper(outer, inner, oo, oi, label)?;
+            run_dropper(outer, inner, oo, oi)?;
         }
         NodeKind::LevelWriter { vals, .. } => {
             return Ok(Some(if *vals {
@@ -205,10 +223,6 @@ pub(crate) fn eval_node(
         }
     }
     Ok(None)
-}
-
-fn misaligned(label: &str) -> ExecError {
-    ExecError::Misaligned { label: label.to_string() }
 }
 
 /// Reads the crd/ref token pair at one position of a merged operand; the
@@ -242,8 +256,7 @@ fn run_repeater(
     crd_in: &mut SliceSource<'_>,
     ref_in: &mut SliceSource<'_>,
     out: &mut Vec<SimToken>,
-    label: &str,
-) -> Result<(), ExecError> {
+) -> Result<(), Fault> {
     let mut current: Option<SimToken> = None;
     while let Some(t) = crd_in.next() {
         match t {
@@ -252,7 +265,7 @@ fn run_repeater(
                     // The current fiber's reference: the next data token.
                     match ref_in.next() {
                         Some(r @ (Token::Val(_) | Token::Empty)) => current = Some(r),
-                        _ => return Err(misaligned(label)),
+                        _ => return Err(Fault::Misaligned),
                     }
                 }
                 out.push(current.expect("just fetched"));
@@ -287,11 +300,14 @@ fn run_repeater(
 
 /// The scan progress of a [`GallopScan`], mirroring the cycle-level
 /// scanner's state machine.
+#[derive(Clone, Copy)]
 enum GallopState {
     /// Waiting for the next input reference token.
     Idle,
     /// Walking the entries of fiber `fiber`; `pos` is the cursor the skip
-    /// requests gallop forward.
+    /// requests gallop forward. The fiber stays addressable at `pos == len`
+    /// after its last entry went out (the fiber merge reads it there); the
+    /// next pull turns that into the trailing stop.
     Emitting { fiber: usize, pos: usize, len: usize },
     /// The fiber ended; the trailing stop's level depends on the next input
     /// token (Section 3.3's hierarchical rule).
@@ -309,7 +325,11 @@ enum GallopState {
 /// coordinate and [`GallopScan::skip_rest`] jumps it to the fiber's end.
 /// Dense levels jump in O(1), compressed levels binary-search, so a skewed
 /// intersection costs the short side's length (times a logarithm), not the
-/// long side's.
+/// long side's. When both operands are fused scans over `Compressed` or
+/// `Dense` levels the intersecter does not pull pairs inside a fiber at
+/// all: [`merge_open_fibers`] merges the rest of both open fibers over the
+/// levels' storage and jumps both cursors to the end, and only the stops
+/// between fibers come through [`GallopScan::next_pair`].
 ///
 /// How the host walks is not what the SAM graph moves. A standalone scanner
 /// would have emitted one coordinate and one reference token for every
@@ -375,11 +395,7 @@ impl<'a> GallopScan<'a> {
                 GallopState::Emitting { fiber, pos, len } => {
                     if pos < len {
                         let e = self.level.entry_at(fiber, pos);
-                        self.state = if pos + 1 >= len {
-                            GallopState::NeedStop
-                        } else {
-                            GallopState::Emitting { fiber, pos: pos + 1, len }
-                        };
+                        self.state = GallopState::Emitting { fiber, pos: pos + 1, len };
                         self.emitted.crd += 1;
                         self.emitted.refs += 1;
                         return Some((tok::crd(e.coord), tok::rf(e.child as u32)));
@@ -473,66 +489,221 @@ impl IntersectOperand<'_> {
     }
 }
 
+/// One fiber of a `Compressed` or `Dense` level as the fiber merge reads it
+/// from storage: entries at positions `0..len()`, coordinates increasing.
+trait FiberView {
+    /// Number of entries.
+    fn len(&self) -> usize;
+    /// The coordinate of entry `pos`.
+    fn coord(&self, pos: usize) -> u32;
+    /// The reference token of entry `pos`: its child position.
+    fn child(&self, pos: usize) -> SimToken;
+    /// The first position at or after `from` whose coordinate is at least
+    /// `target`, or `len()` ([`Level::gallop_from`] without the dispatch).
+    fn gallop(&self, from: usize, target: u32) -> usize;
+}
+
+/// A compressed fiber: its slice `crd[seg[f]..seg[f + 1]]` of the
+/// coordinate array; an entry's child is its position in the whole array.
+struct CompressedFiber<'a> {
+    crd: &'a [u32],
+    base: usize,
+}
+
+impl<'a> CompressedFiber<'a> {
+    fn new(level: &'a CompressedLevel, fiber: usize) -> Self {
+        let base = level.seg[fiber];
+        CompressedFiber { crd: &level.crd[base..level.seg[fiber + 1]], base }
+    }
+}
+
+impl FiberView for CompressedFiber<'_> {
+    fn len(&self) -> usize {
+        self.crd.len()
+    }
+
+    fn coord(&self, pos: usize) -> u32 {
+        self.crd[pos]
+    }
+
+    fn child(&self, pos: usize) -> SimToken {
+        tok::rf((self.base + pos) as u32)
+    }
+
+    fn gallop(&self, from: usize, target: u32) -> usize {
+        from + self.crd[from..].partition_point(|&c| c < target)
+    }
+}
+
+/// A dense fiber: every coordinate of `0..size` at the position equal to
+/// it; fiber `f`'s child of coordinate `c` is `f·size + c`.
+struct DenseFiber {
+    size: usize,
+    base: usize,
+}
+
+impl DenseFiber {
+    fn new(level: &DenseLevel, fiber: usize) -> Self {
+        DenseFiber { size: level.size, base: fiber * level.size }
+    }
+}
+
+impl FiberView for DenseFiber {
+    fn len(&self) -> usize {
+        self.size
+    }
+
+    fn coord(&self, pos: usize) -> u32 {
+        pos as u32
+    }
+
+    fn child(&self, pos: usize) -> SimToken {
+        tok::rf((self.base + pos) as u32)
+    }
+
+    fn gallop(&self, from: usize, target: u32) -> usize {
+        (target as usize).clamp(from, self.size)
+    }
+}
+
+/// Intersects fiber `a` from position `i` and fiber `b` from position `j`
+/// to their ends, galloping the trailing side on every mismatch and
+/// pushing tokens only for the matches.
+fn merge_fibers<A: FiberView, B: FiberView>(
+    a: A,
+    mut i: usize,
+    b: B,
+    mut j: usize,
+    oc: &mut Vec<SimToken>,
+    o0: &mut Vec<SimToken>,
+    o1: &mut Vec<SimToken>,
+) {
+    while i < a.len() && j < b.len() {
+        let (ca, cb) = (a.coord(i), b.coord(j));
+        match ca.cmp(&cb) {
+            Ordering::Equal => {
+                oc.push(tok::crd(ca));
+                o0.push(a.child(i));
+                o1.push(b.child(j));
+                i += 1;
+                j += 1;
+            }
+            Ordering::Less => i = a.gallop(i + 1, cb),
+            Ordering::Greater => j = b.gallop(j + 1, ca),
+        }
+    }
+}
+
+/// The whole-fiber intersection: when both operands are fused scans inside
+/// an open fiber of a `Compressed` or `Dense` level, merges the rest of
+/// both fibers — from the entries just pulled, one before each cursor —
+/// and jumps both cursors to their fiber's end, tallying what is left of
+/// each fiber exactly as [`GallopScan::skip_rest`] does. Returns `false`
+/// and touches nothing for any other operand pair, which the caller walks
+/// one pair at a time.
+fn merge_open_fibers(
+    a: &mut IntersectOperand<'_>,
+    b: &mut IntersectOperand<'_>,
+    oc: &mut Vec<SimToken>,
+    o0: &mut Vec<SimToken>,
+    o1: &mut Vec<SimToken>,
+) -> bool {
+    let (IntersectOperand::Scan(a), IntersectOperand::Scan(b)) = (a, b) else { return false };
+    let (
+        GallopState::Emitting { fiber: fa, pos: pa, len: la },
+        GallopState::Emitting { fiber: fb, pos: pb, len: lb },
+    ) = (a.state, b.state)
+    else {
+        return false;
+    };
+    let (i, j) = (pa - 1, pb - 1);
+    match (a.level, b.level) {
+        (Level::Compressed(x), Level::Compressed(y)) => {
+            merge_fibers(CompressedFiber::new(x, fa), i, CompressedFiber::new(y, fb), j, oc, o0, o1);
+        }
+        (Level::Compressed(x), Level::Dense(y)) => {
+            merge_fibers(CompressedFiber::new(x, fa), i, DenseFiber::new(y, fb), j, oc, o0, o1);
+        }
+        (Level::Dense(x), Level::Compressed(y)) => {
+            merge_fibers(DenseFiber::new(x, fa), i, CompressedFiber::new(y, fb), j, oc, o0, o1);
+        }
+        (Level::Dense(x), Level::Dense(y)) => {
+            merge_fibers(DenseFiber::new(x, fa), i, DenseFiber::new(y, fb), j, oc, o0, o1);
+        }
+        _ => return false,
+    }
+    a.jump_to(la);
+    b.jump_to(lb);
+    true
+}
+
 /// Intersecter transfer function (Definition 3.2): a two-finger merge that
-/// walks the short side. On a mismatch the trailing operand skips to the
-/// leading one's coordinate, and once one operand's fiber has ended the
-/// other skips the rest of its own — neither can match anything on the way.
-/// Whether the graph wires a Section 4.2 skip lane does not matter here: a
-/// fused scanner tallies what it skipped, so the streams and every count
-/// are those of the plain merge over stored streams.
+/// walks the short side. Two fused scans over `Compressed` / `Dense` levels
+/// merge a whole fiber pair at a time ([`merge_open_fibers`]); otherwise
+/// the walk takes one pair at a time: on a mismatch the trailing operand
+/// skips to the leading one's coordinate, and once one operand's fiber has
+/// ended the other skips the rest of its own — neither can match anything
+/// on the way. Whether the graph wires a Section 4.2 skip lane does not
+/// matter here: a fused scanner tallies what it skipped, so the streams and
+/// every count are those of the plain merge over stored streams.
 pub(crate) fn run_intersect(
     a: &mut IntersectOperand<'_>,
     b: &mut IntersectOperand<'_>,
     oc: &mut Vec<SimToken>,
     o0: &mut Vec<SimToken>,
     o1: &mut Vec<SimToken>,
-    label: &str,
-) -> Result<(), ExecError> {
-    let mut ta = a.fetch().ok_or_else(|| misaligned(label))?;
-    let mut tb = b.fetch().ok_or_else(|| misaligned(label))?;
+) -> Result<(), Fault> {
+    let mut ta = a.fetch().ok_or(Fault::Misaligned)?;
+    let mut tb = b.fetch().ok_or(Fault::Misaligned)?;
     loop {
         match (ta.0, tb.0) {
             (Token::Val(pa), Token::Val(pb)) => {
+                if merge_open_fibers(a, b, oc, o0, o1) {
+                    // Both fibers are merged: the next pulls are their stops.
+                    ta = a.fetch().ok_or(Fault::Misaligned)?;
+                    tb = b.fetch().ok_or(Fault::Misaligned)?;
+                    continue;
+                }
                 let ca = pa.expect_crd();
                 let cb = pb.expect_crd();
                 if ca == cb {
                     oc.push(tok::crd(ca));
                     o0.push(ta.1);
                     o1.push(tb.1);
-                    ta = a.fetch().ok_or_else(|| misaligned(label))?;
-                    tb = b.fetch().ok_or_else(|| misaligned(label))?;
+                    ta = a.fetch().ok_or(Fault::Misaligned)?;
+                    tb = b.fetch().ok_or(Fault::Misaligned)?;
                 } else if ca < cb {
                     // The trailing side gallops straight to the coordinate
                     // the leading side is waiting at.
                     a.skip_to(cb);
-                    ta = a.fetch().ok_or_else(|| misaligned(label))?;
+                    ta = a.fetch().ok_or(Fault::Misaligned)?;
                 } else {
                     b.skip_to(ca);
-                    tb = b.fetch().ok_or_else(|| misaligned(label))?;
+                    tb = b.fetch().ok_or(Fault::Misaligned)?;
                 }
             }
             // The other side's fiber is over: the tail of this one is dead.
             (Token::Val(_), Token::Stop(_) | Token::Done) => {
                 a.skip_rest();
-                ta = a.fetch().ok_or_else(|| misaligned(label))?;
+                ta = a.fetch().ok_or(Fault::Misaligned)?;
             }
             (Token::Stop(_) | Token::Done, Token::Val(_)) => {
                 b.skip_rest();
-                tb = b.fetch().ok_or_else(|| misaligned(label))?;
+                tb = b.fetch().ok_or(Fault::Misaligned)?;
             }
             (Token::Val(_) | Token::Empty, _) => {
-                ta = a.fetch().ok_or_else(|| misaligned(label))?;
+                ta = a.fetch().ok_or(Fault::Misaligned)?;
             }
             (_, Token::Empty) => {
-                tb = b.fetch().ok_or_else(|| misaligned(label))?;
+                tb = b.fetch().ok_or(Fault::Misaligned)?;
             }
             (Token::Stop(na), Token::Stop(nb)) => {
                 let s = tok::stop(na.max(nb));
                 oc.push(s);
                 o0.push(s);
                 o1.push(s);
-                ta = a.fetch().ok_or_else(|| misaligned(label))?;
-                tb = b.fetch().ok_or_else(|| misaligned(label))?;
+                ta = a.fetch().ok_or(Fault::Misaligned)?;
+                tb = b.fetch().ok_or(Fault::Misaligned)?;
             }
             (Token::Done, Token::Done) => {
                 oc.push(tok::done());
@@ -541,10 +712,10 @@ pub(crate) fn run_intersect(
                 break;
             }
             (Token::Stop(_), Token::Done) => {
-                ta = a.fetch().ok_or_else(|| misaligned(label))?;
+                ta = a.fetch().ok_or(Fault::Misaligned)?;
             }
             (Token::Done, Token::Stop(_)) => {
-                tb = b.fetch().ok_or_else(|| misaligned(label))?;
+                tb = b.fetch().ok_or(Fault::Misaligned)?;
             }
         }
     }
@@ -552,7 +723,6 @@ pub(crate) fn run_intersect(
 }
 
 /// Unioner transfer function (Definition 3.3).
-#[allow(clippy::too_many_arguments)]
 fn run_union(
     c0: &mut SliceSource<'_>,
     c1: &mut SliceSource<'_>,
@@ -561,10 +731,9 @@ fn run_union(
     oc: &mut Vec<SimToken>,
     o0: &mut Vec<SimToken>,
     o1: &mut Vec<SimToken>,
-    label: &str,
-) -> Result<(), ExecError> {
-    let mut a = fetch_pair(c0, r0).ok_or_else(|| misaligned(label))?;
-    let mut b = fetch_pair(c1, r1).ok_or_else(|| misaligned(label))?;
+) -> Result<(), Fault> {
+    let mut a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
+    let mut b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
     loop {
         match (a.0, b.0) {
             (Token::Val(pa), Token::Val(pb)) => {
@@ -574,45 +743,45 @@ fn run_union(
                     oc.push(tok::crd(ca));
                     o0.push(a.1);
                     o1.push(b.1);
-                    a = fetch_pair(c0, r0).ok_or_else(|| misaligned(label))?;
-                    b = fetch_pair(c1, r1).ok_or_else(|| misaligned(label))?;
+                    a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
+                    b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
                 } else if ca < cb {
                     oc.push(tok::crd(ca));
                     o0.push(a.1);
                     o1.push(tok::empty());
-                    a = fetch_pair(c0, r0).ok_or_else(|| misaligned(label))?;
+                    a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
                 } else {
                     oc.push(tok::crd(cb));
                     o0.push(tok::empty());
                     o1.push(b.1);
-                    b = fetch_pair(c1, r1).ok_or_else(|| misaligned(label))?;
+                    b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
                 }
             }
             (Token::Val(pa), _) => {
                 oc.push(tok::crd(pa.expect_crd()));
                 o0.push(a.1);
                 o1.push(tok::empty());
-                a = fetch_pair(c0, r0).ok_or_else(|| misaligned(label))?;
+                a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
             }
             (_, Token::Val(pb)) => {
                 oc.push(tok::crd(pb.expect_crd()));
                 o0.push(tok::empty());
                 o1.push(b.1);
-                b = fetch_pair(c1, r1).ok_or_else(|| misaligned(label))?;
+                b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
             }
             (Token::Empty, _) => {
-                a = fetch_pair(c0, r0).ok_or_else(|| misaligned(label))?;
+                a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
             }
             (_, Token::Empty) => {
-                b = fetch_pair(c1, r1).ok_or_else(|| misaligned(label))?;
+                b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
             }
             (Token::Stop(na), Token::Stop(nb)) => {
                 let s = tok::stop(na.max(nb));
                 oc.push(s);
                 o0.push(s);
                 o1.push(s);
-                a = fetch_pair(c0, r0).ok_or_else(|| misaligned(label))?;
-                b = fetch_pair(c1, r1).ok_or_else(|| misaligned(label))?;
+                a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
+                b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
             }
             (Token::Done, Token::Done) => {
                 oc.push(tok::done());
@@ -621,10 +790,10 @@ fn run_union(
                 break;
             }
             (Token::Stop(_), Token::Done) => {
-                a = fetch_pair(c0, r0).ok_or_else(|| misaligned(label))?;
+                a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
             }
             (Token::Done, Token::Stop(_)) => {
-                b = fetch_pair(c1, r1).ok_or_else(|| misaligned(label))?;
+                b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
             }
         }
     }
@@ -632,7 +801,6 @@ fn run_union(
 }
 
 /// Locator transfer function (Definition 4.1).
-#[allow(clippy::too_many_arguments)]
 fn run_locator(
     level: &Level,
     crd: &mut SliceSource<'_>,
@@ -640,11 +808,10 @@ fn run_locator(
     oc: &mut Vec<SimToken>,
     pass: &mut Vec<SimToken>,
     located: &mut Vec<SimToken>,
-    label: &str,
-) -> Result<(), ExecError> {
+) -> Result<(), Fault> {
     loop {
         let (Some(c), Some(r)) = (crd.next(), rf.next()) else {
-            return Err(misaligned(label));
+            return Err(Fault::Misaligned);
         };
         match (c, r) {
             (Token::Val(pc), Token::Val(pr)) => {
@@ -680,25 +847,20 @@ fn run_locator(
                 located.push(tok::done());
                 break;
             }
-            _ => return Err(misaligned(label)),
+            _ => return Err(Fault::Misaligned),
         }
     }
     Ok(())
 }
 
 /// Array-in-load-mode transfer function (Definition 3.5).
-fn run_array(
-    vals: &[f64],
-    input: &mut SliceSource<'_>,
-    out: &mut Vec<SimToken>,
-    label: &str,
-) -> Result<(), ExecError> {
+fn run_array(vals: &[f64], input: &mut SliceSource<'_>, out: &mut Vec<SimToken>) -> Result<(), Fault> {
     while let Some(t) = input.next() {
         match t {
             Token::Val(p) => {
                 let r = p.expect_ref() as usize;
                 if r >= vals.len() {
-                    return Err(ExecError::RefOutOfBounds { label: label.to_string(), reference: r });
+                    return Err(Fault::RefOutOfBounds(r));
                 }
                 out.push(tok::val(vals[r]));
             }
@@ -735,8 +897,7 @@ fn run_alu(
     a: &mut SliceSource<'_>,
     b: &mut SliceSource<'_>,
     out: &mut Vec<SimToken>,
-    label: &str,
-) -> Result<(), ExecError> {
+) -> Result<(), Fault> {
     let apply = |x: f64, y: f64| match op {
         AluOp::Add => x + y,
         AluOp::Sub => x - y,
@@ -744,7 +905,7 @@ fn run_alu(
     };
     loop {
         let (Some(ta), Some(tb)) = (a.next(), b.next()) else {
-            return Err(misaligned(label));
+            return Err(Fault::Misaligned);
         };
         match (ta, tb) {
             (Token::Val(pa), Token::Val(pb)) => out.push(tok::val(apply(pa.expect_val(), pb.expect_val()))),
@@ -756,7 +917,7 @@ fn run_alu(
                 out.push(tok::done());
                 break;
             }
-            _ => return Err(misaligned(label)),
+            _ => return Err(Fault::Misaligned),
         }
     }
     Ok(())
@@ -792,8 +953,7 @@ fn run_reduce_vector(
     val: &mut SliceSource<'_>,
     oc: &mut Vec<SimToken>,
     ov: &mut Vec<SimToken>,
-    label: &str,
-) -> Result<(), ExecError> {
+) -> Result<(), Fault> {
     let mut acc: BTreeMap<u32, f64> = BTreeMap::new();
     let flush = |acc: &mut BTreeMap<u32, f64>,
                  closing: Option<u8>,
@@ -810,7 +970,7 @@ fn run_reduce_vector(
     };
     loop {
         let (Some(c), Some(v)) = (crd.next(), val.next()) else {
-            return Err(misaligned(label));
+            return Err(Fault::Misaligned);
         };
         match (c, v) {
             (Token::Val(pc), Token::Val(pv)) => {
@@ -831,14 +991,13 @@ fn run_reduce_vector(
                 ov.push(tok::done());
                 break;
             }
-            _ => return Err(misaligned(label)),
+            _ => return Err(Fault::Misaligned),
         }
     }
     Ok(())
 }
 
 /// Matrix reducer transfer function (Definition 3.7, order 2).
-#[allow(clippy::too_many_arguments)]
 fn run_reduce_matrix(
     outer: &mut SliceSource<'_>,
     inner: &mut SliceSource<'_>,
@@ -846,8 +1005,7 @@ fn run_reduce_matrix(
     oo: &mut Vec<SimToken>,
     oi: &mut Vec<SimToken>,
     ov: &mut Vec<SimToken>,
-    label: &str,
-) -> Result<(), ExecError> {
+) -> Result<(), Fault> {
     let mut acc: BTreeMap<(u32, u32), f64> = BTreeMap::new();
     let mut current_outer: Option<u32> = None;
     loop {
@@ -858,11 +1016,11 @@ fn run_reduce_matrix(
             }
         }
         let (Some(c), Some(v)) = (inner.next(), val.next()) else {
-            return Err(misaligned(label));
+            return Err(Fault::Misaligned);
         };
         match (c, v) {
             (Token::Val(pc), Token::Val(pv)) => {
-                let o = current_outer.ok_or_else(|| misaligned(label))?;
+                let o = current_outer.ok_or(Fault::Misaligned)?;
                 *acc.entry((o, pc.expect_crd())).or_insert(0.0) += pv.expect_val();
             }
             (Token::Empty, _) | (_, Token::Empty) => {}
@@ -884,7 +1042,7 @@ fn run_reduce_matrix(
                 ov.push(tok::done());
                 break;
             }
-            _ => return Err(misaligned(label)),
+            _ => return Err(Fault::Misaligned),
         }
     }
     Ok(())
@@ -963,8 +1121,7 @@ fn run_dropper(
     inner: &mut SliceSource<'_>,
     out_outer: &mut Vec<SimToken>,
     out_inner: &mut Vec<SimToken>,
-    label: &str,
-) -> Result<(), ExecError> {
+) -> Result<(), Fault> {
     let mut mo = MergeSink::new(out_outer);
     let mut mi = MergeSink::new(out_inner);
     let mut fiber: Vec<SimToken> = Vec::new();
@@ -981,7 +1138,7 @@ fn run_dropper(
             Token::Empty => {}
             Token::Stop(level) => {
                 let Some(outer_tok) = outer.peek() else {
-                    return Err(misaligned(label));
+                    return Err(Fault::Misaligned);
                 };
                 match outer_tok {
                     Token::Val(_) => {
@@ -1240,9 +1397,9 @@ mod tests {
     fn intersect<'a>(
         a: &mut IntersectOperand<'a>,
         b: &mut IntersectOperand<'a>,
-    ) -> Result<[Vec<SimToken>; 3], ExecError> {
+    ) -> Result<[Vec<SimToken>; 3], Fault> {
         let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
-        run_intersect(a, b, &mut oc, &mut o0, &mut o1, "intersect")?;
+        run_intersect(a, b, &mut oc, &mut o0, &mut o1)?;
         Ok([oc, o0, o1])
     }
 
@@ -1254,8 +1411,12 @@ mod tests {
         assert_eq!(operand.emitted(), Some(want), "{what}: tally");
     }
 
+    /// The pair walk over two stored streams is the reference: the fiber
+    /// merge (both fused, compressed / dense), the galloped pair walk (a
+    /// bitvector side) and every fused-against-stored mix must produce its
+    /// streams token for token, and each fused scan's tally its counts.
     #[test]
-    fn the_galloped_walk_equals_the_stored_stream_walk_token_for_token() -> Result<(), ExecError> {
+    fn the_galloped_walk_equals_the_stored_stream_walk_token_for_token() -> Result<(), Fault> {
         let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
         let mut rng = StdRng::seed_from_u64(19);
         let mut matched = 0;
@@ -1277,10 +1438,40 @@ mod tests {
                     assert_eq!(intersect(&mut a, &mut b)?, want, "{what}: fused against stored");
                     assert_tally(&a, &sa, &what);
                     assert_eq!(b.emitted(), None, "{what}: stored streams are counted by their producer");
+
+                    let (mut a, mut b) = (streams(&sa), scan(&lb, &rb));
+                    assert_eq!(intersect(&mut a, &mut b)?, want, "{what}: stored against fused");
+                    assert_tally(&b, &sb, &what);
                 }
             }
         }
         assert!(matched > 1000, "the generator must produce intersections that match: {matched}");
         Ok(())
+    }
+
+    /// The differential test above only proves the merge right where it
+    /// runs; this pins where it runs: two fused scans over compressed or
+    /// dense levels, nothing else.
+    #[test]
+    fn the_fiber_merge_takes_two_fused_compressed_or_dense_scans_only() {
+        let fibers = [vec![1, 4, 9]];
+        let refs = [tok::rf(0), tok::stop(0), tok::done()];
+        let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
+        for fa in formats {
+            for fb in formats {
+                let (la, lb) = (level_of(fa, 8, &fibers), level_of(fb, 8, &fibers));
+                let sb = stored(&lb, &refs);
+                let mut pairs = [(scan(&la, &refs), scan(&lb, &refs)), (scan(&la, &refs), streams(&sb))];
+                for (k, (a, b)) in pairs.iter_mut().enumerate() {
+                    // Open both first fibers, as the intersecter's first pulls do.
+                    assert!(a.fetch().is_some() && b.fetch().is_some());
+                    let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
+                    let merged = merge_open_fibers(a, b, &mut oc, &mut o0, &mut o1);
+                    let bitvector = matches!(fa, Format::Bitvector) || matches!(fb, Format::Bitvector);
+                    assert_eq!(merged, k == 0 && !bitvector, "{fa:?} x {fb:?}, pair {k}");
+                    assert_eq!(oc.is_empty(), !merged, "{fa:?} x {fb:?}, pair {k}: pushes only if merged");
+                }
+            }
+        }
     }
 }

@@ -126,10 +126,11 @@ fn every_kernel_agrees_across_backends() {
 
 /// Execution reports the root-cause error, not a downstream symptom:
 /// structurally misaligned streams surface as the observing node's own
-/// error.
+/// error, named by its plan label (the one spelling every error uses).
 #[test]
 fn misaligned_streams_fail_as_the_observing_node() {
     use sam_core::build::GraphBuilder;
+    use sam_core::graph::{NodeId, NodeKind};
     use sam_exec::ExecError;
 
     // A vector reducer whose coordinate stream (b's 32 coordinates) is far
@@ -145,17 +146,24 @@ fn misaligned_streams_fail_as_the_observing_node() {
     let (x_crd, x_val) = g.reduce_vector(b_crd, c_vals);
     g.write_level("x", 'i', x_crd);
     g.write_vals("x", x_val);
-    let graph = g.finish();
+    let mut graph = g.finish();
+    // A display label of its own, as custard gives its merges, so the
+    // kind's generic label cannot pass for it.
+    let reducer = NodeId(
+        graph.nodes().iter().position(|k| matches!(k, NodeKind::Reducer { .. })).expect("one reducer"),
+    );
+    graph.set_label(reducer, "reduce(i: b,c)");
 
     let b = synth::random_vector(64, 32, 311);
     let c = synth::random_vector(64, 2, 312);
     let inputs =
         Inputs::new().coo("b", &b, TensorFormat::sparse_vec()).coo("c", &c, TensorFormat::sparse_vec());
-    let run = ExecRequest::new(&graph, &inputs).executor(&FastBackend).run();
+    let plan = Plan::build(&graph, &inputs).expect("the misalignment is invisible to planning");
+    let run = FastBackend.run(&plan, &inputs);
     let Err(ExecError::Misaligned { label }) = run else {
         panic!("the run should fail on the misaligned reducer streams, got {run:?}");
     };
-    assert!(label.contains("reduce"), "error should name the reducer, was `{label}`");
+    assert_eq!(label, plan.node_label(reducer), "error should name the reducer by its plan label");
 }
 
 /// Inputs that push a fused scanner through its corner states — no stored

@@ -1,6 +1,7 @@
 //! Service fault injection: a stuck query, a panicking query, a full queue,
-//! a shutdown under load and a binding of the wrong rank must each leave
-//! every handle resolved and the counters balanced.
+//! a shutdown under load, a binding of the wrong rank and an expression
+//! nested too deep to parse must each leave every handle resolved and the
+//! counters balanced.
 //!
 //! The injection seam is [`Query::traced_with`]: every backend asks the
 //! sink `enabled()` before it runs anything, so a sink that blocks or
@@ -231,4 +232,25 @@ fn a_rank_mismatched_binding_is_rejected_and_the_store_survives() {
     let snap = service.metrics_snapshot();
     assert_eq!((snap.submitted, snap.completed, snap.failed), (2, 1, 1));
     assert_eq!(snap.store.builds, 2, "b and c were built after the rejection");
+}
+
+/// (f) An expression nested too deep to parse on a worker's stack is a
+/// typed compile error. Before the parser bounded its recursion this
+/// overflowed the worker's stack, which aborts the whole process — every
+/// in-flight query and this test binary with it.
+#[test]
+fn a_deeply_nested_expression_is_rejected_and_the_service_keeps_serving() {
+    let service = service(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+    let deep = format!("x(i) = {}b(i){} * c(i)", "(".repeat(3_000), ")".repeat(3_000));
+
+    match service.submit(Query::new(&deep).operand("b").operand("c")).wait() {
+        Err(ServeError::Compile { message, .. }) => {
+            assert!(message.contains("parentheses nest deeper than"), "{message}")
+        }
+        other => panic!("expected a compile error, got {other:?}"),
+    }
+
+    service.submit(query()).wait().expect("the query after the deep one");
+    let snap = service.metrics_snapshot();
+    assert_eq!((snap.submitted, snap.completed, snap.failed), (2, 1, 1));
 }
