@@ -9,12 +9,12 @@
 //! * `fig13` — the vector multiply study across the six storage and
 //!   acceleration configurations;
 //! * `fig14` — stream token composition over the Table 3 catalog;
-//! * `fig15` — the finite-memory ExTensor study: the closed-form model of
-//!   `sam-memory` next to a *measured* sweep on the tiled backend at two
-//!   nonzero counts, plus the sparse-tile-skipping ablation. `--full` runs
-//!   the measured sweep at all four of the paper's nonzero counts (slow:
-//!   millions of tile executions at the large dimensions);
-//! * `stream_analysis` — the Section 3.8 stream-encoding analysis.
+//! * `fig15` — the finite-memory ExTensor study, measured on the tiled
+//!   backend at two of the paper's four nonzero counts, plus the
+//!   sparse-tile-skipping ablation. `--full` runs all four nonzero counts
+//!   (slow: millions of tile executions at the large dimensions);
+//! * `stream_analysis` — Section 3.8's level-based vs point-based token
+//!   counts, the level-based ones read from `fig14`'s identity runs.
 
 use sam_memory::MemoryConfig;
 
@@ -26,10 +26,6 @@ fn usage() -> ! {
 }
 
 fn fig15(full: bool) {
-    // The analytic sweep, exactly as the model produces it.
-    print!("{}", sam_bench::figure15_report());
-    println!();
-
     // The measured sweep on the paper's dimension axis. All four nonzero
     // counts take minutes (millions of effectual tile pairs at the top
     // dimensions); the default trims to two curves, `--full` runs all.
@@ -37,6 +33,9 @@ fn fig15(full: bool) {
     let dims: Vec<usize> = (0..12).map(|s| 1024 + 1336 * s).collect();
     let nnz: &[usize] = if full { &[5000, 10000, 25000, 50000] } else { &[5000, 25000] };
     print!("{}", sam_bench::figure15_measured_report(&dims, nnz, &config));
+    if !full {
+        println!("(the paper's nnz=10000 and nnz=50000 curves are not run; `fig15 --full` runs them)");
+    }
     println!();
 
     // Skipping ablation in the paper's falling regime (tiles emptying

@@ -13,14 +13,17 @@
 //! | Figure 12 | [`figure12_report`] | `fig12` |
 //! | Figure 13 | [`figure13_report`] | `fig13` |
 //! | Figure 14 | [`figure14_report`] | `fig14` |
-//! | Figure 15 | [`figure15_report`], [`figure15_measured_report`], [`figure15_skipping_study`] | `fig15` |
+//! | Figure 15 | [`figure15_measured_report`], [`figure15_skipping_study`] | `fig15` |
 //! | Section 3.8 stream analysis | [`stream_analysis_report`] | `stream_analysis` |
 //! | Executor cross-check | [`executor_report`] | `table1` |
 //!
 //! Every simulated cycle count comes from a `sam_core::graphs` graph run
 //! through `sam-exec` on the [`CycleBackend`]. The two bitvector columns of
 //! Figure 13 are the exception: their blocks have no IR node yet, so they use
-//! the hand-wired runs in `sam_primitives::bitvector`.
+//! the hand-wired runs in `sam_primitives::bitvector`. Figure 15's counters
+//! and cycles come from runs on the [`TiledBackend`], and Section 3.8's
+//! level-based token counts from Figure 14's identity runs; nothing here
+//! prints a closed-form estimate.
 
 use custard::{
     ablation_study, lower, lower_exec, parse, ConcreteIndexNotation, ExpressionCorpus, Formats, Schedule,
@@ -30,14 +33,11 @@ use sam_core::graphs::{self, SddmmVariant, SpmmDataflow, VecFormat};
 use sam_exec::{
     CountersSink, CycleBackend, ExecRequest, Execution, FastBackend, Inputs, TiledBackend, TokenCounts,
 };
-use sam_memory::{compare_with_model, figure15_sweep, model_tiled_spmm, MemoryConfig, MemoryCounters};
+use sam_memory::{MemoryConfig, MemoryCounters};
 use sam_primitives::bitvector::{bit_tree_vec_mul, bitvector_vec_mul};
-use sam_streams::analysis::{
-    break_even_nnz_per_row, compare_encodings, MatrixShapeStats, WORST_CASE_CONTROL_FRACTION,
-};
 use sam_tensor::expr::table1;
 use sam_tensor::reference::Environment;
-use sam_tensor::suitesparse::table3_catalog;
+use sam_tensor::suitesparse::{table3_catalog, MatrixInfo};
 use sam_tensor::synth;
 use sam_tensor::{CooTensor, Tensor, TensorFormat};
 
@@ -513,16 +513,35 @@ pub fn figure13_report(dim: usize) -> String {
     out
 }
 
-/// The tokens on the outer (`i`) and inner (`j`) scanner coordinate streams
-/// of the matrix identity over `b`, plus the run they were read from — the
-/// quantities Figure 14 plots.
+/// One traced cycle run of the matrix identity and the tokens on its three
+/// level-based streams: the quantities Figure 14 plots and Section 3.8 sums.
+struct IdentityStreams {
+    run: Execution,
+    /// The outer (`i`) scanner's coordinate stream.
+    outer: TokenCounts,
+    /// The inner (`j`) scanner's coordinate stream.
+    inner: TokenCounts,
+    /// The array node's value stream.
+    vals: TokenCounts,
+}
+
+impl IdentityStreams {
+    /// Every token the level-based encoding of the matrix moved, control
+    /// tokens included.
+    fn level_tokens(&self) -> u64 {
+        self.outer.total() + self.inner.total() + self.vals.total()
+    }
+}
+
+/// Runs the matrix identity over `b` on the cycle backend, traced.
 ///
-/// A traced cycle run counts every token each node emitted. `graphs::identity`
+/// A traced run counts every token each node emitted. `graphs::identity`
 /// has no forks, and a scanner's coordinate and reference outputs carry the
 /// same control tokens (Definition 3.1), so the coordinate stream is the
-/// node's `crd` tokens plus half its control tokens; every other cycle of
-/// the run the channel was idle ([`idle_slots`]).
-fn identity_stream_stats(b: &CooTensor) -> (Execution, TokenCounts, TokenCounts) {
+/// node's `crd` tokens plus half its control tokens; the array node has
+/// one output, its value stream. Every other cycle of the run a channel was
+/// idle ([`idle_slots`]).
+fn identity_stream_stats(b: &CooTensor) -> IdentityStreams {
     let graph = graphs::identity();
     let inputs = Inputs::new().coo("B", b, TensorFormat::dcsr());
     let sink = CountersSink::new();
@@ -532,17 +551,28 @@ fn identity_stream_stats(b: &CooTensor) -> (Execution, TokenCounts, TokenCounts)
         .run()
         .expect("traced cycle run");
     let profile = run.profile.as_ref().expect("traced runs attach a profile");
+    let tokens_of = |is: &dyn Fn(&NodeKind) -> bool| {
+        let node = graph.nodes().iter().position(is).expect("the identity graph has the node");
+        profile.nodes[node].tokens
+    };
     let crd_stream = |index: char| {
-        let scanner = graph
-            .nodes()
-            .iter()
-            .position(|n| matches!(n, NodeKind::LevelScanner { index: i, .. } if *i == index))
-            .expect("the identity graph scans both levels");
-        let TokenCounts { crd, stop, empty, done, .. } = profile.nodes[scanner].tokens;
+        let TokenCounts { crd, stop, empty, done, .. } =
+            tokens_of(&|n| matches!(n, NodeKind::LevelScanner { index: i, .. } if *i == index));
         TokenCounts { crd, stop: stop / 2, empty: empty / 2, done: done / 2, ..TokenCounts::default() }
     };
     let (outer, inner) = (crd_stream('i'), crd_stream('j'));
-    (run, outer, inner)
+    let vals = tokens_of(&|n| matches!(n, NodeKind::Array { .. }));
+    IdentityStreams { run, outer, inner, vals }
+}
+
+/// The Table 3 matrices with at most `max_nnz` nonzeros, each instantiated
+/// and run through [`identity_stream_stats`]: the one set of runs Figure 14
+/// and Section 3.8 both read.
+fn table3_identity_runs(max_nnz: usize) -> impl Iterator<Item = (MatrixInfo, IdentityStreams)> {
+    table3_catalog().into_iter().filter(move |info| info.nnz <= max_nnz).map(|info| {
+        let streams = identity_stream_stats(&info.instantiate(71));
+        (info, streams)
+    })
 }
 
 /// The cycles of `run` during which a channel that carried `stream` carried
@@ -563,11 +593,7 @@ pub fn figure14_report(max_nnz: usize) -> String {
         "{:<14} {:>9} | {:>8} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} {:>8}\n",
         "Matrix", "nnz", "o.idle", "o.done", "o.stop", "o.data", "i.idle", "i.done", "i.stop", "i.data"
     ));
-    for info in table3_catalog() {
-        if info.nnz > max_nnz {
-            continue;
-        }
-        let (run, o, i) = identity_stream_stats(&info.instantiate(71));
+    for (info, IdentityStreams { run, outer: o, inner: i, .. }) in table3_identity_runs(max_nnz) {
         let frac = |slots: u64| slots as f64 / cycles_of(&run).max(1) as f64;
         out.push_str(&format!(
             "{:<14} {:>9} | {:>8.3} {:>8.3} {:>8.3} {:>8.3} | {:>8.3} {:>8.3} {:>8.3} {:>8.3}\n",
@@ -586,35 +612,15 @@ pub fn figure14_report(max_nnz: usize) -> String {
     out
 }
 
-/// Figure 15: the ExTensor-style finite-memory SpM*SpM study.
-pub fn figure15_report() -> String {
-    let config = MemoryConfig::default();
-    let sweep = figure15_sweep(&[5000, 10000, 25000, 50000], &config);
-    let mut out = String::new();
-    out.push_str("Figure 15: tiled SpM*SpM runtime (cycles) across dimension sizes\n");
-    out.push_str(&format!(
-        "{:>8} {:>8} {:>16} {:>16} {:>16}\n",
-        "dim", "nnz", "nonempty tiles", "tile pairs", "cycles"
-    ));
-    for e in sweep {
-        out.push_str(&format!(
-            "{:>8} {:>8} {:>16.1} {:>16.1} {:>16.0}\n",
-            e.dim, e.nnz, e.nonempty_tiles, e.effectual_tile_pairs, e.cycles
-        ));
-    }
-    out
-}
-
-/// Figure 15, measured: runs the synthetic ExTensor SpM*SpM sweep for real
-/// on the `TiledBackend` — constant-nnz uniformly random operands per the
-/// paper — and lines every point up against the closed-form `sam_memory`
-/// estimate. One [`ModelComparison`](sam_memory::ModelComparison) per
-/// (nnz, dim) pair, in sweep order.
+/// Figure 15, measured: runs the synthetic ExTensor SpM*SpM sweep on the
+/// `TiledBackend`, with constant-nnz uniformly random operands per the
+/// paper. One `(dim, nnz, counters, cycles)` per (nnz, dim) pair, in sweep
+/// order.
 pub fn figure15_measured_points(
     dims: &[usize],
     nnz_list: &[usize],
     config: &MemoryConfig,
-) -> Vec<sam_memory::ModelComparison> {
+) -> Vec<(usize, usize, MemoryCounters, u64)> {
     let graph = graphs::spmm(SpmmDataflow::LinearCombination);
     let backend = TiledBackend::new(*config);
     let mut out = Vec::new();
@@ -624,27 +630,16 @@ pub fn figure15_measured_points(
             let c = synth::random_matrix_nnz(dim, dim, nnz, 0x15_0002 ^ dim as u64);
             let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
             let run = ExecRequest::new(&graph, &inputs).executor(&backend).run().expect("tiled run");
-            out.push(compare_with_model(
-                model_tiled_spmm(dim, nnz, config),
-                run.memory.expect("tiled runs report memory counters"),
-                run.cycles.expect("tiled runs estimate cycles") as f64,
-            ));
+            let memory = run.memory.expect("tiled runs report memory counters");
+            out.push((dim, nnz, memory, run.cycles.expect("tiled runs estimate cycles")));
         }
     }
     out
 }
 
-/// Renders [`figure15_measured_points`] as the Figure 15 (measured) table.
-/// The `ratio` columns are measured / analytic; 1.0 means the model
-/// predicted the machine exactly.
+/// Figure 15 (measured): [`figure15_measured_points`] as a table of executed
+/// tiles, the share of visited tile tuples skipped, DRAM bytes and cycles.
 pub fn figure15_measured_report(dims: &[usize], nnz_list: &[usize], config: &MemoryConfig) -> String {
-    figure15_measured_table(&figure15_measured_points(dims, nnz_list, config), config)
-}
-
-/// [`figure15_measured_report`] over an already-measured sweep, so callers
-/// that also need the raw points (this crate's cycle-ratio test) run the
-/// tiled executor once.
-pub fn figure15_measured_table(points: &[sam_memory::ModelComparison], config: &MemoryConfig) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "Figure 15 (measured): tiled SpM*SpM on TiledBackend, tile={} llb={}KiB\n",
@@ -652,33 +647,14 @@ pub fn figure15_measured_table(points: &[sam_memory::ModelComparison], config: &
         config.llb_bytes / 1024
     ));
     out.push_str(&format!(
-        "{:>8} {:>8} {:>7} {:>7} | {:>12} {:>12} {:>6} | {:>12} {:>12} {:>6}\n",
-        "dim",
-        "nnz",
-        "exec",
-        "skip%",
-        "dram (meas)",
-        "dram (model)",
-        "ratio",
-        "cyc (meas)",
-        "cyc (model)",
-        "ratio"
+        "{:>8} {:>8} {:>7} {:>7} | {:>12} | {:>12}\n",
+        "dim", "nnz", "exec", "skip%", "dram (meas)", "cyc (meas)"
     ));
-    for cmp in points {
-        let mem = cmp.measured;
+    for (dim, nnz, mem, cycles) in figure15_measured_points(dims, nnz_list, config) {
         let skip_pct = 100.0 * mem.tiles_skipped as f64 / (mem.tiles_visited as f64).max(1.0);
         out.push_str(&format!(
-            "{:>8} {:>8} {:>7} {:>6.1}% | {:>12} {:>12.0} {:>6.2} | {:>12} {:>12.0} {:>6.2}\n",
-            cmp.analytic.dim,
-            cmp.analytic.nnz,
-            mem.tiles_executed,
-            skip_pct,
-            mem.dram_bytes,
-            cmp.analytic.dram_bytes,
-            cmp.dram_ratio,
-            cmp.measured_cycles,
-            cmp.analytic.cycles,
-            cmp.cycle_ratio,
+            "{:>8} {:>8} {:>7} {:>6.1}% | {:>12} | {:>12}\n",
+            dim, nnz, mem.tiles_executed, skip_pct, mem.dram_bytes, cycles
         ));
     }
     out
@@ -731,29 +707,36 @@ pub fn figure15_skipping_study(
     (out, sm, nm)
 }
 
-/// Section 3.8: level-based vs point-based stream encoding comparison over
-/// the Table 3 catalog.
+/// Section 3.8: level-based vs point-based stream token counts over the
+/// Table 3 catalog.
 pub fn stream_analysis_report() -> String {
+    stream_analysis_table(usize::MAX)
+}
+
+/// [`stream_analysis_report`] over the Table 3 matrices with at most
+/// `max_nnz` nonzeros. The level-based count is read from the Figure 14
+/// identity run: the outer and inner coordinate streams plus the value
+/// stream, control tokens included. The point-based count is `3 * nnz` by
+/// definition: one `(i, j, value)` triple per nonzero and no control
+/// tokens. `nnz/row` averages over the rows the run found nonempty.
+fn stream_analysis_table(max_nnz: usize) -> String {
     let mut out = String::new();
     out.push_str("Section 3.8: level-based vs point-based stream token counts\n");
-    out.push_str(&format!(
-        "break-even nonzeros per row (worst-case control fraction): {:.2}\n",
-        break_even_nnz_per_row(WORST_CASE_CONTROL_FRACTION)
-    ));
+    out.push_str("level = identity run's outer crd + inner crd + value streams; point = 3 * nnz\n");
     out.push_str(&format!(
         "{:<14} {:>10} {:>14} {:>14} {:>12}\n",
         "Matrix", "nnz/row", "level tokens", "point tokens", "level wins"
     ));
-    for info in table3_catalog() {
-        let stats = MatrixShapeStats::new(info.rows as u64, info.rows.min(info.nnz) as u64, info.nnz as u64);
-        let cmp = compare_encodings(stats, WORST_CASE_CONTROL_FRACTION);
+    for (info, streams) in table3_identity_runs(max_nnz) {
+        let (nnr, nnz) = (streams.outer.crd, streams.inner.crd);
+        let (level, point) = (streams.level_tokens(), 3 * nnz);
         out.push_str(&format!(
-            "{:<14} {:>10.2} {:>14.0} {:>14.0} {:>12}\n",
+            "{:<14} {:>10.2} {:>14} {:>14} {:>12}\n",
             info.name,
-            stats.avg_nnz_per_row(),
-            cmp.level_based_tokens,
-            cmp.point_based_tokens,
-            cmp.level_based_wins()
+            nnz as f64 / nnr.max(1) as f64,
+            level,
+            point,
+            level <= point
         ));
     }
     out
@@ -789,11 +772,31 @@ mod tests {
         assert!(f13.contains("Figure 13a"));
         assert!(f13.contains("BV"));
         let f14 = figure14_report(200);
-        assert!(f14.lines().count() >= 2 + 4);
-        let f15 = figure15_report();
-        assert_eq!(f15.lines().count(), 2 + 4 * 12);
-        let sa = stream_analysis_report();
-        assert!(sa.contains("rail507"));
+        assert_eq!(f14.lines().count(), 2 + 4);
+        let sa = stream_analysis_table(200);
+        assert_eq!(sa.lines().count(), 3 + 4);
+        assert!(sa.contains("LFAT5"));
+    }
+
+    /// The level-based streams of the identity run hold exactly
+    /// `3·nnr + 2·nnz + 4` tokens: the outer stream `nnr` coordinates, one
+    /// stop and a done; the inner and value streams `nnz` data tokens, one
+    /// stop per nonempty row and a done each. `nnr` counts the rows the COO
+    /// populates, so rows the instantiation left empty cost nothing.
+    #[test]
+    fn identity_run_obeys_the_exact_level_count() {
+        let mut with_empty_rows = Vec::new();
+        for (info, streams) in table3_identity_runs(1260) {
+            let coo = info.instantiate(71);
+            let nnr =
+                coo.entries().iter().map(|(p, _)| p[0]).collect::<std::collections::BTreeSet<_>>().len();
+            let nnz = coo.nnz();
+            assert_eq!(streams.level_tokens() as usize, 3 * nnr + 2 * nnz + 4, "{}", info.name);
+            if nnr < info.rows {
+                with_empty_rows.push(info.name);
+            }
+        }
+        assert_eq!(with_empty_rows, ["LFAT5", "ch4-4-b1", "ch7-6-b1"]);
     }
 
     /// `scale` is a public argument: past the figure's own size the operands
@@ -882,7 +885,7 @@ mod tests {
         // Matching the paper's observation: the outer scanner finishes early
         // and sits idle while the inner level streams its coordinates.
         let b = synth::random_matrix_sparsity(50, 50, 0.9, 22);
-        let (run, outer, inner) = identity_stream_stats(&b);
+        let IdentityStreams { run, outer, inner, .. } = identity_stream_stats(&b);
         let idle_frac = idle_slots(&run, &outer) as f64 / cycles_of(&run) as f64;
         assert!(idle_frac > 0.4, "idle fraction {idle_frac}");
         // The inner stream's control overhead is dominated by stop tokens.
@@ -912,21 +915,9 @@ mod tests {
         // Small dimensions with a tile and LLB scaled to match (about two
         // seconds in a debug build).
         let config = MemoryConfig { tile: 32, llb_bytes: 16 * 1024, ..MemoryConfig::default() };
-        let points = figure15_measured_points(&[256, 512, 768], &[2000], &config);
-        let report = figure15_measured_table(&points, &config);
+        let report = figure15_measured_report(&[256, 512, 768], &[2000], &config);
         assert_eq!(report.lines().count(), 2 + 3);
         assert!(report.contains("dram (meas)"));
-        // The analytic compute-cycle model must track the measured machine
-        // within a sane band at every point (the pre-refit term undercounted
-        // ~20x at these sizes).
-        for cmp in &points {
-            assert!(
-                (0.25..=4.0).contains(&cmp.cycle_ratio),
-                "measured/analytic cycle ratio {:.2} at dim={} escapes [0.25, 4]",
-                cmp.cycle_ratio,
-                cmp.analytic.dim
-            );
-        }
 
         let study_config = MemoryConfig { tile: 16, llb_bytes: 512, ..MemoryConfig::default() };
         let (study, skip, noskip) = figure15_skipping_study(96, 60, &study_config);

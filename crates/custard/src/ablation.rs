@@ -2,8 +2,9 @@
 //! SAM primitive is removed.
 //!
 //! The paper analyzes the corpus of algorithms submitted to the TACO website.
-//! That corpus is not public, so this module builds a synthetic corpus (see
-//! DESIGN.md, substitutions): every Table 1 expression plus an enumerated
+//! That corpus is not public, so this module substitutes a synthetic
+//! corpus, and the table's absolute counts are this corpus's, not the
+//! paper's: every Table 1 expression plus an enumerated
 //! family of small tensor-algebra expressions, each instantiated with every
 //! combination of dense/compressed operand formats, and weighted by a
 //! deterministic popularity factor to play the role of repeated website

@@ -1,5 +1,5 @@
-//! The tiled finite-memory backend: the paper's Section 6.4 machine,
-//! measured instead of modelled.
+//! The tiled finite-memory backend: the paper's Section 6.4 machine, run
+//! tile by tile.
 //!
 //! Where [`FastBackend`] assumes the whole operand set
 //! fits wherever streams live, [`TiledBackend`] executes under a
@@ -11,8 +11,7 @@
 //! outputs. The tile access sequence drives an LRU model of the last-level
 //! buffer, so the run reports *measured* counters ([`MemoryCounters`]) —
 //! DRAM bytes moved, LLB occupancy high-water mark, tiles skipped and
-//! capacity spills — which `samrepro fig15` lines up against the
-//! closed-form `sam_memory` model.
+//! capacity spills — which `samrepro fig15` prints.
 //!
 //! The tile schedule is derived from the plan (the crate-private `schedule`
 //! module) and is structure-preserving:
@@ -263,8 +262,8 @@ impl Executor for TiledBackend {
         counters.llb_peak_bytes = llb.peak_bytes();
         counters.spill_events = llb.evictions();
 
-        // A measured cycle estimate mirroring the analytic model's shape:
-        // compute is one token per cycle plus a fixed per-tuple pipeline
+        // A cycle estimate from the run's own counts: compute is one token
+        // per cycle plus a fixed per-tuple pipeline
         // overhead, memory is DRAM traffic over bandwidth, and the tile
         // sequencing graph pays for walking the operand tile catalogs.
         let compute = tokens as f64 + 8.0 * counters.tiles_executed as f64;

@@ -1,9 +1,8 @@
 //! The resident operand corpus: [`TensorStore`].
 //!
 //! A service's tensors are loaded once and then served to every query:
-//! the store keeps raw COO operands by name (plus an optional preferred
-//! storage format as per-tensor metadata) and materializes [`Tensor`]s
-//! lazily — building the level structure for one `(stored tensor, bound
+//! the store keeps raw COO operands by name and materializes [`Tensor`]s
+//! lazily, in whatever format a query binds, — building the level structure for one `(stored tensor, bound
 //! name, format)` combination exactly once, behind an [`Arc`] that every
 //! subsequent query shares.
 
@@ -32,9 +31,6 @@ pub struct MaterializeStats {
 #[derive(Debug, Default)]
 pub struct TensorStore {
     coos: BTreeMap<String, Arc<CooTensor>>,
-    /// Per-tensor preferred storage format (advisory metadata: queries may
-    /// still bind any format).
-    formats: BTreeMap<String, TensorFormat>,
     /// Materialized `(stored name, bound name, format)` → tensor cache.
     materialized: Mutex<HashMap<(String, String, String), Arc<Tensor>>>,
     builds: AtomicU64,
@@ -54,21 +50,9 @@ impl TensorStore {
         self
     }
 
-    /// [`TensorStore::insert`] plus a preferred-format annotation.
-    pub fn insert_with_format(&mut self, name: &str, coo: CooTensor, format: TensorFormat) -> &mut Self {
-        self.insert(name, coo);
-        self.formats.insert(name.to_string(), format);
-        self
-    }
-
     /// The raw COO operand stored under `name`.
     pub fn coo(&self, name: &str) -> Option<&Arc<CooTensor>> {
         self.coos.get(name)
-    }
-
-    /// The preferred storage format recorded for `name`, if any.
-    pub fn preferred_format(&self, name: &str) -> Option<&TensorFormat> {
-        self.formats.get(name)
     }
 
     /// Stored tensor names, sorted.
@@ -151,16 +135,5 @@ mod tests {
         let coo = store.coo("relat3").unwrap();
         assert_eq!(coo.shape(), &[8, 5]);
         assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn preferred_formats_are_metadata_only() {
-        let mut store = TensorStore::new();
-        store.insert_with_format("c", synth::random_vector(12, 6, 2), TensorFormat::dense_vec());
-        assert_eq!(store.preferred_format("c"), Some(&TensorFormat::dense_vec()));
-        assert!(store.preferred_format("missing").is_none());
-        // Queries may still bind any format.
-        let t = store.materialize("c", "c", &TensorFormat::sparse_vec()).unwrap();
-        assert_eq!(t.format(), &TensorFormat::sparse_vec());
     }
 }

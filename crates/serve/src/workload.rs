@@ -48,8 +48,8 @@ pub fn table1_workload(seed: u64) -> (Arc<TensorStore>, Vec<WorkloadQuery>) {
     store.insert("C_mm", int_coo(&synth::random_matrix_sparsity(11, 12, 0.8, s(4))));
     // SDDMM: X(i,j) = B_sd(i,j) * C_sd(i,k) * D_sd(j,k), dense factors
     store.insert("B_sd", int_coo(&synth::random_matrix_sparsity(10, 9, 0.75, s(5))));
-    store.insert_with_format("C_sd", int_coo(&synth::dense_matrix(10, 4, s(6))), TensorFormat::dense(2));
-    store.insert_with_format("D_sd", int_coo(&synth::dense_matrix(9, 4, s(7))), TensorFormat::dense(2));
+    store.insert("C_sd", int_coo(&synth::dense_matrix(10, 4, s(6))));
+    store.insert("D_sd", int_coo(&synth::dense_matrix(9, 4, s(7))));
     // InnerProd: chi() = B_ip(i,j,k) * C_ip(i,j,k)
     store.insert("B_ip", int_coo(&synth::random_tensor3([6, 5, 7], 50, s(8))));
     store.insert("C_ip", int_coo(&synth::random_tensor3([6, 5, 7], 50, s(9))));

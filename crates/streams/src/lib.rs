@@ -10,13 +10,13 @@
 //!
 //! This crate defines:
 //!
-//! * [`Token`] — the token algebra shared by every stream type,
-//! * [`BitVec`] — the bitvector stream payload of Section 4.3, and
-//! * [`analysis`] — the level-based vs. point-based encoding comparison of
-//!   paper Section 3.8.
+//! * [`Token`] — the token algebra shared by every stream type, and
+//! * [`BitVec`] — the bitvector stream payload of Section 4.3.
 //!
 //! Counting tokens by kind is not done here: `sam_trace::TokenCounts` is the
-//! one taxonomy, filled by every backend on a traced run.
+//! one taxonomy, filled by every backend on a traced run. Section 3.8's
+//! level-based vs point-based comparison is read from such a run
+//! (`samrepro stream_analysis`), not modelled.
 //!
 //! # Example
 //!
@@ -31,7 +31,6 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod token;
 pub mod types;
 

@@ -104,16 +104,6 @@ impl<T> Token<T> {
             Token::Done => Token::Done,
         }
     }
-
-    /// Increments the level of a stop token, leaving every other token
-    /// unchanged. Level scanners use this to add one level of fiber
-    /// hierarchy to the stop tokens that flow through them (Section 3.3).
-    pub fn bump_stop(self) -> Token<T> {
-        match self {
-            Token::Stop(n) => Token::Stop(n + 1),
-            other => other,
-        }
-    }
 }
 
 impl<T: fmt::Display> fmt::Display for Token<T> {
@@ -146,13 +136,6 @@ mod tests {
         assert_eq!(Token::Val(2.5).value(), Some(2.5));
         assert_eq!(Token::<f64>::Done.value(), None);
         assert_eq!(Token::Val(4u32).value_ref(), Some(&4u32));
-    }
-
-    #[test]
-    fn bump_stop_only_touches_stops() {
-        assert_eq!(Token::<u32>::Stop(0).bump_stop(), Token::Stop(1));
-        assert_eq!(Token::Val(1u32).bump_stop(), Token::Val(1u32));
-        assert_eq!(Token::<u32>::Done.bump_stop(), Token::Done);
     }
 
     #[test]

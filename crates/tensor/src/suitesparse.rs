@@ -5,8 +5,11 @@
 //! the SuiteSparse collection; instead each catalog entry records the
 //! matrix's name, domain, dimensions and nonzero count from Table 3 and can
 //! be *instantiated* as a seeded uniformly random matrix with exactly those
-//! statistics. Figure 14 measures stream token composition, which is
-//! governed by those shape statistics (see DESIGN.md, substitutions).
+//! statistics. This is a substitution: the real matrices' nonzero patterns
+//! (and so their row-length distributions and empty rows) are not
+//! reproduced, only their shapes and nonzero counts. Figure 14 and
+//! Section 3.8 count stream tokens, which those statistics plus the
+//! instantiated matrix's nonempty rows determine.
 
 use crate::coo::CooTensor;
 use crate::synth::random_matrix_nnz;

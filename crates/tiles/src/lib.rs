@@ -11,8 +11,8 @@
 //! ([`sam_tensor::Tensor`]) and names no graph type. The `TiledBackend` of
 //! `sam-exec` derives a kernel's tile schedule from its plan and composes
 //! these pieces with the fast functional executor to produce *measured*
-//! finite-memory counters ([`sam_memory::MemoryCounters`]), the
-//! experimental twin of the closed-form `sam_memory` model:
+//! finite-memory counters ([`sam_memory::MemoryCounters`]), which
+//! `samrepro fig15` prints:
 //!
 //! * [`extract`] — slices tiles out of any level hierarchy (dense,
 //!   compressed, bitvector) through the positional slicing APIs of

@@ -9,8 +9,8 @@ pub type TileKey = (String, Vec<u32>);
 
 /// A byte-accurate LRU cache standing in for the last-level buffer.
 ///
-/// Unlike the closed-form `sam_memory` model, this is driven by the *actual*
-/// tile access sequence of a tiled execution, so the DRAM traffic, the
+/// It is driven by the *actual* tile access sequence of a tiled
+/// execution, so the DRAM traffic, the
 /// occupancy high-water mark and the capacity-spill count it reports are
 /// measurements of the schedule, not expectations over random placement.
 #[derive(Debug)]

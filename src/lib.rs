@@ -4,7 +4,7 @@
 //! re-exports the workspace crates so examples and downstream users can pull
 //! everything from one place:
 //!
-//! * [`streams`] — the token algebra and stream statistics,
+//! * [`streams`] — the token algebra and the bitvector payload,
 //! * [`tensor`] — fibertrees, formats, synthetic data and the dense oracle,
 //! * [`primitives`] — the SAM dataflow blocks,
 //! * [`sim`] — the cycle-approximate simulator,
@@ -16,7 +16,8 @@
 //!   functional and finite-memory tiled backends),
 //! * [`serve`] — the resident tensor service (operand corpus, async query
 //!   submission, per-query backend routing),
-//! * [`memory`] — the analytic finite-memory / tiling model,
+//! * [`memory`] — the finite-memory parameters and the counters a tiled
+//!   run reports,
 //! * [`tiles`] — the tiling subsystem (tile extraction, schedules with
 //!   sparse tile skipping, LLB cache model, tile-merge reduction),
 //! * [`custard`] — the compiler from tensor index notation to SAM graphs.
