@@ -2,7 +2,8 @@
 //!
 //! Runs the chosen graph under a [`CountersSink`] (or a [`ChromeTraceSink`]
 //! when `--trace` is given), prints the run's headline numbers and the
-//! ranked per-node time/token table, and names the node on the critical
+//! ranked per-node time/token table (with fiber pairs and nanoseconds per
+//! pair for every intersecter), and names the node on the critical
 //! path — the longest-running node of the run.
 //!
 //! ```text
@@ -21,6 +22,7 @@
 //!   and max per stage, from the service telemetry.
 
 use sam_bench::{kernel_case, table1_case, table1_case_names, PROFILE_KERNELS};
+use sam_core::graph::{NodeKind, SamGraph};
 use sam_exec::{
     BackendSpec, ChromeTraceSink, CountersSink, ExecProfile, Execution, Executor, Plan, TiledBackend,
 };
@@ -120,7 +122,7 @@ fn serve_mode(rounds: usize) {
     );
 }
 
-fn report(name: &str, run: &Execution, profile: &ExecProfile) {
+fn report(name: &str, graph: &SamGraph, run: &Execution, profile: &ExecProfile) {
     println!("samprof: `{name}` on the `{}` backend", run.backend);
     let cycles = run.cycles.map_or("-".to_string(), |c| c.to_string());
     println!(
@@ -132,7 +134,9 @@ fn report(name: &str, run: &Execution, profile: &ExecProfile) {
         run.channels,
     );
     println!("critical path {:.1}us\n", profile.critical_path_ns() as f64 / 1e3);
-    print!("{}", profile.stall_table());
+    let intersecters: Vec<usize> =
+        (0..graph.len()).filter(|&i| matches!(graph.nodes()[i], NodeKind::Intersecter { .. })).collect();
+    print!("{}", profile.stall_table(&intersecters));
     // The critical-path node: the longest-lived one.
     if let Some(top) = profile.nodes.iter().max_by_key(|n| (n.wall_ns(), n.tokens.total())) {
         println!(
@@ -240,5 +244,5 @@ fn main() {
         }
     };
     let profile = run.profile.clone().expect("traced runs attach a profile");
-    report(&name, &run, &profile);
+    report(&name, &graph, &run, &profile);
 }

@@ -47,9 +47,11 @@ pub enum ExecError {
         /// Label of the node that observed the mismatch.
         label: String,
     },
-    /// A value-array reference left the bounds of its tensor's values.
+    /// A reference left the bounds of what it indexes: its tensor's
+    /// values, or the fibers of a level a scanner reads.
     RefOutOfBounds {
-        /// Label of the array node.
+        /// Label of the node that read the reference (for a fused scanner,
+        /// the intersecter it feeds).
         label: String,
         /// The offending reference.
         reference: usize,

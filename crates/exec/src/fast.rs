@@ -9,22 +9,23 @@
 //!
 //! **Stored only if re-read.** A level scanner whose two streams feed one
 //! operand of one intersecter and nothing else ([`FusedScan`]) is never
-//! evaluated: the intersecter reads a `GallopScan` over the storage level
-//! instead. When both operands are fused over `Compressed` or `Dense`
-//! levels it merges a whole fiber pair at a time, straight over the
-//! levels' coordinate arrays, and pushes tokens only for the matches;
-//! otherwise (a stored operand, a `Bitvector` level) it pulls one
-//! `(crd, ref)` pair at a time. Either way the trailing side gallops on
-//! every mismatch and the tail of a fiber is jumped once the other
-//! operand's has ended, so the walk costs the short side. Tokens are
-//! counted *where they are produced
-//! or skipped*: a stored stream by its length when its producer finishes, a
-//! fused scanner by the tally its `GallopScan` keeps — a cursor jump over
-//! `n` entries is `n` coordinate and `n` reference tokens — credited to the
-//! scanner's node id, so `Execution::tokens` and the per-node
-//! [`TokenCounts`] are what they would be had every stream been stored:
-//! they count what the SAM graph moves, not what the host touched — the
-//! same ones the cycle backend produces. (The exception is a scanner with a
+//! evaluated: the intersecter reads the scanner's reference input itself.
+//! When both operands are fused over `Compressed` or `Dense` levels it
+//! walks the two reference streams fiber by fiber — one item per
+//! reference, carrying the stop that closes it — and merges each fiber
+//! pair whole, straight over the levels' coordinate arrays, pushing tokens
+//! only for the matches; otherwise (a stored operand, a `Bitvector` level)
+//! it pulls one `(crd, ref)` pair at a time from a `GallopScan` built on
+//! the same reader. Either way the trailing side gallops on every mismatch
+//! and the tail of a fiber is jumped once the other operand's has ended, so
+//! the walk costs the short side. Tokens are counted *where they are
+//! produced or skipped*: a stored stream by its length when its producer
+//! finishes, a fused scanner by the tally its reader keeps — a fiber of `n`
+//! entries is `n` coordinate and `n` reference tokens, walked or not —
+//! credited to the scanner's node id, so `Execution::tokens` and the
+//! per-node [`TokenCounts`] are what they would be had every stream been
+//! stored: they count what the SAM graph moves, not what the host touched
+//! — the same ones the cycle backend produces. (The exception is a scanner with a
 //! Section 4.2 skip lane, which reports nothing: how many tokens the lane
 //! saves the cycle-level scanner depends on when the skip requests arrive.)
 //! A fused scanner's time is part of its intersecter's.
@@ -175,7 +176,7 @@ impl Executor for FastBackend {
 
         for &id in plan.order() {
             if plan.fused_scan(id).is_some() {
-                // Pulled by its intersecter; nothing to evaluate or store.
+                // Read by its intersecter; nothing to evaluate or store.
                 continue;
             }
             let node_start = tracing.then(Instant::now);

@@ -7,18 +7,20 @@
 //! finished `Vec<SimToken>` whose `None` means the stream ended, and an
 //! output is a plain `Vec<SimToken>`.
 //!
-//! A level scanner has one definition, [`GallopScan`], and two uses: an
-//! intersecter pulls `(crd, ref)` pairs from it directly when the planner
-//! fused the scanner into that operand ([`crate::plan::FusedScan`] — the
-//! scanner's streams are then never stored, only tallied), and
-//! `run_scanner` drains it into two sinks for every scanner somebody else
-//! reads too.
-//!
-//! An intersecter whose operands are both fused scanners over `Compressed`
-//! or `Dense` levels merges a whole fiber pair at a time, straight over
-//! the levels' storage (a [`FiberView`] per side), and pushes tokens only
-//! for the matches; every other operand pair — a stored stream, a
-//! `Bitvector` level — walks one `(crd, ref)` pair at a time.
+//! A level scanner reads its input through one `FiberReader`, the one
+//! place Section 3.3's stop rule is written: each reference becomes a fiber
+//! item carrying the stop that closes it, and the reader tallies what a
+//! standalone scanner would emit for it. It has three users. An
+//! intersecter whose operands are both fused scanners
+//! ([`crate::plan::FusedScan`] — the scanners' streams are then never
+//! stored, only tallied) over `Compressed` or `Dense` levels walks the two
+//! readers item by item and merges each fiber pair whole, straight over
+//! the levels' storage (a [`FiberView`] per side), pushing tokens only for
+//! the matches. Any other intersecter operand pair — a stored stream, a
+//! `Bitvector` level — walks one `(crd, ref)` pair at a time, a fused
+//! operand through a [`GallopScan`] built on the reader. `run_scanner`
+//! drains whole fibers into two stored streams for every scanner somebody
+//! else reads too.
 //!
 //! The transfer functions themselves mirror the `sam-primitives` block
 //! semantics token for token (see the paper definitions cited on each), so
@@ -44,9 +46,10 @@ use std::collections::BTreeMap;
 /// name the node: the walk does, once, when it converts the fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Fault {
-    /// The input streams are structurally misaligned.
+    /// The input streams are structurally misaligned: a stream ended
+    /// without a done token, or a token carries the wrong payload.
     Misaligned,
-    /// A value-array reference left the bounds of the values.
+    /// A reference left the bounds of the level's fibers or of the values.
     RefOutOfBounds(usize),
 }
 
@@ -153,7 +156,7 @@ pub(crate) fn eval_node(
         }
         NodeKind::LevelScanner { .. } => {
             let [crd, rf] = outs else { unreachable!("scanner has two outputs") };
-            run_scanner(job.level.expect("scanner level"), srcs[0].clone(), crd, rf);
+            run_scanner(job.level.expect("scanner level"), srcs[0].clone(), crd, rf)?;
         }
         NodeKind::Repeater { .. } => {
             let [crd_in, ref_in] = srcs else { unreachable!("repeater has two inputs") };
@@ -233,14 +236,134 @@ fn fetch_pair(crd: &mut SliceSource<'_>, rf: &mut SliceSource<'_>) -> Option<(Si
     Some((c, r))
 }
 
-/// Level scanner transfer function: drains the one scanner definition,
-/// [`GallopScan`], into the node's two output streams.
-fn run_scanner(level: &Level, input: SliceSource<'_>, crd: &mut Vec<SimToken>, rf: &mut Vec<SimToken>) {
-    let mut scan = GallopScan::new(level, input);
-    while let Some((c, r)) = scan.next_pair() {
-        crd.push(c);
-        rf.push(r);
+/// Pushes `t` to each output stream of a three-output node.
+fn push3(t: SimToken, a: &mut Vec<SimToken>, b: &mut Vec<SimToken>, c: &mut Vec<SimToken>) {
+    a.push(t);
+    b.push(t);
+    c.push(t);
+}
+
+/// One reference a level scanner reads off its input stream, with the stop
+/// that follows it on both output streams (Definition 3.1, stop rule of
+/// Section 3.3).
+#[derive(Debug, Clone, Copy)]
+enum FiberItem {
+    /// A `Val` reference to fiber `Some(f)` or an `Empty` one (`None`): the
+    /// fiber's entries, then `stop(stop)`, where `stop` is `n + 1` when a
+    /// lookahead `Stop(n)` closed outer fibers at the same point, else 0.
+    Fiber { fiber: Option<usize>, stop: u8 },
+    /// A bare `Stop(n)` on the input: `stop(n + 1)` and nothing else.
+    Stop(u8),
+    /// The input's done token.
+    Done,
+}
+
+impl FiberItem {
+    /// The level of the stop this item ends with; `Done` ends with none.
+    fn stop(self) -> u8 {
+        match self {
+            FiberItem::Fiber { stop, .. } | FiberItem::Stop(stop) => stop,
+            FiberItem::Done => 0,
+        }
     }
+}
+
+/// A level scanner's input side, and the one place its stop rule is
+/// written: reads [`FiberItem`]s off the reference stream, checks each
+/// reference against the level, and tallies what a standalone scanner
+/// emits for the item on its two output streams — `n` coordinate and `n`
+/// reference tokens for a fiber of `n` entries, two stops per item, two
+/// done tokens — whether or not anybody materializes them. `GallopScan`,
+/// `run_scanner` and the fiber walk all read through it.
+struct FiberReader<'a> {
+    level: &'a Level,
+    input: SliceSource<'a>,
+    /// Tokens the scanner emits for the items read so far, by class.
+    emitted: TokenCounts,
+}
+
+impl<'a> FiberReader<'a> {
+    fn new(level: &'a Level, input: SliceSource<'a>) -> Self {
+        FiberReader { level, input, emitted: TokenCounts::default() }
+    }
+
+    /// The next item. An input that ends without a done token or carries
+    /// a non-reference payload is misaligned; a reference past the level's
+    /// last fiber is out of bounds.
+    fn next(&mut self) -> Result<FiberItem, Fault> {
+        let token = self.input.next().ok_or(Fault::Misaligned)?;
+        if token.is_done() {
+            self.emitted.done += 2;
+            return Ok(FiberItem::Done);
+        }
+        self.emitted.stop += 2;
+        let fiber = match token {
+            Token::Val(Payload::Ref(r)) if r as usize >= self.level.num_fibers() => {
+                return Err(Fault::RefOutOfBounds(r as usize))
+            }
+            Token::Val(Payload::Ref(r)) => {
+                let len = self.level.fiber_len(r as usize) as u64;
+                self.emitted.crd += len;
+                self.emitted.refs += len;
+                Some(r as usize)
+            }
+            Token::Empty => None,
+            Token::Stop(n) => return Ok(FiberItem::Stop(n + 1)),
+            _ => return Err(Fault::Misaligned),
+        };
+        // One-token lookahead upgrades the trailing stop when the input
+        // closes outer fibers at the same point.
+        let stop = match self.input.peek() {
+            Some(Token::Stop(n)) => {
+                self.input.next();
+                n + 1
+            }
+            _ => 0,
+        };
+        Ok(FiberItem::Fiber { fiber, stop })
+    }
+}
+
+/// Level scanner transfer function: every fiber the input references,
+/// drained whole into the node's two output streams, then its stop.
+fn run_scanner(
+    level: &Level,
+    input: SliceSource<'_>,
+    crd: &mut Vec<SimToken>,
+    rf: &mut Vec<SimToken>,
+) -> Result<(), Fault> {
+    let mut items = FiberReader::new(level, input);
+    loop {
+        let stop = match items.next()? {
+            FiberItem::Fiber { fiber: Some(f), stop } => {
+                match level {
+                    Level::Compressed(l) => drain(CompressedFiber::new(l, f), crd, rf),
+                    Level::Dense(l) => drain(DenseFiber::new(l, f), crd, rf),
+                    Level::Bitvector(_) => {
+                        for e in level.fiber(f) {
+                            crd.push(tok::crd(e.coord));
+                            rf.push(tok::rf(e.child as u32));
+                        }
+                    }
+                }
+                stop
+            }
+            FiberItem::Fiber { fiber: None, stop } | FiberItem::Stop(stop) => stop,
+            FiberItem::Done => {
+                crd.push(tok::done());
+                rf.push(tok::done());
+                return Ok(());
+            }
+        };
+        crd.push(tok::stop(stop));
+        rf.push(tok::stop(stop));
+    }
+}
+
+/// Pushes every entry of `fiber` to the scanner's two output streams.
+fn drain<V: FiberView>(fiber: V, crd: &mut Vec<SimToken>, rf: &mut Vec<SimToken>) {
+    crd.extend((0..fiber.len()).map(|pos| tok::crd(fiber.coord(pos))));
+    rf.extend((0..fiber.len()).map(|pos| fiber.child(pos)));
 }
 
 /// Repeater transfer function (Definition 3.4).
@@ -298,144 +421,92 @@ fn run_repeater(
     Ok(())
 }
 
-/// The scan progress of a [`GallopScan`], mirroring the cycle-level
-/// scanner's state machine.
+/// The fiber a [`GallopScan`] is walking: `pos` is the cursor the skip
+/// requests gallop forward, and `stop` the stop that closes the fiber once
+/// the cursor reaches `len`. An `Empty` reference opens fiber 0 with `len`
+/// 0, so nothing ever reads the level through it.
 #[derive(Clone, Copy)]
-enum GallopState {
-    /// Waiting for the next input reference token.
-    Idle,
-    /// Walking the entries of fiber `fiber`; `pos` is the cursor the skip
-    /// requests gallop forward. The fiber stays addressable at `pos == len`
-    /// after its last entry went out (the fiber merge reads it there); the
-    /// next pull turns that into the trailing stop.
-    Emitting { fiber: usize, pos: usize, len: usize },
-    /// The fiber ended; the trailing stop's level depends on the next input
-    /// token (Section 3.3's hierarchical rule).
-    NeedStop,
-    /// The done pair was emitted.
-    Finished,
+struct OpenFiber {
+    fiber: usize,
+    pos: usize,
+    len: usize,
+    stop: u8,
 }
 
-/// The level scanner (Definition 3.1, stop rule of Section 3.3) as a lazy
-/// producer of `(crd, ref)` token pairs.
+/// The level scanner (Definition 3.1) as a lazy producer of `(crd, ref)`
+/// token pairs, for an intersecter operand the fiber walk cannot take: a
+/// fused scanner against stored streams, or over a `Bitvector` level.
 ///
-/// Fused into an intersecter operand it is pulled pair by pair and nothing
-/// is stored. The intersecter never walks the coordinates it cannot match:
-/// [`GallopScan::skip_to`] gallops the in-flight fiber cursor to a target
-/// coordinate and [`GallopScan::skip_rest`] jumps it to the fiber's end.
-/// Dense levels jump in O(1), compressed levels binary-search, so a skewed
-/// intersection costs the short side's length (times a logarithm), not the
-/// long side's. When both operands are fused scans over `Compressed` or
-/// `Dense` levels the intersecter does not pull pairs inside a fiber at
-/// all: [`merge_open_fibers`] merges the rest of both open fibers over the
-/// levels' storage and jumps both cursors to the end, and only the stops
-/// between fibers come through [`GallopScan::next_pair`].
+/// One stop rule, three users: `GallopScan`, `run_scanner` and the fiber
+/// walk all read the scanner's input through one `FiberReader`, which also
+/// keeps the tally. Fused into an intersecter operand the scanner is pulled
+/// pair by pair and nothing is stored. The intersecter never walks the
+/// coordinates it cannot match: [`GallopScan::skip_to`] gallops the open
+/// fiber's cursor to a target coordinate and [`GallopScan::skip_rest`]
+/// jumps it to the fiber's end. Dense levels jump in O(1), compressed
+/// levels binary-search, so a skewed intersection costs the short side's
+/// length (times a logarithm), not the long side's.
 ///
 /// How the host walks is not what the SAM graph moves. A standalone scanner
 /// would have emitted one coordinate and one reference token for every
-/// entry, so the tally counts a cursor jump of `to - pos` entries as
-/// `to - pos` tokens of each: `emitted` is always exactly what classifying
-/// the two drained streams would have counted, whether or not anybody
-/// materialized the tokens.
+/// entry, so the reader tallies a fiber's whole length when it opens it:
+/// once the walk has finished, `emitted` is exactly what classifying the
+/// two drained streams would have counted, skipped entries included.
 pub(crate) struct GallopScan<'a> {
-    level: &'a Level,
-    input: SliceSource<'a>,
-    state: GallopState,
-    /// Tokens emitted or skipped so far on both output streams, by class.
-    emitted: TokenCounts,
+    items: FiberReader<'a>,
+    /// The fiber being walked; `None` between fibers.
+    open: Option<OpenFiber>,
 }
 
 impl<'a> GallopScan<'a> {
     /// A scanner over `level`, pulling fiber references from `input` (the
     /// scanner node's reference input stream).
     pub(crate) fn new(level: &'a Level, input: SliceSource<'a>) -> Self {
-        GallopScan { level, input, state: GallopState::Idle, emitted: TokenCounts::default() }
+        GallopScan { items: FiberReader::new(level, input), open: None }
     }
 
-    /// The tokens a standalone scanner would have emitted so far on both
-    /// output streams, by class — exactly what classifying the two stored
-    /// streams would have counted, skipped entries included.
-    pub(crate) fn emitted(&self) -> TokenCounts {
-        self.emitted
-    }
-
-    /// Gallops the current fiber's cursor to the first entry whose
-    /// coordinate is at least `target`. Requests outside a fiber are stale
-    /// (the fiber already ended) and ignored, like the cycle-level block.
+    /// Gallops the open fiber's cursor to the first entry whose coordinate
+    /// is at least `target`. Requests between fibers are stale (the fiber
+    /// already ended) and ignored, like the cycle-level block.
     fn skip_to(&mut self, target: u32) {
-        if let GallopState::Emitting { fiber, pos, .. } = self.state {
-            self.jump_to(self.level.gallop_from(fiber, pos, target));
-        }
-    }
-
-    /// Jumps the current fiber's cursor to the fiber's end, so the next
-    /// pair is the fiber's stop. A no-op outside a fiber.
-    fn skip_rest(&mut self) {
-        if let GallopState::Emitting { len, .. } = self.state {
-            self.jump_to(len);
-        }
-    }
-
-    /// Moves the in-flight fiber's cursor forward to `to`, counting the
-    /// entries jumped over as the coordinate and reference tokens a
-    /// standalone scanner would have emitted for them.
-    fn jump_to(&mut self, to: usize) {
-        if let GallopState::Emitting { pos, .. } = &mut self.state {
-            let skipped = (to - *pos) as u64;
-            self.emitted.crd += skipped;
-            self.emitted.refs += skipped;
-            *pos = to;
-        }
-    }
-
-    /// The next `(crd, ref)` token pair, or `None` after the stream ends.
-    fn next_pair(&mut self) -> Option<(SimToken, SimToken)> {
-        loop {
-            match self.state {
-                GallopState::Emitting { fiber, pos, len } => {
-                    if pos < len {
-                        let e = self.level.entry_at(fiber, pos);
-                        self.state = GallopState::Emitting { fiber, pos: pos + 1, len };
-                        self.emitted.crd += 1;
-                        self.emitted.refs += 1;
-                        return Some((tok::crd(e.coord), tok::rf(e.child as u32)));
-                    }
-                    self.state = GallopState::NeedStop;
-                }
-                GallopState::NeedStop => {
-                    self.state = GallopState::Idle;
-                    self.emitted.stop += 2;
-                    // One-token lookahead upgrades the trailing stop when the
-                    // input closes outer fibers at the same point.
-                    if let Some(Token::Stop(n)) = self.input.peek() {
-                        self.input.next();
-                        return Some((tok::stop(n + 1), tok::stop(n + 1)));
-                    }
-                    return Some((tok::stop(0), tok::stop(0)));
-                }
-                GallopState::Idle => match self.input.next()? {
-                    Token::Val(p) => {
-                        let fiber = p.expect_ref() as usize;
-                        let len = self.level.fiber_len(fiber);
-                        self.state = if len == 0 {
-                            GallopState::NeedStop
-                        } else {
-                            GallopState::Emitting { fiber, pos: 0, len }
-                        };
-                    }
-                    Token::Empty => self.state = GallopState::NeedStop,
-                    Token::Stop(n) => {
-                        self.emitted.stop += 2;
-                        return Some((tok::stop(n + 1), tok::stop(n + 1)));
-                    }
-                    Token::Done => {
-                        self.state = GallopState::Finished;
-                        self.emitted.done += 2;
-                        return Some((tok::done(), tok::done()));
-                    }
-                },
-                GallopState::Finished => return None,
+        if let Some(open) = &mut self.open {
+            if open.pos < open.len {
+                open.pos = self.items.level.gallop_from(open.fiber, open.pos, target);
             }
+        }
+    }
+
+    /// Jumps the open fiber's cursor to the fiber's end, so the next pair
+    /// is the fiber's stop. A no-op between fibers.
+    fn skip_rest(&mut self) {
+        if let Some(open) = &mut self.open {
+            open.pos = open.len;
+        }
+    }
+
+    /// The next `(crd, ref)` token pair.
+    fn next_pair(&mut self) -> Result<(SimToken, SimToken), Fault> {
+        loop {
+            if let Some(open) = &mut self.open {
+                if open.pos < open.len {
+                    let e = self.items.level.entry_at(open.fiber, open.pos);
+                    open.pos += 1;
+                    return Ok((tok::crd(e.coord), tok::rf(e.child as u32)));
+                }
+                let s = tok::stop(open.stop);
+                self.open = None;
+                return Ok((s, s));
+            }
+            let s = match self.items.next()? {
+                FiberItem::Fiber { fiber, stop } => {
+                    let len = fiber.map_or(0, |f| self.items.level.fiber_len(f));
+                    self.open = Some(OpenFiber { fiber: fiber.unwrap_or(0), pos: 0, len, stop });
+                    continue;
+                }
+                FiberItem::Stop(n) => tok::stop(n),
+                FiberItem::Done => tok::done(),
+            };
+            return Ok((s, s));
         }
     }
 }
@@ -452,14 +523,16 @@ pub(crate) enum IntersectOperand<'a> {
         /// The operand's reference stream.
         rf: SliceSource<'a>,
     },
-    /// A fused scanner, pulled pair by pair and skipped forward on request.
+    /// A fused scanner, walked fiber by fiber or pulled pair by pair.
     Scan(GallopScan<'a>),
 }
 
 impl IntersectOperand<'_> {
-    fn fetch(&mut self) -> Option<(SimToken, SimToken)> {
+    /// The next `(crd, ref)` pair; a stream that ends without a done token
+    /// is misaligned.
+    fn fetch(&mut self) -> Result<(SimToken, SimToken), Fault> {
         match self {
-            IntersectOperand::Streams { crd, rf } => fetch_pair(crd, rf),
+            IntersectOperand::Streams { crd, rf } => fetch_pair(crd, rf).ok_or(Fault::Misaligned),
             IntersectOperand::Scan(scan) => scan.next_pair(),
         }
     }
@@ -484,13 +557,14 @@ impl IntersectOperand<'_> {
     pub(crate) fn emitted(&self) -> Option<TokenCounts> {
         match self {
             IntersectOperand::Streams { .. } => None,
-            IntersectOperand::Scan(scan) => Some(scan.emitted()),
+            IntersectOperand::Scan(scan) => Some(scan.items.emitted),
         }
     }
 }
 
-/// One fiber of a `Compressed` or `Dense` level as the fiber merge reads it
-/// from storage: entries at positions `0..len()`, coordinates increasing.
+/// One fiber of a `Compressed` or `Dense` level as the fiber walk and the
+/// standalone scanner read it from storage: entries at positions
+/// `0..len()`, coordinates increasing.
 trait FiberView {
     /// Number of entries.
     fn len(&self) -> usize;
@@ -566,18 +640,16 @@ impl FiberView for DenseFiber {
     }
 }
 
-/// Intersects fiber `a` from position `i` and fiber `b` from position `j`
-/// to their ends, galloping the trailing side on every mismatch and
-/// pushing tokens only for the matches.
+/// Intersects fibers `a` and `b`, galloping the trailing side on every
+/// mismatch and pushing tokens only for the matches.
 fn merge_fibers<A: FiberView, B: FiberView>(
     a: A,
-    mut i: usize,
     b: B,
-    mut j: usize,
     oc: &mut Vec<SimToken>,
     o0: &mut Vec<SimToken>,
     o1: &mut Vec<SimToken>,
 ) {
+    let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         let (ca, cb) = (a.coord(i), b.coord(j));
         match ca.cmp(&cb) {
@@ -594,58 +666,76 @@ fn merge_fibers<A: FiberView, B: FiberView>(
     }
 }
 
-/// The whole-fiber intersection: when both operands are fused scans inside
-/// an open fiber of a `Compressed` or `Dense` level, merges the rest of
-/// both fibers — from the entries just pulled, one before each cursor —
-/// and jumps both cursors to their fiber's end, tallying what is left of
-/// each fiber exactly as [`GallopScan::skip_rest`] does. Returns `false`
-/// and touches nothing for any other operand pair, which the caller walks
-/// one pair at a time.
-fn merge_open_fibers(
+/// The fiber walk, over two readers whose levels `open_a` / `open_b` turn a
+/// fiber index into a [`FiberView`]. Items pair up: `(Done, Done)` ends all
+/// three outputs; a `Done` on one side waits while the other side advances
+/// and pushes nothing; any other pair merges the two fibers when both
+/// exist, then closes all three outputs with the higher of the two stops.
+/// Each reader tallies its own stream, so the counts do not depend on what
+/// the other side held.
+fn fiber_walk<A: FiberView, B: FiberView>(
+    a: &mut FiberReader<'_>,
+    open_a: impl Fn(usize) -> A,
+    b: &mut FiberReader<'_>,
+    open_b: impl Fn(usize) -> B,
+    oc: &mut Vec<SimToken>,
+    o0: &mut Vec<SimToken>,
+    o1: &mut Vec<SimToken>,
+) -> Result<(), Fault> {
+    let (mut ia, mut ib) = (a.next()?, b.next()?);
+    loop {
+        match (ia, ib) {
+            (FiberItem::Done, FiberItem::Done) => {
+                push3(tok::done(), oc, o0, o1);
+                return Ok(());
+            }
+            (FiberItem::Done, _) => ib = b.next()?,
+            (_, FiberItem::Done) => ia = a.next()?,
+            _ => {
+                if let (FiberItem::Fiber { fiber: Some(fa), .. }, FiberItem::Fiber { fiber: Some(fb), .. }) =
+                    (ia, ib)
+                {
+                    merge_fibers(open_a(fa), open_b(fb), oc, o0, o1);
+                }
+                push3(tok::stop(ia.stop().max(ib.stop())), oc, o0, o1);
+                (ia, ib) = (a.next()?, b.next()?);
+            }
+        }
+    }
+}
+
+/// The fiber walk when it applies — both operands are fresh fused scanners
+/// over `Compressed` or `Dense` levels — else `None`, with nothing read or
+/// pushed.
+fn walk_fibers(
     a: &mut IntersectOperand<'_>,
     b: &mut IntersectOperand<'_>,
     oc: &mut Vec<SimToken>,
     o0: &mut Vec<SimToken>,
     o1: &mut Vec<SimToken>,
-) -> bool {
-    let (IntersectOperand::Scan(a), IntersectOperand::Scan(b)) = (a, b) else { return false };
-    let (
-        GallopState::Emitting { fiber: fa, pos: pa, len: la },
-        GallopState::Emitting { fiber: fb, pos: pb, len: lb },
-    ) = (a.state, b.state)
-    else {
-        return false;
-    };
-    let (i, j) = (pa - 1, pb - 1);
-    match (a.level, b.level) {
+) -> Option<Result<(), Fault>> {
+    let (IntersectOperand::Scan(a), IntersectOperand::Scan(b)) = (a, b) else { return None };
+    let (a, b) = (&mut a.items, &mut b.items);
+    Some(match (a.level, b.level) {
         (Level::Compressed(x), Level::Compressed(y)) => {
-            merge_fibers(CompressedFiber::new(x, fa), i, CompressedFiber::new(y, fb), j, oc, o0, o1);
+            fiber_walk(a, |f| CompressedFiber::new(x, f), b, |f| CompressedFiber::new(y, f), oc, o0, o1)
         }
         (Level::Compressed(x), Level::Dense(y)) => {
-            merge_fibers(CompressedFiber::new(x, fa), i, DenseFiber::new(y, fb), j, oc, o0, o1);
+            fiber_walk(a, |f| CompressedFiber::new(x, f), b, |f| DenseFiber::new(y, f), oc, o0, o1)
         }
         (Level::Dense(x), Level::Compressed(y)) => {
-            merge_fibers(DenseFiber::new(x, fa), i, CompressedFiber::new(y, fb), j, oc, o0, o1);
+            fiber_walk(a, |f| DenseFiber::new(x, f), b, |f| CompressedFiber::new(y, f), oc, o0, o1)
         }
         (Level::Dense(x), Level::Dense(y)) => {
-            merge_fibers(DenseFiber::new(x, fa), i, DenseFiber::new(y, fb), j, oc, o0, o1);
+            fiber_walk(a, |f| DenseFiber::new(x, f), b, |f| DenseFiber::new(y, f), oc, o0, o1)
         }
-        _ => return false,
-    }
-    a.jump_to(la);
-    b.jump_to(lb);
-    true
+        _ => return None,
+    })
 }
 
 /// Intersecter transfer function (Definition 3.2): a two-finger merge that
-/// walks the short side. Two fused scans over `Compressed` / `Dense` levels
-/// merge a whole fiber pair at a time ([`merge_open_fibers`]); otherwise
-/// the walk takes one pair at a time: on a mismatch the trailing operand
-/// skips to the leading one's coordinate, and once one operand's fiber has
-/// ended the other skips the rest of its own — neither can match anything
-/// on the way. Whether the graph wires a Section 4.2 skip lane does not
-/// matter here: a fused scanner tallies what it skipped, so the streams and
-/// every count are those of the plain merge over stored streams.
+/// walks the short side. Two fused scanners over `Compressed` / `Dense`
+/// levels take the fiber walk; any other operand pair walks pairs.
 pub(crate) fn run_intersect(
     a: &mut IntersectOperand<'_>,
     b: &mut IntersectOperand<'_>,
@@ -653,70 +743,71 @@ pub(crate) fn run_intersect(
     o0: &mut Vec<SimToken>,
     o1: &mut Vec<SimToken>,
 ) -> Result<(), Fault> {
-    let mut ta = a.fetch().ok_or(Fault::Misaligned)?;
-    let mut tb = b.fetch().ok_or(Fault::Misaligned)?;
+    match walk_fibers(a, b, oc, o0, o1) {
+        Some(walked) => walked,
+        None => walk_pairs(a, b, oc, o0, o1),
+    }
+}
+
+/// The pair walk: one `(crd, ref)` pair at a time. On a mismatch the
+/// trailing operand skips to the leading one's coordinate, and once one
+/// operand's fiber has ended the other skips the rest of its own — neither
+/// can match anything on the way. Whether the graph wires a Section 4.2
+/// skip lane does not matter here: a fused scanner tallies what it skipped,
+/// so the streams and every count are those of the plain merge over stored
+/// streams.
+fn walk_pairs(
+    a: &mut IntersectOperand<'_>,
+    b: &mut IntersectOperand<'_>,
+    oc: &mut Vec<SimToken>,
+    o0: &mut Vec<SimToken>,
+    o1: &mut Vec<SimToken>,
+) -> Result<(), Fault> {
+    let mut ta = a.fetch()?;
+    let mut tb = b.fetch()?;
     loop {
         match (ta.0, tb.0) {
             (Token::Val(pa), Token::Val(pb)) => {
-                if merge_open_fibers(a, b, oc, o0, o1) {
-                    // Both fibers are merged: the next pulls are their stops.
-                    ta = a.fetch().ok_or(Fault::Misaligned)?;
-                    tb = b.fetch().ok_or(Fault::Misaligned)?;
-                    continue;
-                }
                 let ca = pa.expect_crd();
                 let cb = pb.expect_crd();
                 if ca == cb {
                     oc.push(tok::crd(ca));
                     o0.push(ta.1);
                     o1.push(tb.1);
-                    ta = a.fetch().ok_or(Fault::Misaligned)?;
-                    tb = b.fetch().ok_or(Fault::Misaligned)?;
+                    ta = a.fetch()?;
+                    tb = b.fetch()?;
                 } else if ca < cb {
                     // The trailing side gallops straight to the coordinate
                     // the leading side is waiting at.
                     a.skip_to(cb);
-                    ta = a.fetch().ok_or(Fault::Misaligned)?;
+                    ta = a.fetch()?;
                 } else {
                     b.skip_to(ca);
-                    tb = b.fetch().ok_or(Fault::Misaligned)?;
+                    tb = b.fetch()?;
                 }
             }
             // The other side's fiber is over: the tail of this one is dead.
             (Token::Val(_), Token::Stop(_) | Token::Done) => {
                 a.skip_rest();
-                ta = a.fetch().ok_or(Fault::Misaligned)?;
+                ta = a.fetch()?;
             }
             (Token::Stop(_) | Token::Done, Token::Val(_)) => {
                 b.skip_rest();
-                tb = b.fetch().ok_or(Fault::Misaligned)?;
+                tb = b.fetch()?;
             }
-            (Token::Val(_) | Token::Empty, _) => {
-                ta = a.fetch().ok_or(Fault::Misaligned)?;
-            }
-            (_, Token::Empty) => {
-                tb = b.fetch().ok_or(Fault::Misaligned)?;
-            }
+            (Token::Val(_) | Token::Empty, _) => ta = a.fetch()?,
+            (_, Token::Empty) => tb = b.fetch()?,
             (Token::Stop(na), Token::Stop(nb)) => {
-                let s = tok::stop(na.max(nb));
-                oc.push(s);
-                o0.push(s);
-                o1.push(s);
-                ta = a.fetch().ok_or(Fault::Misaligned)?;
-                tb = b.fetch().ok_or(Fault::Misaligned)?;
+                push3(tok::stop(na.max(nb)), oc, o0, o1);
+                ta = a.fetch()?;
+                tb = b.fetch()?;
             }
             (Token::Done, Token::Done) => {
-                oc.push(tok::done());
-                o0.push(tok::done());
-                o1.push(tok::done());
+                push3(tok::done(), oc, o0, o1);
                 break;
             }
-            (Token::Stop(_), Token::Done) => {
-                ta = a.fetch().ok_or(Fault::Misaligned)?;
-            }
-            (Token::Done, Token::Stop(_)) => {
-                tb = b.fetch().ok_or(Fault::Misaligned)?;
-            }
+            (Token::Stop(_), Token::Done) => ta = a.fetch()?,
+            (Token::Done, Token::Stop(_)) => tb = b.fetch()?,
         }
     }
     Ok(())
@@ -776,17 +867,12 @@ fn run_union(
                 b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
             }
             (Token::Stop(na), Token::Stop(nb)) => {
-                let s = tok::stop(na.max(nb));
-                oc.push(s);
-                o0.push(s);
-                o1.push(s);
+                push3(tok::stop(na.max(nb)), oc, o0, o1);
                 a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
                 b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
             }
             (Token::Done, Token::Done) => {
-                oc.push(tok::done());
-                o0.push(tok::done());
-                o1.push(tok::done());
+                push3(tok::done(), oc, o0, o1);
                 break;
             }
             (Token::Stop(_), Token::Done) => {
@@ -824,27 +910,18 @@ fn run_locator(
                         located.push(tok::rf(child as u32));
                     }
                     None => {
-                        oc.push(tok::empty());
-                        pass.push(tok::empty());
-                        located.push(tok::empty());
+                        push3(tok::empty(), oc, pass, located);
                     }
                 }
             }
             (Token::Empty, _) | (_, Token::Empty) => {
-                oc.push(tok::empty());
-                pass.push(tok::empty());
-                located.push(tok::empty());
+                push3(tok::empty(), oc, pass, located);
             }
             (Token::Stop(nc), Token::Stop(nr)) => {
-                let s = tok::stop(nc.max(nr));
-                oc.push(s);
-                pass.push(s);
-                located.push(s);
+                push3(tok::stop(nc.max(nr)), oc, pass, located);
             }
             (Token::Done, Token::Done) => {
-                oc.push(tok::done());
-                pass.push(tok::done());
-                located.push(tok::done());
+                push3(tok::done(), oc, pass, located);
                 break;
             }
             _ => return Err(Fault::Misaligned),
@@ -1037,9 +1114,7 @@ fn run_reduce_matrix(
                     }
                 }
                 flush_matrix(&mut acc, Some(1), oo, oi, ov);
-                oo.push(tok::done());
-                oi.push(tok::done());
-                ov.push(tok::done());
+                push3(tok::done(), oo, oi, ov);
                 break;
             }
             _ => return Err(Fault::Misaligned),
@@ -1078,9 +1153,7 @@ fn flush_matrix(
     }
     if n == 0 {
         if let Some(level) = closing_stop {
-            oo.push(tok::stop(level));
-            oi.push(tok::stop(level));
-            ov.push(tok::stop(level));
+            push3(tok::stop(level), oo, oi, ov);
         }
     }
 }
@@ -1379,10 +1452,14 @@ mod tests {
         Case { levels, refs }
     }
 
-    /// The `(crd, ref)` streams a standalone scanner stores.
+    /// The `(crd, ref)` streams a standalone scanner stores. On an input
+    /// that ends without a done token the scanner stores what came before
+    /// and reports the misalignment.
     fn stored(level: &Level, refs: &[SimToken]) -> [Vec<SimToken>; 2] {
         let (mut crd, mut rf) = (Vec::new(), Vec::new());
-        run_scanner(level, SliceSource::new(refs), &mut crd, &mut rf);
+        let drained = run_scanner(level, SliceSource::new(refs), &mut crd, &mut rf);
+        let truncated = !matches!(refs.last(), Some(Token::Done));
+        assert_eq!(drained, if truncated { Err(Fault::Misaligned) } else { Ok(()) });
         [crd, rf]
     }
 
@@ -1394,13 +1471,30 @@ mod tests {
         IntersectOperand::Scan(GallopScan::new(level, SliceSource::new(refs)))
     }
 
-    fn intersect<'a>(
-        a: &mut IntersectOperand<'a>,
-        b: &mut IntersectOperand<'a>,
-    ) -> Result<[Vec<SimToken>; 3], Fault> {
+    type Outputs = [Vec<SimToken>; 3];
+
+    /// The intersecter as the fast backend runs it.
+    fn intersect(a: &mut IntersectOperand<'_>, b: &mut IntersectOperand<'_>) -> Result<Outputs, Fault> {
         let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
         run_intersect(a, b, &mut oc, &mut o0, &mut o1)?;
         Ok([oc, o0, o1])
+    }
+
+    /// The pair walk, whatever the operands.
+    fn pairs(a: &mut IntersectOperand<'_>, b: &mut IntersectOperand<'_>) -> Result<Outputs, Fault> {
+        let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
+        walk_pairs(a, b, &mut oc, &mut o0, &mut o1)?;
+        Ok([oc, o0, o1])
+    }
+
+    /// The fiber walk; `None` where it does not apply.
+    fn fibers(a: &mut IntersectOperand<'_>, b: &mut IntersectOperand<'_>) -> Option<Result<Outputs, Fault>> {
+        let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
+        walk_fibers(a, b, &mut oc, &mut o0, &mut o1).map(|walked| walked.map(|()| [oc, o0, o1]))
+    }
+
+    fn has_bitvector(formats: [Format; 2]) -> bool {
+        formats.iter().any(|f| matches!(f, Format::Bitvector))
     }
 
     /// A fused scanner's tally is what the driver would have counted for
@@ -1412,9 +1506,10 @@ mod tests {
     }
 
     /// The pair walk over two stored streams is the reference: the fiber
-    /// merge (both fused, compressed / dense), the galloped pair walk (a
-    /// bitvector side) and every fused-against-stored mix must produce its
-    /// streams token for token, and each fused scan's tally its counts.
+    /// walk (both fused, compressed / dense), the galloped pair walk over
+    /// two fused scans (every format pair) and both fused-against-stored
+    /// mixes must produce its streams token for token, and each fused
+    /// scan's tally its counts.
     #[test]
     fn the_galloped_walk_equals_the_stored_stream_walk_token_for_token() -> Result<(), Fault> {
         let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
@@ -1426,11 +1521,18 @@ mod tests {
                     let what = format!("{fa:?} x {fb:?}, round {round}");
                     let Case { levels: [la, lb], refs: [ra, rb] } = case(&mut rng, [fa, fb]);
                     let (sa, sb) = (stored(&la, &ra), stored(&lb, &rb));
-                    let want = intersect(&mut streams(&sa), &mut streams(&sb))?;
+                    let want = pairs(&mut streams(&sa), &mut streams(&sb))?;
                     matched += want[0].iter().filter(|t| matches!(t, Token::Val(_))).count();
 
+                    if !has_bitvector([fa, fb]) {
+                        let (mut a, mut b) = (scan(&la, &ra), scan(&lb, &rb));
+                        assert_eq!(fibers(&mut a, &mut b), Some(Ok(want.clone())), "{what}: fiber walk");
+                        assert_tally(&a, &sa, &what);
+                        assert_tally(&b, &sb, &what);
+                    }
+
                     let (mut a, mut b) = (scan(&la, &ra), scan(&lb, &rb));
-                    assert_eq!(intersect(&mut a, &mut b)?, want, "{what}: both fused");
+                    assert_eq!(pairs(&mut a, &mut b)?, want, "{what}: galloped pair walk");
                     assert_tally(&a, &sa, &what);
                     assert_tally(&b, &sb, &what);
 
@@ -1449,28 +1551,118 @@ mod tests {
         Ok(())
     }
 
-    /// The differential test above only proves the merge right where it
-    /// runs; this pins where it runs: two fused scans over compressed or
-    /// dense levels, nothing else.
+    /// The differential test above only proves the fiber walk right where
+    /// it runs; this pins where it runs: both operands fused and neither
+    /// level a bitvector. Anywhere else the dispatch reads and pushes
+    /// nothing, so the pair walk that follows sees fresh operands. The
+    /// operand streams differ in shape here, as the generator's never do:
+    /// one side closes deeper (the outputs take the higher stop), or ends
+    /// while the other still has fibers (which push nothing).
     #[test]
-    fn the_fiber_merge_takes_two_fused_compressed_or_dense_scans_only() {
-        let fibers = [vec![1, 4, 9]];
-        let refs = [tok::rf(0), tok::stop(0), tok::done()];
+    fn the_fiber_merge_takes_two_fused_compressed_or_dense_scans_only() -> Result<(), Fault> {
+        let fibers_of = [vec![1, 4, 9], vec![0, 4]];
+        let refs = [tok::rf(1), tok::rf(0), tok::stop(0), tok::done()];
+        let deeper = [tok::rf(0), tok::rf(1), tok::stop(1), tok::done()];
+        let done = [tok::done()];
+        let shapes: [(&[SimToken], &[SimToken]); 4] =
+            [(&refs, &refs), (&refs, &deeper), (&deeper, &refs), (&done, &refs)];
         let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
         for fa in formats {
             for fb in formats {
-                let (la, lb) = (level_of(fa, 8, &fibers), level_of(fb, 8, &fibers));
-                let sb = stored(&lb, &refs);
-                let mut pairs = [(scan(&la, &refs), scan(&lb, &refs)), (scan(&la, &refs), streams(&sb))];
-                for (k, (a, b)) in pairs.iter_mut().enumerate() {
-                    // Open both first fibers, as the intersecter's first pulls do.
-                    assert!(a.fetch().is_some() && b.fetch().is_some());
-                    let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
-                    let merged = merge_open_fibers(a, b, &mut oc, &mut o0, &mut o1);
-                    let bitvector = matches!(fa, Format::Bitvector) || matches!(fb, Format::Bitvector);
-                    assert_eq!(merged, k == 0 && !bitvector, "{fa:?} x {fb:?}, pair {k}");
-                    assert_eq!(oc.is_empty(), !merged, "{fa:?} x {fb:?}, pair {k}: pushes only if merged");
+                let (la, lb) = (level_of(fa, 8, &fibers_of), level_of(fb, 8, &fibers_of));
+                for (shape, (ra, rb)) in shapes.into_iter().enumerate() {
+                    let (sa, sb) = (stored(&la, ra), stored(&lb, rb));
+                    let want = pairs(&mut streams(&sa), &mut streams(&sb))?;
+                    let mut operands = [
+                        (scan(&la, ra), scan(&lb, rb)),
+                        (scan(&la, ra), streams(&sb)),
+                        (streams(&sa), scan(&lb, rb)),
+                        (streams(&sa), streams(&sb)),
+                    ];
+                    for (k, (a, b)) in operands.iter_mut().enumerate() {
+                        let what = format!("{fa:?} x {fb:?}, shape {shape}, operands {k}");
+                        match fibers(a, b) {
+                            Some(walked) => {
+                                assert!(k == 0 && !has_bitvector([fa, fb]), "{what}: walked fibers");
+                                assert_eq!(walked?, want, "{what}");
+                            }
+                            None => {
+                                assert!(k > 0 || has_bitvector([fa, fb]), "{what}: did not walk fibers");
+                                assert_eq!(intersect(a, b)?, want, "{what}: the operands are untouched");
+                            }
+                        }
+                    }
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// A reference stream that ends without a done token — on either side,
+    /// before or after the other side's done — is misaligned on the fiber
+    /// walk and on the pair walk over the stored streams alike.
+    #[test]
+    fn a_truncated_reference_stream_is_misaligned_on_both_walks() {
+        let full = vec![tok::rf(0), tok::rf(1), tok::stop(0), tok::done()];
+        let cut = vec![tok::rf(0), tok::rf(1), tok::stop(0)];
+        let done = vec![tok::done()];
+        let cases = [
+            (cut.clone(), full.clone()),
+            (full.clone(), cut.clone()),
+            (done.clone(), cut.clone()),
+            (cut, done),
+            (Vec::new(), full.clone()),
+            (full, Vec::new()),
+        ];
+        let formats = [Format::Compressed, Format::Dense];
+        for fa in formats {
+            for fb in formats {
+                let fibers_of = [vec![1, 4, 9], vec![0, 4]];
+                let (la, lb) = (level_of(fa, 8, &fibers_of), level_of(fb, 8, &fibers_of));
+                for (k, (ra, rb)) in cases.iter().enumerate() {
+                    let what = format!("{fa:?} x {fb:?}, case {k}");
+                    let (sa, sb) = (stored(&la, ra), stored(&lb, rb));
+                    let stored_walk = pairs(&mut streams(&sa), &mut streams(&sb));
+                    assert_eq!(stored_walk, Err(Fault::Misaligned), "{what}: stored-stream walk");
+                    let walked = fibers(&mut scan(&la, ra), &mut scan(&lb, rb));
+                    assert_eq!(walked, Some(Err(Fault::Misaligned)), "{what}: fiber walk");
+                }
+            }
+        }
+    }
+
+    /// Every scanner path on one bad input against one good one: the
+    /// standalone scanner, the galloped pair walk (fused against stored)
+    /// and, where it applies, the fiber walk.
+    fn scanner_faults(format: Format, bad: &[SimToken]) -> Vec<Result<(), Fault>> {
+        let level = level_of(format, 8, &[vec![1, 4, 9]]);
+        let good = [tok::rf(0), tok::stop(0), tok::done()];
+        let (mut crd, mut rf) = (Vec::new(), Vec::new());
+        let mut seen = vec![run_scanner(&level, SliceSource::new(bad), &mut crd, &mut rf)];
+        let sg = stored(&level, &good);
+        seen.push(intersect(&mut scan(&level, bad), &mut streams(&sg)).map(|_| ()));
+        if !has_bitvector([format, format]) {
+            seen.extend(fibers(&mut scan(&level, bad), &mut scan(&level, &good)).map(|w| w.map(|_| ())));
+        }
+        seen
+    }
+
+    #[test]
+    fn a_reference_past_the_level_is_out_of_bounds_on_every_scanner_path() {
+        for format in [Format::Compressed, Format::Dense, Format::Bitvector] {
+            let seen = scanner_faults(format, &[tok::rf(0), tok::rf(1), tok::stop(0), tok::done()]);
+            let paths = if matches!(format, Format::Bitvector) { 2 } else { 3 };
+            assert_eq!(seen, vec![Err(Fault::RefOutOfBounds(1)); paths], "{format:?}");
+        }
+    }
+
+    #[test]
+    fn a_non_reference_payload_on_a_scanner_input_is_misaligned() {
+        for format in [Format::Compressed, Format::Dense, Format::Bitvector] {
+            for bad in [tok::crd(0), tok::val(1.0)] {
+                let seen = scanner_faults(format, &[bad, tok::stop(0), tok::done()]);
+                let paths = if matches!(format, Format::Bitvector) { 2 } else { 3 };
+                assert_eq!(seen, vec![Err(Fault::Misaligned); paths], "{format:?}, {bad:?}");
             }
         }
     }

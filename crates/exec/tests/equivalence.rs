@@ -168,10 +168,12 @@ fn misaligned_streams_fail_as_the_observing_node() {
 
 /// Inputs that push a fused scanner through its corner states — no stored
 /// entries at all, empty fibers between full ones, a `Dense` level, and
-/// operands skewed enough that the walk gallops and jumps tails — give the
-/// same output and raw values on all three backends, one token total on the
-/// two that share the walk, and for every fused scanner the per-class
-/// token counts the cycle backend's standalone scanner block reports.
+/// operands skewed enough that the walk gallops and jumps tails, two dense
+/// factors intersected under skip-laned scanners — give the same output and
+/// raw values on all three backends, one token total on the two that share
+/// the walk, for every lane-free fused scanner the per-class token counts
+/// the cycle backend's standalone scanner block reports, and for every
+/// scanner with a skip lane no counts at all.
 #[test]
 fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
     use custard::{lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
@@ -218,7 +220,26 @@ fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
         inputs.coo(name, coo, format.clone())
     });
 
-    let cases: Vec<(&str, SamGraph, Inputs)> = vec![
+    // SDDMM as the benchmark compiles it: dense `P` and `Q`, so the `k`
+    // intersection is dense against dense and the density-skew heuristic
+    // wires skip lanes to the scanners at `i` and `j`.
+    let sddmm = compile(
+        "X(i,j) = A(i,j) * P(i,k) * Q(j,k)",
+        Formats::new().set("P", TensorFormat::dense(2)).set("Q", TensorFormat::dense(2)),
+    );
+    let sddmm_inputs = [
+        ("A", synth::random_matrix_sparsity(24, 18, 0.85, 313)),
+        ("P", synth::dense_matrix(24, 5, 314)),
+        ("Q", synth::dense_matrix(18, 5, 315)),
+    ]
+    .iter()
+    .fold(Inputs::new(), |inputs, (name, coo)| {
+        let (_, format) =
+            sddmm.formats.iter().find(|(n, _)| n == name).expect("a derived format per operand");
+        inputs.coo(name, coo, format.clone())
+    });
+
+    let cases: Vec<(&str, SamGraph, Inputs, usize)> = vec![
         (
             "an operand with zero stored entries",
             graphs::spmv_coiteration(),
@@ -227,30 +248,36 @@ fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
                 &CooTensor::new(vec![18]),
                 TensorFormat::sparse_vec(),
             ),
+            0,
         ),
         (
             "empty fibers",
             spmv.clone(),
             Inputs::new().coo("B", &hollow, TensorFormat::csr()).coo("c", &sv, TensorFormat::sparse_vec()),
+            0,
         ),
         (
             "a dense level",
             graphs::vec_elem_mul(false),
             Inputs::new().coo("b", &vb, TensorFormat::dense_vec()).coo("c", &vc, TensorFormat::dense_vec()),
+            0,
         ),
         (
             "short rows against a fully populated vector",
             spmv.clone(),
             Inputs::new().coo("B", &rows, TensorFormat::csr()).coo("c", &full, TensorFormat::sparse_vec()),
+            0,
         ),
         (
             "a vector above every matrix column: the first probe gallops off the row's end",
             spmv,
             Inputs::new().coo("B", &rows, TensorFormat::csr()).coo("c", &above, TensorFormat::sparse_vec()),
+            0,
         ),
-        ("both operands galloping alternately at two nested levels", mttkrp.graph, mttkrp_inputs),
+        ("both operands galloping alternately at two nested levels", mttkrp.graph, mttkrp_inputs, 0),
+        ("dense factors under skip-laned sparse rows: the benchmark's SDDMM", sddmm.graph, sddmm_inputs, 4),
     ];
-    for (what, graph, inputs) in cases {
+    for (what, graph, inputs, want_lanes) in cases {
         let plan = Plan::build(&graph, &inputs).unwrap_or_else(|e| panic!("{what}: {e}"));
         let intersecters = plan
             .order()
@@ -270,11 +297,13 @@ fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
             assert_eq!(*tokens.get_or_insert(run.tokens), run.tokens, "{what}: `{}` tokens", backend.name());
         }
         let fused = common::assert_fused_scanner_counts_match_cycle(what, &graph, &inputs);
+        let lanes = plan.order().iter().filter_map(|&id| plan.fused_scan(id)).filter(|f| f.skip_lane).count();
         assert!(intersecters > 0, "{what}: the case must intersect something");
+        assert_eq!(lanes, want_lanes, "{what}: scanners fused with a skip lane");
         assert_eq!(
-            fused,
+            fused + lanes,
             2 * intersecters,
-            "{what}: every operand of every intersecter should be a plain-fused scanner"
+            "{what}: every operand of every intersecter should be a fused scanner"
         );
     }
 }

@@ -96,8 +96,10 @@ impl ExecProfile {
     }
 
     /// Renders the ranked per-node time/token table — the body of
-    /// `samprof`'s report.
-    pub fn stall_table(&self) -> String {
+    /// `samprof`'s report. The nodes listed in `intersecters` also get their
+    /// fiber pairs (stop tokens / 3: an intersecter closes each pair with
+    /// one stop on each of its three outputs) and the busy time per pair.
+    pub fn stall_table(&self, intersecters: &[usize]) -> String {
         let mut out = String::new();
         let label_w = self
             .nodes
@@ -108,14 +110,19 @@ impl ExecProfile {
             .unwrap_or(4);
         let _ = writeln!(
             out,
-            "{:<label_w$} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>7} {:>12}",
-            "node", "tokens", "val", "crd", "ref", "stop", "skip", "invocs", "busy_us",
+            "{:<label_w$} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>7} {:>12} {:>8} {:>8}",
+            "node", "tokens", "val", "crd", "ref", "stop", "skip", "invocs", "busy_us", "pairs", "ns/pair",
         );
         for n in self.ranked_nodes() {
             let label = format!("n{}:{}", n.index, n.label);
+            let pairs = intersecters.contains(&n.index).then_some(n.tokens.stop / 3);
+            let (pairs, per_pair) = match pairs {
+                Some(p) => (p.to_string(), format!("{:.1}", n.busy_ns as f64 / p.max(1) as f64)),
+                None => ("-".to_string(), "-".to_string()),
+            };
             let _ = writeln!(
                 out,
-                "{:<label_w$} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>7} {:>12.1}",
+                "{:<label_w$} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>7} {:>12.1} {:>8} {:>8}",
                 label,
                 n.tokens.total(),
                 n.tokens.val,
@@ -125,6 +132,8 @@ impl ExecProfile {
                 n.tokens.skip,
                 n.invocations,
                 n.busy_ns as f64 / 1e3,
+                pairs,
+                per_pair,
             );
         }
         out
@@ -164,15 +173,28 @@ mod tests {
     #[test]
     fn stall_table_lists_every_node() {
         let p = ExecProfile { nodes: vec![node(3, "intersect(j: B,C)", 10, 7)], ..Default::default() };
-        let table = p.stall_table();
+        let table = p.stall_table(&[]);
         assert!(table.contains("n3:intersect(j: B,C)"));
         assert!(table.contains("busy_us"));
+    }
+
+    #[test]
+    fn intersecters_get_fiber_pairs_and_time_per_pair() {
+        let mut isect = node(3, "intersect(j: B,C)", 1200, 7);
+        isect.tokens.stop = 12;
+        let p = ExecProfile { nodes: vec![isect, node(4, "scan B1", 50, 9)], ..Default::default() };
+        let table = p.stall_table(&[3]);
+        let row = |label: &str| table.lines().find(|l| l.starts_with(label)).map(str::split_whitespace);
+        let isect: Vec<&str> = row("n3:").into_iter().flatten().collect();
+        assert_eq!(isect[isect.len() - 2..], ["4", "300.0"], "12 stops are 4 pairs of 300 ns");
+        let scan: Vec<&str> = row("n4:").into_iter().flatten().collect();
+        assert_eq!(scan[scan.len() - 2..], ["-", "-"], "only intersecters count pairs");
     }
 
     #[test]
     fn empty_profile_renders_header_only() {
         let p = ExecProfile::default();
         assert_eq!(p.critical_path_ns(), 0);
-        assert!(p.stall_table().contains("node"));
+        assert!(p.stall_table(&[]).contains("node"));
     }
 }
