@@ -2,8 +2,9 @@
 //!
 //! Runs the chosen graph under a [`CountersSink`] (or a [`ChromeTraceSink`]
 //! when `--trace` is given), prints the run's headline numbers and the
-//! ranked per-node time/token table (with fiber pairs and nanoseconds per
-//! pair for every intersecter), and names the node on the critical
+//! ranked per-node time/token table (with the kilobytes of tokens each
+//! node stored or sent, and fiber pairs and nanoseconds per pair for every
+//! intersecter), and names the node on the critical
 //! path — the longest-running node of the run.
 //!
 //! ```text
@@ -22,7 +23,7 @@
 //!   and max per stage, from the service telemetry.
 
 use sam_bench::{kernel_case, table1_case, table1_case_names, PROFILE_KERNELS};
-use sam_core::graph::{NodeKind, SamGraph};
+use sam_core::graph::NodeKind;
 use sam_exec::{
     BackendSpec, ChromeTraceSink, CountersSink, ExecProfile, Execution, Executor, Plan, TiledBackend,
 };
@@ -122,7 +123,8 @@ fn serve_mode(rounds: usize) {
     );
 }
 
-fn report(name: &str, graph: &SamGraph, run: &Execution, profile: &ExecProfile) {
+fn report(name: &str, plan: &Plan, run: &Execution, profile: &ExecProfile) {
+    let graph = plan.graph();
     println!("samprof: `{name}` on the `{}` backend", run.backend);
     let cycles = run.cycles.map_or("-".to_string(), |c| c.to_string());
     println!(
@@ -136,7 +138,13 @@ fn report(name: &str, graph: &SamGraph, run: &Execution, profile: &ExecProfile) 
     println!("critical path {:.1}us\n", profile.critical_path_ns() as f64 / 1e3);
     let intersecters: Vec<usize> =
         (0..graph.len()).filter(|&i| matches!(graph.nodes()[i], NodeKind::Intersecter { .. })).collect();
-    print!("{}", profile.stall_table(&intersecters));
+    // The fast walk (tiled inner runs included) tallies a fused scanner's
+    // streams instead of storing them; the cycle backend sends them all.
+    let fused: Vec<usize> = match run.backend {
+        "cycle" => Vec::new(),
+        _ => plan.order().iter().filter(|&&id| plan.fused_scan(id).is_some()).map(|id| id.0).collect(),
+    };
+    print!("{}", profile.stall_table(&intersecters, &fused));
     // The critical-path node: the longest-lived one.
     if let Some(top) = profile.nodes.iter().max_by_key(|n| (n.wall_ns(), n.tokens.total())) {
         println!(
@@ -244,5 +252,5 @@ fn main() {
         }
     };
     let profile = run.profile.clone().expect("traced runs attach a profile");
-    report(&name, &graph, &run, &profile);
+    report(&name, &plan, &run, &profile);
 }

@@ -1394,33 +1394,51 @@ mod tests {
 
     fn case(rng: &mut StdRng, formats: [Format; 2]) -> Case {
         let empty_bias = [0.0, 0.15, 0.6][rng.gen_range(0usize..3)];
+        // In a third of the cases a repeater upstream hands one side the
+        // same reference for 2–5 slots running, against a new fiber on the
+        // other side each time (MTTKRP's `intersect(k: T,F)`).
+        let repeats = rng.gen::<f64>() < 0.3;
         // The reference streams' shape: outer fibers of inner fibers of
-        // slots, each slot one fiber pair. Either list may be empty.
+        // slots, each slot one fiber pair. Either list may be empty. A
+        // repeated reference runs through longer inner fibers.
+        let most_slots = if repeats { 6 } else { 4 };
         let shape: Vec<Vec<usize>> = (0..rng.gen_range(0usize..4))
-            .map(|_| (0..rng.gen_range(0usize..4)).map(|_| rng.gen_range(0usize..4)).collect())
+            .map(|_| (0..rng.gen_range(0usize..4)).map(|_| rng.gen_range(0..most_slots)).collect())
             .collect();
         let slots: usize = shape.iter().flatten().sum();
+        // Each operand's distinct fibers, and which of them each slot reads.
         let mut fibers = [Vec::with_capacity(slots), Vec::with_capacity(slots)];
+        let mut reads = [Vec::with_capacity(slots), Vec::with_capacity(slots)];
+        // The repeated side and how many more slots read its last fiber.
+        let mut run = (0, 0);
         for _ in 0..slots {
-            let [a, b] = fiber_pair(rng, empty_bias);
-            fibers[0].push(a);
-            fibers[1].push(b);
+            for (o, fiber) in fiber_pair(rng, empty_bias).into_iter().enumerate() {
+                if o != run.0 || run.1 == 0 {
+                    fibers[o].push(fiber);
+                }
+                reads[o].push(fibers[o].len() - 1);
+            }
+            if run.1 > 0 {
+                run.1 -= 1;
+            } else if repeats {
+                run = (rng.gen_range(0usize..2), rng.gen_range(1usize..5));
+            }
         }
         // Now and then one operand is an entirely empty level.
         if rng.gen::<f64>() < 0.1 {
             fibers[rng.gen_range(0usize..2)].iter_mut().for_each(Vec::clear);
         }
         // Each operand stores its fibers in its own order.
-        let orders = [0, 1].map(|_| {
-            let mut order: Vec<usize> = (0..slots).collect();
+        let orders = fibers.each_ref().map(|fibers| {
+            let mut order: Vec<usize> = (0..fibers.len()).collect();
             order.shuffle(rng);
             order
         });
         let word_width = [8, 64][rng.gen_range(0usize..2)];
         let levels = [0, 1].map(|o| {
-            let mut stored = vec![Vec::new(); slots];
-            for (slot, &at) in orders[o].iter().enumerate() {
-                stored[at].clone_from(&fibers[o][slot]);
+            let mut stored = vec![Vec::new(); fibers[o].len()];
+            for (fiber, &at) in orders[o].iter().enumerate() {
+                stored[at].clone_from(&fibers[o][fiber]);
             }
             level_of(formats[o], word_width, &stored)
         });
@@ -1436,7 +1454,7 @@ mod tests {
                         refs[o].push(if o == absent {
                             tok::empty()
                         } else {
-                            tok::rf(orders[o][slot] as u32)
+                            tok::rf(orders[o][reads[o][slot]] as u32)
                         });
                     }
                     slot += 1;
@@ -1514,12 +1532,19 @@ mod tests {
     fn the_galloped_walk_equals_the_stored_stream_walk_token_for_token() -> Result<(), Fault> {
         let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
         let mut rng = StdRng::seed_from_u64(19);
-        let mut matched = 0;
+        let (mut matched, mut repeated) = (0, 0);
         for fa in formats {
             for fb in formats {
                 for round in 0..40 {
                     let what = format!("{fa:?} x {fb:?}, round {round}");
                     let Case { levels: [la, lb], refs: [ra, rb] } = case(&mut rng, [fa, fb]);
+                    repeated += [&ra, &rb]
+                        .iter()
+                        .map(|r| {
+                            let refs: Vec<_> = r.iter().filter(|t| matches!(t, Token::Val(_))).collect();
+                            refs.windows(2).filter(|w| w[0] == w[1]).count()
+                        })
+                        .sum::<usize>();
                     let (sa, sb) = (stored(&la, &ra), stored(&lb, &rb));
                     let want = pairs(&mut streams(&sa), &mut streams(&sb))?;
                     matched += want[0].iter().filter(|t| matches!(t, Token::Val(_))).count();
@@ -1548,6 +1573,7 @@ mod tests {
             }
         }
         assert!(matched > 1000, "the generator must produce intersections that match: {matched}");
+        assert!(repeated > 200, "the generator must repeat references as a repeater does: {repeated}");
         Ok(())
     }
 

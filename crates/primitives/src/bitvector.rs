@@ -331,7 +331,8 @@ impl Block for BitvectorVecMul {
         };
         ctx.pop(self.in_bits);
         match t {
-            Token::Val(Payload::Bits(word)) => {
+            Token::Val(Payload::Bits { base, width, bits }) => {
+                let word = BitVec { base, width, bits };
                 let mut out = self.sink.lock().expect("poisoned sink");
                 for c in word.iter_coords() {
                     let (Some(ra), Some(rb)) =

@@ -278,7 +278,7 @@ mod tests {
                 Token::Val(Payload::Crd(c)) => c.to_string(),
                 Token::Val(Payload::Ref(r)) => r.to_string(),
                 Token::Val(Payload::Val(v)) => v.to_string(),
-                Token::Val(Payload::Bits(b)) => b.to_string(),
+                Token::Val(p @ Payload::Bits { .. }) => p.to_string(),
                 Token::Stop(n) => format!("S{n}"),
                 Token::Empty => "N".to_string(),
                 Token::Done => "D".to_string(),

@@ -4,6 +4,11 @@
 //! simulator keeps all channels homogeneous by carrying a [`Payload`] sum
 //! type; blocks assert the payload kind they expect, so wiring mistakes fail
 //! loudly during simulation rather than silently producing wrong data.
+//!
+//! Every stream of every backend moves [`SimToken`]s, so the payload's size
+//! is the token's: a bitvector word is carried as its three fields inline,
+//! not as a [`BitVec`], which lets the enum tag sit beside them and keeps a
+//! token (and the `Option` a stream read returns) at 16 bytes.
 
 use sam_streams::{BitVec, Token};
 use serde::{Deserialize, Serialize};
@@ -18,8 +23,17 @@ pub enum Payload {
     Ref(u32),
     /// A tensor value.
     Val(f64),
-    /// A bitvector word (Section 4.3 stream protocol).
-    Bits(BitVec),
+    /// A bitvector word (Section 4.3 stream protocol): the fields of a
+    /// [`BitVec`], which [`tok::bits`] spreads and
+    /// [`Payload::expect_bits`] rebuilds.
+    Bits {
+        /// First coordinate covered by the word.
+        base: u32,
+        /// Number of coordinates covered (at most 64).
+        width: u8,
+        /// Occupancy bits; bit `i` is coordinate `base + i`.
+        bits: u64,
+    },
 }
 
 impl Payload {
@@ -66,7 +80,7 @@ impl Payload {
     /// Panics when the payload is not a bitvector word.
     pub fn expect_bits(self) -> BitVec {
         match self {
-            Payload::Bits(b) => b,
+            Payload::Bits { base, width, bits } => BitVec { base, width, bits },
             other => panic!("expected a bitvector payload, found {other:?}"),
         }
     }
@@ -78,13 +92,18 @@ impl fmt::Display for Payload {
             Payload::Crd(c) => write!(f, "c{c}"),
             Payload::Ref(r) => write!(f, "r{r}"),
             Payload::Val(v) => write!(f, "{v}"),
-            Payload::Bits(b) => write!(f, "{b}"),
+            Payload::Bits { .. } => write!(f, "{}", self.expect_bits()),
         }
     }
 }
 
 /// A simulator token: the SAM token algebra over dynamic payloads.
 pub type SimToken = Token<Payload>;
+
+// A wider payload widens every stream on every backend; `Option<SimToken>`
+// is what a stream read returns.
+const _: () = assert!(std::mem::size_of::<SimToken>() == 16);
+const _: () = assert!(std::mem::size_of::<Option<SimToken>>() == 16);
 
 /// Convenience constructors for simulator tokens.
 pub mod tok {
@@ -108,7 +127,7 @@ pub mod tok {
 
     /// A bitvector data token.
     pub fn bits(b: BitVec) -> SimToken {
-        Token::Val(Payload::Bits(b))
+        Token::Val(Payload::Bits { base: b.base, width: b.width, bits: b.bits })
     }
 
     /// A stop token of the given level.
@@ -138,7 +157,7 @@ mod tests {
         assert_eq!(Payload::Ref(4).expect_ref(), 4);
         assert_eq!(Payload::Val(2.5).expect_val(), 2.5);
         let b = BitVec::from_coords(0, 8, [1u32, 2]);
-        assert_eq!(Payload::Bits(b).expect_bits(), b);
+        assert_eq!(tok::bits(b).value().map(Payload::expect_bits), Some(b));
     }
 
     #[test]
@@ -174,5 +193,33 @@ mod tests {
         assert_eq!(Payload::Crd(1).to_string(), "c1");
         assert_eq!(Payload::Ref(2).to_string(), "r2");
         assert_eq!(Payload::Val(0.5).to_string(), "0.5");
+    }
+
+    /// Words at both ends of the coordinate range, each with bit 63 set.
+    fn words() -> Vec<BitVec> {
+        let mut words = Vec::new();
+        for base in [0, u32::MAX - 63] {
+            for width in [1u8, 8, 64] {
+                words.push(BitVec { base, width, bits: 1 << 63 | 1 });
+            }
+        }
+        words
+    }
+
+    #[test]
+    fn a_bitvector_word_round_trips_through_a_token() {
+        for b in words() {
+            let t = tok::bits(b);
+            assert!(matches!(t.value(), Some(p) if p.expect_bits() == b), "{b:?} -> {t:?}");
+        }
+    }
+
+    #[test]
+    fn a_bitvector_payload_prints_as_its_word() {
+        for b in words() {
+            assert!(matches!(tok::bits(b).value(), Some(p) if p.to_string() == b.to_string()));
+        }
+        let b = BitVec::from_coords(4, 8, [5u32, 11]);
+        assert!(matches!(tok::bits(b).value(), Some(p) if p.to_string() == "bv@4[10000010]"));
     }
 }

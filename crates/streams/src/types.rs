@@ -17,6 +17,11 @@ use std::fmt;
 /// such token, which lets downstream merge blocks process `b` positions per
 /// cycle.
 ///
+/// This is the type the bitvector blocks compute with. A stream token
+/// carries its three fields, not the struct (`sam_sim`'s
+/// `Payload::Bits { base, width, bits }`), which keeps every token at 16
+/// bytes.
+///
 /// ```
 /// use sam_streams::BitVec;
 /// let bv = BitVec::from_coords(0, 4, [0u32, 2u32]);

@@ -61,7 +61,7 @@ impl TokenCounts {
             Token::Val(Payload::Val(_)) => self.val += 1,
             Token::Val(Payload::Crd(_)) => self.crd += 1,
             Token::Val(Payload::Ref(_)) => self.refs += 1,
-            Token::Val(Payload::Bits(_)) => self.bits += 1,
+            Token::Val(Payload::Bits { .. }) => self.bits += 1,
             Token::Stop(_) => self.stop += 1,
             Token::Empty => self.empty += 1,
             Token::Done => self.done += 1,
@@ -138,16 +138,17 @@ mod tests {
         c.record(&tok::rf(2));
         c.record(&tok::val(0.5));
         c.record(&tok::bits(BitVec::from_coords(0, 8, [1u32])));
+        c.record(&tok::bits(BitVec { base: u32::MAX - 63, width: 64, bits: 1 << 63 }));
         c.record(&tok::stop(1));
         c.record(&tok::empty());
         c.record(&tok::done());
-        assert_eq!(c.total(), 7);
-        assert_eq!(c.data(), 4);
+        assert_eq!(c.total(), 8);
+        assert_eq!(c.data(), 5);
         assert_eq!(c.control(), 3);
         assert_eq!(c.crd, 1);
         assert_eq!(c.refs, 1);
         assert_eq!(c.val, 1);
-        assert_eq!(c.bits, 1);
+        assert_eq!(c.bits, 2);
         assert_eq!(c.skip, 0);
     }
 

@@ -1,6 +1,7 @@
 //! The execution profile: the per-node rollup.
 
 use crate::counts::TokenCounts;
+use sam_sim::SimToken;
 use std::fmt::Write as _;
 
 /// Per-node measurements for one execution.
@@ -96,10 +97,13 @@ impl ExecProfile {
     }
 
     /// Renders the ranked per-node time/token table — the body of
-    /// `samprof`'s report. The nodes listed in `intersecters` also get their
-    /// fiber pairs (stop tokens / 3: an intersecter closes each pair with
-    /// one stop on each of its three outputs) and the busy time per pair.
-    pub fn stall_table(&self, intersecters: &[usize]) -> String {
+    /// `samprof`'s report. `kB` is the bytes of the tokens a node emitted
+    /// ([`SimToken`]s, stored or sent on channels); the nodes listed in
+    /// `fused` are scanners whose streams were tallied, never stored, and
+    /// show `-`. The nodes listed in `intersecters` also get their fiber
+    /// pairs (stop tokens / 3: an intersecter closes each pair with one stop
+    /// on each of its three outputs) and the busy time per pair.
+    pub fn stall_table(&self, intersecters: &[usize], fused: &[usize]) -> String {
         let mut out = String::new();
         let label_w = self
             .nodes
@@ -110,11 +114,28 @@ impl ExecProfile {
             .unwrap_or(4);
         let _ = writeln!(
             out,
-            "{:<label_w$} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>7} {:>12} {:>8} {:>8}",
-            "node", "tokens", "val", "crd", "ref", "stop", "skip", "invocs", "busy_us", "pairs", "ns/pair",
+            "{:<label_w$} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>7} {:>12} {:>8} {:>8}",
+            "node",
+            "tokens",
+            "kB",
+            "val",
+            "crd",
+            "ref",
+            "stop",
+            "skip",
+            "invocs",
+            "busy_us",
+            "pairs",
+            "ns/pair",
         );
         for n in self.ranked_nodes() {
             let label = format!("n{}:{}", n.index, n.label);
+            let bytes = n.tokens.total() * std::mem::size_of::<SimToken>() as u64;
+            let kb = if fused.contains(&n.index) {
+                "-".to_string()
+            } else {
+                format!("{:.1}", bytes as f64 / 1024.0)
+            };
             let pairs = intersecters.contains(&n.index).then_some(n.tokens.stop / 3);
             let (pairs, per_pair) = match pairs {
                 Some(p) => (p.to_string(), format!("{:.1}", n.busy_ns as f64 / p.max(1) as f64)),
@@ -122,9 +143,10 @@ impl ExecProfile {
             };
             let _ = writeln!(
                 out,
-                "{:<label_w$} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>7} {:>12.1} {:>8} {:>8}",
+                "{:<label_w$} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>7} {:>12.1} {:>8} {:>8}",
                 label,
                 n.tokens.total(),
+                kb,
                 n.tokens.val,
                 n.tokens.crd,
                 n.tokens.refs,
@@ -173,7 +195,7 @@ mod tests {
     #[test]
     fn stall_table_lists_every_node() {
         let p = ExecProfile { nodes: vec![node(3, "intersect(j: B,C)", 10, 7)], ..Default::default() };
-        let table = p.stall_table(&[]);
+        let table = p.stall_table(&[], &[]);
         assert!(table.contains("n3:intersect(j: B,C)"));
         assert!(table.contains("busy_us"));
     }
@@ -183,7 +205,7 @@ mod tests {
         let mut isect = node(3, "intersect(j: B,C)", 1200, 7);
         isect.tokens.stop = 12;
         let p = ExecProfile { nodes: vec![isect, node(4, "scan B1", 50, 9)], ..Default::default() };
-        let table = p.stall_table(&[3]);
+        let table = p.stall_table(&[3], &[]);
         let row = |label: &str| table.lines().find(|l| l.starts_with(label)).map(str::split_whitespace);
         let isect: Vec<&str> = row("n3:").into_iter().flatten().collect();
         assert_eq!(isect[isect.len() - 2..], ["4", "300.0"], "12 stops are 4 pairs of 300 ns");
@@ -192,9 +214,26 @@ mod tests {
     }
 
     #[test]
+    fn every_stored_node_gets_its_kilobytes_and_a_fused_scanner_none() {
+        let p = ExecProfile {
+            nodes: vec![node(3, "intersect", 1200, 128), node(4, "scan", 50, 64)],
+            ..Default::default()
+        };
+        let table = p.stall_table(&[3], &[4]);
+        // The third column of the row that starts with `first`.
+        let kb = |first: &str| {
+            let row = table.lines().find(|l| l.starts_with(first)).map(str::split_whitespace);
+            row.into_iter().flatten().nth(2).map(str::to_string)
+        };
+        assert_eq!(kb("node").as_deref(), Some("kB"));
+        assert_eq!(kb("n3:").as_deref(), Some("2.0"), "128 tokens of 16 bytes");
+        assert_eq!(kb("n4:").as_deref(), Some("-"), "a fused scanner stores nothing");
+    }
+
+    #[test]
     fn empty_profile_renders_header_only() {
         let p = ExecProfile::default();
         assert_eq!(p.critical_path_ns(), 0);
-        assert!(p.stall_table(&[]).contains("node"));
+        assert!(p.stall_table(&[], &[]).contains("node"));
     }
 }
