@@ -114,8 +114,8 @@ fn serve_mode(rounds: usize) {
     println!("queue depth high-water {}", snap.lane_depth_high_water);
     let busiest = snap.workers.iter().map(|w| w.utilization).fold(0.0f64, f64::max);
     println!(
-        "window qps {:.0}, {} workers (busiest {:.0}% utilized), store built {} tensors in {:.1}us",
-        snap.window_qps,
+        "lifetime qps {:.0}, {} workers (busiest {:.0}% utilized), store built {} tensors in {:.1}us",
+        snap.completed as f64 / snap.uptime.as_secs_f64(),
         snap.workers.len(),
         100.0 * busiest,
         snap.store.builds,

@@ -8,7 +8,7 @@
 //! PR 4 into one process-wide, sharded `(expression, formats, shapes) →
 //! Arc<Plan>` cache with hit/miss/eviction counters:
 //!
-//! * [`PlanKey`] captures **everything** a [`Plan`] reads from its inputs —
+//! * The private `PlanKey` captures **everything** a [`Plan`] reads from its inputs —
 //!   the graph's name and a structural fingerprint of its nodes and edges,
 //!   and per bound tensor the name, format, shape, and the value of
 //!   single-element tensors (the planner resolves `ConstVal` scalars at
@@ -19,8 +19,8 @@
 //! * [`PlanCache`] is the sharded LRU map. [`PlanCache::global`] is the
 //!   process-wide instance the default execution path uses; services that
 //!   want isolated counters (or a different capacity) construct their own.
-//!   The `sam-serve` service reads its own through [`PlanCache::lookup`],
-//!   which also reports the hit. Cached or not, every plan is one
+//!   The `sam-serve` service plans through its own with
+//!   [`PlanCache::get_or_plan`]. Cached or not, every plan is one
 //!   [`Plan::build`], so every door accepts the same graphs and rejects
 //!   with the same diagnostics.
 //!
@@ -62,7 +62,7 @@ const SHARDS: usize = 8;
 /// (e.g. a tiled run visiting thousands of edge-tile shape classes).
 const GLOBAL_CAPACITY: usize = 2048;
 
-/// One bound tensor's contribution to a [`PlanKey`].
+/// One bound tensor's contribution to a `PlanKey`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct BindingKey {
     name: String,
@@ -77,7 +77,7 @@ struct BindingKey {
 
 /// The cache key: everything a [`Plan`] depends on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanKey {
+struct PlanKey {
     /// The graph's name — for custard-compiled kernels, the expression
     /// string itself.
     expr: String,
@@ -90,7 +90,7 @@ pub struct PlanKey {
 
 impl PlanKey {
     /// Builds the key for planning `graph` over `inputs`.
-    pub fn new(graph: &SamGraph, inputs: &Inputs) -> PlanKey {
+    fn new(graph: &SamGraph, inputs: &Inputs) -> PlanKey {
         let mut h = DefaultHasher::new();
         for node in graph.nodes() {
             node.hash(&mut h);
@@ -166,8 +166,8 @@ impl PlanCacheStats {
     /// cache whose lifetime counters keep running. The counters are
     /// process-lifetime aggregates shared by every user of the cache, so a
     /// caller that wants "hits this second" snapshots before and after and
-    /// diffs, instead of racing other users for an absolute read (whether
-    /// *one* lookup hit is [`PlanCache::lookup`]'s answer). Saturating, so a [`PlanCache::clear`] between
+    /// diffs, instead of racing other users for an absolute read.
+    /// Saturating, so a [`PlanCache::clear`] between
     /// snapshots yields zeros rather than wrapping; `entries` stays the
     /// current residency (it is a level, not a flow).
     pub fn delta_since(&self, earlier: &PlanCacheStats) -> PlanCacheStats {
@@ -243,7 +243,7 @@ impl PlanCache {
     ///
     /// Propagates [`PlanError`] from [`Plan::build`]; failures are never
     /// cached.
-    pub fn lookup(&self, graph: &SamGraph, inputs: &Inputs) -> Result<(Arc<Plan>, bool), PlanError> {
+    fn lookup(&self, graph: &SamGraph, inputs: &Inputs) -> Result<(Arc<Plan>, bool), PlanError> {
         let key = PlanKey::new(graph, inputs);
         let mut s = self.lock_shard(key.shard(self.shards.len()));
         s.tick += 1;

@@ -123,7 +123,7 @@ pub mod spec;
 pub mod tiled;
 
 pub use bind::Inputs;
-pub use cache::{PlanCache, PlanCacheStats, PlanKey};
+pub use cache::{PlanCache, PlanCacheStats};
 pub use cycle::CycleBackend;
 pub use error::{ExecError, PlanError};
 pub use fast::FastBackend;
@@ -131,8 +131,8 @@ pub use plan::{ChannelSpec, FusedScan, Plan, PortRef, SkipSpec, DEFAULT_MAX_CYCL
 pub use request::ExecRequest;
 pub use sam_memory::MemoryCounters;
 pub use sam_trace::{
-    ChromeTraceSink, CountersSink, ExecProfile, HistogramSnapshot, MetricsRegistry, NodeProfile, NullSink,
-    QuerySpan, Stage, TokenCounts, TraceSink, WorkerProfile,
+    ChromeTraceSink, CountersSink, ExecProfile, NodeProfile, NullSink, Stage, TokenCounts, TraceSink,
+    WorkerProfile,
 };
 pub use spec::{BackendSpec, ParseBackendError};
 pub use tiled::TiledBackend;

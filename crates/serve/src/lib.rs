@@ -23,10 +23,8 @@
 //! * Service telemetry — every query carries a lifecycle span
 //!   (queue → compile → plan → batch → execute → resolve; `batch` is a
 //!   constant 0 since the workers stopped batching) feeding latency
-//!   histograms and cache/queue/qps gauges, exposed as a typed
-//!   [`Service::metrics_snapshot`], Prometheus text via
-//!   [`Service::render_prometheus`], and JSONL slow-query events
-//!   ([`TelemetryConfig::slow_query`]); per-query `ExecProfile`s survive
+//!   histograms and cache and queue counters, read back through the one
+//!   typed [`Service::metrics_snapshot`]; per-query `ExecProfile`s survive
 //!   the service path via [`Query::traced`].
 //!
 //! ```
@@ -50,7 +48,7 @@ pub mod service;
 pub mod store;
 pub mod workload;
 
-pub use metrics::{MetricsSnapshot, TelemetryConfig, WorkerTelemetry};
+pub use metrics::{MetricsSnapshot, WorkerTelemetry};
 pub use service::{Query, QueryHandle, ServeError, Service, ServiceConfig};
 pub use store::{MaterializeStats, TensorStore};
 pub use workload::{table1_workload, WorkloadQuery};

@@ -26,7 +26,7 @@
 //! the worker that met them keeps serving. Dropping the service finishes
 //! everything already queued, then joins the workers.
 
-use crate::metrics::{MetricsSnapshot, Telemetry, TelemetryConfig};
+use crate::metrics::{MetricsSnapshot, Telemetry};
 use crate::store::TensorStore;
 use custard::{ConcreteIndexNotation, ExecutableKernel, Formats, Schedule};
 use sam_exec::{
@@ -307,25 +307,18 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Capacity of the service's plan cache.
     pub plan_capacity: usize,
-    /// Lifecycle telemetry knobs (see [`TelemetryConfig`]).
-    pub telemetry: TelemetryConfig,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            workers: 4,
-            queue_capacity: 256,
-            plan_capacity: 1024,
-            telemetry: TelemetryConfig::default(),
-        }
+        ServiceConfig { workers: 4, queue_capacity: 256, plan_capacity: 1024 }
     }
 }
 
 struct Job {
     state: Arc<HandleState>,
-    /// When [`Service::submit`] enqueued the query (telemetry on only).
-    enqueued: Option<Instant>,
+    /// When [`Service::submit`] enqueued the query.
+    enqueued: Instant,
 }
 
 #[derive(Default)]
@@ -383,9 +376,8 @@ impl Shared {
         }
     }
 
-    /// Lowers the query's expression, through the compile cache. The
-    /// returned flag says whether the cache already held the kernel.
-    fn kernel(&self, query: &Query) -> Result<(Arc<ExecutableKernel>, bool), ServeError> {
+    /// Lowers the query's expression, through the compile cache.
+    fn kernel(&self, query: &Query) -> Result<Arc<ExecutableKernel>, ServeError> {
         let mut sig: Vec<String> = query.formats.iter().map(|(n, f)| format!("{n}={f}")).collect();
         sig.sort();
         let key: CompileKey = (query.expression.clone(), query.order.clone(), sig.join(";"));
@@ -396,7 +388,7 @@ impl Shared {
         let slot = match kernels.entry(key) {
             Entry::Occupied(e) => {
                 self.telemetry.compile_hits.inc();
-                return Ok((Arc::clone(e.get()), true));
+                return Ok(Arc::clone(e.get()));
             }
             Entry::Vacant(slot) => slot,
         };
@@ -428,25 +420,22 @@ impl Shared {
         }
         let cin = ConcreteIndexNotation::new(assignment, &schedule, formats);
         let kernel = Arc::new(custard::lower_exec(&cin).map_err(|e| compile_err(e.to_string()))?);
-        Ok((Arc::clone(slot.insert(kernel)), false))
+        Ok(Arc::clone(slot.insert(kernel)))
     }
 
     /// Compile, bind from the store, and plan — everything short of
-    /// executing. With a span, times the compile stage and the plan stage
+    /// executing. Times the compile stage and the plan stage into `span`
     /// (binding rides in the plan stage; the store's own counters break
-    /// out materialization cost) and marks the cache outcomes.
+    /// out materialization cost).
     fn prepare(
         &self,
         query: &Query,
-        mut span: Option<&mut QuerySpan>,
+        span: &mut QuerySpan,
     ) -> Result<(Arc<ExecutableKernel>, Arc<Plan>, Inputs), ServeError> {
-        let compile_started = span.is_some().then(Instant::now);
-        let (kernel, compile_hit) = self.kernel(query)?;
-        if let (Some(span), Some(started)) = (span.as_deref_mut(), compile_started) {
-            span.record(Stage::Compile, started.elapsed());
-            span.compile_hit = compile_hit;
-        }
-        let plan_started = span.is_some().then(Instant::now);
+        let compile_started = Instant::now();
+        let kernel = self.kernel(query)?;
+        span.record(Stage::Compile, compile_started.elapsed());
+        let plan_started = Instant::now();
         let mut inputs = Inputs::new();
         for (operand, stored) in &query.bindings {
             let format =
@@ -479,22 +468,21 @@ impl Shared {
         for (name, value) in &query.scalars {
             inputs = inputs.scalar(name, *value);
         }
-        let (plan, plan_hit) =
-            self.plans.lookup(&kernel.graph, &inputs).map_err(|PlanError::Rejected { diagnostics }| {
-                ServeError::Rejected { expression: query.expression.clone(), diagnostics }
-            })?;
-        if let (Some(span), Some(started)) = (span, plan_started) {
-            span.record(Stage::Plan, started.elapsed());
-            span.plan_hit = plan_hit;
-        }
+        let plan = self.plans.get_or_plan(&kernel.graph, &inputs).map_err(
+            |PlanError::Rejected { diagnostics }| ServeError::Rejected {
+                expression: query.expression.clone(),
+                diagnostics,
+            },
+        )?;
+        span.record(Stage::Plan, plan_started.elapsed());
         Ok((kernel, plan, inputs))
     }
 
     /// One query, start to finish: prepare, then execute through the
     /// [`ExecRequest`] door on the planned graph.
-    fn run(&self, query: &Query, mut span: Option<&mut QuerySpan>) -> Result<Execution, ServeError> {
-        let (kernel, plan, inputs) = self.prepare(query, span.as_deref_mut())?;
-        let execute_started = span.is_some().then(Instant::now);
+    fn run(&self, query: &Query, span: &mut QuerySpan) -> Result<Execution, ServeError> {
+        let (kernel, plan, inputs) = self.prepare(query, span)?;
+        let execute_started = Instant::now();
         // Any trace sink must outlive the request borrowing it.
         let profile_sink;
         let trace: Option<&dyn TraceSink> = match &query.traced {
@@ -510,9 +498,7 @@ impl Shared {
             request = request.traced(trace);
         }
         let result = request.run();
-        if let (Some(span), Some(started)) = (span, execute_started) {
-            span.record(Stage::Execute, started.elapsed());
-        }
+        span.record(Stage::Execute, execute_started.elapsed());
         Ok(result?)
     }
 
@@ -522,41 +508,22 @@ impl Shared {
     fn work(&self, worker: usize) {
         while let Some(job) = self.next_job() {
             let query = &job.state.query;
-            let started = self.telemetry.now();
-            let mut span = started.map(|now| {
-                let mut span = QuerySpan {
-                    expression: query.expression.clone(),
-                    backend: query.backend.to_string(),
-                    batch_size: 1,
-                    ..QuerySpan::default()
-                };
-                if let Some(enqueued) = job.enqueued {
-                    span.record(Stage::Queue, now.saturating_duration_since(enqueued));
-                }
-                span
-            });
+            let started = Instant::now();
+            let mut span = QuerySpan::default();
+            span.record(Stage::Queue, started.saturating_duration_since(job.enqueued));
             // A span half-filled by an unwound query holds only the stage
             // times recorded before the panic, which is what it should say.
-            let result = catch_unwind(AssertUnwindSafe(|| self.run(query, span.as_mut())))
+            let result = catch_unwind(AssertUnwindSafe(|| self.run(query, &mut span)))
                 .unwrap_or_else(|payload| Err(ServeError::Panicked { message: panic_message(&*payload) }));
-            let resolve_started = self.telemetry.now();
+            let resolve_started = Instant::now();
             let counter = if result.is_ok() { &self.telemetry.completed } else { &self.telemetry.failed };
             counter.inc();
             // Publish the span BEFORE waking the handle, so a waiter that
             // snapshots right after `wait()` returns is guaranteed to see
             // this query in the histograms. The resolve stage therefore
             // covers the result bookkeeping, not the condvar notify itself.
-            if let (Some(span), Some(resolve_started)) = (span.as_mut(), resolve_started) {
-                let profile = match &result {
-                    Ok(run) => run.profile.as_ref(),
-                    Err(e) => {
-                        span.error = Some(e.to_string());
-                        None
-                    }
-                };
-                span.record(Stage::Resolve, resolve_started.elapsed());
-                self.telemetry.observe_span(span, profile);
-            }
+            span.record(Stage::Resolve, resolve_started.elapsed());
+            self.telemetry.observe_span(&span, query.backend);
             self.telemetry.record_task(worker, started);
             job.state.resolve(result);
         }
@@ -596,7 +563,7 @@ impl Service {
             not_full: Condvar::new(),
             kernels: Mutex::new(HashMap::new()),
             plans: PlanCache::new(config.plan_capacity),
-            telemetry: Telemetry::new(config.telemetry, workers),
+            telemetry: Telemetry::new(workers),
         });
         let threads = (0..workers)
             .map(|worker| {
@@ -619,7 +586,7 @@ impl Service {
     pub fn submit(&self, query: Query) -> QueryHandle {
         let state = Arc::new(HandleState { query, slot: Mutex::new(None), done: Condvar::new() });
         let handle = QueryHandle { state: Arc::clone(&state) };
-        let enqueued = self.shared.telemetry.now();
+        let enqueued = Instant::now();
         let depth = {
             let mut queue = self.shared.lock_queue();
             while queue.jobs.len() >= self.shared.queue_capacity {
@@ -646,22 +613,10 @@ impl Service {
 
     /// A typed point-in-time view of the full telemetry surface: lifecycle
     /// counters, per-stage and per-backend latency histograms,
-    /// plan/compile/store cache behavior, queue-depth high-water,
-    /// rolling-window qps and per-worker utilization.
+    /// plan/compile/store cache behavior, queue-depth high-water and
+    /// per-worker utilization.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.shared.telemetry.snapshot(self.shared.plans.stats(), self.shared.store.materialize_stats())
-    }
-
-    /// The same metrics in the Prometheus text exposition format, ready to
-    /// serve from a `/metrics` endpoint or dump next to a bench artifact.
-    pub fn render_prometheus(&self) -> String {
-        self.shared.telemetry.render(&self.shared.plans.stats(), &self.shared.store.materialize_stats())
-    }
-
-    /// The retained slow-query JSONL events (oldest first). Empty unless
-    /// [`TelemetryConfig::slow_query`] is set.
-    pub fn recent_events(&self) -> Vec<String> {
-        self.shared.telemetry.recent_events()
     }
 }
 

@@ -10,7 +10,7 @@
 //! into a hang is a bounded poll, so it fails instead.
 
 use sam_serve::{Query, QueryHandle, ServeError, Service, ServiceConfig, TensorStore};
-use sam_trace::TraceSink;
+use sam_trace::{Stage, TraceSink};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -89,6 +89,20 @@ fn query() -> Query {
     Query::new("x(i) = b(i) * c(i)").operand("b").operand("c")
 }
 
+/// Every finished query, failed ones included, left one observation in
+/// each stage histogram, in `latency`, and in exactly one backend's
+/// execute histogram.
+fn assert_timings_balance(service: &Service) {
+    let snap = service.metrics_snapshot();
+    let finished = snap.completed + snap.failed;
+    assert_eq!(snap.latency.count, finished, "latency observations");
+    for stage in Stage::ALL {
+        assert_eq!(snap.stage(stage).count, finished, "stage `{stage}` observations");
+    }
+    let by_backend: u64 = snap.execute_by_backend.iter().map(|(_, h)| h.count).sum();
+    assert_eq!(by_backend, finished, "per-backend execute observations");
+}
+
 /// The test's end of a [`Gate`]. Opens it when dropped, so a failed
 /// assertion unwinds through the service's drop instead of hanging in it.
 struct Parked(Arc<Gate>);
@@ -153,6 +167,7 @@ fn a_panicking_query_fails_alone_and_the_worker_keeps_serving() {
     assert_eq!((snap.submitted, snap.completed, snap.failed), (2, 1, 1));
     assert_eq!(snap.latency.count, 2, "the failed query's span is recorded too");
     assert_eq!(snap.workers.iter().map(|w| w.tasks).sum::<u64>(), 2);
+    assert_timings_balance(&service);
 }
 
 /// (c) A full queue blocks `submit` until a worker takes a query.
@@ -232,6 +247,7 @@ fn a_rank_mismatched_binding_is_rejected_and_the_store_survives() {
     let snap = service.metrics_snapshot();
     assert_eq!((snap.submitted, snap.completed, snap.failed), (2, 1, 1));
     assert_eq!(snap.store.builds, 2, "b and c were built after the rejection");
+    assert_timings_balance(&service);
 }
 
 /// (f) An expression nested too deep to parse on a worker's stack is a
@@ -253,4 +269,5 @@ fn a_deeply_nested_expression_is_rejected_and_the_service_keeps_serving() {
     service.submit(query()).wait().expect("the query after the deep one");
     let snap = service.metrics_snapshot();
     assert_eq!((snap.submitted, snap.completed, snap.failed), (2, 1, 1));
+    assert_timings_balance(&service);
 }

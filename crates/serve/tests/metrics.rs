@@ -6,9 +6,8 @@
 //! under load are worse than no metrics.
 
 use sam_exec::BackendSpec;
-use sam_serve::{table1_workload, Query, Service, ServiceConfig, TelemetryConfig, TensorStore};
+use sam_serve::{table1_workload, Query, Service, ServiceConfig, TensorStore};
 use sam_trace::Stage;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -106,168 +105,6 @@ fn forced_eviction_shows_up_in_the_snapshot() {
     assert!(snap.plans.evictions > 0, "a one-entry cache under twelve shapes must evict");
     // Every query was carried by exactly one worker.
     assert_eq!(snap.workers.iter().map(|w| w.tasks).sum::<u64>(), snap.completed);
-}
-
-/// Prometheus text exposition: well-formed families, cumulative buckets,
-/// and sample values that match the typed snapshot.
-#[test]
-fn prometheus_rendering_matches_the_snapshot() {
-    let (store, queries) = table1_workload(23);
-    let service = Service::new(Arc::clone(&store));
-    for w in &queries {
-        service.submit(w.query.clone()).wait().expect("query");
-    }
-    let snap = service.metrics_snapshot();
-    let text = service.render_prometheus();
-
-    assert!(text.contains(&format!("sam_serve_queries_total {}\n", snap.submitted)));
-    assert!(text.contains(&format!("sam_serve_completed_total {}\n", snap.completed)));
-    assert!(text.contains(&format!("sam_serve_query_latency_ns_count {}\n", snap.latency.count)));
-    assert!(text.contains("# TYPE sam_serve_query_latency_ns histogram\n"));
-    assert!(text.contains("sam_serve_stage_ns_bucket{stage=\"queue\",le=\"+Inf\"}"));
-    assert!(text.contains(&format!("sam_serve_plan_misses {}\n", snap.plans.misses)));
-    for (w, worker) in snap.workers.iter().enumerate() {
-        assert!(text.contains(&format!("sam_serve_worker_tasks{{worker=\"{w}\"}} {}\n", worker.tasks)));
-        assert!(text.contains(&format!("sam_serve_worker_busy_ns{{worker=\"{w}\"}} {}\n", worker.busy_ns)));
-    }
-
-    // The exposition grammar: every line is a `# HELP`/`# TYPE` comment or
-    // a `name{labels} value` sample, and every sample follows the `# TYPE`
-    // of its family. Bucket series are cumulative and end at +Inf.
-    let mut families: HashMap<&str, &str> = HashMap::new();
-    let mut last_bucket: Option<u64> = None;
-    for line in text.lines() {
-        assert!(!line.is_empty());
-        if let Some(comment) = line.strip_prefix("# ") {
-            let mut words = comment.splitn(3, ' ');
-            let (kind, name, rest) = (words.next(), words.next().expect("family name"), words.next());
-            match kind {
-                Some("HELP") => {}
-                Some("TYPE") => {
-                    let ty = rest.expect("family type");
-                    assert!(matches!(ty, "counter" | "gauge" | "histogram"), "unknown type: {line}");
-                    families.insert(name, ty);
-                }
-                _ => panic!("unknown comment: {line}"),
-            }
-            continue;
-        }
-        let (series, value) = line.rsplit_once(' ').expect("sample is `series value`");
-        assert!(value == "+Inf" || value.parse::<f64>().is_ok(), "malformed sample value: {line}");
-        let name = match series.split_once('{') {
-            Some((name, labels)) => {
-                assert!(labels.ends_with('}') && !labels[..labels.len() - 1].contains('}'), "{line}");
-                name
-            }
-            None => series,
-        };
-        assert!(
-            name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_' || c == ':')
-                && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-            "malformed metric name: {line}"
-        );
-        let base = ["_bucket", "_sum", "_count"].iter().find_map(|s| name.strip_suffix(s)).unwrap_or(name);
-        assert!(families.contains_key(name) || families.contains_key(base), "sample before its TYPE: {line}");
-        if line.contains("_bucket{") {
-            let value: u64 = value.parse().expect("bucket sample");
-            if line.contains("le=\"+Inf\"") {
-                last_bucket = None;
-            } else {
-                if let Some(prev) = last_bucket {
-                    assert!(value >= prev, "bucket series must be cumulative: {line}");
-                }
-                last_bucket = Some(value);
-            }
-        }
-    }
-    assert_eq!(families.get("sam_serve_query_latency_ns"), Some(&"histogram"));
-    assert_eq!(families.get("sam_serve_queries_total"), Some(&"counter"));
-    assert_eq!(families.get("sam_serve_worker_tasks"), Some(&"counter"));
-    assert_eq!(families.get("sam_serve_worker_busy_ns"), Some(&"counter"));
-    assert_eq!(families.get("sam_serve_lane_depth_high_water"), Some(&"gauge"));
-}
-
-/// A zero slow-query threshold captures every query as a JSONL event, in
-/// the ring and in the event-log file.
-#[test]
-fn slow_query_events_capture_spans_as_jsonl() {
-    let dir = std::env::temp_dir().join(format!("sam_serve_events_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("events.jsonl");
-    let (store, queries) = table1_workload(24);
-    let service = Service::with_config(
-        Arc::clone(&store),
-        ServiceConfig {
-            telemetry: TelemetryConfig {
-                slow_query: Some(Duration::ZERO),
-                event_log: Some(path.clone()),
-                ..TelemetryConfig::default()
-            },
-            ..ServiceConfig::default()
-        },
-    );
-    for w in &queries {
-        service.submit(w.query.clone()).wait().expect("query");
-    }
-    let events = service.recent_events();
-    assert_eq!(events.len(), queries.len(), "a zero threshold captures every query");
-    // Each event is one JSON object whose `stages_ns` holds exactly the six
-    // stages, in pipeline order, summing to `total_ns`.
-    let check = |event: &str| {
-        assert!(event.starts_with('{') && event.ends_with('}'), "not a JSON object: {event}");
-        assert!(!event.contains('\n'), "JSONL events are single-line");
-        assert!(event.contains("\"error\":null"));
-        let after = |key: &str| event.split_once(key).unwrap_or_else(|| panic!("no {key}: {event}")).1;
-        let (total, _) = after("\"total_ns\":").split_once(',').expect("total_ns value");
-        let (stages, _) = after("\"stages_ns\":{").split_once('}').expect("stages_ns object");
-        let stages: Vec<(&str, u64)> = stages
-            .split(',')
-            .map(|kv| {
-                let (k, v) = kv.split_once(':').expect("stage entry");
-                (k.trim_matches('"'), v.parse().expect("stage nanoseconds"))
-            })
-            .collect();
-        assert!(stages.iter().map(|(k, _)| *k).eq(Stage::ALL.iter().map(|s| s.name())), "{event}");
-        assert_eq!(total.parse::<u64>().expect("total_ns"), stages.iter().map(|(_, v)| v).sum::<u64>());
-    };
-    events.iter().for_each(|e| check(e));
-    assert_eq!(service.metrics_snapshot().slow_queries, queries.len() as u64);
-    drop(service);
-    let written = std::fs::read_to_string(&path).expect("event log file");
-    assert_eq!(written.lines().count(), queries.len());
-    written.lines().for_each(check);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// With telemetry disabled the histograms stay empty and no events are
-/// captured — but the lifecycle counters and the results are unchanged.
-#[test]
-fn disabled_telemetry_keeps_counters_but_skips_timing() {
-    let (store, queries) = table1_workload(25);
-    let service = Service::with_config(
-        Arc::clone(&store),
-        ServiceConfig {
-            telemetry: TelemetryConfig {
-                enabled: false,
-                slow_query: Some(Duration::ZERO),
-                ..TelemetryConfig::default()
-            },
-            ..ServiceConfig::default()
-        },
-    );
-    for w in &queries {
-        service.submit(w.query.clone()).wait().expect("query");
-    }
-    let snap = service.metrics_snapshot();
-    assert_eq!(snap.submitted, queries.len() as u64);
-    assert_eq!(snap.completed, queries.len() as u64);
-    assert_eq!(snap.latency.count, 0, "no timing when disabled");
-    for stage in Stage::ALL {
-        assert_eq!(snap.stage(stage).count, 0);
-    }
-    assert!(service.recent_events().is_empty(), "no events when disabled");
-    assert_eq!(snap.slow_queries, 0);
-    assert_eq!(snap.lane_depth_high_water, 0);
 }
 
 /// `Query::traced` delivers the per-execution `ExecProfile` through the

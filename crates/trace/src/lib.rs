@@ -29,12 +29,11 @@
 //! Above the single-execution layer, the crate also carries the
 //! *service-level* observability surface used by `sam-serve`:
 //!
-//! * [`metrics`] — lock-cheap counters, gauges and log-bucketed latency
-//!   histograms (p50/p90/p99/max estimation) behind a [`MetricsRegistry`]
-//!   that renders Prometheus text exposition.
+//! * [`metrics`] — lock-free counters, high-water gauges and log-bucketed
+//!   latency histograms (p50/p90/p99/max estimation), read back as
+//!   [`HistogramSnapshot`]s.
 //! * [`QuerySpan`] / [`Stage`] — per-query lifecycle attribution
-//!   (queue → compile → plan → batch → execute → resolve) with single-line
-//!   JSON serialization for JSONL event logs.
+//!   (queue → compile → plan → batch → execute → resolve).
 
 #![warn(missing_docs)]
 
@@ -47,7 +46,7 @@ mod span;
 
 pub use chrome::ChromeTraceSink;
 pub use counts::TokenCounts;
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use profile::{ExecProfile, NodeProfile, WorkerProfile};
 pub use sink::{CountersSink, NullSink, TraceSink};
 pub use span::{QuerySpan, Stage};

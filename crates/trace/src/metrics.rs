@@ -1,5 +1,5 @@
-//! Lock-cheap service metrics: counters, gauges, log-bucketed histograms
-//! and the [`MetricsRegistry`] that renders them as Prometheus text.
+//! Lock-free service metrics: counters, high-water gauges and log-bucketed
+//! histograms.
 //!
 //! The execution-level sinks in this crate ([`crate::CountersSink`] and
 //! friends) answer "what happened inside one run". A long-lived service
@@ -8,27 +8,20 @@
 //! per-event lock. Every metric here is a handful of atomics:
 //!
 //! * [`Counter`] — a monotone `u64` (`inc`/`add`).
-//! * [`Gauge`] — a settable `u64` with a [`Gauge::record_max`] high-water
-//!   mode for things like lane-depth peaks.
+//! * [`Gauge`] — a high-water mark ([`Gauge::record_max`]) for things like
+//!   queue-depth peaks.
 //! * [`Histogram`] — a log-linear bucketed distribution (4 sub-buckets per
 //!   power of two, exact below 4) with total count, sum, min and max.
 //!   Recording is three relaxed atomic adds and one `fetch_max`; quantiles
 //!   (p50/p90/p99/…) are estimated from a [`HistogramSnapshot`] by rank
 //!   walk with linear interpolation inside the landing bucket, clamped to
 //!   the observed min/max so `p50 ≤ p90 ≤ p99 ≤ max` always holds.
-//! * [`MetricsRegistry`] — names, helps and (single, optional) labels for
-//!   a set of metrics, behind a mutex that is touched only at registration
-//!   and render time. [`MetricsRegistry::render_prometheus`] emits the
-//!   standard text exposition format (`# HELP`/`# TYPE` plus sample
-//!   lines; histograms as cumulative `_bucket{le=…}`/`_sum`/`_count`).
 //!
 //! Values are unit-agnostic `u64`s; the `sam-serve` telemetry records
-//! nanoseconds for latencies and raw counts for batch sizes, and bakes the
-//! unit into the metric name.
+//! nanoseconds for latencies and reads them back through its typed
+//! `MetricsSnapshot`.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -56,8 +49,7 @@ impl Counter {
     }
 }
 
-/// A settable instantaneous value (also usable as a high-water mark via
-/// [`Gauge::record_max`]).
+/// A high-water mark: the largest value [`Gauge::record_max`] has seen.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -67,12 +59,7 @@ impl Gauge {
         Gauge::default()
     }
 
-    /// Sets the value.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the value to `v` if `v` is larger (high-water mark).
+    /// Raises the value to `v` if `v` is larger.
     pub fn record_max(&self, v: u64) {
         self.0.fetch_max(v, Ordering::Relaxed);
     }
@@ -252,162 +239,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// One registered metric instance.
-#[derive(Debug, Clone)]
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-impl Metric {
-    fn kind(&self) -> &'static str {
-        match self {
-            Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
-        }
-    }
-}
-
-/// One metric family: a name and help shared by one or more labeled
-/// instances of the same kind.
-#[derive(Debug)]
-struct Family {
-    name: String,
-    help: String,
-    /// `(label key, label value)` per instance; at most one label pair —
-    /// enough for per-backend / per-worker / per-stage splits.
-    entries: Vec<(Option<(String, String)>, Metric)>,
-}
-
-/// A named set of metrics that renders as Prometheus text exposition.
-/// Registration and rendering take a mutex; the returned `Arc`s update
-/// lock-free. Re-registering a `(name, label)` pair returns the existing
-/// instance, so call sites can register lazily.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    families: Mutex<Vec<Family>>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    fn register(&self, name: &str, help: &str, label: Option<(&str, &str)>, make: Metric) -> Metric {
-        let mut families = self.families.lock().expect("metrics registry");
-        let family = match families.iter_mut().find(|f| f.name == name) {
-            Some(f) => f,
-            None => {
-                families.push(Family { name: name.to_string(), help: help.to_string(), entries: Vec::new() });
-                families.last_mut().expect("just pushed")
-            }
-        };
-        let label = label.map(|(k, v)| (k.to_string(), v.to_string()));
-        if let Some((_, existing)) = family.entries.iter().find(|(l, _)| *l == label) {
-            return existing.clone();
-        }
-        family.entries.push((label, make.clone()));
-        make
-    }
-
-    /// Registers (or retrieves) an unlabeled counter.
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        match self.register(name, help, None, Metric::Counter(Arc::new(Counter::new()))) {
-            Metric::Counter(c) => c,
-            _ => panic!("metric `{name}` already registered with a different kind"),
-        }
-    }
-
-    /// Registers (or retrieves) a counter labeled `{key="value"}`.
-    pub fn counter_with(&self, name: &str, help: &str, key: &str, value: &str) -> Arc<Counter> {
-        match self.register(name, help, Some((key, value)), Metric::Counter(Arc::new(Counter::new()))) {
-            Metric::Counter(c) => c,
-            _ => panic!("metric `{name}` already registered with a different kind"),
-        }
-    }
-
-    /// Registers (or retrieves) an unlabeled gauge.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        match self.register(name, help, None, Metric::Gauge(Arc::new(Gauge::new()))) {
-            Metric::Gauge(g) => g,
-            _ => panic!("metric `{name}` already registered with a different kind"),
-        }
-    }
-
-    /// Registers (or retrieves) an unlabeled histogram.
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        match self.register(name, help, None, Metric::Histogram(Arc::new(Histogram::new()))) {
-            Metric::Histogram(h) => h,
-            _ => panic!("metric `{name}` already registered with a different kind"),
-        }
-    }
-
-    /// Registers (or retrieves) a histogram labeled `{key="value"}`.
-    pub fn histogram_with(&self, name: &str, help: &str, key: &str, value: &str) -> Arc<Histogram> {
-        match self.register(name, help, Some((key, value)), Metric::Histogram(Arc::new(Histogram::new()))) {
-            Metric::Histogram(h) => h,
-            _ => panic!("metric `{name}` already registered with a different kind"),
-        }
-    }
-
-    /// Renders every registered metric in the Prometheus text exposition
-    /// format (version 0.0.4): `# HELP` and `# TYPE` per family, one sample
-    /// line per instance, histograms as cumulative `_bucket{le="…"}` series
-    /// plus `_sum` and `_count`.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let families = self.families.lock().expect("metrics registry");
-        for family in families.iter() {
-            let kind = match family.entries.first() {
-                Some((_, m)) => m.kind(),
-                None => continue,
-            };
-            let _ = writeln!(out, "# HELP {} {}", family.name, family.help);
-            let _ = writeln!(out, "# TYPE {} {}", family.name, kind);
-            for (label, metric) in &family.entries {
-                let plain = match label {
-                    Some((k, v)) => format!("{{{k}=\"{v}\"}}"),
-                    None => String::new(),
-                };
-                match metric {
-                    Metric::Counter(c) => {
-                        let _ = writeln!(out, "{}{} {}", family.name, plain, c.get());
-                    }
-                    Metric::Gauge(g) => {
-                        let _ = writeln!(out, "{}{} {}", family.name, plain, g.get());
-                    }
-                    Metric::Histogram(h) => {
-                        let snap = h.snapshot();
-                        let extra = |le: String| match label {
-                            Some((k, v)) => format!("{{{k}=\"{v}\",le=\"{le}\"}}"),
-                            None => format!("{{le=\"{le}\"}}"),
-                        };
-                        let mut cum = 0u64;
-                        for (upper, n) in &snap.buckets {
-                            cum += n;
-                            let _ =
-                                writeln!(out, "{}_bucket{} {}", family.name, extra(upper.to_string()), cum);
-                        }
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {}",
-                            family.name,
-                            extra("+Inf".to_string()),
-                            snap.count
-                        );
-                        let _ = writeln!(out, "{}_sum{} {}", family.name, plain, snap.sum);
-                        let _ = writeln!(out, "{}_count{} {}", family.name, plain, snap.count);
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,52 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn registry_reuses_instances_by_name_and_label() {
-        let r = MetricsRegistry::new();
-        let a = r.counter("x_total", "a counter");
-        let b = r.counter("x_total", "a counter");
-        assert!(Arc::ptr_eq(&a, &b));
-        let fast = r.histogram_with("lat_ns", "latency", "backend", "fast-serial");
-        let cyc = r.histogram_with("lat_ns", "latency", "backend", "cycle");
-        let fast2 = r.histogram_with("lat_ns", "latency", "backend", "fast-serial");
-        assert!(Arc::ptr_eq(&fast, &fast2));
-        assert!(!Arc::ptr_eq(&fast, &cyc));
-    }
-
-    #[test]
-    fn prometheus_rendering_is_well_formed() {
-        let r = MetricsRegistry::new();
-        r.counter("queries_total", "Total queries").add(7);
-        r.counter_with("tasks", "Worker tasks", "worker", "0").add(3);
-        let h = r.histogram("wait_ns", "Queue wait");
-        h.record(10);
-        h.record(2000);
-        let text = r.render_prometheus();
-        assert!(text.contains("# HELP queries_total Total queries\n"));
-        assert!(text.contains("# TYPE queries_total counter\n"));
-        assert!(text.contains("queries_total 7\n"));
-        assert!(text.contains("tasks{worker=\"0\"} 3\n"));
-        assert!(text.contains("# TYPE wait_ns histogram\n"));
-        assert!(text.contains("wait_ns_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("wait_ns_sum 2010\n"));
-        assert!(text.contains("wait_ns_count 2\n"));
-        // Cumulative bucket counts never decrease.
-        let mut last = 0u64;
-        for line in text.lines().filter(|l| l.starts_with("wait_ns_bucket")) {
-            let n: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-            assert!(n >= last, "bucket counts must be cumulative: {line}");
-            last = n;
-        }
-    }
-
-    #[test]
     fn counters_and_gauges_update_lock_free() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         let g = Gauge::new();
-        g.set(9);
+        g.record_max(9);
         g.record_max(3);
         assert_eq!(g.get(), 9);
         g.record_max(12);

@@ -12,9 +12,7 @@
 //! 6. [`Stage::Resolve`] — run end to handle resolution.
 //!
 //! Spans are plain data: the service fills one per query and feeds the
-//! durations into its histograms; slow queries additionally serialize the
-//! whole span — [`QuerySpan::to_json`] — onto a JSONL event log, one
-//! object per line, hand-rolled (the workspace has no JSON dependency).
+//! durations into the per-stage histograms of its `MetricsSnapshot`.
 
 use std::time::Duration;
 
@@ -42,7 +40,7 @@ impl Stage {
     pub const ALL: [Stage; 6] =
         [Stage::Queue, Stage::Compile, Stage::Plan, Stage::Batch, Stage::Execute, Stage::Resolve];
 
-    /// The stage's stable lowercase name (metric label / JSON key).
+    /// The stage's stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             Stage::Queue => "queue",
@@ -66,25 +64,11 @@ impl std::fmt::Display for Stage {
     }
 }
 
-/// One query's trip through the service: what ran, where the time went,
-/// and how the caches treated it.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// One query's trip through the service: where the time went.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuerySpan {
-    /// The query expression as submitted.
-    pub expression: String,
-    /// The backend label the query executed on (e.g. `fast-serial`).
-    pub backend: String,
     /// Nanoseconds spent in each stage, indexed by [`Stage::index`].
     pub stages_ns: [u64; 6],
-    /// Whether the compile cache already held this expression's kernel.
-    pub compile_hit: bool,
-    /// Whether the plan cache already held this kernel's plan.
-    pub plan_hit: bool,
-    /// How many queries shared this query's executed batch: 1 for every
-    /// executed query since PR 18 (one worker, one query).
-    pub batch_size: u64,
-    /// The execution error, if the query failed.
-    pub error: Option<String>,
 }
 
 impl QuerySpan {
@@ -104,62 +88,6 @@ impl QuerySpan {
     pub fn total_ns(&self) -> u64 {
         self.stages_ns.iter().sum()
     }
-
-    /// Serializes the span as a single-line JSON object (one JSONL event).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(192);
-        out.push_str("{\"expression\":");
-        push_json_string(&mut out, &self.expression);
-        out.push_str(",\"backend\":");
-        push_json_string(&mut out, &self.backend);
-        out.push_str(",\"total_ns\":");
-        out.push_str(&self.total_ns().to_string());
-        out.push_str(",\"stages_ns\":{");
-        for (i, stage) in Stage::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(stage.name());
-            out.push_str("\":");
-            out.push_str(&self.stage_ns(*stage).to_string());
-        }
-        out.push_str("},\"compile_hit\":");
-        out.push_str(if self.compile_hit { "true" } else { "false" });
-        out.push_str(",\"plan_hit\":");
-        out.push_str(if self.plan_hit { "true" } else { "false" });
-        out.push_str(",\"batch_size\":");
-        out.push_str(&self.batch_size.to_string());
-        match &self.error {
-            Some(err) => {
-                out.push_str(",\"error\":");
-                push_json_string(&mut out, err);
-            }
-            None => out.push_str(",\"error\":null"),
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// Appends `s` as a JSON string literal, escaping quotes, backslashes and
-/// control characters.
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -184,36 +112,5 @@ mod tests {
         assert_eq!(span.stage_ns(Stage::Queue), 150);
         assert_eq!(span.stage_ns(Stage::Execute), 2000);
         assert_eq!(span.total_ns(), 2150);
-    }
-
-    #[test]
-    fn json_is_single_line_and_escaped() {
-        let mut span = QuerySpan {
-            expression: "X(i,j) = B(i,k) * \"C\"(k,j)\n".to_string(),
-            backend: "fast-serial".to_string(),
-            compile_hit: true,
-            plan_hit: false,
-            batch_size: 3,
-            error: Some("bad\tinput".to_string()),
-            ..QuerySpan::default()
-        };
-        span.record(Stage::Plan, Duration::from_nanos(42));
-        let json = span.to_json();
-        assert!(!json.contains('\n'), "JSONL events must be single-line: {json}");
-        assert!(json.contains("\\\"C\\\""));
-        assert!(json.contains("\\n\""));
-        assert!(json.contains("\"plan\":42"));
-        assert!(json.contains("\"compile_hit\":true"));
-        assert!(json.contains("\"plan_hit\":false"));
-        assert!(json.contains("\"batch_size\":3"));
-        assert!(json.contains("\"error\":\"bad\\tinput\""));
-        assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn json_null_error_for_success() {
-        let json = QuerySpan::default().to_json();
-        assert!(json.contains("\"error\":null"));
-        assert!(json.contains("\"total_ns\":0"));
     }
 }
