@@ -7,28 +7,41 @@
 //! over the plan's topological order. No scheduler, no channels, no
 //! synchronization.
 //!
-//! **Stored only if re-read.** A level scanner whose two streams feed one
-//! operand of one intersecter and nothing else ([`FusedScan`]) is never
-//! evaluated: the intersecter reads the scanner's reference input itself.
-//! When both operands are fused over `Compressed` or `Dense` levels it
-//! walks the two reference streams fiber by fiber — one item per
-//! reference, carrying the stop that closes it — and merges each fiber
-//! pair whole, straight over the levels' coordinate arrays, pushing tokens
-//! only for the matches; otherwise (a stored operand, a `Bitvector` level)
-//! it pulls one `(crd, ref)` pair at a time from a `GallopScan` built on
-//! the same reader. Either way the trailing side gallops on every mismatch
-//! and the tail of a fiber is jumped once the other operand's has ended, so
-//! the walk costs the short side. Tokens are counted *where they are
-//! produced or skipped*: a stored stream by its length when its producer
-//! finishes, a fused scanner by the tally its reader keeps — a fiber of `n`
-//! entries is `n` coordinate and `n` reference tokens, walked or not —
-//! credited to the scanner's node id, so `Execution::tokens` and the
-//! per-node [`TokenCounts`] are what they would be had every stream been
-//! stored: they count what the SAM graph moves, not what the host touched
-//! — the same ones the cycle backend produces. (The exception is a scanner with a
-//! Section 4.2 skip lane, which reports nothing: how many tokens the lane
-//! saves the cycle-level scanner depends on when the skip requests arrive.)
-//! A fused scanner's time is part of its intersecter's.
+//! **Stored only if it leaves the region.** A level scanner whose two
+//! streams feed one operand of one intersecter and nothing else
+//! ([`FusedScan`]) is never evaluated: the intersecter reads the scanner's
+//! reference input itself. When both operands are fused over `Compressed`
+//! or `Dense` levels it walks the two reference streams fiber by fiber —
+//! one item per reference, carrying the stop that closes it — and merges
+//! each fiber pair whole, straight over the levels' coordinate arrays,
+//! pushing tokens only for the matches; otherwise (a stored operand, a
+//! `Bitvector` level) it pulls one `(crd, ref)` pair at a time from a
+//! `GallopScan` built on the same reader. Either way the trailing side
+//! gallops on every mismatch and the tail of a fiber is jumped once the
+//! other operand's has ended, so the walk costs the short side.
+//!
+//! Downstream, the arrays, ALUs, constants, repeaters and scalar reducers
+//! that only the intersecter and each other read form its fusion region
+//! ([`Plan::region_members`]). Each position the walk pushes — a match's
+//! coordinate and two references, or one stop or done on all three — goes
+//! to the region instead of three streams: the region buffers a block of
+//! positions and runs each member's per-token step function over it in
+//! topological order, the same functions the stored transfer functions
+//! loop over. A stream is stored only if somebody outside the region reads
+//! it; the members are skipped when the walk reaches them.
+//!
+//! Tokens are counted *where they are produced or skipped*: a stored
+//! stream by its length when its producer finishes, a region's stream by
+//! the count the region keeps, a fused scanner by the tally its reader
+//! keeps — a fiber of `n` entries is `n` coordinate and `n` reference
+//! tokens, walked or not — credited to the producing node's id, so
+//! `Execution::tokens` and the per-node [`TokenCounts`] are what they would
+//! be had every stream been stored: they count what the SAM graph moves,
+//! not what the host touched — the same ones the cycle backend produces.
+//! (The exception is a scanner with a Section 4.2 skip lane, which reports
+//! nothing: how many tokens the lane saves the cycle-level scanner depends
+//! on when the skip requests arrive.) A fused scanner's and a region
+//! member's time is part of its intersecter's.
 //!
 //! **Released at the last reader.** The walk owns a table of stored streams
 //! (`StreamTable`) and drops each one the moment its last data reader has
@@ -38,7 +51,11 @@
 //! **Named once, on failure.** A transfer function reports a fault without
 //! naming its node; the walk attaches [`Plan::node_label`] when it turns
 //! the fault into an [`ExecError`], so every error spells a node the same
-//! way and an untraced run that succeeds formats no label at all.
+//! way and an untraced run that succeeds formats no label at all. A fault
+//! inside a fusion region sends the intersecter back through the stored
+//! walk and its members to their own places in the order, so the run fails
+//! where, and naming the node that, the stored walk would. A traced run
+//! formats each label once, up front, however many tiles re-run the walk.
 //!
 //! ```
 //! use sam_core::graphs;
@@ -60,7 +77,8 @@
 use crate::bind::Inputs;
 use crate::error::ExecError;
 use crate::node::{
-    eval_node, run_intersect, scanner_level, GallopScan, IntersectOperand, NodeJob, SliceSource, WriterOutput,
+    eval_node, run_intersect, scanner_level, GallopScan, IntersectOperand, NodeJob, Region, RegionPort,
+    Repeat, ScalarReduce, SliceSource, Step, Stored, WriterOutput,
 };
 use crate::plan::{FusedScan, Plan, PortRef};
 use crate::{assemble_output, Execution, Executor};
@@ -145,6 +163,120 @@ fn classify(outs: &[Stream]) -> TokenCounts {
     counts
 }
 
+/// Registers every planned node with `trace` and returns the labels the
+/// walk names its spans with, formatted once per run; nothing when the
+/// sink is disabled.
+pub(crate) fn define_nodes(plan: &Plan, trace: &dyn TraceSink) -> Vec<String> {
+    if !trace.enabled() {
+        return Vec::new();
+    }
+    let labels: Vec<String> = (0..plan.graph().len()).map(|node| plan.node_label(NodeId(node))).collect();
+    for &id in plan.order() {
+        trace.define_node(id.0, &labels[id.0]);
+    }
+    labels
+}
+
+/// The two operands of intersecter `id`: a fused scanner pulled from its
+/// storage level, or the stored streams.
+fn operands<'a>(
+    plan: &Plan,
+    inputs: &'a Inputs,
+    streams: &'a StreamTable,
+    id: NodeId,
+) -> [IntersectOperand<'a>; 2] {
+    let src = |p: Option<PortRef>| SliceSource::new(streams.get(p.expect("bound data port")));
+    let lanes = plan.fused_operands(id);
+    [0, 1].map(|o| match lanes[o] {
+        Some(f) => IntersectOperand::Scan(GallopScan::new(
+            scanner_level(plan, inputs, f.scanner),
+            src(plan.inputs_of(f.scanner)[0]),
+        )),
+        None => {
+            IntersectOperand::Streams { crd: src(plan.inputs_of(id)[o]), rf: src(plan.inputs_of(id)[2 + o]) }
+        }
+    })
+}
+
+/// Whether anybody outside `root`'s fusion region reads output `p`.
+fn leaves_region(plan: &Plan, root: NodeId, p: PortRef) -> bool {
+    plan.consumers_of(p.node)[p.port].iter().any(|&(reader, _)| plan.region_root(reader) != Some(root))
+}
+
+/// Intersecter `root`'s fusion region, ready for its walk: one step per
+/// member, reading the registers its inputs' producers write.
+fn region<'a>(
+    plan: &Plan,
+    inputs: &'a Inputs,
+    streams: &'a StreamTable,
+    root: NodeId,
+    classify: bool,
+) -> Region<'a> {
+    let members = plan.region_members(root);
+    let reg = |p: Option<PortRef>| match p {
+        Some(p) if p.node == root => p.port,
+        Some(p) => 3 + members.iter().position(|&m| m == p.node).unwrap_or_default(),
+        None => 0,
+    };
+    let stored = [0, 1, 2].map(|port| leaves_region(plan, root, PortRef { node: root, port }));
+    let mut region = Region::new(stored, classify);
+    for &id in members {
+        let ins = plan.inputs_of(id);
+        let step = match &plan.graph().nodes()[id.0] {
+            NodeKind::Array { tensor } => Step::Array {
+                vals: inputs.get(tensor).expect("validated binding").vals(),
+                input: reg(ins[0]),
+            },
+            NodeKind::ConstVal { .. } => Step::Const { value: plan.const_val(id), input: reg(ins[0]) },
+            NodeKind::Alu { .. } => Step::Alu { op: plan.alu_op(id), a: reg(ins[0]), b: reg(ins[1]) },
+            NodeKind::Repeater { .. } => Step::Repeat {
+                repeat: Repeat::new(SliceSource::new(streams.get(ins[1].expect("bound data port")))),
+                crd: reg(ins[0]),
+            },
+            // The one kind left: a scalar reducer.
+            _ => Step::Reduce { reduce: ScalarReduce::default(), input: reg(ins[0]) },
+        };
+        region.push_member(step, leaves_region(plan, root, PortRef { node: id, port: 0 }));
+    }
+    region
+}
+
+/// What an intersecter's walk through its fusion region produced.
+struct RegionRun {
+    /// The tallies of the intersecter's fused scanners.
+    emitted: [Option<TokenCounts>; 2],
+    /// How many tokens the intersecter produced, and their classes when
+    /// the run is traced.
+    root: (u64, TokenCounts),
+    /// Each member and its output port.
+    members: Vec<(NodeId, RegionPort)>,
+}
+
+/// Runs intersecter `root` with its fusion region, its streams that leave
+/// the region into `outs`; `None`, with nothing stored, when the walk
+/// faulted.
+fn run_region(
+    plan: &Plan,
+    inputs: &Inputs,
+    streams: &StreamTable,
+    root: NodeId,
+    classify: bool,
+    outs: &mut [Stream],
+) -> Option<RegionRun> {
+    let mut region = region(plan, inputs, streams, root, classify);
+    let [mut a, mut b] = operands(plan, inputs, streams, root);
+    run_intersect(&mut a, &mut b, &mut region).ok()?;
+    let (root_ports, ports) = region.finish();
+    let mut counts = (0, TokenCounts::default());
+    for (out, port) in outs.iter_mut().zip(root_ports) {
+        counts.0 += port.len;
+        counts.1 += port.tally;
+        *out = port.stored.unwrap_or_default();
+    }
+    let members = plan.region_members(root).iter().copied().zip(ports).collect();
+    Some(RegionRun { emitted: [a.emitted(), b.emitted()], root: counts, members })
+}
+
 /// Runs plans functionally, without per-cycle simulation: every node
 /// evaluates whole, in topological order, on the calling thread.
 #[derive(Debug, Clone, Copy, Default)]
@@ -161,111 +293,135 @@ impl Executor for FastBackend {
         inputs: &Inputs,
         trace: &dyn TraceSink,
     ) -> Result<Execution, ExecError> {
-        let start = Instant::now();
-        let tracing = trace.enabled();
-        if tracing {
-            for &id in plan.order() {
-                trace.define_node(id.0, &plan.node_label(id));
+        walk(plan, inputs, trace, &define_nodes(plan, trace))
+    }
+}
+
+/// The walk behind [`FastBackend`], with the nodes already defined on
+/// `trace` under `labels` ([`define_nodes`]; empty when untraced).
+pub(crate) fn walk(
+    plan: &Plan,
+    inputs: &Inputs,
+    trace: &dyn TraceSink,
+    labels: &[String],
+) -> Result<Execution, ExecError> {
+    let start = Instant::now();
+    let tracing = trace.enabled();
+    let mut streams = StreamTable::new(plan);
+    let mut tokens = 0u64;
+    let mut level_results: HashMap<usize, sam_tensor::level::CompressedLevel> = HashMap::new();
+    let mut vals_result: Option<Vec<f64>> = None;
+    // Roots whose region faulted. They and their members run unfused, each
+    // in its own place in the order, so the run fails exactly where the
+    // stored walk fails, naming the same node.
+    let mut unfused: Vec<NodeId> = Vec::new();
+
+    for &id in plan.order() {
+        let in_region = plan.region_root(id).is_some_and(|root| !unfused.contains(&root));
+        if plan.fused_scan(id).is_some() || in_region {
+            // Read by its intersecter, or evaluated inside its walk.
+            continue;
+        }
+        let node_start = tracing.then(Instant::now);
+        let mut outs = vec![Stream::new(); plan.consumers_of(id).len()];
+        let lanes = plan.fused_operands(id);
+        let mut fused = None;
+        if matches!(plan.graph().nodes()[id.0], NodeKind::Intersecter { .. }) {
+            if !plan.region_members(id).is_empty() {
+                fused = run_region(plan, inputs, &streams, id, tracing, &mut outs);
+                if fused.is_none() {
+                    unfused.push(id);
+                }
+            }
+            let emitted = match &fused {
+                Some(run) => run.emitted,
+                None => {
+                    let [mut a, mut b] = operands(plan, inputs, &streams, id);
+                    let [oc, o0, o1, ..] = &mut outs[..] else {
+                        unreachable!("intersecter has five outputs")
+                    };
+                    run_intersect(&mut a, &mut b, &mut Stored([oc, o0, o1]))
+                        .map_err(|f| f.at(plan.node_label(id)))?;
+                    [a.emitted(), b.emitted()]
+                }
+            };
+            for (lane, emitted) in lanes.iter().zip(emitted) {
+                // Counted where produced or skipped, credited to the
+                // scanner. A lane scanner keeps reporting nothing.
+                if let (Some(FusedScan { scanner, skip_lane: false, .. }), Some(counts)) = (lane, emitted) {
+                    tokens += counts.total();
+                    if tracing {
+                        trace.record_tokens(scanner.0, counts);
+                    }
+                }
+            }
+        } else {
+            let job = NodeJob::build(plan, inputs, id);
+            let mut srcs: Vec<SliceSource<'_>> =
+                plan.inputs_of(id).iter().flatten().map(|&p| SliceSource::new(streams.get(p))).collect();
+            match eval_node(&job, &mut srcs, &mut outs).map_err(|f| f.at(plan.node_label(id)))? {
+                Some(WriterOutput::Level(level)) => {
+                    level_results.insert(id.0, level);
+                }
+                Some(WriterOutput::Vals(vals)) => vals_result = Some(vals),
+                None => {}
             }
         }
-
-        let mut streams = StreamTable::new(plan);
-        let mut tokens = 0u64;
-        let mut level_results: HashMap<usize, sam_tensor::level::CompressedLevel> = HashMap::new();
-        let mut vals_result: Option<Vec<f64>> = None;
-
-        for &id in plan.order() {
-            if plan.fused_scan(id).is_some() {
-                // Read by its intersecter; nothing to evaluate or store.
-                continue;
+        if let Some(node_start) = node_start {
+            let elapsed_ns = node_start.elapsed().as_nanos() as u64;
+            let start_ns = (node_start - start).as_nanos() as u64;
+            trace.record_invocations(id.0, 1);
+            trace.record_node_wall(id.0, elapsed_ns);
+            trace.record_span("serial", &labels[id.0], start_ns, elapsed_ns);
+            trace.record_tokens(id.0, fused.as_ref().map_or_else(|| classify(&outs), |run| run.root.1));
+        }
+        tokens += fused.as_ref().map_or_else(|| outs.iter().map(|s| s.len() as u64).sum(), |run| run.root.0);
+        streams.store(id, outs);
+        // This node was one reader of each of its inputs; an operand
+        // with a fused scanner read the scanner's input in its place
+        // (the scanner's own streams were never stored).
+        for &p in plan.inputs_of(id).iter().flatten() {
+            streams.release(p);
+        }
+        for lane in lanes.iter().flatten() {
+            streams.release(plan.inputs_of(lane.scanner)[0].expect("bound data port"));
+        }
+        // A region member: tallied, stored if read outside the region, and
+        // one reader of each of its inputs (an internal one was never
+        // stored; releasing it only settles its reader count).
+        for (member, port) in fused.map(|run| run.members).unwrap_or_default() {
+            tokens += port.len;
+            if tracing {
+                trace.record_tokens(member.0, port.tally);
             }
-            let node_start = tracing.then(Instant::now);
-            let mut outs = vec![Stream::new(); plan.consumers_of(id).len()];
-            let src = |p: Option<PortRef>| SliceSource::new(streams.get(p.expect("bound data port")));
-            let lanes = plan.fused_operands(id);
-            if lanes.iter().any(Option::is_some) {
-                let operand = |o: usize| match lanes[o] {
-                    Some(f) => IntersectOperand::Scan(GallopScan::new(
-                        scanner_level(plan, inputs, f.scanner),
-                        src(plan.inputs_of(f.scanner)[0]),
-                    )),
-                    None => IntersectOperand::Streams {
-                        crd: src(plan.inputs_of(id)[o]),
-                        rf: src(plan.inputs_of(id)[2 + o]),
-                    },
-                };
-                let (mut a, mut b) = (operand(0), operand(1));
-                let [oc, o0, o1, ..] = &mut outs[..] else { unreachable!("intersecter has five outputs") };
-                run_intersect(&mut a, &mut b, oc, o0, o1).map_err(|f| f.at(plan.node_label(id)))?;
-                for (lane, operand) in lanes.iter().zip([&a, &b]) {
-                    // Counted where produced or skipped, credited to the
-                    // scanner. A lane scanner keeps reporting nothing.
-                    if let (Some(FusedScan { scanner, skip_lane: false, .. }), Some(counts)) =
-                        (lane, operand.emitted())
-                    {
-                        tokens += counts.total();
-                        if tracing {
-                            trace.record_tokens(scanner.0, counts);
-                        }
-                    }
-                }
-            } else {
-                let job = NodeJob::build(plan, inputs, id);
-                let mut srcs: Vec<SliceSource<'_>> =
-                    plan.inputs_of(id).iter().flatten().map(|&p| SliceSource::new(streams.get(p))).collect();
-                match eval_node(&job, &mut srcs, &mut outs).map_err(|f| f.at(plan.node_label(id)))? {
-                    Some(WriterOutput::Level(level)) => {
-                        level_results.insert(id.0, level);
-                    }
-                    Some(WriterOutput::Vals(vals)) => vals_result = Some(vals),
-                    None => {}
-                }
-            }
-            if let Some(node_start) = node_start {
-                let elapsed_ns = node_start.elapsed().as_nanos() as u64;
-                let start_ns = (node_start - start).as_nanos() as u64;
-                trace.record_invocations(id.0, 1);
-                trace.record_node_wall(id.0, elapsed_ns);
-                trace.record_span("serial", &plan.node_label(id), start_ns, elapsed_ns);
-                trace.record_tokens(id.0, classify(&outs));
-            }
-            tokens += outs.iter().map(|s| s.len() as u64).sum::<u64>();
-            streams.store(id, outs);
-            // This node was one reader of each of its inputs; an operand
-            // with a fused scanner read the scanner's input in its place
-            // (the scanner's own streams were never stored).
-            for &p in plan.inputs_of(id).iter().flatten() {
+            streams.store(member, vec![port.stored.unwrap_or_default()]);
+            for &p in plan.inputs_of(member).iter().flatten() {
                 streams.release(p);
             }
-            for lane in lanes.iter().flatten() {
-                streams.release(plan.inputs_of(lane.scanner)[0].expect("bound data port"));
-            }
         }
-
-        let levels: Vec<_> = plan
-            .level_writers()
-            .iter()
-            .map(|w| {
-                level_results.remove(&w.0).ok_or(ExecError::IncompleteOutput { label: plan.node_label(*w) })
-            })
-            .collect::<Result<_, _>>()?;
-        let vals =
-            vals_result.ok_or(ExecError::IncompleteOutput { label: plan.node_label(plan.vals_writer()) })?;
-        let output = assemble_output(plan, levels, &vals)?;
-
-        Ok(Execution {
-            backend: self.name(),
-            output,
-            vals,
-            cycles: None,
-            blocks: plan.graph().len(),
-            channels: plan.channels().len(),
-            tokens,
-            memory: None,
-            elapsed: start.elapsed(),
-            profile: trace.snapshot(),
-        })
     }
+
+    let levels: Vec<_> = plan
+        .level_writers()
+        .iter()
+        .map(|w| level_results.remove(&w.0).ok_or(ExecError::IncompleteOutput { label: plan.node_label(*w) }))
+        .collect::<Result<_, _>>()?;
+    let vals =
+        vals_result.ok_or(ExecError::IncompleteOutput { label: plan.node_label(plan.vals_writer()) })?;
+    let output = assemble_output(plan, levels, &vals)?;
+
+    Ok(Execution {
+        backend: "fast-serial",
+        output,
+        vals,
+        cycles: None,
+        blocks: plan.graph().len(),
+        channels: plan.channels().len(),
+        tokens,
+        memory: None,
+        elapsed: start.elapsed(),
+        profile: trace.snapshot(),
+    })
 }
 
 #[cfg(test)]

@@ -22,6 +22,13 @@
 //! drains whole fibers into two stored streams for every scanner somebody
 //! else reads too.
 //!
+//! The intersecter pushes its output one position at a time into a
+//! [`Positions`]: three stored streams, or a [`Region`] that runs the
+//! intersecter's fusion region over the positions. An array, ALU,
+//! constant, repeater or scalar reducer is written once, as a per-token
+//! step function; its stored transfer function loops it over a whole
+//! stream, and a region calls it on each block of positions.
+//!
 //! The transfer functions themselves mirror the `sam-primitives` block
 //! semantics token for token (see the paper definitions cited on each), so
 //! the cycle backend and the fast backend compute identical streams from
@@ -50,7 +57,9 @@ pub(crate) enum Fault {
     /// without a done token, or a token carries the wrong payload.
     Misaligned,
     /// A reference left the bounds of the level's fibers or of the values.
-    RefOutOfBounds(usize),
+    /// (A `u32`, as a reference token carries it, keeps a step function's
+    /// `Result<SimToken, Fault>` at a token's 16 bytes.)
+    RefOutOfBounds(u32),
 }
 
 impl Fault {
@@ -58,7 +67,9 @@ impl Fault {
     pub(crate) fn at(self, label: String) -> ExecError {
         match self {
             Fault::Misaligned => ExecError::Misaligned { label },
-            Fault::RefOutOfBounds(reference) => ExecError::RefOutOfBounds { label, reference },
+            Fault::RefOutOfBounds(reference) => {
+                ExecError::RefOutOfBounds { label, reference: reference as usize }
+            }
         }
     }
 }
@@ -160,21 +171,7 @@ pub(crate) fn eval_node(
         }
         NodeKind::Repeater { .. } => {
             let [crd_in, ref_in] = srcs else { unreachable!("repeater has two inputs") };
-            run_repeater(crd_in, ref_in, &mut outs[0])?;
-        }
-        NodeKind::Intersecter { .. } => {
-            // Operands with a fused scanner are run through `run_intersect`
-            // by the walk itself, not through here; the trailing skip output
-            // ports stay silent in the fast backend.
-            let [c0, c1, r0, r1] = srcs else { unreachable!("intersecter has four inputs") };
-            let [oc, o0, o1, ..] = outs else { unreachable!("intersecter has five outputs") };
-            run_intersect(
-                &mut IntersectOperand::Streams { crd: c0.clone(), rf: r0.clone() },
-                &mut IntersectOperand::Streams { crd: c1.clone(), rf: r1.clone() },
-                oc,
-                o0,
-                o1,
-            )?;
+            run_repeater(crd_in, ref_in.clone(), &mut outs[0])?;
         }
         NodeKind::Unioner { .. } => {
             let [c0, c1, r0, r1] = srcs else { unreachable!("unioner has four inputs") };
@@ -190,7 +187,7 @@ pub(crate) fn eval_node(
             run_array(job.vals.expect("array values"), &mut srcs[0], &mut outs[0])?;
         }
         NodeKind::ConstVal { .. } => {
-            run_const(job.constant.expect("validated constant"), &mut srcs[0], &mut outs[0]);
+            run_const(job.constant.expect("validated constant"), &mut srcs[0], &mut outs[0])?;
         }
         NodeKind::Alu { .. } => {
             let [a, b] = srcs else { unreachable!("ALU has two inputs") };
@@ -221,9 +218,13 @@ pub(crate) fn eval_node(
                 WriterOutput::Level(run_level_writer(job.writer_dim, &mut srcs[0]))
             }));
         }
-        NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-            unreachable!("rejected during planning")
-        }
+        // The walk runs every intersecter itself (its operands may be fused
+        // scanners, its outputs a fusion region); the rest are rejected
+        // during planning.
+        NodeKind::Intersecter { .. }
+        | NodeKind::Parallelizer
+        | NodeKind::Serializer
+        | NodeKind::BitvectorConverter => unreachable!("not evaluated through here"),
     }
     Ok(None)
 }
@@ -299,7 +300,7 @@ impl<'a> FiberReader<'a> {
         self.emitted.stop += 2;
         let fiber = match token {
             Token::Val(Payload::Ref(r)) if r as usize >= self.level.num_fibers() => {
-                return Err(Fault::RefOutOfBounds(r as usize))
+                return Err(Fault::RefOutOfBounds(r))
             }
             Token::Val(Payload::Ref(r)) => {
                 let len = self.level.fiber_len(r as usize) as u64;
@@ -366,7 +367,36 @@ fn drain<V: FiberView>(fiber: V, crd: &mut Vec<SimToken>, rf: &mut Vec<SimToken>
     rf.extend((0..fiber.len()).map(|pos| fiber.child(pos)));
 }
 
-/// Repeater transfer function (Definition 3.4).
+/// Runs a one-token-in, one-token-out step function over a whole stored
+/// stream, up to and including its done token: the stored form of every
+/// member of a fusion region but the reducer.
+fn map_stream(
+    input: &mut SliceSource<'_>,
+    out: &mut Vec<SimToken>,
+    mut step: impl FnMut(SimToken) -> Result<SimToken, Fault>,
+) -> Result<(), Fault> {
+    while let Some(t) = input.next() {
+        out.push(step(t)?);
+        if t.is_done() {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// Repeater transfer function (Definition 3.4): [`Repeat::step`] over the
+/// whole coordinate stream.
+fn run_repeater(
+    crd_in: &mut SliceSource<'_>,
+    ref_in: SliceSource<'_>,
+    out: &mut Vec<SimToken>,
+) -> Result<(), Fault> {
+    let mut repeat = Repeat::new(ref_in);
+    map_stream(crd_in, out, |t| repeat.step(t))
+}
+
+/// A repeater's state between coordinate tokens: its reference input and
+/// the reference it is repeating.
 ///
 /// The coordinate stream sits one fibertree level below the reference
 /// stream, so their structures correlate: every coordinate-stream *fiber*
@@ -375,50 +405,51 @@ fn drain<V: FiberView>(fiber: V, crd: &mut Vec<SimToken>, rf: &mut Vec<SimToken>
 /// stream's own fiber, consuming its (single, hierarchical) stop token.
 /// Walking that correspondence reproduces the cycle-level block's output
 /// without emulating its tick timing.
-fn run_repeater(
-    crd_in: &mut SliceSource<'_>,
-    ref_in: &mut SliceSource<'_>,
-    out: &mut Vec<SimToken>,
-) -> Result<(), Fault> {
-    let mut current: Option<SimToken> = None;
-    while let Some(t) = crd_in.next() {
-        match t {
-            Token::Val(_) => {
-                if current.is_none() {
-                    // The current fiber's reference: the next data token.
-                    match ref_in.next() {
-                        Some(r @ (Token::Val(_) | Token::Empty)) => current = Some(r),
-                        _ => return Err(Fault::Misaligned),
-                    }
-                }
-                out.push(current.expect("just fetched"));
-            }
-            Token::Empty => out.push(tok::empty()),
+pub(crate) struct Repeat<'a> {
+    refs: SliceSource<'a>,
+    current: Option<SimToken>,
+}
+
+impl<'a> Repeat<'a> {
+    /// A repeater reading its references from `refs`.
+    pub(crate) fn new(refs: SliceSource<'a>) -> Self {
+        Repeat { refs, current: None }
+    }
+
+    /// The output token for one coordinate token.
+    #[inline(always)]
+    fn step(&mut self, t: SimToken) -> Result<SimToken, Fault> {
+        Ok(match t {
+            Token::Val(_) => match self.current {
+                Some(r) => r,
+                // The current fiber's reference: the next data token.
+                None => match self.refs.next() {
+                    Some(r @ (Token::Val(_) | Token::Empty)) => *self.current.insert(r),
+                    _ => return Err(Fault::Misaligned),
+                },
+            },
+            Token::Empty => tok::empty(),
             Token::Stop(n) => {
-                if current.is_none() {
+                if self.current.is_none() {
                     // An empty fiber still consumes its reference, unless
                     // this bare stop only closes outer levels (the
                     // reference stream then carries a stop here itself).
-                    if let Some(Token::Val(_) | Token::Empty) = ref_in.peek() {
-                        ref_in.next();
+                    if let Some(Token::Val(_) | Token::Empty) = self.refs.peek() {
+                        self.refs.next();
                     }
                 }
-                current = None;
+                self.current = None;
                 if n > 0 {
                     // The reference stream's own fiber closes with it.
-                    if let Some(Token::Stop(_)) = ref_in.peek() {
-                        ref_in.next();
+                    if let Some(Token::Stop(_)) = self.refs.peek() {
+                        self.refs.next();
                     }
                 }
-                out.push(tok::stop(n));
+                tok::stop(n)
             }
-            Token::Done => {
-                out.push(tok::done());
-                break;
-            }
-        }
+            Token::Done => tok::done(),
+        })
     }
-    Ok(())
 }
 
 /// The fiber a [`GallopScan`] is walking: `pos` is the cursor the skip
@@ -640,23 +671,235 @@ impl FiberView for DenseFiber {
     }
 }
 
+/// Where an intersecter's walk sends its output, one position at a time. A
+/// position is one token on each of the three output streams: a match's
+/// coordinate and the two operands' references, or one stop or done on
+/// all three.
+pub(crate) trait Positions {
+    /// Takes the three tokens of one position. A fault ends the walk.
+    fn push(&mut self, crd: SimToken, r0: SimToken, r1: SimToken) -> Result<(), Fault>;
+
+    /// A control position: `t` on all three streams.
+    fn push_all(&mut self, t: SimToken) -> Result<(), Fault> {
+        self.push(t, t, t)
+    }
+}
+
+/// The stored output: the three streams, appended to.
+pub(crate) struct Stored<'o>(pub(crate) [&'o mut Vec<SimToken>; 3]);
+
+impl Positions for Stored<'_> {
+    #[inline]
+    fn push(&mut self, crd: SimToken, r0: SimToken, r1: SimToken) -> Result<(), Fault> {
+        let [oc, o0, o1] = &mut self.0;
+        oc.push(crd);
+        o0.push(r0);
+        o1.push(r1);
+        Ok(())
+    }
+}
+
+/// How many positions a fusion region buffers before its members run: a
+/// block of every register fits in the first-level cache.
+const BLOCK: usize = 128;
+
+/// How a fusion-region member computes its tokens, and the registers it
+/// reads: 0–2 hold the root's coordinate and two reference tokens, `3 + k`
+/// the tokens member `k` computed.
+pub(crate) enum Step<'a> {
+    /// An array in load mode over its values.
+    Array { vals: &'a [f64], input: usize },
+    /// A constant source.
+    Const { value: f64, input: usize },
+    /// An ALU.
+    Alu { op: AluOp, a: usize, b: usize },
+    /// A repeater: its coordinate input is a register, its reference
+    /// input a stored stream.
+    Repeat { repeat: Repeat<'a>, crd: usize },
+    /// A scalar reducer. It emits zero to two tokens a position, so no
+    /// member reads it.
+    Reduce { reduce: ScalarReduce, input: usize },
+}
+
+impl Step<'_> {
+    /// Computes the member's tokens for the `n` positions of the block in
+    /// `regs`, in order, handing each to `write` with its position. The
+    /// step functions are `#[inline(always)]`: called out of line once a
+    /// token, a repeater or an ALU costs a region most of what it saves.
+    fn map(
+        &mut self,
+        regs: &[SimToken],
+        n: usize,
+        mut write: impl FnMut(usize, SimToken),
+    ) -> Result<(), Fault> {
+        let block = |r: usize| regs[r * BLOCK..r * BLOCK + n].iter().enumerate();
+        match self {
+            Step::Array { vals, input } => {
+                for (i, &t) in block(*input) {
+                    write(i, array_step(vals, t)?);
+                }
+            }
+            Step::Const { value, input } => {
+                for (i, &t) in block(*input) {
+                    write(i, const_step(*value, t));
+                }
+            }
+            Step::Alu { op, a, b } => {
+                for ((i, &x), (_, &y)) in block(*a).zip(block(*b)) {
+                    write(i, alu_step(*op, x, y)?);
+                }
+            }
+            Step::Repeat { repeat, crd } => {
+                for (i, &t) in block(*crd) {
+                    write(i, repeat.step(t)?);
+                }
+            }
+            Step::Reduce { reduce, input } => {
+                for (i, &t) in block(*input) {
+                    reduce.step(t, |o| write(i, o));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One output stream of a fusion region's node: counted, classified when
+/// the run is traced, and stored only when somebody outside the region
+/// reads it.
+#[derive(Debug, Default)]
+pub(crate) struct RegionPort {
+    /// The stream, for a port read outside the region.
+    pub(crate) stored: Option<Vec<SimToken>>,
+    /// How many tokens the port carried.
+    pub(crate) len: u64,
+    /// The same tokens by class, when the region classifies them.
+    pub(crate) tally: TokenCounts,
+}
+
+impl RegionPort {
+    fn new(stored: bool) -> Self {
+        RegionPort { stored: stored.then(Vec::new), ..RegionPort::default() }
+    }
+
+    /// Counts what the port carried since the last count: the stored
+    /// stream's new tail, or else `block`, the register the tokens went to.
+    fn count(&mut self, block: &[SimToken], classify: bool) {
+        let RegionPort { stored, len, tally } = self;
+        let fresh = match stored {
+            Some(stream) => &stream[*len as usize..],
+            None => block,
+        };
+        if classify {
+            fresh.iter().for_each(|t| tally.record(t));
+        }
+        *len += fresh.len() as u64;
+    }
+}
+
+/// An intersecter with its fusion region
+/// ([`crate::plan::Plan::region_members`]). The root's positions are
+/// buffered a block at a time; each member then computes its block of
+/// tokens from its producers' blocks, in topological order, with the same
+/// step function its stored transfer function loops over. Every member but
+/// a reducer is one token in, one token out, so the `i`-th token of every
+/// register belongs to the same position, as it would in the stored
+/// streams. A stream that leaves the region is written straight to its
+/// stored stream, every other one to its register only. Every stream is
+/// counted, and classified when the run is traced, so each node's counts
+/// are what storing it would have counted.
+pub(crate) struct Region<'a> {
+    classify: bool,
+    root: [RegionPort; 3],
+    steps: Vec<Step<'a>>,
+    outs: Vec<RegionPort>,
+    /// `BLOCK` tokens per register; a stored port's register goes unused.
+    regs: Vec<SimToken>,
+    /// Positions buffered so far in the current block.
+    filled: usize,
+}
+
+impl<'a> Region<'a> {
+    /// A region with no members yet, storing the root ports marked in
+    /// `root_stored` and classifying every token it counts if `classify`.
+    pub(crate) fn new(root_stored: [bool; 3], classify: bool) -> Self {
+        Region {
+            classify,
+            root: root_stored.map(RegionPort::new),
+            steps: Vec::new(),
+            outs: Vec::new(),
+            regs: vec![tok::done(); 3 * BLOCK],
+            filled: 0,
+        }
+    }
+
+    /// Appends a member, evaluated after every member appended before it;
+    /// its tokens land in register `3 + k` for the `k`-th member. A
+    /// reducer's output, which no member reads, is always stored.
+    pub(crate) fn push_member(&mut self, step: Step<'a>, stored: bool) {
+        let stored = stored || matches!(step, Step::Reduce { .. });
+        self.steps.push(step);
+        self.outs.push(RegionPort::new(stored));
+        self.regs.resize(self.regs.len() + BLOCK, tok::done());
+    }
+
+    /// The root's three ports and each member's output port, in the order
+    /// the members were appended.
+    pub(crate) fn finish(self) -> ([RegionPort; 3], Vec<RegionPort>) {
+        (self.root, self.outs)
+    }
+
+    /// Runs every member over the buffered block. Out of line, so that the
+    /// walk's loop, which calls it once a block, stays small.
+    #[inline(never)]
+    fn flush(&mut self) -> Result<(), Fault> {
+        let (n, classify) = (std::mem::take(&mut self.filled), self.classify);
+        for (r, port) in self.root.iter_mut().enumerate() {
+            port.count(&self.regs[r * BLOCK..r * BLOCK + n], classify);
+        }
+        for (k, (step, port)) in self.steps.iter_mut().zip(&mut self.outs).enumerate() {
+            let (ins, reg) = self.regs.split_at_mut((3 + k) * BLOCK);
+            let reg = &mut reg[..n];
+            match &mut port.stored {
+                Some(stream) => step.map(ins, n, |_, t| stream.push(t))?,
+                None => step.map(ins, n, |i, t| reg[i] = t)?,
+            }
+            port.count(reg, classify);
+        }
+        Ok(())
+    }
+}
+
+impl Positions for Region<'_> {
+    #[inline]
+    fn push(&mut self, crd: SimToken, r0: SimToken, r1: SimToken) -> Result<(), Fault> {
+        let at = self.filled;
+        for (k, t) in [crd, r0, r1].into_iter().enumerate() {
+            // A root port is read either by one member or outside the
+            // region only.
+            match &mut self.root[k].stored {
+                Some(stream) => stream.push(t),
+                None => self.regs[k * BLOCK + at] = t,
+            }
+        }
+        self.filled += 1;
+        // The done position is the walk's last.
+        if self.filled == BLOCK || crd.is_done() {
+            self.flush()?;
+        }
+        Ok(())
+    }
+}
+
 /// Intersects fibers `a` and `b`, galloping the trailing side on every
 /// mismatch and pushing tokens only for the matches.
-fn merge_fibers<A: FiberView, B: FiberView>(
-    a: A,
-    b: B,
-    oc: &mut Vec<SimToken>,
-    o0: &mut Vec<SimToken>,
-    o1: &mut Vec<SimToken>,
-) {
+fn merge_fibers<A: FiberView, B: FiberView>(a: A, b: B, out: &mut impl Positions) -> Result<(), Fault> {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         let (ca, cb) = (a.coord(i), b.coord(j));
         match ca.cmp(&cb) {
             Ordering::Equal => {
-                oc.push(tok::crd(ca));
-                o0.push(a.child(i));
-                o1.push(b.child(j));
+                out.push(tok::crd(ca), a.child(i), b.child(j))?;
                 i += 1;
                 j += 1;
             }
@@ -664,6 +907,7 @@ fn merge_fibers<A: FiberView, B: FiberView>(
             Ordering::Greater => j = b.gallop(j + 1, ca),
         }
     }
+    Ok(())
 }
 
 /// The fiber walk, over two readers whose levels `open_a` / `open_b` turn a
@@ -678,26 +922,21 @@ fn fiber_walk<A: FiberView, B: FiberView>(
     open_a: impl Fn(usize) -> A,
     b: &mut FiberReader<'_>,
     open_b: impl Fn(usize) -> B,
-    oc: &mut Vec<SimToken>,
-    o0: &mut Vec<SimToken>,
-    o1: &mut Vec<SimToken>,
+    out: &mut impl Positions,
 ) -> Result<(), Fault> {
     let (mut ia, mut ib) = (a.next()?, b.next()?);
     loop {
         match (ia, ib) {
-            (FiberItem::Done, FiberItem::Done) => {
-                push3(tok::done(), oc, o0, o1);
-                return Ok(());
-            }
+            (FiberItem::Done, FiberItem::Done) => return out.push_all(tok::done()),
             (FiberItem::Done, _) => ib = b.next()?,
             (_, FiberItem::Done) => ia = a.next()?,
             _ => {
                 if let (FiberItem::Fiber { fiber: Some(fa), .. }, FiberItem::Fiber { fiber: Some(fb), .. }) =
                     (ia, ib)
                 {
-                    merge_fibers(open_a(fa), open_b(fb), oc, o0, o1);
+                    merge_fibers(open_a(fa), open_b(fb), out)?;
                 }
-                push3(tok::stop(ia.stop().max(ib.stop())), oc, o0, o1);
+                out.push_all(tok::stop(ia.stop().max(ib.stop())))?;
                 (ia, ib) = (a.next()?, b.next()?);
             }
         }
@@ -710,24 +949,22 @@ fn fiber_walk<A: FiberView, B: FiberView>(
 fn walk_fibers(
     a: &mut IntersectOperand<'_>,
     b: &mut IntersectOperand<'_>,
-    oc: &mut Vec<SimToken>,
-    o0: &mut Vec<SimToken>,
-    o1: &mut Vec<SimToken>,
+    out: &mut impl Positions,
 ) -> Option<Result<(), Fault>> {
     let (IntersectOperand::Scan(a), IntersectOperand::Scan(b)) = (a, b) else { return None };
     let (a, b) = (&mut a.items, &mut b.items);
     Some(match (a.level, b.level) {
         (Level::Compressed(x), Level::Compressed(y)) => {
-            fiber_walk(a, |f| CompressedFiber::new(x, f), b, |f| CompressedFiber::new(y, f), oc, o0, o1)
+            fiber_walk(a, |f| CompressedFiber::new(x, f), b, |f| CompressedFiber::new(y, f), out)
         }
         (Level::Compressed(x), Level::Dense(y)) => {
-            fiber_walk(a, |f| CompressedFiber::new(x, f), b, |f| DenseFiber::new(y, f), oc, o0, o1)
+            fiber_walk(a, |f| CompressedFiber::new(x, f), b, |f| DenseFiber::new(y, f), out)
         }
         (Level::Dense(x), Level::Compressed(y)) => {
-            fiber_walk(a, |f| DenseFiber::new(x, f), b, |f| CompressedFiber::new(y, f), oc, o0, o1)
+            fiber_walk(a, |f| DenseFiber::new(x, f), b, |f| CompressedFiber::new(y, f), out)
         }
         (Level::Dense(x), Level::Dense(y)) => {
-            fiber_walk(a, |f| DenseFiber::new(x, f), b, |f| DenseFiber::new(y, f), oc, o0, o1)
+            fiber_walk(a, |f| DenseFiber::new(x, f), b, |f| DenseFiber::new(y, f), out)
         }
         _ => return None,
     })
@@ -739,13 +976,11 @@ fn walk_fibers(
 pub(crate) fn run_intersect(
     a: &mut IntersectOperand<'_>,
     b: &mut IntersectOperand<'_>,
-    oc: &mut Vec<SimToken>,
-    o0: &mut Vec<SimToken>,
-    o1: &mut Vec<SimToken>,
+    out: &mut impl Positions,
 ) -> Result<(), Fault> {
-    match walk_fibers(a, b, oc, o0, o1) {
+    match walk_fibers(a, b, out) {
         Some(walked) => walked,
-        None => walk_pairs(a, b, oc, o0, o1),
+        None => walk_pairs(a, b, out),
     }
 }
 
@@ -759,9 +994,7 @@ pub(crate) fn run_intersect(
 fn walk_pairs(
     a: &mut IntersectOperand<'_>,
     b: &mut IntersectOperand<'_>,
-    oc: &mut Vec<SimToken>,
-    o0: &mut Vec<SimToken>,
-    o1: &mut Vec<SimToken>,
+    out: &mut impl Positions,
 ) -> Result<(), Fault> {
     let mut ta = a.fetch()?;
     let mut tb = b.fetch()?;
@@ -771,9 +1004,7 @@ fn walk_pairs(
                 let ca = pa.expect_crd();
                 let cb = pb.expect_crd();
                 if ca == cb {
-                    oc.push(tok::crd(ca));
-                    o0.push(ta.1);
-                    o1.push(tb.1);
+                    out.push(tok::crd(ca), ta.1, tb.1)?;
                     ta = a.fetch()?;
                     tb = b.fetch()?;
                 } else if ca < cb {
@@ -798,19 +1029,15 @@ fn walk_pairs(
             (Token::Val(_) | Token::Empty, _) => ta = a.fetch()?,
             (_, Token::Empty) => tb = b.fetch()?,
             (Token::Stop(na), Token::Stop(nb)) => {
-                push3(tok::stop(na.max(nb)), oc, o0, o1);
+                out.push_all(tok::stop(na.max(nb)))?;
                 ta = a.fetch()?;
                 tb = b.fetch()?;
             }
-            (Token::Done, Token::Done) => {
-                push3(tok::done(), oc, o0, o1);
-                break;
-            }
+            (Token::Done, Token::Done) => return out.push_all(tok::done()),
             (Token::Stop(_), Token::Done) => ta = a.fetch()?,
             (Token::Done, Token::Stop(_)) => tb = b.fetch()?,
         }
     }
-    Ok(())
 }
 
 /// Unioner transfer function (Definition 3.3).
@@ -932,94 +1159,110 @@ fn run_locator(
 
 /// Array-in-load-mode transfer function (Definition 3.5).
 fn run_array(vals: &[f64], input: &mut SliceSource<'_>, out: &mut Vec<SimToken>) -> Result<(), Fault> {
-    while let Some(t) = input.next() {
-        match t {
-            Token::Val(p) => {
-                let r = p.expect_ref() as usize;
-                if r >= vals.len() {
-                    return Err(Fault::RefOutOfBounds(r));
-                }
-                out.push(tok::val(vals[r]));
-            }
-            Token::Empty => out.push(tok::empty()),
-            Token::Stop(n) => out.push(tok::stop(n)),
-            Token::Done => {
-                out.push(tok::done());
-                break;
-            }
+    map_stream(input, out, |t| array_step(vals, t))
+}
+
+/// The array's output token for one reference token.
+#[inline(always)]
+fn array_step(vals: &[f64], t: SimToken) -> Result<SimToken, Fault> {
+    match t {
+        Token::Val(p) => {
+            let r = p.expect_ref();
+            vals.get(r as usize).map(|&v| tok::val(v)).ok_or(Fault::RefOutOfBounds(r))
         }
+        control => Ok(control),
     }
-    Ok(())
 }
 
 /// Constant-source transfer function: one scalar per data token of the
 /// shape stream, empty and control tokens mirrored through.
-fn run_const(value: f64, input: &mut SliceSource<'_>, out: &mut Vec<SimToken>) {
-    while let Some(t) = input.next() {
-        match t {
-            Token::Val(_) => out.push(tok::val(value)),
-            Token::Empty => out.push(tok::empty()),
-            Token::Stop(n) => out.push(tok::stop(n)),
-            Token::Done => {
-                out.push(tok::done());
-                break;
-            }
-        }
+fn run_const(value: f64, input: &mut SliceSource<'_>, out: &mut Vec<SimToken>) -> Result<(), Fault> {
+    map_stream(input, out, |t| Ok(const_step(value, t)))
+}
+
+/// The constant source's output token for one shape token.
+#[inline(always)]
+fn const_step(value: f64, t: SimToken) -> SimToken {
+    match t {
+        Token::Val(_) => tok::val(value),
+        control => control,
     }
 }
 
-/// ALU transfer function (Definition 3.6): empty tokens read as zero.
+/// ALU transfer function (Definition 3.6): [`alu_step`] over two aligned
+/// streams, which must end together.
 fn run_alu(
     op: AluOp,
     a: &mut SliceSource<'_>,
     b: &mut SliceSource<'_>,
     out: &mut Vec<SimToken>,
 ) -> Result<(), Fault> {
+    loop {
+        let (Some(ta), Some(tb)) = (a.next(), b.next()) else {
+            return Err(Fault::Misaligned);
+        };
+        out.push(alu_step(op, ta, tb)?);
+        if ta.is_done() {
+            return Ok(());
+        }
+    }
+}
+
+/// The ALU's output token for one aligned pair of input tokens: empty
+/// tokens read as zero, stops take the higher level.
+#[inline(always)]
+fn alu_step(op: AluOp, a: SimToken, b: SimToken) -> Result<SimToken, Fault> {
     let apply = |x: f64, y: f64| match op {
         AluOp::Add => x + y,
         AluOp::Sub => x - y,
         AluOp::Mul => x * y,
     };
-    loop {
-        let (Some(ta), Some(tb)) = (a.next(), b.next()) else {
-            return Err(Fault::Misaligned);
-        };
-        match (ta, tb) {
-            (Token::Val(pa), Token::Val(pb)) => out.push(tok::val(apply(pa.expect_val(), pb.expect_val()))),
-            (Token::Val(pa), Token::Empty) => out.push(tok::val(apply(pa.expect_val(), 0.0))),
-            (Token::Empty, Token::Val(pb)) => out.push(tok::val(apply(0.0, pb.expect_val()))),
-            (Token::Empty, Token::Empty) => out.push(tok::val(apply(0.0, 0.0))),
-            (Token::Stop(na), Token::Stop(nb)) => out.push(tok::stop(na.max(nb))),
-            (Token::Done, Token::Done) => {
-                out.push(tok::done());
-                break;
-            }
-            _ => return Err(Fault::Misaligned),
-        }
-    }
-    Ok(())
+    Ok(match (a, b) {
+        (Token::Val(pa), Token::Val(pb)) => tok::val(apply(pa.expect_val(), pb.expect_val())),
+        (Token::Val(pa), Token::Empty) => tok::val(apply(pa.expect_val(), 0.0)),
+        (Token::Empty, Token::Val(pb)) => tok::val(apply(0.0, pb.expect_val())),
+        (Token::Empty, Token::Empty) => tok::val(apply(0.0, 0.0)),
+        (Token::Stop(na), Token::Stop(nb)) => tok::stop(na.max(nb)),
+        (Token::Done, Token::Done) => tok::done(),
+        _ => return Err(Fault::Misaligned),
+    })
 }
 
-/// Scalar reducer transfer function (Definition 3.7, order 0). An empty
-/// fiber sums to an explicit zero, so the value stream stays aligned with
-/// the outer coordinate streams feeding the writers.
+/// Scalar reducer transfer function (Definition 3.7, order 0):
+/// [`ScalarReduce::step`] over the whole value stream.
 fn run_reduce_scalar(input: &mut SliceSource<'_>, out: &mut Vec<SimToken>) {
-    let mut acc = 0.0;
+    let mut reduce = ScalarReduce::default();
     while let Some(t) = input.next() {
+        reduce.step(t, |o| out.push(o));
+        if t.is_done() {
+            break;
+        }
+    }
+}
+
+/// A scalar reducer's running sum. An empty fiber sums to an explicit
+/// zero, so the value stream stays aligned with the outer coordinate
+/// streams feeding the writers.
+#[derive(Debug, Default)]
+pub(crate) struct ScalarReduce {
+    acc: f64,
+}
+
+impl ScalarReduce {
+    /// Consumes one value-stream token, emitting what it closes: nothing
+    /// for a value, the sum (and the stop one level down) for a stop.
+    #[inline(always)]
+    fn step(&mut self, t: SimToken, mut emit: impl FnMut(SimToken)) {
         match t {
-            Token::Val(p) => acc += p.expect_val(),
+            Token::Val(p) => self.acc += p.expect_val(),
             Token::Empty => {}
             Token::Stop(n) => {
-                out.push(tok::val(acc));
-                acc = 0.0;
+                emit(tok::val(std::mem::take(&mut self.acc)));
                 if n > 0 {
-                    out.push(tok::stop(n - 1));
+                    emit(tok::stop(n - 1));
                 }
             }
-            Token::Done => {
-                out.push(tok::done());
-                break;
-            }
+            Token::Done => emit(tok::done()),
         }
     }
 }
@@ -1494,21 +1737,22 @@ mod tests {
     /// The intersecter as the fast backend runs it.
     fn intersect(a: &mut IntersectOperand<'_>, b: &mut IntersectOperand<'_>) -> Result<Outputs, Fault> {
         let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
-        run_intersect(a, b, &mut oc, &mut o0, &mut o1)?;
+        run_intersect(a, b, &mut Stored([&mut oc, &mut o0, &mut o1]))?;
         Ok([oc, o0, o1])
     }
 
     /// The pair walk, whatever the operands.
     fn pairs(a: &mut IntersectOperand<'_>, b: &mut IntersectOperand<'_>) -> Result<Outputs, Fault> {
         let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
-        walk_pairs(a, b, &mut oc, &mut o0, &mut o1)?;
+        walk_pairs(a, b, &mut Stored([&mut oc, &mut o0, &mut o1]))?;
         Ok([oc, o0, o1])
     }
 
     /// The fiber walk; `None` where it does not apply.
     fn fibers(a: &mut IntersectOperand<'_>, b: &mut IntersectOperand<'_>) -> Option<Result<Outputs, Fault>> {
         let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
-        walk_fibers(a, b, &mut oc, &mut o0, &mut o1).map(|walked| walked.map(|()| [oc, o0, o1]))
+        let walked = walk_fibers(a, b, &mut Stored([&mut oc, &mut o0, &mut o1]));
+        walked.map(|walked| walked.map(|()| [oc, o0, o1]))
     }
 
     fn has_bitvector(formats: [Format; 2]) -> bool {
@@ -1691,5 +1935,139 @@ mod tests {
                 assert_eq!(seen, vec![Err(Fault::Misaligned); paths], "{format:?}, {bad:?}");
             }
         }
+    }
+
+    /// `1 +` the highest reference in `stream`: how many values an array
+    /// over it needs.
+    fn values_for(stream: &[SimToken], salt: usize) -> Vec<f64> {
+        let refs = stream.iter().filter_map(|t| match t {
+            Token::Val(Payload::Ref(r)) => Some(*r as usize + 1),
+            _ => None,
+        });
+        (0..refs.max().unwrap_or(0)).map(|i| ((i * 7 + salt) % 13) as f64 - 4.0).collect()
+    }
+
+    fn counts_of(stream: &[SimToken]) -> TokenCounts {
+        let mut counts = TokenCounts::default();
+        stream.iter().for_each(|t| counts.record(t));
+        counts
+    }
+
+    /// A region port carried exactly `want`: as many tokens, of the same
+    /// classes, and — when it is stored — the same stream.
+    fn assert_port(port: &RegionPort, want: &[SimToken], what: &str) {
+        assert_eq!(port.len, want.len() as u64, "{what}: count");
+        assert_eq!(port.tally, counts_of(want), "{what}: tally");
+        if let Some(stream) = &port.stored {
+            assert_eq!(stream, want, "{what}: stored stream");
+        }
+    }
+
+    /// A fusion region of the shape the benchmark's SDDMM and MTTKRP run —
+    /// a repeater over the root's coordinates whose references repeat, two
+    /// arrays over the root's references and one over the repeater, two
+    /// ALUs and a scalar reducer — must equal the stored transfer functions
+    /// chained over stored streams, token for token, on both intersect
+    /// walks and over stored operands; and each member's count and tally
+    /// must be what classifying its stored stream counts. A second region
+    /// stores what leaves it mid-chain: an unread root port and an ALU.
+    #[test]
+    fn a_fusion_region_equals_the_stored_chain_token_for_token() -> Result<(), Fault> {
+        let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
+        let mut rng = StdRng::seed_from_u64(32);
+        let (mut matched, mut repeated) = (0, 0);
+        for round in 0..360 {
+            let pair = [formats[round % 3], formats[(round / 3) % 3]];
+            let fused = round % 4 != 3;
+            let what = format!("{pair:?}, fused {fused}, round {round}");
+            let Case { levels: [la, lb], refs: [ra, rb] } = case(&mut rng, pair);
+            let (sa, sb) = (stored(&la, &ra), stored(&lb, &rb));
+            let [oc, o0, o1] = pairs(&mut streams(&sa), &mut streams(&sb))?;
+            matched += oc.iter().filter(|t| matches!(t, Token::Val(_))).count();
+
+            // The stored chain.
+            let run = |f: &mut dyn FnMut(&mut Vec<SimToken>) -> Result<(), Fault>| {
+                let mut out = Vec::new();
+                f(&mut out).map(|()| out)
+            };
+            let src = SliceSource::new;
+            let rep = run(&mut |out| run_repeater(&mut src(&oc), src(&ra), out))?;
+            let (va, vb, vr) = (values_for(&o0, 1), values_for(&o1, 2), values_for(&rep, 3));
+            let x = run(&mut |out| run_array(&va, &mut src(&o0), out))?;
+            let y = run(&mut |out| run_array(&vb, &mut src(&o1), out))?;
+            let z = run(&mut |out| run_array(&vr, &mut src(&rep), out))?;
+            let m = run(&mut |out| run_alu(AluOp::Mul, &mut src(&x), &mut src(&y), out))?;
+            let a = run(&mut |out| run_alu(AluOp::Sub, &mut src(&m), &mut src(&z), out))?;
+            let r = run(&mut |out| {
+                run_reduce_scalar(&mut src(&a), out);
+                Ok(())
+            })?;
+            let refs: Vec<_> = rep.iter().filter(|t| matches!(t, Token::Val(_))).collect();
+            repeated += refs.windows(2).filter(|w| w[0] == w[1]).count();
+
+            let operands = || {
+                if fused {
+                    (scan(&la, &ra), scan(&lb, &rb))
+                } else {
+                    (streams(&sa), streams(&sb))
+                }
+            };
+            // Registers: 0–2 the root's, then one per member in order.
+            let mut region = Region::new([false; 3], true);
+            region.push_member(Step::Repeat { repeat: Repeat::new(src(&ra)), crd: 0 }, false);
+            region.push_member(Step::Array { vals: &va, input: 1 }, false);
+            region.push_member(Step::Array { vals: &vb, input: 2 }, false);
+            region.push_member(Step::Array { vals: &vr, input: 3 }, false);
+            region.push_member(Step::Alu { op: AluOp::Mul, a: 4, b: 5 }, false);
+            region.push_member(Step::Alu { op: AluOp::Sub, a: 7, b: 6 }, false);
+            region.push_member(Step::Reduce { reduce: ScalarReduce::default(), input: 8 }, false);
+            let (mut a_op, mut b_op) = operands();
+            run_intersect(&mut a_op, &mut b_op, &mut region)?;
+            let (root, ports) = region.finish();
+            for (port, want) in root.iter().zip([&oc, &o0, &o1]) {
+                assert!(port.stored.is_none(), "{what}: a root port a member reads is not stored");
+                assert_port(port, want, &format!("{what}: root"));
+            }
+            for (k, (port, want)) in ports.iter().zip([&rep, &x, &y, &z, &m, &a, &r]).enumerate() {
+                assert_eq!(port.stored.is_some(), k == 6, "{what}: only the reducer's output is stored");
+                assert_port(port, want, &format!("{what}: member {k}"));
+            }
+
+            let mut region = Region::new([true, false, false], true);
+            region.push_member(Step::Array { vals: &va, input: 1 }, false);
+            region.push_member(Step::Array { vals: &vb, input: 2 }, false);
+            region.push_member(Step::Alu { op: AluOp::Mul, a: 3, b: 4 }, true);
+            let (mut a_op, mut b_op) = operands();
+            run_intersect(&mut a_op, &mut b_op, &mut region)?;
+            let (root, ports) = region.finish();
+            assert_eq!(root[0].stored.as_ref(), Some(&oc), "{what}: a stored root port");
+            assert_eq!(ports[2].stored.as_ref(), Some(&m), "{what}: a stored member");
+            for (port, want) in ports.iter().zip([&x, &y, &m]) {
+                assert_port(port, want, &format!("{what}: mid-chain"));
+            }
+        }
+        assert!(matched > 1000, "the generator must produce intersections that match: {matched}");
+        assert!(repeated > 200, "the repeater must repeat references: {repeated}");
+        Ok(())
+    }
+
+    /// A fault inside a region ends the walk with the member's fault, as the
+    /// stored chain reports it: an array reading past its values.
+    #[test]
+    fn a_member_fault_ends_the_region_walk() -> Result<(), Fault> {
+        let level = level_of(Format::Compressed, 8, &[vec![1, 4, 9]]);
+        let refs = [tok::rf(0), tok::stop(0), tok::done()];
+        let short = [1.0, 2.0];
+        let mut region = Region::new([false; 3], false);
+        region.push_member(Step::Array { vals: &short, input: 1 }, true);
+        let walked = run_intersect(&mut scan(&level, &refs), &mut scan(&level, &refs), &mut region);
+        assert_eq!(walked, Err(Fault::RefOutOfBounds(2)));
+        let (sa, sb) = (stored(&level, &refs), stored(&level, &refs));
+        let [_, o0, _] = pairs(&mut streams(&sa), &mut streams(&sb))?;
+        assert_eq!(
+            run_array(&short, &mut SliceSource::new(&o0), &mut Vec::new()),
+            Err(Fault::RefOutOfBounds(2))
+        );
+        Ok(())
     }
 }

@@ -12,6 +12,11 @@
 //!   intersecter ([`Analysis::private_scanner`]) is recorded as a
 //!   [`FusedScan`]: the fast backend stores a stream only if somebody
 //!   re-reads it.
+//! * **Fusion regions** — downstream of an intersecter, the arrays, ALUs,
+//!   constants, repeaters and scalar reducers fed only by it and by each
+//!   other ([`Plan::region_members`]): the fast backend evaluates them
+//!   inside the intersecter's walk, a block of its output positions at a
+//!   time, and stores only the streams that leave the region.
 //! * **Channels** — the fan-out tables flattened to one [`ChannelSpec`] per
 //!   consumer port, so backends can insert stream forks (the `Fork` block of
 //!   `sam-primitives`).
@@ -92,6 +97,12 @@ pub struct Plan {
     /// Per node: the fusion of a level scanner into the intersecter operand
     /// it feeds, `None` for every node the fast backend evaluates itself.
     fused: Vec<Option<FusedScan>>,
+    /// Per node: the intersecter whose walk evaluates it, for a member of
+    /// a fusion region.
+    region_roots: Vec<Option<NodeId>>,
+    /// Per node: an intersecter's fusion-region members in topological
+    /// order; empty for every other node.
+    region_members: Vec<Vec<NodeId>>,
     /// Per node: storage level read by scanners and locators.
     scan_levels: Vec<usize>,
     /// Per node: output dimension of level writers.
@@ -138,6 +149,8 @@ impl Plan {
                 }
             }
         }
+
+        let (region_roots, region_members) = fusion_regions(graph, &analysis);
 
         let channels: Vec<ChannelSpec> = (0..n)
             .map(NodeId)
@@ -208,6 +221,8 @@ impl Plan {
             analysis,
             channels,
             fused,
+            region_roots,
+            region_members,
             scan_levels,
             writer_dims,
             alu_ops,
@@ -284,6 +299,31 @@ impl Plan {
         })
     }
 
+    /// The intersecter whose walk evaluates `node` on the fast backend,
+    /// when `node` is a member of its fusion region (see
+    /// [`Plan::region_members`]). The fast backend skips such a node.
+    pub fn region_root(&self, node: NodeId) -> Option<NodeId> {
+        self.region_roots[node.0]
+    }
+
+    /// The fusion region of an intersecter: the nodes the fast backend
+    /// evaluates inside its walk, a block of its output positions at a
+    /// time, in topological order. Empty for any other node, and for an
+    /// intersecter nothing downstream qualifies for.
+    ///
+    /// A member is an array, ALU, constant source, repeater or scalar
+    /// (order-0) reducer whose every data input is an output of the root
+    /// or of an earlier member that nobody else reads. The exception is a
+    /// repeater's reference input, which may be any stream produced before
+    /// the root in topological order: it is stored by then. A reducer
+    /// emits a variable number of tokens a position, so no member reads
+    /// one. None of these kinds has a skip port, so no member has a skip
+    /// lane. A member's output that anybody outside the region reads is
+    /// stored as usual; every other stream of the region is only counted.
+    pub fn region_members(&self, root: NodeId) -> &[NodeId] {
+        &self.region_members[root.0]
+    }
+
     /// The storage level a scanner or locator reads.
     pub fn scan_level(&self, node: NodeId) -> usize {
         self.scan_levels[node.0]
@@ -323,4 +363,49 @@ impl Plan {
     pub fn output_shape(&self) -> &[usize] {
         &self.output_shape
     }
+}
+
+/// Every intersecter's fusion region ([`Plan::region_members`]): per node
+/// the root of the region it is a member of, and per root its members.
+fn fusion_regions(graph: &SamGraph, analysis: &Analysis) -> (Vec<Option<NodeId>>, Vec<Vec<NodeId>>) {
+    let nodes = graph.nodes();
+    let order = analysis.order();
+    let mut roots: Vec<Option<NodeId>> = vec![None; nodes.len()];
+    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); nodes.len()];
+    for (at, &root) in order.iter().enumerate() {
+        if !matches!(nodes[root.0], NodeKind::Intersecter { .. }) {
+            continue;
+        }
+        let before_root = &order[..at];
+        for &id in &order[at + 1..] {
+            // An output of the root or of a non-reducer member, read by
+            // this node alone.
+            let internal = |p: &Option<PortRef>| {
+                p.is_some_and(|p| {
+                    let from_region = p.node == root
+                        || (roots[p.node.0] == Some(root)
+                            && !matches!(nodes[p.node.0], NodeKind::Reducer { .. }));
+                    from_region && analysis.consumers_of(p.node)[p.port].len() == 1
+                })
+            };
+            let inputs = analysis.inputs_of(id);
+            let member = match &nodes[id.0] {
+                NodeKind::Array { .. }
+                | NodeKind::Alu { .. }
+                | NodeKind::ConstVal { .. }
+                | NodeKind::Reducer { order: 0 } => inputs.iter().all(internal),
+                NodeKind::Repeater { .. } => {
+                    let stored_before =
+                        |p: &Option<PortRef>| p.is_some_and(|p| before_root.contains(&p.node));
+                    inputs.len() == 2 && internal(&inputs[0]) && stored_before(&inputs[1])
+                }
+                _ => false,
+            };
+            if member {
+                roots[id.0] = Some(root);
+                members[root.0].push(id);
+            }
+        }
+    }
+    (roots, members)
 }

@@ -1,7 +1,7 @@
 //! The tiled finite-memory backend: the paper's Section 6.4 machine, run
 //! tile by tile.
 //!
-//! Where [`FastBackend`] assumes the whole operand set
+//! Where [`FastBackend`](crate::FastBackend) assumes the whole operand set
 //! fits wherever streams live, [`TiledBackend`] executes under a
 //! [`MemoryConfig`] budget: operands are cut into `tile x tile` sub-tensors
 //! by `sam-tiles`, a tile schedule enumerates the tile tuples of the
@@ -47,9 +47,10 @@
 use crate::bind::Inputs;
 use crate::cache::PlanCache;
 use crate::error::ExecError;
+use crate::fast::{define_nodes, walk};
 use crate::plan::Plan;
 use crate::schedule::tile_schedule;
-use crate::{Execution, Executor, FastBackend};
+use crate::{Execution, Executor};
 use sam_memory::{MemoryConfig, MemoryCounters};
 use sam_tensor::{CooTensor, Tensor};
 use sam_tiles::{LlbModel, TileGrid, TileMerger};
@@ -111,6 +112,9 @@ impl Executor for TiledBackend {
         // Inner tile runs share the outer sink (per-node counters accumulate
         // across tuples) but their spans are replaced by one per tile tuple.
         let tile_sink = TileSink { inner: trace };
+        // Every tile plan plans the same graph: its nodes are defined, and
+        // their labels formatted, once per run.
+        let labels = define_nodes(plan, trace);
         let graph = plan.graph();
         let tiling = tile_schedule(plan, inputs, self.config.tile);
 
@@ -233,7 +237,7 @@ impl Executor for TiledBackend {
             // to an untiled one.
             let tile_plan = plan_cache.get_or_plan(graph, &tile_inputs)?;
             let tile_start = tracing.then(Instant::now);
-            let run = FastBackend.run_traced(&tile_plan, &tile_inputs, &tile_sink)?;
+            let run = walk(&tile_plan, &tile_inputs, &tile_sink, &labels)?;
             if let Some(t0) = tile_start {
                 let (at, dur) = ((t0 - start).as_nanos() as u64, t0.elapsed().as_nanos() as u64);
                 trace.record_span("tiles", &format!("tile{tuple:?}"), at, dur);
@@ -299,9 +303,6 @@ struct TileSink<'a> {
 impl TraceSink for TileSink<'_> {
     fn enabled(&self) -> bool {
         self.inner.enabled()
-    }
-    fn define_node(&self, node: usize, label: &str) {
-        self.inner.define_node(node, label);
     }
     fn record_tokens(&self, node: usize, counts: TokenCounts) {
         self.inner.record_tokens(node, counts);

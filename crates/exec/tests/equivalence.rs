@@ -166,6 +166,50 @@ fn misaligned_streams_fail_as_the_observing_node() {
     assert_eq!(label, plan.node_label(reducer), "error should name the reducer by its plan label");
 }
 
+/// A fault inside a fusion region is the stored walk's fault: the member
+/// that observes it is named, not the intersecter whose walk evaluated it.
+/// Here a repeater broadcasts one reference per nonzero of `d(i)` over the
+/// fibers of SpMV's inner intersection, one per row of `B`: `d` has two
+/// nonzeros and `B` more nonempty rows, so the repeater runs out of
+/// references, which planning cannot see.
+#[test]
+fn a_fault_inside_a_fusion_region_names_the_member() {
+    use sam_core::build::GraphBuilder;
+    use sam_core::graph::{NodeId, NodeKind};
+    use sam_exec::ExecError;
+
+    let mut g = GraphBuilder::new("misrepeated");
+    let (rb, rc, rd) = (g.root("B"), g.root("c"), g.root("d"));
+    let (bi, bi_ref) = g.scan("B", 'i', true, rb);
+    let (bj, bj_ref) = g.scan("B", 'j', true, bi_ref);
+    let c_rows = g.repeat("c", 'i', bi, rc);
+    let (cj, cj_ref) = g.scan("c", 'j', true, c_rows);
+    let (j, [at_b, at_c]) = g.intersect('j', [bj, cj], [bj_ref, cj_ref]);
+    let (_, d_ref) = g.scan("d", 'i', true, rd);
+    let d_rows = g.repeat("d", 'j', j, d_ref);
+    let (bv, cv, dv) = (g.array("B", at_b), g.array("c", at_c), g.array("d", d_rows));
+    let bc = g.alu("mul", bv, cv);
+    let bcd = g.alu("mul", bc, dv);
+    let x = g.reduce_scalar(bcd);
+    g.write_level("x", 'i', bi);
+    g.write_vals("x", x);
+    let graph = g.finish();
+    let position = |kind: fn(&NodeKind) -> bool| graph.nodes().iter().position(kind).map(NodeId);
+    let inputs = Inputs::new()
+        .coo("B", &synth::random_matrix_sparsity(6, 5, 0.3, 321), TensorFormat::dcsr())
+        .coo("c", &synth::random_vector(5, 5, 322), TensorFormat::sparse_vec())
+        .coo("d", &synth::random_vector(6, 2, 323), TensorFormat::sparse_vec());
+    let plan = Plan::build(&graph, &inputs).expect("the misrepeat is invisible to planning");
+    let isect = position(|k| matches!(k, NodeKind::Intersecter { .. })).expect("one intersecter");
+    let repeater = position(|k| matches!(k, NodeKind::Repeater { tensor, .. } if tensor == "d"));
+    assert!(repeater.is_some_and(|r| plan.region_members(isect).contains(&r)), "the repeater is fused");
+    let run = FastBackend.run(&plan, &inputs);
+    let Err(ExecError::Misaligned { label }) = run else {
+        panic!("the run should fail on the repeater's references, got {run:?}");
+    };
+    assert_eq!(label, "repeat d over j", "the error names the repeater, not the intersecter");
+}
+
 /// Inputs that push a fused scanner through its corner states — no stored
 /// entries at all, empty fibers between full ones, a `Dense` level, and
 /// operands skewed enough that the walk gallops and jumps tails, two dense
@@ -296,7 +340,7 @@ fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
             // One tile covers every operand, so the tiled run is one walk.
             assert_eq!(*tokens.get_or_insert(run.tokens), run.tokens, "{what}: `{}` tokens", backend.name());
         }
-        let fused = common::assert_fused_scanner_counts_match_cycle(what, &graph, &inputs);
+        let fused = common::assert_fused_counts_match_cycle(what, &graph, &inputs).0;
         let lanes = plan.order().iter().filter_map(|&id| plan.fused_scan(id)).filter(|f| f.skip_lane).count();
         assert!(intersecters > 0, "{what}: the case must intersect something");
         assert_eq!(lanes, want_lanes, "{what}: scanners fused with a skip lane");

@@ -1,8 +1,9 @@
 //! Observability invariants: per-node token counts from [`CountersSink`]
 //! add up to [`Execution::tokens`] on all three backends for every kernel
-//! in the catalog, scanners fused into their intersecter report the counts
-//! the cycle backend measures for them, and traces carry the human-readable
-//! node labels the builder attached.
+//! in the catalog, scanners fused into their intersecter and the nodes of
+//! every fusion region report the counts the cycle backend measures for
+//! them, and traces carry the human-readable node labels the builder
+//! attached.
 
 mod common;
 
@@ -34,6 +35,10 @@ fn catalog() -> Vec<(SamGraph, Inputs)> {
         .coo("B", &m, TensorFormat::dcsr())
         .coo("C", &dense_c, TensorFormat::dense(2))
         .coo("D", &dense_d, TensorFormat::dense(2));
+    let rb = synth::random_vector(24, 12, 315);
+    let rd = synth::random_vector(18, 9, 316);
+    let tc = synth::random_vector(24, 14, 317);
+    let p = |seed| synth::random_matrix_sparsity(20, 16, 0.75, seed);
 
     vec![
         (
@@ -42,6 +47,14 @@ fn catalog() -> Vec<(SamGraph, Inputs)> {
         ),
         (
             graphs::vec_elem_mul(false),
+            Inputs::new().coo("b", &vb, TensorFormat::dense_vec()).coo("c", &vc, TensorFormat::dense_vec()),
+        ),
+        (
+            graphs::vec_elem_mul_with_skip(true),
+            Inputs::new().coo("b", &vb, TensorFormat::sparse_vec()).coo("c", &vc, TensorFormat::sparse_vec()),
+        ),
+        (
+            graphs::vec_elem_mul_with_skip(false),
             Inputs::new().coo("b", &vb, TensorFormat::dense_vec()).coo("c", &vc, TensorFormat::dense_vec()),
         ),
         (graphs::identity(), Inputs::new().coo("B", &m, TensorFormat::dcsr())),
@@ -60,7 +73,15 @@ fn catalog() -> Vec<(SamGraph, Inputs)> {
         spmm(SpmmDataflow::LinearCombination),
         spmm(SpmmDataflow::InnerProduct),
         spmm(SpmmDataflow::OuterProduct),
+        {
+            let (fb, fc) = SpmmDataflow::LinearCombination.operand_formats();
+            (
+                graphs::spmm_with_skip(SpmmDataflow::LinearCombination),
+                Inputs::new().coo("B", &m, fb).coo("C", &n, fc),
+            )
+        },
         (graphs::sddmm_coiteration(), sddmm_inputs.clone()),
+        (graphs::sddmm_with_skip(), sddmm_inputs.clone()),
         (graphs::sddmm_locating(), sddmm_inputs),
         (
             graphs::mat_elem_mul(),
@@ -77,6 +98,30 @@ fn catalog() -> Vec<(SamGraph, Inputs)> {
                 &fd,
                 TensorFormat::dcsc(),
             ),
+        ),
+        (
+            graphs::residual(),
+            Inputs::new().coo("b", &rb, TensorFormat::sparse_vec()).coo("C", &m, TensorFormat::dcsr()).coo(
+                "d",
+                &rd,
+                TensorFormat::sparse_vec(),
+            ),
+        ),
+        (
+            graphs::mat_trans_mul(),
+            Inputs::new()
+                .coo("B", &m, TensorFormat::dcsc())
+                .coo("c", &tc, TensorFormat::sparse_vec())
+                .coo("d", &sv, TensorFormat::sparse_vec())
+                .scalar("alpha", 2.0)
+                .scalar("beta", -3.0),
+        ),
+        (
+            graphs::plus3(),
+            Inputs::new()
+                .coo("B", &p(318), TensorFormat::dcsr())
+                .coo("C", &p(319), TensorFormat::dcsr())
+                .coo("D", &p(320), TensorFormat::dcsr()),
         ),
     ]
 }
@@ -110,16 +155,66 @@ fn profile_totals_match_execution_tokens() {
 }
 
 /// Fusion is invisible to the statistics: every catalog kernel's fused
-/// scanners report, on the fast and tiled backends, what the cycle backend
-/// counts for the same node. (`residual`, `mat_trans_mul` and `plus3` are
-/// covered as compiled twins in `table1_compiled.rs`.)
+/// scanners, fusion-region roots and region members report, on the fast
+/// and tiled backends, what the cycle backend counts for the same node.
 #[test]
 fn fused_scanner_counts_match_the_cycle_backend() {
-    let mut checked = 0;
+    let (mut scanners, mut members) = (0, 0);
     for (graph, inputs) in catalog() {
-        checked += common::assert_fused_scanner_counts_match_cycle(&graph.name, &graph, &inputs);
+        let (fused, in_regions) = common::assert_fused_counts_match_cycle(&graph.name, &graph, &inputs);
+        scanners += fused;
+        members += in_regions;
     }
-    assert!(checked >= 10, "the catalog fuses scanners in most kernels, only {checked} were checked");
+    assert!(scanners >= 10, "the catalog fuses scanners in most kernels, only {scanners} were checked");
+    assert!(
+        members >= 30,
+        "most catalog kernels end in a fusion region, only {members} members were checked"
+    );
+}
+
+/// The same for `custard`'s lowering of the benchmark's seven list kernels
+/// (the expressions of `sambench/src/corpus.rs`, copied, not imported),
+/// whose innermost regions hold repeaters and chains of ALUs.
+#[test]
+fn compiled_list_kernel_region_counts_match_the_cycle_backend() {
+    use custard::{ConcreteIndexNotation, Formats, Schedule};
+
+    let (n, rank, t) = (40, 4, 8);
+    let operands: Vec<(&str, CooTensor)> = vec![
+        ("A", synth::random_matrix_nnz(n, n, 160, 91)),
+        ("B", synth::random_matrix_nnz(n, n, 160, 92)),
+        ("v", synth::random_vector(n, n, 93)),
+        ("w", synth::random_vector(n, n / 2, 94)),
+        ("P", synth::dense_matrix(n, rank, 95)),
+        ("Q", synth::dense_matrix(n, rank, 96)),
+        ("T", synth::random_tensor3([t, t, t], 100, 97)),
+        ("F", synth::random_matrix_nnz(t, t, 12, 98)),
+        ("G", synth::random_matrix_nnz(t, t, 12, 99)),
+        ("u", synth::random_vector(t, t, 100)),
+    ];
+    let kernels: [(&str, &str, Option<&str>, &[&str]); 7] = [
+        ("spmv", "x(i) = A(i,j) * v(j)", None, &[]),
+        ("spmspm", "X(i,j) = A(i,k) * B(k,j)", Some("ikj"), &[]),
+        ("mmadd", "X(i,j) = A(i,j) + B(i,j)", None, &[]),
+        ("sddmm", "X(i,j) = A(i,j) * P(i,k) * Q(j,k)", None, &["P", "Q"]),
+        ("residual", "x(i) = w(i) - A(i,j) * v(j)", None, &[]),
+        ("mttkrp", "X(i,j) = T(i,k,l) * F(j,k) * G(j,l)", None, &[]),
+        ("ttv", "X(i,j) = T(i,j,k) * u(k)", None, &[]),
+    ];
+    let mut members = 0;
+    for (name, text, order, dense) in kernels {
+        let schedule = order.map_or_else(Schedule::new, |o| Schedule::new().reorder(o));
+        let formats = dense.iter().fold(Formats::new(), |f, d| f.set(d, TensorFormat::dense(2)));
+        let cin = ConcreteIndexNotation::new(custard::parse(text).unwrap(), &schedule, formats);
+        let kernel = custard::lower_exec(&cin).unwrap();
+        let inputs = kernel.formats.iter().fold(Inputs::new(), |inputs, (operand, format)| {
+            let coo = &operands.iter().find(|(o, _)| o == operand).unwrap().1;
+            inputs.coo(operand, coo, format.clone())
+        });
+        members += common::assert_fused_counts_match_cycle(name, &kernel.graph, &inputs).1;
+    }
+    // spmv 4, sddmm 7, residual 4, mttkrp 1 + 7, ttv 4.
+    assert_eq!(members, 27, "the list kernels' fusion regions");
 }
 
 /// The tiled backend accumulates per-node counts across tile tuples; the

@@ -42,6 +42,7 @@ impl Payload {
     /// # Panics
     ///
     /// Panics when the payload is not a coordinate.
+    #[inline]
     pub fn expect_crd(self) -> u32 {
         match self {
             Payload::Crd(c) => c,
@@ -54,6 +55,7 @@ impl Payload {
     /// # Panics
     ///
     /// Panics when the payload is not a reference.
+    #[inline]
     pub fn expect_ref(self) -> u32 {
         match self {
             Payload::Ref(r) => r,
@@ -66,6 +68,7 @@ impl Payload {
     /// # Panics
     ///
     /// Panics when the payload is not a value.
+    #[inline]
     pub fn expect_val(self) -> f64 {
         match self {
             Payload::Val(v) => v,

@@ -23,8 +23,9 @@ pub struct NodeProfile {
     /// Wall time spent computing, nanoseconds. No backend blocks a node
     /// on its streams (a stored stream is complete before its reader
     /// starts), so this is also the node's total live time. A level
-    /// scanner the fast backend fused into its intersecter reports zero:
-    /// its work is part of the intersecter's.
+    /// scanner the fast backend fused into its intersecter, and a node it
+    /// evaluated inside an intersecter's fusion region, report zero: their
+    /// work is part of the intersecter's.
     pub busy_ns: u64,
 }
 
@@ -99,8 +100,9 @@ impl ExecProfile {
     /// Renders the ranked per-node time/token table — the body of
     /// `samprof`'s report. `kB` is the bytes of the tokens a node emitted
     /// ([`SimToken`]s, stored or sent on channels); the nodes listed in
-    /// `fused` are scanners whose streams were tallied, never stored, and
-    /// show `-`. The nodes listed in `intersecters` also get their fiber
+    /// `fused` — a fast walk's fused scanners, and the fusion-region nodes
+    /// nobody outside the region reads — had their streams counted, never
+    /// stored, and show `-`. The nodes listed in `intersecters` also get their fiber
     /// pairs (stop tokens / 3: an intersecter closes each pair with one stop
     /// on each of its three outputs) and the busy time per pair.
     pub fn stall_table(&self, intersecters: &[usize], fused: &[usize]) -> String {
