@@ -10,25 +10,25 @@
 //! **Stored only if it leaves the region.** A level scanner whose two
 //! streams feed one operand of one intersecter and nothing else
 //! ([`FusedScan`]) is never evaluated: the intersecter reads the scanner's
-//! reference input itself. When both operands are fused over `Compressed`
-//! or `Dense` levels it walks the two reference streams fiber by fiber —
-//! one item per reference, carrying the stop that closes it — and merges
-//! each fiber pair whole, straight over the levels' coordinate arrays,
-//! pushing tokens only for the matches; otherwise (a stored operand, a
-//! `Bitvector` level) it pulls one `(crd, ref)` pair at a time from a
-//! `GallopScan` built on the same reader. Either way the trailing side
-//! gallops on every mismatch and the tail of a fiber is jumped once the
-//! other operand's has ended, so the walk costs the short side.
+//! reference input itself. Every intersecter and unioner runs one merge
+//! walk: each operand is read a fiber at a time — a fused scanner's
+//! reference stream one item per reference, carrying the stop that closes
+//! it, or stored `(crd, ref)` streams cut at their stops — and each fiber
+//! pair is merged whole, straight over the levels' coordinate arrays where
+//! both operands are fused over `Compressed` or `Dense` levels. The
+//! intersecter gallops the trailing side on every mismatch and pushes only
+//! the matches, so its walk costs the short side; the unioner pushes every
+//! coordinate.
 //!
 //! Downstream, the arrays, ALUs, constants, repeaters and scalar reducers
-//! that only the intersecter and each other read form its fusion region
+//! that only an intersecter and each other read form its fusion region
 //! ([`Plan::region_members`]). Each position the walk pushes — a match's
 //! coordinate and two references, or one stop or done on all three — goes
-//! to the region instead of three streams: the region buffers a block of
-//! positions and runs each member's per-token step function over it in
-//! topological order, the same functions the stored transfer functions
-//! loop over. A stream is stored only if somebody outside the region reads
-//! it; the members are skipped when the walk reaches them.
+//! to the merger's region (memberless for a unioner): the region buffers
+//! a block of positions and runs each member's per-token step function
+//! over it in topological order, the same functions the stored transfer
+//! functions loop over. A stream is stored only if somebody outside the
+//! region reads it; the members are skipped when the walk reaches them.
 //!
 //! Tokens are counted *where they are produced or skipped*: a stored
 //! stream by its length when its producer finishes, a region's stream by
@@ -52,8 +52,8 @@
 //! naming its node; the walk attaches [`Plan::node_label`] when it turns
 //! the fault into an [`ExecError`], so every error spells a node the same
 //! way and an untraced run that succeeds formats no label at all. A fault
-//! inside a fusion region sends the intersecter back through the stored
-//! walk and its members to their own places in the order, so the run fails
+//! inside a fusion region re-runs the intersecter without its members and
+//! sends them to their own places in the order, so the run fails
 //! where, and naming the node that, the stored walk would. A traced run
 //! formats each label once, up front, however many tiles re-run the walk.
 //!
@@ -77,8 +77,8 @@
 use crate::bind::Inputs;
 use crate::error::ExecError;
 use crate::node::{
-    eval_node, run_intersect, scanner_level, GallopScan, IntersectOperand, NodeJob, Region, RegionPort,
-    Repeat, ScalarReduce, SliceSource, Step, Stored, WriterOutput,
+    eval_node, run_merge, scanner_level, Fault, FiberReader, NodeJob, Operand, Region, RegionPort, Repeat,
+    ScalarReduce, SliceSource, Step, StoredReader, WriterOutput,
 };
 use crate::plan::{FusedScan, Plan, PortRef};
 use crate::{assemble_output, Execution, Executor};
@@ -177,49 +177,43 @@ pub(crate) fn define_nodes(plan: &Plan, trace: &dyn TraceSink) -> Vec<String> {
     labels
 }
 
-/// The two operands of intersecter `id`: a fused scanner pulled from its
-/// storage level, or the stored streams.
-fn operands<'a>(
-    plan: &Plan,
-    inputs: &'a Inputs,
-    streams: &'a StreamTable,
-    id: NodeId,
-) -> [IntersectOperand<'a>; 2] {
-    let src = |p: Option<PortRef>| SliceSource::new(streams.get(p.expect("bound data port")));
+/// The two operands of merger `id`: a fused scanner read from its storage
+/// level, or the stored streams.
+fn operands<'a>(plan: &Plan, inputs: &'a Inputs, streams: &'a StreamTable, id: NodeId) -> [Operand<'a>; 2] {
+    let stream = |p: Option<PortRef>| streams.get(p.expect("bound data port"));
     let lanes = plan.fused_operands(id);
     [0, 1].map(|o| match lanes[o] {
-        Some(f) => IntersectOperand::Scan(GallopScan::new(
+        Some(f) => Operand::Scan(FiberReader::new(
             scanner_level(plan, inputs, f.scanner),
-            src(plan.inputs_of(f.scanner)[0]),
+            SliceSource::new(stream(plan.inputs_of(f.scanner)[0])),
         )),
-        None => {
-            IntersectOperand::Streams { crd: src(plan.inputs_of(id)[o]), rf: src(plan.inputs_of(id)[2 + o]) }
-        }
+        None => Operand::Stored(StoredReader::new(
+            stream(plan.inputs_of(id)[o]),
+            stream(plan.inputs_of(id)[2 + o]),
+        )),
     })
 }
 
-/// Whether anybody outside `root`'s fusion region reads output `p`.
-fn leaves_region(plan: &Plan, root: NodeId, p: PortRef) -> bool {
-    plan.consumers_of(p.node)[p.port].iter().any(|&(reader, _)| plan.region_root(reader) != Some(root))
-}
-
-/// Intersecter `root`'s fusion region, ready for its walk: one step per
-/// member, reading the registers its inputs' producers write.
+/// Merger `root`'s fusion region with `members` (none when the root re-runs
+/// after its region faulted), ready for its walk: one step per member,
+/// reading the registers its inputs' producers write.
 fn region<'a>(
     plan: &Plan,
     inputs: &'a Inputs,
     streams: &'a StreamTable,
     root: NodeId,
+    members: &[NodeId],
     classify: bool,
 ) -> Region<'a> {
-    let members = plan.region_members(root);
+    // Whether anybody outside the region reads output `p`.
+    let leaves =
+        |p: PortRef| plan.consumers_of(p.node)[p.port].iter().any(|(reader, _)| !members.contains(reader));
     let reg = |p: Option<PortRef>| match p {
         Some(p) if p.node == root => p.port,
         Some(p) => 3 + members.iter().position(|&m| m == p.node).unwrap_or_default(),
         None => 0,
     };
-    let stored = [0, 1, 2].map(|port| leaves_region(plan, root, PortRef { node: root, port }));
-    let mut region = Region::new(stored, classify);
+    let mut region = Region::new([0, 1, 2].map(|port| leaves(PortRef { node: root, port })), classify);
     for &id in members {
         let ins = plan.inputs_of(id);
         let step = match &plan.graph().nodes()[id.0] {
@@ -236,36 +230,41 @@ fn region<'a>(
             // The one kind left: a scalar reducer.
             _ => Step::Reduce { reduce: ScalarReduce::default(), input: reg(ins[0]) },
         };
-        region.push_member(step, leaves_region(plan, root, PortRef { node: id, port: 0 }));
+        region.push_member(step, leaves(PortRef { node: id, port: 0 }));
     }
     region
 }
 
-/// What an intersecter's walk through its fusion region produced.
-struct RegionRun {
-    /// The tallies of the intersecter's fused scanners.
+/// What a merger's walk produced.
+struct MergeRun {
+    /// The tallies of the merger's fused scanners.
     emitted: [Option<TokenCounts>; 2],
-    /// How many tokens the intersecter produced, and their classes when
-    /// the run is traced.
+    /// How many tokens the merger produced, and their classes when the run
+    /// is traced.
     root: (u64, TokenCounts),
-    /// Each member and its output port.
+    /// Each member of its fusion region and its output port.
     members: Vec<(NodeId, RegionPort)>,
 }
 
-/// Runs intersecter `root` with its fusion region, its streams that leave
-/// the region into `outs`; `None`, with nothing stored, when the walk
-/// faulted.
-fn run_region(
+/// Runs merger `root` — with its fusion region if `fused` — its streams
+/// that leave the region into `outs`, which a fault leaves untouched.
+fn run_merger(
     plan: &Plan,
     inputs: &Inputs,
     streams: &StreamTable,
     root: NodeId,
     classify: bool,
+    fused: bool,
     outs: &mut [Stream],
-) -> Option<RegionRun> {
-    let mut region = region(plan, inputs, streams, root, classify);
+) -> Result<MergeRun, Fault> {
+    let members = if fused { plan.region_members(root) } else { &[] };
+    let mut region = region(plan, inputs, streams, root, members, classify);
     let [mut a, mut b] = operands(plan, inputs, streams, root);
-    run_intersect(&mut a, &mut b, &mut region).ok()?;
+    if matches!(plan.graph().nodes()[root.0], NodeKind::Unioner { .. }) {
+        run_merge::<true>(&mut a, &mut b, &mut region)?;
+    } else {
+        run_merge::<false>(&mut a, &mut b, &mut region)?;
+    }
     let (root_ports, ports) = region.finish();
     let mut counts = (0, TokenCounts::default());
     for (out, port) in outs.iter_mut().zip(root_ports) {
@@ -273,8 +272,11 @@ fn run_region(
         counts.1 += port.tally;
         *out = port.stored.unwrap_or_default();
     }
-    let members = plan.region_members(root).iter().copied().zip(ports).collect();
-    Some(RegionRun { emitted: [a.emitted(), b.emitted()], root: counts, members })
+    Ok(MergeRun {
+        emitted: [a.emitted(), b.emitted()],
+        root: counts,
+        members: members.iter().copied().zip(ports).collect(),
+    })
 }
 
 /// Runs plans functionally, without per-cycle simulation: every node
@@ -325,27 +327,15 @@ pub(crate) fn walk(
         let node_start = tracing.then(Instant::now);
         let mut outs = vec![Stream::new(); plan.consumers_of(id).len()];
         let lanes = plan.fused_operands(id);
-        let mut fused = None;
-        if matches!(plan.graph().nodes()[id.0], NodeKind::Intersecter { .. }) {
-            if !plan.region_members(id).is_empty() {
-                fused = run_region(plan, inputs, &streams, id, tracing, &mut outs);
-                if fused.is_none() {
-                    unfused.push(id);
-                }
+        let mut merged = None;
+        if matches!(plan.graph().nodes()[id.0], NodeKind::Intersecter { .. } | NodeKind::Unioner { .. }) {
+            let mut run = run_merger(plan, inputs, &streams, id, tracing, true, &mut outs);
+            if run.is_err() && !plan.region_members(id).is_empty() {
+                unfused.push(id);
+                run = run_merger(plan, inputs, &streams, id, tracing, false, &mut outs);
             }
-            let emitted = match &fused {
-                Some(run) => run.emitted,
-                None => {
-                    let [mut a, mut b] = operands(plan, inputs, &streams, id);
-                    let [oc, o0, o1, ..] = &mut outs[..] else {
-                        unreachable!("intersecter has five outputs")
-                    };
-                    run_intersect(&mut a, &mut b, &mut Stored([oc, o0, o1]))
-                        .map_err(|f| f.at(plan.node_label(id)))?;
-                    [a.emitted(), b.emitted()]
-                }
-            };
-            for (lane, emitted) in lanes.iter().zip(emitted) {
+            let run = run.map_err(|f| f.at(plan.node_label(id)))?;
+            for (lane, emitted) in lanes.iter().zip(run.emitted) {
                 // Counted where produced or skipped, credited to the
                 // scanner. A lane scanner keeps reporting nothing.
                 if let (Some(FusedScan { scanner, skip_lane: false, .. }), Some(counts)) = (lane, emitted) {
@@ -355,6 +345,7 @@ pub(crate) fn walk(
                     }
                 }
             }
+            merged = Some(run);
         } else {
             let job = NodeJob::build(plan, inputs, id);
             let mut srcs: Vec<SliceSource<'_>> =
@@ -373,9 +364,9 @@ pub(crate) fn walk(
             trace.record_invocations(id.0, 1);
             trace.record_node_wall(id.0, elapsed_ns);
             trace.record_span("serial", &labels[id.0], start_ns, elapsed_ns);
-            trace.record_tokens(id.0, fused.as_ref().map_or_else(|| classify(&outs), |run| run.root.1));
+            trace.record_tokens(id.0, merged.as_ref().map_or_else(|| classify(&outs), |run| run.root.1));
         }
-        tokens += fused.as_ref().map_or_else(|| outs.iter().map(|s| s.len() as u64).sum(), |run| run.root.0);
+        tokens += merged.as_ref().map_or_else(|| outs.iter().map(|s| s.len() as u64).sum(), |run| run.root.0);
         streams.store(id, outs);
         // This node was one reader of each of its inputs; an operand
         // with a fused scanner read the scanner's input in its place
@@ -389,7 +380,7 @@ pub(crate) fn walk(
         // A region member: tallied, stored if read outside the region, and
         // one reader of each of its inputs (an internal one was never
         // stored; releasing it only settles its reader count).
-        for (member, port) in fused.map(|run| run.members).unwrap_or_default() {
+        for (member, port) in merged.map(|run| run.members).unwrap_or_default() {
             tokens += port.len;
             if tracing {
                 trace.record_tokens(member.0, port.tally);

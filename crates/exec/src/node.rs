@@ -7,27 +7,24 @@
 //! finished `Vec<SimToken>` whose `None` means the stream ended, and an
 //! output is a plain `Vec<SimToken>`.
 //!
-//! A level scanner reads its input through one `FiberReader`, the one
-//! place Section 3.3's stop rule is written: each reference becomes a fiber
-//! item carrying the stop that closes it, and the reader tallies what a
-//! standalone scanner would emit for it. It has three users. An
-//! intersecter whose operands are both fused scanners
-//! ([`crate::plan::FusedScan`] — the scanners' streams are then never
-//! stored, only tallied) over `Compressed` or `Dense` levels walks the two
-//! readers item by item and merges each fiber pair whole, straight over
-//! the levels' storage (a [`FiberView`] per side), pushing tokens only for
-//! the matches. Any other intersecter operand pair — a stored stream, a
-//! `Bitvector` level — walks one `(crd, ref)` pair at a time, a fused
-//! operand through a [`GallopScan`] built on the reader. `run_scanner`
-//! drains whole fibers into two stored streams for every scanner somebody
-//! else reads too.
+//! The intersecter and the unioner are one merge walk (`run_merge`) with
+//! two emit rules. Each operand is read a fiber at a time: a fused scanner
+//! ([`crate::plan::FusedScan`] — its streams are then never stored, only
+//! tallied) through a `FiberReader`, the one place Section 3.3's stop rule
+//! is written, and stored streams through a `StoredReader`, which cuts them
+//! at their stops. The walk pairs the two operands' fibers and merges each
+//! pair whole over a [`FiberView`] per side: straight over the storage of
+//! `Compressed` and `Dense` levels, over any other level's fiber copied out
+//! of it, or over the stored slices. `run_scanner` drains whole fibers
+//! through the same `FiberReader` into two stored streams, for every
+//! scanner somebody else reads too.
 //!
-//! The intersecter pushes its output one position at a time into a
-//! [`Positions`]: three stored streams, or a [`Region`] that runs the
-//! intersecter's fusion region over the positions. An array, ALU,
-//! constant, repeater or scalar reducer is written once, as a per-token
-//! step function; its stored transfer function loops it over a whole
-//! stream, and a region calls it on each block of positions.
+//! A merger pushes its output one position at a time into a [`Region`]:
+//! its fusion region, which stores the streams read outside it and runs
+//! its members over the positions. An array, ALU, constant, repeater or
+//! scalar reducer is written once, as a per-token step function; its
+//! stored transfer function loops it over a whole stream, and a region
+//! calls it on each block of positions.
 //!
 //! The transfer functions themselves mirror the `sam-primitives` block
 //! semantics token for token (see the paper definitions cited on each), so
@@ -44,8 +41,9 @@ use sam_primitives::{root_stream, AluOp};
 use sam_sim::payload::{tok, Payload};
 use sam_sim::SimToken;
 use sam_streams::Token;
-use sam_tensor::level::{CompressedLevel, DenseLevel, Level};
+use sam_tensor::level::{CompressedLevel, DenseLevel, FiberEntry, Level};
 use sam_trace::TokenCounts;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
@@ -121,7 +119,7 @@ pub(crate) struct NodeJob<'a> {
 }
 
 /// The storage level a scanner (or locator) node reads, resolved from the
-/// plan's tensor binding — what a fused scanner's [`GallopScan`] walks.
+/// plan's tensor binding — what a fused scanner's [`FiberReader`] opens.
 pub(crate) fn scanner_level<'a>(plan: &Plan, inputs: &'a Inputs, id: NodeId) -> &'a Level {
     let (NodeKind::LevelScanner { tensor, .. } | NodeKind::Locator { tensor, .. }) =
         &plan.graph().nodes()[id.0]
@@ -173,11 +171,6 @@ pub(crate) fn eval_node(
             let [crd_in, ref_in] = srcs else { unreachable!("repeater has two inputs") };
             run_repeater(crd_in, ref_in.clone(), &mut outs[0])?;
         }
-        NodeKind::Unioner { .. } => {
-            let [c0, c1, r0, r1] = srcs else { unreachable!("unioner has four inputs") };
-            let [oc, o0, o1] = outs else { unreachable!("unioner has three outputs") };
-            run_union(c0, c1, r0, r1, oc, o0, o1)?;
-        }
         NodeKind::Locator { .. } => {
             let [crd, rf] = srcs else { unreachable!("locator has two inputs") };
             let [oc, pass, located] = outs else { unreachable!("locator has three outputs") };
@@ -218,23 +211,16 @@ pub(crate) fn eval_node(
                 WriterOutput::Level(run_level_writer(job.writer_dim, &mut srcs[0]))
             }));
         }
-        // The walk runs every intersecter itself (its operands may be fused
-        // scanners, its outputs a fusion region); the rest are rejected
-        // during planning.
+        // The walk runs every merger itself (an intersecter's operands may
+        // be fused scanners, its outputs a fusion region); the rest are
+        // rejected during planning.
         NodeKind::Intersecter { .. }
+        | NodeKind::Unioner { .. }
         | NodeKind::Parallelizer
         | NodeKind::Serializer
         | NodeKind::BitvectorConverter => unreachable!("not evaluated through here"),
     }
     Ok(None)
-}
-
-/// Reads the crd/ref token pair at one position of a merged operand; the
-/// two streams of an operand always advance in lockstep.
-fn fetch_pair(crd: &mut SliceSource<'_>, rf: &mut SliceSource<'_>) -> Option<(SimToken, SimToken)> {
-    let c = crd.next()?;
-    let r = rf.next()?;
-    Some((c, r))
 }
 
 /// Pushes `t` to each output stream of a three-output node.
@@ -244,39 +230,27 @@ fn push3(t: SimToken, a: &mut Vec<SimToken>, b: &mut Vec<SimToken>, c: &mut Vec<
     c.push(t);
 }
 
-/// One reference a level scanner reads off its input stream, with the stop
-/// that follows it on both output streams (Definition 3.1, stop rule of
-/// Section 3.3).
-#[derive(Debug, Clone, Copy)]
-enum FiberItem {
-    /// A `Val` reference to fiber `Some(f)` or an `Empty` one (`None`): the
-    /// fiber's entries, then `stop(stop)`, where `stop` is `n + 1` when a
-    /// lookahead `Stop(n)` closed outer fibers at the same point, else 0.
-    Fiber { fiber: Option<usize>, stop: u8 },
-    /// A bare `Stop(n)` on the input: `stop(n + 1)` and nothing else.
-    Stop(u8),
-    /// The input's done token.
+/// One item of a merger operand, or of a level scanner's input: a fiber and
+/// the stop that follows it on the output streams, or the end of the stream.
+enum FiberItem<F> {
+    /// The fiber's entries, then `stop(stop)`.
+    Fiber { fiber: F, stop: u8 },
+    /// The done token.
     Done,
 }
 
-impl FiberItem {
-    /// The level of the stop this item ends with; `Done` ends with none.
-    fn stop(self) -> u8 {
-        match self {
-            FiberItem::Fiber { stop, .. } | FiberItem::Stop(stop) => stop,
-            FiberItem::Done => 0,
-        }
-    }
-}
-
-/// A level scanner's input side, and the one place its stop rule is
-/// written: reads [`FiberItem`]s off the reference stream, checks each
-/// reference against the level, and tallies what a standalone scanner
-/// emits for the item on its two output streams — `n` coordinate and `n`
-/// reference tokens for a fiber of `n` entries, two stops per item, two
-/// done tokens — whether or not anybody materializes them. `GallopScan`,
-/// `run_scanner` and the fiber walk all read through it.
-struct FiberReader<'a> {
+/// A level scanner's input side, and the one place its stop rule
+/// (Definition 3.1, Section 3.3) is written. It reads one [`FiberItem`] per
+/// reference: a `Val` reference is fiber `Some(f)` and an `Empty` one
+/// `None`, each closed by `stop(n + 1)` when a lookahead `Stop(n)` closes
+/// outer fibers at the same point, else by `stop(0)`; a bare `Stop(n)` is
+/// `None` closed by `stop(n + 1)`. It checks each reference against the
+/// level and tallies what a standalone scanner emits for the item on its
+/// two output streams — `n` coordinate and `n` reference tokens for a
+/// fiber of `n` entries, two stops per item, two done tokens — whether or
+/// not anybody materializes them. `run_scanner` and the merge walk both
+/// read through it.
+pub(crate) struct FiberReader<'a> {
     level: &'a Level,
     input: SliceSource<'a>,
     /// Tokens the scanner emits for the items read so far, by class.
@@ -284,14 +258,16 @@ struct FiberReader<'a> {
 }
 
 impl<'a> FiberReader<'a> {
-    fn new(level: &'a Level, input: SliceSource<'a>) -> Self {
+    /// A scanner over `level`, reading fiber references from `input` (the
+    /// scanner node's reference input stream).
+    pub(crate) fn new(level: &'a Level, input: SliceSource<'a>) -> Self {
         FiberReader { level, input, emitted: TokenCounts::default() }
     }
 
     /// The next item. An input that ends without a done token or carries
     /// a non-reference payload is misaligned; a reference past the level's
     /// last fiber is out of bounds.
-    fn next(&mut self) -> Result<FiberItem, Fault> {
+    fn next(&mut self) -> Result<FiberItem<Option<usize>>, Fault> {
         let token = self.input.next().ok_or(Fault::Misaligned)?;
         if token.is_done() {
             self.emitted.done += 2;
@@ -309,7 +285,7 @@ impl<'a> FiberReader<'a> {
                 Some(r as usize)
             }
             Token::Empty => None,
-            Token::Stop(n) => return Ok(FiberItem::Stop(n + 1)),
+            Token::Stop(n) => return Ok(FiberItem::Fiber { fiber: None, stop: n + 1 }),
             _ => return Err(Fault::Misaligned),
         };
         // One-token lookahead upgrades the trailing stop when the input
@@ -322,6 +298,13 @@ impl<'a> FiberReader<'a> {
             _ => 0,
         };
         Ok(FiberItem::Fiber { fiber, stop })
+    }
+
+    /// The reader with its fibers copied out of the level: for a `Bitvector`
+    /// level, and for any level beside a stored operand.
+    fn any(&mut self) -> (&mut Self, impl Fn(Option<usize>) -> Vec<FiberEntry> + 'a) {
+        let level = self.level;
+        (self, move |fiber| fiber.map_or_else(Vec::new, |f| level.fiber(f)))
     }
 }
 
@@ -336,20 +319,14 @@ fn run_scanner(
     let mut items = FiberReader::new(level, input);
     loop {
         let stop = match items.next()? {
-            FiberItem::Fiber { fiber: Some(f), stop } => {
+            FiberItem::Fiber { fiber, stop } => {
                 match level {
-                    Level::Compressed(l) => drain(CompressedFiber::new(l, f), crd, rf),
-                    Level::Dense(l) => drain(DenseFiber::new(l, f), crd, rf),
-                    Level::Bitvector(_) => {
-                        for e in level.fiber(f) {
-                            crd.push(tok::crd(e.coord));
-                            rf.push(tok::rf(e.child as u32));
-                        }
-                    }
+                    Level::Compressed(l) => drain(CompressedFiber::new(l, fiber), crd, rf),
+                    Level::Dense(l) => drain(DenseFiber::new(l, fiber), crd, rf),
+                    Level::Bitvector(_) => drain(fiber.map_or_else(Vec::new, |f| level.fiber(f)), crd, rf),
                 }
                 stop
             }
-            FiberItem::Fiber { fiber: None, stop } | FiberItem::Stop(stop) => stop,
             FiberItem::Done => {
                 crd.push(tok::done());
                 rf.push(tok::done());
@@ -452,159 +429,18 @@ impl<'a> Repeat<'a> {
     }
 }
 
-/// The fiber a [`GallopScan`] is walking: `pos` is the cursor the skip
-/// requests gallop forward, and `stop` the stop that closes the fiber once
-/// the cursor reaches `len`. An `Empty` reference opens fiber 0 with `len`
-/// 0, so nothing ever reads the level through it.
-#[derive(Clone, Copy)]
-struct OpenFiber {
-    fiber: usize,
-    pos: usize,
-    len: usize,
-    stop: u8,
-}
-
-/// The level scanner (Definition 3.1) as a lazy producer of `(crd, ref)`
-/// token pairs, for an intersecter operand the fiber walk cannot take: a
-/// fused scanner against stored streams, or over a `Bitvector` level.
-///
-/// One stop rule, three users: `GallopScan`, `run_scanner` and the fiber
-/// walk all read the scanner's input through one `FiberReader`, which also
-/// keeps the tally. Fused into an intersecter operand the scanner is pulled
-/// pair by pair and nothing is stored. The intersecter never walks the
-/// coordinates it cannot match: [`GallopScan::skip_to`] gallops the open
-/// fiber's cursor to a target coordinate and [`GallopScan::skip_rest`]
-/// jumps it to the fiber's end. Dense levels jump in O(1), compressed
-/// levels binary-search, so a skewed intersection costs the short side's
-/// length (times a logarithm), not the long side's.
-///
-/// How the host walks is not what the SAM graph moves. A standalone scanner
-/// would have emitted one coordinate and one reference token for every
-/// entry, so the reader tallies a fiber's whole length when it opens it:
-/// once the walk has finished, `emitted` is exactly what classifying the
-/// two drained streams would have counted, skipped entries included.
-pub(crate) struct GallopScan<'a> {
-    items: FiberReader<'a>,
-    /// The fiber being walked; `None` between fibers.
-    open: Option<OpenFiber>,
-}
-
-impl<'a> GallopScan<'a> {
-    /// A scanner over `level`, pulling fiber references from `input` (the
-    /// scanner node's reference input stream).
-    pub(crate) fn new(level: &'a Level, input: SliceSource<'a>) -> Self {
-        GallopScan { items: FiberReader::new(level, input), open: None }
-    }
-
-    /// Gallops the open fiber's cursor to the first entry whose coordinate
-    /// is at least `target`. Requests between fibers are stale (the fiber
-    /// already ended) and ignored, like the cycle-level block.
-    fn skip_to(&mut self, target: u32) {
-        if let Some(open) = &mut self.open {
-            if open.pos < open.len {
-                open.pos = self.items.level.gallop_from(open.fiber, open.pos, target);
-            }
-        }
-    }
-
-    /// Jumps the open fiber's cursor to the fiber's end, so the next pair
-    /// is the fiber's stop. A no-op between fibers.
-    fn skip_rest(&mut self) {
-        if let Some(open) = &mut self.open {
-            open.pos = open.len;
-        }
-    }
-
-    /// The next `(crd, ref)` token pair.
-    fn next_pair(&mut self) -> Result<(SimToken, SimToken), Fault> {
-        loop {
-            if let Some(open) = &mut self.open {
-                if open.pos < open.len {
-                    let e = self.items.level.entry_at(open.fiber, open.pos);
-                    open.pos += 1;
-                    return Ok((tok::crd(e.coord), tok::rf(e.child as u32)));
-                }
-                let s = tok::stop(open.stop);
-                self.open = None;
-                return Ok((s, s));
-            }
-            let s = match self.items.next()? {
-                FiberItem::Fiber { fiber, stop } => {
-                    let len = fiber.map_or(0, |f| self.items.level.fiber_len(f));
-                    self.open = Some(OpenFiber { fiber: fiber.unwrap_or(0), pos: 0, len, stop });
-                    continue;
-                }
-                FiberItem::Stop(n) => tok::stop(n),
-                FiberItem::Done => tok::done(),
-            };
-            return Ok((s, s));
-        }
-    }
-}
-
-/// One operand of an intersecter: either stored crd/ref streams (somebody
-/// else reads them too, so the scanner ran standalone) or the operand's
-/// scanner itself, fused. Only a fused scanner has a cursor to move, so the
-/// two skips are no-ops on stored streams, which step token by token.
-pub(crate) enum IntersectOperand<'a> {
-    /// Stored streams; fetching steps token by token.
-    Streams {
-        /// The operand's coordinate stream.
-        crd: SliceSource<'a>,
-        /// The operand's reference stream.
-        rf: SliceSource<'a>,
-    },
-    /// A fused scanner, walked fiber by fiber or pulled pair by pair.
-    Scan(GallopScan<'a>),
-}
-
-impl IntersectOperand<'_> {
-    /// The next `(crd, ref)` pair; a stream that ends without a done token
-    /// is misaligned.
-    fn fetch(&mut self) -> Result<(SimToken, SimToken), Fault> {
-        match self {
-            IntersectOperand::Streams { crd, rf } => fetch_pair(crd, rf).ok_or(Fault::Misaligned),
-            IntersectOperand::Scan(scan) => scan.next_pair(),
-        }
-    }
-
-    /// Skips to the first coordinate of the in-flight fiber at or past
-    /// `target`.
-    fn skip_to(&mut self, target: u32) {
-        if let IntersectOperand::Scan(scan) = self {
-            scan.skip_to(target);
-        }
-    }
-
-    /// Skips what is left of the in-flight fiber.
-    fn skip_rest(&mut self) {
-        if let IntersectOperand::Scan(scan) = self {
-            scan.skip_rest();
-        }
-    }
-
-    /// What a fused scanner emitted or skipped; `None` for stored streams,
-    /// whose tokens were counted when their producer ran.
-    pub(crate) fn emitted(&self) -> Option<TokenCounts> {
-        match self {
-            IntersectOperand::Streams { .. } => None,
-            IntersectOperand::Scan(scan) => Some(scan.items.emitted),
-        }
-    }
-}
-
-/// One fiber of a `Compressed` or `Dense` level as the fiber walk and the
-/// standalone scanner read it from storage: entries at positions
-/// `0..len()`, coordinates increasing.
+/// One fiber of a merger operand as the merge reads it: entries at
+/// positions `0..len()`, coordinates increasing. A missing fiber (an
+/// `Empty` reference, a bare stop) is a view of no entries.
 trait FiberView {
     /// Number of entries.
     fn len(&self) -> usize;
     /// The coordinate of entry `pos`.
     fn coord(&self, pos: usize) -> u32;
-    /// The reference token of entry `pos`: its child position.
+    /// The reference token of entry `pos`.
     fn child(&self, pos: usize) -> SimToken;
     /// The first position at or after `from` whose coordinate is at least
-    /// `target`, or `len()` ([`Level::gallop_from`] without the dispatch).
+    /// `target`, or `len()`.
     fn gallop(&self, from: usize, target: u32) -> usize;
 }
 
@@ -616,9 +452,9 @@ struct CompressedFiber<'a> {
 }
 
 impl<'a> CompressedFiber<'a> {
-    fn new(level: &'a CompressedLevel, fiber: usize) -> Self {
-        let base = level.seg[fiber];
-        CompressedFiber { crd: &level.crd[base..level.seg[fiber + 1]], base }
+    fn new(level: &'a CompressedLevel, fiber: Option<usize>) -> Self {
+        let (base, end) = fiber.map_or((0, 0), |f| (level.seg[f], level.seg[f + 1]));
+        CompressedFiber { crd: &level.crd[base..end], base }
     }
 }
 
@@ -648,8 +484,9 @@ struct DenseFiber {
 }
 
 impl DenseFiber {
-    fn new(level: &DenseLevel, fiber: usize) -> Self {
-        DenseFiber { size: level.size, base: fiber * level.size }
+    fn new(level: &DenseLevel, fiber: Option<usize>) -> Self {
+        let (size, base) = fiber.map_or((0, 0), |f| (level.size, f * level.size));
+        DenseFiber { size, base }
     }
 }
 
@@ -671,38 +508,153 @@ impl FiberView for DenseFiber {
     }
 }
 
-/// Where an intersecter's walk sends its output, one position at a time. A
-/// position is one token on each of the three output streams: a match's
-/// coordinate and the two operands' references, or one stop or done on
-/// all three.
-pub(crate) trait Positions {
-    /// Takes the three tokens of one position. A fault ends the walk.
-    fn push(&mut self, crd: SimToken, r0: SimToken, r1: SimToken) -> Result<(), Fault>;
+/// A fiber of any level, copied out of it ([`Level::fiber`]).
+impl FiberView for Vec<FiberEntry> {
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
 
-    /// A control position: `t` on all three streams.
-    fn push_all(&mut self, t: SimToken) -> Result<(), Fault> {
-        self.push(t, t, t)
+    fn coord(&self, pos: usize) -> u32 {
+        self[pos].coord
+    }
+
+    fn child(&self, pos: usize) -> SimToken {
+        tok::rf(self[pos].child as u32)
+    }
+
+    fn gallop(&self, from: usize, target: u32) -> usize {
+        from + self[from..].partition_point(|e| e.coord < target)
     }
 }
 
-/// The stored output: the three streams, appended to.
-pub(crate) struct Stored<'o>(pub(crate) [&'o mut Vec<SimToken>; 3]);
+/// A fiber of a stored operand: the aligned slices of its coordinate and
+/// reference streams, copied without their `Empty` positions when it has
+/// some.
+struct StoredFiber<'a> {
+    crd: Cow<'a, [SimToken]>,
+    rf: Cow<'a, [SimToken]>,
+}
 
-impl Positions for Stored<'_> {
+impl FiberView for StoredFiber<'_> {
+    fn len(&self) -> usize {
+        self.crd.len()
+    }
+
+    fn coord(&self, pos: usize) -> u32 {
+        coord_of(&self.crd[pos])
+    }
+
+    fn child(&self, pos: usize) -> SimToken {
+        self.rf[pos]
+    }
+
+    fn gallop(&self, from: usize, target: u32) -> usize {
+        from + self.crd[from..].partition_point(|t| coord_of(t) < target)
+    }
+}
+
+/// The coordinate of a token in a [`StoredFiber`], which [`StoredReader`]
+/// lets only coordinates into.
+fn coord_of(t: &SimToken) -> u32 {
+    match t {
+        Token::Val(Payload::Crd(c)) => *c,
+        _ => u32::MAX,
+    }
+}
+
+/// A merger operand read a fiber at a time.
+trait Fibers {
+    type Fiber: FiberView;
+    /// The next fiber and the stop that closes it, or the end.
+    fn next_fiber(&mut self) -> Result<FiberItem<Self::Fiber>, Fault>;
+}
+
+/// A fused scanner's reader with the view its level's fibers open as.
+impl<V: FiberView, F: Fn(Option<usize>) -> V> Fibers for (&mut FiberReader<'_>, F) {
+    type Fiber = V;
+
     #[inline]
-    fn push(&mut self, crd: SimToken, r0: SimToken, r1: SimToken) -> Result<(), Fault> {
-        let [oc, o0, o1] = &mut self.0;
-        oc.push(crd);
-        o0.push(r0);
-        o1.push(r1);
-        Ok(())
+    fn next_fiber(&mut self) -> Result<FiberItem<V>, Fault> {
+        Ok(match self.0.next()? {
+            FiberItem::Fiber { fiber, stop } => FiberItem::Fiber { fiber: (self.1)(fiber), stop },
+            FiberItem::Done => FiberItem::Done,
+        })
+    }
+}
+
+/// A stored operand's `(crd, ref)` streams, cut at each stop into one
+/// fiber. An `Empty` coordinate (a locator's miss) is skipped with its
+/// reference, on its own side, as the cycle-level mergers skip it.
+pub(crate) struct StoredReader<'a> {
+    crd: &'a [SimToken],
+    rf: &'a [SimToken],
+    pos: usize,
+}
+
+impl<'a> StoredReader<'a> {
+    pub(crate) fn new(crd: &'a [SimToken], rf: &'a [SimToken]) -> Self {
+        StoredReader { crd, rf, pos: 0 }
+    }
+}
+
+impl<'a> Fibers for StoredReader<'a> {
+    type Fiber = StoredFiber<'a>;
+
+    /// The entries up to the next stop and that stop, or the done token. A
+    /// coordinate stream that ends without one, carries a non-coordinate
+    /// payload or data right before its done token, or a reference stream
+    /// shorter than it, is misaligned.
+    fn next_fiber(&mut self) -> Result<FiberItem<StoredFiber<'a>>, Fault> {
+        let (start, mut end, mut empties) = (self.pos, self.pos, false);
+        let stop = loop {
+            match self.crd.get(end) {
+                Some(Token::Val(Payload::Crd(_))) => {}
+                Some(Token::Empty) => empties = true,
+                Some(&Token::Stop(n)) => break Some(n),
+                Some(Token::Done) if end == start => break None,
+                _ => return Err(Fault::Misaligned),
+            }
+            end += 1;
+        };
+        // The reference stream advances in lockstep, through the stop.
+        let rf = &self.rf.get(start..=end).ok_or(Fault::Misaligned)?[..end - start];
+        let crd = &self.crd[start..end];
+        self.pos = end + 1;
+        let Some(stop) = stop else { return Ok(FiberItem::Done) };
+        let kept = |s: &'a [SimToken]| -> Cow<'a, [SimToken]> {
+            if empties {
+                s.iter().zip(crd).filter(|(_, c)| !c.is_empty_token()).map(|(&t, _)| t).collect()
+            } else {
+                Cow::Borrowed(s)
+            }
+        };
+        Ok(FiberItem::Fiber { fiber: StoredFiber { crd: kept(crd), rf: kept(rf) }, stop })
+    }
+}
+
+/// One operand of a merger.
+pub(crate) enum Operand<'a> {
+    /// The operand's scanner, fused: its level, read through the scanner's
+    /// input.
+    Scan(FiberReader<'a>),
+    /// Stored streams, which somebody else reads too.
+    Stored(StoredReader<'a>),
+}
+
+impl Operand<'_> {
+    /// What a fused scanner emitted or skipped; `None` for stored streams,
+    /// whose tokens were counted when their producer ran.
+    pub(crate) fn emitted(&self) -> Option<TokenCounts> {
+        match self {
+            Operand::Scan(reader) => Some(reader.emitted),
+            Operand::Stored(_) => None,
+        }
     }
 }
 
 /// How many positions a fusion region buffers before its members run: a
 /// block of every register fits in the first-level cache.
 const BLOCK: usize = 128;
-
 /// How a fusion-region member computes its tokens, and the registers it
 /// reads: 0–2 hold the root's coordinate and two reference tokens, `3 + k`
 /// the tokens member `k` computed.
@@ -797,23 +749,26 @@ impl RegionPort {
     }
 }
 
-/// An intersecter with its fusion region
-/// ([`crate::plan::Plan::region_members`]). The root's positions are
-/// buffered a block at a time; each member then computes its block of
-/// tokens from its producers' blocks, in topological order, with the same
-/// step function its stored transfer function loops over. Every member but
-/// a reducer is one token in, one token out, so the `i`-th token of every
-/// register belongs to the same position, as it would in the stored
-/// streams. A stream that leaves the region is written straight to its
-/// stored stream, every other one to its register only. Every stream is
-/// counted, and classified when the run is traced, so each node's counts
-/// are what storing it would have counted.
+/// Where a merger's walk sends its output, one position at a time — a
+/// match's coordinate and the two operands' references, or one stop or done
+/// on all three streams — with the merger's fusion region
+/// ([`crate::plan::Plan::region_members`]), which may have no members. The
+/// root's positions are buffered a block at a time; each member then
+/// computes its block of tokens from its producers' blocks, in topological
+/// order, with the same step function its stored transfer function loops
+/// over. Every member but a reducer is one token in, one token out, so the
+/// `i`-th token of every register belongs to the same position, as it
+/// would in the stored streams. A stream that leaves the region is written
+/// straight to its stored stream, every other one to its register only.
+/// Every stream is counted, and classified when the run is traced, so each
+/// node's counts are what storing it would have counted.
 pub(crate) struct Region<'a> {
     classify: bool,
     root: [RegionPort; 3],
     steps: Vec<Step<'a>>,
     outs: Vec<RegionPort>,
-    /// `BLOCK` tokens per register; a stored port's register goes unused.
+    /// `BLOCK` tokens per register; a stored port's register goes unused,
+    /// and a memberless region that stores all three root ports has none.
     regs: Vec<SimToken>,
     /// Positions buffered so far in the current block.
     filled: usize,
@@ -823,12 +778,13 @@ impl<'a> Region<'a> {
     /// A region with no members yet, storing the root ports marked in
     /// `root_stored` and classifying every token it counts if `classify`.
     pub(crate) fn new(root_stored: [bool; 3], classify: bool) -> Self {
+        let registers = if root_stored == [true; 3] { 0 } else { 3 };
         Region {
             classify,
             root: root_stored.map(RegionPort::new),
             steps: Vec::new(),
             outs: Vec::new(),
-            regs: vec![tok::done(); 3 * BLOCK],
+            regs: vec![tok::done(); registers * BLOCK],
             filled: 0,
         }
     }
@@ -840,7 +796,7 @@ impl<'a> Region<'a> {
         let stored = stored || matches!(step, Step::Reduce { .. });
         self.steps.push(step);
         self.outs.push(RegionPort::new(stored));
-        self.regs.resize(self.regs.len() + BLOCK, tok::done());
+        self.regs.resize((3 + self.steps.len()) * BLOCK, tok::done());
     }
 
     /// The root's three ports and each member's output port, in the order
@@ -849,28 +805,8 @@ impl<'a> Region<'a> {
         (self.root, self.outs)
     }
 
-    /// Runs every member over the buffered block. Out of line, so that the
-    /// walk's loop, which calls it once a block, stays small.
-    #[inline(never)]
-    fn flush(&mut self) -> Result<(), Fault> {
-        let (n, classify) = (std::mem::take(&mut self.filled), self.classify);
-        for (r, port) in self.root.iter_mut().enumerate() {
-            port.count(&self.regs[r * BLOCK..r * BLOCK + n], classify);
-        }
-        for (k, (step, port)) in self.steps.iter_mut().zip(&mut self.outs).enumerate() {
-            let (ins, reg) = self.regs.split_at_mut((3 + k) * BLOCK);
-            let reg = &mut reg[..n];
-            match &mut port.stored {
-                Some(stream) => step.map(ins, n, |_, t| stream.push(t))?,
-                None => step.map(ins, n, |i, t| reg[i] = t)?,
-            }
-            port.count(reg, classify);
-        }
-        Ok(())
-    }
-}
-
-impl Positions for Region<'_> {
+    /// Takes the three tokens of one position. A member's fault ends the
+    /// walk.
     #[inline]
     fn push(&mut self, crd: SimToken, r0: SimToken, r1: SimToken) -> Result<(), Fault> {
         let at = self.filled;
@@ -889,11 +825,43 @@ impl Positions for Region<'_> {
         }
         Ok(())
     }
+
+    /// A control position: `t` on all three streams.
+    fn push_all(&mut self, t: SimToken) -> Result<(), Fault> {
+        self.push(t, t, t)
+    }
+
+    /// Runs every member over the buffered block. Out of line, so that the
+    /// walk's loop, which calls it once a block, stays small.
+    #[inline(never)]
+    fn flush(&mut self) -> Result<(), Fault> {
+        let (n, classify) = (std::mem::take(&mut self.filled), self.classify);
+        for (r, port) in self.root.iter_mut().enumerate() {
+            port.count(self.regs.get(r * BLOCK..r * BLOCK + n).unwrap_or_default(), classify);
+        }
+        for (k, (step, port)) in self.steps.iter_mut().zip(&mut self.outs).enumerate() {
+            let (ins, reg) = self.regs.split_at_mut((3 + k) * BLOCK);
+            let reg = &mut reg[..n];
+            match &mut port.stored {
+                Some(stream) => step.map(ins, n, |_, t| stream.push(t))?,
+                None => step.map(ins, n, |i, t| reg[i] = t)?,
+            }
+            port.count(reg, classify);
+        }
+        Ok(())
+    }
 }
 
-/// Intersects fibers `a` and `b`, galloping the trailing side on every
-/// mismatch and pushing tokens only for the matches.
-fn merge_fibers<A: FiberView, B: FiberView>(a: A, b: B, out: &mut impl Positions) -> Result<(), Fault> {
+/// Merges fibers `a` and `b` (Definitions 3.2 and 3.3). The intersecter
+/// pushes only the matches, galloping the trailing side on every mismatch;
+/// the unioner (`UNION`) pushes every coordinate, `Empty` on the side that
+/// lacks it.
+#[inline]
+fn merge_fibers<const UNION: bool, A: FiberView, B: FiberView>(
+    a: &A,
+    b: &B,
+    out: &mut Region<'_>,
+) -> Result<(), Fault> {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         let (ca, cb) = (a.coord(i), b.coord(j));
@@ -903,214 +871,110 @@ fn merge_fibers<A: FiberView, B: FiberView>(a: A, b: B, out: &mut impl Positions
                 i += 1;
                 j += 1;
             }
+            Ordering::Less if UNION => {
+                out.push(tok::crd(ca), a.child(i), tok::empty())?;
+                i += 1;
+            }
+            Ordering::Greater if UNION => {
+                out.push(tok::crd(cb), tok::empty(), b.child(j))?;
+                j += 1;
+            }
             Ordering::Less => i = a.gallop(i + 1, cb),
             Ordering::Greater => j = b.gallop(j + 1, ca),
         }
     }
+    if UNION {
+        rest(a, i, 0, out)?;
+        rest(b, j, 1, out)?;
+    }
     Ok(())
 }
 
-/// The fiber walk, over two readers whose levels `open_a` / `open_b` turn a
-/// fiber index into a [`FiberView`]. Items pair up: `(Done, Done)` ends all
-/// three outputs; a `Done` on one side waits while the other side advances
-/// and pushes nothing; any other pair merges the two fibers when both
-/// exist, then closes all three outputs with the higher of the two stops.
-/// Each reader tallies its own stream, so the counts do not depend on what
-/// the other side held.
-fn fiber_walk<A: FiberView, B: FiberView>(
-    a: &mut FiberReader<'_>,
-    open_a: impl Fn(usize) -> A,
-    b: &mut FiberReader<'_>,
-    open_b: impl Fn(usize) -> B,
-    out: &mut impl Positions,
+/// The unioner's tail of operand `side`'s fiber: entries `from..`, with
+/// `Empty` for the other operand.
+fn rest<V: FiberView>(fiber: &V, from: usize, side: usize, out: &mut Region<'_>) -> Result<(), Fault> {
+    for pos in from..fiber.len() {
+        let (r0, r1) =
+            if side == 0 { (fiber.child(pos), tok::empty()) } else { (tok::empty(), fiber.child(pos)) };
+        out.push(tok::crd(fiber.coord(pos)), r0, r1)?;
+    }
+    Ok(())
+}
+
+/// The merge walk. Items pair up: any pair merges its two fibers, then
+/// closes all three outputs with the higher of the two stops; `(Done,
+/// Done)` ends them. A `Done` on one side waits while the other side
+/// advances, pushing nothing for the intersecter and the fiber's entries
+/// for the unioner. A fused scanner's reader tallies its own stream, so the
+/// counts do not depend on what the other side held.
+fn fiber_walk<const UNION: bool, A: Fibers, B: Fibers>(
+    a: &mut A,
+    b: &mut B,
+    out: &mut Region<'_>,
 ) -> Result<(), Fault> {
-    let (mut ia, mut ib) = (a.next()?, b.next()?);
+    let (mut ia, mut ib) = (a.next_fiber()?, b.next_fiber()?);
     loop {
-        match (ia, ib) {
+        match (&ia, &ib) {
             (FiberItem::Done, FiberItem::Done) => return out.push_all(tok::done()),
-            (FiberItem::Done, _) => ib = b.next()?,
-            (_, FiberItem::Done) => ia = a.next()?,
-            _ => {
-                if let (FiberItem::Fiber { fiber: Some(fa), .. }, FiberItem::Fiber { fiber: Some(fb), .. }) =
-                    (ia, ib)
-                {
-                    merge_fibers(open_a(fa), open_b(fb), out)?;
+            (FiberItem::Done, FiberItem::Fiber { fiber, .. }) => {
+                if UNION {
+                    rest(fiber, 0, 1, out)?;
                 }
-                out.push_all(tok::stop(ia.stop().max(ib.stop())))?;
-                (ia, ib) = (a.next()?, b.next()?);
+                ib = b.next_fiber()?;
             }
-        }
-    }
-}
-
-/// The fiber walk when it applies — both operands are fresh fused scanners
-/// over `Compressed` or `Dense` levels — else `None`, with nothing read or
-/// pushed.
-fn walk_fibers(
-    a: &mut IntersectOperand<'_>,
-    b: &mut IntersectOperand<'_>,
-    out: &mut impl Positions,
-) -> Option<Result<(), Fault>> {
-    let (IntersectOperand::Scan(a), IntersectOperand::Scan(b)) = (a, b) else { return None };
-    let (a, b) = (&mut a.items, &mut b.items);
-    Some(match (a.level, b.level) {
-        (Level::Compressed(x), Level::Compressed(y)) => {
-            fiber_walk(a, |f| CompressedFiber::new(x, f), b, |f| CompressedFiber::new(y, f), out)
-        }
-        (Level::Compressed(x), Level::Dense(y)) => {
-            fiber_walk(a, |f| CompressedFiber::new(x, f), b, |f| DenseFiber::new(y, f), out)
-        }
-        (Level::Dense(x), Level::Compressed(y)) => {
-            fiber_walk(a, |f| DenseFiber::new(x, f), b, |f| CompressedFiber::new(y, f), out)
-        }
-        (Level::Dense(x), Level::Dense(y)) => {
-            fiber_walk(a, |f| DenseFiber::new(x, f), b, |f| DenseFiber::new(y, f), out)
-        }
-        _ => return None,
-    })
-}
-
-/// Intersecter transfer function (Definition 3.2): a two-finger merge that
-/// walks the short side. Two fused scanners over `Compressed` / `Dense`
-/// levels take the fiber walk; any other operand pair walks pairs.
-pub(crate) fn run_intersect(
-    a: &mut IntersectOperand<'_>,
-    b: &mut IntersectOperand<'_>,
-    out: &mut impl Positions,
-) -> Result<(), Fault> {
-    match walk_fibers(a, b, out) {
-        Some(walked) => walked,
-        None => walk_pairs(a, b, out),
-    }
-}
-
-/// The pair walk: one `(crd, ref)` pair at a time. On a mismatch the
-/// trailing operand skips to the leading one's coordinate, and once one
-/// operand's fiber has ended the other skips the rest of its own — neither
-/// can match anything on the way. Whether the graph wires a Section 4.2
-/// skip lane does not matter here: a fused scanner tallies what it skipped,
-/// so the streams and every count are those of the plain merge over stored
-/// streams.
-fn walk_pairs(
-    a: &mut IntersectOperand<'_>,
-    b: &mut IntersectOperand<'_>,
-    out: &mut impl Positions,
-) -> Result<(), Fault> {
-    let mut ta = a.fetch()?;
-    let mut tb = b.fetch()?;
-    loop {
-        match (ta.0, tb.0) {
-            (Token::Val(pa), Token::Val(pb)) => {
-                let ca = pa.expect_crd();
-                let cb = pb.expect_crd();
-                if ca == cb {
-                    out.push(tok::crd(ca), ta.1, tb.1)?;
-                    ta = a.fetch()?;
-                    tb = b.fetch()?;
-                } else if ca < cb {
-                    // The trailing side gallops straight to the coordinate
-                    // the leading side is waiting at.
-                    a.skip_to(cb);
-                    ta = a.fetch()?;
-                } else {
-                    b.skip_to(ca);
-                    tb = b.fetch()?;
+            (FiberItem::Fiber { fiber, .. }, FiberItem::Done) => {
+                if UNION {
+                    rest(fiber, 0, 0, out)?;
                 }
+                ia = a.next_fiber()?;
             }
-            // The other side's fiber is over: the tail of this one is dead.
-            (Token::Val(_), Token::Stop(_) | Token::Done) => {
-                a.skip_rest();
-                ta = a.fetch()?;
+            (FiberItem::Fiber { fiber: fa, stop: sa }, FiberItem::Fiber { fiber: fb, stop: sb }) => {
+                merge_fibers::<UNION, _, _>(fa, fb, out)?;
+                out.push_all(tok::stop((*sa).max(*sb)))?;
+                (ia, ib) = (a.next_fiber()?, b.next_fiber()?);
             }
-            (Token::Stop(_) | Token::Done, Token::Val(_)) => {
-                b.skip_rest();
-                tb = b.fetch()?;
-            }
-            (Token::Val(_) | Token::Empty, _) => ta = a.fetch()?,
-            (_, Token::Empty) => tb = b.fetch()?,
-            (Token::Stop(na), Token::Stop(nb)) => {
-                out.push_all(tok::stop(na.max(nb)))?;
-                ta = a.fetch()?;
-                tb = b.fetch()?;
-            }
-            (Token::Done, Token::Done) => return out.push_all(tok::done()),
-            (Token::Stop(_), Token::Done) => ta = a.fetch()?,
-            (Token::Done, Token::Stop(_)) => tb = b.fetch()?,
         }
     }
 }
 
-/// Unioner transfer function (Definition 3.3).
-fn run_union(
-    c0: &mut SliceSource<'_>,
-    c1: &mut SliceSource<'_>,
-    r0: &mut SliceSource<'_>,
-    r1: &mut SliceSource<'_>,
-    oc: &mut Vec<SimToken>,
-    o0: &mut Vec<SimToken>,
-    o1: &mut Vec<SimToken>,
+/// Intersecter (Definition 3.2) or, if `UNION`, unioner (Definition 3.3)
+/// transfer function: the merge walk over the two operands' fibers. Two
+/// fused scanners over `Compressed` / `Dense` levels merge straight over
+/// the levels' storage; any other fused level's fibers are copied out of
+/// it one at a time.
+pub(crate) fn run_merge<const UNION: bool>(
+    a: &mut Operand<'_>,
+    b: &mut Operand<'_>,
+    out: &mut Region<'_>,
 ) -> Result<(), Fault> {
-    let mut a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
-    let mut b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
-    loop {
-        match (a.0, b.0) {
-            (Token::Val(pa), Token::Val(pb)) => {
-                let ca = pa.expect_crd();
-                let cb = pb.expect_crd();
-                if ca == cb {
-                    oc.push(tok::crd(ca));
-                    o0.push(a.1);
-                    o1.push(b.1);
-                    a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
-                    b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
-                } else if ca < cb {
-                    oc.push(tok::crd(ca));
-                    o0.push(a.1);
-                    o1.push(tok::empty());
-                    a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
-                } else {
-                    oc.push(tok::crd(cb));
-                    o0.push(tok::empty());
-                    o1.push(b.1);
-                    b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
-                }
-            }
-            (Token::Val(pa), _) => {
-                oc.push(tok::crd(pa.expect_crd()));
-                o0.push(a.1);
-                o1.push(tok::empty());
-                a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
-            }
-            (_, Token::Val(pb)) => {
-                oc.push(tok::crd(pb.expect_crd()));
-                o0.push(tok::empty());
-                o1.push(b.1);
-                b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
-            }
-            (Token::Empty, _) => {
-                a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
-            }
-            (_, Token::Empty) => {
-                b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
-            }
-            (Token::Stop(na), Token::Stop(nb)) => {
-                push3(tok::stop(na.max(nb)), oc, o0, o1);
-                a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
-                b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
-            }
-            (Token::Done, Token::Done) => {
-                push3(tok::done(), oc, o0, o1);
-                break;
-            }
-            (Token::Stop(_), Token::Done) => {
-                a = fetch_pair(c0, r0).ok_or(Fault::Misaligned)?;
-            }
-            (Token::Done, Token::Stop(_)) => {
-                b = fetch_pair(c1, r1).ok_or(Fault::Misaligned)?;
-            }
-        }
+    match (a, b) {
+        (Operand::Scan(x), Operand::Scan(y)) => match (x.level, y.level) {
+            (Level::Compressed(l), Level::Compressed(m)) => fiber_walk::<UNION, _, _>(
+                &mut (x, |f| CompressedFiber::new(l, f)),
+                &mut (y, |f| CompressedFiber::new(m, f)),
+                out,
+            ),
+            (Level::Compressed(l), Level::Dense(m)) => fiber_walk::<UNION, _, _>(
+                &mut (x, |f| CompressedFiber::new(l, f)),
+                &mut (y, |f| DenseFiber::new(m, f)),
+                out,
+            ),
+            (Level::Dense(l), Level::Compressed(m)) => fiber_walk::<UNION, _, _>(
+                &mut (x, |f| DenseFiber::new(l, f)),
+                &mut (y, |f| CompressedFiber::new(m, f)),
+                out,
+            ),
+            (Level::Dense(l), Level::Dense(m)) => fiber_walk::<UNION, _, _>(
+                &mut (x, |f| DenseFiber::new(l, f)),
+                &mut (y, |f| DenseFiber::new(m, f)),
+                out,
+            ),
+            _ => fiber_walk::<UNION, _, _>(&mut x.any(), &mut y.any(), out),
+        },
+        (Operand::Scan(x), Operand::Stored(y)) => fiber_walk::<UNION, _, _>(&mut x.any(), y, out),
+        (Operand::Stored(x), Operand::Scan(y)) => fiber_walk::<UNION, _, _>(x, &mut y.any(), out),
+        (Operand::Stored(x), Operand::Stored(y)) => fiber_walk::<UNION, _, _>(x, y, out),
     }
-    Ok(())
 }
 
 /// Locator transfer function (Definition 4.1).
@@ -1724,64 +1588,104 @@ mod tests {
         [crd, rf]
     }
 
-    fn streams(stored: &[Vec<SimToken>; 2]) -> IntersectOperand<'_> {
-        IntersectOperand::Streams { crd: SliceSource::new(&stored[0]), rf: SliceSource::new(&stored[1]) }
+    fn streams(stored: &[Vec<SimToken>; 2]) -> Operand<'_> {
+        Operand::Stored(StoredReader::new(&stored[0], &stored[1]))
     }
 
-    fn scan<'a>(level: &'a Level, refs: &'a [SimToken]) -> IntersectOperand<'a> {
-        IntersectOperand::Scan(GallopScan::new(level, SliceSource::new(refs)))
+    fn scan<'a>(level: &'a Level, refs: &'a [SimToken]) -> Operand<'a> {
+        Operand::Scan(FiberReader::new(level, SliceSource::new(refs)))
     }
 
     type Outputs = [Vec<SimToken>; 3];
 
-    /// The intersecter as the fast backend runs it.
-    fn intersect(a: &mut IntersectOperand<'_>, b: &mut IntersectOperand<'_>) -> Result<Outputs, Fault> {
-        let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
-        run_intersect(a, b, &mut Stored([&mut oc, &mut o0, &mut o1]))?;
-        Ok([oc, o0, o1])
+    /// The merger as the fast backend runs it, into a memberless region
+    /// that stores all three streams (and so holds no registers).
+    fn merge(union: bool, a: &mut Operand<'_>, b: &mut Operand<'_>) -> Result<Outputs, Fault> {
+        let mut region = Region::new([true; 3], false);
+        assert!(region.regs.is_empty(), "a region that stores every port has no registers");
+        if union {
+            run_merge::<true>(a, b, &mut region)?;
+        } else {
+            run_merge::<false>(a, b, &mut region)?;
+        }
+        let (root, _) = region.finish();
+        Ok(root.map(|port| port.stored.unwrap_or_default()))
     }
 
-    /// The pair walk, whatever the operands.
-    fn pairs(a: &mut IntersectOperand<'_>, b: &mut IntersectOperand<'_>) -> Result<Outputs, Fault> {
-        let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
-        walk_pairs(a, b, &mut Stored([&mut oc, &mut o0, &mut o1]))?;
-        Ok([oc, o0, o1])
-    }
-
-    /// The fiber walk; `None` where it does not apply.
-    fn fibers(a: &mut IntersectOperand<'_>, b: &mut IntersectOperand<'_>) -> Option<Result<Outputs, Fault>> {
-        let [mut oc, mut o0, mut o1] = [Vec::new(), Vec::new(), Vec::new()];
-        let walked = walk_fibers(a, b, &mut Stored([&mut oc, &mut o0, &mut o1]));
-        walked.map(|walked| walked.map(|()| [oc, o0, o1]))
-    }
-
-    fn has_bitvector(formats: [Format; 2]) -> bool {
-        formats.iter().any(|f| matches!(f, Format::Bitvector))
+    /// The cycle-level block — `Unioner` if `union`, else `Intersecter` —
+    /// over two operands' stored `(crd, ref)` streams, run to completion
+    /// on the simulator.
+    fn cycle(union: bool, a: &[Vec<SimToken>; 2], b: &[Vec<SimToken>; 2]) -> Outputs {
+        let mut sim = sam_sim::Simulator::new();
+        let [ca, cb, ra, rb, oc, o0, o1] =
+            ["ca", "cb", "ra", "rb", "oc", "o0", "o1"].map(|n| sim.add_channel(n));
+        for (channel, stream) in [(ca, &a[0]), (cb, &b[0]), (ra, &a[1]), (rb, &b[1])] {
+            sim.preload(channel, stream.iter().copied());
+        }
+        let outs = [oc, o0, o1];
+        outs.iter().for_each(|&c| sim.record(c));
+        sim.add_block(if union {
+            Box::new(sam_primitives::Unioner::new("union", [ca, cb], [ra, rb], oc, [o0, o1]))
+        } else {
+            Box::new(sam_primitives::Intersecter::new("intersect", [ca, cb], [ra, rb], oc, [o0, o1]))
+        });
+        assert!(sim.run(1 << 26).is_ok(), "the cycle-level merger finishes");
+        outs.map(|c| sim.history(c).to_vec())
     }
 
     /// A fused scanner's tally is what the driver would have counted for
     /// the standalone scanner's stored streams, class by class.
-    fn assert_tally(operand: &IntersectOperand<'_>, stored: &[Vec<SimToken>; 2], what: &str) {
-        let mut want = TokenCounts::default();
-        stored.iter().flatten().for_each(|t| want.record(t));
-        assert_eq!(operand.emitted(), Some(want), "{what}: tally");
+    fn assert_tally(operand: &Operand<'_>, stored: &[Vec<SimToken>; 2], what: &str) {
+        assert_eq!(operand.emitted(), Some(counts_of(&stored.concat())), "{what}: tally");
     }
 
-    /// The pair walk over two stored streams is the reference: the fiber
-    /// walk (both fused, compressed / dense), the galloped pair walk over
-    /// two fused scans (every format pair) and both fused-against-stored
-    /// mixes must produce its streams token for token, and each fused
-    /// scan's tally its counts.
+    /// `stored` with an `Empty` token at random positions of both streams,
+    /// inside its fibers (as a locator emits for a miss): none before the
+    /// done token, which follows a stop.
+    fn with_empties(rng: &mut StdRng, stored: &[Vec<SimToken>; 2]) -> [Vec<SimToken>; 2] {
+        let mut out = [Vec::new(), Vec::new()];
+        for (pos, &t) in stored[0].iter().enumerate() {
+            if !t.is_done() && rng.gen::<f64>() < 0.2 {
+                out.iter_mut().for_each(|s| s.push(tok::empty()));
+            }
+            out[0].push(t);
+            out[1].push(stored[1][pos]);
+        }
+        out
+    }
+
+    /// `refs` ended early: cut right after one of its stops (so every fiber
+    /// before the cut closes as it did), or before its first token.
+    fn ended_early(rng: &mut StdRng, refs: &[SimToken]) -> Vec<SimToken> {
+        let stops: Vec<usize> = (0..refs.len()).filter(|&i| refs[i].is_stop()).map(|i| i + 1).collect();
+        let cut = rng.gen_range(0..stops.len() + 1);
+        let cut = if cut == 0 { 0 } else { stops[cut - 1] };
+        let mut early = refs[..cut].to_vec();
+        early.push(tok::done());
+        early
+    }
+
+    /// The cycle-level `Intersecter` and `Unioner` over stored streams are
+    /// the reference. The merge walk must produce their streams token for
+    /// token, for both rules, over every format pair and every mix of
+    /// fused and stored operands, and each fused scanner's tally its
+    /// counts. In some rounds one operand's stored streams carry `Empty`
+    /// tokens inside their fibers (only a stored operand can), and in some
+    /// one operand ends early.
     #[test]
-    fn the_galloped_walk_equals_the_stored_stream_walk_token_for_token() -> Result<(), Fault> {
+    fn the_fiber_walk_equals_the_cycle_mergers_token_for_token() -> Result<(), Fault> {
         let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
         let mut rng = StdRng::seed_from_u64(19);
-        let (mut matched, mut repeated) = (0, 0);
+        let (mut matched, mut repeated, mut emptied, mut early) = (0, 0, 0, 0);
         for fa in formats {
             for fb in formats {
                 for round in 0..40 {
-                    let what = format!("{fa:?} x {fb:?}, round {round}");
-                    let Case { levels: [la, lb], refs: [ra, rb] } = case(&mut rng, [fa, fb]);
+                    let Case { levels: [la, lb], refs: [mut ra, mut rb] } = case(&mut rng, [fa, fb]);
+                    if rng.gen::<f64>() < 0.2 {
+                        let side = if rng.gen_range(0usize..2) == 0 { &mut ra } else { &mut rb };
+                        *side = ended_early(&mut rng, side);
+                        early += 1;
+                    }
                     repeated += [&ra, &rb]
                         .iter()
                         .map(|r| {
@@ -1789,88 +1693,60 @@ mod tests {
                             refs.windows(2).filter(|w| w[0] == w[1]).count()
                         })
                         .sum::<usize>();
-                    let (sa, sb) = (stored(&la, &ra), stored(&lb, &rb));
-                    let want = pairs(&mut streams(&sa), &mut streams(&sb))?;
-                    matched += want[0].iter().filter(|t| matches!(t, Token::Val(_))).count();
-
-                    if !has_bitvector([fa, fb]) {
-                        let (mut a, mut b) = (scan(&la, &ra), scan(&lb, &rb));
-                        assert_eq!(fibers(&mut a, &mut b), Some(Ok(want.clone())), "{what}: fiber walk");
-                        assert_tally(&a, &sa, &what);
-                        assert_tally(&b, &sb, &what);
+                    let clean = [stored(&la, &ra), stored(&lb, &rb)];
+                    // The side whose stored streams carry empty tokens, if any.
+                    let dirty = (rng.gen::<f64>() < 0.3).then(|| rng.gen_range(0usize..2));
+                    let mut held = clean.clone();
+                    if let Some(side) = dirty {
+                        held[side] = with_empties(&mut rng, &clean[side]);
+                        emptied += held[side][0].iter().filter(|t| t.is_empty_token()).count();
                     }
-
-                    let (mut a, mut b) = (scan(&la, &ra), scan(&lb, &rb));
-                    assert_eq!(pairs(&mut a, &mut b)?, want, "{what}: galloped pair walk");
-                    assert_tally(&a, &sa, &what);
-                    assert_tally(&b, &sb, &what);
-
-                    let (mut a, mut b) = (scan(&la, &ra), streams(&sb));
-                    assert_eq!(intersect(&mut a, &mut b)?, want, "{what}: fused against stored");
-                    assert_tally(&a, &sa, &what);
-                    assert_eq!(b.emitted(), None, "{what}: stored streams are counted by their producer");
-
-                    let (mut a, mut b) = (streams(&sa), scan(&lb, &rb));
-                    assert_eq!(intersect(&mut a, &mut b)?, want, "{what}: stored against fused");
-                    assert_tally(&b, &sb, &what);
-                }
-            }
-        }
-        assert!(matched > 1000, "the generator must produce intersections that match: {matched}");
-        assert!(repeated > 200, "the generator must repeat references as a repeater does: {repeated}");
-        Ok(())
-    }
-
-    /// The differential test above only proves the fiber walk right where
-    /// it runs; this pins where it runs: both operands fused and neither
-    /// level a bitvector. Anywhere else the dispatch reads and pushes
-    /// nothing, so the pair walk that follows sees fresh operands. The
-    /// operand streams differ in shape here, as the generator's never do:
-    /// one side closes deeper (the outputs take the higher stop), or ends
-    /// while the other still has fibers (which push nothing).
-    #[test]
-    fn the_fiber_merge_takes_two_fused_compressed_or_dense_scans_only() -> Result<(), Fault> {
-        let fibers_of = [vec![1, 4, 9], vec![0, 4]];
-        let refs = [tok::rf(1), tok::rf(0), tok::stop(0), tok::done()];
-        let deeper = [tok::rf(0), tok::rf(1), tok::stop(1), tok::done()];
-        let done = [tok::done()];
-        let shapes: [(&[SimToken], &[SimToken]); 4] =
-            [(&refs, &refs), (&refs, &deeper), (&deeper, &refs), (&done, &refs)];
-        let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
-        for fa in formats {
-            for fb in formats {
-                let (la, lb) = (level_of(fa, 8, &fibers_of), level_of(fb, 8, &fibers_of));
-                for (shape, (ra, rb)) in shapes.into_iter().enumerate() {
-                    let (sa, sb) = (stored(&la, ra), stored(&lb, rb));
-                    let want = pairs(&mut streams(&sa), &mut streams(&sb))?;
-                    let mut operands = [
-                        (scan(&la, ra), scan(&lb, rb)),
-                        (scan(&la, ra), streams(&sb)),
-                        (streams(&sa), scan(&lb, rb)),
-                        (streams(&sa), streams(&sb)),
-                    ];
-                    for (k, (a, b)) in operands.iter_mut().enumerate() {
-                        let what = format!("{fa:?} x {fb:?}, shape {shape}, operands {k}");
-                        match fibers(a, b) {
-                            Some(walked) => {
-                                assert!(k == 0 && !has_bitvector([fa, fb]), "{what}: walked fibers");
-                                assert_eq!(walked?, want, "{what}");
-                            }
-                            None => {
-                                assert!(k > 0 || has_bitvector([fa, fb]), "{what}: did not walk fibers");
-                                assert_eq!(intersect(a, b)?, want, "{what}: the operands are untouched");
-                            }
+                    for union in [false, true] {
+                        let what = format!("{fa:?} x {fb:?}, round {round}, union {union}");
+                        let want = cycle(union, &held[0], &held[1]);
+                        if !union {
+                            matched += want[0].iter().filter(|t| matches!(t, Token::Val(_))).count();
+                        }
+                        assert_eq!(
+                            merge(union, &mut streams(&held[0]), &mut streams(&held[1]))?,
+                            want,
+                            "{what}: stored x stored"
+                        );
+                        if dirty != Some(0) {
+                            let (mut a, mut b) = (scan(&la, &ra), streams(&held[1]));
+                            assert_eq!(merge(union, &mut a, &mut b)?, want, "{what}: fused x stored");
+                            assert_tally(&a, &clean[0], &what);
+                            assert_eq!(
+                                b.emitted(),
+                                None,
+                                "{what}: stored streams are counted by their producer"
+                            );
+                        }
+                        if dirty != Some(1) {
+                            let (mut a, mut b) = (streams(&held[0]), scan(&lb, &rb));
+                            assert_eq!(merge(union, &mut a, &mut b)?, want, "{what}: stored x fused");
+                            assert_tally(&b, &clean[1], &what);
+                        }
+                        if dirty.is_none() {
+                            let (mut a, mut b) = (scan(&la, &ra), scan(&lb, &rb));
+                            assert_eq!(merge(union, &mut a, &mut b)?, want, "{what}: fused x fused");
+                            assert_tally(&a, &clean[0], &what);
+                            assert_tally(&b, &clean[1], &what);
                         }
                     }
                 }
             }
         }
+        assert!(matched > 1000, "the generator must produce intersections that match: {matched}");
+        assert!(repeated > 200, "the generator must repeat references as a repeater does: {repeated}");
+        assert!(emptied > 100, "stored fibers must hold empty tokens: {emptied}");
+        assert!(early > 20, "operands must end early: {early}");
         Ok(())
     }
 
     /// A reference stream that ends without a done token — on either side,
-    /// before or after the other side's done — is misaligned on the fiber
-    /// walk and on the pair walk over the stored streams alike.
+    /// before or after the other side's done — is misaligned on the walk
+    /// over fused scanners and on the walk over their stored streams alike.
     #[test]
     fn a_truncated_reference_stream_is_misaligned_on_both_walks() {
         let full = vec![tok::rf(0), tok::rf(1), tok::stop(0), tok::done()];
@@ -1884,45 +1760,45 @@ mod tests {
             (Vec::new(), full.clone()),
             (full, Vec::new()),
         ];
-        let formats = [Format::Compressed, Format::Dense];
+        let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
         for fa in formats {
             for fb in formats {
                 let fibers_of = [vec![1, 4, 9], vec![0, 4]];
                 let (la, lb) = (level_of(fa, 8, &fibers_of), level_of(fb, 8, &fibers_of));
                 for (k, (ra, rb)) in cases.iter().enumerate() {
-                    let what = format!("{fa:?} x {fb:?}, case {k}");
-                    let (sa, sb) = (stored(&la, ra), stored(&lb, rb));
-                    let stored_walk = pairs(&mut streams(&sa), &mut streams(&sb));
-                    assert_eq!(stored_walk, Err(Fault::Misaligned), "{what}: stored-stream walk");
-                    let walked = fibers(&mut scan(&la, ra), &mut scan(&lb, rb));
-                    assert_eq!(walked, Some(Err(Fault::Misaligned)), "{what}: fiber walk");
+                    for union in [false, true] {
+                        let what = format!("{fa:?} x {fb:?}, case {k}, union {union}");
+                        let (sa, sb) = (stored(&la, ra), stored(&lb, rb));
+                        let stored_walk = merge(union, &mut streams(&sa), &mut streams(&sb));
+                        assert_eq!(stored_walk, Err(Fault::Misaligned), "{what}: stored-stream walk");
+                        let walked = merge(union, &mut scan(&la, ra), &mut scan(&lb, rb));
+                        assert_eq!(walked, Err(Fault::Misaligned), "{what}: fused walk");
+                    }
                 }
             }
         }
     }
 
     /// Every scanner path on one bad input against one good one: the
-    /// standalone scanner, the galloped pair walk (fused against stored)
-    /// and, where it applies, the fiber walk.
+    /// standalone scanner, and the merge walk against a stored operand and
+    /// against a fused one.
     fn scanner_faults(format: Format, bad: &[SimToken]) -> Vec<Result<(), Fault>> {
         let level = level_of(format, 8, &[vec![1, 4, 9]]);
         let good = [tok::rf(0), tok::stop(0), tok::done()];
         let (mut crd, mut rf) = (Vec::new(), Vec::new());
-        let mut seen = vec![run_scanner(&level, SliceSource::new(bad), &mut crd, &mut rf)];
         let sg = stored(&level, &good);
-        seen.push(intersect(&mut scan(&level, bad), &mut streams(&sg)).map(|_| ()));
-        if !has_bitvector([format, format]) {
-            seen.extend(fibers(&mut scan(&level, bad), &mut scan(&level, &good)).map(|w| w.map(|_| ())));
-        }
-        seen
+        vec![
+            run_scanner(&level, SliceSource::new(bad), &mut crd, &mut rf),
+            merge(false, &mut scan(&level, bad), &mut streams(&sg)).map(|_| ()),
+            merge(false, &mut scan(&level, bad), &mut scan(&level, &good)).map(|_| ()),
+        ]
     }
 
     #[test]
     fn a_reference_past_the_level_is_out_of_bounds_on_every_scanner_path() {
         for format in [Format::Compressed, Format::Dense, Format::Bitvector] {
             let seen = scanner_faults(format, &[tok::rf(0), tok::rf(1), tok::stop(0), tok::done()]);
-            let paths = if matches!(format, Format::Bitvector) { 2 } else { 3 };
-            assert_eq!(seen, vec![Err(Fault::RefOutOfBounds(1)); paths], "{format:?}");
+            assert_eq!(seen, vec![Err(Fault::RefOutOfBounds(1)); 3], "{format:?}");
         }
     }
 
@@ -1931,8 +1807,7 @@ mod tests {
         for format in [Format::Compressed, Format::Dense, Format::Bitvector] {
             for bad in [tok::crd(0), tok::val(1.0)] {
                 let seen = scanner_faults(format, &[bad, tok::stop(0), tok::done()]);
-                let paths = if matches!(format, Format::Bitvector) { 2 } else { 3 };
-                assert_eq!(seen, vec![Err(Fault::Misaligned); paths], "{format:?}, {bad:?}");
+                assert_eq!(seen, vec![Err(Fault::Misaligned); 3], "{format:?}, {bad:?}");
             }
         }
     }
@@ -1982,7 +1857,7 @@ mod tests {
             let what = format!("{pair:?}, fused {fused}, round {round}");
             let Case { levels: [la, lb], refs: [ra, rb] } = case(&mut rng, pair);
             let (sa, sb) = (stored(&la, &ra), stored(&lb, &rb));
-            let [oc, o0, o1] = pairs(&mut streams(&sa), &mut streams(&sb))?;
+            let [oc, o0, o1] = merge(false, &mut streams(&sa), &mut streams(&sb))?;
             matched += oc.iter().filter(|t| matches!(t, Token::Val(_))).count();
 
             // The stored chain.
@@ -2022,7 +1897,7 @@ mod tests {
             region.push_member(Step::Alu { op: AluOp::Sub, a: 7, b: 6 }, false);
             region.push_member(Step::Reduce { reduce: ScalarReduce::default(), input: 8 }, false);
             let (mut a_op, mut b_op) = operands();
-            run_intersect(&mut a_op, &mut b_op, &mut region)?;
+            run_merge::<false>(&mut a_op, &mut b_op, &mut region)?;
             let (root, ports) = region.finish();
             for (port, want) in root.iter().zip([&oc, &o0, &o1]) {
                 assert!(port.stored.is_none(), "{what}: a root port a member reads is not stored");
@@ -2038,7 +1913,7 @@ mod tests {
             region.push_member(Step::Array { vals: &vb, input: 2 }, false);
             region.push_member(Step::Alu { op: AluOp::Mul, a: 3, b: 4 }, true);
             let (mut a_op, mut b_op) = operands();
-            run_intersect(&mut a_op, &mut b_op, &mut region)?;
+            run_merge::<false>(&mut a_op, &mut b_op, &mut region)?;
             let (root, ports) = region.finish();
             assert_eq!(root[0].stored.as_ref(), Some(&oc), "{what}: a stored root port");
             assert_eq!(ports[2].stored.as_ref(), Some(&m), "{what}: a stored member");
@@ -2060,10 +1935,10 @@ mod tests {
         let short = [1.0, 2.0];
         let mut region = Region::new([false; 3], false);
         region.push_member(Step::Array { vals: &short, input: 1 }, true);
-        let walked = run_intersect(&mut scan(&level, &refs), &mut scan(&level, &refs), &mut region);
+        let walked = run_merge::<false>(&mut scan(&level, &refs), &mut scan(&level, &refs), &mut region);
         assert_eq!(walked, Err(Fault::RefOutOfBounds(2)));
         let (sa, sb) = (stored(&level, &refs), stored(&level, &refs));
-        let [_, o0, _] = pairs(&mut streams(&sa), &mut streams(&sb))?;
+        let [_, o0, _] = merge(false, &mut streams(&sa), &mut streams(&sb))?;
         assert_eq!(
             run_array(&short, &mut SliceSource::new(&o0), &mut Vec::new()),
             Err(Fault::RefOutOfBounds(2))

@@ -5,7 +5,7 @@
 use sam_core::build::{GraphBuilder, Port};
 use sam_core::graph::{NodeKind, PortKind, SamGraph, StreamKind};
 use sam_core::graphs;
-use sam_exec::{CycleBackend, ExecRequest, FastBackend, Inputs, Plan, PlanError};
+use sam_exec::{CycleBackend, ExecRequest, Executor, FastBackend, Inputs, Plan, PlanError, TiledBackend};
 use sam_tensor::{synth, TensorFormat};
 use sam_verify::{Diagnostic, Rule};
 
@@ -276,6 +276,108 @@ fn a_forked_coordinate_port_is_not_fused() {
     let cycle = ExecRequest::new(&graph, &inputs).executor(&CycleBackend).run().unwrap();
     assert_eq!(mixed.output, cycle.output);
     assert_eq!(mixed.vals, cycle.vals);
+}
+
+/// The three backends every merger graph below must agree on.
+fn backends() -> [(&'static str, Box<dyn Executor>); 3] {
+    [
+        ("fast-serial", Box::new(FastBackend)),
+        ("cycle", Box::new(CycleBackend)),
+        ("tiled", Box::new(TiledBackend::with_tile(16))),
+    ]
+}
+
+/// `graph`'s output vector on `backend`: each stored coordinate with its
+/// value, in stored order, explicit zeros included.
+fn entries(graph: &SamGraph, inputs: &Inputs, backend: &dyn Executor) -> Vec<(u32, f64)> {
+    let run = ExecRequest::new(graph, inputs).executor(backend).run().unwrap();
+    let output = run.output.expect("a tensor output");
+    output.level(0).fiber(0).iter().map(|e| e.coord).zip(output.vals().iter().copied()).collect()
+}
+
+#[test]
+fn a_forked_reference_port_feeds_both_mergers_on_every_backend() {
+    // A second array reads b's references, so the planner forks the port:
+    // the merger's reference input then trails its coordinate input by a
+    // cycle on the cycle backend, which must wait for it.
+    let inputs = vec_inputs(64);
+    for union in [false, true] {
+        let graph = |forked: bool| {
+            let (mut g, [b, c]) = two_scanners();
+            let merged = if union {
+                g.union('i', [b.0, c.0], [b.1, c.1])
+            } else {
+                g.intersect('i', [b.0, c.0], [b.1, c.1])
+            };
+            if forked {
+                g.array("b", b.1);
+            }
+            finish_merge(g, merged.0, merged.1)
+        };
+        let (forked, plain) = (graph(true), graph(false));
+        let want = entries(&plain, &inputs, &FastBackend);
+        assert!(want.len() >= 5, "union {union}: the vectors overlap");
+        for (name, backend) in backends() {
+            assert_eq!(entries(&plain, &inputs, &*backend), want, "union {union}, {name}: unforked");
+            assert_eq!(entries(&forked, &inputs, &*backend), want, "union {union}, {name}: forked");
+        }
+    }
+}
+
+#[test]
+fn an_empty_coordinate_on_either_merger_operand_is_skipped_on_every_backend() {
+    // x(i) = c(i) * d(i) over b's coordinates located into c, merged with
+    // d's: a locator miss puts an empty token on the merger's coordinate
+    // input, which must be skipped on its own side, whichever side it is.
+    let dim = 64;
+    let [b, c, d] = [1, 2, 3].map(|seed| synth::random_vector(dim, 32, seed));
+    let inputs = Inputs::new()
+        .coo("b", &b, TensorFormat::sparse_vec())
+        .coo("c", &c, TensorFormat::sparse_vec())
+        .coo("d", &d, TensorFormat::sparse_vec());
+    let dense = [&c, &d].map(|v| v.to_dense());
+    let support = |v: &sam_tensor::CooTensor| {
+        let mut s = vec![false; dim];
+        v.entries().iter().for_each(|(p, _)| s[p[0] as usize] = true);
+        s
+    };
+    let [in_b, in_c, in_d] = [&b, &c, &d].map(support);
+    for union in [false, true] {
+        // The dense reference: the merged coordinates, each with its
+        // product (an absent operand reads as zero).
+        let want: Vec<(u32, f64)> = (0..dim)
+            .filter(|&i| if union { (in_b[i] && in_c[i]) || in_d[i] } else { in_b[i] && in_c[i] && in_d[i] })
+            .map(|i| (i as u32, if in_b[i] { dense[0][i] } else { 0.0 } * dense[1][i]))
+            .collect();
+        assert!(want.len() >= 5, "union {union}: the vectors overlap");
+        for located_first in [true, false] {
+            let mut g = GraphBuilder::new("x(i) = c(i) * d(i), i in b");
+            let rb = g.root("b");
+            let (b_crd, _) = g.scan("b", 'i', true, rb);
+            let rc = g.root("c");
+            let c_per_i = g.repeat("c", 'i', b_crd, rc);
+            let (c_crd, _, c_ref) = g.locate("c", 'i', b_crd, c_per_i);
+            let rd = g.root("d");
+            let (d_crd, d_ref) = g.scan("d", 'i', true, rd);
+            let (mut crds, mut refs) = ([c_crd, d_crd], [c_ref, d_ref]);
+            if !located_first {
+                crds.reverse();
+                refs.reverse();
+            }
+            let (crd, out_refs) = if union { g.union('i', crds, refs) } else { g.intersect('i', crds, refs) };
+            let [cv, dv] = if located_first { out_refs } else { [out_refs[1], out_refs[0]] };
+            let cv = g.array("c", cv);
+            let dv = g.array("d", dv);
+            let prod = g.alu("mul", cv, dv);
+            g.write_level("x", 'i', crd);
+            g.write_vals("x", prod);
+            let graph = g.finish();
+            for (name, backend) in backends() {
+                let what = format!("union {union}, located first {located_first}, {name}");
+                assert_eq!(entries(&graph, &inputs, &*backend), want, "{what}");
+            }
+        }
+    }
 }
 
 #[test]

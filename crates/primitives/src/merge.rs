@@ -4,6 +4,7 @@
 use sam_sim::payload::tok;
 use sam_sim::{Block, BlockStatus, ChannelId, Context, SimToken};
 use sam_streams::Token;
+use std::cmp::Ordering;
 
 /// A binary coordinate intersecter (Definition 3.2).
 ///
@@ -24,10 +25,7 @@ use sam_streams::Token;
 #[derive(Debug)]
 pub struct Intersecter {
     name: String,
-    in_crd: [ChannelId; 2],
-    in_ref: [ChannelId; 2],
-    out_crd: ChannelId,
-    out_ref: [ChannelId; 2],
+    ports: MergePorts,
     skip_out: [Option<ChannelId>; 2],
     /// Stop tokens consumed per operand — the skip epoch.
     stops: [u32; 2],
@@ -43,16 +41,8 @@ impl Intersecter {
         out_crd: ChannelId,
         out_ref: [ChannelId; 2],
     ) -> Self {
-        Intersecter {
-            name: name.into(),
-            in_crd,
-            in_ref,
-            out_crd,
-            out_ref,
-            skip_out: [None, None],
-            stops: [0, 0],
-            done: false,
-        }
+        let ports = MergePorts { in_crd, in_ref, out: [out_crd, out_ref[0], out_ref[1]] };
+        Intersecter { name: name.into(), ports, skip_out: [None, None], stops: [0, 0], done: false }
     }
 
     /// Connects coordinate-skip feedback channels towards the two operands'
@@ -69,10 +59,13 @@ impl Intersecter {
         self
     }
 
-    fn emit_all(&self, ctx: &mut Context, t: SimToken) {
-        ctx.push(self.out_crd, t);
-        ctx.push(self.out_ref[0], t);
-        ctx.push(self.out_ref[1], t);
+    /// Consumes operand `side`'s head, `head`, and its reference; a stop
+    /// advances the operand's skip epoch.
+    fn drain(&mut self, ctx: &mut Context, side: usize, head: SimToken) {
+        self.ports.pop(ctx, side);
+        if head.is_stop() {
+            self.stops[side] = self.stops[side].wrapping_add(1);
+        }
     }
 }
 
@@ -85,85 +78,94 @@ impl Block for Intersecter {
         if self.done {
             return BlockStatus::Done;
         }
-        let (Some(a), Some(b)) = (ctx.peek(self.in_crd[0]).cloned(), ctx.peek(self.in_crd[1]).cloned())
-        else {
+        let Some([a, b, ra, rb]) = self.ports.heads(ctx) else {
             return ctx.stall();
         };
+        let ports = &self.ports;
         match (a, b) {
             (Token::Val(pa), Token::Val(pb)) => {
-                let ca = pa.expect_crd();
-                let cb = pb.expect_crd();
+                let (ca, cb) = (pa.expect_crd(), pb.expect_crd());
                 if ca == cb {
-                    ctx.pop(self.in_crd[0]);
-                    ctx.pop(self.in_crd[1]);
-                    let ra = ctx.pop(self.in_ref[0]).expect("aligned ref stream");
-                    let rb = ctx.pop(self.in_ref[1]).expect("aligned ref stream");
-                    ctx.push(self.out_crd, tok::crd(ca));
-                    ctx.push(self.out_ref[0], ra);
-                    ctx.push(self.out_ref[1], rb);
-                } else if ca < cb {
-                    ctx.pop(self.in_crd[0]);
-                    ctx.pop(self.in_ref[0]);
-                    if let Some(skip) = self.skip_out[0] {
-                        // Epoch-tagged request: both tokens in one tick.
-                        ctx.push(skip, tok::rf(self.stops[0]));
-                        ctx.push(skip, tok::crd(cb));
-                    }
+                    ports.pop(ctx, 0);
+                    ports.pop(ctx, 1);
+                    ports.emit(ctx, tok::crd(ca), ra, rb);
                 } else {
-                    ctx.pop(self.in_crd[1]);
-                    ctx.pop(self.in_ref[1]);
-                    if let Some(skip) = self.skip_out[1] {
-                        ctx.push(skip, tok::rf(self.stops[1]));
-                        ctx.push(skip, tok::crd(ca));
+                    // The trailing operand moves on; with a skip lane it
+                    // asks its scanner to gallop to the leading coordinate,
+                    // with an epoch-tagged request (both tokens in one tick).
+                    let (side, target) = if ca < cb { (0, cb) } else { (1, ca) };
+                    ports.pop(ctx, side);
+                    if let Some(skip) = self.skip_out[side] {
+                        ctx.push(skip, tok::rf(self.stops[side]));
+                        ctx.push(skip, tok::crd(target));
                     }
                 }
-                BlockStatus::Busy
             }
-            (Token::Val(_), _) | (Token::Empty, _) => {
-                // The other side's fiber ended (or is missing): drain this side.
-                ctx.pop(self.in_crd[0]);
-                ctx.pop(self.in_ref[0]);
-                BlockStatus::Busy
-            }
-            (_, Token::Val(_)) | (_, Token::Empty) => {
-                ctx.pop(self.in_crd[1]);
-                ctx.pop(self.in_ref[1]);
-                BlockStatus::Busy
-            }
+            // An empty token is skipped on its own side; a coordinate whose
+            // partner's fiber has ended (or never began) is drained, and so
+            // is a stop whose partner is done (mismatched inputs).
+            (Token::Empty, _)
+            | (Token::Val(_), Token::Stop(_) | Token::Done)
+            | (Token::Stop(_), Token::Done) => self.drain(ctx, 0, a),
+            (_, Token::Empty | Token::Val(_)) | (Token::Done, Token::Stop(_)) => self.drain(ctx, 1, b),
             (Token::Stop(na), Token::Stop(nb)) => {
                 debug_assert_eq!(na, nb, "intersect inputs must have matching fiber structure");
-                ctx.pop(self.in_crd[0]);
-                ctx.pop(self.in_crd[1]);
-                ctx.pop(self.in_ref[0]);
-                ctx.pop(self.in_ref[1]);
-                self.stops[0] = self.stops[0].wrapping_add(1);
-                self.stops[1] = self.stops[1].wrapping_add(1);
-                self.emit_all(ctx, tok::stop(na.max(nb)));
-                BlockStatus::Busy
+                ports.pop(ctx, 0);
+                ports.pop(ctx, 1);
+                self.stops = self.stops.map(|n| n.wrapping_add(1));
+                let s = tok::stop(na.max(nb));
+                ports.emit(ctx, s, s, s);
             }
             (Token::Done, Token::Done) => {
-                ctx.pop(self.in_crd[0]);
-                ctx.pop(self.in_crd[1]);
-                ctx.pop(self.in_ref[0]);
-                ctx.pop(self.in_ref[1]);
-                self.emit_all(ctx, tok::done());
+                ports.pop(ctx, 0);
+                ports.pop(ctx, 1);
+                ports.emit(ctx, tok::done(), tok::done(), tok::done());
                 self.done = true;
-                BlockStatus::Done
-            }
-            (Token::Stop(_), Token::Done) => {
-                // Structurally mismatched inputs; drain the stop side.
-                ctx.pop(self.in_crd[0]);
-                ctx.pop(self.in_ref[0]);
-                self.stops[0] = self.stops[0].wrapping_add(1);
-                BlockStatus::Busy
-            }
-            (Token::Done, Token::Stop(_)) => {
-                ctx.pop(self.in_crd[1]);
-                ctx.pop(self.in_ref[1]);
-                self.stops[1] = self.stops[1].wrapping_add(1);
-                BlockStatus::Busy
+                return BlockStatus::Done;
             }
         }
+        BlockStatus::Busy
+    }
+}
+
+/// The channels of a binary merger: two operands' coordinate and
+/// reference streams in, one coordinate and two reference streams out.
+#[derive(Debug)]
+struct MergePorts {
+    in_crd: [ChannelId; 2],
+    in_ref: [ChannelId; 2],
+    out: [ChannelId; 3],
+}
+
+impl MergePorts {
+    /// The heads of the four inputs, coordinates before references; `None`
+    /// until all four have arrived. A reference stream may trail its
+    /// coordinate stream (a fork between them delays it a cycle), and
+    /// consuming a coordinate before its reference would pair every later
+    /// reference with the wrong coordinate. (The three helpers are inlined
+    /// into the ticks: out of line, they cost a tick half again as much.)
+    #[inline(always)]
+    fn heads(&self, ctx: &mut Context) -> Option<[SimToken; 4]> {
+        let a = ctx.peek(self.in_crd[0]).copied();
+        let b = ctx.peek(self.in_crd[1]).copied();
+        let ra = ctx.peek(self.in_ref[0]).copied();
+        let rb = ctx.peek(self.in_ref[1]).copied();
+        Some([a?, b?, ra?, rb?])
+    }
+
+    /// Consumes the head coordinate of operand `side` and its reference.
+    #[inline(always)]
+    fn pop(&self, ctx: &mut Context, side: usize) {
+        ctx.pop(self.in_crd[side]);
+        ctx.pop(self.in_ref[side]);
+    }
+
+    /// Pushes one position to the three outputs.
+    #[inline(always)]
+    fn emit(&self, ctx: &mut Context, crd: SimToken, r0: SimToken, r1: SimToken) {
+        ctx.push(self.out[0], crd);
+        ctx.push(self.out[1], r0);
+        ctx.push(self.out[2], r1);
     }
 }
 
@@ -175,10 +177,7 @@ impl Block for Intersecter {
 #[derive(Debug)]
 pub struct Unioner {
     name: String,
-    in_crd: [ChannelId; 2],
-    in_ref: [ChannelId; 2],
-    out_crd: ChannelId,
-    out_ref: [ChannelId; 2],
+    ports: MergePorts,
     done: bool,
 }
 
@@ -191,13 +190,8 @@ impl Unioner {
         out_crd: ChannelId,
         out_ref: [ChannelId; 2],
     ) -> Self {
-        Unioner { name: name.into(), in_crd, in_ref, out_crd, out_ref, done: false }
-    }
-
-    fn emit(&self, ctx: &mut Context, crd: SimToken, r0: SimToken, r1: SimToken) {
-        ctx.push(self.out_crd, crd);
-        ctx.push(self.out_ref[0], r0);
-        ctx.push(self.out_ref[1], r1);
+        let ports = MergePorts { in_crd, in_ref, out: [out_crd, out_ref[0], out_ref[1]] };
+        Unioner { name: name.into(), ports, done: false }
     }
 }
 
@@ -210,85 +204,60 @@ impl Block for Unioner {
         if self.done {
             return BlockStatus::Done;
         }
-        let (Some(a), Some(b)) = (ctx.peek(self.in_crd[0]).cloned(), ctx.peek(self.in_crd[1]).cloned())
-        else {
+        let Some([a, b, ra, rb]) = self.ports.heads(ctx) else {
             return ctx.stall();
         };
+        let ports = &self.ports;
         match (a, b) {
             (Token::Val(pa), Token::Val(pb)) => {
-                let ca = pa.expect_crd();
-                let cb = pb.expect_crd();
-                if ca == cb {
-                    ctx.pop(self.in_crd[0]);
-                    ctx.pop(self.in_crd[1]);
-                    let ra = ctx.pop(self.in_ref[0]).expect("aligned ref stream");
-                    let rb = ctx.pop(self.in_ref[1]).expect("aligned ref stream");
-                    self.emit(ctx, tok::crd(ca), ra, rb);
-                } else if ca < cb {
-                    ctx.pop(self.in_crd[0]);
-                    let ra = ctx.pop(self.in_ref[0]).expect("aligned ref stream");
-                    self.emit(ctx, tok::crd(ca), ra, tok::empty());
-                } else {
-                    ctx.pop(self.in_crd[1]);
-                    let rb = ctx.pop(self.in_ref[1]).expect("aligned ref stream");
-                    self.emit(ctx, tok::crd(cb), tok::empty(), rb);
+                let (ca, cb) = (pa.expect_crd(), pb.expect_crd());
+                match ca.cmp(&cb) {
+                    Ordering::Equal => {
+                        ports.pop(ctx, 0);
+                        ports.pop(ctx, 1);
+                        ports.emit(ctx, tok::crd(ca), ra, rb);
+                    }
+                    Ordering::Less => {
+                        ports.pop(ctx, 0);
+                        ports.emit(ctx, tok::crd(ca), ra, tok::empty());
+                    }
+                    Ordering::Greater => {
+                        ports.pop(ctx, 1);
+                        ports.emit(ctx, tok::crd(cb), tok::empty(), rb);
+                    }
                 }
-                BlockStatus::Busy
             }
+            // An empty token is skipped on its own side, before the other
+            // side's coordinate is emitted; so is a stop whose partner is
+            // done (mismatched inputs).
+            (Token::Empty, _) | (Token::Stop(_), Token::Done) => ports.pop(ctx, 0),
+            (_, Token::Empty) | (Token::Done, Token::Stop(_)) => ports.pop(ctx, 1),
+            // The other operand's fiber ended first (or it is done): flush
+            // this one.
             (Token::Val(pa), _) => {
-                // Operand 1's fiber ended first: flush operand 0.
-                let ca = pa.expect_crd();
-                ctx.pop(self.in_crd[0]);
-                let ra = ctx.pop(self.in_ref[0]).expect("aligned ref stream");
-                self.emit(ctx, tok::crd(ca), ra, tok::empty());
-                BlockStatus::Busy
+                ports.pop(ctx, 0);
+                ports.emit(ctx, tok::crd(pa.expect_crd()), ra, tok::empty());
             }
             (_, Token::Val(pb)) => {
-                let cb = pb.expect_crd();
-                ctx.pop(self.in_crd[1]);
-                let rb = ctx.pop(self.in_ref[1]).expect("aligned ref stream");
-                self.emit(ctx, tok::crd(cb), tok::empty(), rb);
-                BlockStatus::Busy
-            }
-            (Token::Empty, _) => {
-                ctx.pop(self.in_crd[0]);
-                ctx.pop(self.in_ref[0]);
-                BlockStatus::Busy
-            }
-            (_, Token::Empty) => {
-                ctx.pop(self.in_crd[1]);
-                ctx.pop(self.in_ref[1]);
-                BlockStatus::Busy
+                ports.pop(ctx, 1);
+                ports.emit(ctx, tok::crd(pb.expect_crd()), tok::empty(), rb);
             }
             (Token::Stop(na), Token::Stop(nb)) => {
                 debug_assert_eq!(na, nb, "union inputs must have matching fiber structure");
-                ctx.pop(self.in_crd[0]);
-                ctx.pop(self.in_crd[1]);
-                ctx.pop(self.in_ref[0]);
-                ctx.pop(self.in_ref[1]);
-                self.emit(ctx, tok::stop(na.max(nb)), tok::stop(na.max(nb)), tok::stop(na.max(nb)));
-                BlockStatus::Busy
+                ports.pop(ctx, 0);
+                ports.pop(ctx, 1);
+                let s = tok::stop(na.max(nb));
+                ports.emit(ctx, s, s, s);
             }
             (Token::Done, Token::Done) => {
-                ctx.pop(self.in_crd[0]);
-                ctx.pop(self.in_crd[1]);
-                ctx.pop(self.in_ref[0]);
-                ctx.pop(self.in_ref[1]);
-                self.emit(ctx, tok::done(), tok::done(), tok::done());
+                ports.pop(ctx, 0);
+                ports.pop(ctx, 1);
+                ports.emit(ctx, tok::done(), tok::done(), tok::done());
                 self.done = true;
-                BlockStatus::Done
-            }
-            (Token::Stop(_), Token::Done) => {
-                ctx.pop(self.in_crd[0]);
-                ctx.pop(self.in_ref[0]);
-                BlockStatus::Busy
-            }
-            (Token::Done, Token::Stop(_)) => {
-                ctx.pop(self.in_crd[1]);
-                ctx.pop(self.in_ref[1]);
-                BlockStatus::Busy
+                return BlockStatus::Done;
             }
         }
+        BlockStatus::Busy
     }
 }
 

@@ -128,7 +128,7 @@ impl Level {
             }
             Level::Bitvector(l) => {
                 // Select the idx-th set bit: a per-word popcount walk, no
-                // fiber materialization (GallopScan calls this per entry).
+                // fiber materialization (tile extraction calls this per entry).
                 let mut remaining = idx;
                 let mut rank = l.fiber_rank_base(fiber);
                 for (wi, &word) in l.fiber_words(fiber).iter().enumerate() {
