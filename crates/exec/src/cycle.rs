@@ -1,17 +1,19 @@
 //! The cycle-approximate backend: instantiates the planned graph as
-//! `sam-primitives` blocks inside the `sam-sim` [`Simulator`].
+//! `sam-primitives` blocks inside the `sam-sim` [`Simulator`]. A block whose
+//! token rule faults fails the run as the fast backend fails it: with the
+//! node's [`ExecError::Misaligned`] or [`ExecError::RefOutOfBounds`].
 
 use crate::bind::Inputs;
 use crate::error::ExecError;
 use crate::plan::{Plan, DEFAULT_MAX_CYCLES};
 use crate::{assemble_output, Execution, Executor};
-use sam_core::graph::NodeKind;
+use sam_core::graph::{NodeId, NodeKind};
 use sam_primitives::writer::{level_sink, val_sink, LevelWriterSink, ValWriterSink};
 use sam_primitives::{
     root_stream, Alu, ConstVal, CoordDropper, Fork, Intersecter, LevelScanner, LevelWriter, Locator, Reducer,
     Repeater, Unioner, ValArray, ValWriter,
 };
-use sam_sim::{ChannelId, Simulator};
+use sam_sim::{ChannelId, SimulationError, Simulator};
 use sam_trace::{TokenCounts, TraceSink};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,12 +56,15 @@ impl Executor for CycleBackend {
             }
         }
 
+        // A node's block is named after it.
+        let block_name = |id: NodeId| format!("n{}:{}", id.0, plan.node_label(id));
+
         // Pass 1: allocate every node's output channels and forks up front.
         // Skip feedback lanes make this necessary: the scanner's skip input
         // is fed by the *downstream* intersecter, so its channel must exist
         // before the scanner block is constructed.
         for &id in plan.order() {
-            let label = format!("n{}:{}", id.0, plan.node_label(id));
+            let label = block_name(id);
             for (port, consumers) in plan.consumers_of(id).iter().enumerate() {
                 // Intersecter output ports 3 and 4 feed operand scanners'
                 // skip inputs; their tokens land in the `skip` bucket.
@@ -95,7 +100,7 @@ impl Executor for CycleBackend {
         let mut node_block: Vec<Option<usize>> = vec![None; nodes.len()];
         for &id in plan.order() {
             let kind = &nodes[id.0];
-            let label = format!("n{}:{}", id.0, plan.node_label(id));
+            let label = block_name(id);
             let slot = |s: usize| input_ch[&(id.0, s)];
             let next_block = sim.num_blocks();
             match kind {
@@ -224,7 +229,15 @@ impl Executor for CycleBackend {
             node_block[id.0] = (sim.num_blocks() > next_block).then_some(next_block);
         }
 
-        let report = sim.run(DEFAULT_MAX_CYCLES)?;
+        let report = sim.run(DEFAULT_MAX_CYCLES).map_err(|e| match e {
+            SimulationError::Fault { ref block, fault, .. } => {
+                match plan.order().iter().find(|&&id| block_name(id) == *block) {
+                    Some(&id) => ExecError::at(fault, plan.node_label(id)),
+                    None => ExecError::Sim(e),
+                }
+            }
+            e => ExecError::Sim(e),
+        })?;
 
         if tracing {
             // Classify every recorded channel's full history back to the node

@@ -1,6 +1,6 @@
 //! Error types for planning and executing SAM graphs.
 
-use sam_sim::SimulationError;
+use sam_sim::{Fault, SimulationError};
 use std::fmt;
 
 /// An error found while planning a graph for execution.
@@ -39,10 +39,13 @@ impl std::error::Error for PlanError {}
 pub enum ExecError {
     /// Planning failed.
     Plan(PlanError),
-    /// The cycle-approximate simulation failed (deadlock or cycle limit).
+    /// The cycle-approximate simulation deadlocked or reached its cycle
+    /// limit. (A block whose rule faults is reported as the node's
+    /// [`ExecError::Misaligned`] or [`ExecError::RefOutOfBounds`], as the
+    /// fast backend reports it.)
     Sim(SimulationError),
-    /// The fast backend found structurally misaligned streams at a node —
-    /// the functional analogue of a simulator deadlock.
+    /// A node found its input streams structurally misaligned: their heads
+    /// disagree, a stream ended early, or a token has the wrong payload.
     Misaligned {
         /// Label of the node that observed the mismatch.
         label: String,
@@ -82,6 +85,18 @@ impl fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
+
+impl ExecError {
+    /// The error of node `label` observing `fault`.
+    pub(crate) fn at(fault: Fault, label: String) -> Self {
+        match fault {
+            Fault::Misaligned => ExecError::Misaligned { label },
+            Fault::RefOutOfBounds(reference) => {
+                ExecError::RefOutOfBounds { label, reference: reference as usize }
+            }
+        }
+    }
+}
 
 impl From<PlanError> for ExecError {
     fn from(e: PlanError) -> Self {

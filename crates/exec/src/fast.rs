@@ -77,13 +77,14 @@
 use crate::bind::Inputs;
 use crate::error::ExecError;
 use crate::node::{
-    eval_node, run_merge, scanner_level, Fault, FiberReader, NodeJob, Operand, Region, RegionPort, Repeat,
-    ScalarReduce, SliceSource, Step, StoredReader, WriterOutput,
+    eval_node, run_merge, scanner_level, FiberReader, NodeJob, Operand, Region, RegionPort, Repeat,
+    SliceSource, Step, StoredReader, WriterOutput,
 };
 use crate::plan::{FusedScan, Plan, PortRef};
 use crate::{assemble_output, Execution, Executor};
 use sam_core::graph::{NodeId, NodeKind};
-use sam_sim::SimToken;
+use sam_primitives::rule::ScalarReduce;
+use sam_sim::{Fault, SimToken};
 use sam_trace::{TokenCounts, TraceSink};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -334,7 +335,7 @@ pub(crate) fn walk(
                 unfused.push(id);
                 run = run_merger(plan, inputs, &streams, id, tracing, false, &mut outs);
             }
-            let run = run.map_err(|f| f.at(plan.node_label(id)))?;
+            let run = run.map_err(|f| ExecError::at(f, plan.node_label(id)))?;
             for (lane, emitted) in lanes.iter().zip(run.emitted) {
                 // Counted where produced or skipped, credited to the
                 // scanner. A lane scanner keeps reporting nothing.
@@ -350,7 +351,7 @@ pub(crate) fn walk(
             let job = NodeJob::build(plan, inputs, id);
             let mut srcs: Vec<SliceSource<'_>> =
                 plan.inputs_of(id).iter().flatten().map(|&p| SliceSource::new(streams.get(p))).collect();
-            match eval_node(&job, &mut srcs, &mut outs).map_err(|f| f.at(plan.node_label(id)))? {
+            match eval_node(&job, &mut srcs, &mut outs).map_err(|f| ExecError::at(f, plan.node_label(id)))? {
                 Some(WriterOutput::Level(level)) => {
                     level_results.insert(id.0, level);
                 }

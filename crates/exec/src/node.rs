@@ -21,56 +21,31 @@
 //!
 //! A merger pushes its output one position at a time into a [`Region`]:
 //! its fusion region, which stores the streams read outside it and runs
-//! its members over the positions. An array, ALU, constant, repeater or
-//! scalar reducer is written once, as a per-token step function; its
-//! stored transfer function loops it over a whole stream, and a region
-//! calls it on each block of positions.
+//! its members over the positions.
 //!
-//! The transfer functions themselves mirror the `sam-primitives` block
-//! semantics token for token (see the paper definitions cited on each), so
-//! the cycle backend and the fast backend compute identical streams from
-//! the same [`Plan`](crate::Plan). They report a [`Fault`] without naming
-//! the node; the walk names it when it turns the fault into an
-//! [`ExecError`].
+//! The array, constant, ALU, locator, reducers, dropper and writers have no
+//! code here but their loops: each calls its token rule in
+//! [`sam_primitives::rule`], the one the cycle block calls too, over whole
+//! stored streams or, inside a region, over each block of positions. The
+//! scanner, the mergers and the repeater are the fast forms of their
+//! cycle blocks, held to them by the differential tests below. A
+//! transfer function reports a [`Fault`] without naming the node; the walk
+//! names it when it turns the fault into an [`ExecError`].
 
 use crate::bind::Inputs;
-use crate::error::ExecError;
 use crate::plan::Plan;
 use sam_core::graph::{NodeId, NodeKind};
-use sam_primitives::{root_stream, AluOp};
+use sam_primitives::root_stream;
+use sam_primitives::rule::{
+    self, AluOp, CoordDrop, LevelWrite, MatrixReduce, ScalarReduce, ValWrite, VectorReduce,
+};
 use sam_sim::payload::{tok, Payload};
-use sam_sim::SimToken;
+use sam_sim::{Fault, SimToken};
 use sam_streams::Token;
 use sam_tensor::level::{CompressedLevel, DenseLevel, FiberEntry, Level};
 use sam_trace::TokenCounts;
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
-
-/// What a transfer function found wrong with its input streams. It does not
-/// name the node: the walk does, once, when it converts the fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Fault {
-    /// The input streams are structurally misaligned: a stream ended
-    /// without a done token, or a token carries the wrong payload.
-    Misaligned,
-    /// A reference left the bounds of the level's fibers or of the values.
-    /// (A `u32`, as a reference token carries it, keeps a step function's
-    /// `Result<SimToken, Fault>` at a token's 16 bytes.)
-    RefOutOfBounds(u32),
-}
-
-impl Fault {
-    /// The error of node `label` observing this fault.
-    pub(crate) fn at(self, label: String) -> ExecError {
-        match self {
-            Fault::Misaligned => ExecError::Misaligned { label },
-            Fault::RefOutOfBounds(reference) => {
-                ExecError::RefOutOfBounds { label, reference: reference as usize }
-            }
-        }
-    }
-}
 
 /// A cursor over a finished, stored stream: the reading half of a node's
 /// input.
@@ -95,7 +70,12 @@ impl<'a> SliceSource<'a> {
 
     /// The next token without consuming it.
     fn peek(&self) -> Option<SimToken> {
-        self.tokens.get(self.pos).copied()
+        self.peek_nth(0)
+    }
+
+    /// The token `n` after the next one, without consuming anything.
+    fn peek_nth(&self, n: usize) -> Option<SimToken> {
+        self.tokens.get(self.pos + n).copied()
     }
 }
 
@@ -174,42 +154,45 @@ pub(crate) fn eval_node(
         NodeKind::Locator { .. } => {
             let [crd, rf] = srcs else { unreachable!("locator has two inputs") };
             let [oc, pass, located] = outs else { unreachable!("locator has three outputs") };
-            run_locator(job.level.expect("locator level"), crd, rf, oc, pass, located)?;
+            let level = job.level.expect("locator level");
+            zip_streams(crd, rf, |c, r| {
+                let [x, y, z] = rule::locate(level, c, r)?;
+                oc.push(x);
+                pass.push(y);
+                located.push(z);
+                Ok(())
+            })?;
         }
         NodeKind::Array { .. } => {
-            run_array(job.vals.expect("array values"), &mut srcs[0], &mut outs[0])?;
+            let vals = job.vals.expect("array values");
+            map_stream(&mut srcs[0], &mut outs[0], |t| rule::load(vals, t))?;
         }
         NodeKind::ConstVal { .. } => {
-            run_const(job.constant.expect("validated constant"), &mut srcs[0], &mut outs[0])?;
+            let value = job.constant.expect("validated constant");
+            map_stream(&mut srcs[0], &mut outs[0], |t| Ok(rule::constant(value, t)))?;
         }
         NodeKind::Alu { .. } => {
             let [a, b] = srcs else { unreachable!("ALU has two inputs") };
-            run_alu(job.alu.expect("validated ALU"), a, b, &mut outs[0])?;
+            let op = job.alu.expect("validated ALU");
+            zip_streams(a, b, |x, y| {
+                outs[0].push(rule::alu(op, x, y)?);
+                Ok(())
+            })?;
         }
-        NodeKind::Reducer { order } => match order {
-            0 => run_reduce_scalar(&mut srcs[0], &mut outs[0]),
-            1 => {
-                let [crd, val] = srcs else { unreachable!("vector reducer has two inputs") };
-                let [oc, ov] = outs else { unreachable!("vector reducer has two outputs") };
-                run_reduce_vector(crd, val, oc, ov)?;
-            }
-            _ => {
-                let [outer, inner, val] = srcs else { unreachable!("matrix reducer has three inputs") };
-                let [oo, oi, ov] = outs else { unreachable!("matrix reducer has three outputs") };
-                run_reduce_matrix(outer, inner, val, oo, oi, ov)?;
-            }
-        },
+        NodeKind::Reducer { order } => run_reducer(*order, srcs, outs)?,
         NodeKind::CoordDropper { .. } => {
             let [outer, inner] = srcs else { unreachable!("dropper has two inputs") };
-            let [oo, oi] = outs else { unreachable!("dropper has two outputs") };
-            run_dropper(outer, inner, oo, oi)?;
+            run_dropper(outer, inner, outs)?;
         }
-        NodeKind::LevelWriter { vals, .. } => {
-            return Ok(Some(if *vals {
-                WriterOutput::Vals(run_val_writer(&mut srcs[0]))
-            } else {
-                WriterOutput::Level(run_level_writer(job.writer_dim, &mut srcs[0]))
-            }));
+        NodeKind::LevelWriter { vals: true, .. } => {
+            let mut write = ValWrite::default();
+            each(&mut srcs[0], |t| write.step(t))?;
+            return Ok(Some(WriterOutput::Vals(write.finish())));
+        }
+        NodeKind::LevelWriter { .. } => {
+            let mut write = LevelWrite::default();
+            each(&mut srcs[0], |t| write.step(t))?;
+            return Ok(Some(WriterOutput::Level(write.finish(job.writer_dim))));
         }
         // The walk runs every merger itself (an intersecter's operands may
         // be fused scanners, its outputs a fusion region); the rest are
@@ -221,13 +204,6 @@ pub(crate) fn eval_node(
         | NodeKind::BitvectorConverter => unreachable!("not evaluated through here"),
     }
     Ok(None)
-}
-
-/// Pushes `t` to each output stream of a three-output node.
-fn push3(t: SimToken, a: &mut Vec<SimToken>, b: &mut Vec<SimToken>, c: &mut Vec<SimToken>) {
-    a.push(t);
-    b.push(t);
-    c.push(t);
 }
 
 /// One item of a merger operand, or of a level scanner's input: a fiber and
@@ -344,21 +320,51 @@ fn drain<V: FiberView>(fiber: V, crd: &mut Vec<SimToken>, rf: &mut Vec<SimToken>
     rf.extend((0..fiber.len()).map(|pos| fiber.child(pos)));
 }
 
-/// Runs a one-token-in, one-token-out step function over a whole stored
-/// stream, up to and including its done token: the stored form of every
+/// Runs a one-input rule over a whole stored stream, up to and including
+/// its done token.
+fn each(
+    input: &mut SliceSource<'_>,
+    mut step: impl FnMut(SimToken) -> Result<(), Fault>,
+) -> Result<(), Fault> {
+    while let Some(t) = input.next() {
+        step(t)?;
+        if t.is_done() {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// [`each`] for a one-token-in, one-token-out rule: the stored form of every
 /// member of a fusion region but the reducer.
 fn map_stream(
     input: &mut SliceSource<'_>,
     out: &mut Vec<SimToken>,
     mut step: impl FnMut(SimToken) -> Result<SimToken, Fault>,
 ) -> Result<(), Fault> {
-    while let Some(t) = input.next() {
+    each(input, |t| {
         out.push(step(t)?);
-        if t.is_done() {
-            break;
+        Ok(())
+    })
+}
+
+/// Runs a two-input rule over two aligned stored streams, a pair of tokens
+/// at a time, up to and including their done tokens. A stream that ends
+/// first is misaligned.
+fn zip_streams(
+    a: &mut SliceSource<'_>,
+    b: &mut SliceSource<'_>,
+    mut step: impl FnMut(SimToken, SimToken) -> Result<(), Fault>,
+) -> Result<(), Fault> {
+    loop {
+        let (Some(x), Some(y)) = (a.next(), b.next()) else {
+            return Err(Fault::Misaligned);
+        };
+        step(x, y)?;
+        if x.is_done() && y.is_done() {
+            return Ok(());
         }
     }
-    Ok(())
 }
 
 /// Repeater transfer function (Definition 3.4): [`Repeat::step`] over the
@@ -676,8 +682,8 @@ pub(crate) enum Step<'a> {
 impl Step<'_> {
     /// Computes the member's tokens for the `n` positions of the block in
     /// `regs`, in order, handing each to `write` with its position. The
-    /// step functions are `#[inline(always)]`: called out of line once a
-    /// token, a repeater or an ALU costs a region most of what it saves.
+    /// rules are `#[inline(always)]`: called out of line once a token, a
+    /// repeater or an ALU costs a region most of what it saves.
     fn map(
         &mut self,
         regs: &[SimToken],
@@ -688,17 +694,17 @@ impl Step<'_> {
         match self {
             Step::Array { vals, input } => {
                 for (i, &t) in block(*input) {
-                    write(i, array_step(vals, t)?);
+                    write(i, rule::load(vals, t)?);
                 }
             }
             Step::Const { value, input } => {
                 for (i, &t) in block(*input) {
-                    write(i, const_step(*value, t));
+                    write(i, rule::constant(*value, t));
                 }
             }
             Step::Alu { op, a, b } => {
                 for ((i, &x), (_, &y)) in block(*a).zip(block(*b)) {
-                    write(i, alu_step(*op, x, y)?);
+                    write(i, rule::alu(*op, x, y)?);
                 }
             }
             Step::Repeat { repeat, crd } => {
@@ -708,7 +714,7 @@ impl Step<'_> {
             }
             Step::Reduce { reduce, input } => {
                 for (i, &t) in block(*input) {
-                    reduce.step(t, |o| write(i, o));
+                    reduce.step(t, |o| write(i, o))?;
                 }
             }
         }
@@ -977,383 +983,67 @@ pub(crate) fn run_merge<const UNION: bool>(
     }
 }
 
-/// Locator transfer function (Definition 4.1).
-fn run_locator(
-    level: &Level,
-    crd: &mut SliceSource<'_>,
-    rf: &mut SliceSource<'_>,
-    oc: &mut Vec<SimToken>,
-    pass: &mut Vec<SimToken>,
-    located: &mut Vec<SimToken>,
-) -> Result<(), Fault> {
-    loop {
-        let (Some(c), Some(r)) = (crd.next(), rf.next()) else {
-            return Err(Fault::Misaligned);
-        };
-        match (c, r) {
-            (Token::Val(pc), Token::Val(pr)) => {
-                let coord = pc.expect_crd();
-                let fiber = pr.expect_ref() as usize;
-                match level.locate(fiber, coord) {
-                    Some(child) => {
-                        oc.push(tok::crd(coord));
-                        pass.push(tok::rf(fiber as u32));
-                        located.push(tok::rf(child as u32));
-                    }
-                    None => {
-                        push3(tok::empty(), oc, pass, located);
+/// Reducer transfer function (Definition 3.7), of order 0 (scalar), 1
+/// (vector) or 2 (matrix).
+fn run_reducer(order: usize, srcs: &mut [SliceSource<'_>], outs: &mut [Vec<SimToken>]) -> Result<(), Fault> {
+    match (order, srcs, outs) {
+        (0, [val], [ov]) => {
+            let mut reduce = ScalarReduce::default();
+            each(val, |t| reduce.step(t, |v| ov.push(v)))
+        }
+        (1, [crd, val], [oc, ov]) => {
+            let mut reduce = VectorReduce::default();
+            zip_streams(crd, val, |c, v| {
+                reduce.step(c, v, |[c, v]| {
+                    oc.push(c);
+                    ov.push(v);
+                })
+            })
+        }
+        (_, [outer, inner, val], [oo, oi, ov]) => {
+            let mut reduce = MatrixReduce::default();
+            zip_streams(inner, val, |i, v| {
+                if let Some(o) = outer.peek() {
+                    if reduce.open(o)? {
+                        outer.next();
                     }
                 }
-            }
-            (Token::Empty, _) | (_, Token::Empty) => {
-                push3(tok::empty(), oc, pass, located);
-            }
-            (Token::Stop(nc), Token::Stop(nr)) => {
-                push3(tok::stop(nc.max(nr)), oc, pass, located);
-            }
-            (Token::Done, Token::Done) => {
-                push3(tok::done(), oc, pass, located);
-                break;
-            }
-            _ => return Err(Fault::Misaligned),
-        }
-    }
-    Ok(())
-}
-
-/// Array-in-load-mode transfer function (Definition 3.5).
-fn run_array(vals: &[f64], input: &mut SliceSource<'_>, out: &mut Vec<SimToken>) -> Result<(), Fault> {
-    map_stream(input, out, |t| array_step(vals, t))
-}
-
-/// The array's output token for one reference token.
-#[inline(always)]
-fn array_step(vals: &[f64], t: SimToken) -> Result<SimToken, Fault> {
-    match t {
-        Token::Val(p) => {
-            let r = p.expect_ref();
-            vals.get(r as usize).map(|&v| tok::val(v)).ok_or(Fault::RefOutOfBounds(r))
-        }
-        control => Ok(control),
-    }
-}
-
-/// Constant-source transfer function: one scalar per data token of the
-/// shape stream, empty and control tokens mirrored through.
-fn run_const(value: f64, input: &mut SliceSource<'_>, out: &mut Vec<SimToken>) -> Result<(), Fault> {
-    map_stream(input, out, |t| Ok(const_step(value, t)))
-}
-
-/// The constant source's output token for one shape token.
-#[inline(always)]
-fn const_step(value: f64, t: SimToken) -> SimToken {
-    match t {
-        Token::Val(_) => tok::val(value),
-        control => control,
-    }
-}
-
-/// ALU transfer function (Definition 3.6): [`alu_step`] over two aligned
-/// streams, which must end together.
-fn run_alu(
-    op: AluOp,
-    a: &mut SliceSource<'_>,
-    b: &mut SliceSource<'_>,
-    out: &mut Vec<SimToken>,
-) -> Result<(), Fault> {
-    loop {
-        let (Some(ta), Some(tb)) = (a.next(), b.next()) else {
-            return Err(Fault::Misaligned);
-        };
-        out.push(alu_step(op, ta, tb)?);
-        if ta.is_done() {
-            return Ok(());
-        }
-    }
-}
-
-/// The ALU's output token for one aligned pair of input tokens: empty
-/// tokens read as zero, stops take the higher level.
-#[inline(always)]
-fn alu_step(op: AluOp, a: SimToken, b: SimToken) -> Result<SimToken, Fault> {
-    let apply = |x: f64, y: f64| match op {
-        AluOp::Add => x + y,
-        AluOp::Sub => x - y,
-        AluOp::Mul => x * y,
-    };
-    Ok(match (a, b) {
-        (Token::Val(pa), Token::Val(pb)) => tok::val(apply(pa.expect_val(), pb.expect_val())),
-        (Token::Val(pa), Token::Empty) => tok::val(apply(pa.expect_val(), 0.0)),
-        (Token::Empty, Token::Val(pb)) => tok::val(apply(0.0, pb.expect_val())),
-        (Token::Empty, Token::Empty) => tok::val(apply(0.0, 0.0)),
-        (Token::Stop(na), Token::Stop(nb)) => tok::stop(na.max(nb)),
-        (Token::Done, Token::Done) => tok::done(),
-        _ => return Err(Fault::Misaligned),
-    })
-}
-
-/// Scalar reducer transfer function (Definition 3.7, order 0):
-/// [`ScalarReduce::step`] over the whole value stream.
-fn run_reduce_scalar(input: &mut SliceSource<'_>, out: &mut Vec<SimToken>) {
-    let mut reduce = ScalarReduce::default();
-    while let Some(t) = input.next() {
-        reduce.step(t, |o| out.push(o));
-        if t.is_done() {
-            break;
-        }
-    }
-}
-
-/// A scalar reducer's running sum. An empty fiber sums to an explicit
-/// zero, so the value stream stays aligned with the outer coordinate
-/// streams feeding the writers.
-#[derive(Debug, Default)]
-pub(crate) struct ScalarReduce {
-    acc: f64,
-}
-
-impl ScalarReduce {
-    /// Consumes one value-stream token, emitting what it closes: nothing
-    /// for a value, the sum (and the stop one level down) for a stop.
-    #[inline(always)]
-    fn step(&mut self, t: SimToken, mut emit: impl FnMut(SimToken)) {
-        match t {
-            Token::Val(p) => self.acc += p.expect_val(),
-            Token::Empty => {}
-            Token::Stop(n) => {
-                emit(tok::val(std::mem::take(&mut self.acc)));
-                if n > 0 {
-                    emit(tok::stop(n - 1));
+                let emit = |[o, i, v]: [SimToken; 3]| {
+                    oo.push(o);
+                    oi.push(i);
+                    ov.push(v);
+                };
+                if !reduce.step(i, v, emit)? {
+                    // A data pair without its outer coordinate, which the
+                    // finished outer stream will never deliver.
+                    return Err(Fault::Misaligned);
                 }
-            }
-            Token::Done => emit(tok::done()),
-        }
-    }
-}
-
-/// Vector reducer transfer function (Definition 3.7, order 1 / Figure 7).
-fn run_reduce_vector(
-    crd: &mut SliceSource<'_>,
-    val: &mut SliceSource<'_>,
-    oc: &mut Vec<SimToken>,
-    ov: &mut Vec<SimToken>,
-) -> Result<(), Fault> {
-    let mut acc: BTreeMap<u32, f64> = BTreeMap::new();
-    let flush = |acc: &mut BTreeMap<u32, f64>,
-                 closing: Option<u8>,
-                 oc: &mut Vec<SimToken>,
-                 ov: &mut Vec<SimToken>| {
-        for (c, v) in std::mem::take(acc) {
-            oc.push(tok::crd(c));
-            ov.push(tok::val(v));
-        }
-        if let Some(level) = closing {
-            oc.push(tok::stop(level));
-            ov.push(tok::stop(level));
-        }
-    };
-    loop {
-        let (Some(c), Some(v)) = (crd.next(), val.next()) else {
-            return Err(Fault::Misaligned);
-        };
-        match (c, v) {
-            (Token::Val(pc), Token::Val(pv)) => {
-                *acc.entry(pc.expect_crd()).or_insert(0.0) += pv.expect_val();
-            }
-            (Token::Empty, _) | (_, Token::Empty) => {}
-            (Token::Stop(nc), Token::Stop(nv)) => {
-                let n = nc.max(nv);
-                if n > 0 {
-                    flush(&mut acc, Some(n - 1), oc, ov);
-                }
-            }
-            (Token::Done, Token::Done) => {
-                if !acc.is_empty() {
-                    flush(&mut acc, None, oc, ov);
-                }
-                oc.push(tok::done());
-                ov.push(tok::done());
-                break;
-            }
-            _ => return Err(Fault::Misaligned),
-        }
-    }
-    Ok(())
-}
-
-/// Matrix reducer transfer function (Definition 3.7, order 2).
-fn run_reduce_matrix(
-    outer: &mut SliceSource<'_>,
-    inner: &mut SliceSource<'_>,
-    val: &mut SliceSource<'_>,
-    oo: &mut Vec<SimToken>,
-    oi: &mut Vec<SimToken>,
-    ov: &mut Vec<SimToken>,
-) -> Result<(), Fault> {
-    let mut acc: BTreeMap<(u32, u32), f64> = BTreeMap::new();
-    let mut current_outer: Option<u32> = None;
-    loop {
-        if current_outer.is_none() {
-            if let Some(Token::Val(p)) = outer.peek() {
-                outer.next();
-                current_outer = Some(p.expect_crd());
-            }
-        }
-        let (Some(c), Some(v)) = (inner.next(), val.next()) else {
-            return Err(Fault::Misaligned);
-        };
-        match (c, v) {
-            (Token::Val(pc), Token::Val(pv)) => {
-                let o = current_outer.ok_or(Fault::Misaligned)?;
-                *acc.entry((o, pc.expect_crd())).or_insert(0.0) += pv.expect_val();
-            }
-            (Token::Empty, _) | (_, Token::Empty) => {}
-            (Token::Stop(_), Token::Stop(_)) => {
-                current_outer = None;
-                if let Some(Token::Stop(_)) = outer.peek() {
+                // The outer stream's stop closing the same fiber.
+                if let (Token::Stop(_), Token::Stop(_), Some(Token::Stop(_))) = (i, v, outer.peek()) {
                     outer.next();
                 }
-            }
-            (Token::Done, Token::Done) => {
-                while let Some(t) = outer.next() {
-                    if t.is_done() {
-                        break;
-                    }
-                }
-                flush_matrix(&mut acc, Some(1), oo, oi, ov);
-                push3(tok::done(), oo, oi, ov);
-                break;
-            }
-            _ => return Err(Fault::Misaligned),
+                Ok(())
+            })
         }
-    }
-    Ok(())
-}
-
-/// Emits the accumulated matrix exactly like the cycle-level reducer block.
-fn flush_matrix(
-    acc: &mut BTreeMap<(u32, u32), f64>,
-    closing_stop: Option<u8>,
-    oo: &mut Vec<SimToken>,
-    oi: &mut Vec<SimToken>,
-    ov: &mut Vec<SimToken>,
-) {
-    let mut by_outer: BTreeMap<u32, Vec<(u32, f64)>> = BTreeMap::new();
-    for ((o, i), v) in std::mem::take(acc) {
-        by_outer.entry(o).or_default().push((i, v));
-    }
-    let n = by_outer.len();
-    for (idx, (o, inners)) in by_outer.into_iter().enumerate() {
-        let last_fiber = idx + 1 == n;
-        let m = inners.len();
-        for (jdx, (i, v)) in inners.into_iter().enumerate() {
-            oo.push(if jdx == 0 { tok::crd(o) } else { tok::empty() });
-            oi.push(tok::crd(i));
-            ov.push(tok::val(v));
-            if jdx + 1 == m {
-                let level = if last_fiber { closing_stop.unwrap_or(1) } else { 0 };
-                oo.push(if last_fiber { tok::stop(level.saturating_sub(1)) } else { tok::empty() });
-                oi.push(tok::stop(level));
-                ov.push(tok::stop(level));
-            }
-        }
-    }
-    if n == 0 {
-        if let Some(level) = closing_stop {
-            push3(tok::stop(level), oo, oi, ov);
-        }
+        _ => unreachable!("a reducer's ports match its order"),
     }
 }
 
-/// A sink adapter merging consecutive stop tokens by keeping the higher
-/// level (the Figure 8 upgrade rule the dropper outputs follow).
-struct MergeSink<'a> {
-    inner: &'a mut Vec<SimToken>,
-    pending: Option<SimToken>,
-}
-
-impl<'a> MergeSink<'a> {
-    fn new(inner: &'a mut Vec<SimToken>) -> Self {
-        MergeSink { inner, pending: None }
-    }
-
-    fn push(&mut self, t: SimToken) {
-        if let (Some(Token::Stop(prev)), Token::Stop(new_level)) = (self.pending, t) {
-            self.pending = Some(Token::Stop(prev.max(new_level)));
-            return;
-        }
-        if let Some(prev) = self.pending.take() {
-            self.inner.push(prev);
-        }
-        self.pending = Some(t);
-    }
-
-    fn finish(mut self) {
-        if let Some(prev) = self.pending.take() {
-            self.inner.push(prev);
-        }
-    }
-}
-
-/// Coordinate dropper transfer function (Definition 3.9, Figure 8).
+/// Coordinate dropper transfer function (Definition 3.9, Figure 8). An
+/// inner stream that ends without a done token is misaligned.
 fn run_dropper(
     outer: &mut SliceSource<'_>,
     inner: &mut SliceSource<'_>,
-    out_outer: &mut Vec<SimToken>,
-    out_inner: &mut Vec<SimToken>,
+    outs: &mut [Vec<SimToken>],
 ) -> Result<(), Fault> {
-    let mut mo = MergeSink::new(out_outer);
-    let mut mi = MergeSink::new(out_inner);
-    let mut fiber: Vec<SimToken> = Vec::new();
-    let mut effectual = false;
+    let mut drop = CoordDrop::default();
+    let mut emit = |port: usize, t: SimToken| outs[port].push(t);
     while let Some(t) = inner.next() {
         match t {
-            Token::Val(p) => {
-                effectual |= match p {
-                    Payload::Val(v) => v != 0.0,
-                    _ => true,
-                };
-                fiber.push(t);
-            }
-            Token::Empty => {}
             Token::Stop(level) => {
-                let Some(outer_tok) = outer.peek() else {
-                    return Err(Fault::Misaligned);
-                };
-                match outer_tok {
-                    Token::Val(_) => {
-                        outer.next();
-                        if effectual {
-                            for ft in fiber.drain(..) {
-                                mi.push(ft);
-                            }
-                            mi.push(tok::stop(level));
-                            mo.push(outer_tok);
-                        } else {
-                            fiber.clear();
-                            if level > 0 {
-                                mi.push(tok::stop(level));
-                            }
-                        }
-                        if level > 0 {
-                            if let Some(Token::Stop(no)) = outer.peek() {
-                                outer.next();
-                                mo.push(tok::stop(no));
-                            } else {
-                                mo.push(tok::stop(level - 1));
-                            }
-                        }
-                        effectual = false;
-                    }
-                    Token::Stop(_) | Token::Empty | Token::Done => {
-                        mi.push(tok::stop(level));
-                        if matches!(outer_tok, Token::Stop(_)) {
-                            outer.next();
-                            mo.push(outer_tok);
-                        }
-                        effectual = false;
-                        fiber.clear();
-                    }
+                let head = outer.peek().ok_or(Fault::Misaligned)?;
+                for _ in 0..drop.close(level, head, outer.peek_nth(1), &mut emit) {
+                    outer.next();
                 }
             }
             Token::Done => {
@@ -1361,49 +1051,15 @@ fn run_dropper(
                     if o.is_done() {
                         break;
                     }
-                    mo.push(o);
+                    drop.rest(o, &mut emit);
                 }
-                mi.push(tok::done());
-                mo.push(tok::done());
-                break;
+                drop.finish(&mut emit);
+                return Ok(());
             }
+            _ => drop.data(t),
         }
     }
-    mo.finish();
-    mi.finish();
-    Ok(())
-}
-
-/// Level-writer transfer function (Definition 3.8).
-fn run_level_writer(dim: usize, input: &mut SliceSource<'_>) -> CompressedLevel {
-    let mut coords: Vec<u32> = Vec::new();
-    let mut seg: Vec<usize> = vec![0];
-    while let Some(t) = input.next() {
-        match t {
-            Token::Val(p) => coords.push(p.expect_crd()),
-            Token::Empty => {}
-            Token::Stop(_) => seg.push(coords.len()),
-            Token::Done => break,
-        }
-    }
-    if *seg.last().expect("nonempty") != coords.len() {
-        seg.push(coords.len());
-    }
-    CompressedLevel::new(dim, seg, coords)
-}
-
-/// Values-writer transfer function: empty tokens store explicit zeros.
-fn run_val_writer(input: &mut SliceSource<'_>) -> Vec<f64> {
-    let mut vals = Vec::new();
-    while let Some(t) = input.next() {
-        match t {
-            Token::Val(p) => vals.push(p.expect_val()),
-            Token::Empty => vals.push(0.0),
-            Token::Stop(_) => {}
-            Token::Done => break,
-        }
-    }
-    vals
+    Err(Fault::Misaligned)
 }
 
 #[cfg(test)]
@@ -1822,6 +1478,19 @@ mod tests {
         (0..refs.max().unwrap_or(0)).map(|i| ((i * 7 + salt) % 13) as f64 - 4.0).collect()
     }
 
+    /// An array's stored transfer function, as `eval_node` runs it.
+    fn array(vals: &[f64], input: &[SimToken], out: &mut Vec<SimToken>) -> Result<(), Fault> {
+        map_stream(&mut SliceSource::new(input), out, |t| rule::load(vals, t))
+    }
+
+    /// An ALU's stored transfer function, as `eval_node` runs it.
+    fn alu(op: AluOp, a: &[SimToken], b: &[SimToken], out: &mut Vec<SimToken>) -> Result<(), Fault> {
+        zip_streams(&mut SliceSource::new(a), &mut SliceSource::new(b), |x, y| {
+            out.push(rule::alu(op, x, y)?);
+            Ok(())
+        })
+    }
+
     fn counts_of(stream: &[SimToken]) -> TokenCounts {
         let mut counts = TokenCounts::default();
         stream.iter().for_each(|t| counts.record(t));
@@ -1868,15 +1537,12 @@ mod tests {
             let src = SliceSource::new;
             let rep = run(&mut |out| run_repeater(&mut src(&oc), src(&ra), out))?;
             let (va, vb, vr) = (values_for(&o0, 1), values_for(&o1, 2), values_for(&rep, 3));
-            let x = run(&mut |out| run_array(&va, &mut src(&o0), out))?;
-            let y = run(&mut |out| run_array(&vb, &mut src(&o1), out))?;
-            let z = run(&mut |out| run_array(&vr, &mut src(&rep), out))?;
-            let m = run(&mut |out| run_alu(AluOp::Mul, &mut src(&x), &mut src(&y), out))?;
-            let a = run(&mut |out| run_alu(AluOp::Sub, &mut src(&m), &mut src(&z), out))?;
-            let r = run(&mut |out| {
-                run_reduce_scalar(&mut src(&a), out);
-                Ok(())
-            })?;
+            let x = run(&mut |out| array(&va, &o0, out))?;
+            let y = run(&mut |out| array(&vb, &o1, out))?;
+            let z = run(&mut |out| array(&vr, &rep, out))?;
+            let m = run(&mut |out| alu(AluOp::Mul, &x, &y, out))?;
+            let a = run(&mut |out| alu(AluOp::Sub, &m, &z, out))?;
+            let r = run(&mut |out| run_reducer(0, &mut [src(&a)], std::slice::from_mut(out)))?;
             let refs: Vec<_> = rep.iter().filter(|t| matches!(t, Token::Val(_))).collect();
             repeated += refs.windows(2).filter(|w| w[0] == w[1]).count();
 
@@ -1939,10 +1605,7 @@ mod tests {
         assert_eq!(walked, Err(Fault::RefOutOfBounds(2)));
         let (sa, sb) = (stored(&level, &refs), stored(&level, &refs));
         let [_, o0, _] = merge(false, &mut streams(&sa), &mut streams(&sb))?;
-        assert_eq!(
-            run_array(&short, &mut SliceSource::new(&o0), &mut Vec::new()),
-            Err(Fault::RefOutOfBounds(2))
-        );
+        assert_eq!(array(&short, &o0, &mut Vec::new()), Err(Fault::RefOutOfBounds(2)));
         Ok(())
     }
 }

@@ -159,11 +159,16 @@ fn misaligned_streams_fail_as_the_observing_node() {
     let inputs =
         Inputs::new().coo("b", &b, TensorFormat::sparse_vec()).coo("c", &c, TensorFormat::sparse_vec());
     let plan = Plan::build(&graph, &inputs).expect("the misalignment is invisible to planning");
-    let run = FastBackend.run(&plan, &inputs);
-    let Err(ExecError::Misaligned { label }) = run else {
-        panic!("the run should fail on the misaligned reducer streams, got {run:?}");
-    };
-    assert_eq!(label, plan.node_label(reducer), "error should name the reducer by its plan label");
+    // The cycle reducer block reads the same heads through the same rule,
+    // so every backend fails at the same node.
+    let backends: [&dyn Executor; 3] = [&CycleBackend, &FastBackend, &TiledBackend::with_tile(16)];
+    for backend in backends {
+        let run = backend.run(&plan, &inputs);
+        let Err(ExecError::Misaligned { label }) = run else {
+            panic!("{}: the run should fail on the misaligned reducer streams, got {run:?}", backend.name());
+        };
+        assert_eq!(label, plan.node_label(reducer), "{}: error should name the reducer", backend.name());
+    }
 }
 
 /// A fault inside a fusion region is the stored walk's fault: the member

@@ -1,30 +1,26 @@
 //! Array (memory) blocks: value loads and the locator (paper Definitions
-//! 3.5 and 4.1).
+//! 3.5 and 4.1). Each block is the timing of its rule in [`crate::rule`].
 
-use sam_sim::payload::tok;
-use sam_sim::{Block, BlockStatus, ChannelId, Context};
-use sam_streams::Token;
+use crate::rule;
+use sam_sim::{Block, BlockStatus, ChannelId, Context, SimToken};
 use sam_tensor::level::Level;
 use std::sync::Arc;
 
 /// The array block in load mode (Definition 3.5): converts a reference
-/// stream into a value stream by reading a values array.
-///
-/// Empty (`N`) references — produced by unions for missing operands — pass
-/// through as empty tokens so the downstream ALU can treat them as zeros.
+/// stream into a value stream by reading a values array ([`rule::load`]),
+/// one token per cycle.
 #[derive(Debug)]
 pub struct ValArray {
     name: String,
     vals: Arc<Vec<f64>>,
     in_ref: ChannelId,
     out_val: ChannelId,
-    done: bool,
 }
 
 impl ValArray {
     /// Creates a value-load array over `vals`.
     pub fn new(name: impl Into<String>, vals: Arc<Vec<f64>>, in_ref: ChannelId, out_val: ChannelId) -> Self {
-        ValArray { name: name.into(), vals, in_ref, out_val, done: false }
+        ValArray { name: name.into(), vals, in_ref, out_val }
     }
 }
 
@@ -34,54 +30,29 @@ impl Block for ValArray {
     }
 
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done {
-            return BlockStatus::Done;
-        }
-        let Some(t) = ctx.peek(self.in_ref).cloned() else {
+        let Some(t) = ctx.pop(self.in_ref) else {
             return ctx.stall();
         };
-        ctx.pop(self.in_ref);
-        match t {
-            Token::Val(p) => {
-                let r = p.expect_ref() as usize;
-                assert!(r < self.vals.len(), "reference {r} out of bounds for values array `{}`", self.name);
-                ctx.push(self.out_val, tok::val(self.vals[r]));
-                BlockStatus::Busy
+        match rule::load(&self.vals, t) {
+            Ok(v) => {
+                ctx.push(self.out_val, v);
+                crate::status(v.is_done())
             }
-            Token::Empty => {
-                ctx.push(self.out_val, tok::empty());
-                BlockStatus::Busy
-            }
-            Token::Stop(n) => {
-                ctx.push(self.out_val, tok::stop(n));
-                BlockStatus::Busy
-            }
-            Token::Done => {
-                ctx.push(self.out_val, tok::done());
-                self.done = true;
-                BlockStatus::Done
-            }
+            Err(fault) => BlockStatus::Fault(fault),
         }
     }
 }
 
-/// The locator block (Definition 4.1): iterate-locate intersection.
-///
-/// For each input `(coordinate, reference)` pair the locator looks the
-/// coordinate up in its bound level within the fiber named by the reference.
-/// When present it emits the coordinate, the pass-through reference and the
-/// located child reference; when absent it emits empty tokens on all three
-/// outputs so downstream streams stay aligned.
+/// The locator block (Definition 4.1): iterate-locate intersection
+/// ([`rule::locate`]), one aligned `(coordinate, reference)` pair and three
+/// output tokens per cycle.
 #[derive(Debug)]
 pub struct Locator {
     name: String,
     level: Arc<Level>,
     in_crd: ChannelId,
     in_ref: ChannelId,
-    out_crd: ChannelId,
-    out_ref_pass: ChannelId,
-    out_ref_located: ChannelId,
-    done: bool,
+    outs: [ChannelId; 3],
 }
 
 impl Locator {
@@ -95,22 +66,7 @@ impl Locator {
         out_ref_pass: ChannelId,
         out_ref_located: ChannelId,
     ) -> Self {
-        Locator {
-            name: name.into(),
-            level,
-            in_crd,
-            in_ref,
-            out_crd,
-            out_ref_pass,
-            out_ref_located,
-            done: false,
-        }
-    }
-
-    fn emit_all(&self, ctx: &mut Context, t: sam_sim::SimToken) {
-        ctx.push(self.out_crd, t);
-        ctx.push(self.out_ref_pass, t);
-        ctx.push(self.out_ref_located, t);
+        Locator { name: name.into(), level, in_crd, in_ref, outs: [out_crd, out_ref_pass, out_ref_located] }
     }
 }
 
@@ -120,60 +76,28 @@ impl Block for Locator {
     }
 
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done {
-            return BlockStatus::Done;
-        }
-        let (Some(c), Some(r)) = (ctx.peek(self.in_crd).cloned(), ctx.peek(self.in_ref).cloned()) else {
+        let (Some(c), Some(r)) = (ctx.peek(self.in_crd).copied(), ctx.peek(self.in_ref).copied()) else {
             return ctx.stall();
         };
-        match (c, r) {
-            (Token::Val(pc), Token::Val(pr)) => {
-                ctx.pop(self.in_crd);
-                ctx.pop(self.in_ref);
-                let coord = pc.expect_crd();
-                let fiber = pr.expect_ref() as usize;
-                match self.level.locate(fiber, coord) {
-                    Some(child) => {
-                        ctx.push(self.out_crd, tok::crd(coord));
-                        ctx.push(self.out_ref_pass, tok::rf(fiber as u32));
-                        ctx.push(self.out_ref_located, tok::rf(child as u32));
-                    }
-                    None => {
-                        self.emit_all(ctx, tok::empty());
-                    }
-                }
-                BlockStatus::Busy
-            }
-            (Token::Empty, _) | (_, Token::Empty) => {
-                ctx.pop(self.in_crd);
-                ctx.pop(self.in_ref);
-                self.emit_all(ctx, tok::empty());
-                BlockStatus::Busy
-            }
-            (Token::Stop(nc), Token::Stop(nr)) => {
-                debug_assert_eq!(nc, nr, "locator inputs must have matching structure");
-                ctx.pop(self.in_crd);
-                ctx.pop(self.in_ref);
-                self.emit_all(ctx, tok::stop(nc.max(nr)));
-                BlockStatus::Busy
-            }
-            (Token::Done, Token::Done) => {
-                ctx.pop(self.in_crd);
-                ctx.pop(self.in_ref);
-                self.emit_all(ctx, tok::done());
-                self.done = true;
-                BlockStatus::Done
-            }
-            _ => BlockStatus::Busy,
+        let located: [SimToken; 3] = match rule::locate(&self.level, c, r) {
+            Ok(located) => located,
+            Err(fault) => return BlockStatus::Fault(fault),
+        };
+        ctx.pop(self.in_crd);
+        ctx.pop(self.in_ref);
+        for (&out, t) in self.outs.iter().zip(located) {
+            ctx.push(out, t);
         }
+        crate::status(located[0].is_done())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sam_sim::payload::Payload;
-    use sam_sim::{SimToken, Simulator};
+    use sam_sim::payload::{tok, Payload};
+    use sam_sim::{Fault, SimulationError, Simulator};
+    use sam_streams::Token;
     use sam_tensor::level::{CompressedLevel, DenseLevel};
 
     fn vals(tokens: &[SimToken]) -> Vec<f64> {
@@ -195,14 +119,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
     fn val_array_rejects_bad_reference() {
         let mut sim = Simulator::new();
         let r = sim.add_channel("ref");
         let v = sim.add_channel("val");
         sim.add_block(Box::new(ValArray::new("B", Arc::new(vec![1.0]), r, v)));
-        sim.preload(r, vec![tok::rf(7), tok::done()]);
-        let _ = sim.run(100);
+        sim.preload(r, vec![tok::rf(0), tok::rf(7), tok::done()]);
+        assert_eq!(
+            sim.run(100),
+            Err(SimulationError::Fault { cycle: 1, block: "B".into(), fault: Fault::RefOutOfBounds(7) })
+        );
+    }
+
+    /// A locator whose heads cannot line up, or whose reference names no
+    /// fiber of its level, ends the run with the fault instead of spinning.
+    #[test]
+    fn locator_faults_on_misaligned_heads_and_bad_references() {
+        let level = Arc::new(Level::Dense(DenseLevel::new(10, 1)));
+        for (crd, rf, fault) in [
+            (tok::crd(3), tok::stop(0), Fault::Misaligned),
+            (tok::rf(3), tok::rf(0), Fault::Misaligned),
+            (tok::crd(3), tok::rf(1), Fault::RefOutOfBounds(1)),
+        ] {
+            let mut sim = Simulator::new();
+            let [c, r, oc, op, ol] = ["crd", "ref", "oc", "op", "ol"].map(|n| sim.add_channel(n));
+            sim.add_block(Box::new(Locator::new("loc", level.clone(), c, r, oc, op, ol)));
+            sim.preload(c, vec![crd, tok::stop(0), tok::done()]);
+            sim.preload(r, vec![rf, tok::stop(0), tok::done()]);
+            assert_eq!(sim.run(100), Err(SimulationError::Fault { cycle: 0, block: "loc".into(), fault }));
+        }
     }
 
     #[test]

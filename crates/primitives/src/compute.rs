@@ -1,49 +1,27 @@
-//! Computation blocks: ALUs and reducers (paper Definitions 3.6 and 3.7).
+//! Computation blocks: ALUs, the constant source and reducers (paper
+//! Definitions 3.6 and 3.7). Each block is the timing of its rule in
+//! [`crate::rule`].
 
+use crate::rule::{self, AluOp, MatrixReduce, ScalarReduce, VectorReduce};
 use sam_sim::payload::tok;
-use sam_sim::{Block, BlockStatus, ChannelId, Context, SimToken};
+use sam_sim::{Block, BlockStatus, ChannelId, Context, Fault, SimToken};
 use sam_streams::Token;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-/// The arithmetic operation performed by an [`Alu`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AluOp {
-    /// Addition.
-    Add,
-    /// Subtraction (first operand minus second).
-    Sub,
-    /// Multiplication.
-    Mul,
-}
-
-impl AluOp {
-    fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
-            AluOp::Add => a + b,
-            AluOp::Sub => a - b,
-            AluOp::Mul => a * b,
-        }
-    }
-}
-
-/// A streaming two-input ALU (Definition 3.6).
-///
-/// Consumes two aligned value streams and produces one value stream,
-/// treating empty (`N`) tokens as zeros. Control tokens of the two inputs
-/// must agree and are passed through.
+/// A streaming two-input ALU (Definition 3.6, [`rule::alu`]): one aligned
+/// pair of value tokens in and one value token out per cycle.
 #[derive(Debug)]
 pub struct Alu {
     name: String,
     op: AluOp,
     in_val: [ChannelId; 2],
     out_val: ChannelId,
-    done: bool,
 }
 
 impl Alu {
     /// Creates an ALU applying `op`.
     pub fn new(name: impl Into<String>, op: AluOp, in_val: [ChannelId; 2], out_val: ChannelId) -> Self {
-        Alu { name: name.into(), op, in_val, out_val, done: false }
+        Alu { name: name.into(), op, in_val, out_val }
     }
 }
 
@@ -53,78 +31,40 @@ impl Block for Alu {
     }
 
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done {
-            return BlockStatus::Done;
-        }
-        let (Some(a), Some(b)) = (ctx.peek(self.in_val[0]).cloned(), ctx.peek(self.in_val[1]).cloned())
+        let (Some(a), Some(b)) = (ctx.peek(self.in_val[0]).copied(), ctx.peek(self.in_val[1]).copied())
         else {
             return ctx.stall();
         };
-        match (a, b) {
-            (Token::Val(pa), Token::Val(pb)) => {
+        match rule::alu(self.op, a, b) {
+            Ok(v) => {
                 ctx.pop(self.in_val[0]);
                 ctx.pop(self.in_val[1]);
-                ctx.push(self.out_val, tok::val(self.op.apply(pa.expect_val(), pb.expect_val())));
-                BlockStatus::Busy
+                ctx.push(self.out_val, v);
+                crate::status(v.is_done())
             }
-            (Token::Val(pa), Token::Empty) => {
-                ctx.pop(self.in_val[0]);
-                ctx.pop(self.in_val[1]);
-                ctx.push(self.out_val, tok::val(self.op.apply(pa.expect_val(), 0.0)));
-                BlockStatus::Busy
-            }
-            (Token::Empty, Token::Val(pb)) => {
-                ctx.pop(self.in_val[0]);
-                ctx.pop(self.in_val[1]);
-                ctx.push(self.out_val, tok::val(self.op.apply(0.0, pb.expect_val())));
-                BlockStatus::Busy
-            }
-            (Token::Empty, Token::Empty) => {
-                ctx.pop(self.in_val[0]);
-                ctx.pop(self.in_val[1]);
-                ctx.push(self.out_val, tok::val(self.op.apply(0.0, 0.0)));
-                BlockStatus::Busy
-            }
-            (Token::Stop(na), Token::Stop(nb)) => {
-                debug_assert_eq!(na, nb, "ALU inputs must have matching fiber structure");
-                ctx.pop(self.in_val[0]);
-                ctx.pop(self.in_val[1]);
-                ctx.push(self.out_val, tok::stop(na.max(nb)));
-                BlockStatus::Busy
-            }
-            (Token::Done, Token::Done) => {
-                ctx.pop(self.in_val[0]);
-                ctx.pop(self.in_val[1]);
-                ctx.push(self.out_val, tok::done());
-                self.done = true;
-                BlockStatus::Done
-            }
-            // Structural mismatches: wait for the lagging side.
-            _ => BlockStatus::Busy,
+            Err(fault) => BlockStatus::Fault(fault),
         }
     }
 }
 
-/// A constant-value source: re-emits one scalar for every data token of its
-/// shape input stream.
+/// A constant-value source ([`rule::constant`]): re-emits one scalar for
+/// every data token of its shape input stream, one token per cycle.
 ///
 /// The shape stream is normally a fork of the value stream the constant
-/// combines with in a downstream [`Alu`]; empty (`N`) tokens pass through as
-/// empty (the position is absent either way) and control tokens mirror, so
-/// the constant stream is always structurally aligned with its sibling.
+/// combines with in a downstream [`Alu`], so the constant stream is always
+/// structurally aligned with its sibling.
 #[derive(Debug)]
 pub struct ConstVal {
     name: String,
     value: f64,
     input: ChannelId,
     output: ChannelId,
-    done: bool,
 }
 
 impl ConstVal {
     /// Creates a constant source emitting `value`.
     pub fn new(name: impl Into<String>, value: f64, input: ChannelId, output: ChannelId) -> Self {
-        ConstVal { name: name.into(), value, input, output, done: false }
+        ConstVal { name: name.into(), value, input, output }
     }
 }
 
@@ -134,69 +74,49 @@ impl Block for ConstVal {
     }
 
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done {
-            return BlockStatus::Done;
-        }
         let Some(t) = ctx.pop(self.input) else {
             return ctx.stall();
         };
-        match t {
-            Token::Val(_) => {
-                ctx.push(self.output, tok::val(self.value));
-                BlockStatus::Busy
-            }
-            Token::Empty => {
-                ctx.push(self.output, tok::empty());
-                BlockStatus::Busy
-            }
-            Token::Stop(n) => {
-                ctx.push(self.output, tok::stop(n));
-                BlockStatus::Busy
-            }
-            Token::Done => {
-                ctx.push(self.output, tok::done());
-                self.done = true;
-                BlockStatus::Done
-            }
-        }
+        let v = rule::constant(self.value, t);
+        ctx.push(self.output, v);
+        crate::status(v.is_done())
     }
 }
 
-/// A reducer of configurable accumulation order (Definition 3.7).
+/// A reducer of accumulation order 0 (scalar, [`ScalarReduce`]), 1 (vector,
+/// [`VectorReduce`]) or 2 (matrix, [`MatrixReduce`]), Definition 3.7.
 ///
-/// * order 0 (scalar): sums each innermost fiber of its value stream into a
-///   single value — an explicit zero for an empty fiber, so the output stays
-///   aligned with the outer coordinate streams,
-/// * order 1 (vector): accumulates `(coordinate, value)` pairs across inner
-///   fibers and emits a deduplicated, sorted fiber whenever a stop of level
-///   ≥ 1 closes the accumulation (Figure 7),
-/// * order 2 (matrix): accumulates `(outer, inner, value)` triples and emits
-///   the accumulated matrix when the stream ends (used by outer-product
-///   dataflows).
+/// It pops one token per input per cycle and emits at most one token per
+/// output per cycle: the scalar reducer pushes a fiber's sum in the cycle
+/// that reads the closing stop and queues the stop one level down for the
+/// next; the vector and matrix reducers queue everything a token closes.
+/// A queued token goes out before anything more is read.
 #[derive(Debug)]
 pub struct Reducer {
     name: String,
-    order: usize,
-    in_crd: Vec<ChannelId>,
-    in_val: ChannelId,
-    out_crd: Vec<ChannelId>,
-    out_val: ChannelId,
-    // Scalar state.
-    acc: f64,
-    // Vector state.
-    vec_acc: BTreeMap<u32, f64>,
-    // Matrix state.
-    mat_acc: BTreeMap<(u32, u32), f64>,
-    current_outer: Option<u32>,
-    // Pending emissions, one per cycle: (crd tokens per output, val token).
-    pending: VecDeque<(Vec<SimToken>, SimToken)>,
+    /// The coordinate inputs (outer first), then the value input.
+    ins: Vec<ChannelId>,
+    /// The coordinate outputs (outer first), then the value output.
+    outs: Vec<ChannelId>,
+    rule: Order,
+    /// Emissions waiting for a cycle, a token per output (the first
+    /// `outs.len()` of each entry).
+    pending: VecDeque<[SimToken; 3]>,
     done: bool,
+}
+
+/// A [`Reducer`]'s rule.
+#[derive(Debug)]
+enum Order {
+    Scalar(ScalarReduce),
+    Vector(VectorReduce),
+    Matrix(MatrixReduce),
 }
 
 impl Reducer {
     /// Creates a scalar reducer (order 0).
     pub fn scalar(name: impl Into<String>, in_val: ChannelId, out_val: ChannelId) -> Self {
-        Self::new(name, 0, vec![], in_val, vec![], out_val)
+        Self::new(name, Order::Scalar(ScalarReduce::default()), vec![in_val], vec![out_val])
     }
 
     /// Creates a vector reducer (order 1).
@@ -207,7 +127,7 @@ impl Reducer {
         out_crd: ChannelId,
         out_val: ChannelId,
     ) -> Self {
-        Self::new(name, 1, vec![in_crd], in_val, vec![out_crd], out_val)
+        Self::new(name, Order::Vector(VectorReduce::default()), vec![in_crd, in_val], vec![out_crd, out_val])
     }
 
     /// Creates a matrix reducer (order 2). The first coordinate channel is
@@ -220,96 +140,90 @@ impl Reducer {
         out_crd: [ChannelId; 2],
         out_val: ChannelId,
     ) -> Self {
-        Self::new(name, 2, in_crd.to_vec(), in_val, out_crd.to_vec(), out_val)
+        let [io, ii] = in_crd;
+        let [oo, oi] = out_crd;
+        Self::new(name, Order::Matrix(MatrixReduce::default()), vec![io, ii, in_val], vec![oo, oi, out_val])
     }
 
-    fn new(
-        name: impl Into<String>,
-        order: usize,
-        in_crd: Vec<ChannelId>,
-        in_val: ChannelId,
-        out_crd: Vec<ChannelId>,
-        out_val: ChannelId,
-    ) -> Self {
-        assert!(order <= 2, "reducers of order {order} are not supported");
-        Reducer {
-            name: name.into(),
-            order,
-            in_crd,
-            in_val,
-            out_crd,
-            out_val,
-            acc: 0.0,
-            vec_acc: BTreeMap::new(),
-            mat_acc: BTreeMap::new(),
-            current_outer: None,
-            pending: VecDeque::new(),
-            done: false,
-        }
+    fn new(name: impl Into<String>, rule: Order, ins: Vec<ChannelId>, outs: Vec<ChannelId>) -> Self {
+        Reducer { name: name.into(), ins, outs, rule, pending: VecDeque::new(), done: false }
     }
 
-    /// Queues one output element.
-    fn queue(&mut self, crds: Vec<SimToken>, val: SimToken) {
-        debug_assert_eq!(crds.len(), self.out_crd.len());
-        self.pending.push_back((crds, val));
-    }
-
-    fn flush_pending(&mut self, ctx: &mut Context) -> bool {
-        if let Some((crds, val)) = self.pending.pop_front() {
-            for (chan, t) in self.out_crd.iter().zip(crds) {
-                ctx.push(*chan, t);
+    /// One cycle's work once nothing is queued.
+    fn read(&mut self, ctx: &mut Context) -> Result<BlockStatus, Fault> {
+        let Reducer { ins, outs, rule, pending, done, .. } = self;
+        let queue = |p: &mut VecDeque<_>, t: &[SimToken]| {
+            let mut entry = [tok::done(); 3];
+            entry[..t.len()].copy_from_slice(t);
+            p.push_back(entry);
+        };
+        match rule {
+            Order::Scalar(rule) => {
+                let Some(t) = ctx.pop(ins[0]) else {
+                    return Ok(ctx.stall());
+                };
+                let mut first = true;
+                rule.step(t, |v| {
+                    if std::mem::take(&mut first) {
+                        ctx.push(outs[0], v);
+                    } else {
+                        queue(pending, &[v]);
+                    }
+                })?;
+                *done = t.is_done();
+                return Ok(crate::status(*done));
             }
-            ctx.push(self.out_val, val);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn flush_vector(&mut self, closing_stop: Option<u8>) {
-        let acc = std::mem::take(&mut self.vec_acc);
-        for (c, v) in acc {
-            self.queue(vec![tok::crd(c)], tok::val(v));
-        }
-        if let Some(level) = closing_stop {
-            self.queue(vec![tok::stop(level)], tok::stop(level));
-        }
-    }
-
-    fn flush_matrix(&mut self, closing_stop: Option<u8>) {
-        let acc = std::mem::take(&mut self.mat_acc);
-        let mut by_outer: BTreeMap<u32, Vec<(u32, f64)>> = BTreeMap::new();
-        for ((o, i), v) in acc {
-            by_outer.entry(o).or_default().push((i, v));
-        }
-        let n = by_outer.len();
-        for (idx, (o, inners)) in by_outer.into_iter().enumerate() {
-            let last_fiber = idx + 1 == n;
-            let m = inners.len();
-            for (jdx, (i, v)) in inners.into_iter().enumerate() {
-                let last_inner = jdx + 1 == m;
-                // The outer coordinate accompanies the first element of its
-                // fiber; subsequent elements carry an empty slot on the outer
-                // coordinate output so that streams stay aligned one token
-                // per cycle.
-                let outer_tok = if jdx == 0 { tok::crd(o) } else { tok::empty() };
-                self.queue(vec![outer_tok, tok::crd(i)], tok::val(v));
-                if last_inner {
-                    // Fiber boundaries appear on the inner coordinate and
-                    // value outputs; the outer coordinate output is a single
-                    // top-level fiber, so it only receives the final stop.
-                    let level = if last_fiber { closing_stop.unwrap_or(1) } else { 0 };
-                    let outer_boundary =
-                        if last_fiber { tok::stop(level.saturating_sub(1)) } else { tok::empty() };
-                    self.queue(vec![outer_boundary, tok::stop(level)], tok::stop(level));
+            Order::Vector(rule) => {
+                let (Some(c), Some(v)) = (ctx.peek(ins[0]).copied(), ctx.peek(ins[1]).copied()) else {
+                    return Ok(ctx.stall());
+                };
+                rule.step(c, v, |t| queue(pending, &t))?;
+                ctx.pop(ins[0]);
+                ctx.pop(ins[1]);
+                *done = c.is_done() && v.is_done();
+            }
+            Order::Matrix(rule) => {
+                // Take the next inner fiber's outer coordinate if it is
+                // there. (A tick that took it has popped, so neither wait
+                // below is a stall.)
+                if let Some(&o) = ctx.peek(ins[0]) {
+                    if rule.open(o)? {
+                        ctx.pop(ins[0]);
+                    }
+                }
+                let (Some(i), Some(v)) = (ctx.peek(ins[1]).copied(), ctx.peek(ins[2]).copied()) else {
+                    return Ok(ctx.stall());
+                };
+                if !rule.step(i, v, |t| queue(pending, &t))? {
+                    // A data pair waits for its outer coordinate.
+                    return Ok(ctx.stall());
+                }
+                ctx.pop(ins[1]);
+                ctx.pop(ins[2]);
+                match (i, v) {
+                    // The outer stream's stop closing the same fiber, if it
+                    // has arrived.
+                    (Token::Stop(_), Token::Stop(_)) => {
+                        if let Some(Token::Stop(_)) = ctx.peek(ins[0]) {
+                            ctx.pop(ins[0]);
+                        }
+                    }
+                    // Whatever of the outer stream has arrived, up to its
+                    // done token.
+                    (Token::Done, Token::Done) => {
+                        while let Some(o) = ctx.pop(ins[0]) {
+                            if o.is_done() {
+                                break;
+                            }
+                        }
+                        *done = true;
+                    }
+                    _ => {}
                 }
             }
         }
-        if n == 0 {
-            if let Some(level) = closing_stop {
-                self.queue(vec![tok::stop(level), tok::stop(level)], tok::stop(level));
-            }
-        }
+        // A vector or matrix reducer pushes nothing in the cycle it reads.
+        Ok(BlockStatus::Busy)
     }
 }
 
@@ -319,158 +233,17 @@ impl Block for Reducer {
     }
 
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done && self.pending.is_empty() {
-            return BlockStatus::Done;
-        }
-        // Drain pending emissions first, one per cycle. (Neither return
-        // below is a stall: the first follows a push, the second waits on
-        // no channel.)
-        if self.flush_pending(ctx) {
-            if self.pending.is_empty() && self.done {
-                return BlockStatus::Done;
+        // Drain pending emissions first, one per cycle.
+        if let Some(entry) = self.pending.pop_front() {
+            for (&out, t) in self.outs.iter().zip(entry) {
+                ctx.push(out, t);
             }
-            return BlockStatus::Busy;
+            return crate::status(self.done && self.pending.is_empty());
         }
         if self.done {
-            return BlockStatus::Busy;
+            return BlockStatus::Done;
         }
-
-        match self.order {
-            0 => self.tick_scalar(ctx),
-            1 => self.tick_vector(ctx),
-            _ => self.tick_matrix(ctx),
-        }
-    }
-}
-
-impl Reducer {
-    fn tick_scalar(&mut self, ctx: &mut Context) -> BlockStatus {
-        let Some(t) = ctx.peek(self.in_val).cloned() else {
-            return ctx.stall();
-        };
-        ctx.pop(self.in_val);
-        match t {
-            Token::Val(p) => {
-                self.acc += p.expect_val();
-                BlockStatus::Busy
-            }
-            Token::Empty => BlockStatus::Busy,
-            Token::Stop(n) => {
-                ctx.push(self.out_val, tok::val(self.acc));
-                self.acc = 0.0;
-                if n > 0 {
-                    self.queue(vec![], tok::stop(n - 1));
-                }
-                BlockStatus::Busy
-            }
-            Token::Done => {
-                ctx.push(self.out_val, tok::done());
-                self.done = true;
-                BlockStatus::Done
-            }
-        }
-    }
-
-    fn tick_vector(&mut self, ctx: &mut Context) -> BlockStatus {
-        let (Some(c), Some(v)) = (ctx.peek(self.in_crd[0]).cloned(), ctx.peek(self.in_val).cloned()) else {
-            return ctx.stall();
-        };
-        match (c, v) {
-            (Token::Val(pc), Token::Val(pv)) => {
-                ctx.pop(self.in_crd[0]);
-                ctx.pop(self.in_val);
-                *self.vec_acc.entry(pc.expect_crd()).or_insert(0.0) += pv.expect_val();
-                BlockStatus::Busy
-            }
-            (Token::Empty, _) | (_, Token::Empty) => {
-                ctx.pop(self.in_crd[0]);
-                ctx.pop(self.in_val);
-                BlockStatus::Busy
-            }
-            (Token::Stop(nc), Token::Stop(nv)) => {
-                debug_assert_eq!(nc, nv, "reducer inputs must have matching structure");
-                ctx.pop(self.in_crd[0]);
-                ctx.pop(self.in_val);
-                let n = nc.max(nv);
-                if n == 0 {
-                    // End of one inner fiber: keep accumulating.
-                } else {
-                    // The accumulation scope closed: emit the reduced fiber.
-                    self.flush_vector(Some(n - 1));
-                }
-                BlockStatus::Busy
-            }
-            (Token::Done, Token::Done) => {
-                ctx.pop(self.in_crd[0]);
-                ctx.pop(self.in_val);
-                if !self.vec_acc.is_empty() {
-                    self.flush_vector(None);
-                }
-                self.queue(vec![tok::done()], tok::done());
-                self.done = true;
-                BlockStatus::Busy
-            }
-            _ => BlockStatus::Busy,
-        }
-    }
-
-    fn tick_matrix(&mut self, ctx: &mut Context) -> BlockStatus {
-        // Keep the current outer coordinate up to date.
-        if self.current_outer.is_none() {
-            if let Some(Token::Val(p)) = ctx.peek(self.in_crd[0]).cloned() {
-                ctx.pop(self.in_crd[0]);
-                self.current_outer = Some(p.expect_crd());
-            }
-        }
-        // (A tick that fetched the outer coordinate above has popped, so
-        // neither wait below is a stall.)
-        let (Some(c), Some(v)) = (ctx.peek(self.in_crd[1]).cloned(), ctx.peek(self.in_val).cloned()) else {
-            return ctx.stall();
-        };
-        match (c, v) {
-            (Token::Val(pc), Token::Val(pv)) => {
-                let Some(outer) = self.current_outer else {
-                    return ctx.stall();
-                };
-                ctx.pop(self.in_crd[1]);
-                ctx.pop(self.in_val);
-                *self.mat_acc.entry((outer, pc.expect_crd())).or_insert(0.0) += pv.expect_val();
-                BlockStatus::Busy
-            }
-            (Token::Empty, _) | (_, Token::Empty) => {
-                ctx.pop(self.in_crd[1]);
-                ctx.pop(self.in_val);
-                BlockStatus::Busy
-            }
-            (Token::Stop(_), Token::Stop(_)) => {
-                ctx.pop(self.in_crd[1]);
-                ctx.pop(self.in_val);
-                // End of one inner fiber: the next fiber belongs to the next
-                // outer coordinate. Consume the outer stream's stop tokens
-                // opportunistically.
-                self.current_outer = None;
-                if let Some(Token::Stop(_)) = ctx.peek(self.in_crd[0]) {
-                    ctx.pop(self.in_crd[0]);
-                }
-                BlockStatus::Busy
-            }
-            (Token::Done, Token::Done) => {
-                ctx.pop(self.in_crd[1]);
-                ctx.pop(self.in_val);
-                while let Some(t) = ctx.peek(self.in_crd[0]) {
-                    let finished = t.is_done();
-                    ctx.pop(self.in_crd[0]);
-                    if finished {
-                        break;
-                    }
-                }
-                self.flush_matrix(Some(1));
-                self.queue(vec![tok::done(), tok::done()], tok::done());
-                self.done = true;
-                BlockStatus::Busy
-            }
-            _ => BlockStatus::Busy,
-        }
+        self.read(ctx).unwrap_or_else(BlockStatus::Fault)
     }
 }
 
@@ -675,5 +448,46 @@ mod tests {
         // second element of its fiber.
         let outer: Vec<u32> = crds(sim.history(out_i));
         assert_eq!(outer, vec![1]);
+    }
+
+    /// Heads that cannot line up end the run with the block's fault, in the
+    /// cycle that reads them.
+    #[test]
+    fn misaligned_heads_fault_instead_of_spinning() {
+        let fault = |sim: &mut Simulator| match sim.run(1000) {
+            Err(sam_sim::SimulationError::Fault { cycle, block, fault }) => (cycle, block, fault),
+            other => panic!("expected a fault, got {other:?}"),
+        };
+        // An ALU whose operands close their fibers at different points.
+        let mut sim = Simulator::new();
+        let [a, b, out] = ["a", "b", "out"].map(|n| sim.add_channel(n));
+        sim.add_block(Box::new(Alu::new("mul", AluOp::Mul, [a, b], out)));
+        sim.preload(a, vec![tok::val(2.0), tok::val(3.0), tok::stop(0), tok::done()]);
+        sim.preload(b, vec![tok::val(5.0), tok::stop(0), tok::done()]);
+        assert_eq!(fault(&mut sim), (1, "mul".into(), Fault::Misaligned));
+
+        // A vector reducer whose coordinate stream outlasts its values.
+        let mut sim = Simulator::new();
+        let [c, v, oc, ov] = ["c", "v", "oc", "ov"].map(|n| sim.add_channel(n));
+        sim.add_block(Box::new(Reducer::vector("red", c, v, oc, ov)));
+        sim.preload(c, vec![tok::crd(0), tok::crd(1), tok::stop(1), tok::done()]);
+        sim.preload(v, vec![tok::val(1.0), tok::stop(1), tok::done()]);
+        assert_eq!(fault(&mut sim), (1, "red".into(), Fault::Misaligned));
+
+        // A matrix reducer whose value stream carries a coordinate.
+        let mut sim = Simulator::new();
+        let [i, j, v, oi, oj, ov] = ["i", "j", "v", "oi", "oj", "ov"].map(|n| sim.add_channel(n));
+        sim.add_block(Box::new(Reducer::matrix("red", [i, j], v, [oi, oj], ov)));
+        sim.preload(i, vec![tok::crd(1), tok::stop(0), tok::done()]);
+        sim.preload(j, vec![tok::crd(2), tok::stop(1), tok::done()]);
+        sim.preload(v, vec![tok::crd(3), tok::stop(1), tok::done()]);
+        assert_eq!(fault(&mut sim), (0, "red".into(), Fault::Misaligned));
+
+        // A scalar reducer fed references.
+        let mut sim = Simulator::new();
+        let [input, out] = ["in", "out"].map(|n| sim.add_channel(n));
+        sim.add_block(Box::new(Reducer::scalar("sum", input, out)));
+        sim.preload(input, vec![tok::rf(0), tok::stop(0), tok::done()]);
+        assert_eq!(fault(&mut sim), (0, "sum".into(), Fault::Misaligned));
     }
 }

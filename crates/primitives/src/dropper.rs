@@ -1,36 +1,30 @@
-//! The coordinate dropper (paper Definition 3.9, Figure 8).
+//! The coordinate dropper (paper Definition 3.9, Figure 8): the timing of
+//! [`CoordDrop`].
 
-use sam_sim::payload::{tok, Payload};
+use crate::rule::CoordDrop;
 use sam_sim::{Block, BlockStatus, ChannelId, Context, SimToken};
 use sam_streams::Token;
 use std::collections::VecDeque;
 
 /// Removes outer coordinates whose inner fibers turned out to be ineffectual
 /// (empty after intersection, or all-zero after computation), together with
-/// those fibers' tokens.
+/// those fibers' tokens ([`CoordDrop`]).
 ///
-/// The dropper buffers one inner fiber at a time; when the fiber ends it
-/// either forwards the fiber and emits the owning outer coordinate, or drops
-/// both. Trailing stop tokens are held back so that a dropped last fiber can
-/// merge its group-closing stop into the previous fiber's stop, exactly as in
-/// Figure 8.
+/// It reads one inner token per cycle, and at an inner stop the outer
+/// coordinate it closes (and the outer stop after it, if that has arrived).
+/// What the rule emits is queued per output and sent one token per output
+/// per cycle.
 #[derive(Debug)]
 pub struct CoordDropper {
     name: String,
     in_outer_crd: ChannelId,
     in_inner: ChannelId,
-    out_outer_crd: ChannelId,
-    out_inner: ChannelId,
-    /// Tokens of the inner fiber currently being collected.
-    fiber: Vec<SimToken>,
-    /// Whether the current fiber has any effectual data token.
-    effectual: bool,
-    /// Tokens awaiting emission on the inner output.
-    pending_inner: VecDeque<SimToken>,
-    /// Tokens awaiting emission on the outer output.
-    pending_outer: VecDeque<SimToken>,
+    /// The outer output, then the inner one.
+    outs: [ChannelId; 2],
+    rule: CoordDrop,
+    /// Tokens awaiting emission, per output.
+    pending: [VecDeque<SimToken>; 2],
     finishing: bool,
-    done: bool,
 }
 
 impl CoordDropper {
@@ -47,54 +41,11 @@ impl CoordDropper {
             name: name.into(),
             in_outer_crd,
             in_inner,
-            out_outer_crd,
-            out_inner,
-            fiber: Vec::new(),
-            effectual: false,
-            pending_inner: VecDeque::new(),
-            pending_outer: VecDeque::new(),
+            outs: [out_outer_crd, out_inner],
+            rule: CoordDrop::default(),
+            pending: [VecDeque::new(), VecDeque::new()],
             finishing: false,
-            done: false,
         }
-    }
-
-    /// Appends a token to a pending queue, merging consecutive trailing stop
-    /// tokens by keeping the higher level (the Figure 8 upgrade rule).
-    fn push_pending(queue: &mut VecDeque<SimToken>, t: SimToken) {
-        if let Token::Stop(new_level) = t {
-            if let Some(Token::Stop(prev)) = queue.back_mut() {
-                *prev = (*prev).max(new_level);
-                return;
-            }
-        }
-        queue.push_back(t);
-    }
-
-    /// Emits at most one pending token per output per cycle, holding back a
-    /// trailing stop until it can no longer be upgraded.
-    fn drain_pending(&mut self, ctx: &mut Context) -> bool {
-        let mut emitted = false;
-        let emit_ok = match self.pending_inner.front() {
-            Some(Token::Stop(_)) => self.pending_inner.len() > 1 || self.finishing,
-            Some(_) => true,
-            None => false,
-        };
-        if emit_ok {
-            let t = self.pending_inner.pop_front().expect("nonempty");
-            ctx.push(self.out_inner, t);
-            emitted = true;
-        }
-        let emit_ok = match self.pending_outer.front() {
-            Some(Token::Stop(_)) => self.pending_outer.len() > 1 || self.finishing,
-            Some(_) => true,
-            None => false,
-        };
-        if emit_ok {
-            let t = self.pending_outer.pop_front().expect("nonempty");
-            ctx.push(self.out_outer_crd, t);
-            emitted = true;
-        }
-        emitted
     }
 }
 
@@ -104,107 +55,57 @@ impl Block for CoordDropper {
     }
 
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done {
-            return BlockStatus::Done;
-        }
-        // Draining pushes, so a tick that drained anything is not a stall.
-        let drained = self.drain_pending(ctx);
-        if self.finishing {
-            if self.pending_inner.is_empty() && self.pending_outer.is_empty() {
-                self.done = true;
-                return BlockStatus::Done;
+        // One pending token per output per cycle. Draining pushes, so a tick
+        // that drained anything is not a stall.
+        for (queue, &out) in self.pending.iter_mut().zip(&self.outs) {
+            if let Some(t) = queue.pop_front() {
+                ctx.push(out, t);
             }
-            // Waits on no input; only its own queues move.
-            return BlockStatus::Busy;
         }
-        let Some(t) = ctx.peek(self.in_inner).cloned() else {
+        if self.finishing {
+            // Waits on no input; only its own queues move.
+            return crate::status(self.pending.iter().all(VecDeque::is_empty));
+        }
+        let Some(t) = ctx.peek(self.in_inner).copied() else {
             return ctx.stall();
         };
+        let pending = &mut self.pending;
+        let mut emit = |port: usize, t: SimToken| pending[port].push_back(t);
         match t {
-            Token::Val(p) => {
-                ctx.pop(self.in_inner);
-                let effectual = match p {
-                    Payload::Val(v) => v != 0.0,
-                    _ => true,
-                };
-                self.effectual |= effectual;
-                self.fiber.push(Token::Val(p));
-                BlockStatus::Busy
-            }
-            Token::Empty => {
-                ctx.pop(self.in_inner);
-                BlockStatus::Busy
-            }
+            Token::Val(_) | Token::Empty => self.rule.data(t),
             Token::Stop(level) => {
-                // The end of an inner fiber: consume the owning outer
-                // coordinate and decide whether to keep the fiber.
-                let Some(outer) = ctx.peek(self.in_outer_crd).cloned() else {
+                // The end of an inner fiber: it needs the owning outer
+                // coordinate, and the token after it if that has arrived.
+                let Some(outer) = ctx.peek(self.in_outer_crd).copied() else {
                     return ctx.stall();
                 };
-                ctx.pop(self.in_inner);
-                match outer {
-                    Token::Val(po) => {
-                        ctx.pop(self.in_outer_crd);
-                        if self.effectual {
-                            for ft in self.fiber.drain(..) {
-                                Self::push_pending(&mut self.pending_inner, ft);
-                            }
-                            Self::push_pending(&mut self.pending_inner, tok::stop(level));
-                            Self::push_pending(&mut self.pending_outer, Token::Val(po));
-                        } else {
-                            self.fiber.clear();
-                            if level > 0 {
-                                Self::push_pending(&mut self.pending_inner, tok::stop(level));
-                            }
-                        }
-                        if level > 0 {
-                            // The outer level also closes: its own stop (one
-                            // level lower) follows on the outer input.
-                            if let Some(Token::Stop(no)) = ctx.peek(self.in_outer_crd).cloned() {
-                                ctx.pop(self.in_outer_crd);
-                                Self::push_pending(&mut self.pending_outer, tok::stop(no));
-                            } else {
-                                Self::push_pending(&mut self.pending_outer, tok::stop(level - 1));
-                            }
-                        }
-                        self.effectual = false;
-                    }
-                    Token::Stop(_) | Token::Empty | Token::Done => {
-                        // Structural slack: forward the stop and keep going.
-                        Self::push_pending(&mut self.pending_inner, tok::stop(level));
-                        if matches!(outer, Token::Stop(_)) {
-                            ctx.pop(self.in_outer_crd);
-                            Self::push_pending(&mut self.pending_outer, outer);
-                        }
-                        self.effectual = false;
-                        self.fiber.clear();
-                    }
+                let next = ctx.peek_nth(self.in_outer_crd, 1).copied();
+                for _ in 0..self.rule.close(level, outer, next, emit) {
+                    ctx.pop(self.in_outer_crd);
                 }
-                BlockStatus::Busy
             }
             Token::Done => {
-                ctx.pop(self.in_inner);
-                // Drain the outer stream up to and including its done token.
-                while let Some(o) = ctx.peek(self.in_outer_crd).cloned() {
-                    ctx.pop(self.in_outer_crd);
+                // Whatever of the outer stream has arrived, up to its done
+                // token.
+                while let Some(o) = ctx.pop(self.in_outer_crd) {
                     if o.is_done() {
                         break;
                     }
-                    Self::push_pending(&mut self.pending_outer, o);
+                    self.rule.rest(o, &mut emit);
                 }
-                Self::push_pending(&mut self.pending_inner, tok::done());
-                Self::push_pending(&mut self.pending_outer, tok::done());
+                self.rule.finish(emit);
                 self.finishing = true;
-                let _ = drained;
-                BlockStatus::Busy
             }
         }
+        ctx.pop(self.in_inner);
+        BlockStatus::Busy
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sam_sim::payload::{tok, Payload};
     use sam_sim::Simulator;
 
     fn to_paper(tokens: &[SimToken]) -> String {

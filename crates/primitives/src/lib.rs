@@ -24,6 +24,16 @@
 //!   (Section 4.3),
 //! * [`Parallelizer`] and [`Serializer`] — coarse-grained parallelism
 //!   (Section 4.4).
+//!
+//! One rule per primitive: the array, constant, ALU, locator, reducer,
+//! dropper and writer blocks are timing shells over their token rules in
+//! [`rule`], which the fast backend (`sam-exec`) calls too. A rule's
+//! [`Fault`](sam_sim::Fault) ends the simulation with
+//! [`SimulationError::Fault`](sam_sim::SimulationError::Fault) naming the
+//! block. The scanner, the mergers and the repeater are still written
+//! twice — here a token per cycle, in `sam-exec` a fiber at a time — and
+//! held together by that crate's differential tests; the bitvector blocks
+//! have no fast form.
 
 pub mod array;
 pub mod bitvector;
@@ -32,6 +42,7 @@ pub mod dropper;
 pub mod fork;
 pub mod merge;
 pub mod repeat;
+pub mod rule;
 pub mod scanner;
 pub mod source;
 pub mod writer;
@@ -40,11 +51,21 @@ pub use array::{Locator, ValArray};
 pub use bitvector::{
     BitTreeVecMul, BitvectorConverter, BitvectorIntersecter, BitvectorScanner, BitvectorVecMul,
 };
-pub use compute::{Alu, AluOp, ConstVal, Reducer};
+pub use compute::{Alu, ConstVal, Reducer};
 pub use dropper::CoordDropper;
 pub use fork::Fork;
 pub use merge::{Intersecter, Parallelizer, Serializer, Unioner};
 pub use repeat::Repeater;
+pub use rule::AluOp;
 pub use scanner::LevelScanner;
 pub use source::root_stream;
 pub use writer::{LevelWriter, LevelWriterSink, ValWriter, ValWriterSink};
+
+/// The status of a block's tick once it has or has not sent its done token.
+fn status(done: bool) -> sam_sim::BlockStatus {
+    if done {
+        sam_sim::BlockStatus::Done
+    } else {
+        sam_sim::BlockStatus::Busy
+    }
+}

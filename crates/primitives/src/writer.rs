@@ -1,7 +1,8 @@
-//! Level writers: tensor construction (paper Definition 3.8).
+//! Level writers: tensor construction (paper Definition 3.8). Each block is
+//! the timing of its rule in [`crate::rule`].
 
+use crate::rule::{LevelWrite, ValWrite};
 use sam_sim::{Block, BlockStatus, ChannelId, Context};
-use sam_streams::Token;
 use sam_tensor::level::CompressedLevel;
 use std::sync::{Arc, Mutex};
 
@@ -26,23 +27,21 @@ pub fn val_sink() -> ValWriterSink {
 }
 
 /// Writes one coordinate stream into a compressed level in memory
-/// (Definition 3.8). Every stop token closes the fiber being written; the
-/// done token finalizes the level and publishes it to the sink.
+/// (Definition 3.8, [`LevelWrite`]), one token per cycle. The done token
+/// publishes the level to the sink.
 #[derive(Debug)]
 pub struct LevelWriter {
     name: String,
     dim: usize,
     in_crd: ChannelId,
     sink: LevelWriterSink,
-    coords: Vec<u32>,
-    seg: Vec<usize>,
-    done: bool,
+    rule: LevelWrite,
 }
 
 impl LevelWriter {
     /// Creates a compressed level writer for a dimension of size `dim`.
     pub fn new(name: impl Into<String>, dim: usize, in_crd: ChannelId, sink: LevelWriterSink) -> Self {
-        LevelWriter { name: name.into(), dim, in_crd, sink, coords: Vec::new(), seg: vec![0], done: false }
+        LevelWriter { name: name.into(), dim, in_crd, sink, rule: LevelWrite::default() }
     }
 }
 
@@ -52,56 +51,34 @@ impl Block for LevelWriter {
     }
 
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done {
-            return BlockStatus::Done;
-        }
-        let Some(t) = ctx.peek(self.in_crd).cloned() else {
+        let Some(t) = ctx.pop(self.in_crd) else {
             return ctx.stall();
         };
-        ctx.pop(self.in_crd);
-        match t {
-            Token::Val(p) => {
-                self.coords.push(p.expect_crd());
-                BlockStatus::Busy
-            }
-            Token::Empty => BlockStatus::Busy,
-            Token::Stop(_) => {
-                self.seg.push(self.coords.len());
-                BlockStatus::Busy
-            }
-            Token::Done => {
-                if *self.seg.last().expect("nonempty") != self.coords.len() {
-                    self.seg.push(self.coords.len());
-                }
-                let level = CompressedLevel::new(
-                    self.dim,
-                    std::mem::take(&mut self.seg),
-                    std::mem::take(&mut self.coords),
-                );
-                *self.sink.lock().expect("poisoned level sink") = Some(level);
-                self.done = true;
-                BlockStatus::Done
-            }
+        if let Err(fault) = self.rule.step(t) {
+            return BlockStatus::Fault(fault);
         }
+        if t.is_done() {
+            *self.sink.lock().expect("poisoned level sink") =
+                Some(std::mem::take(&mut self.rule).finish(self.dim));
+        }
+        crate::status(t.is_done())
     }
 }
 
-/// Writes a value stream into a values array (the store mode of the array
-/// block wrapped by a level writer, Definition 3.8). Empty tokens store an
-/// explicit zero; stop tokens carry no data.
+/// Writes a value stream into a values array ([`ValWrite`]), one token per
+/// cycle. The done token publishes the values to the sink.
 #[derive(Debug)]
 pub struct ValWriter {
     name: String,
     in_val: ChannelId,
     sink: ValWriterSink,
-    vals: Vec<f64>,
-    done: bool,
+    rule: ValWrite,
 }
 
 impl ValWriter {
     /// Creates a values writer.
     pub fn new(name: impl Into<String>, in_val: ChannelId, sink: ValWriterSink) -> Self {
-        ValWriter { name: name.into(), in_val, sink, vals: Vec::new(), done: false }
+        ValWriter { name: name.into(), in_val, sink, rule: ValWrite::default() }
     }
 }
 
@@ -111,29 +88,16 @@ impl Block for ValWriter {
     }
 
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done {
-            return BlockStatus::Done;
-        }
-        let Some(t) = ctx.peek(self.in_val).cloned() else {
+        let Some(t) = ctx.pop(self.in_val) else {
             return ctx.stall();
         };
-        ctx.pop(self.in_val);
-        match t {
-            Token::Val(p) => {
-                self.vals.push(p.expect_val());
-                BlockStatus::Busy
-            }
-            Token::Empty => {
-                self.vals.push(0.0);
-                BlockStatus::Busy
-            }
-            Token::Stop(_) => BlockStatus::Busy,
-            Token::Done => {
-                *self.sink.lock().expect("poisoned value sink") = Some(std::mem::take(&mut self.vals));
-                self.done = true;
-                BlockStatus::Done
-            }
+        if let Err(fault) = self.rule.step(t) {
+            return BlockStatus::Fault(fault);
         }
+        if t.is_done() {
+            *self.sink.lock().expect("poisoned value sink") = Some(std::mem::take(&mut self.rule).finish());
+        }
+        crate::status(t.is_done())
     }
 }
 
@@ -142,6 +106,7 @@ mod tests {
     use super::*;
     use sam_sim::payload::tok;
     use sam_sim::Simulator;
+    use sam_streams::Token;
 
     #[test]
     fn level_writer_builds_compressed_level() {

@@ -1,7 +1,7 @@
 //! The simulation engine: block scheduling, cycle counting and reporting.
 
 use crate::channel::{Channel, ChannelId};
-use crate::payload::SimToken;
+use crate::payload::{Fault, SimToken};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -17,6 +17,9 @@ pub enum BlockStatus {
     Stalled,
     /// The block has propagated its done tokens and will never act again.
     Done,
+    /// The block's token rule rejected its input tokens: the run ends
+    /// with [`SimulationError::Fault`] naming the block.
+    Fault(Fault),
 }
 
 /// A SAM dataflow block as seen by the simulator.
@@ -24,7 +27,7 @@ pub enum BlockStatus {
 /// A block is ticked every cycle while it reports [`BlockStatus::Busy`],
 /// sleeps after [`BlockStatus::Stalled`] until a channel it examined in that
 /// tick is pushed into, and is never ticked again after
-/// [`BlockStatus::Done`].
+/// [`BlockStatus::Done`]; [`BlockStatus::Fault`] ends the run.
 /// During a tick it should consume at most one token per input port and
 /// produce at most one token per output port (the paper's fully pipelined
 /// model); blocks that need to emit bursts spread them over several cycles.
@@ -142,6 +145,15 @@ pub enum SimulationError {
         /// The limit that was hit.
         limit: u64,
     },
+    /// A block's token rule rejected the tokens at its inputs.
+    Fault {
+        /// Cycle in which the block observed the fault.
+        cycle: u64,
+        /// Name of the block.
+        block: String,
+        /// What the rule found.
+        fault: Fault,
+    },
 }
 
 impl fmt::Display for SimulationError {
@@ -151,6 +163,9 @@ impl fmt::Display for SimulationError {
                 write!(f, "deadlock at cycle {cycle}; busy blocks: {}", busy_blocks.join(", "))
             }
             SimulationError::CycleLimit { limit } => write!(f, "cycle limit of {limit} reached"),
+            SimulationError::Fault { cycle, block, fault } => {
+                write!(f, "block `{block}` found {fault} at cycle {cycle}")
+            }
         }
     }
 }
@@ -304,9 +319,10 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimulationError::Deadlock`] when no progress is made during
-    /// a cycle while blocks are still busy, or
-    /// [`SimulationError::CycleLimit`] when `max_cycles` elapse first.
+    /// Returns [`SimulationError::Fault`] when a block reports a fault,
+    /// [`SimulationError::Deadlock`] when no progress is made during a cycle
+    /// while blocks are still busy, or [`SimulationError::CycleLimit`] when
+    /// `max_cycles` elapse first.
     ///
     /// # Panics
     ///
@@ -364,6 +380,14 @@ impl Simulator {
                             ready[word] &= !(1 << bit);
                             remaining -= 1;
                             transitions += 1;
+                        }
+                        BlockStatus::Fault(fault) => {
+                            self.cycles = cycle + 1;
+                            return Err(SimulationError::Fault {
+                                cycle,
+                                block: slot.block.name().to_string(),
+                                fault,
+                            });
                         }
                     }
                 }
@@ -567,6 +591,31 @@ mod tests {
         sim.preload(a, (0..1000).map(tok::crd));
         let err = sim.run(10).unwrap_err();
         assert_eq!(err, SimulationError::CycleLimit { limit: 10 });
+    }
+
+    /// A fault ends the run at once, naming the block and the cycle.
+    #[test]
+    fn a_fault_ends_the_run_naming_the_block() {
+        struct Picky(ChannelId);
+        impl Block for Picky {
+            fn name(&self) -> &str {
+                "picky"
+            }
+            fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
+                match ctx.pop(self.0) {
+                    Some(t) if t.is_stop() => BlockStatus::Fault(Fault::Misaligned),
+                    Some(_) => BlockStatus::Busy,
+                    None => ctx.stall(),
+                }
+            }
+        }
+        let mut sim = Simulator::new();
+        let a = sim.add_channel("a");
+        sim.add_block(Box::new(Picky(a)));
+        sim.preload(a, [tok::crd(0), tok::crd(1), tok::stop(0), tok::done()]);
+        let err = sim.run(100).unwrap_err();
+        assert_eq!(err, SimulationError::Fault { cycle: 2, block: "picky".into(), fault: Fault::Misaligned });
+        assert_eq!(sim.cycles(), 3);
     }
 
     #[test]

@@ -27,4 +27,4 @@ pub mod payload;
 
 pub use channel::{Channel, ChannelId};
 pub use engine::{Block, BlockStatus, Context, SimReport, SimulationError, Simulator};
-pub use payload::{Payload, SimToken};
+pub use payload::{Fault, Payload, SimToken};

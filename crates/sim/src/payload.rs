@@ -100,6 +100,31 @@ impl fmt::Display for Payload {
     }
 }
 
+/// What a primitive's token rule found wrong with its input tokens. It
+/// names no block or node: the simulator names the block that observed it
+/// ([`SimulationError::Fault`](crate::SimulationError::Fault)), the fast
+/// backend the node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Fault {
+    /// The input streams are structurally misaligned: their heads disagree,
+    /// a stream ended without a done token, or a token carries the wrong
+    /// payload.
+    Misaligned,
+    /// A reference left the bounds of the values or of a level's fibers.
+    /// (A `u32`, as a reference token carries it, keeps a rule's
+    /// `Result<SimToken, Fault>` at a token's 16 bytes.)
+    RefOutOfBounds(u32),
+}
+
+impl fmt::Display for Fault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Fault::Misaligned => write!(f, "structurally misaligned streams"),
+            Fault::RefOutOfBounds(r) => write!(f, "reference {r} out of bounds"),
+        }
+    }
+}
+
 /// A simulator token: the SAM token algebra over dynamic payloads.
 pub type SimToken = Token<Payload>;
 
@@ -107,6 +132,7 @@ pub type SimToken = Token<Payload>;
 // is what a stream read returns.
 const _: () = assert!(std::mem::size_of::<SimToken>() == 16);
 const _: () = assert!(std::mem::size_of::<Option<SimToken>>() == 16);
+const _: () = assert!(std::mem::size_of::<Result<SimToken, Fault>>() == 16);
 
 /// Convenience constructors for simulator tokens.
 pub mod tok {
