@@ -13,7 +13,8 @@
 //! reference input itself. Every intersecter and unioner runs one merge
 //! walk: each operand is read a fiber at a time — a fused scanner's
 //! reference stream one item per reference, carrying the stop that closes
-//! it, or stored `(crd, ref)` streams cut at their stops — and each fiber
+//! it (the cycle scanner's rule, `sam_primitives::rule::scan`), or stored
+//! `(crd, ref)` streams cut at their stops — and each fiber
 //! pair is merged whole, straight over the levels' coordinate arrays where
 //! both operands are fused over `Compressed` or `Dense` levels. The
 //! intersecter gallops the trailing side on every mismatch and pushes only
@@ -25,9 +26,10 @@
 //! ([`Plan::region_members`]). Each position the walk pushes — a match's
 //! coordinate and two references, or one stop or done on all three — goes
 //! to the merger's region (memberless for a unioner): the region buffers
-//! a block of positions and runs each member's per-token step function
-//! over it in topological order, the same functions the stored transfer
-//! functions loop over. A stream is stored only if somebody outside the
+//! a block of positions and runs each member's token rule
+//! (`sam_primitives::rule`, the one its cycle block calls) over it in
+//! topological order, the same rules the stored transfer functions loop
+//! over. A stream is stored only if somebody outside the
 //! region reads it; the members are skipped when the walk reaches them.
 //!
 //! Tokens are counted *where they are produced or skipped*: a stored
@@ -77,13 +79,13 @@
 use crate::bind::Inputs;
 use crate::error::ExecError;
 use crate::node::{
-    eval_node, run_merge, scanner_level, FiberReader, NodeJob, Operand, Region, RegionPort, Repeat,
-    SliceSource, Step, StoredReader, WriterOutput,
+    eval_node, run_merge, scanner_level, FiberReader, NodeJob, Operand, Region, RegionPort, SliceSource,
+    Step, StoredReader, WriterOutput,
 };
 use crate::plan::{FusedScan, Plan, PortRef};
 use crate::{assemble_output, Execution, Executor};
 use sam_core::graph::{NodeId, NodeKind};
-use sam_primitives::rule::ScalarReduce;
+use sam_primitives::rule::{self, ScalarReduce};
 use sam_sim::{Fault, SimToken};
 use sam_trace::{TokenCounts, TraceSink};
 use std::collections::HashMap;
@@ -225,7 +227,8 @@ fn region<'a>(
             NodeKind::ConstVal { .. } => Step::Const { value: plan.const_val(id), input: reg(ins[0]) },
             NodeKind::Alu { .. } => Step::Alu { op: plan.alu_op(id), a: reg(ins[0]), b: reg(ins[1]) },
             NodeKind::Repeater { .. } => Step::Repeat {
-                repeat: Repeat::new(SliceSource::new(streams.get(ins[1].expect("bound data port")))),
+                rule: rule::Repeat::default(),
+                refs: SliceSource::new(streams.get(ins[1].expect("bound data port"))),
                 crd: reg(ins[0]),
             },
             // The one kind left: a scalar reducer.

@@ -10,34 +10,34 @@
 //! The intersecter and the unioner are one merge walk (`run_merge`) with
 //! two emit rules. Each operand is read a fiber at a time: a fused scanner
 //! ([`crate::plan::FusedScan`] — its streams are then never stored, only
-//! tallied) through a `FiberReader`, the one place Section 3.3's stop rule
-//! is written, and stored streams through a `StoredReader`, which cuts them
-//! at their stops. The walk pairs the two operands' fibers and merges each
-//! pair whole over a [`FiberView`] per side: straight over the storage of
-//! `Compressed` and `Dense` levels, over any other level's fiber copied out
-//! of it, or over the stored slices. `run_scanner` drains whole fibers
-//! through the same `FiberReader` into two stored streams, for every
-//! scanner somebody else reads too.
+//! tallied) through a `FiberReader`, which calls the scanner's stop rule in
+//! [`sam_primitives::rule`], and stored streams through a `StoredReader`,
+//! which cuts them at their stops. The walk pairs the two operands' fibers
+//! and merges each pair whole over a [`FiberView`] per side: straight over
+//! the storage of `Compressed` and `Dense` levels, over any other level's
+//! fiber copied out of it, or over the stored slices. `run_scanner` drains
+//! whole fibers through the same `FiberReader` into two stored streams, for
+//! every scanner somebody else reads too.
 //!
 //! A merger pushes its output one position at a time into a [`Region`]:
 //! its fusion region, which stores the streams read outside it and runs
 //! its members over the positions.
 //!
-//! The array, constant, ALU, locator, reducers, dropper and writers have no
-//! code here but their loops: each calls its token rule in
-//! [`sam_primitives::rule`], the one the cycle block calls too, over whole
-//! stored streams or, inside a region, over each block of positions. The
-//! scanner, the mergers and the repeater are the fast forms of their
-//! cycle blocks, held to them by the differential tests below. A
-//! transfer function reports a [`Fault`] without naming the node; the walk
-//! names it when it turns the fault into an [`ExecError`].
+//! The scanner, repeater, array, constant, ALU, locator, reducers, dropper
+//! and writers have no code here but their loops: each calls its token
+//! rule in [`sam_primitives::rule`], the one the cycle block calls too, over
+//! whole stored streams or, inside a region, over each block of positions.
+//! Only the mergers are fast forms of their cycle blocks — a fiber per step
+//! against a token per cycle — held to them by the differential tests
+//! below. A transfer function reports a [`Fault`] without naming the node;
+//! the walk names it when it turns the fault into an [`ExecError`].
 
 use crate::bind::Inputs;
 use crate::plan::Plan;
 use sam_core::graph::{NodeId, NodeKind};
 use sam_primitives::root_stream;
 use sam_primitives::rule::{
-    self, AluOp, CoordDrop, LevelWrite, MatrixReduce, ScalarReduce, ValWrite, VectorReduce,
+    self, AluOp, CoordDrop, LevelWrite, MatrixReduce, ScalarReduce, Scan, ValWrite, VectorReduce,
 };
 use sam_sim::payload::{tok, Payload};
 use sam_sim::{Fault, SimToken};
@@ -215,17 +215,16 @@ enum FiberItem<F> {
     Done,
 }
 
-/// A level scanner's input side, and the one place its stop rule
-/// (Definition 3.1, Section 3.3) is written. It reads one [`FiberItem`] per
-/// reference: a `Val` reference is fiber `Some(f)` and an `Empty` one
-/// `None`, each closed by `stop(n + 1)` when a lookahead `Stop(n)` closes
-/// outer fibers at the same point, else by `stop(0)`; a bare `Stop(n)` is
-/// `None` closed by `stop(n + 1)`. It checks each reference against the
-/// level and tallies what a standalone scanner emits for the item on its
-/// two output streams — `n` coordinate and `n` reference tokens for a
-/// fiber of `n` entries, two stops per item, two done tokens — whether or
-/// not anybody materializes them. `run_scanner` and the merge walk both
-/// read through it.
+/// A level scanner's input side: [`rule::scan`] and [`rule::closing_stop`]
+/// (Definition 3.1, Section 3.3) over the scanner's reference input, one
+/// [`FiberItem`] per reference. A `Val` reference is fiber `Some(f)` and an
+/// `Empty` one `None`, each closed by `stop(n + 1)` when a lookahead
+/// `Stop(n)` closes outer fibers at the same point, else by `stop(0)`; a
+/// bare `Stop(n)` is `None` closed by `stop(n + 1)`. It tallies what a
+/// standalone scanner emits for the item on its two output streams — `n`
+/// coordinate and `n` reference tokens for a fiber of `n` entries, two
+/// stops per item, two done tokens — whether or not anybody materializes
+/// them. `run_scanner` and the merge walk both read through it.
 pub(crate) struct FiberReader<'a> {
     level: &'a Level,
     input: SliceSource<'a>,
@@ -240,39 +239,32 @@ impl<'a> FiberReader<'a> {
         FiberReader { level, input, emitted: TokenCounts::default() }
     }
 
-    /// The next item. An input that ends without a done token or carries
-    /// a non-reference payload is misaligned; a reference past the level's
-    /// last fiber is out of bounds.
+    /// The next item, or the rule's fault. An input that ends without a
+    /// done token is misaligned.
     fn next(&mut self) -> Result<FiberItem<Option<usize>>, Fault> {
         let token = self.input.next().ok_or(Fault::Misaligned)?;
-        if token.is_done() {
-            self.emitted.done += 2;
-            return Ok(FiberItem::Done);
-        }
+        let (fiber, stop) = match rule::scan(self.level, token)? {
+            Scan::Fiber(fiber) => {
+                if let Some(f) = fiber {
+                    let len = self.level.fiber_len(f) as u64;
+                    self.emitted.crd += len;
+                    self.emitted.refs += len;
+                }
+                match self.input.peek().and_then(rule::closing_stop) {
+                    Some(stop) => {
+                        self.input.next();
+                        (fiber, stop)
+                    }
+                    None => (fiber, 0),
+                }
+            }
+            Scan::Stop(stop) => (None, stop),
+            Scan::Done => {
+                self.emitted.done += 2;
+                return Ok(FiberItem::Done);
+            }
+        };
         self.emitted.stop += 2;
-        let fiber = match token {
-            Token::Val(Payload::Ref(r)) if r as usize >= self.level.num_fibers() => {
-                return Err(Fault::RefOutOfBounds(r))
-            }
-            Token::Val(Payload::Ref(r)) => {
-                let len = self.level.fiber_len(r as usize) as u64;
-                self.emitted.crd += len;
-                self.emitted.refs += len;
-                Some(r as usize)
-            }
-            Token::Empty => None,
-            Token::Stop(n) => return Ok(FiberItem::Fiber { fiber: None, stop: n + 1 }),
-            _ => return Err(Fault::Misaligned),
-        };
-        // One-token lookahead upgrades the trailing stop when the input
-        // closes outer fibers at the same point.
-        let stop = match self.input.peek() {
-            Some(Token::Stop(n)) => {
-                self.input.next();
-                n + 1
-            }
-            _ => 0,
-        };
         Ok(FiberItem::Fiber { fiber, stop })
     }
 
@@ -367,71 +359,38 @@ fn zip_streams(
     }
 }
 
-/// Repeater transfer function (Definition 3.4): [`Repeat::step`] over the
-/// whole coordinate stream.
+/// Repeater transfer function (Definition 3.4): [`repeat`] over the whole
+/// coordinate stream.
 fn run_repeater(
     crd_in: &mut SliceSource<'_>,
-    ref_in: SliceSource<'_>,
+    mut ref_in: SliceSource<'_>,
     out: &mut Vec<SimToken>,
 ) -> Result<(), Fault> {
-    let mut repeat = Repeat::new(ref_in);
-    map_stream(crd_in, out, |t| repeat.step(t))
+    let mut rule = rule::Repeat::default();
+    map_stream(crd_in, out, |t| repeat(&mut rule, &mut ref_in, t))
 }
 
-/// A repeater's state between coordinate tokens: its reference input and
-/// the reference it is repeating.
-///
-/// The coordinate stream sits one fibertree level below the reference
-/// stream, so their structures correlate: every coordinate-stream *fiber*
-/// (even an empty one) corresponds to one reference data token, and every
-/// coordinate stop of level `n >= 1` additionally closes the reference
-/// stream's own fiber, consuming its (single, hierarchical) stop token.
-/// Walking that correspondence reproduces the cycle-level block's output
-/// without emulating its tick timing.
-pub(crate) struct Repeat<'a> {
-    refs: SliceSource<'a>,
-    current: Option<SimToken>,
-}
-
-impl<'a> Repeat<'a> {
-    /// A repeater reading its references from `refs`.
-    pub(crate) fn new(refs: SliceSource<'a>) -> Self {
-        Repeat { refs, current: None }
+/// The repeater's output token for coordinate token `t`: [`rule::Repeat`],
+/// fed the references of `refs` as it asks for them. A reference stream
+/// that ends without a done token is misaligned.
+#[inline(always)]
+fn repeat(rule: &mut rule::Repeat, refs: &mut SliceSource<'_>, t: SimToken) -> Result<SimToken, Fault> {
+    match rule.coordinate(t)? {
+        Some(out) => Ok(out),
+        None => repeat_next(rule, refs, t),
     }
+}
 
-    /// The output token for one coordinate token.
-    #[inline(always)]
-    fn step(&mut self, t: SimToken) -> Result<SimToken, Fault> {
-        Ok(match t {
-            Token::Val(_) => match self.current {
-                Some(r) => r,
-                // The current fiber's reference: the next data token.
-                None => match self.refs.next() {
-                    Some(r @ (Token::Val(_) | Token::Empty)) => *self.current.insert(r),
-                    _ => return Err(Fault::Misaligned),
-                },
-            },
-            Token::Empty => tok::empty(),
-            Token::Stop(n) => {
-                if self.current.is_none() {
-                    // An empty fiber still consumes its reference, unless
-                    // this bare stop only closes outer levels (the
-                    // reference stream then carries a stop here itself).
-                    if let Some(Token::Val(_) | Token::Empty) = self.refs.peek() {
-                        self.refs.next();
-                    }
-                }
-                self.current = None;
-                if n > 0 {
-                    // The reference stream's own fiber closes with it.
-                    if let Some(Token::Stop(_)) = self.refs.peek() {
-                        self.refs.next();
-                    }
-                }
-                tok::stop(n)
-            }
-            Token::Done => tok::done(),
-        })
+/// [`repeat`] for the first data token of a fiber, which reads references
+/// until the rule holds one: out of line, so that the region's loop over
+/// the other tokens stays small.
+#[inline(never)]
+fn repeat_next(rule: &mut rule::Repeat, refs: &mut SliceSource<'_>, t: SimToken) -> Result<SimToken, Fault> {
+    loop {
+        rule.reference(refs.next().ok_or(Fault::Misaligned)?);
+        if let Some(out) = rule.coordinate(t)? {
+            return Ok(out);
+        }
     }
 }
 
@@ -673,7 +632,7 @@ pub(crate) enum Step<'a> {
     Alu { op: AluOp, a: usize, b: usize },
     /// A repeater: its coordinate input is a register, its reference
     /// input a stored stream.
-    Repeat { repeat: Repeat<'a>, crd: usize },
+    Repeat { rule: rule::Repeat, refs: SliceSource<'a>, crd: usize },
     /// A scalar reducer. It emits zero to two tokens a position, so no
     /// member reads it.
     Reduce { reduce: ScalarReduce, input: usize },
@@ -707,9 +666,9 @@ impl Step<'_> {
                     write(i, rule::alu(*op, x, y)?);
                 }
             }
-            Step::Repeat { repeat, crd } => {
+            Step::Repeat { rule, refs, crd } => {
                 for (i, &t) in block(*crd) {
-                    write(i, repeat.step(t)?);
+                    write(i, repeat(rule, refs, t)?);
                 }
             }
             Step::Reduce { reduce, input } => {
@@ -1272,20 +1231,31 @@ mod tests {
     /// over two operands' stored `(crd, ref)` streams, run to completion
     /// on the simulator.
     fn cycle(union: bool, a: &[Vec<SimToken>; 2], b: &[Vec<SimToken>; 2]) -> Outputs {
+        cycle_block(&[&a[0], &b[0], &a[1], &b[1]], |i, [oc, o0, o1]| {
+            let (crd, rf) = ([i[0], i[1]], [i[2], i[3]]);
+            if union {
+                Box::new(sam_primitives::Unioner::new("union", crd, rf, oc, [o0, o1]))
+            } else {
+                Box::new(sam_primitives::Intersecter::new("intersect", crd, rf, oc, [o0, o1]))
+            }
+        })
+    }
+
+    /// `block` alone on the simulator over preloaded `inputs`, run to
+    /// completion; the history of each of its `outputs` channels.
+    fn cycle_block<const N: usize>(
+        inputs: &[&[SimToken]],
+        block: impl FnOnce(&[sam_sim::ChannelId], [sam_sim::ChannelId; N]) -> Box<dyn sam_sim::Block>,
+    ) -> [Vec<SimToken>; N] {
         let mut sim = sam_sim::Simulator::new();
-        let [ca, cb, ra, rb, oc, o0, o1] =
-            ["ca", "cb", "ra", "rb", "oc", "o0", "o1"].map(|n| sim.add_channel(n));
-        for (channel, stream) in [(ca, &a[0]), (cb, &b[0]), (ra, &a[1]), (rb, &b[1])] {
+        let ins: Vec<_> = inputs.iter().map(|_| sim.add_channel("in")).collect();
+        let outs = [(); N].map(|()| sim.add_channel("out"));
+        for (&channel, stream) in ins.iter().zip(inputs) {
             sim.preload(channel, stream.iter().copied());
         }
-        let outs = [oc, o0, o1];
         outs.iter().for_each(|&c| sim.record(c));
-        sim.add_block(if union {
-            Box::new(sam_primitives::Unioner::new("union", [ca, cb], [ra, rb], oc, [o0, o1]))
-        } else {
-            Box::new(sam_primitives::Intersecter::new("intersect", [ca, cb], [ra, rb], oc, [o0, o1]))
-        });
-        assert!(sim.run(1 << 26).is_ok(), "the cycle-level merger finishes");
+        sim.add_block(block(&ins, outs));
+        assert!(sim.run(1 << 26).is_ok(), "the cycle-level block finishes");
         outs.map(|c| sim.history(c).to_vec())
     }
 
@@ -1435,6 +1405,43 @@ mod tests {
         }
     }
 
+    /// The stored scanner and repeater call the rules their cycle blocks
+    /// call, at another pace: the scanner drains a fiber at a time, and the
+    /// repeater reads a reference only when a coordinate needs one, where
+    /// the block reads one a cycle whenever it holds none. Both must
+    /// produce the blocks' streams token for token, over every format and
+    /// over reference streams that repeat a reference and hold empty ones.
+    #[test]
+    fn the_stored_scanner_and_repeater_equal_their_cycle_blocks() -> Result<(), Fault> {
+        let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
+        let mut rng = StdRng::seed_from_u64(35);
+        let mut repeated = 0;
+        for round in 0..120 {
+            let pair = [formats[round % 3], formats[(round / 3) % 3]];
+            let Case { levels: [la, lb], refs: [ra, rb] } = case(&mut rng, pair);
+            let (sa, sb) = (stored(&la, &ra), stored(&lb, &rb));
+            let level = std::sync::Arc::new(la);
+            let scanned = cycle_block(&[&ra], |i, [c, r]| {
+                Box::new(sam_primitives::LevelScanner::new("scan", level, i[0], c, r))
+            });
+            assert_eq!(scanned, sa, "{pair:?}, round {round}: scanner");
+
+            // A repeater over the intersection's coordinates, repeating the
+            // references that drove operand `a`'s scanner.
+            let [oc, ..] = merge(false, &mut streams(&sa), &mut streams(&sb))?;
+            let mut rep = Vec::new();
+            run_repeater(&mut SliceSource::new(&oc), SliceSource::new(&ra), &mut rep)?;
+            let [cycled] = cycle_block(&[&oc, &ra], |i, [o]| {
+                Box::new(sam_primitives::Repeater::new("repeat", i[0], i[1], o))
+            });
+            assert_eq!(rep, cycled, "{pair:?}, round {round}: repeater");
+            let refs: Vec<_> = rep.iter().filter(|t| matches!(t, Token::Val(_))).collect();
+            repeated += refs.windows(2).filter(|w| w[0] == w[1]).count();
+        }
+        assert!(repeated > 50, "the repeater must repeat references: {repeated}");
+        Ok(())
+    }
+
     /// Every scanner path on one bad input against one good one: the
     /// standalone scanner, and the merge walk against a stored operand and
     /// against a fused one.
@@ -1555,7 +1562,8 @@ mod tests {
             };
             // Registers: 0–2 the root's, then one per member in order.
             let mut region = Region::new([false; 3], true);
-            region.push_member(Step::Repeat { repeat: Repeat::new(src(&ra)), crd: 0 }, false);
+            let repeater = Step::Repeat { rule: rule::Repeat::default(), refs: src(&ra), crd: 0 };
+            region.push_member(repeater, false);
             region.push_member(Step::Array { vals: &va, input: 1 }, false);
             region.push_member(Step::Array { vals: &vb, input: 2 }, false);
             region.push_member(Step::Array { vals: &vr, input: 3 }, false);

@@ -176,7 +176,8 @@ fn misaligned_streams_fail_as_the_observing_node() {
 /// Here a repeater broadcasts one reference per nonzero of `d(i)` over the
 /// fibers of SpMV's inner intersection, one per row of `B`: `d` has two
 /// nonzeros and `B` more nonempty rows, so the repeater runs out of
-/// references, which planning cannot see.
+/// references, which planning cannot see. The cycle backend, which fuses
+/// nothing, names the same node.
 #[test]
 fn a_fault_inside_a_fusion_region_names_the_member() {
     use sam_core::build::GraphBuilder;
@@ -208,11 +209,17 @@ fn a_fault_inside_a_fusion_region_names_the_member() {
     let isect = position(|k| matches!(k, NodeKind::Intersecter { .. })).expect("one intersecter");
     let repeater = position(|k| matches!(k, NodeKind::Repeater { tensor, .. } if tensor == "d"));
     assert!(repeater.is_some_and(|r| plan.region_members(isect).contains(&r)), "the repeater is fused");
-    let run = FastBackend.run(&plan, &inputs);
-    let Err(ExecError::Misaligned { label }) = run else {
-        panic!("the run should fail on the repeater's references, got {run:?}");
-    };
-    assert_eq!(label, "repeat d over j", "the error names the repeater, not the intersecter");
+    // The cycle repeater block pairs the same streams through the same
+    // rule, so it reports the misalignment instead of waiting for a
+    // reference that never comes.
+    let backends: [&dyn Executor; 3] = [&CycleBackend, &FastBackend, &TiledBackend::with_tile(16)];
+    for backend in backends {
+        let run = backend.run(&plan, &inputs);
+        let Err(ExecError::Misaligned { label }) = run else {
+            panic!("{}: the run should fail on the repeater's references, got {run:?}", backend.name());
+        };
+        assert_eq!(label, "repeat d over j", "{}: the error names the repeater", backend.name());
+    }
 }
 
 /// Inputs that push a fused scanner through its corner states — no stored

@@ -1,18 +1,22 @@
 //! Host cost of the cycle blocks that are timing shells over a token rule,
-//! each alone on the simulator over about 100 k to 200 k preloaded input
-//! tokens: an array, an ALU, a scalar and a vector reducer, a coordinate
-//! dropper and the two writers. Prints, per block, the simulated cycles (which a change to a
-//! block's host code must leave as they are) and the median host
-//! nanoseconds per input token over `REPS` runs.
+//! and of the intersecter, each alone on the simulator over about 20 k to
+//! 200 k preloaded input tokens: a compressed-level scanner, a repeater, an
+//! array, an ALU, a scalar and a vector reducer, a coordinate dropper, the
+//! two writers and an intersecter. Prints, per block, the simulated cycles
+//! (which a change to a block's host code must leave as they are) and the
+//! median host nanoseconds per input token over `REPS` runs.
 //!
 //! ```sh
 //! cargo run --release -p sam-primitives --example block_micro
 //! ```
 
 use sam_primitives::writer::{level_sink, val_sink};
-use sam_primitives::{Alu, AluOp, CoordDropper, LevelWriter, Reducer, ValArray, ValWriter};
+use sam_primitives::{
+    Alu, AluOp, CoordDropper, Intersecter, LevelScanner, LevelWriter, Reducer, Repeater, ValArray, ValWriter,
+};
 use sam_sim::payload::tok;
 use sam_sim::{Block, ChannelId, SimToken, Simulator};
+use sam_tensor::level::{CompressedLevel, Level};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -99,6 +103,25 @@ fn time(
     (cycles, runs[REPS / 2])
 }
 
+/// The compressed level whose fibers are those of `inner`, a coordinate
+/// stream of [`fibers`]' shape.
+fn level_of(inner: &[SimToken]) -> Level {
+    let mut level = CompressedLevel::builder(64);
+    for t in inner {
+        match t.value() {
+            Some(p) => level.push_coord(p.expect_crd()),
+            None if t.is_stop() => level.end_fiber(),
+            None => {}
+        }
+    }
+    Level::Compressed(level.finish())
+}
+
+/// `stream` with every coordinate turned into a reference to it.
+fn as_refs(stream: &[SimToken]) -> Vec<SimToken> {
+    stream.iter().map(|t| t.value().map_or(*t, |p| tok::rf(p.expect_crd()))).collect()
+}
+
 fn main() {
     let (crd, val) = fibers(&mut Lcg(34));
     // The ALU needs two value streams of one shape.
@@ -111,8 +134,24 @@ fn main() {
         let tokens: usize = inputs.iter().map(Vec::len).sum();
         println!("{name:<16} {tokens:>9} {cycles:>10} {ns:>10.2}");
     };
-    let refs: Vec<SimToken> = crd.iter().map(|t| t.value().map_or(*t, |p| tok::rf(p.expect_crd()))).collect();
-    let load_in = [refs];
+    // The scanner reads one reference per fiber of its level and rebuilds
+    // `crd`; the repeater repeats that reference over each fiber of `crd`.
+    let level = Arc::new(level_of(&crd));
+    let fiber_refs = as_refs(&outer);
+    let scan_in = [fiber_refs.clone()];
+    report(
+        "scanner",
+        &scan_in,
+        time(&scan_in, 2, |i, o| Box::new(LevelScanner::new("scan", level.clone(), i[0], o[0], o[1]))),
+    );
+    let repeat_in = [crd.clone(), fiber_refs];
+    report(
+        "repeater",
+        &repeat_in,
+        time(&repeat_in, 1, |i, o| Box::new(Repeater::new("repeat", i[0], i[1], o[0]))),
+    );
+    let refs = as_refs(&crd);
+    let load_in = [refs.clone()];
     let vals = Arc::new((0..64).map(f64::from).collect::<Vec<_>>());
     report(
         "array",
@@ -149,5 +188,15 @@ fn main() {
         "dropper",
         &drop_in,
         time(&drop_in, 2, |i, o| Box::new(CoordDropper::new("drop", i[0], i[1], o[0], o[1]))),
+    );
+    // A second operand of the same fiber structure.
+    let (other, _) = fibers(&mut Lcg(35));
+    let merge_in = [crd, other.clone(), refs, as_refs(&other)];
+    report(
+        "intersecter",
+        &merge_in,
+        time(&merge_in, 3, |i, o| {
+            Box::new(Intersecter::new("intersect", [i[0], i[1]], [i[2], i[3]], o[0], [o[1], o[2]]))
+        }),
     );
 }

@@ -2,10 +2,10 @@
 //!
 //! Bitvectors trade asymptotic efficiency for implicit parallelism: an
 //! `n`-bit word covering `n` coordinates is processed in a single cycle.
-//! This module provides the bitvector level scanner, the coordinate-to-
-//! bitvector converter, a word-wise intersecter, and vectorized value units
-//! for the element-wise vector-multiply study of Figure 13 (flat bitvector
-//! and two-level bit-tree variants).
+//! This module provides the bitvector level scanner, a word-wise
+//! intersecter, and vectorized value units for the element-wise
+//! vector-multiply study of Figure 13 (flat bitvector and two-level
+//! bit-tree variants).
 //!
 //! The vectorized value units are monolithic blocks the graph IR cannot name
 //! yet, so Figure 13's two bitvector configurations are the one place a
@@ -100,93 +100,6 @@ impl Block for BitvectorScanner {
                 ctx.push(self.out_ref, tok::done());
                 self.done = true;
                 BlockStatus::Done
-            }
-        }
-    }
-}
-
-/// Converts a coordinate stream into a bitvector stream by packing `width`
-/// coordinates per emitted word (Definition 4.2).
-#[derive(Debug)]
-pub struct BitvectorConverter {
-    name: String,
-    width: u8,
-    in_crd: ChannelId,
-    out_bits: ChannelId,
-    current: Option<BitVec>,
-    pending: std::collections::VecDeque<sam_sim::SimToken>,
-    done: bool,
-}
-
-impl BitvectorConverter {
-    /// Creates a converter producing words of `width` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is zero or exceeds 64.
-    pub fn new(name: impl Into<String>, width: u8, in_crd: ChannelId, out_bits: ChannelId) -> Self {
-        assert!(width > 0 && width <= 64, "bitvector width must be in 1..=64");
-        BitvectorConverter {
-            name: name.into(),
-            width,
-            in_crd,
-            out_bits,
-            current: None,
-            pending: Default::default(),
-            done: false,
-        }
-    }
-
-    fn flush_current(&mut self) {
-        if let Some(bv) = self.current.take() {
-            self.pending.push_back(tok::bits(bv));
-        }
-    }
-}
-
-impl Block for BitvectorConverter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done && self.pending.is_empty() {
-            return BlockStatus::Done;
-        }
-        if let Some(t) = self.pending.pop_front() {
-            ctx.push(self.out_bits, t);
-            return if self.done && self.pending.is_empty() { BlockStatus::Done } else { BlockStatus::Busy };
-        }
-        let Some(t) = ctx.peek(self.in_crd).cloned() else {
-            return ctx.stall();
-        };
-        ctx.pop(self.in_crd);
-        match t {
-            Token::Val(p) => {
-                let c = p.expect_crd();
-                let base = (c / self.width as u32) * self.width as u32;
-                match &mut self.current {
-                    Some(bv) if bv.base == base => {
-                        bv.bits |= 1 << (c - base);
-                    }
-                    _ => {
-                        self.flush_current();
-                        self.current = Some(BitVec::from_coords(base, self.width, [c]));
-                    }
-                }
-                BlockStatus::Busy
-            }
-            Token::Empty => BlockStatus::Busy,
-            Token::Stop(n) => {
-                self.flush_current();
-                self.pending.push_back(tok::stop(n));
-                BlockStatus::Busy
-            }
-            Token::Done => {
-                self.flush_current();
-                self.pending.push_back(tok::done());
-                self.done = true;
-                BlockStatus::Busy
             }
         }
     }
@@ -584,20 +497,6 @@ mod tests {
         let ranks: Vec<u32> =
             sim.history(refs).iter().filter_map(|t| t.value_ref().map(|p| p.expect_ref())).collect();
         assert_eq!(ranks, vec![0, 2, 3]);
-    }
-
-    #[test]
-    fn converter_packs_coordinates() {
-        let mut sim = Simulator::new();
-        let crd = sim.add_channel("crd");
-        let bits = sim.add_channel("bits");
-        sim.record(bits);
-        sim.add_block(Box::new(BitvectorConverter::new("conv", 4, crd, bits)));
-        sim.preload(crd, vec![tok::crd(0), tok::crd(2), tok::crd(6), tok::stop(0), tok::done()]);
-        sim.run(100).unwrap();
-        let words: Vec<u64> =
-            sim.history(bits).iter().filter_map(|t| t.value_ref().map(|p| p.expect_bits().bits)).collect();
-        assert_eq!(words, vec![0b0101, 0b0100]);
     }
 
     #[test]

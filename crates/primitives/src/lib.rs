@@ -19,21 +19,19 @@
 //! Optimization blocks (Section 4):
 //!
 //! * [`Locator`] — iterate-locate intersection (Definition 4.1),
-//! * [`BitvectorScanner`], [`BitvectorConverter`], [`BitvectorIntersecter`],
-//!   [`BitvectorVecMul`], [`BitTreeVecMul`] — bitvector stream protocol
-//!   (Section 4.3),
-//! * [`Parallelizer`] and [`Serializer`] — coarse-grained parallelism
-//!   (Section 4.4).
+//! * [`BitvectorScanner`], [`BitvectorIntersecter`], [`BitvectorVecMul`],
+//!   [`BitTreeVecMul`] — the bitvector stream protocol (Section 4.3), wired
+//!   by hand for Figure 13.
 //!
-//! One rule per primitive: the array, constant, ALU, locator, reducer,
-//! dropper and writer blocks are timing shells over their token rules in
-//! [`rule`], which the fast backend (`sam-exec`) calls too. A rule's
-//! [`Fault`](sam_sim::Fault) ends the simulation with
+//! One rule per primitive: the scanner, repeater, array, constant, ALU,
+//! locator, reducer, dropper and writer blocks are timing shells over their
+//! token rules in [`rule`], which the fast backend (`sam-exec`) calls too.
+//! A rule's [`Fault`](sam_sim::Fault) ends the simulation with
 //! [`SimulationError::Fault`](sam_sim::SimulationError::Fault) naming the
-//! block. The scanner, the mergers and the repeater are still written
-//! twice — here a token per cycle, in `sam-exec` a fiber at a time — and
-//! held together by that crate's differential tests; the bitvector blocks
-//! have no fast form.
+//! block, and so does a merger's head that is not a coordinate. The mergers
+//! are written twice — here a token per cycle, in `sam-exec` a fiber at a
+//! time — and held together by that crate's differential tests; the
+//! bitvector blocks have no fast form.
 
 pub mod array;
 pub mod bitvector;
@@ -48,13 +46,11 @@ pub mod source;
 pub mod writer;
 
 pub use array::{Locator, ValArray};
-pub use bitvector::{
-    BitTreeVecMul, BitvectorConverter, BitvectorIntersecter, BitvectorScanner, BitvectorVecMul,
-};
+pub use bitvector::{BitTreeVecMul, BitvectorIntersecter, BitvectorScanner, BitvectorVecMul};
 pub use compute::{Alu, ConstVal, Reducer};
 pub use dropper::CoordDropper;
 pub use fork::Fork;
-pub use merge::{Intersecter, Parallelizer, Serializer, Unioner};
+pub use merge::{Intersecter, Unioner};
 pub use repeat::Repeater;
 pub use rule::AluOp;
 pub use scanner::LevelScanner;

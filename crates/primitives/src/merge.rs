@@ -1,8 +1,7 @@
-//! Stream merging: intersection, union and coarse-grained fork/join
-//! (paper Definitions 3.2 and 3.3, Section 4.4).
+//! Stream merging: intersection and union (paper Definitions 3.2 and 3.3).
 
-use sam_sim::payload::tok;
-use sam_sim::{Block, BlockStatus, ChannelId, Context, SimToken};
+use sam_sim::payload::{tok, Payload};
+use sam_sim::{Block, BlockStatus, ChannelId, Context, Fault, SimToken};
 use sam_streams::Token;
 use std::cmp::Ordering;
 
@@ -45,12 +44,6 @@ impl Intersecter {
         Intersecter { name: name.into(), ports, skip_out: [None, None], stops: [0, 0], done: false }
     }
 
-    /// Connects coordinate-skip feedback channels towards the two operands'
-    /// level scanners.
-    pub fn with_skip(self, skip_out: [ChannelId; 2]) -> Self {
-        self.with_skip_lanes([Some(skip_out[0]), Some(skip_out[1])])
-    }
-
     /// Connects coordinate-skip feedback lanes individually; `None` leaves
     /// that operand without skip feedback. Used by the `sam-exec` cycle
     /// backend, which lowers whatever subset of skip edges the graph wires.
@@ -84,7 +77,9 @@ impl Block for Intersecter {
         let ports = &self.ports;
         match (a, b) {
             (Token::Val(pa), Token::Val(pb)) => {
-                let (ca, cb) = (pa.expect_crd(), pb.expect_crd());
+                let (Payload::Crd(ca), Payload::Crd(cb)) = (pa, pb) else {
+                    return BlockStatus::Fault(Fault::Misaligned);
+                };
                 if ca == cb {
                     ports.pop(ctx, 0);
                     ports.pop(ctx, 1);
@@ -105,9 +100,13 @@ impl Block for Intersecter {
             // partner's fiber has ended (or never began) is drained, and so
             // is a stop whose partner is done (mismatched inputs).
             (Token::Empty, _)
-            | (Token::Val(_), Token::Stop(_) | Token::Done)
+            | (Token::Val(Payload::Crd(_)), Token::Stop(_) | Token::Done)
             | (Token::Stop(_), Token::Done) => self.drain(ctx, 0, a),
-            (_, Token::Empty | Token::Val(_)) | (Token::Done, Token::Stop(_)) => self.drain(ctx, 1, b),
+            (_, Token::Empty | Token::Val(Payload::Crd(_))) | (Token::Done, Token::Stop(_)) => {
+                self.drain(ctx, 1, b)
+            }
+            // A payload other than a coordinate.
+            (Token::Val(_), _) | (_, Token::Val(_)) => return BlockStatus::Fault(Fault::Misaligned),
             (Token::Stop(na), Token::Stop(nb)) => {
                 debug_assert_eq!(na, nb, "intersect inputs must have matching fiber structure");
                 ports.pop(ctx, 0);
@@ -210,7 +209,9 @@ impl Block for Unioner {
         let ports = &self.ports;
         match (a, b) {
             (Token::Val(pa), Token::Val(pb)) => {
-                let (ca, cb) = (pa.expect_crd(), pb.expect_crd());
+                let (Payload::Crd(ca), Payload::Crd(cb)) = (pa, pb) else {
+                    return BlockStatus::Fault(Fault::Misaligned);
+                };
                 match ca.cmp(&cb) {
                     Ordering::Equal => {
                         ports.pop(ctx, 0);
@@ -234,14 +235,16 @@ impl Block for Unioner {
             (_, Token::Empty) | (Token::Done, Token::Stop(_)) => ports.pop(ctx, 1),
             // The other operand's fiber ended first (or it is done): flush
             // this one.
-            (Token::Val(pa), _) => {
+            (Token::Val(Payload::Crd(ca)), _) => {
                 ports.pop(ctx, 0);
-                ports.emit(ctx, tok::crd(pa.expect_crd()), ra, tok::empty());
+                ports.emit(ctx, tok::crd(ca), ra, tok::empty());
             }
-            (_, Token::Val(pb)) => {
+            (_, Token::Val(Payload::Crd(cb))) => {
                 ports.pop(ctx, 1);
-                ports.emit(ctx, tok::crd(pb.expect_crd()), tok::empty(), rb);
+                ports.emit(ctx, tok::crd(cb), tok::empty(), rb);
             }
+            // A payload other than a coordinate.
+            (Token::Val(_), _) | (_, Token::Val(_)) => return BlockStatus::Fault(Fault::Misaligned),
             (Token::Stop(na), Token::Stop(nb)) => {
                 debug_assert_eq!(na, nb, "union inputs must have matching fiber structure");
                 ports.pop(ctx, 0);
@@ -258,143 +261,6 @@ impl Block for Unioner {
             }
         }
         BlockStatus::Busy
-    }
-}
-
-/// Forks a stream into `n` output streams, dealing out fibers round-robin
-/// (Section 4.4).
-#[derive(Debug)]
-pub struct Parallelizer {
-    name: String,
-    input: ChannelId,
-    outputs: Vec<ChannelId>,
-    current: usize,
-    done: bool,
-}
-
-impl Parallelizer {
-    /// Creates a parallelizer with one output per worker lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `outputs` is empty.
-    pub fn new(name: impl Into<String>, input: ChannelId, outputs: Vec<ChannelId>) -> Self {
-        assert!(!outputs.is_empty(), "parallelizer needs at least one output");
-        Parallelizer { name: name.into(), input, outputs, current: 0, done: false }
-    }
-}
-
-impl Block for Parallelizer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done {
-            return BlockStatus::Done;
-        }
-        let lane = self.outputs[self.current];
-        let Some(t) = ctx.peek(self.input).cloned() else {
-            return ctx.stall();
-        };
-        match t {
-            Token::Done => {
-                ctx.pop(self.input);
-                for &out in &self.outputs {
-                    ctx.push(out, tok::done());
-                }
-                self.done = true;
-                BlockStatus::Done
-            }
-            Token::Stop(_) => {
-                ctx.pop(self.input);
-                ctx.push(lane, t);
-                self.current = (self.current + 1) % self.outputs.len();
-                BlockStatus::Busy
-            }
-            _ => {
-                ctx.pop(self.input);
-                ctx.push(lane, t);
-                BlockStatus::Busy
-            }
-        }
-    }
-}
-
-/// Joins `n` parallel streams back into one by concatenating their fibers in
-/// round-robin order (Section 4.4).
-#[derive(Debug)]
-pub struct Serializer {
-    name: String,
-    inputs: Vec<ChannelId>,
-    output: ChannelId,
-    current: usize,
-    finished: Vec<bool>,
-    done: bool,
-}
-
-impl Serializer {
-    /// Creates a serializer joining the given lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `inputs` is empty.
-    pub fn new(name: impl Into<String>, inputs: Vec<ChannelId>, output: ChannelId) -> Self {
-        assert!(!inputs.is_empty(), "serializer needs at least one input");
-        let lanes = inputs.len();
-        Serializer {
-            name: name.into(),
-            inputs,
-            output,
-            current: 0,
-            finished: vec![false; lanes],
-            done: false,
-        }
-    }
-}
-
-impl Block for Serializer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done {
-            return BlockStatus::Done;
-        }
-        if self.finished.iter().all(|f| *f) {
-            ctx.push(self.output, tok::done());
-            self.done = true;
-            return BlockStatus::Done;
-        }
-        if self.finished[self.current] {
-            // Touches no channel but moves `current`: not a stall.
-            self.current = (self.current + 1) % self.inputs.len();
-            return BlockStatus::Busy;
-        }
-        let lane = self.inputs[self.current];
-        let Some(t) = ctx.peek(lane).cloned() else {
-            return ctx.stall();
-        };
-        match t {
-            Token::Done => {
-                ctx.pop(lane);
-                self.finished[self.current] = true;
-                self.current = (self.current + 1) % self.inputs.len();
-                BlockStatus::Busy
-            }
-            Token::Stop(_) => {
-                ctx.pop(lane);
-                ctx.push(self.output, t);
-                self.current = (self.current + 1) % self.inputs.len();
-                BlockStatus::Busy
-            }
-            _ => {
-                ctx.pop(lane);
-                ctx.push(self.output, t);
-                BlockStatus::Busy
-            }
-        }
     }
 }
 
@@ -496,7 +362,9 @@ mod tests {
         let sk0 = sim.add_channel("skip0");
         let sk1 = sim.add_channel("skip1");
         sim.record(sk1);
-        sim.add_block(Box::new(Intersecter::new("int", in_crd, in_ref, oc, or).with_skip([sk0, sk1])));
+        sim.add_block(Box::new(
+            Intersecter::new("int", in_crd, in_ref, oc, or).with_skip_lanes([Some(sk0), Some(sk1)]),
+        ));
         sim.preload(in_crd[0], crd_stream(&[50]));
         sim.preload(in_ref[0], ref_stream(&[0]));
         sim.preload(in_crd[1], crd_stream(&[1, 50]));
@@ -522,33 +390,41 @@ mod tests {
         assert_eq!(data_crds(sim.history(oc)), vec![0, 1, 5, 6]);
     }
 
+    /// A payload other than a coordinate on a coordinate input ends the run
+    /// with a misalignment, on either merger, on either side, against a
+    /// coordinate, an ended fiber or an ended stream.
     #[test]
-    fn parallelize_then_serialize_roundtrip() {
-        let mut sim = Simulator::new();
-        let input = sim.add_channel("in");
-        let l0 = sim.add_channel("lane0");
-        let l1 = sim.add_channel("lane1");
-        let out = sim.add_channel("out");
-        sim.record(out);
-        sim.add_block(Box::new(Parallelizer::new("par", input, vec![l0, l1])));
-        sim.add_block(Box::new(Serializer::new("ser", vec![l0, l1], out)));
-        sim.preload(
-            input,
-            vec![
-                tok::crd(1),
-                tok::stop(0),
-                tok::crd(2),
-                tok::crd(3),
-                tok::stop(0),
-                tok::crd(4),
-                tok::stop(0),
-                tok::done(),
-            ],
-        );
-        sim.run(1000).unwrap();
-        let out_crds = data_crds(sim.history(out));
-        assert_eq!(out_crds, vec![1, 2, 3, 4]);
-        assert_eq!(sim.history(out).iter().filter(|t| t.is_stop()).count(), 3);
-        assert!(sim.history(out).last().unwrap().is_done());
+    fn a_non_coordinate_head_is_misaligned() {
+        use sam_sim::SimulationError;
+        for union in [false, true] {
+            for bad in [tok::rf(2), tok::val(2.0)] {
+                for other in [crd_stream(&[2]), crd_stream(&[]), vec![tok::done()]] {
+                    for side in 0..2 {
+                        let (mut sim, in_crd, in_ref, oc, or) = setup_merge();
+                        sim.add_block(if union {
+                            Box::new(Unioner::new("merge", in_crd, in_ref, oc, or))
+                        } else {
+                            Box::new(Intersecter::new("merge", in_crd, in_ref, oc, or))
+                        });
+                        // A reference for each data token, control tokens mirrored.
+                        let refs = |crd: &[SimToken]| -> Vec<SimToken> {
+                            crd.iter()
+                                .map(|t| if t.value_ref().is_some() { tok::rf(0) } else { *t })
+                                .collect()
+                        };
+                        let mine = [bad, tok::stop(0), tok::done()];
+                        sim.preload(in_crd[side], mine);
+                        sim.preload(in_ref[side], refs(&mine));
+                        sim.preload(in_crd[1 - side], other.clone());
+                        sim.preload(in_ref[1 - side], refs(&other));
+                        let run = sim.run(1000);
+                        assert!(
+                            matches!(run, Err(SimulationError::Fault { fault: Fault::Misaligned, .. })),
+                            "union {union}, {bad:?} on side {side} against {other:?}: {run:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,65 +1,32 @@
 //! The repeater block: broadcasting operands across index variables
-//! (paper Definition 3.4, Figures 4 and 6).
+//! (paper Definition 3.4, Figures 4 and 6). The block is the timing of its
+//! rule, [`rule::Repeat`].
 
-use sam_sim::payload::tok;
-use sam_sim::{Block, BlockStatus, ChannelId, Context, SimToken};
-use sam_streams::Token;
+use crate::rule;
+use sam_sim::{Block, BlockStatus, ChannelId, Context};
 
 /// Repeats each reference of the input reference stream once for every data
-/// token of the corresponding fiber of the input coordinate stream.
+/// token of the corresponding fiber of the input coordinate stream
+/// ([`rule::Repeat`]).
 ///
-/// The output reference stream mirrors the fiber structure of the input
-/// coordinate stream: data tokens are replaced by the current reference and
-/// control tokens pass through. Stop tokens on the input *reference* stream
-/// are redundant with the coordinate stream's higher-level stops and are
-/// absorbed.
-///
-/// The two inputs arrive at unrelated times, so the block pairs them by
-/// counting *fibers* on both sides rather than by what happens to be at the
-/// head of each channel: every reference owns one coordinate fiber, and a
-/// reference-stream stop that does not directly follow a reference is an
-/// empty fiber upstream, which the coordinate stream answers with a stop of
-/// its own and no reference.
-///
-/// ```text
-///  in_crd:  D, S0, 9, 8, 6, 2, 0      (the vector b in Figure 6)
-///  in_ref:  D, 0                       (the scalar c's root reference)
-///  out_ref: D, S0, 0, 0, 0, 0, 0
-/// ```
+/// Each cycle it reads one reference token while the rule wants one, then
+/// answers the coordinate stream's head with one output token, or waits
+/// for the reference that head needs. After the done token it drains what
+/// is left of the reference stream.
 #[derive(Debug)]
 pub struct Repeater {
     name: String,
     in_crd: ChannelId,
     in_ref: ChannelId,
     out_ref: ChannelId,
-    /// The reference being repeated and the fiber it belongs to.
-    current: Option<(SimToken, u64)>,
-    /// Fibers accounted for on the reference stream so far.
-    ref_fibers: u64,
-    /// Fibers closed on the coordinate stream so far.
-    crd_fibers: u64,
-    /// Whether the last reference-stream token was a reference, whose
-    /// trailing stop the coordinate stream has merged into its own.
-    ref_open: bool,
-    in_ref_done: bool,
+    rule: rule::Repeat,
     done: bool,
 }
 
 impl Repeater {
     /// Creates a repeater.
     pub fn new(name: impl Into<String>, in_crd: ChannelId, in_ref: ChannelId, out_ref: ChannelId) -> Self {
-        Repeater {
-            name: name.into(),
-            in_crd,
-            in_ref,
-            out_ref,
-            current: None,
-            ref_fibers: 0,
-            crd_fibers: 0,
-            ref_open: false,
-            in_ref_done: false,
-            done: false,
-        }
+        Repeater { name: name.into(), in_crd, in_ref, out_ref, rule: rule::Repeat::default(), done: false }
     }
 }
 
@@ -72,78 +39,32 @@ impl Block for Repeater {
         if self.done {
             return BlockStatus::Done;
         }
-        // Fetch the next reference to repeat when none is held.
-        if self.current.is_none() && !self.in_ref_done {
-            if let Some(t) = ctx.peek(self.in_ref).cloned() {
-                ctx.pop(self.in_ref);
-                match t {
-                    Token::Val(_) | Token::Empty => {
-                        // A reference whose (empty) fiber the coordinate
-                        // stream already closed has nothing to repeat over.
-                        if self.ref_fibers >= self.crd_fibers {
-                            self.current = Some((t, self.ref_fibers));
-                        }
-                        self.ref_fibers += 1;
-                        self.ref_open = true;
-                    }
-                    Token::Stop(_) => {
-                        // Redundant with the coordinate stream's hierarchy;
-                        // on its own it stands for a fiber with no reference.
-                        if !self.ref_open {
-                            self.ref_fibers += 1;
-                        }
-                        self.ref_open = false;
-                    }
-                    Token::Done => self.in_ref_done = true,
-                }
+        // A tick that reads a reference has popped, so it is not a stall.
+        if self.rule.wants_ref() {
+            if let Some(t) = ctx.pop(self.in_ref) {
+                self.rule.reference(t);
             }
         }
-        // Drive the output from the coordinate stream. (A tick that fetched
-        // a reference above has popped, so it is not a stall.)
-        let Some(head) = ctx.peek(self.in_crd).cloned() else {
+        let Some(head) = ctx.peek(self.in_crd).copied() else {
             return ctx.stall();
         };
-        match head {
-            Token::Val(_) => {
-                let Some((current, _)) = self.current else {
-                    // Wait for the reference to arrive.
-                    return ctx.stall();
-                };
+        match self.rule.coordinate(head) {
+            Ok(Some(out)) => {
                 ctx.pop(self.in_crd);
-                ctx.push(self.out_ref, current);
-                BlockStatus::Busy
-            }
-            Token::Empty => {
-                // An empty coordinate slot repeats nothing.
-                ctx.pop(self.in_crd);
-                ctx.push(self.out_ref, tok::empty());
-                BlockStatus::Busy
-            }
-            Token::Stop(n) => {
-                ctx.pop(self.in_crd);
-                ctx.push(self.out_ref, tok::stop(n));
-                // The next fiber repeats the next reference. One fetched
-                // ahead, while this stop was still in flight, stays.
-                if self.current.is_some_and(|(_, fiber)| fiber <= self.crd_fibers) {
-                    self.current = None;
-                }
-                self.crd_fibers += 1;
-                BlockStatus::Busy
-            }
-            Token::Done => {
-                ctx.pop(self.in_crd);
-                ctx.push(self.out_ref, tok::done());
-                // Drain whatever remains of the reference stream.
-                while let Some(t) = ctx.peek(self.in_ref) {
-                    let finished = t.is_done();
-                    ctx.pop(self.in_ref);
-                    if finished {
-                        break;
+                ctx.push(self.out_ref, out);
+                if out.is_done() {
+                    while let Some(t) = ctx.pop(self.in_ref) {
+                        if t.is_done() {
+                            break;
+                        }
                     }
+                    self.done = true;
                 }
-                self.done = true;
-                BlockStatus::Done
+                crate::status(self.done)
             }
+            // Wait for the reference to arrive.
+            Ok(None) => ctx.stall(),
+            Err(fault) => BlockStatus::Fault(fault),
         }
     }
 }
@@ -151,8 +72,9 @@ impl Block for Repeater {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sam_sim::payload::Payload;
-    use sam_sim::Simulator;
+    use sam_sim::payload::{tok, Payload};
+    use sam_sim::{SimToken, Simulator};
+    use sam_streams::Token;
 
     fn to_paper(tokens: &[SimToken]) -> String {
         let mut parts: Vec<String> = tokens
@@ -207,24 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_fiber_repeats_zero_times() {
-        let mut sim = Simulator::new();
-        let crd = sim.add_channel("crd");
-        let rf = sim.add_channel("ref");
-        let out = sim.add_channel("out");
-        sim.record(out);
-        sim.add_block(Box::new(Repeater::new("rep", crd, rf, out)));
-        // Middle fiber is empty: its reference is dropped.
-        sim.preload(
-            crd,
-            vec![tok::crd(1), tok::stop(0), tok::stop(0), tok::crd(2), tok::stop(1), tok::done()],
-        );
-        sim.preload(rf, vec![tok::rf(5), tok::rf(6), tok::rf(7), tok::stop(0), tok::done()]);
-        sim.run(100).unwrap();
-        assert_eq!(to_paper(sim.history(out)), "D, S1, 7, S0, S0, 5");
-    }
-
-    #[test]
     fn empty_reference_is_broadcast_as_empty() {
         let mut sim = Simulator::new();
         let crd = sim.add_channel("crd");
@@ -273,6 +177,26 @@ mod tests {
         }
     }
 
+    /// The middle fiber is empty: its reference is dropped, whether it
+    /// arrives before that fiber closes or after.
+    #[test]
+    fn empty_fiber_repeats_zero_times() {
+        let crd = vec![tok::crd(1), tok::stop(0), tok::stop(0), tok::crd(2), tok::stop(1), tok::done()];
+        let rf = vec![tok::rf(5), tok::rf(6), tok::rf(7), tok::stop(0), tok::done()];
+        for (crd_gap, ref_gap) in [(0, 0), (3, 0), (0, 3)] {
+            let mut sim = Simulator::new();
+            let c = sim.add_channel("crd");
+            let r = sim.add_channel("ref");
+            let out = sim.add_channel("out");
+            sim.record(out);
+            sim.add_block(Box::new(Repeater::new("rep", c, r, out)));
+            sim.add_block(Box::new(Slow { out: c, tokens: crd.clone().into(), gap: crd_gap, wait: 0 }));
+            sim.add_block(Box::new(Slow { out: r, tokens: rf.clone().into(), gap: ref_gap, wait: 0 }));
+            sim.run(200).unwrap();
+            assert_eq!(to_paper(sim.history(out)), "D, S1, 7, S0, S0, 5", "gaps {crd_gap}/{ref_gap}");
+        }
+    }
+
     /// An empty fiber upstream shows as a lone stop on both inputs. However
     /// far either input runs ahead of the other, the reference after it
     /// belongs to the fiber after it.
@@ -300,5 +224,23 @@ mod tests {
             sim.run(200).unwrap();
             assert_eq!(to_paper(sim.history(out)), "D, S2, 8, 8, S1, S1, 6", "gaps {crd_gap}/{ref_gap}");
         }
+    }
+
+    /// A coordinate fiber with no reference left to repeat ends the run with
+    /// a misalignment instead of waiting for one forever.
+    #[test]
+    fn running_out_of_references_is_misaligned() {
+        let mut sim = Simulator::new();
+        let crd = sim.add_channel("crd");
+        let rf = sim.add_channel("ref");
+        let out = sim.add_channel("out");
+        sim.add_block(Box::new(Repeater::new("rep", crd, rf, out)));
+        sim.preload(crd, vec![tok::crd(1), tok::stop(0), tok::crd(2), tok::stop(1), tok::done()]);
+        sim.preload(rf, vec![tok::rf(5), tok::stop(0), tok::done()]);
+        let run = sim.run(100);
+        assert!(
+            matches!(run, Err(sam_sim::SimulationError::Fault { fault: sam_sim::Fault::Misaligned, .. })),
+            "{run:?}"
+        );
     }
 }

@@ -1,7 +1,9 @@
 //! Level scanners: tensor iteration (paper Definition 3.1, Section 4.2).
+//! The block is the timing of its stop rule, [`rule::scan`].
 
-use sam_sim::payload::tok;
-use sam_sim::{Block, BlockStatus, ChannelId, Context};
+use crate::rule::{self, Scan};
+use sam_sim::payload::{tok, Payload};
+use sam_sim::{Block, BlockStatus, ChannelId, Context, Fault, SimToken};
 use sam_streams::Token;
 use sam_tensor::level::{FiberEntry, Level};
 use std::sync::Arc;
@@ -14,7 +16,7 @@ enum ScanState {
     /// Emitting the entries of the current fiber one per cycle.
     Emitting { entries: Vec<FiberEntry>, pos: usize },
     /// The fiber finished; waiting to see the next input token to decide the
-    /// level of the trailing stop token (Section 3.3's hierarchical rule).
+    /// level of the trailing stop token ([`rule::closing_stop`]).
     NeedStop,
 }
 
@@ -26,25 +28,21 @@ enum ScanState {
 /// for dense and compressed levels because both expose the fiber-view
 /// interface of [`Level`].
 ///
-/// Stop-token rule (Section 3.3): after scanning a fiber the scanner looks at
-/// its next input token; it emits `S0` when another fiber follows (or the
-/// stream ends) and merges into `S(n+1)` when the input carries `Sn`. Input
-/// stop tokens arriving outside a fiber are incremented and passed through.
+/// Its stop rule is [`rule::scan`] and [`rule::closing_stop`]: it takes an
+/// input token, emits the fiber it opens one entry per cycle (the first in
+/// the cycle it takes the token), then waits for the next input token to
+/// pick the fiber's closing stop. A rule's fault ends the simulation.
 ///
 /// With a `skip_in` channel connected, the scanner implements coordinate
-/// skipping (Section 4.2): skip tokens carry a target coordinate and the
-/// scanner fast-forwards past smaller coordinates it has not yet emitted.
-/// Two skip-token forms are understood:
-///
-/// * a bare coordinate token — applied to whatever fiber is in flight
-///   (adequate for single-fiber streams, e.g. vector intersections);
-/// * an *epoch-tagged pair* `Ref(epoch), Crd(target)` as emitted by
-///   [`crate::Intersecter`] — the epoch counts fiber-closing stop tokens,
-///   and the pair is applied only while the scanner is still emitting that
-///   same fiber. A request that arrives after the fiber closed is stale and
-///   dropped; without the tag it could gallop a *later* fiber past
-///   coordinates that match (multi-fiber streams lag arbitrarily far behind
-///   their consumers in the dataflow).
+/// skipping (Section 4.2): a skip request is the *epoch-tagged pair*
+/// `Ref(epoch), Crd(target)` that [`crate::Intersecter`] emits, where the
+/// epoch counts fiber-closing stop tokens. The pair gallops the fiber in
+/// flight past coordinates below `target` only while the scanner is still
+/// emitting that same fiber. A request that arrives after the fiber closed
+/// is stale and dropped; without the tag it could gallop a *later* fiber
+/// past coordinates that match (multi-fiber streams lag arbitrarily far
+/// behind their consumers in the dataflow). Any other skip token is
+/// misaligned.
 #[derive(Debug)]
 pub struct LevelScanner {
     name: String,
@@ -87,7 +85,7 @@ impl LevelScanner {
         self
     }
 
-    fn emit_both(&mut self, ctx: &mut Context, crd_tok: sam_sim::SimToken, ref_tok: sam_sim::SimToken) {
+    fn emit_both(&mut self, ctx: &mut Context, crd_tok: SimToken, ref_tok: SimToken) {
         if matches!(crd_tok, Token::Stop(_)) {
             self.stops_emitted = self.stops_emitted.wrapping_add(1);
         }
@@ -95,65 +93,44 @@ impl LevelScanner {
         ctx.push(self.out_ref, ref_tok);
     }
 
-    /// Gallops the in-flight fiber cursor past coordinates below `target`.
-    fn gallop(&mut self, target: u32) {
-        if let ScanState::Emitting { entries, pos } = &mut self.state {
-            while *pos < entries.len() && entries[*pos].coord < target {
-                *pos += 1;
-            }
-        }
+    /// Emits entry `pos` of `entries` and moves on to the next state.
+    fn emit_entry(&mut self, ctx: &mut Context, entries: Vec<FiberEntry>, pos: usize) {
+        let e = entries[pos];
+        self.emit_both(ctx, tok::crd(e.coord), tok::rf(e.child as u32));
+        self.state = if pos + 1 < entries.len() {
+            ScanState::Emitting { entries, pos: pos + 1 }
+        } else {
+            ScanState::NeedStop
+        };
     }
 
-    /// Applies any pending skip tokens to the in-flight fiber position.
-    fn apply_skips(&mut self, ctx: &mut Context) {
-        use sam_sim::payload::Payload;
-        let Some(skip) = self.skip_in else { return };
-        loop {
-            match ctx.peek(skip).cloned() {
-                Some(Token::Val(Payload::Ref(epoch))) => {
-                    // An epoch-tagged (epoch, target) pair; both tokens are
-                    // pushed in one producer tick, so the pair is complete.
-                    let Some(&Token::Val(p2)) = ctx.peek_nth(skip, 1) else { break };
-                    if epoch != self.stops_emitted {
-                        // Stale: that fiber already closed, and galloping
-                        // would drop a later fiber's data.
-                        ctx.pop(skip);
-                        ctx.pop(skip);
-                        continue;
-                    }
-                    match self.state {
-                        ScanState::Emitting { .. } => {
-                            ctx.pop(skip);
-                            ctx.pop(skip);
-                            self.gallop(p2.expect_crd());
-                        }
-                        // The fiber just ended; nothing left to skip.
-                        ScanState::NeedStop => {
-                            ctx.pop(skip);
-                            ctx.pop(skip);
-                        }
-                        // Keep it; it applies to the fiber about to start.
-                        ScanState::Idle => break,
+    /// Applies any pending skip requests to the in-flight fiber position.
+    fn apply_skips(&mut self, ctx: &mut Context) -> Result<(), Fault> {
+        let Some(skip) = self.skip_in else { return Ok(()) };
+        while let Some(&first) = ctx.peek(skip) {
+            let (epoch, target) = match (first, ctx.peek_nth(skip, 1)) {
+                (Token::Val(Payload::Ref(epoch)), Some(&Token::Val(Payload::Crd(target)))) => (epoch, target),
+                // The pair's second token is still on its way.
+                (Token::Val(Payload::Ref(_)), None) => break,
+                _ => return Err(Fault::Misaligned),
+            };
+            let current = epoch == self.stops_emitted;
+            match &mut self.state {
+                // Keep it; it applies to the fiber about to start.
+                ScanState::Idle if current => break,
+                ScanState::Emitting { entries, pos } if current => {
+                    while *pos < entries.len() && entries[*pos].coord < target {
+                        *pos += 1;
                     }
                 }
-                Some(Token::Val(Payload::Crd(target))) => match self.state {
-                    ScanState::Emitting { .. } => {
-                        ctx.pop(skip);
-                        self.gallop(target);
-                    }
-                    // Requests for the fiber that just ended are stale.
-                    ScanState::NeedStop => {
-                        ctx.pop(skip);
-                    }
-                    // Keep it; it applies to the fiber about to start.
-                    ScanState::Idle => break,
-                },
-                Some(_) => {
-                    ctx.pop(skip);
-                }
-                None => break,
+                // Stale: that fiber already closed (or just ended), and
+                // galloping would drop a later fiber's data.
+                _ => {}
             }
+            ctx.pop(skip);
+            ctx.pop(skip);
         }
+        Ok(())
     }
 }
 
@@ -166,92 +143,62 @@ impl Block for LevelScanner {
         if self.done {
             return BlockStatus::Done;
         }
-        self.apply_skips(ctx);
-        let state = std::mem::replace(&mut self.state, ScanState::Idle);
-        match state {
+        if let Err(fault) = self.apply_skips(ctx) {
+            return BlockStatus::Fault(fault);
+        }
+        match std::mem::replace(&mut self.state, ScanState::Idle) {
             ScanState::Emitting { entries, pos } => {
                 if pos < entries.len() {
-                    let e = entries[pos];
-                    self.emit_both(ctx, tok::crd(e.coord), tok::rf(e.child as u32));
-                    self.state = if pos + 1 >= entries.len() {
-                        ScanState::NeedStop
-                    } else {
-                        ScanState::Emitting { entries, pos: pos + 1 }
-                    };
+                    self.emit_entry(ctx, entries, pos);
                 } else {
                     self.state = ScanState::NeedStop;
                 }
                 BlockStatus::Busy
             }
             ScanState::NeedStop => {
-                match ctx.peek(self.in_ref) {
-                    None => {
-                        // Stall until the lookahead token is available
-                        // (the state is put back as it was; a tick that
-                        // dropped stale skip requests is not a stall).
-                        self.state = ScanState::NeedStop;
-                        ctx.stall()
-                    }
-                    Some(Token::Val(_)) | Some(Token::Empty) | Some(Token::Done) => {
-                        // Another fiber (or the end of the stream) follows:
-                        // close this fiber with a level-0 stop.
-                        self.emit_both(ctx, tok::stop(0), tok::stop(0));
-                        self.state = ScanState::Idle;
-                        BlockStatus::Busy
-                    }
-                    Some(Token::Stop(n)) => {
-                        let level = *n;
-                        ctx.pop(self.in_ref);
-                        self.emit_both(ctx, tok::stop(level + 1), tok::stop(level + 1));
-                        self.state = ScanState::Idle;
-                        BlockStatus::Busy
-                    }
-                }
-            }
-            ScanState::Idle => {
-                let Some(head) = ctx.peek(self.in_ref).cloned() else {
+                let Some(&next) = ctx.peek(self.in_ref) else {
+                    // Stall until the lookahead token is available (the
+                    // state is put back as it was; a tick that dropped stale
+                    // skip requests is not a stall).
+                    self.state = ScanState::NeedStop;
                     return ctx.stall();
                 };
-                match head {
-                    Token::Val(p) => {
-                        ctx.pop(self.in_ref);
-                        let fiber = p.expect_ref() as usize;
-                        let entries = self.level.fiber(fiber);
+                let level = rule::closing_stop(next);
+                if level.is_some() {
+                    ctx.pop(self.in_ref);
+                }
+                let stop = tok::stop(level.unwrap_or(0));
+                self.emit_both(ctx, stop, stop);
+                BlockStatus::Busy
+            }
+            ScanState::Idle => {
+                let Some(&head) = ctx.peek(self.in_ref) else {
+                    return ctx.stall();
+                };
+                let scan = match rule::scan(&self.level, head) {
+                    Ok(scan) => scan,
+                    Err(fault) => return BlockStatus::Fault(fault),
+                };
+                ctx.pop(self.in_ref);
+                match scan {
+                    // Stay fully pipelined: emit the first entry in the
+                    // same cycle the reference is consumed. An empty fiber
+                    // contributes only its trailing stop.
+                    Scan::Fiber(fiber) => {
+                        let entries = fiber.map_or_else(Vec::new, |f| self.level.fiber(f));
                         if entries.is_empty() {
-                            // An empty fiber contributes only its trailing stop.
                             self.state = ScanState::NeedStop;
                         } else {
-                            // Stay fully pipelined: emit the first entry in the
-                            // same cycle the reference is consumed.
-                            let e = entries[0];
-                            self.emit_both(ctx, tok::crd(e.coord), tok::rf(e.child as u32));
-                            self.state = if entries.len() == 1 {
-                                ScanState::NeedStop
-                            } else {
-                                ScanState::Emitting { entries, pos: 1 }
-                            };
+                            self.emit_entry(ctx, entries, 0);
                         }
-                        BlockStatus::Busy
                     }
-                    Token::Empty => {
-                        // A missing operand reference (from a union) scans as
-                        // an empty fiber.
-                        ctx.pop(self.in_ref);
-                        self.state = ScanState::NeedStop;
-                        BlockStatus::Busy
-                    }
-                    Token::Stop(n) => {
-                        ctx.pop(self.in_ref);
-                        self.emit_both(ctx, tok::stop(n + 1), tok::stop(n + 1));
-                        BlockStatus::Busy
-                    }
-                    Token::Done => {
-                        ctx.pop(self.in_ref);
+                    Scan::Stop(n) => self.emit_both(ctx, tok::stop(n), tok::stop(n)),
+                    Scan::Done => {
                         self.emit_both(ctx, tok::done(), tok::done());
                         self.done = true;
-                        BlockStatus::Done
                     }
                 }
+                crate::status(self.done)
             }
         }
     }
@@ -260,8 +207,7 @@ impl Block for LevelScanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sam_sim::payload::Payload;
-    use sam_sim::Simulator;
+    use sam_sim::{SimulationError, Simulator};
     use sam_tensor::level::{CompressedLevel, DenseLevel};
 
     fn paper_levels() -> (Arc<Level>, Arc<Level>) {
@@ -363,28 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn coordinate_skipping_reduces_emitted_tokens() {
-        // A long fiber with a skip request jumping most of it.
-        let level = Arc::new(Level::Compressed(CompressedLevel::new(100, vec![0, 50], (0..50).collect())));
-        let mut sim = Simulator::new();
-        let root = sim.add_channel("root");
-        let crd = sim.add_channel("crd");
-        let rf = sim.add_channel("ref");
-        let skip = sim.add_channel("skip");
-        sim.record(crd);
-        sim.add_block(Box::new(LevelScanner::new("b", level, root, crd, rf).with_skip(skip)));
-        sim.preload(root, crate::source::root_stream());
-        sim.preload(skip, vec![tok::crd(45)]);
-        sim.run(1000).unwrap();
-        // Coordinates 1..44 were skipped: the first coordinate is emitted
-        // before the skip is applied, then the scan resumes at 45.
-        let data: Vec<u32> =
-            sim.history(crd).iter().filter_map(|t| t.value_ref().map(|p| p.expect_crd())).collect();
-        assert!(data.len() <= 7, "expected a handful of coordinates, got {data:?}");
-        assert!(data.contains(&45));
-    }
-
-    #[test]
     fn stale_epoch_tagged_skip_is_dropped() {
         // Two fibers of three coordinates each. A tagged request for fiber 0
         // (epoch 0) that is only seen while fiber 1 is in flight must NOT
@@ -438,5 +362,50 @@ mod tests {
         let report = sim.run(100).unwrap();
         // 3 coordinates + stop + done = 5 emission cycles (plus lookahead stalls).
         assert!(report.cycles >= 5 && report.cycles <= 8, "cycles = {}", report.cycles);
+    }
+
+    /// Runs one scanner over the Figure 1 matrix's `j` level (three fibers)
+    /// on `input`; the error it ends with, if any.
+    fn scan_j(input: Vec<sam_sim::SimToken>) -> Result<(), SimulationError> {
+        let (_, lj) = paper_levels();
+        let mut sim = Simulator::new();
+        let in_ref = sim.add_channel("in_ref");
+        let crd = sim.add_channel("crd");
+        let rf = sim.add_channel("ref");
+        sim.add_block(Box::new(LevelScanner::new("Bj", lj, in_ref, crd, rf)));
+        sim.preload(in_ref, input);
+        sim.run(1000).map(|_| ())
+    }
+
+    #[test]
+    fn a_reference_past_the_level_is_out_of_bounds() {
+        let run = scan_j(vec![tok::rf(0), tok::rf(3), tok::stop(0), tok::done()]);
+        assert!(
+            matches!(run, Err(SimulationError::Fault { fault: Fault::RefOutOfBounds(3), ref block, .. }) if block == "Bj"),
+            "{run:?}"
+        );
+    }
+
+    #[test]
+    fn a_coordinate_on_the_reference_input_is_misaligned() {
+        for bad in [tok::crd(1), tok::val(1.0)] {
+            let run = scan_j(vec![tok::rf(0), bad, tok::stop(0), tok::done()]);
+            assert!(matches!(run, Err(SimulationError::Fault { fault: Fault::Misaligned, .. })), "{run:?}");
+        }
+    }
+
+    #[test]
+    fn a_skip_token_that_is_not_an_epoch_tagged_pair_is_misaligned() {
+        let level = Arc::new(Level::Compressed(CompressedLevel::new(100, vec![0, 50], (0..50).collect())));
+        let mut sim = Simulator::new();
+        let in_ref = sim.add_channel("in_ref");
+        let crd = sim.add_channel("crd");
+        let rf = sim.add_channel("ref");
+        let skip = sim.add_channel("skip");
+        sim.add_block(Box::new(LevelScanner::new("b", level, in_ref, crd, rf).with_skip(skip)));
+        sim.preload(in_ref, vec![tok::rf(0), tok::stop(0), tok::done()]);
+        sim.preload(skip, vec![tok::crd(45)]);
+        let run = sim.run(1000);
+        assert!(matches!(run, Err(SimulationError::Fault { fault: Fault::Misaligned, .. })), "{run:?}");
     }
 }
