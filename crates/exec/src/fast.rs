@@ -19,7 +19,11 @@
 //! both operands are fused over `Compressed` or `Dense` levels. The
 //! intersecter gallops the trailing side on every mismatch and pushes only
 //! the matches, so its walk costs the short side; the unioner pushes every
-//! coordinate.
+//! coordinate. Where one side of two fused `Compressed` operands
+//! re-delivers the same fiber pair after pair (a repeater upstream of its
+//! scanner) and that fiber holds at least 32 entries, the intersecter
+//! locates instead: it indexes the fiber's coordinates once and probes the
+//! index with each fiber of the other side, pushing the same matches.
 //!
 //! Downstream, the arrays, ALUs, constants, repeaters and scalar reducers
 //! that only an intersecter and each other read form its fusion region

@@ -15,7 +15,11 @@
 //! which cuts them at their stops. The walk pairs the two operands' fibers
 //! and merges each pair whole over a [`FiberView`] per side: straight over
 //! the storage of `Compressed` and `Dense` levels, over any other level's
-//! fiber copied out of it, or over the stored slices. `run_scanner` drains
+//! fiber copied out of it, or over the stored slices. An intersecter of two
+//! fused `Compressed` operands locates instead of merging where one side
+//! re-delivers a long fiber ([`Locate`]): it indexes that fiber once and
+//! probes it with each fiber of the other side, by a fixed rule on fiber
+//! length ([`LOCATE_FLOOR`]). `run_scanner` drains
 //! whole fibers through the same `FiberReader` into two stored streams, for
 //! every scanner somebody else reads too.
 //!
@@ -411,6 +415,7 @@ trait FiberView {
 
 /// A compressed fiber: its slice `crd[seg[f]..seg[f + 1]]` of the
 /// coordinate array; an entry's child is its position in the whole array.
+#[derive(Clone, Copy)]
 struct CompressedFiber<'a> {
     crd: &'a [u32],
     base: usize,
@@ -420,6 +425,12 @@ impl<'a> CompressedFiber<'a> {
     fn new(level: &'a CompressedLevel, fiber: Option<usize>) -> Self {
         let (base, end) = fiber.map_or((0, 0), |f| (level.seg[f], level.seg[f + 1]));
         CompressedFiber { crd: &level.crd[base..end], base }
+    }
+
+    /// Where the fiber starts and how long it is: equal for two views of the
+    /// same level exactly when they hold the same entries.
+    fn key(&self) -> (usize, usize) {
+        (self.base, self.crd.len())
     }
 }
 
@@ -866,16 +877,18 @@ fn rest<V: FiberView>(fiber: &V, from: usize, side: usize, out: &mut Region<'_>)
     Ok(())
 }
 
-/// The merge walk. Items pair up: any pair merges its two fibers, then
-/// closes all three outputs with the higher of the two stops; `(Done,
-/// Done)` ends them. A `Done` on one side waits while the other side
-/// advances, pushing nothing for the intersecter and the fiber's entries
-/// for the unioner. A fused scanner's reader tallies its own stream, so the
-/// counts do not depend on what the other side held.
+/// The merge walk. Items pair up: any pair merges its two fibers with
+/// `merge` ([`merge_fibers`], or [`Locate::merge`]), then closes all three
+/// outputs with the higher of the two stops; `(Done, Done)` ends them. A
+/// `Done` on one side waits while the other side advances, pushing nothing
+/// for the intersecter and the fiber's entries for the unioner. A fused
+/// scanner's reader tallies its own stream, so the counts do not depend on
+/// what the other side held.
 fn fiber_walk<const UNION: bool, A: Fibers, B: Fibers>(
     a: &mut A,
     b: &mut B,
     out: &mut Region<'_>,
+    mut merge: impl FnMut(&A::Fiber, &B::Fiber, &mut Region<'_>) -> Result<(), Fault>,
 ) -> Result<(), Fault> {
     let (mut ia, mut ib) = (a.next_fiber()?, b.next_fiber()?);
     loop {
@@ -894,7 +907,7 @@ fn fiber_walk<const UNION: bool, A: Fibers, B: Fibers>(
                 ia = a.next_fiber()?;
             }
             (FiberItem::Fiber { fiber: fa, stop: sa }, FiberItem::Fiber { fiber: fb, stop: sb }) => {
-                merge_fibers::<UNION, _, _>(fa, fb, out)?;
+                merge(fa, fb, out)?;
                 out.push_all(tok::stop((*sa).max(*sb)))?;
                 (ia, ib) = (a.next_fiber()?, b.next_fiber()?);
             }
@@ -905,41 +918,167 @@ fn fiber_walk<const UNION: bool, A: Fibers, B: Fibers>(
 /// Intersecter (Definition 3.2) or, if `UNION`, unioner (Definition 3.3)
 /// transfer function: the merge walk over the two operands' fibers. Two
 /// fused scanners over `Compressed` / `Dense` levels merge straight over
-/// the levels' storage; any other fused level's fibers are copied out of
-/// it one at a time.
+/// the levels' storage — an intersecter of two `Compressed` levels locating
+/// into a fiber one side re-delivers ([`Locate`]) — and any other fused
+/// level's fibers are copied out of it one at a time. Returns how many
+/// fiber pairs were merged by locating.
 pub(crate) fn run_merge<const UNION: bool>(
     a: &mut Operand<'_>,
     b: &mut Operand<'_>,
     out: &mut Region<'_>,
-) -> Result<(), Fault> {
+) -> Result<usize, Fault> {
+    let mut located = 0;
     match (a, b) {
         (Operand::Scan(x), Operand::Scan(y)) => match (x.level, y.level) {
-            (Level::Compressed(l), Level::Compressed(m)) => fiber_walk::<UNION, _, _>(
-                &mut (x, |f| CompressedFiber::new(l, f)),
-                &mut (y, |f| CompressedFiber::new(m, f)),
-                out,
-            ),
+            (Level::Compressed(l), Level::Compressed(m)) => {
+                let mut locate = Locate::new([l.dim, m.dim]);
+                fiber_walk::<UNION, _, _>(
+                    &mut (x, |f| CompressedFiber::new(l, f)),
+                    &mut (y, |f| CompressedFiber::new(m, f)),
+                    out,
+                    |fa, fb, out| {
+                        if UNION {
+                            merge_fibers::<UNION, _, _>(fa, fb, out)
+                        } else {
+                            locate.merge(fa, fb, out)
+                        }
+                    },
+                )?;
+                located = locate.located;
+            }
             (Level::Compressed(l), Level::Dense(m)) => fiber_walk::<UNION, _, _>(
                 &mut (x, |f| CompressedFiber::new(l, f)),
                 &mut (y, |f| DenseFiber::new(m, f)),
                 out,
-            ),
+                merge_fibers::<UNION, _, _>,
+            )?,
             (Level::Dense(l), Level::Compressed(m)) => fiber_walk::<UNION, _, _>(
                 &mut (x, |f| DenseFiber::new(l, f)),
                 &mut (y, |f| CompressedFiber::new(m, f)),
                 out,
-            ),
+                merge_fibers::<UNION, _, _>,
+            )?,
             (Level::Dense(l), Level::Dense(m)) => fiber_walk::<UNION, _, _>(
                 &mut (x, |f| DenseFiber::new(l, f)),
                 &mut (y, |f| DenseFiber::new(m, f)),
                 out,
-            ),
-            _ => fiber_walk::<UNION, _, _>(&mut x.any(), &mut y.any(), out),
+                merge_fibers::<UNION, _, _>,
+            )?,
+            _ => fiber_walk::<UNION, _, _>(&mut x.any(), &mut y.any(), out, merge_fibers::<UNION, _, _>)?,
         },
-        (Operand::Scan(x), Operand::Stored(y)) => fiber_walk::<UNION, _, _>(&mut x.any(), y, out),
-        (Operand::Stored(x), Operand::Scan(y)) => fiber_walk::<UNION, _, _>(x, &mut y.any(), out),
-        (Operand::Stored(x), Operand::Stored(y)) => fiber_walk::<UNION, _, _>(x, y, out),
+        (Operand::Scan(x), Operand::Stored(y)) => {
+            fiber_walk::<UNION, _, _>(&mut x.any(), y, out, merge_fibers::<UNION, _, _>)?
+        }
+        (Operand::Stored(x), Operand::Scan(y)) => {
+            fiber_walk::<UNION, _, _>(x, &mut y.any(), out, merge_fibers::<UNION, _, _>)?
+        }
+        (Operand::Stored(x), Operand::Stored(y)) => {
+            fiber_walk::<UNION, _, _>(x, y, out, merge_fibers::<UNION, _, _>)?
+        }
     }
+    Ok(located)
+}
+
+/// The fewest entries a fiber must hold for the intersecter to index it.
+/// Below it, building the index costs more than the merges it saves:
+/// MTTKRP's `intersect(l: T,G)`, a `G(j,:)` of ~10 entries re-delivered
+/// ~5.5 times, ran slower indexed.
+const LOCATE_FLOOR: usize = 32;
+
+/// Fused locating on the host (Figure 11) for an intersecter of two fused
+/// `Compressed` operands. Where one side re-delivers the fiber it opened
+/// for the previous pair — a repeater upstream hands its scanner the same
+/// reference — that fiber's coordinates are indexed once, and each pair is
+/// merged by walking the other fiber in order and probing the index: the
+/// same matches in the same order as [`merge_fibers`], so the same tokens.
+/// The rule: a side is located into when its fiber is no shorter than the
+/// other side's and either is the fiber already indexed or repeats the
+/// previous pair's and holds at least [`LOCATE_FLOOR`] entries.
+struct Locate<'a> {
+    /// Each side's level dimension, which sizes the index.
+    dims: [usize; 2],
+    /// Each side's fiber in the previous pair ([`CompressedFiber::key`]).
+    last: [(usize, usize); 2],
+    /// The indexed fiber and its side.
+    held: Option<(usize, CompressedFiber<'a>)>,
+    /// Coordinate → 1 + its position in the held fiber, 0 for a coordinate
+    /// the fiber lacks. Allocated on the first repeat and, when the held
+    /// fiber changes, cleared entry by entry.
+    index: Vec<u32>,
+    /// Pairs merged by probing.
+    located: usize,
+}
+
+impl<'a> Locate<'a> {
+    fn new(dims: [usize; 2]) -> Self {
+        Locate { dims, last: [(0, 0); 2], held: None, index: Vec::new(), located: 0 }
+    }
+
+    /// Intersects `a` and `b`, by probing where the rule says so.
+    #[inline]
+    fn merge(
+        &mut self,
+        a: &CompressedFiber<'a>,
+        b: &CompressedFiber<'a>,
+        out: &mut Region<'_>,
+    ) -> Result<(), Fault> {
+        let (pair, keys) = ([a, b], [a.key(), b.key()]);
+        let held = self.held.map(|(side, fiber)| (side, fiber.key()));
+        let side = (0..2).find(|&s| {
+            let len = pair[s].len();
+            len >= pair[1 - s].len()
+                && (held == Some((s, keys[s])) || (keys[s] == self.last[s] && len >= LOCATE_FLOOR))
+        });
+        self.last = keys;
+        let Some(side) = side else { return merge_fibers::<false, _, _>(a, b, out) };
+        self.located += 1;
+        self.hold(side, *pair[side]);
+        if side == 0 {
+            probe::<false>(&self.index, a, b, out)
+        } else {
+            probe::<true>(&self.index, b, a, out)
+        }
+    }
+
+    /// Makes `fiber`, of operand `side`, the indexed one.
+    fn hold(&mut self, side: usize, fiber: CompressedFiber<'a>) {
+        if matches!(self.held, Some((s, held)) if s == side && held.key() == fiber.key()) {
+            return;
+        }
+        if let Some((_, old)) = self.held {
+            old.crd.iter().for_each(|&c| self.index[c as usize] = 0);
+        }
+        // A coordinate past the dimension still gets its slot.
+        let need = fiber.crd.last().map_or(0, |&c| c as usize + 1).max(self.dims[side]);
+        if self.index.len() < need {
+            self.index.resize(need, 0);
+        }
+        for (pos, &c) in fiber.crd.iter().enumerate() {
+            self.index[c as usize] = pos as u32 + 1;
+        }
+        self.held = Some((side, fiber));
+    }
+}
+
+/// Intersects `held`, whose coordinates `index` holds, with `other` by
+/// walking `other` in order and probing: each match is pushed with the
+/// references in operand order, `held`'s second if `SWAP`.
+#[inline]
+fn probe<const SWAP: bool>(
+    index: &[u32],
+    held: &CompressedFiber<'_>,
+    other: &CompressedFiber<'_>,
+    out: &mut Region<'_>,
+) -> Result<(), Fault> {
+    for (pos, &c) in other.crd.iter().enumerate() {
+        let at = index.get(c as usize).copied().unwrap_or(0);
+        if at > 0 {
+            let (h, o) = (held.child(at as usize - 1), other.child(pos));
+            let (r0, r1) = if SWAP { (o, h) } else { (h, o) };
+            out.push(tok::crd(c), r0, r1)?;
+        }
+    }
+    Ok(())
 }
 
 /// Reducer transfer function (Definition 3.7), of order 0 (scalar), 1
@@ -1116,10 +1255,14 @@ mod tests {
 
     fn case(rng: &mut StdRng, formats: [Format; 2]) -> Case {
         let empty_bias = [0.0, 0.15, 0.6][rng.gen_range(0usize..3)];
-        // In a third of the cases a repeater upstream hands one side the
-        // same reference for 2–5 slots running, against a new fiber on the
-        // other side each time (MTTKRP's `intersect(k: T,F)`).
-        let repeats = rng.gen::<f64>() < 0.3;
+        // In half the cases a repeater upstream hands one side the same
+        // reference for 2–8 slots running, against a new fiber on the other
+        // side each time (MTTKRP's `intersect(k: T,F)`). Half the
+        // repeated fibers are long enough for the walk to locate into them.
+        // A run is broken now and then by an `Empty` reference, or by an
+        // empty inner fiber's bare stop; after a run, the side sometimes
+        // returns to one of its earlier fibers.
+        let repeats = rng.gen::<f64>() < 0.5;
         // The reference streams' shape: outer fibers of inner fibers of
         // slots, each slot one fiber pair. Either list may be empty. A
         // repeated reference runs through longer inner fibers.
@@ -1135,15 +1278,27 @@ mod tests {
         let mut run = (0, 0);
         for _ in 0..slots {
             for (o, fiber) in fiber_pair(rng, empty_bias).into_iter().enumerate() {
-                if o != run.0 || run.1 == 0 {
-                    fibers[o].push(fiber);
-                }
-                reads[o].push(fibers[o].len() - 1);
+                let read = match reads[o].last() {
+                    Some(&last) if o == run.0 && run.1 > 0 => last,
+                    Some(_) if repeats && o == run.0 && rng.gen::<f64>() < 0.3 => {
+                        rng.gen_range(0..fibers[o].len())
+                    }
+                    _ => {
+                        fibers[o].push(fiber);
+                        fibers[o].len() - 1
+                    }
+                };
+                reads[o].push(read);
             }
             if run.1 > 0 {
                 run.1 -= 1;
             } else if repeats {
-                run = (rng.gen_range(0usize..2), rng.gen_range(1usize..5));
+                run = (rng.gen_range(0usize..2), rng.gen_range(1usize..8));
+                if rng.gen::<f64>() < 0.5 {
+                    let long = rng.gen_range(LOCATE_FLOOR..4 * LOCATE_FLOOR);
+                    let last = reads[run.0][reads[run.0].len() - 1];
+                    fibers[run.0][last] = sample(rng, 0, DIM, long);
+                }
             }
         }
         // Now and then one operand is an entirely empty level.
@@ -1171,7 +1326,8 @@ mod tests {
                 for _ in 0..inner {
                     // An upstream unioner hands one side an empty token
                     // where only the other side has the fiber.
-                    let absent = if rng.gen::<f64>() < 0.05 { rng.gen_range(0usize..2) } else { 2 };
+                    let empties = if repeats { 0.1 } else { 0.05 };
+                    let absent = if rng.gen::<f64>() < empties { rng.gen_range(0usize..2) } else { 2 };
                     for o in 0..2 {
                         refs[o].push(if o == absent {
                             tok::empty()
@@ -1216,15 +1372,25 @@ mod tests {
     /// The merger as the fast backend runs it, into a memberless region
     /// that stores all three streams (and so holds no registers).
     fn merge(union: bool, a: &mut Operand<'_>, b: &mut Operand<'_>) -> Result<Outputs, Fault> {
+        Ok(merge_located(union, a, b)?.0)
+    }
+
+    /// [`merge`]'s streams, and how many fiber pairs the walk merged by
+    /// locating.
+    fn merge_located(
+        union: bool,
+        a: &mut Operand<'_>,
+        b: &mut Operand<'_>,
+    ) -> Result<(Outputs, usize), Fault> {
         let mut region = Region::new([true; 3], false);
         assert!(region.regs.is_empty(), "a region that stores every port has no registers");
-        if union {
-            run_merge::<true>(a, b, &mut region)?;
+        let located = if union {
+            run_merge::<true>(a, b, &mut region)?
         } else {
-            run_merge::<false>(a, b, &mut region)?;
-        }
+            run_merge::<false>(a, b, &mut region)?
+        };
         let (root, _) = region.finish();
-        Ok(root.map(|port| port.stored.unwrap_or_default()))
+        Ok((root.map(|port| port.stored.unwrap_or_default()), located))
     }
 
     /// The cycle-level block — `Unioner` if `union`, else `Intersecter` —
@@ -1297,15 +1463,20 @@ mod tests {
     /// fused and stored operands, and each fused scanner's tally its
     /// counts. In some rounds one operand's stored streams carry `Empty`
     /// tokens inside their fibers (only a stored operand can), and in some
-    /// one operand ends early.
+    /// one operand ends early. Two fused `Compressed` operands are
+    /// intersected by locating wherever a side re-delivers a long fiber.
     #[test]
     fn the_fiber_walk_equals_the_cycle_mergers_token_for_token() -> Result<(), Fault> {
         let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
         let mut rng = StdRng::seed_from_u64(19);
-        let (mut matched, mut repeated, mut emptied, mut early) = (0, 0, 0, 0);
+        let (mut matched, mut repeated, mut emptied, mut early, mut located) = (0, 0, 0, 0, 0);
         for fa in formats {
             for fb in formats {
-                for round in 0..40 {
+                // Two fused `Compressed` operands are the ones the walk
+                // locates into: more rounds, for more re-delivered fibers.
+                let rounds =
+                    if matches!((fa, fb), (Format::Compressed, Format::Compressed)) { 160 } else { 40 };
+                for round in 0..rounds {
                     let Case { levels: [la, lb], refs: [mut ra, mut rb] } = case(&mut rng, [fa, fb]);
                     if rng.gen::<f64>() < 0.2 {
                         let side = if rng.gen_range(0usize..2) == 0 { &mut ra } else { &mut rb };
@@ -1355,7 +1526,9 @@ mod tests {
                         }
                         if dirty.is_none() {
                             let (mut a, mut b) = (scan(&la, &ra), scan(&lb, &rb));
-                            assert_eq!(merge(union, &mut a, &mut b)?, want, "{what}: fused x fused");
+                            let (got, pairs) = merge_located(union, &mut a, &mut b)?;
+                            assert_eq!(got, want, "{what}: fused x fused");
+                            located += pairs;
                             assert_tally(&a, &clean[0], &what);
                             assert_tally(&b, &clean[1], &what);
                         }
@@ -1367,6 +1540,30 @@ mod tests {
         assert!(repeated > 200, "the generator must repeat references as a repeater does: {repeated}");
         assert!(emptied > 100, "stored fibers must hold empty tokens: {emptied}");
         assert!(early > 20, "operands must end early: {early}");
+        assert!(located > 60, "the walk must locate into re-delivered fibers: {located}");
+        Ok(())
+    }
+
+    /// The index belongs to one operand's level: a fiber of the other
+    /// level that starts and ends at the same positions as the indexed one
+    /// holds other coordinates, and is indexed afresh when its side
+    /// re-delivers it.
+    #[test]
+    fn each_operand_locates_into_its_own_fiber() -> Result<(), Fault> {
+        let (evens, odds) = ((0..40).map(|c| 2 * c).collect(), (0..40).map(|c| 2 * c + 1).collect());
+        let la = level_of(Format::Compressed, 8, &[evens, vec![1, 3], vec![5, 7]]);
+        let lb = level_of(Format::Compressed, 8, &[odds, vec![2, 4], vec![6, 8]]);
+        // Operand 0 re-delivers its fiber 0, then operand 1 its fiber 0.
+        let pairs = [(0, 1), (0, 2), (1, 0), (2, 0)];
+        let refs = |side: fn(&(u32, u32)) -> u32| -> Vec<SimToken> {
+            pairs.iter().map(|p| tok::rf(side(p))).chain([tok::stop(0), tok::done()]).collect()
+        };
+        let (ra, rb) = (refs(|p| p.0), refs(|p| p.1));
+        let want = cycle(false, &stored(&la, &ra), &stored(&lb, &rb));
+        let (got, located) = merge_located(false, &mut scan(&la, &ra), &mut scan(&lb, &rb))?;
+        assert_eq!(got, want);
+        assert_eq!(located, 2, "the second and the fourth pair are located");
+        assert_eq!(got[0].iter().filter(|t| matches!(t, Token::Val(_))).count(), 8);
         Ok(())
     }
 

@@ -1,8 +1,8 @@
 //! Host cost of the cycle blocks that are timing shells over a token rule,
 //! and of the intersecter, each alone on the simulator over about 20 k to
 //! 200 k preloaded input tokens: a compressed-level scanner, a repeater, an
-//! array, an ALU, a scalar and a vector reducer, a coordinate dropper, the
-//! two writers and an intersecter. Prints, per block, the simulated cycles
+//! array, an ALU, a scalar, a vector and a matrix reducer, a coordinate
+//! dropper, the two writers and an intersecter. Prints, per block, the simulated cycles
 //! (which a change to a block's host code must leave as they are) and the
 //! median host nanoseconds per input token over `REPS` runs.
 //!
@@ -182,6 +182,16 @@ fn main() {
         "vector_reducer",
         &red_in,
         time(&red_in, 2, |i, o| Box::new(Reducer::vector("red", i[0], i[1], o[0], o[1]))),
+    );
+    // The matrix reducer sums outer products: 64 outer coordinates, each
+    // the outer coordinate of every 64th inner fiber.
+    let outer_cells: Vec<SimToken> =
+        outer.iter().map(|t| t.value().map_or(*t, |p| tok::crd(p.expect_crd() % 64))).collect();
+    let cells_in = [outer_cells, crd.clone(), val.clone()];
+    report(
+        "matrix_reducer",
+        &cells_in,
+        time(&cells_in, 3, |i, o| Box::new(Reducer::matrix("cells", [i[0], i[1]], i[2], [o[0], o[1]], o[2]))),
     );
     let drop_in = [outer, val];
     report(

@@ -42,6 +42,7 @@ pub enum Level {
 
 impl Level {
     /// Number of fibers stored at this level.
+    #[inline]
     pub fn num_fibers(&self) -> usize {
         match self {
             Level::Dense(l) => l.num_fibers,
@@ -84,6 +85,7 @@ impl Level {
     }
 
     /// Number of entries in fiber `fiber`.
+    #[inline]
     pub fn fiber_len(&self, fiber: usize) -> usize {
         match self {
             Level::Dense(l) => {
