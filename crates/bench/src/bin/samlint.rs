@@ -13,12 +13,12 @@
 //!
 //! Named cases with standard operands (`samprof`'s kernel set and the
 //! Table 1 expressions) verify *bound* — formats, ranks and scalars against
-//! real tensors; every graph of `sam_core::graphs::catalog()` verifies
+//! real tensors; every graph of `custard::graphs::catalog()` verifies
 //! structurally.
 
+use custard::graphs;
 use sam_bench::{kernel_case, table1_case, table1_case_names, PROFILE_KERNELS};
 use sam_core::graph::SamGraph;
-use sam_core::graphs;
 use sam_exec::Inputs;
 use sam_verify::{verify, verify_bound, Bindings, Report};
 

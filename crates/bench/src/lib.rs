@@ -17,7 +17,7 @@
 //! | Section 3.8 stream analysis | [`stream_analysis_report`] | `stream_analysis` |
 //! | Executor cross-check | [`executor_report`] | `table1` |
 //!
-//! Every simulated cycle count comes from a `sam_core::graphs` graph run
+//! Every simulated cycle count comes from a `custard::graphs` graph run
 //! through `sam-exec` on the [`CycleBackend`]. The two bitvector columns of
 //! Figure 13 are the exception: their blocks have no IR node yet, so they use
 //! the hand-wired runs in `sam_primitives::bitvector`. Figure 15's counters
@@ -25,11 +25,11 @@
 //! level-based token counts from Figure 14's identity runs; nothing here
 //! prints a closed-form estimate.
 
+use custard::graphs::{self, SddmmVariant, SpmmDataflow, VecFormat};
 use custard::{
     ablation_study, lower, lower_exec, parse, ConcreteIndexNotation, ExpressionCorpus, Formats, Schedule,
 };
 use sam_core::graph::{NodeKind, SamGraph};
-use sam_core::graphs::{self, SddmmVariant, SpmmDataflow, VecFormat};
 use sam_exec::{
     CountersSink, CycleBackend, ExecRequest, Execution, FastBackend, Inputs, TiledBackend, TokenCounts,
 };

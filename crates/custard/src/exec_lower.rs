@@ -3,9 +3,9 @@
 //! [`crate::lower()`] places the unwired node multiset that Table 1 and the
 //! ablation study count. [`lower_exec`] builds the graph that runs: it
 //! emits, through `sam_core::build::GraphBuilder`, a graph whose reference
-//! streams thread through every merger and repeater exactly like the
-//! hand-written `sam_core::graphs` catalog, ready for `sam-exec` to plan and
-//! run on any backend.
+//! streams thread through every merger and repeater, ready for `sam-exec` to
+//! plan and run on any backend. Twelve of the [`crate::graphs`] catalog's
+//! entries are its output.
 //!
 //! The supported fragment is nearly the full parseable language: products,
 //! sums and mixed additive/multiplicative expressions of tensor accesses

@@ -20,10 +20,15 @@
 //! [`lower()`] is the schematic: the node multiset Figure 10 places for an
 //! expression, unwired. It is what the Table 1 primitive composition and the
 //! Table 2 ablation count.
+//!
+//! [`graphs`] is the catalog of paper kernels the figures and the pinned
+//! counts run: [`lower_exec`]'s graphs at each figure's formats and loop
+//! order, except for the few it cannot derive yet, which are wired by hand.
 
 pub mod ablation;
 pub mod cin;
 pub mod exec_lower;
+pub mod graphs;
 pub mod lower;
 pub mod parser;
 

@@ -25,7 +25,7 @@
 //!   with the same diagnostics.
 //!
 //! ```
-//! use sam_core::graphs;
+//! use custard::graphs;
 //! use sam_exec::{Inputs, PlanCache};
 //! use sam_tensor::{synth, TensorFormat};
 //!
@@ -297,8 +297,8 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::ExecRequest;
+    use custard::graphs;
     use sam_core::build::GraphBuilder;
-    use sam_core::graphs;
     use sam_tensor::{synth, CooTensor, TensorFormat};
 
     fn spmv_inputs(nnz: usize, seed: u64) -> Inputs {

@@ -64,7 +64,7 @@
 //! formats each label once, up front, however many tiles re-run the walk.
 //!
 //! ```
-//! use sam_core::graphs;
+//! use custard::graphs;
 //! use sam_exec::{BackendSpec, ExecRequest, Inputs};
 //! use sam_tensor::{synth, TensorFormat};
 //!
@@ -433,7 +433,7 @@ mod tests {
     fn a_stream_with_two_readers_survives_until_the_second_has_run() {
         // SpMV forks B's row coordinates to a repeater and to the writer;
         // the row scanner's references have one reader, the column scanner.
-        let graph = sam_core::graphs::spmv();
+        let graph = custard::graphs::spmv();
         let inputs = Inputs::new()
             .coo("B", &synth::random_matrix_sparsity(10, 8, 0.8, 3), TensorFormat::dcsr())
             .coo("c", &synth::random_vector(8, 8, 4), TensorFormat::dense_vec());
@@ -457,7 +457,7 @@ mod tests {
 
         // A port nobody reads is never stored: an intersecter's silent skip
         // ports feed only skip inputs, which are not readers.
-        let skip = sam_core::graphs::spmv_with_skip();
+        let skip = custard::graphs::spmv_with_skip();
         let inputs = Inputs::new()
             .coo("B", &synth::random_matrix_sparsity(10, 8, 0.8, 3), TensorFormat::dcsr())
             .coo("c", &synth::random_vector(8, 3, 4), TensorFormat::sparse_vec());

@@ -2,7 +2,7 @@
 //!
 //! A graph-driven execution engine that runs any [`SamGraph`] end-to-end —
 //! whether hand-built through `sam_core::build::GraphBuilder`, taken from
-//! the `sam_core::graphs` kernel catalog, or compiled from tensor index
+//! the `custard::graphs` kernel catalog, or compiled from tensor index
 //! notation by `custard::lower_exec`.
 //!
 //! [`SamGraph`]: sam_core::graph::SamGraph
@@ -35,7 +35,7 @@
 //! # Running a kernel on both backends
 //!
 //! ```
-//! use sam_core::graphs;
+//! use custard::graphs;
 //! use sam_exec::{BackendSpec, ExecRequest, Inputs};
 //! use sam_tensor::{synth, TensorFormat};
 //!
@@ -91,7 +91,7 @@
 //! and timeline spans, and surfaces the rollup as [`Execution::profile`]:
 //!
 //! ```
-//! use sam_core::graphs;
+//! use custard::graphs;
 //! use sam_exec::{CountersSink, Executor, FastBackend, Inputs, Plan};
 //! use sam_tensor::{synth, TensorFormat};
 //!
@@ -230,8 +230,8 @@ pub(crate) fn assemble_output(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sam_core::graphs;
-    use sam_core::graphs::SpmmDataflow;
+    use custard::graphs;
+    use custard::graphs::SpmmDataflow;
     use sam_tensor::reference::Environment;
     use sam_tensor::{expr::table1, synth, TensorFormat};
 

@@ -11,7 +11,7 @@
 //! as the backend-facing SPI underneath it.
 //!
 //! ```
-//! use sam_core::graphs;
+//! use custard::graphs;
 //! use sam_exec::{BackendSpec, ExecRequest, Inputs};
 //! use sam_tensor::{synth, TensorFormat};
 //!
@@ -155,7 +155,7 @@ impl<'a> ExecRequest<'a> {
 mod tests {
     use super::*;
     use crate::{CountersSink, CycleBackend};
-    use sam_core::graphs;
+    use custard::graphs;
     use sam_tensor::{synth, TensorFormat};
 
     fn vec_inputs() -> (sam_core::graph::SamGraph, Inputs) {

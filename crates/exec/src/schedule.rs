@@ -156,8 +156,8 @@ pub(crate) fn tile_schedule(plan: &Plan, inputs: &Inputs, tile: usize) -> Kernel
 mod tests {
     use super::*;
     use crate::PlanError;
+    use custard::graphs::{self, SpmmDataflow};
     use sam_core::graph::SamGraph;
-    use sam_core::graphs::{self, SpmmDataflow};
     use sam_tensor::{synth, TensorFormat};
 
     fn schedule(graph: &SamGraph, inputs: &Inputs) -> Result<KernelTiling, PlanError> {

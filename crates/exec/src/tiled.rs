@@ -19,8 +19,8 @@
 //! tiled run is bit-identical to an untiled run, at any tile size.
 //!
 //! ```
-//! use sam_core::graphs;
-//! use sam_core::graphs::SpmmDataflow;
+//! use custard::graphs;
+//! use custard::graphs::SpmmDataflow;
 //! use sam_exec::{ExecRequest, Inputs, TiledBackend};
 //! use sam_tensor::{synth, CooTensor, TensorFormat};
 //!
@@ -335,7 +335,7 @@ fn empty_tile(name: &str, inputs: &Inputs, windows: &[(u32, u32)]) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sam_core::graphs;
+    use custard::graphs;
     use sam_tensor::{synth, TensorFormat};
 
     fn int_coo(coo: &CooTensor) -> CooTensor {
@@ -351,7 +351,7 @@ mod tests {
         let b = int_coo(&synth::random_matrix_nnz(64, 64, 60, 51));
         let c = int_coo(&synth::random_matrix_nnz(64, 64, 60, 52));
         let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-        let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
+        let graph = graphs::spmm(custard::graphs::SpmmDataflow::LinearCombination);
         // An LLB far smaller than the working set: executing needless tile
         // tuples now costs real refetch traffic, which skipping avoids.
         let config = MemoryConfig { tile: 8, llb_bytes: 256, ..MemoryConfig::default() };
@@ -377,7 +377,7 @@ mod tests {
         let b = int_coo(&synth::random_matrix_sparsity(48, 48, 0.7, 53));
         let c = int_coo(&synth::random_matrix_sparsity(48, 48, 0.7, 54));
         let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-        let graph = graphs::spmm(sam_core::graphs::SpmmDataflow::LinearCombination);
+        let graph = graphs::spmm(custard::graphs::SpmmDataflow::LinearCombination);
         let tiny = MemoryConfig { tile: 8, llb_bytes: 256, ..MemoryConfig::default() };
         let big = MemoryConfig { tile: 8, ..MemoryConfig::default() };
         let run = |backend: &TiledBackend| {

@@ -7,13 +7,13 @@
 //! not as a drifting figure.
 //!
 //! In the figure table the comment beside each constant is what the
-//! hand-wired twin of the kernel (`sam_core::kernels`, deleted in favour of
-//! these graphs) gave on the same operands: the same blocks, within two
+//! kernel's simulator set up block by block, since deleted in favour of
+//! these graphs, gave on the same operands: the same blocks, within two
 //! cycles.
 
+use custard::graphs::{self, SpmmDataflow};
 use custard::{ConcreteIndexNotation, Formats, Schedule};
 use sam_core::graph::SamGraph;
-use sam_core::graphs::{self, SpmmDataflow};
 use sam_exec::{CycleBackend, ExecRequest, Inputs};
 use sam_tensor::{synth, CooTensor, TensorFormat};
 

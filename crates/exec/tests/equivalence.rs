@@ -1,12 +1,12 @@
-//! Cross-backend equivalence: every kernel graph in the `sam_core::graphs`
+//! Cross-backend equivalence: every kernel graph in the `custard::graphs`
 //! catalog is executed by the cycle backend and the fast backend, and the
 //! results are bit-identical to each other and numerically equal to the
 //! dense reference evaluator.
 
 mod common;
 
+use custard::graphs::{self, SpmmDataflow};
 use sam_core::graph::SamGraph;
-use sam_core::graphs::{self, SpmmDataflow};
 use sam_exec::{CycleBackend, ExecRequest, Executor, FastBackend, Inputs, Plan, TiledBackend};
 use sam_tensor::expr::{table1, Assignment, Expr};
 use sam_tensor::reference::Environment;

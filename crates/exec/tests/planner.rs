@@ -2,9 +2,9 @@
 //! and the `sam-verify` rule (with its node / port anchor) each class of
 //! broken graph or binding is rejected under.
 
+use custard::graphs;
 use sam_core::build::{GraphBuilder, Port};
 use sam_core::graph::{NodeKind, PortKind, SamGraph, StreamKind};
-use sam_core::graphs;
 use sam_exec::{CycleBackend, ExecRequest, Executor, FastBackend, Inputs, Plan, PlanError, TiledBackend};
 use sam_tensor::{synth, TensorFormat};
 use sam_verify::{Diagnostic, Rule};

@@ -7,8 +7,8 @@
 
 mod common;
 
+use custard::graphs::{self, SpmmDataflow};
 use sam_core::graph::SamGraph;
-use sam_core::graphs::{self, SpmmDataflow};
 use sam_exec::{CountersSink, CycleBackend, ExecProfile, Executor, FastBackend, Inputs, Plan, TiledBackend};
 use sam_tensor::{synth, CooTensor, TensorFormat};
 

@@ -2,15 +2,12 @@
 //! string that `custard` parses must lower through `lower_exec`, run on the
 //! cycle backend, the fast backend and the tiled
 //! finite-memory backend, and agree *exactly* with the dense reference
-//! evaluator — and bit-identically with its `sam_core::graphs` hand-wired
-//! twin where one exists. Operands are integer-valued so every partial sum
-//! is exact and "agree" can mean equality, not tolerance.
+//! evaluator. Operands are integer-valued so every partial sum is exact and
+//! "agree" can mean equality, not tolerance.
 
 mod common;
 
 use custard::{parse, ConcreteIndexNotation, Formats, Schedule};
-use sam_core::graph::SamGraph;
-use sam_core::graphs;
 use sam_exec::{CycleBackend, ExecRequest, FastBackend, Inputs, TiledBackend};
 use sam_memory::MemoryConfig;
 use sam_tensor::reference::Environment;
@@ -33,14 +30,11 @@ struct Case {
     formats: Formats,
     operands: Vec<(&'static str, CooTensor)>,
     scalars: Vec<(&'static str, f64)>,
-    /// Hand-wired catalog twin expected to be bit-identical on the fast
-    /// serial backend (same dataflow structure, not just the same math).
-    twin: Option<SamGraph>,
 }
 
 impl Case {
     fn new(name: &'static str, text: &'static str, operands: Vec<(&'static str, CooTensor)>) -> Case {
-        Case { name, text, order: None, formats: Formats::new(), operands, scalars: Vec::new(), twin: None }
+        Case { name, text, order: None, formats: Formats::new(), operands, scalars: Vec::new() }
     }
 
     fn order(mut self, order: &'static str) -> Case {
@@ -55,11 +49,6 @@ impl Case {
 
     fn scalar(mut self, name: &'static str, value: f64) -> Case {
         self.scalars.push((name, value));
-        self
-    }
-
-    fn twin(mut self, twin: SamGraph) -> Case {
-        self.twin = Some(twin);
         self
     }
 }
@@ -138,8 +127,7 @@ fn table1_cases() -> Vec<Case> {
                 ("C", int_coo(&synth::random_matrix_sparsity(14, 11, 0.7, 920))),
                 ("d", int_coo(&synth::random_vector(11, 7, 921))),
             ],
-        )
-        .twin(graphs::residual()),
+        ),
         Case::new(
             "MatTransMul",
             "x(i) = alpha * B(j,i) * c(j) + beta * d(i)",
@@ -150,23 +138,18 @@ fn table1_cases() -> Vec<Case> {
             ],
         )
         .scalar("alpha", 2.0)
-        .scalar("beta", -3.0)
-        .twin(graphs::mat_trans_mul()),
+        .scalar("beta", -3.0),
         Case::new("MMAdd", "X(i,j) = B(i,j) + C(i,j)", vec![("B", sq_b.clone()), ("C", sq_c.clone())]),
-        Case::new("Plus3", "X(i,j) = B(i,j) + C(i,j) + D(i,j)", vec![("B", sq_b), ("C", sq_c), ("D", sq_d)])
-            .twin(graphs::plus3()),
+        Case::new("Plus3", "X(i,j) = B(i,j) + C(i,j) + D(i,j)", vec![("B", sq_b), ("C", sq_c), ("D", sq_d)]),
         Case::new("Plus2", "X(i,j,k) = B(i,j,k) + C(i,j,k)", vec![("B", t3_b), ("C", t3_c)]),
-        // Not Table 1 rows, but the Figure 13/14 kernels whose catalog twins
-        // share the compiled structure exactly.
-        Case::new("VecElemMul", "x(i) = b(i) * c(i)", vec![("b", vec_b.clone()), ("c", vec_c.clone())])
-            .twin(graphs::vec_elem_mul(true)),
+        // Not Table 1 rows, but the Figure 13/14 kernels.
+        Case::new("VecElemMul", "x(i) = b(i) * c(i)", vec![("b", vec_b.clone()), ("c", vec_c.clone())]),
         Case::new("VecElemAdd", "x(i) = b(i) + c(i)", vec![("b", vec_b), ("c", vec_c)]),
         Case::new(
             "Identity",
             "X(i,j) = B(i,j)",
             vec![("B", int_coo(&synth::random_matrix_sparsity(12, 10, 0.8, 925)))],
-        )
-        .twin(graphs::identity()),
+        ),
     ]
 }
 
@@ -258,21 +241,6 @@ fn every_table1_expression_compiles_and_runs_on_every_backend() {
                 case.name
             ),
             None => assert_eq!(run.vals, expect.data(), "{}: tiled scalar result diverged", case.name),
-        }
-
-        // Where a hand-wired catalog twin shares the compiled structure,
-        // the compiled graph reproduces it bit for bit.
-        if let Some(twin) = &case.twin {
-            let twin_run = ExecRequest::new(twin, &inputs)
-                .executor(&FastBackend)
-                .run()
-                .unwrap_or_else(|e| panic!("{}: catalog twin failed: {e}", case.name));
-            assert_eq!(
-                twin_run.output, serial.output,
-                "{}: compiled graph and catalog twin disagree bit-for-bit",
-                case.name
-            );
-            assert_eq!(twin_run.vals, serial.vals, "{}: twin raw values diverged", case.name);
         }
 
         // Scanners the fast backend fuses into their intersecter are

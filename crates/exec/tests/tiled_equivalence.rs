@@ -9,8 +9,8 @@
 //! checked against the dense reference evaluator first, so the suite
 //! compares against validated ground truth.
 
+use custard::graphs::{self, SpmmDataflow};
 use sam_core::graph::SamGraph;
-use sam_core::graphs::{self, SpmmDataflow};
 use sam_exec::{ExecRequest, FastBackend, Inputs, TiledBackend};
 use sam_tensor::expr::{table1, Assignment, Expr};
 use sam_tensor::reference::Environment;

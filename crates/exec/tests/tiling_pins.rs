@@ -8,9 +8,9 @@
 //
 // (Plain comments, not `//!`: the file is also `include!`d.)
 
+use custard::graphs;
 use custard::{parse, ConcreteIndexNotation, Formats, Schedule};
 use sam_core::graph::{NodeId, NodeKind, SamGraph};
-use sam_core::graphs;
 use sam_exec::{Inputs, Plan};
 use sam_tensor::{CooTensor, LevelFormat, TensorFormat};
 use sam_tiles::{KernelTiling, TensorTiling, TiledVar};

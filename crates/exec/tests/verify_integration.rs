@@ -1,8 +1,8 @@
 //! The static analysis is the planning path: every planning door rejects a
 //! broken graph or binding with the same `sam-verify` diagnostics.
 
+use custard::graphs;
 use sam_core::graph::{NodeId, NodeKind, SamGraph, StreamKind};
-use sam_core::graphs;
 use sam_exec::{ExecError, ExecRequest, Inputs, Plan, PlanCache, PlanError};
 use sam_tensor::{synth, CooTensor, LevelFormat, TensorFormat};
 use std::collections::BTreeMap;

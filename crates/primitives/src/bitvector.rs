@@ -10,7 +10,7 @@
 //! The vectorized value units are monolithic blocks the graph IR cannot name
 //! yet, so Figure 13's two bitvector configurations are the one place a
 //! simulator is still wired by hand: [`bitvector_vec_mul`] and
-//! [`bit_tree_vec_mul`]. Every other paper kernel is a `sam_core::graphs`
+//! [`bit_tree_vec_mul`]. Every other paper kernel is a `custard::graphs`
 //! graph run through `sam-exec`.
 
 use crate::source::root_stream;

@@ -63,13 +63,6 @@ fn verify_with(graph: &SamGraph, bindings: Option<&Bindings<'_>>) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sam_core::graphs;
-
-    #[test]
-    fn catalog_spmv_is_clean() {
-        let report = verify(&graphs::spmv());
-        assert!(report.diagnostics.is_empty(), "{}", report.render());
-    }
 
     #[test]
     fn rule_ids_are_stable_and_unique() {

@@ -1,9 +1,9 @@
 //! Every verifier rule fires on a deliberately-broken fixture — exactly
-//! once — and the whole hand-written catalog verifies clean.
+//! once — and the whole `custard::graphs` catalog verifies clean.
 
+use custard::graphs;
 use sam_core::build::GraphBuilder;
 use sam_core::graph::{NodeId, NodeKind, SamGraph, StreamKind};
-use sam_core::graphs;
 use sam_tensor::{Tensor, TensorFormat};
 use sam_verify::{verify, verify_bound, Bindings, Rule};
 
@@ -307,6 +307,12 @@ fn missing_skip_edge_fires_once() {
     // The skip-wired twin of the same shape is clean.
     let skipped = graphs::vec_elem_mul_with_skip(true);
     assert_eq!(verify(&skipped).count(Rule::MissingSkipEdge), 0);
+}
+
+#[test]
+fn catalog_spmv_is_clean() {
+    let report = verify(&graphs::spmv());
+    assert!(report.diagnostics.is_empty(), "{}", report.render());
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The Section 6.5 backend case study: the OuterSPACE accelerator's
 //! outer-product dataflow expressed as a SAM graph (paper Figure 16),
 //! compared against Gustavson's dataflow on the same operands.
-use sam::core::graphs::{self, SpmmDataflow};
+use sam::custard::graphs::{self, SpmmDataflow};
 use sam::exec::{CycleBackend, ExecRequest, Execution, Inputs};
 use sam::tensor::synth;
 

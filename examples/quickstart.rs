@@ -1,7 +1,7 @@
 //! Quickstart: build two sparse vectors, run the element-wise multiply SAM
 //! graph on the cycle-approximate backend, and check the result against the
 //! dense oracle.
-use sam::core::graphs;
+use sam::custard::graphs;
 use sam::exec::{CycleBackend, ExecRequest, Inputs};
 use sam::tensor::expr::table1;
 use sam::tensor::reference::Environment;

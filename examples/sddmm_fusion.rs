@@ -1,7 +1,7 @@
 //! The Figure 11 fusion study: fused SDDMM asymptotically beats the unfused
 //! factorized form, and locating beats co-iteration when K is small.
-use sam::core::graphs::{self, SddmmVariant, SpmmDataflow};
 use sam::core::SamGraph;
+use sam::custard::graphs::{self, SddmmVariant, SpmmDataflow};
 use sam::exec::{CycleBackend, ExecRequest, Execution, Inputs};
 use sam::tensor::{synth, TensorFormat};
 

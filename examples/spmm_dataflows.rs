@@ -1,7 +1,7 @@
 //! Compare the three SpM*SpM dataflow classes (inner product, Gustavson,
 //! outer product) on the same pair of sparse matrices — the Figure 12 study
 //! at a laptop-friendly size.
-use sam::core::graphs::{self, SpmmDataflow};
+use sam::custard::graphs::{self, SpmmDataflow};
 use sam::exec::{CycleBackend, ExecRequest, Inputs};
 use sam::tensor::synth;
 

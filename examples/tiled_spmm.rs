@@ -2,7 +2,7 @@
 //! `TiledBackend` across matrix dimensions for a fixed nonzero budget. As
 //! the dimension grows, tiles empty out and sparse tile skipping removes
 //! more of the tile tuples the schedule visits.
-use sam::core::graphs::{self, SpmmDataflow};
+use sam::custard::graphs::{self, SpmmDataflow};
 use sam::exec::{ExecRequest, Inputs, TiledBackend};
 use sam::memory::MemoryConfig;
 use sam::tensor::{synth, TensorFormat};

@@ -8,7 +8,7 @@
 //! * [`tensor`] — fibertrees, formats, synthetic data and the dense oracle,
 //! * [`primitives`] — the SAM dataflow blocks,
 //! * [`sim`] — the cycle-approximate simulator,
-//! * [`core`] — the SAM graph IR, graph builder and kernel graph catalog,
+//! * [`core`] — the SAM graph IR and graph builder,
 //! * [`trace`] — the observability layer (trace sinks, per-node profiles,
 //!   Chrome trace export),
 //! * [`exec`] — the graph-driven execution engine (the `ExecRequest` entry
@@ -20,7 +20,8 @@
 //!   run reports,
 //! * [`tiles`] — the tiling subsystem (tile extraction, schedules with
 //!   sparse tile skipping, LLB cache model, tile-merge reduction),
-//! * [`custard`] — the compiler from tensor index notation to SAM graphs.
+//! * [`custard`] — the compiler from tensor index notation to SAM graphs,
+//!   and the catalog of paper kernels it (mostly) derives.
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour and
 //! `examples/custard_compile.rs` for the compile → IR → execute pipeline.

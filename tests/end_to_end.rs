@@ -5,8 +5,8 @@
 //! executed on both `sam-exec` backends with results cross-checked against
 //! each other and the dense reference.
 use custard::{lower, lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
-use sam::core::graphs::{self, SpmmDataflow, VecFormat};
 use sam::core::SamGraph;
+use sam::custard::graphs::{self, SpmmDataflow, VecFormat};
 use sam::exec::{CycleBackend, ExecRequest, Execution, Executor, FastBackend, Inputs};
 use sam::primitives::bitvector::{bit_tree_vec_mul, bitvector_vec_mul};
 use sam::tensor::expr::table1;

@@ -6,7 +6,7 @@
 //! failures are reproducible by seed.
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sam::core::graphs;
+use sam::custard::graphs;
 use sam::custard::{lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
 use sam::exec::{CycleBackend, ExecRequest, FastBackend, Inputs, TiledBackend};
 use sam::primitives::bitvector::bitvector_vec_mul;
