@@ -117,9 +117,13 @@ impl Executor for TiledBackend {
         let labels = define_nodes(plan, trace);
         let graph = plan.graph();
         let tiling = tile_schedule(plan, inputs, self.config.tile);
+        // Each phase (cut, tuple loop, merge) is a span on the `tiles` track,
+        // and inside the loop each tuple's walk and absorb.
+        let phase = Phases { trace, start, tracing };
 
         // Cut every tensor the schedule windows into its tile grid (it names
         // only tensors it found bound, so `grids` stays index-aligned).
+        let cut_start = phase.now();
         let grids: Vec<TileGrid> = tiling
             .tensors
             .iter()
@@ -129,6 +133,7 @@ impl Executor for TiledBackend {
                 Some(TileGrid::build(tensor, tiling.level_tile_sizes(ti, tensor)))
             })
             .collect();
+        phase.record("cut", cut_start);
 
         // Bindings the schedule does not tile (the single-value scalars
         // behind `ConstVal` sources) ride into every tile's input set
@@ -160,12 +165,13 @@ impl Executor for TiledBackend {
             tiling.output_vars.iter().filter_map(|&v| tiling.var_index(v)).collect();
 
         // Row-major enumeration of the variable tile tuple space. The
-        // tuple and the key/emptiness buffers are reused across tuples:
-        // large sweeps visit millions.
+        // tuple and the key/tile buffers are reused across tuples: large
+        // sweeps visit millions.
+        let tuples_start = phase.now();
         let grid = tiling.tuple_space();
         let mut tuple = vec![0usize; grid.len()];
         let mut keys: Vec<Vec<u32>> = vec![Vec::new(); tiling.tensors.len()];
-        let mut missing: Vec<bool> = vec![false; tiling.tensors.len()];
+        let mut found: Vec<Option<&Arc<Tensor>>> = vec![None; tiling.tensors.len()];
         for n in 0..grid.iter().product::<usize>() {
             if n > 0 {
                 // Odometer step: the last variable varies fastest.
@@ -180,14 +186,14 @@ impl Executor for TiledBackend {
 
             for ti in 0..tiling.tensors.len() {
                 tiling.tile_key_into(ti, &tuple, &mut keys[ti]);
-                missing[ti] = grids[ti].get(&keys[ti]).is_none();
+                found[ti] = grids[ti].get_shared(&keys[ti]);
             }
             let skip = if self.skipping
                 && tiling
                     .tensors
                     .iter()
                     .enumerate()
-                    .any(|(ti, tt)| missing[ti] && tiling.skip_tensors.contains(&tt.name))
+                    .any(|(ti, tt)| found[ti].is_none() && tiling.skip_tensors.contains(&tt.name))
             {
                 // A structurally required operand tile is empty: the
                 // tuple provably contributes no output entries.
@@ -196,7 +202,7 @@ impl Executor for TiledBackend {
                 // With every operand tile empty nothing can flow at
                 // all; always safe, and it keeps the skip-free
                 // baseline from executing pure-vacuum tuples.
-                missing.iter().all(|&m| m)
+                found.iter().all(Option::is_none)
             };
             if skip {
                 counters.tiles_skipped += 1;
@@ -205,10 +211,10 @@ impl Executor for TiledBackend {
 
             counters.tiles_executed += 1;
             // Fetch the operand tiles through the modelled LLB.
-            for (ti, key) in keys.iter().enumerate() {
-                let bytes = grids[ti].stored_entries(key) * bytes_per_entry;
-                if bytes > 0 {
-                    llb.access((tiling.tensors[ti].name.clone(), key.clone()), bytes);
+            for (ti, tile) in found.iter().enumerate() {
+                if let Some(tile) = tile {
+                    let bytes = tile.vals().len() as u64 * bytes_per_entry;
+                    llb.access((ti, grids[ti].linear_key(&keys[ti])), bytes);
                 }
             }
 
@@ -218,7 +224,7 @@ impl Executor for TiledBackend {
             // copy.
             let mut tile_inputs = base_inputs.clone();
             for (ti, key) in keys.iter().enumerate() {
-                let tile: Arc<Tensor> = match grids[ti].get_shared(key) {
+                let tile: Arc<Tensor> = match found[ti] {
                     Some(t) => Arc::clone(t),
                     None => {
                         let windows = grids[ti].windows(key);
@@ -247,13 +253,17 @@ impl Executor for TiledBackend {
                 Some(out) => {
                     let offsets: Vec<u32> =
                         writer_vars.iter().map(|&vi| tiling.var_window(vi, tuple[vi]).0).collect();
+                    let absorb_start = phase.now();
                     merger.absorb(&out, &offsets);
+                    phase.record("absorb", absorb_start);
                 }
                 None => scalar_sum += run.vals.iter().sum::<f64>(),
             }
         }
+        phase.record("tuples", tuples_start);
 
         // The merged output streams back to DRAM once.
+        let merge_start = phase.now();
         let (output, vals) = if plan.level_writers().is_empty() {
             (None, vec![scalar_sum])
         } else {
@@ -261,6 +271,7 @@ impl Executor for TiledBackend {
             llb.write_through(vals.len() as u64 * bytes_per_entry);
             (Some(tensor), vals)
         };
+        phase.record("merge", merge_start);
 
         counters.dram_bytes = llb.dram_bytes();
         counters.llb_peak_bytes = llb.peak_bytes();
@@ -289,6 +300,29 @@ impl Executor for TiledBackend {
             elapsed: start.elapsed(),
             profile: trace.snapshot(),
         })
+    }
+}
+
+/// Records the tiled run's phases as spans on the `tiles` track, relative
+/// to the run's `start`; an untraced run reads no clock.
+struct Phases<'a> {
+    trace: &'a dyn TraceSink,
+    start: Instant,
+    tracing: bool,
+}
+
+impl Phases<'_> {
+    /// When a phase starts, if the run is traced.
+    fn now(&self) -> Option<Instant> {
+        self.tracing.then(Instant::now)
+    }
+
+    /// Records the phase `name` that began at `began` and ends now.
+    fn record(&self, name: &str, began: Option<Instant>) {
+        if let Some(t0) = began {
+            let at = (t0 - self.start).as_nanos() as u64;
+            self.trace.record_span("tiles", name, at, t0.elapsed().as_nanos() as u64);
+        }
     }
 }
 
@@ -337,6 +371,7 @@ mod tests {
     use super::*;
     use custard::graphs;
     use sam_tensor::{synth, TensorFormat};
+    use std::sync::{Mutex, PoisonError};
 
     fn int_coo(coo: &CooTensor) -> CooTensor {
         CooTensor::from_entries(
@@ -391,5 +426,55 @@ mod tests {
         assert_eq!(bm.spill_events, 0, "the paper-sized LLB holds this working set");
         assert!(sm.dram_bytes > bm.dram_bytes, "spilling refetches tiles");
         assert!(bm.llb_peak_bytes <= big.llb_bytes as u64);
+    }
+
+    /// Collects the names of the `tiles` spans it is handed, enabled or not.
+    struct TileSpans {
+        enabled: bool,
+        names: Mutex<Vec<String>>,
+    }
+
+    impl TraceSink for TileSpans {
+        fn enabled(&self) -> bool {
+            self.enabled
+        }
+
+        fn record_span(&self, track: &str, name: &str, _start_ns: u64, _dur_ns: u64) {
+            if track == "tiles" {
+                self.names.lock().unwrap_or_else(PoisonError::into_inner).push(name.to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn a_traced_run_records_its_phases_and_an_untraced_one_nothing() -> Result<(), ExecError> {
+        let b = int_coo(&synth::random_matrix_nnz(32, 32, 40, 55));
+        let c = int_coo(&synth::random_matrix_nnz(32, 32, 40, 56));
+        let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
+        let graph = graphs::spmm(custard::graphs::SpmmDataflow::LinearCombination);
+        let run = |enabled| -> Result<(usize, Vec<String>), ExecError> {
+            let sink = TileSpans { enabled, names: Default::default() };
+            let backend = TiledBackend::with_tile(8);
+            let run = crate::ExecRequest::new(&graph, &inputs).executor(&backend).traced(&sink).run()?;
+            let executed = run.memory.map_or(0, |m| m.tiles_executed as usize);
+            Ok((executed, sink.names.into_inner().unwrap_or_else(PoisonError::into_inner)))
+        };
+
+        let (executed, names) = run(true)?;
+        let count = |name: &str| names.iter().filter(|n| *n == name).count();
+        let phases: Vec<&String> =
+            names.iter().filter(|n| ["cut", "tuples", "merge"].contains(&n.as_str())).collect();
+        assert_eq!(phases, ["cut", "tuples", "merge"], "one span per phase, in run order");
+        assert!(executed > 1);
+        assert_eq!(
+            names.iter().filter(|n| n.starts_with("tile[")).count(),
+            executed,
+            "one walk span a tuple"
+        );
+        assert_eq!(count("absorb"), executed, "one absorb span per tuple output");
+        assert_eq!(names.len(), 3 + 2 * executed, "{names:?}");
+
+        assert_eq!(run(false)?, (executed, Vec::new()), "an untraced run records no span");
+        Ok(())
     }
 }

@@ -130,7 +130,7 @@ impl Level {
             }
             Level::Bitvector(l) => {
                 // Select the idx-th set bit: a per-word popcount walk, no
-                // fiber materialization (tile extraction calls this per entry).
+                // fiber materialization.
                 let mut remaining = idx;
                 let mut rank = l.fiber_rank_base(fiber);
                 for (wi, &word) in l.fiber_words(fiber).iter().enumerate() {
@@ -197,9 +197,9 @@ impl Level {
 
     /// The positional index range of fiber `fiber`'s entries whose
     /// coordinates lie in `lo..hi` — the positional-slicing primitive the
-    /// tiling subsystem extracts `tile x tile` sub-tensors with. Two
-    /// [`Level::gallop_from`] probes: O(1) for dense levels, O(log n) for
-    /// compressed, a popcount walk for bitvector levels.
+    /// tiling subsystem's reference cut (in its tests) slices one window
+    /// with. Two [`Level::gallop_from`] probes: O(1) for dense levels,
+    /// O(log n) for compressed, a popcount walk for bitvector levels.
     pub fn coord_range(&self, fiber: usize, lo: u32, hi: u32) -> std::ops::Range<usize> {
         let start = self.gallop_from(fiber, 0, lo);
         let end = self.gallop_from(fiber, start, hi);

@@ -14,11 +14,10 @@
 //! finite-memory counters ([`sam_memory::MemoryCounters`]), which
 //! `samrepro fig15` prints:
 //!
-//! * [`extract`] — slices tiles out of any level hierarchy (dense,
-//!   compressed, bitvector) through the positional slicing APIs of
-//!   [`sam_tensor::level::Level`], straight into the tile's level arrays —
-//!   a tile is the window of what its parent stores, explicit zeros
-//!   included — and catalogs a tensor's nonempty tiles in a [`TileGrid`];
+//! * [`extract`] — cuts any level hierarchy (dense, compressed, bitvector)
+//!   into a [`TileGrid`] of its nonempty tiles in one depth-first pass over
+//!   the stored levels, straight into each tile's level arrays — a tile is
+//!   the window of what its parent stores, explicit zeros included;
 //! * [`schedule`] — a [`KernelTiling`] (which index variables are tiled,
 //!   how each bound tensor's storage levels map onto them, which tensors'
 //!   empty tiles license skipping a whole tile tuple) and the arithmetic on
@@ -38,7 +37,7 @@ pub mod llb;
 pub mod merge;
 pub mod schedule;
 
-pub use extract::{for_each_stored, tile_of, TileGrid};
+pub use extract::{for_each_stored, TileGrid};
 pub use llb::LlbModel;
 pub use merge::TileMerger;
 pub use schedule::{KernelTiling, TensorTiling, TiledVar};

@@ -4,8 +4,10 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-/// Identifies one resident tile: tensor name plus per-level tile indices.
-pub type TileKey = (String, Vec<u32>);
+/// Identifies one resident tile: the operand's index plus the tile's linear
+/// index in that operand's grid ([`crate::TileGrid::linear_key`]) — a key
+/// that is copied, not allocated, on every access.
+pub type TileKey = (usize, u64);
 
 /// A byte-accurate LRU cache standing in for the last-level buffer.
 ///
@@ -63,7 +65,7 @@ impl LlbModel {
             self.resident_bytes -= vbytes;
             self.evictions += 1;
         }
-        self.resident.insert(key.clone(), (bytes, self.clock));
+        self.resident.insert(key, (bytes, self.clock));
         self.by_stamp.insert(self.clock, key);
         self.resident_bytes += bytes;
         self.peak_bytes = self.peak_bytes.max(self.resident_bytes);
@@ -100,8 +102,9 @@ impl LlbModel {
 mod tests {
     use super::*;
 
-    fn key(name: &str, k: u32) -> TileKey {
-        (name.to_string(), vec![k])
+    /// Tile `k` of operand `B` (index 0) or `C` (index 1).
+    fn key(name: &str, k: u64) -> TileKey {
+        (usize::from(name == "C"), k)
     }
 
     #[test]

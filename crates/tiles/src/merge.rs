@@ -53,6 +53,8 @@ impl TileMerger {
             self.order = offsets.len();
         }
         assert_eq!(offsets.len(), self.order, "the tiles of one merge share one order");
+        self.coords.reserve(tile_output.vals().len() * self.order);
+        self.vals.reserve(tile_output.vals().len());
         for_each_stored(tile_output, |point, v| {
             self.coords.extend(point.iter().zip(offsets).map(|(&c, &o)| c + o));
             self.vals.push(v);
@@ -173,8 +175,13 @@ mod tests {
     #[test]
     fn random_colliding_tiles_match_the_keyed_accumulator_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0x3e26e);
-        for case in 0..60 {
-            let order = 1 + case % 3;
+        for case in 0..80 {
+            let order = 1 + case % 4;
+            // Every other round of the four orders puts each level's origins
+            // past 2^16, so global coordinates need more than 16 bits.
+            let bases: Vec<u32> = (0..order)
+                .map(|_| if (case / 4) % 2 == 1 { (1 << 16) + rng.gen_range(0u32..1 << 20) } else { 0 })
+                .collect();
             // Tiles of 3 coordinates a level at one of two origins a level:
             // most points are hit by several tiles.
             let tiles: Vec<(Tensor, Vec<u32>)> = (0..rng.gen_range(1usize..9))
@@ -187,7 +194,7 @@ mod tests {
                             (point, (rng.gen::<f64>() - 0.5) * magnitude)
                         })
                         .collect();
-                    let offsets = (0..order).map(|_| 2 * rng.gen_range(0u32..2)).collect();
+                    let offsets = bases.iter().map(|&base| base + 2 * rng.gen_range(0u32..2)).collect();
                     (tile("X", vec![3; order], entries), offsets)
                 })
                 .collect();
@@ -195,7 +202,7 @@ mod tests {
             for (tile, offsets) in &tiles {
                 m.absorb(tile, offsets);
             }
-            let (out, vals) = m.finish("X", vec![5; order]);
+            let (out, vals) = m.finish("X", bases.iter().map(|&base| base as usize + 5).collect());
             let (points, expect) = merge_via_map(&tiles);
             let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&vals), bits(&expect), "case {case}");
