@@ -49,10 +49,17 @@
 //! on when the skip requests arrive.) A fused scanner's and a region
 //! member's time is part of its intersecter's.
 //!
-//! **Released at the last reader.** The walk owns a table of stored streams
-//! (`StreamTable`) and drops each one the moment its last data reader has
-//! run; ports nobody reads are dropped as soon as they are counted. Peak
-//! memory is the live set, not the sum of all streams.
+//! **Released at the last reader.** The walk keeps a table of stored streams
+//! (`StreamTable`) and releases each one the moment its last data reader
+//! has run; ports nobody reads are released as soon as they are counted. A
+//! released stream's buffer is not freed: emptied, it goes to the spare
+//! buffers of the walk's workspace, and the next stream stored — a port,
+//! a region's stored port or its register file — takes it instead of
+//! allocating. Peak memory is the live set plus the spare buffers a later
+//! stream reuses, not the sum of all streams. One backend run keeps one
+//! workspace: the tiled backend's walk of each tile tuple starts from the
+//! buffers, stream table and output list the tuple before it grew, and
+//! nothing is kept once the run returns.
 //!
 //! **Named once, on failure.** A transfer function reports a fault without
 //! naming its node; the walk attaches [`Plan::node_label`] when it turns
@@ -97,6 +104,53 @@ use std::time::Instant;
 
 type Stream = Vec<SimToken>;
 
+/// What one walk needs besides its plan and inputs, kept across the walks of
+/// one backend run — a tiled run walks once per tile tuple — so that a walk
+/// starts from the buffers the walk before it grew instead of from empty
+/// `Vec`s. Nothing in it outlives the run that made it.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    /// Every stored stream's buffer, taken and handed back.
+    spares: Spares,
+    streams: StreamTable,
+    /// The streams of the node being evaluated.
+    outs: Vec<Stream>,
+}
+
+impl Workspace {
+    /// Readies the workspace for a walk over `plan`, keeping every buffer a
+    /// failed walk left behind as a spare.
+    fn reset(&mut self, plan: &Plan) {
+        for stream in self.outs.drain(..) {
+            self.spares.give(stream);
+        }
+        self.streams.reset(plan, &mut self.spares);
+    }
+}
+
+/// Spare stream buffers, each empty but keeping the capacity its last
+/// stream grew to: a stream taken from here fills it without reallocating.
+/// The fast walk hands a stream back when its last reader has run, and a
+/// region its registers when it finishes.
+#[derive(Default)]
+pub(crate) struct Spares(Vec<Stream>);
+
+impl Spares {
+    /// An empty buffer: the last one handed back, or a new one.
+    pub(crate) fn take(&mut self) -> Stream {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Keeps `stream`'s buffer, emptied, for a later stream; one that
+    /// never allocated is dropped.
+    pub(crate) fn give(&mut self, mut stream: Stream) {
+        if stream.capacity() > 0 {
+            stream.clear();
+            self.0.push(stream);
+        }
+    }
+}
+
 /// One output port's stored stream and how many of its data readers have
 /// yet to run.
 struct Slot {
@@ -105,42 +159,41 @@ struct Slot {
 }
 
 /// The table of stored streams, per node and output port.
+#[derive(Default)]
 struct StreamTable {
     slots: Vec<Vec<Slot>>,
 }
 
 impl StreamTable {
-    /// An empty table sized for `plan`, with every port's data readers
-    /// counted from [`Plan::consumers_of`]. An intersecter's skip ports (3
-    /// and 4) stay silent in the fast backend, so the scanners' skip inputs
-    /// they feed are not readers.
-    fn new(plan: &Plan) -> Self {
-        let slots = plan
-            .graph()
-            .nodes()
-            .iter()
-            .enumerate()
-            .map(|(node, kind)| {
-                let skip_from = if matches!(kind, NodeKind::Intersecter { .. }) { 3 } else { usize::MAX };
-                plan.consumers_of(NodeId(node))
-                    .iter()
-                    .enumerate()
-                    .map(|(port, consumers)| Slot {
-                        stream: None,
-                        readers: if port < skip_from { consumers.len() } else { 0 },
-                    })
-                    .collect()
-            })
-            .collect();
-        StreamTable { slots }
+    /// Empties the table, handing any stream a failed walk left in it to
+    /// `spares`, and sizes it for `plan` in place, with every port's data
+    /// readers counted from [`Plan::consumers_of`]. An intersecter's skip
+    /// ports (3 and 4) stay silent in the fast backend, so the scanners'
+    /// skip inputs they feed are not readers.
+    fn reset(&mut self, plan: &Plan, spares: &mut Spares) {
+        for stream in self.slots.iter_mut().flatten().filter_map(|slot| slot.stream.take()) {
+            spares.give(stream);
+        }
+        let nodes = plan.graph().nodes();
+        self.slots.resize_with(nodes.len(), Vec::new);
+        for (node, (kind, slots)) in nodes.iter().zip(&mut self.slots).enumerate() {
+            let skip_from = if matches!(kind, NodeKind::Intersecter { .. }) { 3 } else { usize::MAX };
+            slots.clear();
+            slots.extend(plan.consumers_of(NodeId(node)).iter().enumerate().map(|(port, consumers)| Slot {
+                stream: None,
+                readers: if port < skip_from { consumers.len() } else { 0 },
+            }));
+        }
     }
 
     /// Takes ownership of `node`'s freshly produced streams, keeping the
-    /// ports somebody will read and dropping the rest at once.
-    fn store(&mut self, node: NodeId, outs: Vec<Stream>) {
+    /// ports somebody will read and handing the rest to `spares` at once.
+    fn store(&mut self, node: NodeId, outs: impl IntoIterator<Item = Stream>, spares: &mut Spares) {
         for (slot, stream) in self.slots[node.0].iter_mut().zip(outs) {
             if slot.readers > 0 {
                 slot.stream = Some(stream);
+            } else {
+                spares.give(stream);
             }
         }
     }
@@ -151,12 +204,13 @@ impl StreamTable {
         self.slots[p.node.0][p.port].stream.as_ref().expect("stream stored until its last reader has run")
     }
 
-    /// Records that one data reader of `p` has run; the last one frees it.
-    fn release(&mut self, p: PortRef) {
+    /// Records that one data reader of `p` has run; the last one hands its
+    /// stream to `spares`.
+    fn release(&mut self, p: PortRef, spares: &mut Spares) {
         let slot = &mut self.slots[p.node.0][p.port];
         slot.readers -= 1;
         if slot.readers == 0 {
-            slot.stream = None;
+            spares.give(slot.stream.take().unwrap_or_default());
         }
     }
 }
@@ -203,11 +257,13 @@ fn operands<'a>(plan: &Plan, inputs: &'a Inputs, streams: &'a StreamTable, id: N
 
 /// Merger `root`'s fusion region with `members` (none when the root re-runs
 /// after its region faulted), ready for its walk: one step per member,
-/// reading the registers its inputs' producers write.
+/// reading the registers its inputs' producers write, its buffers taken
+/// from `spares`.
 fn region<'a>(
     plan: &Plan,
     inputs: &'a Inputs,
     streams: &'a StreamTable,
+    spares: &mut Spares,
     root: NodeId,
     members: &[NodeId],
     classify: bool,
@@ -220,7 +276,8 @@ fn region<'a>(
         Some(p) => 3 + members.iter().position(|&m| m == p.node).unwrap_or_default(),
         None => 0,
     };
-    let mut region = Region::new([0, 1, 2].map(|port| leaves(PortRef { node: root, port })), classify);
+    let mut region =
+        Region::new([0, 1, 2].map(|port| leaves(PortRef { node: root, port })), classify, spares);
     for &id in members {
         let ins = plan.inputs_of(id);
         let step = match &plan.graph().nodes()[id.0] {
@@ -238,7 +295,7 @@ fn region<'a>(
             // The one kind left: a scalar reducer.
             _ => Step::Reduce { reduce: ScalarReduce::default(), input: reg(ins[0]) },
         };
-        region.push_member(step, leaves(PortRef { node: id, port: 0 }));
+        region.push_member(step, leaves(PortRef { node: id, port: 0 }), spares);
     }
     region
 }
@@ -250,39 +307,48 @@ struct MergeRun {
     /// How many tokens the merger produced, and their classes when the run
     /// is traced.
     root: (u64, TokenCounts),
+    /// Its three streams, empty where they do not leave the region.
+    streams: [Stream; 3],
     /// Each member of its fusion region and its output port.
     members: Vec<(NodeId, RegionPort)>,
 }
 
-/// Runs merger `root` — with its fusion region if `fused` — its streams
-/// that leave the region into `outs`, which a fault leaves untouched.
+/// Runs merger `root`, with its fusion region if `fused`. A fault hands
+/// every buffer the region took back to `spares`.
 fn run_merger(
     plan: &Plan,
     inputs: &Inputs,
     streams: &StreamTable,
+    spares: &mut Spares,
     root: NodeId,
     classify: bool,
     fused: bool,
-    outs: &mut [Stream],
 ) -> Result<MergeRun, Fault> {
     let members = if fused { plan.region_members(root) } else { &[] };
-    let mut region = region(plan, inputs, streams, root, members, classify);
+    let mut region = region(plan, inputs, streams, spares, root, members, classify);
     let [mut a, mut b] = operands(plan, inputs, streams, root);
-    if matches!(plan.graph().nodes()[root.0], NodeKind::Unioner { .. }) {
-        run_merge::<true>(&mut a, &mut b, &mut region)?;
+    let merged = if matches!(plan.graph().nodes()[root.0], NodeKind::Unioner { .. }) {
+        run_merge::<true>(&mut a, &mut b, &mut region)
     } else {
-        run_merge::<false>(&mut a, &mut b, &mut region)?;
+        run_merge::<false>(&mut a, &mut b, &mut region)
+    };
+    let (root_ports, ports) = region.finish(spares);
+    if let Err(fault) = merged {
+        for stream in root_ports.into_iter().chain(ports).filter_map(|port| port.stored) {
+            spares.give(stream);
+        }
+        return Err(fault);
     }
-    let (root_ports, ports) = region.finish();
     let mut counts = (0, TokenCounts::default());
-    for (out, port) in outs.iter_mut().zip(root_ports) {
+    let streams = root_ports.map(|port| {
         counts.0 += port.len;
         counts.1 += port.tally;
-        *out = port.stored.unwrap_or_default();
-    }
+        port.stored.unwrap_or_default()
+    });
     Ok(MergeRun {
         emitted: [a.emitted(), b.emitted()],
         root: counts,
+        streams,
         members: members.iter().copied().zip(ports).collect(),
     })
 }
@@ -303,21 +369,24 @@ impl Executor for FastBackend {
         inputs: &Inputs,
         trace: &dyn TraceSink,
     ) -> Result<Execution, ExecError> {
-        walk(plan, inputs, trace, &define_nodes(plan, trace))
+        walk(plan, inputs, trace, &define_nodes(plan, trace), &mut Workspace::default())
     }
 }
 
 /// The walk behind [`FastBackend`], with the nodes already defined on
-/// `trace` under `labels` ([`define_nodes`]; empty when untraced).
+/// `trace` under `labels` ([`define_nodes`]; empty when untraced), over the
+/// buffers `ws` kept from the walks before it.
 pub(crate) fn walk(
     plan: &Plan,
     inputs: &Inputs,
     trace: &dyn TraceSink,
     labels: &[String],
+    ws: &mut Workspace,
 ) -> Result<Execution, ExecError> {
     let start = Instant::now();
     let tracing = trace.enabled();
-    let mut streams = StreamTable::new(plan);
+    ws.reset(plan);
+    let Workspace { spares, streams, outs } = ws;
     let mut tokens = 0u64;
     let mut level_results: HashMap<usize, sam_tensor::level::CompressedLevel> = HashMap::new();
     let mut vals_result: Option<Vec<f64>> = None;
@@ -333,16 +402,16 @@ pub(crate) fn walk(
             continue;
         }
         let node_start = tracing.then(Instant::now);
-        let mut outs = vec![Stream::new(); plan.consumers_of(id).len()];
         let lanes = plan.fused_operands(id);
         let mut merged = None;
         if matches!(plan.graph().nodes()[id.0], NodeKind::Intersecter { .. } | NodeKind::Unioner { .. }) {
-            let mut run = run_merger(plan, inputs, &streams, id, tracing, true, &mut outs);
+            let mut run = run_merger(plan, inputs, streams, spares, id, tracing, true);
             if run.is_err() && !plan.region_members(id).is_empty() {
                 unfused.push(id);
-                run = run_merger(plan, inputs, &streams, id, tracing, false, &mut outs);
+                run = run_merger(plan, inputs, streams, spares, id, tracing, false);
             }
-            let run = run.map_err(|f| ExecError::at(f, plan.node_label(id)))?;
+            let mut run = run.map_err(|f| ExecError::at(f, plan.node_label(id)))?;
+            outs.extend(std::mem::take(&mut run.streams));
             for (lane, emitted) in lanes.iter().zip(run.emitted) {
                 // Counted where produced or skipped, credited to the
                 // scanner. A lane scanner keeps reporting nothing.
@@ -355,10 +424,11 @@ pub(crate) fn walk(
             }
             merged = Some(run);
         } else {
+            outs.extend((0..plan.consumers_of(id).len()).map(|_| spares.take()));
             let job = NodeJob::build(plan, inputs, id);
             let mut srcs: Vec<SliceSource<'_>> =
                 plan.inputs_of(id).iter().flatten().map(|&p| SliceSource::new(streams.get(p))).collect();
-            match eval_node(&job, &mut srcs, &mut outs).map_err(|f| ExecError::at(f, plan.node_label(id)))? {
+            match eval_node(&job, &mut srcs, outs).map_err(|f| ExecError::at(f, plan.node_label(id)))? {
                 Some(WriterOutput::Level(level)) => {
                     level_results.insert(id.0, level);
                 }
@@ -372,18 +442,18 @@ pub(crate) fn walk(
             trace.record_invocations(id.0, 1);
             trace.record_node_wall(id.0, elapsed_ns);
             trace.record_span("serial", &labels[id.0], start_ns, elapsed_ns);
-            trace.record_tokens(id.0, merged.as_ref().map_or_else(|| classify(&outs), |run| run.root.1));
+            trace.record_tokens(id.0, merged.as_ref().map_or_else(|| classify(outs), |run| run.root.1));
         }
         tokens += merged.as_ref().map_or_else(|| outs.iter().map(|s| s.len() as u64).sum(), |run| run.root.0);
-        streams.store(id, outs);
+        streams.store(id, outs.drain(..), spares);
         // This node was one reader of each of its inputs; an operand
         // with a fused scanner read the scanner's input in its place
         // (the scanner's own streams were never stored).
         for &p in plan.inputs_of(id).iter().flatten() {
-            streams.release(p);
+            streams.release(p, spares);
         }
         for lane in lanes.iter().flatten() {
-            streams.release(plan.inputs_of(lane.scanner)[0].expect("bound data port"));
+            streams.release(plan.inputs_of(lane.scanner)[0].expect("bound data port"), spares);
         }
         // A region member: tallied, stored if read outside the region, and
         // one reader of each of its inputs (an internal one was never
@@ -393,9 +463,9 @@ pub(crate) fn walk(
             if tracing {
                 trace.record_tokens(member.0, port.tally);
             }
-            streams.store(member, vec![port.stored.unwrap_or_default()]);
+            streams.store(member, port.stored, spares);
             for &p in plan.inputs_of(member).iter().flatten() {
-                streams.release(p);
+                streams.release(p, spares);
             }
         }
     }
@@ -426,14 +496,25 @@ pub(crate) fn walk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use custard::graphs::{self, SpmmDataflow};
+    use sam_core::graph::SamGraph;
     use sam_sim::payload::tok;
-    use sam_tensor::{synth, TensorFormat};
+    use sam_tensor::{synth, Tensor, TensorFormat};
+    use sam_trace::{CountersSink, NullSink};
+    use std::error::Error;
+
+    /// A workspace sized for `plan`, as a walk over it starts.
+    fn workspace_for(plan: &Plan) -> Workspace {
+        let mut ws = Workspace::default();
+        ws.reset(plan);
+        ws
+    }
 
     #[test]
     fn a_stream_with_two_readers_survives_until_the_second_has_run() {
         // SpMV forks B's row coordinates to a repeater and to the writer;
         // the row scanner's references have one reader, the column scanner.
-        let graph = custard::graphs::spmv();
+        let graph = graphs::spmv();
         let inputs = Inputs::new()
             .coo("B", &synth::random_matrix_sparsity(10, 8, 0.8, 3), TensorFormat::dcsr())
             .coo("c", &synth::random_vector(8, 8, 4), TensorFormat::dense_vec());
@@ -446,26 +527,190 @@ mod tests {
         let (crd, rf) = (PortRef { node: scanner, port: 0 }, PortRef { node: scanner, port: 1 });
         assert_eq!(plan.consumers_of(scanner)[0].len(), 2);
 
-        let mut streams = StreamTable::new(&plan);
-        streams.store(scanner, vec![vec![tok::crd(1), tok::done()], vec![tok::rf(0), tok::done()]]);
-        streams.release(rf);
+        let Workspace { spares, streams, .. } = &mut workspace_for(&plan);
+        streams.store(scanner, [vec![tok::crd(1), tok::done()], vec![tok::rf(0), tok::done()]], spares);
+        streams.release(rf, spares);
         assert!(streams.slots[scanner.0][1].stream.is_none(), "sole reader ran: freed");
-        streams.release(crd);
+        assert_eq!(spares.0.len(), 1, "its buffer is spare");
+        streams.release(crd, spares);
         assert_eq!(streams.get(crd).len(), 2, "one of two readers ran: still stored");
-        streams.release(crd);
+        streams.release(crd, spares);
         assert!(streams.slots[scanner.0][0].stream.is_none(), "last reader ran: freed");
+        assert!(spares.0.len() == 2 && spares.0.iter().all(Vec::is_empty), "spares are empty");
 
         // A port nobody reads is never stored: an intersecter's silent skip
         // ports feed only skip inputs, which are not readers.
-        let skip = custard::graphs::spmv_with_skip();
+        let skip = graphs::spmv_with_skip();
         let inputs = Inputs::new()
             .coo("B", &synth::random_matrix_sparsity(10, 8, 0.8, 3), TensorFormat::dcsr())
             .coo("c", &synth::random_vector(8, 3, 4), TensorFormat::sparse_vec());
         let plan = Plan::build(&skip, &inputs).unwrap();
         let isect = plan.skip_specs()[0].intersecter;
-        let mut streams = StreamTable::new(&plan);
-        streams.store(isect, vec![vec![tok::done()]; 5]);
+        let Workspace { spares, streams, .. } = &mut workspace_for(&plan);
+        streams.store(isect, vec![vec![tok::done()]; 5], spares);
         assert!(streams.slots[isect.0][3].stream.is_none() && streams.slots[isect.0][4].stream.is_none());
         assert!(streams.slots[isect.0][1].stream.is_some());
+        let silent = streams.slots[isect.0].iter().filter(|slot| slot.readers == 0).count();
+        assert_eq!(spares.0.len(), silent, "a port nobody reads is spare at once");
+    }
+
+    /// SpMV, Gustavson SpM*SpM, MMAdd (a unioner) and SDDMM (an intersecter
+    /// with a fusion region), planned over small operands.
+    fn kernels() -> Result<Vec<(Plan, Inputs)>, Box<dyn Error>> {
+        let m = |rows, cols, seed| synth::random_matrix_sparsity(rows, cols, 0.7, seed);
+        let dense = |rows, cols, seed| synth::random_matrix_sparsity(rows, cols, 0.0, seed);
+        let mmadd = custard::lower_exec(&custard::ConcreteIndexNotation::new(
+            custard::parse("X(i,j) = B(i,j) + C(i,j)")?,
+            &custard::Schedule::new(),
+            custard::Formats::new(),
+        ))?;
+        let kernels = [
+            (
+                graphs::spmv(),
+                Inputs::new().coo("B", &m(14, 9, 1), TensorFormat::dcsr()).coo(
+                    "c",
+                    &synth::random_vector(9, 9, 2),
+                    TensorFormat::dense_vec(),
+                ),
+            ),
+            (
+                graphs::spmm(SpmmDataflow::LinearCombination),
+                Inputs::new().coo("B", &m(12, 10, 3), TensorFormat::dcsr()).coo(
+                    "C",
+                    &m(10, 11, 4),
+                    TensorFormat::dcsr(),
+                ),
+            ),
+            (
+                mmadd.graph,
+                Inputs::new().coo("B", &m(13, 12, 5), TensorFormat::dcsr()).coo(
+                    "C",
+                    &m(13, 12, 6),
+                    TensorFormat::dcsr(),
+                ),
+            ),
+            (
+                graphs::sddmm_coiteration(),
+                Inputs::new()
+                    .coo("B", &m(11, 9, 7), TensorFormat::dcsr())
+                    .coo("C", &dense(11, 5, 8), TensorFormat::dense(2))
+                    .coo("D", &dense(9, 5, 9), TensorFormat::dense(2)),
+            ),
+        ];
+        let mut planned = Vec::new();
+        for (graph, inputs) in kernels {
+            planned.push((Plan::build(&graph, &inputs)?, inputs));
+        }
+        Ok(planned)
+    }
+
+    /// What a walk computed and counted: its output, raw values and token
+    /// total, and each node's token counts when it is traced.
+    type Seen = (Option<Tensor>, Vec<f64>, u64, Vec<TokenCounts>);
+
+    fn walk_in(plan: &Plan, inputs: &Inputs, traced: bool, ws: &mut Workspace) -> Result<Seen, ExecError> {
+        let sink = CountersSink::new();
+        let trace: &dyn TraceSink = if traced { &sink } else { &NullSink };
+        let run = walk(plan, inputs, trace, &define_nodes(plan, trace), ws)?;
+        let nodes = run.profile.map(|p| p.nodes.into_iter().map(|n| n.tokens).collect());
+        Ok((run.output, run.vals, run.tokens, nodes.unwrap_or_default()))
+    }
+
+    /// Walks each of `kernels` in `ws`, in the order `sequence` names them,
+    /// untraced and traced, and holds every walk to one in a fresh workspace.
+    fn assert_reuse_is_invisible(
+        kernels: &[(Plan, Inputs)],
+        sequence: &[usize],
+        ws: &mut Workspace,
+    ) -> Result<(), ExecError> {
+        for (step, &k) in sequence.iter().enumerate() {
+            let (plan, inputs) = &kernels[k];
+            for traced in [false, true] {
+                let fresh = walk_in(plan, inputs, traced, &mut Workspace::default())?;
+                assert_eq!(
+                    walk_in(plan, inputs, traced, ws)?,
+                    fresh,
+                    "step {step}, kernel {k}, traced {traced}"
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Every kernel after every other, itself included: a walk over a
+    /// workspace another plan's walks grew is the walk over a fresh one.
+    #[test]
+    fn one_workspace_walks_a_sequence_of_plans_as_fresh_workspaces_do() -> Result<(), Box<dyn Error>> {
+        let kernels = kernels()?;
+        let mut ws = Workspace::default();
+        assert_reuse_is_invisible(&kernels, &[0, 1, 2, 3, 3, 2, 1, 0, 2, 0, 3, 1, 1, 3, 0, 2], &mut ws)?;
+        assert!(!ws.spares.0.is_empty() && ws.outs.is_empty(), "the walks handed their buffers back");
+        Ok(())
+    }
+
+    /// A spare buffer is emptied when it is handed back, so the tokens it
+    /// held never reach the stream that takes it next.
+    #[test]
+    fn garbage_in_a_spare_buffer_never_reaches_a_stream() -> Result<(), Box<dyn Error>> {
+        let kernels = kernels()?;
+        let garbage = [tok::crd(7), tok::rf(1 << 20), tok::stop(2), tok::done(), tok::empty()];
+        for k in 0..kernels.len() {
+            let mut ws = Workspace::default();
+            // More buffers than a walk holds at once, so every stream takes one.
+            for len in 1..200 {
+                ws.spares.give(garbage.iter().copied().cycle().take(len).collect());
+            }
+            assert_reuse_is_invisible(&kernels, &[k], &mut ws)?;
+        }
+        Ok(())
+    }
+
+    /// A walk that fails leaves streams in the table and its node's streams
+    /// behind; the next walk over the workspace hands them back and runs as
+    /// a fresh one. Here a repeater inside SpMV's fusion region runs out of
+    /// references: the region faults, re-runs memberless, and the repeater
+    /// then fails in its own place.
+    #[test]
+    fn a_workspace_is_reusable_after_a_walk_whose_region_faulted() -> Result<(), Box<dyn Error>> {
+        use sam_core::build::GraphBuilder;
+
+        let mut g = GraphBuilder::new("misrepeated");
+        let (rb, rc, rd) = (g.root("B"), g.root("c"), g.root("d"));
+        let (bi, bi_ref) = g.scan("B", 'i', true, rb);
+        let (bj, bj_ref) = g.scan("B", 'j', true, bi_ref);
+        let c_rows = g.repeat("c", 'i', bi, rc);
+        let (cj, cj_ref) = g.scan("c", 'j', true, c_rows);
+        let (j, [at_b, at_c]) = g.intersect('j', [bj, cj], [bj_ref, cj_ref]);
+        let (_, d_ref) = g.scan("d", 'i', true, rd);
+        let d_rows = g.repeat("d", 'j', j, d_ref);
+        let (bv, cv, dv) = (g.array("B", at_b), g.array("c", at_c), g.array("d", d_rows));
+        let bc = g.alu("mul", bv, cv);
+        let bcd = g.alu("mul", bc, dv);
+        let x = g.reduce_scalar(bcd);
+        g.write_level("x", 'i', bi);
+        g.write_vals("x", x);
+        let graph: SamGraph = g.finish();
+        let inputs = Inputs::new()
+            .coo("B", &synth::random_matrix_sparsity(6, 5, 0.3, 321), TensorFormat::dcsr())
+            .coo("c", &synth::random_vector(5, 5, 322), TensorFormat::sparse_vec())
+            .coo("d", &synth::random_vector(6, 2, 323), TensorFormat::sparse_vec());
+        let faulty = Plan::build(&graph, &inputs)?;
+        let isect = *faulty
+            .order()
+            .iter()
+            .find(|id| matches!(graph.nodes()[id.0], NodeKind::Intersecter { .. }))
+            .ok_or("one intersecter")?;
+        assert!(!faulty.region_members(isect).is_empty(), "the repeater is fused");
+
+        let kernels = kernels()?;
+        for k in 0..kernels.len() {
+            let mut ws = Workspace::default();
+            let failed = walk_in(&faulty, &inputs, k % 2 == 1, &mut ws);
+            assert!(matches!(failed, Err(ExecError::Misaligned { .. })), "{failed:?}");
+            let held = ws.streams.slots.iter().flatten().filter(|slot| slot.stream.is_some()).count();
+            assert!(held > 0 && !ws.outs.is_empty(), "the failed walk left its streams behind");
+            assert_reuse_is_invisible(&kernels, &[k, (k + 1) % kernels.len()], &mut ws)?;
+        }
+        Ok(())
     }
 }

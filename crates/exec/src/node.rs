@@ -37,6 +37,7 @@
 //! the walk names it when it turns the fault into an [`ExecError`].
 
 use crate::bind::Inputs;
+use crate::fast::Spares;
 use crate::plan::Plan;
 use sam_core::graph::{NodeId, NodeKind};
 use sam_primitives::root_stream;
@@ -706,8 +707,8 @@ pub(crate) struct RegionPort {
 }
 
 impl RegionPort {
-    fn new(stored: bool) -> Self {
-        RegionPort { stored: stored.then(Vec::new), ..RegionPort::default() }
+    fn new(stored: bool, spares: &mut Spares) -> Self {
+        RegionPort { stored: stored.then(|| spares.take()), ..RegionPort::default() }
     }
 
     /// Counts what the port carried since the last count: the stored
@@ -753,14 +754,17 @@ pub(crate) struct Region<'a> {
 impl<'a> Region<'a> {
     /// A region with no members yet, storing the root ports marked in
     /// `root_stored` and classifying every token it counts if `classify`.
-    pub(crate) fn new(root_stored: [bool; 3], classify: bool) -> Self {
+    /// Its stored streams and its registers are buffers from `spares`.
+    pub(crate) fn new(root_stored: [bool; 3], classify: bool, spares: &mut Spares) -> Self {
         let registers = if root_stored == [true; 3] { 0 } else { 3 };
+        let mut regs = spares.take();
+        regs.resize(registers * BLOCK, tok::done());
         Region {
             classify,
-            root: root_stored.map(RegionPort::new),
+            root: root_stored.map(|stored| RegionPort::new(stored, spares)),
             steps: Vec::new(),
             outs: Vec::new(),
-            regs: vec![tok::done(); registers * BLOCK],
+            regs,
             filled: 0,
         }
     }
@@ -768,16 +772,17 @@ impl<'a> Region<'a> {
     /// Appends a member, evaluated after every member appended before it;
     /// its tokens land in register `3 + k` for the `k`-th member. A
     /// reducer's output, which no member reads, is always stored.
-    pub(crate) fn push_member(&mut self, step: Step<'a>, stored: bool) {
+    pub(crate) fn push_member(&mut self, step: Step<'a>, stored: bool, spares: &mut Spares) {
         let stored = stored || matches!(step, Step::Reduce { .. });
         self.steps.push(step);
-        self.outs.push(RegionPort::new(stored));
+        self.outs.push(RegionPort::new(stored, spares));
         self.regs.resize((3 + self.steps.len()) * BLOCK, tok::done());
     }
 
     /// The root's three ports and each member's output port, in the order
-    /// the members were appended.
-    pub(crate) fn finish(self) -> ([RegionPort; 3], Vec<RegionPort>) {
+    /// the members were appended; the registers go back to `spares`.
+    pub(crate) fn finish(self, spares: &mut Spares) -> ([RegionPort; 3], Vec<RegionPort>) {
+        spares.give(self.regs);
         (self.root, self.outs)
     }
 
@@ -1382,14 +1387,15 @@ mod tests {
         a: &mut Operand<'_>,
         b: &mut Operand<'_>,
     ) -> Result<(Outputs, usize), Fault> {
-        let mut region = Region::new([true; 3], false);
+        let mut spares = Spares::default();
+        let mut region = Region::new([true; 3], false, &mut spares);
         assert!(region.regs.is_empty(), "a region that stores every port has no registers");
         let located = if union {
             run_merge::<true>(a, b, &mut region)?
         } else {
             run_merge::<false>(a, b, &mut region)?
         };
-        let (root, _) = region.finish();
+        let (root, _) = region.finish(&mut spares);
         Ok((root.map(|port| port.stored.unwrap_or_default()), located))
     }
 
@@ -1758,18 +1764,19 @@ mod tests {
                 }
             };
             // Registers: 0–2 the root's, then one per member in order.
-            let mut region = Region::new([false; 3], true);
+            let spares = &mut Spares::default();
+            let mut region = Region::new([false; 3], true, spares);
             let repeater = Step::Repeat { rule: rule::Repeat::default(), refs: src(&ra), crd: 0 };
-            region.push_member(repeater, false);
-            region.push_member(Step::Array { vals: &va, input: 1 }, false);
-            region.push_member(Step::Array { vals: &vb, input: 2 }, false);
-            region.push_member(Step::Array { vals: &vr, input: 3 }, false);
-            region.push_member(Step::Alu { op: AluOp::Mul, a: 4, b: 5 }, false);
-            region.push_member(Step::Alu { op: AluOp::Sub, a: 7, b: 6 }, false);
-            region.push_member(Step::Reduce { reduce: ScalarReduce::default(), input: 8 }, false);
+            region.push_member(repeater, false, spares);
+            region.push_member(Step::Array { vals: &va, input: 1 }, false, spares);
+            region.push_member(Step::Array { vals: &vb, input: 2 }, false, spares);
+            region.push_member(Step::Array { vals: &vr, input: 3 }, false, spares);
+            region.push_member(Step::Alu { op: AluOp::Mul, a: 4, b: 5 }, false, spares);
+            region.push_member(Step::Alu { op: AluOp::Sub, a: 7, b: 6 }, false, spares);
+            region.push_member(Step::Reduce { reduce: ScalarReduce::default(), input: 8 }, false, spares);
             let (mut a_op, mut b_op) = operands();
             run_merge::<false>(&mut a_op, &mut b_op, &mut region)?;
-            let (root, ports) = region.finish();
+            let (root, ports) = region.finish(spares);
             for (port, want) in root.iter().zip([&oc, &o0, &o1]) {
                 assert!(port.stored.is_none(), "{what}: a root port a member reads is not stored");
                 assert_port(port, want, &format!("{what}: root"));
@@ -1779,13 +1786,13 @@ mod tests {
                 assert_port(port, want, &format!("{what}: member {k}"));
             }
 
-            let mut region = Region::new([true, false, false], true);
-            region.push_member(Step::Array { vals: &va, input: 1 }, false);
-            region.push_member(Step::Array { vals: &vb, input: 2 }, false);
-            region.push_member(Step::Alu { op: AluOp::Mul, a: 3, b: 4 }, true);
+            let mut region = Region::new([true, false, false], true, spares);
+            region.push_member(Step::Array { vals: &va, input: 1 }, false, spares);
+            region.push_member(Step::Array { vals: &vb, input: 2 }, false, spares);
+            region.push_member(Step::Alu { op: AluOp::Mul, a: 3, b: 4 }, true, spares);
             let (mut a_op, mut b_op) = operands();
             run_merge::<false>(&mut a_op, &mut b_op, &mut region)?;
-            let (root, ports) = region.finish();
+            let (root, ports) = region.finish(spares);
             assert_eq!(root[0].stored.as_ref(), Some(&oc), "{what}: a stored root port");
             assert_eq!(ports[2].stored.as_ref(), Some(&m), "{what}: a stored member");
             for (port, want) in ports.iter().zip([&x, &y, &m]) {
@@ -1804,8 +1811,9 @@ mod tests {
         let level = level_of(Format::Compressed, 8, &[vec![1, 4, 9]]);
         let refs = [tok::rf(0), tok::stop(0), tok::done()];
         let short = [1.0, 2.0];
-        let mut region = Region::new([false; 3], false);
-        region.push_member(Step::Array { vals: &short, input: 1 }, true);
+        let spares = &mut Spares::default();
+        let mut region = Region::new([false; 3], false, spares);
+        region.push_member(Step::Array { vals: &short, input: 1 }, true, spares);
         let walked = run_merge::<false>(&mut scan(&level, &refs), &mut scan(&level, &refs), &mut region);
         assert_eq!(walked, Err(Fault::RefOutOfBounds(2)));
         let (sa, sb) = (stored(&level, &refs), stored(&level, &refs));

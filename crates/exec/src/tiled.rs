@@ -8,10 +8,13 @@
 //! kernel's iteration space with ExTensor-style sparse tile skipping, each
 //! surviving tuple runs the ordinary fast executor over its tile operands,
 //! one tuple at a time, and a tile-merge reducer accumulates the partial
-//! outputs. The tile access sequence drives an LRU model of the last-level
-//! buffer, so the run reports *measured* counters ([`MemoryCounters`]) —
-//! DRAM bytes moved, LLB occupancy high-water mark, tiles skipped and
-//! capacity spills — which `samrepro fig15` prints.
+//! outputs. Every tuple's walk runs in one workspace the run keeps: it
+//! starts from the stream buffers, register files and stream table the
+//! tuple before it grew, and the run frees them before its merge. The tile
+//! access sequence drives an LRU model of the last-level buffer, so the run
+//! reports *measured* counters ([`MemoryCounters`]) — DRAM bytes moved, LLB
+//! occupancy high-water mark, tiles skipped and capacity spills — which
+//! `samrepro fig15` prints.
 //!
 //! The tile schedule is derived from the plan (the crate-private `schedule`
 //! module) and is structure-preserving:
@@ -47,7 +50,7 @@
 use crate::bind::Inputs;
 use crate::cache::PlanCache;
 use crate::error::ExecError;
-use crate::fast::{define_nodes, walk};
+use crate::fast::{define_nodes, walk, Workspace};
 use crate::plan::Plan;
 use crate::schedule::tile_schedule;
 use crate::{Execution, Executor};
@@ -118,7 +121,7 @@ impl Executor for TiledBackend {
         let graph = plan.graph();
         let tiling = tile_schedule(plan, inputs, self.config.tile);
         // Each phase (cut, tuple loop, merge) is a span on the `tiles` track,
-        // and inside the loop each tuple's walk and absorb.
+        // and inside the loop each executed tuple's bind, walk and absorb.
         let phase = Phases { trace, start, tracing };
 
         // Cut every tensor the schedule windows into its tile grid (it names
@@ -172,6 +175,7 @@ impl Executor for TiledBackend {
         let mut tuple = vec![0usize; grid.len()];
         let mut keys: Vec<Vec<u32>> = vec![Vec::new(); tiling.tensors.len()];
         let mut found: Vec<Option<&Arc<Tensor>>> = vec![None; tiling.tensors.len()];
+        let mut ws = Workspace::default();
         for n in 0..grid.iter().product::<usize>() {
             if n > 0 {
                 // Odometer step: the last variable varies fastest.
@@ -184,6 +188,7 @@ impl Executor for TiledBackend {
             }
             counters.tiles_visited += 1;
 
+            let bind_start = phase.now();
             for ti in 0..tiling.tensors.len() {
                 tiling.tile_key_into(ti, &tuple, &mut keys[ti]);
                 found[ti] = grids[ti].get_shared(&keys[ti]);
@@ -242,8 +247,9 @@ impl Executor for TiledBackend {
             // canonical tuple order is what keeps a tiled run bit-identical
             // to an untiled one.
             let tile_plan = plan_cache.get_or_plan(graph, &tile_inputs)?;
-            let tile_start = tracing.then(Instant::now);
-            let run = walk(&tile_plan, &tile_inputs, &tile_sink, &labels)?;
+            phase.record("bind", bind_start);
+            let tile_start = phase.now();
+            let run = walk(&tile_plan, &tile_inputs, &tile_sink, &labels, &mut ws)?;
             if let Some(t0) = tile_start {
                 let (at, dur) = ((t0 - start).as_nanos() as u64, t0.elapsed().as_nanos() as u64);
                 trace.record_span("tiles", &format!("tile{tuple:?}"), at, dur);
@@ -261,6 +267,9 @@ impl Executor for TiledBackend {
             }
         }
         phase.record("tuples", tuples_start);
+        // The walks' spare buffers are freed before the merge allocates the
+        // output.
+        drop(ws);
 
         // The merged output streams back to DRAM once.
         let merge_start = phase.now();
@@ -472,7 +481,8 @@ mod tests {
             "one walk span a tuple"
         );
         assert_eq!(count("absorb"), executed, "one absorb span per tuple output");
-        assert_eq!(names.len(), 3 + 2 * executed, "{names:?}");
+        assert_eq!(count("bind"), executed, "one bind span per executed tuple");
+        assert_eq!(names.len(), 3 + 3 * executed, "{names:?}");
 
         assert_eq!(run(false)?, (executed, Vec::new()), "an untraced run records no span");
         Ok(())

@@ -110,107 +110,9 @@ impl Level {
         }
     }
 
-    /// The entry at position `idx` of fiber `fiber`, without materializing
-    /// the whole fiber. O(1) for dense and compressed levels; bitvector
-    /// levels pay a per-word scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fiber` or `idx` is out of range.
-    pub fn entry_at(&self, fiber: usize, idx: usize) -> FiberEntry {
-        match self {
-            Level::Dense(l) => {
-                assert!(fiber < l.num_fibers && idx < l.size, "entry out of range");
-                FiberEntry { coord: idx as u32, child: fiber * l.size + idx }
-            }
-            Level::Compressed(l) => {
-                let p = l.seg[fiber] + idx;
-                assert!(p < l.seg[fiber + 1], "entry out of range");
-                FiberEntry { coord: l.crd[p], child: p }
-            }
-            Level::Bitvector(l) => {
-                // Select the idx-th set bit: a per-word popcount walk, no
-                // fiber materialization.
-                let mut remaining = idx;
-                let mut rank = l.fiber_rank_base(fiber);
-                for (wi, &word) in l.fiber_words(fiber).iter().enumerate() {
-                    let pop = word.count_ones() as usize;
-                    if remaining < pop {
-                        let mut w = word;
-                        for _ in 0..remaining {
-                            w &= w - 1;
-                        }
-                        let coord = (wi * l.word_width as usize) + w.trailing_zeros() as usize;
-                        return FiberEntry { coord: coord as u32, child: rank + remaining };
-                    }
-                    remaining -= pop;
-                    rank += pop;
-                }
-                panic!("entry out of range");
-            }
-        }
-    }
-
-    /// The position of the first entry of fiber `fiber`, at index `from` or
-    /// later, whose coordinate is at least `target` — the coordinate-skip
-    /// gallop of paper Section 4.2. Returns [`Level::fiber_len`] when no
-    /// such entry exists. O(1) for dense levels, O(log n) for compressed.
-    pub fn gallop_from(&self, fiber: usize, from: usize, target: u32) -> usize {
-        let len = self.fiber_len(fiber);
-        if from >= len {
-            return len;
-        }
-        match self {
-            // Dense fibers index directly: coordinate == position.
-            Level::Dense(_) => (target as usize).clamp(from, len),
-            Level::Compressed(l) => {
-                let slice = &l.crd[l.seg[fiber] + from..l.seg[fiber + 1]];
-                from + slice.partition_point(|&c| c < target)
-            }
-            Level::Bitvector(l) => {
-                // The first entry with coordinate >= target sits at the
-                // rank of `target` within the fiber: a popcount walk over
-                // the words below it, no materialization.
-                let ww = l.word_width as usize;
-                let wlimit = (target as usize) / ww;
-                let mut below = 0usize;
-                for (wi, &word) in l.fiber_words(fiber).iter().enumerate() {
-                    if wi < wlimit {
-                        below += word.count_ones() as usize;
-                    } else {
-                        if wi == wlimit {
-                            let b = (target as usize) % ww;
-                            below += (word & ((1u64 << b) - 1)).count_ones() as usize;
-                        }
-                        break;
-                    }
-                }
-                below.clamp(from, len)
-            }
-        }
-    }
-
     /// True when this level stores every coordinate (dense iteration space).
     pub fn is_dense(&self) -> bool {
         matches!(self, Level::Dense(_))
-    }
-
-    /// The positional index range of fiber `fiber`'s entries whose
-    /// coordinates lie in `lo..hi` — the positional-slicing primitive the
-    /// tiling subsystem's reference cut (in its tests) slices one window
-    /// with. Two [`Level::gallop_from`] probes: O(1) for dense levels,
-    /// O(log n) for compressed, a popcount walk for bitvector levels.
-    pub fn coord_range(&self, fiber: usize, lo: u32, hi: u32) -> std::ops::Range<usize> {
-        let start = self.gallop_from(fiber, 0, lo);
-        let end = self.gallop_from(fiber, start, hi);
-        start..end
-    }
-
-    /// The entries of fiber `fiber` with coordinates in `lo..hi`, without
-    /// materializing the rest of the fiber. Coordinates are returned as
-    /// stored (not rebased); child positions index the full next level.
-    pub fn slice(&self, fiber: usize, lo: u32, hi: u32) -> Vec<FiberEntry> {
-        self.coord_range(fiber, lo, hi).map(|i| self.entry_at(fiber, i)).collect()
     }
 }
 
@@ -531,63 +433,5 @@ mod tests {
         let l = Level::Compressed(CompressedLevel::empty(10));
         assert_eq!(l.num_fibers(), 0);
         assert_eq!(l.num_children(), 0);
-    }
-
-    #[test]
-    fn positional_access_matches_materialized_fibers() {
-        let levels = [
-            Level::Dense(DenseLevel::new(6, 2)),
-            Level::Compressed(CompressedLevel::new(10, vec![0, 3, 7], vec![1, 4, 9, 0, 2, 5, 8])),
-            Level::Bitvector(BitvectorLevel::from_fibers(8, 4, &[vec![0, 2, 5], vec![1, 7]])),
-        ];
-        for l in &levels {
-            for fiber in 0..l.num_fibers() {
-                let entries = l.fiber(fiber);
-                assert_eq!(entries.len(), l.fiber_len(fiber));
-                for (idx, &e) in entries.iter().enumerate() {
-                    assert_eq!(l.entry_at(fiber, idx), e, "entry_at mismatch");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn coord_range_and_slice_window_every_format() {
-        let levels = [
-            Level::Dense(DenseLevel::new(10, 2)),
-            Level::Compressed(CompressedLevel::new(100, vec![0, 5], vec![3, 10, 20, 40, 80])),
-            Level::Bitvector(BitvectorLevel::from_fibers(12, 4, &[vec![1, 3, 6, 9], vec![0, 11]])),
-        ];
-        for l in &levels {
-            for fiber in 0..l.num_fibers() {
-                let all = l.fiber(fiber);
-                for (lo, hi) in [(0u32, 4u32), (2, 9), (5, 5), (0, 200), (90, 200)] {
-                    let expect: Vec<FiberEntry> =
-                        all.iter().copied().filter(|e| e.coord >= lo && e.coord < hi).collect();
-                    assert_eq!(l.slice(fiber, lo, hi), expect, "window {lo}..{hi}");
-                    assert_eq!(l.coord_range(fiber, lo, hi).len(), expect.len());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gallop_finds_first_coordinate_at_or_past_target() {
-        let l = Level::Compressed(CompressedLevel::new(100, vec![0, 5], vec![3, 10, 20, 40, 80]));
-        assert_eq!(l.gallop_from(0, 0, 0), 0);
-        assert_eq!(l.gallop_from(0, 0, 10), 1);
-        assert_eq!(l.gallop_from(0, 0, 11), 2);
-        assert_eq!(l.gallop_from(0, 2, 10), 2, "never moves backwards");
-        assert_eq!(l.gallop_from(0, 0, 81), 5, "past the end");
-        assert_eq!(l.gallop_from(0, 5, 0), 5, "from past the end stays put");
-
-        let d = Level::Dense(DenseLevel::new(50, 1));
-        assert_eq!(d.gallop_from(0, 0, 30), 30);
-        assert_eq!(d.gallop_from(0, 40, 30), 40);
-        assert_eq!(d.gallop_from(0, 0, 99), 50);
-
-        let b = Level::Bitvector(BitvectorLevel::from_fibers(8, 4, &[vec![1, 3, 6]]));
-        assert_eq!(b.gallop_from(0, 0, 3), 1);
-        assert_eq!(b.gallop_from(0, 0, 7), 3);
     }
 }

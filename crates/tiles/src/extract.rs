@@ -481,10 +481,10 @@ mod tests {
     /// The per-window cut [`TileGrid::build`] replaced, kept as its
     /// reference: slices one window out of `tensor` (one half-open
     /// coordinate window per *storage* level), rebased so the window origin
-    /// becomes coordinate zero, walking only the fibers and positions that
-    /// intersect it through the positional slicing interface of
-    /// [`sam_tensor::level::Level`]. Its empty tensor when the window holds
-    /// no stored leaf.
+    /// becomes coordinate zero, walking only the fibers that intersect it
+    /// and, in each, the entries of [`sam_tensor::level::Level::fiber`] that
+    /// fall inside it. Its empty tensor when the window holds no stored
+    /// leaf.
     fn tile_of(tensor: &Tensor, windows: &[(u32, u32)]) -> Tensor {
         assert_eq!(windows.len(), tensor.order(), "one window per storage level");
         assert!(windows.iter().all(|&(lo, hi)| lo < hi), "windows must be nonempty");
@@ -535,8 +535,7 @@ mod tests {
             let (lo, hi) = self.windows[level];
             let (leaf, dense) = (level + 1 == self.levels.len(), source.is_dense());
             let mut leaves = 0;
-            for pos in source.coord_range(fiber, lo, hi) {
-                let entry = source.entry_at(fiber, pos);
+            for entry in source.fiber(fiber).into_iter().filter(|e| (lo..hi).contains(&e.coord)) {
                 let below = if leaf {
                     self.vals.push(self.tensor.vals()[entry.child]);
                     1
