@@ -21,9 +21,9 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Inputs {
-    // Shared storage so cheap rebinds (the tiled backend binds the same
-    // immutable tile into many per-tuple input sets) are refcount bumps,
-    // not deep copies.
+    // Shared storage so cheap rebinds (the tiled backend rebinds each
+    // tuple's tiles into the run's one input set) are refcount bumps, not
+    // deep copies.
     tensors: BTreeMap<String, Arc<Tensor>>,
 }
 
@@ -66,12 +66,6 @@ impl Inputs {
     /// Iterates the bound `(name, tensor)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Tensor)> {
         self.tensors.iter().map(|(n, t)| (n.as_str(), t.as_ref()))
-    }
-
-    /// Iterates the bound tensors as shared handles (for rebinding into
-    /// derived input sets without copying storage).
-    pub fn iter_shared(&self) -> impl Iterator<Item = &Arc<Tensor>> {
-        self.tensors.values()
     }
 
     /// Number of bound tensors.

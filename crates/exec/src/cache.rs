@@ -4,18 +4,17 @@
 //! topology and every tensor binding — cheap next to a cold custard
 //! compile, but pure waste when the same `(expression, formats, shapes)`
 //! workload executes thousands of times against a resident operand corpus.
-//! This module promotes the per-shape plan cache the tiled backend grew in
-//! PR 4 into one process-wide, sharded `(expression, formats, shapes) →
-//! Arc<Plan>` cache with hit/miss/eviction counters:
+//! This module holds one process-wide, sharded `(expression, formats,
+//! shapes) → Arc<Plan>` cache with hit/miss/eviction counters:
 //!
 //! * The private `PlanKey` captures **everything** a [`Plan`] reads from its inputs —
 //!   the graph's name and a structural fingerprint of its nodes and edges,
-//!   and per bound tensor the name, format, shape, and the value of
-//!   single-element tensors (the planner resolves `ConstVal` scalars at
-//!   plan time). A plan reads nothing else — not occupancy, not fiber
-//!   lengths — so tensors of one shape class share a plan, and equal keys
-//!   mean *bit-identical* plans: a cache hit returns an execution
-//!   indistinguishable from a fresh compile.
+//!   and per bound tensor the signature the plan keeps (name, format,
+//!   shape, and the value of single-element tensors: the planner resolves
+//!   `ConstVal` scalars at plan time). A plan reads nothing else — not
+//!   occupancy, not fiber lengths — so tensors of one shape class share a
+//!   plan, and equal keys mean *bit-identical* plans: a cache hit returns
+//!   an execution indistinguishable from a fresh compile.
 //! * [`PlanCache`] is the sharded LRU map. [`PlanCache::global`] is the
 //!   process-wide instance the default execution path uses; services that
 //!   want isolated counters (or a different capacity) construct their own.
@@ -44,7 +43,7 @@
 
 use crate::bind::Inputs;
 use crate::error::PlanError;
-use crate::plan::Plan;
+use crate::plan::{BindingKey, Plan};
 use sam_core::graph::SamGraph;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -59,21 +58,8 @@ const SHARDS: usize = 8;
 
 /// Capacity of [`PlanCache::global`]. Generous: a plan for these graphs is
 /// a few kilobytes, and eviction only has to bound pathological sweeps
-/// (e.g. a tiled run visiting thousands of edge-tile shape classes).
+/// (e.g. a caller planning one graph over thousands of operand shapes).
 const GLOBAL_CAPACITY: usize = 2048;
-
-/// One bound tensor's contribution to a `PlanKey`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct BindingKey {
-    name: String,
-    /// The storage format, via its `Display` (level kinds + mode order).
-    format: String,
-    shape: Vec<usize>,
-    /// Value bits of a single-element tensor: the planner bakes `ConstVal`
-    /// scalars (alpha/beta) into the plan, so the value is part of the
-    /// plan's identity.
-    scalar_bits: Option<u64>,
-}
 
 /// The cache key: everything a [`Plan`] depends on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -98,23 +84,7 @@ impl PlanKey {
         for e in graph.edges() {
             (e.from, e.to, e.kind, e.src_port, e.dst_port).hash(&mut h);
         }
-        let bindings = inputs
-            .iter()
-            .map(|(name, t)| {
-                // The planner's own scalar test: one stored value, every
-                // dimension 1.
-                let scalar_bits = match t.vals() {
-                    [v] if t.shape().iter().all(|&d| d == 1) => Some(v.to_bits()),
-                    _ => None,
-                };
-                BindingKey {
-                    name: name.to_string(),
-                    format: t.format().to_string(),
-                    shape: t.shape().to_vec(),
-                    scalar_bits,
-                }
-            })
-            .collect();
+        let bindings = inputs.iter().map(BindingKey::new).collect();
         PlanKey { expr: graph.name.clone(), fingerprint: h.finish(), bindings }
     }
 

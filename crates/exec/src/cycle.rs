@@ -35,6 +35,7 @@ impl Executor for CycleBackend {
         inputs: &Inputs,
         trace: &dyn TraceSink,
     ) -> Result<Execution, ExecError> {
+        plan.check_inputs(inputs)?;
         let start = Instant::now();
         let tracing = trace.enabled();
         let nodes = plan.graph().nodes();

@@ -64,6 +64,12 @@ pub enum ExecError {
         /// Label of the writer.
         label: String,
     },
+    /// The inputs are not those the plan was built over: a binding is
+    /// missing or added, or has another format, shape or scalar value.
+    Unplanned {
+        /// The first binding, in name order, that differs.
+        tensor: String,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -79,6 +85,9 @@ impl fmt::Display for ExecError {
             }
             ExecError::IncompleteOutput { label } => {
                 write!(f, "writer `{label}` did not finish")
+            }
+            ExecError::Unplanned { tensor } => {
+                write!(f, "binding `{tensor}` differs from the inputs the plan was built over")
             }
         }
     }

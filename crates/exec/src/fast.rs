@@ -369,6 +369,7 @@ impl Executor for FastBackend {
         inputs: &Inputs,
         trace: &dyn TraceSink,
     ) -> Result<Execution, ExecError> {
+        plan.check_inputs(inputs)?;
         walk(plan, inputs, trace, &define_nodes(plan, trace), &mut Workspace::default())
     }
 }

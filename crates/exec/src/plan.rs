@@ -26,9 +26,10 @@
 //!   output writers.
 
 use crate::bind::Inputs;
-use crate::error::PlanError;
+use crate::error::{ExecError, PlanError};
 use sam_core::graph::{NodeId, NodeKind, SamGraph};
 use sam_primitives::AluOp;
+use sam_tensor::{Tensor, TensorFormat};
 use sam_verify::{Analysis, StreamType};
 pub use sam_verify::{PortRef, SkipLane as SkipSpec};
 
@@ -81,14 +82,47 @@ pub struct ChannelSpec {
 /// Default cycle budget used by the cycle-approximate backend.
 pub const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
 
+/// One bound tensor as a plan reads it: its name, format and shape, and
+/// the value bits of a single-element tensor, since the planner bakes
+/// `ConstVal` scalars into the plan. A plan reads nothing else of its
+/// inputs (not occupancy, not fiber lengths).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct BindingKey {
+    name: String,
+    format: TensorFormat,
+    shape: Vec<usize>,
+    scalar_bits: Option<u64>,
+}
+
+impl BindingKey {
+    /// The signature of `tensor` bound as `name`.
+    pub(crate) fn new((name, tensor): (&str, &Tensor)) -> BindingKey {
+        // The planner's own scalar test: one stored value, every dimension 1.
+        let scalar_bits = match tensor.vals() {
+            [v] if tensor.shape().iter().all(|&d| d == 1) => Some(v.to_bits()),
+            _ => None,
+        };
+        let (format, shape) = (tensor.format().clone(), tensor.shape().to_vec());
+        BindingKey { name: name.to_string(), format, shape, scalar_bits }
+    }
+}
+
 /// An executable plan for one graph over one set of input bindings.
 ///
 /// The plan owns a clone of the graph, so it stays valid independently of
 /// the caller's copy; it borrows nothing. Both backends consume the same
 /// plan, which is what guarantees they run the same dataflow.
+///
+/// A plan runs only inputs whose bindings have the signatures it was built
+/// over; each backend checks that once per run ([`ExecError::Unplanned`]).
+/// Every tile tuple of a [`TiledBackend`](crate::TiledBackend) run walks
+/// the run's plan unchecked: a tile keeps its tensor's format, scalars
+/// ride along, and the tile merge never reads the writers' dimensions.
 #[derive(Debug, Clone)]
 pub struct Plan {
     graph: SamGraph,
+    /// The signature of each binding the plan was built over, by name.
+    bindings: Vec<BindingKey>,
     /// The clean analysis the plan was derived from: topological order,
     /// per-port producers and consumers, validated skip lanes, stream types.
     analysis: Analysis,
@@ -218,6 +252,7 @@ impl Plan {
 
         Ok(Plan {
             graph: graph.clone(),
+            bindings: inputs.iter().map(BindingKey::new).collect(),
             analysis,
             channels,
             fused,
@@ -237,6 +272,23 @@ impl Plan {
     /// The planned graph.
     pub fn graph(&self) -> &SamGraph {
         &self.graph
+    }
+
+    /// Checks that `inputs` have the signatures the plan was built over,
+    /// naming the first binding, in name order, that differs.
+    pub(crate) fn check_inputs(&self, inputs: &Inputs) -> Result<(), ExecError> {
+        let mut keys = self.bindings.iter();
+        let mut bound = inputs.iter();
+        loop {
+            let differs = match (keys.next(), bound.next()) {
+                (None, None) => return Ok(()),
+                (Some(key), Some(b)) if *key == BindingKey::new(b) => continue,
+                (Some(key), Some((name, _))) => key.name.as_str().min(name),
+                (Some(key), None) => &key.name,
+                (None, Some((name, _))) => name,
+            };
+            return Err(ExecError::Unplanned { tensor: differs.to_string() });
+        }
     }
 
     /// The display label of a planned node: the builder/compiler override

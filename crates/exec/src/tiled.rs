@@ -8,9 +8,11 @@
 //! kernel's iteration space with ExTensor-style sparse tile skipping, each
 //! surviving tuple runs the ordinary fast executor over its tile operands,
 //! one tuple at a time, and a tile-merge reducer accumulates the partial
-//! outputs. Every tuple's walk runs in one workspace the run keeps: it
-//! starts from the stream buffers, register files and stream table the
-//! tuple before it grew, and the run frees them before its merge. The tile
+//! outputs. A tile is only a coarser coordinate level, so every tuple walks
+//! the run's own plan: the run plans once, whatever its tile shapes. Every
+//! tuple's walk runs in one workspace the run keeps: it starts from the
+//! stream buffers, register files and stream table the tuple before it
+//! grew, and the run frees them before its merge. The tile
 //! access sequence drives an LRU model of the last-level buffer, so the run
 //! reports *measured* counters ([`MemoryCounters`]) — DRAM bytes moved, LLB
 //! occupancy high-water mark, tiles skipped and capacity spills — which
@@ -48,7 +50,6 @@
 //! ```
 
 use crate::bind::Inputs;
-use crate::cache::PlanCache;
 use crate::error::ExecError;
 use crate::fast::{define_nodes, walk, Workspace};
 use crate::plan::Plan;
@@ -110,15 +111,15 @@ impl Executor for TiledBackend {
         inputs: &Inputs,
         trace: &dyn TraceSink,
     ) -> Result<Execution, ExecError> {
+        plan.check_inputs(inputs)?;
         let start = Instant::now();
         let tracing = trace.enabled();
         // Inner tile runs share the outer sink (per-node counters accumulate
         // across tuples) but their spans are replaced by one per tile tuple.
         let tile_sink = TileSink { inner: trace };
-        // Every tile plan plans the same graph: its nodes are defined, and
-        // their labels formatted, once per run.
+        // Every tuple walks `plan`: its nodes are defined, and their labels
+        // formatted, once per run.
         let labels = define_nodes(plan, trace);
-        let graph = plan.graph();
         let tiling = tile_schedule(plan, inputs, self.config.tile);
         // Each phase (cut, tuple loop, merge) is a span on the `tiles` track,
         // and inside the loop each executed tuple's bind, walk and absorb.
@@ -138,27 +139,12 @@ impl Executor for TiledBackend {
             .collect();
         phase.record("cut", cut_start);
 
-        // Bindings the schedule does not tile (the single-value scalars
-        // behind `ConstVal` sources) ride into every tile's input set
-        // unchanged; they have no storage levels to window.
-        let mut base_inputs = Inputs::new();
-        for t in inputs.iter_shared() {
-            if !tiling.tensors.iter().any(|tt| tt.name == t.name()) {
-                base_inputs = base_inputs.shared(Arc::clone(t));
-            }
-        }
-
         let bytes_per_entry = self.config.bytes_per_nonzero as u64;
         let mut llb = LlbModel::new(self.config.llb_bytes as u64);
         let mut counters = MemoryCounters::default();
         let mut merger = TileMerger::new();
         let mut scalar_sum = 0.0f64;
         let mut tokens = 0u64;
-        // Interior tiles share one shape class (and thus one plan); edge
-        // tiles get their own cached plans. Tile plans live in the global
-        // sharded cache, whose key ignores occupancy, so the shape classes
-        // of one run are planned exactly once — and stay warm across runs.
-        let plan_cache = PlanCache::global();
         let mut empty_cache: HashMap<(usize, Vec<usize>), Arc<Tensor>> = HashMap::new();
 
         // Offsets of the output writers' variables, refreshed per tuple. A
@@ -175,6 +161,9 @@ impl Executor for TiledBackend {
         let mut tuple = vec![0usize; grid.len()];
         let mut keys: Vec<Vec<u32>> = vec![Vec::new(); tiling.tensors.len()];
         let mut found: Vec<Option<&Arc<Tensor>>> = vec![None; tiling.tensors.len()];
+        // Each executed tuple rebinds every tensor the schedule tiles; the
+        // scalars behind `ConstVal` sources ride along unchanged.
+        let mut tile_inputs = inputs.clone();
         let mut ws = Workspace::default();
         for n in 0..grid.iter().product::<usize>() {
             if n > 0 {
@@ -227,7 +216,6 @@ impl Executor for TiledBackend {
             // operands outside the skip set). Tiles are shared into
             // the input set — a refcount bump per tuple, not a deep
             // copy.
-            let mut tile_inputs = base_inputs.clone();
             for (ti, key) in keys.iter().enumerate() {
                 let tile: Arc<Tensor> = match found[ti] {
                     Some(t) => Arc::clone(t),
@@ -246,10 +234,9 @@ impl Executor for TiledBackend {
             // accumulation and the float sums it feeds are order-sensitive:
             // canonical tuple order is what keeps a tiled run bit-identical
             // to an untiled one.
-            let tile_plan = plan_cache.get_or_plan(graph, &tile_inputs)?;
             phase.record("bind", bind_start);
             let tile_start = phase.now();
-            let run = walk(&tile_plan, &tile_inputs, &tile_sink, &labels, &mut ws)?;
+            let run = walk(plan, &tile_inputs, &tile_sink, &labels, &mut ws)?;
             if let Some(t0) = tile_start {
                 let (at, dur) = ((t0 - start).as_nanos() as u64, t0.elapsed().as_nanos() as u64);
                 trace.record_span("tiles", &format!("tile{tuple:?}"), at, dur);
@@ -302,7 +289,7 @@ impl Executor for TiledBackend {
             output,
             vals,
             cycles: Some(cycles),
-            blocks: graph.len(),
+            blocks: plan.graph().len(),
             channels: plan.channels().len(),
             tokens,
             memory: Some(counters),

@@ -5,7 +5,9 @@
 use custard::graphs;
 use sam_core::build::{GraphBuilder, Port};
 use sam_core::graph::{NodeKind, PortKind, SamGraph, StreamKind};
-use sam_exec::{CycleBackend, ExecRequest, Executor, FastBackend, Inputs, Plan, PlanError, TiledBackend};
+use sam_exec::{
+    CycleBackend, ExecError, ExecRequest, Executor, FastBackend, Inputs, Plan, PlanError, TiledBackend,
+};
 use sam_tensor::{synth, TensorFormat};
 use sam_verify::{Diagnostic, Rule};
 
@@ -496,4 +498,41 @@ fn errors_format_usefully() {
     let msg = err.to_string();
     assert!(msg.contains("alu add, alu sub") && msg.contains("error[missing-vals-writer]"), "{msg}");
     assert!(sam_exec::ExecError::from(err).to_string().contains("planning failed"));
+}
+
+#[test]
+fn a_plan_rejects_inputs_it_was_not_built_over_on_every_backend() {
+    let spmv = graphs::spmv();
+    let b = synth::random_matrix_sparsity(30, 20, 0.9, 5);
+    let c = |dim| Inputs::new().coo("c", &synth::random_vector(dim, dim, 6), TensorFormat::dense_vec());
+    let spmv_inputs = |dim| c(dim).coo("B", &b, TensorFormat::dcsr());
+
+    // x(i) = alpha * b(i): the planner bakes alpha's value into the plan.
+    let mut g = GraphBuilder::new("x(i) = alpha * b(i)");
+    let root = g.root("b");
+    let (crd, rf) = g.scan("b", 'i', true, root);
+    let v = g.array("b", rf);
+    let alpha = g.scalar_source("alpha", v);
+    let scaled = g.alu("mul", alpha, v);
+    g.write_level("x", 'i', crd);
+    g.write_vals("x", scaled);
+    let scale = g.finish();
+    let scaled_by = |alpha| vec_inputs(32).scalar("alpha", alpha);
+
+    let cases = [
+        ("a missing binding", &spmv, spmv_inputs(20), c(20), "B"),
+        ("another dimension", &spmv, spmv_inputs(20), spmv_inputs(5), "c"),
+        ("an added binding", &spmv, spmv_inputs(20), spmv_inputs(20).scalar("a", 1.0), "a"),
+        ("another scalar value", &scale, scaled_by(2.0), scaled_by(3.0), "alpha"),
+    ];
+    for (case, graph, planned, other, tensor) in cases {
+        let plan = std::sync::Arc::new(Plan::build(graph, &planned).unwrap());
+        for (name, backend) in backends() {
+            assert!(backend.run(&plan, &planned).is_ok(), "{case}, {name}: the planned inputs run");
+            let err = backend.run(&plan, &other).expect_err(case);
+            assert_eq!(err, ExecError::Unplanned { tensor: tensor.to_string() }, "{case}, {name}");
+            let request = ExecRequest::new(graph, &other).planned(plan.clone()).executor(&*backend);
+            assert_eq!(request.run().err(), Some(err), "{case}, {name}: through the door");
+        }
+    }
 }

@@ -90,20 +90,6 @@ impl<T> Token<T> {
             Token::Done => Token::Done,
         }
     }
-
-    /// Reinterprets a control token as a token of another payload type.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a data token.
-    pub fn as_control<U>(&self) -> Token<U> {
-        match self {
-            Token::Val(_) => panic!("as_control called on a data token"),
-            Token::Stop(n) => Token::Stop(*n),
-            Token::Empty => Token::Empty,
-            Token::Done => Token::Done,
-        }
-    }
 }
 
 impl<T: fmt::Display> fmt::Display for Token<T> {
@@ -144,11 +130,5 @@ mod tests {
         assert_eq!(format!("{}", Token::<u32>::Stop(1)), "S1");
         assert_eq!(format!("{}", Token::<u32>::Empty), "N");
         assert_eq!(format!("{}", Token::<u32>::Done), "D");
-    }
-
-    #[test]
-    #[should_panic(expected = "as_control")]
-    fn as_control_rejects_data() {
-        let _: Token<f64> = Token::Val(1u32).as_control();
     }
 }

@@ -194,11 +194,6 @@ impl TileGrid {
         self.index.get(&self.linear_key(key)).map(|&slot| &self.tiles[slot])
     }
 
-    /// Stored leaf entries of the tile at `key` (zero when empty).
-    pub fn stored_entries(&self, key: &[u32]) -> u64 {
-        self.get(key).map_or(0, |tile| tile.vals().len() as u64)
-    }
-
     /// Number of nonempty tiles.
     pub fn nonempty(&self) -> usize {
         self.tiles.len()
@@ -768,7 +763,6 @@ mod tests {
             // and the grid keeps no tile there.
             let grid = TileGrid::build(&t, vec![2, 2]);
             assert_eq!(grid.get(&[0, 1]), None);
-            assert_eq!(grid.stored_entries(&[0, 1]), 0);
             let tile = tile_of(&t, &[(0, 2), (2, 4)]);
             assert_eq!(tile, Tensor::from_coo("B", &CooTensor::new(vec![2, 2]), fmt));
             assert_eq!(tile.level(0), &Level::Compressed(CompressedLevel::new(2, vec![0, 0], Vec::new())));
@@ -804,12 +798,11 @@ mod tests {
             let grid = TileGrid::build(&t, vec![5, 4]);
             let mut total = 0;
             for (key, tile) in nonempty_tiles(&grid) {
-                assert_eq!(tile.vals().len() as u64, grid.stored_entries(&key), "{} {key:?}", t.format());
-                assert!(grid.stored_entries(&key) > 0, "only nonempty tiles are cut");
-                total += grid.stored_entries(&key);
+                assert!(!tile.vals().is_empty(), "{} {key:?}: only nonempty tiles are cut", t.format());
+                total += tile.vals().len();
             }
-            assert_eq!(total as usize, t.vals().len(), "{}: every stored entry is in one tile", t.format());
-            assert_eq!(grid.stored_entries(&[99, 99]), 0);
+            assert_eq!(total, t.vals().len(), "{}: every stored entry is in one tile", t.format());
+            assert_eq!(grid.get(&[99, 99]), None);
         }
     }
 
@@ -900,8 +893,8 @@ mod tests {
             assert_eq!(key[1], 0);
         }
         assert_eq!(grid.tile_sizes(), &[4, 9]);
-        let total: u64 = tiles.iter().map(|(key, _)| grid.stored_entries(key)).sum();
-        assert_eq!(total as usize, t.nnz());
+        let total: usize = tiles.iter().map(|(_, tile)| tile.vals().len()).sum();
+        assert_eq!(total, t.nnz());
     }
 
     #[test]
