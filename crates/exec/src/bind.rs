@@ -41,8 +41,19 @@ impl Inputs {
     /// Binds an already-shared fibertree tensor under its own name,
     /// without copying its storage.
     pub fn shared(mut self, tensor: Arc<Tensor>) -> Self {
-        self.tensors.insert(tensor.name().to_string(), tensor);
+        self.rebind(tensor);
         self
+    }
+
+    /// Binds `tensor` under its own name in place: replacing a tensor
+    /// already bound under that name allocates nothing.
+    pub(crate) fn rebind(&mut self, tensor: Arc<Tensor>) {
+        match self.tensors.get_mut(tensor.name()) {
+            Some(bound) => *bound = tensor,
+            None => {
+                self.tensors.insert(tensor.name().to_string(), tensor);
+            }
+        }
     }
 
     /// Builds a fibertree from COO data and binds it under `name`.
@@ -61,6 +72,12 @@ impl Inputs {
     /// The tensor bound to `name`, if any.
     pub fn get(&self, name: &str) -> Option<&Tensor> {
         self.tensors.get(name).map(|t| t.as_ref())
+    }
+
+    /// The shared tensor bound to `name`, if any: binding it elsewhere is a
+    /// refcount bump.
+    pub(crate) fn get_shared(&self, name: &str) -> Option<&Arc<Tensor>> {
+        self.tensors.get(name)
     }
 
     /// Iterates the bound `(name, tensor)` pairs.

@@ -56,10 +56,14 @@
 //! buffers of the walk's workspace, and the next stream stored — a port,
 //! a region's stored port or its register file — takes it instead of
 //! allocating. Peak memory is the live set plus the spare buffers a later
-//! stream reuses, not the sum of all streams. One backend run keeps one
-//! workspace: the tiled backend's walk of each tile tuple starts from the
-//! buffers, stream table and output list the tuple before it grew, and
-//! nothing is kept once the run returns.
+//! stream reuses, not the sum of all streams. The writers' arrays are
+//! spares too: a walk returns its levels and values, and a caller that is
+//! done with them — the tiled backend, once it has merged a tuple's output
+//! — hands them back for the next walk's writers, which empty them before
+//! writing. One backend run keeps one workspace: the tiled backend's walk
+//! of each tile tuple starts from the buffers, stream table, writer arrays
+//! and output list the tuple before it grew, and nothing is kept once the
+//! run returns.
 //!
 //! **Named once, on failure.** A transfer function reports a fault without
 //! naming its node; the walk attaches [`Plan::node_label`] when it turns
@@ -96,10 +100,10 @@ use crate::node::{
 use crate::plan::{FusedScan, Plan, PortRef};
 use crate::{assemble_output, Execution, Executor};
 use sam_core::graph::{NodeId, NodeKind};
-use sam_primitives::rule::{self, ScalarReduce};
+use sam_primitives::rule::{self, LevelWrite, ScalarReduce, ValWrite};
 use sam_sim::{Fault, SimToken};
+use sam_tensor::level::CompressedLevel;
 use sam_trace::{TokenCounts, TraceSink};
-use std::collections::HashMap;
 use std::time::Instant;
 
 type Stream = Vec<SimToken>;
@@ -110,11 +114,17 @@ type Stream = Vec<SimToken>;
 /// `Vec`s. Nothing in it outlives the run that made it.
 #[derive(Default)]
 pub(crate) struct Workspace {
-    /// Every stored stream's buffer, taken and handed back.
+    /// Every stored stream's buffer and every writer's arrays, taken and
+    /// handed back.
     spares: Spares,
     streams: StreamTable,
     /// The streams of the node being evaluated.
     outs: Vec<Stream>,
+    /// Per level writer of the plan, the level it wrote, until the walk
+    /// ends.
+    written: Vec<Option<CompressedLevel>>,
+    /// The list a walk returns its levels in, handed back empty.
+    levels: Vec<CompressedLevel>,
 }
 
 impl Workspace {
@@ -125,20 +135,44 @@ impl Workspace {
             self.spares.give(stream);
         }
         self.streams.reset(plan, &mut self.spares);
+        for level in self.written.drain(..).flatten() {
+            self.spares.give_level(level);
+        }
+        self.written.resize_with(plan.level_writers().len(), || None);
+    }
+
+    /// Keeps the arrays of a walk's output, once its caller has read them,
+    /// for the writers of the next walk.
+    pub(crate) fn recycle(&mut self, written: Written) {
+        let Written { mut levels, vals, .. } = written;
+        for level in levels.drain(..) {
+            self.spares.give_level(level);
+        }
+        self.spares.vals.push(vals);
+        self.levels = levels;
     }
 }
 
-/// Spare stream buffers, each empty but keeping the capacity its last
-/// stream grew to: a stream taken from here fills it without reallocating.
-/// The fast walk hands a stream back when its last reader has run, and a
-/// region its registers when it finishes.
+/// Spare buffers, each keeping the capacity its last user grew it to: a
+/// stream or a writer that takes one from here fills it without
+/// reallocating. The fast walk hands a stream back, emptied, when its last
+/// reader has run, and a region its registers when it finishes; the tiled
+/// backend hands back the arrays of each tuple's output once it has merged
+/// them, and a writer empties them when it takes them.
 #[derive(Default)]
-pub(crate) struct Spares(Vec<Stream>);
+pub(crate) struct Spares {
+    streams: Vec<Stream>,
+    /// Level writers' coordinate and segment arrays.
+    crd: Vec<Vec<u32>>,
+    seg: Vec<Vec<usize>>,
+    /// Values writers' arrays.
+    vals: Vec<Vec<f64>>,
+}
 
 impl Spares {
     /// An empty buffer: the last one handed back, or a new one.
     pub(crate) fn take(&mut self) -> Stream {
-        self.0.pop().unwrap_or_default()
+        self.streams.pop().unwrap_or_default()
     }
 
     /// Keeps `stream`'s buffer, emptied, for a later stream; one that
@@ -146,8 +180,24 @@ impl Spares {
     pub(crate) fn give(&mut self, mut stream: Stream) {
         if stream.capacity() > 0 {
             stream.clear();
-            self.0.push(stream);
+            self.streams.push(stream);
         }
+    }
+
+    /// A level writer over the last arrays handed back, or new ones.
+    pub(crate) fn level_writer(&mut self) -> LevelWrite {
+        LevelWrite::reusing(self.crd.pop().unwrap_or_default(), self.seg.pop().unwrap_or_default())
+    }
+
+    /// A values writer over the last array handed back, or a new one.
+    pub(crate) fn val_writer(&mut self) -> ValWrite {
+        ValWrite::reusing(self.vals.pop().unwrap_or_default())
+    }
+
+    /// Keeps a written level's arrays for a later level writer.
+    fn give_level(&mut self, level: CompressedLevel) {
+        self.crd.push(level.crd);
+        self.seg.push(level.seg);
     }
 }
 
@@ -370,8 +420,32 @@ impl Executor for FastBackend {
         trace: &dyn TraceSink,
     ) -> Result<Execution, ExecError> {
         plan.check_inputs(inputs)?;
-        walk(plan, inputs, trace, &define_nodes(plan, trace), &mut Workspace::default())
+        let start = Instant::now();
+        let Written { levels, vals, tokens } =
+            walk(plan, inputs, trace, &define_nodes(plan, trace), &mut Workspace::default())?;
+        let output = assemble_output(plan, levels, &vals)?;
+        Ok(Execution {
+            backend: self.name(),
+            output,
+            vals,
+            cycles: None,
+            blocks: plan.graph().len(),
+            channels: plan.channels().len(),
+            tokens,
+            memory: None,
+            elapsed: start.elapsed(),
+            profile: trace.snapshot(),
+        })
     }
+}
+
+/// What one walk wrote: the level writers' levels, outermost first, the
+/// values writer's values, and how many tokens flowed. Its caller checks
+/// that the levels and values form one tree before it reads them as one.
+pub(crate) struct Written {
+    pub(crate) levels: Vec<CompressedLevel>,
+    pub(crate) vals: Vec<f64>,
+    pub(crate) tokens: u64,
 }
 
 /// The walk behind [`FastBackend`], with the nodes already defined on
@@ -383,13 +457,12 @@ pub(crate) fn walk(
     trace: &dyn TraceSink,
     labels: &[String],
     ws: &mut Workspace,
-) -> Result<Execution, ExecError> {
+) -> Result<Written, ExecError> {
     let start = Instant::now();
     let tracing = trace.enabled();
     ws.reset(plan);
-    let Workspace { spares, streams, outs } = ws;
+    let Workspace { spares, streams, outs, written, levels } = ws;
     let mut tokens = 0u64;
-    let mut level_results: HashMap<usize, sam_tensor::level::CompressedLevel> = HashMap::new();
     let mut vals_result: Option<Vec<f64>> = None;
     // Roots whose region faulted. They and their members run unfused, each
     // in its own place in the order, so the run fails exactly where the
@@ -429,9 +502,15 @@ pub(crate) fn walk(
             let job = NodeJob::build(plan, inputs, id);
             let mut srcs: Vec<SliceSource<'_>> =
                 plan.inputs_of(id).iter().flatten().map(|&p| SliceSource::new(streams.get(p))).collect();
-            match eval_node(&job, &mut srcs, outs).map_err(|f| ExecError::at(f, plan.node_label(id)))? {
+            match eval_node(&job, &mut srcs, outs, spares)
+                .map_err(|f| ExecError::at(f, plan.node_label(id)))?
+            {
+                // A level writer of another tensor than the values writer's
+                // writes no level of the output.
                 Some(WriterOutput::Level(level)) => {
-                    level_results.insert(id.0, level);
+                    if let Some(w) = plan.level_writers().iter().position(|&w| w == id) {
+                        written[w] = Some(level);
+                    }
                 }
                 Some(WriterOutput::Vals(vals)) => vals_result = Some(vals),
                 None => {}
@@ -471,27 +550,13 @@ pub(crate) fn walk(
         }
     }
 
-    let levels: Vec<_> = plan
-        .level_writers()
-        .iter()
-        .map(|w| level_results.remove(&w.0).ok_or(ExecError::IncompleteOutput { label: plan.node_label(*w) }))
-        .collect::<Result<_, _>>()?;
+    let mut levels = std::mem::take(levels);
+    for (writer, level) in plan.level_writers().iter().zip(written.iter_mut()) {
+        levels.push(level.take().ok_or(ExecError::IncompleteOutput { label: plan.node_label(*writer) })?);
+    }
     let vals =
         vals_result.ok_or(ExecError::IncompleteOutput { label: plan.node_label(plan.vals_writer()) })?;
-    let output = assemble_output(plan, levels, &vals)?;
-
-    Ok(Execution {
-        backend: "fast-serial",
-        output,
-        vals,
-        cycles: None,
-        blocks: plan.graph().len(),
-        channels: plan.channels().len(),
-        tokens,
-        memory: None,
-        elapsed: start.elapsed(),
-        profile: trace.snapshot(),
-    })
+    Ok(Written { levels, vals, tokens })
 }
 
 #[cfg(test)]
@@ -500,7 +565,7 @@ mod tests {
     use custard::graphs::{self, SpmmDataflow};
     use sam_core::graph::SamGraph;
     use sam_sim::payload::tok;
-    use sam_tensor::{synth, Tensor, TensorFormat};
+    use sam_tensor::{synth, TensorFormat};
     use sam_trace::{CountersSink, NullSink};
     use std::error::Error;
 
@@ -532,12 +597,12 @@ mod tests {
         streams.store(scanner, [vec![tok::crd(1), tok::done()], vec![tok::rf(0), tok::done()]], spares);
         streams.release(rf, spares);
         assert!(streams.slots[scanner.0][1].stream.is_none(), "sole reader ran: freed");
-        assert_eq!(spares.0.len(), 1, "its buffer is spare");
+        assert_eq!(spares.streams.len(), 1, "its buffer is spare");
         streams.release(crd, spares);
         assert_eq!(streams.get(crd).len(), 2, "one of two readers ran: still stored");
         streams.release(crd, spares);
         assert!(streams.slots[scanner.0][0].stream.is_none(), "last reader ran: freed");
-        assert!(spares.0.len() == 2 && spares.0.iter().all(Vec::is_empty), "spares are empty");
+        assert!(spares.streams.len() == 2 && spares.streams.iter().all(Vec::is_empty), "spares are empty");
 
         // A port nobody reads is never stored: an intersecter's silent skip
         // ports feed only skip inputs, which are not readers.
@@ -552,7 +617,7 @@ mod tests {
         assert!(streams.slots[isect.0][3].stream.is_none() && streams.slots[isect.0][4].stream.is_none());
         assert!(streams.slots[isect.0][1].stream.is_some());
         let silent = streams.slots[isect.0].iter().filter(|slot| slot.readers == 0).count();
-        assert_eq!(spares.0.len(), silent, "a port nobody reads is spare at once");
+        assert_eq!(spares.streams.len(), silent, "a port nobody reads is spare at once");
     }
 
     /// SpMV, Gustavson SpM*SpM, MMAdd (a unioner) and SDDMM (an intersecter
@@ -605,16 +670,20 @@ mod tests {
         Ok(planned)
     }
 
-    /// What a walk computed and counted: its output, raw values and token
-    /// total, and each node's token counts when it is traced.
-    type Seen = (Option<Tensor>, Vec<f64>, u64, Vec<TokenCounts>);
+    /// What a walk computed and counted: its writers' levels and values,
+    /// its token total, and each node's token counts when it is traced.
+    type Seen = (Vec<CompressedLevel>, Vec<f64>, u64, Vec<TokenCounts>);
 
+    /// Walks `plan` in `ws` and hands the output's arrays back to it, as the
+    /// tiled backend does once it has merged them.
     fn walk_in(plan: &Plan, inputs: &Inputs, traced: bool, ws: &mut Workspace) -> Result<Seen, ExecError> {
         let sink = CountersSink::new();
         let trace: &dyn TraceSink = if traced { &sink } else { &NullSink };
-        let run = walk(plan, inputs, trace, &define_nodes(plan, trace), ws)?;
-        let nodes = run.profile.map(|p| p.nodes.into_iter().map(|n| n.tokens).collect());
-        Ok((run.output, run.vals, run.tokens, nodes.unwrap_or_default()))
+        let written = walk(plan, inputs, trace, &define_nodes(plan, trace), ws)?;
+        let nodes = trace.snapshot().map(|p| p.nodes.into_iter().map(|n| n.tokens).collect());
+        let seen = (written.levels.clone(), written.vals.clone(), written.tokens, nodes.unwrap_or_default());
+        ws.recycle(written);
+        Ok(seen)
     }
 
     /// Walks each of `kernels` in `ws`, in the order `sequence` names them,
@@ -645,7 +714,7 @@ mod tests {
         let kernels = kernels()?;
         let mut ws = Workspace::default();
         assert_reuse_is_invisible(&kernels, &[0, 1, 2, 3, 3, 2, 1, 0, 2, 0, 3, 1, 1, 3, 0, 2], &mut ws)?;
-        assert!(!ws.spares.0.is_empty() && ws.outs.is_empty(), "the walks handed their buffers back");
+        assert!(!ws.spares.streams.is_empty() && ws.outs.is_empty(), "the walks handed their buffers back");
         Ok(())
     }
 
@@ -660,6 +729,24 @@ mod tests {
             // More buffers than a walk holds at once, so every stream takes one.
             for len in 1..200 {
                 ws.spares.give(garbage.iter().copied().cycle().take(len).collect());
+            }
+            assert_reuse_is_invisible(&kernels, &[k], &mut ws)?;
+        }
+        Ok(())
+    }
+
+    /// A writer empties the arrays it takes from the workspace, so what an
+    /// earlier output left in them never reaches the next one.
+    #[test]
+    fn garbage_in_a_spare_writer_array_never_reaches_an_output() -> Result<(), Box<dyn Error>> {
+        let kernels = kernels()?;
+        for k in 0..kernels.len() {
+            let mut ws = Workspace::default();
+            // More arrays than a walk's writers take, so every writer takes one.
+            for len in 1..8 {
+                let garbage = CompressedLevel { dim: 3, seg: [2, 0, 9].repeat(len), crd: vec![5; len] };
+                let vals = vec![-7.5; 3 * len];
+                ws.recycle(Written { levels: vec![garbage.clone(), garbage], vals, tokens: 1 });
             }
             assert_reuse_is_invisible(&kernels, &[k], &mut ws)?;
         }

@@ -210,12 +210,9 @@ pub(crate) fn assemble_output(
     levels: Vec<CompressedLevel>,
     vals: &[f64],
 ) -> Result<Option<Tensor>, ExecError> {
+    check_output(&levels, vals)?;
     if levels.is_empty() {
         return Ok(None);
-    }
-    let expected = levels.last().expect("nonempty").crd.len();
-    if vals.len() != expected {
-        return Err(ExecError::Misaligned { label: "output assembly".to_string() });
     }
     let order = levels.len();
     Ok(Some(Tensor::from_parts(
@@ -225,6 +222,26 @@ pub(crate) fn assemble_output(
         levels.into_iter().map(Level::Compressed).collect(),
         vals.to_vec(),
     )))
+}
+
+/// Checks that the written levels and values form one tree: every level
+/// below the first holds one fiber per entry of the level above it, and the
+/// values one entry per entry of the last level. A graph whose writers
+/// disagree (one written in another loop order than its parent, say) fails
+/// here instead of returning a tensor nobody can read. Below a level with no
+/// entries, a level holding none passes whatever its fibers: an empty outer
+/// fiber reaches the writers below it as the one empty fiber its scanners
+/// emit.
+pub(crate) fn check_output(levels: &[CompressedLevel], vals: &[f64]) -> Result<(), ExecError> {
+    let nested = levels.windows(2).all(|pair| {
+        let (parent, child) = (&pair[0], &pair[1]);
+        child.seg.len() == parent.crd.len() + 1 || parent.crd.is_empty() && child.crd.is_empty()
+    });
+    if nested && levels.last().is_none_or(|last| last.crd.len() == vals.len()) {
+        Ok(())
+    } else {
+        Err(ExecError::Misaligned { label: "output assembly".to_string() })
+    }
 }
 
 #[cfg(test)]

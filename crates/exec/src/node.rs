@@ -41,9 +41,7 @@ use crate::fast::Spares;
 use crate::plan::Plan;
 use sam_core::graph::{NodeId, NodeKind};
 use sam_primitives::root_stream;
-use sam_primitives::rule::{
-    self, AluOp, CoordDrop, LevelWrite, MatrixReduce, ScalarReduce, Scan, ValWrite, VectorReduce,
-};
+use sam_primitives::rule::{self, AluOp, CoordDrop, MatrixReduce, ScalarReduce, Scan, VectorReduce};
 use sam_sim::payload::{tok, Payload};
 use sam_sim::{Fault, SimToken};
 use sam_streams::Token;
@@ -136,11 +134,13 @@ impl<'a> NodeJob<'a> {
 }
 
 /// Runs one node over its input sources, pushing to its output sinks.
-/// Writers return their collected output instead of streaming.
+/// Writers return their collected output instead of streaming, written into
+/// arrays taken from `spares`.
 pub(crate) fn eval_node(
     job: &NodeJob<'_>,
     srcs: &mut [SliceSource<'_>],
     outs: &mut [Vec<SimToken>],
+    spares: &mut Spares,
 ) -> Result<Option<WriterOutput>, Fault> {
     match job.kind {
         NodeKind::Root { .. } => {
@@ -190,12 +190,12 @@ pub(crate) fn eval_node(
             run_dropper(outer, inner, outs)?;
         }
         NodeKind::LevelWriter { vals: true, .. } => {
-            let mut write = ValWrite::default();
+            let mut write = spares.val_writer();
             each(&mut srcs[0], |t| write.step(t))?;
             return Ok(Some(WriterOutput::Vals(write.finish())));
         }
         NodeKind::LevelWriter { .. } => {
-            let mut write = LevelWrite::default();
+            let mut write = spares.level_writer();
             each(&mut srcs[0], |t| write.step(t))?;
             return Ok(Some(WriterOutput::Level(write.finish(job.writer_dim))));
         }

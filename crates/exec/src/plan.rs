@@ -233,8 +233,8 @@ impl Plan {
                     };
                 }
                 NodeKind::LevelWriter { tensor, index, vals } => {
-                    output_name = tensor.clone();
                     if *vals {
+                        output_name = tensor.clone();
                         vals_writer = Some(id);
                     } else {
                         writer_dims[id.0] = analysis.dimension(*index).unwrap_or_default();
@@ -245,8 +245,13 @@ impl Plan {
             }
         }
         let vals_writer = vals_writer.expect("a clean analysis has exactly one values writer");
-        // Writers are visited in dependency order above; the output levels
-        // must follow graph declaration order (outermost first).
+        // The output is the tensor the values writer writes: a level writer
+        // of another tensor writes none of its levels. Writers are visited
+        // in dependency order above; the output levels follow graph
+        // declaration order (outermost first).
+        level_writers.retain(|w: &NodeId| {
+            matches!(&graph.nodes()[w.0], NodeKind::LevelWriter { tensor, .. } if *tensor == output_name)
+        });
         level_writers.sort_unstable();
         let output_shape = level_writers.iter().map(|w| writer_dims[w.0]).collect();
 

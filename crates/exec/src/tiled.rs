@@ -8,11 +8,15 @@
 //! kernel's iteration space with ExTensor-style sparse tile skipping, each
 //! surviving tuple runs the ordinary fast executor over its tile operands,
 //! one tuple at a time, and a tile-merge reducer accumulates the partial
-//! outputs. A tile is only a coarser coordinate level, so every tuple walks
-//! the run's own plan: the run plans once, whatever its tile shapes. Every
-//! tuple's walk runs in one workspace the run keeps: it starts from the
-//! stream buffers, register files and stream table the tuple before it
-//! grew, and the run frees them before its merge. The tile
+//! outputs. A tensor one window covers is bound whole, uncut. A tile is only
+//! a coarser coordinate level, so every tuple walks the run's own plan: the
+//! run plans once, whatever its tile shapes. Every tuple's walk runs in one
+//! workspace the run keeps: it starts from the stream buffers, register
+//! files, stream table and writer arrays the tuple before it grew, and the
+//! run frees them before its merge. A tuple's partial output is never a
+//! tensor: the merger reads its writers' levels and values where they were
+//! written, once they are checked to form one tree, and hands the arrays
+//! back to the workspace for the next tuple's writers. The tile
 //! access sequence drives an LRU model of the last-level buffer, so the run
 //! reports *measured* counters ([`MemoryCounters`]) — DRAM bytes moved, LLB
 //! occupancy high-water mark, tiles skipped and capacity spills — which
@@ -54,7 +58,7 @@ use crate::error::ExecError;
 use crate::fast::{define_nodes, walk, Workspace};
 use crate::plan::Plan;
 use crate::schedule::tile_schedule;
-use crate::{Execution, Executor};
+use crate::{check_output, Execution, Executor};
 use sam_memory::{MemoryConfig, MemoryCounters};
 use sam_tensor::{CooTensor, Tensor};
 use sam_tiles::{LlbModel, TileGrid, TileMerger};
@@ -133,7 +137,7 @@ impl Executor for TiledBackend {
             .iter()
             .enumerate()
             .filter_map(|(ti, tt)| {
-                let tensor = inputs.get(&tt.name)?;
+                let tensor = inputs.get_shared(&tt.name)?;
                 Some(TileGrid::build(tensor, tiling.level_tile_sizes(ti, tensor)))
             })
             .collect();
@@ -152,6 +156,7 @@ impl Executor for TiledBackend {
         // introduces it (`unknown-dimension`), so each one is traced.
         let writer_vars: Vec<usize> =
             tiling.output_vars.iter().filter_map(|&v| tiling.var_index(v)).collect();
+        let mut offsets: Vec<u32> = Vec::with_capacity(writer_vars.len());
 
         // Row-major enumeration of the variable tile tuple space. The
         // tuple and the key/tile buffers are reused across tuples: large
@@ -214,8 +219,8 @@ impl Executor for TiledBackend {
 
             // Bind the tile operands (materializing empty tiles for
             // operands outside the skip set). Tiles are shared into
-            // the input set — a refcount bump per tuple, not a deep
-            // copy.
+            // the input set in place — a refcount bump per tuple, not a
+            // deep copy.
             for (ti, key) in keys.iter().enumerate() {
                 let tile: Arc<Tensor> = match found[ti] {
                     Some(t) => Arc::clone(t),
@@ -227,31 +232,33 @@ impl Executor for TiledBackend {
                         }))
                     }
                 };
-                tile_inputs = tile_inputs.shared(tile);
+                tile_inputs.rebind(tile);
             }
 
-            // Run the tuple and absorb its partial output. `TileMerger`
-            // accumulation and the float sums it feeds are order-sensitive:
-            // canonical tuple order is what keeps a tiled run bit-identical
-            // to an untiled one.
+            // Run the tuple and absorb its partial output straight from
+            // its writers' arrays, which then go back to the workspace.
+            // `TileMerger` accumulation and the float sums it feeds are
+            // order-sensitive: canonical tuple order is what keeps a tiled
+            // run bit-identical to an untiled one.
             phase.record("bind", bind_start);
             let tile_start = phase.now();
-            let run = walk(plan, &tile_inputs, &tile_sink, &labels, &mut ws)?;
+            let written = walk(plan, &tile_inputs, &tile_sink, &labels, &mut ws)?;
             if let Some(t0) = tile_start {
                 let (at, dur) = ((t0 - start).as_nanos() as u64, t0.elapsed().as_nanos() as u64);
                 trace.record_span("tiles", &format!("tile{tuple:?}"), at, dur);
             }
-            tokens += run.tokens;
-            match run.output {
-                Some(out) => {
-                    let offsets: Vec<u32> =
-                        writer_vars.iter().map(|&vi| tiling.var_window(vi, tuple[vi]).0).collect();
-                    let absorb_start = phase.now();
-                    merger.absorb(&out, &offsets);
-                    phase.record("absorb", absorb_start);
-                }
-                None => scalar_sum += run.vals.iter().sum::<f64>(),
+            tokens += written.tokens;
+            if written.levels.is_empty() {
+                scalar_sum += written.vals.iter().sum::<f64>();
+            } else {
+                offsets.clear();
+                offsets.extend(writer_vars.iter().map(|&vi| tiling.var_window(vi, tuple[vi]).0));
+                let absorb_start = phase.now();
+                check_output(&written.levels, &written.vals)?;
+                merger.absorb(&written.levels, &written.vals, &offsets);
+                phase.record("absorb", absorb_start);
             }
+            ws.recycle(written);
         }
         phase.record("tuples", tuples_start);
         // The walks' spare buffers are freed before the merge allocates the

@@ -223,3 +223,29 @@ fn an_index_variable_bound_at_two_sizes_is_rejected_on_every_backend() {
         }
     }
 }
+
+/// A schedule whose output levels do not nest. `X(i,j,k) = B(i,j,l) *
+/// C(k,l)` at `iljk` iterates the reduction variable `l` between the output
+/// variables `i` and `j`, and its writers' levels below `i` do not hold one
+/// fiber per entry of the level above them. That is a typed error on every
+/// backend: the fast and cycle backends used to return a tensor whose
+/// `to_dense` panicked, and the tiled backend panicked merging it.
+#[test]
+fn writers_that_disagree_on_the_output_tree_are_a_typed_error_on_every_backend() {
+    let assignment = parse("X(i,j,k) = B(i,j,l) * C(k,l)").unwrap();
+    let cin = ConcreteIndexNotation::new(assignment, &Schedule::new().reorder("iljk"), Formats::new());
+    let kernel = lower_exec(&cin).unwrap();
+    let b = synth::random_tensor3([6, 5, 4], 40, 31);
+    let c = synth::random_matrix_sparsity(7, 4, 0.4, 32);
+    let mut inputs = Inputs::new();
+    for (name, coo) in [("B", &b), ("C", &c)] {
+        let format = &kernel.formats.iter().find(|(n, _)| n == name).expect("operand in formats").1;
+        inputs = inputs.coo(name, coo, format.clone());
+    }
+    for spec in BackendSpec::all() {
+        match ExecRequest::new(&kernel.graph, &inputs).backend(spec).run() {
+            Err(ExecError::Misaligned { label }) => assert_eq!(label, "output assembly", "{spec}"),
+            other => panic!("{spec}: expected a misaligned output, got {other:?}"),
+        }
+    }
+}

@@ -15,11 +15,21 @@ pub struct LevelWrite {
 
 impl Default for LevelWrite {
     fn default() -> Self {
-        LevelWrite { coords: Vec::new(), seg: vec![0] }
+        LevelWrite::reusing(Vec::new(), Vec::new())
     }
 }
 
 impl LevelWrite {
+    /// A level writer that writes into `coords` and `seg`, emptied first
+    /// but keeping their capacity: a caller that keeps a finished level's
+    /// arrays hands them back here instead of allocating.
+    pub fn reusing(mut coords: Vec<u32>, mut seg: Vec<usize>) -> Self {
+        coords.clear();
+        seg.clear();
+        seg.push(0);
+        LevelWrite { coords, seg }
+    }
+
     /// Takes one token of the coordinate stream; `Empty` and done write
     /// nothing.
     #[inline]
@@ -51,6 +61,13 @@ pub struct ValWrite {
 }
 
 impl ValWrite {
+    /// A values writer that writes into `vals`, emptied first but keeping
+    /// its capacity.
+    pub fn reusing(mut vals: Vec<f64>) -> Self {
+        vals.clear();
+        ValWrite { vals }
+    }
+
     /// Takes one token of the value stream.
     #[inline]
     pub fn step(&mut self, t: SimToken) -> Result<(), Fault> {

@@ -21,7 +21,9 @@
 //! leaf lies below it in the window, the root level has one fiber and every
 //! deeper level one per parent entry — array for array the fibertree
 //! [`sam_tensor::TensorBuilder`] builds from the window's stored points.
-//! Only nonempty tiles are built.
+//! Only nonempty tiles are built. Where one window covers the whole tensor
+//! that tile would equal the tensor, so the grid shares the tensor instead
+//! of cutting it.
 
 use sam_tensor::level::{BitvectorLevel, CompressedLevel, DenseLevel, Level};
 use sam_tensor::Tensor;
@@ -63,7 +65,8 @@ fn each_entry(level: &Level, fiber: usize, mut f: impl FnMut(u32, usize)) {
 /// `Tensor::points`, explicit zeros are visited too (dense levels
 /// materialize them) and coordinates are reported in storage order, not
 /// logical order.
-pub fn for_each_stored(tensor: &Tensor, mut f: impl FnMut(&[u32], f64)) {
+#[cfg(test)]
+pub(crate) fn for_each_stored(tensor: &Tensor, mut f: impl FnMut(&[u32], f64)) {
     if tensor.levels().is_empty() {
         return;
     }
@@ -73,6 +76,7 @@ pub fn for_each_stored(tensor: &Tensor, mut f: impl FnMut(&[u32], f64)) {
 
 /// Visits fiber `fiber` of storage level `level`, below the coordinates
 /// `point[..level]`.
+#[cfg(test)]
 fn walk_stored(
     tensor: &Tensor,
     level: usize,
@@ -134,12 +138,15 @@ fn key_windows(key: &[u32], tile_sizes: &[usize], dims: &[usize]) -> Vec<(u32, u
 impl TileGrid {
     /// Cuts `tensor` into tiles of `tile_sizes[level]` coordinates per
     /// storage level, in one depth-first pass over its stored entries (see
-    /// the [module docs](self)).
+    /// the [module docs](self)). Where the sizes reach every level's
+    /// dimension, one window covers the tensor: the grid's only tile is
+    /// `tensor` itself, shared rather than copied entry for entry (an empty
+    /// tensor still has no tile).
     ///
     /// # Panics
     ///
     /// Panics if `tile_sizes` has the wrong length or contains a zero.
-    pub fn build(tensor: &Tensor, tile_sizes: Vec<usize>) -> TileGrid {
+    pub fn build(tensor: &Arc<Tensor>, tile_sizes: Vec<usize>) -> TileGrid {
         assert_eq!(tile_sizes.len(), tensor.order(), "one tile size per storage level");
         assert!(tile_sizes.iter().all(|&t| t > 0), "tile sizes must be positive");
         let order = tensor.order();
@@ -149,27 +156,15 @@ impl TileGrid {
         for l in (1..order).rev() {
             strides[l - 1] = strides[l] * grids[l] as u64;
         }
-        let stored = tensor.vals().len();
-        // At most one run per stored leaf, and per leaf fiber and window.
-        let runs =
-            order.checked_sub(1).map_or(0, |leaf| stored.min(tensor.level(leaf).num_fibers() * grids[leaf]));
-        let mut walk = Walk {
-            tensor,
-            sizes: tile_sizes.iter().map(|&t| u32::try_from(t).unwrap_or(u32::MAX)).collect(),
-            strides: &strides,
-            rebased: vec![0; order],
-            entry: vec![0; order],
-            index: HashMap::new(),
-            keys: Vec::new(),
-            last: Vec::new(),
-            counts: Vec::new(),
-            log: Vec::with_capacity(runs * (RUN_HEADER + order)),
+        let (index, tiles) = if tile_sizes.iter().zip(&dims).all(|(&t, &d)| t >= d) {
+            if tensor.vals().is_empty() {
+                (HashMap::new(), Vec::new())
+            } else {
+                (HashMap::from([(0, 0)]), vec![Arc::clone(tensor)])
+            }
+        } else {
+            cut(tensor, &tile_sizes, &grids, &dims, &strides)
         };
-        if order > 0 {
-            walk.visit(0, 0, 0);
-        }
-        let tiles = walk.fill(&tile_sizes, &grids, &dims);
-        let index = walk.index;
         TileGrid { tile_sizes, grids, dims, strides, index, tiles }
     }
 
@@ -220,7 +215,40 @@ impl TileGrid {
     }
 }
 
-/// The depth-first pass of [`TileGrid::build`]: routes every stored leaf to
+/// The nonempty tiles of `tensor` under `tile_sizes`, cut in one
+/// depth-first pass, and their slots by linear key.
+fn cut(
+    tensor: &Tensor,
+    tile_sizes: &[usize],
+    grids: &[usize],
+    dims: &[usize],
+    strides: &[u64],
+) -> (HashMap<u64, usize>, Vec<Arc<Tensor>>) {
+    let order = tensor.order();
+    let stored = tensor.vals().len();
+    // At most one run per stored leaf, and per leaf fiber and window.
+    let runs =
+        order.checked_sub(1).map_or(0, |leaf| stored.min(tensor.level(leaf).num_fibers() * grids[leaf]));
+    let mut walk = Walk {
+        tensor,
+        sizes: tile_sizes.iter().map(|&t| u32::try_from(t).unwrap_or(u32::MAX)).collect(),
+        strides,
+        rebased: vec![0; order],
+        entry: vec![0; order],
+        index: HashMap::new(),
+        keys: Vec::new(),
+        last: Vec::new(),
+        counts: Vec::new(),
+        log: Vec::with_capacity(runs * (RUN_HEADER + order)),
+    };
+    if order > 0 {
+        walk.visit(0, 0, 0);
+    }
+    let tiles = walk.fill(tile_sizes, grids, dims);
+    (walk.index, tiles)
+}
+
+/// The depth-first pass of [`cut`]: routes every stored leaf to
 /// its tile and logs what each run of leaves adds to it.
 struct Walk<'a> {
     tensor: &'a Tensor,
@@ -473,6 +501,12 @@ mod tests {
     const LEVEL_FORMATS: [LevelFormat; 3] =
         [LevelFormat::Dense, LevelFormat::Compressed, LevelFormat::Bitvector { word_width: 8 }];
 
+    /// The grid of `tensor` under `tile_sizes`, built over a shared copy of
+    /// it.
+    fn grid_of(tensor: &Tensor, tile_sizes: Vec<usize>) -> TileGrid {
+        TileGrid::build(&Arc::new(tensor.clone()), tile_sizes)
+    }
+
     /// The per-window cut [`TileGrid::build`] replaced, kept as its
     /// reference: slices one window out of `tensor` (one half-open
     /// coordinate window per *storage* level), rebased so the window origin
@@ -668,7 +702,7 @@ mod tests {
                             for sizes in &tile_sizes {
                                 let sizes =
                                     sizes.iter().enumerate().map(|(l, &s)| s.min(t.level(l).dimension()));
-                                let grid = TileGrid::build(&t, sizes.collect());
+                                let grid = grid_of(&t, sizes.collect());
                                 windows += assert_grid_matches_reference(&t, &grid);
                             }
                         }
@@ -679,13 +713,52 @@ mod tests {
         assert!(windows > 20_000, "only {windows} windows compared");
     }
 
+    /// Where one window covers a tensor, the cut copies the tensor
+    /// unchanged: that is what lets [`TileGrid::build`] share it as the
+    /// grid's only tile instead. Every level format at orders 1–3, in both
+    /// mode orders, with explicit zeros and without, and empty.
+    #[test]
+    fn a_one_window_tile_is_its_tensor() {
+        let mut compared = 0;
+        for order in 1..=3 {
+            let coo = match order {
+                1 => synth::random_vector(29, 11, 90),
+                2 => synth::random_matrix_sparsity(23, 19, 0.8, 91),
+                _ => synth::random_tensor3([7, 9, 11], 60, 92),
+            };
+            let empty = CooTensor::new(coo.shape().to_vec());
+            for levels in format_combinations(order) {
+                for mode_order in [(0..order).collect(), (0..order).rev().collect()] {
+                    let fmt = TensorFormat::with_mode_order(levels.clone(), mode_order);
+                    let t = Tensor::from_coo("T", &coo, fmt.clone());
+                    let dims: Vec<usize> = (0..order).map(|l| t.level(l).dimension()).collect();
+                    let one_window = |t: &Tensor| cut(t, &dims, &vec![1; order], &dims, &vec![1; order]).1;
+                    for t in [with_explicit_zeros(&t), t] {
+                        assert_eq!(one_window(&t), [Arc::new(t.clone())], "{}", t.format());
+                        let shared = Arc::new(t);
+                        let grid = TileGrid::build(&shared, dims.clone());
+                        let tile = grid.get_shared(&vec![0; order]);
+                        assert!(tile.is_some_and(|tile| Arc::ptr_eq(tile, &shared)), "{}", shared.format());
+                        assert_eq!(grid.nonempty(), 1);
+                        compared += 1;
+                    }
+                    let empty = Tensor::from_coo("E", &empty, fmt);
+                    let grid = grid_of(&empty, dims.clone());
+                    assert_eq!(grid.nonempty(), one_window(&empty).len(), "{}", empty.format());
+                    assert_eq!(grid.nonempty() > 0, !empty.vals().is_empty(), "{}", empty.format());
+                }
+            }
+        }
+        assert_eq!(compared, 2 * (2 * 3 + 2 * 9 + 2 * 27));
+    }
+
     #[test]
     fn an_empty_tensor_has_no_tiles() {
         for order in 1..=3 {
             for levels in format_combinations(order) {
                 let fmt = TensorFormat::new(levels.clone());
                 let t = Tensor::from_coo("E", &CooTensor::new(vec![6; order]), fmt);
-                let grid = TileGrid::build(&t, vec![4; order]);
+                let grid = grid_of(&t, vec![4; order]);
                 assert_eq!(grid.total_tiles(), 2u64.pow(order as u32));
                 assert_grid_matches_reference(&t, &grid);
                 // With no points, only an all-dense format stores leaves (zeros).
@@ -708,7 +781,7 @@ mod tests {
                     let fmt = TensorFormat::with_mode_order(vec![outer, inner], mode_order);
                     let t = Tensor::from_coo("B", &coo, fmt.clone());
                     // 23 x 19 cut 5 x 4: the last window of each level clamps.
-                    let grid = TileGrid::build(&t, vec![5, 4]);
+                    let grid = grid_of(&t, vec![5, 4]);
                     for key in every_key(&grid) {
                         let windows = grid.windows(&key);
                         let expect = tile_via_coo(&t, &windows);
@@ -732,7 +805,7 @@ mod tests {
                 let fmt = TensorFormat::with_mode_order(levels.to_vec(), vec![2, 0, 1]);
                 let t = Tensor::from_coo("T", &coo3, fmt.clone());
                 let middle = t.level(1).dimension();
-                let grid = TileGrid::build(&t, vec![4, middle, 3]);
+                let grid = grid_of(&t, vec![4, middle, 3]);
                 for key in every_key(&grid) {
                     let windows = grid.windows(&key);
                     let expect = tile_via_coo(&t, &windows);
@@ -761,7 +834,7 @@ mod tests {
             let t = Tensor::from_coo("B", &two_point_matrix(), fmt.clone());
             // Row 0 is stored, but not in columns 2..4: its coordinate goes,
             // and the grid keeps no tile there.
-            let grid = TileGrid::build(&t, vec![2, 2]);
+            let grid = grid_of(&t, vec![2, 2]);
             assert_eq!(grid.get(&[0, 1]), None);
             let tile = tile_of(&t, &[(0, 2), (2, 4)]);
             assert_eq!(tile, Tensor::from_coo("B", &CooTensor::new(vec![2, 2]), fmt));
@@ -782,7 +855,7 @@ mod tests {
         // and is still the parent's window, coordinate and all.
         let fmt = TensorFormat::new(vec![LevelFormat::Compressed, LevelFormat::Dense]);
         let t = Tensor::from_coo("B", &two_point_matrix(), fmt);
-        let grid = TileGrid::build(&t, vec![2, 2]);
+        let grid = grid_of(&t, vec![2, 2]);
         assert_eq!(grid.nonempty(), 4);
         let row_zero = Level::Compressed(CompressedLevel::new(2, vec![0, 1], vec![0]));
         assert_eq!(grid.get(&[0, 1]).map(|tile| tile.level(0)), Some(&row_zero));
@@ -795,7 +868,7 @@ mod tests {
         let coo = synth::random_matrix_sparsity(23, 19, 0.8, 46);
         for (outer, inner) in LEVEL_FORMATS.iter().flat_map(|&o| LEVEL_FORMATS.map(|i| (o, i))) {
             let t = Tensor::from_coo("B", &coo, TensorFormat::new(vec![outer, inner]));
-            let grid = TileGrid::build(&t, vec![5, 4]);
+            let grid = grid_of(&t, vec![5, 4]);
             let mut total = 0;
             for (key, tile) in nonempty_tiles(&grid) {
                 assert!(!tile.vals().is_empty(), "{} {key:?}: only nonempty tiles are cut", t.format());
@@ -811,7 +884,7 @@ mod tests {
         let coo = synth::random_matrix_sparsity(13, 17, 0.7, 21);
         for fmt in [TensorFormat::dcsr(), TensorFormat::csr(), TensorFormat::dcsc()] {
             let t = Tensor::from_coo("B", &coo, fmt.clone());
-            let grid = TileGrid::build(&t, vec![4, 4]);
+            let grid = grid_of(&t, vec![4, 4]);
             // Reassemble the dense matrix from the tiles.
             let mut dense = vec![vec![0.0f64; 17]; 13];
             for (key, tile) in nonempty_tiles(&grid) {
@@ -840,7 +913,7 @@ mod tests {
         )
         .unwrap();
         let t = Tensor::from_coo("B", &coo, TensorFormat::dcsr());
-        let grid = TileGrid::build(&t, vec![4, 4]);
+        let grid = grid_of(&t, vec![4, 4]);
         assert_eq!(grid.windows(&[0, 1]), vec![(0, 4), (4, 8)]);
         let tile = grid.get(&[0, 1]);
         assert_eq!(tile.map(Tensor::name), Some("B"));
@@ -859,7 +932,7 @@ mod tests {
             sam_tensor::LevelFormat::bitvector(),
         ]);
         let t = Tensor::from_coo("B", &coo, fmt);
-        let grid = TileGrid::build(&t, vec![5, 5]);
+        let grid = grid_of(&t, vec![5, 5]);
         let dense_ref = Tensor::from_coo("B", &coo, TensorFormat::dcsr());
         let mut total = 0.0;
         for (key, tile) in nonempty_tiles(&grid) {
@@ -874,7 +947,7 @@ mod tests {
     fn dense_operands_materialize_every_tile() {
         let coo = synth::dense_matrix(6, 6, 23);
         let t = Tensor::from_coo("C", &coo, TensorFormat::dense(2));
-        let grid = TileGrid::build(&t, vec![4, 4]);
+        let grid = grid_of(&t, vec![4, 4]);
         assert_eq!(grid.nonempty(), 4);
         assert_eq!(grid.total_tiles(), 4);
         // Edge tiles clamp to the remaining coordinates.
@@ -885,7 +958,7 @@ mod tests {
     fn untiled_levels_use_one_full_window() {
         let coo = synth::random_matrix_sparsity(9, 9, 0.5, 24);
         let t = Tensor::from_coo("B", &coo, TensorFormat::dcsr());
-        let grid = TileGrid::build(&t, vec![4, 9]);
+        let grid = grid_of(&t, vec![4, 9]);
         assert_eq!(grid.grids(), &[3, 1]);
         let tiles = nonempty_tiles(&grid);
         assert_eq!(tiles.len(), grid.nonempty());
@@ -902,7 +975,7 @@ mod tests {
         // 4000 x 4000 cut 1 x 1: sixteen million tiles, six nonempty.
         let coo = synth::random_matrix_nnz(4000, 4000, 6, 25);
         let t = Tensor::from_coo("B", &coo, TensorFormat::dcsr());
-        let grid = TileGrid::build(&t, vec![1, 1]);
+        let grid = grid_of(&t, vec![1, 1]);
         assert_eq!(grid.total_tiles(), 16_000_000);
         assert_eq!(grid.nonempty(), 6);
         for (point, v) in t.points() {

@@ -17,7 +17,8 @@
 //! * [`extract`] — cuts any level hierarchy (dense, compressed, bitvector)
 //!   into a [`TileGrid`] of its nonempty tiles in one depth-first pass over
 //!   the stored levels, straight into each tile's level arrays — a tile is
-//!   the window of what its parent stores, explicit zeros included;
+//!   the window of what its parent stores, explicit zeros included — and
+//!   shares a tensor one window covers as its only tile, uncut;
 //! * [`schedule`] — a [`KernelTiling`] (which index variables are tiled,
 //!   how each bound tensor's storage levels map onto them, which tensors'
 //!   empty tiles license skipping a whole tile tuple) and the arithmetic on
@@ -25,10 +26,10 @@
 //! * [`llb`] — an LRU model of the last-level buffer that turns the tile
 //!   access sequence into measured DRAM traffic, occupancy high-water marks
 //!   and capacity-spill counts;
-//! * [`merge`] — the tile-merge reducer: logs per-tile partial outputs
-//!   (offset back into global coordinates), sorts the log once, stably, and
-//!   rebuilds the canonical CSF output, bit-identical to an untiled run on
-//!   exactly summed values.
+//! * [`merge`] — the tile-merge reducer: logs the levels and values each
+//!   tile's writers wrote (offset back into global coordinates), orders the
+//!   log with a stable radix sort, and rebuilds the canonical CSF output,
+//!   bit-identical to an untiled run on exactly summed values.
 
 #![warn(missing_docs)]
 
@@ -37,7 +38,7 @@ pub mod llb;
 pub mod merge;
 pub mod schedule;
 
-pub use extract::{for_each_stored, TileGrid};
+pub use extract::TileGrid;
 pub use llb::LlbModel;
 pub use merge::TileMerger;
 pub use schedule::{KernelTiling, TensorTiling, TiledVar};

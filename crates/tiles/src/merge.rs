@@ -1,16 +1,18 @@
 //! The tile-merge reducer: accumulates per-tile partial outputs into one
 //! global result tensor.
 //!
-//! Each executed tile yields a small output tensor in local (rebased)
-//! coordinates. [`TileMerger::absorb`] offsets those back into the global
-//! coordinate space and appends them to a flat log; [`TileMerger::finish`]
-//! sorts the log once and *adds* colliding values — tiles along contraction
-//! variables produce partial sums for the same output point, tiles along
-//! output variables land in disjoint windows. The sort is stable, so the
-//! partial sums of one point associate in the order their tiles were
-//! absorbed. Explicit zeros are kept (a stored entry with value `0.0` stays
-//! a stored entry), so the rebuilt output is structurally identical to what
-//! an untiled run writes.
+//! Each executed tile yields its output writers' levels and values, in
+//! local (rebased) coordinates. [`TileMerger::absorb`] walks those levels,
+//! offsets every stored point back into the global coordinate space and
+//! appends it to a flat log; [`TileMerger::finish`] orders the log with a
+//! stable radix sort — one counting pass per 16-bit digit of each level's
+//! coordinates, innermost level and lowest digit first — and *adds*
+//! colliding values: tiles along contraction variables produce partial
+//! sums for the same output point, tiles along output variables land in
+//! disjoint windows. Every pass is stable, so the partial sums of one point
+//! associate in the order their tiles were absorbed. Explicit zeros are
+//! kept (a stored entry with value `0.0` stays a stored entry), so the
+//! rebuilt output is structurally identical to what an untiled run writes.
 //!
 //! [`TileMerger::finish`] rebuilds the canonical CSF form the executor's
 //! output assembly produces: level 0 holds one fiber of all outermost
@@ -18,8 +20,7 @@
 
 use sam_tensor::level::{CompressedLevel, CompressedLevelBuilder, Level};
 use sam_tensor::{Tensor, TensorFormat};
-
-use crate::extract::for_each_stored;
+use std::ops::Range;
 
 /// Logs tile outputs by global output coordinates, in arrival order.
 #[derive(Debug, Clone, Default)]
@@ -30,7 +31,12 @@ pub struct TileMerger {
     coords: Vec<u32>,
     /// One value per logged entry.
     vals: Vec<f64>,
+    /// The global coordinates of the path being logged, one per level.
+    path: Vec<u32>,
 }
+
+/// Bits of a coordinate one radix pass orders by.
+const DIGIT_BITS: u32 = 16;
 
 impl TileMerger {
     /// An empty merger.
@@ -38,27 +44,87 @@ impl TileMerger {
         TileMerger::default()
     }
 
-    /// Adds one tile's output. `offsets` holds the global origin of the
-    /// tile's window, one per output level (the tile's storage order equals
-    /// its logical order — executor outputs are CSF with identity mode
-    /// order). Stored entries are visited including explicit zeros.
+    /// Adds one tile's output: its writers' `levels`, outermost first, and
+    /// their `vals`. `offsets` holds the global origin of the tile's window,
+    /// one per output level. The levels must form one tree — every level
+    /// below the first holds one fiber per entry of the level above it, and
+    /// `vals` one value per entry of the last — as the executor checks
+    /// before it hands a tile over. Stored entries are logged including
+    /// explicit zeros.
     ///
     /// # Panics
     ///
     /// Panics if the tile's order differs from `offsets.len()` or from the
-    /// tiles absorbed before it.
-    pub fn absorb(&mut self, tile_output: &Tensor, offsets: &[u32]) {
-        assert_eq!(offsets.len(), tile_output.order(), "one offset per output level");
+    /// tiles absorbed before it, or if its levels do not form one tree.
+    pub fn absorb(&mut self, levels: &[CompressedLevel], vals: &[f64], offsets: &[u32]) {
+        assert_eq!(offsets.len(), levels.len(), "one offset per output level");
         if self.vals.is_empty() {
             self.order = offsets.len();
         }
         assert_eq!(offsets.len(), self.order, "the tiles of one merge share one order");
-        self.coords.reserve(tile_output.vals().len() * self.order);
-        self.vals.reserve(tile_output.vals().len());
-        for_each_stored(tile_output, |point, v| {
-            self.coords.extend(point.iter().zip(offsets).map(|(&c, &o)| c + o));
-            self.vals.push(v);
-        });
+        let Some(root) = levels.first() else { return };
+        self.coords.reserve(vals.len() * self.order);
+        self.path.resize(self.order, 0);
+        self.log(levels, offsets, 0, 0..root.crd.len());
+        // A tree's depth-first walk reaches its leaves in storage order.
+        self.vals.extend_from_slice(vals);
+        assert_eq!(self.coords.len(), self.vals.len() * self.order, "the tile's levels form one tree");
+    }
+
+    /// Logs the coordinates of every leaf below `entries` of level `depth`,
+    /// below the path `self.path[..depth]`.
+    fn log(&mut self, levels: &[CompressedLevel], offsets: &[u32], depth: usize, entries: Range<usize>) {
+        let (level, offset) = (&levels[depth], offsets[depth]);
+        if depth + 1 == levels.len() {
+            for &c in &level.crd[entries] {
+                self.coords.extend_from_slice(&self.path[..depth]);
+                self.coords.push(c + offset);
+            }
+        } else {
+            let below = &levels[depth + 1].seg;
+            for p in entries {
+                self.path[depth] = level.crd[p] + offset;
+                self.log(levels, offsets, depth + 1, below[p]..below[p + 1]);
+            }
+        }
+    }
+
+    /// The logged entries in point order, the entries of one point in
+    /// arrival order: a least-significant-digit radix sort, one stable
+    /// counting pass per [`DIGIT_BITS`]-bit digit of each level's
+    /// coordinates, innermost level and lowest digit first. A digit no
+    /// coordinate of its level reaches needs no pass.
+    fn sorted(&self) -> Vec<u32> {
+        let (order, n) = (self.order, self.vals.len());
+        assert!(u32::try_from(n).is_ok(), "a merge logs fewer than 2^32 entries");
+        let mut sorted: Vec<u32> = (0..n as u32).collect();
+        let mut next = vec![0u32; n];
+        let mut starts: Vec<usize> = Vec::new();
+        for level in (0..order).rev() {
+            let coord = |i: u32| self.coords[i as usize * order + level];
+            let max = self.coords.iter().skip(level).step_by(order).copied().max().unwrap_or(0);
+            let mut shift = 0;
+            while shift < u32::BITS && max >> shift > 0 {
+                let digit = |i: u32| (coord(i) >> shift & ((1 << DIGIT_BITS) - 1)) as usize;
+                starts.clear();
+                starts.resize((max >> shift).min((1 << DIGIT_BITS) - 1) as usize + 1, 0);
+                for &i in &sorted {
+                    starts[digit(i)] += 1;
+                }
+                let mut start = 0;
+                for slot in &mut starts {
+                    (*slot, start) = (start, start + *slot);
+                }
+                for &i in &sorted {
+                    let slot = &mut starts[digit(i)];
+                    next[*slot] = i;
+                    *slot += 1;
+                }
+                std::mem::swap(&mut sorted, &mut next);
+                shift += DIGIT_BITS;
+            }
+        }
+        sorted
     }
 
     /// Rebuilds the merged output as a canonical CSF tensor of `shape`
@@ -73,10 +139,8 @@ impl TileMerger {
         let order = shape.len();
         assert!(order > 0, "merged outputs need at least one level");
         assert!(self.vals.is_empty() || self.order == order, "the merged tiles have the output's order");
-        let point = |i: usize| &self.coords[i * order..][..order];
-        // Stable: the entries of one point stay in arrival order.
-        let mut sorted: Vec<usize> = (0..self.vals.len()).collect();
-        sorted.sort_by(|&a, &b| point(a).cmp(point(b)));
+        let point = |i: u32| &self.coords[i as usize * order..][..order];
+        let sorted = self.sorted();
 
         let mut builders: Vec<CompressedLevelBuilder> =
             shape.iter().map(|&dim| CompressedLevel::builder(dim)).collect();
@@ -94,7 +158,7 @@ impl TileMerger {
             for (builder, &c) in builders[split..].iter_mut().zip(&p[split..]) {
                 builder.push_coord(c);
             }
-            vals.push(same_point.iter().fold(0.0, |sum, &i| sum + self.vals[i]));
+            vals.push(same_point.iter().fold(0.0, |sum, &i| sum + self.vals[i as usize]));
             prev = Some(p);
         }
         // The root level always holds exactly one fiber (possibly empty);
@@ -110,6 +174,7 @@ impl TileMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extract::for_each_stored;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sam_tensor::CooTensor;
@@ -120,11 +185,25 @@ mod tests {
         Tensor::from_coo(name, &coo, TensorFormat::csf(shape.len()))
     }
 
+    /// Hands `m` the levels and values of `tile`, a CSF tensor, as the
+    /// executor hands it a tile tuple's writers' output.
+    fn absorb(m: &mut TileMerger, tile: &Tensor, offsets: &[u32]) {
+        let levels: Vec<CompressedLevel> = tile
+            .levels()
+            .iter()
+            .filter_map(|level| match level {
+                Level::Compressed(level) => Some(level.clone()),
+                _ => None,
+            })
+            .collect();
+        m.absorb(&levels, tile.vals(), offsets);
+    }
+
     #[test]
     fn disjoint_tiles_concatenate() {
         let mut m = TileMerger::new();
-        m.absorb(&tile("X", vec![2, 2], vec![(vec![0, 1], 1.0), (vec![1, 0], 2.0)]), &[0, 0]);
-        m.absorb(&tile("X", vec![2, 2], vec![(vec![0, 0], 3.0)]), &[2, 2]);
+        absorb(&mut m, &tile("X", vec![2, 2], vec![(vec![0, 1], 1.0), (vec![1, 0], 2.0)]), &[0, 0]);
+        absorb(&mut m, &tile("X", vec![2, 2], vec![(vec![0, 0], 3.0)]), &[2, 2]);
         let (out, vals) = m.finish("X", vec![4, 4]);
         assert_eq!(vals, vec![1.0, 2.0, 3.0]);
         assert_eq!(out.get(&[0, 1]), 1.0);
@@ -141,8 +220,8 @@ mod tests {
     #[test]
     fn contraction_tiles_accumulate() {
         let mut m = TileMerger::new();
-        m.absorb(&tile("x", vec![3], vec![(vec![1], 2.0)]), &[0]);
-        m.absorb(&tile("x", vec![3], vec![(vec![1], 3.0), (vec![2], -3.0)]), &[0]);
+        absorb(&mut m, &tile("x", vec![3], vec![(vec![1], 2.0)]), &[0]);
+        absorb(&mut m, &tile("x", vec![3], vec![(vec![1], 3.0), (vec![2], -3.0)]), &[0]);
         let (out, vals) = m.finish("x", vec![3]);
         assert_eq!(vals, vec![5.0, -3.0]);
         assert_eq!(out.get(&[1]), 5.0);
@@ -152,8 +231,8 @@ mod tests {
     #[test]
     fn explicit_zero_sums_stay_stored() {
         let mut m = TileMerger::new();
-        m.absorb(&tile("x", vec![2], vec![(vec![0], 2.0)]), &[0]);
-        m.absorb(&tile("x", vec![2], vec![(vec![0], -2.0)]), &[0]);
+        absorb(&mut m, &tile("x", vec![2], vec![(vec![0], 2.0)]), &[0]);
+        absorb(&mut m, &tile("x", vec![2], vec![(vec![0], -2.0)]), &[0]);
         let (out, vals) = m.finish("x", vec![2]);
         assert_eq!(vals, vec![0.0]);
         let Level::Compressed(l0) = out.level(0) else { panic!("compressed") };
@@ -200,7 +279,7 @@ mod tests {
                 .collect();
             let mut m = TileMerger::new();
             for (tile, offsets) in &tiles {
-                m.absorb(tile, offsets);
+                absorb(&mut m, tile, offsets);
             }
             let (out, vals) = m.finish("X", bases.iter().map(|&base| base as usize + 5).collect());
             let (points, expect) = merge_via_map(&tiles);
@@ -220,7 +299,7 @@ mod tests {
     fn partial_sums_associate_in_arrival_order() {
         let mut m = TileMerger::new();
         for v in [1e16, 1.0, -1e16] {
-            m.absorb(&tile("x", vec![2], vec![(vec![1], v)]), &[0]);
+            absorb(&mut m, &tile("x", vec![2], vec![(vec![1], v)]), &[0]);
         }
         // (1e16 + 1.0) - 1e16 in arrival order; a sum that cancels the large
         // pair first gives 1.0.
@@ -237,7 +316,7 @@ mod tests {
             vec![-0.0],
         );
         let mut m = TileMerger::new();
-        m.absorb(&negative_zero, &[0]);
+        absorb(&mut m, &negative_zero, &[0]);
         let (_, vals) = m.finish("x", vec![2]);
         // Every point's sum starts from +0.0, as the keyed accumulator's did.
         assert_eq!(vals[0].to_bits(), 0.0f64.to_bits());
@@ -247,8 +326,8 @@ mod tests {
     #[should_panic(expected = "the tiles of one merge share one order")]
     fn mixed_order_tiles_are_rejected_cleanly() {
         let mut m = TileMerger::new();
-        m.absorb(&tile("X", vec![2, 2], vec![(vec![0, 1], 1.0)]), &[0, 0]);
-        m.absorb(&tile("x", vec![2], vec![(vec![1], 1.0)]), &[0]);
+        absorb(&mut m, &tile("X", vec![2, 2], vec![(vec![0, 1], 1.0)]), &[0, 0]);
+        absorb(&mut m, &tile("x", vec![2], vec![(vec![1], 1.0)]), &[0]);
     }
 
     #[test]
