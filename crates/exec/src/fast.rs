@@ -14,16 +14,16 @@
 //! walk: each operand is read a fiber at a time — a fused scanner's
 //! reference stream one item per reference, carrying the stop that closes
 //! it (the cycle scanner's rule, `sam_primitives::rule::scan`), or stored
-//! `(crd, ref)` streams cut at their stops — and each fiber
-//! pair is merged whole, straight over the levels' coordinate arrays where
-//! both operands are fused over `Compressed` or `Dense` levels. The
-//! intersecter gallops the trailing side on every mismatch and pushes only
-//! the matches, so its walk costs the short side; the unioner pushes every
-//! coordinate. Where one side of two fused `Compressed` operands
-//! re-delivers the same fiber pair after pair (a repeater upstream of its
-//! scanner) and that fiber holds at least 32 entries, the intersecter
-//! locates instead: it indexes the fiber's coordinates once and probes the
-//! index with each fiber of the other side, pushing the same matches.
+//! `(crd, ref)` streams cut at their stops — and each fiber pair is merged
+//! whole by the cycle mergers' rule, `sam_primitives::rule::merge`,
+//! straight over the levels' coordinate arrays where both operands are
+//! fused over `Compressed` or `Dense` levels. The intersecter gallops the
+//! trailing side, so its walk costs the short side. Where one side of two
+//! fused `Compressed` operands re-delivers the same fiber pair after pair
+//! (a repeater upstream of its scanner) and that fiber holds at least 32
+//! entries, the intersecter locates instead: it indexes the fiber's
+//! coordinates once and probes the index with each fiber of the other side,
+//! pushing the same matches.
 //!
 //! Downstream, the arrays, ALUs, constants, repeaters and scalar reducers
 //! that only an intersecter and each other read form its fusion region
@@ -184,9 +184,9 @@ impl Spares {
         }
     }
 
-    /// A level writer over the last arrays handed back, or new ones.
-    pub(crate) fn level_writer(&mut self) -> LevelWrite {
-        LevelWrite::reusing(self.crd.pop().unwrap_or_default(), self.seg.pop().unwrap_or_default())
+    /// A level writer of dimension `dim` over the last arrays handed back, or new ones.
+    pub(crate) fn level_writer(&mut self, dim: usize) -> LevelWrite {
+        LevelWrite::reusing(dim, self.crd.pop().unwrap_or_default(), self.seg.pop().unwrap_or_default())
     }
 
     /// A values writer over the last array handed back, or a new one.

@@ -7,48 +7,38 @@
 //! finished `Vec<SimToken>` whose `None` means the stream ended, and an
 //! output is a plain `Vec<SimToken>`.
 //!
-//! The intersecter and the unioner are one merge walk (`run_merge`) with
-//! two emit rules. Each operand is read a fiber at a time: a fused scanner
-//! ([`crate::plan::FusedScan`] — its streams are then never stored, only
-//! tallied) through a `FiberReader`, which calls the scanner's stop rule in
-//! [`sam_primitives::rule`], and stored streams through a `StoredReader`,
-//! which cuts them at their stops. The walk pairs the two operands' fibers
-//! and merges each pair whole over a [`FiberView`] per side: straight over
-//! the storage of `Compressed` and `Dense` levels, over any other level's
-//! fiber copied out of it, or over the stored slices. An intersecter of two
-//! fused `Compressed` operands locates instead of merging where one side
-//! re-delivers a long fiber ([`Locate`]): it indexes that fiber once and
-//! probes it with each fiber of the other side, by a fixed rule on fiber
-//! length ([`LOCATE_FLOOR`]). `run_scanner` drains
-//! whole fibers through the same `FiberReader` into two stored streams, for
-//! every scanner somebody else reads too.
+//! Every primitive has no code here but its loop: each calls its token rule
+//! in [`sam_primitives::rule`], the one its cycle block calls too. The
+//! intersecter and the unioner are one merge walk (`run_merge`) over
+//! [`rule::merge`], reading each operand a fiber at a time — a fused
+//! scanner ([`crate::plan::FusedScan`], never stored, only tallied) through
+//! a `FiberReader`, which calls the scanner's stop rule, stored streams
+//! through a `StoredReader`, which cuts them at their stops — and merging
+//! each pair over a [`FiberView`] per side: the storage of a `Compressed` or
+//! `Dense` level, any other level's fiber copied out, or the stored slices.
+//! The rule decides every pair of heads and makes every token; the walk
+//! decides only how far a trailing side moves: one position, a gallop, or a
+//! probe of the index of a long fiber one side re-delivers ([`Locate`]).
+//! `run_scanner` drains whole fibers through the same `FiberReader`.
 //!
 //! A merger pushes its output one position at a time into a [`Region`]:
 //! its fusion region, which stores the streams read outside it and runs
-//! its members over the positions.
-//!
-//! The scanner, repeater, array, constant, ALU, locator, reducers, dropper
-//! and writers have no code here but their loops: each calls its token
-//! rule in [`sam_primitives::rule`], the one the cycle block calls too, over
-//! whole stored streams or, inside a region, over each block of positions.
-//! Only the mergers are fast forms of their cycle blocks — a fiber per step
-//! against a token per cycle — held to them by the differential tests
-//! below. A transfer function reports a [`Fault`] without naming the node;
-//! the walk names it when it turns the fault into an [`ExecError`].
+//! its members over the positions. A transfer function reports a [`Fault`]
+//! without naming the node; the walk names it when it turns the fault into
+//! an [`ExecError`].
 
 use crate::bind::Inputs;
 use crate::fast::Spares;
 use crate::plan::Plan;
 use sam_core::graph::{NodeId, NodeKind};
 use sam_primitives::root_stream;
-use sam_primitives::rule::{self, AluOp, CoordDrop, MatrixReduce, ScalarReduce, Scan, VectorReduce};
+use sam_primitives::rule::{self, AluOp, CoordDrop, MatrixReduce, Merge, ScalarReduce, Scan, VectorReduce};
 use sam_sim::payload::{tok, Payload};
 use sam_sim::{Fault, SimToken};
 use sam_streams::Token;
 use sam_tensor::level::{CompressedLevel, DenseLevel, FiberEntry, Level};
 use sam_trace::TokenCounts;
 use std::borrow::Cow;
-use std::cmp::Ordering;
 
 /// A cursor over a finished, stored stream: the reading half of a node's
 /// input.
@@ -195,9 +185,9 @@ pub(crate) fn eval_node(
             return Ok(Some(WriterOutput::Vals(write.finish())));
         }
         NodeKind::LevelWriter { .. } => {
-            let mut write = spares.level_writer();
+            let mut write = spares.level_writer(job.writer_dim);
             each(&mut srcs[0], |t| write.step(t))?;
-            return Ok(Some(WriterOutput::Level(write.finish(job.writer_dim))));
+            return Ok(Some(WriterOutput::Level(write.finish())));
         }
         // The walk runs every merger itself (an intersecter's operands may
         // be fused scanners, its outputs a fusion region); the rest are
@@ -789,9 +779,9 @@ impl<'a> Region<'a> {
     /// Takes the three tokens of one position. A member's fault ends the
     /// walk.
     #[inline]
-    fn push(&mut self, crd: SimToken, r0: SimToken, r1: SimToken) -> Result<(), Fault> {
+    fn push(&mut self, position: [SimToken; 3]) -> Result<(), Fault> {
         let at = self.filled;
-        for (k, t) in [crd, r0, r1].into_iter().enumerate() {
+        for (k, t) in position.into_iter().enumerate() {
             // A root port is read either by one member or outside the
             // region only.
             match &mut self.root[k].stored {
@@ -801,15 +791,10 @@ impl<'a> Region<'a> {
         }
         self.filled += 1;
         // The done position is the walk's last.
-        if self.filled == BLOCK || crd.is_done() {
+        if self.filled == BLOCK || position[0].is_done() {
             self.flush()?;
         }
         Ok(())
-    }
-
-    /// A control position: `t` on all three streams.
-    fn push_all(&mut self, t: SimToken) -> Result<(), Fault> {
-        self.push(t, t, t)
     }
 
     /// Runs every member over the buffered block. Out of line, so that the
@@ -833,89 +818,108 @@ impl<'a> Region<'a> {
     }
 }
 
-/// Merges fibers `a` and `b` (Definitions 3.2 and 3.3). The intersecter
-/// pushes only the matches, galloping the trailing side on every mismatch;
-/// the unioner (`UNION`) pushes every coordinate, `Empty` on the side that
-/// lacks it.
+/// Merges fibers `a` and `b` as [`rule::merge`] says (Definitions 3.2 and
+/// 3.3) until either ends, and returns where each side stopped. A coordinate
+/// the rule drops below the other side's (the intersecter's mismatch)
+/// gallops its side to that coordinate: every coordinate between drops too.
 #[inline]
 fn merge_fibers<const UNION: bool, A: FiberView, B: FiberView>(
     a: &A,
     b: &B,
     out: &mut Region<'_>,
-) -> Result<(), Fault> {
+) -> Result<[usize; 2], Fault> {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        let (ca, cb) = (a.coord(i), b.coord(j));
-        match ca.cmp(&cb) {
-            Ordering::Equal => {
-                out.push(tok::crd(ca), a.child(i), b.child(j))?;
-                i += 1;
-                j += 1;
+        match rule::merge::<UNION>([tok::crd(a.coord(i)), tok::crd(b.coord(j))], [a.child(i), b.child(j)])? {
+            Merge::Both(position) => {
+                out.push(position)?;
+                (i, j) = (i + 1, j + 1);
             }
-            Ordering::Less if UNION => {
-                out.push(tok::crd(ca), a.child(i), tok::empty())?;
-                i += 1;
+            Merge::Emit { side, out: position } => {
+                out.push(position)?;
+                (i, j) = if side == 0 { (i + 1, j) } else { (i, j + 1) };
             }
-            Ordering::Greater if UNION => {
-                out.push(tok::crd(cb), tok::empty(), b.child(j))?;
-                j += 1;
-            }
-            Ordering::Less => i = a.gallop(i + 1, cb),
-            Ordering::Greater => j = b.gallop(j + 1, ca),
+            Merge::Drop { side: 0, lead } => i = lead.map_or(i + 1, |lead| a.gallop(i + 1, lead)),
+            Merge::Drop { lead, .. } => j = lead.map_or(j + 1, |lead| b.gallop(j + 1, lead)),
         }
     }
-    if UNION {
-        rest(a, i, 0, out)?;
-        rest(b, j, 1, out)?;
-    }
-    Ok(())
+    Ok([i, j])
 }
 
-/// The unioner's tail of operand `side`'s fiber: entries `from..`, with
-/// `Empty` for the other operand.
-fn rest<V: FiberView>(fiber: &V, from: usize, side: usize, out: &mut Region<'_>) -> Result<(), Fault> {
+/// Entries `from..` of operand `SIDE`'s fiber against `partner`, the stop or
+/// done after the other operand's entries, each as [`rule::merge`] says: the
+/// unioner emits it, the intersecter drops it — and with it the rest of the
+/// fiber, since the partner does not move. Inlined, so that the rule folds
+/// on the partner's kind, which every caller knows.
+#[inline(always)]
+fn rest<const UNION: bool, const SIDE: usize, V: FiberView>(
+    fiber: &V,
+    from: usize,
+    partner: SimToken,
+    out: &mut Region<'_>,
+) -> Result<(), Fault> {
     for pos in from..fiber.len() {
-        let (r0, r1) =
-            if side == 0 { (fiber.child(pos), tok::empty()) } else { (tok::empty(), fiber.child(pos)) };
-        out.push(tok::crd(fiber.coord(pos)), r0, r1)?;
+        let (mut crd, mut rf) = ([partner; 2], [partner; 2]);
+        crd[SIDE] = tok::crd(fiber.coord(pos));
+        rf[SIDE] = fiber.child(pos);
+        match rule::merge::<UNION>(crd, rf)? {
+            Merge::Both(position) | Merge::Emit { out: position, .. } => out.push(position)?,
+            Merge::Drop { .. } => break,
+        }
     }
     Ok(())
 }
 
-/// The merge walk. Items pair up: any pair merges its two fibers with
-/// `merge` ([`merge_fibers`], or [`Locate::merge`]), then closes all three
-/// outputs with the higher of the two stops; `(Done, Done)` ends them. A
-/// `Done` on one side waits while the other side advances, pushing nothing
-/// for the intersecter and the fiber's entries for the unioner. A fused
-/// scanner's reader tallies its own stream, so the counts do not depend on
-/// what the other side held.
+/// The merge walk. When both sides hold a fiber, `merge` ([`merge_fibers`],
+/// or [`Locate::merge`]) merges them until either ends; the rest of each
+/// fiber then meets the token after the other side's entries ([`rest`]),
+/// and the two tokens after the entries meet each other as [`rule::merge`]
+/// says: two stops close all three outputs with the higher level and open
+/// the next pair, a stop against a done opens that side's next item, and
+/// two dones end the walk. A fused scanner's reader tallies its own stream,
+/// so the counts do not depend on what the other side held.
 fn fiber_walk<const UNION: bool, A: Fibers, B: Fibers>(
     a: &mut A,
     b: &mut B,
     out: &mut Region<'_>,
-    mut merge: impl FnMut(&A::Fiber, &B::Fiber, &mut Region<'_>) -> Result<(), Fault>,
+    mut merge: impl FnMut(&A::Fiber, &B::Fiber, &mut Region<'_>) -> Result<[usize; 2], Fault>,
 ) -> Result<(), Fault> {
     let (mut ia, mut ib) = (a.next_fiber()?, b.next_fiber()?);
     loop {
-        match (&ia, &ib) {
-            (FiberItem::Done, FiberItem::Done) => return out.push_all(tok::done()),
-            (FiberItem::Done, FiberItem::Fiber { fiber, .. }) => {
-                if UNION {
-                    rest(fiber, 0, 1, out)?;
-                }
-                ib = b.next_fiber()?;
-            }
-            (FiberItem::Fiber { fiber, .. }, FiberItem::Done) => {
-                if UNION {
-                    rest(fiber, 0, 0, out)?;
-                }
-                ia = a.next_fiber()?;
-            }
+        let ends = match (&ia, &ib) {
             (FiberItem::Fiber { fiber: fa, stop: sa }, FiberItem::Fiber { fiber: fb, stop: sb }) => {
-                merge(fa, fb, out)?;
-                out.push_all(tok::stop((*sa).max(*sb)))?;
-                (ia, ib) = (a.next_fiber()?, b.next_fiber()?);
+                let ends = [tok::stop(*sa), tok::stop(*sb)];
+                let [i, j] = merge(fa, fb, out)?;
+                rest::<UNION, 0, _>(fa, i, ends[1], out)?;
+                rest::<UNION, 1, _>(fb, j, ends[0], out)?;
+                ends
             }
+            (FiberItem::Fiber { fiber, stop }, FiberItem::Done) => {
+                rest::<UNION, 0, _>(fiber, 0, tok::done(), out)?;
+                [tok::stop(*stop), tok::done()]
+            }
+            (FiberItem::Done, FiberItem::Fiber { fiber, stop }) => {
+                rest::<UNION, 1, _>(fiber, 0, tok::done(), out)?;
+                [tok::done(), tok::stop(*stop)]
+            }
+            (FiberItem::Done, FiberItem::Done) => [tok::done(); 2],
+        };
+        let pop = match rule::merge::<UNION>(ends, ends)? {
+            Merge::Both(position) => {
+                out.push(position)?;
+                [!position[0].is_done(); 2]
+            }
+            // Two control tokens never emit alone.
+            Merge::Emit { side, .. } | Merge::Drop { side, .. } => [side == 0, side == 1],
+        };
+        if pop == [false; 2] {
+            return Ok(());
+        }
+        if pop[0] {
+            ia = a.next_fiber()?;
+        }
+        if pop[1] {
+            ib = b.next_fiber()?;
         }
     }
 }
@@ -1019,14 +1023,15 @@ impl<'a> Locate<'a> {
         Locate { dims, last: [(0, 0); 2], held: None, index: Vec::new(), located: 0 }
     }
 
-    /// Intersects `a` and `b`, by probing where the rule says so.
+    /// Intersects `a` and `b`, by probing where the rule says so; returns
+    /// where each side stopped, as [`merge_fibers`] does.
     #[inline]
     fn merge(
         &mut self,
         a: &CompressedFiber<'a>,
         b: &CompressedFiber<'a>,
         out: &mut Region<'_>,
-    ) -> Result<(), Fault> {
+    ) -> Result<[usize; 2], Fault> {
         let (pair, keys) = ([a, b], [a.key(), b.key()]);
         let held = self.held.map(|(side, fiber)| (side, fiber.key()));
         let side = (0..2).find(|&s| {
@@ -1039,10 +1044,11 @@ impl<'a> Locate<'a> {
         self.located += 1;
         self.hold(side, *pair[side]);
         if side == 0 {
-            probe::<false>(&self.index, a, b, out)
+            probe::<false>(&self.index, a, b, out)?;
         } else {
-            probe::<true>(&self.index, b, a, out)
+            probe::<true>(&self.index, b, a, out)?;
         }
+        Ok([a.len(), b.len()])
     }
 
     /// Makes `fiber`, of operand `side`, the indexed one.
@@ -1066,8 +1072,9 @@ impl<'a> Locate<'a> {
 }
 
 /// Intersects `held`, whose coordinates `index` holds, with `other` by
-/// walking `other` in order and probing: each match is pushed with the
-/// references in operand order, `held`'s second if `SWAP`.
+/// walking `other` in order and probing: each match is pushed as
+/// [`rule::merge`] says for two equal coordinates, with the references in
+/// operand order, `held`'s second if `SWAP`.
 #[inline]
 fn probe<const SWAP: bool>(
     index: &[u32],
@@ -1079,8 +1086,10 @@ fn probe<const SWAP: bool>(
         let at = index.get(c as usize).copied().unwrap_or(0);
         if at > 0 {
             let (h, o) = (held.child(at as usize - 1), other.child(pos));
-            let (r0, r1) = if SWAP { (o, h) } else { (h, o) };
-            out.push(tok::crd(c), r0, r1)?;
+            let rf = if SWAP { [o, h] } else { [h, o] };
+            if let Merge::Both(position) = rule::merge::<false>([tok::crd(c); 2], rf)? {
+                out.push(position)?;
+            }
         }
     }
     Ok(())
@@ -1606,6 +1615,143 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The merge of two operands' stored streams by the set definitions:
+    /// their fibers pair up in order, and each pair goes out as the
+    /// coordinates both fibers hold (the intersecter) or either holds (the
+    /// unioner, `Empty` for the reference of the side that lacks it), then
+    /// the higher of the two stops. A fiber whose partner stream has ended
+    /// goes out on the unioner without a stop; done ends all three streams.
+    fn by_sets(union: bool, a: &[Vec<SimToken>; 2], b: &[Vec<SimToken>; 2]) -> Outputs {
+        use std::collections::BTreeMap;
+        let fibers = |[crd, rf]: &[Vec<SimToken>; 2]| {
+            let (mut fibers, mut fiber) = (Vec::new(), BTreeMap::new());
+            for (c, r) in crd.iter().zip(rf) {
+                match *c {
+                    Token::Val(Payload::Crd(c)) => {
+                        fiber.insert(c, *r);
+                    }
+                    Token::Stop(n) => fibers.push((std::mem::take(&mut fiber), n)),
+                    _ => {}
+                }
+            }
+            fibers
+        };
+        let (fa, fb) = (fibers(a), fibers(b));
+        let mut out: Outputs = Default::default();
+        let mut push = |position: [SimToken; 3]| out.iter_mut().zip(position).for_each(|(s, t)| s.push(t));
+        let none = (BTreeMap::new(), 0);
+        for k in 0..fa.len().max(fb.len()) {
+            let (x, y) = (fa.get(k).unwrap_or(&none), fb.get(k).unwrap_or(&none));
+            let mut held: Vec<u32> = x.0.keys().chain(y.0.keys()).copied().collect();
+            held.sort_unstable();
+            held.dedup();
+            for c in held {
+                let (r0, r1) = (x.0.get(&c), y.0.get(&c));
+                if union || (r0.is_some() && r1.is_some()) {
+                    push([tok::crd(c), *r0.unwrap_or(&tok::empty()), *r1.unwrap_or(&tok::empty())]);
+                }
+            }
+            if k < fa.len().min(fb.len()) {
+                push([tok::stop(x.1.max(y.1)); 3]);
+            }
+        }
+        push([tok::done(); 3]);
+        out
+    }
+
+    /// `stored` with an `Empty` token on both streams before every token
+    /// but the done.
+    fn empty_before_each(stored: &[Vec<SimToken>; 2]) -> [Vec<SimToken>; 2] {
+        stored.each_ref().map(|s| {
+            s.iter().flat_map(|&t| if t.is_done() { vec![t] } else { vec![tok::empty(), t] }).collect()
+        })
+    }
+
+    /// Bounded-exhaustive: every pair of coordinate sets over a dimension
+    /// of 4 — and a `Dense` level, which holds every coordinate — as the
+    /// operands of both mergers, in streams of one fiber (`x` against `y`)
+    /// and of two (`x`, `y` against `y`, `x`), with neither operand or one
+    /// of them ending early. The cycle blocks, over the stored streams with
+    /// and without an `Empty` before every token of one side, and the fiber
+    /// walk, over every mix of fused and stored operands, must produce the
+    /// set definitions ([`by_sets`]) token for token.
+    #[test]
+    fn the_mergers_are_the_set_definitions_over_every_pair_of_small_sets() -> Result<(), Fault> {
+        const N: u32 = 4;
+        // A set is a bit mask of `0..N`. `None` is every coordinate: an
+        // operand whose first fiber it is is a dense level.
+        let level = |fibers: &[Option<u32>]| match fibers[0] {
+            None => Level::Dense(DenseLevel::new(N as usize, fibers.len())),
+            Some(_) => {
+                let mut level = CompressedLevel::builder(N as usize);
+                for set in fibers.iter().map(|s| s.unwrap_or((1 << N) - 1)) {
+                    (0..N).filter(|c| set >> c & 1 == 1).for_each(|c| level.push_coord(c));
+                    level.end_fiber();
+                }
+                Level::Compressed(level.finish())
+            }
+        };
+        let sets: Vec<Option<u32>> = (0..1 << N).map(Some).chain([None]).collect();
+        for &x in &sets {
+            for &y in &sets {
+                for fibers in [[vec![x], vec![y]], [vec![x, y], vec![y, x]]] {
+                    let levels = fibers.each_ref().map(|f| level(f));
+                    let refs = fibers.each_ref().map(|f| {
+                        (0..f.len() as u32)
+                            .map(tok::rf)
+                            .chain([tok::stop(0), tok::done()])
+                            .collect::<Vec<_>>()
+                    });
+                    // Neither operand ends early, or one keeps only the
+                    // fibers before its last.
+                    for early in [None, Some(0), Some(1)] {
+                        let mut refs = refs.clone();
+                        if let Some(side) = early {
+                            let keep = fibers[side].len() - 1;
+                            refs[side] =
+                                (0..keep as u32).map(tok::rf).chain([tok::stop(0), tok::done()]).collect();
+                            if keep == 0 {
+                                refs[side] = vec![tok::done()];
+                            }
+                        }
+                        let [la, lb] = &levels;
+                        let [ra, rb] = &refs;
+                        let clean = [stored(la, ra), stored(lb, rb)];
+                        for union in [false, true] {
+                            let what = format!("{fibers:?}, {early:?} ends early, union {union}");
+                            let want = by_sets(union, &clean[0], &clean[1]);
+                            assert_eq!(cycle(union, &clean[0], &clean[1]), want, "{what}: cycle");
+                            for side in 0..2 {
+                                let mut dirty = clean.clone();
+                                dirty[side] = empty_before_each(&clean[side]);
+                                assert_eq!(
+                                    cycle(union, &dirty[0], &dirty[1]),
+                                    want,
+                                    "{what}: cycle, empties on {side}"
+                                );
+                                let walked = merge(union, &mut streams(&dirty[0]), &mut streams(&dirty[1]))?;
+                                assert_eq!(walked, want, "{what}: stored x stored, empties on {side}");
+                            }
+                            let walks = [
+                                (
+                                    merge(union, &mut streams(&clean[0]), &mut streams(&clean[1]))?,
+                                    "stored x stored",
+                                ),
+                                (merge(union, &mut scan(la, ra), &mut streams(&clean[1]))?, "fused x stored"),
+                                (merge(union, &mut streams(&clean[0]), &mut scan(lb, rb))?, "stored x fused"),
+                                (merge(union, &mut scan(la, ra), &mut scan(lb, rb))?, "fused x fused"),
+                            ];
+                            for (walked, how) in walks {
+                                assert_eq!(walked, want, "{what}: {how}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The stored scanner and repeater call the rules their cycle blocks

@@ -249,3 +249,27 @@ fn writers_that_disagree_on_the_output_tree_are_a_typed_error_on_every_backend()
         }
     }
 }
+
+/// An operand whose compressed level, built through its public fields,
+/// holds a fiber whose coordinates descend: the identity kernel's level
+/// writer receives them in that order. That is a typed error on every
+/// backend (the tiled one's default tile covers the operand whole, so the
+/// walk reads it uncut); the fast and cycle writers used to panic building
+/// their level.
+#[test]
+fn a_written_fiber_whose_coordinates_descend_is_a_typed_error() {
+    use sam_tensor::level::{CompressedLevel, Level};
+    let kernel = lower_exec(&ConcreteIndexNotation::new(
+        parse("x(i) = b(i)").unwrap(),
+        &Schedule::new(),
+        Formats::new(),
+    ))
+    .unwrap();
+    let level = Level::Compressed(CompressedLevel { dim: 8, seg: vec![0, 3], crd: vec![5, 2, 1] });
+    let b = Tensor::from_parts("b", vec![8], TensorFormat::sparse_vec(), vec![level], vec![1.0, 2.0, 3.0]);
+    let inputs = Inputs::new().tensor(b);
+    for spec in BackendSpec::all() {
+        let run = ExecRequest::new(&kernel.graph, &inputs).backend(spec).run();
+        assert!(matches!(run, Err(ExecError::Misaligned { .. })), "{spec}: {run:?}");
+    }
+}

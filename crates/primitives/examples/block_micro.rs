@@ -1,10 +1,10 @@
-//! Host cost of the cycle blocks that are timing shells over a token rule,
-//! and of the intersecter, each alone on the simulator over about 20 k to
-//! 200 k preloaded input tokens: a compressed-level scanner, a repeater, an
-//! array, an ALU, a scalar, a vector and a matrix reducer, a coordinate
-//! dropper, the two writers and an intersecter. Prints, per block, the simulated cycles
-//! (which a change to a block's host code must leave as they are) and the
-//! median host nanoseconds per input token over `REPS` runs.
+//! Host cost of the cycle blocks, each a timing shell over a token rule,
+//! each alone on the simulator over about 20 k to 200 k preloaded input
+//! tokens: a compressed-level scanner, a repeater, an array, an ALU, a
+//! scalar, a vector and a matrix reducer, a coordinate dropper, the two
+//! writers, an intersecter and a unioner. Prints, per block, the simulated
+//! cycles (which a change to a block's host code must leave as they are)
+//! and the median host nanoseconds per input token over `REPS` runs.
 //!
 //! ```sh
 //! cargo run --release -p sam-primitives --example block_micro
@@ -12,7 +12,8 @@
 
 use sam_primitives::writer::{level_sink, val_sink};
 use sam_primitives::{
-    Alu, AluOp, CoordDropper, Intersecter, LevelScanner, LevelWriter, Reducer, Repeater, ValArray, ValWriter,
+    Alu, AluOp, CoordDropper, Intersecter, LevelScanner, LevelWriter, Reducer, Repeater, Unioner, ValArray,
+    ValWriter,
 };
 use sam_sim::payload::tok;
 use sam_sim::{Block, ChannelId, SimToken, Simulator};
@@ -207,6 +208,13 @@ fn main() {
         &merge_in,
         time(&merge_in, 3, |i, o| {
             Box::new(Intersecter::new("intersect", [i[0], i[1]], [i[2], i[3]], o[0], [o[1], o[2]]))
+        }),
+    );
+    report(
+        "unioner",
+        &merge_in,
+        time(&merge_in, 3, |i, o| {
+            Box::new(Unioner::new("union", [i[0], i[1]], [i[2], i[3]], o[0], [o[1], o[2]]))
         }),
     );
 }

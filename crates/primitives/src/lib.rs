@@ -23,15 +23,13 @@
 //!   [`BitTreeVecMul`] — the bitvector stream protocol (Section 4.3), wired
 //!   by hand for Figure 13.
 //!
-//! One rule per primitive: the scanner, repeater, array, constant, ALU,
-//! locator, reducer, dropper and writer blocks are timing shells over their
-//! token rules in [`rule`], which the fast backend (`sam-exec`) calls too.
-//! A rule's [`Fault`](sam_sim::Fault) ends the simulation with
-//! [`SimulationError::Fault`](sam_sim::SimulationError::Fault) naming the
-//! block, and so does a merger's head that is not a coordinate. The mergers
-//! are written twice — here a token per cycle, in `sam-exec` a fiber at a
-//! time — and held together by that crate's differential tests; the
-//! bitvector blocks have no fast form.
+//! One rule per primitive: the scanner, merger, repeater, array, constant,
+//! ALU, locator, reducer, dropper and writer blocks are timing shells over
+//! their token rules in [`rule`], which the fast backend (`sam-exec`) calls
+//! too; [`Intersecter`] and [`Unioner`] are one shell, [`merge::Merger`],
+//! over [`rule::merge`]. A rule's [`Fault`](sam_sim::Fault) ends the
+//! simulation with [`SimulationError::Fault`](sam_sim::SimulationError::Fault)
+//! naming the block. The bitvector blocks have no fast form.
 
 pub mod array;
 pub mod bitvector;

@@ -1,17 +1,30 @@
 //! Stream merging: intersection and union (paper Definitions 3.2 and 3.3).
 
-use sam_sim::payload::{tok, Payload};
+use crate::rule::{self, Merge};
+use sam_sim::payload::tok;
 use sam_sim::{Block, BlockStatus, ChannelId, Context, Fault, SimToken};
-use sam_streams::Token;
-use std::cmp::Ordering;
+
+/// A binary merger's timing over [`rule::merge`]: it waits for the heads of
+/// all four inputs, asks the rule what they do, and consumes and emits what
+/// the rule says, one step per cycle — at most one token from each input.
+/// `UNION` picks the unioner's emit rule; see [`Intersecter`] and
+/// [`Unioner`].
+#[derive(Debug)]
+pub struct Merger<const UNION: bool> {
+    name: String,
+    ports: MergePorts,
+    skip_out: [Option<ChannelId>; 2],
+    /// Stop tokens consumed per operand — the skip epoch, which only the
+    /// intersecter's skip requests carry.
+    stops: [u32; 2],
+    done: bool,
+}
 
 /// A binary coordinate intersecter (Definition 3.2).
 ///
 /// Two pairs of coordinate and reference streams enter; one coordinate stream
 /// and two reference streams leave. A coordinate (with both operands'
-/// references) is emitted only when both inputs carry it. Intersection uses a
-/// two-finger merge: each cycle at most one token is consumed from each
-/// input.
+/// references) is emitted only when both inputs carry it.
 ///
 /// With skip channels connected (Section 4.2), a mismatch sends the larger
 /// coordinate back to the trailing operand's level scanner so it can gallop
@@ -21,18 +34,17 @@ use std::cmp::Ordering;
 /// about. The scanner drops requests whose fiber already closed, which is
 /// what keeps skipping sound on multi-fiber streams (see
 /// [`crate::LevelScanner`]).
-#[derive(Debug)]
-pub struct Intersecter {
-    name: String,
-    ports: MergePorts,
-    skip_out: [Option<ChannelId>; 2],
-    /// Stop tokens consumed per operand — the skip epoch.
-    stops: [u32; 2],
-    done: bool,
-}
+pub type Intersecter = Merger<false>;
 
-impl Intersecter {
-    /// Creates a binary intersecter.
+/// A binary coordinate unioner (Definition 3.3).
+///
+/// Emits a coordinate whenever at least one input carries it; the reference
+/// output of an operand that lacks the coordinate carries an empty (`N`)
+/// token, as in paper Figure 5.
+pub type Unioner = Merger<true>;
+
+impl<const UNION: bool> Merger<UNION> {
+    /// Creates a binary merger.
     pub fn new(
         name: impl Into<String>,
         in_crd: [ChannelId; 2],
@@ -41,9 +53,53 @@ impl Intersecter {
         out_ref: [ChannelId; 2],
     ) -> Self {
         let ports = MergePorts { in_crd, in_ref, out: [out_crd, out_ref[0], out_ref[1]] };
-        Intersecter { name: name.into(), ports, skip_out: [None, None], stops: [0, 0], done: false }
+        Merger { name: name.into(), ports, skip_out: [None, None], stops: [0, 0], done: false }
     }
 
+    /// One cycle: the rule's step over the four heads, once all are there.
+    #[inline(always)]
+    fn step(&mut self, ctx: &mut Context) -> Result<BlockStatus, Fault> {
+        if self.done {
+            return Ok(BlockStatus::Done);
+        }
+        let Some([a, b, ra, rb]) = self.ports.heads(ctx) else {
+            return Ok(ctx.stall());
+        };
+        match rule::merge::<UNION>([a, b], [ra, rb])? {
+            Merge::Both(out) => {
+                self.ports.pop(ctx, 0);
+                self.ports.pop(ctx, 1);
+                if !UNION && a.is_stop() {
+                    self.stops = self.stops.map(|n| n.wrapping_add(1));
+                }
+                self.ports.emit(ctx, out);
+                if out[0].is_done() {
+                    self.done = true;
+                    return Ok(BlockStatus::Done);
+                }
+            }
+            Merge::Emit { side, out } => {
+                self.ports.pop(ctx, side);
+                self.ports.emit(ctx, out);
+            }
+            Merge::Drop { side, lead } => {
+                // A stop advances the skip epoch; a trailing coordinate asks
+                // its scanner to gallop to `lead` (both tokens in one tick).
+                self.ports.pop(ctx, side);
+                if !UNION && [a, b][side].is_stop() {
+                    self.stops[side] = self.stops[side].wrapping_add(1);
+                }
+                if let (Some(target), Some(skip)) = (lead, self.skip_out[side]) {
+                    ctx.push(skip, tok::rf(self.stops[side]));
+                    ctx.push(skip, tok::crd(target));
+                }
+            }
+        }
+        Ok(BlockStatus::Busy)
+    }
+}
+
+impl Intersecter {
     /// Connects coordinate-skip feedback lanes individually; `None` leaves
     /// that operand without skip feedback. Used by the `sam-exec` cycle
     /// backend, which lowers whatever subset of skip edges the graph wires.
@@ -51,79 +107,15 @@ impl Intersecter {
         self.skip_out = skip_out;
         self
     }
-
-    /// Consumes operand `side`'s head, `head`, and its reference; a stop
-    /// advances the operand's skip epoch.
-    fn drain(&mut self, ctx: &mut Context, side: usize, head: SimToken) {
-        self.ports.pop(ctx, side);
-        if head.is_stop() {
-            self.stops[side] = self.stops[side].wrapping_add(1);
-        }
-    }
 }
 
-impl Block for Intersecter {
+impl<const UNION: bool> Block for Merger<UNION> {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done {
-            return BlockStatus::Done;
-        }
-        let Some([a, b, ra, rb]) = self.ports.heads(ctx) else {
-            return ctx.stall();
-        };
-        let ports = &self.ports;
-        match (a, b) {
-            (Token::Val(pa), Token::Val(pb)) => {
-                let (Payload::Crd(ca), Payload::Crd(cb)) = (pa, pb) else {
-                    return BlockStatus::Fault(Fault::Misaligned);
-                };
-                if ca == cb {
-                    ports.pop(ctx, 0);
-                    ports.pop(ctx, 1);
-                    ports.emit(ctx, tok::crd(ca), ra, rb);
-                } else {
-                    // The trailing operand moves on; with a skip lane it
-                    // asks its scanner to gallop to the leading coordinate,
-                    // with an epoch-tagged request (both tokens in one tick).
-                    let (side, target) = if ca < cb { (0, cb) } else { (1, ca) };
-                    ports.pop(ctx, side);
-                    if let Some(skip) = self.skip_out[side] {
-                        ctx.push(skip, tok::rf(self.stops[side]));
-                        ctx.push(skip, tok::crd(target));
-                    }
-                }
-            }
-            // An empty token is skipped on its own side; a coordinate whose
-            // partner's fiber has ended (or never began) is drained, and so
-            // is a stop whose partner is done (mismatched inputs).
-            (Token::Empty, _)
-            | (Token::Val(Payload::Crd(_)), Token::Stop(_) | Token::Done)
-            | (Token::Stop(_), Token::Done) => self.drain(ctx, 0, a),
-            (_, Token::Empty | Token::Val(Payload::Crd(_))) | (Token::Done, Token::Stop(_)) => {
-                self.drain(ctx, 1, b)
-            }
-            // A payload other than a coordinate.
-            (Token::Val(_), _) | (_, Token::Val(_)) => return BlockStatus::Fault(Fault::Misaligned),
-            (Token::Stop(na), Token::Stop(nb)) => {
-                debug_assert_eq!(na, nb, "intersect inputs must have matching fiber structure");
-                ports.pop(ctx, 0);
-                ports.pop(ctx, 1);
-                self.stops = self.stops.map(|n| n.wrapping_add(1));
-                let s = tok::stop(na.max(nb));
-                ports.emit(ctx, s, s, s);
-            }
-            (Token::Done, Token::Done) => {
-                ports.pop(ctx, 0);
-                ports.pop(ctx, 1);
-                ports.emit(ctx, tok::done(), tok::done(), tok::done());
-                self.done = true;
-                return BlockStatus::Done;
-            }
-        }
-        BlockStatus::Busy
+        self.step(ctx).unwrap_or_else(BlockStatus::Fault)
     }
 }
 
@@ -142,7 +134,7 @@ impl MergePorts {
     /// coordinate stream (a fork between them delays it a cycle), and
     /// consuming a coordinate before its reference would pair every later
     /// reference with the wrong coordinate. (The three helpers are inlined
-    /// into the ticks: out of line, they cost a tick half again as much.)
+    /// into the tick: out of line, they cost a tick half again as much.)
     #[inline(always)]
     fn heads(&self, ctx: &mut Context) -> Option<[SimToken; 4]> {
         let a = ctx.peek(self.in_crd[0]).copied();
@@ -161,106 +153,10 @@ impl MergePorts {
 
     /// Pushes one position to the three outputs.
     #[inline(always)]
-    fn emit(&self, ctx: &mut Context, crd: SimToken, r0: SimToken, r1: SimToken) {
+    fn emit(&self, ctx: &mut Context, [crd, r0, r1]: [SimToken; 3]) {
         ctx.push(self.out[0], crd);
         ctx.push(self.out[1], r0);
         ctx.push(self.out[2], r1);
-    }
-}
-
-/// A binary coordinate unioner (Definition 3.3).
-///
-/// Emits a coordinate whenever at least one input carries it; the reference
-/// output of an operand that lacks the coordinate carries an empty (`N`)
-/// token, as in paper Figure 5.
-#[derive(Debug)]
-pub struct Unioner {
-    name: String,
-    ports: MergePorts,
-    done: bool,
-}
-
-impl Unioner {
-    /// Creates a binary unioner.
-    pub fn new(
-        name: impl Into<String>,
-        in_crd: [ChannelId; 2],
-        in_ref: [ChannelId; 2],
-        out_crd: ChannelId,
-        out_ref: [ChannelId; 2],
-    ) -> Self {
-        let ports = MergePorts { in_crd, in_ref, out: [out_crd, out_ref[0], out_ref[1]] };
-        Unioner { name: name.into(), ports, done: false }
-    }
-}
-
-impl Block for Unioner {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        if self.done {
-            return BlockStatus::Done;
-        }
-        let Some([a, b, ra, rb]) = self.ports.heads(ctx) else {
-            return ctx.stall();
-        };
-        let ports = &self.ports;
-        match (a, b) {
-            (Token::Val(pa), Token::Val(pb)) => {
-                let (Payload::Crd(ca), Payload::Crd(cb)) = (pa, pb) else {
-                    return BlockStatus::Fault(Fault::Misaligned);
-                };
-                match ca.cmp(&cb) {
-                    Ordering::Equal => {
-                        ports.pop(ctx, 0);
-                        ports.pop(ctx, 1);
-                        ports.emit(ctx, tok::crd(ca), ra, rb);
-                    }
-                    Ordering::Less => {
-                        ports.pop(ctx, 0);
-                        ports.emit(ctx, tok::crd(ca), ra, tok::empty());
-                    }
-                    Ordering::Greater => {
-                        ports.pop(ctx, 1);
-                        ports.emit(ctx, tok::crd(cb), tok::empty(), rb);
-                    }
-                }
-            }
-            // An empty token is skipped on its own side, before the other
-            // side's coordinate is emitted; so is a stop whose partner is
-            // done (mismatched inputs).
-            (Token::Empty, _) | (Token::Stop(_), Token::Done) => ports.pop(ctx, 0),
-            (_, Token::Empty) | (Token::Done, Token::Stop(_)) => ports.pop(ctx, 1),
-            // The other operand's fiber ended first (or it is done): flush
-            // this one.
-            (Token::Val(Payload::Crd(ca)), _) => {
-                ports.pop(ctx, 0);
-                ports.emit(ctx, tok::crd(ca), ra, tok::empty());
-            }
-            (_, Token::Val(Payload::Crd(cb))) => {
-                ports.pop(ctx, 1);
-                ports.emit(ctx, tok::crd(cb), tok::empty(), rb);
-            }
-            // A payload other than a coordinate.
-            (Token::Val(_), _) | (_, Token::Val(_)) => return BlockStatus::Fault(Fault::Misaligned),
-            (Token::Stop(na), Token::Stop(nb)) => {
-                debug_assert_eq!(na, nb, "union inputs must have matching fiber structure");
-                ports.pop(ctx, 0);
-                ports.pop(ctx, 1);
-                let s = tok::stop(na.max(nb));
-                ports.emit(ctx, s, s, s);
-            }
-            (Token::Done, Token::Done) => {
-                ports.pop(ctx, 0);
-                ports.pop(ctx, 1);
-                ports.emit(ctx, tok::done(), tok::done(), tok::done());
-                self.done = true;
-                return BlockStatus::Done;
-            }
-        }
-        BlockStatus::Busy
     }
 }
 

@@ -9,47 +9,56 @@ use sam_tensor::level::CompressedLevel;
 /// written.
 #[derive(Debug)]
 pub struct LevelWrite {
+    dim: usize,
     coords: Vec<u32>,
     seg: Vec<usize>,
-}
-
-impl Default for LevelWrite {
-    fn default() -> Self {
-        LevelWrite::reusing(Vec::new(), Vec::new())
-    }
+    /// The least coordinate the open fiber may take next.
+    next: usize,
 }
 
 impl LevelWrite {
-    /// A level writer that writes into `coords` and `seg`, emptied first
+    /// A level writer for a dimension of size `dim`.
+    pub fn new(dim: usize) -> Self {
+        LevelWrite::reusing(dim, Vec::new(), Vec::new())
+    }
+
+    /// [`LevelWrite::new`] writing into `coords` and `seg`, emptied first
     /// but keeping their capacity: a caller that keeps a finished level's
     /// arrays hands them back here instead of allocating.
-    pub fn reusing(mut coords: Vec<u32>, mut seg: Vec<usize>) -> Self {
+    pub fn reusing(dim: usize, mut coords: Vec<u32>, mut seg: Vec<usize>) -> Self {
         coords.clear();
         seg.clear();
         seg.push(0);
-        LevelWrite { coords, seg }
+        LevelWrite { dim, coords, seg, next: 0 }
     }
 
     /// Takes one token of the coordinate stream; `Empty` and done write
-    /// nothing.
+    /// nothing. A coordinate that does not ascend within its fiber, or lies
+    /// past the dimension, is misaligned.
     #[inline]
     pub fn step(&mut self, t: SimToken) -> Result<(), Fault> {
         match t {
-            Token::Val(Payload::Crd(c)) => self.coords.push(c),
+            Token::Val(Payload::Crd(c)) if (self.next..self.dim).contains(&(c as usize)) => {
+                self.coords.push(c);
+                self.next = c as usize + 1;
+            }
             Token::Val(_) => return Err(Fault::Misaligned),
-            Token::Stop(_) => self.seg.push(self.coords.len()),
+            Token::Stop(_) => {
+                self.seg.push(self.coords.len());
+                self.next = 0;
+            }
             Token::Empty | Token::Done => {}
         }
         Ok(())
     }
 
-    /// The level written so far, for a dimension of size `dim`, with a
-    /// fiber still open closed.
-    pub fn finish(mut self, dim: usize) -> CompressedLevel {
+    /// The level written so far, with a fiber still open closed; its
+    /// coordinates are as [`LevelWrite::step`] checked them.
+    pub fn finish(mut self) -> CompressedLevel {
         if self.seg.last() != Some(&self.coords.len()) {
             self.seg.push(self.coords.len());
         }
-        CompressedLevel::new(dim, self.seg, self.coords)
+        CompressedLevel { dim: self.dim, seg: self.seg, crd: self.coords }
     }
 }
 
@@ -83,5 +92,37 @@ impl ValWrite {
     /// The values written so far.
     pub fn finish(self) -> Vec<f64> {
         self.vals
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sam_sim::payload::tok;
+
+    /// The level of `stream`, or the writer's fault.
+    fn write(dim: usize, stream: &[SimToken]) -> Result<CompressedLevel, Fault> {
+        let mut write = LevelWrite::new(dim);
+        stream.iter().try_for_each(|&t| write.step(t))?;
+        Ok(write.finish())
+    }
+
+    /// Coordinates ascend within a fiber and start over in the next one;
+    /// one that does not ascend, or lies past the dimension, is misaligned
+    /// the moment it arrives.
+    #[test]
+    fn a_coordinate_out_of_order_or_past_the_dimension_is_misaligned() {
+        let (stop, done) = (tok::stop(0), tok::done());
+        let level = write(4, &[tok::crd(1), tok::crd(3), stop, tok::crd(0), tok::empty(), tok::crd(2), done]);
+        assert_eq!(level, Ok(CompressedLevel::new(4, vec![0, 2, 4], vec![1, 3, 0, 2])));
+        for bad in [
+            [tok::crd(2), tok::crd(1)],
+            [tok::crd(2), tok::crd(2)],
+            [tok::crd(1), tok::crd(4)],
+            [tok::crd(4), stop],
+            [tok::crd(0), tok::rf(1)],
+        ] {
+            assert_eq!(write(4, &bad), Err(Fault::Misaligned), "{bad:?}");
+        }
     }
 }

@@ -41,7 +41,7 @@ pub struct LevelWriter {
 impl LevelWriter {
     /// Creates a compressed level writer for a dimension of size `dim`.
     pub fn new(name: impl Into<String>, dim: usize, in_crd: ChannelId, sink: LevelWriterSink) -> Self {
-        LevelWriter { name: name.into(), dim, in_crd, sink, rule: LevelWrite::default() }
+        LevelWriter { name: name.into(), dim, in_crd, sink, rule: LevelWrite::new(dim) }
     }
 }
 
@@ -59,7 +59,7 @@ impl Block for LevelWriter {
         }
         if t.is_done() {
             *self.sink.lock().expect("poisoned level sink") =
-                Some(std::mem::take(&mut self.rule).finish(self.dim));
+                Some(std::mem::replace(&mut self.rule, LevelWrite::new(self.dim)).finish());
         }
         crate::status(t.is_done())
     }

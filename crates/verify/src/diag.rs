@@ -84,6 +84,9 @@ pub enum Rule {
     /// Lint: an intersection of levels with skewed formats has no skip
     /// lanes even though the compiler's heuristic would wire them.
     MissingSkipEdge,
+    /// Lint: a level writer writes another tensor than the values writer,
+    /// so the output leaves its level out.
+    ForeignLevelWriter,
 }
 
 impl Rule {
@@ -111,15 +114,15 @@ impl Rule {
             Rule::UnusedOutput => "unused-output",
             Rule::ForkShouldBroadcast => "fork-should-broadcast",
             Rule::MissingSkipEdge => "missing-skip-edge",
+            Rule::ForeignLevelWriter => "foreign-level-writer",
         }
     }
 
     /// The severity this rule always fires at.
     pub fn severity(&self) -> Severity {
         match self {
-            Rule::DeadNode | Rule::UnusedOutput | Rule::ForkShouldBroadcast | Rule::MissingSkipEdge => {
-                Severity::Warning
-            }
+            Rule::DeadNode | Rule::UnusedOutput | Rule::ForkShouldBroadcast => Severity::Warning,
+            Rule::MissingSkipEdge | Rule::ForeignLevelWriter => Severity::Warning,
             _ => Severity::Error,
         }
     }

@@ -88,6 +88,7 @@ mod tests {
             Rule::UnusedOutput,
             Rule::ForkShouldBroadcast,
             Rule::MissingSkipEdge,
+            Rule::ForeignLevelWriter,
         ];
         let ids: std::collections::HashSet<&str> = rules.iter().map(|r| r.id()).collect();
         assert_eq!(ids.len(), rules.len());

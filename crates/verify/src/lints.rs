@@ -98,6 +98,25 @@ pub fn run(graph: &SamGraph, analysis: &Analysis, report: &mut Report) {
         }
     }
 
+    // A level writer of another tensor than the values writer: the output
+    // is the values writer's tensor, which leaves that level out.
+    let writers = |vals: bool| {
+        nodes.iter().enumerate().filter_map(move |(i, kind)| match kind {
+            NodeKind::LevelWriter { tensor, vals: v, .. } if *v == vals => Some((i, tensor)),
+            _ => None,
+        })
+    };
+    if let [(_, output)] = writers(true).collect::<Vec<_>>()[..] {
+        for (i, tensor) in writers(false).filter(|(_, tensor)| *tensor != output) {
+            let label = graph.node_label(NodeId(i));
+            let message = format!(
+                "`{label}` writes a level of `{tensor}`, but the output is `{output}`, the tensor the \
+                 values go to, and leaves that level out"
+            );
+            report.push(Diagnostic::new(Rule::ForeignLevelWriter, message).at(i, label));
+        }
+    }
+
     // Missing skip edges, mirroring the heuristic in `custard::lower_exec`:
     // a binary intersection whose two operands come straight from scanners
     // of skewed density (one dense, one compressed) gallops in O(1) on the

@@ -310,6 +310,19 @@ fn missing_skip_edge_fires_once() {
 }
 
 #[test]
+fn foreign_level_writer_fires_once() {
+    // A second level writer taps the scanner's coordinates into `y`, while
+    // the values go to `x`.
+    let mut g = base();
+    let w = g.add_node(NodeKind::LevelWriter { tensor: "y".into(), index: 'i', vals: false });
+    g.add_edge_on(NodeId(1), 0, w, 0, StreamKind::Crd, "crd to y");
+    let report = verify(&g);
+    assert_eq!(report.count(Rule::ForeignLevelWriter), 1, "{}", report.render());
+    assert!(!report.has_errors(), "lints are warnings:\n{}", report.render());
+    assert!(report.render().contains("`y`"), "{}", report.render());
+}
+
+#[test]
 fn catalog_spmv_is_clean() {
     let report = verify(&graphs::spmv());
     assert!(report.diagnostics.is_empty(), "{}", report.render());
