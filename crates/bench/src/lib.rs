@@ -302,7 +302,7 @@ pub fn executor_report(scale: usize) -> String {
         env.bind_dims(&assignment, &[]);
         let expect = env.evaluate(&assignment).expect("reference evaluation");
         let cycle = run_cycle(&graph, &inputs);
-        let fast = ExecRequest::new(&graph, &inputs).executor(&FastBackend).run().expect("fast run");
+        let fast = ExecRequest::new(&graph, &inputs).executor(&FastBackend::new()).run().expect("fast run");
         let ok = cycle.output.as_ref().expect("tensor").to_dense().approx_eq(&expect)
             && fast.output.as_ref().expect("tensor").to_dense().approx_eq(&expect);
         out.push_str(&format!(

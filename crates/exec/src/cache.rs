@@ -7,14 +7,18 @@
 //! This module holds one process-wide, sharded `(expression, formats,
 //! shapes) → Arc<Plan>` cache with hit/miss/eviction counters:
 //!
-//! * The private `PlanKey` captures **everything** a [`Plan`] reads from its inputs —
-//!   the graph's name and a structural fingerprint of its nodes and edges,
-//!   and per bound tensor the signature the plan keeps (name, format,
-//!   shape, and the value of single-element tensors: the planner resolves
-//!   `ConstVal` scalars at plan time). A plan reads nothing else — not
-//!   occupancy, not fiber lengths — so tensors of one shape class share a
-//!   plan, and equal keys mean *bit-identical* plans: a cache hit returns
+//! * A plan is cached under **everything** it reads of its inputs — the
+//!   graph itself, and per bound tensor the signature the plan keeps (name,
+//!   format, shape, and the value of single-element tensors: the planner
+//!   resolves `ConstVal` scalars at plan time). A plan reads nothing else —
+//!   not occupancy, not fiber lengths — so tensors of one shape class share
+//!   a plan, and a hit is a plan *bit-identical* to a fresh one: it returns
 //!   an execution indistinguishable from a fresh compile.
+//! * A lookup builds no key. It hashes the graph's name and each binding's
+//!   signature once, in place, and compares the request with each plan
+//!   filed under that hash — its graph and the signatures it was built
+//!   over — in place too, so two graphs that share a name (hand-wired
+//!   variants, property-test output) never share a plan.
 //! * [`PlanCache`] is the sharded LRU map. [`PlanCache::global`] is the
 //!   process-wide instance the default execution path uses; services that
 //!   want isolated counters (or a different capacity) construct their own.
@@ -43,7 +47,7 @@
 
 use crate::bind::Inputs;
 use crate::error::PlanError;
-use crate::plan::{BindingKey, Plan};
+use crate::plan::{hash_binding, Plan};
 use sam_core::graph::SamGraph;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -61,39 +65,15 @@ const SHARDS: usize = 8;
 /// (e.g. a caller planning one graph over thousands of operand shapes).
 const GLOBAL_CAPACITY: usize = 2048;
 
-/// The cache key: everything a [`Plan`] depends on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PlanKey {
-    /// The graph's name — for custard-compiled kernels, the expression
-    /// string itself.
-    expr: String,
-    /// Structural hash of the graph's nodes and edges, so two graphs that
-    /// happen to share a name (hand-wired variants, property-test output)
-    /// can never collide.
-    fingerprint: u64,
-    bindings: Vec<BindingKey>,
-}
-
-impl PlanKey {
-    /// Builds the key for planning `graph` over `inputs`.
-    fn new(graph: &SamGraph, inputs: &Inputs) -> PlanKey {
-        let mut h = DefaultHasher::new();
-        for node in graph.nodes() {
-            node.hash(&mut h);
-        }
-        for e in graph.edges() {
-            (e.from, e.to, e.kind, e.src_port, e.dst_port).hash(&mut h);
-        }
-        let bindings = inputs.iter().map(BindingKey::new).collect();
-        PlanKey { expr: graph.name.clone(), fingerprint: h.finish(), bindings }
+/// The hash a plan of `graph` over `inputs` is filed under: the graph's
+/// name and every binding's signature, read in place.
+fn key_hash(graph: &SamGraph, inputs: &Inputs) -> u64 {
+    let mut h = DefaultHasher::new();
+    graph.name.hash(&mut h);
+    for binding in inputs.iter() {
+        hash_binding(binding, &mut h);
     }
-
-    /// Which shard of an `n`-shard cache this key lives in.
-    fn shard(&self, n: usize) -> usize {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        (h.finish() as usize) % n
-    }
+    h.finish()
 }
 
 /// A cached plan plus its LRU clock.
@@ -104,8 +84,33 @@ struct Entry {
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<PlanKey, Entry>,
+    /// The plans filed under each key hash.
+    map: HashMap<u64, Vec<Entry>>,
     tick: u64,
+}
+
+impl Shard {
+    /// How many plans the shard holds.
+    fn len(&self) -> usize {
+        self.map.values().map(Vec::len).sum()
+    }
+
+    /// Drops the least recently used plan.
+    fn evict_oldest(&mut self) {
+        let oldest = self
+            .map
+            .iter()
+            .flat_map(|(&hash, plans)| plans.iter().enumerate().map(move |(at, e)| (e.last_used, hash, at)))
+            .min();
+        if let Some((_, hash, at)) = oldest {
+            if let Some(plans) = self.map.get_mut(&hash) {
+                plans.swap_remove(at);
+                if plans.is_empty() {
+                    self.map.remove(&hash);
+                }
+            }
+        }
+    }
 }
 
 /// A snapshot of a [`PlanCache`]'s counters.
@@ -214,26 +219,22 @@ impl PlanCache {
     /// Propagates [`PlanError`] from [`Plan::build`]; failures are never
     /// cached.
     fn lookup(&self, graph: &SamGraph, inputs: &Inputs) -> Result<(Arc<Plan>, bool), PlanError> {
-        let key = PlanKey::new(graph, inputs);
-        let mut s = self.lock_shard(key.shard(self.shards.len()));
+        let hash = key_hash(graph, inputs);
+        let mut s = self.lock_shard(hash as usize % self.shards.len());
         s.tick += 1;
         let tick = s.tick;
-        if let Some(e) = s.map.get_mut(&key) {
+        let filed =
+            s.map.get_mut(&hash).and_then(|plans| plans.iter_mut().find(|e| e.plan.plans(graph, inputs)));
+        if let Some(e) = filed {
             e.last_used = tick;
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::clone(&e.plan), true));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(Plan::build(graph, inputs)?);
-        s.map.insert(key, Entry { plan: Arc::clone(&plan), last_used: tick });
-        while s.map.len() > self.per_shard_capacity {
-            let oldest = s
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("nonempty over-capacity shard");
-            s.map.remove(&oldest);
+        s.map.entry(hash).or_default().push(Entry { plan: Arc::clone(&plan), last_used: tick });
+        while s.len() > self.per_shard_capacity {
+            s.evict_oldest();
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         Ok((plan, false))
@@ -245,7 +246,7 @@ impl PlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: (0..self.shards.len()).map(|i| self.lock_shard(i).map.len()).sum(),
+            entries: (0..self.shards.len()).map(|i| self.lock_shard(i).len()).sum(),
         }
     }
 

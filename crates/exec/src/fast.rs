@@ -60,10 +60,22 @@
 //! spares too: a walk returns its levels and values, and a caller that is
 //! done with them — the tiled backend, once it has merged a tuple's output
 //! — hands them back for the next walk's writers, which empty them before
-//! writing. One backend run keeps one workspace: the tiled backend's walk
-//! of each tile tuple starts from the buffers, stream table, writer arrays
-//! and output list the tuple before it grew, and nothing is kept once the
-//! run returns.
+//! writing. The tiled backend keeps one workspace per run: the walk of each
+//! tile tuple starts from the buffers, stream table, writer arrays and
+//! output list the tuple before it grew.
+//!
+//! **Kept by the instance.** A [`FastBackend`] keeps the workspace of its
+//! last run for the next one, so a second run of a plan stores its streams
+//! in the buffers the first one grew: what it allocates is its output. What
+//! it keeps is bounded by what that last run used: the spare buffers the
+//! run took (one it never took is dropped), each trimmed to twice the
+//! longest stream the run stored in it. A failed run keeps nothing. The
+//! workspace sits behind a lock that a run only tries: a run that finds it
+//! taken, by another thread running the same instance, walks a fresh
+//! workspace rather than wait. [`BackendSpec::build`](crate::BackendSpec::build) makes a
+//! fresh instance, so a one-shot [`ExecRequest`](crate::ExecRequest)
+//! allocates as it always did; a caller that runs many plans keeps one
+//! instance and hands it to [`ExecRequest::executor`](crate::ExecRequest::executor).
 //!
 //! **Named once, on failure.** A transfer function reports a fault without
 //! naming its node; the walk attaches [`Plan::node_label`] when it turns
@@ -104,14 +116,16 @@ use sam_primitives::rule::{self, LevelWrite, ScalarReduce, ValWrite};
 use sam_sim::{Fault, SimToken};
 use sam_tensor::level::CompressedLevel;
 use sam_trace::{TokenCounts, TraceSink};
+use std::fmt;
+use std::sync::{Mutex, TryLockError};
 use std::time::Instant;
 
 type Stream = Vec<SimToken>;
 
-/// What one walk needs besides its plan and inputs, kept across the walks of
-/// one backend run — a tiled run walks once per tile tuple — so that a walk
-/// starts from the buffers the walk before it grew instead of from empty
-/// `Vec`s. Nothing in it outlives the run that made it.
+/// What one walk needs besides its plan and inputs, kept across walks — the
+/// tile tuples of one tiled run, the runs of one [`FastBackend`] — so that a
+/// walk starts from the buffers the walk before it grew instead of from
+/// empty `Vec`s.
 #[derive(Default)]
 pub(crate) struct Workspace {
     /// Every stored stream's buffer and every writer's arrays, taken and
@@ -139,6 +153,25 @@ impl Workspace {
             self.spares.give_level(level);
         }
         self.written.resize_with(plan.level_writers().len(), || None);
+        self.spares.untaken = self.spares.streams.len();
+        self.spares.held.clear();
+    }
+
+    /// Keeps, of what a walk that succeeded leaves, only what it used: the
+    /// spare buffers it took, each at most twice as long as the longest
+    /// stream it held. A repeated walk of one plan stores no longer stream
+    /// in it, so it finds every buffer it needs already grown. (An address a
+    /// buffer left when it grew may come back for another buffer; that only
+    /// lets the other one keep more.)
+    fn trim(&mut self) {
+        let Spares { streams, untaken, held, .. } = &mut self.spares;
+        // Spares are taken from the end, so those below the lowest point the
+        // stack reached were never taken.
+        streams.drain(..*untaken);
+        for stream in streams.iter_mut() {
+            let longest = held.iter().find(|(at, _)| *at == stream.as_ptr() as usize).map_or(0, |h| h.1);
+            stream.shrink_to(2 * longest.max(MIN_KEPT));
+        }
     }
 
     /// Keeps the arrays of a walk's output, once its caller has read them,
@@ -162,23 +195,42 @@ impl Workspace {
 #[derive(Default)]
 pub(crate) struct Spares {
     streams: Vec<Stream>,
+    /// Since the walk began: the fewest spare buffers `streams` held, and
+    /// per buffer handed back — by the address of its storage, which stays
+    /// put until it grows — the longest stream it held ([`Workspace::trim`]).
+    untaken: usize,
+    held: Vec<(usize, usize)>,
     /// Level writers' coordinate and segment arrays.
     crd: Vec<Vec<u32>>,
     seg: Vec<Vec<usize>>,
     /// Values writers' arrays.
     vals: Vec<Vec<f64>>,
+    /// A fusion region's step list and its members' port list, empty.
+    steps: Vec<Step<'static>>,
+    ports: Vec<RegionPort>,
 }
+
+/// A kept buffer keeps room for at least twice this many tokens: a `Vec` of
+/// 16-byte tokens allocates room for four at its first push.
+const MIN_KEPT: usize = 2;
 
 impl Spares {
     /// An empty buffer: the last one handed back, or a new one.
     pub(crate) fn take(&mut self) -> Stream {
-        self.streams.pop().unwrap_or_default()
+        let stream = self.streams.pop().unwrap_or_default();
+        self.untaken = self.untaken.min(self.streams.len());
+        stream
     }
 
     /// Keeps `stream`'s buffer, emptied, for a later stream; one that
     /// never allocated is dropped.
     pub(crate) fn give(&mut self, mut stream: Stream) {
         if stream.capacity() > 0 {
+            let at = stream.as_ptr() as usize;
+            match self.held.iter_mut().find(|(held, _)| *held == at) {
+                Some((_, longest)) => *longest = (*longest).max(stream.len()),
+                None => self.held.push((at, stream.len())),
+            }
             stream.clear();
             self.streams.push(stream);
         }
@@ -192,6 +244,16 @@ impl Spares {
     /// A values writer over the last array handed back, or a new one.
     pub(crate) fn val_writer(&mut self) -> ValWrite {
         ValWrite::reusing(self.vals.pop().unwrap_or_default())
+    }
+
+    /// The empty step and port lists a fusion region fills.
+    pub(crate) fn take_region_lists(&mut self) -> (Vec<Step<'static>>, Vec<RegionPort>) {
+        (std::mem::take(&mut self.steps), std::mem::take(&mut self.ports))
+    }
+
+    /// Keeps a region's emptied step list for the next region.
+    pub(crate) fn give_steps(&mut self, steps: Vec<Step<'static>>) {
+        self.steps = steps;
     }
 
     /// Keeps a written level's arrays for a later level writer.
@@ -359,8 +421,9 @@ struct MergeRun {
     root: (u64, TokenCounts),
     /// Its three streams, empty where they do not leave the region.
     streams: [Stream; 3],
-    /// Each member of its fusion region and its output port.
-    members: Vec<(NodeId, RegionPort)>,
+    /// The output port of each member of its fusion region, in
+    /// [`Plan::region_members`] order; none when it ran unfused.
+    ports: Vec<RegionPort>,
 }
 
 /// Runs merger `root`, with its fusion region if `fused`. A fault hands
@@ -395,18 +458,62 @@ fn run_merger(
         counts.1 += port.tally;
         port.stored.unwrap_or_default()
     });
-    Ok(MergeRun {
-        emitted: [a.emitted(), b.emitted()],
-        root: counts,
-        streams,
-        members: members.iter().copied().zip(ports).collect(),
-    })
+    Ok(MergeRun { emitted: [a.emitted(), b.emitted()], root: counts, streams, ports })
 }
 
 /// Runs plans functionally, without per-cycle simulation: every node
 /// evaluates whole, in topological order, on the calling thread.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FastBackend;
+///
+/// An instance keeps the workspace of its last run for its next (see the
+/// module docs): a caller that runs many plans keeps one instance.
+#[derive(Default)]
+pub struct FastBackend {
+    /// The workspace the last run left, trimmed to what it used.
+    kept: Mutex<Workspace>,
+}
+
+impl FastBackend {
+    /// A fast backend that keeps nothing yet.
+    pub fn new() -> FastBackend {
+        FastBackend::default()
+    }
+
+    /// Walks `plan` in the kept workspace, or in a fresh one while another
+    /// run holds it, and keeps what a successful walk used.
+    fn walk_kept(
+        &self,
+        plan: &Plan,
+        inputs: &Inputs,
+        trace: &dyn TraceSink,
+        labels: &[String],
+    ) -> Result<Written, ExecError> {
+        let mut kept = match self.kept.try_lock() {
+            Ok(kept) => kept,
+            // A run panicked holding it: what it left is not worth keeping.
+            Err(TryLockError::Poisoned(poisoned)) => {
+                let mut kept = poisoned.into_inner();
+                *kept = Workspace::default();
+                self.kept.clear_poison();
+                kept
+            }
+            Err(TryLockError::WouldBlock) => {
+                return walk(plan, inputs, trace, labels, &mut Workspace::default());
+            }
+        };
+        let written = walk(plan, inputs, trace, labels, &mut kept);
+        match written {
+            Ok(_) => kept.trim(),
+            Err(_) => *kept = Workspace::default(),
+        }
+        written
+    }
+}
+
+impl fmt::Debug for FastBackend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FastBackend").finish_non_exhaustive()
+    }
+}
 
 impl Executor for FastBackend {
     fn name(&self) -> &'static str {
@@ -422,7 +529,7 @@ impl Executor for FastBackend {
         plan.check_inputs(inputs)?;
         let start = Instant::now();
         let Written { levels, vals, tokens } =
-            walk(plan, inputs, trace, &define_nodes(plan, trace), &mut Workspace::default())?;
+            self.walk_kept(plan, inputs, trace, &define_nodes(plan, trace))?;
         let output = assemble_output(plan, levels, &vals)?;
         Ok(Execution {
             backend: self.name(),
@@ -447,6 +554,10 @@ pub(crate) struct Written {
     pub(crate) vals: Vec<f64>,
     pub(crate) tokens: u64,
 }
+
+/// The most data inputs a node the walk evaluates outside a merger reads: a
+/// matrix reducer's three.
+const MAX_INPUTS: usize = 3;
 
 /// The walk behind [`FastBackend`], with the nodes already defined on
 /// `trace` under `labels` ([`define_nodes`]; empty when untraced), over the
@@ -500,9 +611,13 @@ pub(crate) fn walk(
         } else {
             outs.extend((0..plan.consumers_of(id).len()).map(|_| spares.take()));
             let job = NodeJob::build(plan, inputs, id);
-            let mut srcs: Vec<SliceSource<'_>> =
-                plan.inputs_of(id).iter().flatten().map(|&p| SliceSource::new(streams.get(p))).collect();
-            match eval_node(&job, &mut srcs, outs, spares)
+            let mut srcs = [(); MAX_INPUTS].map(|()| SliceSource::new(&[]));
+            let mut read = 0;
+            for (src, &p) in srcs.iter_mut().zip(plan.inputs_of(id).iter().flatten()) {
+                *src = SliceSource::new(streams.get(p));
+                read += 1;
+            }
+            match eval_node(&job, &mut srcs[..read], outs, spares)
                 .map_err(|f| ExecError::at(f, plan.node_label(id)))?
             {
                 // A level writer of another tensor than the values writer's
@@ -538,24 +653,29 @@ pub(crate) fn walk(
         // A region member: tallied, stored if read outside the region, and
         // one reader of each of its inputs (an internal one was never
         // stored; releasing it only settles its reader count).
-        for (member, port) in merged.map(|run| run.members).unwrap_or_default() {
-            tokens += port.len;
-            if tracing {
-                trace.record_tokens(member.0, port.tally);
+        if let Some(MergeRun { mut ports, .. }) = merged {
+            for (&member, port) in plan.region_members(id).iter().zip(ports.drain(..)) {
+                tokens += port.len;
+                if tracing {
+                    trace.record_tokens(member.0, port.tally);
+                }
+                streams.store(member, port.stored, spares);
+                for &p in plan.inputs_of(member).iter().flatten() {
+                    streams.release(p, spares);
+                }
             }
-            streams.store(member, port.stored, spares);
-            for &p in plan.inputs_of(member).iter().flatten() {
-                streams.release(p, spares);
-            }
+            spares.ports = ports;
         }
     }
 
     let mut levels = std::mem::take(levels);
     for (writer, level) in plan.level_writers().iter().zip(written.iter_mut()) {
-        levels.push(level.take().ok_or(ExecError::IncompleteOutput { label: plan.node_label(*writer) })?);
+        levels.push(
+            level.take().ok_or_else(|| ExecError::IncompleteOutput { label: plan.node_label(*writer) })?,
+        );
     }
-    let vals =
-        vals_result.ok_or(ExecError::IncompleteOutput { label: plan.node_label(plan.vals_writer()) })?;
+    let vals = vals_result
+        .ok_or_else(|| ExecError::IncompleteOutput { label: plan.node_label(plan.vals_writer()) })?;
     Ok(Written { levels, vals, tokens })
 }
 
@@ -753,13 +873,149 @@ mod tests {
         Ok(())
     }
 
+    /// What a run returned: its output and values, its token total and each
+    /// node's token counts when it is traced.
+    type Ran = (Option<sam_tensor::Tensor>, Vec<f64>, u64, Vec<TokenCounts>);
+
+    /// Runs `plan` on `fast`, traced or not.
+    fn run_on(fast: &FastBackend, plan: &Plan, inputs: &Inputs, traced: bool) -> Result<Ran, ExecError> {
+        let sink = CountersSink::new();
+        let run = if traced { fast.run_traced(plan, inputs, &sink) } else { fast.run(plan, inputs) }?;
+        let nodes = run.profile.map(|p| p.nodes.into_iter().map(|n| n.tokens).collect());
+        Ok((run.output, run.vals, run.tokens, nodes.unwrap_or_default()))
+    }
+
+    /// One instance runs every kernel after every other, and a faulting plan
+    /// between them, traced and untraced: each run is the run of a fresh
+    /// instance, and the workspace the instance keeps is only ever one a
+    /// run that succeeded left.
+    #[test]
+    fn one_instance_runs_a_sequence_of_plans_as_fresh_instances_do() -> Result<(), Box<dyn Error>> {
+        let mut kernels = kernels()?;
+        kernels.push(misrepeated()?);
+        let fault = kernels.len() - 1;
+        let fast = FastBackend::new();
+        for (step, &k) in [0, 1, 2, 3, 4, 3, 2, 1, 0, 4, 4, 2, 0, 3, 1, 1, 3, 0, 2].iter().enumerate() {
+            let (plan, inputs) = &kernels[k];
+            for traced in [false, true] {
+                let fresh = run_on(&FastBackend::new(), plan, inputs, traced);
+                let kept = run_on(&fast, plan, inputs, traced);
+                assert_eq!(kept, fresh, "step {step}, kernel {k}, traced {traced}");
+                assert_eq!(kept.is_err(), k == fault, "step {step}: {kept:?}");
+                let ws = fast.kept.lock().map_err(|_| "unpoisoned")?;
+                assert_eq!(ws.spares.streams.is_empty(), k == fault, "a failed run keeps nothing");
+                assert!(ws.outs.is_empty() && ws.streams.slots.iter().flatten().all(|s| s.stream.is_none()));
+            }
+        }
+        Ok(())
+    }
+
+    /// What an instance keeps after a large run and then a small one is
+    /// bounded by the small one: no more spare buffers than a fresh instance
+    /// takes for it, none longer than twice its longest stream. The large
+    /// run, MMAdd over 40 x 40 operands, stores more and longer streams than
+    /// the small one, SpMV over 14 x 9, takes.
+    #[test]
+    fn a_small_run_after_a_large_one_keeps_only_what_it_used() -> Result<(), Box<dyn Error>> {
+        let mut kernels = kernels()?;
+        let (mmadd, small) = (kernels.swap_remove(2).0, kernels.swap_remove(0));
+        let m = |n, seed| synth::random_matrix_sparsity(n, n, 0.5, seed);
+        let inputs =
+            Inputs::new().coo("B", &m(40, 3), TensorFormat::dcsr()).coo("C", &m(40, 4), TensorFormat::dcsr());
+        let large = (Plan::build(mmadd.graph(), &inputs)?, inputs);
+        // Per instance: how many spare buffers it keeps, the longest stream
+        // its last run stored in one, the widest one and their total room.
+        let kept = |fast: &FastBackend| -> Result<[usize; 4], Box<dyn Error>> {
+            let ws = fast.kept.lock().map_err(|_| "unpoisoned")?;
+            let caps = ws.spares.streams.iter().map(Vec::capacity);
+            let longest = ws.spares.held.iter().map(|h| h.1).max().unwrap_or(0);
+            Ok([ws.spares.streams.len(), longest, caps.clone().max().unwrap_or(0), caps.sum()])
+        };
+        let fresh = FastBackend::new();
+        fresh.run(&small.0, &small.1)?;
+        let [took, longest, _, _] = kept(&fresh)?;
+
+        let fast = FastBackend::new();
+        fast.run(&large.0, &large.1)?;
+        let [after_large, _, _, room_after_large] = kept(&fast)?;
+        fast.run(&small.0, &small.1)?;
+        let [after_small, _, widest, room_after_small] = kept(&fast)?;
+        assert!(took < after_large, "the small run takes {took} buffers, the large one kept {after_large}");
+        assert!(after_small <= took, "kept {after_small} buffers, the small run took {took}");
+        assert!(
+            widest <= 2 * longest.max(MIN_KEPT),
+            "a buffer of {widest} tokens; the longest stream {longest}"
+        );
+        assert!(
+            room_after_small * 10 < room_after_large,
+            "room for {room_after_small} tokens after {room_after_large}"
+        );
+        Ok(())
+    }
+
+    /// Two threads running one instance both succeed: the one that finds
+    /// the workspace taken walks a fresh one instead of waiting.
+    #[test]
+    fn two_threads_share_one_instance() -> Result<(), Box<dyn Error>> {
+        let kernels = kernels()?;
+        let want: Vec<Ran> = kernels
+            .iter()
+            .map(|(plan, inputs)| run_on(&FastBackend::new(), plan, inputs, false))
+            .collect::<Result<_, _>>()?;
+        let fast = FastBackend::new();
+        // Held by another run: this one walks a fresh workspace.
+        {
+            let _held = fast.kept.lock().map_err(|_| "unpoisoned")?;
+            let (plan, inputs) = &kernels[0];
+            assert_eq!(run_on(&fast, plan, inputs, false)?, want[0]);
+        }
+        assert!(fast.kept.lock().map_err(|_| "unpoisoned")?.spares.streams.is_empty(), "kept nothing");
+        let joined = std::thread::scope(|scope| {
+            let runs = [0, 1].map(|t| {
+                let (fast, kernels, want) = (&fast, &kernels, &want);
+                scope.spawn(move || {
+                    for k in (0..kernels.len()).map(|k| (k + 2 * t) % kernels.len()) {
+                        let (plan, inputs) = &kernels[k];
+                        assert_eq!(run_on(fast, plan, inputs, false).as_ref(), Ok(&want[k]), "thread {t}");
+                    }
+                })
+            });
+            runs.map(|run| run.join().is_ok())
+        });
+        assert_eq!(joined, [true; 2], "both threads' runs succeed");
+        Ok(())
+    }
+
     /// A walk that fails leaves streams in the table and its node's streams
     /// behind; the next walk over the workspace hands them back and runs as
-    /// a fresh one. Here a repeater inside SpMV's fusion region runs out of
-    /// references: the region faults, re-runs memberless, and the repeater
-    /// then fails in its own place.
+    /// a fresh one.
     #[test]
     fn a_workspace_is_reusable_after_a_walk_whose_region_faulted() -> Result<(), Box<dyn Error>> {
+        let (faulty, inputs) = misrepeated()?;
+        let graph = faulty.graph();
+        let isect = *faulty
+            .order()
+            .iter()
+            .find(|id| matches!(graph.nodes()[id.0], NodeKind::Intersecter { .. }))
+            .ok_or("one intersecter")?;
+        assert!(!faulty.region_members(isect).is_empty(), "the repeater is fused");
+
+        let kernels = kernels()?;
+        for k in 0..kernels.len() {
+            let mut ws = Workspace::default();
+            let failed = walk_in(&faulty, &inputs, k % 2 == 1, &mut ws);
+            assert!(matches!(failed, Err(ExecError::Misaligned { .. })), "{failed:?}");
+            let held = ws.streams.slots.iter().flatten().filter(|slot| slot.stream.is_some()).count();
+            assert!(held > 0 && !ws.outs.is_empty(), "the failed walk left its streams behind");
+            assert_reuse_is_invisible(&kernels, &[k, (k + 1) % kernels.len()], &mut ws)?;
+        }
+        Ok(())
+    }
+
+    /// A plan whose walk fails: a repeater inside SpMV's fusion region runs
+    /// out of references, so the region faults, re-runs memberless, and the
+    /// repeater then fails in its own place.
+    fn misrepeated() -> Result<(Plan, Inputs), Box<dyn Error>> {
         use sam_core::build::GraphBuilder;
 
         let mut g = GraphBuilder::new("misrepeated");
@@ -782,23 +1038,6 @@ mod tests {
             .coo("B", &synth::random_matrix_sparsity(6, 5, 0.3, 321), TensorFormat::dcsr())
             .coo("c", &synth::random_vector(5, 5, 322), TensorFormat::sparse_vec())
             .coo("d", &synth::random_vector(6, 2, 323), TensorFormat::sparse_vec());
-        let faulty = Plan::build(&graph, &inputs)?;
-        let isect = *faulty
-            .order()
-            .iter()
-            .find(|id| matches!(graph.nodes()[id.0], NodeKind::Intersecter { .. }))
-            .ok_or("one intersecter")?;
-        assert!(!faulty.region_members(isect).is_empty(), "the repeater is fused");
-
-        let kernels = kernels()?;
-        for k in 0..kernels.len() {
-            let mut ws = Workspace::default();
-            let failed = walk_in(&faulty, &inputs, k % 2 == 1, &mut ws);
-            assert!(matches!(failed, Err(ExecError::Misaligned { .. })), "{failed:?}");
-            let held = ws.streams.slots.iter().flatten().filter(|slot| slot.stream.is_some()).count();
-            assert!(held > 0 && !ws.outs.is_empty(), "the failed walk left its streams behind");
-            assert_reuse_is_invisible(&kernels, &[k, (k + 1) % kernels.len()], &mut ws)?;
-        }
-        Ok(())
+        Ok((Plan::build(&graph, &inputs)?, inputs))
     }
 }

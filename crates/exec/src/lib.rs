@@ -80,7 +80,7 @@
 //! // The value array and the ALU's second input ride on planned forks.
 //! assert!(plan.fork_count() > 0);
 //! assert!(!plan.channels().is_empty());
-//! let run = FastBackend.run(&plan, &inputs).unwrap();
+//! let run = FastBackend::new().run(&plan, &inputs).unwrap();
 //! assert_eq!(run.vals.len(), b.entries().len());
 //! ```
 //!
@@ -101,7 +101,7 @@
 //! let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("c", &c, TensorFormat::dense_vec());
 //! let plan = Plan::build(&graph, &inputs).unwrap();
 //! let sink = CountersSink::new();
-//! let run = FastBackend.run_traced(&plan, &inputs, &sink).unwrap();
+//! let run = FastBackend::new().run_traced(&plan, &inputs, &sink).unwrap();
 //! let profile = run.profile.unwrap();
 //! // Every token the run counted is attributed to exactly one node.
 //! assert_eq!(profile.total_tokens(), run.tokens);
@@ -289,7 +289,7 @@ mod tests {
         env.insert("c", Tensor::from_coo("c", &c, TensorFormat::dense_vec()).to_dense());
         env.bind_dims(&table1::spmv(), &[]);
         let expect = env.evaluate(&table1::spmv()).unwrap();
-        for backend in [&CycleBackend as &dyn Executor, &FastBackend] {
+        for backend in [&CycleBackend as &dyn Executor, &FastBackend::new()] {
             let run = ExecRequest::new(&graph, &inputs).executor(backend).run().unwrap();
             assert!(run.output.unwrap().to_dense().approx_eq(&expect), "{} backend diverged", backend.name());
         }
@@ -346,7 +346,7 @@ mod tests {
         let mut env = dense_env(&[("B", &b), ("C", &c), ("D", &d)]);
         env.bind_dims(&table1::sddmm(), &[]);
         let expect = env.evaluate(&table1::sddmm()).unwrap();
-        for backend in [&CycleBackend as &dyn Executor, &FastBackend] {
+        for backend in [&CycleBackend as &dyn Executor, &FastBackend::new()] {
             let run = ExecRequest::new(&graph, &inputs).executor(backend).run().unwrap();
             assert!(run.output.unwrap().to_dense().approx_eq(&expect), "{} backend diverged", backend.name());
         }

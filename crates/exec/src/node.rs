@@ -134,9 +134,7 @@ pub(crate) fn eval_node(
 ) -> Result<Option<WriterOutput>, Fault> {
     match job.kind {
         NodeKind::Root { .. } => {
-            for t in root_stream() {
-                outs[0].push(t);
-            }
+            outs[0].extend(root_stream());
         }
         NodeKind::LevelScanner { .. } => {
             let [crd, rf] = outs else { unreachable!("scanner has two outputs") };
@@ -640,6 +638,14 @@ pub(crate) enum Step<'a> {
     Reduce { reduce: ScalarReduce, input: usize },
 }
 
+/// `steps`, emptied, as a list of steps over another lifetime, in the same
+/// allocation: collecting a `Vec`'s own iterator into a `Vec` whose element
+/// has the same layout reuses the buffer. A region's step list borrows the
+/// run's inputs; its allocation outlives the run.
+pub(crate) fn recycled<'b>(steps: Vec<Step<'_>>) -> Vec<Step<'b>> {
+    steps.into_iter().map_while(|_| None).collect()
+}
+
 impl Step<'_> {
     /// Computes the member's tokens for the `n` positions of the block in
     /// `regs`, in order, handing each to `write` with its position. The
@@ -749,11 +755,12 @@ impl<'a> Region<'a> {
         let registers = if root_stored == [true; 3] { 0 } else { 3 };
         let mut regs = spares.take();
         regs.resize(registers * BLOCK, tok::done());
+        let (steps, outs) = spares.take_region_lists();
         Region {
             classify,
             root: root_stored.map(|stored| RegionPort::new(stored, spares)),
-            steps: Vec::new(),
-            outs: Vec::new(),
+            steps: recycled(steps),
+            outs,
             regs,
             filled: 0,
         }
@@ -770,9 +777,11 @@ impl<'a> Region<'a> {
     }
 
     /// The root's three ports and each member's output port, in the order
-    /// the members were appended; the registers go back to `spares`.
+    /// the members were appended; the registers and the emptied step list
+    /// go back to `spares`, and so should the port list once it is read.
     pub(crate) fn finish(self, spares: &mut Spares) -> ([RegionPort; 3], Vec<RegionPort>) {
         spares.give(self.regs);
+        spares.give_steps(recycled(self.steps));
         (self.root, self.outs)
     }
 

@@ -32,6 +32,7 @@ use sam_primitives::AluOp;
 use sam_tensor::{Tensor, TensorFormat};
 use sam_verify::{Analysis, StreamType};
 pub use sam_verify::{PortRef, SkipLane as SkipSpec};
+use std::hash::{Hash, Hasher};
 
 /// A level scanner the fast backend never evaluates standalone: its
 /// coordinate port and its reference port each have exactly one consumer,
@@ -86,8 +87,8 @@ pub const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
 /// the value bits of a single-element tensor, since the planner bakes
 /// `ConstVal` scalars into the plan. A plan reads nothing else of its
 /// inputs (not occupancy, not fiber lengths).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct BindingKey {
+#[derive(Debug, Clone)]
+struct BindingKey {
     name: String,
     format: TensorFormat,
     shape: Vec<usize>,
@@ -96,15 +97,37 @@ pub(crate) struct BindingKey {
 
 impl BindingKey {
     /// The signature of `tensor` bound as `name`.
-    pub(crate) fn new((name, tensor): (&str, &Tensor)) -> BindingKey {
-        // The planner's own scalar test: one stored value, every dimension 1.
-        let scalar_bits = match tensor.vals() {
-            [v] if tensor.shape().iter().all(|&d| d == 1) => Some(v.to_bits()),
-            _ => None,
-        };
+    fn new((name, tensor): (&str, &Tensor)) -> BindingKey {
         let (format, shape) = (tensor.format().clone(), tensor.shape().to_vec());
-        BindingKey { name: name.to_string(), format, shape, scalar_bits }
+        BindingKey { name: name.to_string(), format, shape, scalar_bits: scalar_bits(tensor) }
     }
+
+    /// Whether `tensor` bound as `name` has this signature, compared in
+    /// place.
+    fn matches(&self, (name, tensor): (&str, &Tensor)) -> bool {
+        self.name == name
+            && self.format == *tensor.format()
+            && self.shape == tensor.shape()
+            && self.scalar_bits == scalar_bits(tensor)
+    }
+}
+
+/// The value bits of a tensor the planner reads as a scalar (its own test:
+/// one stored value, every dimension 1).
+fn scalar_bits(tensor: &Tensor) -> Option<u64> {
+    match tensor.vals() {
+        [v] if tensor.shape().iter().all(|&d| d == 1) => Some(v.to_bits()),
+        _ => None,
+    }
+}
+
+/// Feeds the signature of `tensor` bound as `name` to `state`: what a plan
+/// reads of the binding, hashed in place.
+pub(crate) fn hash_binding((name, tensor): (&str, &Tensor), state: &mut impl Hasher) {
+    name.hash(state);
+    tensor.format().hash(state);
+    tensor.shape().hash(state);
+    scalar_bits(tensor).hash(state);
 }
 
 /// An executable plan for one graph over one set of input bindings.
@@ -279,21 +302,46 @@ impl Plan {
         &self.graph
     }
 
-    /// Checks that `inputs` have the signatures the plan was built over,
-    /// naming the first binding, in name order, that differs.
-    pub(crate) fn check_inputs(&self, inputs: &Inputs) -> Result<(), ExecError> {
+    /// Checks that `inputs` have the signatures the plan was built over
+    /// (each binding's name, format and shape, and the value of a scalar):
+    /// the check every backend runs before it runs the plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::Unplanned`] naming the first binding, in name
+    /// order, that differs.
+    pub fn check_inputs(&self, inputs: &Inputs) -> Result<(), ExecError> {
+        match self.unplanned(inputs) {
+            None => Ok(()),
+            Some(differs) => Err(ExecError::Unplanned { tensor: differs.to_string() }),
+        }
+    }
+
+    /// The first binding, in name order, whose signature differs between
+    /// `inputs` and the inputs the plan was built over.
+    fn unplanned<'a>(&'a self, inputs: &'a Inputs) -> Option<&'a str> {
         let mut keys = self.bindings.iter();
         let mut bound = inputs.iter();
         loop {
-            let differs = match (keys.next(), bound.next()) {
-                (None, None) => return Ok(()),
-                (Some(key), Some(b)) if *key == BindingKey::new(b) => continue,
-                (Some(key), Some((name, _))) => key.name.as_str().min(name),
-                (Some(key), None) => &key.name,
-                (None, Some((name, _))) => name,
+            return match (keys.next(), bound.next()) {
+                (None, None) => None,
+                (Some(key), Some(b)) if key.matches(b) => continue,
+                (Some(key), Some((name, _))) => Some(key.name.as_str().min(name)),
+                (Some(key), None) => Some(&key.name),
+                (None, Some((name, _))) => Some(name),
             };
-            return Err(ExecError::Unplanned { tensor: differs.to_string() });
         }
+    }
+
+    /// Whether this is the plan [`Plan::build`] makes of `graph` over
+    /// `inputs`: bindings of the same signatures, and a graph of the same
+    /// name, nodes and edges (its display labels aside, which no plan
+    /// reads but to name a node in an error).
+    pub(crate) fn plans(&self, graph: &SamGraph, inputs: &Inputs) -> bool {
+        self.unplanned(inputs).is_none()
+            && self.graph.name == graph.name
+            && self.graph.nodes() == graph.nodes()
+            && self.graph.edges() == graph.edges()
     }
 
     /// The display label of a planned node: the builder/compiler override

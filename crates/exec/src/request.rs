@@ -86,7 +86,9 @@ impl<'a> ExecRequest<'a> {
 
     /// Runs on this exact executor instance instead of building one from
     /// the spec — for custom-configured backends (a tiled backend with its
-    /// own memory budget).
+    /// own memory budget), or for an instance kept across requests (a
+    /// [`FastBackend`](crate::FastBackend) reuses the workspace of its last
+    /// run).
     pub fn executor(mut self, executor: &'a dyn Executor) -> Self {
         self.executor = Some(executor);
         self

@@ -82,7 +82,7 @@ impl BackendSpec {
     pub fn build(&self) -> Box<dyn Executor> {
         match self {
             BackendSpec::Cycle => Box::new(CycleBackend),
-            BackendSpec::FastSerial => Box::new(FastBackend),
+            BackendSpec::FastSerial => Box::new(FastBackend::new()),
             BackendSpec::Tiled => Box::new(TiledBackend::default()),
         }
     }

@@ -59,9 +59,10 @@ use crate::fast::{define_nodes, walk, Workspace};
 use crate::plan::Plan;
 use crate::schedule::tile_schedule;
 use crate::{check_output, Execution, Executor};
+use sam_core::graph::{NodeId, NodeKind};
 use sam_memory::{MemoryConfig, MemoryCounters};
 use sam_tensor::{CooTensor, Tensor};
-use sam_tiles::{LlbModel, TileGrid, TileMerger};
+use sam_tiles::{LlbModel, Misplaced, TileGrid, TileMerger};
 use sam_trace::{ExecProfile, TokenCounts, TraceSink};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -104,6 +105,21 @@ impl TiledBackend {
     }
 }
 
+/// The label of the node that reads storage level `level` of `tensor` — the
+/// scanner or locator the cut's [`Misplaced`] fiber would reach first — or
+/// the tensor's own name if none does.
+fn reader(plan: &Plan, tensor: &str, level: usize) -> String {
+    let nodes = plan.graph().nodes();
+    let reads = |id: &&NodeId| {
+        let (NodeKind::LevelScanner { tensor: t, .. } | NodeKind::Locator { tensor: t, .. }) = &nodes[id.0]
+        else {
+            return false;
+        };
+        t == tensor && plan.scan_level(**id) == level
+    };
+    plan.order().iter().find(reads).map_or_else(|| tensor.to_string(), |&id| plan.node_label(id))
+}
+
 impl Executor for TiledBackend {
     fn name(&self) -> &'static str {
         "tiled"
@@ -138,9 +154,12 @@ impl Executor for TiledBackend {
             .enumerate()
             .filter_map(|(ti, tt)| {
                 let tensor = inputs.get_shared(&tt.name)?;
-                Some(TileGrid::build(tensor, tiling.level_tile_sizes(ti, tensor)))
+                let grid = TileGrid::build(tensor, tiling.level_tile_sizes(ti, tensor));
+                Some(grid.map_err(|Misplaced { level }| ExecError::Misaligned {
+                    label: reader(plan, &tt.name, level),
+                }))
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         phase.record("cut", cut_start);
 
         let bytes_per_entry = self.config.bytes_per_nonzero as u64;

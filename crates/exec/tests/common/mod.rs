@@ -46,7 +46,7 @@ pub fn assert_fused_counts_match_cycle(name: &str, graph: &SamGraph, inputs: &In
     let cycle =
         node_counts(&CycleBackend, &plan, inputs).unwrap_or_else(|e| panic!("{name}: cycle run failed: {e}"));
     let backends: [(&str, &dyn Executor); 2] =
-        [("fast-serial", &FastBackend), ("tiled, one tile", &TiledBackend::with_tile(1 << 20))];
+        [("fast-serial", &FastBackend::new()), ("tiled, one tile", &TiledBackend::with_tile(1 << 20))];
     for (what, backend) in backends {
         let counts =
             node_counts(backend, &plan, inputs).unwrap_or_else(|e| panic!("{name}: {what} failed: {e}"));

@@ -3,7 +3,9 @@
 //! evaluator, with no graph written by hand.
 
 use custard::{lower_exec, parse, ConcreteIndexNotation, Formats, Schedule};
-use sam_exec::{BackendSpec, CycleBackend, ExecError, ExecRequest, Executor, FastBackend, Inputs, PlanError};
+use sam_exec::{
+    BackendSpec, CycleBackend, ExecError, ExecRequest, Executor, FastBackend, Inputs, PlanError, TiledBackend,
+};
 use sam_tensor::reference::Environment;
 use sam_tensor::{synth, CooTensor, Tensor, TensorFormat};
 
@@ -25,7 +27,7 @@ fn check(text: &str, schedule: &Schedule, formats: Formats, operands: &[(&str, &
     env.bind_dims(&assignment, &[]);
     let expect = env.evaluate(&assignment).expect("reference evaluation");
 
-    for backend in [&CycleBackend as &dyn Executor, &FastBackend] {
+    for backend in [&CycleBackend as &dyn Executor, &FastBackend::new()] {
         let run = ExecRequest::new(&kernel.graph, &inputs)
             .executor(backend)
             .run()
@@ -121,7 +123,7 @@ fn right_nested_subtraction_associates_correctly() {
     }
     env.bind_dims(&assignment, &[]);
     let expect = env.evaluate(&assignment).unwrap();
-    for backend in [&CycleBackend as &dyn Executor, &FastBackend] {
+    for backend in [&CycleBackend as &dyn Executor, &FastBackend::new()] {
         let run = ExecRequest::new(&kernel.graph, &inputs).executor(backend).run().unwrap();
         assert!(
             run.output.unwrap().to_dense().approx_eq(&expect),
@@ -153,7 +155,7 @@ fn subtraction_through_a_union_zero_fills_the_correct_side() {
     let inputs =
         Inputs::new().coo("b", &b, kernel.formats[0].1.clone()).coo("c", &c, kernel.formats[1].1.clone());
 
-    for backend in [&CycleBackend as &dyn Executor, &FastBackend] {
+    for backend in [&CycleBackend as &dyn Executor, &FastBackend::new()] {
         let run = ExecRequest::new(&kernel.graph, &inputs).executor(backend).run().unwrap();
         let dense = run.output.expect("tensor output").to_dense();
         for i in 0..dim as u32 {
@@ -255,7 +257,8 @@ fn writers_that_disagree_on_the_output_tree_are_a_typed_error_on_every_backend()
 /// writer receives them in that order. That is a typed error on every
 /// backend (the tiled one's default tile covers the operand whole, so the
 /// walk reads it uncut); the fast and cycle writers used to panic building
-/// their level.
+/// their level, and a tile cut that windows the operand subtracted past
+/// zero.
 #[test]
 fn a_written_fiber_whose_coordinates_descend_is_a_typed_error() {
     use sam_tensor::level::{CompressedLevel, Level};
@@ -272,4 +275,43 @@ fn a_written_fiber_whose_coordinates_descend_is_a_typed_error() {
         let run = ExecRequest::new(&kernel.graph, &inputs).backend(spec).run();
         assert!(matches!(run, Err(ExecError::Misaligned { .. })), "{spec}: {run:?}");
     }
+    // A tile that does not cover the operand cuts it, and the cut rejects
+    // the fiber, naming the scanner that reads it.
+    assert_every_tile_rejects(&kernel.graph, &inputs);
+}
+
+/// Every tiled run of `graph` over `inputs` at a tile that cuts its operand
+/// is `ExecError::Misaligned`, naming the scanner the cut found the fault
+/// under.
+fn assert_every_tile_rejects(graph: &sam_core::graph::SamGraph, inputs: &Inputs) {
+    for tile in [1, 2, 3] {
+        let tiled = TiledBackend::with_tile(tile);
+        let run = ExecRequest::new(graph, inputs).executor(&tiled).run();
+        assert!(
+            matches!(&run, Err(ExecError::Misaligned { label }) if label.contains("scan")),
+            "tile {tile}: {run:?}"
+        );
+    }
+}
+
+/// An operand holding a coordinate past its level's dimension is a typed
+/// error on every backend and at every tile: a cut used to drop the entry,
+/// and the tiled run returned a tensor without it.
+#[test]
+fn a_coordinate_past_its_dimension_is_a_typed_error_at_every_tile() {
+    use sam_tensor::level::{CompressedLevel, Level};
+    let kernel = lower_exec(&ConcreteIndexNotation::new(
+        parse("x(i) = b(i)").unwrap(),
+        &Schedule::new(),
+        Formats::new(),
+    ))
+    .unwrap();
+    let level = Level::Compressed(CompressedLevel { dim: 8, seg: vec![0, 2], crd: vec![1, 9] });
+    let b = Tensor::from_parts("b", vec![8], TensorFormat::sparse_vec(), vec![level], vec![1.0, 2.0]);
+    let inputs = Inputs::new().tensor(b);
+    for spec in BackendSpec::all() {
+        let run = ExecRequest::new(&kernel.graph, &inputs).backend(spec).run();
+        assert!(matches!(run, Err(ExecError::Misaligned { .. })), "{spec}: {run:?}");
+    }
+    assert_every_tile_rejects(&kernel.graph, &inputs);
 }

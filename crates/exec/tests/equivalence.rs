@@ -99,7 +99,7 @@ fn every_kernel_agrees_across_backends() {
         let expect = env.evaluate(&assignment).unwrap();
 
         let serial = ExecRequest::new(&graph, &inputs)
-            .executor(&FastBackend)
+            .executor(&FastBackend::new())
             .run()
             .unwrap_or_else(|e| panic!("{}: serial fast run failed: {e}", graph.name));
         assert_eq!(serial.backend, "fast-serial");
@@ -161,7 +161,7 @@ fn misaligned_streams_fail_as_the_observing_node() {
     let plan = Plan::build(&graph, &inputs).expect("the misalignment is invisible to planning");
     // The cycle reducer block reads the same heads through the same rule,
     // so every backend fails at the same node.
-    let backends: [&dyn Executor; 3] = [&CycleBackend, &FastBackend, &TiledBackend::with_tile(16)];
+    let backends: [&dyn Executor; 3] = [&CycleBackend, &FastBackend::new(), &TiledBackend::with_tile(16)];
     for backend in backends {
         let run = backend.run(&plan, &inputs);
         let Err(ExecError::Misaligned { label }) = run else {
@@ -212,7 +212,7 @@ fn a_fault_inside_a_fusion_region_names_the_member() {
     // The cycle repeater block pairs the same streams through the same
     // rule, so it reports the misalignment instead of waiting for a
     // reference that never comes.
-    let backends: [&dyn Executor; 3] = [&CycleBackend, &FastBackend, &TiledBackend::with_tile(16)];
+    let backends: [&dyn Executor; 3] = [&CycleBackend, &FastBackend::new(), &TiledBackend::with_tile(16)];
     for backend in backends {
         let run = backend.run(&plan, &inputs);
         let Err(ExecError::Misaligned { label }) = run else {
@@ -341,7 +341,7 @@ fn edge_inputs_through_fused_scanners_agree_on_every_backend() {
             .filter(|id| matches!(graph.nodes()[id.0], NodeKind::Intersecter { .. }))
             .count();
         let cycle = CycleBackend.run(&plan, &inputs).unwrap_or_else(|e| panic!("{what}: {e}"));
-        let backends: [&dyn Executor; 2] = [&FastBackend, &TiledBackend::with_tile(1 << 20)];
+        let backends: [&dyn Executor; 2] = [&FastBackend::new(), &TiledBackend::with_tile(1 << 20)];
         let mut tokens = None;
         for backend in backends {
             let run = backend
@@ -418,13 +418,13 @@ fn skip_twins() -> Vec<(SamGraph, SamGraph, Inputs)> {
 fn skip_graphs_match_their_skip_free_twins_on_every_backend() {
     for (plain, with_skip, inputs) in skip_twins() {
         let reference = ExecRequest::new(&plain, &inputs)
-            .executor(&FastBackend)
+            .executor(&FastBackend::new())
             .run()
             .unwrap_or_else(|e| panic!("{}: skip-free serial run failed: {e}", plain.name));
         let expect = reference.output.expect("tensor output");
 
         for (what, run) in [
-            ("fast-serial", ExecRequest::new(&with_skip, &inputs).executor(&FastBackend).run()),
+            ("fast-serial", ExecRequest::new(&with_skip, &inputs).executor(&FastBackend::new()).run()),
             ("cycle", ExecRequest::new(&with_skip, &inputs).executor(&CycleBackend).run()),
         ] {
             let run = run.unwrap_or_else(|e| panic!("{}: {what} skip run failed: {e}", with_skip.name));
@@ -447,9 +447,10 @@ fn skip_fusion_reduces_materialized_tokens_on_skewed_inputs() {
     let vc = synth::random_vector(20_000, 40, 412);
     let inputs =
         Inputs::new().coo("b", &vb, TensorFormat::sparse_vec()).coo("c", &vc, TensorFormat::sparse_vec());
-    let plain = ExecRequest::new(&graphs::vec_elem_mul(true), &inputs).executor(&FastBackend).run().unwrap();
+    let plain =
+        ExecRequest::new(&graphs::vec_elem_mul(true), &inputs).executor(&FastBackend::new()).run().unwrap();
     let skip = ExecRequest::new(&graphs::vec_elem_mul_with_skip(true), &inputs)
-        .executor(&FastBackend)
+        .executor(&FastBackend::new())
         .run()
         .unwrap();
     assert_eq!(plain.output.unwrap(), skip.output.unwrap());

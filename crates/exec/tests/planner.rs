@@ -283,7 +283,7 @@ fn a_forked_coordinate_port_is_not_fused() {
 /// The three backends every merger graph below must agree on.
 fn backends() -> [(&'static str, Box<dyn Executor>); 3] {
     [
-        ("fast-serial", Box::new(FastBackend)),
+        ("fast-serial", Box::new(FastBackend::new())),
         ("cycle", Box::new(CycleBackend)),
         ("tiled", Box::new(TiledBackend::with_tile(16))),
     ]
@@ -317,7 +317,7 @@ fn a_forked_reference_port_feeds_both_mergers_on_every_backend() {
             finish_merge(g, merged.0, merged.1)
         };
         let (forked, plain) = (graph(true), graph(false));
-        let want = entries(&plain, &inputs, &FastBackend);
+        let want = entries(&plain, &inputs, &FastBackend::new());
         assert!(want.len() >= 5, "union {union}: the vectors overlap");
         for (name, backend) in backends() {
             assert_eq!(entries(&plain, &inputs, &*backend), want, "union {union}, {name}: unforked");
@@ -475,7 +475,7 @@ fn execute_convenience_runs_both_backends() {
     let graph = graphs::vec_elem_mul(true);
     let inputs = vec_inputs(64);
     let cycle = ExecRequest::new(&graph, &inputs).executor(&CycleBackend).run().unwrap();
-    let fast = ExecRequest::new(&graph, &inputs).executor(&FastBackend).run().unwrap();
+    let fast = ExecRequest::new(&graph, &inputs).executor(&FastBackend::new()).run().unwrap();
     assert_eq!(cycle.output.unwrap(), fast.output.unwrap());
     assert_eq!(cycle.backend, "cycle");
     assert_eq!(fast.backend, "fast-serial");

@@ -138,7 +138,7 @@ fn profiled(backend: &dyn Executor, plan: &Plan, inputs: &Inputs) -> (u64, ExecP
 /// cycle backends, for every catalog kernel.
 #[test]
 fn profile_totals_match_execution_tokens() {
-    let backends: [&dyn Executor; 2] = [&FastBackend, &CycleBackend];
+    let backends: [&dyn Executor; 2] = [&FastBackend::new(), &CycleBackend];
     for (graph, inputs) in catalog() {
         let plan = Plan::build(&graph, &inputs).unwrap_or_else(|e| panic!("{}: {e}", graph.name));
         for backend in backends {
@@ -269,7 +269,7 @@ fn traces_carry_enriched_node_labels() {
     let inputs = Inputs::new().coo("B", &m, TensorFormat::dcsr()).coo("c", &sv, TensorFormat::sparse_vec());
     let graph = graphs::spmv_coiteration();
     let plan = Plan::build(&graph, &inputs).unwrap();
-    let backends: [&dyn Executor; 2] = [&FastBackend, &CycleBackend];
+    let backends: [&dyn Executor; 2] = [&FastBackend::new(), &CycleBackend];
     for backend in backends {
         let (_, profile) = profiled(backend, &plan, &inputs);
         assert!(

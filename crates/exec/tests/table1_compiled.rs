@@ -205,7 +205,7 @@ fn every_table1_expression_compiles_and_runs_on_every_backend() {
         );
 
         let serial = ExecRequest::new(&kernel.graph, &inputs)
-            .executor(&FastBackend)
+            .executor(&FastBackend::new())
             .run()
             .unwrap_or_else(|e| panic!("{}: fast-serial failed: {e}", case.name));
         match &serial.output {
@@ -273,8 +273,8 @@ fn compiled_skip_edges_reduce_tokens_on_sparse_by_dense() {
     let inputs = Inputs::new()
         .coo("B", &b, skip.formats.iter().find(|(n, _)| n == "B").unwrap().1.clone())
         .coo("c", &c, TensorFormat::dense_vec());
-    let with_skip = ExecRequest::new(&skip.graph, &inputs).executor(&FastBackend).run().unwrap();
-    let without = ExecRequest::new(&plain, &inputs).executor(&FastBackend).run().unwrap();
+    let with_skip = ExecRequest::new(&skip.graph, &inputs).executor(&FastBackend::new()).run().unwrap();
+    let without = ExecRequest::new(&plain, &inputs).executor(&FastBackend::new()).run().unwrap();
     assert_eq!(with_skip.output, without.output, "skip lowering changed the result");
     assert!(
         with_skip.tokens * 4 < without.tokens,

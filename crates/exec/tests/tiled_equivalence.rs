@@ -135,7 +135,7 @@ fn every_supported_kernel_is_bit_identical_across_tile_sizes() {
         env.bind_dims(&assignment, &[]);
         let expect = env.evaluate(&assignment).unwrap();
         let untiled = ExecRequest::new(&graph, &inputs)
-            .executor(&FastBackend)
+            .executor(&FastBackend::new())
             .run()
             .unwrap_or_else(|e| panic!("{}: untiled run failed: {e}", graph.name));
         let untiled_out = untiled.output.expect("tensor output");
@@ -199,7 +199,7 @@ fn random_sparse_matrices_stay_bit_identical_under_random_tilings() {
         env.bind_dims(&table1::spmm(), &[]);
         let expect = env.evaluate(&table1::spmm()).unwrap();
 
-        let untiled = ExecRequest::new(&graph, &inputs).executor(&FastBackend).run().unwrap();
+        let untiled = ExecRequest::new(&graph, &inputs).executor(&FastBackend::new()).run().unwrap();
         let tiled = ExecRequest::new(&graph, &inputs)
             .executor(&TiledBackend::with_tile(tile))
             .run()
@@ -236,7 +236,7 @@ fn check_explicit_zero_tiles(text: &str, other: &str, other_shape: Vec<usize>, e
         inputs = inputs.coo(name, coo, format.clone());
     }
 
-    let untiled = ExecRequest::new(&kernel.graph, &inputs).executor(&FastBackend).run().unwrap();
+    let untiled = ExecRequest::new(&kernel.graph, &inputs).executor(&FastBackend::new()).run().unwrap();
     assert_eq!(untiled.vals, expect, "`{text}`: untiled");
     let tiled = ExecRequest::new(&kernel.graph, &inputs)
         .executor(&TiledBackend::with_tile(2))

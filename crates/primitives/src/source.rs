@@ -9,8 +9,8 @@ use sam_sim::SimToken;
 
 /// The root reference stream `D, 0` (in paper right-to-left notation): one
 /// reference to the root fiber followed by the done token.
-pub fn root_stream() -> Vec<SimToken> {
-    vec![tok::rf(0), tok::done()]
+pub fn root_stream() -> [SimToken; 2] {
+    [tok::rf(0), tok::done()]
 }
 
 #[cfg(test)]

@@ -7,7 +7,12 @@
 //!   Arc<ExecutableKernel>`) so each distinct expression lowers through
 //!   custard once, and a **plan cache** (a [`PlanCache`] of its own, so a
 //!   service's hit/miss counters are not entangled with the process-wide
-//!   cache) so each workload shape plans once;
+//!   cache) so each workload shape plans once. Neither builds a key to look
+//!   a query up: the compile cache files each lowering under its
+//!   expression and compares the query's reorder and [`TensorFormat`]
+//!   overrides with it in place, the store finds a materialized tensor by
+//!   its bound name and format in place, and the plan cache hashes what a
+//!   plan reads of its inputs once;
 //! * the submission machinery: one bounded FIFO queue and
 //!   [`ServiceConfig::workers`] identical worker threads.
 //!   [`Service::submit`] pushes a [`Query`] and returns a [`QueryHandle`]
@@ -21,6 +26,11 @@
 //! its plan pre-resolved, on the backend its [`Query::backend`] selected —
 //! so a service run is bit-identical to a one-shot request for the same
 //! query, and the plan-cache hit path provably changes nothing but speed.
+//! Each worker builds its executors, one per backend, once, and hands the
+//! request the one its query selected ([`sam_exec::ExecRequest::executor`]):
+//! a fast-serial query walks in the workspace the worker's fast-serial
+//! query before it left, so a warm query allocates little more than its
+//! output.
 //! Failures (unknown tensors, compile errors, execution errors, even a
 //! panic inside one execution) surface through [`QueryHandle::wait`];
 //! the worker that met them keeps serving. Dropping the service finishes
@@ -30,12 +40,12 @@ use crate::metrics::{MetricsSnapshot, Telemetry};
 use crate::store::TensorStore;
 use custard::{ConcreteIndexNotation, ExecutableKernel, Formats, Schedule};
 use sam_exec::{
-    BackendSpec, ExecError, ExecRequest, Execution, Inputs, Plan, PlanCache, PlanCacheStats, PlanError,
+    BackendSpec, ExecError, ExecRequest, Execution, Executor, Inputs, Plan, PlanCache, PlanCacheStats,
+    PlanError,
 };
 use sam_tensor::TensorFormat;
 use sam_trace::{CountersSink, QuerySpan, Stage, TraceSink};
 use std::any::Any;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -328,9 +338,35 @@ struct Queue {
     closed: bool,
 }
 
-/// `(expression, reorder, format overrides)` — everything that changes
-/// what `lower_exec` produces.
-type CompileKey = (String, Option<String>, String);
+/// One lowering of an expression, filed under the expression: everything
+/// else that changes what `lower_exec` produces — the reorder and the
+/// format overrides, the last one per operand as [`Formats`] keeps them —
+/// and the kernel.
+struct Compiled {
+    order: Option<String>,
+    formats: Vec<(String, TensorFormat)>,
+    kernel: Arc<ExecutableKernel>,
+}
+
+impl Compiled {
+    /// Whether `query` asks for this lowering, compared in place.
+    fn serves(&self, query: &Query) -> bool {
+        self.order == query.order
+            && overrides(&query.formats).count() == self.formats.len()
+            && overrides(&query.formats)
+                .all(|(name, f)| self.formats.iter().any(|(n, g)| n == name && g == f))
+    }
+}
+
+/// The format overrides [`Formats`] keeps of `formats`: the last one per
+/// operand.
+fn overrides(formats: &[(String, TensorFormat)]) -> impl Iterator<Item = &(String, TensorFormat)> {
+    formats
+        .iter()
+        .enumerate()
+        .filter(|&(at, (name, _))| formats[at + 1..].iter().all(|(later, _)| later != name))
+        .map(|(_, pair)| pair)
+}
 
 struct Shared {
     store: Arc<TensorStore>,
@@ -338,10 +374,14 @@ struct Shared {
     queue_capacity: usize,
     not_empty: Condvar,
     not_full: Condvar,
-    kernels: Mutex<HashMap<CompileKey, Arc<ExecutableKernel>>>,
+    /// The lowerings of each expression.
+    kernels: Mutex<HashMap<String, Vec<Compiled>>>,
     plans: PlanCache,
     telemetry: Telemetry,
 }
+
+/// A worker's executors, one per backend, each run by that worker alone.
+type Executors = [(BackendSpec, Box<dyn Executor>); 3];
 
 /// The string a panic carried, for [`ServeError::Panicked`].
 fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -378,20 +418,15 @@ impl Shared {
 
     /// Lowers the query's expression, through the compile cache.
     fn kernel(&self, query: &Query) -> Result<Arc<ExecutableKernel>, ServeError> {
-        let mut sig: Vec<String> = query.formats.iter().map(|(n, f)| format!("{n}={f}")).collect();
-        sig.sort();
-        let key: CompileKey = (query.expression.clone(), query.order.clone(), sig.join(";"));
-        // Lowering under the lock makes a miss one per key however many
+        // Lowering under the lock makes a miss one per lowering however many
         // workers race on it. The map is only touched after the lowering
         // has returned, so a poisoned guard (a lowering panic) is recovered.
         let mut kernels = self.kernels.lock().unwrap_or_else(PoisonError::into_inner);
-        let slot = match kernels.entry(key) {
-            Entry::Occupied(e) => {
-                self.telemetry.compile_hits.inc();
-                return Ok(Arc::clone(e.get()));
-            }
-            Entry::Vacant(slot) => slot,
-        };
+        let lowered = kernels.get(query.expression.as_str());
+        if let Some(compiled) = lowered.and_then(|lowered| lowered.iter().find(|c| c.serves(query))) {
+            self.telemetry.compile_hits.inc();
+            return Ok(Arc::clone(&compiled.kernel));
+        }
         self.telemetry.compile_misses.inc();
         let compile_err =
             |message: String| ServeError::Compile { expression: query.expression.clone(), message };
@@ -420,7 +455,12 @@ impl Shared {
         }
         let cin = ConcreteIndexNotation::new(assignment, &schedule, formats);
         let kernel = Arc::new(custard::lower_exec(&cin).map_err(|e| compile_err(e.to_string()))?);
-        Ok(Arc::clone(slot.insert(kernel)))
+        kernels.entry(query.expression.clone()).or_default().push(Compiled {
+            order: query.order.clone(),
+            formats: overrides(&query.formats).cloned().collect(),
+            kernel: Arc::clone(&kernel),
+        });
+        Ok(kernel)
     }
 
     /// Compile, bind from the store, and plan — everything short of
@@ -439,12 +479,12 @@ impl Shared {
         let mut inputs = Inputs::new();
         for (operand, stored) in &query.bindings {
             let format =
-                kernel.formats.iter().find(|(n, _)| n == operand).map(|(_, f)| f.clone()).ok_or_else(
-                    || ServeError::Compile {
+                kernel.formats.iter().find(|(n, _)| n == operand).map(|(_, f)| f).ok_or_else(|| {
+                    ServeError::Compile {
                         expression: query.expression.clone(),
                         message: format!("binding `{operand}` is not an operand of this expression"),
-                    },
-                )?;
+                    }
+                })?;
             // `Tensor::from_coo` asserts the orders agree; a binding is
             // outside input, so it is checked before the store builds.
             if let Some(coo) = self.store.coo(stored).filter(|coo| coo.order() != format.order()) {
@@ -461,7 +501,7 @@ impl Shared {
             }
             let tensor = self
                 .store
-                .materialize(stored, operand, &format)
+                .materialize(stored, operand, format)
                 .ok_or_else(|| ServeError::UnknownTensor { name: stored.clone() })?;
             inputs = inputs.shared(tensor);
         }
@@ -479,8 +519,14 @@ impl Shared {
     }
 
     /// One query, start to finish: prepare, then execute through the
-    /// [`ExecRequest`] door on the planned graph.
-    fn run(&self, query: &Query, span: &mut QuerySpan) -> Result<Execution, ServeError> {
+    /// [`ExecRequest`] door on the planned graph, on the worker's executor
+    /// for the query's backend.
+    fn run(
+        &self,
+        query: &Query,
+        span: &mut QuerySpan,
+        executors: &Executors,
+    ) -> Result<Execution, ServeError> {
         let (kernel, plan, inputs) = self.prepare(query, span)?;
         let execute_started = Instant::now();
         // Any trace sink must outlive the request borrowing it.
@@ -494,6 +540,9 @@ impl Shared {
             TraceMode::Sink(sink) => Some(sink.as_ref()),
         };
         let mut request = ExecRequest::new(&kernel.graph, &inputs).backend(query.backend).planned(plan);
+        if let Some((_, executor)) = executors.iter().find(|(spec, _)| *spec == query.backend) {
+            request = request.executor(executor.as_ref());
+        }
         if let Some(trace) = trace {
             request = request.traced(trace);
         }
@@ -506,6 +555,9 @@ impl Shared {
     /// with panics contained, publish its span, resolve its handle; exit
     /// when the queue is closed and empty.
     fn work(&self, worker: usize) {
+        // Built once: a fast-serial query walks in the workspace this
+        // worker's fast-serial query before it left.
+        let executors = BackendSpec::all().map(|spec| (spec, spec.build()));
         while let Some(job) = self.next_job() {
             let query = &job.state.query;
             let started = Instant::now();
@@ -513,7 +565,7 @@ impl Shared {
             span.record(Stage::Queue, started.saturating_duration_since(job.enqueued));
             // A span half-filled by an unwound query holds only the stage
             // times recorded before the panic, which is what it should say.
-            let result = catch_unwind(AssertUnwindSafe(|| self.run(query, &mut span)))
+            let result = catch_unwind(AssertUnwindSafe(|| self.run(query, &mut span, &executors)))
                 .unwrap_or_else(|payload| Err(ServeError::Panicked { message: panic_message(&*payload) }));
             let resolve_started = Instant::now();
             let counter = if result.is_ok() { &self.telemetry.completed } else { &self.telemetry.failed };

@@ -2,13 +2,14 @@
 //!
 //! A service's tensors are loaded once and then served to every query:
 //! the store keeps raw COO operands by name and materializes [`Tensor`]s
-//! lazily, in whatever format a query binds, — building the level structure for one `(stored tensor, bound
-//! name, format)` combination exactly once, behind an [`Arc`] that every
-//! subsequent query shares.
+//! lazily, in whatever format a query binds — building the level structure
+//! for one `(stored tensor, bound name, format)` combination exactly once,
+//! behind an [`Arc`] that every subsequent query shares. A lookup builds no
+//! key: each stored operand keeps its own materializations, found by
+//! comparing the bound name and the [`TensorFormat`] value in place.
 
 use sam_tensor::{CooTensor, Tensor, TensorFormat};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -30,12 +31,18 @@ pub struct MaterializeStats {
 /// materialization. See the module docs.
 #[derive(Debug, Default)]
 pub struct TensorStore {
-    coos: BTreeMap<String, Arc<CooTensor>>,
-    /// Materialized `(stored name, bound name, format)` → tensor cache.
-    materialized: Mutex<HashMap<(String, String, String), Arc<Tensor>>>,
+    coos: BTreeMap<String, Stored>,
     builds: AtomicU64,
     build_hits: AtomicU64,
     build_ns: AtomicU64,
+}
+
+/// One stored operand and the tensors built from it so far, each under the
+/// name it was bound as and in its format.
+#[derive(Debug)]
+struct Stored {
+    coo: Arc<CooTensor>,
+    built: Mutex<Vec<(String, TensorFormat, Arc<Tensor>)>>,
 }
 
 impl TensorStore {
@@ -46,13 +53,13 @@ impl TensorStore {
 
     /// Adds (or replaces) a raw COO operand under `name`.
     pub fn insert(&mut self, name: &str, coo: CooTensor) -> &mut Self {
-        self.coos.insert(name.to_string(), Arc::new(coo));
+        self.coos.insert(name.to_string(), Stored { coo: Arc::new(coo), built: Mutex::default() });
         self
     }
 
     /// The raw COO operand stored under `name`.
     pub fn coo(&self, name: &str) -> Option<&Arc<CooTensor>> {
-        self.coos.get(name)
+        self.coos.get(name).map(|stored| &stored.coo)
     }
 
     /// Stored tensor names, sorted.
@@ -74,24 +81,20 @@ impl TensorStore {
     /// `bound` in `format` — built once per combination, shared ever after.
     /// Returns `None` when `stored` is not in the corpus.
     pub fn materialize(&self, stored: &str, bound: &str, format: &TensorFormat) -> Option<Arc<Tensor>> {
-        let coo = self.coos.get(stored)?;
-        let key = (stored.to_string(), bound.to_string(), format.to_string());
-        // The map is only inserted into after the build has returned, so a
+        let Stored { coo, built } = self.coos.get(stored)?;
+        // The list is only pushed to after the build has returned, so a
         // build that panicked left it valid: a poisoned guard is recovered.
-        let mut cache = self.materialized.lock().unwrap_or_else(PoisonError::into_inner);
-        Some(match cache.entry(key) {
-            Entry::Occupied(e) => {
-                self.build_hits.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(e.get())
-            }
-            Entry::Vacant(v) => {
-                let started = Instant::now();
-                let tensor = Arc::new(Tensor::from_coo(bound, coo, format.clone()));
-                self.builds.fetch_add(1, Ordering::Relaxed);
-                self.build_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                Arc::clone(v.insert(tensor))
-            }
-        })
+        let mut built = built.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, _, tensor)) = built.iter().find(|(name, f, _)| name == bound && f == format) {
+            self.build_hits.fetch_add(1, Ordering::Relaxed);
+            return Some(Arc::clone(tensor));
+        }
+        let started = Instant::now();
+        let tensor = Arc::new(Tensor::from_coo(bound, coo, format.clone()));
+        self.builds.fetch_add(1, Ordering::Relaxed);
+        self.build_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        built.push((bound.to_string(), format.clone(), Arc::clone(&tensor)));
+        Some(tensor)
     }
 
     /// Build-versus-hit counters over [`TensorStore::materialize`].

@@ -1,0 +1,174 @@
+//! Allocation pins for a warm query's fixed cost: what an executor run, a
+//! plan-cache hit and a store hit allocate, counted by a global allocator
+//! that tallies the calls each thread makes.
+//!
+//! The counting allocator is the one use of `unsafe` in the workspace: a
+//! `GlobalAlloc` implementation is an `unsafe impl` forwarding to the
+//! system allocator.
+
+#![allow(unsafe_code)]
+
+use custard::graphs;
+use sam_exec::{Executor, FastBackend, Inputs, Plan, PlanCache};
+use sam_serve::TensorStore;
+use sam_tensor::level::Level;
+use sam_tensor::{synth, TensorFormat};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting the allocations and reallocations the
+/// current thread asks for.
+struct Counting;
+
+thread_local! {
+    static CALLS: Cell<Calls> = const { Cell::new(Calls { allocs: 0, reallocs: 0 }) };
+}
+
+/// Allocator calls made by one thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Calls {
+    allocs: u64,
+    reallocs: u64,
+}
+
+fn tally(f: impl FnOnce(&mut Calls)) {
+    // A thread being torn down has no counter left; its calls go uncounted.
+    let _ = CALLS.try_with(|calls| {
+        let mut now = calls.get();
+        f(&mut now);
+        calls.set(now);
+    });
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally(|c| c.allocs += 1);
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        tally(|c| c.allocs += 1);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally(|c| c.reallocs += 1);
+        // SAFETY: `ptr` and `layout` come from this allocator, which is the
+        // system allocator's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// What `f` returns and the allocator calls the current thread made while it
+/// ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Calls) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    let after = CALLS.with(Cell::get);
+    (out, Calls { allocs: after.allocs - before.allocs, reallocs: after.reallocs - before.reallocs })
+}
+
+/// SpMV and SDDMM (an intersecter with a fusion region), each over
+/// operands of fixed shapes whose sparse operand keeps about `per_row`
+/// nonzeros a row: one plan, however many tokens.
+fn planned(per_row: usize) -> Vec<(Plan, Inputs)> {
+    let density = |cols: usize| 1.0 - per_row as f64 / cols as f64;
+    let spmv = Inputs::new()
+        .coo("B", &synth::random_matrix_sparsity(120, 200, density(200), 3), TensorFormat::dcsr())
+        .coo("c", &synth::random_vector(200, 200, 4), TensorFormat::dense_vec());
+    let sddmm = Inputs::new()
+        .coo("B", &synth::random_matrix_sparsity(40, 60, density(60), 5), TensorFormat::dcsr())
+        .coo("C", &synth::random_matrix_sparsity(40, 8, 0.0, 6), TensorFormat::dense(2))
+        .coo("D", &synth::random_matrix_sparsity(60, 8, 0.0, 7), TensorFormat::dense(2));
+    [(graphs::spmv(), spmv), (graphs::sddmm_coiteration(), sddmm)]
+        .into_iter()
+        .map(|(graph, inputs)| (Plan::build(&graph, &inputs).expect("plans"), inputs))
+        .collect()
+}
+
+/// At most how often a `Vec` pushed to `len` entries reallocates: it
+/// doubles.
+fn growths(len: usize) -> u64 {
+    u64::from(usize::BITS - len.leading_zeros())
+}
+
+/// From its second run over one plan, a fast backend instance allocates
+/// only its output — the writers' levels and values, the list they come
+/// in, and the tensor built of them — however many tokens the run moves:
+/// every stream buffer, region register and list, and the stream table,
+/// are the ones the run before it grew.
+#[test]
+fn a_fast_backends_second_run_allocates_only_its_output() {
+    let (few, many) = (planned(2), planned(16));
+    for ((plan, small), (_, large)) in few.iter().zip(&many) {
+        let name = &plan.graph().name;
+        let mut tokens = Vec::new();
+        for inputs in [small, large] {
+            let fast = FastBackend::new();
+            let (first, _) = counted(|| fast.run(plan, inputs).expect("runs"));
+            for _ in 0..3 {
+                let (run, calls) = counted(|| fast.run(plan, inputs).expect("runs"));
+                assert_eq!(run.output, first.output, "{name}");
+                let output = run.output.as_ref().expect("an output tensor");
+                // Per level a coordinate and a segment array; the values, the
+                // level list, and the tensor's name, shape, copied values,
+                // and its format's two lists.
+                assert_eq!(calls.allocs, 2 * output.order() as u64 + 7, "{name}: {calls:?}");
+                // Only the writers' arrays grow as they fill.
+                let levels = (0..output.order()).map(|l| match output.level(l) {
+                    Level::Compressed(level) => growths(level.crd.len()) + growths(level.seg.len()),
+                    other => panic!("{name}: the writers write compressed levels, not {other:?}"),
+                });
+                let most = levels.sum::<u64>() + growths(output.vals().len());
+                assert!(calls.reallocs <= most, "{name}: {calls:?}, the output grows {most} times at most");
+                tokens.push(run.tokens);
+            }
+        }
+        assert!(tokens[3] > 4 * tokens[0], "{name}: {tokens:?}");
+    }
+}
+
+/// A plan-cache hit builds no key, and checking the inputs against the plan
+/// it returns builds none either.
+#[test]
+fn a_plan_cache_hit_and_its_input_check_allocate_nothing() {
+    let cache = PlanCache::new(16);
+    for (plan, inputs) in planned(2) {
+        let graph = plan.graph();
+        let planned = cache.get_or_plan(graph, &inputs).expect("plans");
+        let (hit, calls) = counted(|| {
+            let hit = cache.get_or_plan(graph, &inputs).expect("hits");
+            hit.check_inputs(&inputs).map(|()| hit)
+        });
+        assert!(std::sync::Arc::ptr_eq(&hit.expect("inputs the plan was built over"), &planned));
+        assert_eq!(calls, Calls { allocs: 0, reallocs: 0 }, "{}", graph.name);
+    }
+    assert_eq!(cache.stats().hits, 2);
+}
+
+/// A tensor the store already materialized is found without building a key.
+#[test]
+fn a_store_hit_allocates_nothing() {
+    let mut store = TensorStore::new();
+    store.insert("B", synth::random_matrix_sparsity(10, 8, 0.8, 1));
+    let formats = [TensorFormat::dcsr(), TensorFormat::csr()];
+    for format in &formats {
+        store.materialize("B", "B", format).expect("stored");
+    }
+    for format in &formats {
+        let (hit, calls) = counted(|| store.materialize("B", "B", format));
+        assert_eq!(hit.expect("stored").format(), format);
+        assert_eq!(calls, Calls { allocs: 0, reallocs: 0 });
+    }
+    assert_eq!((store.materialize_stats().builds, store.materialize_stats().hits), (2, 2));
+}

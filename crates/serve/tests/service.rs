@@ -10,7 +10,7 @@
 use custard::{ConcreteIndexNotation, Formats, Schedule};
 use sam_exec::{BackendSpec, ExecRequest, Execution, Inputs};
 use sam_serve::{table1_workload, Query, Service, ServiceConfig, TensorStore};
-use sam_tensor::CooTensor;
+use sam_tensor::{CooTensor, LevelFormat, TensorFormat};
 use std::sync::Arc;
 
 /// Runs `query` the one-shot way: compile with custard, bind the same
@@ -208,4 +208,43 @@ fn operands_disagreeing_on_a_dimension_are_rejected_not_run() {
         }
     }
     assert_eq!(service.metrics_snapshot().failed, BackendSpec::all().len() as u64);
+}
+
+/// Two queries that differ only in their operands' bitvector word width
+/// lower and materialize apart: each binds tensors in the format it asked
+/// for. (The format's display string prints every bitvector level as `bv`,
+/// so caches keyed by it served the first width to the second query.)
+#[test]
+fn bitvector_word_widths_compile_and_materialize_apart() {
+    let mut store = TensorStore::new();
+    let b = CooTensor::from_entries(vec![40], vec![(vec![1], 1.0), (vec![9], 2.0), (vec![33], 3.0)]).unwrap();
+    let c =
+        CooTensor::from_entries(vec![40], vec![(vec![9], 4.0), (vec![20], 5.0), (vec![33], 6.0)]).unwrap();
+    store.insert("b", b);
+    store.insert("c", c);
+    let store = Arc::new(store);
+    let service = Service::new(Arc::clone(&store));
+    let bitvector = |word_width| TensorFormat::new(vec![LevelFormat::Bitvector { word_width }]);
+    let mut runs = Vec::new();
+    for word_width in [8, 64] {
+        let query = Query::new("x(i) = b(i) * c(i)")
+            .format("b", bitvector(word_width))
+            .format("c", bitvector(word_width))
+            .operand("b")
+            .operand("c");
+        let run = service.submit(query.clone()).wait().unwrap();
+        assert_identical("x(i) = b(i) * c(i)", &run, &one_shot(&store, &query));
+        runs.push(run);
+    }
+    assert_eq!(runs[0].output, runs[1].output);
+    let metrics = service.metrics_snapshot();
+    assert_eq!((metrics.compile_hits, metrics.compile_misses), (0, 2));
+    assert_eq!(store.materialize_stats().builds, 4, "two operands at two widths");
+    for word_width in [8, 64] {
+        for operand in ["b", "c"] {
+            let bound = store.materialize(operand, operand, &bitvector(word_width)).unwrap();
+            assert_eq!(bound.format(), &bitvector(word_width), "{operand} at {word_width}-bit words");
+        }
+    }
+    assert_eq!(store.materialize_stats().builds, 4, "each width was built once, by its own query");
 }

@@ -99,6 +99,17 @@ fn walk_stored(
     }
 }
 
+/// A coordinate out of place, met while cutting a tensor: not above the
+/// coordinate before it in its fiber, or not below its level's dimension.
+/// No tile of the tensor can be cut: each entry's window and rebased
+/// coordinate are found by walking a fiber in coordinate order, and an entry
+/// past the dimension lies in no window of the grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Misplaced {
+    /// The storage level holding the coordinate.
+    pub level: usize,
+}
+
 /// A tensor cut into a grid of tiles: one tile size per storage level (use
 /// the level's full dimension to leave it untiled), with only *nonempty*
 /// tiles materialized.
@@ -143,10 +154,16 @@ impl TileGrid {
     /// `tensor` itself, shared rather than copied entry for entry (an empty
     /// tensor still has no tile).
     ///
+    /// # Errors
+    ///
+    /// Returns [`Misplaced`] for a tensor it cuts one of whose fibers holds
+    /// a coordinate that does not ascend or lies past its level's
+    /// dimension.
+    ///
     /// # Panics
     ///
     /// Panics if `tile_sizes` has the wrong length or contains a zero.
-    pub fn build(tensor: &Arc<Tensor>, tile_sizes: Vec<usize>) -> TileGrid {
+    pub fn build(tensor: &Arc<Tensor>, tile_sizes: Vec<usize>) -> Result<TileGrid, Misplaced> {
         assert_eq!(tile_sizes.len(), tensor.order(), "one tile size per storage level");
         assert!(tile_sizes.iter().all(|&t| t > 0), "tile sizes must be positive");
         let order = tensor.order();
@@ -163,9 +180,9 @@ impl TileGrid {
                 (HashMap::from([(0, 0)]), vec![Arc::clone(tensor)])
             }
         } else {
-            cut(tensor, &tile_sizes, &grids, &dims, &strides)
+            cut(tensor, &tile_sizes, &grids, &dims, &strides)?
         };
-        TileGrid { tile_sizes, grids, dims, strides, index, tiles }
+        Ok(TileGrid { tile_sizes, grids, dims, strides, index, tiles })
     }
 
     /// The row-major linear index of the tile at `key` (per-level tile
@@ -215,6 +232,9 @@ impl TileGrid {
     }
 }
 
+/// The nonempty tiles' slots by linear key, and the tiles.
+type Cut = (HashMap<u64, usize>, Vec<Arc<Tensor>>);
+
 /// The nonempty tiles of `tensor` under `tile_sizes`, cut in one
 /// depth-first pass, and their slots by linear key.
 fn cut(
@@ -223,7 +243,7 @@ fn cut(
     grids: &[usize],
     dims: &[usize],
     strides: &[u64],
-) -> (HashMap<u64, usize>, Vec<Arc<Tensor>>) {
+) -> Result<Cut, Misplaced> {
     let order = tensor.order();
     let stored = tensor.vals().len();
     // At most one run per stored leaf, and per leaf fiber and window.
@@ -240,12 +260,16 @@ fn cut(
         last: Vec::new(),
         counts: Vec::new(),
         log: Vec::with_capacity(runs * (RUN_HEADER + order)),
+        misplaced: None,
     };
     if order > 0 {
         walk.visit(0, 0, 0);
     }
+    if let Some(level) = walk.misplaced {
+        return Err(Misplaced { level });
+    }
     let tiles = walk.fill(tile_sizes, grids, dims);
-    (walk.index, tiles)
+    Ok((walk.index, tiles))
 }
 
 /// The depth-first pass of [`cut`]: routes every stored leaf to
@@ -276,6 +300,9 @@ struct Walk<'a> {
     /// positions of the parent, so only a bitvector leaf level logs the
     /// leaves' rebased coordinates, after the path's.
     log: Vec<usize>,
+    /// The first level met holding a coordinate that does not ascend in its
+    /// fiber or lies past its dimension: the log is not replayed then.
+    misplaced: Option<usize>,
 }
 
 /// Log words of a run before its path's coordinates.
@@ -288,9 +315,15 @@ impl Walk<'_> {
         let tensor = self.tensor;
         let (size, stride) = (self.sizes[level], self.strides[level]);
         // The window of the entry before: a fiber's coordinates ascend, so
-        // the window index is recomputed only when one leaves it.
-        let (mut lo, mut hi, mut window_key) = (0u32, 0u32, key);
+        // the window index is recomputed only when one leaves it. A
+        // coordinate that does not ascend, or lies past the dimension, fails
+        // the cut; until the walk ends, its rebased coordinate and window are
+        // placeholders nobody reads.
+        let dim = tensor.level(level).dimension() as u64;
+        let (mut lo, mut hi, mut window_key, mut least) = (0u32, 0u32, key, 0u64);
         let mut enter = move |coord: u32| {
+            let placed = u64::from(coord) >= least && u64::from(coord) < dim;
+            least = u64::from(coord) + 1;
             let left = coord >= hi;
             if left {
                 let window = coord / size;
@@ -298,12 +331,15 @@ impl Walk<'_> {
                 hi = lo.saturating_add(size);
                 window_key = key + window as u64 * stride;
             }
-            (left, coord - lo, window_key)
+            (placed, left, coord.wrapping_sub(lo), window_key)
         };
         let source = tensor.level(level);
         if level + 1 < self.rebased.len() {
             each_entry(source, fiber, |coord, child| {
-                let (_, rebased, key) = enter(coord);
+                let (placed, _, rebased, key) = enter(coord);
+                if !placed {
+                    self.misplaced.get_or_insert(level);
+                }
                 self.rebased[level] = rebased;
                 self.entry[level] = child;
                 self.visit(level + 1, child, key);
@@ -312,7 +348,10 @@ impl Walk<'_> {
             let bitvector = matches!(source, Level::Bitvector(_));
             let (mut run, mut len) = (None, 0);
             each_entry(source, fiber, |coord, child| {
-                let (left, rebased, key) = enter(coord);
+                let (placed, left, rebased, key) = enter(coord);
+                if !placed {
+                    self.misplaced.get_or_insert(level);
+                }
                 if left {
                     self.close_run(run, len);
                     (run, len) = (Some(self.open_run(key, child)), 0);
@@ -503,7 +542,7 @@ mod tests {
 
     /// The grid of `tensor` under `tile_sizes`, built over a shared copy of
     /// it.
-    fn grid_of(tensor: &Tensor, tile_sizes: Vec<usize>) -> TileGrid {
+    fn grid_of(tensor: &Tensor, tile_sizes: Vec<usize>) -> Result<TileGrid, Misplaced> {
         TileGrid::build(&Arc::new(tensor.clone()), tile_sizes)
     }
 
@@ -675,7 +714,7 @@ mod tests {
     }
 
     #[test]
-    fn the_grid_equals_the_reference_cut_at_every_key() {
+    fn the_grid_equals_the_reference_cut_at_every_key() -> Result<(), Misplaced> {
         let mut windows = 0;
         for seed in 0..3 {
             let vector = synth::random_vector(29, 11, 60 + seed);
@@ -702,7 +741,7 @@ mod tests {
                             for sizes in &tile_sizes {
                                 let sizes =
                                     sizes.iter().enumerate().map(|(l, &s)| s.min(t.level(l).dimension()));
-                                let grid = grid_of(&t, sizes.collect());
+                                let grid = grid_of(&t, sizes.collect())?;
                                 windows += assert_grid_matches_reference(&t, &grid);
                             }
                         }
@@ -711,6 +750,7 @@ mod tests {
             }
         }
         assert!(windows > 20_000, "only {windows} windows compared");
+        Ok(())
     }
 
     /// Where one window covers a tensor, the cut copies the tensor
@@ -718,7 +758,7 @@ mod tests {
     /// grid's only tile instead. Every level format at orders 1–3, in both
     /// mode orders, with explicit zeros and without, and empty.
     #[test]
-    fn a_one_window_tile_is_its_tensor() {
+    fn a_one_window_tile_is_its_tensor() -> Result<(), Misplaced> {
         let mut compared = 0;
         for order in 1..=3 {
             let coo = match order {
@@ -732,33 +772,72 @@ mod tests {
                     let fmt = TensorFormat::with_mode_order(levels.clone(), mode_order);
                     let t = Tensor::from_coo("T", &coo, fmt.clone());
                     let dims: Vec<usize> = (0..order).map(|l| t.level(l).dimension()).collect();
-                    let one_window = |t: &Tensor| cut(t, &dims, &vec![1; order], &dims, &vec![1; order]).1;
+                    let one_window = |t: &Tensor| {
+                        cut(t, &dims, &vec![1; order], &dims, &vec![1; order]).map(|(_, tiles)| tiles)
+                    };
                     for t in [with_explicit_zeros(&t), t] {
-                        assert_eq!(one_window(&t), [Arc::new(t.clone())], "{}", t.format());
+                        assert_eq!(one_window(&t)?, [Arc::new(t.clone())], "{}", t.format());
                         let shared = Arc::new(t);
-                        let grid = TileGrid::build(&shared, dims.clone());
+                        let grid = TileGrid::build(&shared, dims.clone())?;
                         let tile = grid.get_shared(&vec![0; order]);
                         assert!(tile.is_some_and(|tile| Arc::ptr_eq(tile, &shared)), "{}", shared.format());
                         assert_eq!(grid.nonempty(), 1);
                         compared += 1;
                     }
                     let empty = Tensor::from_coo("E", &empty, fmt);
-                    let grid = grid_of(&empty, dims.clone());
-                    assert_eq!(grid.nonempty(), one_window(&empty).len(), "{}", empty.format());
+                    let grid = grid_of(&empty, dims.clone())?;
+                    assert_eq!(grid.nonempty(), one_window(&empty)?.len(), "{}", empty.format());
                     assert_eq!(grid.nonempty() > 0, !empty.vals().is_empty(), "{}", empty.format());
                 }
             }
         }
         assert_eq!(compared, 2 * (2 * 3 + 2 * 9 + 2 * 27));
+        Ok(())
+    }
+
+    /// A coordinate that does not ascend in its fiber, or lies past its
+    /// dimension, at any level, fails the cut at every tile size that cuts;
+    /// a tile covering the tensor is the tensor, uncut.
+    #[test]
+    fn a_coordinate_out_of_place_fails_the_cut() {
+        use sam_tensor::level::CompressedLevel;
+        let level = |seg: Vec<usize>, crd: Vec<u32>| Level::Compressed(CompressedLevel { dim: 8, seg, crd });
+        let vector = |crd: Vec<u32>| {
+            let vals = vec![1.0; crd.len()];
+            Tensor::from_parts(
+                "b",
+                vec![8],
+                TensorFormat::sparse_vec(),
+                vec![level(vec![0, crd.len()], crd)],
+                vals,
+            )
+        };
+        for crd in [vec![5, 2, 1], vec![1, 2, 2], vec![0, 6, 7, 3], vec![1, 9], vec![3, 200]] {
+            let t = vector(crd.clone());
+            for tile in [1, 2, 3, 7] {
+                assert_eq!(grid_of(&t, vec![tile]).err(), Some(Misplaced { level: 0 }), "{crd:?} at {tile}");
+            }
+            assert_eq!(grid_of(&t, vec![8]).map(|grid| grid.nonempty()), Ok(1), "{crd:?} uncut");
+        }
+        let rows = level(vec![0, 2], vec![1, 4]);
+        let t = Tensor::from_parts(
+            "B",
+            vec![8, 8],
+            TensorFormat::dcsr(),
+            vec![rows, level(vec![0, 2, 4], vec![0, 3, 6, 5])],
+            vec![1.0; 4],
+        );
+        assert_eq!(grid_of(&t, vec![4, 4]).err(), Some(Misplaced { level: 1 }));
+        assert_eq!(grid_of(&vector(vec![0, 3, 7]), vec![2]).map(|grid| grid.nonempty()), Ok(3));
     }
 
     #[test]
-    fn an_empty_tensor_has_no_tiles() {
+    fn an_empty_tensor_has_no_tiles() -> Result<(), Misplaced> {
         for order in 1..=3 {
             for levels in format_combinations(order) {
                 let fmt = TensorFormat::new(levels.clone());
                 let t = Tensor::from_coo("E", &CooTensor::new(vec![6; order]), fmt);
-                let grid = grid_of(&t, vec![4; order]);
+                let grid = grid_of(&t, vec![4; order])?;
                 assert_eq!(grid.total_tiles(), 2u64.pow(order as u32));
                 assert_grid_matches_reference(&t, &grid);
                 // With no points, only an all-dense format stores leaves (zeros).
@@ -766,10 +845,11 @@ mod tests {
                 assert_eq!(grid.nonempty() > 0, stores_zeros, "{}", t.format());
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn the_cut_equals_the_coo_round_trip() {
+    fn the_cut_equals_the_coo_round_trip() -> Result<(), Misplaced> {
         let mut tiles = 0;
         for seed in 0..6 {
             let coo = synth::random_matrix_sparsity(23, 19, 0.8, 40 + seed);
@@ -781,7 +861,7 @@ mod tests {
                     let fmt = TensorFormat::with_mode_order(vec![outer, inner], mode_order);
                     let t = Tensor::from_coo("B", &coo, fmt.clone());
                     // 23 x 19 cut 5 x 4: the last window of each level clamps.
-                    let grid = grid_of(&t, vec![5, 4]);
+                    let grid = grid_of(&t, vec![5, 4])?;
                     for key in every_key(&grid) {
                         let windows = grid.windows(&key);
                         let expect = tile_via_coo(&t, &windows);
@@ -805,7 +885,7 @@ mod tests {
                 let fmt = TensorFormat::with_mode_order(levels.to_vec(), vec![2, 0, 1]);
                 let t = Tensor::from_coo("T", &coo3, fmt.clone());
                 let middle = t.level(1).dimension();
-                let grid = grid_of(&t, vec![4, middle, 3]);
+                let grid = grid_of(&t, vec![4, middle, 3])?;
                 for key in every_key(&grid) {
                     let windows = grid.windows(&key);
                     let expect = tile_via_coo(&t, &windows);
@@ -818,6 +898,7 @@ mod tests {
             }
         }
         assert!(tiles > 1000, "only {tiles} tiles compared");
+        Ok(())
     }
 
     /// A 4 x 4 matrix holding `(0,1) = 1` and `(2,2) = 3`.
@@ -828,13 +909,13 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_window_is_the_empty_tensor() {
+    fn an_empty_window_is_the_empty_tensor() -> Result<(), Misplaced> {
         for inner in [LevelFormat::Compressed, LevelFormat::bitvector()] {
             let fmt = TensorFormat::new(vec![LevelFormat::Compressed, inner]);
             let t = Tensor::from_coo("B", &two_point_matrix(), fmt.clone());
             // Row 0 is stored, but not in columns 2..4: its coordinate goes,
             // and the grid keeps no tile there.
-            let grid = grid_of(&t, vec![2, 2]);
+            let grid = grid_of(&t, vec![2, 2])?;
             assert_eq!(grid.get(&[0, 1]), None);
             let tile = tile_of(&t, &[(0, 2), (2, 4)]);
             assert_eq!(tile, Tensor::from_coo("B", &CooTensor::new(vec![2, 2]), fmt));
@@ -846,29 +927,31 @@ mod tests {
             assert_eq!(grid.get(&[0, 0]).map(|tile| tile.level(0)), Some(&row_zero));
             assert_eq!(grid.nonempty(), 2);
         }
+        Ok(())
     }
 
     #[test]
-    fn explicit_zeros_below_a_compressed_level_stay_in_the_tile() {
+    fn explicit_zeros_below_a_compressed_level_stay_in_the_tile() -> Result<(), Misplaced> {
         // (Compressed, Dense): rows 0 and 2 are stored, every column of
         // them too. The right-hand tile of row 0 holds only explicit zeros
         // and is still the parent's window, coordinate and all.
         let fmt = TensorFormat::new(vec![LevelFormat::Compressed, LevelFormat::Dense]);
         let t = Tensor::from_coo("B", &two_point_matrix(), fmt);
-        let grid = grid_of(&t, vec![2, 2]);
+        let grid = grid_of(&t, vec![2, 2])?;
         assert_eq!(grid.nonempty(), 4);
         let row_zero = Level::Compressed(CompressedLevel::new(2, vec![0, 1], vec![0]));
         assert_eq!(grid.get(&[0, 1]).map(|tile| tile.level(0)), Some(&row_zero));
         assert_eq!(grid.get(&[0, 1]).map(Tensor::vals), Some(&[0.0, 0.0][..]));
         assert_eq!(grid.get(&[1, 1]).map(Tensor::vals), Some(&[3.0, 0.0][..]));
+        Ok(())
     }
 
     #[test]
-    fn stored_entries_is_the_tile_s_value_count() {
+    fn stored_entries_is_the_tile_s_value_count() -> Result<(), Misplaced> {
         let coo = synth::random_matrix_sparsity(23, 19, 0.8, 46);
         for (outer, inner) in LEVEL_FORMATS.iter().flat_map(|&o| LEVEL_FORMATS.map(|i| (o, i))) {
             let t = Tensor::from_coo("B", &coo, TensorFormat::new(vec![outer, inner]));
-            let grid = grid_of(&t, vec![5, 4]);
+            let grid = grid_of(&t, vec![5, 4])?;
             let mut total = 0;
             for (key, tile) in nonempty_tiles(&grid) {
                 assert!(!tile.vals().is_empty(), "{} {key:?}: only nonempty tiles are cut", t.format());
@@ -877,14 +960,15 @@ mod tests {
             assert_eq!(total, t.vals().len(), "{}: every stored entry is in one tile", t.format());
             assert_eq!(grid.get(&[99, 99]), None);
         }
+        Ok(())
     }
 
     #[test]
-    fn tile_roundtrip_covers_the_matrix() {
+    fn tile_roundtrip_covers_the_matrix() -> Result<(), Misplaced> {
         let coo = synth::random_matrix_sparsity(13, 17, 0.7, 21);
         for fmt in [TensorFormat::dcsr(), TensorFormat::csr(), TensorFormat::dcsc()] {
             let t = Tensor::from_coo("B", &coo, fmt.clone());
-            let grid = grid_of(&t, vec![4, 4]);
+            let grid = grid_of(&t, vec![4, 4])?;
             // Reassemble the dense matrix from the tiles.
             let mut dense = vec![vec![0.0f64; 17]; 13];
             for (key, tile) in nonempty_tiles(&grid) {
@@ -903,17 +987,18 @@ mod tests {
                 assert_eq!(dense[point[0] as usize][point[1] as usize], v, "format {fmt}");
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn tile_of_rebases_and_keeps_format() {
+    fn tile_of_rebases_and_keeps_format() -> Result<(), Misplaced> {
         let coo = CooTensor::from_entries(
             vec![8, 8],
             vec![(vec![1, 5], 2.0), (vec![2, 6], 3.0), (vec![6, 1], 4.0)],
         )
         .unwrap();
         let t = Tensor::from_coo("B", &coo, TensorFormat::dcsr());
-        let grid = grid_of(&t, vec![4, 4]);
+        let grid = grid_of(&t, vec![4, 4])?;
         assert_eq!(grid.windows(&[0, 1]), vec![(0, 4), (4, 8)]);
         let tile = grid.get(&[0, 1]);
         assert_eq!(tile.map(Tensor::name), Some("B"));
@@ -922,17 +1007,18 @@ mod tests {
         assert_eq!(tile.map(|tile| tile.get(&[1, 1])), Some(2.0));
         assert_eq!(tile.map(|tile| tile.get(&[2, 2])), Some(3.0));
         assert_eq!(tile.map(Tensor::nnz), Some(2));
+        Ok(())
     }
 
     #[test]
-    fn bitvector_levels_slice_too() {
+    fn bitvector_levels_slice_too() -> Result<(), Misplaced> {
         let coo = synth::random_matrix_sparsity(12, 12, 0.6, 22);
         let fmt = TensorFormat::new(vec![
             sam_tensor::LevelFormat::Compressed,
             sam_tensor::LevelFormat::bitvector(),
         ]);
         let t = Tensor::from_coo("B", &coo, fmt);
-        let grid = grid_of(&t, vec![5, 5]);
+        let grid = grid_of(&t, vec![5, 5])?;
         let dense_ref = Tensor::from_coo("B", &coo, TensorFormat::dcsr());
         let mut total = 0.0;
         for (key, tile) in nonempty_tiles(&grid) {
@@ -941,24 +1027,26 @@ mod tests {
         }
         let expect: f64 = dense_ref.points().iter().map(|(_, v)| v).sum();
         assert!((total - expect).abs() < 1e-9);
+        Ok(())
     }
 
     #[test]
-    fn dense_operands_materialize_every_tile() {
+    fn dense_operands_materialize_every_tile() -> Result<(), Misplaced> {
         let coo = synth::dense_matrix(6, 6, 23);
         let t = Tensor::from_coo("C", &coo, TensorFormat::dense(2));
-        let grid = grid_of(&t, vec![4, 4]);
+        let grid = grid_of(&t, vec![4, 4])?;
         assert_eq!(grid.nonempty(), 4);
         assert_eq!(grid.total_tiles(), 4);
         // Edge tiles clamp to the remaining coordinates.
         assert_eq!(grid.get(&[1, 1]).unwrap().shape(), &[2, 2]);
+        Ok(())
     }
 
     #[test]
-    fn untiled_levels_use_one_full_window() {
+    fn untiled_levels_use_one_full_window() -> Result<(), Misplaced> {
         let coo = synth::random_matrix_sparsity(9, 9, 0.5, 24);
         let t = Tensor::from_coo("B", &coo, TensorFormat::dcsr());
-        let grid = grid_of(&t, vec![4, 9]);
+        let grid = grid_of(&t, vec![4, 9])?;
         assert_eq!(grid.grids(), &[3, 1]);
         let tiles = nonempty_tiles(&grid);
         assert_eq!(tiles.len(), grid.nonempty());
@@ -968,14 +1056,15 @@ mod tests {
         assert_eq!(grid.tile_sizes(), &[4, 9]);
         let total: usize = tiles.iter().map(|(_, tile)| tile.vals().len()).sum();
         assert_eq!(total, t.nnz());
+        Ok(())
     }
 
     #[test]
-    fn a_grid_of_more_tiles_than_entries_keeps_only_the_nonempty_ones() {
+    fn a_grid_of_more_tiles_than_entries_keeps_only_the_nonempty_ones() -> Result<(), Misplaced> {
         // 4000 x 4000 cut 1 x 1: sixteen million tiles, six nonempty.
         let coo = synth::random_matrix_nnz(4000, 4000, 6, 25);
         let t = Tensor::from_coo("B", &coo, TensorFormat::dcsr());
-        let grid = grid_of(&t, vec![1, 1]);
+        let grid = grid_of(&t, vec![1, 1])?;
         assert_eq!(grid.total_tiles(), 16_000_000);
         assert_eq!(grid.nonempty(), 6);
         for (point, v) in t.points() {
@@ -983,5 +1072,6 @@ mod tests {
             assert_eq!(grid.linear_key(&point), point[0] as u64 * 4000 + point[1] as u64);
         }
         assert_eq!(grid.get(&[4000, 0]), None, "a key outside the grid");
+        Ok(())
     }
 }

@@ -38,7 +38,7 @@ pub mod llb;
 pub mod merge;
 pub mod schedule;
 
-pub use extract::TileGrid;
+pub use extract::{Misplaced, TileGrid};
 pub use llb::LlbModel;
 pub use merge::TileMerger;
 pub use schedule::{KernelTiling, TensorTiling, TiledVar};

@@ -34,7 +34,7 @@ fn main() {
     env.bind_dims(&assignment, &[]);
     let expect = env.evaluate(&assignment).expect("reference evaluation");
 
-    for backend in [&CycleBackend as &dyn Executor, &FastBackend] {
+    for backend in [&CycleBackend as &dyn Executor, &FastBackend::new()] {
         let run =
             ExecRequest::new(&kernel.graph, &inputs).executor(backend).run().expect("execution succeeds");
         let ok = run.output.as_ref().expect("tensor output").to_dense().approx_eq(&expect);

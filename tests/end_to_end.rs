@@ -173,7 +173,7 @@ fn every_kernel_graph_agrees_across_backends_and_reference() {
             .run()
             .unwrap_or_else(|e| panic!("{}: cycle backend failed: {e}", graph.name));
         let fast = ExecRequest::new(&graph, &inputs)
-            .executor(&FastBackend)
+            .executor(&FastBackend::new())
             .run()
             .unwrap_or_else(|e| panic!("{}: fast backend failed: {e}", graph.name));
         let cycle_out = cycle.output.expect("tensor output");
@@ -208,7 +208,7 @@ fn compiled_spmv_agrees_with_hand_kernel() {
         let coo = if name == "B" { &b } else { &c };
         inputs = inputs.coo(name, coo, fmt.clone());
     }
-    for backend in [&CycleBackend as &dyn Executor, &FastBackend] {
+    for backend in [&CycleBackend as &dyn Executor, &FastBackend::new()] {
         let run = ExecRequest::new(&kernel.graph, &inputs).executor(backend).run().unwrap();
         assert!(
             run.output.unwrap().to_dense().approx_eq(&hand),
@@ -227,7 +227,7 @@ fn fast_backend_is_leaner_than_cycle_backend() {
     let graph = graphs::spmm(SpmmDataflow::LinearCombination);
     let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
     let cycle = ExecRequest::new(&graph, &inputs).executor(&CycleBackend).run().unwrap();
-    let fast = ExecRequest::new(&graph, &inputs).executor(&FastBackend).run().unwrap();
+    let fast = ExecRequest::new(&graph, &inputs).executor(&FastBackend::new()).run().unwrap();
     assert_eq!(cycle.output.unwrap(), fast.output.unwrap());
     assert!(fast.tokens <= cycle.tokens, "fast={} cycle={}", fast.tokens, cycle.tokens);
 }

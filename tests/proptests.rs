@@ -214,7 +214,7 @@ fn fuzzed_expressions_are_bit_identical_across_backends() {
         }
 
         let serial = ExecRequest::new(&kernel.graph, &inputs)
-            .executor(&FastBackend)
+            .executor(&FastBackend::new())
             .run()
             .unwrap_or_else(|e| panic!("seed {seed}: `{text}` fast-serial failed: {e}"));
 
