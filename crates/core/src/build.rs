@@ -124,8 +124,9 @@ impl GraphBuilder {
     }
 
     /// Adds a binary intersecter with coordinate-skip feedback edges
-    /// (Section 4.2) wired back to both operands' level scanners; returns
-    /// `(crd, [ref_a, ref_b])` like [`GraphBuilder::intersect`].
+    /// (Section 4.2) wired back to both operands' level scanners
+    /// ([`wire_skip_lanes`]); returns `(crd, [ref_a, ref_b])` like
+    /// [`GraphBuilder::intersect`].
     ///
     /// On a coordinate mismatch the intersecter sends the larger coordinate
     /// back along the skip edge, and the trailing operand's scanner gallops
@@ -136,26 +137,15 @@ impl GraphBuilder {
     /// # Panics
     ///
     /// Panics unless both `in_crd` ports are the coordinate outputs of level
-    /// scanners: skip feedback only makes sense towards a scanner that can
-    /// fast-forward its fiber cursor.
+    /// scanners.
     pub fn intersect_with_skip(
         &mut self,
         index: char,
         in_crd: [Port; 2],
         in_ref: [Port; 2],
     ) -> (Port, [Port; 2]) {
-        for (side, p) in in_crd.iter().enumerate() {
-            assert!(
-                matches!(self.graph.nodes()[p.node.0], NodeKind::LevelScanner { .. }) && p.port == 0,
-                "skip operand {side} of intersect {index} must be a level scanner's crd output"
-            );
-        }
-        let (crd, refs) = self.merge(NodeKind::Intersecter { index }, index, in_crd, in_ref);
-        let node = crd.node;
-        // Skip output ports 3 and 4 feed back into the scanners' skip input
-        // (input port 1), against the dataflow direction.
-        self.graph.add_edge_on(node, 3, in_crd[0].node, 1, StreamKind::Skip, format!("{index} skip a"));
-        self.graph.add_edge_on(node, 4, in_crd[1].node, 1, StreamKind::Skip, format!("{index} skip b"));
+        let (crd, refs) = self.intersect(index, in_crd, in_ref);
+        wire_skip_lanes(&mut self.graph, crd.node, index);
         (crd, refs)
     }
 
@@ -263,6 +253,35 @@ impl GraphBuilder {
     /// Finishes and returns the graph.
     pub fn finish(self) -> SamGraph {
         self.graph
+    }
+}
+
+/// Wires the Section 4.2 coordinate-skip feedback lanes of `intersecter`,
+/// which merges index variable `index`: its skip outputs (ports 3 and 4)
+/// feed back into the skip input (port 1) of the level scanners whose
+/// coordinates it merges, against the dataflow direction.
+/// [`GraphBuilder::intersect_with_skip`] and the skip twins of a finished
+/// graph both wire their lanes here.
+///
+/// # Panics
+///
+/// Panics unless both coordinate operands of `intersecter` are level
+/// scanners' coordinate outputs: only a scanner can fast-forward its fiber
+/// cursor.
+pub fn wire_skip_lanes(graph: &mut SamGraph, intersecter: NodeId, index: char) {
+    for (operand, side) in ["a", "b"].into_iter().enumerate() {
+        let feed = graph.edges().iter().find(|e| e.to == intersecter && e.dst_port == operand);
+        let scanner = feed
+            .filter(|e| e.src_port == 0 && matches!(graph.nodes()[e.from.0], NodeKind::LevelScanner { .. }))
+            .map(|e| e.from);
+        assert!(
+            scanner.is_some(),
+            "skip operand {operand} of intersect {index} must be a level scanner's crd output"
+        );
+        if let Some(scanner) = scanner {
+            let label = format!("{index} skip {side}");
+            graph.add_edge_on(intersecter, 3 + operand, scanner, 1, StreamKind::Skip, label);
+        }
     }
 }
 

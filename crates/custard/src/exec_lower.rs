@@ -81,6 +81,16 @@ pub enum LowerExecError {
         /// The index variable.
         index: IndexVar,
     },
+    /// A format override has another number of levels than the access it
+    /// formats has index variables (`csf(3)` for `B(i,j)`).
+    FormatOrder {
+        /// The overridden tensor.
+        tensor: String,
+        /// The access's order: how many index variables it names.
+        access: usize,
+        /// The override's order: how many levels it stores.
+        format: usize,
+    },
     /// A term carries no indexed tensor access, so nothing drives its
     /// iteration space (a bare literal sum operand, a reduction over
     /// constants, or a constant right-hand side).
@@ -131,6 +141,10 @@ impl fmt::Display for LowerExecError {
             }
             LowerExecError::RepeatedIndex { tensor, index } => {
                 write!(f, "`{tensor}` is indexed by `{index}` more than once")
+            }
+            LowerExecError::FormatOrder { tensor, access, format } => {
+                let levels = if *format == 1 { "level" } else { "levels" };
+                write!(f, "the format of `{tensor}` stores {format} {levels}; `{tensor}` has order {access}")
             }
             LowerExecError::ConstantTerm => {
                 write!(f, "a term contains no indexed tensor access to drive iteration")
@@ -530,6 +544,10 @@ pub fn lower_exec(cin: &ConcreteIndexNotation) -> Result<ExecutableKernel, Lower
     let mut storage_vars: Vec<Vec<IndexVar>> = Vec::new();
     let mut level_formats: Vec<Vec<LevelFormat>> = Vec::new();
     for (name, indices) in &accesses {
+        if let Some(format) = cin.formats.get(name).filter(|f| f.order() != indices.len()) {
+            let (access, format) = (indices.len(), format.order());
+            return Err(LowerExecError::FormatOrder { tensor: name.to_string(), access, format });
+        }
         if indices.is_empty() {
             scalars.push(name.to_string());
             scalar_names.push(Some(name.to_string()));
@@ -690,6 +708,32 @@ mod tests {
             None => Schedule::new(),
         };
         lower_exec(&ConcreteIndexNotation::new(a, &schedule, Formats::new()))
+    }
+
+    /// An override must store one level per index variable of the access
+    /// it formats: one of another order is rejected, never reshaped (modes
+    /// it misses read as compressed, levels past the access dropped).
+    #[test]
+    fn a_format_override_of_another_order_is_rejected() -> Result<(), Box<dyn std::error::Error>> {
+        let assignment = parse("x(i) = B(i,j) * c(j)")?;
+        let lower = |tensor: &str, format: TensorFormat| {
+            let formats = Formats::new().set(tensor, format);
+            lower_exec(&ConcreteIndexNotation::new(assignment.clone(), &Schedule::new(), formats))
+                .map(|kernel| kernel.formats)
+        };
+        let rejected = |tensor: &str, access, format| {
+            Err(LowerExecError::FormatOrder { tensor: tensor.to_string(), access, format })
+        };
+        assert_eq!(lower("B", TensorFormat::csf(3)), rejected("B", 2, 3));
+        assert_eq!(lower("B", TensorFormat::sparse_vec()), rejected("B", 2, 1));
+        assert_eq!(lower("c", TensorFormat::dcsr()), rejected("c", 1, 2));
+        let message = LowerExecError::FormatOrder { tensor: "B".into(), access: 2, format: 3 }.to_string();
+        assert!(message.contains("`B`") && message.contains('3') && message.contains('2'), "{message}");
+        // An override of the access's order lowers, its modes remapped to
+        // the loop order.
+        let formats = lower("B", TensorFormat::dcsc())?;
+        assert!(formats.iter().any(|(name, format)| name == "B" && format.order() == 2));
+        Ok(())
     }
 
     #[test]

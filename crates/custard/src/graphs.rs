@@ -17,8 +17,8 @@
 //! [`catalog`] lists every graph once, for the sweeps that walk them all.
 
 use crate::{lower_exec, parse, ConcreteIndexNotation, Formats, LowerExecError, Schedule};
-use sam_core::build::{GraphBuilder, Port};
-use sam_core::graph::{NodeKind, SamGraph, StreamKind};
+use sam_core::build::{wire_skip_lanes, GraphBuilder, Port};
+use sam_core::graph::{NodeId, NodeKind, SamGraph};
 use sam_tensor::TensorFormat;
 
 /// The SpM*SpM dataflow (index-variable iteration order), the three classes
@@ -194,30 +194,22 @@ fn lowered(text: &str, order: &str, formats: Formats) -> SamGraph {
     lowering(text, order, formats).expect("catalog expressions lower")
 }
 
-/// `graph` plus the Section 4.2 coordinate-skip feedback lanes on every
-/// intersecter of the index variables `vars`: the intersecter's skip outputs
-/// (ports 3 and 4) feed back into the skip input (port 1) of the level
-/// scanners whose coordinates it merges, against the dataflow direction.
+/// `graph` plus the Section 4.2 coordinate-skip feedback lanes
+/// ([`wire_skip_lanes`]) on every intersecter of the index variables `vars`.
 ///
 /// # Panics
 ///
 /// Panics unless every such intersecter merges two level scanners'
 /// coordinate outputs: only a scanner can fast-forward its fiber cursor.
 fn with_skip(mut graph: SamGraph, vars: &[char]) -> SamGraph {
-    let mut lanes = Vec::new();
-    for e in graph.edges() {
-        let NodeKind::Intersecter { index } = graph.nodes()[e.to.0] else { continue };
-        if vars.contains(&index) && e.dst_port < 2 {
-            assert!(
-                e.src_port == 0 && matches!(graph.nodes()[e.from.0], NodeKind::LevelScanner { .. }),
-                "skip operand {} of intersect {index} must be a level scanner's crd output",
-                e.dst_port
-            );
-            lanes.push((e.to, 3 + e.dst_port, e.from, format!("{index} skip {}", ["a", "b"][e.dst_port])));
-        }
-    }
-    for (intersecter, port, scanner, label) in lanes {
-        graph.add_edge_on(intersecter, port, scanner, 1, StreamKind::Skip, label);
+    let intersecters: Vec<(NodeId, char)> = (0..graph.len())
+        .filter_map(|id| match graph.nodes()[id] {
+            NodeKind::Intersecter { index } if vars.contains(&index) => Some((NodeId(id), index)),
+            _ => None,
+        })
+        .collect();
+    for (intersecter, index) in intersecters {
+        wire_skip_lanes(&mut graph, intersecter, index);
     }
     graph
 }
@@ -538,7 +530,7 @@ fn sddmm_tail(g: &mut GraphBuilder, c_kfiber: Port, d_kfiber: Port, b_val_ref: P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sam_core::graph::NodeId;
+    use sam_core::graph::StreamKind;
     use std::collections::hash_map::DefaultHasher;
     use std::collections::BTreeMap;
     use std::hash::{Hash, Hasher};

@@ -1,7 +1,13 @@
 //! Binding input tensors to a graph's tensor names.
+//!
+//! A graph names its tensors; a run reads them by *position*. An [`Inputs`]
+//! keeps its bindings in name order, and [`Plan::build`](crate::Plan::build)
+//! resolves every tensor a node reads to its position in that order once.
+//! A plan runs only bindings of the names, in the order, it was built over
+//! ([`Plan::check_inputs`](crate::Plan::check_inputs)), so the position a
+//! node carries is the same tensor on every backend and in every tile tuple.
 
 use sam_tensor::{CooTensor, Tensor, TensorFormat};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The named tensors a graph executes over.
@@ -21,10 +27,10 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Inputs {
-    // Shared storage so cheap rebinds (the tiled backend rebinds each
-    // tuple's tiles into the run's one input set) are refcount bumps, not
-    // deep copies.
-    tensors: BTreeMap<String, Arc<Tensor>>,
+    // In name order. Shared storage so cheap rebinds (the tiled backend
+    // rebinds each tuple's tiles into the run's one input set) are refcount
+    // bumps, not deep copies.
+    tensors: Vec<(String, Arc<Tensor>)>,
 }
 
 impl Inputs {
@@ -39,21 +45,14 @@ impl Inputs {
     }
 
     /// Binds an already-shared fibertree tensor under its own name,
-    /// without copying its storage.
+    /// without copying its storage; it replaces a tensor already bound
+    /// under that name.
     pub fn shared(mut self, tensor: Arc<Tensor>) -> Self {
-        self.rebind(tensor);
-        self
-    }
-
-    /// Binds `tensor` under its own name in place: replacing a tensor
-    /// already bound under that name allocates nothing.
-    pub(crate) fn rebind(&mut self, tensor: Arc<Tensor>) {
-        match self.tensors.get_mut(tensor.name()) {
-            Some(bound) => *bound = tensor,
-            None => {
-                self.tensors.insert(tensor.name().to_string(), tensor);
-            }
+        match self.position(tensor.name()) {
+            Ok(at) => self.tensors[at].1 = tensor,
+            Err(at) => self.tensors.insert(at, (tensor.name().to_string(), tensor)),
         }
+        self
     }
 
     /// Builds a fibertree from COO data and binds it under `name`.
@@ -71,16 +70,27 @@ impl Inputs {
 
     /// The tensor bound to `name`, if any.
     pub fn get(&self, name: &str) -> Option<&Tensor> {
-        self.tensors.get(name).map(|t| t.as_ref())
+        self.position(name).ok().map(|at| self.tensors[at].1.as_ref())
     }
 
-    /// The shared tensor bound to `name`, if any: binding it elsewhere is a
-    /// refcount bump.
-    pub(crate) fn get_shared(&self, name: &str) -> Option<&Arc<Tensor>> {
-        self.tensors.get(name)
+    /// Where `name` is bound in name order, or where it would be.
+    pub(crate) fn position(&self, name: &str) -> Result<usize, usize> {
+        self.tensors.binary_search_by(|(bound, _)| bound.as_str().cmp(name))
     }
 
-    /// Iterates the bound `(name, tensor)` pairs.
+    /// The tensor at position `at` in name order, shared: binding it
+    /// elsewhere is a refcount bump.
+    pub(crate) fn at(&self, at: usize) -> &Arc<Tensor> {
+        &self.tensors[at].1
+    }
+
+    /// Binds `tensor` at position `at` in place, under the name bound there:
+    /// it allocates nothing.
+    pub(crate) fn rebind_at(&mut self, at: usize, tensor: Arc<Tensor>) {
+        self.tensors[at].1 = tensor;
+    }
+
+    /// Iterates the bound `(name, tensor)` pairs, in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Tensor)> {
         self.tensors.iter().map(|(n, t)| (n.as_str(), t.as_ref()))
     }
@@ -109,5 +119,18 @@ mod tests {
         assert!(!inputs.is_empty());
         assert_eq!(inputs.get("c").unwrap().name(), "c");
         assert_eq!(inputs.iter().count(), 1);
+    }
+
+    #[test]
+    fn positions_follow_name_order_and_a_rebinding_keeps_its_place() -> Result<(), sam_tensor::coo::CooError>
+    {
+        let coo = CooTensor::from_entries(vec![3], vec![(vec![0], 1.0)])?;
+        let bind = |inputs: Inputs, name: &str| inputs.coo(name, &coo, TensorFormat::dense_vec());
+        let inputs = ["c", "a", "b", "a"].into_iter().fold(Inputs::new(), bind);
+        let names: Vec<&str> = inputs.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+        assert_eq!((inputs.position("b"), inputs.position("bb")), (Ok(1), Err(2)));
+        assert_eq!(inputs.at(2).name(), "c");
+        Ok(())
     }
 }

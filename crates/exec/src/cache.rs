@@ -267,7 +267,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExecRequest;
+    use crate::{CycleBackend, ExecRequest, Executor, FastBackend, TiledBackend};
     use custard::graphs;
     use sam_core::build::GraphBuilder;
     use sam_tensor::{synth, CooTensor, TensorFormat};
@@ -297,24 +297,76 @@ mod tests {
         Inputs::new().coo("b", &b, TensorFormat::sparse_vec()).coo("c", &c, TensorFormat::sparse_vec())
     }
 
+    /// Two input sets per kernel of the same signatures and different fiber
+    /// occupancy: SpMV's vector (a locator reads it), SDDMM's sparse matrix
+    /// (a fusion region reads it) and MatTransMul's operands, whose two
+    /// scalars are bound by name with equal values.
+    fn same_signatures() -> Vec<(SamGraph, [Inputs; 2])> {
+        let m = |rows, cols, sparsity, seed| synth::random_matrix_sparsity(rows, cols, sparsity, seed);
+        let v = |dim, nnz, seed| synth::random_vector(dim, nnz, seed);
+        let sddmm = |sparsity, seed| {
+            Inputs::new()
+                .coo("B", &m(9, 7, sparsity, seed), TensorFormat::dcsr())
+                .coo("C", &m(9, 3, 0.0, seed + 1), TensorFormat::dense(2))
+                .coo("D", &m(7, 3, 0.0, seed + 2), TensorFormat::dense(2))
+        };
+        let mat_trans_mul = |sparsity, nnz, seed| {
+            Inputs::new()
+                .coo("B", &m(8, 6, sparsity, seed), TensorFormat::dcsc())
+                .coo("c", &v(8, nnz, seed + 1), TensorFormat::sparse_vec())
+                .coo("d", &v(6, nnz, seed + 2), TensorFormat::sparse_vec())
+                .scalar("alpha", 2.5)
+                .scalar("beta", 2.5)
+        };
+        vec![
+            (graphs::vec_elem_mul(true), [vec_inputs(4, 11), vec_inputs(40, 11)]),
+            (graphs::spmv(), [spmv_inputs(3, 21), spmv_inputs(18, 23)]),
+            (graphs::sddmm_coiteration(), [sddmm(0.9, 31), sddmm(0.3, 35)]),
+            (graphs::mat_trans_mul(), [mat_trans_mul(0.8, 2, 41), mat_trans_mul(0.2, 5, 45)]),
+        ]
+    }
+
     #[test]
     fn occupancy_does_not_split_the_key_and_the_shared_plan_is_exact() {
-        // Same shapes and formats, different fiber occupancy: a plan reads
-        // neither, so both inputs share one plan — and running either input
-        // on it is indistinguishable from planning that input afresh.
-        let graph = graphs::vec_elem_mul(true);
-        let cache = Arc::new(PlanCache::new(16));
-        let sparse = vec_inputs(4, 11);
-        let dense = vec_inputs(40, 11);
-        let shared = cache.get_or_plan(&graph, &sparse).unwrap();
-        assert!(Arc::ptr_eq(&shared, &cache.get_or_plan(&graph, &dense).unwrap()));
-        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
-        for inputs in [&sparse, &dense] {
-            let on_shared = ExecRequest::new(&graph, inputs).planned(Arc::clone(&shared)).run().unwrap();
-            let fresh = ExecRequest::new(&graph, inputs).uncached().run().unwrap();
-            assert_eq!(on_shared.output, fresh.output);
-            assert_eq!(on_shared.vals, fresh.vals);
-            assert_eq!(on_shared.tokens, fresh.tokens);
+        // Same shapes, formats and scalars, different fiber occupancy: a
+        // plan reads none of it, so both inputs share one plan — and running
+        // either input on it, on every backend, is indistinguishable from
+        // planning that input afresh. A plan names each tensor by its
+        // binding's position, so this also holds that the position is the
+        // same tensor on every backend, in the tiles a tiled run cuts and
+        // rebinds, and on an instance that kept another run's workspace.
+        let (kept, tiled) = (FastBackend::new(), TiledBackend::with_tile(2));
+        // `None` is a fresh fast-serial instance per run.
+        let backends: [Option<&dyn Executor>; 4] = [Some(&CycleBackend), None, Some(&kept), Some(&tiled)];
+        for (graph, [sparse, dense]) in same_signatures() {
+            let differ = sparse.iter().zip(dense.iter()).any(|((_, a), (_, b))| a != b);
+            assert!(differ, "{}: two inputs of the same signatures", graph.name);
+            let cache = Arc::new(PlanCache::new(16));
+            let shared = cache.get_or_plan(&graph, &sparse).unwrap();
+            assert!(Arc::ptr_eq(&shared, &cache.get_or_plan(&graph, &dense).unwrap()));
+            assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+            for inputs in [&sparse, &dense] {
+                for backend in backends {
+                    let run = |plan: Option<Arc<Plan>>| {
+                        let request = ExecRequest::new(&graph, inputs);
+                        let request = match backend {
+                            Some(backend) => request.executor(backend),
+                            None => request,
+                        };
+                        match plan {
+                            Some(plan) => request.planned(plan),
+                            None => request.uncached(),
+                        }
+                        .run()
+                        .unwrap()
+                    };
+                    let (on_shared, fresh) = (run(Some(Arc::clone(&shared))), run(None));
+                    let name = format!("{} on {}", graph.name, on_shared.backend);
+                    assert_eq!(on_shared.output, fresh.output, "{name}");
+                    assert_eq!(on_shared.vals, fresh.vals, "{name}");
+                    assert_eq!(on_shared.tokens, fresh.tokens, "{name}");
+                }
+            }
         }
     }
 

@@ -1,13 +1,16 @@
 //! The cycle-approximate backend: instantiates the planned graph as
-//! `sam-primitives` blocks inside the `sam-sim` [`Simulator`]. A block whose
+//! `sam-primitives` blocks inside the `sam-sim` [`Simulator`], one per node
+//! record of the [`Plan`]: a block's storage level, values, constant, ALU
+//! operation and writer dimension are the ones the plan resolved, its
+//! tensor the binding at the position the record names. A block whose
 //! token rule faults fails the run as the fast backend fails it: with the
 //! node's [`ExecError::Misaligned`] or [`ExecError::RefOutOfBounds`].
 
 use crate::bind::Inputs;
 use crate::error::ExecError;
-use crate::plan::{Plan, DEFAULT_MAX_CYCLES};
+use crate::plan::{Merger, Op, Plan, Transfer, DEFAULT_MAX_CYCLES};
 use crate::{assemble_output, Execution, Executor};
-use sam_core::graph::{NodeId, NodeKind};
+use sam_core::graph::NodeId;
 use sam_primitives::writer::{level_sink, val_sink, LevelWriterSink, ValWriterSink};
 use sam_primitives::{
     root_stream, Alu, ConstVal, CoordDropper, Fork, Intersecter, LevelScanner, LevelWriter, Locator, Reducer,
@@ -38,14 +41,15 @@ impl Executor for CycleBackend {
         plan.check_inputs(inputs)?;
         let start = Instant::now();
         let tracing = trace.enabled();
-        let nodes = plan.graph().nodes();
+        let n = plan.graph().len();
         let mut sim = Simulator::new();
         // Base channel per (node, output port), plus the channel each
         // consumer input port reads (identical to the base channel unless a
         // fork was planned for the port).
         let mut input_ch: HashMap<(usize, usize), ChannelId> = HashMap::new();
-        let mut out_ch: Vec<Vec<ChannelId>> = vec![Vec::new(); nodes.len()];
-        let mut level_sinks: HashMap<usize, LevelWriterSink> = HashMap::new();
+        let mut out_ch: Vec<Vec<ChannelId>> = vec![Vec::new(); n];
+        // Per output level, the sink of the writer that writes it.
+        let mut level_sinks: Vec<Option<LevelWriterSink>> = vec![None; plan.level_writers().len()];
         let mut vals_sink: Option<ValWriterSink> = None;
         // (channel, producing node, is-skip-lane) for every simulator channel
         // incl. fork lanes, so per-node token sums equal the report total.
@@ -69,7 +73,7 @@ impl Executor for CycleBackend {
             for (port, consumers) in plan.consumers_of(id).iter().enumerate() {
                 // Intersecter output ports 3 and 4 feed operand scanners'
                 // skip inputs; their tokens land in the `skip` bucket.
-                let is_skip = matches!(nodes[id.0], NodeKind::Intersecter { .. }) && port >= 3;
+                let is_skip = matches!(plan.node(id).op, Op::Merge(_)) && port >= 3;
                 let mut track = |sim: &mut Simulator, ch: ChannelId| {
                     if tracing {
                         sim.record(ch);
@@ -98,21 +102,43 @@ impl Executor for CycleBackend {
         // Pass 2: instantiate one block per node over the allocated channels.
         // A node's block, by its index in the simulator; a root preloads its
         // stream and has none.
-        let mut node_block: Vec<Option<usize>> = vec![None; nodes.len()];
+        let mut node_block: Vec<Option<usize>> = vec![None; n];
         for &id in plan.order() {
-            let kind = &nodes[id.0];
             let label = block_name(id);
             let slot = |s: usize| input_ch[&(id.0, s)];
+            let out = &out_ch[id.0];
             let next_block = sim.num_blocks();
-            match kind {
-                NodeKind::Root { .. } => {
-                    sim.preload(out_ch[id.0][0], root_stream());
+            match plan.node(id).op {
+                Op::Merge(Merger { union: false, operands, .. }) => {
+                    // Lower planned skip lanes onto the block's skip outputs
+                    // (ports 3 and 4), which feed the operands' scanners.
+                    let lane = |o: usize| operands[o].filter(|f| f.scan.skip_lane).map(|_| out[3 + o]);
+                    sim.add_block(Box::new(
+                        Intersecter::new(
+                            label,
+                            [slot(0), slot(1)],
+                            [slot(2), slot(3)],
+                            out[0],
+                            [out[1], out[2]],
+                        )
+                        .with_skip_lanes([lane(0), lane(1)]),
+                    ));
                 }
-                NodeKind::LevelScanner { tensor, .. } => {
-                    let t = inputs.get(tensor).expect("validated binding");
-                    let level = Arc::new(t.level(plan.scan_level(id)).clone());
-                    let mut block =
-                        LevelScanner::new(label, level, slot(0), out_ch[id.0][0], out_ch[id.0][1]);
+                Op::Merge(Merger { union: true, .. }) => {
+                    sim.add_block(Box::new(Unioner::new(
+                        label,
+                        [slot(0), slot(1)],
+                        [slot(2), slot(3)],
+                        out[0],
+                        [out[1], out[2]],
+                    )));
+                }
+                Op::Transfer(Transfer::Root) => {
+                    sim.preload(out[0], root_stream());
+                }
+                Op::Transfer(Transfer::Scan { tensor, level, .. }) => {
+                    let level = Arc::new(inputs.at(tensor).level(level).clone());
+                    let mut block = LevelScanner::new(label, level, slot(0), out[0], out[1]);
                     // A planned skip lane targets the scanner's skip input
                     // (port 1), fed by the downstream intersecter.
                     if let Some(&skip) = input_ch.get(&(id.0, 1)) {
@@ -120,111 +146,55 @@ impl Executor for CycleBackend {
                     }
                     sim.add_block(Box::new(block));
                 }
-                NodeKind::Repeater { .. } => {
-                    sim.add_block(Box::new(Repeater::new(label, slot(0), slot(1), out_ch[id.0][0])));
+                Op::Transfer(Transfer::Repeat) => {
+                    sim.add_block(Box::new(Repeater::new(label, slot(0), slot(1), out[0])));
                 }
-                NodeKind::Intersecter { .. } => {
-                    // Lower planned skip lanes onto the block's skip outputs
-                    // (ports 3 and 4), which feed the operands' scanners.
-                    let lanes = plan.fused_operands(id).map(|lane| lane.filter(|f| f.skip_lane));
-                    sim.add_block(Box::new(
-                        Intersecter::new(
-                            label,
-                            [slot(0), slot(1)],
-                            [slot(2), slot(3)],
-                            out_ch[id.0][0],
-                            [out_ch[id.0][1], out_ch[id.0][2]],
-                        )
-                        .with_skip_lanes([
-                            lanes[0].map(|_| out_ch[id.0][3]),
-                            lanes[1].map(|_| out_ch[id.0][4]),
-                        ]),
-                    ));
-                }
-                NodeKind::Unioner { .. } => {
-                    sim.add_block(Box::new(Unioner::new(
-                        label,
-                        [slot(0), slot(1)],
-                        [slot(2), slot(3)],
-                        out_ch[id.0][0],
-                        [out_ch[id.0][1], out_ch[id.0][2]],
-                    )));
-                }
-                NodeKind::Locator { tensor, .. } => {
-                    let t = inputs.get(tensor).expect("validated binding");
-                    let level = Arc::new(t.level(plan.scan_level(id)).clone());
+                Op::Transfer(Transfer::Locate { tensor, level, .. }) => {
+                    let level = Arc::new(inputs.at(tensor).level(level).clone());
                     sim.add_block(Box::new(Locator::new(
                         label,
                         level,
                         slot(0),
                         slot(1),
-                        out_ch[id.0][0],
-                        out_ch[id.0][1],
-                        out_ch[id.0][2],
+                        out[0],
+                        out[1],
+                        out[2],
                     )));
                 }
-                NodeKind::Array { tensor } => {
-                    let t = inputs.get(tensor).expect("validated binding");
-                    let vals = Arc::new(t.vals().to_vec());
-                    sim.add_block(Box::new(ValArray::new(label, vals, slot(0), out_ch[id.0][0])));
+                Op::Transfer(Transfer::Array { tensor }) => {
+                    let vals = Arc::new(inputs.at(tensor).vals().to_vec());
+                    sim.add_block(Box::new(ValArray::new(label, vals, slot(0), out[0])));
                 }
-                NodeKind::ConstVal { .. } => {
-                    sim.add_block(Box::new(ConstVal::new(
-                        label,
-                        plan.const_val(id),
-                        slot(0),
-                        out_ch[id.0][0],
-                    )));
+                Op::Transfer(Transfer::Const { value }) => {
+                    sim.add_block(Box::new(ConstVal::new(label, value, slot(0), out[0])));
                 }
-                NodeKind::Alu { .. } => {
-                    sim.add_block(Box::new(Alu::new(
-                        label,
-                        plan.alu_op(id),
-                        [slot(0), slot(1)],
-                        out_ch[id.0][0],
-                    )));
+                Op::Transfer(Transfer::Alu { op }) => {
+                    sim.add_block(Box::new(Alu::new(label, op, [slot(0), slot(1)], out[0])));
                 }
-                NodeKind::Reducer { order } => {
+                Op::Transfer(Transfer::Reduce { order }) => {
                     let block = match order {
-                        0 => Reducer::scalar(label, slot(0), out_ch[id.0][0]),
-                        1 => Reducer::vector(label, slot(0), slot(1), out_ch[id.0][0], out_ch[id.0][1]),
-                        _ => Reducer::matrix(
-                            label,
-                            [slot(0), slot(1)],
-                            slot(2),
-                            [out_ch[id.0][0], out_ch[id.0][1]],
-                            out_ch[id.0][2],
-                        ),
+                        0 => Reducer::scalar(label, slot(0), out[0]),
+                        1 => Reducer::vector(label, slot(0), slot(1), out[0], out[1]),
+                        _ => Reducer::matrix(label, [slot(0), slot(1)], slot(2), [out[0], out[1]], out[2]),
                     };
                     sim.add_block(Box::new(block));
                 }
-                NodeKind::CoordDropper { .. } => {
-                    sim.add_block(Box::new(CoordDropper::new(
-                        label,
-                        slot(0),
-                        slot(1),
-                        out_ch[id.0][0],
-                        out_ch[id.0][1],
-                    )));
+                Op::Transfer(Transfer::Drop) => {
+                    sim.add_block(Box::new(CoordDropper::new(label, slot(0), slot(1), out[0], out[1])));
                 }
-                NodeKind::LevelWriter { vals, .. } => {
-                    if *vals {
-                        let sink = val_sink();
-                        sim.add_block(Box::new(ValWriter::new(label, slot(0), sink.clone())));
-                        vals_sink = Some(sink);
-                    } else {
-                        let sink = level_sink();
-                        sim.add_block(Box::new(LevelWriter::new(
-                            label,
-                            plan.writer_dim(id),
-                            slot(0),
-                            sink.clone(),
-                        )));
-                        level_sinks.insert(id.0, sink);
+                Op::Transfer(Transfer::WriteVals) => {
+                    let sink = val_sink();
+                    sim.add_block(Box::new(ValWriter::new(label, slot(0), sink.clone())));
+                    vals_sink = Some(sink);
+                }
+                Op::Transfer(Transfer::WriteLevel { dim, output, .. }) => {
+                    let sink = level_sink();
+                    sim.add_block(Box::new(LevelWriter::new(label, dim, slot(0), sink.clone())));
+                    // A level writer of another tensor than the values
+                    // writer's writes no level of the output.
+                    if let Some(level) = output {
+                        level_sinks[level] = Some(sink);
                     }
-                }
-                NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                    unreachable!("rejected during planning")
                 }
             }
             node_block[id.0] = (sim.num_blocks() > next_block).then_some(next_block);
@@ -244,7 +214,7 @@ impl Executor for CycleBackend {
             // Classify every recorded channel's full history back to the node
             // that produced it. All simulator channels (fork lanes included)
             // are recorded, so the per-node sums equal `report.total_tokens`.
-            let mut counts: Vec<TokenCounts> = vec![TokenCounts::default(); nodes.len()];
+            let mut counts: Vec<TokenCounts> = vec![TokenCounts::default(); n];
             for &(ch, node, is_skip) in &chan_owner {
                 for token in sim.history(ch) {
                     if is_skip {
@@ -272,20 +242,14 @@ impl Executor for CycleBackend {
         let levels: Vec<_> = plan
             .level_writers()
             .iter()
-            .map(|w| {
-                level_sinks[&w.0]
-                    .lock()
-                    .expect("level sink")
-                    .clone()
-                    .ok_or(ExecError::IncompleteOutput { label: plan.node_label(*w) })
+            .zip(&level_sinks)
+            .map(|(w, sink)| {
+                let level = sink.as_ref().and_then(|sink| sink.lock().expect("level sink").clone());
+                level.ok_or(ExecError::IncompleteOutput { label: plan.node_label(*w) })
             })
             .collect::<Result<_, _>>()?;
-        let vals = vals_sink
-            .expect("plan guarantees a values writer")
-            .lock()
-            .expect("vals sink")
-            .clone()
-            .ok_or(ExecError::IncompleteOutput { label: plan.node_label(plan.vals_writer()) })?;
+        let vals = vals_sink.and_then(|sink| sink.lock().expect("vals sink").clone());
+        let vals = vals.ok_or(ExecError::IncompleteOutput { label: plan.node_label(plan.vals_writer()) })?;
         let output = assemble_output(plan, levels, &vals)?;
 
         Ok(Execution {

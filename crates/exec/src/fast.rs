@@ -5,7 +5,9 @@
 //! cycle, this backend applies each node's *transfer function* (the
 //! crate-internal `node` module) directly to its token streams, in one walk
 //! over the plan's topological order. No scheduler, no channels, no
-//! synchronization.
+//! synchronization. The walk dispatches on each node's plan record: a
+//! merger runs its merge walk, any other node its transfer function, over
+//! the tensors the record names by binding position.
 //!
 //! **Stored only if it leaves the region.** A level scanner whose two
 //! streams feed one operand of one intersecter and nothing else
@@ -106,12 +108,11 @@
 use crate::bind::Inputs;
 use crate::error::ExecError;
 use crate::node::{
-    eval_node, run_merge, scanner_level, FiberReader, NodeJob, Operand, Region, RegionPort, SliceSource,
-    Step, StoredReader, WriterOutput,
+    eval_node, run_merge, FiberReader, Operand, Region, RegionPort, SliceSource, Step, StoredReader,
 };
-use crate::plan::{FusedScan, Plan, PortRef};
+use crate::plan::{FusedOperand, FusedScan, Merger, Op, Plan, PortRef, Transfer};
 use crate::{assemble_output, Execution, Executor};
-use sam_core::graph::{NodeId, NodeKind};
+use sam_core::graph::NodeId;
 use sam_primitives::rule::{self, LevelWrite, ScalarReduce, ValWrite};
 use sam_sim::{Fault, SimToken};
 use sam_tensor::level::CompressedLevel;
@@ -286,10 +287,9 @@ impl StreamTable {
         for stream in self.slots.iter_mut().flatten().filter_map(|slot| slot.stream.take()) {
             spares.give(stream);
         }
-        let nodes = plan.graph().nodes();
-        self.slots.resize_with(nodes.len(), Vec::new);
-        for (node, (kind, slots)) in nodes.iter().zip(&mut self.slots).enumerate() {
-            let skip_from = if matches!(kind, NodeKind::Intersecter { .. }) { 3 } else { usize::MAX };
+        self.slots.resize_with(plan.graph().len(), Vec::new);
+        for (node, slots) in self.slots.iter_mut().enumerate() {
+            let skip_from = if let Op::Merge(_) = plan.node(NodeId(node)).op { 3 } else { usize::MAX };
             slots.clear();
             slots.extend(plan.consumers_of(NodeId(node)).iter().enumerate().map(|(port, consumers)| Slot {
                 stream: None,
@@ -350,23 +350,6 @@ pub(crate) fn define_nodes(plan: &Plan, trace: &dyn TraceSink) -> Vec<String> {
     labels
 }
 
-/// The two operands of merger `id`: a fused scanner read from its storage
-/// level, or the stored streams.
-fn operands<'a>(plan: &Plan, inputs: &'a Inputs, streams: &'a StreamTable, id: NodeId) -> [Operand<'a>; 2] {
-    let stream = |p: Option<PortRef>| streams.get(p.expect("bound data port"));
-    let lanes = plan.fused_operands(id);
-    [0, 1].map(|o| match lanes[o] {
-        Some(f) => Operand::Scan(FiberReader::new(
-            scanner_level(plan, inputs, f.scanner),
-            SliceSource::new(stream(plan.inputs_of(f.scanner)[0])),
-        )),
-        None => Operand::Stored(StoredReader::new(
-            stream(plan.inputs_of(id)[o]),
-            stream(plan.inputs_of(id)[2 + o]),
-        )),
-    })
-}
-
 /// Merger `root`'s fusion region with `members` (none when the root re-runs
 /// after its region faulted), ready for its walk: one step per member,
 /// reading the registers its inputs' producers write, its buffers taken
@@ -392,14 +375,13 @@ fn region<'a>(
         Region::new([0, 1, 2].map(|port| leaves(PortRef { node: root, port })), classify, spares);
     for &id in members {
         let ins = plan.inputs_of(id);
-        let step = match &plan.graph().nodes()[id.0] {
-            NodeKind::Array { tensor } => Step::Array {
-                vals: inputs.get(tensor).expect("validated binding").vals(),
-                input: reg(ins[0]),
-            },
-            NodeKind::ConstVal { .. } => Step::Const { value: plan.const_val(id), input: reg(ins[0]) },
-            NodeKind::Alu { .. } => Step::Alu { op: plan.alu_op(id), a: reg(ins[0]), b: reg(ins[1]) },
-            NodeKind::Repeater { .. } => Step::Repeat {
+        let step = match plan.node(id).op {
+            Op::Transfer(Transfer::Array { tensor }) => {
+                Step::Array { vals: inputs.at(tensor).vals(), input: reg(ins[0]) }
+            }
+            Op::Transfer(Transfer::Const { value }) => Step::Const { value, input: reg(ins[0]) },
+            Op::Transfer(Transfer::Alu { op }) => Step::Alu { op, a: reg(ins[0]), b: reg(ins[1]) },
+            Op::Transfer(Transfer::Repeat) => Step::Repeat {
                 rule: rule::Repeat::default(),
                 refs: SliceSource::new(streams.get(ins[1].expect("bound data port"))),
                 crd: reg(ins[0]),
@@ -426,21 +408,35 @@ struct MergeRun {
     ports: Vec<RegionPort>,
 }
 
-/// Runs merger `root`, with its fusion region if `fused`. A fault hands
-/// every buffer the region took back to `spares`.
+/// Runs merger `root`, with its fusion region's `members` (all of them, or
+/// none when it re-runs after its region faulted). A fault hands every
+/// buffer the region took back to `spares`.
+#[allow(clippy::too_many_arguments)]
 fn run_merger(
     plan: &Plan,
     inputs: &Inputs,
     streams: &StreamTable,
     spares: &mut Spares,
     root: NodeId,
+    merger: &Merger,
+    members: &[NodeId],
     classify: bool,
-    fused: bool,
 ) -> Result<MergeRun, Fault> {
-    let members = if fused { plan.region_members(root) } else { &[] };
     let mut region = region(plan, inputs, streams, spares, root, members, classify);
-    let [mut a, mut b] = operands(plan, inputs, streams, root);
-    let merged = if matches!(plan.graph().nodes()[root.0], NodeKind::Unioner { .. }) {
+    // Each operand: a fused scanner read from its storage level, or the
+    // stored streams.
+    let stream = |p: Option<PortRef>| streams.get(p.expect("bound data port"));
+    let [mut a, mut b] = [0, 1].map(|o| match merger.operands[o] {
+        Some(FusedOperand { scan, tensor, level }) => Operand::Scan(FiberReader::new(
+            inputs.at(tensor).level(level),
+            SliceSource::new(stream(plan.inputs_of(scan.scanner)[0])),
+        )),
+        None => Operand::Stored(StoredReader::new(
+            stream(plan.inputs_of(root)[o]),
+            stream(plan.inputs_of(root)[2 + o]),
+        )),
+    });
+    let merged = if merger.union {
         run_merge::<true>(&mut a, &mut b, &mut region)
     } else {
         run_merge::<false>(&mut a, &mut b, &mut region)
@@ -581,54 +577,47 @@ pub(crate) fn walk(
     let mut unfused: Vec<NodeId> = Vec::new();
 
     for &id in plan.order() {
-        let in_region = plan.region_root(id).is_some_and(|root| !unfused.contains(&root));
-        if plan.fused_scan(id).is_some() || in_region {
+        let node = plan.node(id);
+        let fused = matches!(node.op, Op::Transfer(Transfer::Scan { fused: Some(_), .. }));
+        if fused || node.root.is_some_and(|root| !unfused.contains(&root)) {
             // Read by its intersecter, or evaluated inside its walk.
             continue;
         }
         let node_start = tracing.then(Instant::now);
-        let lanes = plan.fused_operands(id);
         let mut merged = None;
-        if matches!(plan.graph().nodes()[id.0], NodeKind::Intersecter { .. } | NodeKind::Unioner { .. }) {
-            let mut run = run_merger(plan, inputs, streams, spares, id, tracing, true);
-            if run.is_err() && !plan.region_members(id).is_empty() {
-                unfused.push(id);
-                run = run_merger(plan, inputs, streams, spares, id, tracing, false);
-            }
-            let mut run = run.map_err(|f| ExecError::at(f, plan.node_label(id)))?;
-            outs.extend(std::mem::take(&mut run.streams));
-            for (lane, emitted) in lanes.iter().zip(run.emitted) {
-                // Counted where produced or skipped, credited to the
-                // scanner. A lane scanner keeps reporting nothing.
-                if let (Some(FusedScan { scanner, skip_lane: false, .. }), Some(counts)) = (lane, emitted) {
-                    tokens += counts.total();
-                    if tracing {
-                        trace.record_tokens(scanner.0, counts);
+        match &node.op {
+            Op::Merge(merger) => {
+                let mut run = run_merger(plan, inputs, streams, spares, id, merger, &merger.members, tracing);
+                if run.is_err() && !merger.members.is_empty() {
+                    unfused.push(id);
+                    run = run_merger(plan, inputs, streams, spares, id, merger, &[], tracing);
+                }
+                let mut run = run.map_err(|f| ExecError::at(f, plan.node_label(id)))?;
+                outs.extend(std::mem::take(&mut run.streams));
+                let lanes = merger.operands.iter().map(|lane| lane.map(|f| f.scan));
+                for (lane, emitted) in lanes.zip(run.emitted) {
+                    // Counted where produced or skipped, credited to the
+                    // scanner. A lane scanner keeps reporting nothing.
+                    if let (Some(FusedScan { scanner, skip_lane: false, .. }), Some(counts)) = (lane, emitted)
+                    {
+                        tokens += counts.total();
+                        if tracing {
+                            trace.record_tokens(scanner.0, counts);
+                        }
                     }
                 }
+                merged = Some((run, merger));
             }
-            merged = Some(run);
-        } else {
-            outs.extend((0..plan.consumers_of(id).len()).map(|_| spares.take()));
-            let job = NodeJob::build(plan, inputs, id);
-            let mut srcs = [(); MAX_INPUTS].map(|()| SliceSource::new(&[]));
-            let mut read = 0;
-            for (src, &p) in srcs.iter_mut().zip(plan.inputs_of(id).iter().flatten()) {
-                *src = SliceSource::new(streams.get(p));
-                read += 1;
-            }
-            match eval_node(&job, &mut srcs[..read], outs, spares)
-                .map_err(|f| ExecError::at(f, plan.node_label(id)))?
-            {
-                // A level writer of another tensor than the values writer's
-                // writes no level of the output.
-                Some(WriterOutput::Level(level)) => {
-                    if let Some(w) = plan.level_writers().iter().position(|&w| w == id) {
-                        written[w] = Some(level);
-                    }
+            Op::Transfer(op) => {
+                outs.extend((0..plan.consumers_of(id).len()).map(|_| spares.take()));
+                let mut srcs = [(); MAX_INPUTS].map(|()| SliceSource::new(&[]));
+                let mut read = 0;
+                for (src, &p) in srcs.iter_mut().zip(plan.inputs_of(id).iter().flatten()) {
+                    *src = SliceSource::new(streams.get(p));
+                    read += 1;
                 }
-                Some(WriterOutput::Vals(vals)) => vals_result = Some(vals),
-                None => {}
+                eval_node(op, inputs, &mut srcs[..read], outs, spares, written, &mut vals_result)
+                    .map_err(|f| ExecError::at(f, plan.node_label(id)))?;
             }
         }
         if let Some(node_start) = node_start {
@@ -637,9 +626,10 @@ pub(crate) fn walk(
             trace.record_invocations(id.0, 1);
             trace.record_node_wall(id.0, elapsed_ns);
             trace.record_span("serial", &labels[id.0], start_ns, elapsed_ns);
-            trace.record_tokens(id.0, merged.as_ref().map_or_else(|| classify(outs), |run| run.root.1));
+            trace.record_tokens(id.0, merged.as_ref().map_or_else(|| classify(outs), |(run, _)| run.root.1));
         }
-        tokens += merged.as_ref().map_or_else(|| outs.iter().map(|s| s.len() as u64).sum(), |run| run.root.0);
+        tokens +=
+            merged.as_ref().map_or_else(|| outs.iter().map(|s| s.len() as u64).sum(), |(run, _)| run.root.0);
         streams.store(id, outs.drain(..), spares);
         // This node was one reader of each of its inputs; an operand
         // with a fused scanner read the scanner's input in its place
@@ -647,14 +637,14 @@ pub(crate) fn walk(
         for &p in plan.inputs_of(id).iter().flatten() {
             streams.release(p, spares);
         }
-        for lane in lanes.iter().flatten() {
-            streams.release(plan.inputs_of(lane.scanner)[0].expect("bound data port"), spares);
-        }
-        // A region member: tallied, stored if read outside the region, and
-        // one reader of each of its inputs (an internal one was never
-        // stored; releasing it only settles its reader count).
-        if let Some(MergeRun { mut ports, .. }) = merged {
-            for (&member, port) in plan.region_members(id).iter().zip(ports.drain(..)) {
+        if let Some((MergeRun { mut ports, .. }, merger)) = merged {
+            for lane in merger.operands.iter().flatten() {
+                streams.release(plan.inputs_of(lane.scan.scanner)[0].expect("bound data port"), spares);
+            }
+            // A region member: tallied, stored if read outside the region,
+            // and one reader of each of its inputs (an internal one was
+            // never stored; releasing it only settles its reader count).
+            for (&member, port) in merger.members.iter().zip(ports.drain(..)) {
                 tokens += port.len;
                 if tracing {
                     trace.record_tokens(member.0, port.tally);
@@ -683,7 +673,7 @@ pub(crate) fn walk(
 mod tests {
     use super::*;
     use custard::graphs::{self, SpmmDataflow};
-    use sam_core::graph::SamGraph;
+    use sam_core::graph::{NodeKind, SamGraph};
     use sam_sim::payload::tok;
     use sam_tensor::{synth, TensorFormat};
     use sam_trace::{CountersSink, NullSink};

@@ -13,8 +13,9 @@
 //!   which resolves every edge to producer/consumer ports, topologically
 //!   orders the graph and validates the whole configuration against the
 //!   bound tensors up front; the planner adds the stream forks a simulator
-//!   needs wherever one port feeds several consumers, scanner fusion and
-//!   the per-node tensor bindings, and
+//!   needs wherever one port feeds several consumers, scanner fusion, and
+//!   one record per node that the backends dispatch on, each tensor it
+//!   reads named by its binding's position, and
 //! * three **backends** behind one [`Executor`] trait:
 //!   [`CycleBackend`] instantiates `sam-primitives` blocks into the
 //!   `sam-sim` simulator for cycle-approximate runs, [`FastBackend`]

@@ -3,7 +3,9 @@
 //! Every function here consumes its input streams strictly left to right
 //! (with at most one token of lookahead) and appends to its output streams
 //! strictly in order. The fast backend's walk (`crate::fast`) drives them,
-//! one call per node: an input is a [`SliceSource`], a cursor over a
+//! one call per node, with what the node's plan record resolved (its
+//! storage level, values, constant or ALU operation, each tensor read at
+//! its binding's position): an input is a [`SliceSource`], a cursor over a
 //! finished `Vec<SimToken>` whose `None` means the stream ended, and an
 //! output is a plain `Vec<SimToken>`.
 //!
@@ -29,8 +31,7 @@
 
 use crate::bind::Inputs;
 use crate::fast::Spares;
-use crate::plan::Plan;
-use sam_core::graph::{NodeId, NodeKind};
+use crate::plan::Transfer;
 use sam_primitives::root_stream;
 use sam_primitives::rule::{self, AluOp, CoordDrop, MatrixReduce, Merge, ScalarReduce, Scan, VectorReduce};
 use sam_sim::payload::{tok, Payload};
@@ -72,82 +73,35 @@ impl<'a> SliceSource<'a> {
     }
 }
 
-/// The tensor data a writer node hands back to the driver.
-pub(crate) enum WriterOutput {
-    /// One compressed output level (a non-values level writer).
-    Level(CompressedLevel),
-    /// The output values array (the values writer).
-    Vals(Vec<f64>),
-}
-
-/// Everything one node evaluation needs besides its streams: the resolved
-/// tensor level / values / ALU op / writer dimension from the plan.
-pub(crate) struct NodeJob<'a> {
-    pub(crate) kind: &'a NodeKind,
-    level: Option<&'a Level>,
-    vals: Option<&'a [f64]>,
-    alu: Option<AluOp>,
-    constant: Option<f64>,
-    writer_dim: usize,
-}
-
-/// The storage level a scanner (or locator) node reads, resolved from the
-/// plan's tensor binding — what a fused scanner's [`FiberReader`] opens.
-pub(crate) fn scanner_level<'a>(plan: &Plan, inputs: &'a Inputs, id: NodeId) -> &'a Level {
-    let (NodeKind::LevelScanner { tensor, .. } | NodeKind::Locator { tensor, .. }) =
-        &plan.graph().nodes()[id.0]
-    else {
-        unreachable!("only scanners and locators read a storage level")
-    };
-    inputs.get(tensor).expect("validated binding").level(plan.scan_level(id))
-}
-
-impl<'a> NodeJob<'a> {
-    /// Resolves the plan- and input-side context of `id` for evaluation.
-    pub(crate) fn build(plan: &'a Plan, inputs: &'a Inputs, id: NodeId) -> NodeJob<'a> {
-        let kind = &plan.graph().nodes()[id.0];
-        let mut job = NodeJob { kind, level: None, vals: None, alu: None, constant: None, writer_dim: 0 };
-        match kind {
-            NodeKind::LevelScanner { .. } | NodeKind::Locator { .. } => {
-                job.level = Some(scanner_level(plan, inputs, id));
-            }
-            NodeKind::Array { tensor } => {
-                job.vals = Some(inputs.get(tensor).expect("validated binding").vals());
-            }
-            NodeKind::Alu { .. } => job.alu = Some(plan.alu_op(id)),
-            NodeKind::ConstVal { .. } => job.constant = Some(plan.const_val(id)),
-            NodeKind::LevelWriter { vals, .. } if !vals => job.writer_dim = plan.writer_dim(id),
-            _ => {}
-        }
-        job
-    }
-}
-
-/// Runs one node over its input sources, pushing to its output sinks.
-/// Writers return their collected output instead of streaming, written into
-/// arrays taken from `spares`.
+/// Runs node `op` over its input sources, pushing to its output sinks,
+/// reading the tensors it names by position in `inputs`. A writer writes
+/// into arrays taken from `spares` and sets its output level in `levels`,
+/// or the output values in `vals`.
 pub(crate) fn eval_node(
-    job: &NodeJob<'_>,
+    op: &Transfer,
+    inputs: &Inputs,
     srcs: &mut [SliceSource<'_>],
     outs: &mut [Vec<SimToken>],
     spares: &mut Spares,
-) -> Result<Option<WriterOutput>, Fault> {
-    match job.kind {
-        NodeKind::Root { .. } => {
+    levels: &mut [Option<CompressedLevel>],
+    vals: &mut Option<Vec<f64>>,
+) -> Result<(), Fault> {
+    match *op {
+        Transfer::Root => {
             outs[0].extend(root_stream());
         }
-        NodeKind::LevelScanner { .. } => {
+        Transfer::Scan { tensor, level, .. } => {
             let [crd, rf] = outs else { unreachable!("scanner has two outputs") };
-            run_scanner(job.level.expect("scanner level"), srcs[0].clone(), crd, rf)?;
+            run_scanner(inputs.at(tensor).level(level), srcs[0].clone(), crd, rf)?;
         }
-        NodeKind::Repeater { .. } => {
+        Transfer::Repeat => {
             let [crd_in, ref_in] = srcs else { unreachable!("repeater has two inputs") };
             run_repeater(crd_in, ref_in.clone(), &mut outs[0])?;
         }
-        NodeKind::Locator { .. } => {
+        Transfer::Locate { tensor, level, .. } => {
             let [crd, rf] = srcs else { unreachable!("locator has two inputs") };
             let [oc, pass, located] = outs else { unreachable!("locator has three outputs") };
-            let level = job.level.expect("locator level");
+            let level = inputs.at(tensor).level(level);
             zip_streams(crd, rf, |c, r| {
                 let [x, y, z] = rule::locate(level, c, r)?;
                 oc.push(x);
@@ -156,47 +110,41 @@ pub(crate) fn eval_node(
                 Ok(())
             })?;
         }
-        NodeKind::Array { .. } => {
-            let vals = job.vals.expect("array values");
+        Transfer::Array { tensor } => {
+            let vals = inputs.at(tensor).vals();
             map_stream(&mut srcs[0], &mut outs[0], |t| rule::load(vals, t))?;
         }
-        NodeKind::ConstVal { .. } => {
-            let value = job.constant.expect("validated constant");
+        Transfer::Const { value } => {
             map_stream(&mut srcs[0], &mut outs[0], |t| Ok(rule::constant(value, t)))?;
         }
-        NodeKind::Alu { .. } => {
+        Transfer::Alu { op } => {
             let [a, b] = srcs else { unreachable!("ALU has two inputs") };
-            let op = job.alu.expect("validated ALU");
             zip_streams(a, b, |x, y| {
                 outs[0].push(rule::alu(op, x, y)?);
                 Ok(())
             })?;
         }
-        NodeKind::Reducer { order } => run_reducer(*order, srcs, outs)?,
-        NodeKind::CoordDropper { .. } => {
+        Transfer::Reduce { order } => run_reducer(order, srcs, outs)?,
+        Transfer::Drop => {
             let [outer, inner] = srcs else { unreachable!("dropper has two inputs") };
             run_dropper(outer, inner, outs)?;
         }
-        NodeKind::LevelWriter { vals: true, .. } => {
+        Transfer::WriteVals => {
             let mut write = spares.val_writer();
             each(&mut srcs[0], |t| write.step(t))?;
-            return Ok(Some(WriterOutput::Vals(write.finish())));
+            *vals = Some(write.finish());
         }
-        NodeKind::LevelWriter { .. } => {
-            let mut write = spares.level_writer(job.writer_dim);
+        Transfer::WriteLevel { dim, output, .. } => {
+            let mut write = spares.level_writer(dim);
             each(&mut srcs[0], |t| write.step(t))?;
-            return Ok(Some(WriterOutput::Level(write.finish())));
+            // A level writer of another tensor than the values writer's
+            // writes no level of the output.
+            if let Some(level) = output {
+                levels[level] = Some(write.finish());
+            }
         }
-        // The walk runs every merger itself (an intersecter's operands may
-        // be fused scanners, its outputs a fusion region); the rest are
-        // rejected during planning.
-        NodeKind::Intersecter { .. }
-        | NodeKind::Unioner { .. }
-        | NodeKind::Parallelizer
-        | NodeKind::Serializer
-        | NodeKind::BitvectorConverter => unreachable!("not evaluated through here"),
     }
-    Ok(None)
+    Ok(())
 }
 
 /// One item of a merger operand, or of a level scanner's input: a fiber and

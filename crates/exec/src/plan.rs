@@ -8,6 +8,15 @@
 //! topology; on top of it the planner derives only what execution needs and
 //! the analysis does not know:
 //!
+//! * **One record per node** — what the node does and every plan-time fact
+//!   a backend reads to run it: a merger's kind, fused operands and fusion
+//!   region; a scanner's or locator's storage level; a writer's dimension
+//!   and output level; the parsed ALU operation; the resolved constant; a
+//!   reducer's order; a region member's root. Each tensor a node reads is
+//!   named by its binding's position in name order, which
+//!   [`Plan::check_inputs`] holds every run to. The backends and the tile
+//!   schedule dispatch on the record alone: they match no `NodeKind` and
+//!   look no tensor up by name.
 //! * **Scanner fusion** — every level scanner private to one operand of one
 //!   intersecter ([`Analysis::private_scanner`]) is recorded as a
 //!   [`FusedScan`]: the fast backend stores a stream only if somebody
@@ -20,10 +29,6 @@
 //! * **Channels** — the fan-out tables flattened to one [`ChannelSpec`] per
 //!   consumer port, so backends can insert stream forks (the `Fork` block of
 //!   `sam-primitives`).
-//! * **Tensor binding** — which storage level each scanner/locator reads
-//!   (the depth of the reference stream feeding it), each level writer's
-//!   output dimension, parsed ALU operations, resolved constants, and the
-//!   output writers.
 
 use crate::bind::Inputs;
 use crate::error::{ExecError, PlanError};
@@ -130,45 +135,100 @@ pub(crate) fn hash_binding((name, tensor): (&str, &Tensor), state: &mut impl Has
     scalar_bits(tensor).hash(state);
 }
 
+/// What a planned node does, resolved once by [`Plan::build`]: the backends
+/// dispatch on it and read nothing else of the node. A tensor is named by
+/// its binding's position in name order, which is where every run binds it
+/// ([`Plan::check_inputs`]).
+#[derive(Debug, Clone)]
+pub(crate) enum Op {
+    /// An intersecter or unioner: the fast walk reads its operands a fiber
+    /// at a time.
+    Merge(Merger),
+    /// Every other node: one transfer function over its stored input
+    /// streams.
+    Transfer(Transfer),
+}
+
+/// An intersecter or unioner.
+#[derive(Debug, Clone)]
+pub(crate) struct Merger {
+    pub(crate) union: bool,
+    /// The scanner fused into each operand, if any (an intersecter's only).
+    pub(crate) operands: [Option<FusedOperand>; 2],
+    /// Its fusion region ([`Plan::region_members`]).
+    pub(crate) members: Vec<NodeId>,
+}
+
+/// A level scanner fused into a merger operand, reading storage level
+/// `level` of binding `tensor`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FusedOperand {
+    pub(crate) scan: FusedScan,
+    pub(crate) tensor: usize,
+    pub(crate) level: usize,
+}
+
+/// Every node but a merger.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Transfer {
+    /// A root reference source.
+    Root,
+    /// A level scanner over storage level `level` of binding `tensor`.
+    Scan { tensor: usize, level: usize, index: char, fused: Option<FusedScan> },
+    /// A locator into storage level `level` of binding `tensor`.
+    Locate { tensor: usize, level: usize, index: char },
+    /// A repeater.
+    Repeat,
+    /// A value array over binding `tensor`'s values.
+    Array { tensor: usize },
+    /// A constant source: the literal, or the bound scalar's value.
+    Const { value: f64 },
+    /// An ALU.
+    Alu { op: AluOp },
+    /// A reducer of order 0 (scalar), 1 (vector) or 2 (matrix).
+    Reduce { order: usize },
+    /// A coordinate dropper.
+    Drop,
+    /// A level writer of dimension `dim`, and the output level it writes
+    /// (none for a writer of another tensor than the values writer's).
+    WriteLevel { dim: usize, index: char, output: Option<usize> },
+    /// The values writer.
+    WriteVals,
+}
+
+/// One planned node: what it does, and the intersecter whose walk evaluates
+/// it when it is a member of a fusion region.
+#[derive(Debug, Clone)]
+pub(crate) struct Planned {
+    pub(crate) op: Op,
+    pub(crate) root: Option<NodeId>,
+}
+
 /// An executable plan for one graph over one set of input bindings.
 ///
 /// The plan owns a clone of the graph, so it stays valid independently of
-/// the caller's copy; it borrows nothing. Both backends consume the same
+/// the caller's copy; it borrows nothing. Every backend consumes the same
 /// plan, which is what guarantees they run the same dataflow.
 ///
 /// A plan runs only inputs whose bindings have the signatures it was built
 /// over; each backend checks that once per run ([`ExecError::Unplanned`]).
 /// Every tile tuple of a [`TiledBackend`](crate::TiledBackend) run walks
-/// the run's plan unchecked: a tile keeps its tensor's format, scalars
-/// ride along, and the tile merge never reads the writers' dimensions.
+/// the run's plan unchecked: a tile keeps its tensor's name, position and
+/// format, scalars ride along, and the tile merge never reads the writers'
+/// dimensions.
 #[derive(Debug, Clone)]
 pub struct Plan {
     graph: SamGraph,
-    /// The signature of each binding the plan was built over, by name.
+    /// The signature of each binding the plan was built over, in name order.
     bindings: Vec<BindingKey>,
     /// The clean analysis the plan was derived from: topological order,
     /// per-port producers and consumers, validated skip lanes, stream types.
     analysis: Analysis,
     /// The flattened channel topology (one entry per consumer port).
     channels: Vec<ChannelSpec>,
-    /// Per node: the fusion of a level scanner into the intersecter operand
-    /// it feeds, `None` for every node the fast backend evaluates itself.
-    fused: Vec<Option<FusedScan>>,
-    /// Per node: the intersecter whose walk evaluates it, for a member of
-    /// a fusion region.
-    region_roots: Vec<Option<NodeId>>,
-    /// Per node: an intersecter's fusion-region members in topological
-    /// order; empty for every other node.
-    region_members: Vec<Vec<NodeId>>,
-    /// Per node: storage level read by scanners and locators.
-    scan_levels: Vec<usize>,
-    /// Per node: output dimension of level writers.
-    writer_dims: Vec<usize>,
-    /// Per node: parsed ALU operation.
-    alu_ops: Vec<Option<AluOp>>,
-    /// Per node: resolved constant of a `ConstVal` source (the literal, or
-    /// the bound single-value tensor's value).
-    const_vals: Vec<Option<f64>>,
+    /// Per node, what it does.
+    nodes: Vec<Planned>,
+    /// The output's level writers, outermost first.
     level_writers: Vec<NodeId>,
     vals_writer: NodeId,
     output_name: String,
@@ -189,25 +249,14 @@ impl Plan {
             return Err(PlanError::Rejected { diagnostics: analysis.report.errors().cloned().collect() });
         }
         // From here on the analysis is clean, which guarantees what the
-        // derivations below read: every mandatory port is bound, every
-        // scanner and locator is fed a typed reference stream of its own
-        // bound tensor, every written index variable has a size, every ALU
-        // names a known operation, every named constant binds a scalar, and
-        // there is exactly one values writer.
-        let n = graph.len();
+        // resolution below reads: every mandatory port is bound, every
+        // tensor a node reads is bound, every scanner and locator is fed a
+        // typed reference stream of its own tensor, every written index
+        // variable has a size, every ALU names a known operation, every
+        // named constant binds a scalar, every node is of a kind the
+        // backends run, and there is exactly one values writer.
         let nodes = graph.nodes();
-
-        let mut fused: Vec<Option<FusedScan>> = vec![None; n];
-        for intersecter in (0..n).map(NodeId) {
-            for operand in 0..2 {
-                if let Some(scanner) = analysis.private_scanner(graph, intersecter, operand) {
-                    let skip_lane = analysis.skip_lanes().iter().any(|lane| lane.scanner == scanner);
-                    fused[scanner.0] = Some(FusedScan { scanner, intersecter, operand, skip_lane });
-                }
-            }
-        }
-
-        let (region_roots, region_members) = fusion_regions(graph, &analysis);
+        let n = nodes.len();
 
         let channels: Vec<ChannelSpec> = (0..n)
             .map(NodeId)
@@ -222,77 +271,111 @@ impl Plan {
             })
             .collect();
 
-        let mut scan_levels = vec![0usize; n];
-        let mut writer_dims = vec![0usize; n];
-        let mut alu_ops: Vec<Option<AluOp>> = vec![None; n];
-        let mut const_vals: Vec<Option<f64>> = vec![None; n];
-        let mut level_writers = Vec::new();
-        let mut vals_writer = None;
-        let mut output_name = String::new();
-        // The storage level a scanner or locator reads is the depth of the
-        // reference stream arriving on `slot`.
-        let depth_into =
-            |id: NodeId, slot: usize| match analysis.stream_type(analysis.inputs_of(id)[slot]?)? {
-                StreamType::Ref { depth, .. } => Some(*depth),
-                _ => None,
-            };
-        for &id in analysis.order() {
-            match &nodes[id.0] {
-                NodeKind::LevelScanner { .. } => scan_levels[id.0] = depth_into(id, 0).unwrap_or_default(),
-                NodeKind::Locator { .. } => scan_levels[id.0] = depth_into(id, 1).unwrap_or_default(),
-                NodeKind::Alu { op } => {
-                    alu_ops[id.0] = match op.as_str() {
-                        "add" => Some(AluOp::Add),
-                        "sub" => Some(AluOp::Sub),
-                        "mul" => Some(AluOp::Mul),
-                        _ => None,
-                    };
-                }
-                NodeKind::ConstVal { tensor, bits } => {
-                    const_vals[id.0] = if tensor.is_empty() {
-                        Some(f64::from_bits(*bits))
-                    } else {
-                        inputs.get(tensor).and_then(|bound| bound.vals().first().copied())
-                    };
-                }
-                NodeKind::LevelWriter { tensor, index, vals } => {
-                    if *vals {
-                        output_name = tensor.clone();
-                        vals_writer = Some(id);
-                    } else {
-                        writer_dims[id.0] = analysis.dimension(*index).unwrap_or_default();
-                        level_writers.push(id);
-                    }
-                }
-                _ => {}
+        // The output is the tensor the values writer writes: a level writer
+        // of another tensor writes none of its levels. The output levels
+        // follow graph declaration order (outermost first).
+        let (mut vals_writer, mut output_name) = (NodeId(0), "");
+        for (id, kind) in nodes.iter().enumerate() {
+            if let NodeKind::LevelWriter { tensor, vals: true, .. } = kind {
+                (vals_writer, output_name) = (NodeId(id), tensor);
             }
         }
-        let vals_writer = vals_writer.expect("a clean analysis has exactly one values writer");
-        // The output is the tensor the values writer writes: a level writer
-        // of another tensor writes none of its levels. Writers are visited
-        // in dependency order above; the output levels follow graph
-        // declaration order (outermost first).
-        level_writers.retain(|w: &NodeId| {
-            matches!(&graph.nodes()[w.0], NodeKind::LevelWriter { tensor, .. } if *tensor == output_name)
-        });
-        level_writers.sort_unstable();
-        let output_shape = level_writers.iter().map(|w| writer_dims[w.0]).collect();
+        let writes_output = |kind: &NodeKind| match kind {
+            NodeKind::LevelWriter { tensor, vals: false, .. } => tensor == output_name,
+            _ => false,
+        };
+        let level_writers: Vec<NodeId> = (0..n).map(NodeId).filter(|w| writes_output(&nodes[w.0])).collect();
+
+        let position = |tensor: &str| inputs.position(tensor).unwrap_or_default();
+        // The storage level a scanner or locator reads is the depth of the
+        // reference stream arriving on `slot`.
+        let depth_into = |id: NodeId, slot: usize| match analysis.inputs_of(id)[slot]
+            .and_then(|p| analysis.stream_type(p))
+        {
+            Some(StreamType::Ref { depth, .. }) => *depth,
+            _ => 0,
+        };
+        // The scanner fused into `operand` of `intersecter`, if any.
+        let fused = |intersecter: NodeId, operand: usize| {
+            let scanner = analysis.private_scanner(graph, intersecter, operand)?;
+            let NodeKind::LevelScanner { tensor, .. } = &nodes[scanner.0] else { return None };
+            let skip_lane = analysis.skip_lanes().iter().any(|lane| lane.scanner == scanner);
+            let scan = FusedScan { scanner, intersecter, operand, skip_lane };
+            Some(FusedOperand { scan, tensor: position(tensor), level: depth_into(scanner, 0) })
+        };
+        let resolve = |id: NodeId| {
+            let op = match &nodes[id.0] {
+                kind @ (NodeKind::Intersecter { .. } | NodeKind::Unioner { .. }) => {
+                    let union = matches!(kind, NodeKind::Unioner { .. });
+                    let operands = [0, 1].map(|operand| fused(id, operand));
+                    return Op::Merge(Merger { union, operands, members: Vec::new() });
+                }
+                NodeKind::Root { .. } => Transfer::Root,
+                NodeKind::LevelScanner { tensor, index, .. } => {
+                    // A scanner's coordinates feed the intersecter operand it
+                    // is fused into, if it is.
+                    let into = analysis.consumers_of(id)[0].first();
+                    let fused = into.and_then(|&(to, slot)| fused(to, slot)).map(|f| f.scan);
+                    Transfer::Scan {
+                        tensor: position(tensor),
+                        level: depth_into(id, 0),
+                        index: *index,
+                        fused,
+                    }
+                }
+                NodeKind::Locator { tensor, index } => {
+                    Transfer::Locate { tensor: position(tensor), level: depth_into(id, 1), index: *index }
+                }
+                NodeKind::Repeater { .. } => Transfer::Repeat,
+                NodeKind::Array { tensor } => Transfer::Array { tensor: position(tensor) },
+                NodeKind::ConstVal { tensor, bits } if tensor.is_empty() => {
+                    Transfer::Const { value: f64::from_bits(*bits) }
+                }
+                NodeKind::ConstVal { tensor, .. } => {
+                    let value = inputs.get(tensor).and_then(|t| t.vals().first().copied());
+                    Transfer::Const { value: value.unwrap_or_default() }
+                }
+                NodeKind::Alu { op } => Transfer::Alu {
+                    op: match op.as_str() {
+                        "add" => AluOp::Add,
+                        "sub" => AluOp::Sub,
+                        _ => AluOp::Mul,
+                    },
+                },
+                NodeKind::Reducer { order } => Transfer::Reduce { order: *order },
+                NodeKind::CoordDropper { .. } => Transfer::Drop,
+                NodeKind::LevelWriter { vals: true, .. } => Transfer::WriteVals,
+                NodeKind::LevelWriter { index, .. } => Transfer::WriteLevel {
+                    dim: analysis.dimension(*index).unwrap_or_default(),
+                    index: *index,
+                    output: level_writers.iter().position(|&w| w == id),
+                },
+                kind @ (NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter) => {
+                    unreachable!("a clean analysis admits no {kind:?}")
+                }
+            };
+            Op::Transfer(op)
+        };
+        let mut planned: Vec<Planned> =
+            (0..n).map(|id| Planned { op: resolve(NodeId(id)), root: None }).collect();
+        fusion_regions(&analysis, &mut planned);
+        let output_shape = level_writers
+            .iter()
+            .map(|w| match planned[w.0].op {
+                Op::Transfer(Transfer::WriteLevel { dim, .. }) => dim,
+                _ => 0,
+            })
+            .collect();
 
         Ok(Plan {
             graph: graph.clone(),
             bindings: inputs.iter().map(BindingKey::new).collect(),
             analysis,
             channels,
-            fused,
-            region_roots,
-            region_members,
-            scan_levels,
-            writer_dims,
-            alu_ops,
-            const_vals,
+            nodes: planned,
             level_writers,
             vals_writer,
-            output_name,
+            output_name: output_name.to_string(),
             output_shape,
         })
     }
@@ -386,29 +469,37 @@ impl Plan {
         self.analysis.skip_lanes()
     }
 
+    /// What `node` does, resolved.
+    pub(crate) fn node(&self, node: NodeId) -> &Planned {
+        &self.nodes[node.0]
+    }
+
     /// The fusion of `node` into the intersecter it feeds, when `node` is a
     /// level scanner that passes the structural test (see [`FusedScan`]).
     /// The fast backend skips such a node; a skip target is one with
     /// `skip_lane` set.
     pub fn fused_scan(&self, node: NodeId) -> Option<FusedScan> {
-        self.fused[node.0]
+        match self.nodes[node.0].op {
+            Op::Transfer(Transfer::Scan { fused, .. }) => fused,
+            _ => None,
+        }
     }
 
     /// For an intersecter: the scanner fused into each operand, if any.
     /// `[None, None]` for any other node. The cycle backend lowers the
     /// `skip_lane` ones onto the block's skip channels.
     pub fn fused_operands(&self, node: NodeId) -> [Option<FusedScan>; 2] {
-        [0, 1].map(|operand| {
-            let crd = self.inputs_of(node).get(operand).copied().flatten()?;
-            self.fused[crd.node.0].filter(|f| f.intersecter == node && f.operand == operand)
-        })
+        match &self.nodes[node.0].op {
+            Op::Merge(merger) => merger.operands.map(|operand| operand.map(|o| o.scan)),
+            Op::Transfer(_) => [None, None],
+        }
     }
 
     /// The intersecter whose walk evaluates `node` on the fast backend,
     /// when `node` is a member of its fusion region (see
     /// [`Plan::region_members`]). The fast backend skips such a node.
     pub fn region_root(&self, node: NodeId) -> Option<NodeId> {
-        self.region_roots[node.0]
+        self.nodes[node.0].root
     }
 
     /// The fusion region of an intersecter: the nodes the fast backend
@@ -426,42 +517,30 @@ impl Plan {
     /// lane. A member's output that anybody outside the region reads is
     /// stored as usual; every other stream of the region is only counted.
     pub fn region_members(&self, root: NodeId) -> &[NodeId] {
-        &self.region_members[root.0]
+        match &self.nodes[root.0].op {
+            Op::Merge(merger) => &merger.members,
+            Op::Transfer(_) => &[],
+        }
     }
 
-    /// The storage level a scanner or locator reads.
-    pub fn scan_level(&self, node: NodeId) -> usize {
-        self.scan_levels[node.0]
-    }
-
-    /// The output dimension of a level writer.
-    pub fn writer_dim(&self, node: NodeId) -> usize {
-        self.writer_dims[node.0]
-    }
-
-    /// The parsed operation of an ALU node.
-    pub fn alu_op(&self, node: NodeId) -> AluOp {
-        self.alu_ops[node.0].expect("validated ALU")
-    }
-
-    /// The resolved scalar of a `ConstVal` source node.
-    pub fn const_val(&self, node: NodeId) -> f64 {
-        self.const_vals[node.0].expect("validated constant")
-    }
-
-    /// The level writers in output-level order (outermost first).
-    pub fn level_writers(&self) -> &[NodeId] {
+    /// The level writers of the output, outermost first.
+    pub(crate) fn level_writers(&self) -> &[NodeId] {
         &self.level_writers
     }
 
     /// The values writer.
-    pub fn vals_writer(&self) -> NodeId {
+    pub(crate) fn vals_writer(&self) -> NodeId {
         self.vals_writer
     }
 
     /// Name of the output tensor.
-    pub fn output_name(&self) -> &str {
+    pub(crate) fn output_name(&self) -> &str {
         &self.output_name
+    }
+
+    /// The name of the binding at position `at`.
+    pub(crate) fn binding_name(&self, at: usize) -> &str {
+        &self.bindings[at].name
     }
 
     /// Shape of the output tensor (one dimension per level writer).
@@ -470,36 +549,36 @@ impl Plan {
     }
 }
 
-/// Every intersecter's fusion region ([`Plan::region_members`]): per node
-/// the root of the region it is a member of, and per root its members.
-fn fusion_regions(graph: &SamGraph, analysis: &Analysis) -> (Vec<Option<NodeId>>, Vec<Vec<NodeId>>) {
-    let nodes = graph.nodes();
+/// Every intersecter's fusion region ([`Plan::region_members`]): each
+/// member's root, and each root's members.
+fn fusion_regions(analysis: &Analysis, planned: &mut [Planned]) {
     let order = analysis.order();
-    let mut roots: Vec<Option<NodeId>> = vec![None; nodes.len()];
-    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); nodes.len()];
     for (at, &root) in order.iter().enumerate() {
-        if !matches!(nodes[root.0], NodeKind::Intersecter { .. }) {
+        if !matches!(planned[root.0].op, Op::Merge(Merger { union: false, .. })) {
             continue;
         }
         let before_root = &order[..at];
+        let mut members = Vec::new();
         for &id in &order[at + 1..] {
             // An output of the root or of a non-reducer member, read by
             // this node alone.
             let internal = |p: &Option<PortRef>| {
                 p.is_some_and(|p| {
                     let from_region = p.node == root
-                        || (roots[p.node.0] == Some(root)
-                            && !matches!(nodes[p.node.0], NodeKind::Reducer { .. }));
+                        || (planned[p.node.0].root == Some(root)
+                            && !matches!(planned[p.node.0].op, Op::Transfer(Transfer::Reduce { .. })));
                     from_region && analysis.consumers_of(p.node)[p.port].len() == 1
                 })
             };
             let inputs = analysis.inputs_of(id);
-            let member = match &nodes[id.0] {
-                NodeKind::Array { .. }
-                | NodeKind::Alu { .. }
-                | NodeKind::ConstVal { .. }
-                | NodeKind::Reducer { order: 0 } => inputs.iter().all(internal),
-                NodeKind::Repeater { .. } => {
+            let member = match &planned[id.0].op {
+                Op::Transfer(
+                    Transfer::Array { .. }
+                    | Transfer::Alu { .. }
+                    | Transfer::Const { .. }
+                    | Transfer::Reduce { order: 0 },
+                ) => inputs.iter().all(internal),
+                Op::Transfer(Transfer::Repeat) => {
                     let stored_before =
                         |p: &Option<PortRef>| p.is_some_and(|p| before_root.contains(&p.node));
                     inputs.len() == 2 && internal(&inputs[0]) && stored_before(&inputs[1])
@@ -507,10 +586,12 @@ fn fusion_regions(graph: &SamGraph, analysis: &Analysis) -> (Vec<Option<NodeId>>
                 _ => false,
             };
             if member {
-                roots[id.0] = Some(root);
-                members[root.0].push(id);
+                planned[id.0].root = Some(root);
+                members.push(id);
             }
         }
+        if let Op::Merge(merger) = &mut planned[root.0].op {
+            merger.members = members;
+        }
     }
-    (roots, members)
 }

@@ -26,76 +26,89 @@
 //!    bit-exact.
 
 use crate::bind::Inputs;
-use crate::plan::Plan;
-use sam_core::graph::{NodeId, NodeKind};
+use crate::plan::{Merger, Op, Plan, Transfer};
+use sam_core::graph::NodeId;
 use sam_tiles::{KernelTiling, TensorTiling, TiledVar};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Per node, per output port: the tensors whose empty tile leaves the port's
-/// stream without data.
-type Requires<'g> = Vec<Vec<BTreeSet<&'g str>>>;
+/// Per node, per output port: the tensors, by binding position, whose empty
+/// tile leaves the port's stream without data.
+type Requires = Vec<Vec<BTreeSet<usize>>>;
 
 /// What the stream arriving on input `slot` of `id` requires (nothing when
 /// the port is unwired).
-fn in_req<'g>(plan: &Plan, req: &Requires<'g>, id: NodeId, slot: usize) -> BTreeSet<&'g str> {
+fn in_req(plan: &Plan, req: &Requires, id: NodeId, slot: usize) -> BTreeSet<usize> {
     plan.inputs_of(id)[slot].map(|src| req[src.node.0][src.port].clone()).unwrap_or_default()
 }
 
-/// The schedule of `plan`'s kernel over `inputs`, at `tile` coordinates per
-/// tiled variable.
-pub(crate) fn tile_schedule(plan: &Plan, inputs: &Inputs, tile: usize) -> KernelTiling {
-    let tile = tile.max(1);
-    let nodes = plan.graph().nodes();
-    let bound = |tensor: &str| inputs.get(tensor).expect("a plan binds every tensor its graph scans");
+/// One tensor the schedule cuts, in [`KernelTiling::tensors`] order: the
+/// position of its binding, and whether an empty tile of it lets a tuple be
+/// skipped (it is in [`KernelTiling::skip_tensors`]).
+pub(crate) struct Cut {
+    pub(crate) tensor: usize,
+    pub(crate) skips: bool,
+}
 
-    let mut req: Requires<'_> = nodes.iter().map(|k| vec![BTreeSet::new(); k.output_ports().len()]).collect();
+/// The schedule of `plan`'s kernel over `inputs`, at `tile` coordinates per
+/// tiled variable, and the tensors it cuts.
+pub(crate) fn tile_schedule(plan: &Plan, inputs: &Inputs, tile: usize) -> (KernelTiling, Vec<Cut>) {
+    let tile = tile.max(1);
+    let n = plan.graph().len();
+
+    let mut req: Requires =
+        (0..n).map(|id| vec![BTreeSet::new(); plan.consumers_of(NodeId(id)).len()]).collect();
     let mut vars: Vec<(char, usize)> = Vec::new();
-    let mut level_vars: BTreeMap<&str, BTreeMap<usize, char>> = BTreeMap::new();
+    // Per tensor position, the variable each storage level iterates.
+    let mut level_vars: BTreeMap<usize, BTreeMap<usize, char>> = BTreeMap::new();
 
     for &id in plan.order() {
         let input = |slot| in_req(plan, &req, id, slot);
-        let r = match &nodes[id.0] {
-            NodeKind::LevelScanner { tensor, index, .. } | NodeKind::Locator { tensor, index } => {
-                let depth = plan.scan_level(id);
-                let level = bound(tensor).level(depth);
-                if !vars.iter().any(|&(var, _)| var == *index) {
-                    vars.push((*index, level.dimension()));
+        let r = match plan.node(id).op {
+            Op::Transfer(
+                Transfer::Scan { tensor, level: depth, index, .. }
+                | Transfer::Locate { tensor, level: depth, index },
+            ) => {
+                let level = inputs.at(tensor).level(depth);
+                if !vars.iter().any(|&(var, _)| var == index) {
+                    vars.push((index, level.dimension()));
                 }
-                level_vars.entry(tensor.as_str()).or_default().insert(depth, *index);
+                level_vars.entry(tensor).or_default().insert(depth, index);
                 // A scanner's second input is its skip port, which no data
                 // edge feeds.
                 let mut r = &input(0) | &input(1);
                 // Only compressed/bitvector levels vanish with an empty
                 // tile; dense levels emit every coordinate regardless.
                 if !level.is_dense() {
-                    r.insert(tensor.as_str());
+                    r.insert(tensor);
                 }
                 r
             }
             // An intersection emits only where *both* operands do, a
             // repeater only where both its coordinate and reference do.
-            NodeKind::Repeater { .. } | NodeKind::Intersecter { .. } => &input(0) | &input(1),
+            Op::Transfer(Transfer::Repeat) | Op::Merge(Merger { union: false, .. }) => &input(0) | &input(1),
             // A union emits when *either* operand does, so only tensors
             // required by both sides gate it; likewise an ALU, which can
             // synthesize values from empty tokens (x + 0).
-            NodeKind::Unioner { .. } | NodeKind::Alu { .. } => &input(0) & &input(1),
-            // A ConstVal mirrors its shape stream token for token, so — like
+            Op::Merge(Merger { union: true, .. }) | Op::Transfer(Transfer::Alu { .. }) => {
+                &input(0) & &input(1)
+            }
+            // A constant mirrors its shape stream token for token, so — like
             // an array — whatever gates its input gates its output. The
             // scalar binding itself is untiled (no storage levels).
-            NodeKind::Array { .. } | NodeKind::ConstVal { .. } => input(0),
+            Op::Transfer(Transfer::Array { .. } | Transfer::Const { .. }) => input(0),
             // A scalar reducer emits explicit zeros on bare fiber
             // boundaries, so nothing gates its output.
-            NodeKind::Reducer { order: 0 } => BTreeSet::new(),
-            NodeKind::Reducer { order: 1 } => input(0),
-            NodeKind::Reducer { .. } => &input(0) | &input(1),
-            NodeKind::CoordDropper { .. } => {
+            Op::Transfer(Transfer::Reduce { order: 0 }) => BTreeSet::new(),
+            Op::Transfer(Transfer::Reduce { order: 1 }) => input(0),
+            Op::Transfer(Transfer::Reduce { .. }) => &input(0) | &input(1),
+            Op::Transfer(Transfer::Drop) => {
                 // Outer coordinates survive only when their inner fiber
                 // holds data: both streams gate the outer output.
                 let (outer, inner) = (&input(0) | &input(1), input(1));
                 req[id.0] = vec![outer, inner];
                 continue;
             }
-            _ => continue,
+            Op::Transfer(Transfer::Root | Transfer::WriteLevel { .. } | Transfer::WriteVals) => continue,
         };
         req[id.0].fill(r);
     }
@@ -108,21 +121,24 @@ pub(crate) fn tile_schedule(plan: &Plan, inputs: &Inputs, tile: usize) -> Kernel
     // MatTransMul): tiling the contraction would re-evaluate that term
     // once per contraction tile and the merger would sum the copies, so
     // those graphs keep their contraction variables whole.
-    let has = |pred: fn(&NodeKind) -> bool| plan.graph().has_kind(pred);
+    let has = |pred: fn(&Op) -> bool| (0..n).any(|id| pred(&plan.node(NodeId(id)).op));
     let writers = plan.level_writers();
-    let contraction_tileable = !(has(|k| matches!(k, NodeKind::Reducer { .. }))
-        && has(|k| matches!(k, NodeKind::Unioner { .. })))
-        && (!has(|k| matches!(k, NodeKind::Reducer { order: 0 }))
-            || (writers.len() == 1 && !has(|k| matches!(k, NodeKind::CoordDropper { .. }))));
+    let contraction_tileable = !(has(|op| matches!(op, Op::Transfer(Transfer::Reduce { .. })))
+        && has(|op| matches!(op, Op::Merge(Merger { union: true, .. }))))
+        && (!has(|op| matches!(op, Op::Transfer(Transfer::Reduce { order: 0 })))
+            || (writers.len() == 1 && !has(|op| matches!(op, Op::Transfer(Transfer::Drop)))));
     let output_vars: Vec<char> = writers
         .iter()
-        .filter_map(|w| match &nodes[w.0] {
-            NodeKind::LevelWriter { index, .. } => Some(*index),
+        .filter_map(|w| match plan.node(*w).op {
+            Op::Transfer(Transfer::WriteLevel { index, .. }) => Some(index),
             _ => None,
         })
         .collect();
+    // What every level writer's coordinate stream requires.
+    let skip: BTreeSet<usize> =
+        writers.iter().map(|&w| in_req(plan, &req, w, 0)).reduce(|a, b| &a & &b).unwrap_or_default();
 
-    KernelTiling {
+    let tiling = KernelTiling {
         tile,
         vars: vars
             .into_iter()
@@ -131,25 +147,21 @@ pub(crate) fn tile_schedule(plan: &Plan, inputs: &Inputs, tile: usize) -> Kernel
                 TiledVar { var, dim, grid: if tiled { dim.div_ceil(tile) } else { 1 }, tiled }
             })
             .collect(),
-        // In bound-name order.
+        // In binding (name) order.
         tensors: level_vars
             .iter()
-            .map(|(name, by_depth)| TensorTiling {
-                name: name.to_string(),
-                level_vars: (0..bound(name).levels().len()).map(|d| by_depth.get(&d).copied()).collect(),
+            .map(|(&tensor, by_depth)| TensorTiling {
+                name: plan.binding_name(tensor).to_string(),
+                level_vars: (0..inputs.at(tensor).levels().len())
+                    .map(|d| by_depth.get(&d).copied())
+                    .collect(),
             })
             .collect(),
         output_vars,
-        // What every level writer's coordinate stream requires.
-        skip_tensors: writers
-            .iter()
-            .map(|&w| in_req(plan, &req, w, 0))
-            .reduce(|a, b| &a & &b)
-            .unwrap_or_default()
-            .into_iter()
-            .map(str::to_string)
-            .collect(),
-    }
+        skip_tensors: skip.iter().map(|&tensor| plan.binding_name(tensor).to_string()).collect(),
+    };
+    let cuts = level_vars.keys().map(|&tensor| Cut { tensor, skips: skip.contains(&tensor) }).collect();
+    (tiling, cuts)
 }
 
 #[cfg(test)]
@@ -161,7 +173,7 @@ mod tests {
     use sam_tensor::{synth, TensorFormat};
 
     fn schedule(graph: &SamGraph, inputs: &Inputs) -> Result<KernelTiling, PlanError> {
-        Plan::build(graph, inputs).map(|plan| tile_schedule(&plan, inputs, 4))
+        Plan::build(graph, inputs).map(|plan| tile_schedule(&plan, inputs, 4).0)
     }
 
     fn names(tensors: &[&str]) -> BTreeSet<String> {
@@ -279,7 +291,7 @@ mod tiling_pins {
     fn the_derivation_reproduces_every_pinned_schedule() -> Result<(), sam_exec::PlanError> {
         for (pin, (name, graph, inputs)) in PINS.iter().zip(fixtures()) {
             let plan = Plan::build(&graph, &inputs)?;
-            assert_eq!(super::tile_schedule(&plan, &inputs, TILE), pin.tiling(), "{name}");
+            assert_eq!(super::tile_schedule(&plan, &inputs, TILE).0, pin.tiling(), "{name}");
         }
         Ok(())
     }

@@ -56,10 +56,9 @@
 use crate::bind::Inputs;
 use crate::error::ExecError;
 use crate::fast::{define_nodes, walk, Workspace};
-use crate::plan::Plan;
-use crate::schedule::tile_schedule;
+use crate::plan::{Op, Plan, Transfer};
+use crate::schedule::{tile_schedule, Cut};
 use crate::{check_output, Execution, Executor};
-use sam_core::graph::{NodeId, NodeKind};
 use sam_memory::{MemoryConfig, MemoryCounters};
 use sam_tensor::{CooTensor, Tensor};
 use sam_tiles::{LlbModel, Misplaced, TileGrid, TileMerger};
@@ -105,19 +104,18 @@ impl TiledBackend {
     }
 }
 
-/// The label of the node that reads storage level `level` of `tensor` — the
-/// scanner or locator the cut's [`Misplaced`] fiber would reach first — or
-/// the tensor's own name if none does.
-fn reader(plan: &Plan, tensor: &str, level: usize) -> String {
-    let nodes = plan.graph().nodes();
-    let reads = |id: &&NodeId| {
-        let (NodeKind::LevelScanner { tensor: t, .. } | NodeKind::Locator { tensor: t, .. }) = &nodes[id.0]
-        else {
-            return false;
-        };
-        t == tensor && plan.scan_level(**id) == level
+/// The label of the node that reads storage level `level` of the binding at
+/// position `tensor` — the scanner or locator the cut's [`Misplaced`] fiber
+/// would reach first — or the tensor's own name if none does.
+fn reader(plan: &Plan, tensor: usize, level: usize) -> String {
+    let reads = |op: &Op| match *op {
+        Op::Transfer(
+            Transfer::Scan { tensor: t, level: l, .. } | Transfer::Locate { tensor: t, level: l, .. },
+        ) => (t, l) == (tensor, level),
+        _ => false,
     };
-    plan.order().iter().find(reads).map_or_else(|| tensor.to_string(), |&id| plan.node_label(id))
+    let first = plan.order().iter().find(|&&id| reads(&plan.node(id).op));
+    first.map_or_else(|| plan.binding_name(tensor).to_string(), |&id| plan.node_label(id))
 }
 
 impl Executor for TiledBackend {
@@ -140,24 +138,21 @@ impl Executor for TiledBackend {
         // Every tuple walks `plan`: its nodes are defined, and their labels
         // formatted, once per run.
         let labels = define_nodes(plan, trace);
-        let tiling = tile_schedule(plan, inputs, self.config.tile);
+        let (tiling, cuts) = tile_schedule(plan, inputs, self.config.tile);
         // Each phase (cut, tuple loop, merge) is a span on the `tiles` track,
         // and inside the loop each executed tuple's bind, walk and absorb.
         let phase = Phases { trace, start, tracing };
 
-        // Cut every tensor the schedule windows into its tile grid (it names
-        // only tensors it found bound, so `grids` stays index-aligned).
+        // Cut every tensor the schedule windows into its tile grid.
         let cut_start = phase.now();
-        let grids: Vec<TileGrid> = tiling
-            .tensors
+        let grids: Vec<TileGrid> = cuts
             .iter()
             .enumerate()
-            .filter_map(|(ti, tt)| {
-                let tensor = inputs.get_shared(&tt.name)?;
-                let grid = TileGrid::build(tensor, tiling.level_tile_sizes(ti, tensor));
-                Some(grid.map_err(|Misplaced { level }| ExecError::Misaligned {
-                    label: reader(plan, &tt.name, level),
-                }))
+            .map(|(ti, cut)| {
+                let tensor = inputs.at(cut.tensor);
+                TileGrid::build(tensor, tiling.level_tile_sizes(ti, tensor)).map_err(|Misplaced { level }| {
+                    ExecError::Misaligned { label: reader(plan, cut.tensor, level) }
+                })
             })
             .collect::<Result<_, _>>()?;
         phase.record("cut", cut_start);
@@ -206,22 +201,17 @@ impl Executor for TiledBackend {
                 tiling.tile_key_into(ti, &tuple, &mut keys[ti]);
                 found[ti] = grids[ti].get_shared(&keys[ti]);
             }
-            let skip = if self.skipping
-                && tiling
-                    .tensors
-                    .iter()
-                    .enumerate()
-                    .any(|(ti, tt)| found[ti].is_none() && tiling.skip_tensors.contains(&tt.name))
-            {
-                // A structurally required operand tile is empty: the
-                // tuple provably contributes no output entries.
-                true
-            } else {
-                // With every operand tile empty nothing can flow at
-                // all; always safe, and it keeps the skip-free
-                // baseline from executing pure-vacuum tuples.
-                found.iter().all(Option::is_none)
-            };
+            let skip =
+                if self.skipping && cuts.iter().zip(&found).any(|(cut, tile)| cut.skips && tile.is_none()) {
+                    // A structurally required operand tile is empty: the
+                    // tuple provably contributes no output entries.
+                    true
+                } else {
+                    // With every operand tile empty nothing can flow at
+                    // all; always safe, and it keeps the skip-free
+                    // baseline from executing pure-vacuum tuples.
+                    found.iter().all(Option::is_none)
+                };
             if skip {
                 counters.tiles_skipped += 1;
                 continue;
@@ -240,18 +230,20 @@ impl Executor for TiledBackend {
             // operands outside the skip set). Tiles are shared into
             // the input set in place — a refcount bump per tuple, not a
             // deep copy.
-            for (ti, key) in keys.iter().enumerate() {
+            for (ti, (key, &Cut { tensor, .. })) in keys.iter().zip(&cuts).enumerate() {
                 let tile: Arc<Tensor> = match found[ti] {
                     Some(t) => Arc::clone(t),
                     None => {
                         let windows = grids[ti].windows(key);
                         let shape: Vec<usize> = windows.iter().map(|&(lo, hi)| (hi - lo) as usize).collect();
-                        Arc::clone(empty_cache.entry((ti, shape)).or_insert_with(|| {
-                            Arc::new(empty_tile(&tiling.tensors[ti].name, inputs, &windows))
-                        }))
+                        Arc::clone(
+                            empty_cache
+                                .entry((ti, shape))
+                                .or_insert_with(|| Arc::new(empty_tile(inputs.at(tensor), &windows))),
+                        )
                     }
                 };
-                tile_inputs.rebind(tile);
+                tile_inputs.rebind_at(tensor, tile);
             }
 
             // Run the tuple and absorb its partial output straight from
@@ -375,17 +367,16 @@ impl TraceSink for TileSink<'_> {
     }
 }
 
-/// An empty tile of `name` with the windowed shape, in the bound tensor's
-/// format — what a non-skippable operand binds when its window holds no
+/// An empty tile of `bound` with the windowed shape, under its name and in
+/// its format — what a non-skippable operand binds when its window holds no
 /// stored entries.
-fn empty_tile(name: &str, inputs: &Inputs, windows: &[(u32, u32)]) -> Tensor {
-    let bound = inputs.get(name).expect("validated binding");
+fn empty_tile(bound: &Tensor, windows: &[(u32, u32)]) -> Tensor {
     let mode_order = bound.format().mode_order();
     let mut logical_shape = vec![0usize; windows.len()];
     for (level, &m) in mode_order.iter().enumerate() {
         logical_shape[m] = (windows[level].1 - windows[level].0) as usize;
     }
-    Tensor::from_coo(name, &CooTensor::new(logical_shape), bound.format().clone())
+    Tensor::from_coo(bound.name(), &CooTensor::new(logical_shape), bound.format().clone())
 }
 
 #[cfg(test)]

@@ -184,6 +184,26 @@ fn errors_resolve_handles_and_leave_the_service_healthy() {
     assert_eq!(service.metrics_snapshot().failed, 6);
 }
 
+/// A format override with another number of levels than its operand is
+/// indexed by fails to compile, naming the operand: it used to be reshaped
+/// to fit (modes it missed read as compressed, extra levels dropped) and
+/// run without a word.
+#[test]
+fn a_format_override_of_another_order_is_a_compile_error() {
+    let (store, queries) = table1_workload(3);
+    let service = Service::new(Arc::clone(&store));
+    let spmv = queries.iter().find(|w| w.name == "SpMV").expect("the workload runs SpMV");
+    let overridden = spmv.query.clone().format("B_mv", TensorFormat::csf(3));
+    match service.submit(overridden).wait() {
+        Err(sam_serve::ServeError::Compile { message, .. }) => {
+            assert!(message.contains("`B_mv`"), "{message}")
+        }
+        other => panic!("expected a compile error naming `B_mv`, got {other:?}"),
+    }
+    let run = service.submit(spmv.query.clone()).wait().expect("the service still runs SpMV");
+    assert_identical(spmv.name, &run, &one_shot(&store, &spmv.query));
+}
+
 /// Stored operands that give one index variable two sizes (`c` holds
 /// coordinate 12, beyond the dimension 8 `b` gives `i`) resolve to a typed
 /// rejection on every backend — it used to plan and panic a pool worker.
