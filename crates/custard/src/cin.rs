@@ -4,6 +4,7 @@ use sam_tensor::expr::{Assignment, IndexVar};
 use sam_tensor::TensorFormat;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Per-tensor storage formats (the paper's format language).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -73,24 +74,29 @@ impl ConcreteIndexNotation {
     /// formats. Without a `reorder` directive the loop order is the target
     /// indices followed by the remaining variables in alphabetical order.
     ///
+    /// # Errors
+    ///
+    /// Returns a [`ReorderError`] if a `reorder` directive does not cover
+    /// exactly the statement's index variables, each once.
+    pub fn try_new(
+        assignment: Assignment,
+        schedule: &Schedule,
+        formats: Formats,
+    ) -> Result<Self, ReorderError> {
+        let loop_order = loop_order(&assignment, schedule)?;
+        Ok(ConcreteIndexNotation { assignment, loop_order, formats })
+    }
+
+    /// [`try_new`](Self::try_new) for a schedule known to be valid.
+    ///
     /// # Panics
     ///
     /// Panics if a `reorder` directive does not cover exactly the statement's
     /// index variables.
     pub fn new(assignment: Assignment, schedule: &Schedule, formats: Formats) -> Self {
-        let default_order = assignment.all_index_vars();
-        let loop_order = match schedule.order() {
-            Some(order) => {
-                let mut sorted_a: Vec<_> = order.to_vec();
-                sorted_a.sort_unstable();
-                let mut sorted_b = default_order.clone();
-                sorted_b.sort_unstable();
-                assert_eq!(sorted_a, sorted_b, "reorder must mention every index variable exactly once");
-                order.to_vec()
-            }
-            None => default_order,
-        };
-        ConcreteIndexNotation { assignment, loop_order, formats }
+        let loop_order = loop_order(&assignment, schedule);
+        assert!(loop_order.is_ok(), "reorder must mention every index variable exactly once");
+        ConcreteIndexNotation { assignment, loop_order: loop_order.unwrap_or_default(), formats }
     }
 
     /// The loop order as a string (e.g. `"ikj"`).
@@ -98,6 +104,43 @@ impl ConcreteIndexNotation {
         self.loop_order.iter().collect()
     }
 }
+
+/// The loop order `schedule` fixes for `assignment`: its `reorder`
+/// directive, or the target indices followed by the remaining variables in
+/// alphabetical order.
+fn loop_order(assignment: &Assignment, schedule: &Schedule) -> Result<Vec<IndexVar>, ReorderError> {
+    let default_order = assignment.all_index_vars();
+    let Some(order) = schedule.order() else {
+        return Ok(default_order);
+    };
+    let mut asked = order.to_vec();
+    asked.sort_unstable();
+    let mut vars = default_order;
+    vars.sort_unstable();
+    if asked != vars {
+        return Err(ReorderError { order: order.to_vec(), vars });
+    }
+    Ok(order.to_vec())
+}
+
+/// A `reorder` directive that is not a permutation of the statement's index
+/// variables: one is missing, repeated or not in the statement.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReorderError {
+    /// The order the directive asked for.
+    pub order: Vec<IndexVar>,
+    /// The statement's index variables, sorted.
+    pub vars: Vec<IndexVar>,
+}
+
+impl fmt::Display for ReorderError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (order, vars): (String, String) = (self.order.iter().collect(), self.vars.iter().collect());
+        write!(f, "order `{order}` is not a permutation of the index variables `{vars}`")
+    }
+}
+
+impl std::error::Error for ReorderError {}
 
 #[cfg(test)]
 mod tests {
@@ -120,6 +163,23 @@ mod tests {
     #[should_panic(expected = "every index variable")]
     fn reorder_must_be_complete() {
         let _ = ConcreteIndexNotation::new(table1::spmm(), &Schedule::new().reorder("ik"), Formats::new());
+    }
+
+    #[test]
+    fn try_new_rejects_an_order_that_is_no_permutation() {
+        let order = |o: &str| {
+            ConcreteIndexNotation::try_new(table1::spmm(), &Schedule::new().reorder(o), Formats::new())
+                .map(|cin| cin.order_string())
+        };
+        assert_eq!(order("kij"), Ok("kij".to_string()));
+        let vars = vec!['i', 'j', 'k'];
+        for bad in ["iij", "ik", "ijkl", "ijx"] {
+            let err = ReorderError { order: bad.chars().collect(), vars: vars.clone() };
+            assert_eq!(order(bad), Err(err.clone()));
+            assert!(err
+                .to_string()
+                .contains(&format!("`{bad}` is not a permutation of the index variables `ijk`")));
+        }
     }
 
     #[test]

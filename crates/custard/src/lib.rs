@@ -10,7 +10,9 @@
 //!    [`Assignment`](sam_tensor::expr::Assignment) AST,
 //! 2. [`Schedule`] (the `reorder` directive) and [`Formats`] fix the
 //!    dataflow order and per-tensor level formats, producing
-//!    [`ConcreteIndexNotation`],
+//!    [`ConcreteIndexNotation`] ([`ConcreteIndexNotation::try_new`] rejects
+//!    an order that is not a permutation of the index variables with a
+//!    [`ReorderError`]),
 //! 3. [`lower_exec`] builds the SAM graph that runs: tensor paths, level
 //!    scanners, repeaters, intersecters/unioners, the compute tree (ALUs and
 //!    reducers) and the level writers, every stream wired port to port
@@ -33,7 +35,7 @@ pub mod lower;
 pub mod parser;
 
 pub use ablation::{ablation_study, AblationRow, ExpressionCorpus};
-pub use cin::{ConcreteIndexNotation, Formats, Schedule};
+pub use cin::{ConcreteIndexNotation, Formats, ReorderError, Schedule};
 pub use exec_lower::{lower_exec, ExecutableKernel, LowerExecError};
 pub use lower::lower;
 pub use parser::{parse, ParseError, ParseErrorKind, MAX_NESTING, MAX_OPERANDS};

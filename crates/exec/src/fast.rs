@@ -57,8 +57,12 @@
 //! released stream's buffer is not freed: emptied, it goes to the spare
 //! buffers of the walk's workspace, and the next stream stored — a port,
 //! a region's stored port or its register file — takes it instead of
-//! allocating. Peak memory is the live set plus the spare buffers a later
-//! stream reuses, not the sum of all streams. The writers' arrays are
+//! allocating. A buffer the walk does allocate starts with room for a small
+//! kernel's stream, so it does not grow by doubling from four tokens, and a
+//! region's register file starts a few positions wide and doubles after
+//! each full block, so a short walk fills no more of it than it uses. Peak
+//! memory is the live set plus the spare buffers a later stream reuses, not
+//! the sum of all streams. The writers' arrays are
 //! spares too: a walk returns its levels and values, and a caller that is
 //! done with them — the tiled backend, once it has merged a tuple's output
 //! — hands them back for the next walk's writers, which empty them before
@@ -71,7 +75,8 @@
 //! in the buffers the first one grew: what it allocates is its output. What
 //! it keeps is bounded by what that last run used: the spare buffers the
 //! run took (one it never took is dropped), each trimmed to twice the
-//! longest stream the run stored in it. A failed run keeps nothing. The
+//! longest stream the run stored in it, or to the room a fresh buffer
+//! starts with if that is more. A failed run keeps nothing. The
 //! workspace sits behind a lock that a run only tries: a run that finds it
 //! taken, by another thread running the same instance, walks a fresh
 //! workspace rather than wait. [`BackendSpec::build`](crate::BackendSpec::build) makes a
@@ -160,10 +165,10 @@ impl Workspace {
 
     /// Keeps, of what a walk that succeeded leaves, only what it used: the
     /// spare buffers it took, each at most twice as long as the longest
-    /// stream it held. A repeated walk of one plan stores no longer stream
-    /// in it, so it finds every buffer it needs already grown. (An address a
-    /// buffer left when it grew may come back for another buffer; that only
-    /// lets the other one keep more.)
+    /// stream it held, or [`FRESH`]. A repeated walk of one plan stores no
+    /// longer stream in it, so it finds every buffer it needs already grown.
+    /// (An address a buffer left when it grew may come back for another
+    /// buffer; that only lets the other one keep more.)
     fn trim(&mut self) {
         let Spares { streams, untaken, held, .. } = &mut self.spares;
         // Spares are taken from the end, so those below the lowest point the
@@ -171,7 +176,7 @@ impl Workspace {
         streams.drain(..*untaken);
         for stream in streams.iter_mut() {
             let longest = held.iter().find(|(at, _)| *at == stream.as_ptr() as usize).map_or(0, |h| h.1);
-            stream.shrink_to(2 * longest.max(MIN_KEPT));
+            stream.shrink_to((2 * longest).max(FRESH));
         }
     }
 
@@ -211,14 +216,17 @@ pub(crate) struct Spares {
     ports: Vec<RegionPort>,
 }
 
-/// A kept buffer keeps room for at least twice this many tokens: a `Vec` of
-/// 16-byte tokens allocates room for four at its first push.
-const MIN_KEPT: usize = 2;
+/// A stream buffer the walk allocates has room for this many tokens (4 KB):
+/// a Table 1 kernel's streams over small operands fit, so a fresh walk's
+/// streams do not grow 4 → 8 → … → 256 by reallocating. A kept buffer is
+/// trimmed to no less.
+const FRESH: usize = 256;
 
 impl Spares {
-    /// An empty buffer: the last one handed back, or a new one.
+    /// An empty buffer: the last one handed back, or a new one with room
+    /// for [`FRESH`] tokens.
     pub(crate) fn take(&mut self) -> Stream {
-        let stream = self.streams.pop().unwrap_or_default();
+        let stream = self.streams.pop().unwrap_or_else(|| Vec::with_capacity(FRESH));
         self.untaken = self.untaken.min(self.streams.len());
         stream
     }
@@ -902,16 +910,18 @@ mod tests {
 
     /// What an instance keeps after a large run and then a small one is
     /// bounded by the small one: no more spare buffers than a fresh instance
-    /// takes for it, none longer than twice its longest stream. The large
-    /// run, MMAdd over 40 x 40 operands, stores more and longer streams than
-    /// the small one, SpMV over 14 x 9, takes.
+    /// takes for it, none longer than twice its longest stream or the room
+    /// a fresh buffer starts with. The large run, MMAdd over 80 x 80
+    /// operands, stores more and longer streams than the small one, SpMV
+    /// over 14 x 9, takes, and more than ten times the room the small run's
+    /// buffers keep at their floor.
     #[test]
     fn a_small_run_after_a_large_one_keeps_only_what_it_used() -> Result<(), Box<dyn Error>> {
         let mut kernels = kernels()?;
         let (mmadd, small) = (kernels.swap_remove(2).0, kernels.swap_remove(0));
         let m = |n, seed| synth::random_matrix_sparsity(n, n, 0.5, seed);
         let inputs =
-            Inputs::new().coo("B", &m(40, 3), TensorFormat::dcsr()).coo("C", &m(40, 4), TensorFormat::dcsr());
+            Inputs::new().coo("B", &m(80, 3), TensorFormat::dcsr()).coo("C", &m(80, 4), TensorFormat::dcsr());
         let large = (Plan::build(mmadd.graph(), &inputs)?, inputs);
         // Per instance: how many spare buffers it keeps, the longest stream
         // its last run stored in one, the widest one and their total room.
@@ -933,7 +943,7 @@ mod tests {
         assert!(took < after_large, "the small run takes {took} buffers, the large one kept {after_large}");
         assert!(after_small <= took, "kept {after_small} buffers, the small run took {took}");
         assert!(
-            widest <= 2 * longest.max(MIN_KEPT),
+            widest <= (2 * longest).max(FRESH),
             "a buffer of {widest} tokens; the longest stream {longest}"
         );
         assert!(

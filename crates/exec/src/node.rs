@@ -565,9 +565,13 @@ impl Operand<'_> {
     }
 }
 
-/// How many positions a fusion region buffers before its members run: a
-/// block of every register fits in the first-level cache.
+/// How many positions a fusion region buffers before its members run, at
+/// most: a block of every register fits in the first-level cache.
 const BLOCK: usize = 128;
+/// How many positions a region's first block holds. The registers double
+/// after each full block up to [`BLOCK`], so a walk that pushes a few
+/// positions never fills a register file it does not use.
+const FIRST_BLOCK: usize = 8;
 /// How a fusion-region member computes its tokens, and the registers it
 /// reads: 0–2 hold the root's coordinate and two reference tokens, `3 + k`
 /// the tokens member `k` computed.
@@ -596,16 +600,18 @@ pub(crate) fn recycled<'b>(steps: Vec<Step<'_>>) -> Vec<Step<'b>> {
 
 impl Step<'_> {
     /// Computes the member's tokens for the `n` positions of the block in
-    /// `regs`, in order, handing each to `write` with its position. The
-    /// rules are `#[inline(always)]`: called out of line once a token, a
-    /// repeater or an ALU costs a region most of what it saves.
+    /// `regs`, `width` tokens a register, in order, handing each to `write`
+    /// with its position. The rules are `#[inline(always)]`: called out of
+    /// line once a token, a repeater or an ALU costs a region most of what
+    /// it saves.
     fn map(
         &mut self,
         regs: &[SimToken],
+        width: usize,
         n: usize,
         mut write: impl FnMut(usize, SimToken),
     ) -> Result<(), Fault> {
-        let block = |r: usize| regs[r * BLOCK..r * BLOCK + n].iter().enumerate();
+        let block = |r: usize| regs[r * width..r * width + n].iter().enumerate();
         match self {
             Step::Array { vals, input } => {
                 for (i, &t) in block(*input) {
@@ -688,9 +694,12 @@ pub(crate) struct Region<'a> {
     root: [RegionPort; 3],
     steps: Vec<Step<'a>>,
     outs: Vec<RegionPort>,
-    /// `BLOCK` tokens per register; a stored port's register goes unused,
+    /// `width` tokens per register; a stored port's register goes unused,
     /// and a memberless region that stores all three root ports has none.
     regs: Vec<SimToken>,
+    /// Positions the current block holds: [`FIRST_BLOCK`], doubled after
+    /// each full block up to [`BLOCK`].
+    width: usize,
     /// Positions buffered so far in the current block.
     filled: usize,
 }
@@ -700,18 +709,29 @@ impl<'a> Region<'a> {
     /// `root_stored` and classifying every token it counts if `classify`.
     /// Its stored streams and its registers are buffers from `spares`.
     pub(crate) fn new(root_stored: [bool; 3], classify: bool, spares: &mut Spares) -> Self {
-        let registers = if root_stored == [true; 3] { 0 } else { 3 };
-        let mut regs = spares.take();
-        regs.resize(registers * BLOCK, tok::done());
         let (steps, outs) = spares.take_region_lists();
-        Region {
+        let mut region = Region {
             classify,
             root: root_stored.map(|stored| RegionPort::new(stored, spares)),
             steps: recycled(steps),
             outs,
-            regs,
+            regs: Vec::new(),
+            width: FIRST_BLOCK,
             filled: 0,
+        };
+        if root_stored != [true; 3] {
+            region.registers(3, spares);
         }
+        region
+    }
+
+    /// Sizes the register file for `registers` registers of the current
+    /// width, in a buffer from `spares` if it has none yet.
+    fn registers(&mut self, registers: usize, spares: &mut Spares) {
+        if self.regs.capacity() == 0 {
+            self.regs = spares.take();
+        }
+        self.regs.resize(registers * self.width, tok::done());
     }
 
     /// Appends a member, evaluated after every member appended before it;
@@ -721,7 +741,7 @@ impl<'a> Region<'a> {
         let stored = stored || matches!(step, Step::Reduce { .. });
         self.steps.push(step);
         self.outs.push(RegionPort::new(stored, spares));
-        self.regs.resize((3 + self.steps.len()) * BLOCK, tok::done());
+        self.registers(3 + self.steps.len(), spares);
     }
 
     /// The root's three ports and each member's output port, in the order
@@ -743,33 +763,40 @@ impl<'a> Region<'a> {
             // region only.
             match &mut self.root[k].stored {
                 Some(stream) => stream.push(t),
-                None => self.regs[k * BLOCK + at] = t,
+                None => self.regs[k * self.width + at] = t,
             }
         }
         self.filled += 1;
         // The done position is the walk's last.
-        if self.filled == BLOCK || position[0].is_done() {
+        if self.filled == self.width || position[0].is_done() {
             self.flush()?;
         }
         Ok(())
     }
 
-    /// Runs every member over the buffered block. Out of line, so that the
-    /// walk's loop, which calls it once a block, stays small.
+    /// Runs every member over the buffered block, then widens the registers
+    /// for the next one. Out of line, so that the walk's loop, which calls
+    /// it once a block, stays small.
     #[inline(never)]
     fn flush(&mut self) -> Result<(), Fault> {
-        let (n, classify) = (std::mem::take(&mut self.filled), self.classify);
+        let (n, width, classify) = (std::mem::take(&mut self.filled), self.width, self.classify);
         for (r, port) in self.root.iter_mut().enumerate() {
-            port.count(self.regs.get(r * BLOCK..r * BLOCK + n).unwrap_or_default(), classify);
+            port.count(self.regs.get(r * width..r * width + n).unwrap_or_default(), classify);
         }
         for (k, (step, port)) in self.steps.iter_mut().zip(&mut self.outs).enumerate() {
-            let (ins, reg) = self.regs.split_at_mut((3 + k) * BLOCK);
+            let (ins, reg) = self.regs.split_at_mut((3 + k) * width);
             let reg = &mut reg[..n];
             match &mut port.stored {
-                Some(stream) => step.map(ins, n, |_, t| stream.push(t))?,
-                None => step.map(ins, n, |i, t| reg[i] = t)?,
+                Some(stream) => step.map(ins, width, n, |_, t| stream.push(t))?,
+                None => step.map(ins, width, n, |i, t| reg[i] = t)?,
             }
             port.count(reg, classify);
+        }
+        if n == width && width < BLOCK {
+            // A full block: the walk goes on. Every register has been read,
+            // so the wider file starts empty.
+            self.width = 2 * width;
+            self.regs.resize(self.regs.len() / width * self.width, tok::done());
         }
         Ok(())
     }

@@ -431,29 +431,15 @@ impl Shared {
         let compile_err =
             |message: String| ServeError::Compile { expression: query.expression.clone(), message };
         let assignment = custard::parse(&query.expression).map_err(|e| compile_err(e.to_string()))?;
-        let schedule = match &query.order {
-            Some(order) => {
-                // `ConcreteIndexNotation::new` asserts this; a query's
-                // order is outside input, so it is checked, not asserted.
-                let mut asked: Vec<char> = order.chars().collect();
-                let mut vars = assignment.all_index_vars();
-                asked.sort_unstable();
-                vars.sort_unstable();
-                if asked != vars {
-                    let vars: String = vars.into_iter().collect();
-                    return Err(compile_err(format!(
-                        "order `{order}` is not a permutation of the index variables `{vars}`"
-                    )));
-                }
-                Schedule::new().reorder(order)
-            }
-            None => Schedule::new(),
-        };
+        let schedule =
+            query.order.as_deref().map_or_else(Schedule::new, |order| Schedule::new().reorder(order));
         let mut formats = Formats::new();
         for (name, format) in &query.formats {
             formats = formats.set(name, format.clone());
         }
-        let cin = ConcreteIndexNotation::new(assignment, &schedule, formats);
+        // A query's order is outside input: checked, not asserted.
+        let cin = ConcreteIndexNotation::try_new(assignment, &schedule, formats)
+            .map_err(|e| compile_err(e.to_string()))?;
         let kernel = Arc::new(custard::lower_exec(&cin).map_err(|e| compile_err(e.to_string()))?);
         kernels.entry(query.expression.clone()).or_default().push(Compiled {
             order: query.order.clone(),

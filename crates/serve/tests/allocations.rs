@@ -1,6 +1,7 @@
-//! Allocation pins for a warm query's fixed cost: what an executor run, a
-//! plan-cache hit and a store hit allocate, counted by a global allocator
-//! that tallies the calls each thread makes.
+//! Allocation pins for a query's fixed cost: what materializing an operand,
+//! a fresh and a kept executor run, a plan-cache hit and a store hit
+//! allocate, counted by a global allocator that tallies the calls each
+//! thread makes.
 //!
 //! The counting allocator is the one use of `unsafe` in the workspace: a
 //! `GlobalAlloc` implementation is an `unsafe impl` forwarding to the
@@ -12,7 +13,7 @@ use custard::graphs;
 use sam_exec::{Executor, FastBackend, Inputs, Plan, PlanCache};
 use sam_serve::TensorStore;
 use sam_tensor::level::Level;
-use sam_tensor::{synth, TensorFormat};
+use sam_tensor::{synth, Tensor, TensorFormat};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -135,6 +136,37 @@ fn a_fast_backends_second_run_allocates_only_its_output() {
             }
         }
         assert!(tokens[3] > 4 * tokens[0], "{name}: {tokens:?}");
+    }
+}
+
+/// Materializing a matrix allocates per tensor and per level, not per
+/// nonzero: a 30-entry and a 3,000-entry matrix cost the same allocator
+/// calls, whether their entries already ascend in storage order (DCSR) or
+/// have to be sorted (CSC).
+#[test]
+fn materializing_allocates_the_same_for_few_and_many_nonzeros() {
+    let (few, many) =
+        (synth::random_matrix_nnz(100, 100, 30, 9), synth::random_matrix_nnz(100, 100, 3000, 9));
+    for format in [TensorFormat::dcsr(), TensorFormat::csc()] {
+        let (small, calls_few) = counted(|| Tensor::from_coo("B", &few, format.clone()));
+        let (large, calls_many) = counted(|| Tensor::from_coo("B", &many, format.clone()));
+        assert_eq!((small.nnz(), large.nnz()), (30, 3000), "{format}");
+        assert_eq!(calls_few, calls_many, "{format}");
+    }
+}
+
+/// A fresh fast backend's run allocates each stream buffer it needs once,
+/// with room for a small kernel's stream, rather than growing it from four
+/// tokens by doubling, and fills a region's registers only as wide as its
+/// blocks go. The counts are the allocator calls of one run, output
+/// included, over the small operands.
+#[test]
+fn a_fresh_fast_backend_run_allocates_its_buffers_once() {
+    let most = [Calls { allocs: 31, reallocs: 19 }, Calls { allocs: 45, reallocs: 22 }];
+    for ((plan, inputs), most) in planned(2).iter().zip(most) {
+        let (_, calls) = counted(|| FastBackend::new().run(plan, inputs).expect("runs"));
+        let name = &plan.graph().name;
+        assert!(calls.allocs <= most.allocs && calls.reallocs <= most.reallocs, "{name}: {calls:?}");
     }
 }
 

@@ -184,6 +184,24 @@ fn errors_resolve_handles_and_leave_the_service_healthy() {
     assert_eq!(service.metrics_snapshot().failed, 6);
 }
 
+/// An order that repeats an index variable (`iij`) is a compile error that
+/// names the order and the statement's variables, from custard's own
+/// check, and the service goes on serving.
+#[test]
+fn an_order_that_repeats_a_variable_is_a_compile_error() {
+    let (store, queries) = table1_workload(3);
+    let service = Service::new(Arc::clone(&store));
+    let spmv = queries.iter().find(|w| w.name == "SpMV").expect("the workload runs SpMV");
+    match service.submit(spmv.query.clone().order("iij")).wait() {
+        Err(sam_serve::ServeError::Compile { message, .. }) => {
+            assert_eq!(message, "order `iij` is not a permutation of the index variables `ij`", "{message}")
+        }
+        other => panic!("expected a compile error, got {other:?}"),
+    }
+    let run = service.submit(spmv.query.clone()).wait().expect("the service still runs SpMV");
+    assert_identical(spmv.name, &run, &one_shot(&store, &spmv.query));
+}
+
 /// A format override with another number of levels than its operand is
 /// indexed by fails to compile, naming the operand: it used to be reshaped
 /// to fit (modes it missed read as compressed, extra levels dropped) and

@@ -8,10 +8,16 @@ use crate::tensor::Tensor;
 /// Builds [`Tensor`] fibertrees from [`CooTensor`] staging data and a
 /// [`TensorFormat`].
 ///
-/// The builder walks the sorted, deduplicated coordinate list level by level
-/// in storage order, partitioning the points of each parent fiber into child
-/// fibers. Dense levels materialize every coordinate (including empty
-/// sub-trees); compressed and bitvector levels store only nonempty children.
+/// The builder first canonicalizes the points once, by a flat sort: every
+/// point's coordinates, permuted into the storage mode order, go side by
+/// side into one `u32` array; one stable sort of the entry indices orders
+/// them (skipped when they already ascend); duplicates are summed in entry
+/// order and zero sums dropped. It then walks the sorted keys level by
+/// level, partitioning the points of each parent fiber into child fibers
+/// (ranges of the sorted keys). Dense levels materialize every coordinate
+/// (including empty sub-trees); compressed and bitvector levels store only
+/// nonempty children. What it allocates is a fixed number of arrays per
+/// tensor and per level, never one per point.
 ///
 /// ```
 /// use sam_tensor::{CooTensor, TensorBuilder, TensorFormat};
@@ -51,71 +57,68 @@ impl TensorBuilder {
             coo.order(),
             self.format.order()
         );
-        let mode_order = self.format.mode_order().to_vec();
-        let points = coo.canonicalized(&mode_order);
-        let storage_shape = coo.permuted_shape(&mode_order);
+        let mode_order = self.format.mode_order();
+        let points = coo.canonical(mode_order);
+        let order = points.order;
 
-        // Each fiber is a half-open range into `points` of entries that share
-        // the fiber's position prefix. The root has a single fiber covering
-        // all points.
-        let mut fibers: Vec<(usize, usize)> = vec![(0, points.len())];
-        let mut levels = Vec::with_capacity(self.format.order());
+        // Each fiber is a half-open range of `points` that share the fiber's
+        // position prefix. The root has a single fiber covering all points.
+        // One level's fibers are the ranges the level above cut; the two
+        // lists swap at each level.
+        let mut fibers: Vec<(usize, usize)> = vec![(0, points.vals.len())];
+        let mut children: Vec<(usize, usize)> = Vec::new();
+        let mut levels = Vec::with_capacity(order);
 
-        for (depth, (&fmt, &dim)) in self.format.levels().iter().zip(&storage_shape).enumerate() {
-            let mut next_fibers = Vec::new();
+        for (depth, (&fmt, &mode)) in self.format.levels().iter().zip(mode_order).enumerate() {
+            let dim = coo.shape()[mode];
+            let coord = |p: usize| points.keys[p * order + depth];
+            children.clear();
             let level = match fmt {
                 LevelFormat::Dense => {
+                    children.reserve(fibers.len() * dim);
                     for &(start, end) in &fibers {
                         let mut cursor = start;
                         for c in 0..dim as u32 {
                             let child_start = cursor;
-                            while cursor < end && points[cursor].0[depth] == c {
+                            while cursor < end && coord(cursor) == c {
                                 cursor += 1;
                             }
-                            next_fibers.push((child_start, cursor));
+                            children.push((child_start, cursor));
                         }
                         debug_assert_eq!(cursor, end, "points outside dimension bound");
                     }
                     Level::Dense(DenseLevel::new(dim, fibers.len()))
                 }
-                LevelFormat::Compressed => {
-                    let mut builder = CompressedLevel::builder(dim);
+                LevelFormat::Compressed | LevelFormat::Bitvector { .. } => {
+                    // One child per distinct coordinate of each fiber; `seg`
+                    // delimits each fiber's children.
+                    children.reserve(points.vals.len());
+                    let mut seg = Vec::with_capacity(fibers.len() + 1);
+                    seg.push(0);
                     for &(start, end) in &fibers {
                         let mut cursor = start;
                         while cursor < end {
-                            let c = points[cursor].0[depth];
-                            let child_start = cursor;
-                            while cursor < end && points[cursor].0[depth] == c {
+                            let (c, child_start) = (coord(cursor), cursor);
+                            while cursor < end && coord(cursor) == c {
                                 cursor += 1;
                             }
-                            builder.push_coord(c);
-                            next_fibers.push((child_start, cursor));
+                            children.push((child_start, cursor));
                         }
-                        builder.end_fiber();
+                        seg.push(children.len());
                     }
-                    Level::Compressed(builder.finish())
-                }
-                LevelFormat::Bitvector { word_width } => {
-                    let mut fiber_coords = Vec::with_capacity(fibers.len());
-                    for &(start, end) in &fibers {
-                        let mut coords = Vec::new();
-                        let mut cursor = start;
-                        while cursor < end {
-                            let c = points[cursor].0[depth];
-                            let child_start = cursor;
-                            while cursor < end && points[cursor].0[depth] == c {
-                                cursor += 1;
-                            }
-                            coords.push(c);
-                            next_fibers.push((child_start, cursor));
+                    match fmt {
+                        LevelFormat::Bitvector { word_width } => {
+                            Level::Bitvector(bitvector(dim, word_width, &seg, &children, coord))
                         }
-                        fiber_coords.push(coords);
+                        _ => {
+                            let crd = children.iter().map(|&(start, _)| coord(start)).collect();
+                            Level::Compressed(CompressedLevel { dim, seg, crd })
+                        }
                     }
-                    Level::Bitvector(BitvectorLevel::from_fibers(dim, word_width, &fiber_coords))
                 }
             };
             levels.push(level);
-            fibers = next_fibers;
+            std::mem::swap(&mut fibers, &mut children);
         }
 
         // Each leaf fiber holds at most one (deduplicated) point; empty leaf
@@ -125,7 +128,7 @@ impl TensorBuilder {
             .map(|&(start, end)| {
                 debug_assert!(end - start <= 1, "leaf fiber should hold at most one point");
                 if end > start {
-                    points[start].1
+                    points.vals[start]
                 } else {
                     0.0
                 }
@@ -134,6 +137,33 @@ impl TensorBuilder {
 
         Tensor::from_parts(name, coo.shape().to_vec(), self.format.clone(), levels, vals)
     }
+}
+
+/// A bitvector level of `word_width`-bit words whose fiber `f` holds the
+/// coordinates of `children[seg[f]..seg[f + 1]]`, each child's first point
+/// read through `coord`.
+///
+/// # Panics
+///
+/// Panics if `word_width` is zero or exceeds 64.
+fn bitvector(
+    dim: usize,
+    word_width: u8,
+    seg: &[usize],
+    children: &[(usize, usize)],
+    coord: impl Fn(usize) -> u32,
+) -> BitvectorLevel {
+    assert!(word_width > 0 && word_width <= 64, "word width must be in 1..=64");
+    let width = word_width as usize;
+    let words_per_fiber = dim.div_ceil(width);
+    let mut words = vec![0u64; (seg.len() - 1) * words_per_fiber];
+    for (fiber, range) in seg.windows(2).enumerate() {
+        for &(start, _) in &children[range[0]..range[1]] {
+            let c = coord(start) as usize;
+            words[fiber * words_per_fiber + c / width] |= 1u64 << (c % width);
+        }
+    }
+    BitvectorLevel { dim, word_width, words_per_fiber, words }
 }
 
 #[cfg(test)]

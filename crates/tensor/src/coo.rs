@@ -6,7 +6,6 @@
 //! merges duplicates and drops explicit zeros.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// An error produced when constructing or manipulating a [`CooTensor`].
@@ -44,6 +43,52 @@ impl fmt::Display for CooError {
 }
 
 impl std::error::Error for CooError {}
+
+/// A tensor's entries in storage order ([`CooTensor::canonical`]): sorted
+/// by point, each point once, no value `0.0`. Entry `i`'s point is
+/// `keys[i * order..(i + 1) * order]`.
+pub(crate) struct Canonical {
+    pub(crate) order: usize,
+    pub(crate) keys: Vec<u32>,
+    pub(crate) vals: Vec<f64>,
+}
+
+/// [`sum_runs`] over the entries sorted by `key`, ties in entry order.
+fn sorted<K: Ord>(keys: &[u32], vals: &[f64], order: usize, key: impl Fn(usize) -> K) -> Canonical {
+    let mut keyed: Vec<(K, usize)> = (0..vals.len()).map(|e| (key(e), e)).collect();
+    keyed.sort_unstable();
+    sum_runs(keys, vals, order, |i| keyed[i].1, |a, b| keyed[a].0 == keyed[b].0)
+}
+
+/// The entries `entry(0), entry(1), …`, whose keys ascend, with each run of
+/// equal keys (`same(i, j)` when positions `i` and `j` hold one) summed in
+/// that order from `0.0`, and the sums equal to `0.0` dropped.
+fn sum_runs(
+    keys: &[u32],
+    vals: &[f64],
+    order: usize,
+    entry: impl Fn(usize) -> usize,
+    same: impl Fn(usize, usize) -> bool,
+) -> Canonical {
+    let n = vals.len();
+    let mut canonical =
+        Canonical { order, keys: Vec::with_capacity(keys.len()), vals: Vec::with_capacity(n) };
+    let mut i = 0;
+    while i < n {
+        let first = i;
+        let mut sum = 0.0;
+        while i < n && same(first, i) {
+            sum += vals[entry(i)];
+            i += 1;
+        }
+        if sum != 0.0 {
+            let e = entry(first);
+            canonical.keys.extend_from_slice(&keys[e * order..(e + 1) * order]);
+            canonical.vals.push(sum);
+        }
+    }
+    canonical
+}
 
 /// A sparse tensor as a list of coordinate points and values.
 ///
@@ -136,18 +181,47 @@ impl CooTensor {
     ///
     /// Panics if `mode_order` is not a permutation of `0..order`.
     pub fn canonicalized(&self, mode_order: &[usize]) -> Vec<(Vec<u32>, f64)> {
-        assert_eq!(mode_order.len(), self.order(), "mode order length mismatch");
-        let mut seen = vec![false; self.order()];
-        for &m in mode_order {
-            assert!(m < self.order() && !seen[m], "mode order must be a permutation");
-            seen[m] = true;
+        let canonical = self.canonical(mode_order);
+        canonical.keys.chunks_exact(canonical.order).map(<[u32]>::to_vec).zip(canonical.vals).collect()
+    }
+
+    /// The entries in storage order, as [`canonicalized`](Self::canonicalized)
+    /// returns them, with their points in one flat array: every point's
+    /// coordinates are permuted into `mode_order` side by side, the entry
+    /// indices are sorted by those keys, ties kept in entry order (a stable
+    /// sort; none when the keys already ascend), and each run of equal keys
+    /// is summed in entry order, starting from `0.0`, and kept when the sum
+    /// is not `0.0`. That is what summing into a map keyed by the permuted
+    /// point and dropping the zeros gives, bit for bit, without a key per
+    /// entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mode_order` is not a permutation of `0..order`.
+    pub(crate) fn canonical(&self, mode_order: &[usize]) -> Canonical {
+        let order = self.order();
+        assert_eq!(mode_order.len(), order, "mode order length mismatch");
+        for (level, &m) in mode_order.iter().enumerate() {
+            assert!(m < order && !mode_order[..level].contains(&m), "mode order must be a permutation");
         }
-        let mut map: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
+        let mut keys = Vec::with_capacity(self.entries.len() * order);
+        let mut vals = Vec::with_capacity(self.entries.len());
         for (point, value) in &self.entries {
-            let permuted: Vec<u32> = mode_order.iter().map(|&m| point[m]).collect();
-            *map.entry(permuted).or_insert(0.0) += value;
+            keys.extend(mode_order.iter().map(|&m| point[m]));
+            vals.push(*value);
         }
-        map.into_iter().filter(|(_, v)| *v != 0.0).collect()
+        let key = |entry: usize| &keys[entry * order..(entry + 1) * order];
+        if (1..vals.len()).all(|e| key(e - 1) <= key(e)) {
+            return sum_runs(&keys, &vals, order, |i| i, |a, b| key(a) == key(b));
+        }
+        // A key packed into one integer where it fits, the narrowest that
+        // holds it: one integer compare is cheaper than a slice compare.
+        let packed = |entry: usize| key(entry).iter().fold(0u128, |k, &c| k << 32 | u128::from(c));
+        match order {
+            1 | 2 => sorted(&keys, &vals, order, |e| packed(e) as u64),
+            3 | 4 => sorted(&keys, &vals, order, packed),
+            _ => sorted(&keys, &vals, order, key),
+        }
     }
 
     /// The permuted shape under a mode order.
