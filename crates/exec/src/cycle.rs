@@ -11,9 +11,10 @@ use crate::error::ExecError;
 use crate::plan::{Merger, Op, Plan, Transfer, DEFAULT_MAX_CYCLES};
 use crate::{assemble_output, Execution, Executor};
 use sam_core::graph::NodeId;
+use sam_primitives::compute::reducer;
 use sam_primitives::writer::{level_sink, val_sink, LevelWriterSink, ValWriterSink};
 use sam_primitives::{
-    root_stream, Alu, ConstVal, CoordDropper, Fork, Intersecter, LevelScanner, LevelWriter, Locator, Reducer,
+    root_stream, Alu, ConstVal, CoordDropper, Fork, Intersecter, LevelScanner, LevelWriter, Locator,
     Repeater, Unioner, ValArray, ValWriter,
 };
 use sam_sim::{ChannelId, SimulationError, Simulator};
@@ -172,12 +173,8 @@ impl Executor for CycleBackend {
                     sim.add_block(Box::new(Alu::new(label, op, [slot(0), slot(1)], out[0])));
                 }
                 Op::Transfer(Transfer::Reduce { order }) => {
-                    let block = match order {
-                        0 => Reducer::scalar(label, slot(0), out[0]),
-                        1 => Reducer::vector(label, slot(0), slot(1), out[0], out[1]),
-                        _ => Reducer::matrix(label, [slot(0), slot(1)], slot(2), [out[0], out[1]], out[2]),
-                    };
-                    sim.add_block(Box::new(block));
+                    let ins: Vec<_> = (0..=order).map(slot).collect();
+                    sim.add_block(reducer(label, &ins, &out[..=order]));
                 }
                 Op::Transfer(Transfer::Drop) => {
                     sim.add_block(Box::new(CoordDropper::new(label, slot(0), slot(1), out[0], out[1])));

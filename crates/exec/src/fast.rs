@@ -118,7 +118,7 @@ use crate::node::{
 use crate::plan::{FusedOperand, FusedScan, Merger, Op, Plan, PortRef, Transfer};
 use crate::{assemble_output, Execution, Executor};
 use sam_core::graph::NodeId;
-use sam_primitives::rule::{self, LevelWrite, ScalarReduce, ValWrite};
+use sam_primitives::rule::{self, LevelWrite, Reduce, ValWrite};
 use sam_sim::{Fault, SimToken};
 use sam_tensor::level::CompressedLevel;
 use sam_trace::{TokenCounts, TraceSink};
@@ -395,7 +395,7 @@ fn region<'a>(
                 crd: reg(ins[0]),
             },
             // The one kind left: a scalar reducer.
-            _ => Step::Reduce { reduce: ScalarReduce::default(), input: reg(ins[0]) },
+            _ => Step::Reduce { reduce: Reduce::default(), input: reg(ins[0]) },
         };
         region.push_member(step, leaves(PortRef { node: id, port: 0 }), spares);
     }

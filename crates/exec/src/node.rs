@@ -21,7 +21,10 @@
 //! The rule decides every pair of heads and makes every token; the walk
 //! decides only how far a trailing side moves: one position, a gallop, or a
 //! probe of the index of a long fiber one side re-delivers ([`Locate`]).
-//! `run_scanner` drains whole fibers through the same `FiberReader`.
+//! `run_scanner` drains whole fibers through the same `FiberReader`. The
+//! reducer of every order is one loop, `run_reducer::<N>`, over
+//! [`Reduce<N>`](rule::Reduce): it offers the rule every stream's head and
+//! advances the streams whose heads it took.
 //!
 //! A merger pushes its output one position at a time into a [`Region`]:
 //! its fusion region, which stores the streams read outside it and runs
@@ -33,7 +36,7 @@ use crate::bind::Inputs;
 use crate::fast::Spares;
 use crate::plan::Transfer;
 use sam_primitives::root_stream;
-use sam_primitives::rule::{self, AluOp, CoordDrop, MatrixReduce, Merge, ScalarReduce, Scan, VectorReduce};
+use sam_primitives::rule::{self, AluOp, CoordDrop, Merge, Reduce, Scan};
 use sam_sim::payload::{tok, Payload};
 use sam_sim::{Fault, SimToken};
 use sam_streams::Token;
@@ -124,7 +127,11 @@ pub(crate) fn eval_node(
                 Ok(())
             })?;
         }
-        Transfer::Reduce { order } => run_reducer(order, srcs, outs)?,
+        Transfer::Reduce { order } => match order {
+            0 => run_reducer::<0>(srcs, outs)?,
+            1 => run_reducer::<1>(srcs, outs)?,
+            _ => run_reducer::<2>(srcs, outs)?,
+        },
         Transfer::Drop => {
             let [outer, inner] = srcs else { unreachable!("dropper has two inputs") };
             run_dropper(outer, inner, outs)?;
@@ -585,9 +592,9 @@ pub(crate) enum Step<'a> {
     /// A repeater: its coordinate input is a register, its reference
     /// input a stored stream.
     Repeat { rule: rule::Repeat, refs: SliceSource<'a>, crd: usize },
-    /// A scalar reducer. It emits zero to two tokens a position, so no
-    /// member reads it.
-    Reduce { reduce: ScalarReduce, input: usize },
+    /// A scalar reducer (order 0). It emits zero to two tokens a position,
+    /// so no member reads it.
+    Reduce { reduce: Reduce<0>, input: usize },
 }
 
 /// `steps`, emptied, as a list of steps over another lifetime, in the same
@@ -635,7 +642,7 @@ impl Step<'_> {
             }
             Step::Reduce { reduce, input } => {
                 for (i, &t) in block(*input) {
-                    reduce.step(t, |o| write(i, o))?;
+                    reduce.step([], Some(t), |[], o| write(i, o))?;
                 }
             }
         }
@@ -1079,49 +1086,43 @@ fn probe<const SWAP: bool>(
     Ok(())
 }
 
-/// Reducer transfer function (Definition 3.7), of order 0 (scalar), 1
-/// (vector) or 2 (matrix).
-fn run_reducer(order: usize, srcs: &mut [SliceSource<'_>], outs: &mut [Vec<SimToken>]) -> Result<(), Fault> {
-    match (order, srcs, outs) {
-        (0, [val], [ov]) => {
-            let mut reduce = ScalarReduce::default();
-            each(val, |t| reduce.step(t, |v| ov.push(v)))
+/// Reducer transfer function (Definition 3.7) of order `N`, over its `N`
+/// coordinate streams and its value stream: [`Reduce`], offered every
+/// stream's head, until it takes the value stream's done token. A step that
+/// takes nothing waits for a token the finished streams never deliver.
+fn run_reducer<const N: usize>(
+    srcs: &mut [SliceSource<'_>],
+    outs: &mut [Vec<SimToken>],
+) -> Result<(), Fault> {
+    let (Some((val_src, crd_srcs)), Some((val_out, crd_outs))) =
+        (srcs.split_last_mut(), outs.split_last_mut())
+    else {
+        return Err(Fault::Misaligned);
+    };
+    let (Ok(crd_srcs), Ok(crd_outs)) = (<&mut [_; N]>::try_from(crd_srcs), <&mut [_; N]>::try_from(crd_outs))
+    else {
+        return Err(Fault::Misaligned);
+    };
+    let mut reduce = Reduce::<N>::default();
+    loop {
+        let val = val_src.peek();
+        let took = reduce.step(std::array::from_fn(|k| crd_srcs[k].peek()), val, |crd, v| {
+            for (out, t) in crd_outs.iter_mut().zip(crd) {
+                out.push(t);
+            }
+            val_out.push(v);
+        })?;
+        for (src, took) in crd_srcs.iter_mut().zip(took.crd) {
+            src.pos += usize::from(took);
         }
-        (1, [crd, val], [oc, ov]) => {
-            let mut reduce = VectorReduce::default();
-            zip_streams(crd, val, |c, v| {
-                reduce.step(c, v, |[c, v]| {
-                    oc.push(c);
-                    ov.push(v);
-                })
-            })
+        if took.val {
+            val_src.pos += 1;
+            if val.is_some_and(|t| t.is_done()) {
+                return Ok(());
+            }
+        } else if !took.crd.contains(&true) {
+            return Err(Fault::Misaligned);
         }
-        (_, [outer, inner, val], [oo, oi, ov]) => {
-            let mut reduce = MatrixReduce::default();
-            zip_streams(inner, val, |i, v| {
-                if let Some(o) = outer.peek() {
-                    if reduce.open(o)? {
-                        outer.next();
-                    }
-                }
-                let emit = |[o, i, v]: [SimToken; 3]| {
-                    oo.push(o);
-                    oi.push(i);
-                    ov.push(v);
-                };
-                if !reduce.step(i, v, emit)? {
-                    // A data pair without its outer coordinate, which the
-                    // finished outer stream will never deliver.
-                    return Err(Fault::Misaligned);
-                }
-                // The outer stream's stop closing the same fiber.
-                if let (Token::Stop(_), Token::Stop(_), Some(Token::Stop(_))) = (i, v, outer.peek()) {
-                    outer.next();
-                }
-                Ok(())
-            })
-        }
-        _ => unreachable!("a reducer's ports match its order"),
     }
 }
 
@@ -1882,7 +1883,7 @@ mod tests {
             let z = run(&mut |out| array(&vr, &rep, out))?;
             let m = run(&mut |out| alu(AluOp::Mul, &x, &y, out))?;
             let a = run(&mut |out| alu(AluOp::Sub, &m, &z, out))?;
-            let r = run(&mut |out| run_reducer(0, &mut [src(&a)], std::slice::from_mut(out)))?;
+            let r = run(&mut |out| run_reducer::<0>(&mut [src(&a)], std::slice::from_mut(out)))?;
             let refs: Vec<_> = rep.iter().filter(|t| matches!(t, Token::Val(_))).collect();
             repeated += refs.windows(2).filter(|w| w[0] == w[1]).count();
 
@@ -1903,7 +1904,7 @@ mod tests {
             region.push_member(Step::Array { vals: &vr, input: 3 }, false, spares);
             region.push_member(Step::Alu { op: AluOp::Mul, a: 4, b: 5 }, false, spares);
             region.push_member(Step::Alu { op: AluOp::Sub, a: 7, b: 6 }, false, spares);
-            region.push_member(Step::Reduce { reduce: ScalarReduce::default(), input: 8 }, false, spares);
+            region.push_member(Step::Reduce { reduce: Reduce::default(), input: 8 }, false, spares);
             let (mut a_op, mut b_op) = operands();
             run_merge::<false>(&mut a_op, &mut b_op, &mut region)?;
             let (root, ports) = region.finish(spares);

@@ -96,11 +96,12 @@ pub(crate) fn tile_schedule(plan: &Plan, inputs: &Inputs, tile: usize) -> (Kerne
             // an array — whatever gates its input gates its output. The
             // scalar binding itself is untiled (no storage levels).
             Op::Transfer(Transfer::Array { .. } | Transfer::Const { .. }) => input(0),
-            // A scalar reducer emits explicit zeros on bare fiber
+            // A reducer's coordinate inputs gate its output; a scalar
+            // reducer has none and emits explicit zeros on bare fiber
             // boundaries, so nothing gates its output.
-            Op::Transfer(Transfer::Reduce { order: 0 }) => BTreeSet::new(),
-            Op::Transfer(Transfer::Reduce { order: 1 }) => input(0),
-            Op::Transfer(Transfer::Reduce { .. }) => &input(0) | &input(1),
+            Op::Transfer(Transfer::Reduce { order }) => {
+                (0..order).fold(BTreeSet::new(), |r, k| &r | &input(k))
+            }
             Op::Transfer(Transfer::Drop) => {
                 // Outer coordinates survive only when their inner fiber
                 // holds data: both streams gate the outer output.

@@ -226,19 +226,19 @@ fn an_index_variable_bound_at_two_sizes_is_rejected_on_every_backend() {
     }
 }
 
-/// A schedule whose output levels do not nest. `X(i,j,k) = B(i,j,l) *
-/// C(k,l)` at `iljk` iterates the reduction variable `l` between the output
-/// variables `i` and `j`, and its writers' levels below `i` do not hold one
-/// fiber per entry of the level above them. That is a typed error on every
-/// backend: the fast and cycle backends used to return a tensor whose
-/// `to_dense` panicked, and the tiled backend panicked merging it.
+/// A schedule whose output levels do not nest. `X(i,j) = B(i,j) + C(i,j)`
+/// at `ji` iterates the output's variables out of its mode order, so its
+/// writers' level below `i` does not hold one fiber per entry of the level
+/// above it. That is a typed error on every backend: the fast and cycle
+/// backends used to return a tensor whose `to_dense` panicked, and the
+/// tiled backend panicked merging it.
 #[test]
 fn writers_that_disagree_on_the_output_tree_are_a_typed_error_on_every_backend() {
-    let assignment = parse("X(i,j,k) = B(i,j,l) * C(k,l)").unwrap();
-    let cin = ConcreteIndexNotation::new(assignment, &Schedule::new().reorder("iljk"), Formats::new());
+    let assignment = parse("X(i,j) = B(i,j) + C(i,j)").unwrap();
+    let cin = ConcreteIndexNotation::new(assignment, &Schedule::new().reorder("ji"), Formats::new());
     let kernel = lower_exec(&cin).unwrap();
-    let b = synth::random_tensor3([6, 5, 4], 40, 31);
-    let c = synth::random_matrix_sparsity(7, 4, 0.4, 32);
+    let b = synth::random_matrix_sparsity(6, 5, 0.5, 31);
+    let c = synth::random_matrix_sparsity(6, 5, 0.5, 32);
     let mut inputs = Inputs::new();
     for (name, coo) in [("B", &b), ("C", &c)] {
         let format = &kernel.formats.iter().find(|(n, _)| n == name).expect("operand in formats").1;
@@ -248,6 +248,50 @@ fn writers_that_disagree_on_the_output_tree_are_a_typed_error_on_every_backend()
         match ExecRequest::new(&kernel.graph, &inputs).backend(spec).run() {
             Err(ExecError::Misaligned { label }) => assert_eq!(label, "output assembly", "{spec}"),
             other => panic!("{spec}: expected a misaligned output, got {other:?}"),
+        }
+    }
+}
+
+/// A matrix reduction under an outer loop: TTM at `iljk` reduces `l`
+/// between the output variables `i` and `j`, and `X(l,i,j) = B(l,k,i) *
+/// C(k,j)` at `lkij` reduces `k` under `l`. The matrix reducer flushes at
+/// each stop that closes the reduced fiber, so both compute the dense
+/// reference on every backend; while it flushed only at done, both were
+/// `Misaligned` at "output assembly".
+#[test]
+fn a_matrix_reduction_under_an_outer_loop_computes_the_reference_on_every_backend() {
+    let cases = [
+        (
+            "X(i,j,k) = B(i,j,l) * C(k,l)",
+            "iljk",
+            synth::random_tensor3([6, 5, 4], 40, 31),
+            synth::random_matrix_sparsity(7, 4, 0.4, 32),
+        ),
+        (
+            "X(l,i,j) = B(l,k,i) * C(k,j)",
+            "lkij",
+            synth::random_tensor3([4, 6, 5], 40, 33),
+            synth::random_matrix_sparsity(6, 7, 0.4, 34),
+        ),
+    ];
+    for (text, order, b, c) in cases {
+        let assignment = parse(text).unwrap();
+        let cin =
+            ConcreteIndexNotation::new(assignment.clone(), &Schedule::new().reorder(order), Formats::new());
+        let kernel = lower_exec(&cin).unwrap();
+        let (mut inputs, mut env) = (Inputs::new(), Environment::new());
+        for (name, coo) in [("B", &b), ("C", &c)] {
+            let format = &kernel.formats.iter().find(|(n, _)| n == name).expect("operand in formats").1;
+            inputs = inputs.coo(name, coo, format.clone());
+            env.insert(name, Tensor::from_coo(name, coo, TensorFormat::dense(coo.order())).to_dense());
+        }
+        env.bind_dims(&assignment, &[]);
+        let expect = env.evaluate(&assignment).expect("reference evaluation");
+        for spec in BackendSpec::all() {
+            let run = ExecRequest::new(&kernel.graph, &inputs).backend(spec).run();
+            let out = run.unwrap_or_else(|e| panic!("`{text}` at `{order}` on {spec}: {e}"));
+            let out = out.output.expect("a tensor");
+            assert!(out.to_dense().approx_eq(&expect), "`{text}` at `{order}` on {spec} diverged");
         }
     }
 }

@@ -10,10 +10,10 @@
 //! cargo run --release -p sam-primitives --example block_micro
 //! ```
 
+use sam_primitives::compute::reducer;
 use sam_primitives::writer::{level_sink, val_sink};
 use sam_primitives::{
-    Alu, AluOp, CoordDropper, Intersecter, LevelScanner, LevelWriter, Reducer, Repeater, Unioner, ValArray,
-    ValWriter,
+    Alu, AluOp, CoordDropper, Intersecter, LevelScanner, LevelWriter, Repeater, Unioner, ValArray, ValWriter,
 };
 use sam_sim::payload::tok;
 use sam_sim::{Block, ChannelId, SimToken, Simulator};
@@ -166,7 +166,7 @@ fn main() {
         time(&alu_in, 1, |i, o| Box::new(Alu::new("alu", AluOp::Mul, [i[0], i[1]], o[0]))),
     );
     let sum_in = [val.clone()];
-    report("scalar_reducer", &sum_in, time(&sum_in, 1, |i, o| Box::new(Reducer::scalar("sum", i[0], o[0]))));
+    report("scalar_reducer", &sum_in, time(&sum_in, 1, |i, o| reducer("sum", i, o)));
     let crd_in = [crd.clone()];
     report(
         "level_writer",
@@ -179,21 +179,13 @@ fn main() {
         time(&sum_in, 0, |i, _| Box::new(ValWriter::new("vals", i[0], val_sink()))),
     );
     let red_in = [crd.clone(), val.clone()];
-    report(
-        "vector_reducer",
-        &red_in,
-        time(&red_in, 2, |i, o| Box::new(Reducer::vector("red", i[0], i[1], o[0], o[1]))),
-    );
+    report("vector_reducer", &red_in, time(&red_in, 2, |i, o| reducer("red", i, o)));
     // The matrix reducer sums outer products: 64 outer coordinates, each
     // the outer coordinate of every 64th inner fiber.
     let outer_cells: Vec<SimToken> =
         outer.iter().map(|t| t.value().map_or(*t, |p| tok::crd(p.expect_crd() % 64))).collect();
     let cells_in = [outer_cells, crd.clone(), val.clone()];
-    report(
-        "matrix_reducer",
-        &cells_in,
-        time(&cells_in, 3, |i, o| Box::new(Reducer::matrix("cells", [i[0], i[1]], i[2], [o[0], o[1]], o[2]))),
-    );
+    report("matrix_reducer", &cells_in, time(&cells_in, 3, |i, o| reducer("cells", i, o)));
     let drop_in = [outer, val];
     report(
         "dropper",

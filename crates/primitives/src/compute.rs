@@ -1,11 +1,10 @@
-//! Computation blocks: ALUs, the constant source and reducers (paper
+//! Computation blocks: ALUs, the constant source and the reducer (paper
 //! Definitions 3.6 and 3.7). Each block is the timing of its rule in
-//! [`crate::rule`].
+//! [`crate::rule`]; one reducer block, [`Reducer<N>`], serves every order,
+//! and [`reducer`] builds the one a port list asks for.
 
-use crate::rule::{self, AluOp, MatrixReduce, ScalarReduce, VectorReduce};
-use sam_sim::payload::tok;
+use crate::rule::{self, AluOp, Reduce};
 use sam_sim::{Block, BlockStatus, ChannelId, Context, Fault, SimToken};
-use sam_streams::Token;
 use std::collections::VecDeque;
 
 /// A streaming two-input ALU (Definition 3.6, [`rule::alu`]): one aligned
@@ -83,161 +82,104 @@ impl Block for ConstVal {
     }
 }
 
-/// A reducer of accumulation order 0 (scalar, [`ScalarReduce`]), 1 (vector,
-/// [`VectorReduce`]) or 2 (matrix, [`MatrixReduce`]), Definition 3.7.
+/// A reducer of order `N` (Definition 3.7): the timing of [`Reduce`].
 ///
-/// It pops one token per input per cycle and emits at most one token per
-/// output per cycle: the scalar reducer pushes a fiber's sum in the cycle
-/// that reads the closing stop and queues the stop one level down for the
-/// next; the vector and matrix reducers queue everything a token closes.
-/// A queued token goes out before anything more is read.
+/// It takes at most one token per input and emits at most one token per
+/// output per cycle. Order 0 pushes a fiber's sum in the cycle that reads
+/// the closing stop and queues the stop one level down for the next; the
+/// higher orders queue everything a token closes. A queued token goes out
+/// before anything more is read.
 #[derive(Debug)]
-pub struct Reducer {
+pub struct Reducer<const N: usize> {
     name: String,
-    /// The coordinate inputs (outer first), then the value input.
-    ins: Vec<ChannelId>,
-    /// The coordinate outputs (outer first), then the value output.
-    outs: Vec<ChannelId>,
-    rule: Order,
-    /// Emissions waiting for a cycle, a token per output (the first
-    /// `outs.len()` of each entry).
-    pending: VecDeque<[SimToken; 3]>,
+    /// The coordinate inputs, outer first, and the value input.
+    ins: ([ChannelId; N], ChannelId),
+    /// The coordinate outputs, outer first, and the value output.
+    outs: ([ChannelId; N], ChannelId),
+    rule: Reduce<N>,
+    /// Emissions waiting for a cycle, a token per output.
+    pending: VecDeque<([SimToken; N], SimToken)>,
     done: bool,
 }
 
-/// A [`Reducer`]'s rule.
-#[derive(Debug)]
-enum Order {
-    Scalar(ScalarReduce),
-    Vector(VectorReduce),
-    Matrix(MatrixReduce),
-}
-
-impl Reducer {
-    /// Creates a scalar reducer (order 0).
-    pub fn scalar(name: impl Into<String>, in_val: ChannelId, out_val: ChannelId) -> Self {
-        Self::new(name, Order::Scalar(ScalarReduce::default()), vec![in_val], vec![out_val])
+impl<const N: usize> Reducer<N> {
+    /// Creates a reducer of order `N` reading `ins` and writing `outs`:
+    /// `N` coordinate ports, outer first, then the value port.
+    pub fn new(name: impl Into<String>, ins: &[ChannelId], outs: &[ChannelId]) -> Self {
+        let ports = |ps: &[ChannelId]| (std::array::from_fn(|k| ps[k]), ps[N]);
+        Reducer {
+            name: name.into(),
+            ins: ports(ins),
+            outs: ports(outs),
+            rule: Reduce::default(),
+            pending: VecDeque::new(),
+            done: false,
+        }
     }
 
-    /// Creates a vector reducer (order 1).
-    pub fn vector(
-        name: impl Into<String>,
-        in_crd: ChannelId,
-        in_val: ChannelId,
-        out_crd: ChannelId,
-        out_val: ChannelId,
-    ) -> Self {
-        Self::new(name, Order::Vector(VectorReduce::default()), vec![in_crd, in_val], vec![out_crd, out_val])
-    }
-
-    /// Creates a matrix reducer (order 2). The first coordinate channel is
-    /// the outer level (one coordinate per inner fiber), the second the inner
-    /// level (aligned with the value stream).
-    pub fn matrix(
-        name: impl Into<String>,
-        in_crd: [ChannelId; 2],
-        in_val: ChannelId,
-        out_crd: [ChannelId; 2],
-        out_val: ChannelId,
-    ) -> Self {
-        let [io, ii] = in_crd;
-        let [oo, oi] = out_crd;
-        Self::new(name, Order::Matrix(MatrixReduce::default()), vec![io, ii, in_val], vec![oo, oi, out_val])
-    }
-
-    fn new(name: impl Into<String>, rule: Order, ins: Vec<ChannelId>, outs: Vec<ChannelId>) -> Self {
-        Reducer { name: name.into(), ins, outs, rule, pending: VecDeque::new(), done: false }
-    }
-
-    /// One cycle's work once nothing is queued.
+    /// One cycle's work once nothing is queued: steps the rule until it
+    /// takes the value input's head or nothing, popping what it takes. (A
+    /// step that takes only an outer coordinate has not seen the head
+    /// behind it.)
     fn read(&mut self, ctx: &mut Context) -> Result<BlockStatus, Fault> {
-        let Reducer { ins, outs, rule, pending, done, .. } = self;
-        let queue = |p: &mut VecDeque<_>, t: &[SimToken]| {
-            let mut entry = [tok::done(); 3];
-            entry[..t.len()].copy_from_slice(t);
-            p.push_back(entry);
-        };
-        match rule {
-            Order::Scalar(rule) => {
-                let Some(t) = ctx.pop(ins[0]) else {
-                    return Ok(ctx.stall());
-                };
-                let mut first = true;
-                rule.step(t, |v| {
-                    if std::mem::take(&mut first) {
-                        ctx.push(outs[0], v);
-                    } else {
-                        queue(pending, &[v]);
-                    }
-                })?;
-                *done = t.is_done();
-                return Ok(crate::status(*done));
+        let Reducer { ins: (in_crd, in_val), outs: (_, out_val), rule, pending, .. } = self;
+        let mut now = N == 0;
+        loop {
+            let mut crd = [None; N];
+            for (head, &c) in crd.iter_mut().zip(in_crd.iter()) {
+                *head = ctx.peek(c).copied();
             }
-            Order::Vector(rule) => {
-                let (Some(c), Some(v)) = (ctx.peek(ins[0]).copied(), ctx.peek(ins[1]).copied()) else {
-                    return Ok(ctx.stall());
-                };
-                rule.step(c, v, |t| queue(pending, &t))?;
-                ctx.pop(ins[0]);
-                ctx.pop(ins[1]);
-                *done = c.is_done() && v.is_done();
+            // Order 0 reads one input, whose head the rule always takes.
+            let val = if N == 0 { ctx.pop(*in_val) } else { ctx.peek(*in_val).copied() };
+            let took = rule.step(crd, val, |crd, v| {
+                if std::mem::take(&mut now) {
+                    ctx.push(*out_val, v);
+                } else {
+                    pending.push_back((crd, v));
+                }
+            })?;
+            for (&c, took) in in_crd.iter().zip(took.crd) {
+                if took {
+                    ctx.pop(c);
+                }
             }
-            Order::Matrix(rule) => {
-                // Take the next inner fiber's outer coordinate if it is
-                // there. (A tick that took it has popped, so neither wait
-                // below is a stall.)
-                if let Some(&o) = ctx.peek(ins[0]) {
-                    if rule.open(o)? {
-                        ctx.pop(ins[0]);
-                    }
+            if took.val {
+                if N > 0 {
+                    ctx.pop(*in_val);
                 }
-                let (Some(i), Some(v)) = (ctx.peek(ins[1]).copied(), ctx.peek(ins[2]).copied()) else {
-                    return Ok(ctx.stall());
-                };
-                if !rule.step(i, v, |t| queue(pending, &t))? {
-                    // A data pair waits for its outer coordinate.
-                    return Ok(ctx.stall());
-                }
-                ctx.pop(ins[1]);
-                ctx.pop(ins[2]);
-                match (i, v) {
-                    // The outer stream's stop closing the same fiber, if it
-                    // has arrived.
-                    (Token::Stop(_), Token::Stop(_)) => {
-                        if let Some(Token::Stop(_)) = ctx.peek(ins[0]) {
-                            ctx.pop(ins[0]);
-                        }
-                    }
-                    // Whatever of the outer stream has arrived, up to its
-                    // done token.
-                    (Token::Done, Token::Done) => {
-                        while let Some(o) = ctx.pop(ins[0]) {
-                            if o.is_done() {
-                                break;
-                            }
-                        }
-                        *done = true;
-                    }
-                    _ => {}
-                }
+                self.done = val.is_some_and(|v| v.is_done());
+                // Order 0 has pushed its done token; the others queue it.
+                return Ok(crate::status(N == 0 && self.done));
+            }
+            if !took.crd.contains(&true) {
+                return Ok(ctx.stall());
             }
         }
-        // A vector or matrix reducer pushes nothing in the cycle it reads.
-        Ok(BlockStatus::Busy)
     }
 }
 
-impl Block for Reducer {
+/// A reducer of order `ins.len() - 1` (at most 2), reading `ins` and
+/// writing `outs` as [`Reducer::new`] does.
+pub fn reducer(name: impl Into<String>, ins: &[ChannelId], outs: &[ChannelId]) -> Box<dyn Block> {
+    match ins.len() {
+        1 => Box::new(Reducer::<0>::new(name, ins, outs)),
+        2 => Box::new(Reducer::<1>::new(name, ins, outs)),
+        _ => Box::new(Reducer::<2>::new(name, ins, outs)),
+    }
+}
+
+impl<const N: usize> Block for Reducer<N> {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
         // Drain pending emissions first, one per cycle.
-        if let Some(entry) = self.pending.pop_front() {
-            for (&out, t) in self.outs.iter().zip(entry) {
+        if let Some((crd, val)) = self.pending.pop_front() {
+            for (&out, t) in self.outs.0.iter().zip(crd) {
                 ctx.push(out, t);
             }
+            ctx.push(self.outs.1, val);
             return crate::status(self.done && self.pending.is_empty());
         }
         if self.done {
@@ -250,7 +192,9 @@ impl Block for Reducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sam_sim::payload::tok;
     use sam_sim::Simulator;
+    use sam_streams::Token;
 
     fn vals(tokens: &[SimToken]) -> Vec<f64> {
         tokens.iter().filter_map(|t| t.value_ref().map(|p| p.expect_val())).collect()
@@ -298,7 +242,7 @@ mod tests {
         let input = sim.add_channel("in");
         let out = sim.add_channel("out");
         sim.record(out);
-        sim.add_block(Box::new(Reducer::scalar("red", input, out)));
+        sim.add_block(Box::new(Reducer::<0>::new("red", &[input], &[out])));
         sim.preload(
             input,
             vec![
@@ -326,7 +270,7 @@ mod tests {
         let input = sim.add_channel("in");
         let out = sim.add_channel("out");
         sim.record(out);
-        sim.add_block(Box::new(Reducer::scalar("red", input, out)));
+        sim.add_block(Box::new(Reducer::<0>::new("red", &[input], &[out])));
         sim.preload(input, vec![tok::val(1.0), tok::val(2.0), tok::stop(0), tok::stop(1), tok::done()]);
         sim.run(100).unwrap();
         assert_eq!(vals(sim.history(out)), vec![3.0, 0.0]);
@@ -342,7 +286,7 @@ mod tests {
         let out_val = sim.add_channel("out_val");
         sim.record(out_crd);
         sim.record(out_val);
-        sim.add_block(Box::new(Reducer::vector("red", in_crd, in_val, out_crd, out_val)));
+        sim.add_block(Box::new(Reducer::<1>::new("red", &[in_crd, in_val], &[out_crd, out_val])));
         sim.preload(
             in_crd,
             vec![
@@ -387,7 +331,7 @@ mod tests {
         let out_val = sim.add_channel("out_val");
         sim.record(out_crd);
         sim.record(out_val);
-        sim.add_block(Box::new(Reducer::vector("red", in_crd, in_val, out_crd, out_val)));
+        sim.add_block(Box::new(Reducer::<1>::new("red", &[in_crd, in_val], &[out_crd, out_val])));
         sim.preload(
             in_crd,
             vec![
@@ -430,24 +374,66 @@ mod tests {
         sim.record(out_i);
         sim.record(out_j);
         sim.record(out_val);
-        sim.add_block(Box::new(Reducer::matrix("red", [in_i, in_j], in_val, [out_i, out_j], out_val)));
+        sim.add_block(Box::new(Reducer::<2>::new("red", &[in_i, in_j, in_val], &[out_i, out_j, out_val])));
         // k=0 contributes (i=1, j=2) -> 3.0; k=1 contributes (1,2) -> 4.0 and (1,3) -> 5.0.
         sim.preload(in_i, vec![tok::crd(1), tok::stop(0), tok::crd(1), tok::stop(1), tok::done()]);
         sim.preload(
             in_j,
-            vec![tok::crd(2), tok::stop(0), tok::crd(2), tok::crd(3), tok::stop(1), tok::done()],
+            vec![tok::crd(2), tok::stop(1), tok::crd(2), tok::crd(3), tok::stop(2), tok::done()],
         );
         sim.preload(
             in_val,
-            vec![tok::val(3.0), tok::stop(0), tok::val(4.0), tok::val(5.0), tok::stop(1), tok::done()],
+            vec![tok::val(3.0), tok::stop(1), tok::val(4.0), tok::val(5.0), tok::stop(2), tok::done()],
         );
         sim.run(200).unwrap();
-        assert_eq!(crds(sim.history(out_j)), vec![2, 3]);
-        assert_eq!(vals(sim.history(out_val)), vec![7.0, 5.0]);
         // The outer coordinate 1 appears once, with an empty filler for the
         // second element of its fiber.
-        let outer: Vec<u32> = crds(sim.history(out_i));
-        assert_eq!(outer, vec![1]);
+        assert_eq!(sim.history(out_i), [tok::crd(1), Token::Empty, tok::stop(0), tok::done()]);
+        assert_eq!(sim.history(out_j), [tok::crd(2), tok::crd(3), tok::stop(1), tok::done()]);
+        assert_eq!(sim.history(out_val), [tok::val(7.0), tok::val(5.0), tok::stop(1), tok::done()]);
+    }
+
+    /// A matrix reduction under an outer loop flushes at each stop that
+    /// closes the reduced fiber, not only at done.
+    #[test]
+    fn matrix_reducer_flushes_each_reduced_fiber() -> Result<(), sam_sim::SimulationError> {
+        let mut sim = Simulator::new();
+        let [i, j, v, oi, oj, ov] = ["i", "j", "v", "oi", "oj", "ov"].map(|n| sim.add_channel(n));
+        for c in [oi, oj, ov] {
+            sim.record(c);
+        }
+        sim.add_block(Box::new(Reducer::<2>::new("red", &[i, j, v], &[oi, oj, ov])));
+        // Outer fiber l=0: k=0 holds (i=1: j=2), (i=3: j=0); k=1 holds
+        // (i=1: j=2). Outer fiber l=1: one k without entries.
+        sim.preload(
+            i,
+            vec![
+                tok::crd(1),
+                tok::crd(3),
+                tok::stop(0),
+                tok::crd(1),
+                tok::stop(1),
+                tok::stop(2),
+                tok::done(),
+            ],
+        );
+        let inner = |x: fn(u32) -> SimToken| {
+            vec![x(2), tok::stop(0), x(0), tok::stop(1), x(2), tok::stop(2), tok::stop(3), tok::done()]
+        };
+        sim.preload(j, inner(tok::crd));
+        sim.preload(v, inner(|c| tok::val(f64::from(c) + 0.5)));
+        sim.run(200)?;
+        let e = Token::Empty;
+        assert_eq!(sim.history(oi), [tok::crd(1), e, tok::crd(3), tok::stop(0), tok::stop(1), tok::done()]);
+        assert_eq!(
+            sim.history(oj),
+            [tok::crd(2), tok::stop(0), tok::crd(0), tok::stop(1), tok::stop(2), tok::done()]
+        );
+        assert_eq!(
+            sim.history(ov),
+            [tok::val(5.0), tok::stop(0), tok::val(0.5), tok::stop(1), tok::stop(2), tok::done()]
+        );
+        Ok(())
     }
 
     /// Heads that cannot line up end the run with the block's fault, in the
@@ -469,7 +455,7 @@ mod tests {
         // A vector reducer whose coordinate stream outlasts its values.
         let mut sim = Simulator::new();
         let [c, v, oc, ov] = ["c", "v", "oc", "ov"].map(|n| sim.add_channel(n));
-        sim.add_block(Box::new(Reducer::vector("red", c, v, oc, ov)));
+        sim.add_block(Box::new(Reducer::<1>::new("red", &[c, v], &[oc, ov])));
         sim.preload(c, vec![tok::crd(0), tok::crd(1), tok::stop(1), tok::done()]);
         sim.preload(v, vec![tok::val(1.0), tok::stop(1), tok::done()]);
         assert_eq!(fault(&mut sim), (1, "red".into(), Fault::Misaligned));
@@ -477,7 +463,7 @@ mod tests {
         // A matrix reducer whose value stream carries a coordinate.
         let mut sim = Simulator::new();
         let [i, j, v, oi, oj, ov] = ["i", "j", "v", "oi", "oj", "ov"].map(|n| sim.add_channel(n));
-        sim.add_block(Box::new(Reducer::matrix("red", [i, j], v, [oi, oj], ov)));
+        sim.add_block(Box::new(Reducer::<2>::new("red", &[i, j, v], &[oi, oj, ov])));
         sim.preload(i, vec![tok::crd(1), tok::stop(0), tok::done()]);
         sim.preload(j, vec![tok::crd(2), tok::stop(1), tok::done()]);
         sim.preload(v, vec![tok::crd(3), tok::stop(1), tok::done()]);
@@ -486,7 +472,7 @@ mod tests {
         // A scalar reducer fed references.
         let mut sim = Simulator::new();
         let [input, out] = ["in", "out"].map(|n| sim.add_channel(n));
-        sim.add_block(Box::new(Reducer::scalar("sum", input, out)));
+        sim.add_block(Box::new(Reducer::<0>::new("sum", &[input], &[out])));
         sim.preload(input, vec![tok::rf(0), tok::stop(0), tok::done()]);
         assert_eq!(fault(&mut sim), (0, "sum".into(), Fault::Misaligned));
     }

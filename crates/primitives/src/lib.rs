@@ -11,7 +11,8 @@
 //! * [`Repeater`] — broadcasting (Definition 3.4),
 //! * [`ValArray`] — the array block in load mode (Definition 3.5),
 //! * [`Alu`] — streaming arithmetic (Definition 3.6),
-//! * [`Reducer`] — scalar/vector/matrix accumulation (Definition 3.7),
+//! * [`Reducer`] — accumulation of order 0, 1 or 2: scalar, vector or
+//!   matrix (Definition 3.7),
 //! * [`LevelWriter`] / [`ValWriter`] — tensor construction (Definition 3.8),
 //! * [`CoordDropper`] — result cleanup (Definition 3.9),
 //! * [`Fork`] — the stream fan-out paper figures draw implicitly.

@@ -1,9 +1,9 @@
 //! The token rule of every primitive whose cycle block and fast-backend
 //! form compute the same tokens in the same order: the level scanner's
 //! stop rule, the intersecter and the unioner, the repeater, the array in
-//! load mode and the constant source, the ALU, the locator, the scalar,
-//! vector and matrix reducers, the coordinate dropper and the level and
-//! value writers.
+//! load mode and the constant source, the ALU, the locator, the reducer
+//! (one rule, [`Reduce`], for orders 0, 1 and 2), the coordinate dropper
+//! and the level and value writers.
 //!
 //! Each rule is written once, here, as a function of the tokens at the
 //! primitive's inputs (and of its state, for the repeater, the reducers,
@@ -37,7 +37,7 @@ pub use drop::CoordDrop;
 pub use load::{constant, load};
 pub use locate::locate;
 pub use merge::{merge, Merge};
-pub use reduce::{MatrixReduce, ScalarReduce, VectorReduce};
+pub use reduce::{Reduce, Took};
 pub use repeat::Repeat;
 pub use scan::{closing_stop, scan, Scan};
 pub use write::{LevelWrite, ValWrite};

@@ -1,188 +1,239 @@
-//! The reducers (Definition 3.7).
+//! The reducer (Definition 3.7), one rule for every order.
 
 use sam_sim::payload::tok;
 use sam_sim::{Fault, Payload, SimToken};
 use sam_streams::Token;
 
-/// A scalar reducer (order 0): sums each innermost fiber of its value
-/// stream into one value. An empty fiber sums to an explicit zero, so the
-/// output stays aligned with the outer coordinate streams feeding the
-/// writers.
-#[derive(Debug, Default)]
-pub struct ScalarReduce {
-    acc: f64,
+/// A reducer of order `N` (Definition 3.7): it sums the values of each
+/// fiber it reduces into one cell per key of `N` coordinates — a scalar for
+/// `N = 0`, a vector for `N = 1` (Figure 7), a matrix for `N = 2`
+/// (outer-product dataflows).
+///
+/// It reads `N` coordinate streams, outer first, and a value stream. The
+/// innermost coordinate stream is aligned with the values; for `N = 2` the
+/// outer one carries one coordinate per inner fiber, and its stops close
+/// the outer fibers.
+///
+/// Each data pair goes into the run, in arrival order. A stop of level
+/// `m ≥ N` closes the reduced fiber and flushes the run: its cells in key
+/// order, each summed from `0.0` in arrival order, then coordinate output
+/// `k` closed by `stop(m − N + k)` and the values by `stop(m − 1)` (no stop
+/// when `m = 0`). For `N = 0` the run is the one empty key, so an empty
+/// fiber sums to an explicit zero and the output stays aligned with the
+/// outer coordinate streams feeding the writers. For `N = 2` the outer
+/// coordinate goes out with the first entry of its fiber and `Empty` with
+/// the others, and fibers are separated by `[Empty, stop(0), stop(0)]`.
+/// Done flushes whatever is pending, then goes out on every output.
+#[derive(Debug)]
+pub struct Reduce<const N: usize> {
+    /// The run while it is one cell: its key and its values summed from
+    /// `0.0` in arrival order (`0.0` while the run is empty). For `N = 0`
+    /// the run is always this cell, the one empty key.
+    cell: ([u32; N], f64),
+    /// The run once it is more than one cell: each data pair's key and
+    /// value since the last flush, in arrival order.
+    run: Vec<([u32; N], f64)>,
+    /// Whether a data pair went into the run since the last flush.
+    pending: bool,
+    /// The key of the next data pair. For `N = 2` its first coordinate is
+    /// the outer one of the inner fiber being read.
+    key: [u32; N],
+    /// Whether the inner fiber being read has its outer coordinate: always
+    /// for `N < 2`.
+    open: bool,
 }
 
-impl ScalarReduce {
-    /// Takes one value-stream token and emits what it closes: nothing for a
-    /// value or `Empty`, the sum and then the stop one level down for a
-    /// stop (only the sum for `stop(0)`), the done token for done.
+impl<const N: usize> Default for Reduce<N> {
+    fn default() -> Self {
+        const { assert!(N <= 2, "a key of up to two coordinates") };
+        Reduce { cell: ([0; N], 0.0), run: Vec::new(), pending: false, key: [0; N], open: N < 2 }
+    }
+}
+
+/// What [`Reduce::step`] took of the heads it was offered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Took<const N: usize> {
+    /// Per coordinate input, outer first: whether its head was taken.
+    pub crd: [bool; N],
+    /// Whether the value input's head was taken.
+    pub val: bool,
+}
+
+impl<const N: usize> Reduce<N> {
+    /// Offered the head of each coordinate input, outer first, and of the
+    /// value input (`None` where none is there), takes what it can, hands
+    /// `emit` what that closes — `(coordinates, value)`, a token per
+    /// output — and reports what it took. The innermost coordinate and the
+    /// value go together, and a pair with an `Empty` side is skipped; any
+    /// other pair that is not two data, two stop or two done tokens is
+    /// misaligned. For `N = 2` the outer coordinate of an inner fiber is
+    /// taken as soon as it is there. A data pair or a `stop(0)` waits for
+    /// it, a higher stop for the outer stop behind it, and done for the
+    /// outer done; an outer head that is there and is not the one awaited
+    /// is misaligned.
     #[inline(always)]
-    pub fn step(&mut self, t: SimToken, mut emit: impl FnMut(SimToken)) -> Result<(), Fault> {
-        match t {
-            Token::Val(Payload::Val(v)) => self.acc += v,
-            Token::Val(_) => return Err(Fault::Misaligned),
-            Token::Empty => {}
-            Token::Stop(n) => {
-                emit(tok::val(std::mem::take(&mut self.acc)));
-                if n > 0 {
-                    emit(tok::stop(n - 1));
-                }
-            }
-            Token::Done => emit(tok::done()),
-        }
-        Ok(())
-    }
-}
-
-/// A vector reducer (order 1, Figure 7): accumulates `(coordinate, value)`
-/// pairs across inner fibers and emits the deduplicated, sorted fiber when
-/// a stop of level ≥ 1 closes the accumulation. The pairs go into one run,
-/// in arrival order, reused from fiber to fiber; a flush stable-sorts it by
-/// coordinate and sums each coordinate's values from zero in arrival order.
-#[derive(Debug, Default)]
-pub struct VectorReduce {
-    run: Vec<(u32, f64)>,
-}
-
-impl VectorReduce {
-    /// Takes one aligned `(coordinate, value)` pair and emits the
-    /// `[coordinate, value]` token pairs it closes: the accumulated fiber
-    /// and `stop(n - 1)` for `stop(n)`, `n ≥ 1`; whatever is accumulated
-    /// and then the done tokens for done. A pair with an `Empty` side is
-    /// skipped; any other pair that is not two data, two stop or two done
-    /// tokens is misaligned.
-    #[inline]
     pub fn step(
         &mut self,
-        crd: SimToken,
-        val: SimToken,
-        mut emit: impl FnMut([SimToken; 2]),
-    ) -> Result<(), Fault> {
-        match (crd, val) {
-            (Token::Val(Payload::Crd(c)), Token::Val(Payload::Val(v))) => self.run.push((c, v)),
-            (Token::Empty, _) | (_, Token::Empty) => {}
-            (Token::Stop(nc), Token::Stop(nv)) => {
-                let n = nc.max(nv);
-                if n > 0 {
+        crd: [Option<SimToken>; N],
+        val: Option<SimToken>,
+        mut emit: impl FnMut([SimToken; N], SimToken),
+    ) -> Result<Took<N>, Fault> {
+        let mut took = Took { crd: [false; N], val: false };
+        let outer = if N > 1 { crd[0] } else { None };
+        if N > 1 && !self.open {
+            if let Some(Token::Val(p)) = outer {
+                self.key[0] = coordinate(p)?;
+                self.open = true;
+                took.crd[0] = true;
+            }
+        }
+        // For `N = 0` the value stands in for the innermost coordinate.
+        let (Some(c), Some(v)) = (crd.last().copied().unwrap_or(val), val) else { return Ok(took) };
+        let pair = match (c, v) {
+            (Token::Val(c), Token::Val(Payload::Val(x))) => Pair::Data(c, x),
+            (Token::Empty, _) | (_, Token::Empty) => Pair::Skip,
+            (Token::Stop(nc), Token::Stop(nv)) => Pair::Stop(nc.max(nv)),
+            (Token::Done, Token::Done) => Pair::Done,
+            _ => return Err(Fault::Misaligned),
+        };
+        if N > 1 {
+            let ready = match pair {
+                Pair::Skip => true,
+                Pair::Data(..) | Pair::Stop(0) => self.open,
+                // The outer token behind a coordinate taken now is not
+                // in sight yet.
+                Pair::Stop(_) => !took.crd[0] && matches!(outer, Some(Token::Stop(_))),
+                Pair::Done => !took.crd[0] && matches!(outer, Some(Token::Done)),
+            };
+            if !ready {
+                return match outer {
+                    Some(_) if !took.crd[0] => Err(Fault::Misaligned),
+                    _ => Ok(took),
+                };
+            }
+            if let Pair::Stop(m) = pair {
+                took.crd[0] |= m > 0;
+                self.open = false;
+            }
+            if let Pair::Done = pair {
+                took.crd[0] = true;
+            }
+        }
+        match pair {
+            Pair::Data(c, x) => {
+                if let Some(inner) = self.key.last_mut() {
+                    *inner = coordinate(c)?;
+                }
+                self.push(x);
+            }
+            Pair::Skip => {}
+            Pair::Stop(m) => {
+                if usize::from(m) >= N {
                     self.flush(&mut emit);
-                    emit([tok::stop(n - 1); 2]);
+                    if m > 0 {
+                        emit(std::array::from_fn(|k| tok::stop(m - (N - k) as u8)), tok::stop(m - 1));
+                    }
                 }
             }
-            (Token::Done, Token::Done) => {
-                self.flush(&mut emit);
-                emit([tok::done(); 2]);
+            Pair::Done => {
+                if self.pending {
+                    self.flush(&mut emit);
+                }
+                emit([tok::done(); N], tok::done());
             }
-            _ => return Err(Fault::Misaligned),
         }
-        Ok(())
+        took.val = true;
+        if let Some(inner) = took.crd.last_mut() {
+            *inner = true;
+        }
+        Ok(took)
     }
 
-    fn flush(&mut self, emit: &mut impl FnMut([SimToken; 2])) {
-        self.run.sort_by_key(|&(c, _)| c);
+    /// Puts a data pair's value into the run under the current key: into
+    /// the cell while the run is that one cell or none (always, for
+    /// `N = 0`), else into the `Vec`, where the cell's sum goes on as the
+    /// first value of its key. Summed from `0.0` again there, it does not
+    /// change: `0.0 + s` is `s` unless `s` is `-0.0`, which a sum from
+    /// `0.0` never is.
+    #[inline(always)]
+    fn push(&mut self, v: f64) {
+        let key = self.key;
+        if N > 0 && !self.run.is_empty() {
+            self.run.push((key, v));
+        } else if N == 0 || !self.pending || self.cell.0 == key {
+            self.cell.0 = key;
+            self.cell.1 += v;
+        } else {
+            self.run.extend([self.cell, (key, v)]);
+        }
+        self.pending = true;
+    }
+
+    /// Emits the run's cells in key order, each summed from `0.0` in
+    /// arrival order, and empties the run.
+    #[inline(always)]
+    fn flush(&mut self, emit: &mut impl FnMut([SimToken; N], SimToken)) {
+        if N == 0 || self.pending && self.run.is_empty() {
+            // One cell opens a fiber on every coordinate output. For
+            // `N = 0` an empty fiber sums to an explicit zero.
+            emit(self.cell.0.map(tok::crd), tok::val(self.cell.1));
+        } else {
+            self.flush_run(emit);
+        }
+        self.cell.1 = 0.0;
+        self.pending = false;
+    }
+
+    /// [`Reduce::flush`] of a run of more than one cell, or of none; out
+    /// of line, so that it stays out of the loops that inline the step.
+    #[inline(never)]
+    fn flush_run(&mut self, emit: &mut impl FnMut([SimToken; N], SimToken)) {
+        self.run.sort_by_key(|&(key, _)| rank(key));
+        // The coordinates above the innermost one: each opens a fiber.
+        let outer = N.saturating_sub(1);
+        let mut prev: Option<[u32; N]> = None;
         for cell in self.run.chunk_by(|x, y| x.0 == y.0) {
-            emit([tok::crd(cell[0].0), tok::val(sum(cell.iter().map(|&(_, v)| v)))]);
+            let key = cell[0].0;
+            let opens = |k: usize| prev.is_none_or(|prev| prev[..=k] != key[..=k]);
+            if prev.is_some() && (0..outer).any(opens) {
+                emit(
+                    std::array::from_fn(|k| if k < outer { tok::empty() } else { tok::stop(0) }),
+                    tok::stop(0),
+                );
+            }
+            let crd =
+                std::array::from_fn(|k| if k >= outer || opens(k) { tok::crd(key[k]) } else { tok::empty() });
+            emit(crd, tok::val(cell.iter().fold(0.0, |acc, &(_, v)| acc + v)));
+            prev = Some(key);
         }
         self.run.clear();
     }
 }
 
-/// One coordinate's values summed from zero in arrival order: the sum a
-/// per-coordinate accumulator starting at `0.0` reaches.
-fn sum(values: impl Iterator<Item = f64>) -> f64 {
-    values.fold(0.0, |acc, v| acc + v)
+/// A data pair, as [`Reduce::step`] reads it.
+#[derive(Clone, Copy)]
+enum Pair {
+    /// The innermost coordinate's payload (the value's, for `N = 0`) and
+    /// the value.
+    Data(Payload, f64),
+    Skip,
+    Stop(u8),
+    Done,
 }
 
-/// A matrix reducer (order 2, outer-product dataflows): accumulates
-/// `(outer, inner, value)` triples and emits the accumulated matrix when
-/// the stream ends. The outer coordinate stream carries one coordinate per
-/// inner fiber; the inner coordinate and value streams are aligned. The
-/// triples go into one run, in arrival order; the flush stable-sorts it by
-/// `(outer, inner)` and sums each cell's values from zero in arrival order.
-#[derive(Debug, Default)]
-pub struct MatrixReduce {
-    run: Vec<(u32, u32, f64)>,
-    /// The outer coordinate of the inner fiber being read.
-    outer: Option<u32>,
+/// A key's place in key order: its coordinates side by side, the outer
+/// one high. A `u64` compares as fast as a key's coordinates can be.
+#[inline(always)]
+fn rank<const N: usize>(key: [u32; N]) -> u64 {
+    key.iter().fold(0, |rank, &c| rank << 32 | u64::from(c))
 }
 
-impl MatrixReduce {
-    /// Offered the outer stream's head: takes it, returning `true`, if it is
-    /// a coordinate while no inner fiber is open.
-    #[inline]
-    pub fn open(&mut self, outer: SimToken) -> Result<bool, Fault> {
-        if self.outer.is_some() {
-            return Ok(false);
-        }
-        match outer {
-            Token::Val(Payload::Crd(c)) => {
-                self.outer = Some(c);
-                Ok(true)
-            }
-            Token::Val(_) => Err(Fault::Misaligned),
-            _ => Ok(false),
-        }
-    }
-
-    /// Takes one aligned `(inner coordinate, value)` pair, returning whether
-    /// it did: `false`, with nothing changed, for a data pair while no
-    /// outer coordinate is open (see [`MatrixReduce::open`]). A stop closes
-    /// the inner fiber and its outer coordinate. Done emits the accumulated
-    /// matrix as `[outer, inner, value]` token triples, one per entry — the
-    /// outer coordinate with the first entry of its fiber, `Empty` with the
-    /// others — each fiber closed by a stop, then the done tokens. A pair
-    /// with an `Empty` side is skipped; any other pair that is not two
-    /// data, two stop or two done tokens is misaligned.
-    #[inline]
-    pub fn step(
-        &mut self,
-        inner: SimToken,
-        val: SimToken,
-        mut emit: impl FnMut([SimToken; 3]),
-    ) -> Result<bool, Fault> {
-        match (inner, val) {
-            (Token::Val(Payload::Crd(i)), Token::Val(Payload::Val(v))) => {
-                let Some(o) = self.outer else { return Ok(false) };
-                self.run.push((o, i, v));
-            }
-            (Token::Empty, _) | (_, Token::Empty) => {}
-            (Token::Stop(_), Token::Stop(_)) => self.outer = None,
-            (Token::Done, Token::Done) => {
-                self.flush(&mut emit);
-                emit([tok::done(); 3]);
-            }
-            _ => return Err(Fault::Misaligned),
-        }
-        Ok(true)
-    }
-
-    /// Emits the accumulated matrix: each outer fiber's entries, the last
-    /// closed by `stop(0)` on the inner and value streams and `Empty` on the
-    /// outer one, the matrix's last by `stop(1)` and `stop(0)`.
-    fn flush(&mut self, emit: &mut impl FnMut([SimToken; 3])) {
-        self.run.sort_by_key(|&(o, i, _)| (o, i));
-        let mut fibers = self.run.chunk_by(|x, y| x.0 == y.0).peekable();
-        if fibers.peek().is_none() {
-            emit([tok::stop(1); 3]);
-        }
-        while let Some(fiber) = fibers.next() {
-            for (jdx, cell) in fiber.chunk_by(|x, y| x.1 == y.1).enumerate() {
-                // The outer coordinate accompanies the first element of its
-                // fiber; the others carry an empty slot, so the streams stay
-                // aligned one token per cycle.
-                let outer = if jdx == 0 { tok::crd(cell[0].0) } else { tok::empty() };
-                emit([outer, tok::crd(cell[0].1), tok::val(sum(cell.iter().map(|&(.., v)| v)))]);
-            }
-            // Fiber boundaries appear on the inner coordinate and value
-            // outputs; the outer coordinate output is a single top-level
-            // fiber, so it only receives the final stop.
-            if fibers.peek().is_none() {
-                emit([tok::stop(0), tok::stop(1), tok::stop(1)]);
-            } else {
-                emit([tok::empty(), tok::stop(0), tok::stop(0)]);
-            }
-        }
-        self.run.clear();
+/// The coordinate a payload carries; any other payload is misaligned.
+#[inline(always)]
+fn coordinate(p: Payload) -> Result<u32, Fault> {
+    match p {
+        Payload::Crd(c) => Ok(c),
+        _ => Err(Fault::Misaligned),
     }
 }
 
@@ -262,36 +313,6 @@ mod tests {
         out
     }
 
-    /// The matrix reducer as a per-cell accumulator, emitted by outer fiber
-    /// at done.
-    fn matrix_model(cells: &[(u32, u32, f64)]) -> Vec<[SimToken; 3]> {
-        let mut acc = BTreeMap::new();
-        for &(o, i, v) in cells {
-            *acc.entry((o, i)).or_insert(0.0) += v;
-        }
-        let mut by_outer: BTreeMap<u32, Vec<(u32, f64)>> = BTreeMap::new();
-        for ((o, i), v) in acc {
-            by_outer.entry(o).or_default().push((i, v));
-        }
-        let mut out = Vec::new();
-        if by_outer.is_empty() {
-            out.push([tok::stop(1); 3]);
-        }
-        let n = by_outer.len();
-        for (k, (o, inners)) in by_outer.into_iter().enumerate() {
-            for (j, &(i, v)) in inners.iter().enumerate() {
-                out.push([if j == 0 { tok::crd(o) } else { tok::empty() }, tok::crd(i), tok::val(v)]);
-            }
-            out.push(if k + 1 == n {
-                [tok::stop(0), tok::stop(1), tok::stop(1)]
-            } else {
-                [tok::empty(), tok::stop(0), tok::stop(0)]
-            });
-        }
-        out.push([tok::done(); 3]);
-        out
-    }
-
     /// A random order-1 input: outer fibers of [`Lcg::wide`] inner fibers of 0–5 entries,
     /// whose coordinates repeat from one inner fiber to the next, with now
     /// and then an `Empty` pair; inner fibers closed by `stop(0)`, outer ones
@@ -333,21 +354,17 @@ mod tests {
     }
 
     fn reduce_vector(pairs: &[[SimToken; 2]]) -> Vec<[SimToken; 2]> {
-        let (mut reduce, mut out) = (VectorReduce::default(), Vec::new());
-        for &[c, v] in pairs {
-            assert_eq!(reduce.step(c, v, |o| out.push(o)), Ok(()));
-        }
-        out
+        let [crd, val] = [0, 1].map(|k| pairs.iter().map(|p| p[k]).collect::<Vec<_>>());
+        // A fault leaves no output, which no model's output equals.
+        reduce([&crd], &val).unwrap_or_default().into_iter().map(|([c], v)| [c, v]).collect()
     }
 
     /// An inner fiber of an order-2 input: `(inner coordinate, value)`.
     type Inner = Vec<(u32, f64)>;
 
     /// Streams the matrix reducer's three inputs carry for `fibers`, a list
-    /// of outer fibers of `(outer coordinate, inner fiber)`, and drives the
-    /// rule over them as the stored transfer function does: the outer
-    /// coordinate is offered before each inner pair and its stop taken
-    /// after the inner stop that closes the same fiber.
+    /// of outer fibers of `(outer coordinate, inner fiber)`, and the rule's
+    /// output over them.
     fn reduce_matrix(fibers: &[Vec<(u32, Inner)>]) -> Vec<[SimToken; 3]> {
         let (mut outer, mut inner) = (Vec::new(), Vec::new());
         for (k, fiber) in fibers.iter().enumerate() {
@@ -364,17 +381,8 @@ mod tests {
         }
         outer.push(tok::done());
         inner.push([tok::done(); 2]);
-        let (mut reduce, mut out, mut head) = (MatrixReduce::default(), Vec::new(), 0);
-        for [i, v] in inner {
-            if reduce.open(outer[head]) == Ok(true) {
-                head += 1;
-            }
-            assert_eq!(reduce.step(i, v, |o| out.push(o)), Ok(true));
-            if i.is_stop() && outer[head].is_stop() {
-                head += 1;
-            }
-        }
-        out
+        let [i, v] = [0, 1].map(|k| inner.iter().map(|p| p[k]).collect::<Vec<_>>());
+        reduce([&outer, &i], &v).unwrap_or_default().into_iter().map(|([o, i], v)| [o, i, v]).collect()
     }
 
     #[test]
@@ -396,33 +404,196 @@ mod tests {
         assert!(flushes > 2000, "fibers must flush at a stop and at done: {flushes}");
     }
 
-    #[test]
-    fn the_matrix_reducer_sums_as_a_per_cell_accumulator() {
-        let mut rng = Lcg(37);
-        for _ in 0..2000 {
-            let fibers: Vec<Vec<(u32, Inner)>> = (0..rng.next(4))
-                .map(|_| {
-                    (0..rng.wide())
-                        .map(|_| {
-                            let mut c = 0;
-                            let entries = (0..rng.next(5))
-                                .map(|_| {
-                                    c += 1 + rng.next(2);
-                                    (c, rng.value())
-                                })
-                                .collect();
-                            (rng.next(4), entries)
-                        })
-                        .collect()
-                })
-                .collect();
-            let cells: Vec<_> = fibers
-                .iter()
-                .flatten()
-                .flat_map(|(o, entries)| entries.iter().map(|&(i, v)| (*o, i, v)))
-                .collect();
-            assert_eq!(keys(&reduce_matrix(&fibers)), keys(&matrix_model(&cells)), "{fibers:?}");
+    /// Runs the rule over stored streams as the fast backend's transfer
+    /// function does: offered every input's head, a step takes one at
+    /// least, and the run ends with every stream read to its done token.
+    fn reduce<const N: usize>(
+        crd: [&[SimToken]; N],
+        val: &[SimToken],
+    ) -> Result<Vec<([SimToken; N], SimToken)>, Fault> {
+        let (mut rule, mut out, mut at, mut next) = (Reduce::<N>::default(), Vec::new(), [0; N], 0usize);
+        while val.get(next.wrapping_sub(1)).is_none_or(|t| !t.is_done()) {
+            let heads = std::array::from_fn(|k| crd[k].get(at[k]).copied());
+            let took = rule.step(heads, val.get(next).copied(), |c, v| out.push((c, v)))?;
+            assert!(took.val || took.crd.contains(&true), "a step over stored streams takes a head");
+            (0..N).for_each(|k| at[k] += usize::from(took.crd[k]));
+            next += usize::from(took.val);
         }
+        assert_eq!(at, crd.map(<[_]>::len), "every coordinate stream is read to its end");
+        Ok(out)
+    }
+
+    /// A token row as compared here: values by their bits.
+    fn rows<const N: usize>(out: &[([SimToken; N], SimToken)]) -> Vec<Vec<String>> {
+        out.iter().map(|(c, v)| c.iter().chain([v]).map(key).collect()).collect()
+    }
+
+    /// The reducer of order `N` as a per-cell accumulator: a tree that each
+    /// value of `val` is added into as it arrives, under its key in `keys`,
+    /// emitted at each stop of level `m ≥ N` and at done.
+    fn model<const N: usize>(val: &[SimToken], keys: &[Option<[u32; N]>]) -> Vec<([SimToken; N], SimToken)> {
+        let (mut acc, mut out) = (BTreeMap::new(), Vec::new());
+        let flush = |acc: &mut BTreeMap<[u32; N], f64>, out: &mut Vec<_>| {
+            if N == 0 {
+                acc.entry([0; N]).or_insert(0.0);
+            }
+            let cells: Vec<_> = std::mem::take(acc).into_iter().collect();
+            for (j, &(key, v)) in cells.iter().enumerate() {
+                // For `N = 2`: whether the cell is the first of its outer
+                // coordinate's fiber.
+                let first = j == 0 || cells[j - 1].0.first() != key.first();
+                if N == 2 && j > 0 && first {
+                    out.push((std::array::from_fn(|k| [tok::empty(), tok::stop(0)][k]), tok::stop(0)));
+                }
+                let crd = std::array::from_fn(|k| {
+                    if N == 2 && k == 0 && !first {
+                        tok::empty()
+                    } else {
+                        tok::crd(key[k])
+                    }
+                });
+                out.push((crd, tok::val(v)));
+            }
+        };
+        for (&t, key) in val.iter().zip(keys) {
+            match t {
+                Token::Val(Payload::Val(v)) => *acc.entry(key.unwrap_or([u32::MAX; N])).or_insert(0.0) += v,
+                Token::Stop(m) if usize::from(m) >= N => {
+                    flush(&mut acc, &mut out);
+                    if m > 0 {
+                        out.push((
+                            std::array::from_fn(|k| tok::stop(m + k as u8 - N as u8)),
+                            tok::stop(m - 1),
+                        ));
+                    }
+                }
+                Token::Done => {
+                    if !acc.is_empty() {
+                        flush(&mut acc, &mut out);
+                    }
+                    out.push(([tok::done(); N], tok::done()));
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// A random input of the reducer of order `N`: the streams of a
+    /// fibertree of `above` levels over the reduced level and `N` under it,
+    /// the last holding the values.
+    struct Input<const N: usize> {
+        /// The `N` lowest levels' coordinate streams, outer first.
+        crd: Vec<Vec<SimToken>>,
+        val: Vec<SimToken>,
+        /// Each value's key — its coordinates on the `N` lowest levels —
+        /// beside the value stream.
+        keys: Vec<Option<[u32; N]>>,
+    }
+
+    /// The fibertree of an [`Input`], as it is generated: a stream per
+    /// level.
+    struct Tree<const N: usize> {
+        levels: Vec<Vec<SimToken>>,
+        above: usize,
+        /// The bottom level's values and keys, in order.
+        cells: Vec<(f64, [u32; N])>,
+        path: Vec<u32>,
+    }
+
+    impl<const N: usize> Tree<N> {
+        fn input(rng: &mut Lcg, above: usize) -> Input<N> {
+            let levels = vec![Vec::new(); above + 1 + N];
+            let mut tree = Tree { levels, above, cells: Vec::new(), path: Vec::new() };
+            tree.fiber(rng, 0);
+            tree.levels.iter_mut().for_each(|s| s.push(tok::done()));
+            let Tree { mut levels, cells, .. } = tree;
+            let mut cells = cells.into_iter();
+            let (val, keys) = levels[levels.len() - 1]
+                .iter()
+                .map(|t| match t {
+                    Token::Val(_) => cells.next().map_or((*t, None), |(v, key)| (tok::val(v), Some(key))),
+                    _ => (*t, None),
+                })
+                .unzip();
+            levels.drain(..levels.len() - N);
+            Input { crd: levels, val, keys }
+        }
+
+        /// A fiber at depth `d`: 0–3 entries, or [`Lcg::wide`] on the
+        /// reduced level; a bottom entry is now and then preceded by an
+        /// `Empty`. Coordinates ascend in a fiber and, under the reduced
+        /// level, repeat from one fiber to the next.
+        fn fiber(&mut self, rng: &mut Lcg, d: usize) {
+            let bottom = d + 1 == self.levels.len();
+            let entries = if d == self.above { rng.wide() } else { rng.next(4) };
+            let mut c = 0;
+            for _ in 0..entries {
+                c += if d > self.above { rng.next(3) } else { 1 + rng.next(3) };
+                self.levels[d].push(tok::crd(c));
+                self.path.push(c);
+                if bottom {
+                    if rng.next(10) == 0 {
+                        let at = self.levels[d].len() - 1;
+                        self.levels[d].insert(at, tok::empty());
+                    }
+                    let key = std::array::from_fn(|k| self.path[self.path.len() - N + k]);
+                    self.cells.push((rng.value(), key));
+                } else {
+                    self.fiber(rng, d + 1);
+                }
+                self.path.pop();
+                c += 1;
+            }
+            // The fiber's stop, which on every level below closes the last
+            // fiber under it or, if it has none, stands alone.
+            self.levels[d].push(tok::stop(0));
+            for (l, level) in self.levels.iter_mut().enumerate().skip(d + 1) {
+                let stop = tok::stop((l - d) as u8);
+                match level.last_mut() {
+                    Some(last) if entries > 0 => *last = stop,
+                    _ => level.push(stop),
+                }
+            }
+        }
+    }
+
+    /// The reducer of order `N` against the per-cell model, over
+    /// reductions under 0–2 outer levels, so that a flush is closed by a
+    /// stop above `N`: one generator for every order.
+    fn reduces_as_a_per_cell_accumulator<const N: usize>(seed: u64) -> Result<(), Fault> {
+        let mut rng = Lcg(seed);
+        let (mut repeated, mut under_outer, mut empty) = (0, 0, 0);
+        for round in 0..1500 {
+            let Input { crd, val, keys } = Tree::<N>::input(&mut rng, round % 3);
+            let want = model(&val, &keys);
+            let got = reduce::<N>(std::array::from_fn(|k| &crd[k][..]), &val)?;
+            assert_eq!(rows(&got), rows(&want), "order {N}: {crd:?} {val:?}");
+            let data =
+                |out: &[([SimToken; N], SimToken)]| out.iter().filter(|(_, v)| v.value().is_some()).count();
+            repeated += keys.iter().flatten().count().saturating_sub(data(&want));
+            under_outer += val.iter().filter(|t| t.stop_level().is_some_and(|m| usize::from(m) > N)).count();
+            empty += want.iter().filter(|(_, v)| *v == tok::val(0.0)).count();
+        }
+        assert!(repeated > 1000, "order {N}: keys must repeat within a reduced fiber: {repeated}");
+        assert!(under_outer > 1000, "order {N}: reductions must sit under outer fibers: {under_outer}");
+        assert!(N > 0 || empty > 200, "order 0: empty fibers must sum to an explicit zero: {empty}");
+        Ok(())
+    }
+
+    #[test]
+    fn the_scalar_reducer_sums_as_a_per_cell_accumulator() -> Result<(), Fault> {
+        reduces_as_a_per_cell_accumulator::<0>(46)
+    }
+
+    #[test]
+    fn the_vector_reducer_sums_as_a_per_cell_accumulator() -> Result<(), Fault> {
+        reduces_as_a_per_cell_accumulator::<1>(47)
+    }
+
+    #[test]
+    fn the_matrix_reducer_sums_as_a_per_cell_accumulator() -> Result<(), Fault> {
+        reduces_as_a_per_cell_accumulator::<2>(48)
     }
 
     /// `1e16 + 1 = 1e16` in `f64`: the three values sum to 0 in arrival

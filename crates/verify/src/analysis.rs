@@ -259,19 +259,19 @@ impl<'g, 'b> Analyzer<'g, 'b> {
         // Support check: primitives the IR carries but no backend lowers.
         for (node, kind) in nodes.iter().enumerate() {
             let name = match kind {
-                NodeKind::Parallelizer => Some("Parallelizer"),
-                NodeKind::Serializer => Some("Serializer"),
-                NodeKind::BitvectorConverter => Some("BitvectorConverter"),
-                _ => None,
+                NodeKind::Parallelizer => "Parallelizer".to_string(),
+                NodeKind::Serializer => "Serializer".to_string(),
+                NodeKind::BitvectorConverter => "BitvectorConverter".to_string(),
+                // Every backend's reducer is of order 0, 1 or 2.
+                NodeKind::Reducer { order: 3.. } => kind.label(),
+                _ => continue,
             };
-            if let Some(name) = name {
-                self.poisoned[node] = true;
-                self.diag(
-                    Rule::NotYetLowerable,
-                    node,
-                    format!("`{name}` is not yet lowerable: no execution backend implements it yet"),
-                );
-            }
+            self.poisoned[node] = true;
+            self.diag(
+                Rule::NotYetLowerable,
+                node,
+                format!("`{name}` is not yet lowerable: no execution backend implements it yet"),
+            );
         }
 
         let data_edges: Vec<&Edge> =

@@ -35,7 +35,7 @@ impl fmt::Display for Severity {
 #[non_exhaustive]
 pub enum Rule {
     /// A primitive no backend can lower yet (`Parallelizer`, `Serializer`,
-    /// `BitvectorConverter`).
+    /// `BitvectorConverter`, a reducer of order above 2).
     NotYetLowerable,
     /// An edge names an out-of-range port or one that cannot carry its
     /// stream kind.

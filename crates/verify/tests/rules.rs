@@ -73,6 +73,15 @@ fn not_yet_lowerable_fires_once() {
     fires_once(&g, Rule::NotYetLowerable);
 }
 
+/// A reducer of order 3 has a matrix reducer's ports, but no backend runs
+/// it: each runs orders 0 to 2.
+#[test]
+fn a_reducer_above_order_two_is_not_yet_lowerable() {
+    let mut g = base();
+    g.add_node(NodeKind::Reducer { order: 3 });
+    fires_once(&g, Rule::NotYetLowerable);
+}
+
 #[test]
 fn port_kind_mismatch_fires_once() {
     // The crd edge claims a source port the scanner does not have.
