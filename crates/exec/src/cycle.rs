@@ -11,10 +11,9 @@ use crate::error::ExecError;
 use crate::plan::{Merger, Op, Plan, Transfer, DEFAULT_MAX_CYCLES};
 use crate::{assemble_output, Execution, Executor};
 use sam_core::graph::NodeId;
-use sam_primitives::compute::reducer;
 use sam_primitives::writer::{level_sink, val_sink, LevelWriterSink, ValWriterSink};
 use sam_primitives::{
-    root_stream, Alu, ConstVal, CoordDropper, Fork, Intersecter, LevelScanner, LevelWriter, Locator,
+    root_stream, Alu, ConstVal, CoordDropper, Fork, Intersecter, LevelScanner, LevelWriter, Locator, Reducer,
     Repeater, Unioner, ValArray, ValWriter,
 };
 use sam_sim::{ChannelId, SimulationError, Simulator};
@@ -173,8 +172,17 @@ impl Executor for CycleBackend {
                     sim.add_block(Box::new(Alu::new(label, op, [slot(0), slot(1)], out[0])));
                 }
                 Op::Transfer(Transfer::Reduce { order }) => {
-                    let ins: Vec<_> = (0..=order).map(slot).collect();
-                    sim.add_block(reducer(label, &ins, &out[..=order]));
+                    sim.add_block(match order {
+                        0 => Box::new(Reducer::<0>::new(label, [], slot(0), [], out[0])),
+                        1 => Box::new(Reducer::<1>::new(label, [slot(0)], slot(1), [out[0]], out[1])),
+                        _ => Box::new(Reducer::<2>::new(
+                            label,
+                            [slot(0), slot(1)],
+                            slot(2),
+                            [out[0], out[1]],
+                            out[2],
+                        )),
+                    });
                 }
                 Op::Transfer(Transfer::Drop) => {
                     sim.add_block(Box::new(CoordDropper::new(label, slot(0), slot(1), out[0], out[1])));

@@ -1952,4 +1952,23 @@ mod tests {
         assert_eq!(array(&short, &o0, &mut Vec::new()), Err(Fault::RefOutOfBounds(2)));
         Ok(())
     }
+
+    /// An order-0 fiber that no stop closes adds no sum at done: the stored
+    /// loop and the cycle block emit only the done token, and the block
+    /// finishes.
+    #[test]
+    fn an_unclosed_scalar_fiber_adds_no_sum_at_done() {
+        let input = [tok::val(1.0), tok::done()];
+        let mut stored = Vec::new();
+        let run = run_reducer::<0>(&mut [SliceSource::new(&input)], std::slice::from_mut(&mut stored));
+        assert_eq!((run, &stored[..]), (Ok(()), &[tok::done()][..]));
+        let mut sim = sam_sim::Simulator::new();
+        let [i, o] = ["in", "out"].map(|n| sim.add_channel(n));
+        sim.record(o);
+        sim.add_block(Box::new(sam_primitives::Reducer::<0>::new("sum", [], i, [], o)));
+        sim.preload(i, input);
+        let report = sim.run(100);
+        assert!(report.is_ok(), "{report:?}");
+        assert_eq!(sim.history(o), stored);
+    }
 }

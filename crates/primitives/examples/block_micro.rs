@@ -10,10 +10,10 @@
 //! cargo run --release -p sam-primitives --example block_micro
 //! ```
 
-use sam_primitives::compute::reducer;
 use sam_primitives::writer::{level_sink, val_sink};
 use sam_primitives::{
-    Alu, AluOp, CoordDropper, Intersecter, LevelScanner, LevelWriter, Repeater, Unioner, ValArray, ValWriter,
+    Alu, AluOp, CoordDropper, Intersecter, LevelScanner, LevelWriter, Reducer, Repeater, Unioner, ValArray,
+    ValWriter,
 };
 use sam_sim::payload::tok;
 use sam_sim::{Block, ChannelId, SimToken, Simulator};
@@ -76,6 +76,28 @@ fn outer_of(inner: &[SimToken]) -> Vec<SimToken> {
         }
     }
     outer
+}
+
+/// `stream`, a stream of [`fibers`]' shape, with every 16th `stop(1)` and
+/// the last raised to `stop(2)`: for an order-2 reducer, a reduced fiber
+/// closed every 256 inner fibers and at the end.
+fn reduced(stream: &[SimToken]) -> Vec<SimToken> {
+    let mut closed = 0;
+    let mut raised: Vec<SimToken> = stream
+        .iter()
+        .map(|&t| {
+            if t.stop_level() == Some(1) {
+                closed += 1;
+                if closed % 16 == 0 {
+                    return tok::stop(2);
+                }
+            }
+            t
+        })
+        .collect();
+    let last = raised.len() - 2;
+    raised[last] = tok::stop(2);
+    raised
 }
 
 /// Times one block over `inputs`, returning its cycles and the median
@@ -166,7 +188,11 @@ fn main() {
         time(&alu_in, 1, |i, o| Box::new(Alu::new("alu", AluOp::Mul, [i[0], i[1]], o[0]))),
     );
     let sum_in = [val.clone()];
-    report("scalar_reducer", &sum_in, time(&sum_in, 1, |i, o| reducer("sum", i, o)));
+    report(
+        "scalar_reducer",
+        &sum_in,
+        time(&sum_in, 1, |i, o| Box::new(Reducer::<0>::new("sum", [], i[0], [], o[0]))),
+    );
     let crd_in = [crd.clone()];
     report(
         "level_writer",
@@ -179,13 +205,27 @@ fn main() {
         time(&sum_in, 0, |i, _| Box::new(ValWriter::new("vals", i[0], val_sink()))),
     );
     let red_in = [crd.clone(), val.clone()];
-    report("vector_reducer", &red_in, time(&red_in, 2, |i, o| reducer("red", i, o)));
+    report(
+        "vector_reducer",
+        &red_in,
+        time(&red_in, 2, |i, o| Box::new(Reducer::<1>::new("red", [i[0]], i[1], [o[0]], o[1]))),
+    );
     // The matrix reducer sums outer products: 64 outer coordinates, each
-    // the outer coordinate of every 64th inner fiber.
-    let outer_cells: Vec<SimToken> =
-        outer.iter().map(|t| t.value().map_or(*t, |p| tok::crd(p.expect_crd() % 64))).collect();
-    let cells_in = [outer_cells, crd.clone(), val.clone()];
-    report("matrix_reducer", &cells_in, time(&cells_in, 3, |i, o| reducer("cells", i, o)));
+    // the outer coordinate of every 64th inner fiber, and a reduced fiber
+    // of 16 outer fibers (256 inner fibers) flushed at each `stop(2)`.
+    let (cells_crd, cells_val) = (reduced(&crd), reduced(&val));
+    let outer_cells: Vec<SimToken> = outer_of(&cells_crd)
+        .iter()
+        .map(|t| t.value().map_or(*t, |p| tok::crd(p.expect_crd() % 64)))
+        .collect();
+    let cells_in = [outer_cells, cells_crd, cells_val];
+    report(
+        "matrix_reducer",
+        &cells_in,
+        time(&cells_in, 3, |i, o| {
+            Box::new(Reducer::<2>::new("cells", [i[0], i[1]], i[2], [o[0], o[1]], o[2]))
+        }),
+    );
     let drop_in = [outer, val];
     report(
         "dropper",

@@ -1,7 +1,6 @@
 //! Computation blocks: ALUs, the constant source and the reducer (paper
 //! Definitions 3.6 and 3.7). Each block is the timing of its rule in
-//! [`crate::rule`]; one reducer block, [`Reducer<N>`], serves every order,
-//! and [`reducer`] builds the one a port list asks for.
+//! [`crate::rule`]; one reducer block, [`Reducer<N>`], serves every order.
 
 use crate::rule::{self, AluOp, Reduce};
 use sam_sim::{Block, BlockStatus, ChannelId, Context, Fault, SimToken};
@@ -103,14 +102,19 @@ pub struct Reducer<const N: usize> {
 }
 
 impl<const N: usize> Reducer<N> {
-    /// Creates a reducer of order `N` reading `ins` and writing `outs`:
-    /// `N` coordinate ports, outer first, then the value port.
-    pub fn new(name: impl Into<String>, ins: &[ChannelId], outs: &[ChannelId]) -> Self {
-        let ports = |ps: &[ChannelId]| (std::array::from_fn(|k| ps[k]), ps[N]);
+    /// Creates a reducer of order `N` reading `in_crd`, outer first, and
+    /// `in_val`, and writing `out_crd` and `out_val` likewise.
+    pub fn new(
+        name: impl Into<String>,
+        in_crd: [ChannelId; N],
+        in_val: ChannelId,
+        out_crd: [ChannelId; N],
+        out_val: ChannelId,
+    ) -> Self {
         Reducer {
             name: name.into(),
-            ins: ports(ins),
-            outs: ports(outs),
+            ins: (in_crd, in_val),
+            outs: (out_crd, out_val),
             rule: Reduce::default(),
             pending: VecDeque::new(),
             done: false,
@@ -148,23 +152,14 @@ impl<const N: usize> Reducer<N> {
                     ctx.pop(*in_val);
                 }
                 self.done = val.is_some_and(|v| v.is_done());
-                // Order 0 has pushed its done token; the others queue it.
-                return Ok(crate::status(N == 0 && self.done));
+                // Done once the done token is out: order 0 has pushed it,
+                // the others queue it.
+                return Ok(crate::status(self.done && pending.is_empty()));
             }
             if !took.crd.contains(&true) {
                 return Ok(ctx.stall());
             }
         }
-    }
-}
-
-/// A reducer of order `ins.len() - 1` (at most 2), reading `ins` and
-/// writing `outs` as [`Reducer::new`] does.
-pub fn reducer(name: impl Into<String>, ins: &[ChannelId], outs: &[ChannelId]) -> Box<dyn Block> {
-    match ins.len() {
-        1 => Box::new(Reducer::<0>::new(name, ins, outs)),
-        2 => Box::new(Reducer::<1>::new(name, ins, outs)),
-        _ => Box::new(Reducer::<2>::new(name, ins, outs)),
     }
 }
 
@@ -242,7 +237,7 @@ mod tests {
         let input = sim.add_channel("in");
         let out = sim.add_channel("out");
         sim.record(out);
-        sim.add_block(Box::new(Reducer::<0>::new("red", &[input], &[out])));
+        sim.add_block(Box::new(Reducer::<0>::new("red", [], input, [], out)));
         sim.preload(
             input,
             vec![
@@ -270,7 +265,7 @@ mod tests {
         let input = sim.add_channel("in");
         let out = sim.add_channel("out");
         sim.record(out);
-        sim.add_block(Box::new(Reducer::<0>::new("red", &[input], &[out])));
+        sim.add_block(Box::new(Reducer::<0>::new("red", [], input, [], out)));
         sim.preload(input, vec![tok::val(1.0), tok::val(2.0), tok::stop(0), tok::stop(1), tok::done()]);
         sim.run(100).unwrap();
         assert_eq!(vals(sim.history(out)), vec![3.0, 0.0]);
@@ -286,7 +281,7 @@ mod tests {
         let out_val = sim.add_channel("out_val");
         sim.record(out_crd);
         sim.record(out_val);
-        sim.add_block(Box::new(Reducer::<1>::new("red", &[in_crd, in_val], &[out_crd, out_val])));
+        sim.add_block(Box::new(Reducer::<1>::new("red", [in_crd], in_val, [out_crd], out_val)));
         sim.preload(
             in_crd,
             vec![
@@ -331,7 +326,7 @@ mod tests {
         let out_val = sim.add_channel("out_val");
         sim.record(out_crd);
         sim.record(out_val);
-        sim.add_block(Box::new(Reducer::<1>::new("red", &[in_crd, in_val], &[out_crd, out_val])));
+        sim.add_block(Box::new(Reducer::<1>::new("red", [in_crd], in_val, [out_crd], out_val)));
         sim.preload(
             in_crd,
             vec![
@@ -374,7 +369,7 @@ mod tests {
         sim.record(out_i);
         sim.record(out_j);
         sim.record(out_val);
-        sim.add_block(Box::new(Reducer::<2>::new("red", &[in_i, in_j, in_val], &[out_i, out_j, out_val])));
+        sim.add_block(Box::new(Reducer::<2>::new("red", [in_i, in_j], in_val, [out_i, out_j], out_val)));
         // k=0 contributes (i=1, j=2) -> 3.0; k=1 contributes (1,2) -> 4.0 and (1,3) -> 5.0.
         sim.preload(in_i, vec![tok::crd(1), tok::stop(0), tok::crd(1), tok::stop(1), tok::done()]);
         sim.preload(
@@ -402,7 +397,7 @@ mod tests {
         for c in [oi, oj, ov] {
             sim.record(c);
         }
-        sim.add_block(Box::new(Reducer::<2>::new("red", &[i, j, v], &[oi, oj, ov])));
+        sim.add_block(Box::new(Reducer::<2>::new("red", [i, j], v, [oi, oj], ov)));
         // Outer fiber l=0: k=0 holds (i=1: j=2), (i=3: j=0); k=1 holds
         // (i=1: j=2). Outer fiber l=1: one k without entries.
         sim.preload(
@@ -455,7 +450,7 @@ mod tests {
         // A vector reducer whose coordinate stream outlasts its values.
         let mut sim = Simulator::new();
         let [c, v, oc, ov] = ["c", "v", "oc", "ov"].map(|n| sim.add_channel(n));
-        sim.add_block(Box::new(Reducer::<1>::new("red", &[c, v], &[oc, ov])));
+        sim.add_block(Box::new(Reducer::<1>::new("red", [c], v, [oc], ov)));
         sim.preload(c, vec![tok::crd(0), tok::crd(1), tok::stop(1), tok::done()]);
         sim.preload(v, vec![tok::val(1.0), tok::stop(1), tok::done()]);
         assert_eq!(fault(&mut sim), (1, "red".into(), Fault::Misaligned));
@@ -463,7 +458,7 @@ mod tests {
         // A matrix reducer whose value stream carries a coordinate.
         let mut sim = Simulator::new();
         let [i, j, v, oi, oj, ov] = ["i", "j", "v", "oi", "oj", "ov"].map(|n| sim.add_channel(n));
-        sim.add_block(Box::new(Reducer::<2>::new("red", &[i, j, v], &[oi, oj, ov])));
+        sim.add_block(Box::new(Reducer::<2>::new("red", [i, j], v, [oi, oj], ov)));
         sim.preload(i, vec![tok::crd(1), tok::stop(0), tok::done()]);
         sim.preload(j, vec![tok::crd(2), tok::stop(1), tok::done()]);
         sim.preload(v, vec![tok::crd(3), tok::stop(1), tok::done()]);
@@ -472,7 +467,7 @@ mod tests {
         // A scalar reducer fed references.
         let mut sim = Simulator::new();
         let [input, out] = ["in", "out"].map(|n| sim.add_channel(n));
-        sim.add_block(Box::new(Reducer::<0>::new("sum", &[input], &[out])));
+        sim.add_block(Box::new(Reducer::<0>::new("sum", [], input, [], out)));
         sim.preload(input, vec![tok::rf(0), tok::stop(0), tok::done()]);
         assert_eq!(fault(&mut sim), (0, "sum".into(), Fault::Misaligned));
     }

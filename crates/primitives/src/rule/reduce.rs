@@ -23,18 +23,16 @@ use sam_streams::Token;
 /// outer coordinate streams feeding the writers. For `N = 2` the outer
 /// coordinate goes out with the first entry of its fiber and `Empty` with
 /// the others, and fibers are separated by `[Empty, stop(0), stop(0)]`.
-/// Done flushes whatever is pending, then goes out on every output.
+/// Done flushes whatever an order of 1 or more holds, then goes out on
+/// every output; an order-0 fiber is closed by its stop alone.
 #[derive(Debug)]
 pub struct Reduce<const N: usize> {
-    /// The run while it is one cell: its key and its values summed from
-    /// `0.0` in arrival order (`0.0` while the run is empty). For `N = 0`
-    /// the run is always this cell, the one empty key.
-    cell: ([u32; N], f64),
-    /// The run once it is more than one cell: each data pair's key and
-    /// value since the last flush, in arrival order.
+    /// For `N = 0`, the run: the one empty key's values summed from `0.0`
+    /// in arrival order.
+    sum: f64,
+    /// For `N ≥ 1`, the run: each data pair's key and value since the last
+    /// flush, in arrival order.
     run: Vec<([u32; N], f64)>,
-    /// Whether a data pair went into the run since the last flush.
-    pending: bool,
     /// The key of the next data pair. For `N = 2` its first coordinate is
     /// the outer one of the inner fiber being read.
     key: [u32; N],
@@ -46,7 +44,7 @@ pub struct Reduce<const N: usize> {
 impl<const N: usize> Default for Reduce<N> {
     fn default() -> Self {
         const { assert!(N <= 2, "a key of up to two coordinates") };
-        Reduce { cell: ([0; N], 0.0), run: Vec::new(), pending: false, key: [0; N], open: N < 2 }
+        Reduce { sum: 0.0, run: Vec::new(), key: [0; N], open: N < 2 }
     }
 }
 
@@ -90,7 +88,8 @@ impl<const N: usize> Reduce<N> {
         // For `N = 0` the value stands in for the innermost coordinate.
         let (Some(c), Some(v)) = (crd.last().copied().unwrap_or(val), val) else { return Ok(took) };
         let pair = match (c, v) {
-            (Token::Val(c), Token::Val(Payload::Val(x))) => Pair::Data(c, x),
+            (_, Token::Val(Payload::Val(x))) if N == 0 => Pair::Data(0, x),
+            (Token::Val(Payload::Crd(c)), Token::Val(Payload::Val(x))) => Pair::Data(c, x),
             (Token::Empty, _) | (_, Token::Empty) => Pair::Skip,
             (Token::Stop(nc), Token::Stop(nv)) => Pair::Stop(nc.max(nv)),
             (Token::Done, Token::Done) => Pair::Done,
@@ -122,7 +121,7 @@ impl<const N: usize> Reduce<N> {
         match pair {
             Pair::Data(c, x) => {
                 if let Some(inner) = self.key.last_mut() {
-                    *inner = coordinate(c)?;
+                    *inner = c;
                 }
                 self.push(x);
             }
@@ -136,7 +135,7 @@ impl<const N: usize> Reduce<N> {
                 }
             }
             Pair::Done => {
-                if self.pending {
+                if N > 0 {
                     self.flush(&mut emit);
                 }
                 emit([tok::done(); N], tok::done());
@@ -149,43 +148,30 @@ impl<const N: usize> Reduce<N> {
         Ok(took)
     }
 
-    /// Puts a data pair's value into the run under the current key: into
-    /// the cell while the run is that one cell or none (always, for
-    /// `N = 0`), else into the `Vec`, where the cell's sum goes on as the
-    /// first value of its key. Summed from `0.0` again there, it does not
-    /// change: `0.0 + s` is `s` unless `s` is `-0.0`, which a sum from
-    /// `0.0` never is.
+    /// Puts a data pair's value into the run under the current key.
     #[inline(always)]
     fn push(&mut self, v: f64) {
-        let key = self.key;
-        if N > 0 && !self.run.is_empty() {
-            self.run.push((key, v));
-        } else if N == 0 || !self.pending || self.cell.0 == key {
-            self.cell.0 = key;
-            self.cell.1 += v;
+        if N == 0 {
+            self.sum += v;
         } else {
-            self.run.extend([self.cell, (key, v)]);
+            self.run.push((self.key, v));
         }
-        self.pending = true;
     }
 
     /// Emits the run's cells in key order, each summed from `0.0` in
-    /// arrival order, and empties the run.
+    /// arrival order, and empties the run. For `N = 0` an empty fiber sums
+    /// to an explicit zero.
     #[inline(always)]
     fn flush(&mut self, emit: &mut impl FnMut([SimToken; N], SimToken)) {
-        if N == 0 || self.pending && self.run.is_empty() {
-            // One cell opens a fiber on every coordinate output. For
-            // `N = 0` an empty fiber sums to an explicit zero.
-            emit(self.cell.0.map(tok::crd), tok::val(self.cell.1));
+        if N == 0 {
+            emit(self.key.map(tok::crd), tok::val(std::mem::take(&mut self.sum)));
         } else {
             self.flush_run(emit);
         }
-        self.cell.1 = 0.0;
-        self.pending = false;
     }
 
-    /// [`Reduce::flush`] of a run of more than one cell, or of none; out
-    /// of line, so that it stays out of the loops that inline the step.
+    /// [`Reduce::flush`] for `N ≥ 1`; out of line, so that it stays out of
+    /// the loops that inline the step.
     #[inline(never)]
     fn flush_run(&mut self, emit: &mut impl FnMut([SimToken; N], SimToken)) {
         self.run.sort_by_key(|&(key, _)| rank(key));
@@ -213,9 +199,9 @@ impl<const N: usize> Reduce<N> {
 /// A data pair, as [`Reduce::step`] reads it.
 #[derive(Clone, Copy)]
 enum Pair {
-    /// The innermost coordinate's payload (the value's, for `N = 0`) and
-    /// the value.
-    Data(Payload, f64),
+    /// The innermost coordinate (`0` for `N = 0`, which has none) and the
+    /// value.
+    Data(u32, f64),
     Skip,
     Stop(u8),
     Done,
@@ -430,7 +416,7 @@ mod tests {
 
     /// The reducer of order `N` as a per-cell accumulator: a tree that each
     /// value of `val` is added into as it arrives, under its key in `keys`,
-    /// emitted at each stop of level `m ≥ N` and at done.
+    /// emitted at each stop of level `m ≥ N` and, for `N ≥ 1`, at done.
     fn model<const N: usize>(val: &[SimToken], keys: &[Option<[u32; N]>]) -> Vec<([SimToken; N], SimToken)> {
         let (mut acc, mut out) = (BTreeMap::new(), Vec::new());
         let flush = |acc: &mut BTreeMap<[u32; N], f64>, out: &mut Vec<_>| {
@@ -468,7 +454,7 @@ mod tests {
                     }
                 }
                 Token::Done => {
-                    if !acc.is_empty() {
+                    if N > 0 {
                         flush(&mut acc, &mut out);
                     }
                     out.push(([tok::done(); N], tok::done()));
