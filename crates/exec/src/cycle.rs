@@ -13,14 +13,37 @@ use crate::{assemble_output, Execution, Executor};
 use sam_core::graph::NodeId;
 use sam_primitives::writer::{level_sink, val_sink, LevelWriterSink, ValWriterSink};
 use sam_primitives::{
-    root_stream, Alu, ConstVal, CoordDropper, Fork, Intersecter, LevelScanner, LevelWriter, Locator, Reducer,
-    Repeater, Unioner, ValArray, ValWriter,
+    alu, const_val, level_writer, locator, root_stream, val_array, val_writer, CoordDropper, Fork,
+    Intersecter, LevelScanner, Reducer, Repeater, Unioner,
 };
 use sam_sim::{ChannelId, SimulationError, Simulator};
+use sam_tensor::level::Level;
+use sam_tensor::Tensor;
 use sam_trace::{TokenCounts, TraceSink};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Level `.1` of a bound tensor, which a scanner or a locator reads in
+/// place: a run copies no operand storage.
+#[derive(Debug)]
+struct BoundLevel(Arc<Tensor>, usize);
+
+impl AsRef<Level> for BoundLevel {
+    fn as_ref(&self) -> &Level {
+        self.0.level(self.1)
+    }
+}
+
+/// A bound tensor's values, which an array reads in place.
+#[derive(Debug)]
+struct BoundVals(Arc<Tensor>);
+
+impl AsRef<[f64]> for BoundVals {
+    fn as_ref(&self) -> &[f64] {
+        self.0.vals()
+    }
+}
 
 /// Runs plans on the cycle-approximate simulator, reporting cycle counts;
 /// a run that has not finished after [`DEFAULT_MAX_CYCLES`] is an error.
@@ -137,7 +160,7 @@ impl Executor for CycleBackend {
                     sim.preload(out[0], root_stream());
                 }
                 Op::Transfer(Transfer::Scan { tensor, level, .. }) => {
-                    let level = Arc::new(inputs.at(tensor).level(level).clone());
+                    let level = BoundLevel(inputs.at(tensor).clone(), level);
                     let mut block = LevelScanner::new(label, level, slot(0), out[0], out[1]);
                     // A planned skip lane targets the scanner's skip input
                     // (port 1), fed by the downstream intersecter.
@@ -150,26 +173,23 @@ impl Executor for CycleBackend {
                     sim.add_block(Box::new(Repeater::new(label, slot(0), slot(1), out[0])));
                 }
                 Op::Transfer(Transfer::Locate { tensor, level, .. }) => {
-                    let level = Arc::new(inputs.at(tensor).level(level).clone());
-                    sim.add_block(Box::new(Locator::new(
+                    let level = BoundLevel(inputs.at(tensor).clone(), level);
+                    sim.add_block(Box::new(locator(
                         label,
                         level,
-                        slot(0),
-                        slot(1),
-                        out[0],
-                        out[1],
-                        out[2],
+                        [slot(0), slot(1)],
+                        [out[0], out[1], out[2]],
                     )));
                 }
                 Op::Transfer(Transfer::Array { tensor }) => {
-                    let vals = Arc::new(inputs.at(tensor).vals().to_vec());
-                    sim.add_block(Box::new(ValArray::new(label, vals, slot(0), out[0])));
+                    let vals = BoundVals(inputs.at(tensor).clone());
+                    sim.add_block(Box::new(val_array(label, vals, slot(0), out[0])));
                 }
                 Op::Transfer(Transfer::Const { value }) => {
-                    sim.add_block(Box::new(ConstVal::new(label, value, slot(0), out[0])));
+                    sim.add_block(Box::new(const_val(label, value, slot(0), out[0])));
                 }
                 Op::Transfer(Transfer::Alu { op }) => {
-                    sim.add_block(Box::new(Alu::new(label, op, [slot(0), slot(1)], out[0])));
+                    sim.add_block(Box::new(alu(label, op, [slot(0), slot(1)], out[0])));
                 }
                 Op::Transfer(Transfer::Reduce { order }) => {
                     sim.add_block(match order {
@@ -189,12 +209,12 @@ impl Executor for CycleBackend {
                 }
                 Op::Transfer(Transfer::WriteVals) => {
                     let sink = val_sink();
-                    sim.add_block(Box::new(ValWriter::new(label, slot(0), sink.clone())));
+                    sim.add_block(Box::new(val_writer(label, slot(0), sink.clone())));
                     vals_sink = Some(sink);
                 }
                 Op::Transfer(Transfer::WriteLevel { dim, output, .. }) => {
                     let sink = level_sink();
-                    sim.add_block(Box::new(LevelWriter::new(label, dim, slot(0), sink.clone())));
+                    sim.add_block(Box::new(level_writer(label, dim, slot(0), sink.clone())));
                     // A level writer of another tensor than the values
                     // writer's writes no level of the output.
                     if let Some(level) = output {

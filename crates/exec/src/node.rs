@@ -24,7 +24,10 @@
 //! `run_scanner` drains whole fibers through the same `FiberReader`. The
 //! reducer of every order is one loop, `run_reducer::<N>`, over
 //! [`Reduce<N>`](rule::Reduce): it offers the rule every stream's head and
-//! advances the streams whose heads it took.
+//! advances the streams whose heads it took. The array, constant, ALU,
+//! locator, both writers and the repeater's coordinate side are one loop,
+//! `lockstep::<I, O>`, the stored form of the cycle blocks' one timing
+//! ([`sam_primitives::Lockstep`]): a token of every input per step.
 //!
 //! A merger pushes its output one position at a time into a [`Region`]:
 //! its fusion region, which stores the streams read outside it and runs
@@ -94,38 +97,27 @@ pub(crate) fn eval_node(
             outs[0].extend(root_stream());
         }
         Transfer::Scan { tensor, level, .. } => {
-            let [crd, rf] = outs else { unreachable!("scanner has two outputs") };
+            let [crd, rf] = ports(outs)?;
             run_scanner(inputs.at(tensor).level(level), srcs[0].clone(), crd, rf)?;
         }
         Transfer::Repeat => {
-            let [crd_in, ref_in] = srcs else { unreachable!("repeater has two inputs") };
-            run_repeater(crd_in, ref_in.clone(), &mut outs[0])?;
+            let [crd_in, ref_in] = ports(srcs)?;
+            let mut rule = rule::Repeat::default();
+            lockstep(std::slice::from_mut(crd_in), outs, |[t]| Ok([repeat(&mut rule, ref_in, t)?]))?;
         }
         Transfer::Locate { tensor, level, .. } => {
-            let [crd, rf] = srcs else { unreachable!("locator has two inputs") };
-            let [oc, pass, located] = outs else { unreachable!("locator has three outputs") };
             let level = inputs.at(tensor).level(level);
-            zip_streams(crd, rf, |c, r| {
-                let [x, y, z] = rule::locate(level, c, r)?;
-                oc.push(x);
-                pass.push(y);
-                located.push(z);
-                Ok(())
-            })?;
+            lockstep(srcs, outs, |[c, r]| rule::locate(level, c, r))?;
         }
         Transfer::Array { tensor } => {
             let vals = inputs.at(tensor).vals();
-            map_stream(&mut srcs[0], &mut outs[0], |t| rule::load(vals, t))?;
+            lockstep(srcs, outs, |[t]| Ok([rule::load(vals, t)?]))?;
         }
         Transfer::Const { value } => {
-            map_stream(&mut srcs[0], &mut outs[0], |t| Ok(rule::constant(value, t)))?;
+            lockstep(srcs, outs, |[t]| Ok([rule::constant(value, t)]))?;
         }
         Transfer::Alu { op } => {
-            let [a, b] = srcs else { unreachable!("ALU has two inputs") };
-            zip_streams(a, b, |x, y| {
-                outs[0].push(rule::alu(op, x, y)?);
-                Ok(())
-            })?;
+            lockstep(srcs, outs, |[x, y]| Ok([rule::alu(op, x, y)?]))?;
         }
         Transfer::Reduce { order } => match order {
             0 => run_reducer::<0>(srcs, outs)?,
@@ -133,17 +125,17 @@ pub(crate) fn eval_node(
             _ => run_reducer::<2>(srcs, outs)?,
         },
         Transfer::Drop => {
-            let [outer, inner] = srcs else { unreachable!("dropper has two inputs") };
+            let [outer, inner] = ports(srcs)?;
             run_dropper(outer, inner, outs)?;
         }
         Transfer::WriteVals => {
             let mut write = spares.val_writer();
-            each(&mut srcs[0], |t| write.step(t))?;
+            lockstep(srcs, outs, |[t]| write.step(t).map(|()| []))?;
             *vals = Some(write.finish());
         }
         Transfer::WriteLevel { dim, output, .. } => {
             let mut write = spares.level_writer(dim);
-            each(&mut srcs[0], |t| write.step(t))?;
+            lockstep(srcs, outs, |[t]| write.step(t).map(|()| []))?;
             // A level writer of another tensor than the values writer's
             // writes no level of the output.
             if let Some(level) = output {
@@ -152,6 +144,11 @@ pub(crate) fn eval_node(
         }
     }
     Ok(())
+}
+
+/// A node's `N` ports, or misaligned when it has another number.
+fn ports<T, const N: usize>(ports: &mut [T]) -> Result<&mut [T; N], Fault> {
+    ports.try_into().map_err(|_| Fault::Misaligned)
 }
 
 /// One item of a merger operand, or of a level scanner's input: a fiber and
@@ -260,62 +257,32 @@ fn drain<V: FiberView>(fiber: V, crd: &mut Vec<SimToken>, rf: &mut Vec<SimToken>
     rf.extend((0..fiber.len()).map(|pos| fiber.child(pos)));
 }
 
-/// Runs a one-input rule over a whole stored stream, up to and including
-/// its done token.
-fn each(
-    input: &mut SliceSource<'_>,
-    mut step: impl FnMut(SimToken) -> Result<(), Fault>,
+/// The stored form of the lockstep timing
+/// ([`sam_primitives::Lockstep`]): `step` — the rule of an array, a
+/// constant, an ALU, a locator, a writer or a repeater's coordinate side —
+/// over `I` aligned stored streams, a token of each at a time, up to and
+/// including their done tokens, each call's `O` tokens pushed onto `outs`.
+/// Ports of another number, or a stream that ends first, are misaligned.
+/// Out of line: inlined into `eval_node`, the loop read MMAdd 10 % slower.
+#[inline(never)]
+fn lockstep<const I: usize, const O: usize>(
+    srcs: &mut [SliceSource<'_>],
+    outs: &mut [Vec<SimToken>],
+    mut step: impl FnMut([SimToken; I]) -> Result<[SimToken; O], Fault>,
 ) -> Result<(), Fault> {
-    while let Some(t) = input.next() {
-        step(t)?;
-        if t.is_done() {
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// [`each`] for a one-token-in, one-token-out rule: the stored form of every
-/// member of a fusion region but the reducer.
-fn map_stream(
-    input: &mut SliceSource<'_>,
-    out: &mut Vec<SimToken>,
-    mut step: impl FnMut(SimToken) -> Result<SimToken, Fault>,
-) -> Result<(), Fault> {
-    each(input, |t| {
-        out.push(step(t)?);
-        Ok(())
-    })
-}
-
-/// Runs a two-input rule over two aligned stored streams, a pair of tokens
-/// at a time, up to and including their done tokens. A stream that ends
-/// first is misaligned.
-fn zip_streams(
-    a: &mut SliceSource<'_>,
-    b: &mut SliceSource<'_>,
-    mut step: impl FnMut(SimToken, SimToken) -> Result<(), Fault>,
-) -> Result<(), Fault> {
+    let (srcs, outs) = (ports::<_, I>(srcs)?, ports::<_, O>(outs)?);
     loop {
-        let (Some(x), Some(y)) = (a.next(), b.next()) else {
-            return Err(Fault::Misaligned);
-        };
-        step(x, y)?;
-        if x.is_done() && y.is_done() {
+        let mut heads = [tok::done(); I];
+        for (head, src) in heads.iter_mut().zip(srcs.iter_mut()) {
+            *head = src.next().ok_or(Fault::Misaligned)?;
+        }
+        for (out, t) in outs.iter_mut().zip(step(heads)?) {
+            out.push(t);
+        }
+        if heads.iter().all(SimToken::is_done) {
             return Ok(());
         }
     }
-}
-
-/// Repeater transfer function (Definition 3.4): [`repeat`] over the whole
-/// coordinate stream.
-fn run_repeater(
-    crd_in: &mut SliceSource<'_>,
-    mut ref_in: SliceSource<'_>,
-    out: &mut Vec<SimToken>,
-) -> Result<(), Fault> {
-    let mut rule = rule::Repeat::default();
-    map_stream(crd_in, out, |t| repeat(&mut rule, &mut ref_in, t))
 }
 
 /// The repeater's output token for coordinate token `t`: [`rule::Repeat`],
@@ -1099,10 +1066,7 @@ fn run_reducer<const N: usize>(
     else {
         return Err(Fault::Misaligned);
     };
-    let (Ok(crd_srcs), Ok(crd_outs)) = (<&mut [_; N]>::try_from(crd_srcs), <&mut [_; N]>::try_from(crd_outs))
-    else {
-        return Err(Fault::Misaligned);
-    };
+    let (crd_srcs, crd_outs) = (ports::<_, N>(crd_srcs)?, ports::<_, N>(crd_outs)?);
     let mut reduce = Reduce::<N>::default();
     loop {
         let val = val_src.peek();
@@ -1166,6 +1130,7 @@ mod tests {
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use sam_tensor::level::{BitvectorLevel, DenseLevel};
+    use sam_tensor::{LevelFormat, Tensor, TensorFormat};
 
     const DIM: u32 = 2000;
 
@@ -1739,41 +1704,163 @@ mod tests {
         Ok(())
     }
 
-    /// The stored scanner and repeater call the rules their cycle blocks
-    /// call, at another pace: the scanner drains a fiber at a time, and the
+    /// A one-level tensor `name` over `level`, its values a pattern over
+    /// `salt`.
+    fn tensor_of(name: &str, level: &Level, salt: usize) -> Tensor {
+        let format = match level {
+            Level::Dense(_) => LevelFormat::Dense,
+            Level::Compressed(_) => LevelFormat::Compressed,
+            Level::Bitvector(l) => LevelFormat::Bitvector { word_width: l.word_width },
+        };
+        let vals = (0..level.num_children()).map(|i| ((i * 7 + salt) % 13) as f64 - 4.0).collect();
+        Tensor::from_parts(
+            name,
+            vec![DIM as usize],
+            TensorFormat::new(vec![format]),
+            vec![level.clone()],
+            vals,
+        )
+    }
+
+    /// A node's `N` output streams, and the level and the values a writer
+    /// wrote.
+    type Stored<const N: usize> = ([Vec<SimToken>; N], Option<CompressedLevel>, Option<Vec<f64>>);
+
+    /// What `eval_node` makes of `op` over stored `ins`, reading the
+    /// tensors of `inputs`.
+    fn stored_node<const N: usize>(
+        op: Transfer,
+        inputs: &Inputs,
+        ins: &[&[SimToken]],
+    ) -> Result<Stored<N>, Fault> {
+        let mut srcs: Vec<_> = ins.iter().map(|s| SliceSource::new(s)).collect();
+        let (mut outs, mut levels, mut vals) = ([(); N].map(|()| Vec::new()), [None], None);
+        eval_node(&op, inputs, &mut srcs, &mut outs, &mut Spares::default(), &mut levels, &mut vals)?;
+        let [level] = levels;
+        Ok((outs, level, vals))
+    }
+
+    /// The stored transfer functions do not run the cycle blocks' timing:
+    /// the standalone scanner drains whole fibers, and the stored
     /// repeater reads a reference only when a coordinate needs one, where
-    /// the block reads one a cycle whenever it holds none. Both must
-    /// produce the blocks' streams token for token, over every format and
+    /// the block reads one a cycle whenever it holds none. The array, the
+    /// constant, the ALU, the locator and the writers are one stored loop
+    /// and one cycle shell over the same rules. Every stored form must
+    /// produce its block's streams token for token, over every format and
     /// over reference streams that repeat a reference and hold empty ones.
     #[test]
-    fn the_stored_scanner_and_repeater_equal_their_cycle_blocks() -> Result<(), Fault> {
+    fn the_stored_loops_equal_their_cycle_blocks() -> Result<(), Fault> {
+        use sam_primitives::writer::{level_sink, val_sink};
         let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
         let mut rng = StdRng::seed_from_u64(35);
-        let mut repeated = 0;
+        let (mut repeated, mut located, mut missed) = (0, 0, 0);
         for round in 0..120 {
             let pair = [formats[round % 3], formats[(round / 3) % 3]];
+            let what = format!("{pair:?}, round {round}");
             let Case { levels: [la, lb], refs: [ra, rb] } = case(&mut rng, pair);
             let (sa, sb) = (stored(&la, &ra), stored(&lb, &rb));
-            let level = std::sync::Arc::new(la);
+            let level = std::sync::Arc::new(la.clone());
             let scanned = cycle_block(&[&ra], |i, [c, r]| {
-                Box::new(sam_primitives::LevelScanner::new("scan", level, i[0], c, r))
+                Box::new(sam_primitives::LevelScanner::new("scan", level.clone(), i[0], c, r))
             });
-            assert_eq!(scanned, sa, "{pair:?}, round {round}: scanner");
+            assert_eq!(scanned, sa, "{what}: scanner");
 
             // A repeater over the intersection's coordinates, repeating the
             // references that drove operand `a`'s scanner.
-            let [oc, ..] = merge(false, &mut streams(&sa), &mut streams(&sb))?;
-            let mut rep = Vec::new();
-            run_repeater(&mut SliceSource::new(&oc), SliceSource::new(&ra), &mut rep)?;
+            let no_tensors = Inputs::new();
+            let [oc, o0, o1] = merge(false, &mut streams(&sa), &mut streams(&sb))?;
+            let ([rep], ..) = stored_node(Transfer::Repeat, &no_tensors, &[&oc, &ra])?;
             let [cycled] = cycle_block(&[&oc, &ra], |i, [o]| {
                 Box::new(sam_primitives::Repeater::new("repeat", i[0], i[1], o))
             });
-            assert_eq!(rep, cycled, "{pair:?}, round {round}: repeater");
+            assert_eq!(rep, cycled, "{what}: repeater");
             let refs: Vec<_> = rep.iter().filter(|t| matches!(t, Token::Val(_))).collect();
             repeated += refs.windows(2).filter(|w| w[0] == w[1]).count();
+
+            // Arrays over both operands' matched references, their product
+            // with a constant, and the writers of the product's level and
+            // values.
+            let inputs = Inputs::new().tensor(tensor_of("a", &la, 1)).tensor(tensor_of("b", &lb, 2));
+            let ([x], ..) = stored_node(Transfer::Array { tensor: 0 }, &inputs, &[&o0])?;
+            let [cycled] = cycle_block(&[&o0], |i, [o]| {
+                Box::new(sam_primitives::val_array("array", inputs.at(0).vals().to_vec(), i[0], o))
+            });
+            assert_eq!(x, cycled, "{what}: array");
+            let ([y], ..) = stored_node(Transfer::Array { tensor: 1 }, &inputs, &[&o1])?;
+            let ([c], ..) = stored_node(Transfer::Const { value: 0.5 }, &inputs, &[&o0])?;
+            let [cycled] =
+                cycle_block(&[&o0], |i, [o]| Box::new(sam_primitives::const_val("const", 0.5, i[0], o)));
+            assert_eq!(c, cycled, "{what}: constant");
+            let ([m], ..) = stored_node(Transfer::Alu { op: AluOp::Mul }, &inputs, &[&x, &y])?;
+            let ([z], ..) = stored_node(Transfer::Alu { op: AluOp::Sub }, &inputs, &[&m, &c])?;
+            let [cycled] = cycle_block(&[&m, &c], |i, [o]| {
+                Box::new(sam_primitives::alu("alu", AluOp::Sub, [i[0], i[1]], o))
+            });
+            assert_eq!(z, cycled, "{what}: ALU");
+            let write_level = Transfer::WriteLevel { dim: DIM as usize, index: 'i', output: Some(0) };
+            let (_, level_written, _) = stored_node::<0>(write_level, &inputs, &[&oc])?;
+            let sink = level_sink();
+            cycle_block::<0>(&[&oc], |i, []| {
+                Box::new(sam_primitives::level_writer("w", DIM as usize, i[0], sink.clone()))
+            });
+            assert_eq!(level_written, sink.lock().map_or(None, |s| s.clone()), "{what}: level writer");
+            let (_, _, vals_written) = stored_node::<0>(Transfer::WriteVals, &inputs, &[&z])?;
+            let sink = val_sink();
+            cycle_block::<0>(&[&z], |i, []| Box::new(sam_primitives::val_writer("v", i[0], sink.clone())));
+            assert_eq!(vals_written, sink.lock().map_or(None, |s| s.clone()), "{what}: values writer");
+
+            // A locator looking operand `b`'s coordinates up in the fibers
+            // of operand `a` that their slots drove.
+            let ([to_a], ..) = stored_node(Transfer::Repeat, &no_tensors, &[&sb[0], &ra])?;
+            let locate = Transfer::Locate { tensor: 0, level: 0, index: 'i' };
+            let (stored_loc, ..) = stored_node::<3>(locate, &inputs, &[&sb[0], &to_a])?;
+            let cycled = cycle_block(&[&sb[0], &to_a], |i, outs| {
+                Box::new(sam_primitives::locator("locate", level.clone(), [i[0], i[1]], outs))
+            });
+            assert_eq!(stored_loc, cycled, "{what}: locator");
+            let hits = stored_loc[2].iter().filter(|t| matches!(t, Token::Val(_))).count();
+            located += hits;
+            missed += sb[0].iter().filter(|t| matches!(t, Token::Val(_))).count() - hits;
         }
         assert!(repeated > 50, "the repeater must repeat references: {repeated}");
+        assert!(located > 500 && missed > 500, "the locator must hit and miss: {located}, {missed}");
         Ok(())
+    }
+
+    /// Every kind the stored lockstep loop runs finds an input that ends
+    /// before its done token misaligned, whichever input it is; so does
+    /// the repeater's reference side, which ends before a reference a
+    /// coordinate needs. The whole streams run.
+    #[test]
+    fn a_stored_input_that_ends_before_done_is_misaligned() {
+        let level = level_of(Format::Compressed, 8, &[vec![1, 4, 9]]);
+        let inputs = Inputs::new().tensor(tensor_of("a", &level, 0));
+        let (crd, rf, val) = (tok::crd(4), tok::rf(0), tok::val(2.0));
+        let cases: [(Transfer, &[SimToken], usize); 7] = [
+            (Transfer::Array { tensor: 0 }, &[rf], 1),
+            (Transfer::Const { value: 1.0 }, &[val], 1),
+            (Transfer::Alu { op: AluOp::Add }, &[val, val], 1),
+            (Transfer::Locate { tensor: 0, level: 0, index: 'i' }, &[crd, rf], 3),
+            (Transfer::WriteVals, &[val], 0),
+            (Transfer::WriteLevel { dim: 8, index: 'i', output: Some(0) }, &[crd], 0),
+            (Transfer::Repeat, &[crd, rf], 1),
+        ];
+        for (op, heads, outputs) in cases {
+            let run = |ins: &[Vec<SimToken>]| {
+                let mut srcs: Vec<_> = ins.iter().map(|s| SliceSource::new(s)).collect();
+                let mut outs = vec![Vec::new(); outputs];
+                eval_node(&op, &inputs, &mut srcs, &mut outs, &mut Spares::default(), &mut [None], &mut None)
+            };
+            let whole: Vec<_> = heads.iter().map(|&t| vec![t, tok::stop(0), tok::done()]).collect();
+            assert_eq!(run(&whole), Ok(()), "{op:?}");
+            for k in 0..heads.len() {
+                let mut cut = whole.clone();
+                // The repeater reads its first reference for the coordinate.
+                let keep = if matches!(op, Transfer::Repeat) && k == 1 { 0 } else { 2 };
+                cut[k].truncate(keep);
+                assert_eq!(run(&cut), Err(Fault::Misaligned), "{op:?}, input {k} cut");
+            }
+        }
     }
 
     /// Every scanner path on one bad input against one good one: the
@@ -1819,17 +1906,17 @@ mod tests {
         (0..refs.max().unwrap_or(0)).map(|i| ((i * 7 + salt) % 13) as f64 - 4.0).collect()
     }
 
-    /// An array's stored transfer function, as `eval_node` runs it.
+    /// An array's stored transfer function over `vals`, as `eval_node`
+    /// runs it.
     fn array(vals: &[f64], input: &[SimToken], out: &mut Vec<SimToken>) -> Result<(), Fault> {
-        map_stream(&mut SliceSource::new(input), out, |t| rule::load(vals, t))
+        lockstep(&mut [SliceSource::new(input)], std::slice::from_mut(out), |[t]| Ok([rule::load(vals, t)?]))
     }
 
-    /// An ALU's stored transfer function, as `eval_node` runs it.
-    fn alu(op: AluOp, a: &[SimToken], b: &[SimToken], out: &mut Vec<SimToken>) -> Result<(), Fault> {
-        zip_streams(&mut SliceSource::new(a), &mut SliceSource::new(b), |x, y| {
-            out.push(rule::alu(op, x, y)?);
-            Ok(())
-        })
+    /// An ALU's or a repeater's stored transfer function.
+    fn binary(op: Transfer, a: &[SimToken], b: &[SimToken], out: &mut Vec<SimToken>) -> Result<(), Fault> {
+        let ([stream], ..) = stored_node(op, &Inputs::new(), &[a, b])?;
+        *out = stream;
+        Ok(())
     }
 
     fn counts_of(stream: &[SimToken]) -> TokenCounts {
@@ -1876,13 +1963,13 @@ mod tests {
                 f(&mut out).map(|()| out)
             };
             let src = SliceSource::new;
-            let rep = run(&mut |out| run_repeater(&mut src(&oc), src(&ra), out))?;
+            let rep = run(&mut |out| binary(Transfer::Repeat, &oc, &ra, out))?;
             let (va, vb, vr) = (values_for(&o0, 1), values_for(&o1, 2), values_for(&rep, 3));
             let x = run(&mut |out| array(&va, &o0, out))?;
             let y = run(&mut |out| array(&vb, &o1, out))?;
             let z = run(&mut |out| array(&vr, &rep, out))?;
-            let m = run(&mut |out| alu(AluOp::Mul, &x, &y, out))?;
-            let a = run(&mut |out| alu(AluOp::Sub, &m, &z, out))?;
+            let m = run(&mut |out| binary(Transfer::Alu { op: AluOp::Mul }, &x, &y, out))?;
+            let a = run(&mut |out| binary(Transfer::Alu { op: AluOp::Sub }, &m, &z, out))?;
             let r = run(&mut |out| run_reducer::<0>(&mut [src(&a)], std::slice::from_mut(out)))?;
             let refs: Vec<_> = rep.iter().filter(|t| matches!(t, Token::Val(_))).collect();
             repeated += refs.windows(2).filter(|w| w[0] == w[1]).count();

@@ -2,9 +2,11 @@
 //! each alone on the simulator over about 20 k to 200 k preloaded input
 //! tokens: a compressed-level scanner, a repeater, an array, an ALU, a
 //! scalar, a vector and a matrix reducer, a coordinate dropper, the two
-//! writers, an intersecter and a unioner. Prints, per block, the simulated
-//! cycles (which a change to a block's host code must leave as they are)
-//! and the median host nanoseconds per input token over `REPS` runs.
+//! writers, an intersecter and a unioner. The array, the ALU and the two
+//! writers are one shell, `Lockstep`, over their rules. Prints, per block,
+//! the simulated cycles (which a change to a block's host code must leave
+//! as they are) and the median host nanoseconds per input token over
+//! `REPS` runs.
 //!
 //! ```sh
 //! cargo run --release -p sam-primitives --example block_micro
@@ -12,8 +14,8 @@
 
 use sam_primitives::writer::{level_sink, val_sink};
 use sam_primitives::{
-    Alu, AluOp, CoordDropper, Intersecter, LevelScanner, LevelWriter, Reducer, Repeater, Unioner, ValArray,
-    ValWriter,
+    alu, level_writer, val_array, val_writer, AluOp, CoordDropper, Intersecter, LevelScanner, Reducer,
+    Repeater, Unioner,
 };
 use sam_sim::payload::tok;
 use sam_sim::{Block, ChannelId, SimToken, Simulator};
@@ -175,18 +177,14 @@ fn main() {
     );
     let refs = as_refs(&crd);
     let load_in = [refs.clone()];
-    let vals = Arc::new((0..64).map(f64::from).collect::<Vec<_>>());
+    let vals: Arc<[f64]> = (0..64).map(f64::from).collect();
     report(
         "array",
         &load_in,
-        time(&load_in, 1, |i, o| Box::new(ValArray::new("array", vals.clone(), i[0], o[0]))),
+        time(&load_in, 1, |i, o| Box::new(val_array("array", vals.clone(), i[0], o[0]))),
     );
     let alu_in = [val.clone(), b];
-    report(
-        "alu",
-        &alu_in,
-        time(&alu_in, 1, |i, o| Box::new(Alu::new("alu", AluOp::Mul, [i[0], i[1]], o[0]))),
-    );
+    report("alu", &alu_in, time(&alu_in, 1, |i, o| Box::new(alu("alu", AluOp::Mul, [i[0], i[1]], o[0]))));
     let sum_in = [val.clone()];
     report(
         "scalar_reducer",
@@ -197,13 +195,9 @@ fn main() {
     report(
         "level_writer",
         &crd_in,
-        time(&crd_in, 0, |i, _| Box::new(LevelWriter::new("write", 64, i[0], level_sink()))),
+        time(&crd_in, 0, |i, _| Box::new(level_writer("write", 64, i[0], level_sink()))),
     );
-    report(
-        "val_writer",
-        &sum_in,
-        time(&sum_in, 0, |i, _| Box::new(ValWriter::new("vals", i[0], val_sink()))),
-    );
+    report("val_writer", &sum_in, time(&sum_in, 0, |i, _| Box::new(val_writer("vals", i[0], val_sink()))));
     let red_in = [crd.clone(), val.clone()];
     report(
         "vector_reducer",

@@ -1,104 +1,44 @@
 //! Array (memory) blocks: value loads and the locator (paper Definitions
-//! 3.5 and 4.1). Each block is the timing of its rule in [`crate::rule`].
+//! 3.5 and 4.1). Each block is its rule in [`crate::rule`] run in
+//! [`Lockstep`].
 
-use crate::rule;
-use sam_sim::{Block, BlockStatus, ChannelId, Context, SimToken};
+use crate::{rule, Lockstep};
+use sam_sim::{Block, ChannelId};
 use sam_tensor::level::Level;
-use std::sync::Arc;
 
 /// The array block in load mode (Definition 3.5): converts a reference
-/// stream into a value stream by reading a values array ([`rule::load`]),
-/// one token per cycle.
-#[derive(Debug)]
-pub struct ValArray {
-    name: String,
-    vals: Arc<Vec<f64>>,
+/// stream into a value stream by reading the values array `vals`
+/// ([`rule::load`]), one token per cycle.
+pub fn val_array(
+    name: impl Into<String>,
+    vals: impl AsRef<[f64]> + Send + 'static,
     in_ref: ChannelId,
     out_val: ChannelId,
+) -> impl Block {
+    Lockstep::new(name, [in_ref], [out_val], move |[t]| Ok([rule::load(vals.as_ref(), t)?]))
 }
 
-impl ValArray {
-    /// Creates a value-load array over `vals`.
-    pub fn new(name: impl Into<String>, vals: Arc<Vec<f64>>, in_ref: ChannelId, out_val: ChannelId) -> Self {
-        ValArray { name: name.into(), vals, in_ref, out_val }
-    }
-}
-
-impl Block for ValArray {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        let Some(t) = ctx.pop(self.in_ref) else {
-            return ctx.stall();
-        };
-        match rule::load(&self.vals, t) {
-            Ok(v) => {
-                ctx.push(self.out_val, v);
-                crate::status(v.is_done())
-            }
-            Err(fault) => BlockStatus::Fault(fault),
-        }
-    }
-}
-
-/// The locator block (Definition 4.1): iterate-locate intersection
-/// ([`rule::locate`]), one aligned `(coordinate, reference)` pair and three
-/// output tokens per cycle.
-#[derive(Debug)]
-pub struct Locator {
-    name: String,
-    level: Arc<Level>,
-    in_crd: ChannelId,
-    in_ref: ChannelId,
+/// The locator block (Definition 4.1): iterate-locate intersection into
+/// `level` ([`rule::locate`]), one aligned `(coordinate, reference)` pair
+/// in and a coordinate, a pass-through reference and a located reference
+/// out per cycle.
+pub fn locator(
+    name: impl Into<String>,
+    level: impl AsRef<Level> + Send + 'static,
+    [in_crd, in_ref]: [ChannelId; 2],
     outs: [ChannelId; 3],
-}
-
-impl Locator {
-    /// Creates a locator over `level`.
-    pub fn new(
-        name: impl Into<String>,
-        level: Arc<Level>,
-        in_crd: ChannelId,
-        in_ref: ChannelId,
-        out_crd: ChannelId,
-        out_ref_pass: ChannelId,
-        out_ref_located: ChannelId,
-    ) -> Self {
-        Locator { name: name.into(), level, in_crd, in_ref, outs: [out_crd, out_ref_pass, out_ref_located] }
-    }
-}
-
-impl Block for Locator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        let (Some(c), Some(r)) = (ctx.peek(self.in_crd).copied(), ctx.peek(self.in_ref).copied()) else {
-            return ctx.stall();
-        };
-        let located: [SimToken; 3] = match rule::locate(&self.level, c, r) {
-            Ok(located) => located,
-            Err(fault) => return BlockStatus::Fault(fault),
-        };
-        ctx.pop(self.in_crd);
-        ctx.pop(self.in_ref);
-        for (&out, t) in self.outs.iter().zip(located) {
-            ctx.push(out, t);
-        }
-        crate::status(located[0].is_done())
-    }
+) -> impl Block {
+    Lockstep::new(name, [in_crd, in_ref], outs, move |[c, r]| rule::locate(level.as_ref(), c, r))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sam_sim::payload::{tok, Payload};
-    use sam_sim::{Fault, SimulationError, Simulator};
+    use sam_sim::{Fault, SimToken, SimulationError, Simulator};
     use sam_streams::Token;
     use sam_tensor::level::{CompressedLevel, DenseLevel};
+    use std::sync::Arc;
 
     fn vals(tokens: &[SimToken]) -> Vec<f64> {
         tokens.iter().filter_map(|t| t.value_ref().map(|p| p.expect_val())).collect()
@@ -110,7 +50,7 @@ mod tests {
         let r = sim.add_channel("ref");
         let v = sim.add_channel("val");
         sim.record(v);
-        sim.add_block(Box::new(ValArray::new("B_vals", Arc::new(vec![1.0, 2.0, 3.0, 4.0, 5.0]), r, v)));
+        sim.add_block(Box::new(val_array("B_vals", vec![1.0, 2.0, 3.0, 4.0, 5.0], r, v)));
         sim.preload(r, vec![tok::rf(4), tok::rf(0), Token::Empty, tok::stop(1), tok::done()]);
         sim.run(100).unwrap();
         assert_eq!(vals(sim.history(v)), vec![5.0, 1.0]);
@@ -123,7 +63,7 @@ mod tests {
         let mut sim = Simulator::new();
         let r = sim.add_channel("ref");
         let v = sim.add_channel("val");
-        sim.add_block(Box::new(ValArray::new("B", Arc::new(vec![1.0]), r, v)));
+        sim.add_block(Box::new(val_array("B", vec![1.0], r, v)));
         sim.preload(r, vec![tok::rf(0), tok::rf(7), tok::done()]);
         assert_eq!(
             sim.run(100),
@@ -143,7 +83,7 @@ mod tests {
         ] {
             let mut sim = Simulator::new();
             let [c, r, oc, op, ol] = ["crd", "ref", "oc", "op", "ol"].map(|n| sim.add_channel(n));
-            sim.add_block(Box::new(Locator::new("loc", level.clone(), c, r, oc, op, ol)));
+            sim.add_block(Box::new(locator("loc", level.clone(), [c, r], [oc, op, ol])));
             sim.preload(c, vec![crd, tok::stop(0), tok::done()]);
             sim.preload(r, vec![rf, tok::stop(0), tok::done()]);
             assert_eq!(sim.run(100), Err(SimulationError::Fault { cycle: 0, block: "loc".into(), fault }));
@@ -161,7 +101,7 @@ mod tests {
         let op = sim.add_channel("out_pass");
         let ol = sim.add_channel("out_loc");
         sim.record(ol);
-        sim.add_block(Box::new(Locator::new("loc", level, c, r, oc, op, ol)));
+        sim.add_block(Box::new(locator("loc", level, [c, r], [oc, op, ol])));
         sim.preload(c, vec![tok::crd(3), tok::crd(7), tok::stop(0), tok::done()]);
         sim.preload(r, vec![tok::rf(0), tok::rf(0), tok::stop(0), tok::done()]);
         sim.run(100).unwrap();
@@ -181,7 +121,7 @@ mod tests {
         let ol = sim.add_channel("out_loc");
         sim.record(oc);
         sim.record(ol);
-        sim.add_block(Box::new(Locator::new("loc", level, c, r, oc, op, ol)));
+        sim.add_block(Box::new(locator("loc", level, [c, r], [oc, op, ol])));
         sim.preload(c, vec![tok::crd(1), tok::crd(3), tok::crd(5), tok::stop(0), tok::done()]);
         sim.preload(r, vec![tok::rf(0), tok::rf(0), tok::rf(0), tok::stop(0), tok::done()]);
         sim.run(100).unwrap();

@@ -248,9 +248,7 @@ impl Block for BitvectorVecMul {
                 let word = BitVec { base, width, bits };
                 let mut out = self.sink.lock().expect("poisoned sink");
                 for c in word.iter_coords() {
-                    let (Some(ra), Some(rb)) =
-                        (self.level_a.locate_in_fiber0(c), self.level_b.locate_in_fiber0(c))
-                    else {
+                    let (Some(ra), Some(rb)) = (self.level_a.locate(0, c), self.level_b.locate(0, c)) else {
                         continue;
                     };
                     out.push((c, self.vals_a[ra] * self.vals_b[rb]));
@@ -365,7 +363,7 @@ impl Block for BitTreeVecMul {
                             if (both >> bit) & 1 == 1 {
                                 let c = (word_idx * width + bit) as u32;
                                 if let (Some(ra), Some(rb)) =
-                                    (self.level_a.locate_in_fiber0(c), self.level_b.locate_in_fiber0(c))
+                                    (self.level_a.locate(0, c), self.level_b.locate(0, c))
                                 {
                                     out.push((c, self.vals_a[ra] * self.vals_b[rb]));
                                     produced += 1;
@@ -382,18 +380,6 @@ impl Block for BitTreeVecMul {
                 }
             }
         }
-    }
-}
-
-/// Extension trait used by the vectorized value units: locate a coordinate
-/// within fiber 0 of a bitvector level.
-trait LocateFiber0 {
-    fn locate_in_fiber0(&self, coord: u32) -> Option<usize>;
-}
-
-impl LocateFiber0 for BitvectorLevel {
-    fn locate_in_fiber0(&self, coord: u32) -> Option<usize> {
-        sam_tensor::level::Level::Bitvector(self.clone()).locate(0, coord)
     }
 }
 

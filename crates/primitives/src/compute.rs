@@ -1,84 +1,27 @@
 //! Computation blocks: ALUs, the constant source and the reducer (paper
 //! Definitions 3.6 and 3.7). Each block is the timing of its rule in
-//! [`crate::rule`]; one reducer block, [`Reducer<N>`], serves every order.
+//! [`crate::rule`]: the ALU and the constant run theirs in [`Lockstep`],
+//! and one reducer block, [`Reducer<N>`], serves every order.
 
 use crate::rule::{self, AluOp, Reduce};
+use crate::Lockstep;
 use sam_sim::{Block, BlockStatus, ChannelId, Context, Fault, SimToken};
 use std::collections::VecDeque;
 
-/// A streaming two-input ALU (Definition 3.6, [`rule::alu`]): one aligned
-/// pair of value tokens in and one value token out per cycle.
-#[derive(Debug)]
-pub struct Alu {
-    name: String,
-    op: AluOp,
-    in_val: [ChannelId; 2],
-    out_val: ChannelId,
+/// A streaming two-input ALU (Definition 3.6) applying `op` ([`rule::alu`]):
+/// one aligned pair of value tokens in and one value token out per cycle.
+pub fn alu(name: impl Into<String>, op: AluOp, in_val: [ChannelId; 2], out_val: ChannelId) -> impl Block {
+    Lockstep::new(name, in_val, [out_val], move |[a, b]| Ok([rule::alu(op, a, b)?]))
 }
 
-impl Alu {
-    /// Creates an ALU applying `op`.
-    pub fn new(name: impl Into<String>, op: AluOp, in_val: [ChannelId; 2], out_val: ChannelId) -> Self {
-        Alu { name: name.into(), op, in_val, out_val }
-    }
-}
-
-impl Block for Alu {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        let (Some(a), Some(b)) = (ctx.peek(self.in_val[0]).copied(), ctx.peek(self.in_val[1]).copied())
-        else {
-            return ctx.stall();
-        };
-        match rule::alu(self.op, a, b) {
-            Ok(v) => {
-                ctx.pop(self.in_val[0]);
-                ctx.pop(self.in_val[1]);
-                ctx.push(self.out_val, v);
-                crate::status(v.is_done())
-            }
-            Err(fault) => BlockStatus::Fault(fault),
-        }
-    }
-}
-
-/// A constant-value source ([`rule::constant`]): re-emits one scalar for
-/// every data token of its shape input stream, one token per cycle.
+/// A constant-value source ([`rule::constant`]): re-emits `value` for every
+/// data token of its shape input stream, one token per cycle.
 ///
 /// The shape stream is normally a fork of the value stream the constant
-/// combines with in a downstream [`Alu`], so the constant stream is always
+/// combines with in a downstream [`alu`], so the constant stream is always
 /// structurally aligned with its sibling.
-#[derive(Debug)]
-pub struct ConstVal {
-    name: String,
-    value: f64,
-    input: ChannelId,
-    output: ChannelId,
-}
-
-impl ConstVal {
-    /// Creates a constant source emitting `value`.
-    pub fn new(name: impl Into<String>, value: f64, input: ChannelId, output: ChannelId) -> Self {
-        ConstVal { name: name.into(), value, input, output }
-    }
-}
-
-impl Block for ConstVal {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        let Some(t) = ctx.pop(self.input) else {
-            return ctx.stall();
-        };
-        let v = rule::constant(self.value, t);
-        ctx.push(self.output, v);
-        crate::status(v.is_done())
-    }
+pub fn const_val(name: impl Into<String>, value: f64, input: ChannelId, output: ChannelId) -> impl Block {
+    Lockstep::new(name, [input], [output], move |[t]| Ok([rule::constant(value, t)]))
 }
 
 /// A reducer of order `N` (Definition 3.7): the timing of [`Reduce`].
@@ -206,7 +149,7 @@ mod tests {
         let b = sim.add_channel("b");
         let out = sim.add_channel("out");
         sim.record(out);
-        sim.add_block(Box::new(Alu::new("mul", AluOp::Mul, [a, b], out)));
+        sim.add_block(Box::new(alu("mul", AluOp::Mul, [a, b], out)));
         sim.preload(a, vec![tok::val(2.0), tok::val(3.0), Token::Empty, tok::stop(0), tok::done()]);
         sim.preload(b, vec![tok::val(5.0), Token::Empty, tok::val(7.0), tok::stop(0), tok::done()]);
         sim.run(100).unwrap();
@@ -222,7 +165,7 @@ mod tests {
             let b = sim.add_channel("b");
             let out = sim.add_channel("out");
             sim.record(out);
-            sim.add_block(Box::new(Alu::new("alu", op, [a, b], out)));
+            sim.add_block(Box::new(alu("alu", op, [a, b], out)));
             sim.preload(a, vec![tok::val(5.0), tok::stop(0), tok::done()]);
             sim.preload(b, vec![tok::val(2.0), tok::stop(0), tok::done()]);
             sim.run(100).unwrap();
@@ -442,7 +385,7 @@ mod tests {
         // An ALU whose operands close their fibers at different points.
         let mut sim = Simulator::new();
         let [a, b, out] = ["a", "b", "out"].map(|n| sim.add_channel(n));
-        sim.add_block(Box::new(Alu::new("mul", AluOp::Mul, [a, b], out)));
+        sim.add_block(Box::new(alu("mul", AluOp::Mul, [a, b], out)));
         sim.preload(a, vec![tok::val(2.0), tok::val(3.0), tok::stop(0), tok::done()]);
         sim.preload(b, vec![tok::val(5.0), tok::stop(0), tok::done()]);
         assert_eq!(fault(&mut sim), (1, "mul".into(), Fault::Misaligned));

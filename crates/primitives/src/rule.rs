@@ -12,15 +12,17 @@
 //! rule takes tokens, never a channel or a stream: whether a missing token
 //! is "not yet" or "never" is the caller's to know. Both backends call it:
 //! a cycle block in [`crate::scanner`], [`crate::merge`], [`crate::repeat`],
-//! [`crate::array`], [`crate::compute`], [`crate::dropper`] or
-//! [`crate::writer`] keeps only its timing — it waits for its inputs, pops
-//! them, calls the rule and pushes the result or queues it one token per
-//! cycle — and the fast backend loops the rule over whole stored streams,
-//! over a fused scanner's reference stream, over the fibers a merger pairs
-//! up, or over a fusion region's blocks of positions. The rules are
-//! `#[inline]`, so that a fusion region's call across the crate boundary
-//! still compiles into its loop. How far the merge walk moves a trailing
-//! operand is that walk's algorithm, not the rule.
+//! [`crate::compute`] or [`crate::dropper`] keeps only its timing — it
+//! waits for its inputs, pops them, calls the rule and pushes the result or
+//! queues it one token per cycle — and the array, constant, ALU, locator
+//! and writers ([`crate::array`], [`crate::compute`], [`crate::writer`])
+//! share one timing, [`crate::Lockstep`]. The fast backend loops the rule
+//! over whole stored streams, over a fused scanner's reference stream,
+//! over the fibers a merger pairs up, or over a fusion region's blocks of
+//! positions. The rules are `#[inline]`, so that a fusion region's call
+//! across the crate boundary still compiles into its loop. How far the
+//! merge walk moves a trailing operand is that walk's algorithm, not the
+//! rule.
 
 mod alu;
 mod drop;

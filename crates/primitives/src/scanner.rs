@@ -6,7 +6,6 @@ use sam_sim::payload::{tok, Payload};
 use sam_sim::{Block, BlockStatus, ChannelId, Context, Fault, SimToken};
 use sam_streams::Token;
 use sam_tensor::level::{FiberEntry, Level};
-use std::sync::Arc;
 
 /// Internal scanner state machine.
 #[derive(Debug)]
@@ -20,7 +19,9 @@ enum ScanState {
     NeedStop,
 }
 
-/// A level scanner for dense (uncompressed) and compressed levels.
+/// A level scanner for dense (uncompressed) and compressed levels, reading
+/// its level in place through `L` (an `Arc<Level>`, or a bound tensor's
+/// level).
 ///
 /// The scanner consumes a reference stream naming fibers of its level and
 /// produces a coordinate stream and a reference stream for the next level
@@ -44,9 +45,9 @@ enum ScanState {
 /// behind their consumers in the dataflow). Any other skip token is
 /// misaligned.
 #[derive(Debug)]
-pub struct LevelScanner {
+pub struct LevelScanner<L> {
     name: String,
-    level: Arc<Level>,
+    level: L,
     in_ref: ChannelId,
     out_crd: ChannelId,
     out_ref: ChannelId,
@@ -57,11 +58,11 @@ pub struct LevelScanner {
     done: bool,
 }
 
-impl LevelScanner {
+impl<L: AsRef<Level>> LevelScanner<L> {
     /// Creates a level scanner over `level`.
     pub fn new(
         name: impl Into<String>,
-        level: Arc<Level>,
+        level: L,
         in_ref: ChannelId,
         out_crd: ChannelId,
         out_ref: ChannelId,
@@ -134,7 +135,7 @@ impl LevelScanner {
     }
 }
 
-impl Block for LevelScanner {
+impl<L: AsRef<Level> + Send> Block for LevelScanner<L> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -175,7 +176,7 @@ impl Block for LevelScanner {
                 let Some(&head) = ctx.peek(self.in_ref) else {
                     return ctx.stall();
                 };
-                let scan = match rule::scan(&self.level, head) {
+                let scan = match rule::scan(self.level.as_ref(), head) {
                     Ok(scan) => scan,
                     Err(fault) => return BlockStatus::Fault(fault),
                 };
@@ -185,7 +186,7 @@ impl Block for LevelScanner {
                     // same cycle the reference is consumed. An empty fiber
                     // contributes only its trailing stop.
                     Scan::Fiber(fiber) => {
-                        let entries = fiber.map_or_else(Vec::new, |f| self.level.fiber(f));
+                        let entries = fiber.map_or_else(Vec::new, |f| self.level.as_ref().fiber(f));
                         if entries.is_empty() {
                             self.state = ScanState::NeedStop;
                         } else {
@@ -209,6 +210,7 @@ mod tests {
     use super::*;
     use sam_sim::{SimulationError, Simulator};
     use sam_tensor::level::{CompressedLevel, DenseLevel};
+    use std::sync::Arc;
 
     fn paper_levels() -> (Arc<Level>, Arc<Level>) {
         // The DCSR matrix of paper Figure 1c.

@@ -1,19 +1,20 @@
 //! Level writers: tensor construction (paper Definition 3.8). Each block is
-//! the timing of its rule in [`crate::rule`].
+//! its rule in [`crate::rule`] run in [`Lockstep`].
 
 use crate::rule::{LevelWrite, ValWrite};
-use sam_sim::{Block, BlockStatus, ChannelId, Context};
+use crate::Lockstep;
+use sam_sim::{Block, ChannelId};
 use sam_tensor::level::CompressedLevel;
 use std::sync::{Arc, Mutex};
 
-/// Shared sink receiving the level data a [`LevelWriter`] produces.
+/// Shared sink receiving the level data a [`level_writer`] produces.
 ///
 /// The writer builds a compressed level (segment + coordinate arrays); the
 /// caller keeps a clone of the sink and reads the level after the simulation
 /// has quiesced.
 pub type LevelWriterSink = Arc<Mutex<Option<CompressedLevel>>>;
 
-/// Shared sink receiving the values a [`ValWriter`] stores.
+/// Shared sink receiving the values a [`val_writer`] stores.
 pub type ValWriterSink = Arc<Mutex<Option<Vec<f64>>>>;
 
 /// Creates an empty level-writer sink.
@@ -26,79 +27,37 @@ pub fn val_sink() -> ValWriterSink {
     Arc::new(Mutex::new(None))
 }
 
-/// Writes one coordinate stream into a compressed level in memory
-/// (Definition 3.8, [`LevelWrite`]), one token per cycle. The done token
-/// publishes the level to the sink.
-#[derive(Debug)]
-pub struct LevelWriter {
-    name: String,
+/// Writes one coordinate stream into a compressed level in memory for a
+/// dimension of size `dim` (Definition 3.8, [`LevelWrite`]), one token per
+/// cycle. The done token publishes the level to the sink.
+pub fn level_writer(
+    name: impl Into<String>,
     dim: usize,
     in_crd: ChannelId,
     sink: LevelWriterSink,
-    rule: LevelWrite,
-}
-
-impl LevelWriter {
-    /// Creates a compressed level writer for a dimension of size `dim`.
-    pub fn new(name: impl Into<String>, dim: usize, in_crd: ChannelId, sink: LevelWriterSink) -> Self {
-        LevelWriter { name: name.into(), dim, in_crd, sink, rule: LevelWrite::new(dim) }
-    }
-}
-
-impl Block for LevelWriter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        let Some(t) = ctx.pop(self.in_crd) else {
-            return ctx.stall();
-        };
-        if let Err(fault) = self.rule.step(t) {
-            return BlockStatus::Fault(fault);
-        }
+) -> impl Block {
+    let mut rule = LevelWrite::new(dim);
+    Lockstep::new(name, [in_crd], [], move |[t]| {
+        rule.step(t)?;
         if t.is_done() {
-            *self.sink.lock().expect("poisoned level sink") =
-                Some(std::mem::replace(&mut self.rule, LevelWrite::new(self.dim)).finish());
+            *sink.lock().expect("poisoned level sink") =
+                Some(std::mem::replace(&mut rule, LevelWrite::new(dim)).finish());
         }
-        crate::status(t.is_done())
-    }
+        Ok([])
+    })
 }
 
 /// Writes a value stream into a values array ([`ValWrite`]), one token per
 /// cycle. The done token publishes the values to the sink.
-#[derive(Debug)]
-pub struct ValWriter {
-    name: String,
-    in_val: ChannelId,
-    sink: ValWriterSink,
-    rule: ValWrite,
-}
-
-impl ValWriter {
-    /// Creates a values writer.
-    pub fn new(name: impl Into<String>, in_val: ChannelId, sink: ValWriterSink) -> Self {
-        ValWriter { name: name.into(), in_val, sink, rule: ValWrite::default() }
-    }
-}
-
-impl Block for ValWriter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, ctx: &mut Context) -> BlockStatus {
-        let Some(t) = ctx.pop(self.in_val) else {
-            return ctx.stall();
-        };
-        if let Err(fault) = self.rule.step(t) {
-            return BlockStatus::Fault(fault);
-        }
+pub fn val_writer(name: impl Into<String>, in_val: ChannelId, sink: ValWriterSink) -> impl Block {
+    let mut rule = ValWrite::default();
+    Lockstep::new(name, [in_val], [], move |[t]| {
+        rule.step(t)?;
         if t.is_done() {
-            *self.sink.lock().expect("poisoned value sink") = Some(std::mem::take(&mut self.rule).finish());
+            *sink.lock().expect("poisoned value sink") = Some(std::mem::take(&mut rule).finish());
         }
-        crate::status(t.is_done())
-    }
+        Ok([])
+    })
 }
 
 #[cfg(test)]
@@ -113,7 +72,7 @@ mod tests {
         let mut sim = Simulator::new();
         let c = sim.add_channel("crd");
         let sink = level_sink();
-        sim.add_block(Box::new(LevelWriter::new("Xj", 4, c, sink.clone())));
+        sim.add_block(Box::new(level_writer("Xj", 4, c, sink.clone())));
         sim.preload(
             c,
             vec![
@@ -139,7 +98,7 @@ mod tests {
         let mut sim = Simulator::new();
         let c = sim.add_channel("crd");
         let sink = level_sink();
-        sim.add_block(Box::new(LevelWriter::new("X", 4, c, sink.clone())));
+        sim.add_block(Box::new(level_writer("X", 4, c, sink.clone())));
         sim.preload(c, vec![tok::crd(2), tok::stop(0), tok::stop(0), tok::crd(3), tok::stop(1), tok::done()]);
         sim.run(100).unwrap();
         let level = sink.lock().unwrap().clone().unwrap();
@@ -152,7 +111,7 @@ mod tests {
         let mut sim = Simulator::new();
         let v = sim.add_channel("val");
         let sink = val_sink();
-        sim.add_block(Box::new(ValWriter::new("Xvals", v, sink.clone())));
+        sim.add_block(Box::new(val_writer("Xvals", v, sink.clone())));
         sim.preload(v, vec![tok::val(1.5), Token::Empty, tok::val(2.5), tok::stop(0), tok::done()]);
         sim.run(100).unwrap();
         assert_eq!(sink.lock().unwrap().clone().unwrap(), vec![1.5, 0.0, 2.5]);
@@ -163,7 +122,7 @@ mod tests {
         let mut sim = Simulator::new();
         let v = sim.add_channel("val");
         let sink = val_sink();
-        sim.add_block(Box::new(ValWriter::new("chi", v, sink.clone())));
+        sim.add_block(Box::new(val_writer("chi", v, sink.clone())));
         sim.preload(v, vec![tok::val(42.0), tok::done()]);
         sim.run(100).unwrap();
         assert_eq!(sink.lock().unwrap().clone().unwrap(), vec![42.0]);

@@ -322,7 +322,10 @@ impl BitvectorLevel {
         entries
     }
 
-    fn locate(&self, fiber: usize, coord: u32) -> Option<usize> {
+    /// The child position (global rank) of `coord` within fiber `fiber`,
+    /// if that coordinate is present: [`Level::locate`] without building a
+    /// [`Level`].
+    pub fn locate(&self, fiber: usize, coord: u32) -> Option<usize> {
         if (coord as usize) >= self.dim || (fiber + 1) * self.words_per_fiber > self.words.len() {
             return None;
         }
