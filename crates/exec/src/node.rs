@@ -1740,42 +1740,60 @@ mod tests {
         Ok((outs, level, vals))
     }
 
-    /// The stored transfer functions do not run the cycle blocks' timing:
-    /// the standalone scanner drains whole fibers, and the stored
-    /// repeater reads a reference only when a coordinate needs one, where
-    /// the block reads one a cycle whenever it holds none. The array, the
-    /// constant, the ALU, the locator and the writers are one stored loop
-    /// and one cycle shell over the same rules. Every stored form must
-    /// produce its block's streams token for token, over every format and
-    /// over reference streams that repeat a reference and hold empty ones.
-    #[test]
-    fn the_stored_loops_equal_their_cycle_blocks() -> Result<(), Fault> {
-        use sam_primitives::writer::{level_sink, val_sink};
+    /// The 120 rounds of operand pairs the stored-versus-cycle tests run,
+    /// every pair of formats: each round's name and its case.
+    fn rounds() -> impl Iterator<Item = (String, Case)> {
         let formats = [Format::Compressed, Format::Dense, Format::Bitvector];
         let mut rng = StdRng::seed_from_u64(35);
-        let (mut repeated, mut located, mut missed) = (0, 0, 0);
-        for round in 0..120 {
+        (0..120).map(move |round| {
             let pair = [formats[round % 3], formats[(round / 3) % 3]];
-            let what = format!("{pair:?}, round {round}");
-            let Case { levels: [la, lb], refs: [ra, rb] } = case(&mut rng, pair);
+            (format!("{pair:?}, round {round}"), case(&mut rng, pair))
+        })
+    }
+
+    /// The stored scanner and repeater call the rules their cycle blocks
+    /// call, at another pace: the scanner drains a fiber at a time, and the
+    /// repeater reads a reference only when a coordinate needs one, where
+    /// the block reads one a cycle whenever it holds none. Both must
+    /// produce the blocks' streams token for token, over every format and
+    /// over reference streams that repeat a reference and hold empty ones.
+    #[test]
+    fn the_stored_scanner_and_repeater_equal_their_cycle_blocks() -> Result<(), Fault> {
+        let mut repeated = 0;
+        for (what, Case { levels: [la, lb], refs: [ra, rb] }) in rounds() {
             let (sa, sb) = (stored(&la, &ra), stored(&lb, &rb));
-            let level = std::sync::Arc::new(la.clone());
+            let level = std::sync::Arc::new(la);
             let scanned = cycle_block(&[&ra], |i, [c, r]| {
-                Box::new(sam_primitives::LevelScanner::new("scan", level.clone(), i[0], c, r))
+                Box::new(sam_primitives::LevelScanner::new("scan", level, i[0], c, r))
             });
             assert_eq!(scanned, sa, "{what}: scanner");
 
             // A repeater over the intersection's coordinates, repeating the
             // references that drove operand `a`'s scanner.
-            let no_tensors = Inputs::new();
-            let [oc, o0, o1] = merge(false, &mut streams(&sa), &mut streams(&sb))?;
-            let ([rep], ..) = stored_node(Transfer::Repeat, &no_tensors, &[&oc, &ra])?;
+            let [oc, ..] = merge(false, &mut streams(&sa), &mut streams(&sb))?;
+            let ([rep], ..) = stored_node(Transfer::Repeat, &Inputs::new(), &[&oc, &ra])?;
             let [cycled] = cycle_block(&[&oc, &ra], |i, [o]| {
                 Box::new(sam_primitives::Repeater::new("repeat", i[0], i[1], o))
             });
             assert_eq!(rep, cycled, "{what}: repeater");
             let refs: Vec<_> = rep.iter().filter(|t| matches!(t, Token::Val(_))).collect();
             repeated += refs.windows(2).filter(|w| w[0] == w[1]).count();
+        }
+        assert!(repeated > 50, "the repeater must repeat references: {repeated}");
+        Ok(())
+    }
+
+    /// The array, the constant, the ALU, the locator and the writers are
+    /// one stored loop and one cycle shell over the same rules. Every
+    /// stored form must produce its block's streams token for token, over
+    /// every format and over the intersection's matched references.
+    #[test]
+    fn the_stored_loops_equal_their_cycle_blocks() -> Result<(), Fault> {
+        use sam_primitives::writer::{level_sink, val_sink};
+        let (mut located, mut missed) = (0, 0);
+        for (what, Case { levels: [la, lb], refs: [ra, rb] }) in rounds() {
+            let (sa, sb) = (stored(&la, &ra), stored(&lb, &rb));
+            let [oc, o0, o1] = merge(false, &mut streams(&sa), &mut streams(&sb))?;
 
             // Arrays over both operands' matched references, their product
             // with a constant, and the writers of the product's level and
@@ -1811,18 +1829,18 @@ mod tests {
 
             // A locator looking operand `b`'s coordinates up in the fibers
             // of operand `a` that their slots drove.
-            let ([to_a], ..) = stored_node(Transfer::Repeat, &no_tensors, &[&sb[0], &ra])?;
+            let ([to_a], ..) = stored_node(Transfer::Repeat, &Inputs::new(), &[&sb[0], &ra])?;
             let locate = Transfer::Locate { tensor: 0, level: 0, index: 'i' };
             let (stored_loc, ..) = stored_node::<3>(locate, &inputs, &[&sb[0], &to_a])?;
+            let level = std::sync::Arc::new(la);
             let cycled = cycle_block(&[&sb[0], &to_a], |i, outs| {
-                Box::new(sam_primitives::locator("locate", level.clone(), [i[0], i[1]], outs))
+                Box::new(sam_primitives::locator("locate", level, [i[0], i[1]], outs))
             });
             assert_eq!(stored_loc, cycled, "{what}: locator");
             let hits = stored_loc[2].iter().filter(|t| matches!(t, Token::Val(_))).count();
             located += hits;
             missed += sb[0].iter().filter(|t| matches!(t, Token::Val(_))).count() - hits;
         }
-        assert!(repeated > 50, "the repeater must repeat references: {repeated}");
         assert!(located > 500 && missed > 500, "the locator must hit and miss: {located}, {missed}");
         Ok(())
     }
