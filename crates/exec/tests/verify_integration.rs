@@ -205,3 +205,47 @@ fn planning_is_total_on_mutated_catalog_graphs() {
     // Both sides of the property must be exercised.
     assert_eq!((planned, rejected), (22, 2200), "mutants planned and rejected");
 }
+
+/// FNV-1a over `bytes`, continuing from `hash`: a digest that stays the
+/// same across toolchains and platforms.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The diagnostics of every single edit of every catalog graph are pinned in
+/// `.github/mutant_diagnostics.txt`: per graph its mutant count, its error
+/// count per rule, a digest of every diagnostic (rule, node, port, node
+/// label and message, in report order) over its mutants, and a digest of
+/// the unmutated graph's DOT text, which prints every node and edge label.
+/// A change to how the analysis is laid out or how labels are stored moves
+/// none of them; one that changes what the verifier reports or a graph
+/// prints regenerates the file from the lines this prints, and says why.
+#[test]
+fn mutant_diagnostics_match_the_pinned_digests() {
+    let mut lines = String::new();
+    for (name, graph) in graphs::catalog() {
+        let inputs = bind_operands(&graph);
+        let bindings: sam_verify::Bindings<'_> = inputs.iter().collect();
+        let mutants = single_edits(&graph);
+        let mut errors: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        for (_, mutant) in &mutants {
+            for d in sam_verify::verify_bound(mutant, &bindings).diagnostics {
+                if d.severity == sam_verify::Severity::Error {
+                    *errors.entry(d.rule.id()).or_default() += 1;
+                }
+                let line = format!("{}|{:?}|{:?}|{:?}|{}\n", d.rule.id(), d.node, d.port, d.label, d.message);
+                digest = fnv1a(digest, line.as_bytes());
+            }
+        }
+        let dot = fnv1a(0xcbf2_9ce4_8422_2325, graph.to_dot().as_bytes());
+        let errors: Vec<String> = errors.iter().map(|(rule, n)| format!("{rule}={n}")).collect();
+        lines += &format!(
+            "{name} mutants={} digest={digest:016x} dot={dot:016x} {}\n",
+            mutants.len(),
+            errors.join(" ")
+        );
+    }
+    let pinned = include_str!("../../../.github/mutant_diagnostics.txt");
+    assert!(lines == pinned, "the mutants' diagnostics moved; they now read:\n{lines}");
+}

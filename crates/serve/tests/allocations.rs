@@ -1,7 +1,11 @@
 //! Allocation pins for a query's fixed cost: what materializing an operand,
 //! a fresh and a kept executor run, a plan-cache hit and a store hit
 //! allocate, counted by a global allocator that tallies the calls each
-//! thread makes.
+//! thread makes; and the allocation ratchet, every layer's calls for every
+//! Table 1 query, held exactly to `.github/alloc_layers.txt`.
+//!
+//! The tests take one lock, so the process-wide tally a service query is
+//! counted by sees no other test's calls.
 //!
 //! The counting allocator is the one use of `unsafe` in the workspace: a
 //! `GlobalAlloc` implementation is an `unsafe impl` forwarding to the
@@ -9,17 +13,31 @@
 
 #![allow(unsafe_code)]
 
-use custard::graphs;
+use custard::{graphs, ConcreteIndexNotation, Formats, Schedule};
 use sam_exec::{Executor, FastBackend, Inputs, Plan, PlanCache};
-use sam_serve::TensorStore;
+use sam_serve::{table1_workload, Service, ServiceConfig, TensorStore};
 use sam_tensor::level::Level;
 use sam_tensor::{synth, Tensor, TensorFormat};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The system allocator, counting the allocations and reallocations the
-/// current thread asks for.
+/// current thread asks for, and those of every thread together.
 struct Counting;
+
+/// Allocator calls (allocations plus reallocations) of every thread.
+static ALL_THREADS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by every test of this binary, so that the calls [`ALL_THREADS`]
+/// counts over a window are the window's own.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 thread_local! {
     static CALLS: Cell<Calls> = const { Cell::new(Calls { allocs: 0, reallocs: 0 }) };
@@ -33,6 +51,7 @@ struct Calls {
 }
 
 fn tally(f: impl FnOnce(&mut Calls)) {
+    ALL_THREADS.fetch_add(1, Ordering::Relaxed);
     // A thread being torn down has no counter left; its calls go uncounted.
     let _ = CALLS.try_with(|calls| {
         let mut now = calls.get();
@@ -110,6 +129,7 @@ fn growths(len: usize) -> u64 {
 /// are the ones the run before it grew.
 #[test]
 fn a_fast_backends_second_run_allocates_only_its_output() {
+    let _serial = serial();
     let (few, many) = (planned(2), planned(16));
     for ((plan, small), (_, large)) in few.iter().zip(&many) {
         let name = &plan.graph().name;
@@ -145,6 +165,7 @@ fn a_fast_backends_second_run_allocates_only_its_output() {
 /// have to be sorted (CSC).
 #[test]
 fn materializing_allocates_the_same_for_few_and_many_nonzeros() {
+    let _serial = serial();
     let (few, many) =
         (synth::random_matrix_nnz(100, 100, 30, 9), synth::random_matrix_nnz(100, 100, 3000, 9));
     for format in [TensorFormat::dcsr(), TensorFormat::csc()] {
@@ -162,6 +183,7 @@ fn materializing_allocates_the_same_for_few_and_many_nonzeros() {
 /// included, over the small operands.
 #[test]
 fn a_fresh_fast_backend_run_allocates_its_buffers_once() {
+    let _serial = serial();
     let most = [Calls { allocs: 31, reallocs: 19 }, Calls { allocs: 45, reallocs: 22 }];
     for ((plan, inputs), most) in planned(2).iter().zip(most) {
         let (_, calls) = counted(|| FastBackend::new().run(plan, inputs).expect("runs"));
@@ -174,6 +196,7 @@ fn a_fresh_fast_backend_run_allocates_its_buffers_once() {
 /// it returns builds none either.
 #[test]
 fn a_plan_cache_hit_and_its_input_check_allocate_nothing() {
+    let _serial = serial();
     let cache = PlanCache::new(16);
     for (plan, inputs) in planned(2) {
         let graph = plan.graph();
@@ -191,6 +214,7 @@ fn a_plan_cache_hit_and_its_input_check_allocate_nothing() {
 /// A tensor the store already materialized is found without building a key.
 #[test]
 fn a_store_hit_allocates_nothing() {
+    let _serial = serial();
     let mut store = TensorStore::new();
     store.insert("B", synth::random_matrix_sparsity(10, 8, 0.8, 1));
     let formats = [TensorFormat::dcsr(), TensorFormat::csr()];
@@ -203,4 +227,111 @@ fn a_store_hit_allocates_nothing() {
         assert_eq!(calls, Calls { allocs: 0, reallocs: 0 });
     }
     assert_eq!((store.materialize_stats().builds, store.materialize_stats().hits), (2, 2));
+}
+
+/// Allocator calls (allocations plus reallocations) of the current thread
+/// while `f` runs.
+fn calls<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let (out, calls) = counted(f);
+    (out, calls.allocs + calls.reallocs)
+}
+
+/// The allocation ratchet: per query of `table1_workload(1)`, the allocator
+/// calls of each layer a cold query pays — parse; `try_new` and
+/// `lower_exec`; `Tensor::from_coo` of every operand (with the scalars
+/// bound); `Plan::build`; a run on a fresh fast backend — then a warm
+/// service query, counted on every thread, and a kept executor's second
+/// run. A debug build's `lower_exec` also verifies its graph; those calls
+/// are taken out, so a debug and a release build print one table.
+fn layer_table() -> String {
+    let (store, queries) = table1_workload(1);
+    let mut table = format!(
+        "{:<12} {:>6} {:>6} {:>12} {:>6} {:>6}\n",
+        "query", "parse", "lower", "materialize", "plan", "run"
+    );
+    let mut sums = [0u64; 5];
+    let mut kept = None;
+    for q in &queries {
+        let query = &q.query;
+        let (assignment, parse) = calls(|| custard::parse(query.expression()).expect("parses"));
+        let (kernel, mut lower) = calls(|| {
+            let schedule = query.reorder().map_or_else(Schedule::new, |order| Schedule::new().reorder(order));
+            let mut formats = Formats::new();
+            for (name, format) in query.format_overrides() {
+                formats = formats.set(name, format.clone());
+            }
+            let cin = ConcreteIndexNotation::try_new(assignment, &schedule, formats).expect("a permutation");
+            custard::lower_exec(&cin).expect("lowers")
+        });
+        if cfg!(debug_assertions) {
+            lower -= calls(|| kernel.verify()).1;
+        }
+        let (inputs, materialize) = calls(|| {
+            let mut inputs = Inputs::new();
+            for (operand, stored) in query.bindings() {
+                let (_, format) =
+                    kernel.formats.iter().find(|(name, _)| name == operand).expect("an operand");
+                let coo = store.coo(stored).expect("stored");
+                inputs = inputs.tensor(Tensor::from_coo(operand, coo, format.clone()));
+            }
+            for (name, value) in query.scalar_bindings() {
+                inputs = inputs.scalar(name, *value);
+            }
+            inputs
+        });
+        let (plan, plan_calls) = calls(|| Plan::build(&kernel.graph, &inputs).expect("plans"));
+        let (_, run) = calls(|| FastBackend::new().run(&plan, &inputs).expect("runs"));
+        let row = [parse, lower, materialize, plan_calls, run];
+        for (sum, n) in sums.iter_mut().zip(row) {
+            *sum += n;
+        }
+        let [a, b, c, d, e] = row;
+        let _ = writeln!(table, "{:<12} {a:>6} {b:>6} {c:>12} {d:>6} {e:>6}", q.name);
+        kept.get_or_insert((plan, inputs));
+    }
+    let mean = sums.map(|sum| format!("{:.1}", sum as f64 / queries.len() as f64));
+    let [a, b, c, d, e] = &mean;
+    let _ = writeln!(table, "{:<12} {a:>6} {b:>6} {c:>12} {d:>6} {e:>6}", "mean");
+
+    // A warm service query: compiled, materialized and planned before, so
+    // its calls are the queue's, the handle's, the caches' lookups and the
+    // run's output, on the submitting thread and the worker together. The
+    // fewest of several, since the test harness's own thread may allocate
+    // during one.
+    let first = queries[0].query.clone();
+    let service = Service::with_config(store, ServiceConfig { workers: 1, ..ServiceConfig::default() });
+    for _ in 0..3 {
+        service.submit(first.clone()).wait().expect("runs");
+    }
+    let warm = (0..5)
+        .map(|_| {
+            let query = first.clone();
+            let before = ALL_THREADS.load(Ordering::SeqCst);
+            let run = service.submit(query).wait();
+            let after = ALL_THREADS.load(Ordering::SeqCst);
+            drop(run.expect("runs"));
+            after - before
+        })
+        .min()
+        .unwrap_or_default();
+    let _ = writeln!(table, "warm service query ({}): {warm}", queries[0].name);
+
+    // A kept executor's second run over one plan.
+    let (plan, inputs) = kept.expect("a query");
+    let fast = FastBackend::new();
+    fast.run(&plan, &inputs).expect("runs");
+    let (_, rerun) = calls(|| fast.run(&plan, &inputs).expect("runs"));
+    let _ = writeln!(table, "kept executor rerun ({}): {rerun}", queries[0].name);
+    table
+}
+
+/// The allocation ratchet ([`layer_table`]) against the pinned table. A
+/// change that moves a count regenerates `.github/alloc_layers.txt` from
+/// the table this prints, and says why.
+#[test]
+fn allocator_calls_per_layer_match_the_pinned_table() {
+    let _serial = serial();
+    let table = layer_table();
+    let pinned = include_str!("../../../.github/alloc_layers.txt");
+    assert!(table == pinned, "allocator calls per query and layer moved; they now read:\n{table}");
 }
