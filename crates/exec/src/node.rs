@@ -296,9 +296,9 @@ fn repeat(rule: &mut rule::Repeat, refs: &mut SliceSource<'_>, t: SimToken) -> R
     }
 }
 
-/// [`repeat`] for the first data token of a fiber, which reads references
-/// until the rule holds one: out of line, so that the region's loop over
-/// the other tokens stays small.
+/// [`repeat`] for the first data token of a fiber, or the done token, which
+/// reads references until the rule answers: out of line, so that the
+/// region's loop over the other tokens stays small.
 #[inline(never)]
 fn repeat_next(rule: &mut rule::Repeat, refs: &mut SliceSource<'_>, t: SimToken) -> Result<SimToken, Fault> {
     loop {
@@ -1878,6 +1878,31 @@ mod tests {
                 cut[k].truncate(keep);
                 assert_eq!(run(&cut), Err(Fault::Misaligned), "{op:?}, input {k} cut");
             }
+        }
+    }
+
+    /// At the coordinate stream's done token the repeater's reference stream
+    /// must have accounted for exactly the fibers the coordinates closed,
+    /// then end: a reference past the last fiber, a fiber with no reference
+    /// and a reference stream with no done token are misaligned, in the
+    /// stored loop as in the cycle block, which share the rule.
+    #[test]
+    fn a_repeaters_reference_stream_ends_with_its_coordinates() {
+        let crd = [tok::crd(1), tok::crd(3), tok::stop(0), tok::crd(0), tok::stop(1), tok::done()];
+        let one_empty = [tok::crd(1), tok::crd(3), tok::stop(0), tok::stop(1), tok::done()];
+        let three =
+            [tok::crd(1), tok::crd(3), tok::stop(0), tok::crd(0), tok::stop(0), tok::stop(1), tok::done()];
+        let (rf, done) = ([tok::rf(7), tok::rf(9), tok::stop(0)], [tok::done()]);
+        let cases = [
+            (&crd[..], [&rf[..], &done].concat(), Ok(())),
+            (&one_empty[..], [&rf[..], &done].concat(), Ok(())),
+            (&crd[..], [&rf[..2], &[tok::rf(4)], &rf[2..], &done].concat(), Err(Fault::Misaligned)),
+            (&three[..], [&rf[..], &done].concat(), Err(Fault::Misaligned)),
+            (&crd[..], rf.to_vec(), Err(Fault::Misaligned)),
+        ];
+        for (coords, refs, expected) in cases {
+            let run = stored_node::<1>(Transfer::Repeat, &Inputs::new(), &[coords, &refs]).map(|_| ());
+            assert_eq!(run, expected, "{coords:?} over {refs:?}");
         }
     }
 

@@ -11,8 +11,9 @@ use sam_sim::{Block, BlockStatus, ChannelId, Context};
 ///
 /// Each cycle it reads one reference token while the rule wants one, then
 /// answers the coordinate stream's head with one output token, or waits
-/// for the reference that head needs. After the done token it drains what
-/// is left of the reference stream.
+/// for the reference that head needs. At the done token it reads what is
+/// left of the reference stream in the same cycle, for the rule to check
+/// that the two streams end together.
 #[derive(Debug)]
 pub struct Repeater {
     name: String,
@@ -48,21 +49,21 @@ impl Block for Repeater {
         let Some(head) = ctx.peek(self.in_crd).copied() else {
             return ctx.stall();
         };
-        match self.rule.coordinate(head) {
+        let mut step = self.rule.coordinate(head);
+        while head.is_done() && step == Ok(None) {
+            let Some(t) = ctx.pop(self.in_ref) else { break };
+            self.rule.reference(t);
+            step = self.rule.coordinate(head);
+        }
+        match step {
             Ok(Some(out)) => {
                 ctx.pop(self.in_crd);
                 ctx.push(self.out_ref, out);
-                if out.is_done() {
-                    while let Some(t) = ctx.pop(self.in_ref) {
-                        if t.is_done() {
-                            break;
-                        }
-                    }
-                    self.done = true;
-                }
+                self.done = out.is_done();
                 crate::status(self.done)
             }
-            // Wait for the reference to arrive.
+            // Wait for the reference, or the rest of the reference stream,
+            // to arrive.
             Ok(None) => ctx.stall(),
             Err(fault) => BlockStatus::Fault(fault),
         }
@@ -223,6 +224,37 @@ mod tests {
             sim.add_block(Box::new(Slow { out: r, tokens: rf.clone().into(), gap: ref_gap, wait: 0 }));
             sim.run(200).unwrap();
             assert_eq!(to_paper(sim.history(out)), "D, S2, 8, 8, S1, S1, 6", "gaps {crd_gap}/{ref_gap}");
+        }
+    }
+
+    /// At the coordinate stream's done token the reference stream must end
+    /// too. The streams of `one_ref_per_fiber` do; a reference past the last
+    /// fiber is misaligned, and a reference stream that never brings its
+    /// done token leaves the repeater waiting for it (a simulator cannot
+    /// tell that from a slow producer), where it used to finish.
+    #[test]
+    fn the_reference_stream_must_end_with_the_coordinates() {
+        use sam_sim::{Fault, SimulationError};
+        let crd = vec![tok::crd(1), tok::crd(3), tok::stop(0), tok::crd(0), tok::stop(1), tok::done()];
+        let cases = [
+            (vec![tok::rf(7), tok::rf(9), tok::stop(0), tok::done()], "ends"),
+            (vec![tok::rf(7), tok::rf(9), tok::rf(4), tok::stop(0), tok::done()], "misaligned"),
+            (vec![tok::rf(7), tok::rf(9), tok::stop(0)], "waits"),
+        ];
+        for (rf, expected) in cases {
+            let mut sim = Simulator::new();
+            let (c, r, out) = (sim.add_channel("crd"), sim.add_channel("ref"), sim.add_channel("out"));
+            sim.add_block(Box::new(Repeater::new("rep", c, r, out)));
+            sim.preload(c, crd.clone());
+            sim.preload(r, rf.clone());
+            let run = sim.run(100);
+            let seen = match &run {
+                Ok(_) => "ends",
+                Err(SimulationError::Fault { fault: Fault::Misaligned, .. }) => "misaligned",
+                Err(SimulationError::Deadlock { .. }) => "waits",
+                Err(_) => "fails otherwise",
+            };
+            assert_eq!(seen, expected, "{rf:?}: {run:?}");
         }
     }
 

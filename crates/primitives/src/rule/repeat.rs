@@ -21,6 +21,12 @@ use sam_streams::Token;
 /// [`reference`](Self::reference) whenever it asks for one; the cycle block
 /// also reads one ahead while it holds none.
 ///
+/// At the coordinate stream's done token the rule asks for the rest of the
+/// reference stream: it must account for exactly the fibers the coordinates
+/// closed, then end with its own done token. A reference past the last
+/// fiber, a fiber with no reference, or a reference stream that ends
+/// without its done token is misaligned.
+///
 /// ```text
 ///  coordinates: D, S0, 9, 8, 6, 2, 0   (the vector b in Figure 6)
 ///  references:  D, 0                    (the scalar c's root reference)
@@ -76,10 +82,13 @@ impl Repeat {
         }
     }
 
-    /// The output token for coordinate token `t`, or `None` when `t` is a
-    /// data token and its reference has not been read yet: read one with
-    /// [`reference`](Self::reference) and call again. A data token after the
-    /// reference stream's done token has no reference and is misaligned.
+    /// The output token for coordinate token `t`, or `None` when the rule
+    /// needs another reference-stream token first: `t` is a data token whose
+    /// reference has not been read yet, or the done token before the
+    /// reference stream's own. Read one with [`reference`](Self::reference)
+    /// and call again. A data token after the reference stream's done token
+    /// has no reference and is misaligned, and so is a done token the
+    /// reference stream does not end with (see the type's docs).
     #[inline(always)]
     pub fn coordinate(&mut self, t: SimToken) -> Result<Option<SimToken>, Fault> {
         match t {
@@ -88,6 +97,8 @@ impl Repeat {
                 None if self.refs_done => Err(Fault::Misaligned),
                 None => Ok(None),
             },
+            Token::Done if !self.refs_done => Ok(None),
+            Token::Done if self.ref_fibers != self.crd_fibers => Err(Fault::Misaligned),
             Token::Stop(_) => {
                 // The next fiber repeats the next reference. One read ahead,
                 // while this stop was still to come, stays.
