@@ -25,7 +25,7 @@
 //! assert_eq!(graph.primitive_counts().intersect, 1);
 //! ```
 
-use crate::graph::{NodeId, NodeKind, SamGraph, StreamKind};
+use crate::graph::{Name, NodeId, NodeKind, SamGraph, StreamKind};
 
 /// A producer endpoint: one output port of one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,49 +42,73 @@ pub struct Port {
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     graph: SamGraph,
+    /// Every tensor name and ALU operation the nodes hold, allocated once
+    /// and shared by each node that names it.
+    names: Vec<Name>,
 }
 
 impl GraphBuilder {
     /// Starts an empty graph named after the expression it computes.
     pub fn new(name: impl Into<String>) -> Self {
-        GraphBuilder { graph: SamGraph::new(name) }
+        GraphBuilder::with_capacity(name, 0, 0)
     }
 
-    fn connect(&mut self, from: Port, to: NodeId, dst_port: usize, label: impl Into<String>) {
-        self.graph.add_edge_on(from.node, from.port, to, dst_port, from.kind, label);
+    /// [`GraphBuilder::new`] with room for `nodes` nodes and `edges` edges.
+    pub fn with_capacity(name: impl Into<String>, nodes: usize, edges: usize) -> Self {
+        GraphBuilder { graph: SamGraph::with_capacity(name, nodes, edges), names: Vec::new() }
+    }
+
+    /// `name`, shared with every node already holding it.
+    fn name(&mut self, name: &str) -> Name {
+        if let Some(held) = self.names.iter().find(|held| **held == name) {
+            return held.clone();
+        }
+        let held = Name::from(name);
+        self.names.push(held.clone());
+        held
+    }
+
+    /// Wires `from` into input port `dst_port` of `to`; the edge is named
+    /// after that port when printed ([`EdgeLabel::Port`]).
+    ///
+    /// [`EdgeLabel::Port`]: crate::graph::EdgeLabel::Port
+    fn connect(&mut self, from: Port, to: NodeId, dst_port: usize) {
+        self.graph.add_edge(from.node, from.port, to, dst_port, from.kind);
     }
 
     /// Adds the root reference source of a tensor path.
     pub fn root(&mut self, tensor: &str) -> Port {
-        let node = self.graph.add_node(NodeKind::Root { tensor: tensor.to_string() });
+        let tensor = self.name(tensor);
+        let node = self.graph.add_node(NodeKind::Root { tensor });
         Port { node, port: 0, kind: StreamKind::Ref }
     }
 
     /// Adds a level scanner; returns its `(crd, ref)` outputs.
     pub fn scan(&mut self, tensor: &str, index: char, compressed: bool, in_ref: Port) -> (Port, Port) {
-        let node =
-            self.graph.add_node(NodeKind::LevelScanner { tensor: tensor.to_string(), index, compressed });
-        self.connect(in_ref, node, 0, format!("{tensor} ref"));
+        let tensor = self.name(tensor);
+        let node = self.graph.add_node(NodeKind::LevelScanner { tensor, index, compressed });
+        self.connect(in_ref, node, 0);
         (Port { node, port: 0, kind: StreamKind::Crd }, Port { node, port: 1, kind: StreamKind::Ref })
     }
 
     /// Adds a repeater broadcasting `in_ref` over the fibers of `in_crd`.
     pub fn repeat(&mut self, tensor: &str, index: char, in_crd: Port, in_ref: Port) -> Port {
-        let node = self.graph.add_node(NodeKind::Repeater { tensor: tensor.to_string(), index });
-        self.connect(in_crd, node, 0, format!("{index} crd"));
-        self.connect(in_ref, node, 1, format!("{tensor} ref"));
+        let tensor = self.name(tensor);
+        let node = self.graph.add_node(NodeKind::Repeater { tensor, index });
+        self.connect(in_crd, node, 0);
+        self.connect(in_ref, node, 1);
         Port { node, port: 0, kind: StreamKind::Ref }
     }
 
     /// The tensor a merge operand's coordinate stream originates from, for
     /// labeling: the producing scanner/repeater/locator names its tensor;
     /// anything else (e.g. another merge's output) is opaque.
-    fn operand_tensor(&self, p: Port) -> String {
+    fn operand_tensor(&self, p: Port) -> &str {
         match &self.graph.nodes()[p.node.0] {
             NodeKind::LevelScanner { tensor, .. }
             | NodeKind::Repeater { tensor, .. }
-            | NodeKind::Locator { tensor, .. } => tensor.clone(),
-            _ => "?".to_string(),
+            | NodeKind::Locator { tensor, .. } => tensor,
+            _ => "?",
         }
     }
 
@@ -103,10 +127,9 @@ impl GraphBuilder {
             format!("{op}({index}: {},{})", self.operand_tensor(in_crd[0]), self.operand_tensor(in_crd[1]));
         let node = self.graph.add_node(kind);
         self.graph.set_label(node, label);
-        self.connect(in_crd[0], node, 0, format!("{index} crd a"));
-        self.connect(in_crd[1], node, 1, format!("{index} crd b"));
-        self.connect(in_ref[0], node, 2, "ref a");
-        self.connect(in_ref[1], node, 3, "ref b");
+        for (port, input) in [in_crd[0], in_crd[1], in_ref[0], in_ref[1]].into_iter().enumerate() {
+            self.connect(input, node, port);
+        }
         (
             Port { node, port: 0, kind: StreamKind::Crd },
             [Port { node, port: 1, kind: StreamKind::Ref }, Port { node, port: 2, kind: StreamKind::Ref }],
@@ -151,9 +174,10 @@ impl GraphBuilder {
 
     /// Adds a locator; returns `(crd, pass ref, located ref)`.
     pub fn locate(&mut self, tensor: &str, index: char, in_crd: Port, in_ref: Port) -> (Port, Port, Port) {
-        let node = self.graph.add_node(NodeKind::Locator { tensor: tensor.to_string(), index });
-        self.connect(in_crd, node, 0, format!("{index} crd"));
-        self.connect(in_ref, node, 1, format!("{tensor} ref"));
+        let tensor = self.name(tensor);
+        let node = self.graph.add_node(NodeKind::Locator { tensor, index });
+        self.connect(in_crd, node, 0);
+        self.connect(in_ref, node, 1);
         (
             Port { node, port: 0, kind: StreamKind::Crd },
             Port { node, port: 1, kind: StreamKind::Ref },
@@ -163,8 +187,9 @@ impl GraphBuilder {
 
     /// Adds a value-load array over the named tensor's values.
     pub fn array(&mut self, tensor: &str, in_ref: Port) -> Port {
-        let node = self.graph.add_node(NodeKind::Array { tensor: tensor.to_string() });
-        self.connect(in_ref, node, 0, "val ref");
+        let tensor = self.name(tensor);
+        let node = self.graph.add_node(NodeKind::Array { tensor });
+        self.connect(in_ref, node, 0);
         Port { node, port: 0, kind: StreamKind::Val }
     }
 
@@ -173,7 +198,7 @@ impl GraphBuilder {
     /// constant combines with) it emits `value`, mirroring control tokens.
     pub fn literal(&mut self, value: f64, shape: Port) -> Port {
         let node = self.graph.add_node(NodeKind::literal(value));
-        self.connect(shape, node, 0, format!("shape for {value}"));
+        self.connect(shape, node, 0);
         Port { node, port: 0, kind: StreamKind::Val }
     }
 
@@ -181,40 +206,42 @@ impl GraphBuilder {
     /// zero-index access such as `alpha` in MatTransMul); the scalar is
     /// resolved from the binding at planning time.
     pub fn scalar_source(&mut self, tensor: &str, shape: Port) -> Port {
-        let node = self.graph.add_node(NodeKind::scalar(tensor));
-        self.connect(shape, node, 0, format!("shape for {tensor}"));
+        let tensor = self.name(tensor);
+        let node = self.graph.add_node(NodeKind::ConstVal { tensor, bits: 0 });
+        self.connect(shape, node, 0);
         Port { node, port: 0, kind: StreamKind::Val }
     }
 
     /// Adds an ALU applying `op` ("add", "sub" or "mul").
     pub fn alu(&mut self, op: &str, a: Port, b: Port) -> Port {
-        let node = self.graph.add_node(NodeKind::Alu { op: op.to_string() });
-        self.connect(a, node, 0, "val a");
-        self.connect(b, node, 1, "val b");
+        let op = self.name(op);
+        let node = self.graph.add_node(NodeKind::Alu { op });
+        self.connect(a, node, 0);
+        self.connect(b, node, 1);
         Port { node, port: 0, kind: StreamKind::Val }
     }
 
     /// Adds a scalar (order-0) reducer.
     pub fn reduce_scalar(&mut self, in_val: Port) -> Port {
         let node = self.graph.add_node(NodeKind::Reducer { order: 0 });
-        self.connect(in_val, node, 0, "val");
+        self.connect(in_val, node, 0);
         Port { node, port: 0, kind: StreamKind::Val }
     }
 
     /// Adds a vector (order-1) reducer; returns `(crd, val)`.
     pub fn reduce_vector(&mut self, in_crd: Port, in_val: Port) -> (Port, Port) {
         let node = self.graph.add_node(NodeKind::Reducer { order: 1 });
-        self.connect(in_crd, node, 0, "crd");
-        self.connect(in_val, node, 1, "val");
+        self.connect(in_crd, node, 0);
+        self.connect(in_val, node, 1);
         (Port { node, port: 0, kind: StreamKind::Crd }, Port { node, port: 1, kind: StreamKind::Val })
     }
 
     /// Adds a matrix (order-2) reducer; returns `([outer crd, inner crd], val)`.
     pub fn reduce_matrix(&mut self, in_crd: [Port; 2], in_val: Port) -> ([Port; 2], Port) {
         let node = self.graph.add_node(NodeKind::Reducer { order: 2 });
-        self.connect(in_crd[0], node, 0, "outer crd");
-        self.connect(in_crd[1], node, 1, "inner crd");
-        self.connect(in_val, node, 2, "val");
+        self.connect(in_crd[0], node, 0);
+        self.connect(in_crd[1], node, 1);
+        self.connect(in_val, node, 2);
         (
             [Port { node, port: 0, kind: StreamKind::Crd }, Port { node, port: 1, kind: StreamKind::Crd }],
             Port { node, port: 2, kind: StreamKind::Val },
@@ -224,24 +251,24 @@ impl GraphBuilder {
     /// Adds a coordinate dropper; returns `(outer crd, inner)`.
     pub fn crd_drop(&mut self, index: char, outer: Port, inner: Port) -> (Port, Port) {
         let node = self.graph.add_node(NodeKind::CoordDropper { index });
-        self.connect(outer, node, 0, format!("{index} crd"));
-        self.connect(inner, node, 1, "inner");
+        self.connect(outer, node, 0);
+        self.connect(inner, node, 1);
         (Port { node, port: 0, kind: StreamKind::Crd }, Port { node, port: 1, kind: inner.kind })
     }
 
     /// Adds a compressed level writer for one output dimension.
     pub fn write_level(&mut self, tensor: &str, index: char, in_crd: Port) -> NodeId {
-        let node =
-            self.graph.add_node(NodeKind::LevelWriter { tensor: tensor.to_string(), index, vals: false });
-        self.connect(in_crd, node, 0, format!("{tensor}{index}"));
+        let tensor = self.name(tensor);
+        let node = self.graph.add_node(NodeKind::LevelWriter { tensor, index, vals: false });
+        self.connect(in_crd, node, 0);
         node
     }
 
     /// Adds the values writer of the output tensor.
     pub fn write_vals(&mut self, tensor: &str, in_val: Port) -> NodeId {
-        let node =
-            self.graph.add_node(NodeKind::LevelWriter { tensor: tensor.to_string(), index: 'v', vals: true });
-        self.connect(in_val, node, 0, format!("{tensor} vals"));
+        let tensor = self.name(tensor);
+        let node = self.graph.add_node(NodeKind::LevelWriter { tensor, index: 'v', vals: true });
+        self.connect(in_val, node, 0);
         node
     }
 
@@ -269,7 +296,7 @@ impl GraphBuilder {
 /// scanners' coordinate outputs: only a scanner can fast-forward its fiber
 /// cursor.
 pub fn wire_skip_lanes(graph: &mut SamGraph, intersecter: NodeId, index: char) {
-    for (operand, side) in ["a", "b"].into_iter().enumerate() {
+    for operand in 0..2 {
         let feed = graph.edges().iter().find(|e| e.to == intersecter && e.dst_port == operand);
         let scanner = feed
             .filter(|e| e.src_port == 0 && matches!(graph.nodes()[e.from.0], NodeKind::LevelScanner { .. }))
@@ -279,8 +306,7 @@ pub fn wire_skip_lanes(graph: &mut SamGraph, intersecter: NodeId, index: char) {
             "skip operand {operand} of intersect {index} must be a level scanner's crd output"
         );
         if let Some(scanner) = scanner {
-            let label = format!("{index} skip {side}");
-            graph.add_edge_on(intersecter, 3 + operand, scanner, 1, StreamKind::Skip, label);
+            graph.add_edge(intersecter, 3 + operand, scanner, 1, StreamKind::Skip);
         }
     }
 }

@@ -9,6 +9,60 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// A tensor name or an ALU operation a [`NodeKind`] holds: a shared
+/// string, so the nodes of a graph that name one tensor can share one
+/// allocation ([`GraphBuilder`](crate::build::GraphBuilder) hands them
+/// out), and a clone of a node copies no text. It reads as the `str` it
+/// holds.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct Name(Arc<str>);
+
+impl Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for Name {
+    fn from(name: &str) -> Name {
+        Name(name.into())
+    }
+}
+
+impl From<String> for Name {
+    fn from(name: String) -> Name {
+        Name(name.into())
+    }
+}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
 
 /// The kind of a SAM primitive node.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -16,13 +70,13 @@ pub enum NodeKind {
     /// The root reference source of a tensor path.
     Root {
         /// Tensor name.
-        tensor: String,
+        tensor: Name,
     },
     /// A level scanner (Definition 3.1). `compressed` is false for
     /// uncompressed (dense) levels.
     LevelScanner {
         /// Tensor name.
-        tensor: String,
+        tensor: Name,
         /// Index variable iterated by this scanner.
         index: char,
         /// Whether the level is stored compressed.
@@ -31,7 +85,7 @@ pub enum NodeKind {
     /// A repeater (Definition 3.4).
     Repeater {
         /// Tensor being broadcast.
-        tensor: String,
+        tensor: Name,
         /// Index variable broadcast over.
         index: char,
     },
@@ -48,14 +102,14 @@ pub enum NodeKind {
     /// A locator (Definition 4.1).
     Locator {
         /// Tensor located into.
-        tensor: String,
+        tensor: Name,
         /// Index variable located.
         index: char,
     },
     /// A value array in load mode (Definition 3.5).
     Array {
         /// Tensor whose values are loaded.
-        tensor: String,
+        tensor: Name,
     },
     /// A constant-value source: re-emits one scalar for every data token of
     /// its shape input stream, mirroring control tokens, so literal operands
@@ -64,7 +118,7 @@ pub enum NodeKind {
     ConstVal {
         /// Name of the bound order-0 (single-value) tensor supplying the
         /// scalar; empty for a compile-time literal.
-        tensor: String,
+        tensor: Name,
         /// The literal's `f64` bit pattern (bits rather than the float so
         /// the node stays `Eq`/`Hash`); ignored when `tensor` is nonempty.
         bits: u64,
@@ -72,7 +126,7 @@ pub enum NodeKind {
     /// An ALU (Definition 3.6).
     Alu {
         /// Operation mnemonic ("add", "sub" or "mul").
-        op: String,
+        op: Name,
     },
     /// A reducer (Definition 3.7).
     Reducer {
@@ -87,7 +141,7 @@ pub enum NodeKind {
     /// A level writer (Definition 3.8); `vals` marks the values writer.
     LevelWriter {
         /// Result tensor name.
-        tensor: String,
+        tensor: Name,
         /// Index variable written (`'v'` for the values writer).
         index: char,
         /// Whether this writer stores the values array.
@@ -104,12 +158,12 @@ pub enum NodeKind {
 impl NodeKind {
     /// A [`NodeKind::ConstVal`] over a compile-time literal.
     pub fn literal(value: f64) -> NodeKind {
-        NodeKind::ConstVal { tensor: String::new(), bits: value.to_bits() }
+        NodeKind::ConstVal { tensor: "".into(), bits: value.to_bits() }
     }
 
     /// A [`NodeKind::ConstVal`] over a bound single-value tensor.
     pub fn scalar(tensor: &str) -> NodeKind {
-        NodeKind::ConstVal { tensor: tensor.to_string(), bits: 0 }
+        NodeKind::ConstVal { tensor: tensor.into(), bits: 0 }
     }
 
     /// Short label used in DOT output and reports.
@@ -275,12 +329,66 @@ pub struct Edge {
     pub to: NodeId,
     /// Stream kind.
     pub kind: StreamKind,
-    /// Short label (e.g. which port).
-    pub label: String,
+    /// How the edge is named when printed ([`SamGraph::edge_label`]).
+    pub label: EdgeLabel,
     /// Output-port index on the producer.
     pub src_port: usize,
     /// Input-port index on the consumer.
     pub dst_port: usize,
+}
+
+/// How an edge is named when printed ([`SamGraph::edge_label`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum EdgeLabel {
+    /// Named after the role of the port the edge was wired to, derived from
+    /// the node's kind and operand names when printed: input port `n` of
+    /// the consumer (`"val a"`, `"B ref"`), or for a skip lane output port
+    /// `n` of the intersecter (`"i skip a"`). An edge rewired to another port
+    /// later keeps the name it was built with.
+    Port(usize),
+    /// A name the edge's builder chose.
+    Text(Box<str>),
+}
+
+/// The name of input port `port` of a `kind` node, as [`GraphBuilder`]
+/// wires it; `None` for a port no builder names.
+///
+/// [`GraphBuilder`]: crate::build::GraphBuilder
+fn input_role(kind: &NodeKind, port: usize) -> Option<String> {
+    let role = match (kind, port) {
+        (NodeKind::LevelScanner { tensor, .. }, 0)
+        | (NodeKind::Repeater { tensor, .. } | NodeKind::Locator { tensor, .. }, 1) => {
+            format!("{tensor} ref")
+        }
+        (
+            NodeKind::Repeater { index, .. }
+            | NodeKind::Locator { index, .. }
+            | NodeKind::CoordDropper { index },
+            0,
+        ) => format!("{index} crd"),
+        (NodeKind::Intersecter { index } | NodeKind::Unioner { index }, 0 | 1) => {
+            format!("{index} crd {}", if port == 0 { "a" } else { "b" })
+        }
+        (NodeKind::Intersecter { .. } | NodeKind::Unioner { .. }, 2) => "ref a".to_string(),
+        (NodeKind::Intersecter { .. } | NodeKind::Unioner { .. }, 3) => "ref b".to_string(),
+        (NodeKind::Array { .. }, 0) => "val ref".to_string(),
+        (NodeKind::ConstVal { tensor, bits }, 0) if tensor.is_empty() => {
+            format!("shape for {}", f64::from_bits(*bits))
+        }
+        (NodeKind::ConstVal { tensor, .. }, 0) => format!("shape for {tensor}"),
+        (NodeKind::Alu { .. }, 0) => "val a".to_string(),
+        (NodeKind::Alu { .. }, 1) => "val b".to_string(),
+        (NodeKind::Reducer { order: 0 }, 0) | (NodeKind::Reducer { order: 1 }, 1) => "val".to_string(),
+        (NodeKind::Reducer { order: 1 }, 0) => "crd".to_string(),
+        (NodeKind::Reducer { .. }, 0) => "outer crd".to_string(),
+        (NodeKind::Reducer { .. }, 1) => "inner crd".to_string(),
+        (NodeKind::Reducer { .. }, 2) => "val".to_string(),
+        (NodeKind::CoordDropper { .. }, 1) => "inner".to_string(),
+        (NodeKind::LevelWriter { tensor, vals: true, .. }, 0) => format!("{tensor} vals"),
+        (NodeKind::LevelWriter { tensor, index, .. }, 0) => format!("{tensor}{index}"),
+        _ => return None,
+    };
+    Some(role)
 }
 
 /// Primitive counts in the Table 1 column order.
@@ -343,30 +451,53 @@ impl fmt::Display for PrimitiveCounts {
 }
 
 /// A SAM dataflow graph.
+///
+/// The nodes, edges and label overrides sit behind one shared pointer, so a
+/// clone (a plan keeps one) copies the name and shares the rest; the first
+/// edit of a shared graph copies it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SamGraph {
     /// Human-readable graph name (usually the expression).
     pub name: String,
+    body: Arc<Body>,
+}
+
+/// What [`SamGraph`] shares between its clones.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct Body {
     nodes: Vec<NodeKind>,
     edges: Vec<Edge>,
-    /// Optional per-node display labels overriding [`NodeKind::label`],
-    /// kept index-aligned with `nodes` (e.g. `intersect(j: B,C)` instead of
+    /// The per-node display labels overriding [`NodeKind::label`], by node
+    /// in ascending order (e.g. `intersect(j: B,C)` instead of
     /// `intersect j`). Builders that know operand provenance set these so
     /// planner errors and execution traces name nodes meaningfully.
-    labels: Vec<Option<String>>,
+    labels: Vec<(NodeId, String)>,
 }
 
 impl SamGraph {
     /// Creates an empty graph.
     pub fn new(name: impl Into<String>) -> Self {
-        SamGraph { name: name.into(), nodes: Vec::new(), edges: Vec::new(), labels: Vec::new() }
+        SamGraph::with_capacity(name, 0, 0)
+    }
+
+    /// Creates an empty graph with room for `nodes` nodes and `edges`
+    /// edges.
+    pub fn with_capacity(name: impl Into<String>, nodes: usize, edges: usize) -> Self {
+        let body =
+            Body { nodes: Vec::with_capacity(nodes), edges: Vec::with_capacity(edges), labels: Vec::new() };
+        SamGraph { name: name.into(), body: Arc::new(body) }
+    }
+
+    /// The body, to edit: copied first if another clone shares it.
+    fn body_mut(&mut self) -> &mut Body {
+        Arc::make_mut(&mut self.body)
     }
 
     /// Adds a node and returns its id.
     pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
-        self.nodes.push(kind);
-        self.labels.push(None);
-        NodeId(self.nodes.len() - 1)
+        let nodes = &mut self.body_mut().nodes;
+        nodes.push(kind);
+        NodeId(nodes.len() - 1)
     }
 
     /// Overrides the display label of a node (see [`SamGraph::node_label`]).
@@ -375,7 +506,12 @@ impl SamGraph {
     ///
     /// Panics when `id` is out of range.
     pub fn set_label(&mut self, id: NodeId, label: impl Into<String>) {
-        self.labels[id.0] = Some(label.into());
+        assert!(id.0 < self.len(), "node {} is out of range", id.0);
+        let labels = &mut self.body_mut().labels;
+        match labels.binary_search_by_key(&id, |&(node, _)| node) {
+            Ok(at) => labels[at].1 = label.into(),
+            Err(at) => labels.insert(at, (id, label.into())),
+        }
     }
 
     /// The display label of a node: the override set via
@@ -391,14 +527,15 @@ impl SamGraph {
     /// assert_eq!(g.node_label(n), "intersect(j: B,C)");
     /// ```
     pub fn node_label(&self, id: NodeId) -> String {
-        match self.labels.get(id.0).and_then(|l| l.as_deref()) {
-            Some(label) => label.to_string(),
-            None => self.nodes[id.0].label(),
+        let labels = &self.body.labels;
+        match labels.binary_search_by_key(&id, |&(node, _)| node) {
+            Ok(at) => labels[at].1.clone(),
+            Err(_) => self.body.nodes[id.0].label(),
         }
     }
 
     /// Adds an edge from output port `src_port` of `from` to input port
-    /// `dst_port` of `to`.
+    /// `dst_port` of `to`, named `label`.
     pub fn add_edge_on(
         &mut self,
         from: NodeId,
@@ -408,51 +545,89 @@ impl SamGraph {
         kind: StreamKind,
         label: impl Into<String>,
     ) {
-        self.edges.push(Edge { from, to, kind, label: label.into(), src_port, dst_port });
+        let label = EdgeLabel::Text(label.into().into_boxed_str());
+        self.body_mut().edges.push(Edge { from, to, kind, label, src_port, dst_port });
+    }
+
+    /// Adds an edge from output port `src_port` of `from` to input port
+    /// `dst_port` of `to`, named after the port it is wired to
+    /// ([`EdgeLabel::Port`]): it stores no name.
+    pub fn add_edge(&mut self, from: NodeId, src_port: usize, to: NodeId, dst_port: usize, kind: StreamKind) {
+        let label = EdgeLabel::Port(if kind == StreamKind::Skip { src_port } else { dst_port });
+        self.body_mut().edges.push(Edge { from, to, kind, label, src_port, dst_port });
+    }
+
+    /// The printed name of `edge`: its builder's, or the one derived from
+    /// the port it was wired to ([`EdgeLabel`]).
+    ///
+    /// ```
+    /// use sam_core::graph::{NodeKind, SamGraph, StreamKind};
+    /// let mut g = SamGraph::new("demo");
+    /// let a = g.add_node(NodeKind::Alu { op: "mul".into() });
+    /// let b = g.add_node(NodeKind::Alu { op: "add".into() });
+    /// g.add_edge(a, 0, b, 1, StreamKind::Val);
+    /// assert_eq!(g.edge_label(&g.edges()[0]), "val b");
+    /// ```
+    pub fn edge_label(&self, edge: &Edge) -> String {
+        let port = match &edge.label {
+            EdgeLabel::Text(text) => return text.to_string(),
+            EdgeLabel::Port(port) => *port,
+        };
+        let role = if edge.kind == StreamKind::Skip {
+            match self.body.nodes.get(edge.from.0) {
+                Some(NodeKind::Intersecter { index }) if (3..5).contains(&port) => {
+                    Some(format!("{index} skip {}", if port == 3 { "a" } else { "b" }))
+                }
+                _ => None,
+            }
+        } else {
+            self.body.nodes.get(edge.to.0).and_then(|kind| input_role(kind, port))
+        };
+        role.unwrap_or_else(|| format!("port {port}"))
     }
 
     /// The nodes in insertion order.
     pub fn nodes(&self) -> &[NodeKind] {
-        &self.nodes
+        &self.body.nodes
     }
 
     /// The edges in insertion order.
     pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        &self.body.edges
     }
 
     /// The node kinds, editable in place (the node set itself is fixed, so
     /// labels stay aligned). With [`SamGraph::edges_mut`], what a graph
     /// mutator perturbs; nothing is validated until the graph is planned.
     pub fn nodes_mut(&mut self) -> &mut [NodeKind] {
-        &mut self.nodes
+        &mut self.body_mut().nodes
     }
 
     /// The edge list, editable in place: drop, duplicate or rewire edges.
     pub fn edges_mut(&mut self) -> &mut Vec<Edge> {
-        &mut self.edges
+        &mut self.body_mut().edges
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.body.nodes.len()
     }
 
     /// True when the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.body.nodes.is_empty()
     }
 
     /// Whether any node of the given discriminant is present.
     pub fn has_kind(&self, pred: impl Fn(&NodeKind) -> bool) -> bool {
-        self.nodes.iter().any(pred)
+        self.body.nodes.iter().any(pred)
     }
 
     /// Primitive counts in the Table 1 convention (roots are not counted;
     /// locators are reported separately from intersecters).
     pub fn primitive_counts(&self) -> PrimitiveCounts {
         let mut c = PrimitiveCounts::default();
-        for n in &self.nodes {
+        for n in &self.body.nodes {
             match n {
                 NodeKind::Root { .. }
                 | NodeKind::ConstVal { .. }
@@ -479,10 +654,10 @@ impl SamGraph {
         let mut out = String::new();
         out.push_str(&format!("digraph \"{}\" {{\n", self.name));
         out.push_str("  rankdir=LR;\n  node [shape=box, fontname=\"Helvetica\"];\n");
-        for i in 0..self.nodes.len() {
+        for i in 0..self.len() {
             out.push_str(&format!("  n{} [label=\"{}\"];\n", i, self.node_label(NodeId(i))));
         }
-        for e in &self.edges {
+        for e in self.edges() {
             let style = match e.kind {
                 StreamKind::Crd => "solid",
                 StreamKind::Ref => "dashed",
@@ -491,7 +666,10 @@ impl SamGraph {
             };
             out.push_str(&format!(
                 "  n{} -> n{} [style={}, label=\"{}\"];\n",
-                e.from.0, e.to.0, style, e.label
+                e.from.0,
+                e.to.0,
+                style,
+                self.edge_label(e)
             ));
         }
         out.push_str("}\n");
@@ -559,6 +737,38 @@ mod tests {
         let g = tiny_graph();
         assert!(g.has_kind(|n| matches!(n, NodeKind::Intersecter { .. })));
         assert!(!g.has_kind(|n| matches!(n, NodeKind::Unioner { .. })));
+    }
+
+    /// An edge a builder wires is named after the port it feeds when
+    /// printed, and keeps that name when a later edit rewires it; a name
+    /// given with the edge is printed as given.
+    #[test]
+    fn edge_labels_are_derived_from_the_port_wired() {
+        let mut g = tiny_graph();
+        let (ab, ac, mul) = (NodeId(5), NodeId(6), NodeId(7));
+        g.add_edge(ab, 0, mul, 0, StreamKind::Val);
+        g.add_edge(ac, 0, mul, 1, StreamKind::Val);
+        let n = g.edges().len();
+        let named = |g: &SamGraph, at: usize| g.edge_label(&g.edges()[at]);
+        assert_eq!((named(&g, n - 2), named(&g, n - 1)), ("val a".to_string(), "val b".to_string()));
+        assert_eq!(named(&g, 0), "root", "a given name is printed as given");
+        g.edges_mut()[n - 1].dst_port = 0;
+        assert_eq!(named(&g, n - 1), "val b", "a rewired edge keeps its name");
+        let (int, sb) = (NodeId(4), NodeId(1));
+        g.add_edge(int, 3, sb, 1, StreamKind::Skip);
+        assert_eq!(named(&g, n), "i skip a");
+    }
+
+    /// A clone shares the nodes and edges until one side edits them.
+    #[test]
+    fn an_edited_clone_leaves_the_original_alone() {
+        let g = tiny_graph();
+        let mut edited = g.clone();
+        edited.set_label(NodeId(4), "intersect(i: b,c)");
+        edited.edges_mut().pop();
+        assert_eq!(g.node_label(NodeId(4)), "intersect i");
+        assert_eq!(g.edges().len(), edited.edges().len() + 1);
+        assert_eq!(g, tiny_graph());
     }
 
     #[test]

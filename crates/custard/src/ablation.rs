@@ -184,9 +184,11 @@ pub fn ablation_study(corpus: &ExpressionCorpus) -> Vec<AblationRow> {
             e.graph.has_kind(|n| matches!(n, NodeKind::Intersecter { .. }))
         }),
         row(corpus, "Adder", |e| {
-            e.graph.has_kind(|n| matches!(n, NodeKind::Alu { op } if op == "add" || op == "sub"))
+            e.graph.has_kind(|n| matches!(n, NodeKind::Alu { op } if matches!(&**op, "add" | "sub")))
         }),
-        row(corpus, "Multiplier", |e| e.graph.has_kind(|n| matches!(n, NodeKind::Alu { op } if op == "mul"))),
+        row(corpus, "Multiplier", |e| {
+            e.graph.has_kind(|n| matches!(n, NodeKind::Alu { op } if &**op == "mul"))
+        }),
         row(corpus, "Reducer", |e| e.graph.has_kind(|n| matches!(n, NodeKind::Reducer { .. }))),
         row(corpus, "Coordinate Dropper", |e| {
             e.graph.has_kind(|n| matches!(n, NodeKind::CoordDropper { .. })) && e.compressed_output

@@ -61,8 +61,8 @@ use sam_core::build::{GraphBuilder, Port};
 use sam_core::graph::SamGraph;
 use sam_tensor::expr::{Expr, IndexVar};
 use sam_tensor::{LevelFormat, TensorFormat};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 
 /// An expression the executable lowering cannot handle (yet).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,7 +236,7 @@ fn merge_for_var(
     g: &mut GraphBuilder,
     expr: &Expr,
     var: IndexVar,
-    producers: &BTreeMap<usize, ScanProducer>,
+    producers: &[(usize, ScanProducer)],
     next: &mut usize,
     broadcasts: &dyn Fn(usize, IndexVar) -> bool,
 ) -> Result<Option<Merged>, LowerExecError> {
@@ -244,11 +244,8 @@ fn merge_for_var(
         Expr::Access { .. } => {
             let ordinal = *next;
             *next += 1;
-            Ok(producers.get(&ordinal).map(|p| Merged {
-                crd: p.crd,
-                refs: vec![(ordinal, p.rf)],
-                scan_fmt: Some(p.level),
-            }))
+            let producer = producers.iter().find(|&&(o, _)| o == ordinal).map(|(_, p)| p);
+            Ok(producer.map(|p| Merged { crd: p.crd, refs: vec![(ordinal, p.rf)], scan_fmt: Some(p.level) }))
         }
         Expr::Literal(_) => Ok(None),
         Expr::Mul(a, b) | Expr::Add(a, b) | Expr::Sub(a, b) => {
@@ -346,9 +343,11 @@ struct ComputeCx<'a> {
     target_indices: &'a [IndexVar],
     reduction_vars: &'a [IndexVar],
     rhs: &'a Expr,
-    storage_vars: &'a [Vec<IndexVar>],
+    /// Every access, with the index variables it is stored over.
+    accesses: &'a [(&'a str, &'a [IndexVar])],
     arrays: &'a [Option<Port>],
-    scalar_names: &'a [Option<String>],
+    /// Per access, whether it is a zero-index (scalar) access.
+    scalar: &'a [bool],
     has_additive: bool,
 }
 
@@ -367,8 +366,8 @@ impl ComputeCx<'_> {
             .filter(|v| var_crd.contains_key(v))
             .filter(|v| {
                 ordinals.clone().any(|o| {
-                    self.storage_vars[o].contains(v)
-                        || (self.scalar_names[o].is_none()
+                    self.accesses[o].1.contains(v)
+                        || (!self.scalar[o]
                             && (self.target_indices.contains(v)
                                 || (self.reduction_vars.contains(v)
                                     && access_under_reduction(self.rhs, o, *v))))
@@ -496,6 +495,23 @@ fn build_compute(
     }
 }
 
+/// `value`'s text, in one allocation: formatted once to measure it, then
+/// into a string of that size.
+fn sized_text(value: &impl fmt::Display) -> String {
+    struct Measure(usize);
+    impl fmt::Write for Measure {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut measure = Measure(0);
+    let _ = write!(measure, "{value}");
+    let mut text = String::with_capacity(measure.0);
+    let _ = write!(text, "{value}");
+    text
+}
+
 /// Lowers concrete index notation to an executable SAM graph.
 ///
 /// ```
@@ -523,12 +539,9 @@ pub fn lower_exec(cin: &ConcreteIndexNotation) -> Result<ExecutableKernel, Lower
             return Err(LowerExecError::RepeatedIndex { tensor: tensor.to_string(), index });
         }
     }
-    {
-        let mut seen = BTreeSet::new();
-        for (name, _) in &accesses {
-            if !seen.insert(*name) {
-                return Err(LowerExecError::DuplicateAccess { tensor: name.to_string() });
-            }
+    for (at, (name, _)) in accesses.iter().enumerate() {
+        if accesses[..at].iter().any(|(seen, _)| seen == name) {
+            return Err(LowerExecError::DuplicateAccess { tensor: name.to_string() });
         }
     }
     let reduction_vars: Vec<IndexVar> = assignment.reduction_vars();
@@ -538,11 +551,11 @@ pub fn lower_exec(cin: &ConcreteIndexNotation) -> Result<ExecutableKernel, Lower
     // formats come from the user's format declarations, defaulting to
     // compressed. Zero-index accesses carry no storage; they are collected
     // as scalars and lowered to `ConstVal` sources in phase 2.
-    let mut formats: Vec<(String, TensorFormat)> = Vec::new();
+    let mut formats: Vec<(String, TensorFormat)> = Vec::with_capacity(accesses.len());
     let mut scalars: Vec<String> = Vec::new();
-    let mut scalar_names: Vec<Option<String>> = Vec::new();
-    let mut storage_vars: Vec<Vec<IndexVar>> = Vec::new();
-    let mut level_formats: Vec<Vec<LevelFormat>> = Vec::new();
+    let mut scalar: Vec<bool> = Vec::with_capacity(accesses.len());
+    // Per access, its entry in `formats` (none for a scalar).
+    let mut format_at: Vec<Option<usize>> = Vec::with_capacity(accesses.len());
     for (name, indices) in &accesses {
         if let Some(format) = cin.formats.get(name).filter(|f| f.order() != indices.len()) {
             let (access, format) = (indices.len(), format.order());
@@ -550,14 +563,14 @@ pub fn lower_exec(cin: &ConcreteIndexNotation) -> Result<ExecutableKernel, Lower
         }
         if indices.is_empty() {
             scalars.push(name.to_string());
-            scalar_names.push(Some(name.to_string()));
-            storage_vars.push(Vec::new());
-            level_formats.push(Vec::new());
+            scalar.push(true);
+            format_at.push(None);
             continue;
         }
-        let vars: Vec<IndexVar> = cin.loop_order.iter().copied().filter(|v| indices.contains(v)).collect();
+        // The access's variables in loop order, as positions among its
+        // indices: every one of them is a loop variable.
         let mode_order: Vec<usize> =
-            vars.iter().map(|v| indices.iter().position(|iv| iv == v).expect("var from access")).collect();
+            cin.loop_order.iter().filter_map(|v| indices.iter().position(|iv| iv == v)).collect();
         let levels: Vec<LevelFormat> = mode_order
             .iter()
             .map(|&m| {
@@ -567,17 +580,21 @@ pub fn lower_exec(cin: &ConcreteIndexNotation) -> Result<ExecutableKernel, Lower
                     .unwrap_or(LevelFormat::Compressed)
             })
             .collect();
-        formats.push((name.to_string(), TensorFormat::with_mode_order(levels.clone(), mode_order)));
-        scalar_names.push(None);
-        storage_vars.push(vars);
-        level_formats.push(levels);
+        format_at.push(Some(formats.len()));
+        formats.push((name.to_string(), TensorFormat::with_mode_order(levels, mode_order)));
+        scalar.push(false);
     }
 
-    let mut g = GraphBuilder::new(assignment.to_string());
+    // Room for a root, an array and an ALU per access, a scanner and a
+    // merger per storage level, a reducer per loop variable and the
+    // writers; most nodes take two inputs.
+    let levels: usize = accesses.iter().map(|(_, indices)| indices.len()).sum();
+    let nodes = 3 * accesses.len() + 2 * levels + cin.loop_order.len() + assignment.target_indices.len() + 1;
+    let mut g = GraphBuilder::with_capacity(sized_text(assignment), nodes, 2 * nodes);
     let mut cur_ref: Vec<Option<Port>> = accesses
         .iter()
         .enumerate()
-        .map(|(o, (name, _))| if scalar_names[o].is_some() { None } else { Some(g.root(name)) })
+        .map(|(o, (name, _))| if scalar[o] { None } else { Some(g.root(name)) })
         .collect();
     let mut scan_depth = vec![0usize; accesses.len()];
     let mut var_crd: BTreeMap<IndexVar, Port> = BTreeMap::new();
@@ -586,25 +603,28 @@ pub fn lower_exec(cin: &ConcreteIndexNotation) -> Result<ExecutableKernel, Lower
     // phase 1's repeater-placement rule, also consulted by the merge tree
     // to reject dense addends.
     let broadcasts = |ordinal: usize, var: IndexVar| -> bool {
-        !storage_vars[ordinal].contains(&var)
-            && scalar_names[ordinal].is_none()
+        !accesses[ordinal].1.contains(&var)
+            && !scalar[ordinal]
             && (assignment.target_indices.contains(&var)
                 || (reduction_vars.contains(&var) && access_under_reduction(rhs, ordinal, var)))
     };
 
-    // Phase 1: iteration and merging, one loop level at a time.
+    // Phase 1: iteration and merging, one loop level at a time. The
+    // producers of each variable, by access ordinal.
+    let mut producers: Vec<(usize, ScanProducer)> = Vec::with_capacity(accesses.len());
     for &var in &cin.loop_order {
-        let mut producers: BTreeMap<usize, ScanProducer> = BTreeMap::new();
+        producers.clear();
         for (ordinal, (name, _)) in accesses.iter().enumerate() {
-            if !storage_vars[ordinal].contains(&var) {
+            if !accesses[ordinal].1.contains(&var) {
                 continue;
             }
-            let level = level_formats[ordinal][scan_depth[ordinal]];
+            let format = format_at[ordinal].map(|at| &formats[at].1);
+            let level = format.map_or(LevelFormat::Compressed, |f| f.level(scan_depth[ordinal]));
             let compressed = !matches!(level, LevelFormat::Dense);
             let (crd, rf) = g.scan(name, var, compressed, cur_ref[ordinal].expect("indexed root"));
             scan_depth[ordinal] += 1;
             cur_ref[ordinal] = Some(rf);
-            producers.insert(ordinal, ScanProducer { crd, rf, level });
+            producers.push((ordinal, ScanProducer { crd, rf, level }));
         }
         if producers.is_empty() {
             continue;
@@ -632,7 +652,7 @@ pub fn lower_exec(cin: &ConcreteIndexNotation) -> Result<ExecutableKernel, Lower
         // Broadcast operands that skip this variable but are consumed once
         // per coordinate of it.
         for (ordinal, (name, _)) in accesses.iter().enumerate() {
-            if storage_vars[ordinal].contains(&var) || scalar_names[ordinal].is_some() {
+            if accesses[ordinal].1.contains(&var) || scalar[ordinal] {
                 continue;
             }
             if broadcasts(ordinal, var) {
@@ -652,9 +672,9 @@ pub fn lower_exec(cin: &ConcreteIndexNotation) -> Result<ExecutableKernel, Lower
         target_indices: &assignment.target_indices,
         reduction_vars: &reduction_vars,
         rhs,
-        storage_vars: &storage_vars,
+        accesses: &accesses,
         arrays: &arrays,
-        scalar_names: &scalar_names,
+        scalar: &scalar,
         has_additive: rhs.has_additive_op(),
     };
     let mut next = 0;
@@ -669,7 +689,7 @@ pub fn lower_exec(cin: &ConcreteIndexNotation) -> Result<ExecutableKernel, Lower
     // Phase 3: reduction variables with no explicit `Reduce` node (legacy
     // Expr-API assignments) reduce at the tail, as the paper's loop nest
     // implies.
-    let reduced: BTreeSet<IndexVar> = rhs.reduced_vars().into_iter().collect();
+    let reduced = rhs.reduced_vars();
     let missing: Vec<IndexVar> = reduction_vars.iter().copied().filter(|v| !reduced.contains(v)).collect();
     if !missing.is_empty() {
         let term = cx.term_vars(0..accesses.len(), &var_crd);

@@ -551,9 +551,9 @@ mod tests {
             if let Some(&h) = names.get(&n) {
                 return h;
             }
-            let mut inputs: Vec<(usize, u64, usize, &str)> = Vec::new();
+            let mut inputs: Vec<(usize, u64, usize, String)> = Vec::new();
             for e in g.edges().iter().filter(|e| e.to.0 == n && e.kind != StreamKind::Skip) {
-                inputs.push((e.dst_port, name(g, e.from.0, names), e.src_port, &e.label));
+                inputs.push((e.dst_port, name(g, e.from.0, names), e.src_port, g.edge_label(e)));
             }
             inputs.sort_unstable();
             let mut h = DefaultHasher::new();
@@ -571,7 +571,8 @@ mod tests {
                 .iter()
                 .map(|e| {
                     let mut h = DefaultHasher::new();
-                    (names[&e.from.0], e.src_port, names[&e.to.0], e.dst_port, e.kind, &e.label).hash(&mut h);
+                    let label = g.edge_label(e);
+                    (names[&e.from.0], e.src_port, names[&e.to.0], e.dst_port, e.kind, label).hash(&mut h);
                     h.finish()
                 })
                 .collect();
@@ -593,13 +594,13 @@ mod tests {
         }
         for e in graph.edges() {
             let (from, to) = (NodeId(last - e.from.0), NodeId(last - e.to.0));
-            reversed.add_edge_on(from, e.src_port, to, e.dst_port, e.kind, e.label.clone());
+            reversed.add_edge_on(from, e.src_port, to, e.dst_port, e.kind, graph.edge_label(e));
         }
         assert!(same_structure(&graph, &reversed));
         // One edge moved to the other port of the same consumer.
         let mut swapped = graph.clone();
-        let e = swapped.edges_mut().iter_mut().find(|e| e.label == "val b").expect("an ALU input");
-        e.dst_port = 0;
+        let at = graph.edges().iter().position(|e| graph.edge_label(e) == "val b").expect("an ALU input");
+        swapped.edges_mut()[at].dst_port = 0;
         assert!(!same_structure(&graph, &swapped));
     }
 

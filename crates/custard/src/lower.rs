@@ -106,7 +106,7 @@ pub fn lower(cin: &ConcreteIndexNotation) -> SamGraph {
 
     // Phase 1: tensor iteration and merging.
     for path in &paths {
-        graph.add_node(NodeKind::Root { tensor: path.name.clone() });
+        graph.add_node(NodeKind::Root { tensor: path.name.as_str().into() });
     }
     for &var in &cin.loop_order {
         // Scanners and repeaters per tensor path.
@@ -121,14 +121,18 @@ pub fn lower(cin: &ConcreteIndexNotation) -> SamGraph {
                         !matches!(f.levels().get(level), Some(LevelFormat::Dense))
                     })
                     .unwrap_or(true);
-                graph.add_node(NodeKind::LevelScanner { tensor: path.name.clone(), index: var, compressed });
+                graph.add_node(NodeKind::LevelScanner {
+                    tensor: path.name.as_str().into(),
+                    index: var,
+                    compressed,
+                });
                 producers += 1;
             } else {
                 let broadcast_needed = assignment.target_indices.contains(&var)
                     || (reduction_vars.contains(&var)
                         && access_under_reduction(&assignment.rhs, ordinal, var));
                 if broadcast_needed {
-                    graph.add_node(NodeKind::Repeater { tensor: path.name.clone(), index: var });
+                    graph.add_node(NodeKind::Repeater { tensor: path.name.as_str().into(), index: var });
                 }
             }
         }
@@ -147,12 +151,12 @@ pub fn lower(cin: &ConcreteIndexNotation) -> SamGraph {
     // Phase 2: computation (value arrays, one ALU per binary operator in
     // evaluation order, one reducer per reduced variable).
     for path in &paths {
-        graph.add_node(NodeKind::Array { tensor: path.name.clone() });
+        graph.add_node(NodeKind::Array { tensor: path.name.as_str().into() });
     }
     let mut ops = Vec::new();
     collect_ops(&assignment.rhs, &mut ops);
     for op in ops {
-        graph.add_node(NodeKind::Alu { op: op.to_string() });
+        graph.add_node(NodeKind::Alu { op: op.into() });
     }
     for (nth, _) in reduction_vars.iter().enumerate() {
         graph.add_node(NodeKind::Reducer { order: usize::from(nth == 0) });
@@ -164,9 +168,17 @@ pub fn lower(cin: &ConcreteIndexNotation) -> SamGraph {
         if multiplicative {
             graph.add_node(NodeKind::CoordDropper { index: var });
         }
-        graph.add_node(NodeKind::LevelWriter { tensor: assignment.target.clone(), index: var, vals: false });
+        graph.add_node(NodeKind::LevelWriter {
+            tensor: assignment.target.as_str().into(),
+            index: var,
+            vals: false,
+        });
     }
-    graph.add_node(NodeKind::LevelWriter { tensor: assignment.target.clone(), index: 'v', vals: true });
+    graph.add_node(NodeKind::LevelWriter {
+        tensor: assignment.target.as_str().into(),
+        index: 'v',
+        vals: true,
+    });
     graph
 }
 

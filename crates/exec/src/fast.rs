@@ -595,8 +595,9 @@ pub(crate) fn walk(
         let mut merged = None;
         match &node.op {
             Op::Merge(merger) => {
-                let mut run = run_merger(plan, inputs, streams, spares, id, merger, &merger.members, tracing);
-                if run.is_err() && !merger.members.is_empty() {
+                let members = plan.region_members(id);
+                let mut run = run_merger(plan, inputs, streams, spares, id, merger, members, tracing);
+                if run.is_err() && !members.is_empty() {
                     unfused.push(id);
                     run = run_merger(plan, inputs, streams, spares, id, merger, &[], tracing);
                 }
@@ -652,7 +653,7 @@ pub(crate) fn walk(
             // A region member: tallied, stored if read outside the region,
             // and one reader of each of its inputs (an internal one was
             // never stored; releasing it only settles its reader count).
-            for (&member, port) in merger.members.iter().zip(ports.drain(..)) {
+            for (&member, port) in plan.region_members(id).iter().zip(ports.drain(..)) {
                 tokens += port.len;
                 if tracing {
                     trace.record_tokens(member.0, port.tally);

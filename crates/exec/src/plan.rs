@@ -34,10 +34,11 @@ use crate::bind::Inputs;
 use crate::error::{ExecError, PlanError};
 use sam_core::graph::{NodeId, NodeKind, SamGraph};
 use sam_primitives::AluOp;
-use sam_tensor::{Tensor, TensorFormat};
+use sam_tensor::{LevelFormat, Tensor};
 use sam_verify::{Analysis, StreamType};
-pub use sam_verify::{PortRef, SkipLane as SkipSpec};
+pub use sam_verify::{Consumers, PortRef, SkipLane as SkipSpec};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 /// A level scanner the fast backend never evaluates standalone: its
 /// coordinate port and its reference port each have exactly one consumer,
@@ -88,33 +89,76 @@ pub struct ChannelSpec {
 /// Default cycle budget used by the cycle-approximate backend.
 pub const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
 
-/// One bound tensor as a plan reads it: its name, format and shape, and
+/// The signature of every binding a plan was built over, in name order:
+/// what a plan reads of a bound tensor — its name, format and shape, and
 /// the value bits of a single-element tensor, since the planner bakes
-/// `ConstVal` scalars into the plan. A plan reads nothing else of its
-/// inputs (not occupancy, not fiber lengths).
-#[derive(Debug, Clone)]
-struct BindingKey {
-    name: String,
-    format: TensorFormat,
-    shape: Vec<usize>,
-    scalar_bits: Option<u64>,
+/// `ConstVal` scalars into the plan — and nothing else (not occupancy, not
+/// fiber lengths). Held flat: the names side by side in one string, and
+/// each tensor's [`signature`] words side by side in one list.
+#[derive(Debug, Clone, Default)]
+struct BindingKeys {
+    names: String,
+    words: Vec<u64>,
+    /// Per binding, where its name ends in `names` and its words in `words`.
+    ends: Vec<(usize, usize)>,
 }
 
-impl BindingKey {
-    /// The signature of `tensor` bound as `name`.
-    fn new((name, tensor): (&str, &Tensor)) -> BindingKey {
-        let (format, shape) = (tensor.format().clone(), tensor.shape().to_vec());
-        BindingKey { name: name.to_string(), format, shape, scalar_bits: scalar_bits(tensor) }
+impl BindingKeys {
+    /// The signatures of `inputs`.
+    fn new(inputs: &Inputs) -> BindingKeys {
+        let (names, words) = inputs.iter().fold((0, 0), |(names, words), (name, tensor)| {
+            (names + name.len(), words + signature(tensor).count())
+        });
+        let mut keys = BindingKeys {
+            names: String::with_capacity(names),
+            words: Vec::with_capacity(words),
+            ends: Vec::with_capacity(inputs.len()),
+        };
+        for (name, tensor) in inputs.iter() {
+            keys.names.push_str(name);
+            keys.words.extend(signature(tensor));
+            keys.ends.push((keys.names.len(), keys.words.len()));
+        }
+        keys
     }
 
-    /// Whether `tensor` bound as `name` has this signature, compared in
-    /// place.
-    fn matches(&self, (name, tensor): (&str, &Tensor)) -> bool {
-        self.name == name
-            && self.format == *tensor.format()
-            && self.shape == tensor.shape()
-            && self.scalar_bits == scalar_bits(tensor)
+    /// The name and signature words of the binding at position `at`.
+    fn get(&self, at: usize) -> (&str, &[u64]) {
+        let (start_name, start_words) = if at == 0 { (0, 0) } else { self.ends[at - 1] };
+        let (end_name, end_words) = self.ends[at];
+        (&self.names[start_name..end_name], &self.words[start_words..end_words])
     }
+
+    /// The keys in name order.
+    fn iter(&self) -> impl Iterator<Item = (&str, &[u64])> {
+        (0..self.ends.len()).map(|at| self.get(at))
+    }
+}
+
+/// `list`'s length, then its entries, as words.
+fn listed(list: &[usize]) -> impl Iterator<Item = u64> + '_ {
+    std::iter::once(list.len() as u64).chain(list.iter().map(|&n| n as u64))
+}
+
+/// What a plan reads of a bound tensor, as words: its level formats, its
+/// mode order and its shape, each after its length, then the value bits of
+/// a single-element tensor after a flag.
+fn signature(tensor: &Tensor) -> impl Iterator<Item = u64> + '_ {
+    let format = tensor.format();
+    let levels = format.levels().iter().map(|level| match level {
+        LevelFormat::Dense => 0,
+        LevelFormat::Compressed => 1,
+        LevelFormat::Bitvector { word_width } => 2 + (u64::from(*word_width) << 8),
+    });
+    let scalar = match scalar_bits(tensor) {
+        Some(bits) => [1, bits],
+        None => [0, 0],
+    };
+    std::iter::once(format.levels().len() as u64)
+        .chain(levels)
+        .chain(listed(format.mode_order()))
+        .chain(listed(tensor.shape()))
+        .chain(scalar)
 }
 
 /// The value bits of a tensor the planner reads as a scalar (its own test:
@@ -155,8 +199,9 @@ pub(crate) struct Merger {
     pub(crate) union: bool,
     /// The scanner fused into each operand, if any (an intersecter's only).
     pub(crate) operands: [Option<FusedOperand>; 2],
-    /// Its fusion region ([`Plan::region_members`]).
-    pub(crate) members: Vec<NodeId>,
+    /// Its fusion region ([`Plan::region_members`]): where it lies in the
+    /// plan's list of every region's members.
+    pub(crate) members: Range<usize>,
 }
 
 /// A level scanner fused into a merger operand, reading storage level
@@ -220,7 +265,7 @@ pub(crate) struct Planned {
 pub struct Plan {
     graph: SamGraph,
     /// The signature of each binding the plan was built over, in name order.
-    bindings: Vec<BindingKey>,
+    bindings: BindingKeys,
     /// The clean analysis the plan was derived from: topological order,
     /// per-port producers and consumers, validated skip lanes, stream types.
     analysis: Analysis,
@@ -228,6 +273,8 @@ pub struct Plan {
     channels: Vec<ChannelSpec>,
     /// Per node, what it does.
     nodes: Vec<Planned>,
+    /// Every fusion region's members, region after region.
+    members: Vec<NodeId>,
     /// The output's level writers, outermost first.
     level_writers: Vec<NodeId>,
     vals_writer: NodeId,
@@ -258,18 +305,14 @@ impl Plan {
         let nodes = graph.nodes();
         let n = nodes.len();
 
-        let channels: Vec<ChannelSpec> = (0..n)
-            .map(NodeId)
-            .flat_map(|node| {
-                analysis.consumers_of(node).iter().enumerate().flat_map(move |(port, conns)| {
-                    conns.iter().map(move |&(to, to_port)| ChannelSpec {
-                        from: PortRef { node, port },
-                        to,
-                        to_port,
-                    })
-                })
-            })
-            .collect();
+        let fanout = |node: usize| analysis.consumers_of(NodeId(node)).iter().map(<[_]>::len).sum::<usize>();
+        let mut channels = Vec::with_capacity((0..n).map(fanout).sum());
+        for node in (0..n).map(NodeId) {
+            for (port, consumers) in analysis.consumers_of(node).iter().enumerate() {
+                let from = PortRef { node, port };
+                channels.extend(consumers.iter().map(|&(to, to_port)| ChannelSpec { from, to, to_port }));
+            }
+        }
 
         // The output is the tensor the values writer writes: a level writer
         // of another tensor writes none of its levels. The output levels
@@ -281,10 +324,11 @@ impl Plan {
             }
         }
         let writes_output = |kind: &NodeKind| match kind {
-            NodeKind::LevelWriter { tensor, vals: false, .. } => tensor == output_name,
+            NodeKind::LevelWriter { tensor, vals: false, .. } => **tensor == *output_name,
             _ => false,
         };
-        let level_writers: Vec<NodeId> = (0..n).map(NodeId).filter(|w| writes_output(&nodes[w.0])).collect();
+        let mut level_writers = Vec::with_capacity(nodes.iter().filter(|kind| writes_output(kind)).count());
+        level_writers.extend((0..n).map(NodeId).filter(|w| writes_output(&nodes[w.0])));
 
         let position = |tensor: &str| inputs.position(tensor).unwrap_or_default();
         // The storage level a scanner or locator reads is the depth of the
@@ -308,13 +352,13 @@ impl Plan {
                 kind @ (NodeKind::Intersecter { .. } | NodeKind::Unioner { .. }) => {
                     let union = matches!(kind, NodeKind::Unioner { .. });
                     let operands = [0, 1].map(|operand| fused(id, operand));
-                    return Op::Merge(Merger { union, operands, members: Vec::new() });
+                    return Op::Merge(Merger { union, operands, members: 0..0 });
                 }
                 NodeKind::Root { .. } => Transfer::Root,
                 NodeKind::LevelScanner { tensor, index, .. } => {
                     // A scanner's coordinates feed the intersecter operand it
                     // is fused into, if it is.
-                    let into = analysis.consumers_of(id)[0].first();
+                    let into = analysis.consumers_of(id).port(0).first();
                     let fused = into.and_then(|&(to, slot)| fused(to, slot)).map(|f| f.scan);
                     Transfer::Scan {
                         tensor: position(tensor),
@@ -336,7 +380,7 @@ impl Plan {
                     Transfer::Const { value: value.unwrap_or_default() }
                 }
                 NodeKind::Alu { op } => Transfer::Alu {
-                    op: match op.as_str() {
+                    op: match &**op {
                         "add" => AluOp::Add,
                         "sub" => AluOp::Sub,
                         _ => AluOp::Mul,
@@ -358,7 +402,7 @@ impl Plan {
         };
         let mut planned: Vec<Planned> =
             (0..n).map(|id| Planned { op: resolve(NodeId(id)), root: None }).collect();
-        fusion_regions(&analysis, &mut planned);
+        let members = fusion_regions(&analysis, &mut planned);
         let output_shape = level_writers
             .iter()
             .map(|w| match planned[w.0].op {
@@ -369,10 +413,11 @@ impl Plan {
 
         Ok(Plan {
             graph: graph.clone(),
-            bindings: inputs.iter().map(BindingKey::new).collect(),
+            bindings: BindingKeys::new(inputs),
             analysis,
             channels,
             nodes: planned,
+            members,
             level_writers,
             vals_writer,
             output_name: output_name.to_string(),
@@ -408,9 +453,13 @@ impl Plan {
         loop {
             return match (keys.next(), bound.next()) {
                 (None, None) => None,
-                (Some(key), Some(b)) if key.matches(b) => continue,
-                (Some(key), Some((name, _))) => Some(key.name.as_str().min(name)),
-                (Some(key), None) => Some(&key.name),
+                (Some((key, words)), Some((name, tensor)))
+                    if key == name && words.iter().copied().eq(signature(tensor)) =>
+                {
+                    continue
+                }
+                (Some((key, _)), Some((name, _))) => Some(key.min(name)),
+                (Some((key, _)), None) => Some(key),
                 (None, Some((name, _))) => Some(name),
             };
         }
@@ -446,13 +495,13 @@ impl Plan {
     }
 
     /// The consumers of each output port of `node`.
-    pub fn consumers_of(&self, node: NodeId) -> &[Vec<(NodeId, usize)>] {
+    pub fn consumers_of(&self, node: NodeId) -> Consumers<'_> {
         self.analysis.consumers_of(node)
     }
 
     /// Total number of planned stream forks (ports with fan-out above one).
     pub fn fork_count(&self) -> usize {
-        let ports = (0..self.graph.len()).flat_map(|node| self.consumers_of(NodeId(node)));
+        let ports = (0..self.graph.len()).flat_map(|node| self.consumers_of(NodeId(node)).iter());
         ports.filter(|consumers| consumers.len() > 1).count()
     }
 
@@ -518,7 +567,7 @@ impl Plan {
     /// stored as usual; every other stream of the region is only counted.
     pub fn region_members(&self, root: NodeId) -> &[NodeId] {
         match &self.nodes[root.0].op {
-            Op::Merge(merger) => &merger.members,
+            Op::Merge(merger) => &self.members[merger.members.clone()],
             Op::Transfer(_) => &[],
         }
     }
@@ -540,7 +589,7 @@ impl Plan {
 
     /// The name of the binding at position `at`.
     pub(crate) fn binding_name(&self, at: usize) -> &str {
-        &self.bindings[at].name
+        self.bindings.get(at).0
     }
 
     /// Shape of the output tensor (one dimension per level writer).
@@ -550,15 +599,17 @@ impl Plan {
 }
 
 /// Every intersecter's fusion region ([`Plan::region_members`]): each
-/// member's root, and each root's members.
-fn fusion_regions(analysis: &Analysis, planned: &mut [Planned]) {
+/// member's root, and each root's members, which are returned, region after
+/// region.
+fn fusion_regions(analysis: &Analysis, planned: &mut [Planned]) -> Vec<NodeId> {
     let order = analysis.order();
+    let mut members = Vec::new();
     for (at, &root) in order.iter().enumerate() {
         if !matches!(planned[root.0].op, Op::Merge(Merger { union: false, .. })) {
             continue;
         }
         let before_root = &order[..at];
-        let mut members = Vec::new();
+        let first = members.len();
         for &id in &order[at + 1..] {
             // An output of the root or of a non-reducer member, read by
             // this node alone.
@@ -591,7 +642,8 @@ fn fusion_regions(analysis: &Analysis, planned: &mut [Planned]) {
             }
         }
         if let Op::Merge(merger) = &mut planned[root.0].op {
-            merger.members = members;
+            merger.members = first..members.len();
         }
     }
+    members
 }

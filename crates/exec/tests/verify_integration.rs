@@ -148,7 +148,7 @@ fn single_edits(graph: &SamGraph) -> Vec<(String, SamGraph)> {
         mutants.push((what, mutant));
     };
     for (i, e) in graph.edges().iter().enumerate() {
-        let at = format!("edge {i} `{}`", e.label);
+        let at = format!("edge {i} `{}`", graph.edge_label(e));
         edit(format!("drop {at}"), &|g| drop(g.edges_mut().remove(i)));
         edit(format!("duplicate {at}"), &|g| g.edges_mut().push(e.clone()));
         for port in (0..graph.nodes()[e.from.0].output_ports().len()).filter(|&p| p != e.src_port) {

@@ -11,50 +11,75 @@
 //! graph. Streams downstream of a reported defect are marked
 //! [`StreamType::Tainted`] so one wiring bug does not cascade into a page of
 //! secondary diagnostics.
+//!
+//! # Layout
+//!
+//! An analysis allocates per graph, not per node or port. Its tables are
+//! flat, laid out as a compressed level lays out fibers: one array of every
+//! input port's producer and one of every output port's stream type, both
+//! indexed through one table of per-node offsets (a CSR `pos` array), and
+//! one list of every output port's consumers, indexed through per-port
+//! offsets. [`Analysis::inputs_of`] and [`Analysis::consumers_of`] are
+//! slices of them. A stream type is `Copy`: a reference stream names its
+//! tensor by the root node it descends from, and an index variable's size
+//! by the node that fixed it.
 
 use crate::diag::{Diagnostic, Report, Rule};
 use sam_core::graph::{Edge, NodeId, NodeKind, PortKind, SamGraph, StreamKind};
 use sam_tensor::Tensor;
-use std::collections::{HashMap, HashSet};
+use std::ops::{Index, Range};
 
 /// The tensors a graph is (or would be) executed over, by name.
 ///
-/// A thin borrow map so the verifier can check binding-level rules (rank,
-/// level formats, scalar-ness) without depending on the executor's
-/// `Inputs`. Build one with [`Bindings::bind`] or collect from any
-/// `(&str, &Tensor)` iterator — `sam_exec::Inputs::iter` yields exactly
-/// that shape.
+/// A thin borrowed table, sorted by name, so the verifier can check
+/// binding-level rules (rank, level formats, scalar-ness) without depending
+/// on the executor's `Inputs`. Build one with [`Bindings::bind`] or collect
+/// from any `(&str, &Tensor)` iterator — `sam_exec::Inputs::iter` yields
+/// exactly that shape, already in name order.
 #[derive(Debug, Clone, Default)]
 pub struct Bindings<'a> {
-    map: HashMap<&'a str, &'a Tensor>,
+    by_name: Vec<(&'a str, &'a Tensor)>,
 }
 
 impl<'a> Bindings<'a> {
     /// An empty binding set.
     pub fn new() -> Self {
-        Bindings { map: HashMap::new() }
+        Bindings { by_name: Vec::new() }
     }
 
     /// Adds (or replaces) a named tensor.
     pub fn bind(mut self, name: &'a str, tensor: &'a Tensor) -> Self {
-        self.map.insert(name, tensor);
+        self.insert(name, tensor);
         self
+    }
+
+    fn insert(&mut self, name: &'a str, tensor: &'a Tensor) {
+        match self.by_name.binary_search_by(|&(bound, _)| bound.cmp(name)) {
+            Ok(at) => self.by_name[at].1 = tensor,
+            Err(at) => self.by_name.insert(at, (name, tensor)),
+        }
     }
 
     /// Looks up a bound tensor.
     pub fn get(&self, name: &str) -> Option<&'a Tensor> {
-        self.map.get(name).copied()
+        let at = self.by_name.binary_search_by(|&(bound, _)| bound.cmp(name)).ok()?;
+        Some(self.by_name[at].1)
     }
 }
 
 impl<'a> FromIterator<(&'a str, &'a Tensor)> for Bindings<'a> {
     fn from_iter<T: IntoIterator<Item = (&'a str, &'a Tensor)>>(iter: T) -> Self {
-        Bindings { map: iter.into_iter().collect() }
+        let iter = iter.into_iter();
+        let mut bindings = Bindings { by_name: Vec::with_capacity(iter.size_hint().0) };
+        for (name, tensor) in iter {
+            bindings.insert(name, tensor);
+        }
+        bindings
     }
 }
 
 /// The abstract type inferred for one producer port's stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamType {
     /// A coordinate stream, tagged with the index variable that generates
     /// it when one is known.
@@ -63,12 +88,13 @@ pub enum StreamType {
         /// whose coordinates are re-emitted rather than generated).
         index: Option<char>,
     },
-    /// A reference stream into `tensor`, having descended `depth` storage
-    /// levels from the root (depth equal to the tensor's rank references
-    /// the values).
+    /// A reference stream into the tensor of root node `root`, having
+    /// descended `depth` storage levels from it (depth equal to the
+    /// tensor's rank references the values).
     Ref {
-        /// The tensor the references point into.
-        tensor: String,
+        /// The [`NodeKind::Root`] the stream descends from, which names the
+        /// tensor the references point into.
+        root: NodeId,
         /// Storage levels consumed so far.
         depth: usize,
     },
@@ -109,23 +135,78 @@ pub struct SkipLane {
     pub scanner: NodeId,
 }
 
+/// The consumers of each output port of one node: a view of the
+/// analysis' flat consumer list. `port(p)` (or `[p]`) is the
+/// `(node, input port)` pairs output port `p` feeds, in edge order.
+#[derive(Debug, Clone, Copy)]
+pub struct Consumers<'a> {
+    /// Where each port's consumers start in `list`, and where the last
+    /// one's end: one entry more than the node has output ports.
+    bounds: &'a [u32],
+    list: &'a [(NodeId, usize)],
+}
+
+impl<'a> Consumers<'a> {
+    /// Number of output ports.
+    pub fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Whether the node has no output ports.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The consumers of output port `port`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the node has no output port `port`.
+    pub fn port(&self, port: usize) -> &'a [(NodeId, usize)] {
+        &self.list[self.bounds[port] as usize..self.bounds[port + 1] as usize]
+    }
+
+    /// The consumers of each output port, in port order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [(NodeId, usize)]> + 'a {
+        let list = self.list;
+        self.bounds.windows(2).map(move |w| &list[w[0] as usize..w[1] as usize])
+    }
+}
+
+impl Index<usize> for Consumers<'_> {
+    type Output = [(NodeId, usize)];
+
+    fn index(&self, port: usize) -> &Self::Output {
+        self.port(port)
+    }
+}
+
 /// The result of one framework run: the resolved topology, the inferred
 /// stream types, and every diagnostic found on the way.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     /// All findings from the structural and typing passes.
     pub report: Report,
-    node_inputs: Vec<Vec<Option<PortRef>>>,
-    consumers: Vec<Vec<Vec<(NodeId, usize)>>>,
+    /// Per node, and one past the last: its first input slot in `inputs`
+    /// and its first output port in `types` and `fanout`.
+    ports: Vec<(u32, u32)>,
+    /// The producer feeding each input slot.
+    inputs: Vec<Option<PortRef>>,
+    /// The stream type of each output port.
+    types: Vec<StreamType>,
+    /// Where each output port's consumers start in `consumers`, and one
+    /// past the last port: where the list ends.
+    fanout: Vec<u32>,
+    /// Every output port's consumers, port after port.
+    consumers: Vec<(NodeId, usize)>,
     /// Kahn order over the data edges; empty when they form a cycle.
     order: Vec<NodeId>,
-    types: Vec<Vec<StreamType>>,
     skip_lanes: Vec<SkipLane>,
     acyclic: bool,
-    /// Per index variable a scanner or locator introduces: the tensor and
-    /// dimension of the first bound level iterating it (`None` without
-    /// bindings, or when that level failed to resolve).
-    dims: HashMap<char, Option<(String, usize)>>,
+    /// Per index variable a scanner or locator introduces: the first bound
+    /// level iterating it, as the node that reads it and its dimension
+    /// (`None` without bindings, or when that level failed to resolve).
+    dims: Vec<(char, Option<(NodeId, usize)>)>,
 }
 
 impl Analysis {
@@ -139,10 +220,31 @@ impl Analysis {
         a.out
     }
 
+    /// The input slots of `node` in `inputs`.
+    fn input_slots(&self, node: NodeId) -> Range<usize> {
+        self.ports[node.0].0 as usize..self.ports[node.0 + 1].0 as usize
+    }
+
+    /// The output ports of `node` in `types` and `fanout`.
+    fn output_ports(&self, node: NodeId) -> Range<usize> {
+        self.ports[node.0].1 as usize..self.ports[node.0 + 1].1 as usize
+    }
+
+    /// The index of output port `src` in `types` and `fanout`, if the node
+    /// and port exist.
+    fn port_index(&self, src: PortRef) -> Option<usize> {
+        if src.node.0 + 1 >= self.ports.len() {
+            return None;
+        }
+        let ports = self.output_ports(src.node);
+        let at = ports.start + src.port;
+        (at < ports.end).then_some(at)
+    }
+
     /// The inferred stream type of the given producer port, if the node
     /// and port exist.
     pub fn stream_type(&self, src: PortRef) -> Option<&StreamType> {
-        self.types.get(src.node.0).and_then(|p| p.get(src.port))
+        self.types.get(self.port_index(src)?)
     }
 
     /// Whether the data edges form a DAG.
@@ -163,21 +265,27 @@ impl Analysis {
 
     /// The consumers `(node, input port)` of each output port of `node`; a
     /// validated skip lane appears on the intersecter's skip port.
-    pub fn consumers_of(&self, node: NodeId) -> &[Vec<(NodeId, usize)>] {
-        &self.consumers[node.0]
+    pub fn consumers_of(&self, node: NodeId) -> Consumers<'_> {
+        let ports = self.output_ports(node);
+        Consumers { bounds: &self.fanout[ports.start..=ports.end], list: &self.consumers }
     }
 
     /// The producer feeding each input port of `node` (`None` for unwired
     /// optional skip ports or ports whose edge failed to resolve).
     pub fn inputs_of(&self, node: NodeId) -> &[Option<PortRef>] {
-        &self.node_inputs[node.0]
+        &self.inputs[self.input_slots(node)]
     }
 
     /// The dimension of index variable `index`: that of the first bound
     /// level a scanner or locator iterates it over. `None` when nothing
     /// introduces the variable or the analysis ran without bindings.
     pub fn dimension(&self, index: char) -> Option<usize> {
-        self.dims.get(&index)?.as_ref().map(|(_, dim)| *dim)
+        self.dim(index)?.map(|(_, dim)| dim)
+    }
+
+    /// The entry of index variable `index` in `dims`, if it is introduced.
+    fn dim(&self, index: char) -> Option<Option<(NodeId, usize)>> {
+        self.dims.iter().find(|(var, _)| *var == index).map(|&(_, first)| first)
     }
 
     /// The level scanner private to `operand` (0 or 1) of `intersecter`: its
@@ -199,7 +307,7 @@ impl Analysis {
 
     /// Whether input `slot` of `node` is fed by output `port` of `from`.
     fn fed_by(&self, node: NodeId, slot: usize, from: NodeId, port: usize) -> bool {
-        self.node_inputs[node.0][slot] == Some(PortRef { node: from, port })
+        self.inputs_of(node)[slot] == Some(PortRef { node: from, port })
     }
 }
 
@@ -213,27 +321,37 @@ struct Analyzer<'g, 'b> {
     poisoned: Vec<bool>,
     /// Tensor names already reported unknown (a missing binding is one
     /// defect however many nodes name the tensor).
-    unknown_reported: HashSet<String>,
+    unknown_reported: Vec<&'g str>,
 }
 
 impl<'g, 'b> Analyzer<'g, 'b> {
     fn new(graph: &'g SamGraph, bindings: Option<&'b Bindings<'b>>) -> Self {
         let nodes = graph.nodes();
+        let mut ports = Vec::with_capacity(nodes.len() + 1);
+        let (mut inputs, mut outputs) = (0, 0);
+        for kind in nodes {
+            ports.push((inputs, outputs));
+            inputs += kind.input_ports().len() as u32;
+            outputs += kind.output_ports().len() as u32;
+        }
+        ports.push((inputs, outputs));
         Analyzer {
             graph,
             bindings,
             out: Analysis {
                 report: Report::default(),
-                node_inputs: nodes.iter().map(|k| vec![None; k.input_ports().len()]).collect(),
-                consumers: nodes.iter().map(|k| vec![Vec::new(); k.output_ports().len()]).collect(),
+                ports,
+                inputs: vec![None; inputs as usize],
+                types: vec![StreamType::Unknown; outputs as usize],
+                fanout: Vec::new(),
+                consumers: Vec::new(),
                 order: Vec::new(),
-                types: nodes.iter().map(|k| vec![StreamType::Unknown; k.output_ports().len()]).collect(),
                 skip_lanes: Vec::new(),
                 acyclic: true,
-                dims: HashMap::new(),
+                dims: Vec::new(),
             },
             poisoned: vec![false; graph.len()],
-            unknown_reported: HashSet::new(),
+            unknown_reported: Vec::new(),
         }
     }
 
@@ -251,10 +369,21 @@ impl<'g, 'b> Analyzer<'g, 'b> {
         self.graph.node_label(NodeId(node))
     }
 
+    /// The tensor a root, scanner or locator names.
+    fn tensor_of(&self, node: NodeId) -> &'g str {
+        match &self.graph.nodes()[node.0] {
+            NodeKind::Root { tensor }
+            | NodeKind::LevelScanner { tensor, .. }
+            | NodeKind::Locator { tensor, .. } => tensor,
+            _ => "",
+        }
+    }
+
     /// Support check, port resolution, fan-out, topological order and
     /// skip-lane validation.
     fn structural(&mut self) {
         let nodes = self.graph.nodes();
+        let edges = self.graph.edges();
 
         // Support check: primitives the IR carries but no backend lowers.
         for (node, kind) in nodes.iter().enumerate() {
@@ -274,14 +403,12 @@ impl<'g, 'b> Analyzer<'g, 'b> {
             );
         }
 
-        let data_edges: Vec<&Edge> =
-            self.graph.edges().iter().filter(|e| e.kind != StreamKind::Skip).collect();
-        let skip_edges: Vec<&Edge> =
-            self.graph.edges().iter().filter(|e| e.kind == StreamKind::Skip).collect();
-
         // Port binding: both named ports must exist and carry the kind, and
-        // an input port takes one edge.
-        for e in &data_edges {
+        // an input port takes one edge. Each bound edge is one consumer of
+        // its producer's port, kept in edge order.
+        let data_edges = || edges.iter().filter(|e| e.kind != StreamKind::Skip);
+        let mut bound: Vec<(u32, NodeId, usize)> = Vec::with_capacity(edges.len());
+        for e in data_edges() {
             let outs = nodes[e.from.0].output_ports();
             let ins = nodes[e.to.0].input_ports();
             let (sp, dp) = (e.src_port, e.dst_port);
@@ -292,7 +419,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                     sp,
                     format!(
                         "edge `{}` names output port {sp} of `{}`, which {}",
-                        e.label,
+                        self.graph.edge_label(e),
                         self.label(e.from.0),
                         if sp >= outs.len() {
                             "does not exist".to_string()
@@ -308,7 +435,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                     dp,
                     format!(
                         "edge `{}` names input port {dp} of `{}`, which {}",
-                        e.label,
+                        self.graph.edge_label(e),
                         self.label(e.to.0),
                         if dp >= ins.len() {
                             "does not exist".to_string()
@@ -317,7 +444,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                         }
                     ),
                 );
-            } else if self.out.node_inputs[e.to.0][dp].is_some() {
+            } else if self.out.inputs_of(e.to)[dp].is_some() {
                 self.diag_port(
                     Rule::DuplicateInput,
                     e.to.0,
@@ -325,16 +452,18 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                     format!(
                         "two edges claim input port {dp} of `{}` (second: `{}`)",
                         self.label(e.to.0),
-                        e.label
+                        self.graph.edge_label(e)
                     ),
                 );
             } else {
-                self.out.node_inputs[e.to.0][dp] = Some(PortRef { node: e.from, port: sp });
-                self.out.consumers[e.from.0][sp].push((e.to, dp));
+                let slot = self.out.input_slots(e.to).start + dp;
+                self.out.inputs[slot] = Some(PortRef { node: e.from, port: sp });
+                bound.push((self.out.output_ports(e.from).start as u32 + sp as u32, e.to, dp));
                 continue;
             }
             self.poisoned[e.to.0] = true;
         }
+        self.fill_consumers(&bound);
 
         // Dangling mandatory inputs (skip ports are optional; nodes with a
         // mis-resolved edge were already reported).
@@ -343,7 +472,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                 continue;
             }
             for (p, kind) in node.input_ports().iter().enumerate() {
-                if self.out.node_inputs[i][p].is_none() && *kind != PortKind::Skip {
+                if self.out.inputs_of(NodeId(i))[p].is_none() && *kind != PortKind::Skip {
                     self.diag_port(
                         Rule::DanglingInput,
                         i,
@@ -354,26 +483,40 @@ impl<'g, 'b> Analyzer<'g, 'b> {
             }
         }
 
-        // Kahn over the data edges; skip feedback lanes are the one legal
-        // kind of cycle.
+        // Kahn over every data edge, bound or not, each node's edges taken
+        // in edge order; skip feedback lanes are the one legal kind of
+        // cycle. The edges out of each node are one slice of `targets`.
         let n = self.graph.len();
-        let mut indegree = vec![0usize; n];
-        for e in &data_edges {
+        let mut first = vec![0u32; n + 1];
+        let mut indegree = vec![0u32; n];
+        for e in data_edges() {
+            first[e.from.0 + 1] += 1;
             indegree[e.to.0] += 1;
         }
-        let mut queue: Vec<NodeId> = (0..n).filter(|&i| indegree[i] == 0).map(NodeId).collect();
+        for u in 0..n {
+            first[u + 1] += first[u];
+        }
+        let mut targets = vec![NodeId(0); first[n] as usize];
+        for e in data_edges() {
+            targets[first[e.from.0] as usize] = e.to;
+            first[e.from.0] += 1;
+        }
+        // `first[u]` now ends node `u`'s slice, which the one before it starts.
+        let mut order = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&i| indegree[i] == 0).map(NodeId));
         let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
+        while head < order.len() {
+            let u = order[head].0;
             head += 1;
-            for e in data_edges.iter().filter(|e| e.from == u) {
-                indegree[e.to.0] -= 1;
-                if indegree[e.to.0] == 0 {
-                    queue.push(e.to);
+            let start = if u == 0 { 0 } else { first[u - 1] as usize };
+            for &to in &targets[start..first[u] as usize] {
+                indegree[to.0] -= 1;
+                if indegree[to.0] == 0 {
+                    order.push(to);
                 }
             }
         }
-        if queue.len() != n {
+        if order.len() != n {
             let stuck: Vec<String> = (0..n).filter(|&i| indegree[i] > 0).map(|i| self.label(i)).collect();
             self.out.acyclic = false;
             self.out.report.push(Diagnostic::new(
@@ -381,21 +524,47 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                 format!("the data edges form a cycle through: {}", stuck.join(", ")),
             ));
         } else {
-            self.out.order = queue;
+            self.out.order = order;
         }
 
         // Skip lanes are feedback wiring, not dataflow: excluded from port
         // binding and ordering above, validated on the resolved topology.
-        for e in &skip_edges {
+        for e in edges.iter().filter(|e| e.kind == StreamKind::Skip) {
             if let Err(reason) = self.check_skip_lane(e) {
-                self.diag(Rule::IllegalSkipEdge, e.from.0, format!("skip edge `{}`: {reason}", e.label));
+                let message = format!("skip edge `{}`: {reason}", self.graph.edge_label(e));
+                self.diag(Rule::IllegalSkipEdge, e.from.0, message);
             }
         }
     }
 
+    /// Lays out `bound`, the consumers of each bound data edge in edge order,
+    /// as the per-port consumer lists: counted per port, then placed.
+    fn fill_consumers(&mut self, bound: &[(u32, NodeId, usize)]) {
+        let ports = self.out.types.len();
+        let mut fanout = vec![0u32; ports + 1];
+        for &(port, ..) in bound {
+            fanout[port as usize + 1] += 1;
+        }
+        for p in 0..ports {
+            fanout[p + 1] += fanout[p];
+        }
+        let mut consumers = vec![(NodeId(0), 0); bound.len()];
+        // Placing advances each port's start to its end, which is where the
+        // next port starts: shifted back by one, the starts are restored.
+        for &(port, to, slot) in bound {
+            consumers[fanout[port as usize] as usize] = (to, slot);
+            fanout[port as usize] += 1;
+        }
+        fanout.copy_within(0..ports, 1);
+        fanout[0] = 0;
+        self.out.fanout = fanout;
+        self.out.consumers = consumers;
+    }
+
     /// Validates one skip feedback lane against the Section 4.2 contract:
     /// it must run from an intersecter back to the private scanner of one of
-    /// its operands. On success records it in `skip_lanes` and `consumers`.
+    /// its operands. On success records it in `skip_lanes`, and as the one
+    /// consumer of the intersecter's skip port.
     fn check_skip_lane(&mut self, e: &Edge) -> Result<(), &'static str> {
         let nodes = self.graph.nodes();
         if !matches!(nodes[e.from.0], NodeKind::Intersecter { .. }) {
@@ -432,22 +601,36 @@ impl<'g, 'b> Analyzer<'g, 'b> {
         {
             return Err("duplicate skip lane");
         }
-        self.out.consumers[e.from.0][3 + operand].push((scanner, 1));
+        // A skip port feeds no data edge, so the lane is its one consumer:
+        // inserted at the port's (empty) place, every later port moves up.
+        let port = self.out.output_ports(e.from).start + 3 + operand;
+        let at = self.out.fanout[port] as usize;
+        self.out.consumers.insert(at, (scanner, 1));
+        for end in &mut self.out.fanout[port + 1..] {
+            *end += 1;
+        }
         self.out.skip_lanes.push(SkipLane { intersecter: e.from, operand, scanner });
         Ok(())
     }
 
     /// The type flowing into `slot` of `node` (`Unknown` when unbound).
     fn in_type(&self, node: usize, slot: usize) -> StreamType {
-        match self.out.node_inputs[node][slot] {
-            Some(src) => self.out.types[src.node.0][src.port].clone(),
+        match self.out.inputs_of(NodeId(node))[slot] {
+            Some(src) => self.out.stream_type(src).copied().unwrap_or(StreamType::Unknown),
             None => StreamType::Unknown,
         }
     }
 
+    /// Sets the type of output `port` of `node`.
+    fn set_type(&mut self, node: usize, port: usize, t: StreamType) {
+        let at = self.out.output_ports(NodeId(node)).start + port;
+        self.out.types[at] = t;
+    }
+
     /// Reports an unknown tensor once per name.
-    fn unknown_tensor(&mut self, node: usize, tensor: &str) {
-        if self.unknown_reported.insert(tensor.to_string()) {
+    fn unknown_tensor(&mut self, node: usize, tensor: &'g str) {
+        if !self.unknown_reported.contains(&tensor) {
+            self.unknown_reported.push(tensor);
             self.diag(
                 Rule::UnknownTensor,
                 node,
@@ -463,19 +646,15 @@ impl<'g, 'b> Analyzer<'g, 'b> {
 
         // Writer-set rules are order-free: count the values writers even
         // when a cycle blocks inference.
-        let vals_writers: Vec<usize> = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| matches!(k, NodeKind::LevelWriter { vals: true, .. }))
-            .map(|(i, _)| i)
-            .collect();
-        if vals_writers.is_empty() {
+        let mut vals_writers =
+            (0..nodes.len()).filter(|&i| matches!(nodes[i], NodeKind::LevelWriter { vals: true, .. }));
+        if vals_writers.next().is_none() {
             self.out.report.push(Diagnostic::new(
                 Rule::MissingValsWriter,
                 "the graph writes no values stream, so it computes nothing".to_string(),
             ));
         }
-        for &extra in vals_writers.iter().skip(1) {
+        for extra in vals_writers {
             self.diag(
                 Rule::MultipleValsWriters,
                 extra,
@@ -496,31 +675,31 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                             self.unknown_tensor(id, tensor);
                         }
                     }
-                    self.out.types[id][0] = StreamType::Ref { tensor: tensor.clone(), depth: 0 };
+                    self.set_type(id, 0, StreamType::Ref { root: NodeId(id), depth: 0 });
                 }
                 NodeKind::LevelScanner { tensor, index, compressed } => {
-                    self.out.types[id][0] = StreamType::Crd { index: Some(*index) };
-                    self.out.types[id][1] = self.descend_ref(id, 0, tensor, *index, Some(*compressed));
+                    self.set_type(id, 0, StreamType::Crd { index: Some(*index) });
+                    let down = self.descend_ref(id, 0, tensor, *index, Some(*compressed));
+                    self.set_type(id, 1, down);
                 }
                 NodeKind::Locator { tensor, index } => {
-                    self.out.types[id][0] = StreamType::Crd { index: Some(*index) };
+                    self.set_type(id, 0, StreamType::Crd { index: Some(*index) });
                     let down = self.descend_ref(id, 1, tensor, *index, None);
-                    self.out.types[id][1] = match &down {
+                    let pass = match down {
                         // The passthrough ref stays at the parent depth.
-                        StreamType::Ref { tensor, depth } => {
-                            StreamType::Ref { tensor: tensor.clone(), depth: depth - 1 }
-                        }
-                        other => other.clone(),
+                        StreamType::Ref { root, depth } => StreamType::Ref { root, depth: depth - 1 },
+                        other => other,
                     };
-                    self.out.types[id][2] = down;
+                    self.set_type(id, 1, pass);
+                    self.set_type(id, 2, down);
                 }
                 NodeKind::Repeater { .. } => {
-                    self.out.types[id][0] = self.in_type(id, 1);
+                    self.set_type(id, 0, self.in_type(id, 1));
                 }
                 NodeKind::Intersecter { index } | NodeKind::Unioner { index } => {
-                    self.out.types[id][0] = StreamType::Crd { index: Some(*index) };
-                    self.out.types[id][1] = self.in_type(id, 2);
-                    self.out.types[id][2] = self.in_type(id, 3);
+                    self.set_type(id, 0, StreamType::Crd { index: Some(*index) });
+                    self.set_type(id, 1, self.in_type(id, 2));
+                    self.set_type(id, 2, self.in_type(id, 3));
                     // Intersecter skip outputs (ports 3, 4) stay Unknown.
                 }
                 NodeKind::Array { tensor } => {
@@ -542,8 +721,9 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                     // a vector kernel) and would silently read wrong
                     // positions. Untracked streams stay permissive and fail
                     // at execution if wrong.
-                    if let StreamType::Ref { tensor: t, depth } = self.in_type(id, 0) {
-                        if &t != tensor {
+                    if let StreamType::Ref { root, depth } = self.in_type(id, 0) {
+                        let t = self.tensor_of(root);
+                        if t != &**tensor {
                             self.diag(
                                 Rule::TensorMismatch,
                                 id,
@@ -569,7 +749,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                             }
                         }
                     }
-                    self.out.types[id][0] = StreamType::Val;
+                    self.set_type(id, 0, StreamType::Val);
                 }
                 NodeKind::ConstVal { tensor, .. } => {
                     if !tensor.is_empty() {
@@ -604,39 +784,39 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                             }
                         }
                     }
-                    self.out.types[id][0] = StreamType::Val;
+                    self.set_type(id, 0, StreamType::Val);
                 }
                 NodeKind::Alu { op } => {
-                    if !matches!(op.as_str(), "add" | "sub" | "mul") {
+                    if !matches!(&**op, "add" | "sub" | "mul") {
                         self.diag(
                             Rule::UnknownAluOp,
                             id,
                             format!("`{}` names unknown ALU operation `{op}`", self.label(id)),
                         );
                     }
-                    self.out.types[id][0] = StreamType::Val;
+                    self.set_type(id, 0, StreamType::Val);
                 }
                 NodeKind::Reducer { order } => {
                     match order {
-                        0 => self.out.types[id][0] = StreamType::Val,
+                        0 => self.set_type(id, 0, StreamType::Val),
                         1 => {
-                            self.out.types[id][0] = StreamType::Crd { index: None };
-                            self.out.types[id][1] = StreamType::Val;
+                            self.set_type(id, 0, StreamType::Crd { index: None });
+                            self.set_type(id, 1, StreamType::Val);
                         }
                         _ => {
-                            self.out.types[id][0] = StreamType::Crd { index: None };
-                            self.out.types[id][1] = StreamType::Crd { index: None };
-                            self.out.types[id][2] = StreamType::Val;
+                            self.set_type(id, 0, StreamType::Crd { index: None });
+                            self.set_type(id, 1, StreamType::Crd { index: None });
+                            self.set_type(id, 2, StreamType::Val);
                         }
                     };
                 }
                 NodeKind::CoordDropper { index } => {
-                    self.out.types[id][0] = StreamType::Crd { index: Some(*index) };
+                    self.set_type(id, 0, StreamType::Crd { index: Some(*index) });
                     // The inner passthrough is legitimately untracked.
-                    self.out.types[id][1] = StreamType::Unknown;
+                    self.set_type(id, 1, StreamType::Unknown);
                 }
                 NodeKind::LevelWriter { index, vals, .. } => {
-                    if !vals && !self.out.dims.contains_key(index) {
+                    if !vals && self.out.dim(*index).is_none() {
                         self.diag(
                             Rule::UnknownDimension,
                             id,
@@ -649,8 +829,8 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                     }
                 }
                 NodeKind::Parallelizer | NodeKind::Serializer | NodeKind::BitvectorConverter => {
-                    for t in &mut self.out.types[id] {
-                        *t = StreamType::Tainted;
+                    for port in self.out.output_ports(NodeId(id)) {
+                        self.out.types[port] = StreamType::Tainted;
                     }
                 }
             }
@@ -669,14 +849,17 @@ impl<'g, 'b> Analyzer<'g, 'b> {
         &mut self,
         id: usize,
         slot: usize,
-        tensor: &str,
+        tensor: &'g str,
         index: char,
         compressed: Option<bool>,
     ) -> StreamType {
         // The variable is introduced even when its size cannot be resolved.
-        self.out.dims.entry(index).or_insert(None);
+        if self.out.dim(index).is_none() {
+            self.out.dims.push((index, None));
+        }
         match self.in_type(id, slot) {
-            StreamType::Ref { tensor: t, depth } => {
+            StreamType::Ref { root, depth } => {
+                let t = self.tensor_of(root);
                 if t != tensor {
                     self.diag(
                         Rule::TensorMismatch,
@@ -726,7 +909,7 @@ impl<'g, 'b> Analyzer<'g, 'b> {
                         }
                     }
                 }
-                StreamType::Ref { tensor: tensor.to_string(), depth: depth + 1 }
+                StreamType::Ref { root, depth: depth + 1 }
             }
             StreamType::Tainted => StreamType::Tainted,
             // Crd/Val cannot arrive here (port kinds); Unknown is a
@@ -746,19 +929,19 @@ impl<'g, 'b> Analyzer<'g, 'b> {
     /// A later level of another size would send the backends coordinates
     /// beyond a dimension they allocated for, so it is an error.
     fn bind_dim(&mut self, id: usize, index: char, tensor: &str, dim: usize) {
-        match self.out.dims.get(&index) {
-            Some(Some((first, size))) if *size != dim => {
+        let Some(entry) = self.out.dims.iter().position(|(var, _)| *var == index) else { return };
+        match self.out.dims[entry].1 {
+            Some((first, size)) if size != dim => {
                 let message = format!(
                     "`{}` iterates `{index}` over a level of `{tensor}` with dimension {dim}, but \
-                     `{first}` already fixed `{index}` at dimension {size}",
-                    self.label(id)
+                     `{}` already fixed `{index}` at dimension {size}",
+                    self.label(id),
+                    self.tensor_of(first)
                 );
                 self.diag(Rule::DimensionMismatch, id, message);
             }
-            Some(Some(_)) => {}
-            _ => {
-                self.out.dims.insert(index, Some((tensor.to_string(), dim)));
-            }
+            Some(_) => {}
+            None => self.out.dims[entry].1 = Some((NodeId(id), dim)),
         }
     }
 }

@@ -33,7 +33,7 @@ pub mod analysis;
 pub mod diag;
 pub mod lints;
 
-pub use analysis::{Analysis, Bindings, PortRef, SkipLane, StreamType};
+pub use analysis::{Analysis, Bindings, Consumers, PortRef, SkipLane, StreamType};
 pub use diag::{Diagnostic, Report, Rule, Severity};
 
 use sam_core::graph::SamGraph;

@@ -287,7 +287,7 @@ fn fork_should_broadcast_fires_once() {
     // The array's value port already feeds the vals writer; three more
     // consumers push the fan-out past the fork threshold.
     for n in 0..3 {
-        let c = g.add_node(NodeKind::ConstVal { tensor: String::new(), bits: 0 });
+        let c = g.add_node(NodeKind::ConstVal { tensor: "".into(), bits: 0 });
         g.add_edge_on(NodeId(2), 0, c, 0, StreamKind::Val, format!("c{n}"));
     }
     let report = verify(&g);
