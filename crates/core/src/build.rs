@@ -207,7 +207,7 @@ impl GraphBuilder {
     /// resolved from the binding at planning time.
     pub fn scalar_source(&mut self, tensor: &str, shape: Port) -> Port {
         let tensor = self.name(tensor);
-        let node = self.graph.add_node(NodeKind::ConstVal { tensor, bits: 0 });
+        let node = self.graph.add_node(NodeKind::scalar(tensor));
         self.connect(shape, node, 0);
         Port { node, port: 0, kind: StreamKind::Val }
     }

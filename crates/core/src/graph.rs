@@ -6,6 +6,10 @@
 //! primitive composition of Table 1 is read off it, the Table 2 ablation
 //! analyzes which graphs survive removing a primitive, and graphs can be
 //! exported to Graphviz DOT (the format the paper's artifact uses).
+//!
+//! Edge names are derived when printed ([`EdgeLabel`]), tensor names are
+//! shared [`Name`]s, and a [`SamGraph`]'s clones share its body: building,
+//! planning and cloning a graph allocate per graph, not per edge.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -162,7 +166,7 @@ impl NodeKind {
     }
 
     /// A [`NodeKind::ConstVal`] over a bound single-value tensor.
-    pub fn scalar(tensor: &str) -> NodeKind {
+    pub fn scalar(tensor: impl Into<Name>) -> NodeKind {
         NodeKind::ConstVal { tensor: tensor.into(), bits: 0 }
     }
 

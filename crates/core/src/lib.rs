@@ -13,6 +13,12 @@
 //! * [`build`] — [`GraphBuilder`]: ergonomic
 //!   construction of *executable* graphs whose edges carry explicit port
 //!   annotations, the form `sam-exec` plans and runs.
+//!
+//! A graph allocates per graph, not per edge: an edge the builder wires
+//! stores no name, and [`SamGraph::edge_label`] derives one from the port it
+//! was wired to when it is printed ([`graph::EdgeLabel`]); node kinds share
+//! one [`graph::Name`] per distinct tensor name; and a graph's clones share
+//! its nodes and edges until one of them is edited.
 
 pub mod build;
 pub mod graph;

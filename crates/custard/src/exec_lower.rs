@@ -62,7 +62,7 @@ use sam_core::graph::SamGraph;
 use sam_tensor::expr::{Expr, IndexVar};
 use sam_tensor::{LevelFormat, TensorFormat};
 use std::collections::BTreeMap;
-use std::fmt::{self, Write};
+use std::fmt;
 
 /// An expression the executable lowering cannot handle (yet).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -495,23 +495,6 @@ fn build_compute(
     }
 }
 
-/// `value`'s text, in one allocation: formatted once to measure it, then
-/// into a string of that size.
-fn sized_text(value: &impl fmt::Display) -> String {
-    struct Measure(usize);
-    impl fmt::Write for Measure {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.0 += s.len();
-            Ok(())
-        }
-    }
-    let mut measure = Measure(0);
-    let _ = write!(measure, "{value}");
-    let mut text = String::with_capacity(measure.0);
-    let _ = write!(text, "{value}");
-    text
-}
-
 /// Lowers concrete index notation to an executable SAM graph.
 ///
 /// ```
@@ -590,7 +573,7 @@ pub fn lower_exec(cin: &ConcreteIndexNotation) -> Result<ExecutableKernel, Lower
     // writers; most nodes take two inputs.
     let levels: usize = accesses.iter().map(|(_, indices)| indices.len()).sum();
     let nodes = 3 * accesses.len() + 2 * levels + cin.loop_order.len() + assignment.target_indices.len() + 1;
-    let mut g = GraphBuilder::with_capacity(sized_text(assignment), nodes, 2 * nodes);
+    let mut g = GraphBuilder::with_capacity(assignment.to_string(), nodes, 2 * nodes);
     let mut cur_ref: Vec<Option<Port>> = accesses
         .iter()
         .enumerate()

@@ -93,72 +93,102 @@ pub const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
 /// what a plan reads of a bound tensor — its name, format and shape, and
 /// the value bits of a single-element tensor, since the planner bakes
 /// `ConstVal` scalars into the plan — and nothing else (not occupancy, not
-/// fiber lengths). Held flat: the names side by side in one string, and
-/// each tensor's [`signature`] words side by side in one list.
+/// fiber lengths). Held flat: every binding's name, level formats, and mode
+/// order and shape side by side in one list each.
 #[derive(Debug, Clone, Default)]
 struct BindingKeys {
     names: String,
-    words: Vec<u64>,
-    /// Per binding, where its name ends in `names` and its words in `words`.
-    ends: Vec<(usize, usize)>,
+    levels: Vec<LevelFormat>,
+    /// Each binding's mode order, then its shape.
+    dims: Vec<usize>,
+    keys: Vec<BindingKey>,
+}
+
+/// Where one binding's signature ends in [`BindingKeys`]' lists, and its
+/// scalar bits.
+#[derive(Debug, Clone, Copy)]
+struct BindingKey {
+    name: usize,
+    levels: usize,
+    mode_order: usize,
+    shape: usize,
+    scalar_bits: Option<u64>,
+}
+
+/// One binding's signature, read out of [`BindingKeys`].
+struct Signature<'a> {
+    name: &'a str,
+    levels: &'a [LevelFormat],
+    mode_order: &'a [usize],
+    shape: &'a [usize],
+    scalar_bits: Option<u64>,
+}
+
+impl Signature<'_> {
+    /// Whether `tensor` bound as `name` has this signature, compared in
+    /// place.
+    fn matches(&self, (name, tensor): (&str, &Tensor)) -> bool {
+        let format = tensor.format();
+        self.name == name
+            && self.levels == format.levels()
+            && self.mode_order == format.mode_order()
+            && self.shape == tensor.shape()
+            && self.scalar_bits == scalar_bits(tensor)
+    }
 }
 
 impl BindingKeys {
     /// The signatures of `inputs`.
     fn new(inputs: &Inputs) -> BindingKeys {
-        let (names, words) = inputs.iter().fold((0, 0), |(names, words), (name, tensor)| {
-            (names + name.len(), words + signature(tensor).count())
-        });
+        let (mut names, mut levels, mut dims) = (0, 0, 0);
+        for (name, tensor) in inputs.iter() {
+            names += name.len();
+            levels += tensor.format().levels().len();
+            dims += tensor.format().mode_order().len() + tensor.shape().len();
+        }
         let mut keys = BindingKeys {
             names: String::with_capacity(names),
-            words: Vec::with_capacity(words),
-            ends: Vec::with_capacity(inputs.len()),
+            levels: Vec::with_capacity(levels),
+            dims: Vec::with_capacity(dims),
+            keys: Vec::with_capacity(inputs.len()),
         };
         for (name, tensor) in inputs.iter() {
             keys.names.push_str(name);
-            keys.words.extend(signature(tensor));
-            keys.ends.push((keys.names.len(), keys.words.len()));
+            keys.levels.extend_from_slice(tensor.format().levels());
+            keys.dims.extend_from_slice(tensor.format().mode_order());
+            let mode_order = keys.dims.len();
+            keys.dims.extend_from_slice(tensor.shape());
+            keys.keys.push(BindingKey {
+                name: keys.names.len(),
+                levels: keys.levels.len(),
+                mode_order,
+                shape: keys.dims.len(),
+                scalar_bits: scalar_bits(tensor),
+            });
         }
         keys
     }
 
-    /// The name and signature words of the binding at position `at`.
-    fn get(&self, at: usize) -> (&str, &[u64]) {
-        let (start_name, start_words) = if at == 0 { (0, 0) } else { self.ends[at - 1] };
-        let (end_name, end_words) = self.ends[at];
-        (&self.names[start_name..end_name], &self.words[start_words..end_words])
+    /// The signature of the binding at position `at`.
+    fn get(&self, at: usize) -> Signature<'_> {
+        let key = self.keys[at];
+        let (name, levels, dims) = match at {
+            0 => (0, 0, 0),
+            _ => (self.keys[at - 1].name, self.keys[at - 1].levels, self.keys[at - 1].shape),
+        };
+        Signature {
+            name: &self.names[name..key.name],
+            levels: &self.levels[levels..key.levels],
+            mode_order: &self.dims[dims..key.mode_order],
+            shape: &self.dims[key.mode_order..key.shape],
+            scalar_bits: key.scalar_bits,
+        }
     }
 
-    /// The keys in name order.
-    fn iter(&self) -> impl Iterator<Item = (&str, &[u64])> {
-        (0..self.ends.len()).map(|at| self.get(at))
+    /// The signatures in name order.
+    fn iter(&self) -> impl Iterator<Item = Signature<'_>> {
+        (0..self.keys.len()).map(|at| self.get(at))
     }
-}
-
-/// `list`'s length, then its entries, as words.
-fn listed(list: &[usize]) -> impl Iterator<Item = u64> + '_ {
-    std::iter::once(list.len() as u64).chain(list.iter().map(|&n| n as u64))
-}
-
-/// What a plan reads of a bound tensor, as words: its level formats, its
-/// mode order and its shape, each after its length, then the value bits of
-/// a single-element tensor after a flag.
-fn signature(tensor: &Tensor) -> impl Iterator<Item = u64> + '_ {
-    let format = tensor.format();
-    let levels = format.levels().iter().map(|level| match level {
-        LevelFormat::Dense => 0,
-        LevelFormat::Compressed => 1,
-        LevelFormat::Bitvector { word_width } => 2 + (u64::from(*word_width) << 8),
-    });
-    let scalar = match scalar_bits(tensor) {
-        Some(bits) => [1, bits],
-        None => [0, 0],
-    };
-    std::iter::once(format.levels().len() as u64)
-        .chain(levels)
-        .chain(listed(format.mode_order()))
-        .chain(listed(tensor.shape()))
-        .chain(scalar)
 }
 
 /// The value bits of a tensor the planner reads as a scalar (its own test:
@@ -453,13 +483,9 @@ impl Plan {
         loop {
             return match (keys.next(), bound.next()) {
                 (None, None) => None,
-                (Some((key, words)), Some((name, tensor)))
-                    if key == name && words.iter().copied().eq(signature(tensor)) =>
-                {
-                    continue
-                }
-                (Some((key, _)), Some((name, _))) => Some(key.min(name)),
-                (Some((key, _)), None) => Some(key),
+                (Some(key), Some(bound)) if key.matches(bound) => continue,
+                (Some(key), Some((name, _))) => Some(key.name.min(name)),
+                (Some(key), None) => Some(key.name),
                 (None, Some((name, _))) => Some(name),
             };
         }
@@ -589,7 +615,7 @@ impl Plan {
 
     /// The name of the binding at position `at`.
     pub(crate) fn binding_name(&self, at: usize) -> &str {
-        self.bindings.get(at).0
+        self.bindings.get(at).name
     }
 
     /// Shape of the output tensor (one dimension per level writer).

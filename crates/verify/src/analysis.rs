@@ -148,6 +148,7 @@ pub struct Consumers<'a> {
 
 impl<'a> Consumers<'a> {
     /// Number of output ports.
+    #[inline]
     pub fn len(&self) -> usize {
         self.bounds.len() - 1
     }
@@ -162,11 +163,13 @@ impl<'a> Consumers<'a> {
     /// # Panics
     ///
     /// Panics when the node has no output port `port`.
+    #[inline]
     pub fn port(&self, port: usize) -> &'a [(NodeId, usize)] {
         &self.list[self.bounds[port] as usize..self.bounds[port + 1] as usize]
     }
 
     /// The consumers of each output port, in port order.
+    #[inline]
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [(NodeId, usize)]> + 'a {
         let list = self.list;
         self.bounds.windows(2).map(move |w| &list[w[0] as usize..w[1] as usize])
@@ -221,13 +224,17 @@ impl Analysis {
     }
 
     /// The input slots of `node` in `inputs`.
+    #[inline]
     fn input_slots(&self, node: NodeId) -> Range<usize> {
-        self.ports[node.0].0 as usize..self.ports[node.0 + 1].0 as usize
+        let bounds = &self.ports[node.0..node.0 + 2];
+        bounds[0].0 as usize..bounds[1].0 as usize
     }
 
     /// The output ports of `node` in `types` and `fanout`.
+    #[inline]
     fn output_ports(&self, node: NodeId) -> Range<usize> {
-        self.ports[node.0].1 as usize..self.ports[node.0 + 1].1 as usize
+        let bounds = &self.ports[node.0..node.0 + 2];
+        bounds[0].1 as usize..bounds[1].1 as usize
     }
 
     /// The index of output port `src` in `types` and `fanout`, if the node
@@ -265,13 +272,15 @@ impl Analysis {
 
     /// The consumers `(node, input port)` of each output port of `node`; a
     /// validated skip lane appears on the intersecter's skip port.
+    #[inline]
     pub fn consumers_of(&self, node: NodeId) -> Consumers<'_> {
         let ports = self.output_ports(node);
-        Consumers { bounds: &self.fanout[ports.start..=ports.end], list: &self.consumers }
+        Consumers { bounds: &self.fanout[ports.start..ports.end + 1], list: &self.consumers }
     }
 
     /// The producer feeding each input port of `node` (`None` for unwired
     /// optional skip ports or ports whose edge failed to resolve).
+    #[inline]
     pub fn inputs_of(&self, node: NodeId) -> &[Option<PortRef>] {
         &self.inputs[self.input_slots(node)]
     }

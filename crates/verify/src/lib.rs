@@ -22,6 +22,10 @@
 //!    should be broadcasts, and missing skip edges where `custard::lower_exec`
 //!    would have wired them (its density-skew heuristic).
 //!
+//! The framework's tables are flat (see [`analysis`]'s "Layout"): one run
+//! allocates a fixed number of times per graph, not per node or port, which
+//! is what a cold query's planning pays.
+//!
 //! The `samlint` binary (in `sam-bench`) fronts all of this on the command
 //! line; `custard::lower_exec` asserts its output verifies structurally
 //! (debug builds), and every planning door (`Plan::build`, `ExecRequest`,
