@@ -494,12 +494,17 @@ impl Plan {
     /// Whether this is the plan [`Plan::build`] makes of `graph` over
     /// `inputs`: bindings of the same signatures, and a graph of the same
     /// name, nodes and edges (its display labels aside, which no plan
-    /// reads but to name a node in an error).
+    /// reads but to name a node in an error). The plan's copy of the graph
+    /// shares its nodes and edges with the graph it was built from, which
+    /// is then the same, whoever asks again.
     pub(crate) fn plans(&self, graph: &SamGraph, inputs: &Inputs) -> bool {
+        fn same<T: PartialEq>(a: &[T], b: &[T]) -> bool {
+            std::ptr::eq(a, b) || a == b
+        }
         self.unplanned(inputs).is_none()
             && self.graph.name == graph.name
-            && self.graph.nodes() == graph.nodes()
-            && self.graph.edges() == graph.edges()
+            && same(self.graph.nodes(), graph.nodes())
+            && same(self.graph.edges(), graph.edges())
     }
 
     /// The display label of a planned node: the builder/compiler override
