@@ -38,12 +38,6 @@ impl From<&str> for Name {
     }
 }
 
-impl From<String> for Name {
-    fn from(name: String) -> Name {
-        Name(name.into())
-    }
-}
-
 impl PartialEq<str> for Name {
     fn eq(&self, other: &str) -> bool {
         *self.0 == *other

@@ -115,28 +115,6 @@ struct BindingKey {
     scalar_bits: Option<u64>,
 }
 
-/// One binding's signature, read out of [`BindingKeys`].
-struct Signature<'a> {
-    name: &'a str,
-    levels: &'a [LevelFormat],
-    mode_order: &'a [usize],
-    shape: &'a [usize],
-    scalar_bits: Option<u64>,
-}
-
-impl Signature<'_> {
-    /// Whether `tensor` bound as `name` has this signature, compared in
-    /// place.
-    fn matches(&self, (name, tensor): (&str, &Tensor)) -> bool {
-        let format = tensor.format();
-        self.name == name
-            && self.levels == format.levels()
-            && self.mode_order == format.mode_order()
-            && self.shape == tensor.shape()
-            && self.scalar_bits == scalar_bits(tensor)
-    }
-}
-
 impl BindingKeys {
     /// The signatures of `inputs`.
     fn new(inputs: &Inputs) -> BindingKeys {
@@ -169,25 +147,23 @@ impl BindingKeys {
         keys
     }
 
-    /// The signature of the binding at position `at`.
-    fn get(&self, at: usize) -> Signature<'_> {
-        let key = self.keys[at];
-        let (name, levels, dims) = match at {
-            0 => (0, 0, 0),
-            _ => (self.keys[at - 1].name, self.keys[at - 1].levels, self.keys[at - 1].shape),
-        };
-        Signature {
-            name: &self.names[name..key.name],
-            levels: &self.levels[levels..key.levels],
-            mode_order: &self.dims[dims..key.mode_order],
-            shape: &self.dims[key.mode_order..key.shape],
-            scalar_bits: key.scalar_bits,
-        }
+    /// The name of the binding at position `at`.
+    fn name(&self, at: usize) -> &str {
+        let start = at.checked_sub(1).map_or(0, |before| self.keys[before].name);
+        &self.names[start..self.keys[at].name]
     }
 
-    /// The signatures in name order.
-    fn iter(&self) -> impl Iterator<Item = Signature<'_>> {
-        (0..self.keys.len()).map(|at| self.get(at))
+    /// Whether `tensor` bound as `name` has the signature of the binding at
+    /// position `at`, compared in place.
+    fn matches(&self, at: usize, (name, tensor): (&str, &Tensor)) -> bool {
+        let key = self.keys[at];
+        let (levels, dims) = at.checked_sub(1).map_or((0, 0), |b| (self.keys[b].levels, self.keys[b].shape));
+        let format = tensor.format();
+        self.name(at) == name
+            && self.levels[levels..key.levels] == *format.levels()
+            && self.dims[dims..key.mode_order] == *format.mode_order()
+            && self.dims[key.mode_order..key.shape] == *tensor.shape()
+            && key.scalar_bits == scalar_bits(tensor)
     }
 }
 
@@ -478,14 +454,14 @@ impl Plan {
     /// The first binding, in name order, whose signature differs between
     /// `inputs` and the inputs the plan was built over.
     fn unplanned<'a>(&'a self, inputs: &'a Inputs) -> Option<&'a str> {
-        let mut keys = self.bindings.iter();
+        let mut keys = 0..self.bindings.keys.len();
         let mut bound = inputs.iter();
         loop {
             return match (keys.next(), bound.next()) {
                 (None, None) => None,
-                (Some(key), Some(bound)) if key.matches(bound) => continue,
-                (Some(key), Some((name, _))) => Some(key.name.min(name)),
-                (Some(key), None) => Some(key.name),
+                (Some(at), Some(bound)) if self.bindings.matches(at, bound) => continue,
+                (Some(at), Some((name, _))) => Some(self.bindings.name(at).min(name)),
+                (Some(at), None) => Some(self.bindings.name(at)),
                 (None, Some((name, _))) => Some(name),
             };
         }
@@ -620,7 +596,7 @@ impl Plan {
 
     /// The name of the binding at position `at`.
     pub(crate) fn binding_name(&self, at: usize) -> &str {
-        self.bindings.get(at).name
+        self.bindings.name(at)
     }
 
     /// Shape of the output tensor (one dimension per level writer).
