@@ -23,7 +23,7 @@
 //!   and max per stage, from the service telemetry.
 
 use sam_bench::{kernel_case, table1_case, table1_case_names, PROFILE_KERNELS};
-use sam_core::graph::{NodeId, NodeKind};
+use sam_core::graph::NodeKind;
 use sam_exec::{
     BackendSpec, ChromeTraceSink, CountersSink, ExecProfile, Execution, Executor, Plan, TiledBackend,
 };
@@ -138,20 +138,13 @@ fn report(name: &str, plan: &Plan, run: &Execution, profile: &ExecProfile) {
     println!("critical path {:.1}us\n", profile.critical_path_ns() as f64 / 1e3);
     let intersecters: Vec<usize> =
         (0..graph.len()).filter(|&i| matches!(graph.nodes()[i], NodeKind::Intersecter { .. })).collect();
-    // The fast walk (tiled inner runs included) tallies a fused scanner's
-    // streams instead of storing them, and a fusion region's streams
-    // unless somebody outside the region reads them (an intersecter's skip
-    // ports, 3 and 4, stay silent); the cycle backend sends them all.
-    let region = |id: NodeId| plan.region_root(id).or((!plan.region_members(id).is_empty()).then_some(id));
-    let stores_nothing = |id: NodeId| match region(id) {
-        Some(root) => {
-            plan.consumers_of(id).iter().take(3).flatten().all(|&(r, _)| plan.region_root(r) == Some(root))
-        }
-        None => plan.fused_scan(id).is_some(),
-    };
+    // The fast walk (tiled inner runs included) stores no stream of a fused
+    // scanner, nor of a fusion-region node none of whose streams leave the
+    // region: the plan decides which (`Plan::stores_streams`). The cycle
+    // backend sends them all.
     let fused: Vec<usize> = match run.backend {
         "cycle" => Vec::new(),
-        _ => plan.order().iter().copied().filter(|&id| stores_nothing(id)).map(|id| id.0).collect(),
+        _ => plan.order().iter().filter(|&&id| !plan.stores_streams(id)).map(|id| id.0).collect(),
     };
     print!("{}", profile.stall_table(&intersecters, &fused));
     // The critical-path node: the longest-lived one.

@@ -7,7 +7,7 @@
 //! ([`Plan::check_inputs`](crate::Plan::check_inputs)), so the position a
 //! node carries is the same tensor on every backend and in every tile tuple.
 
-use sam_tensor::{CooTensor, Tensor, TensorFormat};
+use sam_tensor::{CooTensor, DenseLevel, Level, Tensor, TensorFormat};
 use std::sync::Arc;
 
 /// The named tensors a graph executes over.
@@ -60,12 +60,13 @@ impl Inputs {
         self.tensor(Tensor::from_coo(name, coo, format))
     }
 
-    /// Binds a zero-index scalar operand (a `ConstVal` source's tensor) as
-    /// the single-value tensor the planner's scalar validation expects: a
-    /// 1-element dense vector holding `value`.
+    /// Binds a zero-index scalar operand (a `ConstVal` source's tensor) as the
+    /// 1-element dense vector [`Inputs::coo`] builds of it, which sums `value`
+    /// from `0.0` (so `-0.0` binds as `0.0`): the planner's scalar.
     pub fn scalar(self, name: &str, value: f64) -> Self {
-        let coo = CooTensor::from_entries(vec![1], vec![(vec![0], value)]).expect("1-element scalar");
-        self.coo(name, &coo, TensorFormat::dense_vec())
+        let (shape, format, level) =
+            (vec![1], TensorFormat::dense_vec(), Level::Dense(DenseLevel::new(1, 1)));
+        self.tensor(Tensor::from_parts(name, shape, format, vec![level], vec![0.0 + value]))
     }
 
     /// The tensor bound to `name`, if any.
@@ -131,6 +132,23 @@ mod tests {
         assert_eq!(names, ["a", "b", "c"]);
         assert_eq!((inputs.position("b"), inputs.position("bb")), (Ok(1), Err(2)));
         assert_eq!(inputs.at(2).name(), "c");
+        Ok(())
+    }
+
+    #[test]
+    fn a_scalar_binds_as_its_one_entry_coo_does() -> Result<(), Box<dyn std::error::Error>> {
+        for value in [0.0, -0.0, 1.5, f64::NEG_INFINITY, f64::NAN, f64::MIN_POSITIVE / 2.0] {
+            let coo = CooTensor::from_entries(vec![1], vec![(vec![0], value)])?;
+            let want = Tensor::from_coo("alpha", &coo, TensorFormat::dense_vec());
+            let inputs = Inputs::new().scalar("alpha", value);
+            let got = inputs.get("alpha").ok_or("bound")?;
+            assert_eq!(got.name(), want.name(), "{value}");
+            assert_eq!(got.shape(), want.shape(), "{value}");
+            assert_eq!(got.format(), want.format(), "{value}");
+            assert_eq!(got.levels(), want.levels(), "{value}");
+            let bits = |t: &Tensor| t.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want), "{value}");
+        }
         Ok(())
     }
 }

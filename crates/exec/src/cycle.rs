@@ -20,7 +20,6 @@ use sam_sim::{ChannelId, SimulationError, Simulator};
 use sam_tensor::level::Level;
 use sam_tensor::Tensor;
 use sam_trace::{TokenCounts, TraceSink};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -66,11 +65,11 @@ impl Executor for CycleBackend {
         let tracing = trace.enabled();
         let n = plan.graph().len();
         let mut sim = Simulator::new();
-        // Base channel per (node, output port), plus the channel each
-        // consumer input port reads (identical to the base channel unless a
-        // fork was planned for the port).
-        let mut input_ch: HashMap<(usize, usize), ChannelId> = HashMap::new();
-        let mut out_ch: Vec<Vec<ChannelId>> = vec![Vec::new(); n];
+        // By the plan's port numbering: each output port's base channel, and
+        // the channel each input slot reads (the base channel unless a fork
+        // was planned for the port; every slot a block reads is fed).
+        let mut out_ch = vec![ChannelId(usize::MAX); plan.readers().len()];
+        let mut input_ch = vec![ChannelId(usize::MAX); plan.analysis().slot_count()];
         // Per output level, the sink of the writer that writes it.
         let mut level_sinks: Vec<Option<LevelWriterSink>> = vec![None; plan.level_writers().len()];
         let mut vals_sink: Option<ValWriterSink> = None;
@@ -91,12 +90,15 @@ impl Executor for CycleBackend {
         // Skip feedback lanes make this necessary: the scanner's skip input
         // is fed by the *downstream* intersecter, so its channel must exist
         // before the scanner block is constructed.
+        let slot_of = |&(to, slot): &(NodeId, usize)| plan.analysis().input_slots(to).start + slot;
         for &id in plan.order() {
             let label = block_name(id);
-            for (port, consumers) in plan.consumers_of(id).iter().enumerate() {
-                // Intersecter output ports 3 and 4 feed operand scanners'
-                // skip inputs; their tokens land in the `skip` bucket.
-                let is_skip = matches!(plan.node(id).op, Op::Merge(_)) && port >= 3;
+            for ((port, consumers), at) in
+                plan.consumers_of(id).iter().enumerate().zip(plan.analysis().output_ports(id))
+            {
+                // A port read, but by no data reader, feeds a scanner's skip
+                // input; its tokens land in the `skip` bucket.
+                let is_skip = !consumers.is_empty() && plan.readers()[at] == 0;
                 let mut track = |sim: &mut Simulator, ch: ChannelId| {
                     if tracing {
                         sim.record(ch);
@@ -105,16 +107,15 @@ impl Executor for CycleBackend {
                 };
                 let base = sim.add_channel(format!("{label}.out{port}"));
                 track(&mut sim, base);
-                out_ch[id.0].push(base);
-                if consumers.len() == 1 {
-                    let (to, slot) = consumers[0];
-                    input_ch.insert((to.0, slot), base);
+                out_ch[at] = base;
+                if let [consumer] = consumers {
+                    input_ch[slot_of(consumer)] = base;
                 } else if consumers.len() > 1 {
                     let mut lanes = Vec::with_capacity(consumers.len());
-                    for (lane, &(to, slot)) in consumers.iter().enumerate() {
+                    for (lane, consumer) in consumers.iter().enumerate() {
                         let ch = sim.add_channel(format!("{label}.out{port}.fork{lane}"));
                         track(&mut sim, ch);
-                        input_ch.insert((to.0, slot), ch);
+                        input_ch[slot_of(consumer)] = ch;
                         lanes.push(ch);
                     }
                     sim.add_block(Box::new(Fork::new(format!("{label}.fork{port}"), base, lanes)));
@@ -128,8 +129,8 @@ impl Executor for CycleBackend {
         let mut node_block: Vec<Option<usize>> = vec![None; n];
         for &id in plan.order() {
             let label = block_name(id);
-            let slot = |s: usize| input_ch[&(id.0, s)];
-            let out = &out_ch[id.0];
+            let slot = |s: usize| input_ch[plan.analysis().input_slots(id).start + s];
+            let out = &out_ch[plan.analysis().output_ports(id)];
             let next_block = sim.num_blocks();
             match plan.node(id).op {
                 Op::Merge(Merger { union: false, operands, .. }) => {
@@ -159,13 +160,13 @@ impl Executor for CycleBackend {
                 Op::Transfer(Transfer::Root) => {
                     sim.preload(out[0], root_stream());
                 }
-                Op::Transfer(Transfer::Scan { tensor, level, .. }) => {
+                Op::Transfer(Transfer::Scan { tensor, level, fused, .. }) => {
                     let level = BoundLevel(inputs.at(tensor).clone(), level);
                     let mut block = LevelScanner::new(label, level, slot(0), out[0], out[1]);
                     // A planned skip lane targets the scanner's skip input
                     // (port 1), fed by the downstream intersecter.
-                    if let Some(&skip) = input_ch.get(&(id.0, 1)) {
-                        block = block.with_skip(skip);
+                    if fused.is_some_and(|f| f.skip_lane) {
+                        block = block.with_skip(slot(1));
                     }
                     sim.add_block(Box::new(block));
                 }

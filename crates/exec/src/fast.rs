@@ -1,97 +1,77 @@
 //! The fast functional backend: evaluates the planned graph without
-//! per-cycle simulation, one node at a time on the calling thread.
+//! per-cycle simulation, applying each node's *transfer function* (the
+//! crate-internal `node` module) to its token streams in one walk over the
+//! plan's topological order, on the calling thread: no scheduler, no
+//! channels, no synchronization. The walk dispatches on each node's plan
+//! record and reads each tensor at the binding position the record names.
 //!
-//! Where the cycle-approximate backend ticks every block once per simulated
-//! cycle, this backend applies each node's *transfer function* (the
-//! crate-internal `node` module) directly to its token streams, in one walk
-//! over the plan's topological order. No scheduler, no channels, no
-//! synchronization. The walk dispatches on each node's plan record: a
-//! merger runs its merge walk, any other node its transfer function, over
-//! the tensors the record names by binding position.
+//! **Fused scanners and regions.** A level scanner whose two streams feed one
+//! operand of one intersecter and nothing else
+//! ([`FusedScan`](crate::FusedScan)) is never evaluated: the intersecter
+//! reads the scanner's reference input itself. Every intersecter and unioner
+//! runs one merge walk. It reads each operand a fiber at a time — a fused
+//! scanner's reference stream one item per reference, with the stop that
+//! closes it (`sam_primitives::rule::scan`), or stored `(crd, ref)` streams
+//! cut at their stops — and merges each fiber pair whole by the cycle
+//! mergers' rule, `sam_primitives::rule::merge`, straight over the levels'
+//! coordinate arrays where both operands are fused over `Compressed` or
+//! `Dense` levels. The intersecter gallops the trailing side, so its walk
+//! costs the short side; where one side of two fused `Compressed` operands
+//! re-delivers one fiber of 32 or more entries pair after pair (a repeater
+//! upstream of its scanner), it indexes that fiber once and probes it with
+//! each fiber of the other side. Each position the walk pushes — a match's
+//! coordinate and two references, or one stop or done on all three — goes to
+//! the merger's fusion region ([`Plan::region_members`]; memberless for a
+//! unioner), which buffers a block of positions and runs each member's token
+//! rule over it in topological order (`sam_primitives::rule`, the one its
+//! cycle block and its stored loop call).
 //!
-//! **Stored only if it leaves the region.** A level scanner whose two
-//! streams feed one operand of one intersecter and nothing else
-//! ([`FusedScan`]) is never evaluated: the intersecter reads the scanner's
-//! reference input itself. Every intersecter and unioner runs one merge
-//! walk: each operand is read a fiber at a time — a fused scanner's
-//! reference stream one item per reference, carrying the stop that closes
-//! it (the cycle scanner's rule, `sam_primitives::rule::scan`), or stored
-//! `(crd, ref)` streams cut at their stops — and each fiber pair is merged
-//! whole by the cycle mergers' rule, `sam_primitives::rule::merge`,
-//! straight over the levels' coordinate arrays where both operands are
-//! fused over `Compressed` or `Dense` levels. The intersecter gallops the
-//! trailing side, so its walk costs the short side. Where one side of two
-//! fused `Compressed` operands re-delivers the same fiber pair after pair
-//! (a repeater upstream of its scanner) and that fiber holds at least 32
-//! entries, the intersecter locates instead: it indexes the fiber's
-//! coordinates once and probes the index with each fiber of the other side,
-//! pushing the same matches.
-//!
-//! Downstream, the arrays, ALUs, constants, repeaters and scalar reducers
-//! that only an intersecter and each other read form its fusion region
-//! ([`Plan::region_members`]). Each position the walk pushes — a match's
-//! coordinate and two references, or one stop or done on all three — goes
-//! to the merger's region (memberless for a unioner): the region buffers
-//! a block of positions and runs each member's token rule
-//! (`sam_primitives::rule`, the one its cycle block calls) over it in
-//! topological order, the same rules the stored transfer functions loop
-//! over. A stream is stored only if somebody outside the
-//! region reads it; the members are skipped when the walk reaches them.
-//!
-//! Tokens are counted *where they are produced or skipped*: a stored
-//! stream by its length when its producer finishes, a region's stream by
-//! the count the region keeps, a fused scanner by the tally its reader
-//! keeps — a fiber of `n` entries is `n` coordinate and `n` reference
-//! tokens, walked or not — credited to the producing node's id, so
-//! `Execution::tokens` and the per-node [`TokenCounts`] are what they would
-//! be had every stream been stored: they count what the SAM graph moves,
-//! not what the host touched — the same ones the cycle backend produces.
-//! (The exception is a scanner with a Section 4.2 skip lane, which reports
-//! nothing: how many tokens the lane saves the cycle-level scanner depends
-//! on when the skip requests arrive.) A fused scanner's and a region
+//! Tokens are counted *where they are produced or skipped*: a stored stream
+//! by its length, a region's stream by the count the region keeps, a fused
+//! scanner by its reader's tally (a fiber of `n` entries is `n` coordinate
+//! and `n` reference tokens, walked or not), each credited to the producing
+//! node. So `Execution::tokens` and the per-node [`TokenCounts`] are the
+//! cycle backend's: what the SAM graph moves, not what the host touched. A
+//! scanner with a Section 4.2 skip lane reports nothing (what the lane saves
+//! depends on when the skip requests arrive). A fused scanner's and a region
 //! member's time is part of its intersecter's.
 //!
-//! **Released at the last reader.** The walk keeps a table of stored streams
-//! (`StreamTable`) and releases each one the moment its last data reader
-//! has run; ports nobody reads are released as soon as they are counted. A
-//! released stream's buffer is not freed: emptied, it goes to the spare
-//! buffers of the walk's workspace, and the next stream stored — a port,
-//! a region's stored port or its register file — takes it instead of
-//! allocating. A buffer the walk does allocate starts with room for a small
-//! kernel's stream, so it does not grow by doubling from four tokens, and a
-//! region's register file starts a few positions wide and doubles after
-//! each full block, so a short walk fills no more of it than it uses. Peak
-//! memory is the live set plus the spare buffers a later stream reuses, not
-//! the sum of all streams. The writers' arrays are
-//! spares too: a walk returns its levels and values, and a caller that is
-//! done with them — the tiled backend, once it has merged a tuple's output
-//! — hands them back for the next walk's writers, which empty them before
-//! writing. The tiled backend keeps one workspace per run: the walk of each
-//! tile tuple starts from the buffers, stream table, writer arrays and
-//! output list the tuple before it grew.
+//! **Decided by the plan, released at the last reader.** [`Plan::build`]
+//! decides once what the walk stores: each output port's data-reader count
+//! (a skip port has none), which register each region member reads, and
+//! which of a region's ports leave it, the only region streams stored. The
+//! walk keeps one slot per output port, at the port's flat number in the
+//! plan's analysis, and each walk starts by copying the plan's counts into
+//! it. A stream is released the moment its last reader has run, a port
+//! nobody reads as soon as it is counted, so a walk that succeeds leaves
+//! every slot empty and every count spent. A released buffer is not freed:
+//! emptied, it goes to the workspace's spares, and the next stream stored —
+//! a port, a region's stored port or its register file — takes it instead of
+//! allocating. A buffer the walk allocates starts with room for a small
+//! kernel's stream, and a region's register file starts a few positions wide
+//! and doubles after each full block. Peak memory is the live set plus the
+//! spares, not the sum of all streams. The writers' arrays are spares too: a
+//! caller done with a walk's levels and values (the tiled backend, once it
+//! has merged a tuple's output) hands them back for the next walk's writers.
+//! The tiled backend keeps one workspace per run, so each tuple's walk starts
+//! from what the tuple before it grew.
 //!
 //! **Kept by the instance.** A [`FastBackend`] keeps the workspace of its
-//! last run for the next one, so a second run of a plan stores its streams
-//! in the buffers the first one grew: what it allocates is its output. What
-//! it keeps is bounded by what that last run used: the spare buffers the
-//! run took (one it never took is dropped), each trimmed to twice the
-//! longest stream the run stored in it, or to the room a fresh buffer
-//! starts with if that is more. A failed run keeps nothing. The
-//! workspace sits behind a lock that a run only tries: a run that finds it
-//! taken, by another thread running the same instance, walks a fresh
-//! workspace rather than wait. [`BackendSpec::build`](crate::BackendSpec::build) makes a
-//! fresh instance, so a one-shot [`ExecRequest`](crate::ExecRequest)
-//! allocates as it always did; a caller that runs many plans keeps one
-//! instance and hands it to [`ExecRequest::executor`](crate::ExecRequest::executor).
+//! last run, so a second run of a plan stores its streams in the buffers the
+//! first one grew and allocates only its output. It keeps only what that run
+//! used: the spares it took, each trimmed to twice the longest stream it held
+//! or to a fresh buffer's room if that is more; a failed run keeps nothing.
+//! A run that finds the workspace held by another thread walks a fresh one
+//! rather than wait. [`BackendSpec::build`](crate::BackendSpec::build) makes
+//! a fresh instance; a caller that runs many plans keeps one and hands it to
+//! [`ExecRequest::executor`](crate::ExecRequest::executor).
 //!
-//! **Named once, on failure.** A transfer function reports a fault without
-//! naming its node; the walk attaches [`Plan::node_label`] when it turns
-//! the fault into an [`ExecError`], so every error spells a node the same
-//! way and an untraced run that succeeds formats no label at all. A fault
-//! inside a fusion region re-runs the intersecter without its members and
-//! sends them to their own places in the order, so the run fails
-//! where, and naming the node that, the stored walk would. A traced run
-//! formats each label once, up front, however many tiles re-run the walk.
+//! **Named once, on failure.** The walk attaches [`Plan::node_label`] when it
+//! turns a transfer function's fault into an [`ExecError`], so an untraced
+//! run that succeeds formats no label. A fault inside a fusion region re-runs
+//! the intersecter without its members, which then run in their own places,
+//! so the run fails where, and naming the node that, the stored walk would. A
+//! traced run formats each label once, however many tiles re-run the walk.
 //!
 //! ```
 //! use custard::graphs;
@@ -115,7 +95,7 @@ use crate::error::ExecError;
 use crate::node::{
     eval_node, run_merge, FiberReader, Operand, Region, RegionPort, SliceSource, Step, StoredReader,
 };
-use crate::plan::{FusedOperand, FusedScan, Merger, Op, Plan, PortRef, Transfer};
+use crate::plan::{FusedOperand, Member, Merger, Op, Plan, Transfer};
 use crate::{assemble_output, Execution, Executor};
 use sam_core::graph::NodeId;
 use sam_primitives::rule::{self, LevelWrite, Reduce, ValWrite};
@@ -123,6 +103,7 @@ use sam_sim::{Fault, SimToken};
 use sam_tensor::level::CompressedLevel;
 use sam_trace::{TokenCounts, TraceSink};
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Mutex, TryLockError};
 use std::time::Instant;
 
@@ -154,7 +135,12 @@ impl Workspace {
         for stream in self.outs.drain(..) {
             self.spares.give(stream);
         }
-        self.streams.reset(plan, &mut self.spares);
+        // One slot per output port, holding the plan's reader count.
+        for stream in self.streams.slots.drain(..).filter_map(|slot| slot.stream) {
+            self.spares.give(stream);
+        }
+        let readers = plan.readers().iter().map(|&readers| Slot { stream: None, readers });
+        self.streams.slots.extend(readers);
         for level in self.written.drain(..).flatten() {
             self.spares.give_level(level);
         }
@@ -178,6 +164,12 @@ impl Workspace {
             let longest = held.iter().find(|(at, _)| *at == stream.as_ptr() as usize).map_or(0, |h| h.1);
             stream.shrink_to((2 * longest).max(FRESH));
         }
+    }
+
+    /// Whether every data reader of the last walk has run and every stream
+    /// it stored has gone back: what a walk that succeeded leaves.
+    pub(crate) fn drained(&self) -> bool {
+        self.streams.slots.iter().all(|slot| slot.stream.is_none() && slot.readers == 0)
     }
 
     /// Keeps the arrays of a walk's output, once its caller has read them,
@@ -212,8 +204,8 @@ pub(crate) struct Spares {
     /// Values writers' arrays.
     vals: Vec<Vec<f64>>,
     /// A fusion region's step list and its members' port list, empty.
-    steps: Vec<Step<'static>>,
-    ports: Vec<RegionPort>,
+    pub(crate) steps: Vec<Step<'static>>,
+    pub(crate) ports: Vec<RegionPort>,
 }
 
 /// A stream buffer the walk allocates has room for this many tokens (4 KB):
@@ -255,16 +247,6 @@ impl Spares {
         ValWrite::reusing(self.vals.pop().unwrap_or_default())
     }
 
-    /// The empty step and port lists a fusion region fills.
-    pub(crate) fn take_region_lists(&mut self) -> (Vec<Step<'static>>, Vec<RegionPort>) {
-        (std::mem::take(&mut self.steps), std::mem::take(&mut self.ports))
-    }
-
-    /// Keeps a region's emptied step list for the next region.
-    pub(crate) fn give_steps(&mut self, steps: Vec<Step<'static>>) {
-        self.steps = steps;
-    }
-
     /// Keeps a written level's arrays for a later level writer.
     fn give_level(&mut self, level: CompressedLevel) {
         self.crd.push(level.crd);
@@ -279,37 +261,19 @@ struct Slot {
     readers: usize,
 }
 
-/// The table of stored streams, per node and output port.
+/// The table of stored streams: one slot per output port of the plan, at
+/// the port's flat number ([`sam_verify::Analysis::output_ports`]).
 #[derive(Default)]
 struct StreamTable {
-    slots: Vec<Vec<Slot>>,
+    slots: Vec<Slot>,
 }
 
 impl StreamTable {
-    /// Empties the table, handing any stream a failed walk left in it to
-    /// `spares`, and sizes it for `plan` in place, with every port's data
-    /// readers counted from [`Plan::consumers_of`]. An intersecter's skip
-    /// ports (3 and 4) stay silent in the fast backend, so the scanners'
-    /// skip inputs they feed are not readers.
-    fn reset(&mut self, plan: &Plan, spares: &mut Spares) {
-        for stream in self.slots.iter_mut().flatten().filter_map(|slot| slot.stream.take()) {
-            spares.give(stream);
-        }
-        self.slots.resize_with(plan.graph().len(), Vec::new);
-        for (node, slots) in self.slots.iter_mut().enumerate() {
-            let skip_from = if let Op::Merge(_) = plan.node(NodeId(node)).op { 3 } else { usize::MAX };
-            slots.clear();
-            slots.extend(plan.consumers_of(NodeId(node)).iter().enumerate().map(|(port, consumers)| Slot {
-                stream: None,
-                readers: if port < skip_from { consumers.len() } else { 0 },
-            }));
-        }
-    }
-
-    /// Takes ownership of `node`'s freshly produced streams, keeping the
-    /// ports somebody will read and handing the rest to `spares` at once.
-    fn store(&mut self, node: NodeId, outs: impl IntoIterator<Item = Stream>, spares: &mut Spares) {
-        for (slot, stream) in self.slots[node.0].iter_mut().zip(outs) {
+    /// Takes ownership of the freshly produced streams of output `ports`,
+    /// keeping the ports somebody will read and handing the rest to
+    /// `spares` at once.
+    fn store(&mut self, ports: Range<usize>, outs: impl IntoIterator<Item = Stream>, spares: &mut Spares) {
+        for (slot, stream) in self.slots[ports].iter_mut().zip(outs) {
             if slot.readers > 0 {
                 slot.stream = Some(stream);
             } else {
@@ -318,16 +282,23 @@ impl StreamTable {
         }
     }
 
-    /// The stored stream behind `p`. Topological order guarantees the
+    /// The stored stream of output `port`. Topological order guarantees the
     /// producer ran; the reader count guarantees it is still held.
-    fn get(&self, p: PortRef) -> &Stream {
-        self.slots[p.node.0][p.port].stream.as_ref().expect("stream stored until its last reader has run")
+    fn get(&self, port: usize) -> &Stream {
+        self.slots[port].stream.as_ref().expect("stream stored until its last reader has run")
     }
 
-    /// Records that one data reader of `p` has run; the last one hands its
-    /// stream to `spares`.
-    fn release(&mut self, p: PortRef, spares: &mut Spares) {
-        let slot = &mut self.slots[p.node.0][p.port];
+    /// Records that `node` has run, one data reader of each of its inputs.
+    fn release_inputs(&mut self, plan: &Plan, node: NodeId, spares: &mut Spares) {
+        for &p in plan.inputs_of(node).iter().flatten() {
+            self.release(plan.analysis().port(p), spares);
+        }
+    }
+
+    /// Records that one data reader of output `port` has run; the last one
+    /// hands its stream to `spares`.
+    fn release(&mut self, port: usize, spares: &mut Spares) {
+        let slot = &mut self.slots[port];
         slot.readers -= 1;
         if slot.readers == 0 {
             spares.give(slot.stream.take().unwrap_or_default());
@@ -358,50 +329,6 @@ pub(crate) fn define_nodes(plan: &Plan, trace: &dyn TraceSink) -> Vec<String> {
     labels
 }
 
-/// Merger `root`'s fusion region with `members` (none when the root re-runs
-/// after its region faulted), ready for its walk: one step per member,
-/// reading the registers its inputs' producers write, its buffers taken
-/// from `spares`.
-fn region<'a>(
-    plan: &Plan,
-    inputs: &'a Inputs,
-    streams: &'a StreamTable,
-    spares: &mut Spares,
-    root: NodeId,
-    members: &[NodeId],
-    classify: bool,
-) -> Region<'a> {
-    // Whether anybody outside the region reads output `p`.
-    let leaves =
-        |p: PortRef| plan.consumers_of(p.node)[p.port].iter().any(|(reader, _)| !members.contains(reader));
-    let reg = |p: Option<PortRef>| match p {
-        Some(p) if p.node == root => p.port,
-        Some(p) => 3 + members.iter().position(|&m| m == p.node).unwrap_or_default(),
-        None => 0,
-    };
-    let mut region =
-        Region::new([0, 1, 2].map(|port| leaves(PortRef { node: root, port })), classify, spares);
-    for &id in members {
-        let ins = plan.inputs_of(id);
-        let step = match plan.node(id).op {
-            Op::Transfer(Transfer::Array { tensor }) => {
-                Step::Array { vals: inputs.at(tensor).vals(), input: reg(ins[0]) }
-            }
-            Op::Transfer(Transfer::Const { value }) => Step::Const { value, input: reg(ins[0]) },
-            Op::Transfer(Transfer::Alu { op }) => Step::Alu { op, a: reg(ins[0]), b: reg(ins[1]) },
-            Op::Transfer(Transfer::Repeat) => Step::Repeat {
-                rule: rule::Repeat::default(),
-                refs: SliceSource::new(streams.get(ins[1].expect("bound data port"))),
-                crd: reg(ins[0]),
-            },
-            // The one kind left: a scalar reducer.
-            _ => Step::Reduce { reduce: Reduce::default(), input: reg(ins[0]) },
-        };
-        region.push_member(step, leaves(PortRef { node: id, port: 0 }), spares);
-    }
-    region
-}
-
 /// What a merger's walk produced.
 struct MergeRun {
     /// The tallies of the merger's fused scanners.
@@ -416,9 +343,11 @@ struct MergeRun {
     ports: Vec<RegionPort>,
 }
 
-/// Runs merger `root`, with its fusion region's `members` (all of them, or
-/// none when it re-runs after its region faulted). A fault hands every
-/// buffer the region took back to `spares`.
+/// Runs merger `root` with its fusion region: one step per member, reading
+/// the registers the plan wired it to. Unless `fused`, the region is
+/// memberless and stores all three outputs (the root re-runs so after its
+/// region faulted). A fault hands every buffer the region took back to
+/// `spares`.
 #[allow(clippy::too_many_arguments)]
 fn run_merger(
     plan: &Plan,
@@ -427,21 +356,36 @@ fn run_merger(
     spares: &mut Spares,
     root: NodeId,
     merger: &Merger,
-    members: &[NodeId],
+    fused: bool,
     classify: bool,
 ) -> Result<MergeRun, Fault> {
-    let mut region = region(plan, inputs, streams, spares, root, members, classify);
+    let mut region = Region::new(if fused { merger.leaves } else { [true; 3] }, classify, spares);
+    for &id in plan.region_members(root).iter().filter(|_| fused) {
+        let Some(Member { inputs: [a, b], leaves, .. }) = plan.node(id).member else { continue };
+        let step = match plan.node(id).op {
+            Op::Transfer(Transfer::Array { tensor }) => {
+                Step::Array { vals: inputs.at(tensor).vals(), input: a }
+            }
+            Op::Transfer(Transfer::Const { value }) => Step::Const { value, input: a },
+            Op::Transfer(Transfer::Alu { op }) => Step::Alu { op, a, b },
+            Op::Transfer(Transfer::Repeat) => {
+                Step::Repeat { rule: rule::Repeat::default(), refs: SliceSource::new(streams.get(b)), crd: a }
+            }
+            // The one kind left: a scalar reducer.
+            _ => Step::Reduce { reduce: Reduce::default(), input: a },
+        };
+        region.push_member(step, leaves, spares);
+    }
     // Each operand: a fused scanner read from its storage level, or the
     // stored streams.
-    let stream = |p: Option<PortRef>| streams.get(p.expect("bound data port"));
     let [mut a, mut b] = [0, 1].map(|o| match merger.operands[o] {
-        Some(FusedOperand { scan, tensor, level }) => Operand::Scan(FiberReader::new(
+        Some(FusedOperand { tensor, level, input, .. }) => Operand::Scan(FiberReader::new(
             inputs.at(tensor).level(level),
-            SliceSource::new(stream(plan.inputs_of(scan.scanner)[0])),
+            SliceSource::new(streams.get(input)),
         )),
         None => Operand::Stored(StoredReader::new(
-            stream(plan.inputs_of(root)[o]),
-            stream(plan.inputs_of(root)[2 + o]),
+            streams.get(merger.inputs[o]),
+            streams.get(merger.inputs[2 + o]),
         )),
     });
     let merged = if merger.union {
@@ -587,7 +531,7 @@ pub(crate) fn walk(
     for &id in plan.order() {
         let node = plan.node(id);
         let fused = matches!(node.op, Op::Transfer(Transfer::Scan { fused: Some(_), .. }));
-        if fused || node.root.is_some_and(|root| !unfused.contains(&root)) {
+        if fused || node.member.is_some_and(|member| !unfused.contains(&member.root)) {
             // Read by its intersecter, or evaluated inside its walk.
             continue;
         }
@@ -595,34 +539,22 @@ pub(crate) fn walk(
         let mut merged = None;
         match &node.op {
             Op::Merge(merger) => {
-                let members = plan.region_members(id);
-                let mut run = run_merger(plan, inputs, streams, spares, id, merger, members, tracing);
-                if run.is_err() && !members.is_empty() {
+                let fused = !plan.region_members(id).is_empty();
+                let mut run = run_merger(plan, inputs, streams, spares, id, merger, fused, tracing);
+                if run.is_err() && fused {
                     unfused.push(id);
-                    run = run_merger(plan, inputs, streams, spares, id, merger, &[], tracing);
+                    run = run_merger(plan, inputs, streams, spares, id, merger, false, tracing);
                 }
                 let mut run = run.map_err(|f| ExecError::at(f, plan.node_label(id)))?;
                 outs.extend(std::mem::take(&mut run.streams));
-                let lanes = merger.operands.iter().map(|lane| lane.map(|f| f.scan));
-                for (lane, emitted) in lanes.zip(run.emitted) {
-                    // Counted where produced or skipped, credited to the
-                    // scanner. A lane scanner keeps reporting nothing.
-                    if let (Some(FusedScan { scanner, skip_lane: false, .. }), Some(counts)) = (lane, emitted)
-                    {
-                        tokens += counts.total();
-                        if tracing {
-                            trace.record_tokens(scanner.0, counts);
-                        }
-                    }
-                }
                 merged = Some((run, merger));
             }
             Op::Transfer(op) => {
-                outs.extend((0..plan.consumers_of(id).len()).map(|_| spares.take()));
+                outs.extend(plan.analysis().output_ports(id).map(|_| spares.take()));
                 let mut srcs = [(); MAX_INPUTS].map(|()| SliceSource::new(&[]));
                 let mut read = 0;
                 for (src, &p) in srcs.iter_mut().zip(plan.inputs_of(id).iter().flatten()) {
-                    *src = SliceSource::new(streams.get(p));
+                    *src = SliceSource::new(streams.get(plan.analysis().port(p)));
                     read += 1;
                 }
                 eval_node(op, inputs, &mut srcs[..read], outs, spares, written, &mut vals_result)
@@ -639,16 +571,23 @@ pub(crate) fn walk(
         }
         tokens +=
             merged.as_ref().map_or_else(|| outs.iter().map(|s| s.len() as u64).sum(), |(run, _)| run.root.0);
-        streams.store(id, outs.drain(..), spares);
+        streams.store(plan.analysis().output_ports(id), outs.drain(..), spares);
         // This node was one reader of each of its inputs; an operand
         // with a fused scanner read the scanner's input in its place
         // (the scanner's own streams were never stored).
-        for &p in plan.inputs_of(id).iter().flatten() {
-            streams.release(p, spares);
-        }
-        if let Some((MergeRun { mut ports, .. }, merger)) = merged {
-            for lane in merger.operands.iter().flatten() {
-                streams.release(plan.inputs_of(lane.scan.scanner)[0].expect("bound data port"), spares);
+        streams.release_inputs(plan, id, spares);
+        if let Some((MergeRun { mut ports, emitted, .. }, merger)) = merged {
+            for (lane, emitted) in merger.operands.iter().zip(emitted) {
+                let (Some(lane), Some(emitted)) = (lane, emitted) else { continue };
+                streams.release(lane.input, spares);
+                // Counted where produced or skipped, credited to the
+                // scanner. A lane scanner keeps reporting nothing.
+                if !lane.scan.skip_lane {
+                    tokens += emitted.total();
+                    if tracing {
+                        trace.record_tokens(lane.scan.scanner.0, emitted);
+                    }
+                }
             }
             // A region member: tallied, stored if read outside the region,
             // and one reader of each of its inputs (an internal one was
@@ -658,10 +597,8 @@ pub(crate) fn walk(
                 if tracing {
                     trace.record_tokens(member.0, port.tally);
                 }
-                streams.store(member, port.stored, spares);
-                for &p in plan.inputs_of(member).iter().flatten() {
-                    streams.release(p, spares);
-                }
+                streams.store(plan.analysis().output_ports(member), port.stored, spares);
+                streams.release_inputs(plan, member, spares);
             }
             spares.ports = ports;
         }
@@ -675,6 +612,7 @@ pub(crate) fn walk(
     }
     let vals = vals_result
         .ok_or_else(|| ExecError::IncompleteOutput { label: plan.node_label(plan.vals_writer()) })?;
+    debug_assert!(ws.drained(), "a walk that succeeds releases every stream it stored");
     Ok(Written { levels, vals, tokens })
 }
 
@@ -709,18 +647,20 @@ mod tests {
             .iter()
             .find(|id| matches!(graph.nodes()[id.0], NodeKind::LevelScanner { .. }))
             .expect("spmv scans B");
-        let (crd, rf) = (PortRef { node: scanner, port: 0 }, PortRef { node: scanner, port: 1 });
+        let (crd, rf) =
+            (plan.analysis().output_ports(scanner).start, plan.analysis().output_ports(scanner).start + 1);
         assert_eq!(plan.consumers_of(scanner)[0].len(), 2);
 
         let Workspace { spares, streams, .. } = &mut workspace_for(&plan);
-        streams.store(scanner, [vec![tok::crd(1), tok::done()], vec![tok::rf(0), tok::done()]], spares);
+        let ports = plan.analysis().output_ports(scanner);
+        streams.store(ports, [vec![tok::crd(1), tok::done()], vec![tok::rf(0), tok::done()]], spares);
         streams.release(rf, spares);
-        assert!(streams.slots[scanner.0][1].stream.is_none(), "sole reader ran: freed");
+        assert!(streams.slots[rf].stream.is_none(), "sole reader ran: freed");
         assert_eq!(spares.streams.len(), 1, "its buffer is spare");
         streams.release(crd, spares);
         assert_eq!(streams.get(crd).len(), 2, "one of two readers ran: still stored");
         streams.release(crd, spares);
-        assert!(streams.slots[scanner.0][0].stream.is_none(), "last reader ran: freed");
+        assert!(streams.slots[crd].stream.is_none(), "last reader ran: freed");
         assert!(spares.streams.len() == 2 && spares.streams.iter().all(Vec::is_empty), "spares are empty");
 
         // A port nobody reads is never stored: an intersecter's silent skip
@@ -732,10 +672,12 @@ mod tests {
         let plan = Plan::build(&skip, &inputs).unwrap();
         let isect = plan.skip_specs()[0].intersecter;
         let Workspace { spares, streams, .. } = &mut workspace_for(&plan);
-        streams.store(isect, vec![vec![tok::done()]; 5], spares);
-        assert!(streams.slots[isect.0][3].stream.is_none() && streams.slots[isect.0][4].stream.is_none());
-        assert!(streams.slots[isect.0][1].stream.is_some());
-        let silent = streams.slots[isect.0].iter().filter(|slot| slot.readers == 0).count();
+        let ports = plan.analysis().output_ports(isect);
+        streams.store(ports.clone(), vec![vec![tok::done()]; 5], spares);
+        let isect = &streams.slots[ports];
+        assert!(isect[3].stream.is_none() && isect[4].stream.is_none());
+        assert!(isect[1].stream.is_some());
+        let silent = isect.iter().filter(|slot| slot.readers == 0).count();
         assert_eq!(spares.streams.len(), silent, "a port nobody reads is spare at once");
     }
 
@@ -799,6 +741,7 @@ mod tests {
         let sink = CountersSink::new();
         let trace: &dyn TraceSink = if traced { &sink } else { &NullSink };
         let written = walk(plan, inputs, trace, &define_nodes(plan, trace), ws)?;
+        assert!(ws.drained(), "a walk that succeeded left a stream or a reader behind");
         let nodes = trace.snapshot().map(|p| p.nodes.into_iter().map(|n| n.tokens).collect());
         let seen = (written.levels.clone(), written.vals.clone(), written.tokens, nodes.unwrap_or_default());
         ws.recycle(written);
@@ -903,7 +846,7 @@ mod tests {
                 assert_eq!(kept.is_err(), k == fault, "step {step}: {kept:?}");
                 let ws = fast.kept.lock().map_err(|_| "unpoisoned")?;
                 assert_eq!(ws.spares.streams.is_empty(), k == fault, "a failed run keeps nothing");
-                assert!(ws.outs.is_empty() && ws.streams.slots.iter().flatten().all(|s| s.stream.is_none()));
+                assert!(ws.outs.is_empty() && ws.streams.slots.iter().all(|s| s.stream.is_none()));
             }
         }
         Ok(())
@@ -1006,10 +949,30 @@ mod tests {
             let mut ws = Workspace::default();
             let failed = walk_in(&faulty, &inputs, k % 2 == 1, &mut ws);
             assert!(matches!(failed, Err(ExecError::Misaligned { .. })), "{failed:?}");
-            let held = ws.streams.slots.iter().flatten().filter(|slot| slot.stream.is_some()).count();
+            let held = ws.streams.slots.iter().filter(|slot| slot.stream.is_some()).count();
             assert!(held > 0 && !ws.outs.is_empty(), "the failed walk left its streams behind");
             assert_reuse_is_invisible(&kernels, &[k, (k + 1) % kernels.len()], &mut ws)?;
         }
+        Ok(())
+    }
+
+    /// After its region faults, the root re-runs without its members and
+    /// each member runs in its own place over inputs the reader counts kept
+    /// stored: the walk fails naming the repeater, as the stored walk does,
+    /// and holds no stream that no reader is left to read.
+    #[test]
+    fn a_faulted_regions_members_rerun_over_their_stored_inputs() -> Result<(), Box<dyn Error>> {
+        let (plan, inputs) = misrepeated()?;
+        let graph = plan.graph();
+        let members = plan.order().iter().flat_map(|&root| plan.region_members(root));
+        let repeater = members
+            .copied()
+            .find(|id| matches!(graph.nodes()[id.0], NodeKind::Repeater { .. }))
+            .ok_or("a fused repeater")?;
+        let mut ws = Workspace::default();
+        let failed = walk(&plan, &inputs, &NullSink, &[], &mut ws).err();
+        assert_eq!(failed, Some(ExecError::Misaligned { label: plan.node_label(repeater) }));
+        assert!(ws.streams.slots.iter().all(|slot| slot.stream.is_none() || slot.readers > 0));
         Ok(())
     }
 

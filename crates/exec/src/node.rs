@@ -683,12 +683,11 @@ impl<'a> Region<'a> {
     /// `root_stored` and classifying every token it counts if `classify`.
     /// Its stored streams and its registers are buffers from `spares`.
     pub(crate) fn new(root_stored: [bool; 3], classify: bool, spares: &mut Spares) -> Self {
-        let (steps, outs) = spares.take_region_lists();
         let mut region = Region {
             classify,
             root: root_stored.map(|stored| RegionPort::new(stored, spares)),
-            steps: recycled(steps),
-            outs,
+            steps: recycled(std::mem::take(&mut spares.steps)),
+            outs: std::mem::take(&mut spares.ports),
             regs: Vec::new(),
             width: FIRST_BLOCK,
             filled: 0,
@@ -723,7 +722,7 @@ impl<'a> Region<'a> {
     /// go back to `spares`, and so should the port list once it is read.
     pub(crate) fn finish(self, spares: &mut Spares) -> ([RegionPort; 3], Vec<RegionPort>) {
         spares.give(self.regs);
-        spares.give_steps(recycled(self.steps));
+        spares.steps = recycled(self.steps);
         (self.root, self.outs)
     }
 

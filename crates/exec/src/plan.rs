@@ -9,14 +9,18 @@
 //! the analysis does not know:
 //!
 //! * **One record per node** — what the node does and every plan-time fact
-//!   a backend reads to run it: a merger's kind, fused operands and fusion
-//!   region; a scanner's or locator's storage level; a writer's dimension
-//!   and output level; the parsed ALU operation; the resolved constant; a
-//!   reducer's order; a region member's root. Each tensor a node reads is
-//!   named by its binding's position in name order, which
-//!   [`Plan::check_inputs`] holds every run to. The backends and the tile
-//!   schedule dispatch on the record alone: they match no `NodeKind` and
-//!   look no tensor up by name.
+//!   a backend reads to run it: a merger's kind, fused operands, the ports
+//!   feeding it and its fusion region; a scanner's or locator's storage
+//!   level; a writer's dimension and output level; the parsed ALU operation;
+//!   the resolved constant; a reducer's order; a region member's root and
+//!   wiring. Each tensor a node reads is named by its binding's position in
+//!   name order, which [`Plan::check_inputs`] holds every run to. The
+//!   backends and the tile schedule dispatch on the record alone: they match
+//!   no `NodeKind` and look no tensor up by name.
+//! * **One port table** — per output port, by the analysis' flat numbering
+//!   ([`Analysis::output_ports`]), which every backend's port tables share:
+//!   how many data readers the fast walk stores its stream for (none for a
+//!   skip port, whose scanner input the walk leaves silent).
 //! * **Scanner fusion** — every level scanner private to one operand of one
 //!   intersecter ([`Analysis::private_scanner`]) is recorded as a
 //!   [`FusedScan`]: the fast backend stores a stream only if somebody
@@ -25,14 +29,15 @@
 //!   constants, repeaters and scalar reducers fed only by it and by each
 //!   other ([`Plan::region_members`]): the fast backend evaluates them
 //!   inside the intersecter's walk, a block of its output positions at a
-//!   time, and stores only the streams that leave the region.
+//!   time, each member reading the registers the plan wired it to, and
+//!   stores only the streams the plan found leave the region.
 //! * **Channels** — the fan-out tables flattened to one [`ChannelSpec`] per
 //!   consumer port, so backends can insert stream forks (the `Fork` block of
 //!   `sam-primitives`).
 
 use crate::bind::Inputs;
 use crate::error::{ExecError, PlanError};
-use sam_core::graph::{NodeId, NodeKind, SamGraph};
+use sam_core::graph::{NodeId, NodeKind, PortKind, SamGraph};
 use sam_primitives::AluOp;
 use sam_tensor::{LevelFormat, Tensor};
 use sam_verify::{Analysis, StreamType};
@@ -205,18 +210,23 @@ pub(crate) struct Merger {
     pub(crate) union: bool,
     /// The scanner fused into each operand, if any (an intersecter's only).
     pub(crate) operands: [Option<FusedOperand>; 2],
+    /// The ports feeding its coordinate inputs, then its reference inputs.
+    pub(crate) inputs: [usize; 4],
     /// Its fusion region ([`Plan::region_members`]): where it lies in the
     /// plan's list of every region's members.
     pub(crate) members: Range<usize>,
+    /// Whether each of its three outputs is read outside its fusion region.
+    pub(crate) leaves: [bool; 3],
 }
 
 /// A level scanner fused into a merger operand, reading storage level
-/// `level` of binding `tensor`.
+/// `level` of binding `tensor` at the references port `input` carries.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FusedOperand {
     pub(crate) scan: FusedScan,
     pub(crate) tensor: usize,
     pub(crate) level: usize,
+    pub(crate) input: usize,
 }
 
 /// Every node but a merger.
@@ -247,12 +257,23 @@ pub(crate) enum Transfer {
     WriteVals,
 }
 
-/// One planned node: what it does, and the intersecter whose walk evaluates
-/// it when it is a member of a fusion region.
+/// One planned node: what it does, and how its intersecter's walk
+/// evaluates it when it is a member of a fusion region.
 #[derive(Debug, Clone)]
 pub(crate) struct Planned {
     pub(crate) op: Op,
-    pub(crate) root: Option<NodeId>,
+    pub(crate) member: Option<Member>,
+}
+
+/// A member of intersecter `root`'s fusion region.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Member {
+    pub(crate) root: NodeId,
+    /// The register each data input reads (0–2 the root's outputs, `3 + k`
+    /// the `k`-th member's), or for a repeater's references their port.
+    pub(crate) inputs: [usize; 2],
+    /// Whether its output is read outside the region.
+    pub(crate) leaves: bool,
 }
 
 /// An executable plan for one graph over one set of input bindings.
@@ -279,6 +300,8 @@ pub struct Plan {
     channels: Vec<ChannelSpec>,
     /// Per node, what it does.
     nodes: Vec<Planned>,
+    /// Per output port, how many data readers the fast walk stores it for.
+    readers: Vec<usize>,
     /// Every fusion region's members, region after region.
     members: Vec<NodeId>,
     /// The output's level writers, outermost first.
@@ -313,10 +336,15 @@ impl Plan {
 
         let fanout = |node: usize| analysis.consumers_of(NodeId(node)).iter().map(<[_]>::len).sum::<usize>();
         let mut channels = Vec::with_capacity((0..n).map(fanout).sum());
+        let mut readers = Vec::with_capacity(analysis.port_count());
         for node in (0..n).map(NodeId) {
             for (port, consumers) in analysis.consumers_of(node).iter().enumerate() {
                 let from = PortRef { node, port };
                 channels.extend(consumers.iter().map(|&(to, to_port)| ChannelSpec { from, to, to_port }));
+                // A skip port feeds a scanner's skip input, which the fast
+                // walk leaves silent: it has no data reader.
+                let skip = nodes[node.0].output_ports()[port] == PortKind::Skip;
+                readers.push(if skip { 0 } else { consumers.len() });
             }
         }
 
@@ -345,20 +373,24 @@ impl Plan {
             Some(StreamType::Ref { depth, .. }) => *depth,
             _ => 0,
         };
+        // The port feeding input `slot` of `id`, which a clean analysis binds.
+        let source = |id: NodeId, slot: usize| analysis.inputs_of(id)[slot].map_or(0, |p| analysis.port(p));
         // The scanner fused into `operand` of `intersecter`, if any.
         let fused = |intersecter: NodeId, operand: usize| {
             let scanner = analysis.private_scanner(graph, intersecter, operand)?;
             let NodeKind::LevelScanner { tensor, .. } = &nodes[scanner.0] else { return None };
             let skip_lane = analysis.skip_lanes().iter().any(|lane| lane.scanner == scanner);
             let scan = FusedScan { scanner, intersecter, operand, skip_lane };
-            Some(FusedOperand { scan, tensor: position(tensor), level: depth_into(scanner, 0) })
+            let (tensor, level, input) = (position(tensor), depth_into(scanner, 0), source(scanner, 0));
+            Some(FusedOperand { scan, tensor, level, input })
         };
         let resolve = |id: NodeId| {
             let op = match &nodes[id.0] {
                 kind @ (NodeKind::Intersecter { .. } | NodeKind::Unioner { .. }) => {
                     let union = matches!(kind, NodeKind::Unioner { .. });
                     let operands = [0, 1].map(|operand| fused(id, operand));
-                    return Op::Merge(Merger { union, operands, members: 0..0 });
+                    let inputs = [0, 1, 2, 3].map(|slot| source(id, slot));
+                    return Op::Merge(Merger { union, operands, inputs, members: 0..0, leaves: [false; 3] });
                 }
                 NodeKind::Root { .. } => Transfer::Root,
                 NodeKind::LevelScanner { tensor, index, .. } => {
@@ -407,7 +439,7 @@ impl Plan {
             Op::Transfer(op)
         };
         let mut planned: Vec<Planned> =
-            (0..n).map(|id| Planned { op: resolve(NodeId(id)), root: None }).collect();
+            (0..n).map(|id| Planned { op: resolve(NodeId(id)), member: None }).collect();
         let members = fusion_regions(&analysis, &mut planned);
         let output_shape = level_writers
             .iter()
@@ -423,6 +455,7 @@ impl Plan {
             analysis,
             channels,
             nodes: planned,
+            readers,
             members,
             level_writers,
             vals_writer,
@@ -506,6 +539,16 @@ impl Plan {
         self.analysis.consumers_of(node)
     }
 
+    /// The analysis, whose port numbering indexes the backends' tables.
+    pub(crate) fn analysis(&self) -> &Analysis {
+        &self.analysis
+    }
+
+    /// Per output port, how many data readers the fast walk stores it for.
+    pub(crate) fn readers(&self) -> &[usize] {
+        &self.readers
+    }
+
     /// Total number of planned stream forks (ports with fan-out above one).
     pub fn fork_count(&self) -> usize {
         let ports = (0..self.graph.len()).flat_map(|node| self.consumers_of(NodeId(node)).iter());
@@ -551,11 +594,15 @@ impl Plan {
         }
     }
 
-    /// The intersecter whose walk evaluates `node` on the fast backend,
-    /// when `node` is a member of its fusion region (see
-    /// [`Plan::region_members`]). The fast backend skips such a node.
-    pub fn region_root(&self, node: NodeId) -> Option<NodeId> {
-        self.nodes[node.0].root
+    /// Whether the fast backend stores any stream of `node`: not of a fused
+    /// scanner ([`FusedScan`]), nor of a fusion region's root or member
+    /// ([`Plan::region_members`]) none of whose streams leave the region.
+    pub fn stores_streams(&self, node: NodeId) -> bool {
+        match &self.nodes[node.0] {
+            Planned { member: Some(member), .. } => member.leaves,
+            Planned { op: Op::Merge(m), .. } => m.members.is_empty() || m.leaves.contains(&true),
+            Planned { op, .. } => !matches!(op, Op::Transfer(Transfer::Scan { fused: Some(_), .. })),
+        }
     }
 
     /// The fusion region of an intersecter: the nodes the fast backend
@@ -606,50 +653,55 @@ impl Plan {
 }
 
 /// Every intersecter's fusion region ([`Plan::region_members`]): each
-/// member's root, and each root's members, which are returned, region after
-/// region.
+/// member's wiring, each root's members, which are returned, region after
+/// region, and which outputs of every merger and member leave its region.
 fn fusion_regions(analysis: &Analysis, planned: &mut [Planned]) -> Vec<NodeId> {
     let order = analysis.order();
     let mut members = Vec::new();
     for (at, &root) in order.iter().enumerate() {
-        if !matches!(planned[root.0].op, Op::Merge(Merger { union: false, .. })) {
-            continue;
-        }
+        let Op::Merge(Merger { union, .. }) = planned[root.0].op else { continue };
         let before_root = &order[..at];
         let first = members.len();
-        for &id in &order[at + 1..] {
-            // An output of the root or of a non-reducer member, read by
-            // this node alone.
-            let internal = |p: &Option<PortRef>| {
-                p.is_some_and(|p| {
-                    let from_region = p.node == root
-                        || (planned[p.node.0].root == Some(root)
-                            && !matches!(planned[p.node.0].op, Op::Transfer(Transfer::Reduce { .. })));
-                    from_region && analysis.consumers_of(p.node)[p.port].len() == 1
-                })
-            };
+        for &id in order[at + 1..].iter().filter(|_| !union) {
             let inputs = analysis.inputs_of(id);
-            let member = match &planned[id.0].op {
+            // The register input `slot` reads: an output of the root or of a
+            // non-reducer member, read by this node alone (0 for no slot).
+            let register = |slot: usize| {
+                let Some(&input) = inputs.get(slot) else { return Some(0) };
+                let p = input.filter(|p| analysis.consumers_of(p.node)[p.port].len() == 1)?;
+                let reducer = matches!(planned[p.node.0].op, Op::Transfer(Transfer::Reduce { .. }));
+                let member = members[first..].iter().position(|&m| m == p.node).filter(|_| !reducer);
+                (p.node == root).then_some(p.port).or(member.map(|k| 3 + k))
+            };
+            let wiring = match &planned[id.0].op {
                 Op::Transfer(
                     Transfer::Array { .. }
                     | Transfer::Alu { .. }
                     | Transfer::Const { .. }
                     | Transfer::Reduce { order: 0 },
-                ) => inputs.iter().all(internal),
+                ) => register(0).zip(register(1)),
                 Op::Transfer(Transfer::Repeat) => {
                     let stored_before =
-                        |p: &Option<PortRef>| p.is_some_and(|p| before_root.contains(&p.node));
-                    inputs.len() == 2 && internal(&inputs[0]) && stored_before(&inputs[1])
+                        inputs.get(1).copied().flatten().filter(|p| before_root.contains(&p.node));
+                    register(0).zip(stored_before.map(|p| analysis.port(p)))
                 }
-                _ => false,
+                _ => None,
             };
-            if member {
-                planned[id.0].root = Some(root);
+            if let Some((a, b)) = wiring {
+                planned[id.0].member = Some(Member { root, inputs: [a, b], leaves: false });
                 members.push(id);
             }
         }
+        // An output leaves the region when somebody outside it reads it.
+        let region = &members[first..];
+        let leaves =
+            |node: NodeId, port| analysis.consumers_of(node)[port].iter().any(|(r, _)| !region.contains(r));
+        for &member in region {
+            planned[member.0].member.iter_mut().for_each(|m| m.leaves = leaves(member, 0));
+        }
         if let Op::Merge(merger) = &mut planned[root.0].op {
-            merger.members = first..members.len();
+            (merger.members, merger.leaves) =
+                (first..members.len(), [0, 1, 2].map(|port| leaves(root, port)));
         }
     }
     members

@@ -223,29 +223,45 @@ impl Analysis {
         a.out
     }
 
-    /// The input slots of `node` in `inputs`.
+    /// The flat numbers of `node`'s input slots: the graph's slots are
+    /// numbered node after node, from 0 to [`Analysis::slot_count`].
     #[inline]
-    fn input_slots(&self, node: NodeId) -> Range<usize> {
+    pub fn input_slots(&self, node: NodeId) -> Range<usize> {
         let bounds = &self.ports[node.0..node.0 + 2];
         bounds[0].0 as usize..bounds[1].0 as usize
     }
 
-    /// The output ports of `node` in `types` and `fanout`.
+    /// The flat numbers of `node`'s output ports, numbered likewise from 0
+    /// to [`Analysis::port_count`].
     #[inline]
-    fn output_ports(&self, node: NodeId) -> Range<usize> {
+    pub fn output_ports(&self, node: NodeId) -> Range<usize> {
         let bounds = &self.ports[node.0..node.0 + 2];
         bounds[0].1 as usize..bounds[1].1 as usize
+    }
+
+    /// The flat number of output port `src`, which must name a port of the
+    /// graph (as every bound input's producer does); [`Analysis::stream_type`]
+    /// checks a port it is not sure of.
+    #[inline]
+    pub fn port(&self, src: PortRef) -> usize {
+        self.ports[src.node.0].1 as usize + src.port
+    }
+
+    /// How many input slots the graph has.
+    pub fn slot_count(&self) -> usize {
+        self.inputs.len()
+    }
+
+    /// How many output ports the graph has.
+    pub fn port_count(&self) -> usize {
+        self.types.len()
     }
 
     /// The index of output port `src` in `types` and `fanout`, if the node
     /// and port exist.
     fn port_index(&self, src: PortRef) -> Option<usize> {
-        if src.node.0 + 1 >= self.ports.len() {
-            return None;
-        }
-        let ports = self.output_ports(src.node);
-        let at = ports.start + src.port;
-        (at < ports.end).then_some(at)
+        let ports = (src.node.0 + 1 < self.ports.len()).then(|| self.output_ports(src.node))?;
+        (src.port < ports.len()).then_some(ports.start + src.port)
     }
 
     /// The inferred stream type of the given producer port, if the node
