@@ -239,9 +239,7 @@ impl Analysis {
         bounds[0].1 as usize..bounds[1].1 as usize
     }
 
-    /// The flat number of output port `src`, which must name a port of the
-    /// graph (as every bound input's producer does); [`Analysis::stream_type`]
-    /// checks a port it is not sure of.
+    /// The flat number of output port `src`, which must name a port of the graph.
     #[inline]
     pub fn port(&self, src: PortRef) -> usize {
         self.ports[src.node.0].1 as usize + src.port
