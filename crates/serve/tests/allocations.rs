@@ -14,7 +14,7 @@
 #![allow(unsafe_code)]
 
 use custard::{graphs, ConcreteIndexNotation, Formats, Schedule};
-use sam_exec::{Executor, FastBackend, Inputs, Plan, PlanCache};
+use sam_exec::{Executor, FastBackend, Inputs, Plan, PlanCache, TiledBackend};
 use sam_serve::{table1_workload, Service, ServiceConfig, TensorStore};
 use sam_tensor::level::Level;
 use sam_tensor::{synth, Tensor, TensorFormat};
@@ -240,8 +240,8 @@ fn calls<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// calls of each layer a cold query pays — parse; `try_new` and
 /// `lower_exec`; `Tensor::from_coo` of every operand (with the scalars
 /// bound); `Plan::build`; a run on a fresh fast backend — then a warm
-/// service query, counted on every thread, and a kept executor's second
-/// run. A debug build's `lower_exec` also verifies its graph; those calls
+/// service query, counted on every thread, a kept executor's second run
+/// and a tiled run of SpM\*SpM at tile 4. A debug build's `lower_exec` also verifies its graph; those calls
 /// are taken out, so a debug and a release build print one table.
 fn layer_table() -> String {
     let (store, queries) = table1_workload(1);
@@ -250,7 +250,7 @@ fn layer_table() -> String {
         "query", "parse", "lower", "materialize", "plan", "run"
     );
     let mut sums = [0u64; 5];
-    let mut kept = None;
+    let (mut kept, mut spmspm) = (None, None);
     for q in &queries {
         let query = &q.query;
         let (assignment, parse) = calls(|| custard::parse(query.expression()).expect("parses"));
@@ -287,6 +287,9 @@ fn layer_table() -> String {
         }
         let [a, b, c, d, e] = row;
         let _ = writeln!(table, "{:<12} {a:>6} {b:>6} {c:>12} {d:>6} {e:>6}", q.name);
+        if q.name == "SpM*SpM" {
+            spmspm = Some((plan.clone(), inputs.clone()));
+        }
         kept.get_or_insert((plan, inputs));
     }
     let mean = sums.map(|sum| format!("{:.1}", sum as f64 / queries.len() as f64));
@@ -322,6 +325,11 @@ fn layer_table() -> String {
     fast.run(&plan, &inputs).expect("runs");
     let (_, rerun) = calls(|| fast.run(&plan, &inputs).expect("runs"));
     let _ = writeln!(table, "kept executor rerun ({}): {rerun}", queries[0].name);
+
+    // A tiled run: the schedule, the cut, every tuple's walk and the merge.
+    let (plan, inputs) = spmspm.expect("SpM*SpM is a Table 1 query");
+    let (_, tiled) = calls(|| TiledBackend::with_tile(4).run(&plan, &inputs).expect("runs"));
+    let _ = writeln!(table, "tiled run, tile 4 (SpM*SpM): {tiled}");
     table
 }
 
