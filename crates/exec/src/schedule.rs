@@ -1,8 +1,12 @@
-//! Tile schedule derivation: from a [`Plan`] to a [`KernelTiling`].
+//! The tile schedule: one record, derived from a [`Plan`], of how the tiled
+//! backend cuts a kernel — a tile is one more, coarser coordinate level of
+//! the iteration space the plan already describes.
 //!
-//! The plan already holds the resolved wiring, the topological order and
-//! the storage level every scanner and locator reads; what is derived here
-//! is only what the tiler needs on top, without executing the kernel:
+//! A [`Schedule`] names everything by number: an index variable by its place
+//! in first-traced order, a tensor by its binding's position, a node by its
+//! id. The plan already holds the resolved wiring, the topological order and
+//! the storage level every scanner and locator reads; what is derived here is
+//! only what the tiler needs on top, without executing the kernel:
 //!
 //! 1. **Which index variables can be tiled?** Output variables always can:
 //!    a tile's partial output lands in a disjoint (or additively merged)
@@ -17,18 +21,21 @@
 //! 2. **How does each bound tensor map onto those variables?** Every
 //!    scanner and locator names its index variable and the plan knows the
 //!    storage level it reads, giving a per-level variable per tensor.
-//! 3. **When may a tile tuple be skipped?** A tensor belongs to the *skip
-//!    set* when an empty tile of it provably produces zero output entries:
-//!    its emptiness must reach every level writer's coordinate stream
-//!    through "requires" edges (compressed scans require their tensor,
+//! 3. **When may a tile tuple be skipped?** A tensor licenses a skip when
+//!    an empty tile of it provably produces zero output entries: its
+//!    emptiness must reach every level writer's coordinate stream through
+//!    "requires" edges (compressed scans require their tensor,
 //!    intersections require both operands, unions only what both share).
 //!    This is ExTensor's sparse tile skipping, restricted to where it is
 //!    bit-exact.
+//!
+//! The tile arithmetic — the tuple space, a variable's window, each level's
+//! tile size and a tuple's tile key — is methods on the record.
 
 use crate::bind::Inputs;
 use crate::plan::{Merger, Op, Plan, Transfer};
 use sam_core::graph::NodeId;
-use sam_tiles::{KernelTiling, TensorTiling, TiledVar};
+use sam_tensor::Tensor;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per output port, by its flat number: the tensors, by binding position,
@@ -41,24 +48,100 @@ fn in_req(plan: &Plan, req: &Requires, id: NodeId, slot: usize) -> BTreeSet<usiz
     plan.inputs_of(id)[slot].map(|src| req[plan.analysis().port(src)].clone()).unwrap_or_default()
 }
 
-/// One tensor the schedule cuts, in [`KernelTiling::tensors`] order: the
-/// position of its binding, and whether an empty tile of it lets a tuple be
-/// skipped (it is in [`KernelTiling::skip_tensors`]).
+/// A kernel's tile schedule at one tile size.
+pub(crate) struct Schedule {
+    /// Tile side length (coordinates per tile along every tiled variable).
+    tile: usize,
+    /// The index variables, in first-traced order.
+    pub(crate) vars: Vec<Var>,
+    /// The tensors the schedule cuts, in binding order.
+    pub(crate) cuts: Vec<Cut>,
+    /// Per output level writer, outermost first, the variable it writes.
+    pub(crate) writer_vars: Vec<usize>,
+}
+
+/// One index variable of the tiled iteration space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Var {
+    pub(crate) dim: usize,
+    /// Number of tiles along it (1 when untiled).
+    pub(crate) grid: usize,
+    pub(crate) tiled: bool,
+}
+
+/// One tensor the schedule cuts.
 pub(crate) struct Cut {
+    /// The position of its binding.
     pub(crate) tensor: usize,
+    /// Whether an empty tile of it lets a tuple be skipped.
     pub(crate) skips: bool,
+    /// Its storage levels, outermost first.
+    pub(crate) levels: Vec<CutLevel>,
+}
+
+/// One storage level of a cut tensor; both fields are `None` when no
+/// scanner or locator reads it, and it stays whole.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct CutLevel {
+    /// The variable the level iterates.
+    pub(crate) var: Option<usize>,
+    /// The first node in plan order that reads the level: the one a
+    /// coordinate the cut finds out of place would reach first.
+    pub(crate) reader: Option<NodeId>,
+}
+
+impl Schedule {
+    /// The tile-grid size along every variable: the tuple space the tiled
+    /// backend enumerates.
+    pub(crate) fn tuple_space(&self) -> Vec<usize> {
+        self.vars.iter().map(|v| v.grid).collect()
+    }
+
+    /// The first coordinate of variable `var`'s window in the tile tuple
+    /// `tuple` (an untiled variable's one tile, 0, starts at 0).
+    pub(crate) fn window_start(&self, tuple: &[usize], var: usize) -> u32 {
+        (tuple[var] * self.tile) as u32
+    }
+
+    /// The tile size of every storage level of cut `cut`, bound as
+    /// `tensor`: the level's full dimension where its variable is untiled or
+    /// it has none. A zero-size level counts as size 1, one empty window:
+    /// the cut takes no tile of size 0.
+    pub(crate) fn level_tile_sizes(&self, cut: usize, tensor: &Tensor) -> Vec<usize> {
+        let levels = self.cuts[cut].levels.iter().zip(tensor.levels());
+        levels
+            .map(|(read, level)| {
+                let dim = level.dimension().max(1);
+                match read.var {
+                    Some(v) if self.vars[v].tiled => self.tile.min(dim),
+                    _ => dim,
+                }
+            })
+            .collect()
+    }
+
+    /// The per-level tile key of cut `cut` under the tile tuple `tuple`
+    /// (indices into [`Schedule::tuple_space`]), written into a reused
+    /// buffer: a tiled run calls this for every tensor of every tuple.
+    pub(crate) fn tile_key_into(&self, cut: usize, tuple: &[usize], out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.cuts[cut].levels.iter().map(|read| read.var.map_or(0, |v| tuple[v] as u32)));
+    }
 }
 
 /// The schedule of `plan`'s kernel over `inputs`, at `tile` coordinates per
-/// tiled variable, and the tensors it cuts.
-pub(crate) fn tile_schedule(plan: &Plan, inputs: &Inputs, tile: usize) -> (KernelTiling, Vec<Cut>) {
+/// tiled variable.
+pub(crate) fn tile_schedule(plan: &Plan, inputs: &Inputs, tile: usize) -> Schedule {
     let tile = tile.max(1);
     let n = plan.graph().len();
 
     let mut req: Requires = vec![BTreeSet::new(); plan.readers().len()];
-    let mut vars: Vec<(char, usize)> = Vec::new();
-    // Per tensor position, the variable each storage level iterates.
-    let mut level_vars: BTreeMap<usize, BTreeMap<usize, char>> = BTreeMap::new();
+    // Each index variable's number, given the first time a scanner or
+    // locator names it, and its dimension.
+    let mut numbers: BTreeMap<char, usize> = BTreeMap::new();
+    let mut dims: Vec<usize> = Vec::new();
+    // Per tensor position, its storage levels as they are read.
+    let mut cut_levels: BTreeMap<usize, Vec<CutLevel>> = BTreeMap::new();
 
     for &id in plan.order() {
         let input = |slot| in_req(plan, &req, id, slot);
@@ -67,11 +150,17 @@ pub(crate) fn tile_schedule(plan: &Plan, inputs: &Inputs, tile: usize) -> (Kerne
                 Transfer::Scan { tensor, level: depth, index, .. }
                 | Transfer::Locate { tensor, level: depth, index },
             ) => {
-                let level = inputs.at(tensor).level(depth);
-                if !vars.iter().any(|&(var, _)| var == index) {
-                    vars.push((index, level.dimension()));
-                }
-                level_vars.entry(tensor).or_default().insert(depth, index);
+                let bound = inputs.at(tensor);
+                let level = bound.level(depth);
+                let var = *numbers.entry(index).or_insert_with(|| {
+                    dims.push(level.dimension());
+                    dims.len() - 1
+                });
+                let levels = cut_levels
+                    .entry(tensor)
+                    .or_insert_with(|| vec![CutLevel::default(); bound.levels().len()]);
+                levels[depth].var = Some(var);
+                levels[depth].reader.get_or_insert(id);
                 // A scanner's second input is its skip port, which no data
                 // edge feeds.
                 let mut r = &input(0) | &input(1);
@@ -127,10 +216,12 @@ pub(crate) fn tile_schedule(plan: &Plan, inputs: &Inputs, tile: usize) -> (Kerne
         && has(|op| matches!(op, Op::Merge(Merger { union: true, .. }))))
         && (!has(|op| matches!(op, Op::Transfer(Transfer::Reduce { order: 0 })))
             || (writers.len() == 1 && !has(|op| matches!(op, Op::Transfer(Transfer::Drop)))));
-    let output_vars: Vec<char> = writers
+    // A plan gives every written variable a scanner or locator that
+    // introduces it (`unknown-dimension`), so each one is numbered.
+    let writer_vars: Vec<usize> = writers
         .iter()
         .filter_map(|w| match plan.node(*w).op {
-            Op::Transfer(Transfer::WriteLevel { index, .. }) => Some(index),
+            Op::Transfer(Transfer::WriteLevel { index, .. }) => numbers.get(&index).copied(),
             _ => None,
         })
         .collect();
@@ -138,30 +229,13 @@ pub(crate) fn tile_schedule(plan: &Plan, inputs: &Inputs, tile: usize) -> (Kerne
     let skip: BTreeSet<usize> =
         writers.iter().map(|&w| in_req(plan, &req, w, 0)).reduce(|a, b| &a & &b).unwrap_or_default();
 
-    let tiling = KernelTiling {
-        tile,
-        vars: vars
-            .into_iter()
-            .map(|(var, dim)| {
-                let tiled = output_vars.contains(&var) || contraction_tileable;
-                TiledVar { var, dim, grid: if tiled { dim.div_ceil(tile) } else { 1 }, tiled }
-            })
-            .collect(),
-        // In binding (name) order.
-        tensors: level_vars
-            .iter()
-            .map(|(&tensor, by_depth)| TensorTiling {
-                name: plan.binding_name(tensor).to_string(),
-                level_vars: (0..inputs.at(tensor).levels().len())
-                    .map(|d| by_depth.get(&d).copied())
-                    .collect(),
-            })
-            .collect(),
-        output_vars,
-        skip_tensors: skip.iter().map(|&tensor| plan.binding_name(tensor).to_string()).collect(),
-    };
-    let cuts = level_vars.keys().map(|&tensor| Cut { tensor, skips: skip.contains(&tensor) }).collect();
-    (tiling, cuts)
+    let vars = dims.into_iter().enumerate().map(|(v, dim)| {
+        let tiled = contraction_tileable || writer_vars.contains(&v);
+        Var { dim, grid: if tiled { dim.div_ceil(tile) } else { 1 }, tiled }
+    });
+    let cuts =
+        cut_levels.into_iter().map(|(tensor, levels)| Cut { tensor, skips: skip.contains(&tensor), levels });
+    Schedule { tile, vars: vars.collect(), cuts: cuts.collect(), writer_vars }
 }
 
 #[cfg(test)]
@@ -172,17 +246,21 @@ mod tests {
     use sam_core::graph::SamGraph;
     use sam_tensor::{synth, TensorFormat};
 
-    fn schedule(graph: &SamGraph, inputs: &Inputs) -> Result<KernelTiling, PlanError> {
-        Plan::build(graph, inputs).map(|plan| tile_schedule(&plan, inputs, 4).0)
+    fn schedule(graph: &SamGraph, inputs: &Inputs) -> Result<(Plan, Schedule), PlanError> {
+        Plan::build(graph, inputs).map(|plan| {
+            let schedule = tile_schedule(&plan, inputs, 4);
+            (plan, schedule)
+        })
     }
 
-    fn names(tensors: &[&str]) -> BTreeSet<String> {
-        tensors.iter().map(|t| t.to_string()).collect()
+    /// Which variables are cut into tiles, in traced order.
+    fn tiled(s: &Schedule) -> Vec<bool> {
+        s.vars.iter().map(|v| v.tiled).collect()
     }
 
-    /// The variables of `t` that are cut into tiles, in traced order.
-    fn tiled_vars(t: &KernelTiling) -> String {
-        t.vars.iter().filter(|v| v.tiled).map(|v| v.var).collect()
+    /// The names of the tensors whose empty tile licenses a skip.
+    fn skipping<'p>(plan: &'p Plan, s: &Schedule) -> Vec<&'p str> {
+        s.cuts.iter().filter(|c| c.skips).map(|c| plan.binding_name(c.tensor)).collect()
     }
 
     #[test]
@@ -190,11 +268,12 @@ mod tests {
         let b = synth::random_matrix_sparsity(20, 16, 0.8, 31);
         let c = synth::random_matrix_sparsity(16, 24, 0.8, 32);
         let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsr());
-        let t = schedule(&graphs::spmm(SpmmDataflow::LinearCombination), &inputs)?;
-        assert_eq!(t.output_vars, vec!['i', 'j']);
-        assert_eq!(tiled_vars(&t), "ikj");
-        assert_eq!(t.skip_tensors, names(&["B", "C"]));
-        assert_eq!(t.vars[1], TiledVar { var: 'k', dim: 16, grid: 4, tiled: true });
+        let (plan, s) = schedule(&graphs::spmm(SpmmDataflow::LinearCombination), &inputs)?;
+        // Traced order i, k, j; the writers write i and j.
+        assert_eq!(s.writer_vars, [0, 2]);
+        assert_eq!(tiled(&s), [true; 3]);
+        assert_eq!(skipping(&plan, &s), ["B", "C"]);
+        assert_eq!(s.vars[1], Var { dim: 16, grid: 4, tiled: true });
         Ok(())
     }
 
@@ -203,12 +282,12 @@ mod tests {
         let b = synth::random_matrix_sparsity(12, 10, 0.8, 33);
         let c = synth::random_matrix_sparsity(10, 12, 0.8, 34);
         let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("C", &c, TensorFormat::dcsc());
-        let t = schedule(&graphs::spmm(SpmmDataflow::InnerProduct), &inputs)?;
-        // The inner-product k must stay untiled.
-        assert_eq!(tiled_vars(&t), "ij");
-        assert_eq!(t.vars[2], TiledVar { var: 'k', dim: 10, grid: 1, tiled: false });
+        let (plan, s) = schedule(&graphs::spmm(SpmmDataflow::InnerProduct), &inputs)?;
+        // The inner-product k, traced last, must stay untiled.
+        assert_eq!(tiled(&s), [true, true, false]);
+        assert_eq!(s.vars[2], Var { dim: 10, grid: 1, tiled: false });
         // Only B's emptiness reaches every writer.
-        assert_eq!(t.skip_tensors, names(&["B"]));
+        assert_eq!(skipping(&plan, &s), ["B"]);
         Ok(())
     }
 
@@ -218,12 +297,12 @@ mod tests {
         let c = synth::random_vector(10, 5, 36);
         let inputs =
             Inputs::new().coo("B", &b, TensorFormat::dcsr()).coo("c", &c, TensorFormat::sparse_vec());
-        let t = schedule(&graphs::spmv_coiteration(), &inputs)?;
+        let (plan, s) = schedule(&graphs::spmv_coiteration(), &inputs)?;
         // Single writer, no dropper: the scalar-reduce contraction (j) may
         // still be tiled.
-        assert_eq!(tiled_vars(&t), "ij");
+        assert_eq!(tiled(&s), [true, true]);
         // Skipping on the (explicit-zero-producing) vector would drop rows.
-        assert_eq!(t.skip_tensors, names(&["B"]));
+        assert_eq!(skipping(&plan, &s), ["B"]);
         Ok(())
     }
 
@@ -236,11 +315,10 @@ mod tests {
             .coo("B", &b, TensorFormat::dcsr())
             .coo("C", &c, TensorFormat::dense(2))
             .coo("D", &d, TensorFormat::dense(2));
-        let t = schedule(&graphs::sddmm_coiteration(), &inputs)?;
-        assert_eq!(t.skip_tensors, names(&["B"]));
+        let (plan, s) = schedule(&graphs::sddmm_coiteration(), &inputs)?;
+        assert_eq!(skipping(&plan, &s), ["B"]);
         // Scalar reduce with two writers: k stays untiled, i and j tile.
-        assert_eq!(tiled_vars(&t), "ij");
-        assert_eq!(t.vars.len(), 3);
+        assert_eq!(tiled(&s), [true, true, false]);
         Ok(())
     }
 
@@ -263,17 +341,30 @@ mod tests {
     fn tile_keys_follow_the_storage_order() -> Result<(), PlanError> {
         let b = synth::random_matrix_sparsity(16, 16, 0.8, 42);
         let c = synth::random_matrix_sparsity(16, 16, 0.8, 43);
-        // Outer-product dataflow: B is DCSC, so storage order is (k, i).
+        // Outer-product dataflow: B is DCSC, so storage order is (k, i),
+        // and k is traced first.
         let inputs = Inputs::new().coo("B", &b, TensorFormat::dcsc()).coo("C", &c, TensorFormat::dcsr());
-        let t = schedule(&graphs::spmm(SpmmDataflow::OuterProduct), &inputs)?;
-        assert_eq!((t.var_index('k'), t.var_index('i')), (Some(0), Some(1)));
+        let (plan, s) = schedule(&graphs::spmm(SpmmDataflow::OuterProduct), &inputs)?;
         // B's level 0 iterates k, level 1 iterates i.
-        assert_eq!(t.tensors[0].name, "B");
-        assert_eq!(t.tensors[0].level_vars, vec![Some('k'), Some('i')]);
+        assert_eq!(plan.binding_name(s.cuts[0].tensor), "B");
+        assert_eq!(s.cuts[0].levels.iter().map(|l| l.var).collect::<Vec<_>>(), [Some(0), Some(1)]);
         // Tile 3 along k, tile 2 along i.
         let mut key = Vec::new();
-        t.tile_key_into(0, &[3, 2, 0], &mut key);
+        s.tile_key_into(0, &[3, 2, 0], &mut key);
         assert_eq!(key, vec![3, 2]);
+        Ok(())
+    }
+
+    /// A zero-size level is one empty window, never a tile of size 0.
+    #[test]
+    fn a_zero_size_level_gets_a_tile_of_one() -> Result<(), PlanError> {
+        use sam_tensor::level::{CompressedLevel, Level};
+        let levels = [(6, vec![0, 0]), (0, vec![0])]
+            .map(|(dim, seg)| Level::Compressed(CompressedLevel { dim, seg, crd: Vec::new() }));
+        let b = Tensor::from_parts("B", vec![6, 0], TensorFormat::dcsr(), levels.to_vec(), Vec::new());
+        let inputs = Inputs::new().tensor(b);
+        let (_, s) = schedule(&graphs::identity(), &inputs)?;
+        assert_eq!(s.level_tile_sizes(0, inputs.at(s.cuts[0].tensor)), [4, 1]);
         Ok(())
     }
 }
@@ -281,17 +372,46 @@ mod tests {
 /// `tests/tiling_pins.rs` holds what the graph-side derivation this module
 /// replaced produced, and is written against the public API, which cannot
 /// reach `tile_schedule`; compiled here a second time, its constants check
-/// the derivation field for field.
+/// the derivation field for field, printed as the pins are: each derived
+/// binding position as its name, each variable number as its `char`.
 #[cfg(test)]
 mod tiling_pins {
     use crate as sam_exec;
     include!("../tests/tiling_pins.rs");
 
+    /// `schedule` as the pins print it. A variable's `char` is the one the
+    /// scanner or locator that first names it in plan order carries.
+    fn print(plan: &Plan, schedule: &super::Schedule) -> Printed {
+        use crate::plan::{Op, Transfer};
+        let mut chars: Vec<char> = Vec::new();
+        for &id in plan.order() {
+            if let Op::Transfer(Transfer::Scan { index, .. } | Transfer::Locate { index, .. }) =
+                plan.node(id).op
+            {
+                if !chars.contains(&index) {
+                    chars.push(index);
+                }
+            }
+        }
+        assert_eq!(chars.len(), schedule.vars.len());
+        let name = |tensor| plan.binding_name(tensor).to_string();
+        Printed {
+            vars: schedule.vars.iter().zip(&chars).map(|(v, &c)| (c, v.dim, v.grid, v.tiled)).collect(),
+            tensors: schedule
+                .cuts
+                .iter()
+                .map(|cut| (name(cut.tensor), cut.levels.iter().map(|l| l.var.map(|v| chars[v])).collect()))
+                .collect(),
+            output_vars: schedule.writer_vars.iter().map(|&v| chars[v]).collect(),
+            skip_tensors: schedule.cuts.iter().filter(|c| c.skips).map(|c| name(c.tensor)).collect(),
+        }
+    }
+
     #[test]
     fn the_derivation_reproduces_every_pinned_schedule() -> Result<(), sam_exec::PlanError> {
         for (pin, (name, graph, inputs)) in PINS.iter().zip(fixtures()) {
             let plan = Plan::build(&graph, &inputs)?;
-            assert_eq!(super::tile_schedule(&plan, &inputs, TILE).0, pin.tiling(), "{name}");
+            assert_eq!(print(&plan, &super::tile_schedule(&plan, &inputs, TILE)), pin.printed(), "{name}");
         }
         Ok(())
     }

@@ -22,8 +22,9 @@
 //! occupancy high-water mark, tiles skipped and capacity spills — which
 //! `samrepro fig15` prints.
 //!
-//! The tile schedule is derived from the plan (the crate-private `schedule`
-//! module) and is structure-preserving:
+//! The tile schedule is one record derived from the plan (the crate-private
+//! `schedule` module), by binding position and variable number, and is
+//! structure-preserving:
 //! on inputs whose partial sums are exact (e.g. integer-valued data), a
 //! tiled run is bit-identical to an untiled run, at any tile size.
 //!
@@ -56,14 +57,14 @@
 use crate::bind::Inputs;
 use crate::error::ExecError;
 use crate::fast::{define_nodes, walk, Workspace};
-use crate::plan::{Op, Plan, Transfer};
+use crate::plan::Plan;
 use crate::schedule::{tile_schedule, Cut};
 use crate::{check_output, Execution, Executor};
 use sam_memory::{MemoryConfig, MemoryCounters};
-use sam_tensor::{CooTensor, Tensor};
+use sam_tensor::level::{BitvectorLevel, CompressedLevel, DenseLevel, Level};
+use sam_tensor::Tensor;
 use sam_tiles::{LlbModel, Misplaced, TileGrid, TileMerger};
 use sam_trace::{ExecProfile, TokenCounts, TraceSink};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,20 +105,6 @@ impl TiledBackend {
     }
 }
 
-/// The label of the node that reads storage level `level` of the binding at
-/// position `tensor` — the scanner or locator the cut's [`Misplaced`] fiber
-/// would reach first — or the tensor's own name if none does.
-fn reader(plan: &Plan, tensor: usize, level: usize) -> String {
-    let reads = |op: &Op| match *op {
-        Op::Transfer(
-            Transfer::Scan { tensor: t, level: l, .. } | Transfer::Locate { tensor: t, level: l, .. },
-        ) => (t, l) == (tensor, level),
-        _ => false,
-    };
-    let first = plan.order().iter().find(|&&id| reads(&plan.node(id).op));
-    first.map_or_else(|| plan.binding_name(tensor).to_string(), |&id| plan.node_label(id))
-}
-
 impl Executor for TiledBackend {
     fn name(&self) -> &'static str {
         "tiled"
@@ -138,7 +125,8 @@ impl Executor for TiledBackend {
         // Every tuple walks `plan`: its nodes are defined, and their labels
         // formatted, once per run.
         let labels = define_nodes(plan, trace);
-        let (tiling, cuts) = tile_schedule(plan, inputs, self.config.tile);
+        let schedule = tile_schedule(plan, inputs, self.config.tile);
+        let cuts = &schedule.cuts;
         // Each phase (cut, tuple loop, merge) is a span on the `tiles` track,
         // and inside the loop each executed tuple's bind, walk and absorb.
         let phase = Phases { trace, start, tracing };
@@ -150,9 +138,16 @@ impl Executor for TiledBackend {
             .enumerate()
             .map(|(ti, cut)| {
                 let tensor = inputs.at(cut.tensor);
-                TileGrid::build(tensor, tiling.level_tile_sizes(ti, tensor)).map_err(|Misplaced { level }| {
-                    ExecError::Misaligned { label: reader(plan, cut.tensor, level) }
-                })
+                TileGrid::build(tensor, schedule.level_tile_sizes(ti, tensor)).map_err(
+                    |Misplaced { level }| {
+                        // Named after the node a misplaced coordinate reaches
+                        // first, or the tensor if no node reads its level.
+                        let label = cut.levels[level].reader.map(|id| plan.node_label(id));
+                        ExecError::Misaligned {
+                            label: label.unwrap_or_else(|| plan.binding_name(cut.tensor).to_string()),
+                        }
+                    },
+                )
             })
             .collect::<Result<_, _>>()?;
         phase.record("cut", cut_start);
@@ -163,23 +158,22 @@ impl Executor for TiledBackend {
         let mut merger = TileMerger::new();
         let mut scalar_sum = 0.0f64;
         let mut tokens = 0u64;
-        let mut empty_cache: HashMap<(usize, Vec<usize>), Arc<Tensor>> = HashMap::new();
+        // Per cut, the empty tiles bound so far, by shape: only a window on
+        // the grid's far edge along a level is narrower, so there are few.
+        let mut empty: Vec<Vec<(Vec<usize>, Arc<Tensor>)>> = vec![Vec::new(); cuts.len()];
+        let mut shape: Vec<usize> = Vec::new();
 
-        // Offsets of the output writers' variables, refreshed per tuple. A
-        // plan gives every written variable a scanner or locator that
-        // introduces it (`unknown-dimension`), so each one is traced.
-        let writer_vars: Vec<usize> =
-            tiling.output_vars.iter().filter_map(|&v| tiling.var_index(v)).collect();
-        let mut offsets: Vec<u32> = Vec::with_capacity(writer_vars.len());
+        // Offsets of the output writers' variables, refreshed per tuple.
+        let mut offsets: Vec<u32> = Vec::with_capacity(schedule.writer_vars.len());
 
         // Row-major enumeration of the variable tile tuple space. The
         // tuple and the key/tile buffers are reused across tuples: large
         // sweeps visit millions.
         let tuples_start = phase.now();
-        let grid = tiling.tuple_space();
+        let grid = schedule.tuple_space();
         let mut tuple = vec![0usize; grid.len()];
-        let mut keys: Vec<Vec<u32>> = vec![Vec::new(); tiling.tensors.len()];
-        let mut found: Vec<Option<&Arc<Tensor>>> = vec![None; tiling.tensors.len()];
+        let mut keys: Vec<Vec<u32>> = vec![Vec::new(); cuts.len()];
+        let mut found: Vec<Option<&Arc<Tensor>>> = vec![None; cuts.len()];
         // Each executed tuple rebinds every tensor the schedule tiles; the
         // scalars behind `ConstVal` sources ride along unchanged.
         let mut tile_inputs = inputs.clone();
@@ -197,8 +191,8 @@ impl Executor for TiledBackend {
             counters.tiles_visited += 1;
 
             let bind_start = phase.now();
-            for ti in 0..tiling.tensors.len() {
-                tiling.tile_key_into(ti, &tuple, &mut keys[ti]);
+            for ti in 0..cuts.len() {
+                schedule.tile_key_into(ti, &tuple, &mut keys[ti]);
                 found[ti] = grids[ti].get_shared(&keys[ti]);
             }
             let skip =
@@ -230,17 +224,24 @@ impl Executor for TiledBackend {
             // operands outside the skip set). Tiles are shared into
             // the input set in place — a refcount bump per tuple, not a
             // deep copy.
-            for (ti, (key, &Cut { tensor, .. })) in keys.iter().zip(&cuts).enumerate() {
+            for (ti, (key, &Cut { tensor, .. })) in keys.iter().zip(cuts).enumerate() {
                 let tile: Arc<Tensor> = match found[ti] {
                     Some(t) => Arc::clone(t),
                     None => {
-                        let windows = grids[ti].windows(key);
-                        let shape: Vec<usize> = windows.iter().map(|&(lo, hi)| (hi - lo) as usize).collect();
-                        Arc::clone(
-                            empty_cache
-                                .entry((ti, shape))
-                                .or_insert_with(|| Arc::new(empty_tile(inputs.at(tensor), &windows))),
-                        )
+                        let bound = inputs.at(tensor);
+                        shape.clear();
+                        shape.extend(key.iter().zip(grids[ti].tile_sizes()).enumerate().map(
+                            |(d, (&k, &size))| size.min(bound.level(d).dimension() - k as usize * size),
+                        ));
+                        let tiles = &mut empty[ti];
+                        match tiles.iter().find(|(s, _)| *s == shape) {
+                            Some((_, t)) => Arc::clone(t),
+                            None => {
+                                let t = Arc::new(empty_tile(bound, &shape));
+                                tiles.push((shape.clone(), Arc::clone(&t)));
+                                t
+                            }
+                        }
                     }
                 };
                 tile_inputs.rebind_at(tensor, tile);
@@ -263,7 +264,7 @@ impl Executor for TiledBackend {
                 scalar_sum += written.vals.iter().sum::<f64>();
             } else {
                 offsets.clear();
-                offsets.extend(writer_vars.iter().map(|&vi| tiling.var_window(vi, tuple[vi]).0));
+                offsets.extend(schedule.writer_vars.iter().map(|&v| schedule.window_start(&tuple, v)));
                 let absorb_start = phase.now();
                 check_output(&written.levels, &written.vals)?;
                 merger.absorb(&written.levels, &written.vals, &offsets);
@@ -367,23 +368,40 @@ impl TraceSink for TileSink<'_> {
     }
 }
 
-/// An empty tile of `bound` with the windowed shape, under its name and in
-/// its format — what a non-skippable operand binds when its window holds no
-/// stored entries.
-fn empty_tile(bound: &Tensor, windows: &[(u32, u32)]) -> Tensor {
-    let mode_order = bound.format().mode_order();
-    let mut logical_shape = vec![0usize; windows.len()];
-    for (level, &m) in mode_order.iter().enumerate() {
-        logical_shape[m] = (windows[level].1 - windows[level].0) as usize;
+/// An empty tile of `bound`, `shape[level]` coordinates along each storage
+/// level, under its name and in its format — what a non-skippable operand
+/// binds when its window holds no stored entries. Built level by level, as
+/// `Tensor::from_coo` builds an empty tensor, since a window may span no
+/// coordinate: each level holds one fiber per child of the level above it.
+fn empty_tile(bound: &Tensor, shape: &[usize]) -> Tensor {
+    let mut fibers = 1;
+    let levels = bound.levels().iter().zip(shape).map(|(level, &dim)| {
+        let empty = match level {
+            Level::Dense(_) => Level::Dense(DenseLevel::new(dim, fibers)),
+            Level::Compressed(_) => {
+                Level::Compressed(CompressedLevel { dim, seg: vec![0; fibers + 1], crd: Vec::new() })
+            }
+            Level::Bitvector(b) => {
+                Level::Bitvector(BitvectorLevel::from_fibers(dim, b.word_width, &vec![Vec::new(); fibers]))
+            }
+        };
+        fibers = empty.num_children();
+        empty
+    });
+    let levels: Vec<Level> = levels.collect();
+    let mut logical_shape = vec![0usize; shape.len()];
+    for (level, &m) in bound.format().mode_order().iter().enumerate() {
+        logical_shape[m] = shape[level];
     }
-    Tensor::from_coo(bound.name(), &CooTensor::new(logical_shape), bound.format().clone())
+    // A dense leaf level stores every slot, each an explicit zero.
+    Tensor::from_parts(bound.name(), logical_shape, bound.format().clone(), levels, vec![0.0; fibers])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use custard::graphs;
-    use sam_tensor::{synth, TensorFormat};
+    use sam_tensor::{synth, CooTensor, LevelFormat, TensorFormat};
     use std::sync::{Mutex, PoisonError};
 
     fn int_coo(coo: &CooTensor) -> CooTensor {
@@ -392,6 +410,31 @@ mod tests {
             coo.entries().iter().map(|(p, v)| (p.clone(), (v * 4.0).round())).collect(),
         )
         .unwrap()
+    }
+
+    /// An empty tile is the tensor `from_coo` builds of no entries, in every
+    /// level format, and exists where a window spans no coordinate.
+    #[test]
+    fn an_empty_tile_is_what_from_coo_builds_of_no_entries() {
+        let bitvector = LevelFormat::Bitvector { word_width: 4 };
+        let formats = [
+            TensorFormat::dense(2),
+            TensorFormat::csr(),
+            TensorFormat::dcsr(),
+            TensorFormat::dcsc(),
+            TensorFormat::new(vec![LevelFormat::Dense, bitvector]),
+            TensorFormat::new(vec![bitvector, LevelFormat::Compressed]),
+        ];
+        let coo = synth::random_matrix_sparsity(6, 5, 0.5, 50);
+        for format in formats {
+            let bound = Tensor::from_coo("B", &coo, format.clone());
+            let logical = [3, 2];
+            let shape: Vec<usize> = format.mode_order().iter().map(|&m| logical[m]).collect();
+            let expect = Tensor::from_coo("B", &CooTensor::new(logical.to_vec()), format.clone());
+            assert_eq!(empty_tile(&bound, &shape), expect, "{format:?}");
+            let zero: Vec<usize> = format.mode_order().iter().map(|&m| [3, 0][m]).collect();
+            assert_eq!(empty_tile(&bound, &zero).shape(), [3, 0], "{format:?}");
+        }
     }
 
     #[test]

@@ -359,3 +359,72 @@ fn a_coordinate_past_its_dimension_is_a_typed_error_at_every_tile() {
     }
     assert_every_tile_rejects(&kernel.graph, &inputs);
 }
+
+/// An operand of `shape` with no entries, built from its parts (`from_coo`
+/// takes no zero-size dimension): each level holds one fiber per entry of
+/// the level above it, one below the root.
+fn empty_operand(name: &str, shape: &[usize], format: &TensorFormat) -> Tensor {
+    use sam_tensor::level::{CompressedLevel, DenseLevel, Level};
+    let mut fibers = 1;
+    let levels = format
+        .mode_order()
+        .iter()
+        .zip(format.levels())
+        .map(|(&mode, level)| {
+            let dim = shape[mode];
+            let built = if *level == sam_tensor::LevelFormat::Dense {
+                Level::Dense(DenseLevel { size: dim, num_fibers: fibers })
+            } else {
+                Level::Compressed(CompressedLevel { dim, seg: vec![0; fibers + 1], crd: Vec::new() })
+            };
+            fibers = built.num_children();
+            built
+        })
+        .collect();
+    Tensor::from_parts(name, shape.to_vec(), format.clone(), levels, Vec::new())
+}
+
+/// A zero-size dimension: every tiled run, at tiles that cut the operands
+/// and at the default, returns a result or a typed error, and where the
+/// fast backend returns one, the tiled run returns the same values and
+/// entries. A schedule used to hand the cut a tile size of 0, which panicked.
+#[test]
+fn a_zero_size_dimension_runs_tiled_as_it_runs_untiled() {
+    // Residual's `b` holds an entry: its tile is bound beside empty tiles of
+    // `C` and `d` that span no coordinate of `j`.
+    type Operands = &'static [(&'static str, &'static [usize])];
+    let cases: [(&str, Operands); 5] = [
+        ("x(i) = b(i)", &[("b", &[0])]),
+        ("x(i) = b(i) * c(i)", &[("b", &[0]), ("c", &[0])]),
+        ("X(i,j) = B(i,j) + C(i,j)", &[("B", &[0, 3]), ("C", &[0, 3])]),
+        ("chi() = B(i,j) * C(i,j)", &[("B", &[3, 0]), ("C", &[3, 0])]),
+        ("x(i) = b(i) - C(i,j) * d(j)", &[("b", &[4]), ("C", &[4, 0]), ("d", &[0])]),
+    ];
+    for (text, operands) in cases {
+        let cin = ConcreteIndexNotation::new(parse(text).unwrap(), &Schedule::new(), Formats::new());
+        let kernel = lower_exec(&cin).unwrap();
+        let mut inputs = Inputs::new();
+        for &(name, shape) in operands {
+            let format = &kernel.formats.iter().find(|(n, _)| n == name).expect("operand in formats").1;
+            inputs = if shape.contains(&0) {
+                inputs.tensor(empty_operand(name, shape, format))
+            } else {
+                let coo = CooTensor::from_entries(shape.to_vec(), vec![(vec![1; shape.len()], 2.0)]).unwrap();
+                inputs.coo(name, &coo, format.clone())
+            };
+        }
+        let fast = ExecRequest::new(&kernel.graph, &inputs).backend(BackendSpec::FastSerial).run();
+        // `None` is the default tile, which covers every operand.
+        for tile in [Some(1), Some(2), Some(4), None] {
+            let tiled = tile.map_or_else(TiledBackend::default, TiledBackend::with_tile);
+            let run = ExecRequest::new(&kernel.graph, &inputs).executor(&tiled).run();
+            let Ok(fast) = &fast else { continue };
+            let run = run.unwrap_or_else(|e| panic!("`{text}` at tile {tile:?}: {e}"));
+            assert_eq!(run.vals, fast.vals, "`{text}` at tile {tile:?}");
+            // `to_dense` cannot hold a zero-size dimension: compare the
+            // shape and the points it would be built from.
+            let dense = |out: &Option<Tensor>| out.as_ref().map(|t| (t.shape().to_vec(), t.points()));
+            assert_eq!(dense(&run.output), dense(&fast.output), "`{text}` at tile {tile:?}");
+        }
+    }
+}

@@ -1,10 +1,13 @@
 // The tile schedule of every catalog graph and of custard's lowering of the
 // twelve Table 1 expressions, at tile 4, as `KernelTiling::from_graph` derived
 // it from the graph before the derivation moved onto the plan (PR 23). The
-// derivation is private to `sam-exec`, so `src/schedule.rs` compiles this file
-// a second time, as a child module, and checks every field against `PINS`;
-// what is checked here, through the public API, is that each pin describes
-// the plan of the fixture it is named after.
+// schedule is one crate-private record of `sam-exec` (`src/schedule.rs`),
+// which names tensors by binding position and variables by number; that
+// module compiles this file a second time, as a child module, prints its
+// record the way a pin reads (each position as its binding's name, each
+// variable number as its `char`) and checks it against `PINS` field for
+// field. What is checked here, through the public API, is that each pin
+// describes the plan of the fixture it is named after.
 //
 // (Plain comments, not `//!`: the file is also `include!`d.)
 
@@ -13,7 +16,6 @@ use custard::{parse, ConcreteIndexNotation, Formats, Schedule};
 use sam_core::graph::{NodeId, NodeKind, SamGraph};
 use sam_exec::{Inputs, Plan};
 use sam_tensor::{CooTensor, LevelFormat, TensorFormat};
-use sam_tiles::{KernelTiling, TensorTiling, TiledVar};
 use std::collections::BTreeMap;
 
 const TILE: usize = 4;
@@ -28,23 +30,21 @@ struct Pin {
     skip_tensors: &'static [&'static str],
 }
 
+/// A schedule as a pin prints it: variables by their `char` in traced order,
+/// tensors and the skip set by binding name in binding order.
+#[derive(Debug, PartialEq, Eq)]
+struct Printed {
+    vars: Vec<(char, usize, usize, bool)>,
+    tensors: Vec<(String, Vec<Option<char>>)>,
+    output_vars: Vec<char>,
+    skip_tensors: Vec<String>,
+}
+
 impl Pin {
-    fn tiling(&self) -> KernelTiling {
-        KernelTiling {
-            tile: TILE,
-            vars: self
-                .vars
-                .iter()
-                .map(|&(var, dim, grid, tiled)| TiledVar { var, dim, grid, tiled })
-                .collect(),
-            tensors: self
-                .tensors
-                .iter()
-                .map(|&(name, level_vars)| TensorTiling {
-                    name: name.to_string(),
-                    level_vars: level_vars.to_vec(),
-                })
-                .collect(),
+    fn printed(&self) -> Printed {
+        Printed {
+            vars: self.vars.to_vec(),
+            tensors: self.tensors.iter().map(|&(name, levels)| (name.to_string(), levels.to_vec())).collect(),
             output_vars: self.output_vars.to_vec(),
             skip_tensors: self.skip_tensors.iter().map(|t| t.to_string()).collect(),
         }
@@ -393,19 +393,19 @@ fn every_pin_describes_its_fixtures_plan() {
     for (pin, (name, graph, inputs)) in PINS.iter().zip(&fixtures) {
         assert_eq!(pin.name, name);
         let plan = Plan::build(graph, inputs).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let t = pin.tiling();
+        let t = pin.printed();
+        let dim = |var: char| t.vars.iter().find(|v| v.0 == var).map(|v| v.1);
         // The output's levels are the writers' variables at their pinned sizes.
-        let shape: Vec<Option<usize>> =
-            t.output_vars.iter().map(|&v| t.var_index(v).map(|vi| t.vars[vi].dim)).collect();
+        let shape: Vec<Option<usize>> = t.output_vars.iter().map(|&v| dim(v)).collect();
         assert_eq!(shape, plan.output_shape().iter().map(|&d| Some(d)).collect::<Vec<_>>(), "{name}");
-        for v in &t.vars {
-            assert_eq!(v.grid, if v.tiled { v.dim.div_ceil(TILE) } else { 1 }, "{name}: grid of {}", v.var);
-            assert!(v.tiled || !t.output_vars.contains(&v.var), "{name}: output variable {} untiled", v.var);
+        for &(var, dim, grid, tiled) in &t.vars {
+            assert_eq!(grid, if tiled { dim.div_ceil(TILE) } else { 1 }, "{name}: grid of {var}");
+            assert!(tiled || !t.output_vars.contains(&var), "{name}: output variable {var} untiled");
         }
         // Every windowed tensor is bound, level for level; only those can gate a tuple.
-        for tt in &t.tensors {
-            assert_eq!(inputs.get(&tt.name).map(|b| b.levels().len()), Some(tt.level_vars.len()), "{name}");
+        for (tensor, level_vars) in &t.tensors {
+            assert_eq!(inputs.get(tensor).map(|b| b.levels().len()), Some(level_vars.len()), "{name}");
         }
-        assert!(t.skip_tensors.iter().all(|s| t.tensors.iter().any(|tt| &tt.name == s)), "{name}");
+        assert!(t.skip_tensors.iter().all(|s| t.tensors.iter().any(|(tensor, _)| tensor == s)), "{name}");
     }
 }

@@ -8,21 +8,20 @@
 //! partial outputs back into one result.
 //!
 //! The crate is tile mechanics: it knows fibertrees
-//! ([`sam_tensor::Tensor`]) and names no graph type. The `TiledBackend` of
-//! `sam-exec` derives a kernel's tile schedule from its plan and composes
-//! these pieces with the fast functional executor to produce *measured*
-//! finite-memory counters ([`sam_memory::MemoryCounters`]), which
-//! `samrepro fig15` prints:
+//! ([`sam_tensor::Tensor`]) and names no graph type. The tile schedule —
+//! which index variables are tiled, how each cut tensor's storage levels map
+//! onto them, which tensors' empty tiles license skipping a whole tile
+//! tuple, and the grid, window and key arithmetic on it — is one
+//! crate-private record of `sam-exec`, derived from a kernel's plan by
+//! binding position. The `TiledBackend` there composes these pieces with the
+//! fast functional executor to produce *measured* finite-memory counters
+//! ([`sam_memory::MemoryCounters`]), which `samrepro fig15` prints:
 //!
 //! * [`extract`] — cuts any level hierarchy (dense, compressed, bitvector)
 //!   into a [`TileGrid`] of its nonempty tiles in one depth-first pass over
 //!   the stored levels, straight into each tile's level arrays — a tile is
 //!   the window of what its parent stores, explicit zeros included — and
 //!   shares a tensor one window covers as its only tile, uncut;
-//! * [`schedule`] — a [`KernelTiling`] (which index variables are tiled,
-//!   how each bound tensor's storage levels map onto them, which tensors'
-//!   empty tiles license skipping a whole tile tuple) and the arithmetic on
-//!   it: grid sizes, coordinate windows, tile keys;
 //! * [`llb`] — an LRU model of the last-level buffer that turns the tile
 //!   access sequence into measured DRAM traffic, occupancy high-water marks
 //!   and capacity-spill counts;
@@ -36,9 +35,7 @@
 pub mod extract;
 pub mod llb;
 pub mod merge;
-pub mod schedule;
 
 pub use extract::{Misplaced, TileGrid};
 pub use llb::LlbModel;
 pub use merge::TileMerger;
-pub use schedule::{KernelTiling, TensorTiling, TiledVar};
