@@ -354,19 +354,6 @@ mod tests {
         assert_eq!(key, vec![3, 2]);
         Ok(())
     }
-
-    /// A zero-size level is one empty window, never a tile of size 0.
-    #[test]
-    fn a_zero_size_level_gets_a_tile_of_one() -> Result<(), PlanError> {
-        use sam_tensor::level::{CompressedLevel, Level};
-        let levels = [(6, vec![0, 0]), (0, vec![0])]
-            .map(|(dim, seg)| Level::Compressed(CompressedLevel { dim, seg, crd: Vec::new() }));
-        let b = Tensor::from_parts("B", vec![6, 0], TensorFormat::dcsr(), levels.to_vec(), Vec::new());
-        let inputs = Inputs::new().tensor(b);
-        let (_, s) = schedule(&graphs::identity(), &inputs)?;
-        assert_eq!(s.level_tile_sizes(0, inputs.at(s.cuts[0].tensor)), [4, 1]);
-        Ok(())
-    }
 }
 
 /// `tests/tiling_pins.rs` holds what the graph-side derivation this module
